@@ -245,24 +245,16 @@ func (c *Client) Run(ctx context.Context, name string, p ScenarioParams) (Scenar
 	if hit {
 		return cached, nil
 	}
-	// With a checkpoint tier, eligible long-horizon runs persist mid-run
-	// state and resume across invocations (an interrupted run flushes a
-	// final checkpoint on the way out).
-	if c.ckpts != nil {
-		res, handled, err := engine.RunCheckpointed(ctx, c.reg, cell,
-			&engine.CheckpointOptions{Every: c.ckptEvery, Store: c.ckpts})
-		if handled {
-			if err == nil {
-				c.storeSave(key, res)
-			}
-			return res, err
-		}
+	// One cell through the engine's cell executor, exactly as a sweep
+	// runs it: with a checkpoint tier, eligible long-horizon runs persist
+	// mid-run state and resume across invocations (an interrupted run
+	// flushes a final checkpoint on the way out).
+	res, err := engine.RunCell(ctx, c.reg, cell, c.options().Checkpoint)
+	if err != nil {
+		return ScenarioResult{}, err
 	}
-	res, err := c.reg.RunContext(ctx, name, p)
-	if err == nil {
-		c.storeSave(key, res)
-	}
-	return res, err
+	c.storeSave(key, res)
+	return res, nil
 }
 
 // SweepStream fans the cells out over the client's worker pool and yields
@@ -332,9 +324,6 @@ func (c *Client) Sweep(ctx context.Context, cells []SweepCell) []ScenarioResult 
 
 // SweepGrid expands a parameter grid and sweeps it.
 func (c *Client) SweepGrid(ctx context.Context, g SweepGrid) []ScenarioResult {
-	if c.store == nil {
-		return engine.SweepGridContext(ctx, g, c.options())
-	}
 	return c.Sweep(ctx, g.Cells())
 }
 

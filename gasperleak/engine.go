@@ -5,10 +5,6 @@ import (
 	"io"
 
 	"repro/internal/engine"
-	// Install the snapshot-tree warm-start scheduler behind WithWarmStart
-	// (the engine package cannot import it; see
-	// engine.SetWarmStartScheduler).
-	_ "repro/internal/engine/warmstart"
 	"repro/internal/report"
 )
 
@@ -80,7 +76,7 @@ func NewScenario(name, desc string, defaults ScenarioParams, run func(ScenarioPa
 // (per-cell updates as they complete), which take a context for
 // cancellation.
 func Sweep(cells []SweepCell, opt SweepOptions) []ScenarioResult {
-	return engine.Sweep(cells, opt)
+	return engine.SweepContext(context.Background(), cells, opt)
 }
 
 // RunSweepGrid expands a parameter grid and sweeps it.
@@ -88,7 +84,7 @@ func Sweep(cells []SweepCell, opt SweepOptions) []ScenarioResult {
 // Deprecated: use Client.SweepGrid, which takes a context for
 // cancellation.
 func RunSweepGrid(g SweepGrid, opt SweepOptions) []ScenarioResult {
-	return engine.SweepGrid(g, opt)
+	return engine.SweepContext(context.Background(), g.Cells(), opt)
 }
 
 // ParseGrid parses a "p0=0.2:0.8:0.1; beta0=0.1,0.2; mode=double" sweep

@@ -1,12 +1,9 @@
-package warmstart_test
+package engine
 
 import (
 	"context"
 	"reflect"
 	"testing"
-
-	"repro/internal/engine"
-	_ "repro/internal/engine/warmstart"
 )
 
 // benchGrid is the acceptance workload: a sim/gst shared-prefix grid of 30
@@ -17,12 +14,12 @@ import (
 // prefixes and seeds) — cold re-runs the prefix per cell, warm runs it
 // once to the deepest horizon and fans all 30 cells out from the 15
 // intermediate checkpoints.
-func benchGrid() []engine.Cell {
+func benchGrid() []Cell {
 	horizons := make([]int, 0, 15)
 	for h := 8; h <= 22; h++ {
 		horizons = append(horizons, h)
 	}
-	return engine.Grid{
+	return Grid{
 		Scenario: "sim/gst",
 		P0:       []float64{0.5},
 		GSTs:     []int{30, 40},
@@ -31,12 +28,12 @@ func benchGrid() []engine.Cell {
 	}.Cells()
 }
 
-func benchSweep(b *testing.B, warm *engine.WarmStartOptions) []engine.Result {
+func benchSweep(b *testing.B, warm *WarmStartOptions) []Result {
 	b.Helper()
-	var last []engine.Result
+	var last []Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = engine.SweepContext(context.Background(), benchGrid(), engine.Options{
+		last = SweepContext(context.Background(), benchGrid(), Options{
 			Workers:   1,
 			WarmStart: warm,
 		})
@@ -59,12 +56,12 @@ func benchSweep(b *testing.B, warm *engine.WarmStartOptions) []engine.Result {
 // cells/sec. The warm run is also asserted bit-identical to the cold one —
 // the speedup is only admissible because the results are the same.
 func BenchmarkSweepWarmStart(b *testing.B) {
-	var cold, warm []engine.Result
+	var cold, warm []Result
 	b.Run("cold", func(b *testing.B) {
 		cold = benchSweep(b, nil)
 	})
 	b.Run("warm", func(b *testing.B) {
-		warm = benchSweep(b, &engine.WarmStartOptions{})
+		warm = benchSweep(b, &WarmStartOptions{})
 	})
 	if cold != nil && warm != nil {
 		for i := range cold {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"time"
 )
 
 // DefaultCheckpointEvery is the checkpoint interval (in simulated epochs)
@@ -42,9 +41,9 @@ type CheckpointStore interface {
 	DeleteCheckpoint(cellKey string)
 }
 
-// CheckpointOptions turns on durable mid-cell checkpointing for sweep
-// cells of checkpointable scenarios (the forkable protocol-simulator
-// scenarios): a starting cell probes the store for its newest valid
+// CheckpointOptions turns on the cell executor's durable tier (RunCell)
+// for cells of checkpointable scenarios (the forkable protocol-simulator
+// scenarios), inside a sweep or out: a starting cell probes the store for its newest valid
 // checkpoint and resumes from it instead of recomputing from epoch 0,
 // and while running it persists a fresh checkpoint every Every epochs.
 // Results are bit-identical to an uninterrupted cold run — the resumed
@@ -89,10 +88,44 @@ type CheckpointableScenario interface {
 	DecodePrefix(r io.Reader) (*Prefix, error)
 }
 
-// savePrefixPayload encodes a prefix and persists it under the cell's
-// checkpoint key. Best-effort: an encode or store failure is returned
-// for accounting but never aborts the run.
-func savePrefixPayload(cs CheckpointableScenario, st CheckpointStore, cellKey string, pre *Prefix) error {
+// RunCheckpointed executes one cell under the durable-checkpoint policy
+// outside a sweep: RunCell for callers that want to know whether the policy
+// applied. handled is false when it cannot (no store, scenario not
+// checkpointable, invalid params, degenerate branch) and nothing ran — the
+// caller then runs its plain path.
+func RunCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions) (res Result, handled bool, err error) {
+	if reg == nil {
+		reg = Default
+	}
+	sc, ok := reg.Lookup(cell.Scenario)
+	if !ok {
+		return Result{}, false, nil
+	}
+	if _, _, ok := checkpointable(sc, cell.Params.WithDefaults(sc.Defaults()), ck); !ok {
+		return Result{}, false, nil
+	}
+	res, err = RunCell(ctx, reg, cell, ck)
+	return res, true, err
+}
+
+// checkpointable reports whether a cell (params defaulted) runs under the
+// durable-checkpoint policy, and its branch epoch when it does. Without a
+// store the scenario is not even asked to Fork.
+func checkpointable(sc Scenario, p Params, ck *CheckpointOptions) (cs CheckpointableScenario, branch int, ok bool) {
+	if ck == nil || ck.Store == nil {
+		return nil, 0, false
+	}
+	if cs, ok = sc.(CheckpointableScenario); !ok {
+		return nil, 0, false
+	}
+	_, branch, ok = cs.Fork(p)
+	return cs, branch, ok && branch > 0
+}
+
+// saveCheckpoint encodes a prefix and persists it under the cell's key.
+// Best-effort: an encode or store failure is returned for accounting but
+// never aborts the run.
+func saveCheckpoint(cs CheckpointableScenario, st CheckpointStore, cellKey string, pre *Prefix) error {
 	var buf bytes.Buffer
 	if err := cs.EncodePrefix(&buf, pre); err != nil {
 		return err
@@ -100,66 +133,27 @@ func savePrefixPayload(cs CheckpointableScenario, st CheckpointStore, cellKey st
 	return st.SaveCheckpoint(cellKey, buf.Bytes())
 }
 
-// decodePrefixPayload reconstructs a prefix from a stored checkpoint
-// payload. Any error means the payload is unusable (version skew,
-// schema drift) and the caller starts cold.
-func decodePrefixPayload(cs CheckpointableScenario, payload []byte) (*Prefix, error) {
-	return cs.DecodePrefix(bytes.NewReader(payload))
-}
-
-// RunCheckpointed executes one cell under the durable-checkpoint policy
-// outside a sweep — the single-run entry point for callers (the client
-// API, CLIs) whose long-horizon runs should survive interruption.
-// handled reports whether the cell was eligible; when false the caller
-// runs its plain path.
-func RunCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions) (res Result, handled bool, err error) {
-	if reg == nil {
-		reg = Default
-	}
-	return runCellCheckpointed(ctx, reg, cell, ck)
-}
-
-// runCellCheckpointed executes one cell under the durable-checkpoint
-// policy: probe the store, resume from the newest valid checkpoint (or
-// start cold), persist a fresh checkpoint every interval while running,
-// delete the checkpoint once the cell completes. handled is false when
-// the cell cannot be checkpointed (scenario not checkpointable, invalid
-// params, degenerate branch) — the caller then runs the plain cold path.
+// runFromCheckpoint is the cell executor's durable tier: probe the store,
+// resume from the newest valid checkpoint (or start at genesis), persist a
+// fresh checkpoint every interval while running, delete the checkpoint once
+// the cell completes. It fills meta as it goes and also returns the epochs
+// the cell actually simulated: where its final prefix stands when the
+// scenario concluded there (a sim/leak run that conflicts at 4668 of 6000
+// simulated 4668), else the horizon ResumeFrom ran the tail to (a
+// conclusion inside that tail is still counted at full horizon).
 //
 // On cooperative cancellation the newest completed chunk is flushed as a
 // final checkpoint before the context error is returned, so a drained
 // worker's in-flight cells resume nearly where they stopped.
-func runCellCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions) (res Result, handled bool, err error) {
-	if ck == nil || ck.Store == nil {
-		return Result{}, false, nil
-	}
-	sc, ok := reg.Lookup(cell.Scenario)
-	if !ok {
-		return Result{}, false, nil
-	}
-	cs, ok := sc.(CheckpointableScenario)
-	if !ok {
-		return Result{}, false, nil
-	}
-	p := cell.Params.WithDefaults(sc.Defaults())
-	_, branch, ok := cs.Fork(p)
-	if !ok || branch <= 0 {
-		return Result{}, false, nil
-	}
-	cellKey, ok := CanonicalCellKey(reg, cell)
-	if !ok {
-		return Result{}, false, nil
-	}
-
+func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params, branch int, cellKey string, ck *CheckpointOptions, meta *CheckpointMeta) (Result, int, error) {
 	every := ck.Every
 	if every == 0 {
 		every = DefaultCheckpointEvery
 	}
 
-	meta := &CheckpointMeta{}
 	var pre *Prefix
 	if payload, found := ck.Store.LoadCheckpoint(cellKey); found {
-		if dec, derr := decodePrefixPayload(cs, payload); derr == nil {
+		if dec, err := cs.DecodePrefix(bytes.NewReader(payload)); err == nil {
 			pre = dec
 			meta.Resumed = true
 			meta.ResumeEpoch = dec.Epoch
@@ -173,7 +167,7 @@ func runCellCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *Chec
 	}
 
 	save := func(pre *Prefix) {
-		if perr := savePrefixPayload(cs, ck.Store, cellKey, pre); perr == nil {
+		if saveCheckpoint(cs, ck.Store, cellKey, pre) == nil {
 			meta.Written++
 		}
 		// A failed persist only costs resume depth, never the run.
@@ -187,7 +181,6 @@ func runCellCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *Chec
 		step = every
 	}
 
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
 	lastSaved := -1
 	if pre != nil {
 		lastSaved = pre.Epoch
@@ -208,15 +201,15 @@ func runCellCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *Chec
 		if next > branch {
 			next = branch
 		}
-		np, rerr := cs.RunTo(ctx, p, pre, next)
-		if rerr != nil {
+		np, err := cs.RunTo(ctx, p, pre, next)
+		if err != nil {
 			// Cooperative cancellation (or a genuine failure) mid-cell:
 			// flush the newest completed chunk so the next attempt
 			// resumes here instead of at the last interval boundary.
 			if pre != nil && pre.Epoch > lastSaved {
 				save(pre)
 			}
-			return Result{}, true, rerr
+			return Result{}, 0, err
 		}
 		pre = np
 		if pre.Done || pre.Epoch >= branch || (every > 0 && pre.Epoch-lastSaved >= every) {
@@ -229,24 +222,13 @@ func runCellCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *Chec
 	// the in-memory snapshot (the durable copy is independent bytes), so
 	// ResumeFrom may adopt it instead of cloning.
 	pre.Owned = true
-	res, err = cs.ResumeFrom(ctx, pre, p)
+	res, err := cs.ResumeFrom(ctx, pre, p)
 	if err != nil {
-		return Result{}, true, err
+		return Result{}, 0, err
 	}
 	ck.Store.DeleteCheckpoint(cellKey)
-	// Same stamping Registry.RunContext applies on the plain path.
-	res.Scenario = sc.Name()
-	res.Params = p
-	res.Meta = RunMeta{
-		DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
-		Checkpoint: meta,
-	}.Merged(res.Meta)
-	// The scenario stamped throughput over ResumeFrom's tail alone; here
-	// the chunked RunTo loop did the work, so restate it over the whole
-	// checkpointed wall clock. Like warm start, a resumed cell counts the
-	// epochs its checkpoint skipped — effective throughput.
-	if secs := float64(res.Meta.DurationMS) / 1000; secs > 0 && p.Horizon > 0 {
-		res.Meta.EpochsPerSec = float64(p.Horizon) / secs
+	if pre.Done {
+		return res, pre.Epoch, nil
 	}
-	return res, true, nil
+	return res, p.Horizon, nil
 }

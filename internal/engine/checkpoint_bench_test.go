@@ -66,9 +66,9 @@ func BenchmarkResumeVsCold(b *testing.B) {
 			ms := newMemStore()
 			ms.data[key] = append([]byte(nil), blob.Bytes()...)
 			b.StartTimer()
-			r, handled, err := runCellCheckpointed(ctx, Default, cell, &CheckpointOptions{Every: -1, Store: ms})
-			if err != nil || !handled {
-				b.Fatalf("checkpointed run: handled=%t err=%v", handled, err)
+			r, err := RunCell(ctx, Default, cell, &CheckpointOptions{Every: -1, Store: ms})
+			if err != nil {
+				b.Fatalf("checkpointed run: %v", err)
 			}
 			resumed = r
 		}

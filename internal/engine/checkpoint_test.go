@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -83,13 +84,13 @@ func shrinkChunk(t *testing.T, chunk int) {
 // TestCheckpointableScenarioRegistration: every forkable sim scenario in
 // the default registry also opts into durable checkpoints.
 func TestCheckpointableScenarioRegistration(t *testing.T) {
-	for _, name := range []string{ScenarioSimDrops, ScenarioSimGST, ScenarioSimLeak, ScenarioSimSemiActive} {
-		s, ok := Default.Lookup(name)
+	for _, row := range simRows {
+		s, ok := Default.Lookup(row.name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("%s not registered", row.name)
 		}
 		if _, ok := s.(CheckpointableScenario); !ok {
-			t.Errorf("%s does not implement CheckpointableScenario", name)
+			t.Errorf("%s does not implement CheckpointableScenario", row.name)
 		}
 	}
 }
@@ -240,7 +241,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 	if !ok {
 		t.Fatal("no canonical key")
 	}
-	if err := savePrefixPayload(cs, ms, key, pre); err != nil {
+	if err := saveCheckpoint(cs, ms, key, pre); err != nil {
 		t.Fatal(err)
 	}
 
@@ -404,5 +405,32 @@ func TestCheckpointSaveFailureHarmless(t *testing.T) {
 	}
 	if ck := warm[0].Meta.Checkpoint; ck == nil || ck.Written != 0 {
 		t.Fatalf("checkpoint meta %+v, want written=0 under a failing store", warm[0].Meta.Checkpoint)
+	}
+}
+
+// TestCheckpointThroughputCountsSimulatedEpochs: a checkpointed cell that
+// concludes before its horizon (this sim/gst cell violates safety at epoch
+// 26 of 40) reports throughput over the epochs it actually simulated, not
+// over the horizon it never reached.
+func TestCheckpointThroughputCountsSimulatedEpochs(t *testing.T) {
+	shrinkChunk(t, 4)
+	cell := Cell{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3, GST: 40}}
+	res := SweepContext(context.Background(), []Cell{cell}, Options{
+		Workers:    1,
+		Checkpoint: &CheckpointOptions{Every: 8, Store: newMemStore()},
+	})[0]
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	violation, _ := res.Metric("violation_epoch")
+	if violation <= 0 || violation >= float64(res.Params.Horizon) {
+		t.Fatalf("violation_epoch = %v, want one before horizon %d", violation, res.Params.Horizon)
+	}
+	if res.Meta.Checkpoint == nil {
+		t.Fatalf("cell did not run under the checkpoint policy: %+v", res.Meta)
+	}
+	want := violation / (res.Meta.DurationMS / 1000)
+	if got := res.Meta.EpochsPerSec; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("epochs_per_sec = %v, want %v (%v epochs over %v ms)", got, want, violation, res.Meta.DurationMS)
 	}
 }

@@ -513,26 +513,33 @@ func (r *Registry) Run(name string, p Params) (Result, error) {
 func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Result, error) {
 	s, ok := r.Lookup(name)
 	if !ok {
-		return Result{}, fmt.Errorf("engine: unknown scenario %q (have: %s)",
-			name, strings.Join(r.Names(), ", "))
+		return Result{}, r.unknown(name)
 	}
 	p = p.WithDefaults(s.Defaults())
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	var res Result
-	var err error
-	if cr, ok := s.(ContextRunner); ok {
-		res, err = cr.RunContext(ctx, p)
-	} else {
-		res, err = s.Run(p)
-	}
+	res, err := runScenario(ctx, s, p)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Scenario = s.Name()
 	res.Params = p
 	return res, nil
+}
+
+// unknown is the error for a name the registry does not hold.
+func (r *Registry) unknown(name string) error {
+	return fmt.Errorf("engine: unknown scenario %q (have: %s)", name, strings.Join(r.Names(), ", "))
+}
+
+// runScenario executes a scenario on fully defaulted params, through
+// ContextRunner when it has one.
+func runScenario(ctx context.Context, s Scenario, p Params) (Result, error) {
+	if cr, ok := s.(ContextRunner); ok {
+		return cr.RunContext(ctx, p)
+	}
+	return s.Run(p)
 }
 
 // Info is the serializable description of one registered scenario.

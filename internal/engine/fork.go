@@ -50,9 +50,9 @@ type Prefix struct {
 
 // ForkableScenario is the optional Scenario extension that opts a
 // simulation scenario into snapshot-tree warm-started sweeps: the
-// scheduler (internal/engine/warmstart) groups a grid's cells by prefix
-// key, simulates each shared prefix once via RunTo, and fans the cells out
-// from the checkpoint via ResumeFrom.
+// scheduler (sched.go) groups a grid's cells by prefix key, simulates each
+// shared prefix once via RunTo, and fans the cells out from the checkpoint
+// via ResumeFrom (through the cell executor's in-memory tier).
 //
 // The contract every implementation must honor, and the warm-vs-cold
 // equivalence suite pins: for any fully-defaulted params p with
@@ -72,8 +72,8 @@ type ForkableScenario interface {
 	// and its branch epoch. Two cells with equal keys are guaranteed to
 	// simulate identical state through min(branch) epochs. ok = false
 	// means the cell cannot warm-start (invalid params surface through the
-	// cold path, degenerate branch at epoch 0); the scheduler then runs it
-	// cold.
+	// cold path, degenerate branch at epoch 0); the scheduler then starts
+	// it outside the tree.
 	Fork(p Params) (key string, branch int, ok bool)
 	// RunTo extends a prefix (nil = from genesis) to the target epoch and
 	// returns the new checkpoint. Implementations must derive everything
@@ -83,7 +83,8 @@ type ForkableScenario interface {
 	RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
 	// ResumeFrom completes one cell from the checkpoint: restore, simulate
 	// the remaining epochs under the cell's own post-branch parameters,
-	// assemble the Result exactly as a cold run would have.
+	// assemble the Result exactly as a cold run would have. Scenario and
+	// Params are left for the caller to stamp (the cell executor does).
 	ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error)
 }
 
@@ -93,9 +94,9 @@ type ForkableScenario interface {
 // runaway grid from swallowing the machine.
 const DefaultWarmStartBudget int64 = 2 << 30
 
-// WarmStartOptions configures the snapshot-tree sweep scheduler. A non-nil
-// Options.WarmStart turns warm-starting on; scenarios that do not
-// implement ForkableScenario fall back to the cold path cell by cell.
+// WarmStartOptions configures the sweep scheduler's snapshot tree. A
+// non-nil Options.WarmStart turns it on; cells of scenarios that do not
+// implement ForkableScenario start like any cell of a sweep without it.
 type WarmStartOptions struct {
 	// MemoryBudget bounds the bytes of snapshots resident at once
 	// (sim.Snapshot.Bytes). When publishing a checkpoint would exceed it,
@@ -122,7 +123,7 @@ func (o WarmStartOptions) Budget() int64 {
 // RunMeta it is excluded from determinism comparisons.
 type WarmMeta struct {
 	// Hit marks a cell resumed from a shared snapshot (false on a cell
-	// the scheduler ran cold).
+	// the scheduler started outside the tree).
 	Hit bool `json:"hit,omitempty"`
 	// BranchEpoch is the epoch the cell forked from its prefix.
 	BranchEpoch int `json:"branch_epoch,omitempty"`
@@ -138,18 +139,4 @@ type WarmMeta struct {
 	// PeakResidentBytes is the high-water mark of resident snapshot bytes
 	// so far.
 	PeakResidentBytes int64 `json:"peak_resident_bytes,omitempty"`
-}
-
-// warmScheduler is the snapshot-tree sweep scheduler hook. The engine
-// package cannot import internal/engine/warmstart (the scheduler imports
-// the engine), so the scheduler installs itself here from its init;
-// consumers activate it by importing the warmstart package (gasperleak
-// and internal/server do). SweepStream dispatches to it when
-// Options.WarmStart is set.
-var warmScheduler func(ctx context.Context, cells []Cell, opt Options) <-chan Update
-
-// SetWarmStartScheduler installs the warm-start sweep scheduler
-// (internal/engine/warmstart's init calls this; tests may swap in fakes).
-func SetWarmStartScheduler(f func(ctx context.Context, cells []Cell, opt Options) <-chan Update) {
-	warmScheduler = f
 }

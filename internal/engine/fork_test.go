@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"context"
+	"reflect"
 	"testing"
 )
 
@@ -76,16 +79,17 @@ func TestDeriveSeedContract(t *testing.T) {
 	}
 }
 
-// TestForkableScenarioRegistration: the four sim scenarios in the default
-// registry implement ForkableScenario; sim/bounce deliberately does not.
+// TestForkableScenarioRegistration: every row of simRows is in the default
+// registry and implements ForkableScenario; sim/bounce deliberately does
+// not.
 func TestForkableScenarioRegistration(t *testing.T) {
-	for _, name := range []string{ScenarioSimDrops, ScenarioSimGST, ScenarioSimLeak, ScenarioSimSemiActive} {
-		s, ok := Default.Lookup(name)
+	for _, row := range simRows {
+		s, ok := Default.Lookup(row.name)
 		if !ok {
-			t.Fatalf("%s not registered", name)
+			t.Fatalf("%s not registered", row.name)
 		}
 		if _, ok := s.(ForkableScenario); !ok {
-			t.Errorf("%s does not implement ForkableScenario", name)
+			t.Errorf("%s does not implement ForkableScenario", row.name)
 		}
 	}
 	s, _ := Default.Lookup(ScenarioSimBounce)
@@ -125,5 +129,80 @@ func TestForkKeys(t *testing.T) {
 	flat.GST = 0
 	if _, _, ok := fs.Fork(flat); ok {
 		t.Errorf("gst=0 should not be forkable")
+	}
+}
+
+// TestSimRowContract is the ForkableScenario/CheckpointableScenario
+// contract, checked for every row of simRows under every simulator
+// variant — a new row is covered by adding it to the table, nothing else.
+// For every split 0 < e1 < e2 <= branch, extending a prefix writes the
+// same snapshot frame bytes as simulating straight from genesis; and
+// resuming from any prefix after a round trip through the prefix codec
+// yields the cold RunContext result.
+func TestSimRowContract(t *testing.T) {
+	ctx := context.Background()
+	// One small parameter point every row accepts.
+	point := Params{P0: 0.5, Beta0: 0.25, N: 16, Horizon: 9, Seed: 1, Sample: 2, Rate: 0.1, GST: 6}
+	frame := func(t *testing.T, pre *Prefix) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := pre.Snap.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, row := range simRows {
+		for _, m := range simVariantMatrix {
+			t.Run(row.name+"/"+m.name, func(t *testing.T) {
+				sc, _ := NewSimScenarioVariant(row.name, m.v)
+				cs := sc.(CheckpointableScenario)
+				p := point.WithDefaults(sc.Defaults())
+				_, branch, ok := cs.Fork(p)
+				if !ok || branch < 2 {
+					t.Fatalf("Fork(%v) = branch %d, ok %t; the contract point must fork", p, branch, ok)
+				}
+				cold, err := sc.(ContextRunner).RunContext(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				straight := make([]*Prefix, branch+1) // straight[k] = RunTo(nil, k)
+				for k := 1; k <= branch; k++ {
+					if straight[k], err = cs.RunTo(ctx, p, nil, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for e1 := 1; e1 < branch; e1++ {
+					for e2 := e1 + 1; e2 <= branch; e2++ {
+						// The first extension of straight[e1] claims its live
+						// simulation, the later ones restore its snapshot.
+						split, err := cs.RunTo(ctx, p, straight[e1], e2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(frame(t, split), frame(t, straight[e2])) {
+							t.Errorf("RunTo(RunTo(nil, %d), %d) wrote a different frame than RunTo(nil, %d)", e1, e2, e2)
+						}
+					}
+				}
+				for k := 1; k <= branch; k++ {
+					var blob bytes.Buffer
+					if err := cs.EncodePrefix(&blob, straight[k]); err != nil {
+						t.Fatal(err)
+					}
+					dec, err := cs.DecodePrefix(&blob)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := cs.ResumeFrom(ctx, dec, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.WithoutMeta(), cold.WithoutMeta()) {
+						t.Errorf("resume from the decoded epoch-%d prefix diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", k, res.WithoutMeta(), cold.WithoutMeta())
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -96,7 +97,7 @@ func TestSweepBaselineCellKeepsExplicitZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := SweepGrid(grid, Options{Workers: 1, Registry: reg})
+	results := SweepContext(context.Background(), grid.Cells(), Options{Workers: 1, Registry: reg})
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestSimDropsExplicitZeroRateRunsLossless(t *testing.T) {
 	}
 	grid.N = 64
 	grid.Horizons = []int{4}
-	results := SweepGrid(grid, Options{Workers: 1})
+	results := SweepContext(context.Background(), grid.Cells(), Options{Workers: 1})
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}

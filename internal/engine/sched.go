@@ -1,24 +1,4 @@
-// Package warmstart is the snapshot-tree sweep scheduler: it groups a
-// sweep's cells by the parameter prefix they share (engine.ForkableScenario
-// Fork keys), simulates each shared prefix exactly once (RunTo), and fans
-// the cells out across the worker pool from deep-copied snapshots
-// (ResumeFrom) — turning a grid whose cells re-simulate identical
-// epoch-0..branch prefixes into one spine walk plus cheap resumes.
-//
-// The scheduler is an execution strategy, not a semantics change: results
-// are bit-identical to engine.Sweep for any worker count, snapshot-reuse
-// pattern, and eviction schedule (the equivalence suite enforces this).
-// Importing the package installs it; engine.Options.WarmStart turns it on
-// per sweep.
-//
-// Memory: resident snapshots are refcounted and budgeted
-// (engine.WarmStartOptions.MemoryBudget, via sim.Snapshot.Bytes). Over
-// budget, the cheapest-to-rebuild snapshots (lowest branch epoch) are
-// evicted; a cell that later needs an evicted checkpoint rebuilds it from
-// the nearest surviving ancestor, or from genesis. Scenarios that do not
-// implement ForkableScenario — and degenerate groups of one cell — run on
-// the ordinary cold path inside the same pool.
-package warmstart
+package engine
 
 import (
 	"context"
@@ -26,14 +6,29 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
-
-	"repro/internal/engine"
 )
 
-func init() {
-	engine.SetWarmStartScheduler(Stream)
-}
+// The sweep scheduler: one bounded worker pool whose jobs each run one cell
+// through the cell executor (runCell). With Options.WarmStart it first plans
+// a snapshot tree — it groups the cells by the parameter prefix they share
+// (ForkableScenario Fork keys), simulates each shared prefix exactly once
+// (RunTo, one spine job per group), and fans the group's cells out from
+// deep-copied snapshots (the executor's in-memory tier) — turning a grid
+// whose cells re-simulate identical epoch-0..branch prefixes into one spine
+// walk plus cheap resumes. Without it the plan has zero groups and every
+// cell starts from its durable checkpoint or from genesis.
+//
+// The tree is an execution strategy, not a semantics change: results are
+// bit-identical for any worker count, snapshot-reuse pattern, and eviction
+// schedule (the equivalence suite enforces this).
+//
+// Memory: resident snapshots are refcounted and budgeted
+// (WarmStartOptions.MemoryBudget, via sim.Snapshot.Bytes). Over budget, the
+// cheapest-to-rebuild snapshots (lowest branch epoch) are evicted; a cell
+// that later needs an evicted checkpoint rebuilds it from the nearest
+// surviving ancestor, or from genesis. Scenarios that do not implement
+// ForkableScenario — and degenerate groups of one cell — start like any
+// cell of a sweep without a tree.
 
 // entry states. An entry is one planned checkpoint: (prefix key, branch
 // epoch).
@@ -48,7 +43,6 @@ const (
 
 type entry struct {
 	branch int
-	group  *group
 	// ready closes when the spine first publishes this entry (live or
 	// failed); resumes wait on it before consulting state.
 	ready chan struct{}
@@ -62,7 +56,7 @@ type entry struct {
 	// snapshot is being read concurrently).
 	pins   int
 	state  int
-	prefix *engine.Prefix
+	prefix *Prefix
 	bytes  int64 // resident bytes charged (0 for aliases of an ancestor)
 	err    error
 }
@@ -71,11 +65,11 @@ type entry struct {
 // Fork key, checkpointed at their sorted distinct branch epochs.
 type group struct {
 	sch *sched
-	fs  engine.ForkableScenario
+	fs  ForkableScenario
 	// params is the representative cell's defaulted params. RunTo
 	// implementations derive the prefix from pre-branch dimensions only
 	// (the ForkableScenario contract), so any group member's params serve.
-	params  engine.Params
+	params  Params
 	entries map[int]*entry
 	order   []int // sorted branch epochs
 	// spineDone is set once runSpine has walked every branch: until then
@@ -85,7 +79,7 @@ type group struct {
 }
 
 // sched is the per-sweep scheduler state: budget accounting and the
-// observability counters surfaced through engine.WarmMeta.
+// observability counters surfaced through WarmMeta.
 type sched struct {
 	mu       sync.Mutex
 	budget   int64 // <= 0: unlimited
@@ -97,46 +91,29 @@ type sched struct {
 	entries  []*entry // every entry across groups, for eviction scans
 }
 
-// Stream is the warm-start implementation of engine.SweepStream: same
-// channel contract (one Update per cell in completion order, channel
-// closed after the last; cancelled cells marked with the context error),
-// same bit-identical results, different execution plan.
-func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan engine.Update {
-	reg := opt.Registry
-	if reg == nil {
-		reg = engine.Default
-	}
-	out := make(chan engine.Update)
-	if len(cells) == 0 {
-		close(out)
-		return out
-	}
-	var ws engine.WarmStartOptions
-	if opt.WarmStart != nil {
-		ws = *opt.WarmStart
-	}
-	sch := &sched{budget: ws.Budget()}
+// resumeJob is one cell that resumes from its group's checkpoint e.
+type resumeJob struct {
+	idx int
+	g   *group
+	e   *entry
+}
 
-	// Plan: classify each cell as warm (forkable, shares a prefix with at
-	// least one other cell) or cold.
+// plan classifies each cell as warm (forkable, shares a prefix with at
+// least one other cell) or cold, building one group per shared prefix.
+func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, resumes []resumeJob, colds []int) {
 	type warmCell struct {
 		idx    int
-		params engine.Params
+		params Params
 		branch int
 	}
 	pending := make(map[string][]warmCell)
-	pendingFS := make(map[string]engine.ForkableScenario)
+	pendingFS := make(map[string]ForkableScenario)
 	var keys []string // insertion order, for a deterministic plan
-	var colds []int
 	for i, c := range cells {
-		s, ok := reg.Lookup(c.Scenario)
+		s, _ := reg.Lookup(c.Scenario)
+		fs, ok := s.(ForkableScenario)
 		if !ok {
-			colds = append(colds, i) // surfaces the unknown-scenario error cold
-			continue
-		}
-		fs, ok := s.(engine.ForkableScenario)
-		if !ok {
-			colds = append(colds, i)
+			colds = append(colds, i) // unknown scenarios surface their error cold
 			continue
 		}
 		p := c.Params.WithDefaults(s.Defaults())
@@ -152,49 +129,66 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 		}
 		pending[k] = append(pending[k], warmCell{i, p, branch})
 	}
-
-	type resumeJob struct {
-		idx    int
-		params engine.Params
-		g      *group
-		e      *entry
-	}
-	var groups []*group
-	var resumes []resumeJob
 	for _, k := range keys {
 		wcs := pending[k]
 		if len(wcs) < 2 {
-			// A lone cell gains nothing from checkpointing — run it cold.
-			for _, wc := range wcs {
-				colds = append(colds, wc.idx)
-			}
+			// A lone cell gains nothing from a shared prefix.
+			colds = append(colds, wcs[0].idx)
 			continue
 		}
 		g := &group{sch: sch, fs: pendingFS[k], params: wcs[0].params, entries: make(map[int]*entry)}
 		for _, wc := range wcs {
 			e := g.entries[wc.branch]
 			if e == nil {
-				e = &entry{branch: wc.branch, group: g, ready: make(chan struct{}), state: statePending}
+				e = &entry{branch: wc.branch, ready: make(chan struct{}), state: statePending}
 				g.entries[wc.branch] = e
 				g.order = append(g.order, wc.branch)
 				sch.entries = append(sch.entries, e)
 			}
 			e.refs++
-			resumes = append(resumes, resumeJob{wc.idx, wc.params, g, e})
+			resumes = append(resumes, resumeJob{wc.idx, g, e})
 		}
 		sort.Ints(g.order)
 		sch.nodes += len(g.order)
 		groups = append(groups, g)
 	}
-	sort.SliceStable(colds, func(a, b int) bool { return colds[a] < colds[b] })
+	sort.Ints(colds)
 	// Shallow branches first: their checkpoints publish first.
 	sort.SliceStable(resumes, func(a, b int) bool { return resumes[a].e.branch < resumes[b].e.branch })
+	return groups, resumes, colds
+}
 
-	// One job queue for spines, colds, and resumes, in that order. The
-	// ordering is the no-deadlock argument: a resume blocks on its entry's
-	// ready channel, but by FIFO it is dequeued only after every spine job
-	// was dequeued — and spines never wait on anything — so a blocked
-	// resume's spine is always running or finished.
+// schedule is SweepStream's local execution: one Update per cell in
+// completion order, the channel closed after the last.
+func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
+	reg := opt.Registry
+	if reg == nil {
+		reg = Default
+	}
+	out := make(chan Update)
+	if len(cells) == 0 {
+		close(out)
+		return out
+	}
+	var sch *sched // nil: no tree, no warm provenance
+	var groups []*group
+	var resumes []resumeJob
+	var colds []int
+	if opt.WarmStart != nil {
+		sch = &sched{budget: opt.WarmStart.Budget()}
+		groups, resumes, colds = sch.plan(reg, cells)
+	} else {
+		for i := range cells {
+			colds = append(colds, i)
+		}
+	}
+
+	// One pre-filled job queue (no producer goroutine to leak; workers drain
+	// the remainder instantly after cancellation) holding spines, colds, and
+	// resumes, in that order. The ordering is the no-deadlock argument: a
+	// resume blocks on its entry's ready channel, but by FIFO it is dequeued
+	// only after every spine job was dequeued — and spines never wait on
+	// anything — so a blocked resume's spine is always running or finished.
 	total := len(groups) + len(colds) + len(resumes)
 	workers := opt.Workers
 	if workers <= 0 {
@@ -205,67 +199,32 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 	}
 	type indexed struct {
 		i   int
-		res engine.Result
+		res Result
 	}
 	finished := make(chan indexed)
 	jobs := make(chan func(), total)
 	for _, g := range groups {
-		g := g
 		jobs <- func() { g.runSpine(ctx) }
 	}
 	for _, i := range colds {
-		i := i
-		cell := cells[i]
 		jobs <- func() {
-			var res engine.Result
-			if err := ctx.Err(); err != nil {
-				// Cancelled before this cell started: mark it without
-				// computing (no Meta — no work was done).
-				res = failedCell(reg, cell, err)
-			} else {
-				start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-				r, err := reg.RunContext(ctx, cell.Scenario, cell.Params)
-				if err != nil {
-					r = failedCell(reg, cell, err)
-				}
-				r.Meta = engine.RunMeta{
-					DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
-					Warm:       sch.warmMeta(false, 0, 0),
-				}.Merged(r.Meta)
-				res = r
+			res, _ := runCell(ctx, reg, cells[i], opt.Checkpoint, nil)
+			if sch != nil && res.Meta != nil {
+				res.Meta.Warm = sch.warmMeta(false, 0, 0)
 			}
 			finished <- indexed{i, res}
 		}
 	}
 	for _, rj := range resumes {
-		rj := rj
-		cell := cells[rj.idx]
 		jobs <- func() {
-			var res engine.Result
-			if err := ctx.Err(); err != nil {
-				res = failedCell(reg, cell, err)
-				rj.g.sch.decref(rj.e)
-			} else {
-				start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-				pre, saved, err := rj.g.acquire(ctx, rj.e)
-				var r engine.Result
-				if err == nil {
-					r, err = rj.g.fs.ResumeFrom(ctx, pre, rj.params)
-				}
-				rj.g.sch.decref(rj.e)
-				if err != nil {
-					r = failedCell(reg, cell, err)
-				} else {
-					// Stamp provenance exactly as Registry.RunContext does
-					// on the cold path.
-					r.Scenario = rj.g.fs.Name()
-					r.Params = rj.params
-				}
-				r.Meta = engine.RunMeta{
-					DurationMS: float64(time.Since(start)) / float64(time.Millisecond), //gasper:nondet wall-clock duration metadata only; never part of result identity
-					Warm:       rj.g.sch.warmMeta(true, rj.e.branch, saved),
-				}.Merged(r.Meta)
-				res = r
+			saved := 0
+			res, _ := runCell(ctx, reg, cells[rj.idx], nil, func(ctx context.Context) (pre *Prefix, err error) {
+				pre, saved, err = rj.g.acquire(ctx, rj.e)
+				return pre, err
+			})
+			sch.decref(rj.e)
+			if res.Meta != nil {
+				res.Meta.Warm = sch.warmMeta(true, rj.e.branch, saved)
 			}
 			finished <- indexed{rj.idx, res}
 		}
@@ -291,7 +250,7 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 		completed := 0
 		for f := range finished {
 			completed++
-			out <- engine.Update{Index: f.i, Result: f.res, Completed: completed, Total: len(cells)}
+			out <- Update{Index: f.i, Result: f.res, Completed: completed, Total: len(cells)}
 		}
 	}()
 	return out
@@ -303,7 +262,7 @@ func Stream(ctx context.Context, cells []engine.Cell, opt engine.Options) <-chan
 // extension does not doom deeper (independent) retries — under
 // cancellation every remaining entry fails fast with the context error.
 func (g *group) runSpine(ctx context.Context) {
-	var prev *engine.Prefix
+	var prev *Prefix
 	for _, b := range g.order {
 		e := g.entries[b]
 		if err := ctx.Err(); err != nil {
@@ -326,7 +285,7 @@ func (g *group) runSpine(ctx context.Context) {
 // acquire hands a resume its checkpoint, rebuilding it first if the budget
 // evicted it. Returns the prefix and the number of prefix epochs this cell
 // did not have to simulate (for WarmMeta.EpochsSaved).
-func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, error) {
+func (g *group) acquire(ctx context.Context, e *entry) (*Prefix, int, error) {
 	select { //gasper:nondet completion-vs-cancellation: the value path is deterministic and cancellation aborts the cell
 	case <-e.ready:
 	case <-ctx.Done():
@@ -366,7 +325,7 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 			e.state = stateRebuilding
 			e.rebuildCh = make(chan struct{})
 			ancEntry := g.nearestLiveAncestorLocked(e.branch)
-			var anc *engine.Prefix
+			var anc *Prefix
 			if ancEntry != nil {
 				// Pin the ancestor for the duration of the rebuild: RunTo
 				// reads its snapshot, so it must not be handed to its own
@@ -432,7 +391,7 @@ func (g *group) acquire(ctx context.Context, e *entry) (*engine.Prefix, int, err
 			// ref: both would be scheduler bugs.
 			st := e.state
 			sch.mu.Unlock()
-			return nil, 0, fmt.Errorf("warmstart: checkpoint at branch %d in unexpected state %d", e.branch, st)
+			return nil, 0, fmt.Errorf("engine: checkpoint at branch %d in unexpected state %d", e.branch, st)
 		}
 	}
 }
@@ -464,7 +423,7 @@ func (g *group) aliasedLocked(e *entry) bool {
 // When RunTo returned the previous checkpoint unchanged (a Done prefix —
 // the scenario concluded before this branch), the entry aliases the same
 // snapshot and is charged zero bytes.
-func (s *sched) publish(e *entry, pre, prev *engine.Prefix) {
+func (s *sched) publish(e *entry, pre, prev *Prefix) {
 	s.mu.Lock()
 	e.prefix = pre
 	e.state = stateLive
@@ -536,10 +495,10 @@ func (s *sched) decref(e *entry) {
 }
 
 // warmMeta snapshots the sweep-wide counters for one cell's RunMeta.
-func (s *sched) warmMeta(hit bool, branch, saved int) *engine.WarmMeta {
+func (s *sched) warmMeta(hit bool, branch, saved int) *WarmMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return &engine.WarmMeta{
+	return &WarmMeta{
 		Hit:               hit,
 		BranchEpoch:       branch,
 		EpochsSaved:       saved,
@@ -548,14 +507,4 @@ func (s *sched) warmMeta(hit bool, branch, saved int) *engine.WarmMeta {
 		Rebuilt:           s.rebuilt,
 		PeakResidentBytes: s.peak,
 	}
-}
-
-// failedCell mirrors the cold sweep's failure shape: the defaulted params
-// when resolvable, so a failed cell still documents the run it attempted.
-func failedCell(reg *engine.Registry, cell engine.Cell, err error) engine.Result {
-	p := cell.Params
-	if s, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(s.Defaults())
-	}
-	return engine.Result{Scenario: cell.Scenario, Params: p, Err: err.Error()}
 }

@@ -1,35 +1,44 @@
-package warmstart_test
+package engine
 
 import (
 	"context"
 	"reflect"
 	"testing"
-
-	"repro/internal/engine"
-	_ "repro/internal/engine/warmstart"
 )
 
-// variantRegistry builds a registry holding the four forkable sim
-// scenarios under the given simulator variant.
-func variantRegistry(t *testing.T, v engine.SimVariant) *engine.Registry {
+// variantRegistry builds a registry holding every forkable sim scenario
+// (the rows of simRows) under the given simulator variant.
+func variantRegistry(t *testing.T, v SimVariant) *Registry {
 	t.Helper()
-	reg := engine.NewRegistry()
-	for _, name := range []string{"sim/drops", "sim/gst", "sim/leak", "sim/semiactive"} {
-		s, ok := engine.NewSimScenarioVariant(name, v)
+	reg := NewRegistry()
+	for _, row := range simRows {
+		s, ok := NewSimScenarioVariant(row.name, v)
 		if !ok {
-			t.Fatalf("NewSimScenarioVariant(%q) not forkable", name)
+			t.Fatalf("NewSimScenarioVariant(%q) not forkable", row.name)
 		}
 		reg.MustRegister(s)
 	}
 	return reg
 }
 
+// simVariantMatrix is the 2x2 (view layout x fork-choice engine) simulator
+// matrix every equivalence suite runs across.
+var simVariantMatrix = []struct {
+	name string
+	v    SimVariant
+}{
+	{"cohort-protoarray", SimVariant{}},
+	{"cohort-oracle", SimVariant{OracleForkChoice: true}},
+	{"pervalidator-protoarray", SimVariant{PerValidatorViews: true}},
+	{"pervalidator-oracle", SimVariant{PerValidatorViews: true, OracleForkChoice: true}},
+}
+
 // equivalenceGrids are the randomized-shape grids the warm-vs-cold suite
 // sweeps: small populations, short horizons, every forkable scenario, and
 // shapes that exercise multiple groups (two p0 values), multiple branch
 // epochs per group, and cells sharing a single branch.
-func equivalenceGrids() []engine.Grid {
-	return []engine.Grid{
+func equivalenceGrids() []Grid {
+	return []Grid{
 		{Scenario: "sim/gst", P0: []float64{0.4, 0.6}, GSTs: []int{2, 4, 5}, Horizons: []int{6, 8}, N: 24},
 		{Scenario: "sim/leak", P0: []float64{0.5}, Horizons: []int{8, 10, 12}, N: 20, Sample: 2},
 		{Scenario: "sim/semiactive", P0: []float64{0.5}, Beta0: []float64{0.2}, Horizons: []int{8, 11}, N: 20},
@@ -43,34 +52,18 @@ func equivalenceGrids() []engine.Grid {
 // (view layout x fork-choice engine) simulator matrix.
 func TestWarmVsColdEquivalence(t *testing.T) {
 	ctx := context.Background()
-	variants := []engine.SimVariant{
-		{},
-		{OracleForkChoice: true},
-		{PerValidatorViews: true},
-		{PerValidatorViews: true, OracleForkChoice: true},
-	}
-	for _, v := range variants {
-		v := v
-		name := "cohort-protoarray"
-		switch {
-		case v.PerValidatorViews && v.OracleForkChoice:
-			name = "pervalidator-oracle"
-		case v.PerValidatorViews:
-			name = "pervalidator-protoarray"
-		case v.OracleForkChoice:
-			name = "cohort-oracle"
-		}
-		t.Run(name, func(t *testing.T) {
-			reg := variantRegistry(t, v)
+	for _, m := range simVariantMatrix {
+		t.Run(m.name, func(t *testing.T) {
+			reg := variantRegistry(t, m.v)
 			for _, g := range equivalenceGrids() {
 				cells := g.Cells()
-				cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2, Registry: reg})
+				cold := SweepContext(ctx, cells, Options{Workers: 2, Registry: reg})
 				for _, workers := range []int{1, 3} {
 					for _, budget := range []int64{-1, 1} {
-						warm := engine.SweepContext(ctx, cells, engine.Options{
+						warm := SweepContext(ctx, cells, Options{
 							Workers:   workers,
 							Registry:  reg,
-							WarmStart: &engine.WarmStartOptions{MemoryBudget: budget},
+							WarmStart: &WarmStartOptions{MemoryBudget: budget},
 						})
 						if len(warm) != len(cold) {
 							t.Fatalf("%s workers=%d budget=%d: %d results, want %d", g.Scenario, workers, budget, len(warm), len(cold))
@@ -94,12 +87,12 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 // at least one eviction-then-rebuild without changing results.
 func TestWarmStartObservability(t *testing.T) {
 	ctx := context.Background()
-	g := engine.Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
+	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
 	cells := g.Cells()
 
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   1,
-		WarmStart: &engine.WarmStartOptions{MemoryBudget: -1},
+		WarmStart: &WarmStartOptions{MemoryBudget: -1},
 	})
 	hits := 0
 	for i, r := range warm {
@@ -134,9 +127,9 @@ func TestWarmStartObservability(t *testing.T) {
 	// A 1-byte budget evicts every checkpoint as soon as the next
 	// publishes; with one worker the spine finishes before any resume
 	// starts, so the shallow checkpoint must be rebuilt on demand.
-	starved := engine.SweepContext(ctx, cells, engine.Options{
+	starved := SweepContext(ctx, cells, Options{
 		Workers:   1,
-		WarmStart: &engine.WarmStartOptions{MemoryBudget: 1},
+		WarmStart: &WarmStartOptions{MemoryBudget: 1},
 	})
 	rebuilt := 0
 	for i, r := range starved {
@@ -163,15 +156,15 @@ func TestWarmStartObservability(t *testing.T) {
 // succeed, with Hit=false provenance.
 func TestWarmStartColdFallback(t *testing.T) {
 	ctx := context.Background()
-	cells := []engine.Cell{
-		{Scenario: "sim/bounce", Params: engine.Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+	cells := []Cell{
+		{Scenario: "sim/bounce", Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
 		// A single sim/gst cell shares a prefix with nobody.
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: 3}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: 3}},
 	}
-	cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2})
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i := range cells {
 		if warm[i].Err != "" {
@@ -194,10 +187,10 @@ func TestWarmStartColdFallback(t *testing.T) {
 func TestWarmStartCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := engine.Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
-	results := engine.SweepContext(ctx, g.Cells(), engine.Options{
+	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
+	results := SweepContext(ctx, g.Cells(), Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i, r := range results {
 		if r.Err == "" {
@@ -211,21 +204,68 @@ func TestWarmStartCancellation(t *testing.T) {
 // cold sweep does.
 func TestWarmStartErrorCells(t *testing.T) {
 	ctx := context.Background()
-	cells := []engine.Cell{
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: -1, Explicit: engine.FieldGST}},
-		{Scenario: "sim/nope", Params: engine.Params{N: 8}},
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 6, GST: 2}},
-		{Scenario: "sim/gst", Params: engine.Params{N: 24, Horizon: 8, GST: 2}},
+	cells := []Cell{
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: -1, Explicit: FieldGST}},
+		{Scenario: "sim/nope", Params: Params{N: 8}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: 2}},
+		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 8, GST: 2}},
 	}
-	cold := engine.SweepContext(ctx, cells, engine.Options{Workers: 2})
-	warm := engine.SweepContext(ctx, cells, engine.Options{
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	warm := SweepContext(ctx, cells, Options{
 		Workers:   2,
-		WarmStart: &engine.WarmStartOptions{},
+		WarmStart: &WarmStartOptions{},
 	})
 	for i := range cells {
 		if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
 			t.Errorf("cell %d: warm error handling diverges\ncold: %+v\nwarm: %+v",
 				i, cold[i].WithoutMeta(), warm[i].WithoutMeta())
 		}
+	}
+}
+
+// TestSweepWarmStartKeepsCheckpoints: Options.WarmStart and
+// Options.Checkpoint compose. A cell the scheduler starts at genesis (here
+// the lone member of its prefix group) still runs under the durable
+// policy: cancelled mid-run it leaves its newest checkpoint, and the
+// re-run resumes from it with a payload identical to the cold run's.
+func TestSweepWarmStartKeepsCheckpoints(t *testing.T) {
+	shrinkChunk(t, 4)
+	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
+	cold := SweepContext(context.Background(), []Cell{cell}, Options{Workers: 1})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ms := newMemStore()
+	ms.afterSave = func(saves int) {
+		if saves == 2 {
+			cancel()
+		}
+	}
+	opt := Options{
+		Workers:    1,
+		WarmStart:  &WarmStartOptions{},
+		Checkpoint: &CheckpointOptions{Every: 8, Store: ms},
+	}
+	if interrupted := SweepContext(ctx, []Cell{cell}, opt); interrupted[0].Err == "" {
+		t.Fatal("cancelled cell reported no error")
+	}
+	if n := ms.len(); n != 1 {
+		t.Fatalf("store holds %d checkpoints after the interrupted warm sweep, want 1", n)
+	}
+
+	ms.afterSave = nil
+	resumed := SweepContext(context.Background(), []Cell{cell}, opt)
+	if got, want := StripMeta(resumed), StripMeta(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed warm sweep diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+	meta := resumed[0].Meta
+	if meta.Checkpoint == nil || !meta.Checkpoint.Resumed || meta.Checkpoint.ResumeEpoch != 16 {
+		t.Fatalf("checkpoint meta %+v, want resumed from epoch 16", meta.Checkpoint)
+	}
+	if meta.Warm == nil || meta.Warm.Hit {
+		t.Fatalf("warm meta %+v, want a cell started outside the snapshot tree", meta.Warm)
+	}
+	if n := ms.len(); n != 0 {
+		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/behavior"
 	"repro/internal/network"
 	"repro/internal/sim"
 )
@@ -27,106 +26,142 @@ type SimVariant struct {
 }
 
 // NewSimScenarioVariant builds one of the forkable protocol-simulator
-// scenarios (sim/drops, sim/gst, sim/leak, sim/semiactive) running under
-// the given variant, for registration in a custom Registry. ok = false for
-// any other name. The Default registry holds the zero-variant instances.
+// scenarios (the rows of simRows: sim/drops, sim/gst, sim/leak,
+// sim/semiactive) running under the given variant, for registration in a
+// custom Registry. ok = false for any other name. The Default registry
+// holds the zero-variant instances.
 func NewSimScenarioVariant(name string, v SimVariant) (Scenario, bool) {
-	switch name {
-	case ScenarioSimDrops:
-		return &simForkScenario{
-			name: name,
-			desc: "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
-			// sim/drops defaults rate to 0 (the lossless baseline) and
-			// sim/gst defaults gst to 0 (heal immediately). Since
-			// defaulting became set-aware (Params.Explicit), a zero
-			// default is a choice, not a necessity: an explicit rate=0 or
-			// gst=0 cell survives even against a non-zero default.
-			defaults: Params{P0: 0.5, N: 1000, Horizon: 10, Seed: 1},
-			variant:  v,
-			runCold:  runSimDrops,
-			forkFn:   forkSimDrops,
-			runToFn:  runToSimDrops,
-			resumeFn: resumeSimDrops,
-		}, true
-	case ScenarioSimGST:
-		return &simForkScenario{
-			name:     name,
-			desc:     "Full-protocol partition heal: 50/50 split healing at the gst epoch (gst=0 is the no-partition baseline)",
-			defaults: Params{P0: 0.5, N: 1000, Horizon: 16, Seed: 3},
-			variant:  v,
-			runCold:  runSimGST,
-			forkFn:   forkSimGST,
-			runToFn:  runToSimGST,
-			resumeFn: resumeSimGST,
-		}, true
-	case ScenarioSimLeak:
-		return &simForkScenario{
-			name:     name,
-			desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
-			defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
-			variant:  v,
-			runCold:  runSimLeak,
-			forkFn:   forkSimLeak,
-			runToFn:  runToSimLeak,
-			resumeFn: resumeSimLeak,
-		}, true
-	case ScenarioSimSemiActive:
-		return &simForkScenario{
-			name:     name,
-			desc:     "Table 3 at full protocol: semi-active Byzantine validators accelerate the leak and finalize both branches (full spec)",
-			defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
-			variant:  v,
-			runCold:  runSimSemiActive,
-			forkFn:   forkSimSemiActive,
-			runToFn:  runToSimSemiActive,
-			resumeFn: resumeSimSemiActive,
-		}, true
+	for i := range simRows {
+		if simRows[i].name == name {
+			return &simScenario{row: &simRows[i], variant: v}, true
+		}
 	}
 	return nil, false
 }
 
-// simForkScenario adapts a protocol-simulator scenario's cold runner plus
-// its fork/extend/resume triple to Scenario, ContextRunner, and
-// ForkableScenario. The cold path stays the straight-through runner —
-// warm-started execution is a separate path whose equivalence the test
-// suite enforces, not a recomposition the cold path depends on.
-type simForkScenario struct {
-	name, desc string
-	defaults   Params
-	variant    SimVariant
-	runCold    func(ctx context.Context, p Params, v SimVariant) (Result, error)
-	forkFn     func(p Params, v SimVariant) (key string, branch int, ok bool)
-	runToFn    func(ctx context.Context, p Params, v SimVariant, from *Prefix, epoch int) (*Prefix, error)
-	resumeFn   func(ctx context.Context, pre *Prefix, p Params, v SimVariant) (Result, error)
+// simScenario is the one runner behind every simRow: it implements
+// Scenario, ContextRunner, ForkableScenario and CheckpointableScenario
+// (sim_fork_codec.go) for all of them. Every way a cell executes is the
+// same walk — position a simulation at a start (genesis or a Prefix), step
+// it epoch by epoch under the row's trace, then either snapshot (RunTo) or
+// finish (ResumeFrom) — so a cold run is ResumeFrom with no prefix: built
+// from the cell's real config, never snapshotted.
+type simScenario struct {
+	row     *simRow
+	variant SimVariant
 }
 
-func (s *simForkScenario) Name() string        { return s.name }
-func (s *simForkScenario) Description() string { return s.desc }
-func (s *simForkScenario) Defaults() Params    { return s.defaults }
+func (sc *simScenario) Name() string        { return sc.row.name }
+func (sc *simScenario) Description() string { return sc.row.desc }
+func (sc *simScenario) Defaults() Params    { return sc.row.defaults }
 
-func (s *simForkScenario) Run(p Params) (Result, error) {
-	return s.runCold(context.Background(), p, s.variant)
+func (sc *simScenario) Run(p Params) (Result, error) {
+	return sc.RunContext(context.Background(), p)
 }
 
-func (s *simForkScenario) RunContext(ctx context.Context, p Params) (Result, error) {
-	return s.runCold(ctx, p, s.variant)
+func (sc *simScenario) RunContext(ctx context.Context, p Params) (Result, error) {
+	if err := sc.row.validate(p); err != nil {
+		return Result{}, err
+	}
+	return sc.ResumeFrom(ctx, nil, p)
 }
 
-func (s *simForkScenario) Fork(p Params) (key string, branch int, ok bool) {
-	return s.forkFn(p, s.variant)
+// Fork applies the row's branch rule. The prefix key canonically encodes
+// the parameter dimensions that shape the pre-branch epochs: horizon is
+// always excluded (it is the sweep depth, exactly what prefix sharing
+// amortizes) and gst is excluded when the row branches there; everything
+// else is included even when a scenario ignores it (rate for gst/leak,
+// mode everywhere) — including a no-op dimension only splits groups,
+// excluding a live one would corrupt results. Cells the cold path rejects,
+// and cells with nothing before the branch (gst=0 is the no-partition
+// baseline), do not fork.
+func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
+	if sc.row.validate(p) != nil {
+		return "", 0, false
+	}
+	branch = p.Horizon
+	if sc.row.branchAtGST && p.GST < branch {
+		branch = p.GST
+	}
+	if branch <= 0 {
+		return "", 0, false
+	}
+	v := sc.variant
+	key = fmt.Sprintf("p0=%v;beta0=%v;mode=%q;seed=%d;n=%d;sample=%d;rate=%v;views=%t;oracle=%t",
+		p.P0, p.Beta0, p.Mode, p.Seed, p.N, p.Sample, p.Rate, v.PerValidatorViews, v.OracleForkChoice)
+	if !sc.row.branchAtGST {
+		key += fmt.Sprintf(";gst=%d", p.GST)
+	}
+	return key, branch, true
 }
 
-func (s *simForkScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
-	return s.runToFn(ctx, p, s.variant, from, epoch)
+func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	if from != nil && (from.Done || from.Epoch >= epoch) {
+		return from, nil
+	}
+	s, tr, _, err := sc.advance(ctx, p, from, epoch, true)
+	if err != nil {
+		return nil, err
+	}
+	// Parking the still-live simulation on the prefix lets the next hop
+	// continue it instead of paying New + Restore (simCont).
+	out := &Prefix{Snap: s.Snapshot(), Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
+	if e := tr.concluded(); e != 0 {
+		out.Epoch, out.Done = e, true
+	}
+	return out, nil
 }
 
-func (s *simForkScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
-	return s.resumeFn(ctx, pre, p, s.variant)
+// ResumeFrom completes one cell from the prefix; nil is genesis (the cold
+// run, minus the validation RunContext does first).
+func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
+	s, tr, elapsed, err := sc.advance(ctx, p, pre, p.Horizon, false)
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := sc.row.finish(ctx, p, s, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Meta = simMeta(s, elapsed)
+	return res, nil
+}
+
+// advance positions a simulation at the prefix (nil = genesis) and steps it
+// to the target epoch under a private copy of the prefix's trace, returning
+// both plus the wall clock the stepping took. shared marks a run on behalf
+// of every cell of a prefix group (RunTo): a row that branches at gst then
+// simulates unhealed, under network.FarFuture; otherwise the simulation
+// carries the cell's own heal slot.
+func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to int, shared bool) (*sim.Simulation, simTrace, time.Duration, error) {
+	cfg := sc.row.config(p, sc.variant)
+	if shared && sc.row.branchAtGST {
+		cfg.GST = network.FarFuture
+	}
+	s, err := positionSim(cfg, from, !shared && from != nil && (from.Done || from.Epoch >= to))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var tr simTrace
+	fromEpoch := 0
+	if from == nil {
+		tr = sc.row.newTrace(p)
+	} else {
+		tr, fromEpoch = from.Trace.(simTrace).clone(), from.Epoch
+	}
+	if sc.row.attach != nil {
+		sc.row.attach(s, tr)
+	}
+	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
+	if from == nil || !from.Done {
+		err = runEpochs(ctx, s, fromEpoch, to, func(epoch int) bool { return tr.observe(s, p, epoch) })
+	}
+	return s, tr, time.Since(start), err //gasper:nondet wall-clock duration metadata only; never part of result identity
 }
 
 // simCont hands a prefix's still-live simulation to exactly one claimant.
-// After the spine snapshots at a branch epoch, the simulation it advanced
-// is still positioned at that boundary; parking it on the published Prefix
+// After RunTo snapshots at a branch epoch, the simulation it advanced is
+// still positioned at that boundary; parking it on the published Prefix
 // lets the NEXT hop (the spine's own extension, a rebuild, or a resuming
 // cell) continue it directly instead of paying New + Restore. The
 // snapshot contract makes this invisible to results: continuing a
@@ -137,38 +172,42 @@ type simCont struct {
 	s  *sim.Simulation
 }
 
-// claimCont atomically takes the live simulation off a prefix; nil when
-// absent or already claimed. The loser of a race restores the snapshot.
-func claimCont(pre *Prefix) *sim.Simulation {
-	if pre == nil || pre.cont == nil {
+// claim atomically takes the live simulation off a prefix; nil when absent
+// or already claimed. The loser of a race restores the snapshot.
+func (pre *Prefix) claim() *sim.Simulation {
+	c, _ := pre.cont.(*simCont)
+	if c == nil {
 		return nil
 	}
-	c := pre.cont.(*simCont)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	s := c.s
 	c.s = nil
-	c.mu.Unlock()
 	return s
 }
 
-// prefixSim positions a simulation at the checkpoint: claim the live
-// continuation when available; otherwise build a simulation from cfg and
-// give it the snapshot's state. With no prefix at all, a full cold
-// simulation is built; with one, only a shell (sim.NewShell) is built,
-// because the snapshot supplies the cohort state. How the state arrives
-// depends on what the caller may do with it: a prefix the scheduler marked
-// Owned is adopted (moved, zero-copy); a readOnly caller — a resume whose
-// branch epoch equals its horizon, which only reads metrics off the
-// checkpoint — attaches (aliases, zero-copy); everything else pays the
-// defensive Restore clone.
-func prefixSim(pre *Prefix, readOnly bool, cfg func() sim.Config) (*sim.Simulation, error) {
-	if s := claimCont(pre); s != nil {
+// positionSim returns a simulation configured by cfg standing at the
+// prefix's checkpoint. With no prefix that is a full simulation at
+// genesis. With one, the deepest tier wins: claim the prefix's live
+// simulation when available (rebased onto cfg's heal slot — a shared
+// prefix runs under network.FarFuture, a cell under its own); otherwise
+// build only a shell (sim.NewShell), because the snapshot supplies the
+// cohort state. How that state arrives depends on what the caller may do
+// with it: a prefix marked Owned is adopted (moved, zero-copy); a readOnly
+// caller — a resume with no epochs left to simulate, which only reads
+// metrics off the checkpoint and never delivers held traffic — attaches
+// (aliases, zero-copy); everything else pays the defensive Restore clone.
+func positionSim(cfg sim.Config, pre *Prefix, readOnly bool) (*sim.Simulation, error) {
+	if pre == nil {
+		return sim.New(cfg)
+	}
+	if s := pre.claim(); s != nil {
+		if s.Cfg.GST != cfg.GST {
+			s.SetGST(cfg.GST)
+		}
 		return s, nil
 	}
-	if pre == nil {
-		return sim.New(cfg())
-	}
-	s, err := sim.NewShell(cfg())
+	s, err := sim.NewShell(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,296 +219,5 @@ func prefixSim(pre *Prefix, readOnly bool, cfg func() sim.Config) (*sim.Simulati
 	default:
 		err = s.Restore(pre.Snap)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// resumeReadOnly reports whether a resume has no epochs left to simulate —
-// the prefix already reached the cell's horizon (branch == horizon, the
-// shape of every horizon-sweep group) or concluded early — so the
-// checkpoint only needs to be read, not continued.
-func resumeReadOnly(pre *Prefix, p Params) bool {
-	return pre.Done || pre.Epoch >= p.Horizon
-}
-
-// simPrefixKey canonically encodes the parameter dimensions that shape a
-// sim scenario's pre-branch epochs. Horizon is always excluded (it is the
-// sweep depth, exactly what prefix sharing amortizes); gst is excluded for
-// the gst scenario (the prefix runs pre-heal, each cell heals at resume).
-// Everything else is included even when a scenario ignores it (rate for
-// gst/leak, mode everywhere) — including a no-op dimension only splits
-// groups, excluding a live one would corrupt results.
-func simPrefixKey(p Params, v SimVariant, withGST bool) string {
-	key := fmt.Sprintf("p0=%v;beta0=%v;mode=%q;seed=%d;n=%d;sample=%d;rate=%v;views=%t;oracle=%t",
-		p.P0, p.Beta0, p.Mode, p.Seed, p.N, p.Sample, p.Rate, v.PerValidatorViews, v.OracleForkChoice)
-	if withGST {
-		key += fmt.Sprintf(";gst=%d", p.GST)
-	}
-	return key
-}
-
-// --- sim/drops -------------------------------------------------------
-
-// forkSimDrops shares prefixes across horizon sweeps: the branch is the
-// cell's own horizon, so a shorter cell's full run doubles as a longer
-// cell's prefix. No per-epoch trace to carry.
-func forkSimDrops(p Params, v SimVariant) (string, int, bool) {
-	if validateSimDrops(p) != nil {
-		return "", 0, false
-	}
-	return simPrefixKey(p, v, true), p.Horizon, true
-}
-
-func runToSimDrops(ctx context.Context, p Params, v SimVariant, from *Prefix, epoch int) (*Prefix, error) {
-	if from != nil && (from.Done || from.Epoch >= epoch) {
-		return from, nil
-	}
-	s, err := prefixSim(from, false, func() sim.Config { return simDropsConfig(p, v) })
-	if err != nil {
-		return nil, err
-	}
-	fromEpoch := 0
-	if from != nil {
-		fromEpoch = from.Epoch
-	}
-	if err := runEpochsRangeContext(ctx, s, fromEpoch, epoch, nil); err != nil {
-		return nil, err
-	}
-	return &Prefix{Snap: s.Snapshot(), Epoch: epoch, cont: &simCont{s: s}}, nil
-}
-
-func resumeSimDrops(ctx context.Context, pre *Prefix, p Params, v SimVariant) (Result, error) {
-	s, err := prefixSim(pre, resumeReadOnly(pre, p), func() sim.Config { return simDropsConfig(p, v) })
-	if err != nil {
-		return Result{}, err
-	}
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if !pre.Done {
-		if err := runEpochsRangeContext(ctx, s, pre.Epoch, p.Horizon, nil); err != nil {
-			return Result{}, err
-		}
-	}
-	return finishSimDrops(s, p, time.Since(start)), nil //gasper:nondet wall-clock duration metadata only; never part of result identity
-}
-
-// --- sim/gst ---------------------------------------------------------
-
-// gstTrace carries the first safety violation observed during the
-// pre-heal prefix (0 = none). A violation concludes the run, so it also
-// marks the prefix Done.
-type gstTrace struct {
-	violation float64
-}
-
-// forkSimGST shares the pre-heal epochs across a gst sweep: every cell
-// with the same population runs identically until its own heal epoch, so
-// the branch is min(gst, horizon) and gst itself stays out of the key.
-// The prefix simulates under network.FarFuture (held cross-partition
-// traffic retained); each resume retargets the held band onto the cell's
-// own heal slot.
-func forkSimGST(p Params, v SimVariant) (string, int, bool) {
-	if p.GST <= 0 {
-		// gst=0 is the no-partition baseline (and gst<0 the cold path's
-		// validation error) — nothing pre-heal to share.
-		return "", 0, false
-	}
-	branch := p.GST
-	if p.Horizon < branch {
-		branch = p.Horizon
-	}
-	if branch <= 0 {
-		return "", 0, false
-	}
-	return simPrefixKey(p, v, false), branch, true
-}
-
-func runToSimGST(ctx context.Context, p Params, v SimVariant, from *Prefix, epoch int) (*Prefix, error) {
-	if from != nil && (from.Done || from.Epoch >= epoch) {
-		return from, nil
-	}
-	s, err := prefixSim(from, false, func() sim.Config { return simGSTConfig(p, v, network.FarFuture) })
-	if err != nil {
-		return nil, err
-	}
-	var tr gstTrace
-	fromEpoch := 0
-	if from != nil {
-		tr = from.Trace.(gstTrace)
-		fromEpoch = from.Epoch
-	}
-	if err := runEpochsRangeContext(ctx, s, fromEpoch, epoch, gstObserver(s, &tr.violation)); err != nil {
-		return nil, err
-	}
-	out := &Prefix{Snap: s.Snapshot(), Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
-	if tr.violation != 0 {
-		out.Epoch, out.Done = int(tr.violation), true
-	}
-	return out, nil
-}
-
-func resumeSimGST(ctx context.Context, pre *Prefix, p Params, v SimVariant) (Result, error) {
-	// The prefix runs under network.FarFuture; whichever way this cell
-	// obtains the state — claiming the live simulation, adopting, or
-	// restoring — the held cross-partition traffic is retargeted onto the
-	// cell's own heal slot.
-	var s *sim.Simulation
-	if s = claimCont(pre); s != nil {
-		s.SetGST(simGSTSlot(p))
-	} else {
-		var err error
-		s, err = sim.NewShell(simGSTConfig(p, v, simGSTSlot(p)))
-		if err != nil {
-			return Result{}, err
-		}
-		switch {
-		case pre.Owned:
-			err = s.Adopt(pre.Snap)
-		case resumeReadOnly(pre, p):
-			// Nothing left to simulate: the heal never lands within this
-			// cell's horizon, so the un-retargeted alias is sufficient.
-			err = s.Attach(pre.Snap)
-		default:
-			err = s.Restore(pre.Snap)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	tr := pre.Trace.(gstTrace)
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if !pre.Done {
-		if err := runEpochsRangeContext(ctx, s, pre.Epoch, p.Horizon, gstObserver(s, &tr.violation)); err != nil {
-			return Result{}, err
-		}
-	}
-	return finishSimGST(s, p, tr.violation, time.Since(start)), nil //gasper:nondet wall-clock duration metadata only; never part of result identity
-}
-
-// --- sim/leak --------------------------------------------------------
-
-// forkSimLeak shares prefixes across horizon sweeps (the partition never
-// heals, so every dimension but horizon shapes the whole run).
-func forkSimLeak(p Params, v SimVariant) (string, int, bool) {
-	if validateSimLeak(p) != nil {
-		return "", 0, false
-	}
-	return simPrefixKey(p, v, true), p.Horizon, true
-}
-
-func runToSimLeak(ctx context.Context, p Params, v SimVariant, from *Prefix, epoch int) (*Prefix, error) {
-	if from != nil && (from.Done || from.Epoch >= epoch) {
-		return from, nil
-	}
-	s, err := prefixSim(from, false, func() sim.Config { return leakPartitionConfig(p, nil, v) })
-	if err != nil {
-		return nil, err
-	}
-	tr := leakTrace{minStakeRatio: 1}
-	fromEpoch := 0
-	if from != nil {
-		tr = from.Trace.(leakTrace).clone()
-		fromEpoch = from.Epoch
-	}
-	if err := runEpochsRangeContext(ctx, s, fromEpoch, epoch, leakObserver(s, p, &tr)); err != nil {
-		return nil, err
-	}
-	out := &Prefix{Snap: s.Snapshot(), Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
-	if tr.conflict != 0 {
-		out.Epoch, out.Done = int(tr.conflict), true
-	}
-	return out, nil
-}
-
-func resumeSimLeak(ctx context.Context, pre *Prefix, p Params, v SimVariant) (Result, error) {
-	s, err := prefixSim(pre, resumeReadOnly(pre, p), func() sim.Config { return leakPartitionConfig(p, nil, v) })
-	if err != nil {
-		return Result{}, err
-	}
-	tr := pre.Trace.(leakTrace).clone()
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if !pre.Done {
-		if err := runEpochsRangeContext(ctx, s, pre.Epoch, p.Horizon, leakObserver(s, p, &tr)); err != nil {
-			return Result{}, err
-		}
-	}
-	return finishSimLeak(p, s, tr, time.Since(start)) //gasper:nondet wall-clock duration metadata only; never part of result identity
-}
-
-// --- sim/semiactive --------------------------------------------------
-
-// semiTrace extends the leak trace with the semi-active adversary's gait
-// state at the checkpoint: sim.Snapshot deliberately leaves adversary
-// state to the caller, so each prefix pairs its snapshot with a
-// behavior.SemiActive clone taken at the same epoch boundary. The stored
-// adversary belongs to the prefix — continuations Clone it before
-// advancing.
-type semiTrace struct {
-	leakTrace
-	adv *behavior.SemiActive
-}
-
-// forkSimSemiActive shares prefixes across horizon sweeps, like sim/leak.
-func forkSimSemiActive(p Params, v SimVariant) (string, int, bool) {
-	if validateSimSemiActive(p) != nil {
-		return "", 0, false
-	}
-	return simPrefixKey(p, v, true), p.Horizon, true
-}
-
-func runToSimSemiActive(ctx context.Context, p Params, v SimVariant, from *Prefix, epoch int) (*Prefix, error) {
-	if from != nil && (from.Done || from.Epoch >= epoch) {
-		return from, nil
-	}
-	var tr semiTrace
-	s, err := prefixSim(from, false, func() sim.Config {
-		byz, _ := semiActiveSetup(p)
-		return leakPartitionConfig(p, byz, v)
-	})
-	if err != nil {
-		return nil, err
-	}
-	fromEpoch := 0
-	if from != nil {
-		prev := from.Trace.(semiTrace)
-		tr = semiTrace{leakTrace: prev.leakTrace.clone(), adv: prev.adv.Clone()}
-		fromEpoch = from.Epoch
-	} else {
-		_, adv := semiActiveSetup(p)
-		tr = semiTrace{leakTrace: leakTrace{minStakeRatio: 1}, adv: adv}
-	}
-	// The trace's adversary (a fresh clone of the prefix's) replaces
-	// whatever instance the simulation carried — the prefix's own stored
-	// adversary must never advance.
-	s.Cfg.Adversary = tr.adv
-	if err := runEpochsRangeContext(ctx, s, fromEpoch, epoch, leakObserver(s, p, &tr.leakTrace)); err != nil {
-		return nil, err
-	}
-	out := &Prefix{Snap: s.Snapshot(), Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
-	if tr.conflict != 0 {
-		out.Epoch, out.Done = int(tr.conflict), true
-	}
-	return out, nil
-}
-
-func resumeSimSemiActive(ctx context.Context, pre *Prefix, p Params, v SimVariant) (Result, error) {
-	s, err := prefixSim(pre, resumeReadOnly(pre, p), func() sim.Config {
-		byz, _ := semiActiveSetup(p)
-		return leakPartitionConfig(p, byz, v)
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	prev := pre.Trace.(semiTrace)
-	tr := prev.leakTrace.clone()
-	adv := prev.adv.Clone()
-	s.Cfg.Adversary = adv
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if !pre.Done {
-		if err := runEpochsRangeContext(ctx, s, pre.Epoch, p.Horizon, leakObserver(s, p, &tr)); err != nil {
-			return Result{}, err
-		}
-	}
-	return finishSimSemiActive(ctx, p, s, adv, tr, time.Since(start)) //gasper:nondet wall-clock duration metadata only; never part of result identity
+	return s, err
 }

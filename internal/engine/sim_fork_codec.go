@@ -4,58 +4,36 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/behavior"
 	"repro/internal/codec"
 	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // prefixCodecVersion stamps the engine-level checkpoint blob (scenario
 // identity, trace, prefix position) ahead of the snapshot's own versioned
 // frame. Bump it whenever the trace layout changes; a skewed blob decodes
-// as an error, which the checkpoint runner maps to a cold start.
+// as an error, which the cell executor maps to a cold start.
 const prefixCodecVersion = uint32(1)
 
 // errPrefixCodec wraps every DecodePrefix failure.
 var errPrefixCodec = fmt.Errorf("engine: prefix codec")
 
-// EncodePrefix serializes a warm-start prefix — position, accumulated
-// trace, and the full durable snapshot — as one self-describing blob, the
-// payload of a durable mid-cell checkpoint. Implements
-// CheckpointableScenario.
-func (s *simForkScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
+// EncodePrefix serializes a prefix — position, accumulated trace (the
+// row's own encoding), and the full durable snapshot — as one
+// self-describing blob, the payload of a durable mid-cell checkpoint.
+// Implements CheckpointableScenario.
+func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
+	tr, ok := pre.Trace.(simTrace)
+	if !ok {
+		return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
+	}
 	w := codec.NewWriter(dst)
 	w.U32(prefixCodecVersion)
-	w.String(s.name)
-	w.Bool(s.variant.PerValidatorViews)
-	w.Bool(s.variant.OracleForkChoice)
+	w.String(sc.row.name)
+	w.Bool(sc.variant.PerValidatorViews)
+	w.Bool(sc.variant.OracleForkChoice)
 	w.Int(pre.Epoch)
 	w.Bool(pre.Done)
-	switch s.name {
-	case ScenarioSimDrops:
-		// No per-epoch trace.
-	case ScenarioSimGST:
-		tr, ok := pre.Trace.(gstTrace)
-		if !ok {
-			return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
-		}
-		w.F64(tr.violation)
-	case ScenarioSimLeak:
-		tr, ok := pre.Trace.(leakTrace)
-		if !ok {
-			return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
-		}
-		encodeLeakTrace(w, tr)
-	case ScenarioSimSemiActive:
-		tr, ok := pre.Trace.(semiTrace)
-		if !ok {
-			return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
-		}
-		encodeLeakTrace(w, tr.leakTrace)
-		tr.adv.EncodeTo(w)
-	default:
-		return fmt.Errorf("%w: scenario %q not checkpointable", errPrefixCodec, s.name)
-	}
+	tr.encodeTo(w)
 	if err := w.Err(); err != nil {
 		return err
 	}
@@ -66,84 +44,33 @@ func (s *simForkScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
 // DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
 // result is Owned — the decoded snapshot has exactly one consumer, so the
 // resume path may adopt it zero-copy. Any damage, version skew, or a blob
-// written for a different scenario/variant returns an error; the
-// checkpoint runner treats every error as "no checkpoint" and runs cold.
+// written for a different scenario/variant returns an error; the cell
+// executor treats every error as "no checkpoint" and runs cold.
 // Implements CheckpointableScenario.
-func (s *simForkScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
+func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 	r := codec.NewReader(src)
 	if v := r.U32(); v != prefixCodecVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d (err=%v)", errPrefixCodec, v, prefixCodecVersion, r.Err())
 	}
-	if name := r.String(); name != s.name {
-		return nil, fmt.Errorf("%w: blob for scenario %q, want %q (err=%v)", errPrefixCodec, name, s.name, r.Err())
+	if name := r.String(); name != sc.row.name {
+		return nil, fmt.Errorf("%w: blob for scenario %q, want %q (err=%v)", errPrefixCodec, name, sc.row.name, r.Err())
 	}
-	if pv, oc := r.Bool(), r.Bool(); pv != s.variant.PerValidatorViews || oc != s.variant.OracleForkChoice {
+	if pv, oc := r.Bool(), r.Bool(); pv != sc.variant.PerValidatorViews || oc != sc.variant.OracleForkChoice {
 		return nil, fmt.Errorf("%w: blob for variant views=%t oracle=%t", errPrefixCodec, pv, oc)
 	}
 	pre := &Prefix{Owned: true}
 	pre.Epoch = r.Int()
 	pre.Done = r.Bool()
-	switch s.name {
-	case ScenarioSimDrops:
-		// Trace stays nil.
-	case ScenarioSimGST:
-		var tr gstTrace
-		tr.violation = r.F64()
-		pre.Trace = tr
-	case ScenarioSimLeak:
-		tr, err := decodeLeakTrace(r)
-		if err != nil {
-			return nil, err
-		}
-		pre.Trace = tr
-	case ScenarioSimSemiActive:
-		tr, err := decodeLeakTrace(r)
-		if err != nil {
-			return nil, err
-		}
-		adv := behavior.DecodeSemiActive(r)
-		if adv == nil || r.Err() != nil {
-			return nil, fmt.Errorf("%w: adversary: %v", errPrefixCodec, r.Err())
-		}
-		pre.Trace = semiTrace{leakTrace: tr, adv: adv}
-	default:
-		return nil, fmt.Errorf("%w: scenario %q not checkpointable", errPrefixCodec, s.name)
+	tr, err := sc.row.decodeTrace(r)
+	if err == nil {
+		err = r.Err()
 	}
-	if err := r.Err(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errPrefixCodec, err)
 	}
-	snap, err := sim.ReadSnapshot(src)
-	if err != nil {
+	pre.Trace = tr
+	if pre.Snap, err = sim.ReadSnapshot(src); err != nil {
 		return nil, err
 	}
-	pre.Snap = snap
 	return pre, nil
-}
-
-func encodeLeakTrace(w *codec.Writer, tr leakTrace) {
-	w.Len(len(tr.curve))
-	for _, pt := range tr.curve {
-		w.F64(pt.X)
-		w.F64(pt.Y)
-	}
-	w.F64(tr.minStakeRatio)
-	w.U64(uint64(tr.conflict))
-}
-
-func decodeLeakTrace(r *codec.Reader) (leakTrace, error) {
-	var tr leakTrace
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return tr, fmt.Errorf("%w: curve: %v", errPrefixCodec, err)
-	}
-	if n > 0 {
-		tr.curve = make([]CurvePoint, n)
-		for i := range tr.curve {
-			tr.curve[i].X = r.F64()
-			tr.curve[i].Y = r.F64()
-		}
-	}
-	tr.minStakeRatio = r.F64()
-	tr.conflict = types.Epoch(r.U64())
-	return tr, r.Err()
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/behavior"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/sim"
@@ -54,12 +55,12 @@ func init() {
 		"Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
 		Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
 		runSimBounce))
-	// The other four sim scenarios register as ForkableScenarios (default
-	// variant: cohort views, proto-array fork choice), so warm-started
-	// sweeps can fan their cells out from shared prefixes.
-	for _, name := range []string{ScenarioSimDrops, ScenarioSimGST, ScenarioSimLeak, ScenarioSimSemiActive} {
-		s, _ := NewSimScenarioVariant(name, SimVariant{})
-		Default.MustRegister(s)
+	// Every row of simRows registers under the default variant (cohort
+	// views, proto-array fork choice); the one runner behind them makes each
+	// forkable and checkpointable, so sweeps can fan their cells out from
+	// shared prefixes and long runs can resume.
+	for i := range simRows {
+		Default.MustRegister(&simScenario{row: &simRows[i]})
 	}
 }
 
@@ -90,19 +91,13 @@ func simMeta(s *sim.Simulation, elapsed time.Duration) *RunMeta {
 	return meta
 }
 
-// runEpochsContext advances the simulation one epoch at a time, checking
-// cancellation between epochs (a protocol epoch is orders of magnitude
-// heavier than an aggregate-engine epoch).
-func runEpochsContext(ctx context.Context, s *sim.Simulation, epochs int, onEpoch func(epoch int) bool) error {
-	return runEpochsRangeContext(ctx, s, 0, epochs, onEpoch)
-}
-
-// runEpochsRangeContext advances the simulation from epoch `from`
-// (exclusive — the epochs already simulated, e.g. by a restored prefix) to
-// epoch `to` (inclusive), numbering onEpoch calls with absolute epoch
-// numbers so warm-started continuations observe exactly what a cold run
-// would have.
-func runEpochsRangeContext(ctx context.Context, s *sim.Simulation, from, to int, onEpoch func(epoch int) bool) error {
+// runEpochs advances the simulation one epoch at a time from epoch `from`
+// (exclusive — the epochs already simulated, zero at genesis) to epoch `to`
+// (inclusive), checking cancellation between epochs (a protocol epoch is
+// orders of magnitude heavier than an aggregate-engine epoch). onEpoch sees
+// absolute epoch numbers, so a continuation observes exactly what a run
+// from genesis would have; returning false stops the run.
+func runEpochs(ctx context.Context, s *sim.Simulation, from, to int, onEpoch func(epoch int) bool) error {
 	for epoch := from + 1; epoch <= to; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -110,7 +105,7 @@ func runEpochsRangeContext(ctx context.Context, s *sim.Simulation, from, to int,
 		if err := s.RunEpochs(1); err != nil {
 			return err
 		}
-		if onEpoch != nil && !onEpoch(epoch) {
+		if !onEpoch(epoch) {
 			return nil
 		}
 	}
@@ -169,7 +164,7 @@ func runSimBounce(ctx context.Context, p Params) (Result, error) {
 	finalizedAtStop := types.Epoch(0)
 	minStakeRatio := 1.0
 	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	err = runEpochsContext(ctx, s, p.Horizon, func(epoch int) bool {
+	err = runEpochs(ctx, s, 0, p.Horizon, func(epoch int) bool {
 		m := s.MetricsAt(types.Epoch(epoch))
 		if r := float64(m.MinTotalStake) / float64(initialStake); r < minStakeRatio {
 			minStakeRatio = r
@@ -202,6 +197,128 @@ func runSimBounce(ctx context.Context, p Params) (Result, error) {
 	return out, nil
 }
 
+// simRow declares one forkable protocol-simulator scenario as data. The one
+// runner in sim_fork.go (simScenario) executes every row — straight through
+// from genesis, as a prefix shared by a group of sweep cells, or resumed
+// from such a prefix — so a new scenario is one more row here, not another
+// set of run/fork/resume/codec functions.
+type simRow struct {
+	name, desc string
+	defaults   Params
+	// validate rejects parameters the scenario cannot run.
+	validate func(p Params) error
+	// config describes the cell's own simulation (its real heal slot).
+	config func(p Params, v SimVariant) sim.Config
+	// branchAtGST is the branch rule. False: cells equal in every dimension
+	// but horizon simulate identically, so a cell branches at its own
+	// horizon and a shorter cell's full run doubles as a longer cell's
+	// prefix. True: cells also share their pre-heal epochs across gst values
+	// — the branch is min(gst, horizon), gst stays out of the prefix key,
+	// the shared prefix runs under network.FarFuture (held cross-partition
+	// traffic retained) and each resume retargets the held band onto the
+	// cell's own heal slot.
+	branchAtGST bool
+	// newTrace starts the per-epoch observations at genesis; decodeTrace
+	// reads back what the trace's encodeTo wrote.
+	newTrace    func(p Params) simTrace
+	decodeTrace func(r *codec.Reader) (simTrace, error)
+	// attach, when set, wires state the trace carries into a simulation
+	// positioned at that trace, before it steps.
+	attach func(s *sim.Simulation, tr simTrace)
+	// finish assembles the Result (Meta aside) from the end-of-run state.
+	finish func(ctx context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error)
+}
+
+// simTrace accumulates what a row observes epoch by epoch — everything a
+// run from genesis would have gathered over a prefix's epochs, so a resumed
+// cell's Result is bit-identical to the uninterrupted run's. A trace on a
+// published Prefix is immutable: continuations clone it first.
+type simTrace interface {
+	// observe records the boundary ending the given epoch; false concludes
+	// the run there.
+	observe(s *sim.Simulation, p Params, epoch int) bool
+	// concluded is the epoch at which observe concluded the run (0 = not
+	// yet); a prefix that concluded is Done at that epoch.
+	concluded() int
+	// clone deep-copies the trace, so two continuations of one prefix never
+	// share a backing array or an adversary.
+	clone() simTrace
+	// encodeTo writes the trace into a prefix blob.
+	encodeTo(w *codec.Writer)
+}
+
+// simRows is the table of forkable protocol-simulator scenarios. sim/drops
+// defaults rate to 0 (the lossless baseline) and sim/gst defaults gst to 0
+// (heal immediately); since defaulting is set-aware (Params.Explicit) a
+// zero default is a choice, not a necessity: an explicit rate=0 or gst=0
+// cell survives even against a non-zero default.
+var simRows = []simRow{
+	{
+		name:        ScenarioSimDrops,
+		desc:        "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
+		defaults:    Params{P0: 0.5, N: 1000, Horizon: 10, Seed: 1},
+		validate:    validateSimDrops,
+		config:      simDropsConfig,
+		newTrace:    func(Params) simTrace { return noTrace{} },
+		decodeTrace: func(*codec.Reader) (simTrace, error) { return noTrace{}, nil },
+		finish:      finishSimDrops,
+	},
+	{
+		name:     ScenarioSimGST,
+		desc:     "Full-protocol partition heal: 50/50 split healing at the gst epoch (gst=0 is the no-partition baseline)",
+		defaults: Params{P0: 0.5, N: 1000, Horizon: 16, Seed: 3},
+		validate: func(p Params) error {
+			if p.GST < 0 {
+				return fmt.Errorf("engine: sim/gst wants gst >= 0, got %d", p.GST)
+			}
+			return nil
+		},
+		config:      simGSTConfig,
+		branchAtGST: true,
+		newTrace:    func(Params) simTrace { return &gstTrace{} },
+		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeGSTTrace(r) },
+		finish:      finishSimGST,
+	},
+	{
+		name:     ScenarioSimLeak,
+		desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
+		defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
+		validate: validateSimLeak,
+		config: func(p Params, v SimVariant) sim.Config {
+			return leakPartitionConfig(p, nil, v)
+		},
+		newTrace:    func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
+		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeLeakTrace(r) },
+		finish:      finishSimLeak,
+	},
+	{
+		name:     ScenarioSimSemiActive,
+		desc:     "Table 3 at full protocol: semi-active Byzantine validators accelerate the leak and finalize both branches (full spec)",
+		defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
+		validate: validateSimSemiActive,
+		config: func(p Params, v SimVariant) sim.Config {
+			return leakPartitionConfig(p, semiActiveByz(p), v)
+		},
+		newTrace: func(p Params) simTrace {
+			return &semiTrace{leakTrace: leakTrace{minStakeRatio: 1}, adv: newSemiActive(p)}
+		},
+		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeSemiTrace(r) },
+		// The trace's adversary (a fresh clone of the prefix's) replaces
+		// whatever instance the simulation carried — a prefix's own stored
+		// adversary must never advance.
+		attach: func(s *sim.Simulation, tr simTrace) { s.Cfg.Adversary = tr.(*semiTrace).adv },
+		finish: finishSimSemiActive,
+	},
+}
+
+// noTrace is the trace of a row whose Result reads off the end state alone.
+type noTrace struct{}
+
+func (noTrace) observe(*sim.Simulation, Params, int) bool { return true }
+func (noTrace) concluded() int                            { return 0 }
+func (noTrace) clone() simTrace                           { return noTrace{} }
+func (noTrace) encodeTo(*codec.Writer)                    {}
+
 // validateSimDrops rejects parameters the drops scenario cannot run.
 func validateSimDrops(p Params) error {
 	if p.Horizon < 4 {
@@ -233,13 +350,9 @@ func simDropsConfig(p Params, variant SimVariant) sim.Config {
 	}
 }
 
-func newSimDrops(p Params, variant SimVariant) (*sim.Simulation, error) {
-	return sim.New(simDropsConfig(p, variant))
-}
-
 // finishSimDrops reports how far finality lags the healthy two-epoch
 // trail, from the end-of-horizon state.
-func finishSimDrops(s *sim.Simulation, p Params, elapsed time.Duration) Result {
+func finishSimDrops(_ context.Context, p Params, s *sim.Simulation, _ simTrace) (Result, error) {
 	final := s.MetricsAt(types.Epoch(p.Horizon))
 	minFin, maxFin := final.MinFinalized, final.MaxFinalized
 	// On a lossless run the last processed boundary (start of epoch h-1)
@@ -261,38 +374,20 @@ func finishSimDrops(s *sim.Simulation, p Params, elapsed time.Duration) Result {
 	if lag == 0 {
 		out.Outcome = "finality unharmed"
 	}
-	out.Meta = simMeta(s, elapsed)
-	return out
+	return out, nil
 }
 
-// runSimDrops runs a synchronous population spread over eight partitions
-// whose cross-partition links suffer outages at p.Rate, and reports how far
-// finality lags the healthy two-epoch trail.
-func runSimDrops(ctx context.Context, p Params, variant SimVariant) (Result, error) {
-	if err := validateSimDrops(p); err != nil {
-		return Result{}, err
-	}
-	s, err := newSimDrops(p, variant)
-	if err != nil {
-		return Result{}, err
-	}
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if err := runEpochsContext(ctx, s, p.Horizon, nil); err != nil {
-		return Result{}, err
-	}
-	return finishSimDrops(s, p, time.Since(start)), nil //gasper:nondet wall-clock duration metadata only; never part of result identity
-}
-
-// simGSTConfig describes the p0-weighted two-way partition population at
-// the given heal slot: the real gst for a straight-through run, or
-// network.FarFuture for a shareable prefix (held traffic retained, to be
-// retargeted onto each cell's own heal slot at Restore).
-func simGSTConfig(p Params, variant SimVariant, gst types.Slot) sim.Config {
+// simGSTConfig describes the p0-weighted two-way partition population
+// healing at the p.GST epoch — the mechanism-level boundary between the
+// paper's Scenario 5.1 (never heals, conflicting finalization) and a
+// harmless outage.
+func simGSTConfig(p Params, variant SimVariant) sim.Config {
 	nA := int(math.Round(float64(p.N) * p.P0))
+	spec := types.CompressedSpec(1 << 16)
 	return sim.Config{
 		Validators:        p.N,
-		Spec:              types.CompressedSpec(1 << 16),
-		GST:               gst,
+		Spec:              spec,
+		GST:               types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
 		Delay:             1,
 		Seed:              p.Seed,
 		PerValidatorViews: variant.PerValidatorViews,
@@ -306,30 +401,35 @@ func simGSTConfig(p Params, variant SimVariant, gst types.Slot) sim.Config {
 	}
 }
 
-func newSimGST(p Params, variant SimVariant, gst types.Slot) (*sim.Simulation, error) {
-	return sim.New(simGSTConfig(p, variant, gst))
+// gstTrace carries the first safety violation observed (0 = none); the run
+// concludes at the violation epoch.
+type gstTrace struct {
+	violation float64
 }
 
-// simGSTSlot converts the gst epoch parameter to its heal slot.
-func simGSTSlot(p Params) types.Slot {
-	return types.Slot(uint64(p.GST) * types.CompressedSpec(1<<16).SlotsPerEpoch)
-}
-
-// gstObserver watches for the first conflicting finalization; the run
-// stops at the violation epoch.
-func gstObserver(s *sim.Simulation, violation *float64) func(epoch int) bool {
-	return func(epoch int) bool {
-		if *violation == 0 {
-			if v := s.CheckFinalitySafety(); v != nil {
-				*violation = float64(epoch)
-			}
-		}
-		return *violation == 0
+func (t *gstTrace) observe(s *sim.Simulation, _ Params, epoch int) bool {
+	if t.violation == 0 && s.CheckFinalitySafety() != nil {
+		t.violation = float64(epoch)
 	}
+	return t.violation == 0
+}
+
+func (t *gstTrace) concluded() int { return int(t.violation) }
+
+func (t *gstTrace) clone() simTrace {
+	c := *t
+	return &c
+}
+
+func (t *gstTrace) encodeTo(w *codec.Writer) { w.F64(t.violation) }
+
+func decodeGSTTrace(r *codec.Reader) (*gstTrace, error) {
+	return &gstTrace{violation: r.F64()}, r.Err()
 }
 
 // finishSimGST reports whether safety survived and how finality recovered.
-func finishSimGST(s *sim.Simulation, p Params, violation float64, elapsed time.Duration) Result {
+func finishSimGST(_ context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error) {
+	violation := tr.(*gstTrace).violation
 	minFin := s.MetricsAt(types.Epoch(p.Horizon)).MinFinalized
 	recovered := violation == 0 && minFin >= types.Epoch(p.GST)
 	out := Result{
@@ -346,28 +446,7 @@ func finishSimGST(s *sim.Simulation, p Params, violation float64, elapsed time.D
 	case recovered:
 		out.Outcome = "healed, finality recovered"
 	}
-	out.Meta = simMeta(s, elapsed)
-	return out
-}
-
-// runSimGST heals a p0-weighted two-way partition at the p.GST epoch and
-// reports whether safety survived and how finality recovered — the
-// mechanism-level boundary between the paper's Scenario 5.1 (never heals,
-// conflicting finalization) and a harmless outage.
-func runSimGST(ctx context.Context, p Params, variant SimVariant) (Result, error) {
-	if p.GST < 0 {
-		return Result{}, fmt.Errorf("engine: sim/gst wants gst >= 0, got %d", p.GST)
-	}
-	s, err := newSimGST(p, variant, simGSTSlot(p))
-	if err != nil {
-		return Result{}, err
-	}
-	violation := 0.0
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if err := runEpochsContext(ctx, s, p.Horizon, gstObserver(s, &violation)); err != nil {
-		return Result{}, err
-	}
-	return finishSimGST(s, p, violation, time.Since(start)), nil //gasper:nondet wall-clock duration metadata only; never part of result identity
+	return out, nil
 }
 
 // leakPartitionConfig describes the lasting-partition full-protocol simulation
@@ -397,49 +476,68 @@ func leakPartitionConfig(p Params, byz []types.ValidatorIndex, variant SimVarian
 	}
 }
 
-func leakPartitionSim(p Params, byz []types.ValidatorIndex, variant SimVariant) (*sim.Simulation, error) {
-	return sim.New(leakPartitionConfig(p, byz, variant))
-}
-
 // leakTrace accumulates the per-epoch observations of the long-horizon
 // conflicting-finalization runs: the sampled stake curve, the stake floor,
-// and the conflict epoch (0 = none yet). It doubles as the warm-start
-// prefix trace of sim/leak, so clone before appending from a shared
-// prefix.
+// and the conflict epoch (0 = none yet).
 type leakTrace struct {
 	curve         []CurvePoint
 	minStakeRatio float64
 	conflict      types.Epoch
 }
 
-// clone deep-copies the curve so two continuations of one prefix never
-// share a backing array.
-func (t leakTrace) clone() leakTrace {
-	t.curve = append([]CurvePoint(nil), t.curve...)
-	return t
+// observe samples the stake curve and concludes the run at the first
+// conflicting finalization.
+func (t *leakTrace) observe(s *sim.Simulation, p Params, epoch int) bool {
+	initialStake := types.Gwei(uint64(p.N)) * s.Cfg.Spec.MaxEffectiveBalance
+	m := s.MetricsAt(types.Epoch(epoch))
+	ratio := float64(m.MinTotalStake) / float64(initialStake)
+	if ratio < t.minStakeRatio {
+		t.minStakeRatio = ratio
+	}
+	if p.Sample > 0 && epoch%p.Sample == 0 {
+		t.curve = append(t.curve, CurvePoint{X: float64(epoch), Y: ratio})
+	}
+	if s.CheckFinalitySafety() != nil {
+		t.conflict = types.Epoch(epoch)
+		return false
+	}
+	return true
 }
 
-// leakObserver samples the stake curve and stops the run at the first
-// conflicting finalization, accumulating into tr.
-func leakObserver(s *sim.Simulation, p Params, tr *leakTrace) func(epoch int) bool {
-	initialStake := types.Gwei(uint64(p.N)) * s.Cfg.Spec.MaxEffectiveBalance
-	return func(epoch int) bool {
-		m := s.MetricsAt(types.Epoch(epoch))
-		if r := float64(m.MinTotalStake) / float64(initialStake); r < tr.minStakeRatio {
-			tr.minStakeRatio = r
-		}
-		if p.Sample > 0 && epoch%p.Sample == 0 {
-			tr.curve = append(tr.curve, CurvePoint{
-				X: float64(epoch),
-				Y: float64(m.MinTotalStake) / float64(initialStake),
-			})
-		}
-		if v := s.CheckFinalitySafety(); v != nil {
-			tr.conflict = types.Epoch(epoch)
-			return false
-		}
-		return true
+func (t *leakTrace) concluded() int { return int(t.conflict) }
+
+func (t *leakTrace) clone() simTrace {
+	c := *t
+	c.curve = append([]CurvePoint(nil), t.curve...)
+	return &c
+}
+
+func (t *leakTrace) encodeTo(w *codec.Writer) {
+	w.Len(len(t.curve))
+	for _, pt := range t.curve {
+		w.F64(pt.X)
+		w.F64(pt.Y)
 	}
+	w.F64(t.minStakeRatio)
+	w.U64(uint64(t.conflict))
+}
+
+func decodeLeakTrace(r *codec.Reader) (*leakTrace, error) {
+	tr := &leakTrace{}
+	n := r.Len()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("curve: %w", err)
+	}
+	if n > 0 {
+		tr.curve = make([]CurvePoint, n)
+		for i := range tr.curve {
+			tr.curve[i].X = r.F64()
+			tr.curve[i].Y = r.F64()
+		}
+	}
+	tr.minStakeRatio = r.F64()
+	tr.conflict = types.Epoch(r.U64())
+	return tr, r.Err()
 }
 
 // validateSimLeak rejects parameters the leak scenario cannot run.
@@ -458,41 +556,22 @@ func validateSimLeak(p Params) error {
 	return nil
 }
 
-// finishSimLeak assembles the Table 1 result against the continuous
-// analytic anchor.
-func finishSimLeak(p Params, s *sim.Simulation, tr leakTrace, elapsed time.Duration) (Result, error) {
+// finishSimLeak assembles the paper's headline experiment — Table 1
+// Scenario 5.1 at full protocol: the 50/50 (p0) lasting partition leaks for
+// thousands of epochs under the real 2^26 penalty quotient until each
+// branch's inactive half has drained enough for the branch to regain a
+// supermajority, justify two consecutive epochs, and finalize — on both
+// sides of the partition at once. The measured conflict epoch is reported
+// against the continuous-model analytic anchor (Equation 6; 4662 at
+// p0=0.5; Table 1's own 4686 is the paper-parameter variant of the same
+// quantity).
+func finishSimLeak(_ context.Context, p Params, _ *sim.Simulation, tr simTrace) (Result, error) {
 	bc, err := analytic.ContinuousParams().ConflictingFinalization(analytic.HonestOnly, p.P0, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	res := conflictResult(p, tr.conflict, "analytic_epoch", bc.ConflictEpoch, nil, tr.minStakeRatio, tr.curve)
-	res.Meta = simMeta(s, elapsed)
-	return res, nil
-}
-
-// runSimLeak is the paper's headline experiment — Table 1 Scenario 5.1 —
-// at full protocol: the 50/50 (p0) lasting partition leaks for thousands
-// of epochs under the real 2^26 penalty quotient until each branch's
-// inactive half has drained enough for the branch to regain a
-// supermajority, justify two consecutive epochs, and finalize — on both
-// sides of the partition at once. The measured conflict epoch is reported
-// against the continuous-model analytic anchor (Equation 6; 4662 at
-// p0=0.5) and the aggregate integer engine's epoch (Table 1's own 4686 is
-// the paper-parameter variant of the same quantity).
-func runSimLeak(ctx context.Context, p Params, variant SimVariant) (Result, error) {
-	if err := validateSimLeak(p); err != nil {
-		return Result{}, err
-	}
-	s, err := leakPartitionSim(p, nil, variant)
-	if err != nil {
-		return Result{}, err
-	}
-	tr := leakTrace{minStakeRatio: 1}
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if err := runEpochsContext(ctx, s, p.Horizon, leakObserver(s, p, &tr)); err != nil {
-		return Result{}, err
-	}
-	return finishSimLeak(p, s, tr, time.Since(start)) //gasper:nondet wall-clock duration metadata only; never part of result identity
+	t := tr.(*leakTrace)
+	return conflictResult(p, t.conflict, "analytic_epoch", bc.ConflictEpoch, nil, t.minStakeRatio, t.curve), nil
 }
 
 // conflictResult assembles the shared result shape of the long-horizon
@@ -542,62 +621,75 @@ func validateSimSemiActive(p Params) error {
 	return nil
 }
 
-// semiActiveSetup derives the Byzantine cohort and a fresh semi-active
-// adversary from validated params.
-func semiActiveSetup(p Params) ([]types.ValidatorIndex, *behavior.SemiActive) {
-	nByz := int(math.Round(float64(p.N) * p.Beta0))
-	nHonest := p.N - nByz
-	byz := make([]types.ValidatorIndex, nByz)
+// semiActiveByz derives the Byzantine cohort — the top beta0 of the index
+// range — from validated params.
+func semiActiveByz(p Params) []types.ValidatorIndex {
+	byz := make([]types.ValidatorIndex, int(math.Round(float64(p.N)*p.Beta0)))
 	for i := range byz {
-		byz[i] = types.ValidatorIndex(nHonest + i)
+		byz[i] = types.ValidatorIndex(p.N - len(byz) + i)
 	}
+	return byz
+}
+
+// newSemiActive builds a fresh semi-active adversary watching one honest
+// representative per branch.
+func newSemiActive(p Params) *behavior.SemiActive {
+	nHonest := p.N - int(math.Round(float64(p.N)*p.Beta0))
 	nA := int(math.Round(float64(nHonest) * p.P0))
-	adv := &behavior.SemiActive{
+	return &behavior.SemiActive{
 		Reps:         [2]types.ValidatorIndex{0, types.ValidatorIndex(nA)},
 		AutoFinalize: true,
 	}
-	return byz, adv
 }
 
-// finishSimSemiActive assembles the Table 3 result against the aggregate
-// two-branch engine (Tables 2-3) on identical parameters: the
-// mechanism-level anchor the full protocol should land next to.
-func finishSimSemiActive(ctx context.Context, p Params, s *sim.Simulation, adv *behavior.SemiActive, tr leakTrace, elapsed time.Duration) (Result, error) {
+// semiTrace extends the leak trace with the semi-active adversary's gait
+// state at the checkpoint: sim.Snapshot deliberately leaves adversary
+// state to the caller, so each prefix pairs its snapshot with a
+// behavior.SemiActive clone taken at the same epoch boundary.
+type semiTrace struct {
+	leakTrace
+	adv *behavior.SemiActive
+}
+
+func (t *semiTrace) clone() simTrace {
+	return &semiTrace{leakTrace: *t.leakTrace.clone().(*leakTrace), adv: t.adv.Clone()}
+}
+
+func (t *semiTrace) encodeTo(w *codec.Writer) {
+	t.leakTrace.encodeTo(w)
+	t.adv.EncodeTo(w)
+}
+
+func decodeSemiTrace(r *codec.Reader) (*semiTrace, error) {
+	lt, err := decodeLeakTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	adv := behavior.DecodeSemiActive(r)
+	if adv == nil || r.Err() != nil {
+		return nil, fmt.Errorf("adversary: %v", r.Err())
+	}
+	return &semiTrace{leakTrace: *lt, adv: adv}, nil
+}
+
+// finishSimSemiActive assembles Table 3 at full protocol: beta0 of the
+// stake is semi-active Byzantine — active on alternating branches every
+// epoch, never equivocating within an epoch, hence never slashable — which
+// keeps both branches' active ratios near the quorum from the start and
+// makes the leak drain only the honest inactive half. The adversary watches
+// both branch views (AutoFinalize) and, the moment alternation justifies
+// recent checkpoints on both branches, stays two consecutive epochs per
+// branch to finalize each: conflicting finalization at the Table 3 epoch.
+// The aggregate two-branch engine's (Tables 2-3) conflict epoch on
+// identical parameters is reported as the mechanism-level anchor the full
+// protocol should land next to.
+func finishSimSemiActive(ctx context.Context, p Params, _ *sim.Simulation, tr simTrace) (Result, error) {
 	anchorRes, err := core.LeakSim{N: p.N, P0: p.P0, Beta0: p.Beta0, Mode: core.ByzSemiActive}.
 		RunContext(ctx, p.Horizon, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	res := conflictResult(p, tr.conflict, "aggregate_epoch", float64(anchorRes.ConflictEpoch),
-		[]Metric{{Name: "gait_epoch", Value: float64(adv.GaitFrom())}}, tr.minStakeRatio, tr.curve)
-	res.Meta = simMeta(s, elapsed)
-	return res, nil
-}
-
-// runSimSemiActive is Table 3 at full protocol: beta0 of the stake is
-// semi-active Byzantine — active on alternating branches every epoch,
-// never equivocating within an epoch, hence never slashable — which keeps
-// both branches' active ratios near the quorum from the start and makes
-// the leak drain only the honest inactive half. The adversary watches
-// both branch views (AutoFinalize) and, the moment alternation justifies
-// recent checkpoints on both branches, stays two consecutive epochs per
-// branch to finalize each: conflicting finalization at the Table 3 epoch.
-// The aggregate integer engine's conflict epoch for the same parameters
-// is reported as the mechanism anchor.
-func runSimSemiActive(ctx context.Context, p Params, variant SimVariant) (Result, error) {
-	if err := validateSimSemiActive(p); err != nil {
-		return Result{}, err
-	}
-	byz, adv := semiActiveSetup(p)
-	s, err := leakPartitionSim(p, byz, variant)
-	if err != nil {
-		return Result{}, err
-	}
-	s.Cfg.Adversary = adv
-	tr := leakTrace{minStakeRatio: 1}
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if err := runEpochsContext(ctx, s, p.Horizon, leakObserver(s, p, &tr)); err != nil {
-		return Result{}, err
-	}
-	return finishSimSemiActive(ctx, p, s, adv, tr, time.Since(start)) //gasper:nondet wall-clock duration metadata only; never part of result identity
+	t := tr.(*semiTrace)
+	return conflictResult(p, t.conflict, "aggregate_epoch", float64(anchorRes.ConflictEpoch),
+		[]Metric{{Name: "gait_epoch", Value: float64(t.adv.GaitFrom())}}, t.minStakeRatio, t.curve), nil
 }

@@ -51,7 +51,7 @@ func TestSweepStreamMatchesBatch(t *testing.T) {
 		N:        100,
 	}
 	cells := append(leak.Cells(), mc.Cells()...)
-	batch := StripMeta(Sweep(cells, Options{Workers: 1}))
+	batch := StripMeta(SweepContext(context.Background(), cells, Options{Workers: 1}))
 
 	for _, workers := range []int{1, 3, runtime.NumCPU()} {
 		collected := make([]Result, len(cells))

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Cell is one sweep unit: a named scenario plus its parameters.
@@ -172,9 +169,8 @@ func (g Grid) FillFrom(p Params) Grid {
 // The derivation DELIBERATELY excludes the post-branch dimensions rate
 // and gst: cells that differ only there share the pre-branch RNG stream
 // (common random numbers — every cell faces the same duty schedule,
-// Grid.Rates doc), and the warm-start scheduler
-// (internal/engine/warmstart) depends on exactly that to fan such cells
-// out from one shared snapshot. Adding rate or gst to this hash would
+// Grid.Rates doc), and the warm-start scheduler (sched.go) depends on
+// exactly that to fan such cells out from one shared snapshot. Adding rate or gst to this hash would
 // silently break snapshot reuse — TestDeriveSeedContract pins the
 // exclusion. Horizon IS included, so horizon sweeps share prefixes only
 // when the grid leaves the seed dimension unlisted.
@@ -367,22 +363,24 @@ type Options struct {
 	Workers int
 	// Registry resolves scenario names; nil means the default registry.
 	Registry *Registry
-	// WarmStart, when non-nil, routes the sweep through the snapshot-tree
-	// warm-start scheduler (if one is installed — import
-	// internal/engine/warmstart): cells of ForkableScenario scenarios that
-	// share a parameter prefix fan out from one shared simulated prefix
-	// instead of each re-simulating epoch 0. Results are bit-identical to
-	// the cold sweep; only wall clock and Result.Meta change.
+	// WarmStart, when non-nil, has the scheduler plan a snapshot tree:
+	// cells of ForkableScenario scenarios that share a parameter prefix fan
+	// out from one shared simulated prefix instead of each re-simulating
+	// epoch 0. Results are bit-identical to the cold sweep; only wall clock
+	// and Result.Meta change.
 	WarmStart *WarmStartOptions
 	// Checkpoint, when non-nil (with a non-nil Store), runs checkpointable
 	// cells under the durable-checkpoint policy: each cell probes the
 	// store for its newest valid checkpoint and resumes from it, persists
 	// a fresh checkpoint every interval while running, and deletes its
-	// checkpoint on completion. Orthogonal to WarmStart: the in-memory
-	// snapshot tree amortizes warm sweeps within a process, durable
-	// checkpoints survive process death — a sweep routed through the
-	// warm-start scheduler skips checkpointing (the scheduler owns cell
-	// execution), so crash resume applies on the plain local-pool path.
+	// checkpoint on completion. It composes with WarmStart — the in-memory
+	// snapshot tree amortizes a sweep within a process, durable checkpoints
+	// survive process death — tier by tier: every cell that starts at
+	// genesis (all of them without WarmStart; with it, lone members of a
+	// prefix group and cells that cannot fork) runs under the policy, while
+	// a cell resumed from a shared in-memory prefix skips the durable tier
+	// (the prefix belongs to its group, and the spine that simulates it is
+	// not yet crash-resumable).
 	Checkpoint *CheckpointOptions
 	// Dispatch, when non-nil, takes over cell execution entirely:
 	// SweepStream hands it the cells and the remaining options (Dispatch
@@ -414,143 +412,41 @@ type Update struct {
 	Total int `json:"total"`
 }
 
-// SweepStream runs every cell through the registry over a bounded worker
-// pool and yields one Update per cell as it completes (completion order,
-// not cell order). Cancellation is cooperative: once ctx is cancelled,
-// cells already running return early (ContextRunner scenarios observe ctx
-// inside their loops) and cells not yet started are marked with the
-// context error without being computed, so the stream closes promptly.
+// SweepStream runs every cell and yields one Update per cell as it
+// completes (completion order, not cell order): through opt.Dispatch when
+// set, otherwise through the scheduler (sched.go) — one bounded worker pool
+// whose jobs each run one cell through the cell executor (runCell).
+// Cancellation is cooperative: once ctx is cancelled, cells already running
+// return early (ContextRunner scenarios observe ctx inside their loops) and
+// cells not yet started are marked with the context error without being
+// computed, so the stream closes promptly.
 //
 // The caller must drain the channel; it is closed after the last cell.
 // Each computed cell's Result carries its wall-clock duration in
 // Result.Meta. The result payloads (Meta aside) are bit-identical for any
-// worker count.
+// worker count, with or without warm start or checkpoints.
 func SweepStream(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	if opt.Dispatch != nil {
 		d := opt.Dispatch
 		opt.Dispatch = nil
 		return d(ctx, cells, opt)
 	}
-	if opt.WarmStart != nil && warmScheduler != nil {
-		return warmScheduler(ctx, cells, opt)
-	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = Default
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	out := make(chan Update)
-	if len(cells) == 0 {
-		close(out)
-		return out
-	}
-
-	// Pre-filled job queue: no producer goroutine to leak, and workers
-	// drain the remainder instantly after cancellation.
-	jobs := make(chan int, len(cells))
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-
-	type indexed struct {
-		i   int
-		res Result
-	}
-	finished := make(chan indexed)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				cell := cells[i]
-				var res Result
-				if err := ctx.Err(); err != nil {
-					// Cancelled before this cell started: mark it
-					// without computing (no Meta — no work was done).
-					res = failedCell(reg, cell, err)
-				} else if r, handled, err := runCellCheckpointed(ctx, reg, cell, opt.Checkpoint); handled {
-					// Durable-checkpoint path: r already carries its
-					// duration and checkpoint provenance in Meta.
-					if err != nil {
-						r = failedCell(reg, cell, err)
-					}
-					res = r
-				} else {
-					start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-					r, err := reg.RunContext(ctx, cell.Scenario, cell.Params)
-					if err != nil {
-						r = failedCell(reg, cell, err)
-					}
-					r.Meta = RunMeta{DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}.Merged(r.Meta) //gasper:nondet wall-clock duration metadata only; never part of result identity
-					res = r
-				}
-				finished <- indexed{i, res}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
-	go func() {
-		defer close(out)
-		completed := 0
-		for f := range finished {
-			completed++
-			out <- Update{Index: f.i, Result: f.res, Completed: completed, Total: len(cells)}
-		}
-	}()
-	return out
-}
-
-// failedCell records a cell failure with the defaulted params when
-// possible, so a failed cell still documents the run it attempted.
-func failedCell(reg *Registry, cell Cell, err error) Result {
-	p := cell.Params
-	if s, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(s.Defaults())
-	}
-	return Result{Scenario: cell.Scenario, Params: p, Err: err.Error()}
+	return schedule(ctx, cells, opt)
 }
 
 // SweepContext collects a SweepStream into one Result per cell, in cell
-// order. After cancellation it returns promptly with every unfinished
-// cell's Err set to the context error.
+// order. Each cell is an independent deterministic computation with its
+// own seed, so the output payload is bit-identical for any worker count
+// (Result.Meta carries the non-deterministic timing). A failing cell
+// records its error in Result.Err instead of aborting the sweep; after
+// cancellation SweepContext returns promptly with every unfinished cell's
+// Err set to the context error.
 func SweepContext(ctx context.Context, cells []Cell, opt Options) []Result {
 	results := make([]Result, len(cells))
 	for u := range SweepStream(ctx, cells, opt) {
 		results[u.Index] = u.Result
 	}
 	return results
-}
-
-// Sweep runs every cell through the registry over a bounded worker pool
-// and returns one Result per cell, in cell order. Each cell is an
-// independent deterministic computation with its own seed, so the output
-// payload is bit-identical for any worker count (Result.Meta carries the
-// non-deterministic timing). A failing cell records its error in
-// Result.Err instead of aborting the sweep.
-func Sweep(cells []Cell, opt Options) []Result {
-	return SweepContext(context.Background(), cells, opt)
-}
-
-// SweepGrid expands the grid and runs it.
-func SweepGrid(g Grid, opt Options) []Result {
-	return Sweep(g.Cells(), opt)
-}
-
-// SweepGridContext expands the grid and runs it with cooperative
-// cancellation.
-func SweepGridContext(ctx context.Context, g Grid, opt Options) []Result {
-	return SweepContext(ctx, g.Cells(), opt)
 }
 
 // FirstError returns the first per-cell error of a sweep, if any.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -175,7 +176,7 @@ func TestSweepRecordsCellErrors(t *testing.T) {
 		{Scenario: "no-such-scenario", Params: Params{}},
 		{Scenario: ScenarioLeakSim, Params: Params{Mode: "warp"}},
 	}
-	results := Sweep(cells, Options{Workers: 2})
+	results := SweepContext(context.Background(), cells, Options{Workers: 2})
 	if len(results) != 3 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -222,8 +223,8 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	cells := append(leak.Cells(), mc.Cells()...)
 
-	sequential := Sweep(cells, Options{Workers: 1})
-	parallel := Sweep(cells, Options{Workers: runtime.NumCPU()})
+	sequential := SweepContext(context.Background(), cells, Options{Workers: 1})
+	parallel := SweepContext(context.Background(), cells, Options{Workers: runtime.NumCPU()})
 	// Meta carries wall-clock timing and is excluded from the
 	// determinism contract.
 	if !reflect.DeepEqual(StripMeta(sequential), StripMeta(parallel)) {
@@ -249,7 +250,7 @@ func TestSweepDeterminism(t *testing.T) {
 
 func TestSweepGridAndWorkerDefaults(t *testing.T) {
 	g := Grid{Scenario: ScenarioAnalyticThreshold, P0: []float64{0.3, 0.5, 0.7}}
-	results := SweepGrid(g, Options{})
+	results := SweepContext(context.Background(), g.Cells(), Options{})
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestTable1CellsMatchPaper(t *testing.T) {
 	if len(cells) != 5 {
 		t.Fatalf("cells = %d, want 5", len(cells))
 	}
-	results := Sweep(cells, Options{})
+	results := SweepContext(context.Background(), cells, Options{})
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}

@@ -243,7 +243,7 @@ func BounceMCSweep(ctx context.Context, p0, beta0 float64, n, runs int, seed int
 		return nil, nil, fmt.Errorf("report: bounce mc sweep: p0=%v beta0=%v, want in (0, 1)", p0, beta0)
 	}
 	g := engine.BounceMCGrid(p0, beta0, n, runs, seed, sample, horizon)
-	results := engine.SweepGridContext(ctx, g, opt)
+	results := engine.SweepContext(ctx, g.Cells(), opt)
 	if err := engine.FirstError(results); err != nil {
 		return nil, nil, err
 	}

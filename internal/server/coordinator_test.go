@@ -85,7 +85,7 @@ func TestCoordinatorShardsSweep(t *testing.T) {
 	var runs atomic.Int64
 	reg := countedRegistry(&runs)
 	cells := fabricCells(8)
-	want := engine.Sweep(cells, engine.Options{Registry: reg})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 	runs.Store(0)
 
 	w1 := newFabricWorker(t, reg, -1)
@@ -128,7 +128,7 @@ func TestCoordinatorFaultInjection(t *testing.T) {
 		var runs atomic.Int64
 		reg := countedRegistry(&runs)
 		cells := fabricCells(10)
-		want := engine.Sweep(cells, engine.Options{Registry: reg})
+		want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 
 		shards := make([]string, workers)
 		pool := make([]*fabricWorker, workers)
@@ -166,7 +166,7 @@ func TestCoordinatorAllWorkersDeadFallsBackLocal(t *testing.T) {
 	var runs atomic.Int64
 	reg := countedRegistry(&runs)
 	cells := fabricCells(6)
-	want := engine.Sweep(cells, engine.Options{Registry: reg})
+	want := engine.SweepContext(context.Background(), cells, engine.Options{Registry: reg})
 
 	dead := newFabricWorker(t, reg, 0) // crashes on its first cell
 	coord, ts := storeServer(t, Config{Registry: reg, CacheSize: -1, Shards: []string{dead.ts.URL}})

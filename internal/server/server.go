@@ -31,9 +31,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	// Install the snapshot-tree warm-start scheduler so warm sweeps work
-	// (the engine package cannot import it; see engine.SetWarmStartScheduler).
-	_ "repro/internal/engine/warmstart"
 	"repro/internal/store"
 )
 
@@ -336,7 +333,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	res, err := timedRun(r.Context(), s.reg, req.Scenario, req.Params)
+	// One cell through the engine's cell executor, exactly as /sweep runs
+	// it — an interrupted checkpointable /run resumes on the next ask.
+	res, err := engine.RunCell(r.Context(), s.reg, engine.Cell{Scenario: req.Scenario, Params: req.Params}, s.checkpointOptions())
 	if err != nil {
 		// A cancelled request context is a server-side abort (client
 		// disconnect or graceful shutdown), not a bad request.
@@ -347,11 +346,37 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "scenario %q: %v", req.Scenario, err)
 		return
 	}
-	if res.Meta != nil {
-		s.metrics.recordComputed(req.Scenario, res.Meta.DurationMS)
-	}
+	s.recordCell(res, false)
 	s.save(key, res)
 	writeJSON(w, http.StatusOK, res)
+}
+
+// checkpointOptions is the durable-checkpoint policy cells run under (nil
+// without a checkpoint tier).
+func (s *Server) checkpointOptions() *engine.CheckpointOptions {
+	if s.ckpts == nil {
+		return nil
+	}
+	return &engine.CheckpointOptions{Every: s.ckptEvery, Store: s.ckpts}
+}
+
+// recordCell counts one successfully answered cell into /metrics. Resume
+// provenance rides RunMeta whether the cell ran here or on a remote
+// worker; either way this server answered it. In coordinator mode sweep
+// cells were computed elsewhere (the ledger tracks them as remote; the
+// local-fallback path records its own compute), so only in-process work
+// counts as computed — /run always is.
+func (s *Server) recordCell(res engine.Result, remote bool) {
+	if res.Meta == nil {
+		return
+	}
+	if ck := res.Meta.Checkpoint; ck != nil && ck.Resumed {
+		s.metrics.cellsResumed.Add(1)
+		s.metrics.checkpointEpochsSaved.Add(uint64(ck.EpochsSaved))
+	}
+	if !remote {
+		s.metrics.recordComputed(res.Scenario, res.Meta.DurationMS)
+	}
 }
 
 // sweepRequest is the POST /sweep body: either explicit cells, or a
@@ -464,9 +489,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if warm {
 		opt.WarmStart = &engine.WarmStartOptions{MemoryBudget: s.warmBudget}
 	}
-	if s.ckpts != nil {
-		opt.Checkpoint = &engine.CheckpointOptions{Every: s.ckptEvery, Store: s.ckpts}
-	}
+	opt.Checkpoint = s.checkpointOptions()
 	if s.coord != nil {
 		opt.Dispatch = s.coord.dispatch
 	}
@@ -476,18 +499,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if p.ok {
 				s.save(p.key, u.Result)
 			}
-			// Resume provenance rides RunMeta whether the cell ran here
-			// or on a remote worker; either way this server streamed it.
-			if u.Result.Meta != nil && u.Result.Meta.Checkpoint != nil && u.Result.Meta.Checkpoint.Resumed {
-				s.metrics.cellsResumed.Add(1)
-				s.metrics.checkpointEpochsSaved.Add(uint64(u.Result.Meta.Checkpoint.EpochsSaved))
-			}
-			// In coordinator mode the cells were computed elsewhere (the
-			// metrics ledger tracks them as remote; the local-fallback path
-			// records its own compute); only count in-process work here.
-			if u.Result.Meta != nil && s.coord == nil {
-				s.metrics.recordComputed(u.Result.Scenario, u.Result.Meta.DurationMS)
-			}
+			s.recordCell(u.Result, s.coord != nil)
 		}
 		u.Index = p.index
 		emit(u)
@@ -614,18 +626,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Scenarios = s.metrics.snapshotScenarios()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// timedRun executes a scenario and stamps the result with its wall-clock
-// duration.
-func timedRun(ctx context.Context, reg *engine.Registry, name string, p engine.Params) (engine.Result, error) {
-	start := time.Now()
-	res, err := reg.RunContext(ctx, name, p)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	res.Meta = engine.RunMeta{DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}.Merged(res.Meta)
-	return res, nil
 }
 
 // cellKey resolves a cell's cache key (false for unknown scenarios, whose

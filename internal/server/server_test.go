@@ -216,7 +216,7 @@ func TestSweepNDJSONMatchesInProcess(t *testing.T) {
 		}
 		streamed[u.Index] = u.Result
 	}
-	local := engine.Sweep(cells, engine.Options{})
+	local := engine.SweepContext(context.Background(), cells, engine.Options{})
 	if !reflect.DeepEqual(engine.StripMeta(streamed), engine.StripMeta(local)) {
 		t.Error("streamed sweep diverges from in-process sweep")
 	}
@@ -552,6 +552,82 @@ func TestSweepWarmSharesRunCache(t *testing.T) {
 	}
 }
 
+// plantCheckpoint leaves in the server's checkpoint store what a worker
+// killed at the given epoch of the cell would have, and returns the cell's
+// key.
+func plantCheckpoint(t *testing.T, s *Server, cell engine.Cell, epoch int) string {
+	t.Helper()
+	sc, ok := engine.Default.Lookup(cell.Scenario)
+	if !ok {
+		t.Fatalf("%s not registered", cell.Scenario)
+	}
+	cs := sc.(engine.CheckpointableScenario)
+	pre, err := cs.RunTo(context.Background(), cell.Params.WithDefaults(sc.Defaults()), nil, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := cs.EncodePrefix(&blob, pre); err != nil {
+		t.Fatal(err)
+	}
+	key, ok := engine.CanonicalCellKey(nil, cell)
+	if !ok {
+		t.Fatal("no canonical key")
+	}
+	if err := s.Checkpoints().SaveCheckpoint(key, blob.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestRunResumesLikeSweep: POST /run goes through the same cell executor
+// as a one-cell POST /sweep — a server with a store resumes an interrupted
+// checkpointable run from its planted checkpoint, answers the payload the
+// sweep answers, counts the resume in /metrics and deletes the checkpoint;
+// a scenario without a prefix codec takes the plain path with no store
+// probe.
+func TestRunResumesLikeSweep(t *testing.T) {
+	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
+	// Two servers in the same state — one interrupted cell each — so the
+	// second ask is not answered from the first one's result store.
+	interrupted := func() (*Server, *httptest.Server, string) {
+		s, ts := storeServer(t, Config{StoreDir: t.TempDir(), CheckpointEvery: 8, CacheSize: -1})
+		return s, ts, plantCheckpoint(t, s, cell, 16)
+	}
+	sweepSrv, sweepTS, _ := interrupted()
+	updates := decodeNDJSON(t, postJSON(t, sweepTS.URL+"/sweep", map[string]any{"cells": []engine.Cell{cell}}))
+	if len(updates) != 1 {
+		t.Fatalf("streamed %d updates, want 1", len(updates))
+	}
+	swept := updates[0].Result
+	runSrv, runTS, key := interrupted()
+	ran := getResult(t, runTS.URL, cell)
+
+	if !reflect.DeepEqual(ran.WithoutMeta(), swept.WithoutMeta()) {
+		t.Errorf("/run payload diverges from the one-cell /sweep:\n  run:   %+v\n  sweep: %+v", ran.WithoutMeta(), swept.WithoutMeta())
+	}
+	for name, res := range map[string]engine.Result{"/sweep": swept, "/run": ran} {
+		if ck := res.Meta.Checkpoint; ck == nil || !ck.Resumed || ck.ResumeEpoch != 16 || ck.EpochsSaved != 16 {
+			t.Errorf("%s checkpoint meta = %+v, want a resume from epoch 16", name, res.Meta.Checkpoint)
+		}
+	}
+	if _, ok := runSrv.Checkpoints().LoadCheckpoint(key); ok {
+		t.Error("completed /run left its checkpoint on disk")
+	}
+	if a, b := sweepSrv.metrics.cellsResumed.Load(), runSrv.metrics.cellsResumed.Load(); a != 1 || b != 1 {
+		t.Errorf("metrics count %d (/sweep) and %d (/run) resumed cells, want 1 and 1", a, b)
+	}
+
+	probes := func() uint64 { st := runSrv.Checkpoints().Stats(); return st.Loaded + st.Missed }
+	before := probes()
+	if res := getResult(t, runTS.URL, engine.Cell{Scenario: "5.2.1", Params: engine.Params{Beta0: 0.2}}); res.Meta.Checkpoint != nil {
+		t.Errorf("non-checkpointable /run carries checkpoint meta %+v", res.Meta.Checkpoint)
+	}
+	if after := probes(); after != before {
+		t.Errorf("non-checkpointable /run probed the checkpoint store (%d -> %d probes)", before, after)
+	}
+}
+
 // TestSweepCheckpointResumeAndMetrics: a server configured with a
 // checkpoint store resumes a sweep cell from a planted mid-cell
 // checkpoint — exactly what a crash-requeued worker leaves behind —
@@ -567,27 +643,7 @@ func TestSweepCheckpointResumeAndMetrics(t *testing.T) {
 
 	// Plant the checkpoint a killed worker would have left at epoch 16.
 	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
-	sc, ok := engine.Default.Lookup(cell.Scenario)
-	if !ok {
-		t.Fatal("sim/leak not registered")
-	}
-	cs := sc.(engine.CheckpointableScenario)
-	p := cell.Params.WithDefaults(sc.Defaults())
-	pre, err := cs.RunTo(context.Background(), p, nil, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blob bytes.Buffer
-	if err := cs.EncodePrefix(&blob, pre); err != nil {
-		t.Fatal(err)
-	}
-	key, ok := engine.CanonicalCellKey(nil, cell)
-	if !ok {
-		t.Fatal("no canonical key")
-	}
-	if err := s.Checkpoints().SaveCheckpoint(key, blob.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	key := plantCheckpoint(t, s, cell, 16)
 
 	updates := decodeNDJSON(t, postJSON(t, ts.URL+"/sweep", map[string]any{"cells": []engine.Cell{cell}}))
 	if len(updates) != 1 {

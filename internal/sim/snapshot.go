@@ -21,8 +21,9 @@ import (
 // snapshot can seed any number of continuations — long runs become
 // resumable, and sweeps whose cells share a prefix (same Config up to the
 // branch point) warm-start from one simulated prefix instead of
-// re-simulating epoch 0 per cell (see internal/engine/warmstart, which
-// promotes this primitive into a refcounted compute cache).
+// re-simulating epoch 0 per cell (see the sweep scheduler in
+// internal/engine, sched.go, which promotes this primitive into a
+// refcounted compute cache).
 //
 // Everything pseudo-random in the simulator is a stateless hash of
 // (seed, slot, ...) — proposer schedule, duty shuffling, link outages —
