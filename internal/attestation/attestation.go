@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/crypto"
 	"repro/internal/types"
 )
 
@@ -28,15 +27,6 @@ type Data struct {
 	// Target is the checkpoint-vote target: the checkpoint of the
 	// current epoch on the attester's candidate chain.
 	Target types.Checkpoint
-}
-
-// Digest returns a stable hash of the data for signing and equivocation
-// detection.
-func (d Data) Digest() types.Root {
-	return crypto.HashRoots(
-		uint64(d.Slot)<<32|uint64(d.Source.Epoch)<<16|uint64(d.Target.Epoch),
-		d.Head, d.Source.Root, d.Target.Root,
-	)
 }
 
 // Attestation is a vote attributed to one validator. The simulator treats
@@ -57,21 +47,48 @@ func (a Attestation) String() string {
 
 // Pool accumulates attestations indexed by target epoch and validator. It
 // retains every distinct vote (an equivocating validator contributes
-// several), which is what both the FFG engine and the slashing detector
-// need. Per-epoch storage is columnar — one votes-by-validator-index slice
-// per epoch — so the hot paths (Add during batch fan-out, the boundary
-// TargetWeights rescan) are array indexing, not nested map probes. The
-// zero value is not usable; construct with NewPool.
+// several), which is what both the FFG engine and the activity criterion
+// need. A cohort's duty slot is one Data cast by hundreds of validators, so
+// the pool stores each distinct value once: per target epoch, a small table
+// of the Data values seen plus validator-indexed columns of 4-byte ids into
+// it. Dedup is an integer compare, the boundary sweeps resolve a link or a
+// target once per distinct value and then walk a flat column, and Clone
+// copies a few flat slices per epoch. The zero value is not usable;
+// construct with NewPool.
 type Pool struct {
 	byEpoch map[types.Epoch]*epochVotes
+	// width is the longest id column any epoch has needed (highest
+	// validator index seen + 1). A new epoch's column is allocated at that
+	// width in one piece instead of growing batch by batch.
+	width int //gasper:nocodec allocation hint; DecodePool re-learns it from the decoded column lengths
+	// rows is AppendLinkTally's per-call scratch.
+	//gasper:nocodec scratch buffer; each pool re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	rows []int32
 }
 
-// epochVotes holds one target epoch's votes, indexed by validator.
+// epochVotes holds one target epoch's votes. An id is a table index plus
+// one; zero means no vote.
 type epochVotes struct {
-	// votes[v] lists the distinct attestation data values validator v
-	// signed with this target epoch (nil = none). The slice grows to the
-	// highest validator index seen.
-	votes [][]Data
+	// table lists the distinct Data values seen with this target epoch, in
+	// first-seen order.
+	table []Data
+	// first[v] is the id of validator v's first distinct vote; second[v]
+	// that of its second (the equivocator's other face), nil until some
+	// validator casts one and as long as first from then on. A validator's
+	// third and later distinct votes go to spill in arrival order, so a
+	// validator's votes in arrival order are first, second, then its spill
+	// entries.
+	first  []uint32
+	second []uint32
+	spill  []spillVote
+}
+
+// spillVote is a third-or-later distinct vote of one validator for one
+// target epoch.
+type spillVote struct {
+	validator types.ValidatorIndex
+	id        uint32
 }
 
 // NewPool returns an empty pool.
@@ -80,48 +97,164 @@ func NewPool() *Pool {
 }
 
 // Add records an attestation. Duplicate (validator, data) pairs are
-// ignored. It reports whether the attestation was new.
-//
-// Dedup compares Data values directly: Data is a comparable struct, and
-// value equality is both exact (Digest truncates epochs to 16 bits) and
-// hash-free, which matters when a paper-scale batch fans out to thousands
-// of per-validator Adds.
+// ignored. It reports whether the attestation was new. It is AddBatch with
+// one validator.
 func (p *Pool) Add(a Attestation) bool {
-	epoch := a.Data.Target.Epoch
-	ev, ok := p.byEpoch[epoch]
-	if !ok {
+	one := [1]types.ValidatorIndex{a.Validator}
+	var added [1]types.ValidatorIndex
+	return len(p.AddBatch(added[:0], a.Data, one[:])) == 1
+}
+
+// AddBatch records one data value cast by every listed validator and
+// appends to dst, in listed order, the validators for whom it was new
+// (duplicate (validator, data) pairs are ignored). The value is interned
+// once for the whole batch; per validator the work is an id compare and an
+// id store. Data is a comparable struct and interning compares values
+// directly, so equality is exact and hash-free.
+//
+//gasper:noalloc
+func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []types.ValidatorIndex) []types.ValidatorIndex {
+	if len(validators) == 0 {
+		return dst
+	}
+	ev := p.byEpoch[data.Target.Epoch]
+	if ev == nil {
+		//gasper:alloc first vote of a target epoch, once per epoch
 		ev = &epochVotes{}
-		p.byEpoch[epoch] = ev
+		p.byEpoch[data.Target.Epoch] = ev
 	}
-	v := int(a.Validator)
-	for len(ev.votes) <= v {
-		ev.votes = append(ev.votes, nil)
+	id := ev.intern(data)
+	need := 0
+	for _, v := range validators {
+		if int(v) >= need {
+			need = int(v) + 1
+		}
 	}
-	for _, existing := range ev.votes[v] {
-		if existing == a.Data {
+	if need > p.width {
+		p.width = need
+	}
+	if len(ev.first) < need {
+		//gasper:alloc one-time column growth: an epoch's column is sized to the validator count in one piece
+		first := make([]uint32, p.width)
+		copy(first, ev.first)
+		ev.first = first
+		if ev.second != nil {
+			//gasper:alloc one-time column growth, as above
+			second := make([]uint32, p.width)
+			copy(second, ev.second)
+			ev.second = second
+		}
+	}
+	for _, v := range validators {
+		switch ev.first[v] {
+		case 0:
+			ev.first[v] = id
+		case id:
+			continue
+		default:
+			if !ev.addEquivocation(v, id) {
+				continue
+			}
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// intern returns d's id in the epoch's table, appending d on first sight.
+// The scan runs newest first: a value is re-delivered soon after it is
+// first seen, if at all.
+//
+//gasper:noalloc
+func (ev *epochVotes) intern(d Data) uint32 {
+	for i := len(ev.table) - 1; i >= 0; i-- {
+		if ev.table[i] == d {
+			return uint32(i + 1)
+		}
+	}
+	ev.table = append(ev.table, d) //gasper:alloc the once-per-batch intern of a first-seen value
+	return uint32(len(ev.table))
+}
+
+// addEquivocation records id as a second-or-later distinct vote of v,
+// whose first vote differs from it. It reports whether the vote was new.
+//
+//gasper:noalloc
+func (ev *epochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
+	if ev.second == nil {
+		ev.second = make([]uint32, len(ev.first)) //gasper:alloc one-time column growth at the epoch's first equivocation
+	}
+	switch ev.second[v] {
+	case 0:
+		ev.second[v] = id
+		return true
+	case id:
+		return false
+	}
+	for _, sp := range ev.spill {
+		if sp.validator == v && sp.id == id {
 			return false
 		}
 	}
-	ev.votes[v] = append(ev.votes[v], a.Data)
+	ev.spill = append(ev.spill, spillVote{validator: v, id: id}) //gasper:alloc rare: a third distinct vote for one target epoch
 	return true
 }
 
-// VotesForEpoch returns the distinct attestation data with the given
-// target epoch, indexed by validator (validators beyond the highest index
-// seen are absent). The slices are shared; callers must not mutate them.
+// voters returns the highest validator index holding a vote, plus one.
+func (ev *epochVotes) voters() int {
+	n := len(ev.first)
+	for n > 0 && ev.first[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// appendVotes appends the ids of v's votes to dst, in arrival order.
+//
+//gasper:noalloc
+func (ev *epochVotes) appendVotes(dst []uint32, v types.ValidatorIndex) []uint32 {
+	if int(v) >= len(ev.first) || ev.first[v] == 0 {
+		return dst
+	}
+	dst = append(dst, ev.first[v])
+	if ev.second == nil || ev.second[v] == 0 {
+		return dst
+	}
+	dst = append(dst, ev.second[v])
+	for _, sp := range ev.spill {
+		if sp.validator == v {
+			dst = append(dst, sp.id)
+		}
+	}
+	return dst
+}
+
+// VotesForEpoch materializes the distinct attestation data with the given
+// target epoch, indexed by validator and in each validator's arrival order
+// (validators beyond the highest index seen are absent). It builds a fresh
+// value on every call — the pool itself stores ids — and exists for tests
+// and probes; the protocol paths read the id columns.
 func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 	ev := p.byEpoch[e]
 	if ev == nil {
 		return nil
 	}
-	return ev.votes
+	out := make([][]Data, ev.voters())
+	var ids []uint32
+	for v := range out {
+		ids = ev.appendVotes(ids[:0], types.ValidatorIndex(v))
+		for _, id := range ids {
+			out[v] = append(out[v], ev.table[id-1])
+		}
+	}
+	return out
 }
 
 // Voted reports whether the validator cast any attestation with target
 // epoch e.
 func (p *Pool) Voted(e types.Epoch, v types.ValidatorIndex) bool {
 	ev := p.byEpoch[e]
-	return ev != nil && int(v) < len(ev.votes) && len(ev.votes[v]) > 0
+	return ev != nil && int(v) < len(ev.first) && ev.first[v] != 0
 }
 
 // VotedForTarget reports whether the validator cast an attestation with
@@ -129,20 +262,59 @@ func (p *Pool) Voted(e types.Epoch, v types.ValidatorIndex) bool {
 // criterion: a validator is active on a branch for an epoch iff it sent an
 // attestation whose checkpoint vote is correct for that branch.
 func (p *Pool) VotedForTarget(e types.Epoch, v types.ValidatorIndex, root types.Root) bool {
-	return VotedForTargetIn(p.VotesForEpoch(e), v, root)
+	var a Activity
+	p.Activity(&a, e, root)
+	return a.Active(v)
 }
 
-// VotedForTargetIn is VotedForTarget over an already-fetched epoch column
-// (VotesForEpoch): the epoch-boundary incentive sweep hoists the column
-// lookup out of its per-validator loop and consults this instead, so the
-// activity criterion has one definition on both the map-probe and the
-// columnar path.
-func VotedForTargetIn(votes [][]Data, v types.ValidatorIndex, root types.Root) bool {
-	if int(v) >= len(votes) {
+// Activity is the activity criterion of one (target epoch, target root)
+// pair, ready to be asked about every validator in turn: the target is
+// compared once per distinct vote of the epoch, and a validator's answer
+// is then a column read. Load it with Pool.Activity; it reads the pool's
+// columns in place and is valid until the pool is next mutated. The zero
+// value reports nobody active; reloading reuses its storage.
+type Activity struct {
+	ev *epochVotes
+	// match[id] reports whether the vote with that id names the root;
+	// match[0], the id of no vote, is false.
+	match []bool
+}
+
+// Activity loads into a the criterion "voted for root with target epoch
+// e".
+//
+//gasper:noalloc
+func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) {
+	a.ev = p.byEpoch[e]
+	a.match = a.match[:0]
+	if a.ev == nil {
+		return
+	}
+	a.match = append(a.match, false)
+	for i := range a.ev.table {
+		a.match = append(a.match, a.ev.table[i].Target.Root == root)
+	}
+}
+
+// Active reports whether v cast a vote matching the loaded criterion.
+//
+//gasper:noalloc
+func (a *Activity) Active(v types.ValidatorIndex) bool {
+	ev := a.ev
+	if ev == nil || int(v) >= len(ev.first) {
 		return false
 	}
-	for _, d := range votes[v] {
-		if d.Target.Root == root {
+	if a.match[ev.first[v]] {
+		return true
+	}
+	if ev.second == nil || ev.second[v] == 0 {
+		return false
+	}
+	if a.match[ev.second[v]] {
+		return true
+	}
+	for _, sp := range ev.spill {
+		if sp.validator == v && a.match[sp.id] {
 			return true
 		}
 	}
@@ -158,13 +330,13 @@ type LinkWeight struct {
 
 // AppendLinkTally appends the per-link stake tally of target epoch e to
 // dst and returns it. It is the allocation-free boundary-path counterpart
-// of TargetWeights: the epoch's votes are already stored as a
-// validator-indexed column, the distinct links of one epoch are few (one
-// or two per branch), so the tally is a single O(validators) sweep with a
-// short linear probe per vote — when dst has capacity, the sweep does not
-// allocate. Equivocating validators count toward every distinct link they
-// voted for, exactly as on-chain inclusion would credit them on each
-// branch.
+// of TargetWeights: one O(validators) sweep of the epoch's id column, with
+// each distinct vote's link looked up among the rows once, on the first
+// stake-bearing validator that cast it — rows therefore appear in the order
+// ascending validators first give them weight. When dst has capacity, the
+// sweep does not allocate. Equivocating validators count toward every
+// distinct link they voted for, exactly as on-chain inclusion would credit
+// them on each branch.
 //
 //gasper:noalloc
 func (p *Pool) AppendLinkTally(dst []LinkWeight, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) []LinkWeight {
@@ -173,72 +345,85 @@ func (p *Pool) AppendLinkTally(dst []LinkWeight, e types.Epoch, stake func(types
 		return dst
 	}
 	base := len(dst)
-	for v, datas := range ev.votes {
-		if len(datas) == 0 {
+	// rows[id] is the dst row of that vote's link, -1 until resolved.
+	if cap(p.rows) <= len(ev.table) {
+		p.rows = make([]int32, len(ev.table)+1) //gasper:alloc scratch growth, amortized to zero
+	}
+	rows := p.rows[:len(ev.table)+1]
+	for i := range rows {
+		rows[i] = -1
+	}
+	for v, id := range ev.first {
+		if id == 0 {
 			continue
 		}
 		w := stake(types.ValidatorIndex(v))
 		if w == 0 {
 			continue
 		}
-		if len(datas) == 1 {
-			// The hot path: one vote per validator per epoch.
-			dst = accumulateLink(dst, base, Link{Source: datas[0].Source, Target: datas[0].Target}, w)
-			continue
+		// The hot path: one vote per validator per epoch.
+		if rows[id] < 0 {
+			dst = ev.resolveRow(dst, base, rows, id)
 		}
-		// An equivocator's distinct data values may still share a link
-		// (same source/target, different head or slot); count each link
-		// once by checking the validator's own earlier votes.
-		for i, d := range datas {
-			l := Link{Source: d.Source, Target: d.Target}
-			dup := false
-			for _, prev := range datas[:i] {
-				if (Link{Source: prev.Source, Target: prev.Target}) == l {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				dst = accumulateLink(dst, base, l, w)
-			}
+		dst[rows[id]].Weight += w
+		if ev.second != nil && ev.second[v] != 0 {
+			dst = ev.tallyEquivocations(dst, base, rows, types.ValidatorIndex(v), w)
 		}
 	}
 	return dst
 }
 
-// accumulateLink adds w to l's row in dst[base:], appending a new row for
-// a first-seen link.
-func accumulateLink(dst []LinkWeight, base int, l Link, w types.Gwei) []LinkWeight {
+// resolveRow sets rows[id] to the row of that vote's link in dst[base:],
+// appending a zero-weight row for a first-seen link.
+//
+//gasper:noalloc
+func (ev *epochVotes) resolveRow(dst []LinkWeight, base int, rows []int32, id uint32) []LinkWeight {
+	d := &ev.table[id-1]
+	l := Link{Source: d.Source, Target: d.Target}
 	for i := base; i < len(dst); i++ {
 		if dst[i].Link == l {
-			dst[i].Weight += w
+			rows[id] = int32(i)
 			return dst
 		}
 	}
-	return append(dst, LinkWeight{Link: l, Weight: w})
+	rows[id] = int32(len(dst))
+	return append(dst, LinkWeight{Link: l})
+}
+
+// tallyEquivocations credits w to the links of v's second and later votes.
+// An equivocator's distinct data values may still share a link (same
+// source/target, different head or slot); each link counts once, checked
+// against the validator's own earlier votes.
+//
+//gasper:noalloc
+func (ev *epochVotes) tallyEquivocations(dst []LinkWeight, base int, rows []int32, v types.ValidatorIndex, w types.Gwei) []LinkWeight {
+	var buf [8]uint32
+	ids := ev.appendVotes(buf[:0], v)
+votes:
+	for k := 1; k < len(ids); k++ {
+		if rows[ids[k]] < 0 {
+			dst = ev.resolveRow(dst, base, rows, ids[k])
+		}
+		row := rows[ids[k]]
+		for _, earlier := range ids[:k] {
+			if rows[earlier] == row {
+				continue votes
+			}
+		}
+		dst[row].Weight += w
+	}
+	return dst
 }
 
 // TargetWeights sums stake per (source, target) pair for the given target
 // epoch, using the provided stake lookup. Equivocating validators count
 // toward every distinct pair they voted for, exactly as on-chain inclusion
-// would credit them on each branch.
+// would credit them on each branch. It is the map-form reference the
+// columnar AppendLinkTally is tested against, computed from the
+// materialized votes.
 func (p *Pool) TargetWeights(e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) map[Link]types.Gwei {
 	out := make(map[Link]types.Gwei)
-	ev := p.byEpoch[e]
-	if ev == nil {
-		return out
-	}
-	for v, datas := range ev.votes {
-		// Nearly every validator holds exactly one vote per epoch; skip
-		// the dedup map on that hot path so the boundary rescan stays
-		// allocation-light at paper-scale validator counts.
-		if len(datas) == 0 {
-			continue
-		}
-		if len(datas) == 1 {
-			out[Link{Source: datas[0].Source, Target: datas[0].Target}] += stake(types.ValidatorIndex(v))
-			continue
-		}
+	for v, datas := range p.VotesForEpoch(e) {
 		seen := make(map[Link]bool, len(datas))
 		for _, d := range datas {
 			l := Link{Source: d.Source, Target: d.Target}
@@ -253,32 +438,23 @@ func (p *Pool) TargetWeights(e types.Epoch, stake func(types.ValidatorIndex) typ
 }
 
 // Clone deep-copies the pool, so a snapshotted view can evolve apart from
-// its restore points.
+// its restore points: per epoch, the value table and the flat id columns.
 func (p *Pool) Clone() *Pool {
-	out := &Pool{byEpoch: make(map[types.Epoch]*epochVotes, len(p.byEpoch))}
+	out := &Pool{byEpoch: make(map[types.Epoch]*epochVotes, len(p.byEpoch)), width: p.width}
+	//gasper:ordered each epoch is copied into its own entry of the new map
 	for e, ev := range p.byEpoch {
-		cp := &epochVotes{votes: make([][]Data, len(ev.votes))}
-		// One backing array per epoch instead of one allocation per
-		// validator: at paper scale a clone is tens of thousands of
-		// 1-element slices, and the per-allocation overhead — not the
-		// bytes — dominates snapshot cost. The arena is append-safe: each
-		// sub-slice is sliced to full capacity zero, so a later Add on
-		// either copy grows its own slice without touching a neighbor.
-		total := 0
-		for _, datas := range ev.votes {
-			total += len(datas)
-		}
-		arena := make([]Data, 0, total)
-		for v, datas := range ev.votes {
-			if len(datas) > 0 {
-				start := len(arena)
-				arena = append(arena, datas...)
-				cp.votes[v] = arena[start:len(arena):len(arena)]
-			}
-		}
-		out.byEpoch[e] = cp
+		out.byEpoch[e] = ev.clone()
 	}
 	return out
+}
+
+func (ev *epochVotes) clone() *epochVotes {
+	return &epochVotes{
+		table:  append([]Data(nil), ev.table...),
+		first:  append([]uint32(nil), ev.first...),
+		second: append([]uint32(nil), ev.second...),
+		spill:  append([]spillVote(nil), ev.spill...),
+	}
 }
 
 // Prune drops all attestations with target epoch strictly below e, bounding

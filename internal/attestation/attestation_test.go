@@ -22,24 +22,6 @@ func att(v uint64, slot uint64, head uint64, src, tgt types.Checkpoint) Attestat
 	}
 }
 
-func TestDataDigestDistinguishes(t *testing.T) {
-	base := Data{Slot: 5, Head: types.RootFromUint64(1), Source: cp(0, 0), Target: cp(1, 2)}
-	variants := []Data{
-		{Slot: 6, Head: base.Head, Source: base.Source, Target: base.Target},
-		{Slot: 5, Head: types.RootFromUint64(9), Source: base.Source, Target: base.Target},
-		{Slot: 5, Head: base.Head, Source: cp(0, 7), Target: base.Target},
-		{Slot: 5, Head: base.Head, Source: base.Source, Target: cp(1, 7)},
-	}
-	for i, v := range variants {
-		if v.Digest() == base.Digest() {
-			t.Errorf("variant %d has same digest as base", i)
-		}
-	}
-	if base.Digest() != base.Digest() {
-		t.Error("digest must be deterministic")
-	}
-}
-
 func TestPoolAddDeduplicates(t *testing.T) {
 	p := NewPool()
 	a := att(1, 33, 5, cp(0, 0), cp(1, 5))

@@ -29,10 +29,36 @@ func DecodeData(r *codec.Reader) Data {
 	return d
 }
 
+// EncodeTable serializes a table of distinct data values — the part of a
+// pool epoch or a slashing detector that ids index.
+func EncodeTable(w *codec.Writer, table []Data) {
+	w.Len(len(table))
+	for _, d := range table {
+		EncodeData(w, d)
+	}
+}
+
+// DecodeTable reads a table written by EncodeTable. The table grows as its
+// entries actually arrive, so a corrupt length prefix fails at the end of
+// the input instead of allocating what it claims.
+func DecodeTable(r *codec.Reader) []Data {
+	n := r.Len()
+	if r.Err() != nil || n == 0 {
+		return nil
+	}
+	table := make([]Data, 0, min(n, 64))
+	for len(table) < n {
+		d := DecodeData(r)
+		if r.Err() != nil {
+			return nil
+		}
+		table = append(table, d)
+	}
+	return table
+}
+
 // EncodeTo serializes the pool for the durable snapshot codec: target
-// epochs in sorted order, then each epoch's per-validator vote columns
-// with the vote slices in their original order (Add dedups by linear
-// scan, so slice order is observable state, not presentation).
+// epochs in sorted order, each as its value table plus its id columns.
 func (p *Pool) EncodeTo(w *codec.Writer) {
 	epochs := make([]types.Epoch, 0, len(p.byEpoch))
 	for e := range p.byEpoch {
@@ -42,49 +68,109 @@ func (p *Pool) EncodeTo(w *codec.Writer) {
 	w.Len(len(epochs))
 	for _, e := range epochs {
 		w.U64(uint64(e))
-		votes := p.byEpoch[e].votes
-		w.Len(len(votes))
-		for _, vs := range votes {
-			w.Len(len(vs))
-			for _, d := range vs {
-				EncodeData(w, d)
-			}
-		}
+		p.byEpoch[e].encodeTo(w)
 	}
 }
 
-// DecodePool reconstructs a pool serialized by EncodeTo.
+// encodeTo writes the table and the columns, each column cut after its
+// last vote: how far past that a column has been sized is an allocation
+// choice, not state (first-seen order of the table and arrival order of
+// the spill are state — dedup and VotesForEpoch observe them).
+func (ev *epochVotes) encodeTo(w *codec.Writer) {
+	EncodeTable(w, ev.table)
+	w.U32s(ev.first[:ev.voters()])
+	n := len(ev.second)
+	for n > 0 && ev.second[n-1] == 0 {
+		n--
+	}
+	w.U32s(ev.second[:n])
+	w.Len(len(ev.spill))
+	for _, sp := range ev.spill {
+		w.U64(uint64(sp.validator))
+		w.U32(sp.id)
+	}
+}
+
+// DecodePool reconstructs a pool serialized by EncodeTo. Anything EncodeTo
+// cannot have written — epochs out of order, a table entry of another
+// epoch, an id past its table, a column ending in a non-vote, a second
+// vote without a first, a spill entry without a second — is rejected as
+// corrupt, so a decoded pool re-encodes to the bytes it came from.
 func DecodePool(r *codec.Reader) *Pool {
 	p := NewPool()
 	ne := r.Len()
 	if r.Err() != nil {
 		return nil
 	}
+	var prev types.Epoch
 	for i := 0; i < ne; i++ {
 		e := types.Epoch(r.U64())
-		nv := r.Len()
-		if r.Err() != nil {
+		if i > 0 && e <= prev {
+			r.Corrupt("attestation: pool epoch %d after %d", e, prev)
+		}
+		prev = e
+		ev := decodeEpochVotes(r, e)
+		if ev == nil {
 			return nil
 		}
-		ev := &epochVotes{votes: make([][]Data, nv)}
-		for v := 0; v < nv; v++ {
-			nd := r.Len()
-			if r.Err() != nil {
-				return nil
-			}
-			if nd == 0 {
-				continue
-			}
-			vs := make([]Data, nd)
-			for k := 0; k < nd; k++ {
-				vs[k] = DecodeData(r)
-			}
-			ev.votes[v] = vs
-		}
 		p.byEpoch[e] = ev
+		p.width = max(p.width, len(ev.first))
 	}
 	if r.Err() != nil {
 		return nil
 	}
 	return p
+}
+
+func decodeEpochVotes(r *codec.Reader, e types.Epoch) *epochVotes {
+	ev := &epochVotes{table: DecodeTable(r)}
+	for i := range ev.table {
+		if ev.table[i].Target.Epoch != e {
+			r.Corrupt("attestation: vote for target epoch %d filed under %d", ev.table[i].Target.Epoch, e)
+		}
+	}
+	ev.first = r.U32s()
+	second := r.U32s()
+	ns := r.Len()
+	if r.Err() != nil {
+		return nil
+	}
+	ids := uint32(len(ev.table))
+	if !canonicalColumn(ev.first, ids) || !canonicalColumn(second, ids) || len(second) > len(ev.first) {
+		r.Corrupt("attestation: malformed id column")
+		return nil
+	}
+	if len(second) > 0 {
+		ev.second = make([]uint32, len(ev.first))
+		copy(ev.second, second)
+	}
+	for v, id := range second {
+		if id != 0 && ev.first[v] == 0 {
+			r.Corrupt("attestation: validator %d has a second vote and no first", v)
+			return nil
+		}
+	}
+	for i := 0; i < ns; i++ {
+		sp := spillVote{validator: types.ValidatorIndex(r.U64()), id: r.U32()}
+		if r.Err() != nil {
+			return nil
+		}
+		if sp.id == 0 || sp.id > ids || sp.validator >= types.ValidatorIndex(len(second)) || second[sp.validator] == 0 {
+			r.Corrupt("attestation: malformed spill entry %d", i)
+			return nil
+		}
+		ev.spill = append(ev.spill, sp)
+	}
+	return ev
+}
+
+// canonicalColumn reports whether col could have been written by encodeTo
+// over a table of n values: every id in range, and no trailing non-vote.
+func canonicalColumn(col []uint32, n uint32) bool {
+	for _, id := range col {
+		if id > n {
+			return false
+		}
+	}
+	return len(col) == 0 || col[len(col)-1] != 0
 }

@@ -1,0 +1,51 @@
+package attestation
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"repro/internal/codec"
+)
+
+// FuzzDecodePool: whatever bytes a pool is decoded from — a store entry is
+// outside input — DecodePool does not panic, allocates in proportion to the
+// input and not to a length the input claims, and returns either the
+// codec's corruption error or a pool that re-encodes to exactly the bytes
+// it was read from. The checked-in corpus (testdata/fuzz/FuzzDecodePool)
+// holds pools of the randomized stream of internal/beacon's
+// TestInternedVotesMatchReference; `go test ./internal/beacon
+// -run TestInternedVotesMatchReference -write-fuzz-seeds` rewrites it.
+func FuzzDecodePool(f *testing.F) {
+	p := NewPool()
+	p.Add(att(1, 33, 5, cp(0, 0), cp(1, 5)))
+	p.Add(att(1, 33, 6, cp(0, 0), cp(1, 6)))
+	p.Add(att(1, 34, 6, cp(0, 0), cp(1, 6)))
+	p.Add(att(4, 70, 9, cp(1, 5), cp(2, 9)))
+	var seed bytes.Buffer
+	p.EncodeTo(codec.NewWriter(&seed))
+	f.Add(seed.Bytes())
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := codec.NewReader(bytes.NewReader(frame))
+		p := DecodePool(r)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(frame))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
+		}
+		if p == nil {
+			if !errors.Is(r.Err(), codec.ErrCorrupt) {
+				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
+			}
+			return
+		}
+		var out bytes.Buffer
+		p.EncodeTo(codec.NewWriter(&out))
+		if out.Len() > len(frame) || !bytes.Equal(out.Bytes(), frame[:out.Len()]) {
+			t.Fatalf("accepted %d bytes that re-encode differently (%d bytes)", len(frame), out.Len())
+		}
+	})
+}

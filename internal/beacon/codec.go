@@ -129,7 +129,7 @@ func decodeBlock(r *codec.Reader) blocktree.Block {
 }
 
 // DecodeNode reconstructs a node serialized by EncodeTo, rebinding the
-// stake and activity closures exactly as Clone does. The decoded
+// stake and activity method values exactly as Clone does. The decoded
 // fork-choice engine carries no cached tree identity, so its first head
 // query rebuilds against the decoded tree — the same one-time O(tree +
 // validators) event a cloned engine pays.
@@ -179,8 +179,6 @@ func DecodeNode(r *codec.Reader) *Node {
 		return nil
 	}
 	n.stakeFn = n.Registry.Stake
-	n.activeFn = func(v types.ValidatorIndex) bool {
-		return attestation.VotedForTargetIn(n.activityVotes, v, n.activityRoot)
-	}
+	n.activeFn = n.activity.Active
 	return n
 }

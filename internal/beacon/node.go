@@ -81,12 +81,20 @@ type Node struct {
 	//gasper:shallow scratch buffer; clones re-grow their own
 	tallyScratch []attestation.LinkWeight
 	stakeFn      func(types.ValidatorIndex) types.Gwei //gasper:nocodec rebound to the decoded Registry by DecodeNode
-	// activityVotes/activityRoot parameterize activeFn, the reusable
-	// activity predicate handed to the incentive sweep — constructed once
-	// so the boundary does not allocate a fresh closure per epoch.
-	activityVotes [][]attestation.Data            //gasper:nocodec per-boundary working set; the next boundary repopulates it
-	activityRoot  types.Root                      //gasper:nocodec per-boundary working set; the next boundary repopulates it
-	activeFn      func(types.ValidatorIndex) bool //gasper:nocodec closure rebound by DecodeNode over the decoded state
+	// activity is the boundary's activity criterion, loaded from the pool
+	// for the ended epoch and the canonical target, and activeFn its
+	// pre-bound Active method value, the predicate handed to the incentive
+	// sweep — both kept on the node so the boundary allocates neither a
+	// match table nor a closure per epoch.
+	//gasper:nocodec per-boundary working set; the next boundary reloads it
+	//gasper:shallow per-boundary working set; a clone's next boundary loads its own
+	activity attestation.Activity
+	activeFn func(types.ValidatorIndex) bool //gasper:nocodec rebound to the decoded node's own activity by DecodeNode
+	// batchNew is ReceiveBatch's scratch: the batch's validators whose vote
+	// was new to the pool.
+	//gasper:nocodec scratch buffer; each node re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	batchNew []types.ValidatorIndex
 	// slashEvidence collects offenses observed and (if enforcing)
 	// applied.
 	slashEvidence []slashing.Evidence
@@ -118,9 +126,7 @@ func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.
 		pending:        make(map[types.Root][]blocktree.Block),
 	}
 	n.stakeFn = n.Registry.Stake
-	n.activeFn = func(v types.ValidatorIndex) bool {
-		return attestation.VotedForTargetIn(n.activityVotes, v, n.activityRoot)
-	}
+	n.activeFn = n.activity.Active
 	n.Votes.UpdateStakes(nValidators, n.justifiedState.Stake)
 	return n
 }
@@ -156,9 +162,7 @@ func (n *Node) Clone() *Node {
 		out.pending[parent] = append([]blocktree.Block(nil), blocks...)
 	}
 	out.stakeFn = out.Registry.Stake
-	out.activeFn = func(v types.ValidatorIndex) bool {
-		return attestation.VotedForTargetIn(out.activityVotes, v, out.activityRoot)
-	}
+	out.activeFn = out.activity.Active
 	return out
 }
 
@@ -183,19 +187,32 @@ func (n *Node) ReceiveBlock(b blocktree.Block) {
 	}
 }
 
-// ReceiveAttestation ingests an attestation: records the block vote for
-// fork choice, the checkpoint vote in the pool, and feeds the slashing
-// detector. Detected offenses are applied to the registry when
-// EnforceSlashing is set.
+// ReceiveAttestation ingests one validator's attestation: ReceiveBatch
+// with a batch of one.
 func (n *Node) ReceiveAttestation(a attestation.Attestation) {
-	if added := n.Pool.Add(a); !added {
-		return
+	one := [1]types.ValidatorIndex{a.Validator}
+	n.ReceiveBatch(a.Data, one[:])
+}
+
+// ReceiveBatch ingests one attestation data value cast by every listed
+// validator — a cohort's duty slot as it travels the network — exactly as
+// one attestation per validator in listed order would be: the checkpoint
+// vote goes to the pool, and for each validator to whom it is new there,
+// the block vote to fork choice and the vote to the slashing detector.
+// Detected offenses are applied to the registry when EnforceSlashing is
+// set. Pool and detector each intern the value once for the whole batch.
+//
+//gasper:noalloc
+func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorIndex) {
+	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
+	for _, v := range n.batchNew {
+		n.Votes.Process(v, data.Head, data.Slot)
 	}
-	n.Votes.Process(a.Validator, a.Data.Head, a.Data.Slot)
-	if ev := n.Detector.Observe(a); ev != nil {
-		n.slashEvidence = append(n.slashEvidence, *ev)
-		if n.EnforceSlashing {
-			_ = n.Registry.Slash(ev.Validator, a.Data.Slot.Epoch())
+	reported := len(n.slashEvidence)
+	n.slashEvidence = n.Detector.ObserveBatch(n.slashEvidence, data, n.batchNew)
+	if n.EnforceSlashing {
+		for _, ev := range n.slashEvidence[reported:] {
+			_ = n.Registry.Slash(ev.Validator, data.Slot.Epoch())
 		}
 	}
 }
@@ -364,14 +381,13 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		report.CanonicalCheck = canonical
 		inLeak := n.FFG.InLeak(newEpoch, n.Spec)
 		report.InLeak = inLeak
-		// Activity is read straight off the ended epoch's vote column —
-		// one slice index per validator inside the incentive sweep, no
-		// per-validator map probe and no per-epoch closure allocation
+		// Activity is read straight off the ended epoch's id column: the
+		// canonical target is compared once per distinct vote, then the
+		// incentive sweep costs one or two slice indexes per validator —
+		// no per-validator map probe and no per-epoch closure allocation
 		// (activeFn is built once at construction).
-		n.activityVotes = n.Pool.VotesForEpoch(ended)
-		n.activityRoot = canonical.Root
+		n.Pool.Activity(&n.activity, ended, canonical.Root)
 		report.Leak = n.Leak.ProcessEpoch(n.Registry, n.activeFn, inLeak, ended)
-		n.activityVotes = nil // do not pin the column past the sweep
 	}
 
 	// Bound pool and detector memory.

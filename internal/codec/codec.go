@@ -106,6 +106,24 @@ func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
 // Len writes a slice or map length as a u32 prefix.
 func (w *Writer) Len(n int) { w.U32(uint32(n)) }
 
+// u32Chunk is how many column values U32s moves per underlying Write or
+// Read: a 10k-validator id column is three calls instead of ten thousand.
+const u32Chunk = 1024
+
+// U32s writes a u32 length prefix followed by the values, packed.
+func (w *Writer) U32s(vs []uint32) {
+	w.Len(len(vs))
+	var chunk [4 * u32Chunk]byte
+	for len(vs) > 0 {
+		k := min(len(vs), u32Chunk)
+		for i, v := range vs[:k] {
+			binary.LittleEndian.PutUint32(chunk[4*i:], v)
+		}
+		w.write(chunk[:4*k])
+		vs = vs[k:]
+	}
+}
+
 // Reader decodes the Writer's format with a sticky error.
 type Reader struct {
 	r   io.Reader
@@ -200,6 +218,29 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a u32-length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// U32s reads a column written by Writer.U32s. The result grows a chunk at
+// a time as bytes actually arrive, so a corrupt length prefix fails at
+// the end of the input instead of allocating what it claims.
+func (r *Reader) U32s() []uint32 {
+	n := r.Len()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, min(n, u32Chunk))
+	var chunk [4 * u32Chunk]byte
+	for len(out) < n {
+		k := min(n-len(out), u32Chunk)
+		r.read(chunk[:4*k])
+		if r.err != nil {
+			return nil
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, binary.LittleEndian.Uint32(chunk[4*i:]))
+		}
+	}
+	return out
+}
 
 // Len reads a u32 length prefix, rejecting absurd values so a corrupt
 // prefix cannot drive a huge allocation.

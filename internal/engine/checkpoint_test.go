@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -262,32 +263,58 @@ func TestSweepCheckpointResume(t *testing.T) {
 }
 
 // TestSweepCheckpointCorruptColdStart: an undecodable checkpoint payload
-// (schema drift the store's framing cannot catch) is silently discarded —
-// the cell starts cold, produces the correct result, and repairs the
-// store.
+// (schema drift the store's framing cannot catch — garbage, or a
+// checkpoint whose snapshot frame carries the version 1 header of builds
+// before the interned-vote format) is silently discarded — the cell starts
+// cold, produces the correct result, and repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 	shrinkChunk(t, 4)
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
-
-	ms := newMemStore()
 	key, _ := CanonicalCellKey(Default, cell)
-	ms.data[key] = []byte("not a checkpoint at all")
 
-	warm := SweepContext(ctx, []Cell{cell}, Options{
-		Workers:    1,
-		Checkpoint: &CheckpointOptions{Every: 8, Store: ms},
-	})
-	if got, want := StripMeta(warm), StripMeta(cold); !reflect.DeepEqual(got, want) {
-		t.Fatalf("corrupt-checkpoint run diverged from the cold run")
+	payloads := []struct {
+		name  string
+		plant func(t *testing.T, ms *memStore)
+	}{
+		{"garbage", func(t *testing.T, ms *memStore) { ms.data[key] = []byte("not a checkpoint at all") }},
+		{"v1-header", func(t *testing.T, ms *memStore) {
+			sc, _ := Default.Lookup(cell.Scenario)
+			cs := sc.(CheckpointableScenario)
+			pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := saveCheckpoint(cs, ms, key, pre); err != nil {
+				t.Fatal(err)
+			}
+			frame := bytes.Index(ms.data[key], []byte("GLSN"))
+			if frame < 0 {
+				t.Fatal("no snapshot frame in the saved checkpoint")
+			}
+			binary.LittleEndian.PutUint32(ms.data[key][frame+4:], 1)
+		}},
 	}
-	ck := warm[0].Meta.Checkpoint
-	if ck == nil || ck.Resumed {
-		t.Fatalf("checkpoint meta %+v, want a cold start", ck)
-	}
-	if n := ms.len(); n != 0 {
-		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+	for _, tc := range payloads {
+		t.Run(tc.name, func(t *testing.T) {
+			ms := newMemStore()
+			tc.plant(t, ms)
+			warm := SweepContext(ctx, []Cell{cell}, Options{
+				Workers:    1,
+				Checkpoint: &CheckpointOptions{Every: 8, Store: ms},
+			})
+			if got, want := StripMeta(warm), StripMeta(cold); !reflect.DeepEqual(got, want) {
+				t.Fatalf("corrupt-checkpoint run diverged from the cold run")
+			}
+			ck := warm[0].Meta.Checkpoint
+			if ck == nil || ck.Resumed {
+				t.Fatalf("checkpoint meta %+v, want a cold start", ck)
+			}
+			if n := ms.len(); n != 0 {
+				t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+			}
+		})
 	}
 }
 

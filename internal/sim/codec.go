@@ -20,10 +20,12 @@ import (
 // bit-flipped files detectable before any field is trusted; the format
 // version makes a snapshot written by a different codec revision
 // detectable (a version-skew read fails like corruption — callers treat
-// both as "no checkpoint" and run cold).
+// both as "no checkpoint" and run cold). Version 2 stores each distinct
+// vote of a pool or a detector once, with columns of ids, where version 1
+// repeated the vote per validator.
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(1)
+	snapshotVersion = uint32(2)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/network"
 	"repro/internal/types"
 )
@@ -126,10 +129,24 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// reseal makes a frame's header agree with its (edited) payload again, so
+// the damage under test is what the payload decoders see, not the
+// container's checksum verdict.
+func reseal(b []byte) []byte {
+	payload := b[20:]
+	binary.LittleEndian.PutUint32(b[8:12], uint32(len(payload)))
+	sum := fnv.New64a()
+	sum.Write(payload)
+	binary.LittleEndian.PutUint64(b[12:20], sum.Sum64())
+	return b
+}
+
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew — fails ReadSnapshot with ErrSnapshotCodec; no partially-decoded
-// snapshot escapes.
+// skew (the version 1 frame of earlier builds included), and a correctly
+// sealed payload whose vote tables and id columns disagree — fails
+// ReadSnapshot with ErrSnapshotCodec; no partially-decoded snapshot
+// escapes.
 func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	s, err := New(snapshotCfg(false, false))
 	if err != nil {
@@ -139,6 +156,22 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := encodeSnapshot(t, s.Snapshot())
+
+	// Where the first view's attestation pool sits in the frame: an epoch
+	// count, then per epoch its number, the table (a length and 120 bytes
+	// per value) and the first id column (a length and 4 bytes per id).
+	var poolBytes bytes.Buffer
+	s.cohorts[0].Node.Pool.EncodeTo(codec.NewWriter(&poolBytes))
+	pool := bytes.Index(blob, poolBytes.Bytes())
+	if pool < 0 || poolBytes.Len() < 16 {
+		t.Fatal("cannot locate the first pool in the frame")
+	}
+	table := pool + 4 + 8
+	values := int(binary.LittleEndian.Uint32(blob[table:]))
+	firstID := table + 4 + 120*values + 4
+	if values == 0 || firstID+4 > pool+poolBytes.Len() {
+		t.Fatalf("first pool epoch holds %d values; layout assumption broken", values)
+	}
 
 	damage := []struct {
 		name string
@@ -150,6 +183,12 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"truncated-tail", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 		{"version-skew", func(b []byte) []byte { b[4]++; return b }},
+		{"v1-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 1); return b }},
+		{"out-of-range-id", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
+			return reseal(b)
+		}},
+		{"truncated-table", func(b []byte) []byte { return reseal(b[:table+4+120*values-60]) }},
 		{"length-lie", func(b []byte) []byte { b[8] ^= 0x80; return b }},
 		{"checksum-flip", func(b []byte) []byte { b[12] ^= 0x01; return b }},
 		{"payload-bit-flip", func(b []byte) []byte { b[20+len(b)/3] ^= 0x10; return b }},

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"repro/internal/attestation"
 	"repro/internal/beacon"
 	"repro/internal/forkchoice"
 	"repro/internal/network"
@@ -121,8 +120,7 @@ func wireNetwork(cfg Config, cohorts []*Cohort) *network.Network[Message] {
 	return net
 }
 
-// deliver applies one message to the cohort's view. Batches fan out to one
-// attestation per listed validator, in listed order.
+// deliver applies one message to the cohort's view.
 func (c *Cohort) deliver(m Message) {
 	switch {
 	case m.Block != nil:
@@ -130,8 +128,6 @@ func (c *Cohort) deliver(m Message) {
 	case m.Att != nil:
 		c.Node.ReceiveAttestation(*m.Att)
 	case m.Batch != nil:
-		for _, v := range m.Batch.Validators {
-			c.Node.ReceiveAttestation(attestation.Attestation{Validator: v, Data: m.Batch.Data})
-		}
+		c.Node.ReceiveBatch(m.Batch.Data, m.Batch.Validators)
 	}
 }

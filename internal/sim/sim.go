@@ -35,9 +35,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/attestation"
 	"repro/internal/beacon"
@@ -174,6 +175,12 @@ type Simulation struct {
 	dutyRoster      [][]types.ValidatorIndex
 	dutyRosterEpoch types.Epoch
 	dutyRosterSet   bool
+	// dutyBuckets is attest's per-slot scratch: the slot's attesters
+	// grouped by (duty view, home cohort). Cleared and refilled every slot,
+	// bucket member slices included; nothing in it outlives the slot.
+	//gasper:nocodec per-slot scratch; a snapshot is taken between slots, when it holds nothing
+	//gasper:shallow per-slot scratch; every simulation refills its own
+	dutyBuckets []dutyBucket
 	// oracle is an omniscient block tree used only for Safety auditing.
 	oracle *blocktree.Tree
 	slot   types.Slot
@@ -532,45 +539,64 @@ func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
 }
 
 func (s *Simulation) attest(slot types.Slot) {
-	epoch := slot.Epoch()
-	var buckets []*dutyBucket
-	index := make(map[[2]int]*dutyBucket)
-	for _, v := range s.dutyRosterFor(epoch)[slot.PositionInEpoch()] {
-		key := [2]int{s.dutyView[v], s.cohortOf[v]}
-		b, ok := index[key]
-		if !ok {
-			b = &dutyBucket{view: key[0], home: key[1]}
-			index[key] = b
-			buckets = append(buckets, b)
+	buckets := s.dutyBuckets[:0]
+	for _, v := range s.dutyRosterFor(slot.Epoch())[slot.PositionInEpoch()] {
+		view, home := s.dutyView[v], s.cohortOf[v]
+		i := 0
+		for i < len(buckets) && (buckets[i].view != view || buckets[i].home != home) {
+			i++
 		}
-		b.members = append(b.members, v)
+		if i == len(buckets) {
+			// Re-extend over the bucket a previous slot left here, if any,
+			// to take its member slice's capacity over.
+			if i < cap(buckets) {
+				buckets = buckets[:i+1]
+			} else {
+				buckets = append(buckets, dutyBucket{})
+			}
+			buckets[i] = dutyBucket{view: view, home: home, members: buckets[i].members[:0]}
+		}
+		buckets[i].members = append(buckets[i].members, v)
 	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].view != buckets[j].view {
-			return buckets[i].view < buckets[j].view
+	s.dutyBuckets = buckets
+	slices.SortFunc(buckets, func(a, b dutyBucket) int {
+		if a.view != b.view {
+			return cmp.Compare(a.view, b.view)
 		}
-		return buckets[i].home < buckets[j].home
+		return cmp.Compare(a.home, b.home)
 	})
 
 	for _, b := range buckets {
 		node := s.cohorts[b.view].Node
-		var plain, special []types.ValidatorIndex
+		special := 0
 		for _, v := range b.members {
 			if s.ownsLiveEmbargo(b.view, v) {
-				special = append(special, v)
-			} else {
-				plain = append(plain, v)
+				special++
 			}
 		}
-		if len(plain) > 0 {
+		if special < len(b.members) {
 			node.SetVisibility(s.visibilityFor(b.view, 0, false))
 			d, err := node.AttestationData(slot)
 			node.SetVisibility(nil)
 			if err == nil {
+				// The one slice that outlives the slot: the network and
+				// every snapshot clone share it as immutable.
+				plain := make([]types.ValidatorIndex, 0, len(b.members)-special)
+				for _, v := range b.members {
+					if special == 0 || !s.ownsLiveEmbargo(b.view, v) {
+						plain = append(plain, v)
+					}
+				}
 				s.Broadcast(plain[0], slot, Message{Batch: &AttBatch{Data: d, Validators: plain}})
 			}
 		}
-		for _, v := range special {
+		if special == 0 {
+			continue
+		}
+		for _, v := range b.members {
+			if !s.ownsLiveEmbargo(b.view, v) {
+				continue
+			}
 			node.SetVisibility(s.visibilityFor(b.view, v, true))
 			d, err := node.AttestationData(slot)
 			node.SetVisibility(nil)

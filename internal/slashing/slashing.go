@@ -59,18 +59,26 @@ func (e Evidence) String() string {
 // Detector accumulates every attestation it observes and reports offenses.
 // One Detector instance corresponds to one observer's knowledge: feed it
 // only the attestations that observer has actually received, and it will
-// find exactly the offenses that observer can prove. Storage is columnar
-// (history and slashed flags indexed by validator), so the per-attestation
-// observation on the batch fan-out path is array indexing plus value
-// compares — no maps, no hashing. The zero value is not usable; construct
-// with NewDetector.
+// find exactly the offenses that observer can prove. Each distinct vote is
+// stored once, in a table; a validator's history is the arrival-ordered
+// list of table ids it cast, so deduplication is an integer compare and an
+// offense check reads two epochs from the table. The zero value is not
+// usable; construct with NewDetector.
 type Detector struct {
-	// history[v] holds all distinct attestation data seen from v; the
-	// outer slice grows to the highest validator index observed.
-	history [][]attestation.Data
+	// table lists the distinct attestation data values retained, in
+	// first-seen order; history ids index it.
+	table []attestation.Data
+	// history[v] holds the ids of all distinct votes seen from v, in
+	// arrival order; the outer slice grows to the highest validator index
+	// observed.
+	history [][]uint32
 	// slashed[v] marks validators with already-reported evidence so each
-	// offender is reported once.
+	// offender is reported once. It is as long as history.
 	slashed []bool
+	// renumber is Prune's old-id -> new-id scratch.
+	//gasper:nocodec scratch buffer; each detector re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	renumber []uint32
 }
 
 // NewDetector returns an empty detector.
@@ -79,37 +87,88 @@ func NewDetector() *Detector {
 }
 
 // Observe records an attestation and returns evidence if it completes an
-// offense by a not-yet-reported validator, or nil.
+// offense by a not-yet-reported validator, or nil. It is ObserveBatch with
+// one validator.
 func (d *Detector) Observe(a attestation.Attestation) *Evidence {
-	v := int(a.Validator)
-	for len(d.history) <= v {
-		d.history = append(d.history, nil)
-		d.slashed = append(d.slashed, false)
+	one := [1]types.ValidatorIndex{a.Validator}
+	var found [1]Evidence
+	if len(d.ObserveBatch(found[:0], a.Data, one[:])) == 0 {
+		return nil
 	}
-	for _, prev := range d.history[v] {
-		if prev == a.Data {
-			return nil // exact duplicate, not an offense
+	ev := found[0]
+	return &ev
+}
+
+// ObserveBatch records one data value cast by every listed validator and
+// appends to dst, in listed order, the evidence of each not-yet-reported
+// validator whose offense it completes: the earliest recorded vote of that
+// validator it conflicts with, and the new one. A validator that already
+// cast this exact value is skipped — a duplicate is not an offense.
+//
+//gasper:noalloc
+func (d *Detector) ObserveBatch(dst []Evidence, data attestation.Data, validators []types.ValidatorIndex) []Evidence {
+	if len(validators) == 0 {
+		return dst
+	}
+	id := d.intern(data)
+	need := 0
+	for _, v := range validators {
+		if int(v) >= need {
+			need = int(v) + 1
 		}
 	}
-	var found *Evidence
-	if !d.slashed[v] {
+	if len(d.history) < need {
+		//gasper:alloc one-time column growth to the validator count
+		d.history = append(d.history, make([][]uint32, need-len(d.history))...)
+		//gasper:alloc one-time column growth to the validator count
+		d.slashed = append(d.slashed, make([]bool, need-len(d.slashed))...)
+	}
+votes:
+	for _, v := range validators {
+		// One walk both deduplicates and, for a validator not yet
+		// reported, finds the earliest conflicting vote.
+		kind, first, reported := None, uint32(0), d.slashed[v]
 		for _, prev := range d.history[v] {
-			if kind := Conflict(prev, a.Data); kind != None {
-				found = &Evidence{Validator: a.Validator, Kind: kind, First: prev, Second: a.Data}
-				d.slashed[v] = true
-				break
+			if prev == id {
+				continue votes // exact duplicate, not an offense
+			}
+			if !reported && kind == None {
+				if kind = spanConflict(&d.table[prev], &data); kind != None {
+					first = prev
+				}
 			}
 		}
+		if kind != None {
+			dst = append(dst, Evidence{Validator: v, Kind: kind, First: d.table[first], Second: data})
+			d.slashed[v] = true
+		}
+		d.history[v] = append(d.history[v], id)
 	}
-	d.history[v] = append(d.history[v], a.Data)
-	return found
+	return dst
+}
+
+// intern returns data's id in the table, appending it on first sight. The
+// scan runs newest first — a value is re-delivered soon after it is first
+// seen, if at all — and slots are nearly unique in the table, so all but a
+// few entries are dismissed on one integer compare.
+//
+//gasper:noalloc
+func (d *Detector) intern(data attestation.Data) uint32 {
+	for i := len(d.table) - 1; i >= 0; i-- {
+		if d.table[i].Slot == data.Slot && d.table[i] == data {
+			return uint32(i)
+		}
+	}
+	d.table = append(d.table, data)
+	return uint32(len(d.table) - 1)
 }
 
 // Clone deep-copies the detector, so a snapshotted view can evolve apart
 // from its restore points.
 func (d *Detector) Clone() *Detector {
 	out := &Detector{
-		history: make([][]attestation.Data, len(d.history)),
+		table:   append([]attestation.Data(nil), d.table...),
+		history: make([][]uint32, len(d.history)),
 		slashed: append([]bool(nil), d.slashed...),
 	}
 	// One backing array for the whole history rather than one allocation
@@ -117,14 +176,14 @@ func (d *Detector) Clone() *Detector {
 	// clone). Sub-slices are capped at their length, so appending to
 	// either copy's history reallocates instead of clobbering a neighbor.
 	total := 0
-	for _, datas := range d.history {
-		total += len(datas)
+	for _, ids := range d.history {
+		total += len(ids)
 	}
-	arena := make([]attestation.Data, 0, total)
-	for v, datas := range d.history {
-		if len(datas) > 0 {
+	arena := make([]uint32, 0, total)
+	for v, ids := range d.history {
+		if len(ids) > 0 {
 			start := len(arena)
-			arena = append(arena, datas...)
+			arena = append(arena, ids...)
 			out.history[v] = arena[start:len(arena):len(arena)]
 		}
 	}
@@ -132,24 +191,41 @@ func (d *Detector) Clone() *Detector {
 }
 
 // Prune drops recorded votes with target epoch strictly below e, bounding
-// detector memory over long simulations. Already-reported offenders stay
-// marked. Pruning narrows the detection window to votes the observer still
-// retains — the same weak-subjectivity trade-off real clients make; the
-// paper's scenarios surface their evidence within a few epochs of the
-// conflicting votes, so the simulator's 8-epoch retention (matching the
-// attestation pool's) never loses an offense.
+// detector memory over long simulations: the table is compacted, its
+// survivors renumbered, and every history rewritten in the new numbering.
+// Already-reported offenders stay marked. Pruning narrows the detection
+// window to votes the observer still retains — the same weak-subjectivity
+// trade-off real clients make; the paper's scenarios surface their evidence
+// within a few epochs of the conflicting votes, so the simulator's 8-epoch
+// retention (matching the attestation pool's) never loses an offense.
 func (d *Detector) Prune(e types.Epoch) {
-	for v, datas := range d.history {
-		kept := datas[:0]
-		for _, data := range datas {
-			if data.Target.Epoch >= e {
-				kept = append(kept, data)
+	const dropped = ^uint32(0)
+	d.renumber = d.renumber[:0]
+	kept := 0
+	for _, data := range d.table {
+		if data.Target.Epoch >= e {
+			d.renumber = append(d.renumber, uint32(kept))
+			d.table[kept] = data
+			kept++
+		} else {
+			d.renumber = append(d.renumber, dropped)
+		}
+	}
+	if kept == len(d.table) {
+		return
+	}
+	d.table = d.table[:kept]
+	for v, ids := range d.history {
+		live := ids[:0]
+		for _, id := range ids {
+			if id = d.renumber[id]; id != dropped {
+				live = append(live, id)
 			}
 		}
-		if len(kept) == 0 {
+		if len(live) == 0 {
 			d.history[v] = nil
 		} else {
-			d.history[v] = kept
+			d.history[v] = live
 		}
 	}
 }
@@ -174,6 +250,12 @@ func Conflict(a, b attestation.Data) Kind {
 	if a == b {
 		return None
 	}
+	return spanConflict(&a, &b)
+}
+
+// spanConflict is Conflict for two values already known to differ; it
+// reads only their source and target epochs.
+func spanConflict(a, b *attestation.Data) Kind {
 	// Double vote: same target epoch, different votes.
 	if a.Target.Epoch == b.Target.Epoch {
 		return DoubleVote
@@ -187,7 +269,7 @@ func Conflict(a, b attestation.Data) Kind {
 
 // surrounds reports whether outer strictly surrounds inner:
 // outer.source < inner.source and inner.target < outer.target.
-func surrounds(outer, inner attestation.Data) bool {
+func surrounds(outer, inner *attestation.Data) bool {
 	return outer.Source.Epoch < inner.Source.Epoch &&
 		inner.Target.Epoch < outer.Target.Epoch
 }
