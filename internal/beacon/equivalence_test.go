@@ -134,8 +134,12 @@ func encodeNode(t *testing.T, n *Node) []byte {
 // and the reference model above. Everything the old storage let a caller
 // observe must agree: which votes were new, each validator's votes in
 // order, the link tally rows in order, the evidence sequence, the
-// detector's marks and history lengths; and the two nodes must serialize
-// to the same bytes, which decode and re-encode to themselves.
+// detector's marks and histories — in arrival order, though many of them
+// outgrow the detector's one-line-per-validator arena, before and after a
+// prune, and continue in its spill; and the two nodes must serialize to the
+// same bytes, which decode and re-encode to themselves. Those bytes are the
+// ones the build before the arena wrote: testdata/node-pr13-stream1.frame
+// is its frame for the first stream's final node.
 func TestInternedVotesMatchReference(t *testing.T) {
 	const validators = 24
 	stake := func(v types.ValidatorIndex) types.Gwei {
@@ -150,6 +154,11 @@ func TestInternedVotesMatchReference(t *testing.T) {
 	var poolSeeds, detectorSeeds [][]byte
 	reported := map[slashing.Kind]int{}
 	mostVotes := 0
+	// The longest detector history seen going into a boundary's prune and
+	// coming out of one. detectorLine is more words than the arena gives
+	// one validator, so a longer history has certainly spilled.
+	const detectorLine = 16
+	longestBefore, longestAfter := 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		batched := NewNode(0, validators, types.DefaultSpec(), genesis())
@@ -212,6 +221,9 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			}
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d batched", seed, epoch), batched, ref, validators, stake)
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d single", seed, epoch), single, ref, validators, stake)
+			for _, h := range ref.history {
+				longestBefore = max(longestBefore, len(h))
+			}
 
 			for _, n := range []*Node{batched, single} {
 				if _, err := n.ProcessEpochBoundary(epoch + 1); err != nil {
@@ -222,6 +234,11 @@ func TestInternedVotesMatchReference(t *testing.T) {
 				ref.prune(epoch + 1 - 8)
 			}
 			compareToReference(t, fmt.Sprintf("seed %d after boundary %d batched", seed, epoch+1), batched, ref, validators, stake)
+			if epoch+1 > 8 {
+				for _, h := range ref.history {
+					longestAfter = max(longestAfter, len(h))
+				}
+			}
 
 			frame := encodeNode(t, batched)
 			if !bytes.Equal(frame, encodeNode(t, single)) {
@@ -249,6 +266,19 @@ func TestInternedVotesMatchReference(t *testing.T) {
 				mostVotes = max(mostVotes, len(votes))
 			}
 		}
+		if seed == 1 {
+			parent, err := os.ReadFile("testdata/node-pr13-stream1.frame")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeNode(t, batched), parent) {
+				t.Fatal("the first stream's final node no longer serializes to the bytes PR 13 wrote for it")
+			}
+			decoded := DecodeNode(codec.NewReader(bytes.NewReader(parent)))
+			if decoded == nil || !bytes.Equal(encodeNode(t, decoded), parent) {
+				t.Fatal("the frame PR 13 wrote does not decode and re-encode to itself")
+			}
+		}
 		if seed <= 2 {
 			var pool, detector bytes.Buffer
 			batched.Pool.EncodeTo(codec.NewWriter(&pool))
@@ -257,8 +287,10 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			detectorSeeds = append(detectorSeeds, detector.Bytes())
 		}
 	}
-	if reported[slashing.DoubleVote] == 0 || reported[slashing.SurroundVote] == 0 || mostVotes < 3 {
-		t.Fatalf("the streams no longer cover what this test is for: evidence %v, at most %d votes per validator per epoch", reported, mostVotes)
+	if reported[slashing.DoubleVote] == 0 || reported[slashing.SurroundVote] == 0 || mostVotes < 3 ||
+		longestBefore <= detectorLine || longestAfter <= detectorLine {
+		t.Fatalf("the streams no longer cover what this test is for: evidence %v, at most %d votes per validator per epoch, detector histories up to %d before a prune and %d after",
+			reported, mostVotes, longestBefore, longestAfter)
 	}
 	if *writeFuzzSeeds {
 		writeCorpus(t, "../attestation/testdata/fuzz/FuzzDecodePool", poolSeeds)
@@ -307,6 +339,7 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 	if got := n.SlashingEvidence(); !slices.Equal(got, ref.evidence) {
 		t.Fatalf("%s: evidence\n  got  %v\n  want %v", at, got, ref.evidence)
 	}
+	histories := detectorHistories(t, n.Detector)
 	for v := 0; v < validators; v++ {
 		var wantLen int
 		var wantSlashed bool
@@ -318,7 +351,33 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 			t.Fatalf("%s: validator %d history %d slashed %t, reference %d %t",
 				at, v, n.Detector.HistoryLen(vi), n.Detector.Slashed(vi), wantLen, wantSlashed)
 		}
+		if got, want := votesOf(histories, v), votesOf(ref.history, v); !slices.Equal(got, want) {
+			t.Fatalf("%s: validator %d detector history\n  got  %v\n  want %v", at, v, got, want)
+		}
 	}
+}
+
+// detectorHistories reads every validator's recorded votes, in order, out
+// of the detector's frame: the value table, a column of history lengths and
+// a flat column of table ids.
+func detectorHistories(t *testing.T, d *slashing.Detector) [][]attestation.Data {
+	t.Helper()
+	var frame bytes.Buffer
+	d.EncodeTo(codec.NewWriter(&frame))
+	r := codec.NewReader(bytes.NewReader(frame.Bytes()))
+	table := attestation.DecodeTable(r)
+	counts, ids := r.U32s(), r.U32s()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	out := make([][]attestation.Data, len(counts))
+	for v, n := range counts {
+		for _, id := range ids[:n] {
+			out[v] = append(out[v], table[id])
+		}
+		ids = ids[n:]
+	}
+	return out
 }
 
 // writeCorpus stores each frame as a seed of a native fuzz target, in the

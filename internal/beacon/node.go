@@ -55,14 +55,13 @@ type Node struct {
 	// after healing.
 	justifiedState *validator.Registry
 
-	// visible, when non-nil, restricts head computation to blocks for
-	// which it returns true. The view-cohort simulator installs it while
-	// a block one cohort member produced this slot is still in flight to
-	// the rest, the only within-cohort view difference the protocol
-	// creates (see internal/sim).
-	//gasper:nocodec per-slot filter the simulator installs; snapshots restore unfiltered
-	//gasper:shallow Clone deliberately drops it; the simulator reinstalls it each slot
-	visible func(types.Root) bool
+	// hidden lists the blocks head computation skips. The view-cohort
+	// simulator installs it while a block one cohort member produced this
+	// slot is still in flight to the rest, the only within-cohort view
+	// difference the protocol creates (see internal/sim).
+	//gasper:nocodec per-computation filter the simulator installs; snapshots restore unfiltered
+	//gasper:shallow Clone deliberately drops it; the simulator reinstalls it around each computation
+	hidden []types.Root
 
 	// pending buffers blocks whose parent has not arrived yet,
 	// keyed by the missing parent.
@@ -135,10 +134,10 @@ func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.
 // engine retains its cached identity of the ORIGINAL tree, so its first
 // head query against the cloned tree detects the new identity and rebuilds
 // once — an O(validators + tree) event, after which it is incremental
-// again. A visibility filter (SetVisibility) is NOT carried over: filters
-// are transient per-computation state, installed and removed around a
-// single head query; clone between queries, when no filter is installed
-// (as the simulator's Snapshot does). Clones power the simulator's
+// again. A hidden list (SetHidden) is NOT carried over: it is transient
+// per-computation state, installed and removed around a single head query;
+// clone between queries, when none is installed (as the simulator's
+// Snapshot does). Clones power the simulator's
 // Snapshot/Restore (long runs resumed, sweeps warm-started from a shared
 // prefix).
 func (n *Node) Clone() *Node {
@@ -200,14 +199,13 @@ func (n *Node) ReceiveAttestation(a attestation.Attestation) {
 // vote goes to the pool, and for each validator to whom it is new there,
 // the block vote to fork choice and the vote to the slashing detector.
 // Detected offenses are applied to the registry when EnforceSlashing is
-// set. Pool and detector each intern the value once for the whole batch.
+// set. All three take the batch whole: pool and detector intern the value
+// once, fork choice sizes its columns and resolves the head root once.
 //
 //gasper:noalloc
 func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorIndex) {
 	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
-	for _, v := range n.batchNew {
-		n.Votes.Process(v, data.Head, data.Slot)
-	}
+	n.Votes.ProcessBatch(n.batchNew, data.Head, data.Slot)
 	reported := len(n.slashEvidence)
 	n.slashEvidence = n.Detector.ObserveBatch(n.slashEvidence, data, n.batchNew)
 	if n.EnforceSlashing {
@@ -224,11 +222,12 @@ func (n *Node) SlashingEvidence() []slashing.Evidence {
 	return out
 }
 
-// SetVisibility installs (or, with nil, removes) a view filter: head
-// computations skip blocks for which visible returns false. The simulator
-// toggles it around per-validator computations; it does not affect block
-// or attestation ingestion.
-func (n *Node) SetVisibility(visible func(types.Root) bool) { n.visible = visible }
+// SetHidden installs (or, with nil, removes) a view filter: head
+// computations skip the listed blocks. The list is borrowed, not copied —
+// the simulator installs it around one per-validator computation and
+// removes it before reusing the slice; it does not affect block or
+// attestation ingestion.
+func (n *Node) SetHidden(hidden []types.Root) { n.hidden = hidden }
 
 // Head computes the node's candidate-chain head: LMD-GHOST from the block
 // of the latest justified checkpoint, weighing votes with the balances of
@@ -236,13 +235,13 @@ func (n *Node) SetVisibility(visible func(types.Root) bool) { n.visible = visibl
 // spec does. Those balances are pushed into the fork-choice engine whenever
 // the justified snapshot advances, so the engine applies them as vote
 // deltas instead of re-reading every validator's stake per call. An
-// installed visibility filter restricts the descent.
+// installed hidden list restricts the descent.
 func (n *Node) Head() (types.Root, error) {
 	start := n.FFG.LatestJustified().Root
 	if !n.Tree.Has(start) {
 		start = n.Tree.Genesis()
 	}
-	return n.Votes.HeadFiltered(n.Tree, start, n.visible)
+	return n.Votes.HeadFiltered(n.Tree, start, n.hidden)
 }
 
 // ProduceBlockFor builds the block validator `proposer` would propose at

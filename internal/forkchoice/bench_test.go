@@ -48,6 +48,60 @@ func BenchmarkHead(b *testing.B) {
 	}
 }
 
+// BenchmarkHeadDeepChain measures a slot of a stalled-finality run on an
+// unbranched chain depth blocks below the start of the descent: one new
+// block, a 128-validator batch moving its votes from the old tip to the new
+// one, and a head query with the new tip hidden (its proposer's cohort mates
+// have not seen it yet). Nothing in that scales with the chain: the moved
+// weight settles between the two tips and the filtered descent leaves the
+// cached chain at the hidden block's position. CI gates 0 allocs/op and
+// depth-4096 within 1.5x of depth-256. Growing the tree is the block
+// tree's cost, not fork choice's, and stays off the clock.
+func BenchmarkHeadDeepChain(b *testing.B) {
+	for _, depth := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			tree := blocktree.New(types.RootFromUint64(0))
+			extend := func(i int) types.Root {
+				blk := blocktree.Block{Slot: types.Slot(i), Root: types.RootFromUint64(uint64(i)), Parent: types.RootFromUint64(uint64(i - 1))}
+				if err := tree.Add(blk); err != nil {
+					b.Fatal(err)
+				}
+				return blk.Root
+			}
+			tip := tree.Genesis()
+			for i := 1; i <= depth; i++ {
+				tip = extend(i)
+			}
+			validators := make([]types.ValidatorIndex, 128)
+			for i := range validators {
+				validators[i] = types.ValidatorIndex(i)
+			}
+			p := NewProtoArray()
+			p.UpdateStakes(len(validators), func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
+			p.ProcessBatch(validators, tip, types.Slot(depth))
+			if _, err := p.Head(tree, tree.Genesis()); err != nil {
+				b.Fatal(err)
+			}
+			genesis := tree.Genesis()
+			hidden := make([]types.Root, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				parent := tip
+				tip = extend(depth + 1 + i)
+				b.StartTimer()
+				p.ProcessBatch(validators, tip, types.Slot(depth+1+i))
+				hidden[0] = tip
+				head, err := p.HeadFiltered(tree, genesis, hidden)
+				if err != nil || head != parent {
+					b.Fatalf("head = %v (%v), want the hidden tip's parent %v", head, err, parent)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHeadVoteChurn measures a head query absorbing a slot's worth of
 // moved votes (one cohort batch re-targeting), the incremental-delta path.
 func BenchmarkHeadVoteChurn(b *testing.B) {

@@ -9,10 +9,11 @@ import (
 )
 
 // TestProtoArrayMatchesOracleRandomized is the engine-equivalence contract:
-// over arbitrary trees, vote streams, stake decays, visibility filters, and
-// finalization prunes, the incremental proto-array engine returns
-// bit-identical Head / HeadFiltered / SubtreeWeight results to the
-// map-based recompute-everything oracle.
+// over arbitrary trees, vote streams (single and batched), stake decays,
+// hidden lists, and finalization prunes, the incremental proto-array engine
+// returns bit-identical Head / HeadFiltered / SubtreeWeight results to the
+// map-based recompute-everything oracle, which builds its visibility
+// predicate from the same list.
 func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 	const (
 		seeds      = 25
@@ -101,17 +102,37 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 					seed, step, start, ph, perr, oh, oerr)
 			}
 
-			// Visibility filter hiding a random subset of blocks.
-			hidden := map[types.Root]bool{}
-			for i := 0; i < rng.Intn(3); i++ {
-				hidden[roots[rng.Intn(len(roots))]] = true
+			// Hidden lists in every shape the descent distinguishes: a
+			// random subset (mostly off the path, sometimes start or above
+			// it), a root the tree does not hold, several blocks of the
+			// unfiltered path below start (the shallowest decides), and all
+			// but one child of a fork on that path.
+			path, err := tree.Chain(oh)
+			if err != nil {
+				t.Fatal(err)
 			}
-			visible := func(r types.Root) bool { return !hidden[r] }
-			ph, perr = proto.HeadFiltered(tree, start, visible)
-			oh, oerr = oracle.HeadFiltered(tree, start, visible)
+			var hidden []types.Root
+			for i := rng.Intn(3); i > 0; i-- {
+				hidden = append(hidden, roots[rng.Intn(len(roots))])
+			}
+			if rng.Intn(4) == 0 {
+				hidden = append(hidden, types.RootFromUint64(1<<40))
+			}
+			for i := rng.Intn(3); i > 0; i-- {
+				hidden = append(hidden, path[rng.Intn(len(path))].Root)
+			}
+			if rng.Intn(3) == 0 {
+				siblings := tree.Children(path[rng.Intn(len(path))].Root)
+				if len(siblings) > 1 {
+					hidden = append(hidden, siblings[1:]...)
+				}
+			}
+			rng.Shuffle(len(hidden), func(i, j int) { hidden[i], hidden[j] = hidden[j], hidden[i] })
+			ph, perr = proto.HeadFiltered(tree, start, hidden)
+			oh, oerr = oracle.HeadFiltered(tree, start, hidden)
 			if (perr == nil) != (oerr == nil) || ph != oh {
-				t.Fatalf("seed %d step %d: HeadFiltered diverges: proto %v (%v), oracle %v (%v)",
-					seed, step, ph, perr, oh, oerr)
+				t.Fatalf("seed %d step %d: HeadFiltered(%s, hidden %v) diverges: proto %v (%v), oracle %v (%v)",
+					seed, step, start, hidden, ph, perr, oh, oerr)
 			}
 
 			probe := roots[rng.Intn(len(roots))]
@@ -136,6 +157,18 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 				}
 				target := plan[rng.Intn(hi)].root
 				slot += types.Slot(rng.Intn(2))
+				if rng.Intn(3) == 0 { // a batch: v and a few more, unordered, one repeated
+					batch := []types.ValidatorIndex{v, types.ValidatorIndex(rng.Intn(validators)), v}
+					for i := rng.Intn(6); i > 0; i-- {
+						batch = append(batch, types.ValidatorIndex(rng.Intn(validators)))
+					}
+					pc := proto.ProcessBatch(batch, target, slot)
+					oc := oracle.ProcessBatch(batch, target, slot)
+					if pc != oc {
+						t.Fatalf("seed %d step %d: ProcessBatch replaced-count diverges: proto %d, oracle %d", seed, step, pc, oc)
+					}
+					break
+				}
 				pc := proto.Process(v, target, slot)
 				oc := oracle.Process(v, target, slot)
 				if pc != oc {
@@ -183,6 +216,66 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 			om, ook := oracle.Latest(v)
 			if pok != ook || pm != om {
 				t.Fatalf("seed %d: Latest(%d) diverges: proto %v/%v, oracle %v/%v", seed, v, pm, pok, om, ook)
+			}
+		}
+	}
+}
+
+// TestHeadFilteredHiddenListCases names the hidden-list shapes one by one
+// on a fixed tree, both engines against the expected head:
+//
+//	0 - 1 - 2 - 3 - 4 - 5        three votes on 5
+//	    |    \- 30 - 300          two on 300
+//	    |     \- 31               one on 31
+//	    \- 10 - 11                one on 11
+func TestHeadFilteredHiddenListCases(t *testing.T) {
+	tree := blocktree.New(root(0))
+	for _, b := range [][2]uint64{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {30, 2}, {300, 30}, {31, 2}, {10, 1}, {11, 10}} {
+		parent, err := tree.Slot(root(b[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Add(blocktree.Block{Slot: parent + 1, Root: root(b[0]), Parent: root(b[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proto, oracle := NewProtoArray(), NewOracle()
+	for _, e := range []Engine{proto, oracle} {
+		e.UpdateStakes(8, flatStake)
+		e.ProcessBatch([]types.ValidatorIndex{0, 1, 2}, root(5), 9)
+		e.ProcessBatch([]types.ValidatorIndex{3, 4}, root(300), 9)
+		e.Process(5, root(31), 9)
+		e.Process(6, root(11), 9)
+	}
+	cases := []struct {
+		name   string
+		start  uint64
+		hidden []uint64
+		want   uint64
+	}{
+		{"nothing hidden", 0, nil, 5},
+		{"hidden root absent from the tree", 0, []uint64{999}, 5},
+		{"hidden roots off the canonical chain", 0, []uint64{300, 11, 10}, 5},
+		{"hidden start and a block above it are ignored", 2, []uint64{2, 1}, 5},
+		{"hidden tip", 0, []uint64{5}, 4},
+		{"several hidden on the chain, shallowest wins", 0, []uint64{5, 3, 4}, 300},
+		{"shallowest wins whatever the list order", 1, []uint64{3, 5}, 300},
+		{"two hidden siblings", 0, []uint64{3, 30}, 31},
+		{"every child of a fork hidden", 0, []uint64{31, 3, 30}, 2},
+		{"hidden below the fork on the fallback branch", 0, []uint64{3, 300}, 30},
+		{"start off-chain", 30, nil, 300},
+		{"start off-chain, its only child hidden", 30, []uint64{300}, 30},
+		{"start off-chain, canonical blocks hidden", 10, []uint64{5, 3}, 11},
+	}
+	for _, tc := range cases {
+		var hidden []types.Root
+		for _, h := range tc.hidden {
+			hidden = append(hidden, root(h))
+		}
+		for name, e := range map[string]Engine{"proto": proto, "oracle": oracle} {
+			got, err := e.HeadFiltered(tree, root(tc.start), hidden)
+			if err != nil || got != root(tc.want) {
+				t.Errorf("%s (%s): head = %v (%v), want %v", tc.name, name, got, err, root(tc.want))
 			}
 		}
 	}

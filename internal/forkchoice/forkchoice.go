@@ -9,9 +9,9 @@
 //
 //   - ProtoArray (protoarray.go) is the production engine: columnar latest
 //     messages, incrementally applied vote deltas over the block tree's
-//     flat index space, and cached best-child/best-descendant pointers, so
-//     a steady-state head query is an O(1) pointer read with zero
-//     allocations regardless of validator count.
+//     flat index space, cached best-child pointers and the canonical chain
+//     they trace, so a steady-state head query is an O(1) read with zero
+//     allocations regardless of validator count and chain depth.
 //   - Store (this file) is the original recompute-everything map engine,
 //     retained behind NewStore/NewOracle as the correctness oracle: the
 //     randomized equivalence suite asserts the two return bit-identical
@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/blocktree"
 	"repro/internal/types"
@@ -54,6 +55,10 @@ type Engine interface {
 	// Process records a block vote; only votes newer (by slot) than the
 	// current latest message replace it. Reports whether the store changed.
 	Process(v types.ValidatorIndex, root types.Root, slot types.Slot) bool
+	// ProcessBatch records one block vote cast by every listed validator,
+	// exactly as Process per validator in listed order would, and returns
+	// how many latest messages it replaced.
+	ProcessBatch(validators []types.ValidatorIndex, root types.Root, slot types.Slot) int
 	// Latest returns the latest message for v, if any.
 	Latest(v types.ValidatorIndex) (Message, bool)
 	// Len returns the number of validators with a recorded message.
@@ -66,9 +71,10 @@ type Engine interface {
 	// ignored.
 	Head(tree *blocktree.Tree, start types.Root) (types.Root, error)
 	// HeadFiltered is Head restricted to the visible portion of the tree:
-	// descent skips children for which visible returns false (nil =
-	// everything is visible).
-	HeadFiltered(tree *blocktree.Tree, start types.Root, visible func(types.Root) bool) (types.Root, error)
+	// descent skips the children named in hidden (empty = everything is
+	// visible). Hidden roots the descent never reaches — absent from the
+	// tree, on another branch, start itself or above it — have no effect.
+	HeadFiltered(tree *blocktree.Tree, start types.Root, hidden []types.Root) (types.Root, error)
 	// SubtreeWeight returns the attesting stake in root's subtree.
 	SubtreeWeight(tree *blocktree.Tree, root types.Root) (types.Gwei, error)
 	// CloneEngine deep-copies the engine, so partitioned views can
@@ -124,11 +130,11 @@ func (s *Store) Head(tree *blocktree.Tree, start types.Root, stake func(types.Va
 }
 
 // HeadFiltered is Head restricted to the visible portion of the tree:
-// descent skips children for which visible returns false (nil = everything
-// is visible). The view-cohort simulator uses it to compute a member's head
+// descent skips the children named in hidden (empty = everything is
+// visible). The view-cohort simulator uses it to compute a member's head
 // while blocks another member produced this slot are still in flight — a
 // per-validator difference the shared tree would otherwise erase.
-func (s *Store) HeadFiltered(tree *blocktree.Tree, start types.Root, stake func(types.ValidatorIndex) types.Gwei, visible func(types.Root) bool) (types.Root, error) {
+func (s *Store) HeadFiltered(tree *blocktree.Tree, start types.Root, stake func(types.ValidatorIndex) types.Gwei, hidden []types.Root) (types.Root, error) {
 	if !tree.Has(start) {
 		return types.Root{}, fmt.Errorf("%w: %s", ErrUnknownStart, start)
 	}
@@ -143,7 +149,7 @@ func (s *Store) HeadFiltered(tree *blocktree.Tree, start types.Root, stake func(
 		var bestW types.Gwei
 		found := false
 		for _, c := range children {
-			if visible != nil && !visible(c) {
+			if slices.Contains(hidden, c) {
 				continue
 			}
 			w := weights[c]
@@ -228,6 +234,17 @@ func (o *Oracle) Process(v types.ValidatorIndex, root types.Root, slot types.Slo
 	return o.store.Process(v, root, slot)
 }
 
+// ProcessBatch implements Engine.
+func (o *Oracle) ProcessBatch(validators []types.ValidatorIndex, root types.Root, slot types.Slot) int {
+	replaced := 0
+	for _, v := range validators {
+		if o.store.Process(v, root, slot) {
+			replaced++
+		}
+	}
+	return replaced
+}
+
 // Latest implements Engine.
 func (o *Oracle) Latest(v types.ValidatorIndex) (Message, bool) { return o.store.Latest(v) }
 
@@ -257,8 +274,8 @@ func (o *Oracle) Head(tree *blocktree.Tree, start types.Root) (types.Root, error
 }
 
 // HeadFiltered implements Engine.
-func (o *Oracle) HeadFiltered(tree *blocktree.Tree, start types.Root, visible func(types.Root) bool) (types.Root, error) {
-	return o.store.HeadFiltered(tree, start, o.stake, visible)
+func (o *Oracle) HeadFiltered(tree *blocktree.Tree, start types.Root, hidden []types.Root) (types.Root, error) {
+	return o.store.HeadFiltered(tree, start, o.stake, hidden)
 }
 
 // SubtreeWeight implements Engine.

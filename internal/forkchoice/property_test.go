@@ -2,6 +2,7 @@ package forkchoice
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -119,7 +120,9 @@ func TestHeadStableUnderVoteOrderProperty(t *testing.T) {
 // diverges the incremental proto-array from the recompute-everything
 // oracle — neither right after the forced rebuild nor after further votes
 // land on the compacted tree — and the head stays a leaf in the genesis
-// subtree.
+// subtree. Filtered heads are held to the same bar, with hidden lists drawn
+// from the surviving and the folded roots alike (a folded root is one the
+// tree no longer holds) and starts on and off the canonical chain.
 func TestEngineEquivalenceUnderCompactionProperty(t *testing.T) {
 	f := func(seed int64, votes, wmSel uint8) bool {
 		const n = 24
@@ -157,6 +160,21 @@ func TestEngineEquivalenceUnderCompactionProperty(t *testing.T) {
 			oh, err2 := oracle.Head(tree, tree.Genesis())
 			if err1 != nil || err2 != nil || ph != oh {
 				return false
+			}
+			for i := 0; i < 4; i++ {
+				start := roots[rng.Intn(len(roots))]
+				if !tree.Has(start) {
+					start = tree.Genesis()
+				}
+				hidden := []types.Root{ph, roots[rng.Intn(len(roots))], roots[rng.Intn(len(roots))]}[:1+rng.Intn(3)]
+				pf, err1 := proto.HeadFiltered(tree, start, hidden)
+				of, err2 := oracle.HeadFiltered(tree, start, hidden)
+				if err1 != nil || err2 != nil || pf != of {
+					return false
+				}
+				if !tree.IsAncestor(start, pf) || (pf != start && slices.Contains(hidden, pf)) {
+					return false
+				}
 			}
 			return tree.IsAncestor(tree.Genesis(), ph) && len(tree.Children(ph)) == 0
 		}

@@ -2,6 +2,7 @@ package forkchoice
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/blocktree"
@@ -11,7 +12,7 @@ import (
 // ProtoArray is the incremental LMD-GHOST engine. It mirrors the block
 // tree's flat index space (blocktree.Tree stores insertion-ordered nodes
 // with parent/first-child/next-sibling links) and keeps, per node, the
-// subtree weight plus cached best-child/best-descendant pointers.
+// subtree weight plus a cached best-child pointer.
 //
 // Latest messages live in columnar per-validator slices. When a
 // validator's vote moves from block A to B — or its stake changes with a
@@ -22,15 +23,17 @@ import (
 // first (the array order is topological, so a child's index always
 // exceeds its parent's), each pop folds the node's delta into its weight,
 // pushes the delta to its parent, and re-scans its children for the
-// best-child/best-descendant caches — O(changed paths), independent of
-// tree size. A head query with no pending work is a pointer read: O(1),
-// zero allocations, independent of validator count.
+// best-child cache. A path ends where its delta cancels: a vote moving
+// from a block to a descendant a few dozen blocks below it settles those
+// few dozen nodes and nothing above them, however deep the chain is.
 //
 // The canonical chain (the best-child path from the array root) is cached
 // and maintained incrementally: settling records the shallowest canonical
 // position whose best-child pointer flipped and re-descends only from
-// there, so filtered head queries walk cached positions instead of
-// re-scanning siblings level by level.
+// there. A head query from a block on that chain is the chain's tip — O(1),
+// zero allocations, independent of validator count and chain depth — and a
+// filtered one leaves the chain at the shallowest hidden block, found by
+// looking up each hidden root's position rather than walking the chain.
 //
 // Votes targeting blocks the view has not received yet are parked in an
 // unresolved list and re-queued when the tree grows, exactly matching the
@@ -65,10 +68,9 @@ type ProtoArray struct {
 	weights     []types.Gwei    //gasper:nocodec per-node cache over the tree; rebuilt by the first sync
 	deltas      []int64         //gasper:nocodec per-node cache over the tree; rebuilt by the first sync
 	bestChild   []int32         //gasper:nocodec per-node cache over the tree; rebuilt by the first sync
-	bestDesc    []int32         //gasper:nocodec per-node cache over the tree; rebuilt by the first sync
 
 	// Settle frontier: node indices with a pending delta or a child whose
-	// weight/best pointers moved, kept as a max-index heap so children
+	// weight moved or that is new, kept as a max-index heap so children
 	// always pop before their parents.
 	touched   []int32 //gasper:nocodec settle frontier; re-derived by the first sync
 	inTouched []bool  //gasper:nocodec settle frontier membership; re-derived by the first sync
@@ -113,20 +115,39 @@ func (p *ProtoArray) markChanged(v int32) {
 	}
 }
 
-// Process implements Engine.
+// Process implements Engine: ProcessBatch with one validator.
 func (p *ProtoArray) Process(v types.ValidatorIndex, root types.Root, slot types.Slot) bool {
-	p.ensureValidators(int(v) + 1)
-	if p.hasVote[v] && p.voteSlot[v] >= slot {
-		return false
+	one := [1]types.ValidatorIndex{v}
+	return p.ProcessBatch(one[:], root, slot) == 1
+}
+
+// ProcessBatch implements Engine. The columns are sized once for the whole
+// batch, and the validators it queues sit next to each other on the changed
+// worklist, where applyChanged resolves their shared root once.
+//
+//gasper:noalloc
+func (p *ProtoArray) ProcessBatch(validators []types.ValidatorIndex, root types.Root, slot types.Slot) int {
+	need := 0
+	for _, v := range validators {
+		if int(v) >= need {
+			need = int(v) + 1
+		}
 	}
-	if !p.hasVote[v] {
-		p.hasVote[v] = true
-		p.voted++
+	p.ensureValidators(need)
+	replaced := 0
+	for _, v := range validators {
+		if !p.hasVote[v] {
+			p.hasVote[v] = true
+			p.voted++
+		} else if p.voteSlot[v] >= slot {
+			continue
+		}
+		p.voteRoot[v] = root
+		p.voteSlot[v] = slot
+		p.markChanged(int32(v))
+		replaced++
 	}
-	p.voteRoot[v] = root
-	p.voteSlot[v] = slot
-	p.markChanged(int32(v))
-	return true
+	return replaced
 }
 
 // Latest implements Engine.
@@ -171,7 +192,6 @@ func (p *ProtoArray) sync(tree *blocktree.Tree) {
 			p.weights = append(p.weights, 0)
 			p.deltas = append(p.deltas, 0)
 			p.bestChild = append(p.bestChild, blocktree.NoIndex)
-			p.bestDesc = append(p.bestDesc, i)
 			p.inTouched = append(p.inTouched, false)
 			p.canonPos = append(p.canonPos, -1)
 			// Even with no votes, a fresh leaf can win its parent's
@@ -191,18 +211,27 @@ func (p *ProtoArray) sync(tree *blocktree.Tree) {
 	}
 }
 
-// applyChanged drains the changed worklist into per-node deltas.
+// applyChanged drains the changed worklist into per-node deltas. A batch
+// queues its validators together and they share one root, so the root is
+// resolved to its node index once per run of validators voting for it.
 func (p *ProtoArray) applyChanged(tree *blocktree.Tree) {
 	if len(p.changed) == 0 {
 		return
 	}
+	var runRoot types.Root
+	runIdx, inRun := blocktree.NoIndex, false
 	for _, v := range p.changed {
 		p.inChanged[v] = false
 		newIdx := blocktree.NoIndex
 		if p.hasVote[v] {
-			if i, ok := tree.IndexOf(p.voteRoot[v]); ok {
-				newIdx = i
+			if !inRun || p.voteRoot[v] != runRoot {
+				runRoot, inRun = p.voteRoot[v], true
+				runIdx = blocktree.NoIndex
+				if i, ok := tree.IndexOf(runRoot); ok {
+					runIdx = i
+				}
 			}
+			newIdx = runIdx
 		}
 		newStake := p.stakes[v]
 		if newIdx == p.appliedIdx[v] && (newIdx == blocktree.NoIndex || newStake == p.appliedStake[v]) {
@@ -282,15 +311,15 @@ func (p *ProtoArray) popTouched() int32 {
 }
 
 // settle drains the frontier children-first: each pop folds the node's
-// pending delta into its weight, refreshes its best-child/best-descendant
-// cache from its (already settled) children, and propagates the delta to
-// its parent — re-touching the parent only when something it can observe
-// actually moved. The array is topological (a child's index always exceeds
-// its parent's) and the heap pops by descending index, so every touched
-// node is processed exactly once and cost is proportional to the paths
-// from changed nodes to the root, not to tree size. When a best-child
-// pointer on the canonical chain flips, the chain is re-descended from the
-// shallowest flip only.
+// pending delta into its weight, refreshes its best-child cache from its
+// (already settled) children, and propagates the delta to its parent — the
+// parent is re-touched only when the weight it sees moved, which is all its
+// own best-child choice depends on. The array is topological (a child's
+// index always exceeds its parent's) and the heap pops by descending index,
+// so every touched node is processed exactly once and cost is proportional
+// to the paths from changed nodes up to where their deltas cancel, not to
+// tree size or chain depth. When a best-child pointer on the canonical chain
+// flips, the chain is re-descended from the shallowest flip only.
 func (p *ProtoArray) settle(tree *blocktree.Tree) {
 	minFlip := int32(-1)
 	for len(p.touched) > 0 {
@@ -299,38 +328,38 @@ func (p *ProtoArray) settle(tree *blocktree.Tree) {
 		if d != 0 {
 			p.weights[i] = types.Gwei(int64(p.weights[i]) + d)
 			p.deltas[i] = 0
-		}
-		oldBC, oldBD := p.bestChild[i], p.bestDesc[i]
-		bc := blocktree.NoIndex
-		for c := tree.FirstChild(i); c != blocktree.NoIndex; c = tree.NextSibling(c) {
-			if bc == blocktree.NoIndex || p.weights[c] > p.weights[bc] ||
-				(p.weights[c] == p.weights[bc] && lessRoot(tree.BlockAt(c).Root, tree.BlockAt(bc).Root)) {
-				bc = c
-			}
-		}
-		p.bestChild[i] = bc
-		bd := i
-		if bc != blocktree.NoIndex {
-			bd = p.bestDesc[bc]
-		}
-		p.bestDesc[i] = bd
-		if bc != oldBC {
-			if pos := p.canonPos[i]; pos >= 0 && (minFlip < 0 || pos < minFlip) {
-				minFlip = pos
-			}
-		}
-		if pi := tree.ParentIndex(i); pi != blocktree.NoIndex {
-			if d != 0 {
+			if pi := tree.ParentIndex(i); pi != blocktree.NoIndex {
 				p.deltas[pi] += d
 				p.touch(pi)
-			} else if bd != oldBD {
-				p.touch(pi)
+			}
+		}
+		bc := p.bestChildOf(tree, i, nil)
+		if bc != p.bestChild[i] {
+			p.bestChild[i] = bc
+			if pos := p.canonPos[i]; pos >= 0 && (minFlip < 0 || pos < minFlip) {
+				minFlip = pos
 			}
 		}
 	}
 	if minFlip >= 0 {
 		p.extendCanon(minFlip)
 	}
+}
+
+// bestChildOf scans i's children for the heaviest one not named in hidden,
+// ties to the smaller root; NoIndex when there is none.
+func (p *ProtoArray) bestChildOf(tree *blocktree.Tree, i int32, hidden []types.Root) int32 {
+	bc := blocktree.NoIndex
+	for c := tree.FirstChild(i); c != blocktree.NoIndex; c = tree.NextSibling(c) {
+		if slices.Contains(hidden, tree.BlockAt(c).Root) {
+			continue
+		}
+		if bc == blocktree.NoIndex || p.weights[c] > p.weights[bc] ||
+			(p.weights[c] == p.weights[bc] && lessRoot(tree.BlockAt(c).Root, tree.BlockAt(bc).Root)) {
+			bc = c
+		}
+	}
+	return bc
 }
 
 // extendCanon truncates the canonical chain at position from and re-follows
@@ -354,21 +383,19 @@ func (p *ProtoArray) rebuild(tree *blocktree.Tree) {
 	p.tree = tree
 	p.treeVersion = tree.Version()
 	n := tree.Len()
-	// The four columns are appended in lockstep but their capacities can
+	// The three columns are appended in lockstep but their capacities can
 	// still diverge: CloneEngine's append(nil, ...) rounds each column to
 	// its own allocation size class, so a 4-byte column may hold exactly n
 	// entries while its 8-byte sibling was rounded up past n. Check every
 	// column before taking the reslice fast path.
-	if cap(p.weights) < n || cap(p.deltas) < n || cap(p.bestChild) < n || cap(p.bestDesc) < n {
+	if cap(p.weights) < n || cap(p.deltas) < n || cap(p.bestChild) < n {
 		p.weights = make([]types.Gwei, n)
 		p.deltas = make([]int64, n)
 		p.bestChild = make([]int32, n)
-		p.bestDesc = make([]int32, n)
 	} else {
 		p.weights = p.weights[:n]
 		p.deltas = p.deltas[:n]
 		p.bestChild = p.bestChild[:n]
-		p.bestDesc = p.bestDesc[:n]
 	}
 	for i := range p.weights {
 		p.weights[i] = 0
@@ -423,10 +450,10 @@ func (p *ProtoArray) rebuild(tree *blocktree.Tree) {
 }
 
 // recompute settles pending deltas into subtree weights and refreshes the
-// best-child/best-descendant caches in one reverse (leaf-to-root) pass —
-// the full-array sweep, used only by rebuild; incremental updates go
-// through settle. The array is topological, so by the time a node is
-// visited every child's weight and best descendant are final.
+// best-child cache in one reverse (leaf-to-root) pass — the full-array
+// sweep, used only by rebuild; incremental updates go through settle. The
+// array is topological, so by the time a node is visited every child's
+// weight is final.
 func (p *ProtoArray) recompute(tree *blocktree.Tree) {
 	for i := int32(len(p.weights)) - 1; i >= 0; i-- {
 		if d := p.deltas[i]; d != 0 {
@@ -436,74 +463,49 @@ func (p *ProtoArray) recompute(tree *blocktree.Tree) {
 			}
 			p.deltas[i] = 0
 		}
-		bc := blocktree.NoIndex
-		for c := tree.FirstChild(i); c != blocktree.NoIndex; c = tree.NextSibling(c) {
-			if bc == blocktree.NoIndex || p.weights[c] > p.weights[bc] ||
-				(p.weights[c] == p.weights[bc] && lessRoot(tree.BlockAt(c).Root, tree.BlockAt(bc).Root)) {
-				bc = c
-			}
-		}
-		p.bestChild[i] = bc
-		if bc == blocktree.NoIndex {
-			p.bestDesc[i] = i
-		} else {
-			p.bestDesc[i] = p.bestDesc[bc]
-		}
+		p.bestChild[i] = p.bestChildOf(tree, i, nil)
 	}
 }
 
-// Head implements Engine: sync, then chase the cached best-descendant
-// pointer from start.
+// Head implements Engine: HeadFiltered with nothing hidden.
 //
 //gasper:noalloc
 func (p *ProtoArray) Head(tree *blocktree.Tree, start types.Root) (types.Root, error) {
-	p.sync(tree)
-	si, ok := tree.IndexOf(start)
-	if !ok {
-		return types.Root{}, fmt.Errorf("%w: %s", ErrUnknownStart, start) //gasper:alloc error exit: unknown start root aborts the query
-	}
-	return tree.BlockAt(p.bestDesc[si]).Root, nil
+	return p.HeadFiltered(tree, start, nil)
 }
 
-// HeadFiltered implements Engine. With a visibility filter the cached best
-// pointers may reference hidden blocks, so the descent excludes them on the
-// fly. While the walk is on the canonical chain it follows the cached path
-// directly — the overall best child, when visible, is by definition the
-// best visible child, so each level costs one visibility check instead of
-// a sibling scan. Only when the canonical child is hidden (or the walk
-// starts off-chain) does it fall back to picking the best visible child
-// from the settled weights, exactly matching the oracle's descent.
+// HeadFiltered implements Engine. From a block on the canonical chain the
+// unfiltered descent is that chain, and the filtered one follows it down to
+// the parent of the shallowest hidden block below start — found by looking
+// up each hidden root's chain position, so the cost is in len(hidden), not
+// in the blocks since start. From there, or from a start off the chain, the
+// descent takes the cached best child — when not hidden it is by definition
+// the best visible child — and re-scans siblings only where the best child
+// is hidden, exactly matching the oracle's descent. Hidden roots that are
+// absent from the tree, off the path, or at or above start change nothing.
 //
 //gasper:noalloc
-func (p *ProtoArray) HeadFiltered(tree *blocktree.Tree, start types.Root, visible func(types.Root) bool) (types.Root, error) {
-	if visible == nil {
-		return p.Head(tree, start)
-	}
+func (p *ProtoArray) HeadFiltered(tree *blocktree.Tree, start types.Root, hidden []types.Root) (types.Root, error) {
 	p.sync(tree)
 	i, ok := tree.IndexOf(start)
 	if !ok {
 		return types.Root{}, fmt.Errorf("%w: %s", ErrUnknownStart, start) //gasper:alloc error exit: unknown start root aborts the query
 	}
 	if pos := p.canonPos[i]; pos >= 0 {
-		for int(pos)+1 < len(p.canon) {
-			c := p.canon[pos+1]
-			if !visible(tree.BlockAt(c).Root) {
-				break
+		stop := int32(len(p.canon))
+		for _, h := range hidden {
+			if hi, ok := tree.IndexOf(h); ok {
+				if hp := p.canonPos[hi]; hp > pos && hp < stop {
+					stop = hp
+				}
 			}
-			pos++
-			i = c
 		}
+		i = p.canon[stop-1]
 	}
 	for {
-		bc := blocktree.NoIndex
-		for c := tree.FirstChild(i); c != blocktree.NoIndex; c = tree.NextSibling(c) {
-			if !visible(tree.BlockAt(c).Root) {
-				continue
-			}
-			if bc == blocktree.NoIndex || p.weights[c] > p.weights[bc] ||
-				(p.weights[c] == p.weights[bc] && lessRoot(tree.BlockAt(c).Root, tree.BlockAt(bc).Root)) {
-				bc = c
-			}
+		bc := p.bestChild[i]
+		if bc != blocktree.NoIndex && slices.Contains(hidden, tree.BlockAt(bc).Root) {
+			bc = p.bestChildOf(tree, i, hidden)
 		}
 		if bc == blocktree.NoIndex {
 			return tree.BlockAt(i).Root, nil
@@ -545,7 +547,6 @@ func (p *ProtoArray) CloneEngine() Engine {
 		weights:      append([]types.Gwei(nil), p.weights...),
 		deltas:       append([]int64(nil), p.deltas...),
 		bestChild:    append([]int32(nil), p.bestChild...),
-		bestDesc:     append([]int32(nil), p.bestDesc...),
 		touched:      append([]int32(nil), p.touched...),
 		inTouched:    append([]bool(nil), p.inTouched...),
 		canon:        append([]int32(nil), p.canon...),
@@ -573,7 +574,7 @@ func (p *ProtoArray) Stats() Stats {
 		cap(p.changed)*4 + cap(p.inChanged) +
 		cap(p.unresolved)*4 + cap(p.inUnresolved) +
 		cap(p.weights)*8 + cap(p.deltas)*8 +
-		cap(p.bestChild)*4 + cap(p.bestDesc)*4 +
+		cap(p.bestChild)*4 +
 		cap(p.touched)*4 + cap(p.inTouched) +
 		cap(p.canon)*4 + cap(p.canonPos)*4
 	return Stats{Nodes: len(p.weights), Validators: len(p.voteRoot), Bytes: bytes}

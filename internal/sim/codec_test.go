@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"os"
 	"reflect"
 	"testing"
 
@@ -129,6 +130,50 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotFrameWrittenByPR13: testdata/snapshot-v2-pr13.frame is the
+// snapshot the commit before the detector's arena layout wrote for
+// compactedCfg twelve epochs in (past the first prunes). The frame format
+// did not move with the layout: this build writes those exact bytes for
+// the same run, and reads them back into a snapshot that re-encodes to
+// them and continues like the live simulation.
+func TestSnapshotFrameWrittenByPR13(t *testing.T) {
+	want, err := os.ReadFile("testdata/snapshot-v2-pr13.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(want[4:8]); v != 2 || snapshotVersion != 2 {
+		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 2", v, snapshotVersion)
+	}
+	cfg := compactedCfg(false, false)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunEpochs(12); err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
+	}
+	decoded, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if got := encodeSnapshot(t, decoded); !bytes.Equal(got, want) {
+		t.Fatalf("decoded frame re-encodes differently (%d vs %d bytes)", len(got), len(want))
+	}
+	resumed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Restore(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if live, replay := runRecorded(t, s, 4), runRecorded(t, resumed, 4); !reflect.DeepEqual(live, replay) {
+		t.Fatalf("the decoded frame's continuation diverged:\n  decoded: %+v\n  live:    %+v", replay, live)
+	}
+}
+
 // reseal makes a frame's header agree with its (edited) payload again, so
 // the damage under test is what the payload decoders see, not the
 // container's checksum verdict.
@@ -173,6 +218,24 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		t.Fatalf("first pool epoch holds %d values; layout assumption broken", values)
 	}
 
+	// Where the first view's slashing detector sits: the table as above,
+	// then a column of history lengths, a column of ids and a column of
+	// marks, each behind its length.
+	var detBytes bytes.Buffer
+	s.cohorts[0].Node.Detector.EncodeTo(codec.NewWriter(&detBytes))
+	det := bytes.Index(blob, detBytes.Bytes())
+	if det < 0 {
+		t.Fatal("cannot locate the first detector in the frame")
+	}
+	counts := det + 4 + 120*int(binary.LittleEndian.Uint32(blob[det:]))
+	nCounts := int(binary.LittleEndian.Uint32(blob[counts:]))
+	lastCount := counts + 4*nCounts
+	ids := lastCount + 4
+	marks := ids + 4 + 4*int(binary.LittleEndian.Uint32(blob[ids:]))
+	if nCounts == 0 || int(binary.LittleEndian.Uint32(blob[marks:])) != nCounts || marks+4+nCounts != det+detBytes.Len() {
+		t.Fatalf("first detector holds %d histories; layout assumption broken", nCounts)
+	}
+
 	damage := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -186,6 +249,18 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"v1-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 1); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
+			return reseal(b)
+		}},
+		// The frame has no spill of its own — lines and spill are how the
+		// decoder files what the two columns say. A history claiming more
+		// votes than a line holds must not send its overflow past the id
+		// column, nor a mark name a validator past the length column.
+		{"overflow-history-past-id-column", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[lastCount:], binary.LittleEndian.Uint32(b[lastCount:])+64)
+			return reseal(b)
+		}},
+		{"marks-past-length-column", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[marks:], uint32(nCounts)+1)
 			return reseal(b)
 		}},
 		{"truncated-table", func(b []byte) []byte { return reseal(b[:table+4+120*values-60]) }},

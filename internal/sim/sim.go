@@ -15,7 +15,7 @@
 //     cohort only sees it one network delay later; the kernel applies the
 //     block to the shared view at once and embargoes it — head computations
 //     for other members skip embargoed blocks until their broadcast copy
-//     arrives (beacon.Node.SetVisibility / forkchoice.HeadFiltered);
+//     arrives (beacon.Node.SetHidden / forkchoice.HeadFiltered);
 //   - an adversary with within-delta timing power can place individual
 //     honest validators on different views (the probabilistic bouncing
 //     attack); SetDutyView reassigns which cohort view a validator performs
@@ -170,8 +170,9 @@ type Simulation struct {
 	embargoes []embargo
 	// dutyRoster caches one epoch's attestation duties: dutyRoster[off]
 	// lists the honest validators whose duty falls on the epoch's off-th
-	// slot, ascending. Built once per epoch instead of scanning every
-	// honest validator every slot.
+	// slot, ascending. Built once per epoch under ShuffledDuties and once
+	// for all epochs otherwise, instead of scanning every honest validator
+	// every slot.
 	dutyRoster      [][]types.ValidatorIndex
 	dutyRosterEpoch types.Epoch
 	dutyRosterSet   bool
@@ -181,6 +182,10 @@ type Simulation struct {
 	//gasper:nocodec per-slot scratch; a snapshot is taken between slots, when it holds nothing
 	//gasper:shallow per-slot scratch; every simulation refills its own
 	dutyBuckets []dutyBucket
+	// hiddenScratch backs the list hiddenFor returns.
+	//gasper:nocodec per-computation scratch; holds nothing between head computations
+	//gasper:shallow per-computation scratch; every simulation refills its own
+	hiddenScratch []types.Root
 	// oracle is an omniscient block tree used only for Safety auditing.
 	oracle *blocktree.Tree
 	slot   types.Slot
@@ -381,28 +386,21 @@ func (s *Simulation) expireEmbargoes(slot types.Slot) {
 	s.embargoes = kept
 }
 
-// visibilityFor builds the head-computation filter for cohort ci acting as
-// `actor` (the actor sees its own in-flight blocks; everyone else does
-// not). hasActor=false hides every live embargoed block of the cohort. A
-// nil return means the unfiltered view.
-func (s *Simulation) visibilityFor(ci int, actor types.ValidatorIndex, hasActor bool) func(types.Root) bool {
-	var hidden []types.Root
+// hiddenFor lists the blocks a head computation for cohort ci acting as
+// `actor` must skip (the actor sees its own in-flight blocks; everyone else
+// does not). hasActor=false hides every live embargoed block of the cohort.
+// The list lives in a scratch slice the next call overwrites; empty means
+// the unfiltered view.
+//
+//gasper:noalloc
+func (s *Simulation) hiddenFor(ci int, actor types.ValidatorIndex, hasActor bool) []types.Root {
+	s.hiddenScratch = s.hiddenScratch[:0]
 	for _, e := range s.embargoes {
 		if e.cohort == ci && (!hasActor || e.producer != actor) {
-			hidden = append(hidden, e.root)
+			s.hiddenScratch = append(s.hiddenScratch, e.root)
 		}
 	}
-	if len(hidden) == 0 {
-		return nil
-	}
-	return func(r types.Root) bool {
-		for _, h := range hidden {
-			if h == r {
-				return false
-			}
-		}
-		return true
-	}
+	return s.hiddenScratch
 }
 
 // ownsLiveEmbargo reports whether validator v has a block of cohort ci
@@ -439,12 +437,12 @@ func (s *Simulation) Step() error {
 		epoch := slot.Epoch()
 		for _, c := range s.cohorts {
 			if len(c.Members) == 1 {
-				c.Node.SetVisibility(s.visibilityFor(c.Index, c.Members[0], true))
+				c.Node.SetHidden(s.hiddenFor(c.Index, c.Members[0], true))
 			} else {
-				c.Node.SetVisibility(s.visibilityFor(c.Index, 0, false))
+				c.Node.SetHidden(s.hiddenFor(c.Index, 0, false))
 			}
 			_, err := c.Node.ProcessEpochBoundary(epoch)
-			c.Node.SetVisibility(nil)
+			c.Node.SetHidden(nil)
 			if err != nil {
 				return fmt.Errorf("sim: slot %d: %w", slot, err)
 			}
@@ -473,9 +471,9 @@ func (s *Simulation) Step() error {
 	if p := s.ProposerAt(slot); !s.byzantine[p] && slot > 0 {
 		ci := s.dutyView[p]
 		node := s.cohorts[ci].Node
-		node.SetVisibility(s.visibilityFor(ci, p, true))
+		node.SetHidden(s.hiddenFor(ci, p, true))
 		b, err := node.ProduceBlockFor(slot, p)
-		node.SetVisibility(nil)
+		node.SetHidden(nil)
 		if err == nil {
 			if ci == s.cohortOf[p] {
 				node.ReceiveBlock(b)
@@ -505,10 +503,12 @@ type dutyBucket struct {
 }
 
 // dutyRosterFor returns the cached duty roster of the epoch, rebuilding it
-// on epoch change. The roster depends only on (epoch, seed, shuffling), so
-// one O(validators) pass serves the epoch's 32 slot scans.
+// on epoch change when duties are shuffled. The roster depends only on
+// (epoch, seed, shuffling), so one O(validators) pass serves the epoch's 32
+// slot scans — and, unshuffled, every epoch's: the fixed assignment puts v
+// on offset v mod SlotsPerEpoch whatever the epoch.
 func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
-	if s.dutyRosterSet && s.dutyRosterEpoch == epoch {
+	if s.dutyRosterSet && (s.dutyRosterEpoch == epoch || !s.Cfg.ShuffledDuties) {
 		return s.dutyRoster
 	}
 	if s.dutyRoster == nil {
@@ -568,23 +568,32 @@ func (s *Simulation) attest(slot types.Slot) {
 
 	for _, b := range buckets {
 		node := s.cohorts[b.view].Node
+		// Members with their own block in flight exist only where the view
+		// has a live embargo at all; elsewhere no member is looked up.
+		hidden := s.hiddenFor(b.view, 0, false)
 		special := 0
-		for _, v := range b.members {
-			if s.ownsLiveEmbargo(b.view, v) {
-				special++
+		if len(hidden) > 0 {
+			for _, v := range b.members {
+				if s.ownsLiveEmbargo(b.view, v) {
+					special++
+				}
 			}
 		}
 		if special < len(b.members) {
-			node.SetVisibility(s.visibilityFor(b.view, 0, false))
+			node.SetHidden(hidden)
 			d, err := node.AttestationData(slot)
-			node.SetVisibility(nil)
+			node.SetHidden(nil)
 			if err == nil {
 				// The one slice that outlives the slot: the network and
 				// every snapshot clone share it as immutable.
 				plain := make([]types.ValidatorIndex, 0, len(b.members)-special)
-				for _, v := range b.members {
-					if special == 0 || !s.ownsLiveEmbargo(b.view, v) {
-						plain = append(plain, v)
+				if special == 0 {
+					plain = append(plain, b.members...)
+				} else {
+					for _, v := range b.members {
+						if !s.ownsLiveEmbargo(b.view, v) {
+							plain = append(plain, v)
+						}
 					}
 				}
 				s.Broadcast(plain[0], slot, Message{Batch: &AttBatch{Data: d, Validators: plain}})
@@ -597,9 +606,9 @@ func (s *Simulation) attest(slot types.Slot) {
 			if !s.ownsLiveEmbargo(b.view, v) {
 				continue
 			}
-			node.SetVisibility(s.visibilityFor(b.view, v, true))
+			node.SetHidden(s.hiddenFor(b.view, v, true))
 			d, err := node.AttestationData(slot)
-			node.SetVisibility(nil)
+			node.SetHidden(nil)
 			if err == nil {
 				a := attestation.Attestation{Validator: v, Data: d}
 				s.Broadcast(v, slot, Message{Att: &a})

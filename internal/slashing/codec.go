@@ -8,19 +8,33 @@ import (
 
 // EncodeTo serializes the detector for the durable snapshot codec: the
 // value table, the per-validator histories as a column of lengths plus one
-// flat column of ids (arrival order preserved — it decides which earlier
-// vote an offense is proved against), and the already-reported marks.
+// flat validator-major column of ids (arrival order preserved — it decides
+// which earlier vote an offense is proved against), and the
+// already-reported marks. Lines, their order and the spill are the
+// in-memory layout only; the frame does not show them.
 func (d *Detector) EncodeTo(w *codec.Writer) {
 	attestation.EncodeTable(w, d.table)
-	counts := make([]uint32, len(d.history))
-	total := 0
-	for v, ids := range d.history {
-		counts[v] = uint32(len(ids))
-		total += len(ids)
+	counts := make([]uint32, len(d.slashed))
+	// next[v] is where validator v's next id lands in the flat column.
+	next := make([]uint32, len(d.slashed))
+	total := uint32(0)
+	for v, at := range d.lineOf {
+		if at != 0 {
+			counts[v] = d.lines[(at-1)*lineWords]
+		}
+		next[v] = total
+		total += counts[v]
 	}
-	flat := make([]uint32, 0, total)
-	for _, ids := range d.history {
-		flat = append(flat, ids...)
+	flat := make([]uint32, total)
+	for v, at := range d.lineOf {
+		if at != 0 {
+			line := d.lines[(at-1)*lineWords:][:lineWords]
+			next[v] += uint32(copy(flat[next[v]:], line[1:1+min(line[0], lineIDs)]))
+		}
+	}
+	for _, o := range d.spill {
+		flat[next[o.validator]] = o.id
+		next[o.validator]++
 	}
 	w.U32s(counts)
 	w.U32s(flat)
@@ -33,7 +47,9 @@ func (d *Detector) EncodeTo(w *codec.Writer) {
 // DecodeDetector reconstructs a detector serialized by EncodeTo. An id
 // past the table, history lengths that do not add up to the id column, or
 // a mark column of another length than the histories is rejected as
-// corrupt.
+// corrupt. Every validator with a history gets the same fixed line whatever
+// the frame claims; a history longer than a line goes to the spill, so the
+// detector stays proportional to the frame however the ids are spread.
 func DecodeDetector(r *codec.Reader) *Detector {
 	d := NewDetector()
 	d.table = attestation.DecodeTable(r)
@@ -43,9 +59,15 @@ func DecodeDetector(r *codec.Reader) *Detector {
 	if r.Err() != nil {
 		return nil
 	}
-	total := 0
+	total, voted, spilled := 0, 0, 0
 	for _, n := range counts {
 		total += int(n)
+		if n > 0 {
+			voted++
+		}
+		if n > lineIDs {
+			spilled += int(n) - lineIDs
+		}
 	}
 	if total != len(flat) || ns != len(counts) {
 		r.Corrupt("slashing: %d history lengths summing to %d over %d ids and %d marks", len(counts), total, len(flat), ns)
@@ -57,14 +79,18 @@ func DecodeDetector(r *codec.Reader) *Detector {
 			return nil
 		}
 	}
-	// The decoded id column is the histories' backing array; each history
-	// is capped at its length, so an append reallocates instead of
-	// clobbering its neighbor.
-	d.history = make([][]uint32, len(counts))
+	d.lines = make([]uint32, 0, voted*lineWords)
+	d.lineOf = make([]uint32, len(counts))
+	d.spill = make([]overflow, 0, spilled)
 	for v, n := range counts {
-		if n > 0 {
-			d.history[v], flat = flat[:n:n], flat[n:]
+		if n == 0 {
+			continue
 		}
+		line := d.line(uint32(v))
+		for _, id := range flat[:n] {
+			d.push(line, uint32(v), id)
+		}
+		flat = flat[n:]
 	}
 	d.slashed = make([]bool, ns)
 	for i := range d.slashed {

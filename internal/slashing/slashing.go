@@ -56,6 +56,28 @@ func (e Evidence) String() string {
 		e.Kind, e.Validator, e.First.Target.Epoch, e.Second.Target.Epoch)
 }
 
+// A validator's history lives in one line of the detector's arena: a
+// 64-byte cache line holding its length, its first lineIDs vote ids, and —
+// once it has more than that — the position of its newest entry in the
+// spill.
+const (
+	lineWords = 16            // uint32 words per line
+	lineIDs   = lineWords - 2 // ids held in the line itself
+	lineTail  = lineWords - 1 // word linking to the spill: 1 + index of the newest overflow entry, 0 for none
+)
+
+var emptyLine [lineWords]uint32
+
+// overflow is one vote id that did not fit its validator's line. Entries
+// sit in the spill in arrival order; prev chains a validator's entries
+// newest to oldest (1 + index, 0 at the oldest), so reading one validator's
+// overflow never walks another's.
+type overflow struct {
+	validator uint32
+	id        uint32
+	prev      uint32
+}
+
 // Detector accumulates every attestation it observes and reports offenses.
 // One Detector instance corresponds to one observer's knowledge: feed it
 // only the attestations that observer has actually received, and it will
@@ -68,17 +90,37 @@ type Detector struct {
 	// table lists the distinct attestation data values retained, in
 	// first-seen order; history ids index it.
 	table []attestation.Data
-	// history[v] holds the ids of all distinct votes seen from v, in
-	// arrival order; the outer slice grows to the highest validator index
-	// observed.
-	history [][]uint32
+	// lines is the history arena, lineWords words per validator that has
+	// voted, in order of first vote — a cohort's duty slot votes together
+	// from its first epoch on, so a batch reads neighbouring lines, and a
+	// view that hears half the validators holds half the lines. Word 0
+	// counts the distinct votes seen from the validator, words 1..lineIDs
+	// hold the first of their ids in arrival order, word lineTail links to
+	// the rest.
+	lines []uint32
+	// lineOf[v] is 1 + the position of v's line in the arena, 0 while v has
+	// not voted; it grows to the highest validator index observed.
+	lineOf []uint32
+	// spill holds, in arrival order, the ids that overflowed their lines. A
+	// validator's history is its line's ids, then its spill entries.
+	spill []overflow
 	// slashed[v] marks validators with already-reported evidence so each
-	// offender is reported once. It is as long as history.
+	// offender is reported once. It is as long as lineOf.
 	slashed []bool
 	// renumber is Prune's old-id -> new-id scratch.
 	//gasper:nocodec scratch buffer; each detector re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	renumber []uint32
+	// memo[id] caches how table[id] conflicts with the value of the batch
+	// being observed: batch<<2 | Kind, valid while its stamp equals batch.
+	// A cohort's validators share most of their past votes, so a batch
+	// classifies each of them once.
+	//gasper:nocodec per-batch scratch; a stale stamp reads as empty
+	//gasper:shallow per-batch scratch; clones re-grow their own
+	memo []uint64
+	//gasper:nocodec stamps memo entries; a decoded detector restarts from its empty memo
+	//gasper:shallow stamps memo entries; a clone restarts from its empty memo
+	batch uint64
 }
 
 // NewDetector returns an empty detector.
@@ -117,24 +159,53 @@ func (d *Detector) ObserveBatch(dst []Evidence, data attestation.Data, validator
 			need = int(v) + 1
 		}
 	}
-	if len(d.history) < need {
+	if len(d.slashed) < need {
 		//gasper:alloc one-time column growth to the validator count
-		d.history = append(d.history, make([][]uint32, need-len(d.history))...)
+		d.lineOf = append(d.lineOf, make([]uint32, need-len(d.lineOf))...)
 		//gasper:alloc one-time column growth to the validator count
 		d.slashed = append(d.slashed, make([]bool, need-len(d.slashed))...)
 	}
+	if len(d.memo) < len(d.table) {
+		//gasper:alloc one-time column growth to the table's steady size
+		d.memo = append(d.memo, make([]uint64, len(d.table)-len(d.memo))...)
+	}
+	// A memo word is read in line here; only its miss is a call.
+	d.batch++
+	memo, stamp := d.memo, d.batch
 votes:
 	for _, v := range validators {
 		// One walk both deduplicates and, for a validator not yet
 		// reported, finds the earliest conflicting vote.
-		kind, first, reported := None, uint32(0), d.slashed[v]
-		for _, prev := range d.history[v] {
+		line := d.line(uint32(v))
+		kind, first, search := None, uint32(0), !d.slashed[v]
+		for _, prev := range line[1 : 1+min(line[0], lineIDs)] {
 			if prev == id {
 				continue votes // exact duplicate, not an offense
 			}
-			if !reported && kind == None {
-				if kind = spanConflict(&d.table[prev], &data); kind != None {
-					first = prev
+			if search {
+				m := memo[prev]
+				if m>>2 != stamp {
+					m = d.classify(prev, &data)
+				}
+				if kind = Kind(m & 3); kind != None {
+					first, search = prev, false
+				}
+			}
+		}
+		// The overflow reads newest first, so the last conflict met is the
+		// earliest cast — unless the line, older still, already held one.
+		for at := line[lineTail]; at != 0; at = d.spill[at-1].prev {
+			prev := d.spill[at-1].id
+			if prev == id {
+				continue votes
+			}
+			if search {
+				m := memo[prev]
+				if m>>2 != stamp {
+					m = d.classify(prev, &data)
+				}
+				if k := Kind(m & 3); k != None {
+					kind, first = k, prev
 				}
 			}
 		}
@@ -142,9 +213,54 @@ votes:
 			dst = append(dst, Evidence{Validator: v, Kind: kind, First: d.table[first], Second: data})
 			d.slashed[v] = true
 		}
-		d.history[v] = append(d.history[v], id)
+		d.push(line, uint32(v), id)
 	}
 	return dst
+}
+
+// line returns validator v's line, opening it at the end of the arena on v's
+// first vote. It is good until the next line is opened. An arena with no
+// room left is moved once, to where every validator known so far would fit:
+// growing it a step at a time would copy it again and again through a
+// cohort's first epoch, and again after every Clone, which leaves no room.
+//
+//gasper:noalloc
+func (d *Detector) line(v uint32) []uint32 {
+	at := d.lineOf[v]
+	if at == 0 {
+		if len(d.lines) == cap(d.lines) {
+			//gasper:alloc one-time arena growth to the validator count
+			d.lines = append(make([]uint32, 0, len(d.lineOf)*lineWords), d.lines...)
+		}
+		d.lines = append(d.lines, emptyLine[:]...)
+		at = uint32(len(d.lines) / lineWords)
+		d.lineOf[v] = at
+	}
+	return d.lines[(at-1)*lineWords:][:lineWords]
+}
+
+// push appends id to the history of validator v, whose line is given.
+//
+//gasper:noalloc
+func (d *Detector) push(line []uint32, v, id uint32) {
+	if n := line[0]; n < lineIDs {
+		line[1+n] = id
+	} else {
+		d.spill = append(d.spill, overflow{validator: v, id: id, prev: line[lineTail]}) //gasper:alloc spill append: a history past one line, an equivocator's
+		line[lineTail] = uint32(len(d.spill))
+	}
+	line[0]++
+}
+
+// classify is the memo's miss: it compares table[prev] with the value of
+// the batch being observed and returns the memo word it files, so the
+// batch's other validators that cast table[prev] read the answer.
+//
+//gasper:noalloc
+func (d *Detector) classify(prev uint32, data *attestation.Data) uint64 {
+	m := d.batch<<2 | uint64(spanConflict(&d.table[prev], data))
+	d.memo[prev] = m
+	return m
 }
 
 // intern returns data's id in the table, appending it on first sight. The
@@ -164,40 +280,31 @@ func (d *Detector) intern(data attestation.Data) uint32 {
 }
 
 // Clone deep-copies the detector, so a snapshotted view can evolve apart
-// from its restore points.
+// from its restore points: five flat copies, whatever the validator count
+// (line and spill links are positions, so they survive the copy as they
+// are).
 func (d *Detector) Clone() *Detector {
-	out := &Detector{
+	return &Detector{
 		table:   append([]attestation.Data(nil), d.table...),
-		history: make([][]uint32, len(d.history)),
+		lines:   append([]uint32(nil), d.lines...),
+		lineOf:  append([]uint32(nil), d.lineOf...),
+		spill:   append([]overflow(nil), d.spill...),
 		slashed: append([]bool(nil), d.slashed...),
 	}
-	// One backing array for the whole history rather than one allocation
-	// per validator (allocation count, not bytes, dominates a paper-scale
-	// clone). Sub-slices are capped at their length, so appending to
-	// either copy's history reallocates instead of clobbering a neighbor.
-	total := 0
-	for _, ids := range d.history {
-		total += len(ids)
-	}
-	arena := make([]uint32, 0, total)
-	for v, ids := range d.history {
-		if len(ids) > 0 {
-			start := len(arena)
-			arena = append(arena, ids...)
-			out.history[v] = arena[start:len(arena):len(arena)]
-		}
-	}
-	return out
 }
 
 // Prune drops recorded votes with target epoch strictly below e, bounding
 // detector memory over long simulations: the table is compacted, its
-// survivors renumbered, and every history rewritten in the new numbering.
-// Already-reported offenders stay marked. Pruning narrows the detection
-// window to votes the observer still retains — the same weak-subjectivity
-// trade-off real clients make; the paper's scenarios surface their evidence
-// within a few epochs of the conflicting votes, so the simulator's 8-epoch
-// retention (matching the attestation pool's) never loses an offense.
+// survivors renumbered, every line rewritten in the new numbering in one
+// sweep of the arena, and the surviving overflow re-filed in arrival order
+// — into the room the sweep made in its validator's line first. Already-
+// reported offenders stay marked. Pruning narrows the detection window to
+// votes the observer still retains — the same weak-subjectivity trade-off
+// real clients make; the paper's scenarios surface their evidence within a
+// few epochs of the conflicting votes, so the simulator's 8-epoch retention
+// (matching the attestation pool's) never loses an offense.
+//
+//gasper:noalloc
 func (d *Detector) Prune(e types.Epoch) {
 	const dropped = ^uint32(0)
 	d.renumber = d.renumber[:0]
@@ -215,17 +322,26 @@ func (d *Detector) Prune(e types.Epoch) {
 		return
 	}
 	d.table = d.table[:kept]
-	for v, ids := range d.history {
-		live := ids[:0]
-		for _, id := range ids {
-			if id = d.renumber[id]; id != dropped {
-				live = append(live, id)
+	// Word indices are taken modulo the line (they are below it anyway), which
+	// lets the compiler drop the bounds checks of the sweep's inner loop.
+	renumber := d.renumber
+	for at := 0; at+lineWords <= len(d.lines); at += lineWords {
+		line := (*[lineWords]uint32)(d.lines[at:])
+		live := uint32(0)
+		for k, n := uint32(1), min(line[0], lineIDs); k <= n; k++ {
+			if id := renumber[line[k%lineWords]]; id != dropped {
+				live++
+				line[live%lineWords] = id
 			}
 		}
-		if len(live) == 0 {
-			d.history[v] = nil
-		} else {
-			d.history[v] = live
+		line[0], line[lineTail] = live, 0
+	}
+	// Re-filing writes at or before the entry being read, never past it.
+	old := d.spill
+	d.spill = d.spill[:0]
+	for _, o := range old {
+		if id := d.renumber[o.id]; id != dropped {
+			d.push(d.line(o.validator), o.validator, id)
 		}
 	}
 }
@@ -238,10 +354,10 @@ func (d *Detector) Slashed(v types.ValidatorIndex) bool {
 // HistoryLen returns the number of distinct votes recorded for v (for tests
 // and metrics).
 func (d *Detector) HistoryLen(v types.ValidatorIndex) int {
-	if int(v) >= len(d.history) {
+	if int(v) >= len(d.lineOf) || d.lineOf[v] == 0 {
 		return 0
 	}
-	return len(d.history[v])
+	return int(d.lines[(d.lineOf[v]-1)*lineWords])
 }
 
 // Conflict classifies the offense formed by two distinct attestation data

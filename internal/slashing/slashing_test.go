@@ -1,10 +1,13 @@
 package slashing
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/attestation"
+	"repro/internal/codec"
 	"repro/internal/types"
 )
 
@@ -182,6 +185,136 @@ func TestDetectorPruneBoundsHistory(t *testing.T) {
 	// ...and the offender stays marked through further pruning.
 	d.Prune(30)
 	if !d.Slashed(1) {
+		t.Error("prune forgot a reported offender")
+	}
+}
+
+// histories reads every validator's votes, in order, out of the detector's
+// frame — the one place its storage is observable from outside.
+func histories(t *testing.T, d *Detector) [][]attestation.Data {
+	t.Helper()
+	var frame bytes.Buffer
+	d.EncodeTo(codec.NewWriter(&frame))
+	r := codec.NewReader(bytes.NewReader(frame.Bytes()))
+	table := attestation.DecodeTable(r)
+	counts, ids := r.U32s(), r.U32s()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	out := make([][]attestation.Data, len(counts))
+	for v, n := range counts {
+		for _, id := range ids[:n] {
+			out[v] = append(out[v], table[id])
+		}
+		ids = ids[n:]
+	}
+	return out
+}
+
+// TestDetectorLongHistoriesKeepArrivalOrder: a history longer than its
+// validator's line continues in the spill, and nothing a caller can see
+// tells the two apart — order, deduplication, which earlier vote an offense
+// is proved against (the earliest, wherever it lives), pruning that moves
+// overflow back into the line, clones and decoded frames.
+func TestDetectorLongHistoriesKeepArrivalOrder(t *testing.T) {
+	// An honest chain of votes: epoch e has source e-1, so no two conflict.
+	vote := func(e uint64) attestation.Data { return data(e*32, e, e-1, e-1, e, e) }
+	observe := func(d *Detector, v types.ValidatorIndex, a attestation.Data) *Evidence {
+		return d.Observe(attestation.Attestation{Validator: v, Data: a})
+	}
+	const full, even = types.ValidatorIndex(3), types.ValidatorIndex(5)
+	const twin = types.ValidatorIndex(4) // casts what full casts
+	d := NewDetector()
+	want := make([][]attestation.Data, 6)
+	cast := func(v types.ValidatorIndex, a attestation.Data) {
+		t.Helper()
+		if ev := observe(d, v, a); ev != nil {
+			t.Fatalf("validator %d: honest vote for epoch %d reported: %v", v, a.Target.Epoch, ev)
+		}
+		want[v] = append(want[v], a)
+	}
+	for e := uint64(1); e <= 40; e++ {
+		cast(full, vote(e))
+		cast(twin, vote(e))
+		if e%2 == 0 {
+			cast(even, vote(e))
+		}
+	}
+	check := func(at string, d *Detector) {
+		t.Helper()
+		got := histories(t, d)
+		for v := range want {
+			if !slices.Equal(got[v], want[v]) {
+				t.Fatalf("%s: validator %d history\n  got  %v\n  want %v", at, v, got[v], want[v])
+			}
+			if d.HistoryLen(types.ValidatorIndex(v)) != len(want[v]) {
+				t.Fatalf("%s: validator %d HistoryLen = %d, want %d", at, v, d.HistoryLen(types.ValidatorIndex(v)), len(want[v]))
+			}
+		}
+	}
+	check("after 40 epochs", d)
+	if lineIDs >= 20 {
+		t.Fatalf("a line holds %d ids: the histories above no longer overflow it", lineIDs)
+	}
+
+	// Re-delivery of a vote that lives in the overflow is not a new vote.
+	if ev := observe(d, full, vote(33)); ev != nil || d.HistoryLen(full) != 40 {
+		t.Fatalf("duplicate of an overflow entry: evidence %v, history %d", ev, d.HistoryLen(full))
+	}
+	// A double vote against an entry only the overflow holds.
+	double := data(30*32, 999, 29, 29, 30, 999)
+	if ev := observe(d, full, double); ev == nil || ev.Kind != DoubleVote || ev.First != vote(30) {
+		t.Fatalf("double vote against epoch 30: %v", ev)
+	}
+	want[full] = append(want[full], double)
+	// A vote surrounding epochs 11..34: the earliest of them is in the line.
+	wide := data(35*32, 998, 9, 9, 35, 998)
+	if ev := observe(d, twin, wide); ev == nil || ev.Kind != SurroundVote || ev.First != vote(11) {
+		t.Fatalf("surround with its earliest match in the line: %v", ev)
+	}
+	want[twin] = append(want[twin], wide)
+	// A vote surrounding epochs 32..38 of the even voter: all of them in
+	// its overflow, read newest first; the proof is against the earliest.
+	narrow := data(39*32, 997, 30, 30, 39, 997)
+	if ev := observe(d, even, narrow); ev == nil || ev.Kind != SurroundVote || ev.First != vote(32) {
+		t.Fatalf("surround with every match in the overflow: %v", ev)
+	}
+	want[even] = append(want[even], narrow)
+	check("after the offenses", d)
+
+	// Pruning below epoch 27 leaves the even voter 8 votes — its overflow
+	// moves into the line — and the other two 15, still one past it.
+	prune := func(e types.Epoch) {
+		d.Prune(e)
+		for v := range want {
+			want[v] = slices.DeleteFunc(want[v], func(a attestation.Data) bool { return a.Target.Epoch < e })
+		}
+	}
+	prune(27)
+	check("after the prune", d)
+	for e := uint64(41); e <= 44; e++ {
+		cast(full, vote(e))
+		cast(even, vote(e))
+	}
+	check("votes after the prune", d)
+
+	clone := d.Clone()
+	var frame bytes.Buffer
+	d.EncodeTo(codec.NewWriter(&frame))
+	decoded := DecodeDetector(codec.NewReader(bytes.NewReader(frame.Bytes())))
+	if decoded == nil {
+		t.Fatal("frame does not decode")
+	}
+	for name, other := range map[string]*Detector{"clone": clone, "decoded": decoded} {
+		check(name, other)
+		observe(other, even, vote(50))
+		if other.HistoryLen(even) != d.HistoryLen(even)+1 {
+			t.Fatalf("%s: a vote it took changed the original", name)
+		}
+	}
+	prune(100)
+	check("after pruning everything", d)
+	if !d.Slashed(full) || !d.Slashed(twin) || !d.Slashed(even) {
 		t.Error("prune forgot a reported offender")
 	}
 }
