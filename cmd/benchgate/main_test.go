@@ -1,0 +1,139 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// canned is `go test -bench` output as the bench job sees it: two packages,
+// a GOMAXPROCS suffix on every name, a benchmark whose own name ends in a
+// number, custom metrics, and the lines around them.
+const canned = `goos: linux
+goarch: amd64
+pkg: repro/internal/forkchoice
+BenchmarkHead/steady-1000-2         	     100	        25.10 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHead/steady-1000000-2      	     100	        31.40 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHeadDeepChain/depth-256-2  	    2000	      2700 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHeadDeepChain/depth-4096-2 	    2000	      2900 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	repro/internal/forkchoice	1.2s
+pkg: repro/internal/engine
+BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec
+BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec
+PASS
+`
+
+func f(v float64) *float64 { return &v }
+
+func verdicts(t *testing.T, gates []gate, output string) (int, string) {
+	t.Helper()
+	var report strings.Builder
+	failed := check(&report, gates, output)
+	return failed, report.String()
+}
+
+func TestCheckPassesAndFails(t *testing.T) {
+	gates := []gate{
+		{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
+		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
+		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
+	}
+	if failed, report := verdicts(t, gates, canned); failed != 0 || strings.Count(report, "ok ") != 3 {
+		t.Fatalf("%d gates failed on output that meets them all:\n%s", failed, report)
+	}
+
+	allocating := strings.Replace(canned, "0 B/op	       0 allocs/op\nBenchmarkHeadDeepChain/depth-256", "16 B/op	       1 allocs/op\nBenchmarkHeadDeepChain/depth-256", 1)
+	if failed, report := verdicts(t, gates, allocating); failed != 1 || !strings.Contains(report, "FAIL BenchmarkHead/steady-.* allocs/op = 0..1 over 2 lines") {
+		t.Fatalf("one allocating steady-state line: %d failed\n%s", failed, report)
+	}
+
+	deep := strings.Replace(canned, "2900 ns/op", "4100 ns/op", 1)
+	if failed, report := verdicts(t, gates, deep); failed != 1 || !strings.Contains(report, "= 1.519 (max 1.5)") {
+		t.Fatalf("depth-4096 at 1.52x depth-256: %d failed\n%s", failed, report)
+	}
+
+	slowWarm := strings.Replace(canned, "221.0 cells/sec", "120.0 cells/sec", 1)
+	if failed, report := verdicts(t, gates, slowWarm); failed != 1 || !strings.Contains(report, "= 2.824 (min 3)") {
+		t.Fatalf("warm at 2.8x cold: %d failed\n%s", failed, report)
+	}
+}
+
+// TestCheckFailsOnMissingMetric: a gate never passes by finding nothing to
+// judge — a benchmark that was renamed, a run without -benchmem, a ratio
+// with one side absent.
+func TestCheckFailsOnMissingMetric(t *testing.T) {
+	for name, tc := range map[string]struct {
+		gate   gate
+		output string
+		want   string
+	}{
+		"renamed benchmark": {
+			gate{Bench: "BenchmarkEpochTransition", Metric: "allocs/op", Max: f(0)}, canned,
+			"no BenchmarkEpochTransition line reports allocs/op",
+		},
+		"no -benchmem": {
+			gate{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
+			strings.ReplaceAll(canned, "	       0 B/op	       0 allocs/op", ""),
+			"no BenchmarkHead/steady-.* line reports allocs/op",
+		},
+		"baseline absent": {
+			gate{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
+			strings.Replace(canned, "BenchmarkSweepWarmStart/cold", "BenchmarkSweepWarmStart/chilly", 1),
+			"no BenchmarkSweepWarmStart/cold line reports a nonzero cells/sec",
+		},
+		"empty output": {
+			gate{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)}, "",
+			"no BenchmarkHead/steady-.* line reports allocs/op",
+		},
+	} {
+		failed, report := verdicts(t, []gate{tc.gate}, tc.output)
+		if failed != 1 || !strings.Contains(report, tc.want) {
+			t.Errorf("%s: %d failed, report %q; want one failure saying %q", name, failed, report, tc.want)
+		}
+	}
+}
+
+// TestNamesMatchWholeWithOrWithoutProcs: on one CPU go test appends no
+// -GOMAXPROCS suffix, and a name's own trailing number must not be taken
+// for one — depth-4096 is not depth-409, steady-1000 not steady-1000000.
+func TestNamesMatchWholeWithOrWithoutProcs(t *testing.T) {
+	oneCPU := strings.NewReplacer("-2  ", "  ", "-2 ", " ").Replace(canned)
+	for _, output := range []string{canned, oneCPU} {
+		results := parse(output)
+		if got := values(results, "BenchmarkHead/steady-1000", "ns/op"); len(got) != 1 || got[0] != 25.10 {
+			t.Errorf("steady-1000 ns/op = %v, want [25.1]", got)
+		}
+		if got := values(results, "BenchmarkHeadDeepChain/depth-.*", "allocs/op"); len(got) != 2 {
+			t.Errorf("depth-.* matched %d lines, want 2", len(got))
+		}
+		if got := values(results, "BenchmarkHeadDeepChain/depth-409", "ns/op"); len(got) != 0 {
+			t.Errorf("depth-409 matched %v", got)
+		}
+	}
+	if got := median([]float64{1, 2, 3}); got != 2 {
+		t.Errorf("median = %v", got)
+	}
+	if got := median([]float64{1, 2, 3, 4}); got != 2.5 {
+		t.Errorf("median = %v", got)
+	}
+}
+
+// TestGatesFileLoads: the checked-in file is well-formed and says why each
+// floor exists; a file that is not a gates file does not load.
+func TestGatesFileLoads(t *testing.T) {
+	gates, err := loadGates("gates.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gates) == 0 {
+		t.Fatal("gates.json declares no gates")
+	}
+	for _, g := range gates {
+		if g.Why == "" {
+			t.Errorf("gate on %s does not say why", g.Bench)
+		}
+	}
+	if _, err := loadGates("main.go"); err == nil {
+		t.Error("a file that is not a gates file loaded")
+	}
+}

@@ -11,6 +11,7 @@ package attestation
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -53,26 +54,39 @@ func (a Attestation) String() string {
 // of the Data values seen plus validator-indexed columns of 4-byte ids into
 // it. Dedup is an integer compare, the boundary sweeps resolve a link or a
 // target once per distinct value and then walk a flat column, and Clone
-// copies a few flat slices per epoch. The zero value is not usable;
-// construct with NewPool.
+// copies a few flat slices per epoch. The pool is also the only record of
+// who voted what: the slashing detector stores no votes and reads these
+// columns (Retained). The zero value is an empty pool.
 type Pool struct {
-	byEpoch map[types.Epoch]*epochVotes
+	// epochs holds the retained target epochs in ascending order — the
+	// boundary's prune keeps it to about ten.
+	epochs []*EpochVotes
 	// width is the longest id column any epoch has needed (highest
 	// validator index seen + 1). A new epoch's column is allocated at that
 	// width in one piece instead of growing batch by batch.
 	width int //gasper:nocodec allocation hint; DecodePool re-learns it from the decoded column lengths
-	// rows is AppendLinkTally's per-call scratch.
+	// win and rows are AppendWindowTally's per-call scratch: the window's
+	// epochs, and their id -> row columns laid end to end.
+	//gasper:nocodec scratch buffer; each pool re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	win []windowEpoch
 	//gasper:nocodec scratch buffer; each pool re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	rows []int32
 }
 
-// epochVotes holds one target epoch's votes. An id is a table index plus
-// one; zero means no vote.
-type epochVotes struct {
+// EpochVotes holds one target epoch's votes. An id is a table index plus
+// one; zero means no vote. Outside the package it is read-only.
+type EpochVotes struct {
+	epoch types.Epoch
 	// table lists the distinct Data values seen with this target epoch, in
 	// first-seen order.
 	table []Data
+	// srcMin and srcMax bound the source epochs of the table's values, kept
+	// as values are interned: whether any vote of this epoch can surround,
+	// or be surrounded by, a vote of another is two compares.
+	srcMin types.Epoch //gasper:nocodec derived from the table; decodeEpochVotes recomputes it
+	srcMax types.Epoch //gasper:nocodec derived from the table; decodeEpochVotes recomputes it
 	// first[v] is the id of validator v's first distinct vote; second[v]
 	// that of its second (the equivocator's other face), nil until some
 	// validator casts one and as long as first from then on. A validator's
@@ -92,9 +106,56 @@ type spillVote struct {
 }
 
 // NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{byEpoch: make(map[types.Epoch]*epochVotes)}
+func NewPool() *Pool { return &Pool{} }
+
+// find returns target epoch e's votes, or nil. It looks from the newest
+// epoch down: votes arrive for, and the boundary reads, the latest few.
+//
+//gasper:noalloc
+func (p *Pool) find(e types.Epoch) *EpochVotes {
+	for i := len(p.epochs) - 1; i >= 0 && p.epochs[i].epoch >= e; i-- {
+		if p.epochs[i].epoch == e {
+			return p.epochs[i]
+		}
+	}
+	return nil
 }
+
+// open is find that files an empty entry, in order, for an epoch not held.
+//
+//gasper:noalloc
+func (p *Pool) open(e types.Epoch) *EpochVotes {
+	i := len(p.epochs)
+	for i > 0 && p.epochs[i-1].epoch >= e {
+		i--
+	}
+	if i < len(p.epochs) && p.epochs[i].epoch == e {
+		return p.epochs[i]
+	}
+	ev := &EpochVotes{epoch: e} //gasper:alloc first vote of a target epoch, once per epoch
+	p.epochs = slices.Insert(p.epochs, i, ev)
+	return ev
+}
+
+// Retained returns the target epochs the pool holds, in ascending order.
+// The slice and its entries are the pool's own: read-only, and valid until
+// the pool is next mutated.
+func (p *Pool) Retained() []*EpochVotes { return p.epochs }
+
+// Epoch returns the target epoch these votes are for.
+func (ev *EpochVotes) Epoch() types.Epoch { return ev.epoch }
+
+// SourceRange returns the lowest and the highest source epoch among the
+// epoch's distinct votes.
+func (ev *EpochVotes) SourceRange() (lo, hi types.Epoch) { return ev.srcMin, ev.srcMax }
+
+// Values returns the epoch's distinct votes in first-seen order; the vote
+// with id i is Values()[i-1].
+func (ev *EpochVotes) Values() []Data { return ev.table }
+
+// Equivocated reports whether some validator holds two distinct votes for
+// this target epoch.
+func (ev *EpochVotes) Equivocated() bool { return ev.second != nil }
 
 // Add records an attestation. Duplicate (validator, data) pairs are
 // ignored. It reports whether the attestation was new. It is AddBatch with
@@ -117,12 +178,7 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 	if len(validators) == 0 {
 		return dst
 	}
-	ev := p.byEpoch[data.Target.Epoch]
-	if ev == nil {
-		//gasper:alloc first vote of a target epoch, once per epoch
-		ev = &epochVotes{}
-		p.byEpoch[data.Target.Epoch] = ev
-	}
+	ev := p.open(data.Target.Epoch)
 	id := ev.intern(data)
 	need := 0
 	for _, v := range validators {
@@ -166,21 +222,34 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 // first seen, if at all.
 //
 //gasper:noalloc
-func (ev *epochVotes) intern(d Data) uint32 {
+func (ev *EpochVotes) intern(d Data) uint32 {
 	for i := len(ev.table) - 1; i >= 0; i-- {
 		if ev.table[i] == d {
 			return uint32(i + 1)
 		}
 	}
 	ev.table = append(ev.table, d) //gasper:alloc the once-per-batch intern of a first-seen value
+	ev.noteSource(len(ev.table) - 1)
 	return uint32(len(ev.table))
+}
+
+// noteSource widens the source range to cover table[i]; the entries before
+// it have been noted.
+func (ev *EpochVotes) noteSource(i int) {
+	s := ev.table[i].Source.Epoch
+	if i == 0 || s < ev.srcMin {
+		ev.srcMin = s
+	}
+	if i == 0 || s > ev.srcMax {
+		ev.srcMax = s
+	}
 }
 
 // addEquivocation records id as a second-or-later distinct vote of v,
 // whose first vote differs from it. It reports whether the vote was new.
 //
 //gasper:noalloc
-func (ev *epochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
+func (ev *EpochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
 	if ev.second == nil {
 		ev.second = make([]uint32, len(ev.first)) //gasper:alloc one-time column growth at the epoch's first equivocation
 	}
@@ -201,7 +270,7 @@ func (ev *epochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
 }
 
 // voters returns the highest validator index holding a vote, plus one.
-func (ev *epochVotes) voters() int {
+func (ev *EpochVotes) voters() int {
 	n := len(ev.first)
 	for n > 0 && ev.first[n-1] == 0 {
 		n--
@@ -209,10 +278,10 @@ func (ev *epochVotes) voters() int {
 	return n
 }
 
-// appendVotes appends the ids of v's votes to dst, in arrival order.
+// AppendVotes appends the ids of v's votes to dst, in arrival order.
 //
 //gasper:noalloc
-func (ev *epochVotes) appendVotes(dst []uint32, v types.ValidatorIndex) []uint32 {
+func (ev *EpochVotes) AppendVotes(dst []uint32, v types.ValidatorIndex) []uint32 {
 	if int(v) >= len(ev.first) || ev.first[v] == 0 {
 		return dst
 	}
@@ -235,14 +304,14 @@ func (ev *epochVotes) appendVotes(dst []uint32, v types.ValidatorIndex) []uint32
 // value on every call — the pool itself stores ids — and exists for tests
 // and probes; the protocol paths read the id columns.
 func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
-	ev := p.byEpoch[e]
+	ev := p.find(e)
 	if ev == nil {
 		return nil
 	}
 	out := make([][]Data, ev.voters())
 	var ids []uint32
 	for v := range out {
-		ids = ev.appendVotes(ids[:0], types.ValidatorIndex(v))
+		ids = ev.AppendVotes(ids[:0], types.ValidatorIndex(v))
 		for _, id := range ids {
 			out[v] = append(out[v], ev.table[id-1])
 		}
@@ -253,7 +322,7 @@ func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 // Voted reports whether the validator cast any attestation with target
 // epoch e.
 func (p *Pool) Voted(e types.Epoch, v types.ValidatorIndex) bool {
-	ev := p.byEpoch[e]
+	ev := p.find(e)
 	return ev != nil && int(v) < len(ev.first) && ev.first[v] != 0
 }
 
@@ -274,7 +343,7 @@ func (p *Pool) VotedForTarget(e types.Epoch, v types.ValidatorIndex, root types.
 // columns in place and is valid until the pool is next mutated. The zero
 // value reports nobody active; reloading reuses its storage.
 type Activity struct {
-	ev *epochVotes
+	ev *EpochVotes
 	// match[id] reports whether the vote with that id names the root;
 	// match[0], the id of no vote, is false.
 	match []bool
@@ -285,7 +354,7 @@ type Activity struct {
 //
 //gasper:noalloc
 func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) {
-	a.ev = p.byEpoch[e]
+	a.ev = p.find(e)
 	a.match = a.match[:0]
 	if a.ev == nil {
 		return
@@ -328,56 +397,103 @@ type LinkWeight struct {
 	Weight types.Gwei
 }
 
-// AppendLinkTally appends the per-link stake tally of target epoch e to
-// dst and returns it. It is the allocation-free boundary-path counterpart
-// of TargetWeights: one O(validators) sweep of the epoch's id column, with
-// each distinct vote's link looked up among the rows once, on the first
-// stake-bearing validator that cast it — rows therefore appear in the order
-// ascending validators first give them weight. When dst has capacity, the
-// sweep does not allocate. Equivocating validators count toward every
-// distinct link they voted for, exactly as on-chain inclusion would credit
-// them on each branch.
+// windowEpoch is one target epoch of a window being tallied.
+type windowEpoch struct {
+	ev *EpochVotes
+	// first and second are ev's columns, at hand for the pass.
+	first, second []uint32
+	out           int // which of the caller's tallies receives dst
+	// dst is the tally so far; the rows of this call start at base, and
+	// rows[id] is the dst row of that vote's link, -1 until resolved.
+	dst  []LinkWeight
+	base int
+	rows []int32
+}
+
+// AppendWindowTally appends to dst[k] the per-link stake tally of target
+// epoch lo+k, for every k, in one validator-major pass over the epochs' id
+// columns: a validator's stake is asked for once, and only if it voted;
+// each distinct vote's link is looked up among its epoch's rows once, on
+// the first stake-bearing validator that cast it — an epoch's rows
+// therefore appear in the order ascending validators first give them
+// weight. It is the allocation-free boundary-path counterpart of
+// TargetWeights: when the tallies have capacity, the pass does not
+// allocate. Equivocating validators count toward every distinct link they
+// voted for, exactly as on-chain inclusion would credit them on each
+// branch.
 //
 //gasper:noalloc
-func (p *Pool) AppendLinkTally(dst []LinkWeight, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) []LinkWeight {
-	ev := p.byEpoch[e]
-	if ev == nil {
-		return dst
+func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, stake func(types.ValidatorIndex) types.Gwei) {
+	p.win = p.win[:0]
+	ids, width := 0, 0
+	for k := range dst {
+		if ev := p.find(lo + types.Epoch(k)); ev != nil {
+			p.win = append(p.win, windowEpoch{ev: ev, first: ev.first, second: ev.second, out: k, dst: dst[k], base: len(dst[k])})
+			ids += len(ev.table) + 1
+			width = max(width, len(ev.first))
+		}
 	}
-	base := len(dst)
-	// rows[id] is the dst row of that vote's link, -1 until resolved.
-	if cap(p.rows) <= len(ev.table) {
-		p.rows = make([]int32, len(ev.table)+1) //gasper:alloc scratch growth, amortized to zero
+	if cap(p.rows) < ids {
+		p.rows = make([]int32, ids) //gasper:alloc scratch growth, amortized to zero
 	}
-	rows := p.rows[:len(ev.table)+1]
+	rows := p.rows[:ids]
 	for i := range rows {
 		rows[i] = -1
 	}
-	for v, id := range ev.first {
-		if id == 0 {
-			continue
-		}
-		w := stake(types.ValidatorIndex(v))
-		if w == 0 {
-			continue
-		}
-		// The hot path: one vote per validator per epoch.
-		if rows[id] < 0 {
-			dst = ev.resolveRow(dst, base, rows, id)
-		}
-		dst[rows[id]].Weight += w
-		if ev.second != nil && ev.second[v] != 0 {
-			dst = ev.tallyEquivocations(dst, base, rows, types.ValidatorIndex(v), w)
+	win := p.win
+	for i := range win {
+		n := len(win[i].ev.table) + 1
+		win[i].rows, rows = rows[:n], rows[n:]
+	}
+	for v := 0; v < width; v++ {
+		var w types.Gwei
+		for i := range win {
+			we := &win[i]
+			if v >= len(we.first) {
+				continue
+			}
+			id := we.first[v]
+			if id == 0 {
+				continue
+			}
+			if w == 0 {
+				if w = stake(types.ValidatorIndex(v)); w == 0 {
+					break
+				}
+			}
+			// The hot path: one vote per validator per epoch.
+			row := we.rows[id]
+			if row < 0 {
+				we.dst = we.ev.resolveRow(we.dst, we.base, we.rows, id)
+				row = we.rows[id]
+			}
+			we.dst[row].Weight += w
+			if we.second != nil && we.second[v] != 0 {
+				we.dst = we.ev.tallyEquivocations(we.dst, we.base, we.rows, types.ValidatorIndex(v), w)
+			}
 		}
 	}
-	return dst
+	for i := range win {
+		dst[win[i].out] = win[i].dst
+		win[i] = windowEpoch{}
+	}
+}
+
+// AppendLinkTally appends the per-link stake tally of target epoch e to
+// dst and returns it: AppendWindowTally with a window of one epoch.
+//
+//gasper:noalloc
+func (p *Pool) AppendLinkTally(dst []LinkWeight, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) []LinkWeight {
+	one := [1][]LinkWeight{dst}
+	p.AppendWindowTally(one[:], e, stake)
+	return one[0]
 }
 
 // resolveRow sets rows[id] to the row of that vote's link in dst[base:],
 // appending a zero-weight row for a first-seen link.
 //
 //gasper:noalloc
-func (ev *epochVotes) resolveRow(dst []LinkWeight, base int, rows []int32, id uint32) []LinkWeight {
+func (ev *EpochVotes) resolveRow(dst []LinkWeight, base int, rows []int32, id uint32) []LinkWeight {
 	d := &ev.table[id-1]
 	l := Link{Source: d.Source, Target: d.Target}
 	for i := base; i < len(dst); i++ {
@@ -396,9 +512,9 @@ func (ev *epochVotes) resolveRow(dst []LinkWeight, base int, rows []int32, id ui
 // against the validator's own earlier votes.
 //
 //gasper:noalloc
-func (ev *epochVotes) tallyEquivocations(dst []LinkWeight, base int, rows []int32, v types.ValidatorIndex, w types.Gwei) []LinkWeight {
+func (ev *EpochVotes) tallyEquivocations(dst []LinkWeight, base int, rows []int32, v types.ValidatorIndex, w types.Gwei) []LinkWeight {
 	var buf [8]uint32
-	ids := ev.appendVotes(buf[:0], v)
+	ids := ev.AppendVotes(buf[:0], v)
 votes:
 	for k := 1; k < len(ids); k++ {
 		if rows[ids[k]] < 0 {
@@ -440,17 +556,19 @@ func (p *Pool) TargetWeights(e types.Epoch, stake func(types.ValidatorIndex) typ
 // Clone deep-copies the pool, so a snapshotted view can evolve apart from
 // its restore points: per epoch, the value table and the flat id columns.
 func (p *Pool) Clone() *Pool {
-	out := &Pool{byEpoch: make(map[types.Epoch]*epochVotes, len(p.byEpoch)), width: p.width}
-	//gasper:ordered each epoch is copied into its own entry of the new map
-	for e, ev := range p.byEpoch {
-		out.byEpoch[e] = ev.clone()
+	out := &Pool{epochs: make([]*EpochVotes, len(p.epochs)), width: p.width}
+	for i, ev := range p.epochs {
+		out.epochs[i] = ev.clone()
 	}
 	return out
 }
 
-func (ev *epochVotes) clone() *epochVotes {
-	return &epochVotes{
+func (ev *EpochVotes) clone() *EpochVotes {
+	return &EpochVotes{
+		epoch:  ev.epoch,
 		table:  append([]Data(nil), ev.table...),
+		srcMin: ev.srcMin,
+		srcMax: ev.srcMax,
 		first:  append([]uint32(nil), ev.first...),
 		second: append([]uint32(nil), ev.second...),
 		spill:  append([]spillVote(nil), ev.spill...),
@@ -458,18 +576,19 @@ func (ev *epochVotes) clone() *epochVotes {
 }
 
 // Prune drops all attestations with target epoch strictly below e, bounding
-// pool memory in long simulations.
+// pool memory in long simulations — and, because the slashing detector
+// reads the pool, the window in which an offense can still be proved.
 func (p *Pool) Prune(e types.Epoch) {
-	for epoch := range p.byEpoch {
-		if epoch < e {
-			delete(p.byEpoch, epoch)
-		}
+	n := 0
+	for n < len(p.epochs) && p.epochs[n].epoch < e {
+		n++
 	}
+	p.epochs = slices.Delete(p.epochs, 0, n)
 }
 
 // Epochs returns the number of epochs currently retained (for tests and
 // metrics).
-func (p *Pool) Epochs() int { return len(p.byEpoch) }
+func (p *Pool) Epochs() int { return len(p.epochs) }
 
 // Link is a source->target checkpoint pair: the FFG vote proper.
 type Link struct {

@@ -1,8 +1,6 @@
 package attestation
 
 import (
-	"sort"
-
 	"repro/internal/codec"
 	"repro/internal/types"
 )
@@ -58,25 +56,22 @@ func DecodeTable(r *codec.Reader) []Data {
 }
 
 // EncodeTo serializes the pool for the durable snapshot codec: target
-// epochs in sorted order, each as its value table plus its id columns.
+// epochs in ascending order, each as its number, its value table and its
+// id columns.
 func (p *Pool) EncodeTo(w *codec.Writer) {
-	epochs := make([]types.Epoch, 0, len(p.byEpoch))
-	for e := range p.byEpoch {
-		epochs = append(epochs, e)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	w.Len(len(epochs))
-	for _, e := range epochs {
-		w.U64(uint64(e))
-		p.byEpoch[e].encodeTo(w)
+	w.Len(len(p.epochs))
+	for _, ev := range p.epochs {
+		ev.encodeTo(w)
 	}
 }
 
-// encodeTo writes the table and the columns, each column cut after its
-// last vote: how far past that a column has been sized is an allocation
-// choice, not state (first-seen order of the table and arrival order of
-// the spill are state — dedup and VotesForEpoch observe them).
-func (ev *epochVotes) encodeTo(w *codec.Writer) {
+// encodeTo writes the epoch, the table and the columns, each column cut
+// after its last vote: how far past that a column has been sized is an
+// allocation choice, not state (first-seen order of the table and arrival
+// order of the spill are state — dedup, VotesForEpoch and the slashing
+// detector observe them).
+func (ev *EpochVotes) encodeTo(w *codec.Writer) {
+	w.U64(uint64(ev.epoch))
 	EncodeTable(w, ev.table)
 	w.U32s(ev.first[:ev.voters()])
 	n := len(ev.second)
@@ -102,32 +97,31 @@ func DecodePool(r *codec.Reader) *Pool {
 	if r.Err() != nil {
 		return nil
 	}
-	var prev types.Epoch
 	for i := 0; i < ne; i++ {
-		e := types.Epoch(r.U64())
-		if i > 0 && e <= prev {
-			r.Corrupt("attestation: pool epoch %d after %d", e, prev)
-		}
-		prev = e
-		ev := decodeEpochVotes(r, e)
+		ev := decodeEpochVotes(r)
 		if ev == nil {
 			return nil
 		}
-		p.byEpoch[e] = ev
+		if i > 0 && ev.epoch <= p.epochs[i-1].epoch {
+			r.Corrupt("attestation: pool epoch %d after %d", ev.epoch, p.epochs[i-1].epoch)
+			return nil
+		}
+		p.epochs = append(p.epochs, ev)
 		p.width = max(p.width, len(ev.first))
-	}
-	if r.Err() != nil {
-		return nil
 	}
 	return p
 }
 
-func decodeEpochVotes(r *codec.Reader, e types.Epoch) *epochVotes {
-	ev := &epochVotes{table: DecodeTable(r)}
-	for i := range ev.table {
-		if ev.table[i].Target.Epoch != e {
-			r.Corrupt("attestation: vote for target epoch %d filed under %d", ev.table[i].Target.Epoch, e)
+// decodeEpochVotes reads one epoch written by encodeTo. The source range is
+// rebuilt from the table, exactly as interning built it.
+func decodeEpochVotes(r *codec.Reader) *EpochVotes {
+	ev := &EpochVotes{epoch: types.Epoch(r.U64()), table: DecodeTable(r)}
+	for i, d := range ev.table {
+		if d.Target.Epoch != ev.epoch {
+			r.Corrupt("attestation: vote for target epoch %d filed under %d", d.Target.Epoch, ev.epoch)
+			return nil
 		}
+		ev.noteSource(i)
 	}
 	ev.first = r.U32s()
 	second := r.U32s()

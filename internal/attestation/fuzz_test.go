@@ -13,7 +13,10 @@ import (
 // outside input — DecodePool does not panic, allocates in proportion to the
 // input and not to a length the input claims, and returns either the
 // codec's corruption error or a pool that re-encodes to exactly the bytes
-// it was read from. The checked-in corpus (testdata/fuzz/FuzzDecodePool)
+// it was read from and keeps what the slashing detector leans on: retained
+// epochs strictly ascending, and each epoch's source range the one its
+// table implies — rebuilt on decode, there being none on the wire to
+// trust. The checked-in corpus (testdata/fuzz/FuzzDecodePool)
 // holds pools of the randomized stream of internal/beacon's
 // TestInternedVotesMatchReference; `go test ./internal/beacon
 // -run TestInternedVotesMatchReference -write-fuzz-seeds` rewrites it.
@@ -41,6 +44,21 @@ func FuzzDecodePool(f *testing.F) {
 				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
 			}
 			return
+		}
+		for i, ev := range p.Retained() {
+			if i > 0 && ev.Epoch() <= p.Retained()[i-1].Epoch() {
+				t.Fatalf("accepted epoch %d after %d", ev.Epoch(), p.Retained()[i-1].Epoch())
+			}
+			if len(ev.Values()) == 0 {
+				continue
+			}
+			lo, hi := ev.Values()[0].Source.Epoch, ev.Values()[0].Source.Epoch
+			for _, d := range ev.Values() {
+				lo, hi = min(lo, d.Source.Epoch), max(hi, d.Source.Epoch)
+			}
+			if gotLo, gotHi := ev.SourceRange(); gotLo != lo || gotHi != hi {
+				t.Fatalf("epoch %d: source range %d..%d, its table spans %d..%d", ev.Epoch(), gotLo, gotHi, lo, hi)
+			}
 		}
 		var out bytes.Buffer
 		p.EncodeTo(codec.NewWriter(&out))

@@ -47,7 +47,7 @@ func encodeRegistry(w *codec.Writer, reg *validator.Registry) {
 	for i := range cols.Stakes {
 		w.U64(uint64(cols.Stakes[i]))
 		w.U64(cols.Scores[i])
-		w.Int(int(cols.Status[i]))
+		w.Byte(byte(cols.Status[i]))
 		w.U64(uint64(cols.Exit[i]))
 	}
 }
@@ -62,8 +62,12 @@ func decodeRegistry(r *codec.Reader) *validator.Registry {
 	for i := 0; i < n; i++ {
 		cols.Stakes[i] = types.Gwei(r.U64())
 		cols.Scores[i] = r.U64()
-		cols.Status[i] = validator.Status(r.Int())
+		cols.Status[i] = validator.Status(r.Byte())
 		cols.Exit[i] = types.Epoch(r.U64())
+		if cols.Status[i] > validator.Ejected {
+			r.Corrupt("beacon: validator %d has status %d", i, cols.Status[i])
+			return nil
+		}
 	}
 	if r.Err() != nil {
 		return nil

@@ -2,6 +2,7 @@ package beacon
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -19,15 +20,30 @@ import (
 var writeFuzzSeeds = flag.Bool("write-fuzz-seeds", false,
 	"rewrite the checked-in seed corpora of FuzzDecodePool and FuzzDecodeDetector from this test's stream")
 
-// refVotes is the storage the interned pool and detector replaced, kept as
-// the reference: every vote stored whole, once per validator — the pool's
-// per-epoch per-validator lists and the detector's per-validator history —
-// with dedup, offense search and prune done by value.
+// refVotes is the storage the interned pool replaced, kept as the
+// reference: every vote stored whole, once per validator, in per-epoch
+// per-validator lists — with dedup, offense search and prune done by value.
+// Like the product it keeps one copy of the votes; the offense search reads
+// it under the rule the detector documents: of the held votes a new one
+// conflicts with, the lowest target epoch, then arrival within that epoch.
 type refVotes struct {
 	pool     map[types.Epoch][][]attestation.Data
-	history  [][]attestation.Data
 	slashed  []bool
 	evidence []slashing.Evidence
+}
+
+// earliestConflict scans per-epoch vote columns, ascending by target epoch
+// and in arrival order within one, for the first vote of v that d conflicts
+// with.
+func earliestConflict(epochs []types.Epoch, votes func(types.Epoch) [][]attestation.Data, v types.ValidatorIndex, d attestation.Data) (attestation.Data, slashing.Kind) {
+	for _, e := range epochs {
+		for _, prev := range votesOf(votes(e), int(v)) {
+			if kind := slashing.Conflict(prev, d); kind != slashing.None {
+				return prev, kind
+			}
+		}
+	}
+	return attestation.Data{}, slashing.None
 }
 
 // receive is the old ReceiveAttestation. It reports whether the pool took
@@ -43,26 +59,22 @@ func (m *refVotes) receive(v types.ValidatorIndex, d attestation.Data) bool {
 			return false
 		}
 	}
-	col[v] = append(col[v], d)
-	for len(m.history) <= int(v) {
-		m.history = append(m.history, nil)
+	for len(m.slashed) <= int(v) {
 		m.slashed = append(m.slashed, false)
 	}
-	for _, prev := range m.history[v] {
-		if prev == d {
-			return true
-		}
-	}
 	if !m.slashed[v] {
-		for _, prev := range m.history[v] {
-			if kind := slashing.Conflict(prev, d); kind != slashing.None {
-				m.evidence = append(m.evidence, slashing.Evidence{Validator: v, Kind: kind, First: prev, Second: d})
-				m.slashed[v] = true
-				break
-			}
+		epochs := make([]types.Epoch, 0, len(m.pool))
+		for e := range m.pool {
+			epochs = append(epochs, e)
+		}
+		slices.Sort(epochs)
+		held := func(e types.Epoch) [][]attestation.Data { return m.pool[e] }
+		if prev, kind := earliestConflict(epochs, held, v, d); kind != slashing.None {
+			m.evidence = append(m.evidence, slashing.Evidence{Validator: v, Kind: kind, First: prev, Second: d})
+			m.slashed[v] = true
 		}
 	}
-	m.history[v] = append(m.history[v], d)
+	col[v] = append(col[v], d)
 	return true
 }
 
@@ -72,15 +84,26 @@ func (m *refVotes) prune(e types.Epoch) {
 			delete(m.pool, epoch)
 		}
 	}
-	for v, datas := range m.history {
-		var kept []attestation.Data
-		for _, d := range datas {
-			if d.Target.Epoch >= e {
-				kept = append(kept, d)
-			}
-		}
-		m.history[v] = kept
+}
+
+// naiveEvidence is what a scan of the node's own pool — Pool.VotesForEpoch
+// over the retained epochs — reports for a value the pool has just taken as
+// new from the validators in fresh, given who was marked before.
+func naiveEvidence(n *Node, d attestation.Data, fresh []types.ValidatorIndex, marked func(types.ValidatorIndex) bool) []slashing.Evidence {
+	var epochs []types.Epoch
+	for _, ev := range n.Pool.Retained() {
+		epochs = append(epochs, ev.Epoch())
 	}
+	var out []slashing.Evidence
+	for _, v := range fresh {
+		if marked(v) {
+			continue
+		}
+		if prev, kind := earliestConflict(epochs, n.Pool.VotesForEpoch, v, d); kind != slashing.None {
+			out = append(out, slashing.Evidence{Validator: v, Kind: kind, First: prev, Second: d})
+		}
+	}
+	return out
 }
 
 // tally is the old AppendLinkTally: ascending validators, each one's votes
@@ -133,13 +156,14 @@ func encodeNode(t *testing.T, n *Node) []byte {
 // consumers: a node fed batches, a node fed the same votes one at a time,
 // and the reference model above. Everything the old storage let a caller
 // observe must agree: which votes were new, each validator's votes in
-// order, the link tally rows in order, the evidence sequence, the
-// detector's marks and histories — in arrival order, though many of them
-// outgrow the detector's one-line-per-validator arena, before and after a
-// prune, and continue in its spill; and the two nodes must serialize to the
-// same bytes, which decode and re-encode to themselves. Those bytes are the
-// ones the build before the arena wrote: testdata/node-pr13-stream1.frame
-// is its frame for the first stream's final node.
+// order, the link tally rows in order, the evidence sequence and the
+// detector's marks; what the detector reports for a batch must be what a
+// naive scan of the node's own pool reports; and the two nodes must
+// serialize to the same bytes, which decode and re-encode to themselves.
+// Those bytes are no longer the ones earlier builds wrote:
+// testdata/node-pr13-stream1.frame, PR 13's frame for the first stream's
+// final node, still carries a detector's copy of the votes and must be
+// rejected as corrupt.
 func TestInternedVotesMatchReference(t *testing.T) {
 	const validators = 24
 	stake := func(v types.ValidatorIndex) types.Gwei {
@@ -154,11 +178,6 @@ func TestInternedVotesMatchReference(t *testing.T) {
 	var poolSeeds, detectorSeeds [][]byte
 	reported := map[slashing.Kind]int{}
 	mostVotes := 0
-	// The longest detector history seen going into a boundary's prune and
-	// coming out of one. detectorLine is more words than the arena gives
-	// one validator, so a longer history has certainly spilled.
-	const detectorLine = 16
-	longestBefore, longestAfter := 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		batched := NewNode(0, validators, types.DefaultSpec(), genesis())
@@ -211,9 +230,18 @@ func TestInternedVotesMatchReference(t *testing.T) {
 						wantNew = append(wantNew, v)
 					}
 				}
+				marked := map[types.ValidatorIndex]bool{}
+				for _, v := range voters {
+					marked[v] = batched.Detector.Slashed(v)
+				}
+				before := len(batched.slashEvidence)
 				batched.ReceiveBatch(d, voters)
 				if got := batched.batchNew; !slices.Equal(got, wantNew) {
 					t.Fatalf("seed %d epoch %d step %d: batch took %v as new, reference %v", seed, epoch, step, got, wantNew)
+				}
+				wasMarked := func(v types.ValidatorIndex) bool { return marked[v] }
+				if got, want := batched.slashEvidence[before:], naiveEvidence(batched, d, wantNew, wasMarked); !slices.Equal(got, want) {
+					t.Fatalf("seed %d epoch %d step %d: detector reports %v, a scan of the pool %v", seed, epoch, step, got, want)
 				}
 				for _, v := range voters {
 					single.ReceiveAttestation(attestation.Attestation{Validator: v, Data: d})
@@ -221,9 +249,6 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			}
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d batched", seed, epoch), batched, ref, validators, stake)
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d single", seed, epoch), single, ref, validators, stake)
-			for _, h := range ref.history {
-				longestBefore = max(longestBefore, len(h))
-			}
 
 			for _, n := range []*Node{batched, single} {
 				if _, err := n.ProcessEpochBoundary(epoch + 1); err != nil {
@@ -234,11 +259,6 @@ func TestInternedVotesMatchReference(t *testing.T) {
 				ref.prune(epoch + 1 - 8)
 			}
 			compareToReference(t, fmt.Sprintf("seed %d after boundary %d batched", seed, epoch+1), batched, ref, validators, stake)
-			if epoch+1 > 8 {
-				for _, h := range ref.history {
-					longestAfter = max(longestAfter, len(h))
-				}
-			}
 
 			frame := encodeNode(t, batched)
 			if !bytes.Equal(frame, encodeNode(t, single)) {
@@ -271,12 +291,9 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(encodeNode(t, batched), parent) {
-				t.Fatal("the first stream's final node no longer serializes to the bytes PR 13 wrote for it")
-			}
-			decoded := DecodeNode(codec.NewReader(bytes.NewReader(parent)))
-			if decoded == nil || !bytes.Equal(encodeNode(t, decoded), parent) {
-				t.Fatal("the frame PR 13 wrote does not decode and re-encode to itself")
+			r := codec.NewReader(bytes.NewReader(parent))
+			if DecodeNode(r) != nil || !errors.Is(r.Err(), codec.ErrCorrupt) {
+				t.Fatalf("the frame PR 13 wrote for the first stream's final node was not rejected as corrupt (err %v)", r.Err())
 			}
 		}
 		if seed <= 2 {
@@ -287,14 +304,51 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			detectorSeeds = append(detectorSeeds, detector.Bytes())
 		}
 	}
-	if reported[slashing.DoubleVote] == 0 || reported[slashing.SurroundVote] == 0 || mostVotes < 3 ||
-		longestBefore <= detectorLine || longestAfter <= detectorLine {
-		t.Fatalf("the streams no longer cover what this test is for: evidence %v, at most %d votes per validator per epoch, detector histories up to %d before a prune and %d after",
-			reported, mostVotes, longestBefore, longestAfter)
+	if reported[slashing.DoubleVote] == 0 || reported[slashing.SurroundVote] == 0 || mostVotes < 3 {
+		t.Fatalf("the streams no longer cover what this test is for: evidence %v, at most %d votes per validator per epoch",
+			reported, mostVotes)
 	}
 	if *writeFuzzSeeds {
 		writeCorpus(t, "../attestation/testdata/fuzz/FuzzDecodePool", poolSeeds)
 		writeCorpus(t, "../slashing/testdata/fuzz/FuzzDecodeDetector", detectorSeeds)
+	}
+}
+
+// TestEvidenceNamesLowestTargetEpoch is the one place the evidence rule
+// differs from "the earliest recorded vote": a validator's vote for a higher
+// target epoch arrives before its vote for a lower one, neither conflicts
+// with the other, and a third surrounds both. The offense is proved against
+// the lower target epoch — what any observer holding these three votes
+// reports, whatever order it heard the first two in.
+func TestEvidenceNamesLowestTargetEpoch(t *testing.T) {
+	span := func(source, target types.Epoch) attestation.Data {
+		return attestation.Data{
+			Slot:   target.StartSlot(),
+			Head:   types.RootFromUint64(uint64(target)),
+			Source: types.Checkpoint{Epoch: source, Root: types.RootFromUint64(uint64(source))},
+			Target: types.Checkpoint{Epoch: target, Root: types.RootFromUint64(uint64(target))},
+		}
+	}
+	high, low, wide := span(3, 10), span(2, 8), span(0, 12)
+	const v = types.ValidatorIndex(2)
+	for _, order := range [][2]attestation.Data{{high, low}, {low, high}} {
+		batched, single := NewNode(0, 4, types.DefaultSpec(), genesis()), NewNode(0, 4, types.DefaultSpec(), genesis())
+		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
+		for _, d := range []attestation.Data{order[0], order[1], wide} {
+			batched.ReceiveBatch(d, []types.ValidatorIndex{v, 3})
+			single.ReceiveAttestation(attestation.Attestation{Validator: v, Data: d})
+			ref.receive(v, d)
+		}
+		want := slashing.Evidence{Validator: v, Kind: slashing.SurroundVote, First: low, Second: wide}
+		if got := batched.SlashingEvidence(); len(got) != 2 || got[0] != want {
+			t.Fatalf("batched, %d then %d: evidence %v, want %v first", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
+		}
+		if got := single.SlashingEvidence(); len(got) != 1 || got[0] != want {
+			t.Fatalf("single, %d then %d: evidence %v, want %v", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
+		}
+		if len(ref.evidence) != 1 || ref.evidence[0] != want {
+			t.Fatalf("reference, %d then %d: evidence %v, want %v", order[0].Target.Epoch, order[1].Target.Epoch, ref.evidence, want)
+		}
 	}
 }
 
@@ -339,45 +393,12 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 	if got := n.SlashingEvidence(); !slices.Equal(got, ref.evidence) {
 		t.Fatalf("%s: evidence\n  got  %v\n  want %v", at, got, ref.evidence)
 	}
-	histories := detectorHistories(t, n.Detector)
 	for v := 0; v < validators; v++ {
-		var wantLen int
-		var wantSlashed bool
-		if v < len(ref.history) {
-			wantLen, wantSlashed = len(ref.history[v]), ref.slashed[v]
-		}
-		vi := types.ValidatorIndex(v)
-		if n.Detector.HistoryLen(vi) != wantLen || n.Detector.Slashed(vi) != wantSlashed {
-			t.Fatalf("%s: validator %d history %d slashed %t, reference %d %t",
-				at, v, n.Detector.HistoryLen(vi), n.Detector.Slashed(vi), wantLen, wantSlashed)
-		}
-		if got, want := votesOf(histories, v), votesOf(ref.history, v); !slices.Equal(got, want) {
-			t.Fatalf("%s: validator %d detector history\n  got  %v\n  want %v", at, v, got, want)
+		want := v < len(ref.slashed) && ref.slashed[v]
+		if got := n.Detector.Slashed(types.ValidatorIndex(v)); got != want {
+			t.Fatalf("%s: validator %d marked %t, reference %t", at, v, got, want)
 		}
 	}
-}
-
-// detectorHistories reads every validator's recorded votes, in order, out
-// of the detector's frame: the value table, a column of history lengths and
-// a flat column of table ids.
-func detectorHistories(t *testing.T, d *slashing.Detector) [][]attestation.Data {
-	t.Helper()
-	var frame bytes.Buffer
-	d.EncodeTo(codec.NewWriter(&frame))
-	r := codec.NewReader(bytes.NewReader(frame.Bytes()))
-	table := attestation.DecodeTable(r)
-	counts, ids := r.U32s(), r.U32s()
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	out := make([][]attestation.Data, len(counts))
-	for v, n := range counts {
-		for _, id := range ids[:n] {
-			out[v] = append(out[v], table[id])
-		}
-		ids = ids[n:]
-	}
-	return out
 }
 
 // writeCorpus stores each frame as a seed of a native fuzz target, in the

@@ -24,6 +24,10 @@ import (
 	"repro/internal/validator"
 )
 
+// ffgWindow is how many target epochs, ending with the one just ended, a
+// boundary re-scans for justification.
+const ffgWindow = 4
+
 // ErrNotProposer is returned when a node is asked to propose in a slot it
 // does not own.
 var ErrNotProposer = errors.New("beacon: not the proposer for this slot")
@@ -71,14 +75,14 @@ type Node struct {
 	// watermark replaces the per-epoch map the pre-long-horizon node kept
 	// (which grew one entry per epoch for the whole run).
 	incentivesNext types.Epoch
-	// tallyScratch is the reusable boundary buffer for the columnar FFG
-	// link tally, and stakeFn the pre-bound Registry.Stake method value,
-	// so a steady-state epoch transition performs no allocation (a method
-	// value materialized at the call site would allocate its receiver
-	// binding on every boundary).
+	// tallyScratch holds the reusable boundary buffers for the columnar FFG
+	// link tally, one per epoch of the re-scan window, and stakeFn the
+	// pre-bound Registry.Stake method value, so a steady-state epoch
+	// transition performs no allocation (a method value materialized at the
+	// call site would allocate its receiver binding on every boundary).
 	//gasper:nocodec scratch buffer; each node re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
-	tallyScratch []attestation.LinkWeight
+	tallyScratch [ffgWindow][]attestation.LinkWeight
 	stakeFn      func(types.ValidatorIndex) types.Gwei //gasper:nocodec rebound to the decoded Registry by DecodeNode
 	// activity is the boundary's activity criterion, loaded from the pool
 	// for the ended epoch and the canonical target, and activeFn its
@@ -197,17 +201,18 @@ func (n *Node) ReceiveAttestation(a attestation.Attestation) {
 // validator — a cohort's duty slot as it travels the network — exactly as
 // one attestation per validator in listed order would be: the checkpoint
 // vote goes to the pool, and for each validator to whom it is new there,
-// the block vote to fork choice and the vote to the slashing detector.
-// Detected offenses are applied to the registry when EnforceSlashing is
-// set. All three take the batch whole: pool and detector intern the value
-// once, fork choice sizes its columns and resolves the head root once.
+// the block vote to fork choice, and the slashing detector checks the vote
+// against the validator's others in the pool. Detected offenses are applied
+// to the registry when EnforceSlashing is set. All three take the batch
+// whole: the pool interns the value once, fork choice sizes its columns and
+// resolves the head root once, the detector judges each retained epoch once.
 //
 //gasper:noalloc
 func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorIndex) {
 	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
 	n.Votes.ProcessBatch(n.batchNew, data.Head, data.Slot)
 	reported := len(n.slashEvidence)
-	n.slashEvidence = n.Detector.ObserveBatch(n.slashEvidence, data, n.batchNew)
+	n.slashEvidence = n.Detector.ObserveBatch(n.slashEvidence, n.Pool, data, n.batchNew)
 	if n.EnforceSlashing {
 		for _, ev := range n.slashEvidence[reported:] {
 			_ = n.Registry.Slash(ev.Validator, data.Slot.Epoch())
@@ -330,19 +335,24 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 	ended := newEpoch - 1
 
 	// FFG window re-scan, on the columnar path: the pool's
-	// validator-indexed vote columns are tallied into a reusable
-	// link-weight scratch and fed to the FFG engine's slice sweep, so a
-	// steady-state boundary (the whole of a leak) allocates nothing.
+	// validator-indexed vote columns are tallied, the whole window in one
+	// pass, into reusable link-weight scratches and fed to the FFG engine's
+	// slice sweep, so a steady-state boundary (the whole of a leak)
+	// allocates nothing.
 	var ffgRes ffg.Result
 	justifiedBefore := n.FFG.LatestJustified()
 	lo := types.Epoch(0)
-	if newEpoch > 4 {
-		lo = newEpoch - 4
+	if newEpoch > ffgWindow {
+		lo = newEpoch - ffgWindow
 	}
 	total := n.Registry.TotalStake()
-	for e := lo; e <= ended; e++ {
-		n.tallyScratch = n.Pool.AppendLinkTally(n.tallyScratch[:0], e, n.stakeFn)
-		res := n.FFG.ProcessTally(e, n.tallyScratch, total, newEpoch)
+	window := n.tallyScratch[:newEpoch-lo]
+	for k := range window {
+		window[k] = window[k][:0]
+	}
+	n.Pool.AppendWindowTally(window, lo, n.stakeFn)
+	for k, tally := range window {
+		res := n.FFG.ProcessTally(lo+types.Epoch(k), tally, total, newEpoch)
 		ffgRes.NewlyJustified = append(ffgRes.NewlyJustified, res.NewlyJustified...)
 		ffgRes.NewlyFinalized = append(ffgRes.NewlyFinalized, res.NewlyFinalized...)
 	}
@@ -389,10 +399,9 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		report.Leak = n.Leak.ProcessEpoch(n.Registry, n.activeFn, inLeak, ended)
 	}
 
-	// Bound pool and detector memory.
+	// Bound pool memory, and with it the slashing detection window.
 	if newEpoch > 8 {
 		n.Pool.Prune(newEpoch - 8)
-		n.Detector.Prune(newEpoch - 8)
 	}
 	return report, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -263,10 +264,12 @@ func TestSweepCheckpointResume(t *testing.T) {
 }
 
 // TestSweepCheckpointCorruptColdStart: an undecodable checkpoint payload
-// (schema drift the store's framing cannot catch — garbage, or a
-// checkpoint whose snapshot frame carries the version 1 header of builds
-// before the interned-vote format) is silently discarded — the cell starts
-// cold, produces the correct result, and repairs the store.
+// (schema drift the store's framing cannot catch — garbage, a checkpoint
+// whose snapshot frame carries the version 1 header of builds before the
+// interned-vote format, or one whose snapshot is the version 2 frame PR 13
+// wrote, from before the detector's votes left the frame) is silently
+// discarded — the cell starts cold, produces the correct result, and
+// repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 	shrinkChunk(t, 4)
 	ctx := context.Background()
@@ -274,26 +277,40 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
 	key, _ := CanonicalCellKey(Default, cell)
 
+	// saved plants a real checkpoint of the cell at epoch 16 and returns
+	// where its snapshot frame starts.
+	saved := func(t *testing.T, ms *memStore) int {
+		sc, _ := Default.Lookup(cell.Scenario)
+		cs := sc.(CheckpointableScenario)
+		pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := saveCheckpoint(cs, ms, key, pre); err != nil {
+			t.Fatal(err)
+		}
+		frame := bytes.Index(ms.data[key], []byte("GLSN"))
+		if frame < 0 {
+			t.Fatal("no snapshot frame in the saved checkpoint")
+		}
+		return frame
+	}
 	payloads := []struct {
 		name  string
 		plant func(t *testing.T, ms *memStore)
 	}{
 		{"garbage", func(t *testing.T, ms *memStore) { ms.data[key] = []byte("not a checkpoint at all") }},
 		{"v1-header", func(t *testing.T, ms *memStore) {
-			sc, _ := Default.Lookup(cell.Scenario)
-			cs := sc.(CheckpointableScenario)
-			pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 16)
+			frame := saved(t, ms)
+			binary.LittleEndian.PutUint32(ms.data[key][frame+4:], 1)
+		}},
+		{"pr13-v2-frame", func(t *testing.T, ms *memStore) {
+			old, err := os.ReadFile("../sim/testdata/snapshot-v2-pr13.frame")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := saveCheckpoint(cs, ms, key, pre); err != nil {
-				t.Fatal(err)
-			}
-			frame := bytes.Index(ms.data[key], []byte("GLSN"))
-			if frame < 0 {
-				t.Fatal("no snapshot frame in the saved checkpoint")
-			}
-			binary.LittleEndian.PutUint32(ms.data[key][frame+4:], 1)
+			frame := saved(t, ms)
+			ms.data[key] = append(ms.data[key][:frame], old...)
 		}},
 	}
 	for _, tc := range payloads {

@@ -20,12 +20,13 @@ import (
 // bit-flipped files detectable before any field is trusted; the format
 // version makes a snapshot written by a different codec revision
 // detectable (a version-skew read fails like corruption — callers treat
-// both as "no checkpoint" and run cold). Version 2 stores each distinct
-// vote of a pool or a detector once, with columns of ids, where version 1
-// repeated the vote per validator.
+// both as "no checkpoint" and run cold). Version 2 stored each distinct
+// vote once, with columns of ids, where version 1 repeated the vote per
+// validator; version 3 drops the slashing detector's copy of the votes —
+// it reads the pool's — and writes a registry status as one byte.
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(2)
+	snapshotVersion = uint32(3)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real

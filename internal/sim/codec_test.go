@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"hash/fnv"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/attestation"
 	"repro/internal/codec"
 	"repro/internal/network"
 	"repro/internal/types"
 )
+
+var writeFrame = flag.Bool("write-frame", false,
+	"rewrite testdata/snapshot-v3-pr16.frame from TestSnapshotFrameWrittenByPR16's run")
 
 // codecModes is the 2×2 view-layout × fork-choice matrix every codec
 // property is checked across.
@@ -131,19 +137,35 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotFrameWrittenByPR13: testdata/snapshot-v2-pr13.frame is the
-// snapshot the commit before the detector's arena layout wrote for
-// compactedCfg twelve epochs in (past the first prunes). The frame format
-// did not move with the layout: this build writes those exact bytes for
-// the same run, and reads them back into a snapshot that re-encodes to
-// them and continues like the live simulation.
+// version 2 snapshot PR 13 wrote for compactedCfg twelve epochs in (past
+// the first prunes). Version 3 dropped the slashing detector's copy of the
+// votes from the frame, so a build that met this file in an old store
+// directory must read it as a version miss — never as a payload — and the
+// caller runs cold (internal/engine's TestSweepCheckpointCorruptColdStart
+// resumes over this very file).
 func TestSnapshotFrameWrittenByPR13(t *testing.T) {
-	want, err := os.ReadFile("testdata/snapshot-v2-pr13.frame")
+	old, err := os.ReadFile("testdata/snapshot-v2-pr13.frame")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(want[4:8]); v != 2 || snapshotVersion != 2 {
-		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 2", v, snapshotVersion)
+	if v := binary.LittleEndian.Uint32(old[4:8]); v != 2 || snapshotVersion == 2 {
+		t.Fatalf("checked-in frame is version %d, this build writes %d; the frame must be 2 and the build not", v, snapshotVersion)
 	}
+	sn, err := ReadSnapshot(bytes.NewReader(old))
+	if sn != nil || !errors.Is(err, ErrSnapshotCodec) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("ReadSnapshot of a version 2 frame = %v, %v; want nil and a version error wrapping ErrSnapshotCodec", sn, err)
+	}
+}
+
+// TestSnapshotFrameWrittenByPR16: testdata/snapshot-v3-pr16.frame is the
+// snapshot the build that introduced version 3 wrote for compactedCfg
+// twelve epochs in. While the format stands, this build writes those exact
+// bytes for the same run, and reads them back into a snapshot that
+// re-encodes to them and continues like the live simulation. A change that
+// moves the format bumps the version and turns this test into the one
+// above. (-write-frame rewrites the file.)
+func TestSnapshotFrameWrittenByPR16(t *testing.T) {
+	const path = "testdata/snapshot-v3-pr16.frame"
 	cfg := compactedCfg(false, false)
 	s, err := New(cfg)
 	if err != nil {
@@ -152,7 +174,20 @@ func TestSnapshotFrameWrittenByPR13(t *testing.T) {
 	if err := s.RunEpochs(12); err != nil {
 		t.Fatal(err)
 	}
-	if got := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(got, want) {
+	got := encodeSnapshot(t, s.Snapshot())
+	if *writeFrame {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(want[4:8]); v != 3 || snapshotVersion != 3 {
+		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 3", v, snapshotVersion)
+	}
+	if !bytes.Equal(got, want) {
 		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
 	}
 	decoded, err := ReadSnapshot(bytes.NewReader(want))
@@ -188,10 +223,10 @@ func reseal(b []byte) []byte {
 
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew (the version 1 frame of earlier builds included), and a correctly
-// sealed payload whose vote tables and id columns disagree — fails
-// ReadSnapshot with ErrSnapshotCodec; no partially-decoded snapshot
-// escapes.
+// skew (the version 1 and 2 frames of earlier builds included), and a
+// correctly sealed payload whose vote tables, id columns, marks or registry
+// statuses are not ones this build writes — fails ReadSnapshot with
+// ErrSnapshotCodec; no partially-decoded snapshot escapes.
 func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	s, err := New(snapshotCfg(false, false))
 	if err != nil {
@@ -200,13 +235,28 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	if err := s.RunEpochs(4); err != nil {
 		t.Fatal(err)
 	}
+	// The run is honest; show the first view one double vote, so its
+	// detector has a mark to damage.
+	const offender = 3
+	first := s.cohorts[0].Node
+	vote, err := first.AttestationData(s.Slot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, head := range []uint64{901, 902} {
+		vote.Head = types.RootFromUint64(head)
+		first.ReceiveAttestation(attestation.Attestation{Validator: offender, Data: vote})
+	}
+	if !first.Detector.Slashed(offender) {
+		t.Fatal("the planted double vote was not detected")
+	}
 	blob := encodeSnapshot(t, s.Snapshot())
 
 	// Where the first view's attestation pool sits in the frame: an epoch
 	// count, then per epoch its number, the table (a length and 120 bytes
 	// per value) and the first id column (a length and 4 bytes per id).
 	var poolBytes bytes.Buffer
-	s.cohorts[0].Node.Pool.EncodeTo(codec.NewWriter(&poolBytes))
+	first.Pool.EncodeTo(codec.NewWriter(&poolBytes))
 	pool := bytes.Index(blob, poolBytes.Bytes())
 	if pool < 0 || poolBytes.Len() < 16 {
 		t.Fatal("cannot locate the first pool in the frame")
@@ -218,23 +268,17 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		t.Fatalf("first pool epoch holds %d values; layout assumption broken", values)
 	}
 
-	// Where the first view's slashing detector sits: the table as above,
-	// then a column of history lengths, a column of ids and a column of
-	// marks, each behind its length.
-	var detBytes bytes.Buffer
-	s.cohorts[0].Node.Detector.EncodeTo(codec.NewWriter(&detBytes))
-	det := bytes.Index(blob, detBytes.Bytes())
-	if det < 0 {
-		t.Fatal("cannot locate the first detector in the frame")
+	// Behind the pool, the first view's slashing detector — a length and one
+	// mark byte per validator up to the offender — and then its registry: a
+	// length and, per validator, stake, score, a status byte and exit epoch.
+	marks := pool + poolBytes.Len()
+	lastMark := marks + 4 + offender
+	registry := lastMark + 1
+	if binary.LittleEndian.Uint32(blob[marks:]) != offender+1 || blob[lastMark] != 1 ||
+		int(binary.LittleEndian.Uint32(blob[registry:])) != s.Cfg.Validators {
+		t.Fatal("detector and registry are not where the layout assumption puts them")
 	}
-	counts := det + 4 + 120*int(binary.LittleEndian.Uint32(blob[det:]))
-	nCounts := int(binary.LittleEndian.Uint32(blob[counts:]))
-	lastCount := counts + 4*nCounts
-	ids := lastCount + 4
-	marks := ids + 4 + 4*int(binary.LittleEndian.Uint32(blob[ids:]))
-	if nCounts == 0 || int(binary.LittleEndian.Uint32(blob[marks:])) != nCounts || marks+4+nCounts != det+detBytes.Len() {
-		t.Fatalf("first detector holds %d histories; layout assumption broken", nCounts)
-	}
+	firstStatus := registry + 4 + 16
 
 	damage := []struct {
 		name string
@@ -247,22 +291,16 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 		{"version-skew", func(b []byte) []byte { b[4]++; return b }},
 		{"v1-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 1); return b }},
+		{"v2-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 2); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
 			return reseal(b)
 		}},
-		// The frame has no spill of its own — lines and spill are how the
-		// decoder files what the two columns say. A history claiming more
-		// votes than a line holds must not send its overflow past the id
-		// column, nor a mark name a validator past the length column.
-		{"overflow-history-past-id-column", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[lastCount:], binary.LittleEndian.Uint32(b[lastCount:])+64)
-			return reseal(b)
-		}},
-		{"marks-past-length-column", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[marks:], uint32(nCounts)+1)
-			return reseal(b)
-		}},
+		// What is left of a detector is a column of marks: a byte that is
+		// not a mark, or a column that ends unmarked, is not one it wrote.
+		{"mark-out-of-range", func(b []byte) []byte { b[lastMark] = 2; return reseal(b) }},
+		{"marks-end-unmarked", func(b []byte) []byte { b[lastMark] = 0; return reseal(b) }},
+		{"status-out-of-range", func(b []byte) []byte { b[firstStatus] = 3; return reseal(b) }},
 		{"truncated-table", func(b []byte) []byte { return reseal(b[:table+4+120*values-60]) }},
 		{"length-lie", func(b []byte) []byte { b[8] ^= 0x80; return b }},
 		{"checksum-flip", func(b []byte) []byte { b[12] ^= 0x01; return b }},

@@ -67,10 +67,11 @@ func (sn *Snapshot) Slot() types.Slot { return sn.slot }
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
 // Per-entry estimates for the snapshot components that do not expose an
-// exact byte count: one validator registry row is four 8-byte columns, and
-// a held network message is a three-pointer union plus map/slice overhead.
+// exact byte count: one validator registry row is three 8-byte columns and
+// a status byte, and a held network message is a three-pointer union plus
+// map/slice overhead.
 const (
-	registryRowBytes = 32
+	registryRowBytes = 25
 	heldMessageBytes = 64
 )
 

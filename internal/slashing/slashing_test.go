@@ -2,7 +2,6 @@ package slashing
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +9,28 @@ import (
 	"repro/internal/codec"
 	"repro/internal/types"
 )
+
+// observer is one observer's knowledge: the pool that holds the votes it
+// has received and the detector that judges them.
+type observer struct {
+	pool *attestation.Pool
+	*Detector
+}
+
+func newObserver() *observer {
+	return &observer{pool: attestation.NewPool(), Detector: NewDetector()}
+}
+
+// Observe is a node's ingestion at length one: the vote goes to the pool,
+// and to the detector if it was new there. It returns the evidence the
+// vote completes, or nil.
+func (o *observer) Observe(a attestation.Attestation) *Evidence {
+	fresh := o.pool.AddBatch(nil, a.Data, []types.ValidatorIndex{a.Validator})
+	if found := o.ObserveBatch(nil, o.pool, a.Data, fresh); len(found) > 0 {
+		return &found[0]
+	}
+	return nil
+}
 
 func data(slot, head, srcEpoch, srcRoot, tgtEpoch, tgtRoot uint64) attestation.Data {
 	return attestation.Data{
@@ -72,7 +93,7 @@ func TestConflictTouchingSpansNotSurround(t *testing.T) {
 }
 
 func TestDetectorReportsDoubleVoteOnce(t *testing.T) {
-	d := NewDetector()
+	d := newObserver()
 	v := types.ValidatorIndex(5)
 	if ev := d.Observe(attestation.Attestation{Validator: v, Data: data(33, 1, 0, 0, 1, 10)}); ev != nil {
 		t.Fatalf("first vote produced evidence: %v", ev)
@@ -91,19 +112,19 @@ func TestDetectorReportsDoubleVoteOnce(t *testing.T) {
 }
 
 func TestDetectorIgnoresDuplicates(t *testing.T) {
-	d := NewDetector()
+	d := newObserver()
 	a := attestation.Attestation{Validator: 1, Data: data(33, 1, 0, 0, 1, 10)}
 	d.Observe(a)
 	if ev := d.Observe(a); ev != nil {
 		t.Errorf("duplicate observation produced evidence: %v", ev)
 	}
-	if d.HistoryLen(1) != 1 {
-		t.Errorf("history len = %d, want 1", d.HistoryLen(1))
+	if votes := d.pool.VotesForEpoch(1); len(votes[1]) != 1 {
+		t.Errorf("the pool holds %d votes of validator 1, want 1", len(votes[1]))
 	}
 }
 
 func TestDetectorSeparatesValidators(t *testing.T) {
-	d := NewDetector()
+	d := newObserver()
 	d.Observe(attestation.Attestation{Validator: 1, Data: data(33, 1, 0, 0, 1, 10)})
 	if ev := d.Observe(attestation.Attestation{Validator: 2, Data: data(33, 2, 0, 0, 1, 20)}); ev != nil {
 		t.Errorf("votes by different validators must not conflict: %v", ev)
@@ -111,7 +132,7 @@ func TestDetectorSeparatesValidators(t *testing.T) {
 }
 
 func TestDetectorSurround(t *testing.T) {
-	d := NewDetector()
+	d := newObserver()
 	v := types.ValidatorIndex(9)
 	d.Observe(attestation.Attestation{Validator: v, Data: data(150, 2, 2, 5, 4, 20)})
 	ev := d.Observe(attestation.Attestation{Validator: v, Data: data(200, 1, 0, 0, 6, 10)})
@@ -125,7 +146,7 @@ func TestDetectorHonestStreamNeverSlashed(t *testing.T) {
 	// strictly increasing target epochs, one vote per epoch) never
 	// triggers the detector.
 	f := func(seed uint8) bool {
-		d := NewDetector()
+		d := newObserver()
 		v := types.ValidatorIndex(1)
 		prevRoot := uint64(0)
 		for e := uint64(1); e < uint64(8)+uint64(seed%8); e++ {
@@ -156,11 +177,13 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestDetectorPruneBoundsHistory pins the long-horizon memory contract:
-// pruning drops votes below the retention epoch, keeps newer ones (still
-// matching offenses against them), and never forgets reported offenders.
+// TestDetectorPruneBoundsHistory pins the long-horizon memory contract: the
+// detector judges against what the pool retains and nothing else, so
+// pruning the pool drops votes below the retention epoch from the detection
+// window, keeps newer ones (still matching offenses against them), and
+// never forgets reported offenders.
 func TestDetectorPruneBoundsHistory(t *testing.T) {
-	d := NewDetector()
+	d := newObserver()
 	att := func(v types.ValidatorIndex, tgt types.Epoch, root uint64) attestation.Attestation {
 		return attestation.Attestation{Validator: v, Data: attestation.Data{
 			Slot:   tgt.StartSlot(),
@@ -170,133 +193,93 @@ func TestDetectorPruneBoundsHistory(t *testing.T) {
 		}}
 	}
 	for e := types.Epoch(1); e <= 20; e++ {
-		if ev := d.Observe(att(1, e, uint64(e))); ev != nil {
-			t.Fatalf("honest history produced evidence at epoch %d", e)
+		for v := types.ValidatorIndex(1); v <= 2; v++ {
+			if ev := d.Observe(att(v, e, uint64(e))); ev != nil {
+				t.Fatalf("honest history produced evidence at epoch %d", e)
+			}
 		}
 	}
-	d.Prune(13)
-	if got := d.HistoryLen(1); got != 8 {
-		t.Fatalf("history after prune = %d votes, want 8 (epochs 13-20)", got)
+	d.pool.Prune(13)
+	if got := d.pool.Epochs(); got != 8 {
+		t.Fatalf("pool after prune holds %d epochs, want 8 (epochs 13-20)", got)
 	}
 	// A double vote against a RETAINED epoch is still caught...
-	if ev := d.Observe(att(1, 18, 999)); ev == nil || ev.Kind != DoubleVote {
+	if ev := d.Observe(att(1, 18, 999)); ev == nil || ev.Kind != DoubleVote || ev.First != att(1, 18, 18).Data {
 		t.Fatalf("double vote against retained epoch 18 not detected: %v", ev)
 	}
+	// ...one against a pruned epoch has nothing left to be proved with...
+	if ev := d.Observe(att(2, 5, 999)); ev != nil || d.Slashed(2) {
+		t.Fatalf("double vote against pruned epoch 5 reported: %v", ev)
+	}
 	// ...and the offender stays marked through further pruning.
-	d.Prune(30)
+	d.pool.Prune(30)
 	if !d.Slashed(1) {
 		t.Error("prune forgot a reported offender")
 	}
 }
 
-// histories reads every validator's votes, in order, out of the detector's
-// frame — the one place its storage is observable from outside.
-func histories(t *testing.T, d *Detector) [][]attestation.Data {
-	t.Helper()
-	var frame bytes.Buffer
-	d.EncodeTo(codec.NewWriter(&frame))
-	r := codec.NewReader(bytes.NewReader(frame.Bytes()))
-	table := attestation.DecodeTable(r)
-	counts, ids := r.U32s(), r.U32s()
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	out := make([][]attestation.Data, len(counts))
-	for v, n := range counts {
-		for _, id := range ids[:n] {
-			out[v] = append(out[v], table[id])
-		}
-		ids = ids[n:]
-	}
-	return out
-}
-
-// TestDetectorLongHistoriesKeepArrivalOrder: a history longer than its
-// validator's line continues in the spill, and nothing a caller can see
-// tells the two apart — order, deduplication, which earlier vote an offense
-// is proved against (the earliest, wherever it lives), pruning that moves
-// overflow back into the line, clones and decoded frames.
+// TestDetectorLongHistoriesKeepArrivalOrder: however many votes the pool
+// holds of a validator — forty target epochs, four distinct votes in one of
+// them, the third and fourth in the epoch's spill — the vote an offense is
+// proved against is the conflicting one with the lowest target epoch and,
+// there, the earliest to arrive; re-delivery is not a vote; clones and
+// decoded frames carry the marks and nothing else.
 func TestDetectorLongHistoriesKeepArrivalOrder(t *testing.T) {
 	// An honest chain of votes: epoch e has source e-1, so no two conflict.
 	vote := func(e uint64) attestation.Data { return data(e*32, e, e-1, e-1, e, e) }
-	observe := func(d *Detector, v types.ValidatorIndex, a attestation.Data) *Evidence {
+	observe := func(d *observer, v types.ValidatorIndex, a attestation.Data) *Evidence {
 		return d.Observe(attestation.Attestation{Validator: v, Data: a})
 	}
-	const full, even = types.ValidatorIndex(3), types.ValidatorIndex(5)
-	const twin = types.ValidatorIndex(4) // casts what full casts
-	d := NewDetector()
-	want := make([][]attestation.Data, 6)
-	cast := func(v types.ValidatorIndex, a attestation.Data) {
-		t.Helper()
-		if ev := observe(d, v, a); ev != nil {
-			t.Fatalf("validator %d: honest vote for epoch %d reported: %v", v, a.Target.Epoch, ev)
-		}
-		want[v] = append(want[v], a)
-	}
+	const full, twin, even = types.ValidatorIndex(3), types.ValidatorIndex(4), types.ValidatorIndex(5)
+	d := newObserver()
 	for e := uint64(1); e <= 40; e++ {
-		cast(full, vote(e))
-		cast(twin, vote(e))
-		if e%2 == 0 {
-			cast(even, vote(e))
-		}
-	}
-	check := func(at string, d *Detector) {
-		t.Helper()
-		got := histories(t, d)
-		for v := range want {
-			if !slices.Equal(got[v], want[v]) {
-				t.Fatalf("%s: validator %d history\n  got  %v\n  want %v", at, v, got[v], want[v])
+		for _, v := range []types.ValidatorIndex{full, twin, even} {
+			if v == even && e%2 == 1 {
+				continue
 			}
-			if d.HistoryLen(types.ValidatorIndex(v)) != len(want[v]) {
-				t.Fatalf("%s: validator %d HistoryLen = %d, want %d", at, v, d.HistoryLen(types.ValidatorIndex(v)), len(want[v]))
+			if ev := observe(d, v, vote(e)); ev != nil {
+				t.Fatalf("validator %d: honest vote for epoch %d reported: %v", v, e, ev)
 			}
 		}
 	}
-	check("after 40 epochs", d)
-	if lineIDs >= 20 {
-		t.Fatalf("a line holds %d ids: the histories above no longer overflow it", lineIDs)
+	// Re-delivery of a held vote is not a new vote.
+	if ev := observe(d, full, vote(33)); ev != nil || len(d.pool.VotesForEpoch(33)[full]) != 1 {
+		t.Fatalf("duplicate of a held vote: evidence %v", ev)
 	}
-
-	// Re-delivery of a vote that lives in the overflow is not a new vote.
-	if ev := observe(d, full, vote(33)); ev != nil || d.HistoryLen(full) != 40 {
-		t.Fatalf("duplicate of an overflow entry: evidence %v, history %d", ev, d.HistoryLen(full))
-	}
-	// A double vote against an entry only the overflow holds.
+	// A double vote, proved against the one vote held for that epoch.
 	double := data(30*32, 999, 29, 29, 30, 999)
 	if ev := observe(d, full, double); ev == nil || ev.Kind != DoubleVote || ev.First != vote(30) {
 		t.Fatalf("double vote against epoch 30: %v", ev)
 	}
-	want[full] = append(want[full], double)
-	// A vote surrounding epochs 11..34: the earliest of them is in the line.
+	// A vote surrounding epochs 11..34: proved against the lowest.
 	wide := data(35*32, 998, 9, 9, 35, 998)
 	if ev := observe(d, twin, wide); ev == nil || ev.Kind != SurroundVote || ev.First != vote(11) {
-		t.Fatalf("surround with its earliest match in the line: %v", ev)
+		t.Fatalf("surround of epochs 11..34: %v", ev)
 	}
-	want[twin] = append(want[twin], wide)
-	// A vote surrounding epochs 32..38 of the even voter: all of them in
-	// its overflow, read newest first; the proof is against the earliest.
-	narrow := data(39*32, 997, 30, 30, 39, 997)
-	if ev := observe(d, even, narrow); ev == nil || ev.Kind != SurroundVote || ev.First != vote(32) {
-		t.Fatalf("surround with every match in the overflow: %v", ev)
+	// A vote inside one held for a later epoch: a fresh validator's vote for
+	// epoch 40 reaches back to epoch 2, its next is the honest one for 20.
+	const late = types.ValidatorIndex(6)
+	observe(d, late, data(40*32, 997, 2, 2, 40, 997))
+	if ev := observe(d, late, vote(20)); ev == nil || ev.Kind != SurroundVote || ev.First.Target.Epoch != 40 {
+		t.Fatalf("vote inside an earlier, wider one: %v", ev)
 	}
-	want[even] = append(want[even], narrow)
-	check("after the offenses", d)
 
-	// Pruning below epoch 27 leaves the even voter 8 votes — its overflow
-	// moves into the line — and the other two 15, still one past it.
-	prune := func(e types.Epoch) {
-		d.Prune(e)
-		for v := range want {
-			want[v] = slices.DeleteFunc(want[v], func(a attestation.Data) bool { return a.Target.Epoch < e })
-		}
+	// Four distinct votes for epoch 50 by a validator nobody was watching:
+	// the pool files the third and fourth in the epoch's spill. Only those
+	// two reach back past epoch 45, and the third arrived first.
+	const many = types.ValidatorIndex(7)
+	inEpoch50 := []attestation.Data{
+		data(50*32, 1, 49, 49, 50, 1),
+		data(50*32, 2, 49, 49, 50, 2),
+		data(50*32, 3, 44, 44, 50, 3),
+		data(50*32, 4, 43, 43, 50, 4),
 	}
-	prune(27)
-	check("after the prune", d)
-	for e := uint64(41); e <= 44; e++ {
-		cast(full, vote(e))
-		cast(even, vote(e))
+	for _, a := range inEpoch50 {
+		d.pool.Add(attestation.Attestation{Validator: many, Data: a})
 	}
-	check("votes after the prune", d)
+	if ev := observe(d, many, data(47*32, 5, 45, 45, 47, 5)); ev == nil || ev.Kind != SurroundVote || ev.First != inEpoch50[2] {
+		t.Fatalf("surround by a vote held in the spill: %v", ev)
+	}
 
 	clone := d.Clone()
 	var frame bytes.Buffer
@@ -306,15 +289,26 @@ func TestDetectorLongHistoriesKeepArrivalOrder(t *testing.T) {
 		t.Fatal("frame does not decode")
 	}
 	for name, other := range map[string]*Detector{"clone": clone, "decoded": decoded} {
-		check(name, other)
-		observe(other, even, vote(50))
-		if other.HistoryLen(even) != d.HistoryLen(even)+1 {
-			t.Fatalf("%s: a vote it took changed the original", name)
+		for v := types.ValidatorIndex(0); v < 10; v++ {
+			if other.Slashed(v) != d.Slashed(v) {
+				t.Fatalf("%s: validator %d marked %t, original %t", name, v, other.Slashed(v), d.Slashed(v))
+			}
 		}
 	}
-	prune(100)
-	check("after pruning everything", d)
-	if !d.Slashed(full) || !d.Slashed(twin) || !d.Slashed(even) {
-		t.Error("prune forgot a reported offender")
+	// A mark one copy makes is its own: the even voter's second vote for
+	// epoch 38 is seen by the clone alone.
+	second := data(38*32, 996, 37, 37, 38, 996)
+	fresh := d.pool.AddBatch(nil, second, []types.ValidatorIndex{even})
+	if found := clone.ObserveBatch(nil, d.pool, second, fresh); len(found) != 1 || !clone.Slashed(even) {
+		t.Fatalf("clone: double vote for epoch 38: %v", found)
+	}
+	if d.Slashed(even) || decoded.Slashed(even) {
+		t.Fatal("a mark the clone made shows in the original or the decoded copy")
+	}
+	d.pool.Prune(100)
+	for _, v := range []types.ValidatorIndex{full, twin, late, many} {
+		if !d.Slashed(v) {
+			t.Errorf("prune forgot reported offender %d", v)
+		}
 	}
 }

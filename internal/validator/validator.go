@@ -25,8 +25,9 @@ import (
 // ErrUnknownValidator is returned for out-of-range indices.
 var ErrUnknownValidator = errors.New("validator: unknown validator index")
 
-// Status is the life-cycle state of a validator.
-type Status int
+// Status is the life-cycle state of a validator. It is a byte: the
+// registry holds one per validator in a column every snapshot copies.
+type Status uint8
 
 // Life-cycle states.
 const (
