@@ -18,8 +18,8 @@ BenchmarkHeadDeepChain/depth-4096-2 	    2000	      2900 ns/op	       0 B/op	   
 PASS
 ok  	repro/internal/forkchoice	1.2s
 pkg: repro/internal/engine
-BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec
-BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec
+BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
+BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
 PASS
 `
 
@@ -37,8 +37,9 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
+		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
 	}
-	if failed, report := verdicts(t, gates, canned); failed != 0 || strings.Count(report, "ok ") != 3 {
+	if failed, report := verdicts(t, gates, canned); failed != 0 || strings.Count(report, "ok ") != 4 {
 		t.Fatalf("%d gates failed on output that meets them all:\n%s", failed, report)
 	}
 
@@ -55,6 +56,11 @@ func TestCheckPassesAndFails(t *testing.T) {
 	slowWarm := strings.Replace(canned, "221.0 cells/sec", "120.0 cells/sec", 1)
 	if failed, report := verdicts(t, gates, slowWarm); failed != 1 || !strings.Contains(report, "= 2.824 (min 3)") {
 		t.Fatalf("warm at 2.8x cold: %d failed\n%s", failed, report)
+	}
+
+	snapshotPerStop := strings.Replace(canned, " 7100000 B/op", "71900000 B/op", 1)
+	if failed, report := verdicts(t, gates, snapshotPerStop); failed != 1 || !strings.Contains(report, "= 0.339 (max 0.1)") {
+		t.Fatalf("warm allocating a third of cold: %d failed\n%s", failed, report)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -65,6 +66,13 @@ type Pool struct {
 	// validator index seen + 1). A new epoch's column is allocated at that
 	// width in one piece instead of growing batch by batch.
 	width int //gasper:nocodec allocation hint; DecodePool re-learns it from the decoded column lengths
+	// spares holds up to maxSpares pruned epochs whose storage the next new
+	// target epochs take over: in a steady run the boundary prunes one
+	// epoch for every one the next slot opens, so no epoch allocates its
+	// column afresh. What a spare held is erased when it is reused.
+	//gasper:nocodec allocation cache, not state; a decoded pool starts with none
+	//gasper:shallow a clone starts with none: the storage belongs to this pool
+	spares []*EpochVotes
 	// win and rows are AppendWindowTally's per-call scratch: the window's
 	// epochs, and their id -> row columns laid end to end.
 	//gasper:nocodec scratch buffer; each pool re-grows its own
@@ -105,6 +113,11 @@ type spillVote struct {
 	id        uint32
 }
 
+// maxSpares bounds the pruned epochs kept for reuse: one is taken per new
+// target epoch, a second covers a boundary that prunes before a late first
+// vote opens an older epoch.
+const maxSpares = 2
+
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
@@ -132,9 +145,26 @@ func (p *Pool) open(e types.Epoch) *EpochVotes {
 	if i < len(p.epochs) && p.epochs[i].epoch == e {
 		return p.epochs[i]
 	}
-	ev := &EpochVotes{epoch: e} //gasper:alloc first vote of a target epoch, once per epoch
+	var ev *EpochVotes
+	if n := len(p.spares); n > 0 {
+		ev, p.spares = p.spares[n-1], p.spares[:n-1]
+		ev.reset(e)
+	} else {
+		ev = &EpochVotes{epoch: e} //gasper:alloc first vote of a target epoch with no pruned epoch to reuse: the run's first few epochs
+	}
 	p.epochs = slices.Insert(p.epochs, i, ev)
 	return ev
+}
+
+// reset empties a pruned epoch's storage for reuse as target epoch e: the
+// id column cleared at its length, the table and the spill truncated, the
+// equivocators' column dropped — that one is rare enough to re-allocate,
+// and while it is nil nobody looks for a second vote.
+//
+//gasper:noalloc
+func (ev *EpochVotes) reset(e types.Epoch) {
+	clear(ev.first)
+	*ev = EpochVotes{epoch: e, table: ev.table[:0], first: ev.first, spill: ev.spill[:0]}
 }
 
 // Retained returns the target epochs the pool holds, in ascending order.
@@ -578,9 +608,14 @@ func (ev *EpochVotes) clone() *EpochVotes {
 // Prune drops all attestations with target epoch strictly below e, bounding
 // pool memory in long simulations — and, because the slashing detector
 // reads the pool, the window in which an offense can still be proved.
+// Up to maxSpares of the dropped epochs are kept aside, for open to reuse
+// their storage.
 func (p *Pool) Prune(e types.Epoch) {
 	n := 0
 	for n < len(p.epochs) && p.epochs[n].epoch < e {
+		if len(p.spares) < maxSpares {
+			p.spares = append(p.spares, p.epochs[n])
+		}
 		n++
 	}
 	p.epochs = slices.Delete(p.epochs, 0, n)
@@ -589,6 +624,21 @@ func (p *Pool) Prune(e types.Epoch) {
 // Epochs returns the number of epochs currently retained (for tests and
 // metrics).
 func (p *Pool) Epochs() int { return len(p.epochs) }
+
+// Bytes reports the heap the pool's votes retain — per epoch the value
+// table, the id columns and the spill, spares included — from slice
+// capacities and element sizes, as blocktree.Tree.Stats and
+// forkchoice.ProtoArray.Stats do for theirs.
+func (p *Pool) Bytes() int {
+	total := 0
+	for _, evs := range [2][]*EpochVotes{p.epochs, p.spares} {
+		for _, ev := range evs {
+			total += int(unsafe.Sizeof(*ev)) + cap(ev.table)*int(unsafe.Sizeof(Data{})) +
+				(cap(ev.first)+cap(ev.second))*4 + cap(ev.spill)*int(unsafe.Sizeof(spillVote{}))
+		}
+	}
+	return total
+}
 
 // Link is a source->target checkpoint pair: the FFG vote proper.
 type Link struct {

@@ -1,8 +1,10 @@
 package attestation
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/types"
 )
 
@@ -133,6 +135,66 @@ func TestPrune(t *testing.T) {
 	}
 	if !p.Voted(3, 1) {
 		t.Error("epoch 3 must survive prune")
+	}
+}
+
+// TestPrunedEpochStorageIsReusedClean: the next new target epoch takes over
+// a pruned epoch's storage, and nothing the pruned epoch recorded — votes,
+// an equivocation with its second column and spill, the source range —
+// shows in it: the reusing pool reads, and encodes, exactly like a pool
+// that allocated the epoch afresh.
+func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
+	late := []Attestation{
+		att(2, 290, 7, cp(8, 3), cp(9, 7)),
+		att(6, 290, 7, cp(8, 3), cp(9, 7)),
+	}
+	fresh := NewPool()
+	reused := NewPool()
+	// Epoch 1: validators 0..7 vote; validator 2 casts three distinct votes.
+	for v := uint64(0); v < 8; v++ {
+		reused.Add(att(v, 33, 5, cp(0, 0), cp(1, 5)))
+	}
+	reused.Add(att(2, 33, 6, cp(0, 0), cp(1, 6)))
+	reused.Add(att(2, 34, 6, cp(0, 0), cp(1, 6)))
+	if !reused.Retained()[0].Equivocated() {
+		t.Fatal("the planted equivocation was not recorded")
+	}
+	pruned := reused.Retained()[0]
+	before := reused.Bytes()
+	reused.Prune(2)
+	if reused.Epochs() != 0 || reused.Bytes() != before {
+		t.Fatalf("after the prune: %d epochs, %d bytes held; want 0 epochs and the pruned epoch's %d bytes kept as a spare", reused.Epochs(), reused.Bytes(), before)
+	}
+	for _, a := range late {
+		fresh.Add(a)
+		reused.Add(a)
+	}
+	ev := reused.Retained()[0]
+	if ev != pruned {
+		t.Fatal("epoch 9 did not take over the pruned epoch's storage")
+	}
+	if ev.Epoch() != 9 || ev.Equivocated() || len(ev.Values()) != 1 {
+		t.Fatalf("reused epoch: number %d, equivocated %t, %d values; want 9, false, 1", ev.Epoch(), ev.Equivocated(), len(ev.Values()))
+	}
+	if lo, hi := ev.SourceRange(); lo != 8 || hi != 8 {
+		t.Errorf("reused epoch's source range %d..%d, want 8..8", lo, hi)
+	}
+	if got := ev.AppendVotes(nil, 2); len(got) != 1 {
+		t.Errorf("the pruned equivocator holds %d votes in the reused epoch, want 1", len(got))
+	}
+	for v := uint64(0); v < 8; v++ {
+		if got, want := reused.Voted(9, types.ValidatorIndex(v)), v == 2 || v == 6; got != want {
+			t.Errorf("validator %d voted in the reused epoch = %t, want %t", v, got, want)
+		}
+	}
+	var a, b bytes.Buffer
+	fresh.EncodeTo(codec.NewWriter(&a))
+	reused.EncodeTo(codec.NewWriter(&b))
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("a pool that reused a pruned epoch's storage encodes differently from one that allocated afresh")
+	}
+	if c := reused.Clone(); c.Bytes() > reused.Bytes() || len(c.spares) != 0 {
+		t.Errorf("clone holds %d bytes and %d spares; want no more than the original's %d and none", c.Bytes(), len(c.spares), reused.Bytes())
 	}
 }
 

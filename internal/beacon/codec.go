@@ -92,7 +92,6 @@ func (n *Node) EncodeTo(w *codec.Writer) {
 	n.Pool.EncodeTo(w)
 	n.Detector.EncodeTo(w)
 	encodeRegistry(w, n.Registry)
-	encodeRegistry(w, n.justifiedState)
 	// Pending blocks, sorted by missing-parent root for deterministic
 	// bytes; each waiter list keeps its arrival order.
 	parents := make([]types.Root, 0, len(n.pending))
@@ -149,7 +148,6 @@ func DecodeNode(r *codec.Reader) *Node {
 	n.Pool = attestation.DecodePool(r)
 	n.Detector = slashing.DecodeDetector(r)
 	n.Registry = decodeRegistry(r)
-	n.justifiedState = decodeRegistry(r)
 	np := r.Len()
 	if r.Err() != nil {
 		return nil

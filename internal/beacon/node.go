@@ -51,14 +51,6 @@ type Node struct {
 	// off.
 	EnforceSlashing bool
 
-	// justifiedState snapshots the registry as of the latest justified
-	// checkpoint. The fork-choice rule weighs votes with these balances
-	// (as the spec's get_weight does with the justified state), which
-	// keeps weight computations identical across views that agree on the
-	// justified checkpoint — the property that lets partitions reconcile
-	// after healing.
-	justifiedState *validator.Registry
-
 	// hidden lists the blocks head computation skips. The view-cohort
 	// simulator installs it while a block one cohort member produced this
 	// slot is still in flight to the rest, the only within-cohort view
@@ -114,23 +106,21 @@ func NewNode(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis 
 // equivalence suites use it to run whole simulations on the map-based
 // oracle (forkchoice.NewOracle) against the proto-array default.
 func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
-	reg := validator.NewRegistry(nValidators, spec.MaxEffectiveBalance)
 	n := &Node{
-		ID:             id,
-		Spec:           spec,
-		Tree:           blocktree.New(genesis),
-		Votes:          votes,
-		FFG:            ffg.NewEngine(genesis),
-		Pool:           attestation.NewPool(),
-		Detector:       slashing.NewDetector(),
-		Registry:       reg,
-		Leak:           incentives.Engine{Spec: spec},
-		justifiedState: reg.Clone(),
-		pending:        make(map[types.Root][]blocktree.Block),
+		ID:       id,
+		Spec:     spec,
+		Tree:     blocktree.New(genesis),
+		Votes:    votes,
+		FFG:      ffg.NewEngine(genesis),
+		Pool:     attestation.NewPool(),
+		Detector: slashing.NewDetector(),
+		Registry: validator.NewRegistry(nValidators, spec.MaxEffectiveBalance),
+		Leak:     incentives.Engine{Spec: spec},
+		pending:  make(map[types.Root][]blocktree.Block),
 	}
 	n.stakeFn = n.Registry.Stake
 	n.activeFn = n.activity.Active
-	n.Votes.UpdateStakes(nValidators, n.justifiedState.Stake)
+	n.Votes.UpdateStakes(nValidators, n.stakeFn)
 	return n
 }
 
@@ -156,7 +146,6 @@ func (n *Node) Clone() *Node {
 		Registry:        n.Registry.Clone(),
 		Leak:            n.Leak,
 		EnforceSlashing: n.EnforceSlashing,
-		justifiedState:  n.justifiedState.Clone(),
 		pending:         make(map[types.Root][]blocktree.Block, len(n.pending)),
 		incentivesNext:  n.incentivesNext,
 		slashEvidence:   append([]slashing.Evidence(nil), n.slashEvidence...),
@@ -237,10 +226,13 @@ func (n *Node) SetHidden(hidden []types.Root) { n.hidden = hidden }
 // Head computes the node's candidate-chain head: LMD-GHOST from the block
 // of the latest justified checkpoint, weighing votes with the balances of
 // the justified state (not the current view's balances), as the consensus
-// spec does. Those balances are pushed into the fork-choice engine whenever
-// the justified snapshot advances, so the engine applies them as vote
-// deltas instead of re-reading every validator's stake per call. An
-// installed hidden list restricts the descent.
+// spec does — which keeps weights identical across views that agree on the
+// justified checkpoint, the property that lets partitions reconcile after
+// healing. Those balances are pushed into the fork-choice engine whenever
+// the justified checkpoint advances and live only in its stake column, so
+// the engine applies them as vote deltas instead of re-reading every
+// validator's stake per call. An installed hidden list restricts the
+// descent.
 func (n *Node) Head() (types.Root, error) {
 	start := n.FFG.LatestJustified().Root
 	if !n.Tree.Has(start) {
@@ -356,12 +348,12 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		ffgRes.NewlyJustified = append(ffgRes.NewlyJustified, res.NewlyJustified...)
 		ffgRes.NewlyFinalized = append(ffgRes.NewlyFinalized, res.NewlyFinalized...)
 	}
-	// The justified checkpoint advanced: snapshot the balances that the
-	// fork-choice rule will weigh votes with, and push them into the
-	// engine as stake deltas.
+	// The justified checkpoint advanced: push the balances as of now into
+	// the fork-choice engine as stake deltas. The engine keeps them in its
+	// own column until the next advance, so the rule weighs votes with the
+	// justified state's balances, not the current view's.
 	if n.FFG.LatestJustified() != justifiedBefore {
-		n.justifiedState = n.Registry.Clone()
-		n.Votes.UpdateStakes(n.justifiedState.Len(), n.justifiedState.Stake)
+		n.Votes.UpdateStakes(n.Registry.Len(), n.stakeFn)
 	}
 
 	// Finality advanced: blocks conflicting with the finalized checkpoint

@@ -12,8 +12,8 @@ import (
 // partitioned prefix under one seed (gst is excluded from the prefix key
 // and rate/gst from seed derivation, so the gst dimension shares both
 // prefixes and seeds) — cold re-runs the prefix per cell, warm runs it
-// once to the deepest horizon and fans all 30 cells out from the 15
-// intermediate checkpoints.
+// once to the deepest horizon and reads all 30 cells off the spine as it
+// passes their 15 horizons (every cell is a stop: no snapshot is taken).
 func benchGrid() []Cell {
 	horizons := make([]int, 0, 15)
 	for h := 8; h <= 22; h++ {
@@ -50,11 +50,12 @@ func benchSweep(b *testing.B, warm *WarmStartOptions) []Result {
 }
 
 // BenchmarkSweepWarmStart measures the tentpole's payoff: cold sweeps the
-// grid cell by cell, warm fans the cells out from the shared snapshot
-// tree. Workers is pinned to 1 on both sides so the ratio isolates the
-// epochs saved rather than scheduling luck; CI gates warm >= 3x cold
-// cells/sec. The warm run is also asserted bit-identical to the cold one —
-// the speedup is only admissible because the results are the same.
+// grid cell by cell, warm finishes the cells from the shared prefix tree.
+// Workers is pinned to 1 on both sides so the ratio isolates the epochs
+// saved rather than scheduling luck; CI gates warm >= 10x cold cells/sec
+// and warm <= 0.1x cold B/op (cmd/benchgate/gates.json). The warm run is
+// also asserted bit-identical to the cold one — the speedup is only
+// admissible because the results are the same.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	var cold, warm []Result
 	b.Run("cold", func(b *testing.B) {

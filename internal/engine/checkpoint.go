@@ -13,14 +13,14 @@ import (
 // against the simulation itself.
 const DefaultCheckpointEvery = 500
 
-// checkpointChunk bounds a single RunTo step inside the checkpointed
-// loop. Stepping in sub-interval chunks costs only an extra in-memory
-// snapshot per chunk (the ForkableScenario contract makes any split
-// bit-identical) and buys a fresh resume point on cooperative
-// cancellation: a drained or interrupted cell persists its newest chunk
-// boundary as a final checkpoint, so a SIGINT loses at most one chunk of
-// epochs, not one full checkpoint interval. kill -9 still loses at most
-// one interval. A variable only so tests can shrink it.
+// checkpointChunk bounds a single step of the checkpointed loop. Stepping
+// in sub-interval chunks costs only an extra in-memory snapshot per chunk
+// (the ForkableScenario contract makes any split bit-identical) and buys a
+// fresh resume point on cooperative cancellation: a drained or interrupted
+// cell persists its newest chunk boundary as a final checkpoint, so a
+// SIGINT loses at most one chunk of epochs, not one full checkpoint
+// interval. kill -9 still loses at most one interval. A variable only so
+// tests can shrink it.
 var checkpointChunk = 128
 
 // CheckpointStore is the durable home of mid-cell checkpoints
@@ -136,7 +136,11 @@ func saveCheckpoint(cs CheckpointableScenario, st CheckpointStore, cellKey strin
 // runFromCheckpoint is the cell executor's durable tier: probe the store,
 // resume from the newest valid checkpoint (or start at genesis), persist a
 // fresh checkpoint every interval while running, delete the checkpoint once
-// the cell completes. It fills meta as it goes and also returns the epochs
+// the cell completes. The chunk the cell finishes on — it reaches the
+// cell's horizon, or the scenario concludes in it — is the sweep spine's
+// stop with a group of one: ResumeFrom reads the result off the live
+// simulation, and the chunk is neither snapshotted nor encoded nor saved.
+// It fills meta as it goes and also returns the epochs
 // the cell actually simulated: where its final prefix stands when the
 // scenario concluded there (a sim/leak run that conflicts at 4668 of 6000
 // simulated 4668), else the horizon ResumeFrom ran the tail to (a
@@ -201,7 +205,7 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		if next > branch {
 			next = branch
 		}
-		np, err := cs.RunTo(ctx, p, pre, next)
+		np, err := advancePrefix(ctx, cs, p, pre, next)
 		if err != nil {
 			// Cooperative cancellation (or a genuine failure) mid-cell:
 			// flush the newest completed chunk so the next attempt
@@ -212,7 +216,15 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 			return Result{}, 0, err
 		}
 		pre = np
-		if pre.Done || pre.Epoch >= branch || (every > 0 && pre.Epoch-lastSaved >= every) {
+		if pre.Done || pre.Epoch >= p.Horizon {
+			break // nothing left to simulate: finish off the live simulation
+		}
+		// The next chunk steps the live simulation on, so this boundary
+		// survives only as a snapshot — what a cancellation flushes.
+		if err := pre.freeze(); err != nil {
+			return Result{}, 0, err
+		}
+		if pre.Epoch >= branch || (every > 0 && pre.Epoch-lastSaved >= every) {
 			save(pre)
 			lastSaved = pre.Epoch
 		}
@@ -224,6 +236,11 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 	pre.Owned = true
 	res, err := cs.ResumeFrom(ctx, pre, p)
 	if err != nil {
+		// Cancelled while finishing: an unfrozen final chunk was only read,
+		// so it can still be flushed like any other newest chunk.
+		if pre.Epoch > lastSaved && pre.freeze() == nil {
+			save(pre)
+		}
 		return Result{}, 0, err
 	}
 	ck.Store.DeleteCheckpoint(cellKey)

@@ -184,9 +184,12 @@ func TestPrefixCodecRejectsMismatch(t *testing.T) {
 }
 
 // TestSweepCheckpointTransparent: a checkpointed sweep with no prior
-// state produces results bit-identical to the plain sweep, writes
-// periodic checkpoints while running, and leaves the store empty (every
-// completed cell deletes its checkpoint).
+// state produces results bit-identical to the plain sweep and leaves the
+// store empty (every completed cell deletes its checkpoint). A cell longer
+// than one interval writes its interval checkpoints on the way; the chunk a
+// cell finishes on is never written — so a cell that ends at its branch
+// inside its first interval writes none — while the branch of a sim/gst
+// cell that still has its heal tail to run is.
 func TestSweepCheckpointTransparent(t *testing.T) {
 	shrinkChunk(t, 4)
 	ctx := context.Background()
@@ -200,6 +203,10 @@ func TestSweepCheckpointTransparent(t *testing.T) {
 	if got, want := StripMeta(warm), StripMeta(cold); !reflect.DeepEqual(got, want) {
 		t.Fatalf("checkpointed sweep diverged from the plain sweep:\n  checkpointed: %+v\n  plain:        %+v", got, want)
 	}
+	// In checkpointTestCells order: sim/drops ends at epoch 8, inside its
+	// first interval; sim/gst saves its branch (epoch 6 of 12); sim/leak
+	// saves epochs 8, 16, 24, 32 of 40; sim/semiactive 8, 16, 24 of 30.
+	wantWritten := []int{0, 1, 4, 3}
 	for i, r := range warm {
 		ck := r.Meta.Checkpoint
 		if ck == nil {
@@ -208,15 +215,15 @@ func TestSweepCheckpointTransparent(t *testing.T) {
 		if ck.Resumed {
 			t.Errorf("cell %d claims a resume on an empty store", i)
 		}
-		if ck.Written == 0 {
-			t.Errorf("cell %d wrote no checkpoints (meta %+v)", i, ck)
+		if ck.Written != wantWritten[i] {
+			t.Errorf("cell %d (%s) wrote %d checkpoints, want %d", i, r.Scenario, ck.Written, wantWritten[i])
 		}
 	}
 	if n := ms.len(); n != 0 {
 		t.Fatalf("store holds %d checkpoints after all cells completed, want 0", n)
 	}
-	if ms.saves == 0 || ms.deletes == 0 {
-		t.Fatalf("store never exercised: saves=%d deletes=%d", ms.saves, ms.deletes)
+	if ms.saves != 8 || ms.deletes != 3 {
+		t.Fatalf("store saw saves=%d deletes=%d, want 8 and 3 (one per cell that wrote)", ms.saves, ms.deletes)
 	}
 }
 
@@ -267,7 +274,8 @@ func TestSweepCheckpointResume(t *testing.T) {
 // (schema drift the store's framing cannot catch — garbage, a checkpoint
 // whose snapshot frame carries the version 1 header of builds before the
 // interned-vote format, or one whose snapshot is the version 2 frame PR 13
-// wrote, from before the detector's votes left the frame) is silently
+// wrote, from before the detector's votes left the frame, or the version 3
+// frame PR 16 wrote, from before the second registry did) is silently
 // discarded — the cell starts cold, produces the correct result, and
 // repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
@@ -295,6 +303,18 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 		}
 		return frame
 	}
+	// oldFrame plants the checkpoint with its snapshot frame replaced by a
+	// checked-in frame of an earlier format version.
+	oldFrame := func(path string) func(*testing.T, *memStore) {
+		return func(t *testing.T, ms *memStore) {
+			old, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := saved(t, ms)
+			ms.data[key] = append(ms.data[key][:frame], old...)
+		}
+	}
 	payloads := []struct {
 		name  string
 		plant func(t *testing.T, ms *memStore)
@@ -304,14 +324,8 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 			frame := saved(t, ms)
 			binary.LittleEndian.PutUint32(ms.data[key][frame+4:], 1)
 		}},
-		{"pr13-v2-frame", func(t *testing.T, ms *memStore) {
-			old, err := os.ReadFile("../sim/testdata/snapshot-v2-pr13.frame")
-			if err != nil {
-				t.Fatal(err)
-			}
-			frame := saved(t, ms)
-			ms.data[key] = append(ms.data[key][:frame], old...)
-		}},
+		{"pr13-v2-frame", oldFrame("../sim/testdata/snapshot-v2-pr13.frame")},
+		{"pr16-v3-frame", oldFrame("../sim/testdata/snapshot-v3-pr16.frame")},
 	}
 	for _, tc := range payloads {
 		t.Run(tc.name, func(t *testing.T) {

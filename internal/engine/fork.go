@@ -18,7 +18,11 @@ import (
 // slice appended from two continuations is a correctness bug, not just a
 // race).
 type Prefix struct {
-	// Snap is the simulation state at the checkpoint.
+	// Snap is the simulation state at the checkpoint. Every prefix RunTo
+	// or DecodePrefix returns has one. Inside the engine a prefix may be
+	// advanced without it (nil): it then stands on its live simulation
+	// alone, is private to the goroutine that advanced it, and is frozen —
+	// given its Snap — before anyone else may see it.
 	Snap *sim.Snapshot
 	// Epoch counts the simulated epochs in the prefix (the checkpoint sits
 	// at the boundary ending epoch Epoch). It can fall short of the epoch
@@ -51,8 +55,11 @@ type Prefix struct {
 // ForkableScenario is the optional Scenario extension that opts a
 // simulation scenario into snapshot-tree warm-started sweeps: the
 // scheduler (sched.go) groups a grid's cells by prefix key, simulates each
-// shared prefix once via RunTo, and fans the cells out from the checkpoint
-// via ResumeFrom (through the cell executor's in-memory tier).
+// shared prefix once via RunTo, and finishes every cell from its checkpoint
+// via ResumeFrom (through the cell executor's in-memory tier). A cell whose
+// branch epoch is its own horizon has nothing left to simulate: ResumeFrom
+// on a prefix standing at (or concluded before) the cell's horizon only
+// reads it.
 //
 // The contract every implementation must honor, and the warm-vs-cold
 // equivalence suite pins: for any fully-defaulted params p with
@@ -122,17 +129,19 @@ func (o WarmStartOptions) Budget() int64 {
 // (the last-completed cell carries the sweep's totals). Like all of
 // RunMeta it is excluded from determinism comparisons.
 type WarmMeta struct {
-	// Hit marks a cell resumed from a shared snapshot (false on a cell
-	// the scheduler started outside the tree).
+	// Hit marks a cell finished from a shared prefix — read off the spine
+	// where it ends, or resumed from a snapshot where it continues (false
+	// on a cell the scheduler started outside the tree).
 	Hit bool `json:"hit,omitempty"`
-	// BranchEpoch is the epoch the cell forked from its prefix.
+	// BranchEpoch is the epoch the cell left its prefix at.
 	BranchEpoch int `json:"branch_epoch,omitempty"`
 	// EpochsSaved counts the prefix epochs this cell did not re-simulate.
 	EpochsSaved int `json:"epochs_saved,omitempty"`
 	// PrefixNodes is the snapshot-tree size: distinct (prefix key, branch
 	// epoch) checkpoints the sweep planned.
 	PrefixNodes int `json:"prefix_nodes,omitempty"`
-	// SnapshotHits counts resumes served from a resident snapshot so far.
+	// SnapshotHits counts cells served from a shared prefix so far: stops
+	// read off the spine and forks resumed from a resident snapshot.
 	SnapshotHits int `json:"snapshot_hits,omitempty"`
 	// Rebuilt counts snapshots re-simulated after eviction so far.
 	Rebuilt int `json:"rebuilt,omitempty"`

@@ -138,7 +138,10 @@ func TestForkKeys(t *testing.T) {
 // For every split 0 < e1 < e2 <= branch, extending a prefix writes the
 // same snapshot frame bytes as simulating straight from genesis; and
 // resuming from any prefix after a round trip through the prefix codec
-// yields the cold RunContext result.
+// yields the cold RunContext result. And finishing is read-only: a cell
+// that ends at epoch k is read off a prefix advanced there without a
+// snapshot (what the sweep spine lends its stops), equals its cold run, and
+// leaves the prefix extending to the same bytes as if nobody had looked.
 func TestSimRowContract(t *testing.T) {
 	ctx := context.Background()
 	// One small parameter point every row accepts.
@@ -185,6 +188,36 @@ func TestSimRowContract(t *testing.T) {
 						}
 					}
 				}
+				// The lent read, one epoch short of the branch (every row
+				// accepts the point at that horizon).
+				stop := p
+				stop.Horizon = branch - 1
+				coldStop, err := sc.(ContextRunner).RunContext(ctx, stop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lent, err := sc.(*simScenario).advanceTo(ctx, p, nil, stop.Horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cs.ResumeFrom(ctx, lent, stop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.WithoutMeta(), coldStop.WithoutMeta()) {
+					t.Errorf("the stop read off the lent epoch-%d prefix diverged from its cold run:\n  lent: %+v\n  cold: %+v", stop.Horizon, res.WithoutMeta(), coldStop.WithoutMeta())
+				}
+				if lent.Snap != nil || lent.live() == nil {
+					t.Fatalf("finishing the lent prefix froze it (snap %v) or took its simulation", lent.Snap != nil)
+				}
+				extended, err := cs.RunTo(ctx, p, lent, branch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(frame(t, extended), frame(t, straight[branch])) {
+					t.Errorf("extending the epoch-%d prefix after a stop read it wrote a different frame than RunTo(nil, %d)", stop.Horizon, branch)
+				}
+
 				for k := 1; k <= branch; k++ {
 					var blob bytes.Buffer
 					if err := cs.EncodePrefix(&blob, straight[k]); err != nil {

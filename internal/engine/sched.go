@@ -11,20 +11,26 @@ import (
 // The sweep scheduler: one bounded worker pool whose jobs each run one cell
 // through the cell executor (runCell). With Options.WarmStart it first plans
 // a snapshot tree — it groups the cells by the parameter prefix they share
-// (ForkableScenario Fork keys), simulates each shared prefix exactly once
-// (RunTo, one spine job per group), and fans the group's cells out from
-// deep-copied snapshots (the executor's in-memory tier) — turning a grid
-// whose cells re-simulate identical epoch-0..branch prefixes into one spine
-// walk plus cheap resumes. Without it the plan has zero groups and every
-// cell starts from its durable checkpoint or from genesis.
+// (ForkableScenario Fork keys) and simulates each shared prefix exactly once
+// (one spine job per group), turning a grid whose cells re-simulate
+// identical epoch-0..branch prefixes into one spine walk. A cell leaves its
+// prefix in one of two ways. A stop ends where it branches (branch ==
+// horizon, every cell of a horizon sweep): the spine finishes it in place,
+// reading its own live simulation as it stands at that epoch — no snapshot,
+// no second simulation, no job. A fork continues under its own post-branch
+// parameters: the spine snapshots at that epoch, and the fork resumes from a
+// deep copy as a job of its own (the executor's in-memory tier). Without
+// WarmStart the plan has zero groups and every cell starts from its durable
+// checkpoint or from genesis.
 //
 // The tree is an execution strategy, not a semantics change: results are
 // bit-identical for any worker count, snapshot-reuse pattern, and eviction
 // schedule (the equivalence suite enforces this).
 //
-// Memory: resident snapshots are refcounted and budgeted
+// Memory: a snapshot is taken only at a branch epoch some fork continues
+// from. Resident snapshots are refcounted and budgeted
 // (WarmStartOptions.MemoryBudget, via sim.Snapshot.Bytes). Over budget, the
-// cheapest-to-rebuild snapshots (lowest branch epoch) are evicted; a cell
+// cheapest-to-rebuild snapshots (lowest branch epoch) are evicted; a fork
 // that later needs an evicted checkpoint rebuilds it from the nearest
 // surviving ancestor, or from genesis. Scenarios that do not implement
 // ForkableScenario — and degenerate groups of one cell — start like any
@@ -43,13 +49,18 @@ const (
 
 type entry struct {
 	branch int
+	// stops are the cells that end at this branch epoch; the spine finishes
+	// them itself. forked says some cell continues past it — only then is
+	// the entry snapshotted and published. Both are fixed by the plan.
+	stops  []int
+	forked bool
 	// ready closes when the spine first publishes this entry (live or
-	// failed); resumes wait on it before consulting state.
+	// failed); forks wait on it before consulting state.
 	ready chan struct{}
 	// rebuildCh is non-nil while state == stateRebuilding and closes when
 	// the rebuild settles (live, evicted, or failed).
 	rebuildCh chan struct{}
-	// refs counts cells that still need this checkpoint; 0 releases it.
+	// refs counts forks that still need this checkpoint; 0 releases it.
 	refs int
 	// pins counts in-flight rebuilds reading this checkpoint as their
 	// ancestor; a pinned checkpoint is never handed out as Owned (its
@@ -91,16 +102,18 @@ type sched struct {
 	entries  []*entry // every entry across groups, for eviction scans
 }
 
-// resumeJob is one cell that resumes from its group's checkpoint e.
-type resumeJob struct {
+// forkJob is one cell that resumes from its group's checkpoint e.
+type forkJob struct {
 	idx int
 	g   *group
 	e   *entry
 }
 
 // plan classifies each cell as warm (forkable, shares a prefix with at
-// least one other cell) or cold, building one group per shared prefix.
-func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, resumes []resumeJob, colds []int) {
+// least one other cell) or cold, building one group per shared prefix. A
+// warm cell whose branch is its own horizon is a stop of its entry; one that
+// continues past its branch is a fork, a job of its own.
+func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, forks []forkJob, colds []int) {
 	type warmCell struct {
 		idx    int
 		params Params
@@ -145,8 +158,13 @@ func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, resumes []
 				g.order = append(g.order, wc.branch)
 				sch.entries = append(sch.entries, e)
 			}
+			if wc.branch == wc.params.Horizon {
+				e.stops = append(e.stops, wc.idx)
+				continue
+			}
+			e.forked = true
 			e.refs++
-			resumes = append(resumes, resumeJob{wc.idx, g, e})
+			forks = append(forks, forkJob{wc.idx, g, e})
 		}
 		sort.Ints(g.order)
 		sch.nodes += len(g.order)
@@ -154,8 +172,8 @@ func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, resumes []
 	}
 	sort.Ints(colds)
 	// Shallow branches first: their checkpoints publish first.
-	sort.SliceStable(resumes, func(a, b int) bool { return resumes[a].e.branch < resumes[b].e.branch })
-	return groups, resumes, colds
+	sort.SliceStable(forks, func(a, b int) bool { return forks[a].e.branch < forks[b].e.branch })
+	return groups, forks, colds
 }
 
 // schedule is SweepStream's local execution: one Update per cell in
@@ -172,11 +190,11 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	}
 	var sch *sched // nil: no tree, no warm provenance
 	var groups []*group
-	var resumes []resumeJob
+	var forks []forkJob
 	var colds []int
 	if opt.WarmStart != nil {
 		sch = &sched{budget: opt.WarmStart.Budget()}
-		groups, resumes, colds = sch.plan(reg, cells)
+		groups, forks, colds = sch.plan(reg, cells)
 	} else {
 		for i := range cells {
 			colds = append(colds, i)
@@ -185,11 +203,11 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 
 	// One pre-filled job queue (no producer goroutine to leak; workers drain
 	// the remainder instantly after cancellation) holding spines, colds, and
-	// resumes, in that order. The ordering is the no-deadlock argument: a
-	// resume blocks on its entry's ready channel, but by FIFO it is dequeued
+	// forks, in that order. The ordering is the no-deadlock argument: a
+	// fork blocks on its entry's ready channel, but by FIFO it is dequeued
 	// only after every spine job was dequeued — and spines never wait on
-	// anything — so a blocked resume's spine is always running or finished.
-	total := len(groups) + len(colds) + len(resumes)
+	// another job — so a blocked fork's spine is always running or finished.
+	total := len(groups) + len(colds) + len(forks)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -202,9 +220,29 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		res Result
 	}
 	finished := make(chan indexed)
+	// warm runs one cell from the prefix its group holds for it — held
+	// also reports the prefix epochs the cell did not simulate — and stamps
+	// the warm provenance. Stops and forks are both this.
+	warm := func(idx, branch int, held func(context.Context) (*Prefix, int, error)) Result {
+		saved := 0
+		res, _ := runCell(ctx, reg, cells[idx], nil, func(ctx context.Context) (pre *Prefix, err error) {
+			pre, saved, err = held(ctx)
+			return pre, err
+		})
+		if res.Meta != nil {
+			res.Meta.Warm = sch.warmMeta(true, branch, saved)
+		}
+		return res
+	}
 	jobs := make(chan func(), total)
 	for _, g := range groups {
-		jobs <- func() { g.runSpine(ctx) }
+		jobs <- func() {
+			g.runSpine(ctx, func(idx, branch int, pre *Prefix, err error) {
+				finished <- indexed{idx, warm(idx, branch, func(context.Context) (*Prefix, int, error) {
+					return sch.lend(pre, err)
+				})}
+			})
+		}
 	}
 	for _, i := range colds {
 		jobs <- func() {
@@ -215,18 +253,13 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 			finished <- indexed{i, res}
 		}
 	}
-	for _, rj := range resumes {
+	for _, fj := range forks {
 		jobs <- func() {
-			saved := 0
-			res, _ := runCell(ctx, reg, cells[rj.idx], nil, func(ctx context.Context) (pre *Prefix, err error) {
-				pre, saved, err = rj.g.acquire(ctx, rj.e)
-				return pre, err
+			res := warm(fj.idx, fj.e.branch, func(ctx context.Context) (*Prefix, int, error) {
+				return fj.g.acquire(ctx, fj.e)
 			})
-			sch.decref(rj.e)
-			if res.Meta != nil {
-				res.Meta.Warm = sch.warmMeta(true, rj.e.branch, saved)
-			}
-			finished <- indexed{rj.idx, res}
+			sch.decref(fj.e)
+			finished <- indexed{fj.idx, res}
 		}
 	}
 	close(jobs)
@@ -256,25 +289,62 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	return out
 }
 
+// prefixAdvancer is what a forkable scenario implements when it can extend
+// a prefix without snapshotting it (simScenario.advanceTo; Prefix.freeze
+// takes the snapshot later, if anyone needs it). A scenario that cannot is
+// advanced by RunTo, which returns the prefix already frozen.
+type prefixAdvancer interface {
+	advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
+}
+
+func advancePrefix(ctx context.Context, fs ForkableScenario, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	if a, ok := fs.(prefixAdvancer); ok {
+		return a.advanceTo(ctx, p, from, epoch)
+	}
+	return fs.RunTo(ctx, p, from, epoch)
+}
+
 // runSpine walks the group's branch epochs in order, extending one prefix
-// chain and publishing a checkpoint at each. A RunTo failure fails that
-// branch's entry but keeps walking from the last good prefix, so one bad
-// extension does not doom deeper (independent) retries — under
-// cancellation every remaining entry fails fast with the context error.
-func (g *group) runSpine(ctx context.Context) {
-	var prev *Prefix
+// chain. At each branch it first finishes the entry's stops on this
+// goroutine (stop runs one through the cell executor and emits its result),
+// lending them the prefix as it stands — unfrozen unless an earlier branch
+// already published it — and only then, if a fork continues from here,
+// freezes and publishes it. The order matters: once published, a fork on
+// another worker may claim and step the very simulation the stops read.
+//
+// A failed hop fails that branch's cells but keeps walking, so one bad
+// extension does not doom deeper (independent) retries — under cancellation
+// every remaining branch fails fast with the context error. The failed hop
+// may have consumed the live simulation of a prefix that was never frozen,
+// which cannot be extended again: the walk goes on from the deepest
+// resident snapshot below, else from genesis.
+func (g *group) runSpine(ctx context.Context, stop func(idx, branch int, pre *Prefix, err error)) {
+	var prev, published *Prefix
 	for _, b := range g.order {
 		e := g.entries[b]
-		if err := ctx.Err(); err != nil {
-			g.sch.publishErr(e, err)
-			continue
+		var pre *Prefix
+		err := ctx.Err()
+		if err == nil {
+			pre, err = advancePrefix(ctx, g.fs, g.params, prev, b)
 		}
-		pre, err := g.fs.RunTo(ctx, g.params, prev, b)
+		for _, idx := range e.stops {
+			stop(idx, b, pre, err)
+		}
+		if err == nil && e.forked {
+			err = pre.freeze()
+		}
 		if err != nil {
 			g.sch.publishErr(e, err)
+			prev = g.deepestSnapshot(b)
 			continue
 		}
-		g.sch.publish(e, pre, prev)
+		if e.forked {
+			// A hop that returned the checkpoint published last unchanged (a
+			// Done prefix — the scenario concluded before this branch) makes
+			// this entry an alias of that snapshot.
+			g.sch.publish(e, pre, pre == published)
+			published = pre
+		}
 		prev = pre
 	}
 	g.sch.mu.Lock()
@@ -282,7 +352,32 @@ func (g *group) runSpine(ctx context.Context) {
 	g.sch.mu.Unlock()
 }
 
-// acquire hands a resume its checkpoint, rebuilding it first if the budget
+// deepestSnapshot returns the prefix of the deepest resident checkpoint
+// strictly below the given branch, nil (genesis) when there is none. Only
+// the spine calls it, and until the spine is done no checkpoint is handed
+// out as Owned, so the snapshot stays restorable.
+func (g *group) deepestSnapshot(branch int) *Prefix {
+	g.sch.mu.Lock()
+	defer g.sch.mu.Unlock()
+	if e := g.nearestLiveAncestorLocked(branch); e != nil {
+		return e.prefix
+	}
+	return nil
+}
+
+// lend hands a stop the spine's prefix (or the hop's error) and counts the
+// hit; the stop saved every epoch of the prefix.
+func (s *sched) lend(pre *Prefix, err error) (*Prefix, int, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	s.mu.Lock()
+	s.hits++
+	s.mu.Unlock()
+	return pre, pre.Epoch, nil
+}
+
+// acquire hands a fork its checkpoint, rebuilding it first if the budget
 // evicted it. Returns the prefix and the number of prefix epochs this cell
 // did not have to simulate (for WarmMeta.EpochsSaved).
 func (g *group) acquire(ctx context.Context, e *entry) (*Prefix, int, error) {
@@ -419,15 +514,13 @@ func (g *group) aliasedLocked(e *entry) bool {
 	return false
 }
 
-// publish marks an entry live with the spine's freshly extended prefix.
-// When RunTo returned the previous checkpoint unchanged (a Done prefix —
-// the scenario concluded before this branch), the entry aliases the same
-// snapshot and is charged zero bytes.
-func (s *sched) publish(e *entry, pre, prev *Prefix) {
+// publish marks an entry live with the spine's prefix. An alias — an entry
+// holding a snapshot an earlier entry already holds — is charged zero bytes.
+func (s *sched) publish(e *entry, pre *Prefix, alias bool) {
 	s.mu.Lock()
 	e.prefix = pre
 	e.state = stateLive
-	if pre != prev {
+	if !alias {
 		e.bytes = pre.Snap.Bytes()
 		s.resident += e.bytes
 		if s.resident > s.peak {

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,10 +38,14 @@ var simVariantMatrix = []struct {
 // equivalenceGrids are the randomized-shape grids the warm-vs-cold suite
 // sweeps: small populations, short horizons, every forkable scenario, and
 // shapes that exercise multiple groups (two p0 values), multiple branch
-// epochs per group, and cells sharing a single branch.
+// epochs per group, cells sharing a single branch, and — the second grid —
+// an entry with two stops and a fork (at epoch 6: gst 6 x horizon 6 and
+// gst 9 x horizon 6 end there, gst 6 x horizon 8 continues), so the stops
+// are read off the spine's simulation just before a fork may claim it.
 func equivalenceGrids() []Grid {
 	return []Grid{
 		{Scenario: "sim/gst", P0: []float64{0.4, 0.6}, GSTs: []int{2, 4, 5}, Horizons: []int{6, 8}, N: 24},
+		{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{6, 9}, Horizons: []int{6, 8}, N: 24},
 		{Scenario: "sim/leak", P0: []float64{0.5}, Horizons: []int{8, 10, 12}, N: 20, Sample: 2},
 		{Scenario: "sim/semiactive", P0: []float64{0.5}, Beta0: []float64{0.2}, Horizons: []int{8, 11}, N: 20},
 		{Scenario: "sim/drops", Rates: []float64{0.2}, Horizons: []int{4, 6}, N: 16},
@@ -84,7 +90,8 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 // TestWarmStartObservability checks the provenance a warm sweep stamps
 // into RunMeta: resumed cells report a hit with the branch epoch and saved
 // epochs, the counters see the prefix tree, and a starvation budget forces
-// at least one eviction-then-rebuild without changing results.
+// at least one eviction-then-rebuild without changing results; stops report
+// their whole run saved and leave no snapshot resident.
 func TestWarmStartObservability(t *testing.T) {
 	ctx := context.Background()
 	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
@@ -146,6 +153,114 @@ func TestWarmStartObservability(t *testing.T) {
 	for i := range warm {
 		if !reflect.DeepEqual(warm[i].WithoutMeta(), starved[i].WithoutMeta()) {
 			t.Errorf("cell %d: eviction schedule changed the result", i)
+		}
+	}
+
+	// In a horizon sweep every cell ends where it branches, so each is a
+	// stop — finished on the spine, reported as a hit that saved its whole
+	// run — and the group never holds a snapshot.
+	stops := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{30}, Horizons: []int{4, 6, 7}, N: 24}.Cells()
+	var last *WarmMeta
+	for u := range SweepStream(ctx, stops, Options{Workers: 1, WarmStart: &WarmStartOptions{}}) {
+		if u.Result.Err != "" {
+			t.Fatalf("stop %d failed: %s", u.Index, u.Result.Err)
+		}
+		w, h := u.Result.Meta.Warm, stops[u.Index].Params.Horizon
+		if w == nil || !w.Hit || w.BranchEpoch != h || w.EpochsSaved != h {
+			t.Errorf("stop %d (horizon %d): warm meta %+v, want a hit that branched at and saved its horizon", u.Index, h, w)
+		}
+		if u.Completed == u.Total {
+			last = w
+		}
+	}
+	if last == nil || last.PrefixNodes != 3 || last.SnapshotHits != 3 || last.Rebuilt != 0 || last.PeakResidentBytes != 0 {
+		t.Fatalf("all-stop sweep totals %+v, want 3 prefix nodes, 3 hits, no rebuild and no resident snapshot bytes", last)
+	}
+}
+
+// failOnceAt is a forkable sim scenario whose spine hop to one epoch fails
+// the first time, after having consumed the prefix it was extending — what
+// a hop that dies mid-run leaves behind.
+type failOnceAt struct {
+	*simScenario
+	epoch  int
+	failed bool // only the group's one spine goroutine advances
+}
+
+func (f *failOnceAt) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	if epoch == f.epoch && !f.failed {
+		f.failed = true
+		if from != nil {
+			from.claim()
+		}
+		return nil, errors.New("scripted hop failure")
+	}
+	return f.simScenario.advanceTo(ctx, p, from, epoch)
+}
+
+// TestWarmStartFailedHop: a hop that fails after a stop-only branch leaves
+// the spine holding a prefix with neither a snapshot nor a live simulation.
+// The failed branch's cells carry the error; the spine goes on from the
+// deepest snapshot below (the second grid publishes one at epoch 4) or from
+// genesis (the first never snapshots), and deeper branches match cold.
+func TestWarmStartFailedHop(t *testing.T) {
+	ctx := context.Background()
+	grids := []Grid{
+		{Scenario: "sim/leak", P0: []float64{0.5}, Horizons: []int{8, 10, 12}, N: 20},
+		{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{4, 9}, Horizons: []int{4, 6, 8}, N: 24},
+	}
+	for _, g := range grids {
+		failEpoch := g.Horizons[1] // a branch with stops only, after one and before another
+		cells := g.Cells()
+		cold := SweepContext(ctx, cells, Options{Workers: 2})
+		for _, workers := range []int{1, 3} {
+			inner, _ := NewSimScenarioVariant(g.Scenario, SimVariant{})
+			reg := NewRegistry()
+			reg.MustRegister(&failOnceAt{simScenario: inner.(*simScenario), epoch: failEpoch})
+			warm := SweepContext(ctx, cells, Options{Workers: workers, Registry: reg, WarmStart: &WarmStartOptions{}})
+			for i, c := range cells {
+				_, branch, _ := inner.(ForkableScenario).Fork(c.Params.WithDefaults(inner.Defaults()))
+				if branch == failEpoch {
+					if !strings.Contains(warm[i].Err, "scripted hop failure") {
+						t.Errorf("%s workers=%d cell %d branches at the failed hop: err %q, want the hop's error", g.Scenario, workers, i, warm[i].Err)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+					t.Errorf("%s workers=%d cell %d (%s): diverges from cold after the failed hop\ncold: %+v\nwarm: %+v",
+						g.Scenario, workers, i, c.Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
+				}
+			}
+		}
+	}
+}
+
+// TestWarmStartConcludedPrefix: when the scenario concludes before the
+// group's first branch (this partition finalizes both sides at epoch 26),
+// every hop returns the one Done prefix. The stops at epoch 28 read it
+// unfrozen, the forks at 30 and 35 share one snapshot of it — taken at the
+// first, aliased by the second — and nothing is simulated past epoch 26.
+func TestWarmStartConcludedPrefix(t *testing.T) {
+	ctx := context.Background()
+	cells := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{30, 35}, Horizons: []int{28, 40}, Seeds: []int64{3}, N: 16}.Cells()
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	for i, r := range cold {
+		if v, _ := r.Metric("violation_epoch"); r.Err != "" || v == 0 || v >= 28 {
+			t.Fatalf("cell %d: violation_epoch %v (err %q); the grid wants a conclusion before its first branch", i, v, r.Err)
+		}
+	}
+	for _, workers := range []int{1, 3} {
+		for _, budget := range []int64{-1, 1} {
+			warm := SweepContext(ctx, cells, Options{Workers: workers, WarmStart: &WarmStartOptions{MemoryBudget: budget}})
+			for i := range cold {
+				if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+					t.Errorf("workers=%d budget=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
+						workers, budget, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
+				}
+				if w := warm[i].Meta.Warm; w == nil || !w.Hit || w.EpochsSaved >= 28 {
+					t.Errorf("workers=%d budget=%d cell %d: warm meta %+v, want a hit that saved the epochs up to the conclusion", workers, budget, i, w)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,9 +44,10 @@ func NewSimScenarioVariant(name string, v SimVariant) (Scenario, bool) {
 // Scenario, ContextRunner, ForkableScenario and CheckpointableScenario
 // (sim_fork_codec.go) for all of them. Every way a cell executes is the
 // same walk — position a simulation at a start (genesis or a Prefix), step
-// it epoch by epoch under the row's trace, then either snapshot (RunTo) or
-// finish (ResumeFrom) — so a cold run is ResumeFrom with no prefix: built
-// from the cell's real config, never snapshotted.
+// it epoch by epoch under the row's trace, then either park it on a Prefix
+// (advanceTo; RunTo also snapshots it) or finish (ResumeFrom) — so a cold
+// run is ResumeFrom with no prefix: built from the cell's real config,
+// never snapshotted.
 type simScenario struct {
 	row     *simRow
 	variant SimVariant
@@ -96,6 +98,21 @@ func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 }
 
 func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	pre, err := sc.advanceTo(ctx, p, from, epoch)
+	if err == nil {
+		err = pre.freeze()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pre, nil
+}
+
+// advanceTo is RunTo without the snapshot: the prefix it returns stands on
+// its live simulation alone (Snap is nil until freeze). The sweep spine and
+// the checkpoint runner advance this way, so that a prefix nobody will
+// restore — every cell that wants it ends right there — is never deep-copied.
+func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
 	if from != nil && (from.Done || from.Epoch >= epoch) {
 		return from, nil
 	}
@@ -105,7 +122,7 @@ func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch 
 	}
 	// Parking the still-live simulation on the prefix lets the next hop
 	// continue it instead of paying New + Restore (simCont).
-	out := &Prefix{Snap: s.Snapshot(), Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
+	out := &Prefix{Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
 	if e := tr.concluded(); e != 0 {
 		out.Epoch, out.Done = e, true
 	}
@@ -130,17 +147,13 @@ func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (R
 // advance positions a simulation at the prefix (nil = genesis) and steps it
 // to the target epoch under a private copy of the prefix's trace, returning
 // both plus the wall clock the stepping took. shared marks a run on behalf
-// of every cell of a prefix group (RunTo): a row that branches at gst then
-// simulates unhealed, under network.FarFuture; otherwise the simulation
-// carries the cell's own heal slot.
+// of every cell of a prefix group (advanceTo): a row that branches at gst
+// then simulates unhealed, under network.FarFuture; otherwise the
+// simulation carries the cell's own heal slot.
 func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to int, shared bool) (*sim.Simulation, simTrace, time.Duration, error) {
 	cfg := sc.row.config(p, sc.variant)
 	if shared && sc.row.branchAtGST {
 		cfg.GST = network.FarFuture
-	}
-	s, err := positionSim(cfg, from, !shared && from != nil && (from.Done || from.Epoch >= to))
-	if err != nil {
-		return nil, nil, 0, err
 	}
 	var tr simTrace
 	fromEpoch := 0
@@ -149,28 +162,49 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	} else {
 		tr, fromEpoch = from.Trace.(simTrace).clone(), from.Epoch
 	}
-	if sc.row.attach != nil {
+	// settled: nothing is left to simulate, the cell only reads the state.
+	settled := from != nil && (from.Done || from.Epoch >= to)
+	var s *sim.Simulation
+	var err error
+	if settled && from.Snap == nil {
+		// The prefix was never frozen, so it was never published: it is lent
+		// by the goroutine that advanced it, which will go on stepping this
+		// very simulation afterwards. Read it in place — no claim, no rebase
+		// onto the cell's heal slot, no attach hook (sim/semiactive's writes
+		// Cfg.Adversary) — and leave it exactly as found.
+		if s = from.live(); s == nil {
+			err = errSpentPrefix
+		}
+	} else if s, err = positionSim(cfg, from, settled); err == nil && sc.row.attach != nil {
 		sc.row.attach(s, tr)
 	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	if from == nil || !from.Done {
+	if !settled {
 		err = runEpochs(ctx, s, fromEpoch, to, func(epoch int) bool { return tr.observe(s, p, epoch) })
 	}
 	return s, tr, time.Since(start), err //gasper:nondet wall-clock duration metadata only; never part of result identity
 }
 
 // simCont hands a prefix's still-live simulation to exactly one claimant.
-// After RunTo snapshots at a branch epoch, the simulation it advanced is
-// still positioned at that boundary; parking it on the published Prefix
-// lets the NEXT hop (the spine's own extension, a rebuild, or a resuming
-// cell) continue it directly instead of paying New + Restore. The
-// snapshot contract makes this invisible to results: continuing a
+// After advanceTo reaches a branch epoch, the simulation it advanced is
+// still positioned at that boundary; parking it on the Prefix lets the
+// NEXT hop (the spine's own extension, a rebuild, or a resuming cell)
+// continue it directly instead of paying New + Restore, and lets cells
+// that end at this very epoch be read off it before anyone does (advance).
+// The snapshot contract makes this invisible to results: continuing a
 // simulation past a snapshot is bit-identical to restoring the snapshot
 // and running (sim.TestSnapshotRestoreDeterminism pins it).
 type simCont struct {
 	mu sync.Mutex
 	s  *sim.Simulation
 }
+
+// errSpentPrefix reports a prefix that can no longer be stood on: it was
+// never frozen and a failed hop has consumed its live simulation.
+var errSpentPrefix = errors.New("engine: prefix has neither a snapshot nor a live simulation")
 
 // claim atomically takes the live simulation off a prefix; nil when absent
 // or already claimed. The loser of a race restores the snapshot.
@@ -186,6 +220,33 @@ func (pre *Prefix) claim() *sim.Simulation {
 	return s
 }
 
+// live returns the prefix's parked simulation without claiming it; nil when
+// absent or claimed.
+func (pre *Prefix) live() *sim.Simulation {
+	c, _ := pre.cont.(*simCont)
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.s
+}
+
+// freeze gives a prefix advanced without a snapshot (advanceTo) its Snap,
+// taken off the parked simulation; a prefix that has one is left alone. Only
+// whoever advanced the prefix may freeze it, and only before sharing it.
+func (pre *Prefix) freeze() error {
+	if pre.Snap != nil {
+		return nil
+	}
+	s := pre.live()
+	if s == nil {
+		return errSpentPrefix
+	}
+	pre.Snap = s.Snapshot()
+	return nil
+}
+
 // positionSim returns a simulation configured by cfg standing at the
 // prefix's checkpoint. With no prefix that is a full simulation at
 // genesis. With one, the deepest tier wins: claim the prefix's live
@@ -194,9 +255,11 @@ func (pre *Prefix) claim() *sim.Simulation {
 // build only a shell (sim.NewShell), because the snapshot supplies the
 // cohort state. How that state arrives depends on what the caller may do
 // with it: a prefix marked Owned is adopted (moved, zero-copy); a readOnly
-// caller — a resume with no epochs left to simulate, which only reads
-// metrics off the checkpoint and never delivers held traffic — attaches
-// (aliases, zero-copy); everything else pays the defensive Restore clone.
+// caller — a fork whose prefix concluded before its branch, which only
+// reads metrics off the checkpoint and never delivers held traffic —
+// attaches (aliases, zero-copy); everything else pays the defensive Restore
+// clone. A prefix that was never frozen has only its live simulation: once
+// that is spent there is nothing to restore.
 func positionSim(cfg sim.Config, pre *Prefix, readOnly bool) (*sim.Simulation, error) {
 	if pre == nil {
 		return sim.New(cfg)
@@ -206,6 +269,9 @@ func positionSim(cfg sim.Config, pre *Prefix, readOnly bool) (*sim.Simulation, e
 			s.SetGST(cfg.GST)
 		}
 		return s, nil
+	}
+	if pre.Snap == nil {
+		return nil, errSpentPrefix
 	}
 	s, err := sim.NewShell(cfg)
 	if err != nil {

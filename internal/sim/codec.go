@@ -23,10 +23,12 @@ import (
 // both as "no checkpoint" and run cold). Version 2 stored each distinct
 // vote once, with columns of ids, where version 1 repeated the vote per
 // validator; version 3 drops the slashing detector's copy of the votes —
-// it reads the pool's — and writes a registry status as one byte.
+// it reads the pool's — and writes a registry status as one byte; version 4
+// drops each node's second registry (the justified-state balances, which
+// the fork-choice engine's own stake column already holds).
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(3)
+	snapshotVersion = uint32(4)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/fnv"
 	"os"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 )
 
 var writeFrame = flag.Bool("write-frame", false,
-	"rewrite testdata/snapshot-v3-pr16.frame from TestSnapshotFrameWrittenByPR16's run")
+	"rewrite testdata/snapshot-v4-pr18.frame from TestSnapshotFrameWrittenByPR18's run")
 
 // codecModes is the 2×2 view-layout × fork-choice matrix every codec
 // property is checked across.
@@ -136,36 +137,50 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotFrameWrittenByPR13: testdata/snapshot-v2-pr13.frame is the
-// version 2 snapshot PR 13 wrote for compactedCfg twelve epochs in (past
-// the first prunes). Version 3 dropped the slashing detector's copy of the
-// votes from the frame, so a build that met this file in an old store
-// directory must read it as a version miss — never as a payload — and the
-// caller runs cold (internal/engine's TestSweepCheckpointCorruptColdStart
-// resumes over this very file).
-func TestSnapshotFrameWrittenByPR13(t *testing.T) {
-	old, err := os.ReadFile("testdata/snapshot-v2-pr13.frame")
+// checkOldFrameRejected reads a checked-in frame of an earlier format
+// version: a build that met the file in an old store directory must read it
+// as a version miss — never as a payload — and the caller runs cold
+// (internal/engine's TestSweepCheckpointCorruptColdStart resumes over these
+// very files).
+func checkOldFrameRejected(t *testing.T, path string, version uint32) {
+	t.Helper()
+	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(old[4:8]); v != 2 || snapshotVersion == 2 {
-		t.Fatalf("checked-in frame is version %d, this build writes %d; the frame must be 2 and the build not", v, snapshotVersion)
+	if v := binary.LittleEndian.Uint32(old[4:8]); v != version || snapshotVersion == version {
+		t.Fatalf("checked-in frame is version %d, this build writes %d; the frame must be %d and the build not", v, snapshotVersion, version)
 	}
 	sn, err := ReadSnapshot(bytes.NewReader(old))
-	if sn != nil || !errors.Is(err, ErrSnapshotCodec) || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("ReadSnapshot of a version 2 frame = %v, %v; want nil and a version error wrapping ErrSnapshotCodec", sn, err)
+	if sn != nil || !errors.Is(err, ErrSnapshotCodec) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+		t.Fatalf("ReadSnapshot of a version %d frame = %v, %v; want nil and a version error wrapping ErrSnapshotCodec", version, sn, err)
 	}
 }
 
+// TestSnapshotFrameWrittenByPR13: testdata/snapshot-v2-pr13.frame is the
+// version 2 snapshot PR 13 wrote for compactedCfg twelve epochs in (past
+// the first prunes). Version 3 dropped the slashing detector's copy of the
+// votes from the frame.
+func TestSnapshotFrameWrittenByPR13(t *testing.T) {
+	checkOldFrameRejected(t, "testdata/snapshot-v2-pr13.frame", 2)
+}
+
 // TestSnapshotFrameWrittenByPR16: testdata/snapshot-v3-pr16.frame is the
-// snapshot the build that introduced version 3 wrote for compactedCfg
+// version 3 snapshot PR 16 wrote for the same run. Version 4 dropped each
+// node's second registry from the frame.
+func TestSnapshotFrameWrittenByPR16(t *testing.T) {
+	checkOldFrameRejected(t, "testdata/snapshot-v3-pr16.frame", 3)
+}
+
+// TestSnapshotFrameWrittenByPR18: testdata/snapshot-v4-pr18.frame is the
+// snapshot the build that introduced version 4 wrote for compactedCfg
 // twelve epochs in. While the format stands, this build writes those exact
 // bytes for the same run, and reads them back into a snapshot that
 // re-encodes to them and continues like the live simulation. A change that
-// moves the format bumps the version and turns this test into the one
-// above. (-write-frame rewrites the file.)
-func TestSnapshotFrameWrittenByPR16(t *testing.T) {
-	const path = "testdata/snapshot-v3-pr16.frame"
+// moves the format bumps the version and turns this test into one of the
+// two above. (-write-frame rewrites the file.)
+func TestSnapshotFrameWrittenByPR18(t *testing.T) {
+	const path = "testdata/snapshot-v4-pr18.frame"
 	cfg := compactedCfg(false, false)
 	s, err := New(cfg)
 	if err != nil {
@@ -184,8 +199,8 @@ func TestSnapshotFrameWrittenByPR16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(want[4:8]); v != 3 || snapshotVersion != 3 {
-		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 3", v, snapshotVersion)
+	if v := binary.LittleEndian.Uint32(want[4:8]); v != 4 || snapshotVersion != 4 {
+		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 4", v, snapshotVersion)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
@@ -223,9 +238,9 @@ func reseal(b []byte) []byte {
 
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew (the version 1 and 2 frames of earlier builds included), and a
+// skew (the version 1, 2 and 3 frames of earlier builds included), and a
 // correctly sealed payload whose vote tables, id columns, marks or registry
-// statuses are not ones this build writes — fails ReadSnapshot with
+// are not ones this build writes — fails ReadSnapshot with
 // ErrSnapshotCodec; no partially-decoded snapshot escapes.
 func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	s, err := New(snapshotCfg(false, false))
@@ -292,6 +307,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"version-skew", func(b []byte) []byte { b[4]++; return b }},
 		{"v1-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 1); return b }},
 		{"v2-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 2); return b }},
+		{"v3-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 3); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
 			return reseal(b)
@@ -301,6 +317,9 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"mark-out-of-range", func(b []byte) []byte { b[lastMark] = 2; return reseal(b) }},
 		{"marks-end-unmarked", func(b []byte) []byte { b[lastMark] = 0; return reseal(b) }},
 		{"status-out-of-range", func(b []byte) []byte { b[firstStatus] = 3; return reseal(b) }},
+		// A node carries one registry; a frame cut inside it must not decode
+		// as a shorter one.
+		{"truncated-registry", func(b []byte) []byte { return reseal(b[:registry+4+25*(s.Cfg.Validators/2)]) }},
 		{"truncated-table", func(b []byte) []byte { return reseal(b[:table+4+120*values-60]) }},
 		{"length-lie", func(b []byte) []byte { b[8] ^= 0x80; return b }},
 		{"checksum-flip", func(b []byte) []byte { b[12] ^= 0x01; return b }},

@@ -59,9 +59,9 @@ type Snapshot struct {
 // execute after a Restore).
 func (sn *Snapshot) Slot() types.Slot { return sn.slot }
 
-// Bytes estimates the snapshot's retained heap footprint: block-tree and
-// fork-choice columns (exact, via their Stats), validator registries (two
-// per view — current plus justified-checkpoint balances), and the held
+// Bytes estimates the snapshot's retained heap footprint: block-tree,
+// fork-choice and attestation-pool columns (from their capacities, via
+// their Stats and Bytes), one validator registry per view, and the held
 // network messages. Warm-start schedulers budget resident snapshots
 // against this figure (engine.WarmStartOptions.MemoryBudget).
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
@@ -83,7 +83,8 @@ func snapshotBytes(sn *Snapshot) int64 {
 		if pa, ok := n.Votes.(*forkchoice.ProtoArray); ok {
 			total += int64(pa.Stats().Bytes)
 		}
-		total += 2 * registryRowBytes * int64(n.Registry.Len())
+		total += int64(n.Pool.Bytes())
+		total += registryRowBytes * int64(n.Registry.Len())
 	}
 	total += int64(sn.oracle.Stats().Bytes)
 	// Network endpoints are cohort views, one inbox per materialized view.
@@ -179,9 +180,11 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 // Attach does not retarget the held network traffic onto this simulation's
 // GST (that would mutate the shared network): a read-only consumer never
 // delivers another message, so the held band's position is unobservable to
-// it. This is the warm-start fast path for a resume whose branch epoch
-// equals its horizon — nothing remains to simulate, so the cell's Result
-// is read straight off the checkpoint.
+// it. This is the warm-start path for a fork whose shared prefix concluded
+// before its branch epoch — nothing remains to simulate, so the cell's
+// Result is read straight off the checkpoint. (A cell that simply ends at
+// its branch never gets here: it is read off the spine's live simulation,
+// and no snapshot is taken for it.)
 func (s *Simulation) Attach(sn *Snapshot) error {
 	if sn.nodes == nil {
 		return fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
