@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -132,9 +133,10 @@ func BenchmarkFigure10BounceProbability(b *testing.B) {
 // Monte-Carlo at beta0=1/3. Metric: the Monte-Carlo probability at epoch
 // 4000 (paper model: 0.5).
 func BenchmarkFigure10MonteCarlo(b *testing.B) {
+	c := benchClient(b, 0)
 	var v float64
 	for i := 0; i < b.N; i++ {
-		f, err := gasperleak.Figure10MonteCarlo(1.0/3.0, 300, 3, 5, 0)
+		f, err := c.Figure10MonteCarlo(context.Background(), 1.0/3.0, 300, 3, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -297,13 +299,24 @@ func BenchmarkLeakSimFullScale(b *testing.B) {
 	}
 }
 
+// benchClient builds a client sweeping on the given worker count (0 = all
+// CPUs).
+func benchClient(b *testing.B, workers int) *gasperleak.Client {
+	b.Helper()
+	c, err := gasperleak.NewClient(gasperleak.WithWorkers(workers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 // benchmarkSweepTable1 runs the Table 1 scenario sweep through the engine
 // with the given worker count and reports the 5.1 conflict epoch.
 func benchmarkSweepTable1(b *testing.B, workers int) {
+	c := benchClient(b, workers)
 	var epoch float64
 	for i := 0; i < b.N; i++ {
-		results := gasperleak.Sweep(gasperleak.Table1Cells(1),
-			gasperleak.SweepOptions{Workers: workers})
+		results := c.Sweep(context.Background(), gasperleak.Table1Cells(1))
 		if err := gasperleak.SweepFirstError(results); err != nil {
 			b.Fatal(err)
 		}
@@ -333,9 +346,10 @@ func benchmarkSweepLeakGrid(b *testing.B, workers int) {
 		Modes:    []string{"double", "semi"},
 	}
 	cells := grid.Cells()
+	c := benchClient(b, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := gasperleak.Sweep(cells, gasperleak.SweepOptions{Workers: workers})
+		results := c.Sweep(context.Background(), cells)
 		if err := gasperleak.SweepFirstError(results); err != nil {
 			b.Fatal(err)
 		}

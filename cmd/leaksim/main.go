@@ -91,9 +91,9 @@ func main() {
 
 	// Ctrl-C cancels in-flight sweeps cooperatively: finished cells keep
 	// their results, unfinished ones record the context error. With a
-	// -store, each interrupted cell also flushes a final mid-run
-	// checkpoint on the way out, so the re-run below resumes near where
-	// it stopped.
+	// -store, each interrupted cell also saves a checkpoint at the epoch
+	// it had reached on the way out, so the re-run below resumes where it
+	// stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	err := run(ctx, os.Stdout, o)

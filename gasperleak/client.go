@@ -45,7 +45,7 @@ type (
 	ScenarioCheckpointMeta = engine.CheckpointMeta
 )
 
-// Client is the v2 entry point of the reproduction: a handle on a scenario
+// Client is the entry point of the reproduction: a handle on a scenario
 // registry plus execution policy (worker pool width), with every run and
 // sweep threaded through a context.Context for cancellation and deadlines.
 //
@@ -122,8 +122,8 @@ func WithResultStore(dir string) ClientOption {
 // checkpoint instead of recomputing from epoch 0 — with bit-identical
 // results. every = 0 uses the engine default interval; negative keeps
 // resume probes but disables periodic writes. Cancellation (Ctrl-C in
-// the CLIs) flushes a final checkpoint per in-flight cell before the
-// sweep unwinds, and completed cells delete theirs.
+// the CLIs) saves each in-flight cell's checkpoint at the epoch it had
+// reached before the sweep unwinds, and completed cells delete theirs.
 func WithCheckpoints(every int) ClientOption {
 	return func(c *Client) error {
 		c.wantCkpt = true
@@ -248,7 +248,7 @@ func (c *Client) Run(ctx context.Context, name string, p ScenarioParams) (Scenar
 	// One cell through the engine's cell executor, exactly as a sweep
 	// runs it: with a checkpoint tier, eligible long-horizon runs persist
 	// mid-run state and resume across invocations (an interrupted run
-	// flushes a final checkpoint on the way out).
+	// saves the epoch it reached on the way out).
 	res, err := engine.RunCell(ctx, c.reg, cell, c.options().Checkpoint)
 	if err != nil {
 		return ScenarioResult{}, err

@@ -2,7 +2,6 @@ package gasperleak_test
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,35 +23,6 @@ func TestNewClientOptionValidation(t *testing.T) {
 	}
 	if c.Workers() != 4 {
 		t.Errorf("Workers() = %d, want 4", c.Workers())
-	}
-}
-
-// TestClientMatchesDeprecatedSurface: the v2 client and the v1 shims
-// produce the same result payloads over the same registry.
-func TestClientMatchesDeprecatedSurface(t *testing.T) {
-	c, err := gasperleak.NewClient(gasperleak.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	res, err := c.Run(ctx, "analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := gasperleak.RunScenario("analytic/conflict", gasperleak.ScenarioParams{Mode: "slashing", Beta0: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.WithoutMeta(), old.WithoutMeta()) {
-		t.Errorf("client run diverges from v1 shim: %+v vs %+v", res, old)
-	}
-
-	cells := gasperleak.Table1Cells(1)
-	v2 := gasperleak.StripScenarioMeta(c.Sweep(ctx, cells))
-	v1 := gasperleak.StripScenarioMeta(gasperleak.Sweep(cells, gasperleak.SweepOptions{Workers: 2}))
-	if !reflect.DeepEqual(v2, v1) {
-		t.Error("client sweep diverges from v1 shim")
 	}
 }
 

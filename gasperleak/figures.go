@@ -1,11 +1,6 @@
 package gasperleak
 
-import (
-	"context"
-
-	"repro/internal/engine"
-	"repro/internal/report"
-)
+import "repro/internal/report"
 
 // Re-exported reporting primitives.
 type (
@@ -21,67 +16,17 @@ func Figure2() *Figure { return report.Figure2() }
 // Figure3 regenerates Figure 3 (active-stake ratio curves).
 func Figure3() *Figure { return report.Figure3() }
 
-// Figure3Sim overlays the integer simulation on Figure 3's grid, running
-// the p0 cells on `workers` goroutines (<= 0 = all CPUs).
-//
-// Deprecated: use Client.Figure3Sim, which takes a context.
-func Figure3Sim(every, workers int) (*Figure, error) {
-	return report.Figure3Sim(context.Background(), every, engine.Options{Workers: workers})
-}
-
 // Figure6 regenerates Figure 6 (conflict epoch vs beta0, both behaviors).
 func Figure6() (*Figure, error) { return report.Figure6() }
 
 // Figure7 regenerates Figure 7 (the beta_max >= 1/3 region).
 func Figure7() *Figure { return report.Figure7() }
 
-// Figure7Sim overlays the integer-simulation threshold boundary on
-// Figure 7, running the per-p0 bisections on `workers` goroutines (<= 0 =
-// all CPUs).
-//
-// Deprecated: use Client.Figure7Sim, which takes a context.
-func Figure7Sim(points, workers int) (*Figure, error) {
-	return report.Figure7Sim(context.Background(), points, engine.Options{Workers: workers})
-}
-
 // Figure9 regenerates Figure 9 (censored stake distribution at epoch t).
 func Figure9(t float64) *Figure { return report.Figure9(t) }
 
 // Figure10 regenerates Figure 10 (Equation 24 probability curves).
 func Figure10() *Figure { return report.Figure10() }
-
-// Figure10MonteCarlo overlays the integer Monte-Carlo on Figure 10:
-// `runs` independent trajectories averaged, run on `workers` goroutines
-// (<= 0 = all CPUs).
-//
-// Deprecated: use Client.Figure10MonteCarlo, which takes a context.
-func Figure10MonteCarlo(beta0 float64, nHonest, runs int, seed int64, workers int) (*Figure, error) {
-	return report.Figure10MonteCarlo(context.Background(), beta0, nHonest, runs, seed, engine.Options{Workers: workers})
-}
-
-// RenderTable1 renders the scenario overview (Table 1), sweeping the five
-// scenarios on `workers` goroutines (<= 0 = all CPUs).
-//
-// Deprecated: use Client.RenderTable1, which takes a context.
-func RenderTable1(seed int64, workers int) (*ReportTable, error) {
-	return report.Table1(context.Background(), seed, engine.Options{Workers: workers})
-}
-
-// RenderTable2 renders Table 2 (paper vs analytic vs integer simulation),
-// sweeping the beta0 rows on `workers` goroutines (<= 0 = all CPUs).
-//
-// Deprecated: use Client.RenderTable2, which takes a context.
-func RenderTable2(workers int) (*ReportTable, error) {
-	return report.Table2(context.Background(), engine.Options{Workers: workers})
-}
-
-// RenderTable3 renders Table 3, sweeping the beta0 rows on `workers`
-// goroutines (<= 0 = all CPUs).
-//
-// Deprecated: use Client.RenderTable3, which takes a context.
-func RenderTable3(workers int) (*ReportTable, error) {
-	return report.Table3(context.Background(), engine.Options{Workers: workers})
-}
 
 // Table2Cells lists the engine sweep behind Table 2.
 func Table2Cells() []SweepCell { return report.Table2Cells() }

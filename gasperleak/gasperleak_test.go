@@ -1,6 +1,7 @@
 package gasperleak_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -123,10 +124,15 @@ func TestPublicScenarioWrappers(t *testing.T) {
 
 // TestPublicFigureWrappers exercises every figure re-export once.
 func TestPublicFigureWrappers(t *testing.T) {
+	c, err := gasperleak.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	if f := gasperleak.Figure3(); len(f.Series) != 5 {
 		t.Error("Figure3 wrapper broken")
 	}
-	if f, err := gasperleak.Figure3Sim(2000, 0); err != nil || len(f.Series) != 5 {
+	if f, err := c.Figure3Sim(ctx, 2000); err != nil || len(f.Series) != 5 {
 		t.Errorf("Figure3Sim wrapper: %v", err)
 	}
 	if f, err := gasperleak.Figure6(); err != nil || len(f.Series) != 2 {
@@ -135,7 +141,7 @@ func TestPublicFigureWrappers(t *testing.T) {
 	if f := gasperleak.Figure7(); len(f.Series) != 3 {
 		t.Error("Figure7 wrapper broken")
 	}
-	if f, err := gasperleak.Figure7Sim(3, 0); err != nil || len(f.Series) != 2 {
+	if f, err := c.Figure7Sim(ctx, 3); err != nil || len(f.Series) != 2 {
 		t.Errorf("Figure7Sim wrapper: %v", err)
 	}
 	if f := gasperleak.Figure9(4024); len(f.Series) != 3 {
@@ -144,13 +150,13 @@ func TestPublicFigureWrappers(t *testing.T) {
 	if f := gasperleak.Figure10(); len(f.Series) != 6 {
 		t.Error("Figure10 wrapper broken")
 	}
-	if f, err := gasperleak.Figure10MonteCarlo(0.33, 50, 1, 1, 0); err != nil || len(f.Series) != 2 {
+	if f, err := c.Figure10MonteCarlo(ctx, 0.33, 50, 1, 1); err != nil || len(f.Series) != 2 {
 		t.Errorf("Figure10MonteCarlo wrapper: %v", err)
 	}
 	for n, f := range map[string]func() (*gasperleak.ReportTable, error){
-		"t1": func() (*gasperleak.ReportTable, error) { return gasperleak.RenderTable1(1, 0) },
-		"t2": func() (*gasperleak.ReportTable, error) { return gasperleak.RenderTable2(0) },
-		"t3": func() (*gasperleak.ReportTable, error) { return gasperleak.RenderTable3(0) },
+		"t1": func() (*gasperleak.ReportTable, error) { return c.RenderTable1(ctx, 1) },
+		"t2": func() (*gasperleak.ReportTable, error) { return c.RenderTable2(ctx) },
+		"t3": func() (*gasperleak.ReportTable, error) { return c.RenderTable3(ctx) },
 	} {
 		tbl, err := f()
 		if err != nil || len(tbl.Rows) == 0 {

@@ -8,13 +8,15 @@ import (
 
 // Re-exported protocol simulator.
 type (
-	// SimConfig parameterizes a full protocol simulation.
+	// SimConfig parameterizes a full protocol simulation. Its
+	// PerValidatorViews and OracleForkChoice switches select the reference
+	// implementations that the simulator's own equivalence suites hold
+	// bit-identical to the default; nothing above the simulator — scenario
+	// engine, Client, server — sets them.
 	SimConfig = sim.Config
 	// Simulation is a running protocol instance: one materialized view
 	// per cohort (partition of honest validators, or the bridging
-	// Byzantine set) over a partitionable network. Set
-	// SimConfig.PerValidatorViews for the pre-refactor
-	// one-node-per-validator layout (the equivalence oracle).
+	// Byzantine set) over a partitionable network.
 	Simulation = sim.Simulation
 	// Cohort is one materialized view and the validators holding it.
 	Cohort = sim.Cohort

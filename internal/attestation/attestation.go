@@ -32,9 +32,9 @@ type Data struct {
 }
 
 // Attestation is a vote attributed to one validator. The simulator treats
-// the attribution as authenticated (signatures are exercised separately in
-// internal/crypto envelopes; carrying them on every simulated message would
-// only slow the large sweeps down without changing any behavior).
+// the attribution as authenticated: the paper assumes unforgeable
+// signatures, and the attacks depend only on who is observed voting where,
+// so no simulated message carries one.
 type Attestation struct {
 	Validator types.ValidatorIndex
 	Data      Data

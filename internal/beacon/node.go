@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/attestation"
 	"repro/internal/blocktree"
-	"repro/internal/crypto"
 	"repro/internal/ffg"
 	"repro/internal/forkchoice"
 	"repro/internal/incentives"
@@ -104,7 +103,7 @@ func NewNode(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis 
 
 // NewNodeWithForkChoice is NewNode with an explicit fork-choice engine; the
 // equivalence suites use it to run whole simulations on the map-based
-// oracle (forkchoice.NewOracle) against the proto-array default.
+// reference engine against the proto-array default.
 func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
 	n := &Node{
 		ID:       id,
@@ -254,7 +253,7 @@ func (n *Node) ProduceBlockFor(slot types.Slot, proposer types.ValidatorIndex) (
 	}
 	return blocktree.Block{
 		Slot:     slot,
-		Root:     crypto.HashRoots(uint64(slot)<<20|uint64(proposer), head),
+		Root:     types.HashRoots(uint64(slot)<<20|uint64(proposer), head),
 		Parent:   head,
 		Proposer: proposer,
 	}, nil

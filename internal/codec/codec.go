@@ -45,6 +45,14 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // Err reports the first write error, if any.
 func (w *Writer) Err() error { return w.err }
 
+// Fail records an encoder-level error (a value with no wire form) as the
+// sticky error; every later write is dropped.
+func (w *Writer) Fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
 func (w *Writer) write(b []byte) {
 	if w.err != nil {
 		return

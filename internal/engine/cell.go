@@ -66,7 +66,7 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 		Checkpoint: ckMeta,
 	}.Merged(res.Meta)
 	// The scenario stamped throughput over ResumeFrom's tail alone; under
-	// the durable tier the chunked RunTo loop did the work, so restate it
+	// the durable tier the runner's hops did the work, so restate it
 	// over the whole wall clock. Like warm start, a resumed cell counts the
 	// epochs its checkpoint skipped — effective throughput.
 	if secs := res.Meta.DurationMS / 1000; simulated > 0 && secs > 0 {

@@ -13,16 +13,6 @@ import (
 // against the simulation itself.
 const DefaultCheckpointEvery = 500
 
-// checkpointChunk bounds a single step of the checkpointed loop. Stepping
-// in sub-interval chunks costs only an extra in-memory snapshot per chunk
-// (the ForkableScenario contract makes any split bit-identical) and buys a
-// fresh resume point on cooperative cancellation: a drained or interrupted
-// cell persists its newest chunk boundary as a final checkpoint, so a
-// SIGINT loses at most one chunk of epochs, not one full checkpoint
-// interval. kill -9 still loses at most one interval. A variable only so
-// tests can shrink it.
-var checkpointChunk = 128
-
 // CheckpointStore is the durable home of mid-cell checkpoints
 // (internal/store.Checkpoints is the production implementation). The
 // contract mirrors the result store's: Save is atomic (temp+rename),
@@ -134,21 +124,22 @@ func saveCheckpoint(cs CheckpointableScenario, st CheckpointStore, cellKey strin
 }
 
 // runFromCheckpoint is the cell executor's durable tier: probe the store,
-// resume from the newest valid checkpoint (or start at genesis), persist a
-// fresh checkpoint every interval while running, delete the checkpoint once
-// the cell completes. The chunk the cell finishes on — it reaches the
-// cell's horizon, or the scenario concludes in it — is the sweep spine's
-// stop with a group of one: ResumeFrom reads the result off the live
-// simulation, and the chunk is neither snapshotted nor encoded nor saved.
+// resume from the newest valid checkpoint (or start at genesis), advance one
+// hop per checkpoint interval — one hop to the branch when periodic writes
+// are off — persisting a fresh checkpoint after each, and delete the
+// checkpoint once the cell completes. The hop the cell finishes on — it
+// reaches the cell's horizon, or the scenario concludes in it — is the sweep
+// spine's stop with a group of one: ResumeFrom reads the result off the live
+// simulation, and that prefix is neither snapshotted nor encoded nor saved.
 // It fills meta as it goes and also returns the epochs
 // the cell actually simulated: where its final prefix stands when the
 // scenario concluded there (a sim/leak run that conflicts at 4668 of 6000
 // simulated 4668), else the horizon ResumeFrom ran the tail to (a
 // conclusion inside that tail is still counted at full horizon).
 //
-// On cooperative cancellation the newest completed chunk is flushed as a
-// final checkpoint before the context error is returned, so a drained
-// worker's in-flight cells resume nearly where they stopped.
+// A cancelled hop hands back the prefix it reached (prefixAdvancer), which
+// is saved before the context error is returned: a drained worker's
+// in-flight cell resumes at the epoch the cancellation landed on.
 func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params, branch int, cellKey string, ck *CheckpointOptions, meta *CheckpointMeta) (Result, int, error) {
 	every := ck.Every
 	if every == 0 {
@@ -170,64 +161,35 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		}
 	}
 
+	// save snapshots a prefix still standing on its live simulation and
+	// persists it. A failed persist only costs resume depth, never the run.
 	save := func(pre *Prefix) {
-		if saveCheckpoint(cs, ck.Store, cellKey, pre) == nil {
+		if pre.freeze() == nil && saveCheckpoint(cs, ck.Store, cellKey, pre) == nil {
 			meta.Written++
 		}
-		// A failed persist only costs resume depth, never the run.
 	}
 
-	// The stepping granularity: never larger than the checkpoint interval
-	// (an Every below the chunk size still checkpoints every Every
-	// epochs), never larger than the chunk bound.
-	step := checkpointChunk
-	if every > 0 && every < step {
-		step = every
-	}
-
-	lastSaved := -1
-	if pre != nil {
-		lastSaved = pre.Epoch
-	}
 	for pre == nil || (!pre.Done && pre.Epoch < branch) {
-		cur := 0
-		if pre != nil {
-			cur = pre.Epoch
-		}
-		next := cur + step
-		if every > step {
-			// Land exactly on interval boundaries so periodic saves
-			// happen at multiples of Every from the start.
-			if rem := every - cur%every; rem < step {
-				next = cur + rem
+		next := branch
+		if every > 0 {
+			cur := 0
+			if pre != nil {
+				cur = pre.Epoch
 			}
+			next = min(cur+every, branch)
 		}
-		if next > branch {
-			next = branch
-		}
-		np, err := advancePrefix(ctx, cs, p, pre, next)
+		reached, err := advancePrefix(ctx, cs, p, pre, next)
 		if err != nil {
-			// Cooperative cancellation (or a genuine failure) mid-cell:
-			// flush the newest completed chunk so the next attempt
-			// resumes here instead of at the last interval boundary.
-			if pre != nil && pre.Epoch > lastSaved {
-				save(pre)
+			if reached != nil {
+				save(reached)
 			}
 			return Result{}, 0, err
 		}
-		pre = np
+		pre = reached
 		if pre.Done || pre.Epoch >= p.Horizon {
 			break // nothing left to simulate: finish off the live simulation
 		}
-		// The next chunk steps the live simulation on, so this boundary
-		// survives only as a snapshot — what a cancellation flushes.
-		if err := pre.freeze(); err != nil {
-			return Result{}, 0, err
-		}
-		if pre.Epoch >= branch || (every > 0 && pre.Epoch-lastSaved >= every) {
-			save(pre)
-			lastSaved = pre.Epoch
-		}
+		save(pre)
 	}
 
 	// This runner is the prefix's final consumer: nothing else references
@@ -236,9 +198,9 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 	pre.Owned = true
 	res, err := cs.ResumeFrom(ctx, pre, p)
 	if err != nil {
-		// Cancelled while finishing: an unfrozen final chunk was only read,
-		// so it can still be flushed like any other newest chunk.
-		if pre.Epoch > lastSaved && pre.freeze() == nil {
+		// Cancelled while finishing: a prefix without a snapshot is the
+		// unsaved one the cell finishes on, and it was only read.
+		if pre.Snap == nil {
 			save(pre)
 		}
 		return Result{}, 0, err

@@ -8,8 +8,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // memStore is an in-memory CheckpointStore for the runner tests (the
@@ -72,15 +75,6 @@ var checkpointTestCells = []Cell{
 	{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 24, Horizon: 12, Seed: 3, GST: 6}},
 	{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}},
 	{Scenario: ScenarioSimSemiActive, Params: Params{P0: 0.5, Beta0: 0.25, N: 16, Horizon: 30, Seed: 1}},
-}
-
-// shrinkChunk lowers the checkpoint stepping bound for a test so small
-// horizons cross multiple chunks.
-func shrinkChunk(t *testing.T, chunk int) {
-	t.Helper()
-	prev := checkpointChunk
-	checkpointChunk = chunk
-	t.Cleanup(func() { checkpointChunk = prev })
 }
 
 // TestCheckpointableScenarioRegistration: every forkable sim scenario in
@@ -183,6 +177,47 @@ func TestPrefixCodecRejectsMismatch(t *testing.T) {
 	}
 }
 
+// prefixV1PR18 is the version 1 prefix blob PR 18's EncodePrefix wrote for
+// the sim/leak cell of these tests (n 16, seed 1) eight epochs in: behind
+// the scenario name it carries the two booleans that named which reference
+// simulator wrote it. Version 2 dropped them.
+const prefixV1PR18 = "testdata/prefix-v1-pr18.blob"
+
+// TestPrefixBlobWrittenByPR18: the checked-in version 1 blob is a version
+// miss to this build, never a prefix.
+func TestPrefixBlobWrittenByPR18(t *testing.T) {
+	old, err := os.ReadFile(prefixV1PR18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(old); v != 1 || prefixCodecVersion == 1 {
+		t.Fatalf("checked-in blob is version %d, this build writes %d; the blob must be 1 and the build not", v, prefixCodecVersion)
+	}
+	leak, _ := Default.Lookup(ScenarioSimLeak)
+	pre, err := leak.(CheckpointableScenario).DecodePrefix(bytes.NewReader(old))
+	if pre != nil || !errors.Is(err, errPrefixCodec) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("DecodePrefix of a version 1 blob = %v, %v; want nil and a version error wrapping errPrefixCodec", pre, err)
+	}
+}
+
+// TestEncodePrefixFailsWithoutEngineCodec: a simulation on the map-based
+// reference fork choice has no durable form, and the write says so — the
+// snapshot's codec error comes back through EncodePrefix — instead of
+// leaving a blob only a read would reject.
+func TestEncodePrefixFailsWithoutEngineCodec(t *testing.T) {
+	drops, _ := Default.Lookup(ScenarioSimDrops)
+	cfg := simDropsConfig(Params{N: 8, Seed: 1})
+	cfg.OracleForkChoice = true
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := &Prefix{Snap: s.Snapshot(), Trace: noTrace{}}
+	if err := drops.(CheckpointableScenario).EncodePrefix(&bytes.Buffer{}, pre); !errors.Is(err, sim.ErrSnapshotCodec) {
+		t.Fatalf("EncodePrefix over a map-engine snapshot = %v, want an error wrapping sim.ErrSnapshotCodec", err)
+	}
+}
+
 // TestSweepCheckpointTransparent: a checkpointed sweep with no prior
 // state produces results bit-identical to the plain sweep and leaves the
 // store empty (every completed cell deletes its checkpoint). A cell longer
@@ -191,7 +226,6 @@ func TestPrefixCodecRejectsMismatch(t *testing.T) {
 // inside its first interval writes none — while the branch of a sim/gst
 // cell that still has its heal tail to run is.
 func TestSweepCheckpointTransparent(t *testing.T) {
-	shrinkChunk(t, 4)
 	ctx := context.Background()
 	cold := SweepContext(ctx, checkpointTestCells, Options{Workers: 2})
 
@@ -232,7 +266,6 @@ func TestSweepCheckpointTransparent(t *testing.T) {
 // worker would leave behind) resumes from it — reporting the epochs it
 // did not re-simulate — and its result is bit-identical to the cold run.
 func TestSweepCheckpointResume(t *testing.T) {
-	shrinkChunk(t, 4)
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
@@ -275,11 +308,11 @@ func TestSweepCheckpointResume(t *testing.T) {
 // whose snapshot frame carries the version 1 header of builds before the
 // interned-vote format, or one whose snapshot is the version 2 frame PR 13
 // wrote, from before the detector's votes left the frame, or the version 3
-// frame PR 16 wrote, from before the second registry did) is silently
-// discarded — the cell starts cold, produces the correct result, and
-// repairs the store.
+// frame PR 16 wrote, from before the second registry did, or the version 1
+// prefix blob PR 18 wrote, which still named a reference simulator) is
+// silently discarded — the cell starts cold, produces the correct result,
+// and repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
-	shrinkChunk(t, 4)
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
@@ -326,6 +359,13 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 		}},
 		{"pr13-v2-frame", oldFrame("../sim/testdata/snapshot-v2-pr13.frame")},
 		{"pr16-v3-frame", oldFrame("../sim/testdata/snapshot-v3-pr16.frame")},
+		{"pr18-v1-prefix", func(t *testing.T, ms *memStore) {
+			old, err := os.ReadFile(prefixV1PR18)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.data[key] = old
+		}},
 	}
 	for _, tc := range payloads {
 		t.Run(tc.name, func(t *testing.T) {
@@ -354,7 +394,6 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 // same store resumes from it and matches the cold run bit-identically —
 // kill-and-resume recomputes at most one checkpoint interval.
 func TestSweepCheckpointCancelResume(t *testing.T) {
-	shrinkChunk(t, 4)
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(context.Background(), []Cell{cell}, Options{Workers: 1})
 
@@ -390,6 +429,64 @@ func TestSweepCheckpointCancelResume(t *testing.T) {
 	ck := resumed[0].Meta.Checkpoint
 	if ck == nil || !ck.Resumed || ck.ResumeEpoch != 16 || ck.EpochsSaved != 16 {
 		t.Fatalf("checkpoint meta %+v, want resumed from epoch 16", ck)
+	}
+	if n := ms.len(); n != 0 {
+		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+	}
+}
+
+// errAfter is a context whose Err turns to context.Canceled after its first
+// `calls` calls. The cell executor asks once before a cell starts and the
+// epoch loop once per epoch, before stepping it, so the cancellation lands
+// on a chosen epoch boundary — which no store hook can reach between two
+// saves.
+type errAfter struct {
+	context.Context
+	calls int
+}
+
+func (c *errAfter) Err() error {
+	if c.calls == 0 {
+		return context.Canceled
+	}
+	c.calls--
+	return nil
+}
+
+// TestCheckpointCancelMidInterval: a cancellation that lands between two
+// interval boundaries loses nothing. The cancelled hop hands back the prefix
+// it reached, the runner saves it on the way out, and the re-run resumes at
+// that very epoch — 11 here, a multiple of neither the interval nor anything
+// else the runner steps by — to the cold run's payload.
+func TestCheckpointCancelMidInterval(t *testing.T) {
+	const every, landed = 8, 11
+	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
+	cold, err := RunCell(context.Background(), nil, cell, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ms := newMemStore()
+	ck := &CheckpointOptions{Every: every, Store: ms}
+	// One call before the cell starts, then one per epoch stepped.
+	ctx := &errAfter{Context: context.Background(), calls: 1 + landed}
+	interrupted, err := RunCell(ctx, nil, cell, ck)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+	if w := interrupted.Meta.Checkpoint.Written; w != 2 || ms.len() != 1 {
+		t.Fatalf("interrupted run wrote %d checkpoints and left %d, want 2 written (epochs %d and %d) and the newest left", w, ms.len(), every, landed)
+	}
+
+	resumed, err := RunCell(context.Background(), nil, cell, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resumed.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed run diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+	if m := resumed.Meta.Checkpoint; !m.Resumed || m.ResumeEpoch != landed || m.EpochsSaved != landed {
+		t.Fatalf("checkpoint meta %+v, want resumed from epoch %d", m, landed)
 	}
 	if n := ms.len(); n != 0 {
 		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
@@ -449,7 +546,6 @@ func (f *failStore) SaveCheckpoint(string, []byte) error {
 // full) only costs resume depth — the cell still completes with the
 // correct result.
 func TestCheckpointSaveFailureHarmless(t *testing.T) {
-	shrinkChunk(t, 4)
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(ctx, []Cell{cell}, Options{Workers: 1})
@@ -471,7 +567,6 @@ func TestCheckpointSaveFailureHarmless(t *testing.T) {
 // 26 of 40) reports throughput over the epochs it actually simulated, not
 // over the horizon it never reached.
 func TestCheckpointThroughputCountsSimulatedEpochs(t *testing.T) {
-	shrinkChunk(t, 4)
 	cell := Cell{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3, GST: 40}}
 	res := SweepContext(context.Background(), []Cell{cell}, Options{
 		Workers:    1,

@@ -501,15 +501,11 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Run looks the scenario up, applies its defaults to p, executes it, and
-// stamps the result with the scenario name and effective parameters.
-func (r *Registry) Run(name string, p Params) (Result, error) {
-	return r.RunContext(context.Background(), name, p)
-}
-
-// RunContext is Run with cooperative cancellation: a scenario implementing
-// ContextRunner observes ctx inside its own loops, any other scenario is
-// gated by a cancellation check before it starts.
+// RunContext looks the scenario up, applies its defaults to p, executes it,
+// and stamps the result with the scenario name and effective parameters.
+// Cancellation is cooperative: a scenario implementing ContextRunner
+// observes ctx inside its own loops, any other scenario is gated by a
+// cancellation check before it starts.
 func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Result, error) {
 	s, ok := r.Lookup(name)
 	if !ok {
@@ -571,9 +567,6 @@ func (r *Registry) Infos() []Info {
 
 // Default is the package registry holding every built-in scenario.
 var Default = NewRegistry()
-
-// Run executes a scenario from the default registry.
-func Run(name string, p Params) (Result, error) { return Default.Run(name, p) }
 
 // RunContext executes a scenario from the default registry with
 // cooperative cancellation.

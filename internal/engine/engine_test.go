@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestRegistryRunAppliesDefaults(t *testing.T) {
 			{Name: "n_echo", Value: float64(p.N)},
 		}}, nil
 	}))
-	res, err := r.Run("demo", Params{N: 7})
+	res, err := r.RunContext(context.Background(), "demo", Params{N: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRegistryRunAppliesDefaults(t *testing.T) {
 }
 
 func TestRegistryRunUnknown(t *testing.T) {
-	if _, err := NewRegistry().Run("nope", Params{}); err == nil {
+	if _, err := NewRegistry().RunContext(context.Background(), "nope", Params{}); err == nil {
 		t.Error("unknown scenario must error")
 	}
 }
@@ -67,7 +68,7 @@ func TestDefaultRegistryHasAllBuiltins(t *testing.T) {
 }
 
 func TestAnalyticScenarios(t *testing.T) {
-	res, err := Run(ScenarioAnalyticConflict, Params{Mode: "slashing", Beta0: 0.2})
+	res, err := RunContext(context.Background(), ScenarioAnalyticConflict, Params{Mode: "slashing", Beta0: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestAnalyticScenarios(t *testing.T) {
 		t.Errorf("conflict_epoch = %v, want ~3108", v)
 	}
 
-	res, err = Run(ScenarioAnalyticThreshold, Params{P0: 0.5})
+	res, err = RunContext(context.Background(), ScenarioAnalyticThreshold, Params{P0: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAnalyticScenarios(t *testing.T) {
 		t.Errorf("threshold = %v, want ~0.2421", v)
 	}
 
-	res, err = Run(ScenarioAnalyticBounce, Params{})
+	res, err = RunContext(context.Background(), ScenarioAnalyticBounce, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAnalyticScenarios(t *testing.T) {
 	if lo, _ := res.Metric("window_lo"); lo < 0.499 || lo > 0.501 {
 		t.Errorf("window_lo = %v, want 0.5", lo)
 	}
-	res, err = Run(ScenarioAnalyticBounce, Params{P0: 0.6})
+	res, err = RunContext(context.Background(), ScenarioAnalyticBounce, Params{P0: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestAnalyticScenarios(t *testing.T) {
 }
 
 func TestLeakSimScenarioMatchesPaper(t *testing.T) {
-	res, err := Run(ScenarioLeakSim, Params{Mode: "double", Beta0: 0.2})
+	res, err := RunContext(context.Background(), ScenarioLeakSim, Params{Mode: "double", Beta0: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestLeakSimScenarioMatchesPaper(t *testing.T) {
 }
 
 func TestLeakSimScenarioCurve(t *testing.T) {
-	res, err := Run(ScenarioLeakSim, Params{Mode: "absent-delay", N: 1000, Horizon: 2000, Sample: 500})
+	res, err := RunContext(context.Background(), ScenarioLeakSim, Params{Mode: "absent-delay", N: 1000, Horizon: 2000, Sample: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +132,13 @@ func TestLeakSimScenarioCurve(t *testing.T) {
 }
 
 func TestLeakSimScenarioBadMode(t *testing.T) {
-	if _, err := Run(ScenarioLeakSim, Params{Mode: "warp"}); err == nil {
+	if _, err := RunContext(context.Background(), ScenarioLeakSim, Params{Mode: "warp"}); err == nil {
 		t.Error("unknown mode must error")
 	}
 }
 
 func TestSimPartitionScenario(t *testing.T) {
-	res, err := Run(ScenarioSimPartition, Params{})
+	res, err := RunContext(context.Background(), ScenarioSimPartition, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestSimPartitionScenario(t *testing.T) {
 func TestSimPartitionScenarioNoViolation(t *testing.T) {
 	// Three epochs are not enough for a safety violation; the outcome
 	// must stay empty rather than claim two finalized branches.
-	res, err := Run(ScenarioSimPartition, Params{N: 8, Horizon: 3})
+	res, err := RunContext(context.Background(), ScenarioSimPartition, Params{N: 8, Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

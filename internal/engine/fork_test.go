@@ -98,6 +98,18 @@ func TestForkableScenarioRegistration(t *testing.T) {
 	}
 }
 
+// TestSimRowsConfigureTheProductSimulator: no row can reach a reference
+// simulator. The engine has no parameter that selects one; this pins that
+// no row's own config switches one on either.
+func TestSimRowsConfigureTheProductSimulator(t *testing.T) {
+	for _, row := range simRows {
+		if cfg := row.config(row.defaults); cfg.PerValidatorViews || cfg.OracleForkChoice {
+			t.Errorf("%s configures a reference simulator: per-validator views %t, map fork choice %t",
+				row.name, cfg.PerValidatorViews, cfg.OracleForkChoice)
+		}
+	}
+}
+
 // TestForkKeys: prefix keys exclude exactly the post-branch dimensions.
 func TestForkKeys(t *testing.T) {
 	s, _ := Default.Lookup(ScenarioSimGST)
@@ -133,8 +145,8 @@ func TestForkKeys(t *testing.T) {
 }
 
 // TestSimRowContract is the ForkableScenario/CheckpointableScenario
-// contract, checked for every row of simRows under every simulator
-// variant — a new row is covered by adding it to the table, nothing else.
+// contract, checked for every row of simRows — a new row is covered by
+// adding it to the table, nothing else.
 // For every split 0 < e1 < e2 <= branch, extending a prefix writes the
 // same snapshot frame bytes as simulating straight from genesis; and
 // resuming from any prefix after a round trip through the prefix codec
@@ -154,88 +166,85 @@ func TestSimRowContract(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	for _, row := range simRows {
-		for _, m := range simVariantMatrix {
-			t.Run(row.name+"/"+m.name, func(t *testing.T) {
-				sc, _ := NewSimScenarioVariant(row.name, m.v)
-				cs := sc.(CheckpointableScenario)
-				p := point.WithDefaults(sc.Defaults())
-				_, branch, ok := cs.Fork(p)
-				if !ok || branch < 2 {
-					t.Fatalf("Fork(%v) = branch %d, ok %t; the contract point must fork", p, branch, ok)
-				}
-				cold, err := sc.(ContextRunner).RunContext(ctx, p)
-				if err != nil {
-					t.Fatal(err)
-				}
+	for i := range simRows {
+		sc := &simScenario{row: &simRows[i]}
+		t.Run(sc.Name()+"/"+shippedSim, func(t *testing.T) {
+			p := point.WithDefaults(sc.Defaults())
+			_, branch, ok := sc.Fork(p)
+			if !ok || branch < 2 {
+				t.Fatalf("Fork(%v) = branch %d, ok %t; the contract point must fork", p, branch, ok)
+			}
+			cold, err := sc.RunContext(ctx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				straight := make([]*Prefix, branch+1) // straight[k] = RunTo(nil, k)
-				for k := 1; k <= branch; k++ {
-					if straight[k], err = cs.RunTo(ctx, p, nil, k); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for e1 := 1; e1 < branch; e1++ {
-					for e2 := e1 + 1; e2 <= branch; e2++ {
-						// The first extension of straight[e1] claims its live
-						// simulation, the later ones restore its snapshot.
-						split, err := cs.RunTo(ctx, p, straight[e1], e2)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(frame(t, split), frame(t, straight[e2])) {
-							t.Errorf("RunTo(RunTo(nil, %d), %d) wrote a different frame than RunTo(nil, %d)", e1, e2, e2)
-						}
-					}
-				}
-				// The lent read, one epoch short of the branch (every row
-				// accepts the point at that horizon).
-				stop := p
-				stop.Horizon = branch - 1
-				coldStop, err := sc.(ContextRunner).RunContext(ctx, stop)
-				if err != nil {
+			straight := make([]*Prefix, branch+1) // straight[k] = RunTo(nil, k)
+			for k := 1; k <= branch; k++ {
+				if straight[k], err = sc.RunTo(ctx, p, nil, k); err != nil {
 					t.Fatal(err)
 				}
-				lent, err := sc.(*simScenario).advanceTo(ctx, p, nil, stop.Horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := cs.ResumeFrom(ctx, lent, stop)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(res.WithoutMeta(), coldStop.WithoutMeta()) {
-					t.Errorf("the stop read off the lent epoch-%d prefix diverged from its cold run:\n  lent: %+v\n  cold: %+v", stop.Horizon, res.WithoutMeta(), coldStop.WithoutMeta())
-				}
-				if lent.Snap != nil || lent.live() == nil {
-					t.Fatalf("finishing the lent prefix froze it (snap %v) or took its simulation", lent.Snap != nil)
-				}
-				extended, err := cs.RunTo(ctx, p, lent, branch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(frame(t, extended), frame(t, straight[branch])) {
-					t.Errorf("extending the epoch-%d prefix after a stop read it wrote a different frame than RunTo(nil, %d)", stop.Horizon, branch)
-				}
-
-				for k := 1; k <= branch; k++ {
-					var blob bytes.Buffer
-					if err := cs.EncodePrefix(&blob, straight[k]); err != nil {
-						t.Fatal(err)
-					}
-					dec, err := cs.DecodePrefix(&blob)
+			}
+			for e1 := 1; e1 < branch; e1++ {
+				for e2 := e1 + 1; e2 <= branch; e2++ {
+					// The first extension of straight[e1] claims its live
+					// simulation, the later ones restore its snapshot.
+					split, err := sc.RunTo(ctx, p, straight[e1], e2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := cs.ResumeFrom(ctx, dec, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(res.WithoutMeta(), cold.WithoutMeta()) {
-						t.Errorf("resume from the decoded epoch-%d prefix diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", k, res.WithoutMeta(), cold.WithoutMeta())
+					if !bytes.Equal(frame(t, split), frame(t, straight[e2])) {
+						t.Errorf("RunTo(RunTo(nil, %d), %d) wrote a different frame than RunTo(nil, %d)", e1, e2, e2)
 					}
 				}
-			})
-		}
+			}
+			// The lent read, one epoch short of the branch (every row
+			// accepts the point at that horizon).
+			stop := p
+			stop.Horizon = branch - 1
+			coldStop, err := sc.RunContext(ctx, stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lent, err := sc.advanceTo(ctx, p, nil, stop.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sc.ResumeFrom(ctx, lent, stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.WithoutMeta(), coldStop.WithoutMeta()) {
+				t.Errorf("the stop read off the lent epoch-%d prefix diverged from its cold run:\n  lent: %+v\n  cold: %+v", stop.Horizon, res.WithoutMeta(), coldStop.WithoutMeta())
+			}
+			if lent.Snap != nil || lent.live() == nil {
+				t.Fatalf("finishing the lent prefix froze it (snap %v) or took its simulation", lent.Snap != nil)
+			}
+			extended, err := sc.RunTo(ctx, p, lent, branch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frame(t, extended), frame(t, straight[branch])) {
+				t.Errorf("extending the epoch-%d prefix after a stop read it wrote a different frame than RunTo(nil, %d)", stop.Horizon, branch)
+			}
+
+			for k := 1; k <= branch; k++ {
+				var blob bytes.Buffer
+				if err := sc.EncodePrefix(&blob, straight[k]); err != nil {
+					t.Fatal(err)
+				}
+				dec, err := sc.DecodePrefix(&blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sc.ResumeFrom(ctx, dec, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.WithoutMeta(), cold.WithoutMeta()) {
+					t.Errorf("resume from the decoded epoch-%d prefix diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", k, res.WithoutMeta(), cold.WithoutMeta())
+				}
+			}
+		})
 	}
 }

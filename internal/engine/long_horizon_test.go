@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -17,11 +18,11 @@ func TestSimLeakValidation(t *testing.T) {
 		{P0: 0.5, N: 100, Horizon: 2},   // no finality runway
 	} {
 		p := p.MarkExplicit(FieldP0)
-		if _, err := Default.Run(ScenarioSimLeak, p); err == nil {
+		if _, err := RunContext(context.Background(), ScenarioSimLeak, p); err == nil {
 			t.Errorf("sim/leak accepted %+v", p)
 		}
 	}
-	if _, err := Default.Run(ScenarioSimSemiActive, Params{Beta0: 0.0001, N: 100, Horizon: 10}); err == nil {
+	if _, err := RunContext(context.Background(), ScenarioSimSemiActive, Params{Beta0: 0.0001, N: 100, Horizon: 10}); err == nil {
 		t.Error("sim/semiactive accepted a byzantine set that rounds to zero")
 	}
 }
@@ -37,7 +38,7 @@ func TestSimLeakConflictEpochMatchesAnalyticAnchor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-spec 10k-validator leak run (minutes); run without -short")
 	}
-	res, err := Default.Run(ScenarioSimLeak, Params{})
+	res, err := RunContext(context.Background(), ScenarioSimLeak, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSimSemiActiveMatchesAggregateEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-spec semi-active leak run (~600 epochs); run without -short")
 	}
-	res, err := Default.Run(ScenarioSimSemiActive, Params{N: 2000, Horizon: 900})
+	res, err := RunContext(context.Background(), ScenarioSimSemiActive, Params{N: 2000, Horizon: 900})
 	if err != nil {
 		t.Fatal(err)
 	}

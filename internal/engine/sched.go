@@ -291,8 +291,9 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 
 // prefixAdvancer is what a forkable scenario implements when it can extend
 // a prefix without snapshotting it (simScenario.advanceTo; Prefix.freeze
-// takes the snapshot later, if anyone needs it). A scenario that cannot is
-// advanced by RunTo, which returns the prefix already frozen.
+// takes the snapshot later, if anyone needs it), and hand back the prefix a
+// cancelled hop reached beside the context error. A scenario that cannot is
+// advanced by RunTo, which returns the prefix already frozen, or none.
 type prefixAdvancer interface {
 	advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
 }
@@ -314,7 +315,9 @@ func advancePrefix(ctx context.Context, fs ForkableScenario, p Params, from *Pre
 //
 // A failed hop fails that branch's cells but keeps walking, so one bad
 // extension does not doom deeper (independent) retries — under cancellation
-// every remaining branch fails fast with the context error. The failed hop
+// every remaining branch fails fast with the context error, and the prefix
+// the cancelled hop reached is dropped: only the checkpoint runner has
+// somewhere to save it. The failed hop
 // may have consumed the live simulation of a prefix that was never frozen,
 // which cannot be extended again: the walk goes on from the deepest
 // resident snapshot below, else from genesis.

@@ -8,32 +8,14 @@ import (
 	"testing"
 )
 
-// variantRegistry builds a registry holding every forkable sim scenario
-// (the rows of simRows) under the given simulator variant.
-func variantRegistry(t *testing.T, v SimVariant) *Registry {
-	t.Helper()
-	reg := NewRegistry()
-	for _, row := range simRows {
-		s, ok := NewSimScenarioVariant(row.name, v)
-		if !ok {
-			t.Fatalf("NewSimScenarioVariant(%q) not forkable", row.name)
-		}
-		reg.MustRegister(s)
-	}
-	return reg
-}
-
-// simVariantMatrix is the 2x2 (view layout x fork-choice engine) simulator
-// matrix every equivalence suite runs across.
-var simVariantMatrix = []struct {
-	name string
-	v    SimVariant
-}{
-	{"cohort-protoarray", SimVariant{}},
-	{"cohort-oracle", SimVariant{OracleForkChoice: true}},
-	{"pervalidator-protoarray", SimVariant{PerValidatorViews: true}},
-	{"pervalidator-oracle", SimVariant{PerValidatorViews: true, OracleForkChoice: true}},
-}
+// shippedSim labels the subtests of the suites that run the product
+// simulator — cohort views over the proto-array, the only one the engine can
+// configure. The reference corners of the 2x2 (view layout x fork-choice
+// engine) matrix are held bit-identical to it where they live
+// (sim.TestCohortKernelMatchesPerValidatorOracle,
+// sim.TestSnapshotRestoreDeterminism,
+// behavior.TestAdversaryCohortOracleEquivalence).
+const shippedSim = "cohort-protoarray"
 
 // equivalenceGrids are the randomized-shape grids the warm-vs-cold suite
 // sweeps: small populations, short horizons, every forkable scenario, and
@@ -54,37 +36,32 @@ func equivalenceGrids() []Grid {
 
 // TestWarmVsColdEquivalence is the determinism invariant of the snapshot
 // tree: bit-identical results versus the cold sweep for any worker count,
-// snapshot-reuse pattern, and eviction schedule — across the full 2x2
-// (view layout x fork-choice engine) simulator matrix.
+// snapshot-reuse pattern, and eviction schedule.
 func TestWarmVsColdEquivalence(t *testing.T) {
 	ctx := context.Background()
-	for _, m := range simVariantMatrix {
-		t.Run(m.name, func(t *testing.T) {
-			reg := variantRegistry(t, m.v)
-			for _, g := range equivalenceGrids() {
-				cells := g.Cells()
-				cold := SweepContext(ctx, cells, Options{Workers: 2, Registry: reg})
-				for _, workers := range []int{1, 3} {
-					for _, budget := range []int64{-1, 1} {
-						warm := SweepContext(ctx, cells, Options{
-							Workers:   workers,
-							Registry:  reg,
-							WarmStart: &WarmStartOptions{MemoryBudget: budget},
-						})
-						if len(warm) != len(cold) {
-							t.Fatalf("%s workers=%d budget=%d: %d results, want %d", g.Scenario, workers, budget, len(warm), len(cold))
-						}
-						for i := range cold {
-							if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
-								t.Errorf("%s workers=%d budget=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
-									g.Scenario, workers, budget, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
-							}
+	t.Run(shippedSim, func(t *testing.T) {
+		for _, g := range equivalenceGrids() {
+			cells := g.Cells()
+			cold := SweepContext(ctx, cells, Options{Workers: 2})
+			for _, workers := range []int{1, 3} {
+				for _, budget := range []int64{-1, 1} {
+					warm := SweepContext(ctx, cells, Options{
+						Workers:   workers,
+						WarmStart: &WarmStartOptions{MemoryBudget: budget},
+					})
+					if len(warm) != len(cold) {
+						t.Fatalf("%s workers=%d budget=%d: %d results, want %d", g.Scenario, workers, budget, len(warm), len(cold))
+					}
+					for i := range cold {
+						if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+							t.Errorf("%s workers=%d budget=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
+								g.Scenario, workers, budget, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
 						}
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWarmStartObservability checks the provenance a warm sweep stamps
@@ -214,7 +191,7 @@ func TestWarmStartFailedHop(t *testing.T) {
 		cells := g.Cells()
 		cold := SweepContext(ctx, cells, Options{Workers: 2})
 		for _, workers := range []int{1, 3} {
-			inner, _ := NewSimScenarioVariant(g.Scenario, SimVariant{})
+			inner, _ := Default.Lookup(g.Scenario)
 			reg := NewRegistry()
 			reg.MustRegister(&failOnceAt{simScenario: inner.(*simScenario), epoch: failEpoch})
 			warm := SweepContext(ctx, cells, Options{Workers: workers, Registry: reg, WarmStart: &WarmStartOptions{}})
@@ -344,7 +321,6 @@ func TestWarmStartErrorCells(t *testing.T) {
 // policy: cancelled mid-run it leaves its newest checkpoint, and the
 // re-run resumes from it with a payload identical to the cold run's.
 func TestSweepWarmStartKeepsCheckpoints(t *testing.T) {
-	shrinkChunk(t, 4)
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
 	cold := SweepContext(context.Background(), []Cell{cell}, Options{Workers: 1})
 

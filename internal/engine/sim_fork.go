@@ -11,35 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// SimVariant selects the protocol simulator's internal layout and
-// fork-choice engine for the view-cohort scenarios. The zero value is the
-// production configuration (cohort views, incremental proto-array); the
-// other three corners are the test oracles — every variant produces
-// bit-identical Results, which the warm-vs-cold equivalence suite asserts
-// across the full 2x2 matrix.
-type SimVariant struct {
-	// PerValidatorViews runs one node per validator (the pre-refactor
-	// oracle layout, O(n^2) per slot — small n only).
-	PerValidatorViews bool
-	// OracleForkChoice runs the map-based recompute-everything fork
-	// choice instead of the proto-array.
-	OracleForkChoice bool
-}
-
-// NewSimScenarioVariant builds one of the forkable protocol-simulator
-// scenarios (the rows of simRows: sim/drops, sim/gst, sim/leak,
-// sim/semiactive) running under the given variant, for registration in a
-// custom Registry. ok = false for any other name. The Default registry
-// holds the zero-variant instances.
-func NewSimScenarioVariant(name string, v SimVariant) (Scenario, bool) {
-	for i := range simRows {
-		if simRows[i].name == name {
-			return &simScenario{row: &simRows[i], variant: v}, true
-		}
-	}
-	return nil, false
-}
-
 // simScenario is the one runner behind every simRow: it implements
 // Scenario, ContextRunner, ForkableScenario and CheckpointableScenario
 // (sim_fork_codec.go) for all of them. Every way a cell executes is the
@@ -49,8 +20,7 @@ func NewSimScenarioVariant(name string, v SimVariant) (Scenario, bool) {
 // run is ResumeFrom with no prefix: built from the cell's real config,
 // never snapshotted.
 type simScenario struct {
-	row     *simRow
-	variant SimVariant
+	row *simRow
 }
 
 func (sc *simScenario) Name() string        { return sc.row.name }
@@ -88,9 +58,8 @@ func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 	if branch <= 0 {
 		return "", 0, false
 	}
-	v := sc.variant
-	key = fmt.Sprintf("p0=%v;beta0=%v;mode=%q;seed=%d;n=%d;sample=%d;rate=%v;views=%t;oracle=%t",
-		p.P0, p.Beta0, p.Mode, p.Seed, p.N, p.Sample, p.Rate, v.PerValidatorViews, v.OracleForkChoice)
+	key = fmt.Sprintf("p0=%v;beta0=%v;mode=%q;seed=%d;n=%d;sample=%d;rate=%v",
+		p.P0, p.Beta0, p.Mode, p.Seed, p.N, p.Sample, p.Rate)
 	if !sc.row.branchAtGST {
 		key += fmt.Sprintf(";gst=%d", p.GST)
 	}
@@ -112,13 +81,25 @@ func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch 
 // its live simulation alone (Snap is nil until freeze). The sweep spine and
 // the checkpoint runner advance this way, so that a prefix nobody will
 // restore — every cell that wants it ends right there — is never deep-copied.
+//
+// A cancelled hop stops on an epoch boundary with every completed epoch
+// observed (runEpochs asks the context once per epoch, before stepping), so
+// beside a context error advanceTo hands back the prefix it reached — nil
+// when no epoch completed, and always nil beside any other error.
 func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
 	if from != nil && (from.Done || from.Epoch >= epoch) {
 		return from, nil
 	}
 	s, tr, _, err := sc.advance(ctx, p, from, epoch, true)
 	if err != nil {
-		return nil, err
+		if s == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return nil, err
+		}
+		reached := simulatedEpochs(s)
+		if reached == 0 || from != nil && reached == from.Epoch {
+			return nil, err
+		}
+		return &Prefix{Epoch: reached, Trace: tr, cont: &simCont{s: s}}, err
 	}
 	// Parking the still-live simulation on the prefix lets the next hop
 	// continue it instead of paying New + Restore (simCont).
@@ -151,7 +132,7 @@ func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (R
 // then simulates unhealed, under network.FarFuture; otherwise the
 // simulation carries the cell's own heal slot.
 func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to int, shared bool) (*sim.Simulation, simTrace, time.Duration, error) {
-	cfg := sc.row.config(p, sc.variant)
+	cfg := sc.row.config(p)
 	if shared && sc.row.branchAtGST {
 		cfg.GST = network.FarFuture
 	}

@@ -10,9 +10,10 @@ import (
 
 // prefixCodecVersion stamps the engine-level checkpoint blob (scenario
 // identity, trace, prefix position) ahead of the snapshot's own versioned
-// frame. Bump it whenever the trace layout changes; a skewed blob decodes
-// as an error, which the cell executor maps to a cold start.
-const prefixCodecVersion = uint32(1)
+// frame. Bump it whenever the blob's layout changes; a skewed blob decodes
+// as an error, which the cell executor maps to a cold start. Version 1 also
+// named which reference simulator wrote the blob; the engine runs one.
+const prefixCodecVersion = uint32(2)
 
 // errPrefixCodec wraps every DecodePrefix failure.
 var errPrefixCodec = fmt.Errorf("engine: prefix codec")
@@ -29,8 +30,6 @@ func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
 	w := codec.NewWriter(dst)
 	w.U32(prefixCodecVersion)
 	w.String(sc.row.name)
-	w.Bool(sc.variant.PerValidatorViews)
-	w.Bool(sc.variant.OracleForkChoice)
 	w.Int(pre.Epoch)
 	w.Bool(pre.Done)
 	tr.encodeTo(w)
@@ -44,8 +43,8 @@ func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
 // DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
 // result is Owned — the decoded snapshot has exactly one consumer, so the
 // resume path may adopt it zero-copy. Any damage, version skew, or a blob
-// written for a different scenario/variant returns an error; the cell
-// executor treats every error as "no checkpoint" and runs cold.
+// written for a different scenario returns an error; the cell executor
+// treats every error as "no checkpoint" and runs cold.
 // Implements CheckpointableScenario.
 func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 	r := codec.NewReader(src)
@@ -54,9 +53,6 @@ func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 	}
 	if name := r.String(); name != sc.row.name {
 		return nil, fmt.Errorf("%w: blob for scenario %q, want %q (err=%v)", errPrefixCodec, name, sc.row.name, r.Err())
-	}
-	if pv, oc := r.Bool(), r.Bool(); pv != sc.variant.PerValidatorViews || oc != sc.variant.OracleForkChoice {
-		return nil, fmt.Errorf("%w: blob for variant views=%t oracle=%t", errPrefixCodec, pv, oc)
 	}
 	pre := &Prefix{Owned: true}
 	pre.Epoch = r.Int()

@@ -55,10 +55,9 @@ func init() {
 		"Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
 		Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
 		runSimBounce))
-	// Every row of simRows registers under the default variant (cohort
-	// views, proto-array fork choice); the one runner behind them makes each
-	// forkable and checkpointable, so sweeps can fan their cells out from
-	// shared prefixes and long runs can resume.
+	// The one runner behind every row of simRows makes each forkable and
+	// checkpointable, so sweeps can fan their cells out from shared prefixes
+	// and long runs can resume.
 	for i := range simRows {
 		Default.MustRegister(&simScenario{row: &simRows[i]})
 	}
@@ -84,11 +83,16 @@ func simMeta(s *sim.Simulation, elapsed time.Duration) *RunMeta {
 			EngineBytes:  st.Engine.Bytes,
 		},
 	}
-	epochs := float64(uint64(s.Slot()) / s.Cfg.Spec.SlotsPerEpoch)
+	epochs := float64(simulatedEpochs(s))
 	if secs := elapsed.Seconds(); secs > 0 && epochs > 0 {
 		meta.EpochsPerSec = epochs / secs
 	}
 	return meta
+}
+
+// simulatedEpochs counts the whole epochs the simulation has run.
+func simulatedEpochs(s *sim.Simulation) int {
+	return int(uint64(s.Slot()) / s.Cfg.Spec.SlotsPerEpoch)
 }
 
 // runEpochs advances the simulation one epoch at a time from epoch `from`
@@ -208,7 +212,7 @@ type simRow struct {
 	// validate rejects parameters the scenario cannot run.
 	validate func(p Params) error
 	// config describes the cell's own simulation (its real heal slot).
-	config func(p Params, v SimVariant) sim.Config
+	config func(p Params) sim.Config
 	// branchAtGST is the branch rule. False: cells equal in every dimension
 	// but horizon simulate identically, so a cell branches at its own
 	// horizon and a shorter cell's full run doubles as a longer cell's
@@ -280,13 +284,11 @@ var simRows = []simRow{
 		finish:      finishSimGST,
 	},
 	{
-		name:     ScenarioSimLeak,
-		desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
-		defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
-		validate: validateSimLeak,
-		config: func(p Params, v SimVariant) sim.Config {
-			return leakPartitionConfig(p, nil, v)
-		},
+		name:        ScenarioSimLeak,
+		desc:        "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
+		defaults:    Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
+		validate:    validateSimLeak,
+		config:      func(p Params) sim.Config { return leakPartitionConfig(p, nil) },
 		newTrace:    func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
 		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeLeakTrace(r) },
 		finish:      finishSimLeak,
@@ -296,9 +298,7 @@ var simRows = []simRow{
 		desc:     "Table 3 at full protocol: semi-active Byzantine validators accelerate the leak and finalize both branches (full spec)",
 		defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
 		validate: validateSimSemiActive,
-		config: func(p Params, v SimVariant) sim.Config {
-			return leakPartitionConfig(p, semiActiveByz(p), v)
-		},
+		config:   func(p Params) sim.Config { return leakPartitionConfig(p, semiActiveByz(p)) },
 		newTrace: func(p Params) simTrace {
 			return &semiTrace{leakTrace: leakTrace{minStakeRatio: 1}, adv: newSemiActive(p)}
 		},
@@ -333,20 +333,18 @@ func validateSimDrops(p Params) error {
 // simDropsConfig describes the drops population: synchronous (GST zero),
 // spread over eight partitions whose cross-partition links suffer outages
 // at p.Rate.
-func simDropsConfig(p Params, variant SimVariant) sim.Config {
+func simDropsConfig(p Params) sim.Config {
 	parts := 8
 	if p.N < parts {
 		parts = p.N
 	}
 	return sim.Config{
-		Validators:        p.N,
-		Spec:              types.DefaultSpec(),
-		Delay:             1,
-		Seed:              p.Seed,
-		DropRate:          p.Rate,
-		PerValidatorViews: variant.PerValidatorViews,
-		OracleForkChoice:  variant.OracleForkChoice,
-		PartitionOf:       func(v types.ValidatorIndex) int { return int(v) % parts },
+		Validators:  p.N,
+		Spec:        types.DefaultSpec(),
+		Delay:       1,
+		Seed:        p.Seed,
+		DropRate:    p.Rate,
+		PartitionOf: func(v types.ValidatorIndex) int { return int(v) % parts },
 	}
 }
 
@@ -381,17 +379,15 @@ func finishSimDrops(_ context.Context, p Params, s *sim.Simulation, _ simTrace) 
 // healing at the p.GST epoch — the mechanism-level boundary between the
 // paper's Scenario 5.1 (never heals, conflicting finalization) and a
 // harmless outage.
-func simGSTConfig(p Params, variant SimVariant) sim.Config {
+func simGSTConfig(p Params) sim.Config {
 	nA := int(math.Round(float64(p.N) * p.P0))
 	spec := types.CompressedSpec(1 << 16)
 	return sim.Config{
-		Validators:        p.N,
-		Spec:              spec,
-		GST:               types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
-		Delay:             1,
-		Seed:              p.Seed,
-		PerValidatorViews: variant.PerValidatorViews,
-		OracleForkChoice:  variant.OracleForkChoice,
+		Validators: p.N,
+		Spec:       spec,
+		GST:        types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
+		Delay:      1,
+		Seed:       p.Seed,
 		PartitionOf: func(v types.ValidatorIndex) int {
 			if int(v) < nA {
 				return 0
@@ -455,18 +451,16 @@ func finishSimGST(_ context.Context, p Params, s *sim.Simulation, tr simTrace) (
 // cross-partition traffic is discarded instead of accumulating for
 // thousands of epochs), under the FULL paper spec — the runs reproduce
 // Table 1 / Table 3 headline epochs, so no compressed quotient.
-func leakPartitionConfig(p Params, byz []types.ValidatorIndex, variant SimVariant) sim.Config {
+func leakPartitionConfig(p Params, byz []types.ValidatorIndex) sim.Config {
 	nHonest := p.N - len(byz)
 	nA := int(math.Round(float64(nHonest) * p.P0))
 	return sim.Config{
-		Validators:        p.N,
-		Spec:              types.DefaultSpec(),
-		Byzantine:         byz,
-		GST:               network.Never,
-		Delay:             1,
-		Seed:              p.Seed,
-		PerValidatorViews: variant.PerValidatorViews,
-		OracleForkChoice:  variant.OracleForkChoice,
+		Validators: p.N,
+		Spec:       types.DefaultSpec(),
+		Byzantine:  byz,
+		GST:        network.Never,
+		Delay:      1,
+		Seed:       p.Seed,
 		PartitionOf: func(v types.ValidatorIndex) int {
 			if int(v) < nA {
 				return 0

@@ -18,7 +18,7 @@ type Cell struct {
 // Grid is a rectangular parameter sweep for one scenario: the cross
 // product of the listed dimensions (p0 x beta0 x mode x seed x horizon x
 // rate x gst). An empty dimension contributes a single zero value, which
-// Registry.Run resolves to the scenario's default.
+// Registry.RunContext resolves to the scenario's default.
 type Grid struct {
 	Scenario string
 	P0       []float64

@@ -1,33 +1,27 @@
 package forkchoice
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/codec"
 	"repro/internal/types"
 )
 
-// Engine type tags for the durable snapshot codec.
-const (
-	engineTagProtoArray byte = 1
-	engineTagOracle     byte = 2
-)
+// engineTagProtoArray is the durable snapshot codec's one engine type tag:
+// the map-based Oracle is a reference for heads, not for bytes.
+const engineTagProtoArray byte = 1
 
-// EncodeEngine serializes a fork-choice engine behind a type tag, so a
-// decoded snapshot reconstructs the same engine kind the run used.
-// Unknown engine implementations surface through the writer's sticky
-// error path as a tag of 0 — the sim scenarios only ever construct the
-// two built-in engines.
+// EncodeEngine serializes a fork-choice engine behind a type tag. Only the
+// proto-array has a durable form; any other engine fails the write through
+// the writer's sticky error, so no frame is ever written that only a read
+// would reject.
 func EncodeEngine(w *codec.Writer, e Engine) {
 	switch eng := e.(type) {
 	case *ProtoArray:
 		w.Byte(engineTagProtoArray)
 		eng.encodeTo(w)
-	case *Oracle:
-		w.Byte(engineTagOracle)
-		eng.encodeTo(w)
 	default:
-		w.Byte(0)
+		w.Fail(fmt.Errorf("forkchoice: engine %T has no codec", e))
 	}
 }
 
@@ -36,8 +30,6 @@ func DecodeEngine(r *codec.Reader) Engine {
 	switch tag := r.Byte(); tag {
 	case engineTagProtoArray:
 		return decodeProtoArray(r)
-	case engineTagOracle:
-		return decodeOracle(r)
 	default:
 		r.Corrupt("forkchoice: unknown engine tag %d", tag)
 		return nil
@@ -80,55 +72,4 @@ func decodeProtoArray(r *codec.Reader) *ProtoArray {
 		return nil
 	}
 	return p
-}
-
-// encodeTo writes the oracle's latest-message store (sorted by validator
-// for deterministic bytes) and its stake column.
-func (o *Oracle) encodeTo(w *codec.Writer) {
-	vals := make([]types.ValidatorIndex, 0, len(o.store.latest))
-	for v := range o.store.latest {
-		vals = append(vals, v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	w.Len(len(vals))
-	for _, v := range vals {
-		m := o.store.latest[v]
-		w.U64(uint64(v))
-		w.Raw(m.Root[:])
-		w.U64(uint64(m.Slot))
-	}
-	w.Len(len(o.stakes))
-	for _, s := range o.stakes {
-		w.U64(uint64(s))
-	}
-}
-
-func decodeOracle(r *codec.Reader) *Oracle {
-	o := NewOracle()
-	n := r.Len()
-	if r.Err() != nil {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		v := types.ValidatorIndex(r.U64())
-		var m Message
-		r.Raw(m.Root[:])
-		m.Slot = types.Slot(r.U64())
-		if r.Err() != nil {
-			return nil
-		}
-		o.store.latest[v] = m
-	}
-	ns := r.Len()
-	if r.Err() != nil {
-		return nil
-	}
-	o.stakes = make([]types.Gwei, ns)
-	for i := 0; i < ns; i++ {
-		o.stakes[i] = types.Gwei(r.U64())
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	return o
 }

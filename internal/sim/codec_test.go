@@ -21,8 +21,9 @@ import (
 var writeFrame = flag.Bool("write-frame", false,
 	"rewrite testdata/snapshot-v4-pr18.frame from TestSnapshotFrameWrittenByPR18's run")
 
-// codecModes is the 2×2 view-layout × fork-choice matrix every codec
-// property is checked across.
+// codecModes is the 2×2 view-layout × fork-choice matrix the round-trip
+// suite walks: the proto-array modes round-trip, the map-engine ones must
+// refuse to encode.
 var codecModes = []struct {
 	name                           string
 	perValidator, oracleForkChoice bool
@@ -65,11 +66,13 @@ func encodeSnapshot(t *testing.T, sn *Snapshot) []byte {
 // TestSnapshotCodecRoundTrip is the codec contract: a decoded snapshot
 // restores bit-identically — continuing it reproduces the original
 // continuation's per-epoch metrics exactly — and re-encoding it
-// reproduces the original bytes (the codec is canonical). Checked across
-// the 2×2 view-layout × fork-choice matrix, for both a messaging-rich
-// state (link outages, shuffled duties, held pre-GST cross-partition
-// traffic, live embargoes) and a mid-leak compacted state (folded skip
-// segments in every tree).
+// reproduces the original bytes (the codec is canonical). Checked for both
+// view layouts (a per-validator frame holds many cohorts), for both a
+// messaging-rich state (link outages, shuffled duties, held pre-GST
+// cross-partition traffic, live embargoes) and a mid-leak compacted state
+// (folded skip segments in every tree). Only the proto-array has a durable
+// form: a snapshot of a simulation on the map-based reference fork choice
+// fails the write, so no frame exists that only a read would reject.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -90,6 +93,12 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if mode.oracleForkChoice {
+					if _, err := s.Snapshot().WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrSnapshotCodec) {
+						t.Fatalf("WriteTo over the map engine = %v, want an error wrapping ErrSnapshotCodec", err)
+					}
+					return
 				}
 				if err := s.RunEpochs(tc.snapAt); err != nil {
 					t.Fatal(err)

@@ -43,7 +43,6 @@ import (
 	"repro/internal/attestation"
 	"repro/internal/beacon"
 	"repro/internal/blocktree"
-	"repro/internal/crypto"
 	"repro/internal/ffg"
 	"repro/internal/forkchoice"
 	"repro/internal/network"
@@ -322,7 +321,7 @@ func (s *Simulation) SetDutyView(v, like types.ValidatorIndex) {
 // ProposerAt returns the proposer of a slot: a seeded hash over the full
 // initial validator set, identical on every view.
 func (s *Simulation) ProposerAt(slot types.Slot) types.ValidatorIndex {
-	h := crypto.HashItems(uint64(slot), uint64(s.Cfg.Seed), 0x9e3779b9)
+	h := types.HashItems(uint64(slot), uint64(s.Cfg.Seed), 0x9e3779b9)
 	v := uint64(h[0])<<24 | uint64(h[1])<<16 | uint64(h[2])<<8 | uint64(h[3])
 	return types.ValidatorIndex(v % uint64(s.Cfg.Validators))
 }
@@ -333,7 +332,7 @@ func (s *Simulation) ProposerAt(slot types.Slot) types.ValidatorIndex {
 // v-mod-SlotsPerEpoch slot.
 func (s *Simulation) AttestationSlot(v types.ValidatorIndex, epoch types.Epoch) types.Slot {
 	if s.Cfg.ShuffledDuties {
-		h := crypto.HashItems(uint64(v), uint64(epoch), uint64(s.Cfg.Seed), 0x5bd1e995)
+		h := types.HashItems(uint64(v), uint64(epoch), uint64(s.Cfg.Seed), 0x5bd1e995)
 		off := (uint64(h[0])<<8 | uint64(h[1])) % s.Cfg.Spec.SlotsPerEpoch
 		return epoch.StartSlot() + types.Slot(off)
 	}

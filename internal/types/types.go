@@ -10,6 +10,7 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -138,6 +139,28 @@ func RootFromUint64(v uint64) Root {
 	var r Root
 	binary.BigEndian.PutUint64(r[:8], v)
 	return r
+}
+
+// HashItems produces a root from a sequence of integer fields; the
+// simulator uses it to mint deterministic block roots from (slot, proposer,
+// parent) triples.
+func HashItems(items ...uint64) Root {
+	buf := make([]byte, 8*len(items))
+	for i, v := range items {
+		binary.BigEndian.PutUint64(buf[i*8:], v)
+	}
+	return sha256.Sum256(buf)
+}
+
+// HashRoots produces a root binding a sequence of roots together with a
+// leading tag, used for vote digests.
+func HashRoots(tag uint64, roots ...Root) Root {
+	buf := make([]byte, 8+32*len(roots))
+	binary.BigEndian.PutUint64(buf[:8], tag)
+	for i, r := range roots {
+		copy(buf[8+32*i:], r[:])
+	}
+	return sha256.Sum256(buf)
 }
 
 // Checkpoint is a (block, epoch) pair: the block of the first slot of the

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +175,50 @@ func TestPaperConstants(t *testing.T) {
 	}
 	if SlotsPerEpoch != 32 || SecondsPerSlot != 12 {
 		t.Error("epoch structure must be 32 slots of 12 seconds")
+	}
+}
+
+// rootHex renders a whole root (Root.String abbreviates).
+func rootHex(r Root) string { return hex.EncodeToString(r[:]) }
+
+// The known answers below are SHA-256 over the big-endian fields. Block
+// roots feed every snapshot frame, so these hashes may not drift.
+
+func TestHashItemsInjectiveOnSamples(t *testing.T) {
+	seen := map[Root][3]uint64{}
+	for s := uint64(0); s < 10; s++ {
+		for p := uint64(0); p < 10; p++ {
+			r := HashItems(s, p, s+p)
+			if prev, ok := seen[r]; ok {
+				t.Fatalf("collision between %v and [%d %d %d]", prev, s, p, s+p)
+			}
+			seen[r] = [3]uint64{s, p, s + p}
+		}
+	}
+	if got, want := rootHex(HashItems(1, 2, 3)), "ca73761ddabfffcbe51170be0b07f67bafcdbed202545c60707573d36dc935b4"; got != want {
+		t.Errorf("HashItems(1, 2, 3) = %s, want %s", got, want)
+	}
+}
+
+func TestHashItemsOrderSensitive(t *testing.T) {
+	if HashItems(1, 2) == HashItems(2, 1) {
+		t.Error("HashItems must be order sensitive")
+	}
+	if got, want := rootHex(HashItems(1, 2)), "8c7654ecfd7b0b623b803e2f4e02ad1cc84278efdfcd7c4c9208edd81f17e115"; got != want {
+		t.Errorf("HashItems(1, 2) = %s, want %s", got, want)
+	}
+}
+
+func TestHashRoots(t *testing.T) {
+	a := RootFromUint64(1)
+	b := RootFromUint64(2)
+	if HashRoots(0, a, b) == HashRoots(0, b, a) {
+		t.Error("HashRoots must be order sensitive")
+	}
+	if HashRoots(0, a) == HashRoots(1, a) {
+		t.Error("HashRoots must be tag sensitive")
+	}
+	if got, want := rootHex(HashRoots(7, a, b)), "d4f8d61dadc725a176b39fae770f0c1930069552bd19a21d06769b5a5fbed665"; got != want {
+		t.Errorf("HashRoots(7, 1, 2) = %s, want %s", got, want)
 	}
 }
