@@ -21,6 +21,11 @@ pkg: repro/internal/engine
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
 PASS
+ok  	repro/internal/engine	1.0s
+pkg: repro/internal/server
+BenchmarkSweepThroughCoordinator/direct-2 	      10	   6300000 ns/op	      4750 cells/sec	 2200000 B/op	   12300 allocs/op
+BenchmarkSweepThroughCoordinator/hop-2    	      10	   8100000 ns/op	      3690 cells/sec	 2500000 B/op	   16900 allocs/op
+PASS
 `
 
 func f(v float64) *float64 { return &v }
@@ -38,8 +43,10 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
+		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "cells/sec", Min: f(0.5)},
+		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "B/op", Max: f(3)},
 	}
-	if failed, report := verdicts(t, gates, canned); failed != 0 || strings.Count(report, "ok ") != 4 {
+	if failed, report := verdicts(t, gates, canned); failed != 0 || strings.Count(report, "ok ") != len(gates) {
 		t.Fatalf("%d gates failed on output that meets them all:\n%s", failed, report)
 	}
 
@@ -56,6 +63,13 @@ func TestCheckPassesAndFails(t *testing.T) {
 	slowWarm := strings.Replace(canned, "221.0 cells/sec", "120.0 cells/sec", 1)
 	if failed, report := verdicts(t, gates, slowWarm); failed != 1 || !strings.Contains(report, "= 2.824 (min 3)") {
 		t.Fatalf("warm at 2.8x cold: %d failed\n%s", failed, report)
+	}
+
+	// The hop as it read before the coordinator shipped prefix groups: every
+	// cell its own cold request.
+	cellByCell := strings.NewReplacer("3690 cells/sec", "274.0 cells/sec", " 2500000 B/op", "76800000 B/op").Replace(canned)
+	if failed, report := verdicts(t, gates, cellByCell); failed != 2 || !strings.Contains(report, "= 0.058 (min 0.5)") || !strings.Contains(report, "= 34.909 (max 3)") {
+		t.Fatalf("a hop that dispatches cell by cell: %d failed\n%s", failed, report)
 	}
 
 	snapshotPerStop := strings.Replace(canned, " 7100000 B/op", "71900000 B/op", 1)

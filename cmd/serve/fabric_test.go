@@ -213,6 +213,38 @@ func TestFabricProcesses(t *testing.T) {
 		t.Error("two-worker fabric sweep diverges from in-process sweep")
 	}
 
+	// The same grid through a warm coordinator over the same workers: its
+	// cells share one prefix, so they travel as one unit — one request, one
+	// worker's spine, every cell a warm hit — and the payload does not move.
+	coordW := startServe(t, bin, "-warm", "-cache", "-1", "-shard", w1.url()+","+w2.url())
+	warmGot := resultsByIndex(t, sweepFabric(t, coordW.url(), cells), len(cells))
+	if !reflect.DeepEqual(engine.StripMeta(warmGot), engine.StripMeta(want)) {
+		t.Error("warm two-worker fabric sweep diverges from in-process sweep")
+	}
+	for i, r := range warmGot {
+		if r.Meta == nil || r.Meta.Warm == nil || !r.Meta.Warm.Hit {
+			t.Errorf("warm fabric cell %d meta = %+v, want a hit on the shared prefix", i, r.Meta)
+		}
+	}
+	var warmMetrics struct {
+		Coordinator struct {
+			Units  uint64 `json:"units_dispatched"`
+			Remote uint64 `json:"cells_remote"`
+		} `json:"coordinator"`
+	}
+	mresp, err := http.Get(coordW.url() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(mresp.Body).Decode(&warmMetrics)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := warmMetrics.Coordinator; c.Units != 1 || c.Remote != uint64(len(cells)) {
+		t.Errorf("warm fabric sent %d cells in %d requests, want all %d in one", c.Remote, c.Units, len(cells))
+	}
+
 	// Kill a worker mid-sweep on a fresh grid (different seeds so nothing
 	// is already stored): the grid must still complete without
 	// client-visible errors, bit-identical to in-process.

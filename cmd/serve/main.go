@@ -5,7 +5,8 @@
 //
 // One binary plays every fabric role. A plain serve is a worker; -store
 // adds the persistent result tier; -shard turns the instance into a
-// coordinator that dispatches sweep cells over its workers:
+// coordinator that dispatches sweeps over its workers — a request per cell,
+// or with -warm a request per group of cells sharing a simulated prefix:
 //
 //	serve                          # listen on :8791
 //	serve -addr :9000 -workers 8   # bounded sweep pool
@@ -46,8 +47,8 @@ func main() {
 	storeDir := flag.String("store", "", "persistent result store directory (empty disables the disk tier)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "mid-cell checkpoint interval in simulated epochs for long-horizon sweep cells, persisted in the -store directory so killed or drained cells resume instead of recomputing (0 = engine default, negative disables; no effect without -store)")
 	shard := flag.String("shard", "", "comma-separated worker base URLs; non-empty makes this instance a sweep coordinator")
-	shardInflight := flag.Int("shard-inflight", 0, "concurrently dispatched cells per worker (0 = default)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell dispatch timeout before a worker is retired (0 = unbounded)")
+	shardInflight := flag.Int("shard-inflight", 0, "concurrently dispatched units (open requests: one cell each, or with -warm one shared-prefix group of cells) per worker (0 = default)")
+	cellTimeout := flag.Duration("cell-timeout", 0, "longest wait for a dispatched unit's next cell before its worker is retired and the cells still owed are requeued (0 = unbounded)")
 	queue := flag.Int("queue", 0, "admission bound on queued+running cells, 429 beyond it (0 = default, negative = unlimited)")
 	maxBody := flag.Int64("max-body", 0, "request body byte limit, 413 beyond it (0 = default 1MiB, negative = unlimited)")
 	flag.Parse()

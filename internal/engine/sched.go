@@ -109,68 +109,94 @@ type forkJob struct {
 	e   *entry
 }
 
-// plan classifies each cell as warm (forkable, shares a prefix with at
-// least one other cell) or cold, building one group per shared prefix. A
-// warm cell whose branch is its own horizon is a stop of its entry; one that
-// continues past its branch is a fork, a job of its own.
-func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, forks []forkJob, colds []int) {
-	type warmCell struct {
-		idx    int
-		params Params
-		branch int
+// PrefixGroup is the cells of one sweep that simulate the same prefix: one
+// scenario, one ForkableScenario.Fork key. A cell that cannot fork (unknown
+// or non-forkable scenario, params Fork declines, nothing before the branch)
+// is a group of its own.
+type PrefixGroup struct {
+	// Cells indexes the sweep's cell slice, ascending.
+	Cells []int
+	// fs is the group's scenario, nil for a cell that cannot fork; params
+	// (defaulted) and branch run parallel to Cells.
+	fs     ForkableScenario
+	params []Params
+	branch []int
+}
+
+// PrefixGroups partitions a sweep's cells by the simulated prefix they
+// share, groups ordered by their first cell. It is the one place the
+// sharing rule lives: the scheduler plans a spine per group of two or more
+// (plan), and a dispatcher that ships a whole group to one executor
+// (Options.Dispatch) hands that executor exactly the cells its scheduler
+// will plan as one group.
+func PrefixGroups(reg *Registry, cells []Cell) []PrefixGroup {
+	if reg == nil {
+		reg = Default
 	}
-	pending := make(map[string][]warmCell)
-	pendingFS := make(map[string]ForkableScenario)
-	var keys []string // insertion order, for a deterministic plan
+	var groups []PrefixGroup
+	byKey := make(map[string]int) // scenario + Fork key -> index into groups
 	for i, c := range cells {
 		s, _ := reg.Lookup(c.Scenario)
 		fs, ok := s.(ForkableScenario)
 		if !ok {
-			colds = append(colds, i) // unknown scenarios surface their error cold
+			groups = append(groups, PrefixGroup{Cells: []int{i}}) // unknown scenarios surface their error cold
 			continue
 		}
 		p := c.Params.WithDefaults(s.Defaults())
 		key, branch, forkable := fs.Fork(p)
 		if !forkable || branch <= 0 {
-			colds = append(colds, i)
+			groups = append(groups, PrefixGroup{Cells: []int{i}})
 			continue
 		}
 		k := c.Scenario + "\x00" + key
-		if _, seen := pending[k]; !seen {
-			keys = append(keys, k)
-			pendingFS[k] = fs
+		gi, seen := byKey[k]
+		if !seen {
+			gi = len(groups)
+			byKey[k] = gi
+			groups = append(groups, PrefixGroup{fs: fs})
 		}
-		pending[k] = append(pending[k], warmCell{i, p, branch})
+		g := &groups[gi]
+		g.Cells = append(g.Cells, i)
+		g.params = append(g.params, p)
+		g.branch = append(g.branch, branch)
 	}
-	for _, k := range keys {
-		wcs := pending[k]
-		if len(wcs) < 2 {
-			// A lone cell gains nothing from a shared prefix.
-			colds = append(colds, wcs[0].idx)
+	return groups
+}
+
+// plan classifies each cell as warm (shares a prefix with at least one
+// other cell) or cold, building one group per shared prefix. A warm cell
+// whose branch is its own horizon is a stop of its entry; one that continues
+// past its branch is a fork, a job of its own.
+func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, forks []forkJob, colds []int) {
+	for _, pg := range PrefixGroups(reg, cells) {
+		if len(pg.Cells) < 2 {
+			// A lone cell gains nothing from a shared prefix. Groups come in
+			// first-cell order, so colds is ascending.
+			colds = append(colds, pg.Cells[0])
 			continue
 		}
-		g := &group{sch: sch, fs: pendingFS[k], params: wcs[0].params, entries: make(map[int]*entry)}
-		for _, wc := range wcs {
-			e := g.entries[wc.branch]
+		g := &group{sch: sch, fs: pg.fs, params: pg.params[0], entries: make(map[int]*entry)}
+		for k, idx := range pg.Cells {
+			branch := pg.branch[k]
+			e := g.entries[branch]
 			if e == nil {
-				e = &entry{branch: wc.branch, ready: make(chan struct{}), state: statePending}
-				g.entries[wc.branch] = e
-				g.order = append(g.order, wc.branch)
+				e = &entry{branch: branch, ready: make(chan struct{}), state: statePending}
+				g.entries[branch] = e
+				g.order = append(g.order, branch)
 				sch.entries = append(sch.entries, e)
 			}
-			if wc.branch == wc.params.Horizon {
-				e.stops = append(e.stops, wc.idx)
+			if branch == pg.params[k].Horizon {
+				e.stops = append(e.stops, idx)
 				continue
 			}
 			e.forked = true
 			e.refs++
-			forks = append(forks, forkJob{wc.idx, g, e})
+			forks = append(forks, forkJob{idx, g, e})
 		}
 		sort.Ints(g.order)
 		sch.nodes += len(g.order)
 		groups = append(groups, g)
 	}
-	sort.Ints(colds)
 	// Shallow branches first: their checkpoints publish first.
 	sort.SliceStable(forks, func(a, b int) bool { return forks[a].e.branch < forks[b].e.branch })
 	return groups, forks, colds

@@ -274,6 +274,48 @@ func TestWarmStartColdFallback(t *testing.T) {
 	}
 }
 
+// TestPrefixGroups pins the grouping the scheduler and the serving layer's
+// coordinator both plan from: cells of one scenario and one Fork key are one
+// group, whatever lies between them in the grid; groups come in the order of
+// their first cell with their cells ascending; and a cell that cannot fork —
+// not forkable, unknown, rejected by the scenario, nothing before its branch
+// — is a group of its own. The scheduler's plan is these groups: every group
+// of two or more is a spine whose cells all hit, every lone cell runs cold.
+func TestPrefixGroups(t *testing.T) {
+	cells := []Cell{
+		0: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 6, GST: 3}},
+		1: {Scenario: "sim/bounce", Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+		2: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.6, Horizon: 6, GST: 3}},
+		3: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 8, GST: 30}}, // gst is not in sim/gst's key
+		4: {Scenario: "sim/nope"},
+		5: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.6, Horizon: 5, GST: 3}},
+		6: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 6, GST: 0, Explicit: FieldGST}}, // branches at genesis
+		7: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 6, GST: -1, Explicit: FieldGST}},
+		8: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.7, Horizon: 6, GST: 3}}, // shares with nobody
+		9: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 7, GST: 3}},
+	}
+	var got [][]int
+	for _, g := range PrefixGroups(nil, cells) {
+		got = append(got, g.Cells)
+	}
+	want := [][]int{{0, 3, 9}, {1}, {2, 5}, {4}, {6}, {7}, {8}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("PrefixGroups = %v, want %v", got, want)
+	}
+
+	warm := SweepContext(context.Background(), cells, Options{Workers: 2, WarmStart: &WarmStartOptions{}})
+	for _, g := range want {
+		for _, i := range g {
+			if warm[i].Meta == nil || warm[i].Meta.Warm == nil {
+				continue // cancelled-before-start and unknown cells carry no meta
+			}
+			if hit := warm[i].Meta.Warm.Hit; hit != (len(g) > 1) {
+				t.Errorf("cell %d of group %v: warm hit = %t", i, g, hit)
+			}
+		}
+	}
+}
+
 // TestWarmStartCancellation cancels before the sweep starts: every cell
 // must be marked with the context error and the stream must close.
 func TestWarmStartCancellation(t *testing.T) {

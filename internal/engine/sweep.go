@@ -387,9 +387,11 @@ type Options struct {
 	// itself cleared, so a dispatcher may recurse into SweepStream for
 	// local execution) and returns its stream. This is the scale-out hook —
 	// the serving layer's coordinator routes cells to worker processes
-	// through it — and it carries the same contract as SweepStream: one
-	// Update per cell, payloads bit-identical to a local sweep, the
-	// channel closed after the last cell, prompt close after cancellation.
+	// through it, a PrefixGroups group at a time when WarmStart is set so
+	// that each shared prefix is still simulated once — and it carries the
+	// same contract as SweepStream: one Update per cell, payloads
+	// bit-identical to a local sweep, the channel closed after the last
+	// cell, prompt close after cancellation.
 	Dispatch DispatchFunc
 }
 

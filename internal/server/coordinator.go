@@ -5,9 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,34 +20,57 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultShardInflight bounds concurrently dispatched cells per worker
+// DefaultShardInflight bounds concurrently dispatched units per worker
 // when Config.ShardInflight is 0.
 const DefaultShardInflight = 2
+
+// maxUnitCells cuts a prefix group into requests a worker's default bounds
+// admit: 256 explicit cells are a ~40 kB body against DefaultMaxBodyBytes
+// and a sixteenth of DefaultQueueDepth.
+const maxUnitCells = 256
+
+// maxStreamLine bounds one NDJSON line of a worker's stream.
+const maxStreamLine = 16 << 20
+
+// A worker that answers 429 is full, not gone: its unit goes back on the
+// queue, the dispatching goroutine sits out the worker's Retry-After (at
+// most maxRetryAfter — the header is outside input), and only maxRefusals
+// refusals in a row retire the worker.
+const (
+	maxRetryAfter = time.Second
+	maxRefusals   = 3
+)
 
 // worker is one remote serve process the coordinator dispatches to.
 type worker struct {
 	url  string
 	dead atomic.Bool
-	// served/failed count this worker's dispatch outcomes.
+	// served counts the cells this worker answered, failed the dispatches
+	// that retired it.
 	served atomic.Uint64
 	failed atomic.Uint64
 }
 
 // coordinator is the scale-out half of the sweep fabric: with
 // Config.Shards set, the server stops computing sweep cells in-process and
-// instead dispatches them — cell by cell, over the same NDJSON POST /sweep
-// wire protocol every serve instance already speaks — to a set of worker
-// processes (a plain `serve` instance is a valid worker). Cells are
-// independent and seed-deterministic, so the scheduling policy is free:
-// bounded in-flight cells per worker, dead or slow workers requeue their
-// cells onto the survivors, and when every worker is gone the coordinator
-// computes the remainder itself. Results are merged in deterministic cell
-// order, so the client-visible stream is bit-identical (Meta aside) to a
-// single-process run for any worker set and any failure/requeue schedule.
+// instead dispatches them — unit by unit, each unit one multi-cell request
+// over the same NDJSON POST /sweep wire protocol every serve instance
+// already speaks — to a set of worker processes (a plain `serve` instance is
+// a valid worker). What a unit is follows the sweep (units): warm-started, it
+// is a prefix group, so the cells that share a simulated prefix land on one
+// worker and that worker simulates the prefix once; cold, it is one cell.
+// Cells are independent and seed-deterministic, so the scheduling policy is
+// free: bounded in-flight units per worker, a worker's stream read as it
+// arrives, dead or stalled workers requeue the cells they had not yet
+// answered onto the survivors, and when every worker is gone the
+// coordinator computes the remainder itself. Results are merged in
+// deterministic cell order, so the client-visible stream is bit-identical
+// (Meta aside) to a single-process run for any worker set and any
+// failure/requeue schedule.
 type coordinator struct {
 	workers     []*worker
-	inflight    int           // per-worker concurrent cells
-	cellTimeout time.Duration // 0 = unbounded
+	inflight    int           // per-worker concurrent units
+	cellTimeout time.Duration // longest wait for a stream's next update; 0 = unbounded
 	client      *http.Client
 	metrics     *metrics
 }
@@ -110,6 +137,29 @@ type indexedResult struct {
 	res engine.Result
 }
 
+// units splits a sweep into the coordinator's units of dispatch, each the
+// cell indices of one request. Warm-started, a unit is a prefix group
+// (engine.PrefixGroups — the grouping the worker's own scheduler will
+// plan), cut at maxUnitCells; without warm start sharing a worker buys a
+// cell nothing, and every cell is a unit of one.
+func units(cells []engine.Cell, opt engine.Options) [][]int {
+	var out [][]int
+	if opt.WarmStart == nil {
+		for i := range cells {
+			out = append(out, []int{i})
+		}
+		return out
+	}
+	for _, g := range engine.PrefixGroups(opt.Registry, cells) {
+		for rest := g.Cells; len(rest) > 0; {
+			k := min(len(rest), maxUnitCells)
+			out = append(out, rest[:k])
+			rest = rest[k:]
+		}
+	}
+	return out
+}
+
 func (c *coordinator) run(ctx context.Context, cells []engine.Cell, opt engine.Options, out chan<- engine.Update) {
 	n := len(cells)
 	if n == 0 {
@@ -124,28 +174,29 @@ func (c *coordinator) run(ctx context.Context, cells []engine.Cell, opt engine.O
 		}
 	}
 
-	// Remote phase. jobs holds every not-yet-served cell index; a failed
-	// worker's goroutines push their cells back before exiting, so the
-	// channel never holds more than n indices. finished is buffered so a
-	// worker is never blocked on the collector.
-	jobs := make(chan int, n)
-	for i := range cells {
-		jobs <- i
+	// Remote phase. jobs holds every unit not yet in a worker's hands; a
+	// refused or failed dispatch puts back at most the one unit it took, so
+	// the channel never holds more than the initial count. finished takes
+	// each cell once — a stream delivers a cell at most once and only
+	// undelivered cells are requeued — so a worker is never blocked on the
+	// collector.
+	todo := units(cells, opt)
+	jobs := make(chan []int, len(todo))
+	for _, u := range todo {
+		jobs <- u
 	}
 	finished := make(chan indexedResult, n)
 	quit := make(chan struct{})
 	var quitOnce sync.Once
 	stop := func() { quitOnce.Do(func() { close(quit) }) }
 
-	alive := int64(0)
+	var alive atomic.Int64
 	for _, w := range c.workers {
 		if !w.dead.Load() {
-			alive++
+			alive.Add(1)
 		}
 	}
-	aliveCount := atomic.Int64{}
-	aliveCount.Store(alive)
-	if alive == 0 {
+	if alive.Load() == 0 {
 		stop()
 	}
 
@@ -156,46 +207,68 @@ func (c *coordinator) run(ctx context.Context, cells []engine.Cell, opt engine.O
 		}
 		for k := 0; k < c.inflight; k++ {
 			wg.Add(1)
-			go func(w *worker) {
+			go func() {
 				defer wg.Done()
+				refusals := 0
 				for {
 					select {
 					case <-quit:
 						return
 					case <-ctx.Done():
 						return
-					case i := <-jobs:
+					case unit := <-jobs:
 						if w.dead.Load() {
-							jobs <- i
+							jobs <- unit
 							return
 						}
 						c.metrics.remoteInflight.Add(1)
-						res, err := c.runCell(ctx, w, cells[i], opt)
+						rest, err := c.runUnit(ctx, w, cells, unit, opt, func(i int, res engine.Result) {
+							w.served.Add(1)
+							c.metrics.cellsRemote.Add(1)
+							finished <- indexedResult{i, res}
+						})
 						c.metrics.remoteInflight.Add(-1)
-						if err != nil {
-							// The worker failed or stalled: requeue the
-							// cell for the survivors and retire the
-							// worker. Retrying is always safe — cells are
-							// seed-deterministic, so a survivor (or the
-							// local fallback) recomputes the identical
-							// payload.
-							w.failed.Add(1)
-							c.metrics.cellsRequeued.Add(1)
-							jobs <- i
-							if w.dead.CompareAndSwap(false, true) {
-								c.metrics.workersLost.Add(1)
-								if aliveCount.Add(-1) == 0 {
-									stop()
-								}
-							}
-							return
+						if err == nil {
+							refusals = 0
+							continue
 						}
-						w.served.Add(1)
-						c.metrics.cellsRemote.Add(1)
-						finished <- indexedResult{i, res}
+						if ctx.Err() != nil {
+							return // the caller gave up; the worker did nothing wrong
+						}
+						var busy busyError
+						if errors.As(err, &busy) && refusals+1 < maxRefusals {
+							refusals++
+							jobs <- rest // refused whole
+							select {
+							case <-time.After(time.Duration(busy)):
+							case <-quit:
+							case <-ctx.Done():
+							}
+							continue
+						}
+						// The worker failed, stalled or stayed full: it is
+						// retired, and the cells it had not answered go back
+						// on the queue for the survivors — in that order, or
+						// this worker's other goroutines could take them.
+						// Retrying is always safe: cells are
+						// seed-deterministic, so a survivor (or the local
+						// fallback) computes the identical payload.
+						w.failed.Add(1)
+						c.metrics.cellsRequeued.Add(uint64(len(rest)))
+						lost := w.dead.CompareAndSwap(false, true)
+						if len(rest) > 0 {
+							jobs <- rest
+						}
+						if lost {
+							c.metrics.workersLost.Add(1)
+							if alive.Add(-1) == 0 {
+								stop()
+							}
+						}
+						return
 					}
 				}
-			}(w)
+			}()
 		}
 	}
 
@@ -221,10 +294,7 @@ collect:
 	for {
 		select {
 		case r := <-finished:
-			if results[r.i] == nil {
-				results[r.i] = &r.res
-				remaining--
-			}
+			results[r.i] = &r.res
 			continue
 		default:
 		}
@@ -233,13 +303,14 @@ collect:
 	var leftover []int
 	for {
 		select {
-		case i := <-jobs:
-			leftover = append(leftover, i)
+		case unit := <-jobs:
+			leftover = append(leftover, unit...)
 			continue
 		default:
 		}
 		break
 	}
+	sort.Ints(leftover)
 
 	// Local fallback: with no workers left, the coordinator is still a
 	// complete serve process — finish the grid in-process so a total
@@ -286,52 +357,121 @@ func failedDispatch(reg *engine.Registry, cell engine.Cell, errText string) engi
 	return engine.Result{Scenario: cell.Scenario, Params: p, Err: errText}
 }
 
-// runCell executes one cell on a remote worker over the standard NDJSON
-// /sweep protocol (a single-cell sweep). Transport-level trouble — refused
-// connection, non-200 status, a stream that ends without the cell's
-// update, undecodable NDJSON, or an overrun of the per-cell timeout —
-// returns an error and condemns the worker; a result whose own Err is set
-// (an invalid cell) is a legitimate payload and passes through, identical
-// to what a local run would produce.
-func (c *coordinator) runCell(ctx context.Context, w *worker, cell engine.Cell, opt engine.Options) (engine.Result, error) {
+// busyError is a worker's 429: full, and asking to be asked again after
+// this long.
+type busyError time.Duration
+
+func (e busyError) Error() string {
+	return fmt.Sprintf("queue full, retry after %v", time.Duration(e))
+}
+
+// runUnit executes one unit on a remote worker as one request of the
+// standard NDJSON /sweep protocol, handing each cell's result to deliver —
+// keyed by the cell's index in the sweep — as its line arrives. It is the
+// only way a cell reaches a worker: a cold cell is a unit of one. On any
+// transport-level trouble — refused connection, non-200 status (a 429 as a
+// busyError), a stream readUnitStream condemns, or no update for
+// cellTimeout — it returns the cells whose updates had not arrived beside
+// the error; what was delivered before stands. A result whose own Err is set
+// (an invalid cell) is a legitimate payload and passes through, identical to
+// what a local run would produce.
+func (c *coordinator) runUnit(ctx context.Context, w *worker, cells []engine.Cell, unit []int, opt engine.Options, deliver func(i int, res engine.Result)) (undelivered []int, err error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// The stall bound: armed here for the first update, re-armed by every
+	// update that arrives.
+	var stall *time.Timer
 	if c.cellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cellTimeout)
-		defer cancel()
+		stall = time.AfterFunc(c.cellTimeout, cancel)
+		defer stall.Stop()
 	}
-	body, err := json.Marshal(sweepRequest{
-		Cells: []engine.Cell{cell},
-		Warm:  boolPtr(opt.WarmStart != nil),
-	})
+	sent := make([]engine.Cell, len(unit))
+	for k, i := range unit {
+		sent[k] = cells[i]
+	}
+	body, err := json.Marshal(sweepRequest{Cells: sent, Warm: boolPtr(opt.WarmStart != nil)})
 	if err != nil {
-		return engine.Result{}, err
+		return unit, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/sweep", bytes.NewReader(body))
 	if err != nil {
-		return engine.Result{}, err
+		return unit, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	c.metrics.unitsDispatched.Add(1)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return engine.Result{}, err
+		return unit, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return engine.Result{}, fmt.Errorf("worker %s: status %d", w.url, resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 16<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return engine.Result{}, fmt.Errorf("worker %s: %w", w.url, err)
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
+		wait := maxRetryAfter
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 && secs < int(maxRetryAfter/time.Second) {
+			wait = time.Duration(secs) * time.Second
 		}
-		return engine.Result{}, fmt.Errorf("worker %s: empty sweep stream", w.url)
+		return unit, fmt.Errorf("worker %s: %w", w.url, busyError(wait))
+	default:
+		return unit, fmt.Errorf("worker %s: status %d", w.url, resp.StatusCode)
 	}
-	var u engine.Update
-	if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
-		return engine.Result{}, fmt.Errorf("worker %s: bad NDJSON: %w", w.url, err)
+	missing, err := readUnitStream(resp.Body, sent, func(pos int, res engine.Result) {
+		if stall != nil {
+			stall.Reset(c.cellTimeout)
+		}
+		deliver(unit[pos], res)
+	})
+	for k, pos := range missing {
+		missing[k] = unit[pos]
 	}
-	return u.Result, nil
+	if err != nil {
+		err = fmt.Errorf("worker %s: %w", w.url, err)
+	}
+	return missing, err
+}
+
+// readUnitStream reads a worker's NDJSON answer to the cells sent and hands
+// each update to deliver, keyed by the cell's position in sent, the moment
+// its line is complete. The stream is outside input: it is accepted only as
+// exactly one update per cell — index inside the unit, not seen before,
+// Result.Scenario equal to the scenario sent at that index. The first line
+// that breaks the rule, does not decode or exceeds maxStreamLine, a read
+// error, and an end of stream before the last cell each condemn the stream:
+// readUnitStream then returns the positions no update arrived for,
+// ascending, beside the error. Updates delivered before that stand, and a
+// line after the last cell condemns the stream with nothing missing.
+func readUnitStream(r io.Reader, sent []engine.Cell, deliver func(pos int, res engine.Result)) (missing []int, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 4<<10), maxStreamLine)
+	seen := make([]bool, len(sent))
+	for err == nil && sc.Scan() {
+		var u engine.Update
+		switch jerr := json.Unmarshal(sc.Bytes(), &u); {
+		case jerr != nil:
+			err = fmt.Errorf("bad NDJSON line: %w", jerr)
+		case u.Index < 0 || u.Index >= len(sent):
+			err = fmt.Errorf("update for cell %d of a %d-cell unit", u.Index, len(sent))
+		case seen[u.Index]:
+			err = fmt.Errorf("second update for cell %d", u.Index)
+		case u.Result.Scenario != sent[u.Index].Scenario:
+			err = fmt.Errorf("cell %d sent as %q, answered as %q", u.Index, sent[u.Index].Scenario, u.Result.Scenario)
+		default:
+			seen[u.Index] = true
+			deliver(u.Index, u.Result)
+		}
+	}
+	if err == nil {
+		err = sc.Err()
+	}
+	for pos, ok := range seen {
+		if !ok {
+			missing = append(missing, pos)
+		}
+	}
+	if err == nil && len(missing) > 0 {
+		err = fmt.Errorf("stream ended %d of %d cells short", len(missing), len(sent))
+	}
+	return missing, err
 }
 
 func boolPtr(b bool) *bool { return &b }

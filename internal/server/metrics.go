@@ -22,10 +22,11 @@ type metrics struct {
 	rejected atomic.Uint64
 
 	// Coordinator ledger (zero when the server is a plain worker).
-	cellsRemote    atomic.Uint64 // cells computed by a remote worker
-	cellsRequeued  atomic.Uint64 // cells requeued off a failed/slow worker
-	workersLost    atomic.Uint64 // workers marked dead
-	remoteInflight atomic.Int64  // cells currently dispatched to workers
+	unitsDispatched atomic.Uint64 // requests sent to workers (cells_remote / this = the sharing)
+	cellsRemote     atomic.Uint64 // cells computed by a remote worker
+	cellsRequeued   atomic.Uint64 // cells requeued off a failed/slow worker
+	workersLost     atomic.Uint64 // workers marked dead
+	remoteInflight  atomic.Int64  // units currently dispatched to workers
 
 	// Durable-checkpoint ledger (zero without a checkpoint store).
 	cellsResumed          atomic.Uint64 // cells resumed from an on-disk checkpoint

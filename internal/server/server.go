@@ -20,6 +20,12 @@
 // bounds the cells queued across requests: a request that would exceed
 // the bound is refused with 429 and a Retry-After header rather than
 // queued without limit.
+//
+// A coordinator dispatches in units, each one multi-cell /sweep request to
+// one worker whose NDJSON stream it reads as it arrives: a prefix group of a
+// warm-started sweep (engine.PrefixGroups — the cells one worker can serve
+// from a single simulated prefix), one cell of a cold one. A worker's stream
+// is outside input and is read as such (readUnitStream).
 package server
 
 import (
@@ -83,15 +89,22 @@ type Config struct {
 	WarmBudget int64
 	// Shards lists worker base URLs (e.g. http://w1:8791). Non-empty puts
 	// the server in coordinator mode: sweep cells are dispatched to the
-	// workers over the NDJSON /sweep protocol, requeued from failed or
-	// slow workers onto the survivors, and merged in deterministic cell
-	// order. A plain serve instance is a valid worker.
+	// workers in units over the NDJSON /sweep protocol, the cells a failed
+	// or stalled worker had not yet answered are requeued onto the
+	// survivors, and results are merged in deterministic cell order. A
+	// plain serve instance is a valid worker. With warm start on (WarmStart
+	// or the request's "warm"), a unit is a prefix group and means on the
+	// worker what it means in one process: cells that share a simulated
+	// prefix skip the per-cell durable checkpoint tier, lone cells keep it.
 	Shards []string
-	// ShardInflight bounds concurrently dispatched cells per worker
-	// (0 = DefaultShardInflight).
+	// ShardInflight bounds concurrently dispatched units — open requests —
+	// per worker (0 = DefaultShardInflight).
 	ShardInflight int
-	// ShardCellTimeout bounds one remote cell's wall clock; an overrun
-	// condemns the worker and requeues the cell (0 = unbounded).
+	// ShardCellTimeout bounds the wait for a unit's next cell: it is armed
+	// when the request is sent and re-armed by every update that arrives, so
+	// it bounds one remote cell's wall clock and not a whole unit's. An
+	// overrun condemns the worker and requeues the cells still owed
+	// (0 = unbounded).
 	ShardCellTimeout time.Duration
 	// QueueDepth bounds the cells admitted (queued or in flight) across
 	// all requests; a request that would exceed it is refused with 429 +
@@ -559,16 +572,24 @@ type metricsResponse struct {
 	// the sweep-side resume wins.
 	Checkpoints *checkpointMetrics `json:"checkpoints,omitempty"`
 	// Coordinator is present only in coordinator mode.
-	Coordinator *struct {
-		Workers  []workerStats `json:"workers"`
-		Remote   uint64        `json:"cells_remote"`
-		Requeued uint64        `json:"cells_requeued"`
-		Lost     uint64        `json:"workers_lost"`
-		Inflight int64         `json:"inflight"`
-	} `json:"coordinator,omitempty"`
+	Coordinator *coordinatorMetrics `json:"coordinator,omitempty"`
 	// Scenarios sums computed-cell wall clock per scenario, sorted by
 	// name so the rendered order is fixed by construction.
 	Scenarios []namedScenarioTiming `json:"scenarios"`
+}
+
+// coordinatorMetrics is the /metrics coordinator block: the dispatch
+// ledger. A unit is one request to a worker — a prefix group of a
+// warm-started sweep, one cell of a cold one — so cells_remote over
+// units_dispatched reads how many cells shared each simulated prefix.
+type coordinatorMetrics struct {
+	Workers  []workerStats `json:"workers"`
+	Units    uint64        `json:"units_dispatched"`
+	Remote   uint64        `json:"cells_remote"`
+	Requeued uint64        `json:"cells_requeued"`
+	Lost     uint64        `json:"workers_lost"`
+	// Inflight counts units, not cells: requests currently open to workers.
+	Inflight int64 `json:"inflight"`
 }
 
 // checkpointMetrics is the /metrics checkpoints block: the checkpoint
@@ -610,14 +631,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.coord != nil {
-		resp.Coordinator = &struct {
-			Workers  []workerStats `json:"workers"`
-			Remote   uint64        `json:"cells_remote"`
-			Requeued uint64        `json:"cells_requeued"`
-			Lost     uint64        `json:"workers_lost"`
-			Inflight int64         `json:"inflight"`
-		}{
+		resp.Coordinator = &coordinatorMetrics{
 			Workers:  s.coord.stats(),
+			Units:    s.metrics.unitsDispatched.Load(),
 			Remote:   s.metrics.cellsRemote.Load(),
 			Requeued: s.metrics.cellsRequeued.Load(),
 			Lost:     s.metrics.workersLost.Load(),
