@@ -9,7 +9,6 @@
 package attestation
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -258,7 +257,7 @@ func (ev *EpochVotes) intern(d Data) uint32 {
 			return uint32(i + 1)
 		}
 	}
-	ev.table = append(ev.table, d) //gasper:alloc the once-per-batch intern of a first-seen value
+	ev.table = append(ev.table, d) // allocates only on the once-per-batch intern of a first-seen value
 	ev.noteSource(len(ev.table) - 1)
 	return uint32(len(ev.table))
 }
@@ -295,7 +294,7 @@ func (ev *EpochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
 			return false
 		}
 	}
-	ev.spill = append(ev.spill, spillVote{validator: v, id: id}) //gasper:alloc rare: a third distinct vote for one target epoch
+	ev.spill = append(ev.spill, spillVote{validator: v, id: id}) // rare: a third distinct vote for one target epoch
 	return true
 }
 
@@ -650,20 +649,4 @@ type Link struct {
 func (l Link) String() string {
 	return fmt.Sprintf("%d/%s -> %d/%s",
 		l.Source.Epoch, l.Source.Root, l.Target.Epoch, l.Target.Root)
-}
-
-// Less orders links by (source epoch, source root, target epoch, target
-// root): the canonical order used wherever a map-derived set of links must
-// be processed deterministically.
-func (l Link) Less(o Link) bool {
-	if l.Source.Epoch != o.Source.Epoch {
-		return l.Source.Epoch < o.Source.Epoch
-	}
-	if c := bytes.Compare(l.Source.Root[:], o.Source.Root[:]); c != 0 {
-		return c < 0
-	}
-	if l.Target.Epoch != o.Target.Epoch {
-		return l.Target.Epoch < o.Target.Epoch
-	}
-	return bytes.Compare(l.Target.Root[:], o.Target.Root[:]) < 0
 }

@@ -2,7 +2,8 @@ package beacon
 
 import (
 	"bytes"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/attestation"
 	"repro/internal/blocktree"
@@ -94,11 +95,8 @@ func (n *Node) EncodeTo(w *codec.Writer) {
 	encodeRegistry(w, n.Registry)
 	// Pending blocks, sorted by missing-parent root for deterministic
 	// bytes; each waiter list keeps its arrival order.
-	parents := make([]types.Root, 0, len(n.pending))
-	for p := range n.pending {
-		parents = append(parents, p)
-	}
-	sort.Slice(parents, func(i, j int) bool { return bytes.Compare(parents[i][:], parents[j][:]) < 0 })
+	parents := slices.AppendSeq(make([]types.Root, 0, len(n.pending)), maps.Keys(n.pending))
+	slices.SortFunc(parents, func(a, b types.Root) int { return bytes.Compare(a[:], b[:]) })
 	w.Len(len(parents))
 	for _, p := range parents {
 		w.Raw(p[:])

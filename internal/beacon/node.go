@@ -149,6 +149,7 @@ func (n *Node) Clone() *Node {
 		incentivesNext:  n.incentivesNext,
 		slashEvidence:   append([]slashing.Evidence(nil), n.slashEvidence...),
 	}
+	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for parent, blocks := range n.pending {
 		out.pending[parent] = append([]blocktree.Block(nil), blocks...)
 	}

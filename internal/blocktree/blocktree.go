@@ -100,6 +100,7 @@ func (t *Tree) Clone() *Tree {
 		version: t.version,
 		folded:  t.folded,
 	}
+	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for r, i := range t.index {
 		out.index[r] = i
 	}

@@ -13,7 +13,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -148,6 +149,7 @@ func (p *Params) UnmarshalJSON(data []byte) error {
 	}
 	*p = Params(v)
 	p.Explicit = 0
+	//gasper:ordered presence bits ORed together: commutative
 	for key, f := range fieldKeys {
 		if _, ok := keys[key]; ok {
 			p.Explicit |= f
@@ -493,11 +495,8 @@ func (r *Registry) Lookup(name string) (Scenario, bool) {
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.scenarios))
-	for n := range r.scenarios {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.AppendSeq(make([]string, 0, len(r.scenarios)), maps.Keys(r.scenarios))
+	slices.Sort(names)
 	return names
 }
 

@@ -535,8 +535,8 @@ func (g *group) nearestLiveAncestorLocked(branch int) *entry {
 // aliasedLocked reports whether another entry still references the same
 // prefix (Done prefixes alias across deeper branches). Caller holds sch.mu.
 func (g *group) aliasedLocked(e *entry) bool {
-	for _, o := range g.entries {
-		if o != e && o.prefix == e.prefix {
+	for _, b := range g.order {
+		if o := g.entries[b]; o != e && o.prefix == e.prefix {
 			return true
 		}
 	}

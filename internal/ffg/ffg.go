@@ -14,7 +14,6 @@ package ffg
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/attestation"
 	"repro/internal/types"
@@ -122,7 +121,7 @@ func (e *Engine) Finalized() types.Checkpoint { return e.finalized }
 // LastFinalizedAt returns the epoch at which finalization last advanced.
 func (e *Engine) LastFinalizedAt() types.Epoch { return e.lastFinalizedAt }
 
-// Result reports what a ProcessEpoch call changed.
+// Result reports what a ProcessTally call changed.
 type Result struct {
 	NewlyJustified []types.Checkpoint
 	NewlyFinalized []types.Checkpoint
@@ -131,21 +130,6 @@ type Result struct {
 // Advanced reports whether anything was justified or finalized.
 func (r Result) Advanced() bool {
 	return len(r.NewlyJustified) > 0 || len(r.NewlyFinalized) > 0
-}
-
-// ProcessEpoch ingests the per-link vote weights for target epoch `epoch`
-// (as produced by attestation.Pool.TargetWeights), the total in-set stake
-// of this view, and the current epoch number `now` (used to timestamp
-// finalization advances). It is a thin adapter over ProcessTally for
-// callers that already hold a map tally; the boundary hot path feeds
-// ProcessTally directly from attestation.Pool.AppendLinkTally.
-func (e *Engine) ProcessEpoch(epoch types.Epoch, weights map[attestation.Link]types.Gwei, total types.Gwei, now types.Epoch) Result {
-	tally := make([]attestation.LinkWeight, 0, len(weights))
-	for link, w := range weights {
-		tally = append(tally, attestation.LinkWeight{Link: link, Weight: w})
-	}
-	sort.Slice(tally, func(i, j int) bool { return tally[i].Link.Less(tally[j].Link) })
-	return e.ProcessTally(epoch, tally, total, now)
 }
 
 // ProcessTally ingests a columnar per-link tally for target epoch `epoch`
@@ -203,7 +187,7 @@ func (e *Engine) ProcessTally(epoch types.Epoch, tally []attestation.LinkWeight,
 // a validator at exactly the moment that makes the target checkpoint
 // justified in that validator's view before its attestation duty. The
 // actual votes still flow through the pool, so after the warm-up epochs the
-// same checkpoints justify through ProcessEpoch as well; ForceJustify only
+// same checkpoints justify through ProcessTally as well; ForceJustify only
 // pins the per-validator timing that a slot-granular simulator cannot
 // express. It must not be used outside bouncing scenarios.
 func (e *Engine) ForceJustify(c types.Checkpoint) {

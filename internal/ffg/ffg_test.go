@@ -16,6 +16,11 @@ func link(src, tgt types.Checkpoint) attestation.Link {
 	return attestation.Link{Source: src, Target: tgt}
 }
 
+// tally is a one-link ProcessTally input.
+func tally(l attestation.Link, w types.Gwei) []attestation.LinkWeight {
+	return []attestation.LinkWeight{{Link: l, Weight: w}}
+}
+
 func TestNewEngineGenesisJustifiedFinalized(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	g := cp(0, 0)
@@ -49,13 +54,11 @@ func TestSupermajority(t *testing.T) {
 func TestJustificationRequiresSupermajority(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	tgt := cp(1, 10)
-	w := map[attestation.Link]types.Gwei{link(cp(0, 0), tgt): 66}
-	res := e.ProcessEpoch(1, w, 100, 1)
+	res := e.ProcessTally(1, tally(link(cp(0, 0), tgt), 66), 100, 1)
 	if res.Advanced() {
 		t.Errorf("2/3 not exceeded but advanced: %+v", res)
 	}
-	w[link(cp(0, 0), tgt)] = 67
-	res = e.ProcessEpoch(1, w, 100, 1)
+	res = e.ProcessTally(1, tally(link(cp(0, 0), tgt), 67), 100, 1)
 	if len(res.NewlyJustified) != 1 || res.NewlyJustified[0] != tgt {
 		t.Errorf("justification missing: %+v", res)
 	}
@@ -67,8 +70,7 @@ func TestJustificationRequiresSupermajority(t *testing.T) {
 func TestJustificationRequiresJustifiedSource(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	// Source cp(1,10) was never justified.
-	w := map[attestation.Link]types.Gwei{link(cp(1, 10), cp(2, 20)): 100}
-	res := e.ProcessEpoch(2, w, 100, 2)
+	res := e.ProcessTally(2, tally(link(cp(1, 10), cp(2, 20)), 100), 100, 2)
 	if res.Advanced() {
 		t.Errorf("unjustified source must not justify target: %+v", res)
 	}
@@ -79,12 +81,12 @@ func TestConsecutiveJustificationFinalizes(t *testing.T) {
 	g := cp(0, 0)
 	c1 := cp(1, 10)
 	// Link 0 -> 1: justifies c1 AND finalizes genesis (consecutive).
-	res := e.ProcessEpoch(1, map[attestation.Link]types.Gwei{link(g, c1): 80}, 100, 1)
+	res := e.ProcessTally(1, tally(link(g, c1), 80), 100, 1)
 	if len(res.NewlyFinalized) != 1 || res.NewlyFinalized[0] != g {
 		t.Fatalf("genesis not finalized: %+v", res)
 	}
 	c2 := cp(2, 20)
-	res = e.ProcessEpoch(2, map[attestation.Link]types.Gwei{link(c1, c2): 80}, 100, 2)
+	res = e.ProcessTally(2, tally(link(c1, c2), 80), 100, 2)
 	if len(res.NewlyFinalized) != 1 || res.NewlyFinalized[0] != c1 {
 		t.Fatalf("c1 not finalized: %+v", res)
 	}
@@ -101,7 +103,7 @@ func TestSkippedEpochJustifiesButDoesNotFinalize(t *testing.T) {
 	g := cp(0, 0)
 	c2 := cp(2, 20)
 	// Link 0 -> 2 (skipping epoch 1): justified, not finalized.
-	res := e.ProcessEpoch(2, map[attestation.Link]types.Gwei{link(g, c2): 80}, 100, 2)
+	res := e.ProcessTally(2, tally(link(g, c2), 80), 100, 2)
 	if len(res.NewlyJustified) != 1 {
 		t.Fatalf("c2 should be justified: %+v", res)
 	}
@@ -121,8 +123,7 @@ func TestAlternatingJustificationNeverFinalizes(t *testing.T) {
 	prev := cp(0, 0)
 	for epoch := uint64(2); epoch <= 10; epoch += 2 {
 		tgt := cp(epoch, epoch*10)
-		res := e.ProcessEpoch(types.Epoch(epoch),
-			map[attestation.Link]types.Gwei{link(prev, tgt): 80}, 100, types.Epoch(epoch))
+		res := e.ProcessTally(types.Epoch(epoch), tally(link(prev, tgt), 80), 100, types.Epoch(epoch))
 		if len(res.NewlyJustified) != 1 {
 			t.Fatalf("epoch %d not justified", epoch)
 		}
@@ -138,8 +139,7 @@ func TestAlternatingJustificationNeverFinalizes(t *testing.T) {
 
 func TestProcessEpochIgnoresOtherTargetEpochs(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
-	w := map[attestation.Link]types.Gwei{link(cp(0, 0), cp(1, 10)): 100}
-	res := e.ProcessEpoch(2, w, 100, 2) // wrong epoch
+	res := e.ProcessTally(2, tally(link(cp(0, 0), cp(1, 10)), 100), 100, 2) // wrong epoch
 	if res.Advanced() {
 		t.Errorf("links for other epochs must be ignored: %+v", res)
 	}
@@ -147,8 +147,7 @@ func TestProcessEpochIgnoresOtherTargetEpochs(t *testing.T) {
 
 func TestProcessEpochZeroTotal(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
-	w := map[attestation.Link]types.Gwei{link(cp(0, 0), cp(1, 10)): 10}
-	if res := e.ProcessEpoch(1, w, 0, 1); res.Advanced() {
+	if res := e.ProcessTally(1, tally(link(cp(0, 0), cp(1, 10)), 10), 0, 1); res.Advanced() {
 		t.Error("zero total stake must not justify anything")
 	}
 }
@@ -166,7 +165,7 @@ func TestEpochsSinceFinalityAndLeak(t *testing.T) {
 		t.Error("gap of 5 must be a leak")
 	}
 	// Finalize at epoch 6: gap resets.
-	e.ProcessEpoch(1, map[attestation.Link]types.Gwei{link(cp(0, 0), cp(1, 10)): 80}, 100, 6)
+	e.ProcessTally(1, tally(link(cp(0, 0), cp(1, 10)), 80), 100, 6)
 	if e.EpochsSinceFinality(6) != 0 {
 		t.Errorf("gap after finalization = %d, want 0", e.EpochsSinceFinality(6))
 	}
@@ -181,7 +180,7 @@ func TestEpochsSinceFinalityAndLeak(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	c := e.Clone()
-	c.ProcessEpoch(1, map[attestation.Link]types.Gwei{link(cp(0, 0), cp(1, 10)): 80}, 100, 1)
+	c.ProcessTally(1, tally(link(cp(0, 0), cp(1, 10)), 80), 100, 1)
 	if e.Justified(cp(1, 10)) {
 		t.Error("clone mutation leaked into original")
 	}
@@ -222,10 +221,10 @@ func TestTwoViewsConflictingFinalization(t *testing.T) {
 	g := cp(0, 0)
 	a1, a2 := cp(1, 11), cp(2, 12)
 	b1, b2 := cp(1, 21), cp(2, 22)
-	viewA.ProcessEpoch(1, map[attestation.Link]types.Gwei{link(g, a1): 80}, 100, 1)
-	viewA.ProcessEpoch(2, map[attestation.Link]types.Gwei{link(a1, a2): 80}, 100, 2)
-	viewB.ProcessEpoch(1, map[attestation.Link]types.Gwei{link(g, b1): 80}, 100, 1)
-	viewB.ProcessEpoch(2, map[attestation.Link]types.Gwei{link(b1, b2): 80}, 100, 2)
+	viewA.ProcessTally(1, tally(link(g, a1), 80), 100, 1)
+	viewA.ProcessTally(2, tally(link(a1, a2), 80), 100, 2)
+	viewB.ProcessTally(1, tally(link(g, b1), 80), 100, 1)
+	viewB.ProcessTally(2, tally(link(b1, b2), 80), 100, 2)
 	if viewA.Finalized() != a1 || viewB.Finalized() != b1 {
 		t.Fatalf("finalization did not advance: %v / %v", viewA.Finalized(), viewB.Finalized())
 	}

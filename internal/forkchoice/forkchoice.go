@@ -96,6 +96,7 @@ func NewStore() *Store {
 // Clone deep-copies the store, so partitioned views can diverge.
 func (s *Store) Clone() *Store {
 	out := NewStore()
+	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for v, m := range s.latest {
 		out.latest[v] = m
 	}

@@ -2,20 +2,22 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// DetRange flags `range` over a map inside the deterministic packages.
-// Go randomizes map iteration order per run, so any map range on a
+// DetRange flags map iteration inside the deterministic packages. Go
+// randomizes map iteration order per run, so a map range on a
 // result-producing path is a seed-determinism bug waiting for a hash-seed
-// change. A range is allowed without a waiver only when the analyzer can
-// prove the iteration order-insensitive; anything else needs an explicit
-// //gasper:ordered <reason> waiver or a sorted-keys rewrite.
+// change. The check states a rule instead of proving one: every `range`
+// over a map, and every `range` directly over maps.All, maps.Keys or
+// maps.Values (iterators that yield in the map's order), is a diagnostic
+// unless the loop carries a //gasper:ordered <reason> waiver. Sorting first
+// is the rewrite the rule asks for — `range slices.Sorted(maps.Keys(m))`
+// ranges over a slice and passes.
 var DetRange = &Analyzer{
 	Name: "detrange",
-	Doc: "flag map iteration in deterministic packages unless provably " +
-		"order-insensitive or waived with //gasper:ordered",
+	Doc: "flag range over a map or over maps.All/Keys/Values in deterministic " +
+		"packages unless waived with //gasper:ordered <reason>",
 	Run: runDetRange,
 }
 
@@ -24,705 +26,46 @@ func runDetRange(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		// Map every statement to its next sibling, so a range can be
-		// checked against the statement that follows it (the
-		// collect-then-sort proof).
-		next := map[ast.Stmt]ast.Stmt{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch b := n.(type) {
-			case *ast.BlockStmt:
-				list = b.List
-			case *ast.CaseClause:
-				list = b.Body
-			case *ast.CommClause:
-				list = b.Body
-			default:
-				return true
-			}
-			for i := 0; i+1 < len(list); i++ {
-				next[list[i]] = list[i+1]
-			}
-			return true
-		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			tv, ok := pass.Info.Types[rs.X]
-			if !ok {
+			what := pass.mapOrdered(rs.X)
+			if what == "" || pass.waived(rs.Pos(), dirOrdered) {
 				return true
 			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if pass.waived(rs.Pos(), dirOrdered) {
-				return true
-			}
-			if pass.orderInsensitive(rs, next[rs]) {
-				return true
-			}
-			pass.Reportf(rs.Pos(), "map iteration order is nondeterministic; "+
-				"sort the keys, prove the body order-insensitive, or waive with //gasper:ordered <reason>")
+			pass.Reportf(rs.Pos(), "range over %s follows map iteration order, which is nondeterministic; "+
+				"range over slices.Sorted(maps.Keys(m)) or waive with //gasper:ordered <reason>", what)
 			return true
 		})
 	}
 }
 
-// rangeProof carries one order-insensitivity proof attempt.
-type rangeProof struct {
-	pass *Pass
-	rs   *ast.RangeStmt
-	// keyObj/valObj are the per-iteration variables — always clean.
-	keyObj, valObj types.Object
-	rangedObj      types.Object
-	// dirty is every object declared OUTSIDE the range body that the body
-	// writes (directly or by taking its address): reading one of these is
-	// reading order-dependent intermediate state.
-	dirty map[types.Object]bool
-	// fresh is the body-locals that provably hold per-iteration memory
-	// (declared from a composite literal, make, or new, and only ever
-	// re-bound by appending to or re-slicing themselves): writing through
-	// them cannot alias state shared across iterations.
-	fresh map[types.Object]bool
-	// collect, when non-nil, is the one outer slice the body may grow via
-	// s = append(s, ...) — valid only when the statement after the loop
-	// sorts s (set up by orderInsensitive before walking).
-	collect types.Object
-	// collected reports whether the collect slice was actually appended.
-	collected bool
-}
-
-// orderInsensitive reports whether the range body provably produces the
-// same observable result for every iteration order. The proof is
-// deliberately narrow; what it cannot prove needs a waiver:
-//
-//   - expressions may only read per-iteration state (the key/value
-//     variables, body-locals, fresh memory) and loop-invariant outer
-//     state — never anything the body writes — and may not call
-//     functions (unknown side effects) other than len/cap/min/max and
-//     conversions;
-//   - writes are restricted to: body-locals; fresh per-iteration memory;
-//     commutative integer accumulation (acc++/--/+=/-=/|=/&=/^= — floats
-//     are rejected: float addition is not associative, so summation
-//     order drifts the last ulps); per-key map writes dst[k] = v on a
-//     map other than the one ranged; and delete(m, k) on any map
-//     including the ranged one;
-//   - control flow: if (including comma-ok inits), nested for/range,
-//     and bare continue; return/break only when the body writes nothing
-//     outer (a pure existential search returns the same answer whichever
-//     key matches first);
-//   - collect-then-sort: the body's only outer write is s = append(s, x)
-//     and the statement immediately after the loop sorts s.
-func (p *Pass) orderInsensitive(rs *ast.RangeStmt, nextStmt ast.Stmt) bool {
-	pr := &rangeProof{
-		pass:      p,
-		rs:        rs,
-		keyObj:    p.rangeVarObj(rs.Key),
-		valObj:    p.rangeVarObj(rs.Value),
-		rangedObj: p.rootObj(rs.X),
-		dirty:     map[types.Object]bool{},
-		fresh:     map[types.Object]bool{},
-	}
-	pr.scanWrites()
-	if pr.keyObj != nil && pr.dirty[pr.keyObj] || pr.valObj != nil && pr.dirty[pr.valObj] {
-		return false // body reassigns the iteration variables; give up
-	}
-	pr.scanFresh()
-
-	// First try the strict proof; if the only obstacle is appending one
-	// outer slice, retry in collect mode and demand a sort right after.
-	if pr.stmtOK(rs.Body) {
-		return true
-	}
-	pr.collect = pr.findCollectTarget()
-	if pr.collect == nil {
-		return false
-	}
-	pr.collected = false
-	if !pr.stmtOK(rs.Body) || !pr.collected {
-		return false
-	}
-	return pr.sortsCollected(nextStmt)
-}
-
-// scanWrites fills pr.dirty with every outer object the body assigns,
-// increments, or takes the address of.
-func (pr *rangeProof) scanWrites() {
-	body := pr.rs.Body
-	mark := func(e ast.Expr) {
-		o := pr.pass.rootObj(e)
-		if o == nil || pr.local(o) {
-			return
-		}
-		pr.dirty[o] = true
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				mark(lhs)
-			}
-		case *ast.IncDecStmt:
-			mark(s.X)
-		case *ast.UnaryExpr:
-			if s.Op == token.AND {
-				mark(s.X)
-			}
-		}
-		return true
-	})
-}
-
-// local reports whether obj is declared inside the range body (a fresh
-// binding every iteration).
-func (pr *rangeProof) local(obj types.Object) bool {
-	return obj.Pos() >= pr.rs.Body.Pos() && obj.Pos() <= pr.rs.Body.End()
-}
-
-// scanFresh finds body-locals bound once to fresh memory (composite
-// literal, &composite, make, new) and only ever re-bound by growing or
-// re-slicing themselves.
-func (pr *rangeProof) scanFresh() {
-	demote := map[types.Object]bool{}
-	ast.Inspect(pr.rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, isIdent := lhs.(*ast.Ident)
-			if !isIdent {
-				continue
-			}
-			obj := pr.pass.Info.Defs[id]
-			defining := obj != nil
-			if !defining {
-				obj = pr.pass.Info.Uses[id]
-			}
-			if obj == nil || !pr.local(obj) {
-				continue
-			}
-			var rhs ast.Expr
-			if len(as.Rhs) == len(as.Lhs) {
-				rhs = as.Rhs[i]
-			}
-			switch {
-			case defining && as.Tok == token.DEFINE && rhs != nil && freshExpr(rhs):
-				pr.fresh[obj] = true
-			case rhs != nil && pr.selfGrow(obj, rhs):
-				// append(x, ...) or x[a:b] re-binding keeps freshness.
-			default:
-				demote[obj] = true
-			}
-		}
-		return true
-	})
-	for o := range demote {
-		delete(pr.fresh, o)
-	}
-}
-
-// nilBase reports whether e is a provably fresh append base: nil, a
-// conversion of nil like []T(nil), or a fresh composite/make.
-func nilBase(e ast.Expr) bool {
-	if id, ok := e.(*ast.Ident); ok && id.Name == "nil" {
-		return true
-	}
-	if c, ok := e.(*ast.CallExpr); ok && len(c.Args) == 1 {
-		if id, ok := c.Args[0].(*ast.Ident); ok && id.Name == "nil" {
-			return true
+// mapOrdered names what x yields in map iteration order — "a map" for a
+// map value, "maps.Keys" (All, Values) for a direct call to one of the maps
+// iterators — or returns "" when x is anything else.
+func (p *Pass) mapOrdered(x ast.Expr) string {
+	if tv, ok := p.Info.Types[x]; ok {
+		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+			return "a map"
 		}
 	}
-	return freshExpr(e)
-}
-
-// freshExpr reports whether e evaluates to brand-new memory.
-func freshExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		_, isLit := x.X.(*ast.CompositeLit)
-		return x.Op == token.AND && isLit
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "new") {
-			return true
-		}
-	}
-	return false
-}
-
-// selfGrow reports whether rhs is append(obj, ...) or a re-slice of obj.
-func (pr *rangeProof) selfGrow(obj types.Object, rhs ast.Expr) bool {
-	switch x := rhs.(type) {
-	case *ast.CallExpr:
-		id, ok := x.Fun.(*ast.Ident)
-		if !ok || id.Name != "append" || len(x.Args) == 0 {
-			return false
-		}
-		return pr.pass.identObj(x.Args[0]) == obj
-	case *ast.SliceExpr:
-		return pr.pass.identObj(x.X) == obj
-	}
-	return false
-}
-
-// exprClean reports whether e reads only order-independent state:
-// iteration variables, body-locals, and loop-invariant outer state. An
-// exception set permits the accumulator on the left of its own compound
-// assignment (except) and reads of dst[k] for the per-key write form
-// (allowedMap).
-func (pr *rangeProof) exprClean(e ast.Expr, allowedMap, except types.Object) bool {
-	if e == nil {
-		return true
-	}
-	ok := true
-	ast.Inspect(e, func(n ast.Node) bool {
-		if !ok {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.IndexExpr:
-			if allowedMap != nil && pr.pass.rootObj(x.X) == allowedMap &&
-				pr.pass.identObj(x.Index) == pr.keyObj && pr.keyObj != nil {
-				return false // dst[k] reads its own key's slot: independent per key
-			}
-		case *ast.CallExpr:
-			if tv, isType := pr.pass.Info.Types[x.Fun]; isType && tv.IsType() {
-				return true // conversion: check operands
-			}
-			if id, isIdent := x.Fun.(*ast.Ident); isIdent {
-				if b, isB := pr.pass.Info.Uses[id].(*types.Builtin); isB {
-					switch b.Name() {
-					case "len", "cap", "min", "max":
-						return true
-					}
-				}
-			}
-			ok = false // unknown callee: unknown side effects and inputs
-			return false
-		case *ast.FuncLit:
-			ok = false
-			return false
-		case *ast.Ident:
-			o := pr.pass.Info.Uses[x]
-			if o != nil && pr.dirty[o] && o != pr.keyObj && o != pr.valObj && o != except {
-				ok = false
-			}
-		}
-		return true
-	})
-	return ok
-}
-
-// stmtOK is the statement grammar of the proof.
-func (pr *rangeProof) stmtOK(s ast.Stmt) bool {
-	p := pr.pass
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		for _, c := range st.List {
-			if !pr.stmtOK(c) {
-				return false
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		if st.Label != nil {
-			return false
-		}
-		// continue decides one key; break ends a loop that (given no
-		// outer writes) has no order-visible effect beyond its returns.
-		return st.Tok == token.CONTINUE || (st.Tok == token.BREAK && pr.pureSearch())
-	case *ast.ReturnStmt:
-		if !pr.pureSearch() {
-			return false
-		}
-		for _, r := range st.Results {
-			if !pr.exprClean(r, nil, nil) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if st.Init != nil && !pr.stmtOK(st.Init) {
-			return false
-		}
-		if !pr.exprClean(st.Cond, nil, nil) {
-			return false
-		}
-		if !pr.stmtOK(st.Body) {
-			return false
-		}
-		return st.Else == nil || pr.stmtOK(st.Else)
-	case *ast.ForStmt:
-		if st.Init != nil && !pr.stmtOK(st.Init) {
-			return false
-		}
-		if st.Cond != nil && !pr.exprClean(st.Cond, nil, nil) {
-			return false
-		}
-		if st.Post != nil && !pr.stmtOK(st.Post) {
-			return false
-		}
-		return pr.stmtOK(st.Body)
-	case *ast.RangeStmt:
-		// A nested map range gets its own diagnostic from the outer walk;
-		// here only the data flow matters.
-		return pr.exprClean(st.X, nil, nil) && pr.stmtOK(st.Body)
-	case *ast.DeclStmt:
-		gd, ok := st.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			return false
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				return false
-			}
-			for _, v := range vs.Values {
-				if !pr.exprClean(v, nil, nil) {
-					return false
-				}
-			}
-		}
-		return true
-	case *ast.IncDecStmt:
-		root := p.rootObj(st.X)
-		if root != nil && pr.local(root) {
-			return pr.exprClean(st.X, nil, root)
-		}
-		return p.isIntegerExpr(st.X) && pr.exprClean(st.X, nil, root)
-	case *ast.AssignStmt:
-		return pr.assignOK(st)
-	case *ast.ExprStmt:
-		// delete(m, k): always the key being visited, so the set of
-		// deletions is iteration-order independent — even on the ranged
-		// map itself (a deleted entry is simply not produced later).
-		call, isCall := st.X.(*ast.CallExpr)
-		if !isCall || len(call.Args) != 2 || pr.keyObj == nil {
-			return false
-		}
-		fn, isIdent := call.Fun.(*ast.Ident)
-		if !isIdent || fn.Name != "delete" {
-			return false
-		}
-		if b, isBuiltin := p.Info.Uses[fn].(*types.Builtin); !isBuiltin || b.Name() != "delete" {
-			return false
-		}
-		return p.rootObj(call.Args[0]) != nil && p.identObj(call.Args[1]) == pr.keyObj
-	}
-	return false
-}
-
-// assignOK validates one assignment under the proof grammar.
-func (pr *rangeProof) assignOK(st *ast.AssignStmt) bool {
-	p := pr.pass
-	switch st.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-		if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
-			return false
-		}
-		lhs, rhs := st.Lhs[0], st.Rhs[0]
-		root := p.rootObj(lhs)
-		if root != nil && pr.local(root) {
-			// Body-local accumulation is per-iteration state: any type.
-			return pr.exprClean(rhs, nil, nil) && pr.exprClean(lhs, nil, root)
-		}
-		// Outer accumulation must be commutative and associative:
-		// integers only.
-		return p.isIntegerExpr(lhs) && pr.exprClean(rhs, nil, nil) && pr.exprClean(lhs, nil, root)
-	case token.DEFINE, token.ASSIGN:
-		// All-bare-body-local assignment (x := ..., x = ..., x, ok := ...).
-		allLocal := true
-		for _, lhs := range st.Lhs {
-			id, isIdent := lhs.(*ast.Ident)
-			if !isIdent {
-				allLocal = false
-				break
-			}
-			if id.Name == "_" {
-				continue
-			}
-			obj := p.Info.Defs[id]
-			if obj == nil {
-				obj = p.Info.Uses[id]
-			}
-			if obj == nil || !pr.local(obj) {
-				allLocal = false
-				break
-			}
-		}
-		if allLocal {
-			for _, rhs := range st.Rhs {
-				if !pr.rhsClean(rhs) {
-					return false
-				}
-			}
-			return true
-		}
-		if st.Tok == token.DEFINE || len(st.Lhs) != 1 || len(st.Rhs) != 1 {
-			return false
-		}
-		lhs, rhs := st.Lhs[0], st.Rhs[0]
-		// Write through provably fresh per-iteration memory.
-		if root := p.rootObj(lhs); root != nil && pr.fresh[root] {
-			return pr.lvalueIndicesClean(lhs) && pr.rhsClean(rhs)
-		}
-		// Collect mode: s = append(s, clean...).
-		if pr.collect != nil && p.identObj(lhs) == pr.collect {
-			call, isCall := rhs.(*ast.CallExpr)
-			if !isCall || len(call.Args) == 0 {
-				return false
-			}
-			id, isIdent := call.Fun.(*ast.Ident)
-			if !isIdent || id.Name != "append" || p.identObj(call.Args[0]) != pr.collect {
-				return false
-			}
-			for _, a := range call.Args[1:] {
-				if !pr.exprClean(a, nil, nil) {
-					return false
-				}
-			}
-			pr.collected = true
-			return true
-		}
-		// Per-key map write dst[k] = clean.
-		ix, isIndex := lhs.(*ast.IndexExpr)
-		if !isIndex || pr.keyObj == nil || p.identObj(ix.Index) != pr.keyObj {
-			return false
-		}
-		dst := p.rootObj(ix.X)
-		if dst == nil || dst == pr.rangedObj {
-			return false
-		}
-		if _, isMap := p.Info.Types[ix.X].Type.Underlying().(*types.Map); !isMap {
-			return false
-		}
-		// The value may read its own key's slot (dst[k] accumulation) or
-		// build fresh memory (the append([]T(nil), xs...) copy idiom).
-		return pr.exprClean(ix.X, nil, dst) && (pr.exprClean(rhs, dst, nil) || pr.rhsClean(rhs))
-	}
-	return false
-}
-
-// rhsClean is exprClean plus the fresh-memory producers (composite
-// literals, make, new, append-to-local) allowed on the right of a
-// body-local binding.
-func (pr *rangeProof) rhsClean(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				if !pr.rhsClean(kv.Value) {
-					return false
-				}
-				continue
-			}
-			if !pr.rhsClean(el) {
-				return false
-			}
-		}
-		return true
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return pr.rhsClean(x.X)
-		}
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok {
-			switch id.Name {
-			case "make", "new":
-				for _, a := range x.Args {
-					if !pr.exprClean(a, nil, nil) {
-						return false
-					}
-				}
-				return true
-			case "append":
-				if len(x.Args) == 0 {
-					return false
-				}
-				// The destination must be per-iteration memory: a
-				// body-local, or a provably fresh base (nil, a
-				// []T(nil) conversion, a composite literal) — the
-				// append([]T(nil), xs...) copy idiom. Appending to a
-				// shared outer slice could write its spare capacity
-				// in iteration order.
-				first := pr.pass.identObj(x.Args[0])
-				if (first == nil || !pr.local(first)) && !nilBase(x.Args[0]) {
-					return false
-				}
-				for _, a := range x.Args[1:] {
-					if !pr.exprClean(a, nil, nil) {
-						return false
-					}
-				}
-				return true
-			}
-		}
-	}
-	return pr.exprClean(e, nil, nil)
-}
-
-// lvalueIndicesClean checks that every index/selector step of an lvalue
-// reads clean state (the root's freshness is checked by the caller).
-func (pr *rangeProof) lvalueIndicesClean(e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return true
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if !pr.exprClean(x.Index, nil, nil) {
-				return false
-			}
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// pureSearch reports whether the body writes nothing outside itself (so
-// an early return/break cannot leave partially-accumulated state).
-func (pr *rangeProof) pureSearch() bool {
-	return len(pr.dirty) == 0 && pr.collect == nil
-}
-
-// findCollectTarget looks for the single outer slice the body grows via
-// s = append(s, ...): the candidate for the collect-then-sort proof.
-func (pr *rangeProof) findCollectTarget() types.Object {
-	var target types.Object
-	ok := true
-	ast.Inspect(pr.rs.Body, func(n ast.Node) bool {
-		as, isAssign := n.(*ast.AssignStmt)
-		if !isAssign || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		obj := pr.pass.identObj(as.Lhs[0])
-		if obj == nil || pr.local(obj) || !pr.dirty[obj] {
-			return true
-		}
-		if !pr.selfGrow(obj, as.Rhs[0]) {
-			return true
-		}
-		if _, isSlice := obj.Type().Underlying().(*types.Slice); !isSlice {
-			return true
-		}
-		if target != nil && target != obj {
-			ok = false
-		}
-		target = obj
-		return true
-	})
-	if !ok || target == nil {
-		return nil
-	}
-	// The collect slice must be the ONLY dirty outer object.
-	for o := range pr.dirty {
-		if o != target {
-			return nil
-		}
-	}
-	return target
-}
-
-// sortsCollected reports whether stmt sorts the collect slice: the
-// canonical `sort.X(s, ...)` / `slices.Sort*(s, ...)` call immediately
-// after the loop.
-func (pr *rangeProof) sortsCollected(stmt ast.Stmt) bool {
-	es, ok := stmt.(*ast.ExprStmt)
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
 	if !ok {
-		return false
+		return ""
 	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return ""
 	}
-	fn, ok := pr.pass.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "maps" {
+		return ""
 	}
-	switch fn.Pkg().Path() {
-	case "sort", "slices":
-	default:
-		return false
+	switch fn.Name() {
+	case "All", "Keys", "Values":
+		return "maps." + fn.Name()
 	}
-	arg := call.Args[0]
-	// Unwrap a sort.Sort(byX(s)) conversion.
-	if c, isCall := arg.(*ast.CallExpr); isCall && len(c.Args) == 1 {
-		if tv, isType := pr.pass.Info.Types[c.Fun]; isType && tv.IsType() {
-			arg = c.Args[0]
-		}
-	}
-	return pr.pass.rootObj(arg) == pr.collect
-}
-
-// rangeVarObj resolves a range key/value expression to its variable.
-func (p *Pass) rangeVarObj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Info.Uses[id]
-}
-
-// identObj resolves a plain identifier use.
-func (p *Pass) identObj(e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := p.Info.Uses[id]; o != nil {
-		return o
-	}
-	return p.Info.Defs[id]
-}
-
-// rootObj walks to the base identifier of an lvalue-ish expression
-// (x, x.f, x[i], *x, (x)) and returns its object.
-func (p *Pass) rootObj(e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if o := p.Info.Uses[x]; o != nil {
-				return o
-			}
-			return p.Info.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// isIntegerExpr reports whether e has an integer type (floats and
-// strings accumulate order-sensitively).
-func (p *Pass) isIntegerExpr(e ast.Expr) bool {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
+	return ""
 }

@@ -18,12 +18,16 @@ const (
 	dirNoAlloc = "noalloc" // annotation: function must not allocate
 )
 
-var waiverVerbs = map[string]bool{
-	dirOrdered: true,
-	dirNondet:  true,
-	dirAlloc:   true,
-	dirNoCodec: true,
-	dirShallow: true,
+// waiverVerbs maps each waiver verb to the analyzer that consumes it
+// through Pass.waived — the one whose run decides whether the waiver is
+// stale. The codecfields waivers sit on struct fields and are read there
+// directly, so they name no analyzer.
+var waiverVerbs = map[string]string{
+	dirOrdered: "detrange",
+	dirNondet:  "detsource",
+	dirAlloc:   "noalloc",
+	dirNoCodec: "",
+	dirShallow: "",
 }
 
 // directive is one parsed //gasper:<verb> <reason> comment.
@@ -31,14 +35,16 @@ type directive struct {
 	verb   string
 	reason string
 	pos    token.Position
+	// used is set when the directive waives a finding.
+	used bool
 }
 
-// directiveIndex maps (file, line) to the directives written on that
-// line. A waiver applies to a flagged construct when it sits on the same
-// line as the construct or on the line directly above it — the two
-// places a human writes an inline or leading comment.
+// directiveIndex holds a package's well-formed directives in source order.
+// A waiver applies to a flagged construct when it sits on the same line as
+// the construct or on the line directly above it — the two places a human
+// writes an inline or leading comment.
 type directiveIndex struct {
-	byLine   map[string]map[int][]directive
+	all      []*directive
 	problems []Diagnostic
 }
 
@@ -48,7 +54,7 @@ const directivePrefix = "//gasper:"
 // directives. Malformed ones (unknown verb, waiver without a reason) are
 // recorded as diagnostics so a typo cannot silently disable a check.
 func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
-	idx := &directiveIndex{byLine: make(map[string]map[int][]directive)}
+	idx := &directiveIndex{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -59,10 +65,11 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 				verb, reason, _ := strings.Cut(body, " ")
 				reason = strings.TrimSpace(reason)
 				pos := fset.Position(c.Pos())
+				_, waiver := waiverVerbs[verb]
 				switch {
 				case verb == dirNoAlloc:
 					// Annotation; reason optional.
-				case waiverVerbs[verb]:
+				case waiver:
 					if reason == "" {
 						idx.problems = append(idx.problems, Diagnostic{
 							Analyzer: "gasperdirective",
@@ -79,12 +86,7 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 					})
 					continue
 				}
-				m := idx.byLine[pos.Filename]
-				if m == nil {
-					m = make(map[int][]directive)
-					idx.byLine[pos.Filename] = m
-				}
-				m[pos.Line] = append(m[pos.Line], directive{verb: verb, reason: reason, pos: pos})
+				idx.all = append(idx.all, &directive{verb: verb, reason: reason, pos: pos})
 			}
 		}
 	}
@@ -92,21 +94,32 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 }
 
 // waived reports whether a construct at pos carries a verb waiver on its
-// own line or the line directly above.
+// own line or the line directly above, and marks that waiver used.
 func (p *Pass) waived(pos token.Pos, verb string) bool {
-	position := p.Fset.Position(pos)
-	m := p.dirs.byLine[position.Filename]
-	if m == nil {
-		return false
-	}
-	for _, line := range [2]int{position.Line, position.Line - 1} {
-		for _, d := range m[line] {
-			if d.verb == verb {
-				return true
-			}
+	at := p.Fset.Position(pos)
+	for _, d := range p.dirs.all {
+		if d.verb == verb && d.pos.Filename == at.Filename && (d.pos.Line == at.Line || d.pos.Line == at.Line-1) {
+			d.used = true
+			return true
 		}
 	}
 	return false
+}
+
+// stale returns a diagnostic for every waiver that waived nothing, among
+// those consumed by an analyzer that ran (so -only cannot misfire).
+func (idx *directiveIndex) stale(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range idx.all {
+		if !d.used && ran[waiverVerbs[d.verb]] {
+			out = append(out, Diagnostic{
+				Analyzer: "gasperdirective",
+				Pos:      d.pos,
+				Message:  "unused //gasper:" + d.verb + " waiver: nothing on its line or the next needs it",
+			})
+		}
+	}
+	return out
 }
 
 // fieldWaived reports whether a struct field declaration carries a verb

@@ -7,9 +7,10 @@
 // run and only on the code paths a test happens to exercise; the analyzers
 // here fail `gasperlint ./...`-time instead, for every path in the tree:
 //
-//   - detrange    — flags `range` over a map inside the deterministic
-//     packages unless the loop body is provably order-insensitive or the
-//     statement carries a //gasper:ordered waiver.
+//   - detrange    — flags every `range` over a map, and every `range`
+//     directly over maps.All/Keys/Values, inside the deterministic
+//     packages unless the loop carries a //gasper:ordered waiver; ranging
+//     over slices.Sorted(maps.Keys(m)) is the sorted rewrite and passes.
 //   - detsource   — flags nondeterminism sources on result-producing
 //     paths: time.Now/Since, the global math/rand top-level functions
 //     (a seeded *rand.Rand is fine), and select fan-in that can reorder
@@ -20,6 +21,10 @@
 //     the codec, or a reference-typed field shallow-copied by Clone, is a
 //     diagnostic unless the field carries //gasper:nocodec or
 //     //gasper:shallow.
+//
+// Every //gasper:ordered, nondet or alloc waiver must waive a finding of
+// its analyzer on its own line or the next; one that waives nothing is
+// reported as stale, and so is a malformed directive.
 //   - noalloc     — checks functions annotated //gasper:noalloc for
 //     syntactically allocating constructs (map/slice literals, make, new,
 //     append growth, fmt calls, closures, string concatenation); a cold
@@ -124,6 +129,10 @@ func deterministic(pkgPath string) bool {
 // diagnostics sorted by file position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		dirs := indexDirectives(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
@@ -143,9 +152,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		// Unused or malformed waivers are themselves diagnostics: a waiver
 		// that no longer waives anything is stale documentation.
-		for _, d := range dirs.problems {
-			out = append(out, d)
-		}
+		out = append(out, dirs.problems...)
+		out = append(out, dirs.stale(ran)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

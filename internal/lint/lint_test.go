@@ -20,8 +20,8 @@ var quotedRE = regexp.MustCompile(`"([^"]*)"`)
 // checks the reported diagnostics against the fixtures' `// want`
 // comments: every want must be matched by a diagnostic on its line, and
 // every diagnostic must be claimed by a want. Clean lines in the fixtures
-// double as regression tests for the prover's accepted patterns and for
-// waiver handling.
+// double as regression tests for the accepted patterns and for waiver
+// handling, stale waivers included.
 func TestFixtures(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
 	if err != nil {

@@ -156,6 +156,30 @@ func (p *Pass) checkNoAllocCall(fd *ast.FuncDecl, call *ast.CallExpr, callerOwne
 	}
 }
 
+// rootObj walks to the base identifier of an lvalue-ish expression
+// (x, x.f, x[i], *x, (x)) and returns its object.
+func (p *Pass) rootObj(e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if o := p.Info.Uses[x]; o != nil {
+				return o
+			}
+			return p.Info.Defs[x]
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 func (p *Pass) isStringExpr(e ast.Expr) bool {
 	tv, ok := p.Info.Types[e]
 	return ok && tv.Type != nil && isString(tv.Type.Underlying())

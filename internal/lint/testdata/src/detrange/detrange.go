@@ -1,119 +1,76 @@
 // Package detrange is a gasperlint test fixture. Each want
-// expectation comment asserts a diagnostic substring on that line; lines without one
-// must stay clean — they pin the prover's accepted patterns.
+// expectation comment asserts a diagnostic substring on that line; lines
+// without one must stay clean.
 package detrange
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
-// bad folds map values with a non-commutative polynomial hash: iteration
-// order changes the result, and nothing waives it.
-func bad(m map[string]int) int {
+// hash folds map values with a non-commutative polynomial: iteration order
+// changes the result.
+func hash(m map[string]int) int {
 	out := 0
-	for _, v := range m { // want "map iteration order is nondeterministic"
+	for _, v := range m { // want "range over a map follows map iteration order"
 		out = out*31 + v
 	}
 	return out
 }
 
-// accumOK is commutative integer accumulation: provably order-insensitive.
-func accumOK(m map[string]int) int {
+// floatSum accumulates floats: addition is not associative, so the sum
+// drifts with iteration order.
+func floatSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m { // want "range over a map follows map iteration order"
+		sum += v
+	}
+	return sum
+}
+
+// keys ranges over the maps.Keys iterator, which yields in map order.
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range maps.Keys(m) { // want "range over maps.Keys follows map iteration order"
+		out = append(out, k)
+	}
+	return out
+}
+
+// pairs ranges over the maps.All iterator.
+func pairs(m map[string]int) int {
+	out := 0
+	for k, v := range maps.All(m) { // want "range over maps.All follows map iteration order"
+		out = out*31 + len(k) + v
+	}
+	return out
+}
+
+// sortedKeys ranges over a sorted slice of the keys: deterministic.
+func sortedKeys(m map[string]int) []string {
+	var out []string
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, k)
+	}
+	return out
+}
+
+// waived carries a reason the order cannot be observed.
+func waived(m map[string]int) int {
 	total := 0
+	//gasper:ordered fixture: commutative integer sum
 	for _, v := range m {
 		total += v
 	}
 	return total
 }
 
-// floatBad accumulates floats: addition is not associative, so the sum
-// drifts with iteration order.
-func floatBad(m map[string]float64) float64 {
-	var sum float64
-	for _, v := range m { // want "map iteration order is nondeterministic"
-		sum += v
+// staleWaiver waives a slice range, which needs no waiver.
+func staleWaiver(xs []int) int {
+	total := 0
+	//gasper:ordered fixture: nothing here ranges over a map // want "unused //gasper:ordered waiver"
+	for _, x := range xs {
+		total += x
 	}
-	return sum
-}
-
-// perKeyOK writes each key's slot in another map: independent per key.
-func perKeyOK(m, dst map[string]int) {
-	for k, v := range m {
-		dst[k] = v * 2
-	}
-}
-
-// maskOK is the comma-ok + commutative OR pattern.
-func maskOK(m map[string]bool, keys map[string]int) int {
-	mask := 0
-	for k := range m {
-		if v, ok := keys[k]; ok {
-			mask |= v
-		}
-	}
-	return mask
-}
-
-// freshOK writes only through per-iteration fresh memory.
-func freshOK(m map[string][]int, out map[string][]int) {
-	for k, vs := range m {
-		cp := make([]int, 0, len(vs))
-		cp = append(cp, vs...)
-		out[k] = cp
-	}
-}
-
-// copyOK is the append-to-nil-base copy idiom.
-func copyOK(m map[string][]int, out map[string][]int) {
-	for k, vs := range m {
-		out[k] = append([]int(nil), vs...)
-	}
-}
-
-// searchOK is a pure existential search: whichever key matches first, the
-// answer is the same.
-func searchOK(m map[string]int, want int) bool {
-	for _, v := range m {
-		if v == want {
-			return true
-		}
-	}
-	return false
-}
-
-// pruneOK deletes entries from the ranged map itself: well-defined and
-// per-key independent.
-func pruneOK(m map[string]int) {
-	for k, v := range m {
-		if v == 0 {
-			delete(m, k)
-		}
-	}
-}
-
-// collectOK appends keys and sorts them in the very next statement.
-func collectOK(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// collectBad appends keys but never sorts: the slice order is the map's.
-func collectBad(m map[string]int) []string {
-	var keys []string
-	for k := range m { // want "map iteration order is nondeterministic"
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// waived is collectBad with an explicit waiver.
-func waived(m map[string]int) []string {
-	var keys []string
-	//gasper:ordered fixture: caller treats the result as a set
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
+	return total
 }

@@ -1,7 +1,8 @@
 package network
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/types"
@@ -32,11 +33,8 @@ func (n *Network[M]) EncodeTo(w *codec.Writer, enc func(*codec.Writer, M)) {
 	w.Int(n.dropped)
 	w.Len(len(n.inbox))
 	for _, box := range n.inbox {
-		slots := make([]types.Slot, 0, len(box))
-		for s := range box {
-			slots = append(slots, s)
-		}
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+		slots := slices.AppendSeq(make([]types.Slot, 0, len(box)), maps.Keys(box))
+		slices.Sort(slots)
 		w.Len(len(slots))
 		for _, s := range slots {
 			w.U64(uint64(s))

@@ -29,7 +29,8 @@
 package network
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -256,6 +257,7 @@ func (n *Network[M]) Clone() *Network[M] {
 	}
 	for i, box := range n.inbox {
 		cp := make(map[types.Slot][]M, len(box))
+		//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 		for at, msgs := range box {
 			cp[at] = append([]M(nil), msgs...)
 		}
@@ -296,18 +298,15 @@ func (n *Network[M]) RetargetGST(gst types.Slot) {
 		msgs []M
 	}
 	for _, box := range n.inbox {
-		// Two phases — collect the held band, then reinsert — so a moved
-		// slot can never be mistaken for a still-to-move one, whichever
-		// direction the retarget goes.
+		// Two phases — take out the held band in slot order, then
+		// reinsert — so a moved slot can never be mistaken for a
+		// still-to-move one, whichever direction the retarget goes.
 		var held []heldEntry
-		for at, msgs := range box {
+		for _, at := range slices.Sorted(maps.Keys(box)) {
 			if at >= oldBase {
-				held = append(held, heldEntry{at, msgs})
+				held = append(held, heldEntry{at, box[at]})
+				delete(box, at)
 			}
-		}
-		sort.Slice(held, func(i, j int) bool { return held[i].at < held[j].at })
-		for _, h := range held {
-			delete(box, h.at)
 		}
 		for _, h := range held {
 			moved := newBase + (h.at - oldBase)
@@ -340,6 +339,7 @@ func (n *Network[M]) PendingFor(to NodeID) int {
 		return 0
 	}
 	total := 0
+	//gasper:ordered integer sum: commutative
 	for _, msgs := range n.inbox[to] {
 		total += len(msgs)
 	}

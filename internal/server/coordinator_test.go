@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -263,6 +264,58 @@ func TestCoordinatorFaultInjection(t *testing.T) {
 					trial, delivered, cm.Requeued, len(cells))
 			}
 		}
+	}
+}
+
+// drainingWriter passes a sweep handler's NDJSON lines through and cancels
+// the worker's base context once the after-th line is written: the worker is
+// shutting down mid-unit while its connection stays open.
+type drainingWriter struct {
+	http.ResponseWriter
+	lines, after int
+	cancel       context.CancelFunc
+}
+
+func (d *drainingWriter) Write(b []byte) (int, error) {
+	n, err := d.ResponseWriter.Write(b)
+	if d.lines++; d.lines == d.after {
+		d.cancel()
+	}
+	return n, err
+}
+
+func (d *drainingWriter) Flush() { d.ResponseWriter.(http.Flusher).Flush() }
+
+// TestCoordinatorDrainingWorkerCellsAreRequeued: a worker whose base context
+// ends mid-unit stops its stream instead of answering its unfinished cells
+// with "context canceled", so the coordinator requeues them like any cell a
+// short stream did not deliver and the merged payload is the single-process
+// one.
+func TestCoordinatorDrainingWorkerCellsAreRequeued(t *testing.T) {
+	cells := forkableGrid()
+	want := engine.SweepContext(context.Background(), cells, engine.Options{})
+
+	s, err := New(Config{CacheSize: -1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, cancelBase := context.WithCancel(context.Background())
+	defer cancelBase()
+	h := s.Handler()
+	w := httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(&drainingWriter{ResponseWriter: rw, after: 1, cancel: cancelBase}, r)
+	}))
+	w.Config.BaseContext = func(net.Listener) context.Context { return base }
+	w.Start()
+	defer w.Close()
+	_, ts := storeServer(t, Config{CacheSize: -1, WarmStart: true, Shards: []string{w.URL}})
+
+	checkFabricSweep(t, ts.URL, cells, want) // no cell may surface an error, a cancellation least of all
+	_, cm := coordMetrics(t, ts.URL)
+	delivered := cm.Workers[0].Served
+	if cm.Requeued == 0 || delivered+cm.Requeued != uint64(len(cells)) {
+		t.Errorf("the draining worker delivered %d cells and %d were requeued, want some requeued and %d together",
+			delivered, cm.Requeued, len(cells))
 	}
 }
 

@@ -415,7 +415,9 @@ type sweepRequest struct {
 // LRU or the persistent store — are emitted immediately without
 // recomputation; the rest are computed in-process (completion order) or,
 // in coordinator mode, dispatched over the workers and streamed in
-// deterministic cell order.
+// deterministic cell order. Once the request's context has ended, the
+// stream stops at the first failed cell instead of reporting the
+// cancellation as that cell's result.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if s.decodeBody(w, r, &req) {
@@ -506,7 +508,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.coord != nil {
 		opt.Dispatch = s.coord.dispatch
 	}
-	for u := range engine.SweepStream(r.Context(), todo, opt) {
+	updates := engine.SweepStream(r.Context(), todo, opt)
+	for u := range updates {
+		if u.Result.Err != "" && r.Context().Err() != nil {
+			// A cell the request's end cut short is not a result: end the
+			// stream here (draining the sweep), so a coordinator reading it
+			// sees it end short and requeues the cells it did not receive.
+			for range updates {
+			}
+			return
+		}
 		p := meta[u.Index]
 		if u.Result.Err == "" {
 			if p.ok {

@@ -300,12 +300,6 @@ func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node {
 	return s.cohorts[s.dutyView[v]].Node
 }
 
-// HomeCohort returns v's home cohort (network routing and metrics
-// attribution, independent of duty-view reassignment).
-func (s *Simulation) HomeCohort(v types.ValidatorIndex) *Cohort {
-	return s.cohorts[s.cohortOf[v]]
-}
-
 // SetDutyView makes validator v perform its duties (attestations,
 // proposals) from the home-cohort view of validator `like`, modeling an
 // adversary whose within-delta message timing decides which view a
