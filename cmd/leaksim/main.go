@@ -73,21 +73,11 @@ func main() {
 	flag.Float64Var(&o.params.Rate, "rate", 0, "link-outage rate for protocol-simulator scenarios (omit for the scenario default; an explicit -rate 0 means rate zero)")
 	flag.IntVar(&o.params.GST, "gst", 0, "partition-heal epoch for protocol-simulator scenarios (omit for the scenario default; an explicit -gst 0 means heal at once)")
 	flag.Parse()
-	// Flags whose zero is a meaningful value are explicit when the user
-	// actually passed them: -rate 0 pins the lossless baseline and -gst 0
-	// the immediate heal (likewise -p0/-beta0 0) instead of deferring to
-	// the scenario default. The remaining flags keep their documented
-	// "0 = scenario default" contract — a zero -n, -horizon, -seed, or
-	// -sample is never a runnable value, so zero stays "use the default".
-	explicitZeroFlags := map[string]bool{"p0": true, "beta0": true, "rate": true, "gst": true}
-	flag.Visit(func(f *flag.Flag) {
-		if !explicitZeroFlags[f.Name] {
-			return
-		}
-		if field, ok := gasperleak.ParamFieldForKey(f.Name); ok {
-			o.params = o.params.MarkExplicit(field)
-		}
-	})
+	// A flag whose zero is a meaningful value (-p0, -beta0, -rate, -gst)
+	// is explicit when the user passed it: -rate 0 pins the lossless
+	// baseline instead of deferring to the scenario default. The others
+	// keep their documented "0 = scenario default" contract.
+	flag.Visit(func(f *flag.Flag) { o.params = o.params.MarkFlag(f.Name) })
 
 	// Ctrl-C cancels in-flight sweeps cooperatively: finished cells keep
 	// their results, unfinished ones record the context error. With a

@@ -38,11 +38,6 @@ type (
 	ParamField = engine.Field
 )
 
-// ParamFieldForKey resolves a canonical parameter key ("p0", "rate",
-// "gst", …) to its ScenarioParams presence bit; CLIs use it with
-// flag.Visit to mark exactly the flags the user passed.
-func ParamFieldForKey(key string) (ParamField, bool) { return engine.FieldForKey(key) }
-
 // LookupScenario finds a scenario in the default registry.
 func LookupScenario(name string) (Scenario, bool) { return engine.Lookup(name) }
 

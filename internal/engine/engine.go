@@ -11,245 +11,12 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
 	"strings"
 	"sync"
 )
-
-// Field identifies one Params field for explicit-presence tracking; see
-// Params.Explicit.
-type Field uint16
-
-// Field bits, one per Params field.
-const (
-	FieldP0 Field = 1 << iota
-	FieldBeta0
-	FieldMode
-	FieldSeed
-	FieldN
-	FieldHorizon
-	FieldSample
-	FieldRate
-	FieldGST
-)
-
-// fieldKeys maps the canonical parameter key (JSON key, sweep-grid key,
-// CLI flag name — they agree) to its presence bit.
-var fieldKeys = map[string]Field{
-	"p0":      FieldP0,
-	"beta0":   FieldBeta0,
-	"mode":    FieldMode,
-	"seed":    FieldSeed,
-	"n":       FieldN,
-	"horizon": FieldHorizon,
-	"sample":  FieldSample,
-	"rate":    FieldRate,
-	"gst":     FieldGST,
-}
-
-// FieldAll marks every Params field explicit — the mask of a fully
-// specified record, which is what WithDefaults produces.
-const FieldAll = FieldP0 | FieldBeta0 | FieldMode | FieldSeed | FieldN |
-	FieldHorizon | FieldSample | FieldRate | FieldGST
-
-// FieldForKey resolves a canonical parameter key ("p0", "rate", "gst", …)
-// to its presence bit. CLIs use it with flag.Visit to mark exactly the
-// flags the user passed.
-func FieldForKey(key string) (Field, bool) {
-	f, ok := fieldKeys[key]
-	return f, ok
-}
-
-// Params parameterizes one scenario run. An UNSET field means "use the
-// scenario's default" (see Scenario.Defaults and WithDefaults). Presence
-// is tracked explicitly in the Explicit mask: a field is taken as set when
-// it is non-zero OR its bit is marked, so an explicit rate=0 (lossless
-// baseline), gst=0 (heal immediately), p0=0, or beta0=0 survives
-// defaulting instead of being silently rewritten to the scenario default —
-// the bug that used to corrupt the baseline cell of any sweep whose
-// scenario defaults that dimension to a non-zero value. DecodeParams marks
-// keys present in a JSON document; Grid.Cells marks swept dimensions;
-// CLIs mark visited flags.
-type Params struct {
-	// P0 is the honest split: the proportion of honest validators on
-	// branch A (or the per-epoch placement probability in bouncing
-	// scenarios).
-	P0 float64 `json:"p0,omitempty"`
-	// Beta0 is the initial Byzantine stake proportion.
-	Beta0 float64 `json:"beta0,omitempty"`
-	// Mode selects a scenario-specific variant (e.g. the Byzantine
-	// strategy of the leaksim scenario).
-	Mode string `json:"mode,omitempty"`
-	// Seed drives every pseudo-random choice of stochastic scenarios.
-	Seed int64 `json:"seed,omitempty"`
-	// N scales the scenario (validator count).
-	N int `json:"n,omitempty"`
-	// Horizon bounds the run in epochs, or sets the evaluation epoch of
-	// point estimates (bounce probabilities).
-	Horizon int `json:"horizon,omitempty"`
-	// Sample requests a trajectory sampled every Sample epochs in the
-	// Result's Curve (0 = scalar metrics only).
-	Sample int `json:"sample,omitempty"`
-	// Rate is the network link-outage probability of protocol-simulator
-	// scenarios (the sim/drops robustness dimension).
-	Rate float64 `json:"rate,omitempty"`
-	// GST is the epoch at which network partitions heal in
-	// protocol-simulator scenarios (the sim/gst heal dimension).
-	GST int `json:"gst,omitempty"`
-	// Explicit marks fields the caller set on purpose, so WithDefaults
-	// keeps an explicit zero instead of substituting the scenario
-	// default. It is presence metadata, not a parameter, and it rides
-	// the JSON key set rather than appearing as its own key: marshalling
-	// emits exactly the fields that are non-zero or marked, and
-	// unmarshalling marks exactly the keys present in the document. A
-	// fully defaulted Params (WithDefaults) carries FieldAll, so a
-	// result's parameter record serializes completely — an explicit
-	// rate=0 survives a JSON round trip instead of vanishing into
-	// omitempty and decoding back as "use the default".
-	Explicit Field `json:"-"`
-}
-
-// MarshalJSON emits every field that is non-zero or marked explicit, so a
-// sparse request stays sparse and a fully specified record stays
-// complete.
-func (p Params) MarshalJSON() ([]byte, error) {
-	doc := make(map[string]any, 9)
-	put := func(f Field, key string, zero bool, v any) {
-		if !zero || p.IsExplicit(f) {
-			doc[key] = v
-		}
-	}
-	put(FieldP0, "p0", p.P0 == 0, p.P0)
-	put(FieldBeta0, "beta0", p.Beta0 == 0, p.Beta0)
-	put(FieldMode, "mode", p.Mode == "", p.Mode)
-	put(FieldSeed, "seed", p.Seed == 0, p.Seed)
-	put(FieldN, "n", p.N == 0, p.N)
-	put(FieldHorizon, "horizon", p.Horizon == 0, p.Horizon)
-	put(FieldSample, "sample", p.Sample == 0, p.Sample)
-	put(FieldRate, "rate", p.Rate == 0, p.Rate)
-	put(FieldGST, "gst", p.GST == 0, p.GST)
-	return json.Marshal(doc)
-}
-
-// UnmarshalJSON decodes the document and marks every present key as
-// explicitly set — the inverse of MarshalJSON, so round trips preserve
-// presence.
-func (p *Params) UnmarshalJSON(data []byte) error {
-	type plain Params
-	var v plain
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(data, &keys); err != nil {
-		return err
-	}
-	*p = Params(v)
-	p.Explicit = 0
-	//gasper:ordered presence bits ORed together: commutative
-	for key, f := range fieldKeys {
-		if _, ok := keys[key]; ok {
-			p.Explicit |= f
-		}
-	}
-	return nil
-}
-
-// IsExplicit reports whether the field was marked explicitly set.
-func (p Params) IsExplicit(f Field) bool { return p.Explicit&f != 0 }
-
-// MarkExplicit returns p with the given fields marked explicitly set.
-func (p Params) MarkExplicit(fields ...Field) Params {
-	for _, f := range fields {
-		p.Explicit |= f
-	}
-	return p
-}
-
-// DecodeParams unmarshals a JSON document into Params; key presence
-// marks Explicit (see UnmarshalJSON), which is what lets {"rate": 0}
-// mean "rate zero" rather than "scenario default".
-func DecodeParams(data []byte) (Params, error) {
-	var p Params
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Params{}, err
-	}
-	return p, nil
-}
-
-// WithDefaults fills every unset field of p from d. A field is unset when
-// it is zero-valued AND not marked in p.Explicit. The result is a fully
-// specified record, so its mask is FieldAll: every field — explicit
-// zeros included — survives serialization, and fully defaulted Params
-// compare equal regardless of how their zeros were originally spelled.
-func (p Params) WithDefaults(d Params) Params {
-	if p.P0 == 0 && !p.IsExplicit(FieldP0) {
-		p.P0 = d.P0
-	}
-	if p.Beta0 == 0 && !p.IsExplicit(FieldBeta0) {
-		p.Beta0 = d.Beta0
-	}
-	if p.Mode == "" && !p.IsExplicit(FieldMode) {
-		p.Mode = d.Mode
-	}
-	if p.Seed == 0 && !p.IsExplicit(FieldSeed) {
-		p.Seed = d.Seed
-	}
-	if p.N == 0 && !p.IsExplicit(FieldN) {
-		p.N = d.N
-	}
-	if p.Horizon == 0 && !p.IsExplicit(FieldHorizon) {
-		p.Horizon = d.Horizon
-	}
-	if p.Sample == 0 && !p.IsExplicit(FieldSample) {
-		p.Sample = d.Sample
-	}
-	if p.Rate == 0 && !p.IsExplicit(FieldRate) {
-		p.Rate = d.Rate
-	}
-	if p.GST == 0 && !p.IsExplicit(FieldGST) {
-		p.GST = d.GST
-	}
-	p.Explicit = FieldAll
-	return p
-}
-
-// String renders the non-zero parameters compactly.
-func (p Params) String() string {
-	var b strings.Builder
-	add := func(format string, args ...any) {
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, format, args...)
-	}
-	add("p0=%.4g", p.P0)
-	if p.Beta0 != 0 {
-		add("beta0=%.4g", p.Beta0)
-	}
-	if p.Mode != "" {
-		add("mode=%s", p.Mode)
-	}
-	if p.Seed != 0 {
-		add("seed=%d", p.Seed)
-	}
-	if p.N != 0 {
-		add("n=%d", p.N)
-	}
-	if p.Horizon != 0 {
-		add("horizon=%d", p.Horizon)
-	}
-	if p.Rate != 0 {
-		add("rate=%.4g", p.Rate)
-	}
-	if p.GST != 0 {
-		add("gst=%d", p.GST)
-	}
-	return b.String()
-}
 
 // Metric is one named scalar output of a scenario run. Metrics are an
 // ordered list (not a map) so that rendered columns are stable.

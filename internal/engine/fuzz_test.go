@@ -1,0 +1,88 @@
+package engine
+
+import (
+	"encoding/json"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// allocated runs fn and returns the bytes it allocated.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeParams: whatever document a client sends as params — /run and
+// /sweep bodies cross a trust boundary — DecodeParams does not panic or
+// hang, allocates at most 4 x input + 1 MiB, and what it accepts
+// round-trips through MarshalJSON to the identical Params, presence mask
+// included. Measured: 560 bytes for a document of 2,000 unknown or
+// repeated short keys (the decoder this replaced spent 28 x its input on
+// distinct one-character keys); at most 1.8 x for unknown keys longer
+// than 32 bytes, which encoding/json case-folds on the heap; 1.2 x for a
+// document that is one long mode string. Named seeds live in
+// testdata/fuzz/FuzzDecodeParams.
+func FuzzDecodeParams(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var p Params
+		var err error
+		if grew := allocated(func() { p, err = DecodeParams(doc) }); grew > 4*uint64(len(doc))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(doc), grew)
+		}
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("%+v decoded from %q does not encode: %v", p, doc, err)
+		}
+		if q, err := DecodeParams(b); err != nil || q != p {
+			t.Fatalf("%q → %+v → %s → %+v (%v)", doc, p, b, q, err)
+		}
+	})
+}
+
+// FuzzParseGrid: whatever sweep spec arrives — /sweep parses it before
+// admission — ParseGrid does not panic or hang, a spec it accepts expands
+// to at most maxGridCells, and ParseGrid allocates at most 16 x spec +
+// 1 MiB beyond 32 bytes per value it lists. Measured: 8.3 x a 6 kB spec
+// refused at its last token, 8 x a spec of 3,000 one-value items, and 8
+// (numbers) to 16.5 (modes) bytes per listed value. The cells are
+// expanded, and counted against the product, for grids of up to 1<<14
+// cells; the cell limit itself is TestParseGridLimitAndOverflow's. Named
+// seeds live in testdata/fuzz/FuzzParseGrid.
+func FuzzParseGrid(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		var g Grid
+		var err error
+		grew := allocated(func() { g, err = ParseGrid("s", spec) })
+		if err != nil {
+			if grew > 16*uint64(len(spec))+1<<20 {
+				t.Fatalf("refusing %d bytes allocated %d", len(spec), grew)
+			}
+			return
+		}
+		values, n := 0, 1
+		gv := reflect.ValueOf(g)
+		for i := range paramDims {
+			if slot := gv.Field(paramDims[i].gi); slot.Kind() == reflect.Slice && slot.Len() > 0 {
+				values, n = values+slot.Len(), n*slot.Len()
+			}
+		}
+		if grew > 16*uint64(len(spec))+32*uint64(values)+1<<20 {
+			t.Fatalf("parsing %d bytes into %d values allocated %d", len(spec), values, grew)
+		}
+		if n > maxGridCells {
+			t.Fatalf("%q accepted with %d cells", spec, n)
+		}
+		if n <= 1<<14 {
+			if cells := g.Cells(); len(cells) != n {
+				t.Fatalf("%q: %d cells, counted %d", spec, len(cells), n)
+			}
+		}
+	})
+}

@@ -17,6 +17,14 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	if CellKey("bounce-mc", Params{P0: 0.5, N: 10000}) == a {
 		t.Error("scenario must distinguish keys")
 	}
+	// Cells of a rate or gst sweep differ only there: a collision would
+	// serve one cell's result for every other cell.
+	if CellKey("leaksim", Params{P0: 0.5, N: 10000, Rate: 0.2}) == a {
+		t.Error("rate must distinguish keys")
+	}
+	if CellKey("leaksim", Params{P0: 0.5, N: 10000, GST: 8}) == a {
+		t.Error("gst must distinguish keys")
+	}
 	// The Explicit mask is presence metadata, not a parameter: two
 	// fully-defaulted records that spell their zeros differently compare
 	// equal and must share a key.

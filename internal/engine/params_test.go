@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -165,6 +168,13 @@ func TestDecodeParamsMarksPresence(t *testing.T) {
 			t.Errorf("field %b absent from document but marked explicit", f)
 		}
 	}
+	// Keys match as encoding/json matches struct fields: \u escapes and
+	// case folding included; strings keep their escapes' meaning; a null
+	// is no value, so the key stays unset.
+	p, err = DecodeParams([]byte(`{"R\u0061TE": 0.5, "mode": "a\"b", "seed": null, "x": {"n": 1}}`))
+	if err != nil || p.Rate != 0.5 || p.Mode != `a"b` || p.Explicit != FieldRate|FieldMode {
+		t.Errorf("escaped and folded keys decoded to %+v, %v", p, err)
+	}
 	if _, err := DecodeParams([]byte(`{"rate": "no"}`)); err == nil {
 		t.Fatal("DecodeParams accepted a mistyped field")
 	}
@@ -180,5 +190,183 @@ func TestFieldForKeyCoversEveryGridKey(t *testing.T) {
 	}
 	if _, ok := FieldForKey("workers"); ok {
 		t.Error("FieldForKey should not resolve non-parameter keys")
+	}
+}
+
+// fixtureParams mirrors Params field for field without its JSON methods,
+// so the fixture records raw values (and the Explicit mask) independently
+// of the codec under test.
+type fixtureParams struct {
+	P0       float64
+	Beta0    float64
+	Mode     string
+	Seed     int64
+	N        int
+	Horizon  int
+	Sample   int
+	Rate     float64
+	GST      int
+	Explicit Field
+}
+
+// paramsFixture is testdata/params-pr21.json, written by the code this
+// table-driven Params replaced: per record its marshalled bytes, String()
+// and WithDefaults output against each of Defaults; FillFrom cases; and
+// ParseGrid specs with their cells or their error.
+type paramsFixture struct {
+	Defaults []fixtureParams
+	Records  []struct {
+		Params   fixtureParams
+		JSON     string
+		String   string
+		Defaults []struct {
+			Params fixtureParams
+			JSON   string
+		}
+	}
+	Fill []struct {
+		Grid   Grid
+		Params fixtureParams
+		Want   Grid
+	}
+	Grids []struct {
+		Scenario, Spec, Err string
+		Cells               []struct {
+			Scenario string
+			Params   fixtureParams
+			JSON     string
+		}
+	}
+}
+
+// TestParamsFixtureWrittenByPR21 reproduces, byte for byte, every JSON
+// encoding, String rendering, defaulted record, FillFrom result, grid
+// error message and cell (order, derived seed, Explicit mask) that the
+// hand-written Params code produced — sparse, full, explicit-zero and
+// e-notation floats (1e-7, 1e21, -0) included.
+func TestParamsFixtureWrittenByPR21(t *testing.T) {
+	raw, err := os.ReadFile("testdata/params-pr21.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fx paramsFixture
+	if err := json.Unmarshal(raw, &fx); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range fx.Records {
+		p := Params(r.Params)
+		if b, err := json.Marshal(p); err != nil || string(b) != r.JSON {
+			t.Errorf("record %d %+v: marshalled %s (%v), want %s", i, r.Params, b, err, r.JSON)
+		}
+		if s := p.String(); s != r.String {
+			t.Errorf("record %d: String() = %q, want %q", i, s, r.String)
+		}
+		for j, d := range fx.Defaults {
+			got := p.WithDefaults(Params(d))
+			b, _ := json.Marshal(got)
+			if want := r.Defaults[j]; fixtureParams(got) != want.Params || string(b) != want.JSON {
+				t.Errorf("record %d defaults %d: %+v %s, want %+v %s", i, j, got, b, want.Params, want.JSON)
+			}
+		}
+	}
+	for i, f := range fx.Fill {
+		got, _ := json.Marshal(f.Grid.FillFrom(Params(f.Params)))
+		if want, _ := json.Marshal(f.Want); string(got) != string(want) {
+			t.Errorf("fill %d: %s, want %s", i, got, want)
+		}
+	}
+	for _, g := range fx.Grids {
+		grid, err := ParseGrid(g.Scenario, g.Spec)
+		if g.Err != "" {
+			if err == nil || err.Error() != g.Err {
+				t.Errorf("ParseGrid(%q) error %v, want %s", g.Spec, err, g.Err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseGrid(%q): %v", g.Spec, err)
+			continue
+		}
+		cells := grid.Cells()
+		if len(cells) != len(g.Cells) {
+			t.Errorf("ParseGrid(%q): %d cells, want %d", g.Spec, len(cells), len(g.Cells))
+			continue
+		}
+		for k, c := range cells {
+			b, _ := json.Marshal(c)
+			want := g.Cells[k]
+			if c.Scenario != want.Scenario || fixtureParams(c.Params) != want.Params || string(b) != want.JSON {
+				t.Errorf("ParseGrid(%q) cell %d: %+v %s, want %+v %s", g.Spec, k, c.Params, b, want.Params, want.JSON)
+			}
+		}
+	}
+}
+
+// TestParamDimsCoverParamsAndGrid: every parameter field of Params (not
+// the json:"-" presence mask) and every Grid slot but the scenario has
+// exactly one paramDims row, and a row's key is its field's JSON key —
+// deleting a row, or adding a field without one, fails here.
+func TestParamDimsCoverParamsAndGrid(t *testing.T) {
+	rows := func(match func(d paramDim) bool) int {
+		n := 0
+		for _, d := range paramDims {
+			if match(d) {
+				n++
+			}
+		}
+		return n
+	}
+	fields := 0
+	pt := reflect.TypeFor[Params]()
+	for i := range pt.NumField() {
+		f := pt.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "-" {
+			continue
+		}
+		fields++
+		if n := rows(func(d paramDim) bool { return d.param == f.Name && d.key == key }); n != 1 {
+			t.Errorf("Params.%s (json %q) has %d paramDims rows, want 1", f.Name, key, n)
+		}
+	}
+	slots := 0
+	gt := reflect.TypeFor[Grid]()
+	for i := range gt.NumField() {
+		f := gt.Field(i)
+		if f.Name == "Scenario" {
+			continue
+		}
+		slots++
+		if n := rows(func(d paramDim) bool { return d.grid == f.Name }); n != 1 {
+			t.Errorf("Grid.%s has %d paramDims rows, want 1", f.Name, n)
+		}
+	}
+	if len(paramDims) != fields || len(paramDims) != slots {
+		t.Errorf("%d rows for %d Params fields and %d Grid slots", len(paramDims), fields, slots)
+	}
+	if FieldAll != 1<<len(paramDims)-1 {
+		t.Errorf("FieldAll = %b does not cover the %d rows", FieldAll, len(paramDims))
+	}
+}
+
+// TestMarkFlagOnlyZeroValuedDimensions: a CLI flag marks its dimension
+// explicit only where zero is a value.
+func TestMarkFlagOnlyZeroValuedDimensions(t *testing.T) {
+	var p Params
+	for _, name := range []string{"p0", "beta0", "mode", "seed", "n", "horizon", "sample", "rate", "gst", "workers"} {
+		p = p.MarkFlag(name)
+	}
+	if want := FieldP0 | FieldBeta0 | FieldRate | FieldGST; p.Explicit != want {
+		t.Errorf("marked %b, want %b", p.Explicit, want)
+	}
+}
+
+// TestParamsMarshalRejectsNonFinite: NaN and ±Inf fail to encode, as they
+// do under encoding/json.
+func TestParamsMarshalRejectsNonFinite(t *testing.T) {
+	for _, p := range []Params{{P0: math.NaN()}, {Rate: math.Inf(-1)}} {
+		if b, err := json.Marshal(p); err == nil {
+			t.Errorf("%v marshalled to %s", p, b)
+		}
 	}
 }

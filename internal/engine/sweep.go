@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -49,76 +51,39 @@ type Grid struct {
 // numbers), which is the right comparison mode for deterministic engines
 // and for contrasting parameter values under identical noise.
 func (g Grid) Cells() []Cell {
-	p0s := g.P0
-	if len(p0s) == 0 {
-		p0s = []float64{0}
-	}
-	beta0s := g.Beta0
-	if len(beta0s) == 0 {
-		beta0s = []float64{0}
-	}
-	modes := g.Modes
-	if len(modes) == 0 {
-		modes = []string{""}
-	}
-	seeds := g.Seeds
-	seedSpecified := len(seeds) > 0
-	if !seedSpecified {
-		seeds = []int64{0}
-	}
-	horizons := g.Horizons
-	if len(horizons) == 0 {
-		horizons = []int{0}
-	}
-	rates := g.Rates
-	if len(rates) == 0 {
-		rates = []float64{0}
-	}
-	gsts := g.GSTs
-	if len(gsts) == 0 {
-		gsts = []int{0}
-	}
-	// Dimensions the grid actually lists are explicit: a listed value of
-	// zero (rate=0 lossless baseline, gst=0 immediate heal, beta0=0
-	// honest-only) is the cell's value, not a request for the scenario
-	// default.
-	var explicit Field
-	for _, dim := range []struct {
-		listed bool
-		f      Field
-	}{
-		{len(g.P0) > 0, FieldP0},
-		{len(g.Beta0) > 0, FieldBeta0},
-		{len(g.Modes) > 0, FieldMode},
-		{seedSpecified, FieldSeed},
-		{len(g.Horizons) > 0, FieldHorizon},
-		{len(g.Rates) > 0, FieldRate},
-		{len(g.GSTs) > 0, FieldGST},
-		{g.N != 0, FieldN},
-		{g.Sample != 0, FieldSample},
-	} {
-		if dim.listed {
-			explicit |= dim.f
+	var p Params
+	gv, pv := reflect.ValueOf(&g).Elem(), reflect.ValueOf(&p).Elem()
+	// axes are the listed dimensions: each cell's Params field and the
+	// values it takes, p0 outermost.
+	var axes [][2]reflect.Value
+	total := 1
+	for _, d := range paramDims {
+		slot := gv.Field(d.gi)
+		if slot.Kind() != reflect.Slice { // a per-grid scalar
+			pv.Field(d.pi).Set(slot)
+			if !isZero(slot) {
+				p.Explicit |= d.field
+			}
+		} else if slot.Len() > 0 {
+			// Dimensions the grid actually lists are explicit: a listed
+			// zero (rate=0 lossless baseline, gst=0 immediate heal,
+			// beta0=0 honest-only) is the cell's value, not a request for
+			// the scenario default.
+			p.Explicit |= d.field
+			axes = append(axes, [2]reflect.Value{pv.Field(d.pi), slot})
+			total *= slot.Len()
 		}
 	}
-	cells := make([]Cell, 0, len(p0s)*len(beta0s)*len(modes)*len(seeds)*len(horizons)*len(rates)*len(gsts))
-	for _, p0 := range p0s {
-		for _, b := range beta0s {
-			for _, m := range modes {
-				for _, s := range seeds {
-					for _, h := range horizons {
-						for _, rate := range rates {
-							for _, gst := range gsts {
-								p := Params{P0: p0, Beta0: b, Mode: m, N: g.N, Horizon: h, Sample: g.Sample, Rate: rate, GST: gst, Explicit: explicit}
-								if seedSpecified {
-									p.Seed = DeriveSeed(s, p0, b, m, h)
-								}
-								cells = append(cells, Cell{Scenario: g.Scenario, Params: p})
-							}
-						}
-					}
-				}
-			}
+	cells := make([]Cell, total)
+	for n := range cells {
+		for k, rest := len(axes)-1, n; k >= 0; k-- {
+			values := axes[k][1]
+			axes[k][0].Set(values.Index(rest % values.Len()))
+			rest /= values.Len()
+		}
+		cells[n] = Cell{Scenario: g.Scenario, Params: p}
+		if len(g.Seeds) > 0 {
+			cells[n].Params.Seed = DeriveSeed(p.Seed, p.P0, p.Beta0, p.Mode, p.Horizon)
 		}
 	}
 	return cells
@@ -126,36 +91,19 @@ func (g Grid) Cells() []Cell {
 
 // FillFrom pins any unspecified grid dimension (and the uniform N/Sample
 // knobs) from the given params, so CLI flags can cover dimensions a sweep
-// spec leaves out. A param pins its dimension when it is non-zero or
-// marked explicit (an explicit -rate=0 pins the lossless baseline); unset
-// zero-valued params leave the dimension unspecified.
+// spec leaves out. A param pins its dimension when it is non-zero, or when
+// it is marked explicit and zero is a value of it (an explicit -rate=0
+// pins the lossless baseline); other zero-valued params leave the
+// dimension unspecified.
 func (g Grid) FillFrom(p Params) Grid {
-	if len(g.P0) == 0 && (p.P0 != 0 || p.IsExplicit(FieldP0)) {
-		g.P0 = []float64{p.P0}
-	}
-	if len(g.Beta0) == 0 && (p.Beta0 != 0 || p.IsExplicit(FieldBeta0)) {
-		g.Beta0 = []float64{p.Beta0}
-	}
-	if len(g.Modes) == 0 && p.Mode != "" {
-		g.Modes = []string{p.Mode}
-	}
-	if len(g.Seeds) == 0 && p.Seed != 0 {
-		g.Seeds = []int64{p.Seed}
-	}
-	if len(g.Horizons) == 0 && p.Horizon != 0 {
-		g.Horizons = []int{p.Horizon}
-	}
-	if len(g.Rates) == 0 && (p.Rate != 0 || p.IsExplicit(FieldRate)) {
-		g.Rates = []float64{p.Rate}
-	}
-	if len(g.GSTs) == 0 && (p.GST != 0 || p.IsExplicit(FieldGST)) {
-		g.GSTs = []int{p.GST}
-	}
-	if g.N == 0 {
-		g.N = p.N
-	}
-	if g.Sample == 0 {
-		g.Sample = p.Sample
+	gv, pv := reflect.ValueOf(&g).Elem(), reflect.ValueOf(&p).Elem()
+	for _, d := range paramDims {
+		slot, v := gv.Field(d.gi), pv.Field(d.pi)
+		if slot.Kind() != reflect.Slice && isZero(slot) { // a per-grid scalar
+			slot.Set(v)
+		} else if slot.Kind() == reflect.Slice && slot.Len() == 0 && (!isZero(v) || d.zero && p.IsExplicit(d.field)) {
+			slot.Set(reflect.Append(reflect.MakeSlice(slot.Type(), 0, 1), v))
+		}
 	}
 	return g
 }
@@ -202,15 +150,23 @@ func DeriveSeed(base int64, p0, beta0 float64, mode string, horizon int) int64 {
 	return seed
 }
 
+// maxGridCells bounds the cells a parsed sweep spec may expand to: a
+// spec of a few dozen bytes can name 10^15 cells, and ParseGrid runs
+// before a server admits the request.
+const maxGridCells = 1 << 20
+
 // ParseGrid parses a sweep spec into a Grid for the named scenario. The
 // spec is semicolon-separated key=value items; values are comma lists or
 // lo:hi:step ranges (inclusive). Keys: p0, beta0, mode, seed, horizon,
-// rate, gst, n, sample.
+// rate, gst, n, sample. A spec whose grid would exceed maxGridCells cells
+// is refused, naming the dimension that crosses the limit.
 //
 //	p0=0.2:0.8:0.1; beta0=0.1,0.2,0.25; mode=double,semi; seed=1,2,3
 func ParseGrid(scenario, spec string) (Grid, error) {
 	g := Grid{Scenario: scenario}
-	for _, item := range strings.Split(spec, ";") {
+	gv := reflect.ValueOf(&g).Elem()
+	var counts [len(paramDims)]int // values listed per dimension
+	for item := range strings.SplitSeq(spec, ";") {
 		item = strings.TrimSpace(item)
 		if item == "" {
 			continue
@@ -219,140 +175,122 @@ func ParseGrid(scenario, spec string) (Grid, error) {
 		if !ok {
 			return Grid{}, fmt.Errorf("engine: sweep item %q is not key=value", item)
 		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		var err error
-		switch key {
-		case "p0":
-			g.P0, err = parseFloatList(value)
-		case "beta0":
-			g.Beta0, err = parseFloatList(value)
-		case "mode":
-			g.Modes = strings.Split(value, ",")
-			for i := range g.Modes {
-				g.Modes[i] = strings.TrimSpace(g.Modes[i])
+		key, value = strings.TrimSpace(key), strings.TrimSpace(value)
+		d := dimForKey(key)
+		if d == nil {
+			return Grid{}, fmt.Errorf("engine: unknown sweep key %q (want %s)", key, gridKeys)
+		}
+		slot := gv.Field(d.gi)
+		// room is how many values this dimension may list: the cell limit
+		// over the product of the other dimensions' counts.
+		room, at := maxGridCells, bits.TrailingZeros16(uint16(d.field)) // at: d's row
+		for i, c := range counts {
+			if c > 0 && i != at {
+				room /= c
 			}
-		case "seed":
-			g.Seeds, err = parseIntList(value)
-		case "horizon":
-			var hs []int64
-			hs, err = parseIntList(value)
-			for _, h := range hs {
-				g.Horizons = append(g.Horizons, int(h))
-			}
-		case "rate":
-			g.Rates, err = parseFloatList(value)
-		case "gst":
-			var gs []int64
-			gs, err = parseIntList(value)
-			for _, gst := range gs {
-				g.GSTs = append(g.GSTs, int(gst))
-			}
-		case "n":
-			var ns []int64
-			ns, err = parseIntList(value)
-			if err == nil {
-				if len(ns) != 1 {
-					err = fmt.Errorf("wants a single value, got %q", value)
-				} else {
-					g.N = int(ns[0])
-				}
-			}
-		case "sample":
-			var ss []int64
-			ss, err = parseIntList(value)
-			if err == nil {
-				if len(ss) != 1 {
-					err = fmt.Errorf("wants a single value, got %q", value)
-				} else {
-					g.Sample = int(ss[0])
-				}
-			}
-		default:
-			return Grid{}, fmt.Errorf("engine: unknown sweep key %q (want p0, beta0, mode, seed, horizon, rate, gst, n, sample)", key)
+		}
+		over := func(n float64) error { return fmt.Errorf("%.0f values take the grid past %d cells", n, maxGridCells) }
+		t := slot.Type()
+		if t.Kind() != reflect.Slice { // a per-grid scalar: one value
+			t, room, over = reflect.SliceOf(t), 1, func(float64) error { return fmt.Errorf("wants a single value, got %q", value) }
+		}
+		values, err := parseValues(t, value, room, over)
+		if err == nil && values.Len() > room {
+			err = over(float64(values.Len()))
 		}
 		if err != nil {
 			return Grid{}, fmt.Errorf("engine: sweep dimension %q: %w", key, err)
 		}
+		if slot.Kind() != reflect.Slice {
+			values = values.Index(0)
+		} else {
+			counts[at] = values.Len()
+		}
+		slot.Set(values)
 	}
 	return g, nil
 }
 
-// parseFloatList parses "a,b,c" or an inclusive "lo:hi:step" range.
-func parseFloatList(value string) ([]float64, error) {
-	if strings.Contains(value, ":") {
-		parts := strings.Split(value, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("range %q wants lo:hi:step", value)
-		}
-		var lo, hi, step float64
-		for i, dst := range []*float64{&lo, &hi, &step} {
-			tok := strings.TrimSpace(parts[i])
-			v, err := strconv.ParseFloat(tok, 64)
-			if err != nil {
-				return nil, fmt.Errorf("range %q: bad number %q", value, tok)
+// setValue parses one sweep token into dst, reporting whether it parsed.
+func setValue(dst reflect.Value, tok string) bool {
+	switch dst.Kind() {
+	case reflect.String:
+		dst.SetString(tok)
+		return true
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(tok, 64)
+		dst.SetFloat(f)
+		return err == nil
+	}
+	n, err := strconv.ParseInt(tok, 10, 64)
+	dst.SetInt(n)
+	return err == nil
+}
+
+// parseValues parses a sweep value into a new slice of type t: a comma
+// list, or for numbers an inclusive "lo:hi:step" range. A range is counted
+// before it is materialised and refused with over(count) when it holds
+// more than room values; integer ranges step without overflow.
+func parseValues(t reflect.Type, value string, room int, over func(float64) error) (reflect.Value, error) {
+	kind := t.Elem().Kind()
+	noun := "integer"
+	if kind == reflect.Float64 {
+		noun = "number"
+	}
+	if kind == reflect.String || !strings.Contains(value, ":") {
+		n := strings.Count(value, ",") + 1
+		out, rest := reflect.MakeSlice(t, n, n), value
+		for i := range n {
+			var tok string
+			tok, rest, _ = strings.Cut(rest, ",")
+			if tok = strings.TrimSpace(tok); !setValue(out.Index(i), tok) {
+				return out, fmt.Errorf("bad %s %q in %q", noun, tok, value)
 			}
-			*dst = v
 		}
-		if step <= 0 || hi < lo {
-			return nil, fmt.Errorf("range %q wants lo <= hi and step > 0", value)
+		return out, nil
+	}
+	parts := strings.Split(value, ":")
+	if len(parts) != 3 {
+		return reflect.Value{}, fmt.Errorf("range %q wants lo:hi:step", value)
+	}
+	bounds := reflect.MakeSlice(t, 3, 3)
+	for i, part := range parts {
+		if tok := strings.TrimSpace(part); !setValue(bounds.Index(i), tok) {
+			return bounds, fmt.Errorf("range %q: bad %s %q", value, noun, tok)
 		}
-		var out []float64
+	}
+	lo, hi, step := bounds.Index(0), bounds.Index(1), bounds.Index(2)
+	if kind == reflect.Float64 {
+		lo, hi, step := lo.Float(), hi.Float(), step.Float()
+		if !(step > 0 && lo <= hi) {
+			return bounds, fmt.Errorf("range %q wants lo <= hi and step > 0", value)
+		}
 		// The epsilon keeps the endpoint inclusive under float rounding.
-		for i := 0; ; i++ {
-			v := lo + float64(i)*step
+		n := math.Floor((hi-lo)/step+1e-9) + 1
+		if !(n <= float64(room)) {
+			return bounds, over(n)
+		}
+		out, m := reflect.MakeSlice(t, int(n)+1, int(n)+1), 0
+		for ; m <= int(n); m++ {
+			v := lo + float64(m)*step
 			if v > hi+step*1e-9 {
 				break
 			}
-			out = append(out, v)
+			out.Index(m).SetFloat(v)
 		}
-		return out, nil
+		return out.Slice(0, m), nil
 	}
-	var out []float64
-	for _, s := range strings.Split(value, ",") {
-		tok := strings.TrimSpace(s)
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q in %q", tok, value)
-		}
-		out = append(out, v)
+	if step.Int() <= 0 || hi.Int() < lo.Int() {
+		return bounds, fmt.Errorf("range %q wants lo <= hi and step > 0", value)
 	}
-	return out, nil
-}
-
-// parseIntList parses "a,b,c" or an inclusive "lo:hi:step" range.
-func parseIntList(value string) ([]int64, error) {
-	if strings.Contains(value, ":") {
-		parts := strings.Split(value, ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("range %q wants lo:hi:step", value)
-		}
-		var lo, hi, step int64
-		for i, dst := range []*int64{&lo, &hi, &step} {
-			tok := strings.TrimSpace(parts[i])
-			v, err := strconv.ParseInt(tok, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("range %q: bad integer %q", value, tok)
-			}
-			*dst = v
-		}
-		if step <= 0 || hi < lo {
-			return nil, fmt.Errorf("range %q wants lo <= hi and step > 0", value)
-		}
-		var out []int64
-		for v := lo; v <= hi; v += step {
-			out = append(out, v)
-		}
-		return out, nil
+	// hi-lo fits a uint64; the count is one more, which may not.
+	span := (uint64(hi.Int()) - uint64(lo.Int())) / uint64(step.Int())
+	if span >= uint64(room) {
+		return bounds, over(float64(span) + 1)
 	}
-	var out []int64
-	for _, s := range strings.Split(value, ",") {
-		tok := strings.TrimSpace(s)
-		v, err := strconv.ParseInt(tok, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q in %q", tok, value)
-		}
-		out = append(out, v)
+	out := reflect.MakeSlice(t, int(span)+1, int(span)+1)
+	for k := range out.Len() {
+		out.Index(k).SetInt(lo.Int() + int64(uint64(k)*uint64(step.Int())))
 	}
 	return out, nil
 }

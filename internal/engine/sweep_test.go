@@ -154,6 +154,16 @@ func TestParseGridErrors(t *testing.T) {
 		{"int range token", "seed=1:ten:1", []string{`"seed"`, `"ten"`}},
 		{"n wants one value", "n=1,2", []string{`"n"`, "single value", `"1,2"`}},
 		{"sample wants one value", "sample=5,10", []string{`"sample"`, "single value", `"5,10"`}},
+		{"n range wants one value", "n=1:1000000000000:1", []string{`"n"`, "single value"}},
+		// A range ending at MaxInt64 used to wrap its stepping and never
+		// return; this one is counted (two values) and then refused by the
+		// range after it.
+		{"range to MaxInt64", "seed=9223372036854775806:9223372036854775807:1; horizon=1:1000000:1", []string{`"horizon"`, "1000000 values", "1048576 cells"}},
+		{"huge int range", "seed=-9223372036854775808:9223372036854775807:1", []string{`"seed"`, "18446744073709551616 values"}},
+		{"huge float range", "p0=0:1:1e-300", []string{`"p0"`, "cells"}},
+		{"NaN range", "rate=NaN:1:0.1", []string{`"rate"`, "lo <= hi"}},
+		{"1e15-cell product", "p0=0:1:0.001; beta0=0:1:0.001; gst=1:1000:1; horizon=1:1000:1; seed=1:1000:1", []string{`"gst"`, "1000 values", "1048576 cells"}},
+		{"comma list over the limit", "seed=1:1024:1; mode=" + strings.Repeat("m,", 1024) + "m", []string{`"mode"`, "1025 values"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -336,5 +346,25 @@ func TestParamsStringIncludesRateAndGST(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Params.String() = %q, missing %q", s, want)
 		}
+	}
+}
+
+// TestParseGridLimitAndOverflow: a range ending at MaxInt64 steps without
+// wrapping, and an accepted spec expands to exactly its counted product,
+// at most maxGridCells.
+func TestParseGridLimitAndOverflow(t *testing.T) {
+	g, err := ParseGrid("leaksim", "seed=9223372036854775806:9223372036854775807:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Seeds, []int64{math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Errorf("seeds = %v", g.Seeds)
+	}
+	g, err = ParseGrid("leaksim", "seed=1:1024:1; horizon=1:1024:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.Cells()); n != maxGridCells {
+		t.Errorf("%d cells, want %d", n, maxGridCells)
 	}
 }

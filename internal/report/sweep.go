@@ -5,168 +5,102 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
 )
 
-// sweepColumns derives the column layout of a result set: which parameter
-// columns are populated, and the ordered union of metric names (first
-// appearance wins, so a homogeneous sweep keeps its scenario's order).
-type sweepColumns struct {
-	hasBeta0, hasMode, hasSeed, hasN, hasHorizon, hasOutcome, hasErr bool
-	hasRate, hasGST                                                  bool
-	hasDuration, hasEps, hasWarm                                     bool
-	metrics                                                          []string
+// sweepColumn is one column of a sweep table: its header, and a result's
+// cell in it with whether that result populates the column.
+type sweepColumn struct {
+	header string
+	cell   func(engine.Result) (string, bool)
 }
 
-func columnsOf(results []engine.Result) sweepColumns {
-	var c sweepColumns
+// sweepColumns lays a result set out: the scenario, the parameters as
+// Params.Columns shows them, the outcome, the union of metric names (first
+// appearance wins, so a homogeneous sweep keeps its scenario's order), then
+// duration, throughput, warm start and error — each column kept when some
+// result populates it.
+func sweepColumns(results []engine.Result, format func(float64) string) []sweepColumn {
+	cols := []sweepColumn{{"scenario", func(r engine.Result) (string, bool) { return r.Scenario, true }}}
+	engine.Params{}.Columns(func(key, _ string, _ bool) {
+		cols = append(cols, sweepColumn{key, func(r engine.Result) (value string, shown bool) {
+			r.Params.Columns(func(k, v string, s bool) {
+				if k == key {
+					value, shown = v, s
+				}
+			})
+			return value, shown
+		}})
+	})
+	cols = append(cols, sweepColumn{"outcome", func(r engine.Result) (string, bool) { return r.Outcome, r.Outcome != "" }})
 	seen := map[string]bool{}
 	for _, r := range results {
-		p := r.Params
-		c.hasBeta0 = c.hasBeta0 || p.Beta0 != 0
-		c.hasMode = c.hasMode || p.Mode != ""
-		c.hasSeed = c.hasSeed || p.Seed != 0
-		c.hasN = c.hasN || p.N != 0
-		c.hasHorizon = c.hasHorizon || p.Horizon != 0
-		c.hasRate = c.hasRate || p.Rate != 0
-		c.hasGST = c.hasGST || p.GST != 0
-		c.hasOutcome = c.hasOutcome || r.Outcome != ""
-		c.hasErr = c.hasErr || r.Err != ""
-		c.hasDuration = c.hasDuration || (r.Meta != nil && (r.Meta.DurationMS != 0 || r.Meta.Cached))
-		c.hasEps = c.hasEps || (r.Meta != nil && r.Meta.EpochsPerSec != 0)
-		c.hasWarm = c.hasWarm || (r.Meta != nil && r.Meta.Warm != nil)
 		for _, m := range r.Metrics {
-			if !seen[m.Name] {
-				seen[m.Name] = true
-				c.metrics = append(c.metrics, m.Name)
+			if name := m.Name; !seen[name] {
+				seen[name] = true
+				cols = append(cols, sweepColumn{name, func(r engine.Result) (string, bool) {
+					if v, ok := r.Metric(name); ok {
+						return format(v), true
+					}
+					return "", false
+				}})
 			}
 		}
 	}
-	return c
+	cols = append(cols, sweepColumn{"ms", func(r engine.Result) (string, bool) {
+		switch {
+		case r.Meta != nil && r.Meta.Cached:
+			return "cached", true
+		case r.Meta != nil && r.Meta.DurationMS != 0:
+			return fmt.Sprintf("%.3g", r.Meta.DurationMS), true
+		}
+		return "", false
+	}}, sweepColumn{"ep/s", func(r engine.Result) (string, bool) {
+		if r.Meta == nil || r.Meta.EpochsPerSec == 0 {
+			return "", false
+		}
+		return fmt.Sprintf("%.4g", r.Meta.EpochsPerSec), true
+	}}, sweepColumn{"warm", func(r engine.Result) (string, bool) {
+		switch {
+		case r.Meta == nil || r.Meta.Warm == nil:
+			return "", false
+		case r.Meta.Warm.Hit:
+			return fmt.Sprintf("+%dep", r.Meta.Warm.EpochsSaved), true
+		}
+		return "cold", true
+	}}, sweepColumn{"error", func(r engine.Result) (string, bool) { return r.Err, r.Err != "" }})
+	// The zero result keeps p0, which every table shows.
+	probe := append(slices.Clip(results), engine.Result{})
+	return slices.DeleteFunc(cols, func(c sweepColumn) bool {
+		return !slices.ContainsFunc(probe, func(r engine.Result) bool { _, ok := c.cell(r); return ok })
+	})
 }
 
-func (c sweepColumns) headers() []string {
-	h := []string{"scenario", "p0"}
-	if c.hasBeta0 {
-		h = append(h, "beta0")
-	}
-	if c.hasMode {
-		h = append(h, "mode")
-	}
-	if c.hasSeed {
-		h = append(h, "seed")
-	}
-	if c.hasN {
-		h = append(h, "n")
-	}
-	if c.hasHorizon {
-		h = append(h, "horizon")
-	}
-	if c.hasRate {
-		h = append(h, "rate")
-	}
-	if c.hasGST {
-		h = append(h, "gst")
-	}
-	if c.hasOutcome {
-		h = append(h, "outcome")
-	}
-	h = append(h, c.metrics...)
-	if c.hasDuration {
-		h = append(h, "ms")
-	}
-	if c.hasEps {
-		h = append(h, "ep/s")
-	}
-	if c.hasWarm {
-		h = append(h, "warm")
-	}
-	if c.hasErr {
-		h = append(h, "error")
-	}
-	return h
-}
-
-func (c sweepColumns) row(r engine.Result, format func(float64) string) []string {
-	p := r.Params
-	row := []string{r.Scenario, fmt.Sprintf("%.4g", p.P0)}
-	if c.hasBeta0 {
-		row = append(row, fmt.Sprintf("%.4g", p.Beta0))
-	}
-	if c.hasMode {
-		row = append(row, p.Mode)
-	}
-	if c.hasSeed {
-		row = append(row, fmt.Sprintf("%d", p.Seed))
-	}
-	if c.hasN {
-		row = append(row, fmt.Sprintf("%d", p.N))
-	}
-	if c.hasHorizon {
-		row = append(row, fmt.Sprintf("%d", p.Horizon))
-	}
-	if c.hasRate {
-		row = append(row, fmt.Sprintf("%.4g", p.Rate))
-	}
-	if c.hasGST {
-		row = append(row, fmt.Sprintf("%d", p.GST))
-	}
-	if c.hasOutcome {
-		row = append(row, r.Outcome)
-	}
-	for _, name := range c.metrics {
-		if v, ok := r.Metric(name); ok {
-			row = append(row, format(v))
-		} else {
-			row = append(row, "")
+// sweepRows renders the header row and then one row per result.
+func sweepRows(results []engine.Result, format func(float64) string) [][]string {
+	cols := sweepColumns(results, format)
+	rows := make([][]string, 1+len(results))
+	for _, c := range cols {
+		rows[0] = append(rows[0], c.header)
+		for i, r := range results {
+			cell, _ := c.cell(r)
+			rows[1+i] = append(rows[1+i], cell)
 		}
 	}
-	if c.hasDuration {
-		cell := ""
-		if r.Meta != nil {
-			switch {
-			case r.Meta.Cached:
-				cell = "cached"
-			case r.Meta.DurationMS != 0:
-				cell = fmt.Sprintf("%.3g", r.Meta.DurationMS)
-			}
-		}
-		row = append(row, cell)
-	}
-	if c.hasEps {
-		cell := ""
-		if r.Meta != nil && r.Meta.EpochsPerSec != 0 {
-			cell = fmt.Sprintf("%.4g", r.Meta.EpochsPerSec)
-		}
-		row = append(row, cell)
-	}
-	if c.hasWarm {
-		cell := ""
-		if r.Meta != nil && r.Meta.Warm != nil {
-			if wm := r.Meta.Warm; wm.Hit {
-				cell = fmt.Sprintf("+%dep", wm.EpochsSaved)
-			} else {
-				cell = "cold"
-			}
-		}
-		row = append(row, cell)
-	}
-	if c.hasErr {
-		row = append(row, r.Err)
-	}
-	return row
+	return rows
 }
 
 // SweepTable renders sweep results as a fixed-width ASCII table. Parameter
 // columns that are zero throughout the sweep are omitted; metric columns
 // are the ordered union across all results.
 func SweepTable(title string, results []engine.Result) *Table {
-	c := columnsOf(results)
-	t := &Table{Title: title, Headers: c.headers()}
-	for _, r := range results {
-		t.AddRow(c.row(r, func(v float64) string { return fmt.Sprintf("%.6g", v) })...)
+	rows := sweepRows(results, func(v float64) string { return fmt.Sprintf("%.6g", v) })
+	t := &Table{Title: title, Headers: rows[0]}
+	for _, row := range rows[1:] {
+		t.AddRow(row...)
 	}
 	return t
 }
@@ -174,24 +108,12 @@ func SweepTable(title string, results []engine.Result) *Table {
 // WriteSweepCSV emits sweep results as CSV with the same column layout as
 // SweepTable.
 func WriteSweepCSV(w io.Writer, title string, results []engine.Result) error {
-	c := columnsOf(results)
 	if title != "" {
 		if _, err := fmt.Fprintf(w, "# %s\n", title); err != nil {
 			return err
 		}
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(c.headers()); err != nil {
-		return err
-	}
-	for _, r := range results {
-		row := c.row(r, func(v float64) string { return fmt.Sprintf("%g", v) })
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(sweepRows(results, func(v float64) string { return fmt.Sprintf("%g", v) }))
 }
 
 // WriteSweepJSON emits sweep results as an indented JSON array of the

@@ -7,20 +7,8 @@ import (
 	"repro/internal/engine"
 )
 
-// cacheKey canonicalizes a scenario name and its fully-defaulted params
-// into a cache key. It is the canonical cell key shared by every tier —
-// the reflection-derived engine.CellKey the persistent store and the
-// client-side read-through also use — so a result computed anywhere in
-// the fabric is a hit everywhere. Params must already be defaulted
-// (Registry semantics); see engine.CellKey for the covering-every-field
-// contract (TestCellKeyCoversEveryParamsField pins it engine-side,
-// TestCacheKeyCoversEveryParamsField keeps this alias honest).
-func cacheKey(scenario string, p engine.Params) string {
-	return engine.CellKey(scenario, p)
-}
-
 // resultCache is a thread-safe LRU of successful scenario results keyed by
-// cacheKey. Results are stored without execution metadata; hits are served
+// engine.CellKey, the canonical key every tier shares. Results are stored without execution metadata; hits are served
 // with a fresh Cached marker.
 type resultCache struct {
 	mu           sync.Mutex

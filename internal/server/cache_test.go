@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -46,62 +44,6 @@ func TestResultCacheUpdateInPlace(t *testing.T) {
 	}
 	if r, _ := c.get("k"); r.Scenario != "new" {
 		t.Errorf("got %q, want the updated entry", r.Scenario)
-	}
-}
-
-func TestCacheKeyCanonicalization(t *testing.T) {
-	a := cacheKey("leaksim", engine.Params{P0: 0.5, N: 10000})
-	b := cacheKey("leaksim", engine.Params{P0: 0.5, N: 10000})
-	if a != b {
-		t.Error("identical params must share a key")
-	}
-	if cacheKey("leaksim", engine.Params{P0: 0.6, N: 10000}) == a {
-		t.Error("p0 must distinguish keys")
-	}
-	if cacheKey("bounce-mc", engine.Params{P0: 0.5, N: 10000}) == a {
-		t.Error("scenario must distinguish keys")
-	}
-	// Every Params dimension must be part of the key: cells of a rate or
-	// gst sweep differ only in those fields, and a collision would serve
-	// one cell's result for every other cell.
-	if cacheKey("leaksim", engine.Params{P0: 0.5, N: 10000, Rate: 0.2}) == a {
-		t.Error("rate must distinguish keys")
-	}
-	if cacheKey("leaksim", engine.Params{P0: 0.5, N: 10000, GST: 8}) == a {
-		t.Error("gst must distinguish keys")
-	}
-}
-
-// TestCacheKeyCoversEveryParamsField fails the moment engine.Params gains
-// a parameter field the cache key ignores: it perturbs each field via
-// reflection and demands a different key. (The handwritten predecessor of
-// cacheKey silently omitted new fields, so a sweep over a new dimension
-// would have served the first cell's result for every other cell.) Fields
-// tagged `json:"-"` are exempt: presence metadata, constant (FieldAll)
-// across all fully-defaulted Params, so never run-distinguishing.
-func TestCacheKeyCoversEveryParamsField(t *testing.T) {
-	base := cacheKey("s", engine.Params{})
-	rt := reflect.TypeOf(engine.Params{})
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if strings.HasPrefix(f.Tag.Get("json"), "-") {
-			continue
-		}
-		var p engine.Params
-		fv := reflect.ValueOf(&p).Elem().Field(i)
-		switch f.Type.Kind() {
-		case reflect.Float64:
-			fv.SetFloat(0.123)
-		case reflect.Int, reflect.Int64:
-			fv.SetInt(123)
-		case reflect.String:
-			fv.SetString("x")
-		default:
-			t.Fatalf("field %s has kind %s: teach this test (and check cacheKey) about it", f.Name, f.Type.Kind())
-		}
-		if cacheKey("s", p) == base {
-			t.Errorf("cache key ignores Params.%s", f.Name)
-		}
 	}
 }
 

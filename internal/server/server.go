@@ -335,7 +335,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown scenario %q", req.Scenario)
 		return
 	}
-	key := cacheKey(req.Scenario, req.Params.WithDefaults(sc.Defaults()))
+	key := engine.CellKey(req.Scenario, req.Params.WithDefaults(sc.Defaults()))
 	if res, _, ok := s.lookup(key); ok {
 		res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
 		writeJSON(w, http.StatusOK, res)
@@ -465,7 +465,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var todo []engine.Cell
 	var meta []pending
 	for i, cell := range cells {
-		key, ok := s.cellKey(cell)
+		key, ok := engine.CanonicalCellKey(s.reg, cell)
 		if ok && s.caching() {
 			if res, _, hit := s.lookup(key); hit {
 				res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
@@ -653,10 +653,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Scenarios = s.metrics.snapshotScenarios()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// cellKey resolves a cell's cache key (false for unknown scenarios, whose
-// defaults cannot be applied).
-func (s *Server) cellKey(c engine.Cell) (string, bool) {
-	return engine.CanonicalCellKey(s.reg, c)
 }

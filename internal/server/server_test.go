@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -725,5 +726,27 @@ func TestServerCheckpointsDisabled(t *testing.T) {
 	}
 	if m.Checkpoints != nil {
 		t.Fatalf("metrics advertise checkpoints while disabled: %+v", m.Checkpoints)
+	}
+}
+
+// TestSweepRefusesOversizedSpecPromptly: a few dozen bytes of spec that
+// name 10^15 cells, or a range ending at MaxInt64, are refused with 400
+// before any cell is expanded or admitted.
+func TestSweepRefusesOversizedSpecPromptly(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, spec := range []string{
+		"p0=0:1:0.001; beta0=0:1:0.001; gst=1:1000:1; horizon=1:1000:1; seed=1:1000:1",
+		"seed=9223372036854775806:9223372036854775807:1; horizon=1:1000000:1",
+	} {
+		start := time.Now()
+		resp := postJSON(t, ts.URL+"/sweep", map[string]any{"scenario": engine.ScenarioLeakSim, "sweep": spec})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cells") {
+			t.Errorf("%q: status %d %s, want 400 naming the cell limit", spec, resp.StatusCode, body)
+		}
+		if d := time.Since(start); d > 250*time.Millisecond {
+			t.Errorf("%q: refused after %v", spec, d)
+		}
 	}
 }
