@@ -47,6 +47,29 @@ func TestResultCacheUpdateInPlace(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCanonicalization pins the LRU's key, engine.CellKey, as the
+// server uses it: identical cells share an entry, and every dimension a
+// sweep varies — scenario, p0, rate, gst — reaches a different one, so a
+// cached cell is never served for its neighbour.
+func TestCacheKeyCanonicalization(t *testing.T) {
+	c := newResultCache(8)
+	a := engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000})
+	c.add(a, engine.Result{Scenario: "leaksim"})
+	if _, ok := c.get(engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000})); !ok {
+		t.Error("identical params must share a key")
+	}
+	for name, key := range map[string]string{
+		"p0":       engine.CellKey("leaksim", engine.Params{P0: 0.6, N: 10000}),
+		"scenario": engine.CellKey("bounce-mc", engine.Params{P0: 0.5, N: 10000}),
+		"rate":     engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000, Rate: 0.2}),
+		"gst":      engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000, GST: 8}),
+	} {
+		if _, ok := c.get(key); ok || key == a {
+			t.Errorf("%s must distinguish keys", name)
+		}
+	}
+}
+
 // TestNewResultCacheGuardsNonPositiveCapacity pins the max <= 0 guard: a
 // clamped cache must still cache (not evict every entry immediately).
 func TestNewResultCacheGuardsNonPositiveCapacity(t *testing.T) {
