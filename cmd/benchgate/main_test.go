@@ -20,6 +20,8 @@ ok  	repro/internal/forkchoice	1.2s
 pkg: repro/internal/engine
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
+BenchmarkSweepWarmStartForks/cold-2 	       1	 240000000 ns/op	        33.50 cells/sec	73000000 B/op	   70550 allocs/op
+BenchmarkSweepWarmStartForks/warm-2 	       1	 165000000 ns/op	        48.40 cells/sec	57650000 B/op	   42260 allocs/op
 PASS
 ok  	repro/internal/engine	1.0s
 pkg: repro/internal/server
@@ -43,6 +45,8 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
+		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "cells/sec", Min: f(1.1)},
+		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.82)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "cells/sec", Min: f(0.5)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "B/op", Max: f(3)},
 	}
@@ -70,6 +74,13 @@ func TestCheckPassesAndFails(t *testing.T) {
 	cellByCell := strings.NewReplacer("3690 cells/sec", "274.0 cells/sec", " 2500000 B/op", "76800000 B/op").Replace(canned)
 	if failed, report := verdicts(t, gates, cellByCell); failed != 2 || !strings.Contains(report, "= 0.058 (min 0.5)") || !strings.Contains(report, "= 34.909 (max 3)") {
 		t.Fatalf("a hop that dispatches cell by cell: %d failed\n%s", failed, report)
+	}
+
+	// A fork path that re-simulated each fork's prefix from genesis: warm
+	// no faster than cold, and allocating like it.
+	genesisForks := strings.NewReplacer("48.40 cells/sec", "33.00 cells/sec", "57650000 B/op", "72000000 B/op").Replace(canned)
+	if failed, report := verdicts(t, gates, genesisForks); failed != 2 || !strings.Contains(report, "= 0.985 (min 1.1)") || !strings.Contains(report, "= 0.986 (max 0.82)") {
+		t.Fatalf("forks re-simulated from genesis: %d failed\n%s", failed, report)
 	}
 
 	snapshotPerStop := strings.Replace(canned, " 7100000 B/op", "71900000 B/op", 1)

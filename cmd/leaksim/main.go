@@ -100,7 +100,7 @@ func main() {
 func run(ctx context.Context, w io.Writer, o options) error {
 	copts := []gasperleak.ClientOption{gasperleak.WithWorkers(o.workers)}
 	if o.warm {
-		copts = append(copts, gasperleak.WithWarmStart(0))
+		copts = append(copts, gasperleak.WithWarmStart())
 	}
 	if o.store != "" {
 		copts = append(copts, gasperleak.WithResultStore(o.store))
@@ -256,8 +256,8 @@ func emitVerbose(w io.Writer, results []gasperleak.ScenarioResult) error {
 			} else {
 				line += "; warm miss (ran cold)"
 			}
-			line += fmt.Sprintf(" [tree %d nodes, %d hits, %d rebuilt, peak %d KiB]",
-				wm.PrefixNodes, wm.SnapshotHits, wm.Rebuilt, wm.PeakResidentBytes/1024)
+			line += fmt.Sprintf(" [tree %d nodes, %d hits, peak %d KiB]",
+				wm.PrefixNodes, wm.SnapshotHits, wm.PeakResidentBytes/1024)
 		}
 		if _, err := fmt.Fprintln(w, line); err != nil {
 			return err

@@ -43,7 +43,6 @@ func main() {
 	workers := flag.Int("workers", 0, "default sweep worker pool size (0 = all CPUs)")
 	cache := flag.Int("cache", server.DefaultCacheSize, "LRU result cache entries (negative disables caching)")
 	warm := flag.Bool("warm", false, `warm-start sweeps from shared simulation prefixes by default (per-request "warm" overrides)`)
-	warmBudget := flag.Int64("warm-budget", 0, "resident warm-start snapshot byte budget (0 = engine default, negative = unlimited)")
 	storeDir := flag.String("store", "", "persistent result store directory (empty disables the disk tier)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "mid-cell checkpoint interval in simulated epochs for long-horizon sweep cells, persisted in the -store directory so killed or drained cells resume instead of recomputing (0 = engine default, negative disables; no effect without -store)")
 	shard := flag.String("shard", "", "comma-separated worker base URLs; non-empty makes this instance a sweep coordinator")
@@ -59,7 +58,6 @@ func main() {
 		Workers:          *workers,
 		CacheSize:        *cache,
 		WarmStart:        *warm,
-		WarmBudget:       *warmBudget,
 		StoreDir:         *storeDir,
 		CheckpointEvery:  *ckptEvery,
 		ShardInflight:    *shardInflight,

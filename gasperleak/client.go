@@ -26,9 +26,6 @@ type (
 	// scenarios attach to their metadata (block-tree and fork-choice
 	// column sizes after compaction).
 	ScenarioSimStats = engine.SimStats
-	// SweepWarmStartOptions configures the snapshot-tree warm-start
-	// scheduler (see WithWarmStart).
-	SweepWarmStartOptions = engine.WarmStartOptions
 	// SweepWarmMeta is the warm-start provenance of one sweep cell
 	// (ScenarioRunMeta.Warm): what the cell reused and the scheduler's
 	// running counters.
@@ -86,11 +83,10 @@ func WithWorkers(n int) ClientOption {
 // same pre-branch parameters) are fanned out from one simulated prefix
 // instead of each re-simulating from genesis. Results stay bit-identical
 // to cold sweeps; scenarios that do not support warm-starting fall back
-// cell by cell. budget bounds resident snapshot bytes (0 = engine
-// default, negative = unlimited).
-func WithWarmStart(budget int64) ClientOption {
+// cell by cell.
+func WithWarmStart() ClientOption {
 	return func(c *Client) error {
-		c.warm = &engine.WarmStartOptions{MemoryBudget: budget}
+		c.warm = &engine.WarmStartOptions{}
 		return nil
 	}
 }

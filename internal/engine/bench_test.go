@@ -28,12 +28,26 @@ func benchGrid() []Cell {
 	}.Cells()
 }
 
-func benchSweep(b *testing.B, warm *WarmStartOptions) []Result {
+// benchForkGrid is the fork path's workload: 8 sim/gst cells at 10,000
+// validators in which every gst heals before every horizon, so each cell
+// is a fork — the spine walks to epoch 17 once, and each of its four branch
+// epochs hands two cells a copy of its state to finish the healed tail from.
+func benchForkGrid() []Cell {
+	return Grid{
+		Scenario: "sim/gst",
+		P0:       []float64{0.5},
+		GSTs:     []int{8, 11, 14, 17},
+		Horizons: []int{20, 22},
+		N:        10000,
+	}.Cells()
+}
+
+func benchSweep(b *testing.B, cells []Cell, warm *WarmStartOptions) []Result {
 	b.Helper()
 	var last []Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = SweepContext(context.Background(), benchGrid(), Options{
+		last = SweepContext(context.Background(), cells, Options{
 			Workers:   1,
 			WarmStart: warm,
 		})
@@ -49,20 +63,16 @@ func benchSweep(b *testing.B, warm *WarmStartOptions) []Result {
 	return last
 }
 
-// BenchmarkSweepWarmStart measures the tentpole's payoff: cold sweeps the
-// grid cell by cell, warm finishes the cells from the shared prefix tree.
-// Workers is pinned to 1 on both sides so the ratio isolates the epochs
-// saved rather than scheduling luck; CI gates warm >= 10x cold cells/sec
-// and warm <= 0.1x cold B/op (cmd/benchgate/gates.json). The warm run is
-// also asserted bit-identical to the cold one — the speedup is only
-// admissible because the results are the same.
-func BenchmarkSweepWarmStart(b *testing.B) {
+// benchWarmVsCold sweeps the grid cold and warm and asserts the two
+// bit-identical — a speedup is only admissible because the results are the
+// same.
+func benchWarmVsCold(b *testing.B, cells []Cell) {
 	var cold, warm []Result
 	b.Run("cold", func(b *testing.B) {
-		cold = benchSweep(b, nil)
+		cold = benchSweep(b, cells, nil)
 	})
 	b.Run("warm", func(b *testing.B) {
-		warm = benchSweep(b, &WarmStartOptions{})
+		warm = benchSweep(b, cells, &WarmStartOptions{})
 	})
 	if cold != nil && warm != nil {
 		for i := range cold {
@@ -71,4 +81,21 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSweepWarmStart measures the tentpole's payoff: cold sweeps the
+// grid cell by cell, warm finishes the cells from the shared prefix tree.
+// Workers is pinned to 1 on both sides so the ratio isolates the epochs
+// saved rather than scheduling luck; CI gates warm >= 10x cold cells/sec
+// and warm <= 0.1x cold B/op (cmd/benchgate/gates.json).
+func BenchmarkSweepWarmStart(b *testing.B) {
+	benchWarmVsCold(b, benchGrid())
+}
+
+// BenchmarkSweepWarmStartForks is the same comparison on a grid where every
+// cell forks: warm pays one fork copy per cell (the spine's last fork takes
+// the simulation itself) and the healed tails, cold the whole run per cell.
+// CI gates the warm/cold cells/sec and B/op ratios (gates.json).
+func BenchmarkSweepWarmStartForks(b *testing.B) {
+	benchWarmVsCold(b, benchForkGrid())
 }

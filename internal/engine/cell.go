@@ -25,7 +25,7 @@ func RunCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 // runCell is RunCell plus the in-memory tier: held, when non-nil, yields
 // the prefix the cell resumes from. Such a cell skips the durable tier —
 // the prefix is shared with its group, not the cell's own to persist.
-func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions, held func(context.Context) (*Prefix, error)) (Result, error) {
+func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions, held func() (*Prefix, error)) (Result, error) {
 	if reg == nil {
 		reg = Default
 	}
@@ -47,7 +47,7 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 	simulated := 0
 	if held != nil {
 		var pre *Prefix
-		if pre, err = held(ctx); err == nil {
+		if pre, err = held(); err == nil {
 			res, err = sc.(ForkableScenario).ResumeFrom(ctx, pre, p)
 		}
 	} else if cs, branch, ok := checkpointable(sc, p, ck); ok {

@@ -21,8 +21,8 @@ type Prefix struct {
 	// Snap is the simulation state at the checkpoint. Every prefix RunTo
 	// or DecodePrefix returns has one. Inside the engine a prefix may be
 	// advanced without it (nil): it then stands on its live simulation
-	// alone, is private to the goroutine that advanced it, and is frozen —
-	// given its Snap — before anyone else may see it.
+	// alone and is private to the goroutine that advanced it, until that
+	// goroutine freezes it (gives it its Snap) or hands it on for good.
 	Snap *sim.Snapshot
 	// Epoch counts the simulated epochs in the prefix (the checkpoint sits
 	// at the boundary ending epoch Epoch). It can fall short of the epoch
@@ -37,9 +37,8 @@ type Prefix struct {
 	// safety violation before the branch point). Extending a Done prefix
 	// returns it unchanged; resuming from it skips further simulation.
 	Done bool
-	// Owned marks a prefix handed to its final consumer: the scheduler
-	// guarantees (via refcounts) that nothing else — no sibling resume, no
-	// pending spine hop, no rebuild — can reference this checkpoint again,
+	// Owned marks a prefix that has exactly one consumer — a fork's private
+	// copy of the spine (Prefix.forkCopy), a decoded durable checkpoint —
 	// so ResumeFrom may destructively adopt Snap (sim.Simulation.Adopt)
 	// instead of deep-copying it. Adoption yields state identical to a
 	// Restore, so ownership can never change results, only skip a clone.
@@ -70,8 +69,8 @@ type Prefix struct {
 // bit-identically (Result.Meta aside), and RunTo may be split at any
 // intermediate epoch — RunTo(p, RunTo(p, nil, e1), e2) equals
 // RunTo(p, nil, e2) — so the scheduler is free to checkpoint wherever the
-// grid's branch epochs fall, rebuild evicted snapshots from any surviving
-// ancestor, and run cells in any order on any number of workers.
+// grid's branch epochs fall and run cells in any order on any number of
+// workers.
 type ForkableScenario interface {
 	Scenario
 	// Fork reports the cell's prefix key — a canonical encoding of every
@@ -95,33 +94,12 @@ type ForkableScenario interface {
 	ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error)
 }
 
-// DefaultWarmStartBudget bounds resident snapshot bytes when
-// WarmStartOptions.MemoryBudget is zero: 2 GiB, roomy for paper-scale
-// grids (a 10k-validator full-spec snapshot is a few MiB) while keeping a
-// runaway grid from swallowing the machine.
-const DefaultWarmStartBudget int64 = 2 << 30
-
-// WarmStartOptions configures the sweep scheduler's snapshot tree. A
-// non-nil Options.WarmStart turns it on; cells of scenarios that do not
-// implement ForkableScenario start like any cell of a sweep without it.
-type WarmStartOptions struct {
-	// MemoryBudget bounds the bytes of snapshots resident at once
-	// (sim.Snapshot.Bytes). When publishing a checkpoint would exceed it,
-	// the scheduler evicts the cheapest-to-rebuild resident snapshots;
-	// cells that later need an evicted checkpoint rebuild it from the
-	// nearest surviving ancestor (results stay bit-identical, only the
-	// wall clock pays). 0 means DefaultWarmStartBudget; negative means
-	// unlimited.
-	MemoryBudget int64
-}
-
-// Budget resolves the effective byte budget (<= 0 only when unlimited).
-func (o WarmStartOptions) Budget() int64 {
-	if o.MemoryBudget == 0 {
-		return DefaultWarmStartBudget
-	}
-	return o.MemoryBudget
-}
+// WarmStartOptions turns on the sweep scheduler's snapshot tree when
+// Options.WarmStart is non-nil; cells of scenarios that do not implement
+// ForkableScenario start like any cell of a sweep without it. It has no
+// fields: the tree's memory is bounded by construction (one fork copy per
+// worker), not by a setting.
+type WarmStartOptions struct{}
 
 // WarmMeta is the warm-start provenance of one sweep cell, carried in
 // RunMeta. The per-cell fields say what this cell reused; the sweep-wide
@@ -130,7 +108,7 @@ func (o WarmStartOptions) Budget() int64 {
 // RunMeta it is excluded from determinism comparisons.
 type WarmMeta struct {
 	// Hit marks a cell finished from a shared prefix — read off the spine
-	// where it ends, or resumed from a snapshot where it continues (false
+	// where it ends, or resumed from its own copy where it continues (false
 	// on a cell the scheduler started outside the tree).
 	Hit bool `json:"hit,omitempty"`
 	// BranchEpoch is the epoch the cell left its prefix at.
@@ -140,12 +118,14 @@ type WarmMeta struct {
 	// PrefixNodes is the snapshot-tree size: distinct (prefix key, branch
 	// epoch) checkpoints the sweep planned.
 	PrefixNodes int `json:"prefix_nodes,omitempty"`
-	// SnapshotHits counts cells served from a shared prefix so far: stops
-	// read off the spine and forks resumed from a resident snapshot.
+	// SnapshotHits counts cells served from a shared prefix so far: cells
+	// read off the spine and forks resumed from their own copy of it.
 	SnapshotHits int `json:"snapshot_hits,omitempty"`
-	// Rebuilt counts snapshots re-simulated after eviction so far.
+	// Rebuilt is always 0: the scheduler keeps no snapshots to evict, so it
+	// never re-simulates one. The field stays for readers of the JSON.
 	Rebuilt int `json:"rebuilt,omitempty"`
-	// PeakResidentBytes is the high-water mark of resident snapshot bytes
-	// so far.
+	// PeakResidentBytes is the high-water mark so far of the snapshot bytes
+	// (sim.Snapshot.Bytes) of fork copies held at once — at most one per
+	// worker.
 	PeakResidentBytes int64 `json:"peak_resident_bytes,omitempty"`
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // shippedSim labels the subtests of the suites that run the product
@@ -36,27 +38,22 @@ func equivalenceGrids() []Grid {
 
 // TestWarmVsColdEquivalence is the determinism invariant of the snapshot
 // tree: bit-identical results versus the cold sweep for any worker count,
-// snapshot-reuse pattern, and eviction schedule.
+// whichever goroutine runs each fork.
 func TestWarmVsColdEquivalence(t *testing.T) {
 	ctx := context.Background()
 	t.Run(shippedSim, func(t *testing.T) {
 		for _, g := range equivalenceGrids() {
 			cells := g.Cells()
 			cold := SweepContext(ctx, cells, Options{Workers: 2})
-			for _, workers := range []int{1, 3} {
-				for _, budget := range []int64{-1, 1} {
-					warm := SweepContext(ctx, cells, Options{
-						Workers:   workers,
-						WarmStart: &WarmStartOptions{MemoryBudget: budget},
-					})
-					if len(warm) != len(cold) {
-						t.Fatalf("%s workers=%d budget=%d: %d results, want %d", g.Scenario, workers, budget, len(warm), len(cold))
-					}
-					for i := range cold {
-						if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
-							t.Errorf("%s workers=%d budget=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
-								g.Scenario, workers, budget, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
-						}
+			for _, workers := range []int{1, 2, 3} {
+				warm := SweepContext(ctx, cells, Options{Workers: workers, WarmStart: &WarmStartOptions{}})
+				if len(warm) != len(cold) {
+					t.Fatalf("%s workers=%d: %d results, want %d", g.Scenario, workers, len(warm), len(cold))
+				}
+				for i := range cold {
+					if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+						t.Errorf("%s workers=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
+							g.Scenario, workers, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
 					}
 				}
 			}
@@ -66,18 +63,14 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 
 // TestWarmStartObservability checks the provenance a warm sweep stamps
 // into RunMeta: resumed cells report a hit with the branch epoch and saved
-// epochs, the counters see the prefix tree, and a starvation budget forces
-// at least one eviction-then-rebuild without changing results; stops report
-// their whole run saved and leave no snapshot resident.
+// epochs, and the counters see the prefix tree and the fork copy; stops
+// report their whole run saved and leave no snapshot resident.
 func TestWarmStartObservability(t *testing.T) {
 	ctx := context.Background()
 	g := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 4}, Horizons: []int{6}, N: 24}
 	cells := g.Cells()
 
-	warm := SweepContext(ctx, cells, Options{
-		Workers:   1,
-		WarmStart: &WarmStartOptions{MemoryBudget: -1},
-	})
+	warm := SweepContext(ctx, cells, Options{Workers: 1, WarmStart: &WarmStartOptions{}})
 	hits := 0
 	for i, r := range warm {
 		if r.Err != "" {
@@ -106,31 +99,6 @@ func TestWarmStartObservability(t *testing.T) {
 	}
 	if hits != len(cells) {
 		t.Fatalf("%d hits, want %d", hits, len(cells))
-	}
-
-	// A 1-byte budget evicts every checkpoint as soon as the next
-	// publishes; with one worker the spine finishes before any resume
-	// starts, so the shallow checkpoint must be rebuilt on demand.
-	starved := SweepContext(ctx, cells, Options{
-		Workers:   1,
-		WarmStart: &WarmStartOptions{MemoryBudget: 1},
-	})
-	rebuilt := 0
-	for i, r := range starved {
-		if r.Err != "" {
-			t.Fatalf("starved cell %d failed: %s", i, r.Err)
-		}
-		if r.Meta != nil && r.Meta.Warm != nil && r.Meta.Warm.Rebuilt > rebuilt {
-			rebuilt = r.Meta.Warm.Rebuilt
-		}
-	}
-	if rebuilt == 0 {
-		t.Errorf("1-byte budget produced no rebuilds")
-	}
-	for i := range warm {
-		if !reflect.DeepEqual(warm[i].WithoutMeta(), starved[i].WithoutMeta()) {
-			t.Errorf("cell %d: eviction schedule changed the result", i)
-		}
 	}
 
 	// In a horizon sweep every cell ends where it branches, so each is a
@@ -177,9 +145,10 @@ func (f *failOnceAt) advanceTo(ctx context.Context, p Params, from *Prefix, epoc
 
 // TestWarmStartFailedHop: a hop that fails after a stop-only branch leaves
 // the spine holding a prefix with neither a snapshot nor a live simulation.
-// The failed branch's cells carry the error; the spine goes on from the
-// deepest snapshot below (the second grid publishes one at epoch 4) or from
-// genesis (the first never snapshots), and deeper branches match cold.
+// The failed branch's cells carry the error; the spine keeps no snapshot to
+// go on from, so it restarts from genesis (the second grid has forked at
+// epoch 4 by then, off copies of their own), and deeper branches match
+// cold.
 func TestWarmStartFailedHop(t *testing.T) {
 	ctx := context.Background()
 	grids := []Grid{
@@ -190,7 +159,7 @@ func TestWarmStartFailedHop(t *testing.T) {
 		failEpoch := g.Horizons[1] // a branch with stops only, after one and before another
 		cells := g.Cells()
 		cold := SweepContext(ctx, cells, Options{Workers: 2})
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 3} {
 			inner, _ := Default.Lookup(g.Scenario)
 			reg := NewRegistry()
 			reg.MustRegister(&failOnceAt{simScenario: inner.(*simScenario), epoch: failEpoch})
@@ -214,9 +183,9 @@ func TestWarmStartFailedHop(t *testing.T) {
 
 // TestWarmStartConcludedPrefix: when the scenario concludes before the
 // group's first branch (this partition finalizes both sides at epoch 26),
-// every hop returns the one Done prefix. The stops at epoch 28 read it
-// unfrozen, the forks at 30 and 35 share one snapshot of it — taken at the
-// first, aliased by the second — and nothing is simulated past epoch 26.
+// every hop returns the one Done prefix. The stops at epoch 28 and the
+// forks at 30 and 35 are all read off it in place — no fork copy is made —
+// and nothing is simulated past epoch 26.
 func TestWarmStartConcludedPrefix(t *testing.T) {
 	ctx := context.Background()
 	cells := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{30, 35}, Horizons: []int{28, 40}, Seeds: []int64{3}, N: 16}.Cells()
@@ -226,17 +195,15 @@ func TestWarmStartConcludedPrefix(t *testing.T) {
 			t.Fatalf("cell %d: violation_epoch %v (err %q); the grid wants a conclusion before its first branch", i, v, r.Err)
 		}
 	}
-	for _, workers := range []int{1, 3} {
-		for _, budget := range []int64{-1, 1} {
-			warm := SweepContext(ctx, cells, Options{Workers: workers, WarmStart: &WarmStartOptions{MemoryBudget: budget}})
-			for i := range cold {
-				if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
-					t.Errorf("workers=%d budget=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
-						workers, budget, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
-				}
-				if w := warm[i].Meta.Warm; w == nil || !w.Hit || w.EpochsSaved >= 28 {
-					t.Errorf("workers=%d budget=%d cell %d: warm meta %+v, want a hit that saved the epochs up to the conclusion", workers, budget, i, w)
-				}
+	for _, workers := range []int{1, 2, 3} {
+		warm := SweepContext(ctx, cells, Options{Workers: workers, WarmStart: &WarmStartOptions{}})
+		for i := range cold {
+			if !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()) {
+				t.Errorf("workers=%d cell %d (%s): warm diverges from cold\ncold: %+v\nwarm: %+v",
+					workers, i, cells[i].Params, cold[i].WithoutMeta(), warm[i].WithoutMeta())
+			}
+			if w := warm[i].Meta.Warm; w == nil || !w.Hit || w.EpochsSaved >= 28 || w.PeakResidentBytes != 0 {
+				t.Errorf("workers=%d cell %d: warm meta %+v, want a hit that saved the epochs up to the conclusion and held no fork copy", workers, i, w)
 			}
 		}
 	}
@@ -316,8 +283,71 @@ func TestPrefixGroups(t *testing.T) {
 	}
 }
 
-// TestWarmStartCancellation cancels before the sweep starts: every cell
-// must be marked with the context error and the stream must close.
+// forkGrid is a fork-heavy sim/gst grid: every gst lies below every horizon,
+// so each of its four branch epochs has two forks and no stops.
+func forkGrid() Grid {
+	return Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{2, 3, 4, 5}, Horizons: []int{7, 8}, N: 24}
+}
+
+// TestWarmStartForkCopiesBounded: the spine keeps no snapshot, and a fork
+// copy exists only while a worker slot holds it, so the fork copies held at
+// once never weigh more than workers x the largest one — whatever the number
+// of branches.
+func TestWarmStartForkCopiesBounded(t *testing.T) {
+	ctx := context.Background()
+	g := forkGrid()
+	cells := g.Cells()
+	sc, _ := Default.Lookup(g.Scenario)
+	p := cells[0].Params.WithDefaults(sc.Defaults())
+	var largest int64
+	for _, b := range g.GSTs {
+		pre, err := sc.(ForkableScenario).RunTo(ctx, p, nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, pre.Snap.Bytes())
+	}
+	for _, workers := range []int{1, 3} {
+		var last *WarmMeta
+		for u := range SweepStream(ctx, cells, Options{Workers: workers, WarmStart: &WarmStartOptions{}}) {
+			if u.Result.Err != "" {
+				t.Fatalf("workers=%d cell %d failed: %s", workers, u.Index, u.Result.Err)
+			}
+			if u.Completed == u.Total {
+				last = u.Result.Meta.Warm
+			}
+		}
+		if last == nil || last.PeakResidentBytes <= 0 {
+			t.Fatalf("workers=%d: last cell's warm meta %+v, want fork copies counted", workers, last)
+		}
+		if bound := int64(workers) * largest; last.PeakResidentBytes > bound {
+			t.Errorf("workers=%d: fork copies peaked at %d bytes, want <= %d (%d x the largest copy, %d)",
+				workers, last.PeakResidentBytes, bound, workers, largest)
+		}
+	}
+}
+
+// cancelAt is a forkable sim scenario that cancels the sweep when its spine
+// is asked to advance to one epoch: the hop fails with the context error and
+// every deeper branch fails fast, while forks already handed off run on.
+type cancelAt struct {
+	*simScenario
+	epoch  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAt) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	if epoch == c.epoch {
+		c.cancel()
+	}
+	return c.simScenario.advanceTo(ctx, p, from, epoch)
+}
+
+// TestWarmStartCancellation cancels before the sweep starts — every cell
+// must be marked with the context error and the stream must close — and
+// then mid-spine on the fork-heavy grid: the stream closes promptly, every
+// cell either finished as cold does or carries the context error (each at
+// or past the cancelled branch does), and no goroutine outlives the sweep.
 func TestWarmStartCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -329,6 +359,46 @@ func TestWarmStartCancellation(t *testing.T) {
 	for i, r := range results {
 		if r.Err == "" {
 			t.Errorf("cell %d: expected a context error", i)
+		}
+	}
+
+	fg := forkGrid()
+	cells := fg.Cells()
+	cold := SweepContext(context.Background(), cells, Options{Workers: 2})
+	inner, _ := Default.Lookup(fg.Scenario)
+	const cancelEpoch = 4
+	for _, workers := range []int{1, 3} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		reg := NewRegistry()
+		reg.MustRegister(&cancelAt{simScenario: inner.(*simScenario), epoch: cancelEpoch, cancel: cancel})
+		done := make(chan []Result)
+		go func() {
+			done <- SweepContext(ctx, cells, Options{Workers: workers, Registry: reg, WarmStart: &WarmStartOptions{}})
+		}()
+		var warm []Result
+		select {
+		case warm = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: the stream did not close after a mid-spine cancellation", workers)
+		}
+		cancel()
+		for i, c := range cells {
+			switch {
+			case strings.Contains(warm[i].Err, context.Canceled.Error()):
+			case c.Params.GST >= cancelEpoch:
+				t.Errorf("workers=%d cell %d branches at or past the cancelled hop: err %q, want the context error", workers, i, warm[i].Err)
+			case !reflect.DeepEqual(cold[i].WithoutMeta(), warm[i].WithoutMeta()):
+				t.Errorf("workers=%d cell %d finished before the cancellation but diverges from cold\ncold: %+v\nwarm: %+v",
+					workers, i, cold[i].WithoutMeta(), warm[i].WithoutMeta())
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("workers=%d: %d goroutines after the sweep, %d before", workers, n, baseline)
 		}
 	}
 }

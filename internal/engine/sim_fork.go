@@ -148,15 +148,15 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	var s *sim.Simulation
 	var err error
 	if settled && from.Snap == nil {
-		// The prefix was never frozen, so it was never published: it is lent
-		// by the goroutine that advanced it, which will go on stepping this
-		// very simulation afterwards. Read it in place — no claim, no rebase
-		// onto the cell's heal slot, no attach hook (sim/semiactive's writes
-		// Cfg.Adversary) — and leave it exactly as found.
+		// The prefix was never frozen: it is lent by the goroutine that
+		// advanced it, which may go on stepping this very simulation
+		// afterwards. Read it in place — no claim, no rebase onto the cell's
+		// heal slot, no attach hook (sim/semiactive's writes Cfg.Adversary)
+		// — and leave it exactly as found.
 		if s = from.live(); s == nil {
 			err = errSpentPrefix
 		}
-	} else if s, err = positionSim(cfg, from, settled); err == nil && sc.row.attach != nil {
+	} else if s, err = positionSim(cfg, from); err == nil && sc.row.attach != nil {
 		sc.row.attach(s, tr)
 	}
 	if err != nil {
@@ -172,7 +172,7 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 // simCont hands a prefix's still-live simulation to exactly one claimant.
 // After advanceTo reaches a branch epoch, the simulation it advanced is
 // still positioned at that boundary; parking it on the Prefix lets the
-// NEXT hop (the spine's own extension, a rebuild, or a resuming cell)
+// NEXT hop (the spine's own extension, or the spine's last fork)
 // continue it directly instead of paying New + Restore, and lets cells
 // that end at this very epoch be read off it before anyone does (advance).
 // The snapshot contract makes this invisible to results: continuing a
@@ -228,20 +228,30 @@ func (pre *Prefix) freeze() error {
 	return nil
 }
 
+// forkCopy returns a prefix standing where pre stands that one consumer
+// owns: a snapshot of pre's parked simulation, taken now, so the consumer
+// may adopt it while whoever advanced pre goes on stepping the simulation.
+// The trace is shared, as every consumer clones it. A prefix with no
+// parked simulation is returned as it is, to be restored, not adopted.
+func (pre *Prefix) forkCopy() *Prefix {
+	s := pre.live()
+	if s == nil {
+		return pre
+	}
+	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, Trace: pre.Trace, Done: pre.Done, Owned: true}
+}
+
 // positionSim returns a simulation configured by cfg standing at the
 // prefix's checkpoint. With no prefix that is a full simulation at
 // genesis. With one, the deepest tier wins: claim the prefix's live
 // simulation when available (rebased onto cfg's heal slot — a shared
 // prefix runs under network.FarFuture, a cell under its own); otherwise
 // build only a shell (sim.NewShell), because the snapshot supplies the
-// cohort state. How that state arrives depends on what the caller may do
-// with it: a prefix marked Owned is adopted (moved, zero-copy); a readOnly
-// caller — a fork whose prefix concluded before its branch, which only
-// reads metrics off the checkpoint and never delivers held traffic —
-// attaches (aliases, zero-copy); everything else pays the defensive Restore
-// clone. A prefix that was never frozen has only its live simulation: once
-// that is spent there is nothing to restore.
-func positionSim(cfg sim.Config, pre *Prefix, readOnly bool) (*sim.Simulation, error) {
+// cohort state: adopted (moved, zero-copy) from a prefix marked Owned,
+// restored (the defensive clone) from any other. A prefix that was never
+// frozen has only its live simulation: once that is spent there is nothing
+// to restore.
+func positionSim(cfg sim.Config, pre *Prefix) (*sim.Simulation, error) {
 	if pre == nil {
 		return sim.New(cfg)
 	}
@@ -258,13 +268,8 @@ func positionSim(cfg sim.Config, pre *Prefix, readOnly bool) (*sim.Simulation, e
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case pre.Owned:
-		err = s.Adopt(pre.Snap)
-	case readOnly:
-		err = s.Attach(pre.Snap)
-	default:
-		err = s.Restore(pre.Snap)
+	if pre.Owned {
+		return s, s.Adopt(pre.Snap)
 	}
-	return s, err
+	return s, s.Restore(pre.Snap)
 }

@@ -83,10 +83,6 @@ type Config struct {
 	// way. Results are bit-identical to cold sweeps, so warm and cold
 	// cells share the cache tiers freely.
 	WarmStart bool
-	// WarmBudget bounds resident warm-start snapshot bytes
-	// (engine.WarmStartOptions.MemoryBudget): 0 means the engine default,
-	// negative unlimited.
-	WarmBudget int64
 	// Shards lists worker base URLs (e.g. http://w1:8791). Non-empty puts
 	// the server in coordinator mode: sweep cells are dispatched to the
 	// workers in units over the NDJSON /sweep protocol, the cells a failed
@@ -125,7 +121,6 @@ type Server struct {
 	ckpts      *store.Checkpoints
 	ckptEvery  int
 	warm       bool
-	warmBudget int64
 	coord      *coordinator
 	queueDepth int
 	maxBody    int64
@@ -142,11 +137,10 @@ func New(cfg Config) (*Server, error) {
 		reg = engine.Default
 	}
 	s := &Server{
-		reg:        reg,
-		workers:    cfg.Workers,
-		warm:       cfg.WarmStart,
-		warmBudget: cfg.WarmBudget,
-		metrics:    newMetrics(),
+		reg:     reg,
+		workers: cfg.Workers,
+		warm:    cfg.WarmStart,
+		metrics: newMetrics(),
 	}
 	if cfg.CacheSize >= 0 {
 		size := cfg.CacheSize
@@ -278,12 +272,12 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 
 // lookup consults the cache tiers in order — LRU, then the persistent
 // store. A store hit is promoted into the LRU so the next lookup stays in
-// memory. tier is "lru", "store", or "" on a miss.
-func (s *Server) lookup(key string) (engine.Result, string, bool) {
+// memory.
+func (s *Server) lookup(key string) (engine.Result, bool) {
 	if s.cache != nil {
 		if res, ok := s.cache.get(key); ok {
 			s.metrics.cellsFromLRU.Add(1)
-			return res, "lru", true
+			return res, true
 		}
 	}
 	if s.store != nil {
@@ -292,10 +286,10 @@ func (s *Server) lookup(key string) (engine.Result, string, bool) {
 				s.cache.add(key, res)
 			}
 			s.metrics.cellsFromStore.Add(1)
-			return res, "store", true
+			return res, true
 		}
 	}
-	return engine.Result{}, "", false
+	return engine.Result{}, false
 }
 
 // save writes a computed result through every cache tier (metadata
@@ -336,7 +330,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := engine.CellKey(req.Scenario, req.Params.WithDefaults(sc.Defaults()))
-	if res, _, ok := s.lookup(key); ok {
+	if res, ok := s.lookup(key); ok {
 		res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
 		writeJSON(w, http.StatusOK, res)
 		return
@@ -467,7 +461,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, cell := range cells {
 		key, ok := engine.CanonicalCellKey(s.reg, cell)
 		if ok && s.caching() {
-			if res, _, hit := s.lookup(key); hit {
+			if res, hit := s.lookup(key); hit {
 				res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
 				cached = append(cached, engine.Update{Index: i, Result: res})
 				continue
@@ -502,7 +496,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	opt := engine.Options{Workers: workers, Registry: s.reg}
 	if warm {
-		opt.WarmStart = &engine.WarmStartOptions{MemoryBudget: s.warmBudget}
+		opt.WarmStart = &engine.WarmStartOptions{}
 	}
 	opt.Checkpoint = s.checkpointOptions()
 	if s.coord != nil {

@@ -152,8 +152,8 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 // a torn or truncated file, a flipped bit, a snapshot written by a
 // different codec version, a structurally impossible payload — returns
 // an error wrapping ErrSnapshotCodec; no partially-decoded snapshot ever
-// escapes. The decoded snapshot is a full deep state: Restore, Adopt,
-// and Attach accept it exactly like an in-memory one.
+// escapes. The decoded snapshot is a full deep state: Restore and Adopt
+// accept it exactly like an in-memory one.
 func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 	var header [20]byte
 	if _, err := io.ReadFull(src, header[:]); err != nil {

@@ -267,8 +267,9 @@ func build(cfg Config, shell bool) (*Simulation, error) {
 	}
 	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell)
 	s.Net = wireNetwork(cfg, s.cohorts)
-	s.dutyView = make([]int, cfg.Validators)
-	copy(s.dutyView, s.cohortOf)
+	if !shell { // a shell takes its duty views from the snapshot it is given
+		s.dutyView = append([]int(nil), s.cohortOf...)
+	}
 	s.honest = make([]types.ValidatorIndex, 0, cfg.Validators-len(byzantine))
 	for i := 0; i < cfg.Validators; i++ {
 		if v := types.ValidatorIndex(i); !byzantine[v] {

@@ -22,8 +22,8 @@ import (
 // resumable, and sweeps whose cells share a prefix (same Config up to the
 // branch point) warm-start from one simulated prefix instead of
 // re-simulating epoch 0 per cell (see the sweep scheduler in
-// internal/engine, sched.go, which promotes this primitive into a
-// refcounted compute cache).
+// internal/engine, sched.go, which hands each fork of a shared prefix a
+// snapshot of its own).
 //
 // Everything pseudo-random in the simulator is a stateless hash of
 // (seed, slot, ...) — proposer schedule, duty shuffling, link outages —
@@ -62,8 +62,8 @@ func (sn *Snapshot) Slot() types.Slot { return sn.slot }
 // Bytes estimates the snapshot's retained heap footprint: block-tree,
 // fork-choice and attestation-pool columns (from their capacities, via
 // their Stats and Bytes), one validator registry per view, and the held
-// network messages. Warm-start schedulers budget resident snapshots
-// against this figure (engine.WarmStartOptions.MemoryBudget).
+// network messages. The warm-start scheduler reports the fork copies it
+// holds at once by this figure (engine.WarmMeta.PeakResidentBytes).
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
 // Per-entry estimates for the snapshot components that do not expose an
@@ -134,7 +134,7 @@ func (s *Simulation) Restore(sn *Snapshot) error {
 	s.Net = sn.net.Clone()
 	s.Net.RetargetGST(s.Cfg.GST)
 	s.oracle = sn.oracle.Clone()
-	copy(s.dutyView, sn.dutyView)
+	s.dutyView = append(s.dutyView[:0], sn.dutyView...)
 	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
 	s.slot = sn.slot
 	// The duty roster caches (epoch, seed, shuffling)-derived state; the
@@ -146,8 +146,8 @@ func (s *Simulation) Restore(sn *Snapshot) error {
 // Adopt is Restore without the defensive deep copy: the snapshot's state
 // is moved into the simulation and the snapshot is consumed (poisoned —
 // any later Restore or Adopt of it fails). Use it only for a snapshot's
-// final consumer; the warm-start scheduler grants that through refcounts
-// (engine.Prefix.Owned). The resulting state is identical to Restore's,
+// final consumer (engine.Prefix.Owned: a sweep fork's private copy, a
+// decoded checkpoint). The resulting state is identical to Restore's,
 // so adopting versus restoring can never change a run's results — it only
 // skips cloning state that would be garbage the moment it was copied.
 func (s *Simulation) Adopt(sn *Snapshot) error {
@@ -164,44 +164,11 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 	s.Net = sn.net
 	s.Net.RetargetGST(s.Cfg.GST)
 	s.oracle = sn.oracle
-	copy(s.dutyView, sn.dutyView)
+	s.dutyView = sn.dutyView
 	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
 	s.slot = sn.slot
 	s.dutyRosterSet = false
-	sn.nodes, sn.net, sn.oracle = nil, nil, nil
-	return nil
-}
-
-// Attach points the simulation at the snapshot's state without cloning or
-// consuming it: cohort nodes, network, and oracle ALIAS the snapshot. The
-// caller must treat the attached simulation as strictly read-only —
-// computing metrics and assembling results is fine, stepping it would
-// corrupt the shared snapshot for every other consumer. Unlike Restore,
-// Attach does not retarget the held network traffic onto this simulation's
-// GST (that would mutate the shared network): a read-only consumer never
-// delivers another message, so the held band's position is unobservable to
-// it. This is the warm-start path for a fork whose shared prefix concluded
-// before its branch epoch — nothing remains to simulate, so the cell's
-// Result is read straight off the checkpoint. (A cell that simply ends at
-// its branch never gets here: it is read off the spine's live simulation,
-// and no snapshot is taken for it.)
-func (s *Simulation) Attach(sn *Snapshot) error {
-	if sn.nodes == nil {
-		return fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
-	}
-	if sn.validators != s.Cfg.Validators || len(sn.nodes) != len(s.cohorts) {
-		return fmt.Errorf("%w: snapshot of %d validators / %d cohorts attached to %d / %d",
-			ErrBadConfig, sn.validators, len(sn.nodes), s.Cfg.Validators, len(s.cohorts))
-	}
-	for i, c := range s.cohorts {
-		c.Node = sn.nodes[i]
-	}
-	s.Net = sn.net
-	s.oracle = sn.oracle
-	copy(s.dutyView, sn.dutyView)
-	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
-	s.slot = sn.slot
-	s.dutyRosterSet = false
+	sn.nodes, sn.net, sn.oracle, sn.dutyView = nil, nil, nil, nil
 	return nil
 }
 
