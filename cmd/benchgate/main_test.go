@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// canned is `go test -bench` output as the bench job sees it: two packages,
+// canned is `go test -bench` output as the bench job sees it: four packages,
 // a GOMAXPROCS suffix on every name, a benchmark whose own name ends in a
 // number, custom metrics, and the lines around them.
 const canned = `goos: linux
@@ -17,6 +17,11 @@ BenchmarkHeadDeepChain/depth-256-2  	    2000	      2700 ns/op	       0 B/op	   
 BenchmarkHeadDeepChain/depth-4096-2 	    2000	      2900 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	repro/internal/forkchoice	1.2s
+pkg: repro/internal/sim
+BenchmarkSimLongHorizon/depth-100-2 	       5	    645896 ns/op	      1549 epochs/sec	   18956 B/op	     259 allocs/op
+BenchmarkSimLongHorizon/depth-4000-2	       5	    675676 ns/op	      1480 epochs/sec	   22336 B/op	     260 allocs/op
+PASS
+ok  	repro/internal/sim	3.3s
 pkg: repro/internal/engine
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
@@ -43,10 +48,12 @@ func TestCheckPassesAndFails(t *testing.T) {
 	gates := []gate{
 		{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
+		{Bench: "BenchmarkSimLongHorizon/depth-4000", Over: "BenchmarkSimLongHorizon/depth-100", Metric: "epochs/sec", Min: f(0.8)},
+		{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(40000)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
 		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "cells/sec", Min: f(1.1)},
-		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.82)},
+		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.88)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "cells/sec", Min: f(0.5)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "B/op", Max: f(3)},
 	}
@@ -79,8 +86,16 @@ func TestCheckPassesAndFails(t *testing.T) {
 	// A fork path that re-simulated each fork's prefix from genesis: warm
 	// no faster than cold, and allocating like it.
 	genesisForks := strings.NewReplacer("48.40 cells/sec", "33.00 cells/sec", "57650000 B/op", "72000000 B/op").Replace(canned)
-	if failed, report := verdicts(t, gates, genesisForks); failed != 2 || !strings.Contains(report, "= 0.985 (min 1.1)") || !strings.Contains(report, "= 0.986 (max 0.82)") {
+	if failed, report := verdicts(t, gates, genesisForks); failed != 2 || !strings.Contains(report, "= 0.985 (min 1.1)") || !strings.Contains(report, "= 0.986 (max 0.88)") {
 		t.Fatalf("forks re-simulated from genesis: %d failed\n%s", failed, report)
+	}
+
+	// A leak epoch as it read before duty lists were reused and compaction
+	// kept the tree's storage: a fresh copy of every list every slot, a
+	// regrown node array after every fold.
+	garbagePerSlot := strings.Replace(canned, "   18956 B/op", "  165529 B/op", 1)
+	if failed, report := verdicts(t, gates, garbagePerSlot); failed != 1 || !strings.Contains(report, "FAIL BenchmarkSimLongHorizon/depth-100 B/op = 165529..165529 over 1 lines (max 40000)") {
+		t.Fatalf("a leak epoch allocating 166 kB: %d failed\n%s", failed, report)
 	}
 
 	snapshotPerStop := strings.Replace(canned, " 7100000 B/op", "71900000 B/op", 1)
@@ -106,6 +121,11 @@ func TestCheckFailsOnMissingMetric(t *testing.T) {
 			gate{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
 			strings.ReplaceAll(canned, "	       0 B/op	       0 allocs/op", ""),
 			"no BenchmarkHead/steady-.* line reports allocs/op",
+		},
+		"a B/op gate without -benchmem": {
+			gate{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(40000)},
+			strings.Replace(canned, "	   18956 B/op	     259 allocs/op", "", 1),
+			"no BenchmarkSimLongHorizon/depth-100 line reports B/op",
 		},
 		"baseline absent": {
 			gate{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},

@@ -405,17 +405,25 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 // finalized, latest justified) and the latest vote target of every
 // validator. Returns the number of folded blocks; the tree's Version bump
 // makes the fork-choice engine rebuild against the compacted index space.
+// A view's validators vote for a handful of distinct roots, in long runs of
+// one root, so the pin set is sized by what it holds, and a run inserts its
+// root once.
 func (n *Node) CompactTree(olderThan types.Slot) int {
-	pinned := make(map[types.Root]struct{}, n.Registry.Len()+8)
+	pinned := make(map[types.Root]struct{})
 	for _, c := range n.FFG.Justifieds() {
 		pinned[c.Root] = struct{}{}
 	}
 	pinned[n.FFG.Finalized().Root] = struct{}{}
 	pinned[n.FFG.LatestJustified().Root] = struct{}{}
+	var prev types.Root
+	have := false
 	for v := 0; v < n.Registry.Len(); v++ {
-		if m, ok := n.Votes.Latest(types.ValidatorIndex(v)); ok {
-			pinned[m.Root] = struct{}{}
+		m, ok := n.Votes.Latest(types.ValidatorIndex(v))
+		if !ok || have && m.Root == prev {
+			continue
 		}
+		pinned[m.Root] = struct{}{}
+		prev, have = m.Root, true
 	}
 	return n.Tree.Compact(olderThan, func(r types.Root) bool {
 		_, ok := pinned[r]

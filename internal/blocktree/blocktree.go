@@ -92,14 +92,17 @@ func New(genesis types.Root) *Tree {
 
 // Clone deep-copies the tree. The clone starts a fresh identity: consumers
 // caching indices against the original (the proto-array fork-choice
-// engine) detect the new tree pointer and rebuild.
+// engine) detect the new tree pointer and rebuild. The clone's node array
+// is sized to the live blocks: the slack a compaction leaves behind stays
+// with the original.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{
-		nodes:   append([]node(nil), t.nodes...),
+		nodes:   make([]node, len(t.nodes)),
 		index:   make(map[types.Root]int32, len(t.index)),
 		version: t.version,
 		folded:  t.folded,
 	}
+	copy(out.nodes, t.nodes)
 	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for r, i := range t.index {
 		out.index[r] = i
@@ -158,16 +161,21 @@ func (t *Tree) Block(root types.Root) (Block, error) {
 }
 
 // Add inserts b. The parent must already be present, the slot must be
-// strictly greater than the parent's slot, and the root must be new.
+// strictly greater than the parent's slot, and the root must be new. Below
+// the size the tree last reached it allocates nothing: Compact keeps the
+// node array's and the root index's storage.
+//
+//gasper:noalloc
 func (t *Tree) Add(b Block) error {
 	if _, ok := t.index[b.Root]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, b.Root)
+		return fmt.Errorf("%w: %s", ErrDuplicate, b.Root) //gasper:alloc error exit: a rejected block
 	}
 	pi, ok := t.index[b.Parent]
 	if !ok {
-		return fmt.Errorf("%w: parent %s of %s", ErrUnknownParent, b.Parent, b.Root)
+		return fmt.Errorf("%w: parent %s of %s", ErrUnknownParent, b.Parent, b.Root) //gasper:alloc error exit: a rejected block
 	}
 	if b.Slot <= t.nodes[pi].block.Slot {
+		//gasper:alloc error exit: a rejected block
 		return fmt.Errorf("%w: block %s at slot %d, parent at slot %d",
 			ErrBadSlot, b.Root, b.Slot, t.nodes[pi].block.Slot)
 	}
@@ -471,10 +479,14 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 			gap[i] = t.nodes[i].foldedBelow + 1 + gap[p]
 		}
 	}
-	// Rebuild in ascending index order: survivors keep their relative
-	// order, so the array stays topological.
-	fresh := make([]node, 0, retained)
-	index := make(map[types.Root]int32, retained)
+	// Rebuild in place, in ascending index order: survivors keep their
+	// relative order, so the array stays topological, and a survivor's new
+	// index never exceeds its old one, so each write lands on a slot the
+	// walk has already read. The array and the root index keep their
+	// storage, so the Adds that refill the tree to the watermark grow
+	// nothing.
+	fresh := t.nodes[:0]
+	clear(t.index)
 	oldToNew := make([]int32, n)
 	for i := int32(0); i < n; i++ {
 		if !mark[i] {
@@ -495,7 +507,7 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 			nd.block.Parent = fresh[np].block.Root
 		}
 		oldToNew[i] = int32(len(fresh))
-		index[nd.block.Root] = oldToNew[i]
+		t.index[nd.block.Root] = oldToNew[i]
 		fresh = append(fresh, nd)
 	}
 	for i := int32(1); i < int32(len(fresh)); i++ {
@@ -509,7 +521,6 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	}
 	removed := int(n) - len(fresh)
 	t.nodes = fresh
-	t.index = index
 	t.folded += removed
 	t.version++
 	return removed
@@ -525,7 +536,9 @@ type Stats struct {
 	// Folded is the lifetime count of blocks removed by Compact.
 	Folded int
 	// Bytes approximates the retained heap footprint (node array plus
-	// root index).
+	// root index). The array counts at its capacity, and Compact keeps the
+	// capacity, so a compacted tree reads higher than its Clone, which is
+	// sized to the live blocks.
 	Bytes int
 }
 

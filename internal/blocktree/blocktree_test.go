@@ -603,13 +603,19 @@ func TestCompactNoop(t *testing.T) {
 }
 
 // TestCompactCloneIndependence: Clone deep-copies compacted state — skip
-// links, fold counters, and index — bit-identically and independently.
+// links, fold counters, and index — bit-identically and independently. Only
+// the footprint differs: the original keeps the capacity Compact left it,
+// the clone holds the live blocks alone.
 func TestCompactCloneIndependence(t *testing.T) {
 	tree, roots := buildLinearChain(t, 50)
 	tree.Compact(40, nil)
 	clone := tree.Clone()
-	if clone.Stats() != tree.Stats() {
-		t.Fatalf("clone stats %+v != original %+v", clone.Stats(), tree.Stats())
+	cs, ts := clone.Stats(), tree.Stats()
+	if cs.Nodes != ts.Nodes || cs.Segments != ts.Segments || cs.Folded != ts.Folded {
+		t.Fatalf("clone stats %+v != original %+v", cs, ts)
+	}
+	if cs.Bytes > ts.Bytes {
+		t.Errorf("clone holds %d bytes, more than the original's %d", cs.Bytes, ts.Bytes)
 	}
 	if clone.Version() != tree.Version() {
 		t.Error("clone must carry Version")
@@ -621,5 +627,57 @@ func TestCompactCloneIndependence(t *testing.T) {
 	}
 	if _, err := clone.AncestorAt(root(400), 20); !errors.Is(err, ErrCompactedRange) {
 		t.Error("clone lost skip-segment ambiguity guard")
+	}
+}
+
+// TestCompactReusesStorage: Compact rebuilds the tree inside the node array
+// and root index it already had, so once a tree has grown to its watermark
+// and folded, the Adds that bring it back to the watermark allocate nothing.
+// A Clone of the compacted tree does not inherit the slack.
+func TestCompactReusesStorage(t *testing.T) {
+	const watermark, window = 256, 16
+	// compacted grows a chain to the watermark and folds all but its last
+	// window of slots, as a view does during a leak; refill brings it back.
+	compacted := func() (tree *Tree, tip types.Root) {
+		tree, roots := buildLinearChain(t, watermark-1)
+		tree.Compact(types.Slot(watermark-window), nil)
+		return tree, roots[len(roots)-1]
+	}
+	refill := func(tree *Tree, tip types.Root) {
+		b, _ := tree.Block(tip)
+		for tree.Len() < watermark {
+			b = Block{Slot: b.Slot + 1, Root: root(uint64(b.Slot) + 1), Parent: b.Root}
+			if err := tree.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// AllocsPerRun calls its function once to warm up before the measured
+	// call, so each call refills a tree of its own.
+	var trees []*Tree
+	var tips []types.Root
+	for range 2 {
+		tree, tip := compacted()
+		trees, tips = append(trees, tree), append(tips, tip)
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		refill(trees[call], tips[call])
+		call++
+	})
+	if allocs != 0 {
+		t.Errorf("refilling a compacted tree to its watermark allocated %v times, want 0", allocs)
+	}
+	if trees[1].Len() != watermark {
+		t.Fatalf("refilled tree holds %d blocks, want %d", trees[1].Len(), watermark)
+	}
+
+	tree, _ := compacted()
+	if cap(tree.nodes) < watermark-1 {
+		t.Errorf("compacted tree kept capacity %d, want >= %d", cap(tree.nodes), watermark-1)
+	}
+	clone := tree.Clone()
+	if cap(clone.nodes) != len(clone.nodes) || clone.Len() != tree.Len() {
+		t.Errorf("clone: len %d cap %d, want cap == len == %d", clone.Len(), cap(clone.nodes), tree.Len())
 	}
 }

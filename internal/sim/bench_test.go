@@ -70,6 +70,13 @@ func longHorizonConfig() Config {
 // must stay within 20% of depth-100 (CI gates the ratio).
 var longHorizonDepths = [...]int{100, 2000, 4000}
 
+// longHorizonWarmup is the untimed run a depth variant gives its restored
+// simulation before the timer starts: long enough for every view's tree to
+// compact once (a partition's view adds ~16 blocks an epoch towards the
+// 1024-node watermark), so the timed epochs measure the steady state and
+// not the restored copy's first growth.
+const longHorizonWarmup = 64
+
 // longHorizon lazily runs ONE simulation forward through the leak,
 // snapshotting at each measurement depth, so the three depth variants
 // fast-forward via Restore instead of each paying the full prefix.
@@ -110,6 +117,8 @@ func longHorizonSnapshotAt(b *testing.B, depth int) *Snapshot {
 // SAME run thousands of epochs in, where pre-compaction cost grew with
 // tree depth. With spine compaction plus the frontier-bounded settle the
 // trajectory is flat: depth-4000 must hold >= 0.8x depth-100 (CI-gated).
+// Run with -benchmem, depth-100's B/op is a steady-state epoch's garbage,
+// also CI-gated.
 func BenchmarkSimLongHorizon(b *testing.B) {
 	b.Run("depth-6", func(b *testing.B) {
 		s, err := New(longHorizonConfig())
@@ -138,6 +147,9 @@ func BenchmarkSimLongHorizon(b *testing.B) {
 				b.Fatal(err)
 			}
 			if err := s.Restore(sn); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.RunEpochs(longHorizonWarmup); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

@@ -181,6 +181,15 @@ type Simulation struct {
 	//gasper:nocodec per-slot scratch; a snapshot is taken between slots, when it holds nothing
 	//gasper:shallow per-slot scratch; every simulation refills its own
 	dutyBuckets []dutyBucket
+	// sentLists[off][j] is the validator list attest last broadcast for the
+	// j-th bucket of an epoch's off-th slot, so that a bucket whose members
+	// are unchanged since then (every bucket, with unshuffled duties and
+	// fixed duty views) sends that list again instead of a copy. The network
+	// and every snapshot clone share a sent list as immutable: an entry is
+	// replaced, never written into.
+	//gasper:nocodec a cache of lists already sent; a simulation without it sends equal lists of its own
+	//gasper:shallow a cache of lists already sent; a simulation without it sends equal lists of its own
+	sentLists [][][]types.ValidatorIndex
 	// hiddenScratch backs the list hiddenFor returns.
 	//gasper:nocodec per-computation scratch; holds nothing between head computations
 	//gasper:shallow per-computation scratch; every simulation refills its own
@@ -532,9 +541,29 @@ func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
 	return s.dutyRoster
 }
 
+// batchList returns the list to broadcast for the j-th bucket of an epoch's
+// off-th slot: the list sent for that bucket in an earlier epoch when it
+// holds the same members, otherwise a copy of members that replaces it.
+//
+//gasper:noalloc
+func (s *Simulation) batchList(off, j int, members []types.ValidatorIndex) []types.ValidatorIndex {
+	for len(s.sentLists) <= off {
+		s.sentLists = append(s.sentLists, nil)
+	}
+	for len(s.sentLists[off]) <= j {
+		s.sentLists[off] = append(s.sentLists[off], nil)
+	}
+	sent := &s.sentLists[off][j]
+	if !slices.Equal(*sent, members) {
+		*sent = append([]types.ValidatorIndex(nil), members...) //gasper:alloc miss: the bucket's members changed since its list was last sent
+	}
+	return *sent
+}
+
 func (s *Simulation) attest(slot types.Slot) {
+	off := int(slot.PositionInEpoch())
 	buckets := s.dutyBuckets[:0]
-	for _, v := range s.dutyRosterFor(slot.Epoch())[slot.PositionInEpoch()] {
+	for _, v := range s.dutyRosterFor(slot.Epoch())[off] {
 		view, home := s.dutyView[v], s.cohortOf[v]
 		i := 0
 		for i < len(buckets) && (buckets[i].view != view || buckets[i].home != home) {
@@ -560,7 +589,7 @@ func (s *Simulation) attest(slot types.Slot) {
 		return cmp.Compare(a.home, b.home)
 	})
 
-	for _, b := range buckets {
+	for j, b := range buckets {
 		node := s.cohorts[b.view].Node
 		// Members with their own block in flight exist only where the view
 		// has a live embargo at all; elsewhere no member is looked up.
@@ -579,11 +608,14 @@ func (s *Simulation) attest(slot types.Slot) {
 			node.SetHidden(nil)
 			if err == nil {
 				// The one slice that outlives the slot: the network and
-				// every snapshot clone share it as immutable.
-				plain := make([]types.ValidatorIndex, 0, len(b.members)-special)
+				// every snapshot clone share it as immutable. A bucket
+				// without members of its own in flight sends its cached
+				// list; one with them is rare and built fresh.
+				var plain []types.ValidatorIndex
 				if special == 0 {
-					plain = append(plain, b.members...)
+					plain = s.batchList(off, j, b.members)
 				} else {
+					plain = make([]types.ValidatorIndex, 0, len(b.members)-special)
 					for _, v := range b.members {
 						if !s.ownsLiveEmbargo(b.view, v) {
 							plain = append(plain, v)

@@ -138,7 +138,8 @@ func (s *Simulation) Restore(sn *Snapshot) error {
 	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
 	s.slot = sn.slot
 	// The duty roster caches (epoch, seed, shuffling)-derived state; the
-	// restored epoch may differ, so force a rebuild.
+	// restored epoch may differ, so force a rebuild. The sent-list cache
+	// may stay: attest re-sends a list only when its members are equal.
 	s.dutyRosterSet = false
 	return nil
 }
