@@ -25,8 +25,8 @@ ok  	repro/internal/sim	3.3s
 pkg: repro/internal/engine
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
-BenchmarkSweepWarmStartForks/cold-2 	       1	 240000000 ns/op	        33.50 cells/sec	73000000 B/op	   70550 allocs/op
-BenchmarkSweepWarmStartForks/warm-2 	       1	 165000000 ns/op	        48.40 cells/sec	57650000 B/op	   42260 allocs/op
+BenchmarkSweepWarmStartForks/cold-2 	       1	 200000000 ns/op	        40.00 cells/sec	60120000 B/op	   61040 allocs/op
+BenchmarkSweepWarmStartForks/warm-2 	       1	 150000000 ns/op	        53.30 cells/sec	51590000 B/op	   38000 allocs/op
 PASS
 ok  	repro/internal/engine	1.0s
 pkg: repro/internal/server
@@ -53,7 +53,7 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
 		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "cells/sec", Min: f(1.1)},
-		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.88)},
+		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.87)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "cells/sec", Min: f(0.5)},
 		{Bench: "BenchmarkSweepThroughCoordinator/hop", Over: "BenchmarkSweepThroughCoordinator/direct", Metric: "B/op", Max: f(3)},
 	}
@@ -85,9 +85,16 @@ func TestCheckPassesAndFails(t *testing.T) {
 
 	// A fork path that re-simulated each fork's prefix from genesis: warm
 	// no faster than cold, and allocating like it.
-	genesisForks := strings.NewReplacer("48.40 cells/sec", "33.00 cells/sec", "57650000 B/op", "72000000 B/op").Replace(canned)
-	if failed, report := verdicts(t, gates, genesisForks); failed != 2 || !strings.Contains(report, "= 0.985 (min 1.1)") || !strings.Contains(report, "= 0.986 (max 0.88)") {
+	genesisForks := strings.NewReplacer("53.30 cells/sec", "39.40 cells/sec", "51590000 B/op", "59500000 B/op").Replace(canned)
+	if failed, report := verdicts(t, gates, genesisForks); failed != 2 || !strings.Contains(report, "= 0.985 (min 1.1)") || !strings.Contains(report, "= 0.990 (max 0.87)") {
 		t.Fatalf("forks re-simulated from genesis: %d failed\n%s", failed, report)
+	}
+
+	// A fork path that copied the spine's state twice per fork: seven more
+	// 2.6 MB copies.
+	secondCopy := strings.Replace(canned, "51590000 B/op", "69790000 B/op", 1)
+	if failed, report := verdicts(t, gates, secondCopy); failed != 1 || !strings.Contains(report, "= 1.161 (max 0.87)") {
+		t.Fatalf("a second copy per fork: %d failed\n%s", failed, report)
 	}
 
 	// A leak epoch as it read before duty lists were reused and compaction

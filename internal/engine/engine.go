@@ -87,9 +87,13 @@ type SimStats struct {
 	TreeNodes    int `json:"tree_nodes,omitempty"`
 	TreeSegments int `json:"tree_segments,omitempty"`
 	TreeFolded   int `json:"tree_folded,omitempty"`
-	TreeBytes    int `json:"tree_bytes,omitempty"`
-	OracleNodes  int `json:"oracle_nodes,omitempty"`
-	EngineBytes  int `json:"engine_bytes,omitempty"`
+	// TreeBytes is the storage the views' trees retain, counted at
+	// capacity (blocktree.Stats.Bytes): Compact keeps a tree's node array
+	// and root index at the largest size it reached, so this reads above
+	// what the live blocks alone would need.
+	TreeBytes   int `json:"tree_bytes,omitempty"`
+	OracleNodes int `json:"oracle_nodes,omitempty"`
+	EngineBytes int `json:"engine_bytes,omitempty"`
 }
 
 // Merged returns m with the non-deterministic fields of prior carried

@@ -547,11 +547,12 @@ func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
 //
 //gasper:noalloc
 func (s *Simulation) batchList(off, j int, members []types.ValidatorIndex) []types.ValidatorIndex {
-	for len(s.sentLists) <= off {
-		s.sentLists = append(s.sentLists, nil)
+	if s.sentLists == nil {
+		s.sentLists = make([][][]types.ValidatorIndex, len(s.dutyRoster)) //gasper:alloc one-time growth: a row per duty offset, on the first list sent
 	}
-	for len(s.sentLists[off]) <= j {
-		s.sentLists[off] = append(s.sentLists[off], nil)
+	if row := s.sentLists[off]; j >= len(row) {
+		//gasper:alloc one-time growth: the first slot at this offset with j+1 buckets
+		s.sentLists[off] = append(row, make([][]types.ValidatorIndex, j+1-len(row))...)
 	}
 	sent := &s.sentLists[off][j]
 	if !slices.Equal(*sent, members) {
