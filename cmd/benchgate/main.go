@@ -8,10 +8,15 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchgate
 //	go run ./cmd/benchgate bench.out
+//	go run ./cmd/benchgate -record BENCH_26.json bench.out
 //
 // Every gate prints one line with the value it read; the exit status is 1
 // if any gate fails — a gate whose benchmark or metric is missing from the
-// output fails, it is never skipped.
+// output fails, it is never skipped. -record also writes the run as JSON:
+// every parsed benchmark line, every gate with its bound, the values it
+// read and its verdict, and the host (CPU model, CPU count, Go version,
+// commit) — one point of the per-PR trajectory the BENCH_*.json files at
+// the repository root form.
 package main
 
 import (
@@ -20,7 +25,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,10 +69,12 @@ func loadGates(path string) ([]gate, error) {
 	return gates, nil
 }
 
-// result is one benchmark line: its name and its value per unit.
+// result is one benchmark line: its name, iteration count and value per
+// unit.
 type result struct {
-	name    string
-	metrics map[string]float64
+	Name    string             `json:"name"`
+	N       int                `json:"n"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // parse reads the benchmark lines out of `go test -bench` output: a name
@@ -77,13 +86,14 @@ func parse(output string) []result {
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		if _, err := strconv.Atoi(f[1]); err != nil {
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
 			continue
 		}
-		r := result{name: f[0], metrics: map[string]float64{}}
+		r := result{Name: f[0], N: n, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(f); i += 2 {
 			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
-				r.metrics[f[i+1]] = v
+				r.Metrics[f[i+1]] = v
 			}
 		}
 		out = append(out, r)
@@ -97,7 +107,7 @@ func values(results []result, expr, metric string) []float64 {
 	re := regexp.MustCompile(`^(?:` + expr + `)(?:-\d+)?$`)
 	var vs []float64
 	for _, r := range results {
-		if v, ok := r.metrics[metric]; ok && re.MatchString(r.name) {
+		if v, ok := r.Metrics[metric]; ok && re.MatchString(r.Name) {
 			vs = append(vs, v)
 		}
 	}
@@ -114,11 +124,18 @@ func (g gate) holds(v float64) bool {
 	return (g.Min == nil || v >= *g.Min) && (g.Max == nil || v <= *g.Max)
 }
 
-// check judges output against every gate, writes one line per gate to w and
-// returns how many failed.
-func check(w io.Writer, gates []gate, output string) int {
-	results := parse(output)
-	failed := 0
+// verdict is one gate's reading: the values it judged (every matching
+// line's metric, or the ratio of the two sides' medians) and whether they
+// hold.
+type verdict struct {
+	gate
+	Values []float64 `json:"values"`
+	OK     bool      `json:"ok"`
+}
+
+// check judges results against every gate, writes one line per gate to w
+// and returns the verdicts and how many failed.
+func check(w io.Writer, gates []gate, results []result) (out []verdict, failed int) {
 	for _, g := range gates {
 		what, bound := g.Bench+" "+g.Metric, ""
 		if g.Over != "" {
@@ -130,7 +147,7 @@ func check(w io.Writer, gates []gate, output string) int {
 		if g.Max != nil {
 			bound += fmt.Sprintf(" max %g", *g.Max)
 		}
-		ok, read := false, ""
+		v, read := verdict{gate: g}, ""
 		num, den := values(results, g.Bench, g.Metric), []float64{1}
 		if g.Over != "" {
 			den = values(results, g.Over, g.Metric)
@@ -142,23 +159,68 @@ func check(w io.Writer, gates []gate, output string) int {
 			read = fmt.Sprintf("no %s line reports a nonzero %s", g.Over, g.Metric)
 		case g.Over != "":
 			ratio := median(num) / median(den)
-			ok, read = g.holds(ratio), fmt.Sprintf("%.3f", ratio)
+			v.Values, v.OK, read = []float64{ratio}, g.holds(ratio), fmt.Sprintf("%.3f", ratio)
 		default:
-			ok = g.holds(num[0]) && g.holds(num[len(num)-1])
+			v.Values, v.OK = num, g.holds(num[0]) && g.holds(num[len(num)-1])
 			read = fmt.Sprintf("%g..%g over %d lines", num[0], num[len(num)-1], len(num))
 		}
-		verdict := "ok"
-		if !ok {
-			verdict = "FAIL"
+		word := "ok"
+		if !v.OK {
+			word = "FAIL"
 			failed++
 		}
-		fmt.Fprintf(w, "%-4s %s = %s (%s) — %s\n", verdict, what, read, bound[1:], g.Why)
+		fmt.Fprintf(w, "%-4s %s = %s (%s) — %s\n", word, what, read, bound[1:], g.Why)
+		out = append(out, v)
 	}
-	return failed
+	return out, failed
+}
+
+// host is where a recorded run happened.
+type host struct {
+	CPU    string `json:"cpu"`
+	NProc  int    `json:"nproc"`
+	Go     string `json:"go"`
+	Commit string `json:"commit"`
+}
+
+// thisHost reads the CPU model from /proc/cpuinfo and the commit from git
+// ("-dirty" when the working tree has changes); either reads "unknown"
+// where it cannot be had.
+func thisHost() host {
+	h := host{CPU: "unknown", NProc: runtime.NumCPU(), Go: runtime.Version(), Commit: "unknown"}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		if _, rest, ok := strings.Cut(string(info), "\nmodel name"); ok {
+			line, _, _ := strings.Cut(rest, "\n")
+			h.CPU = strings.TrimSpace(strings.TrimLeft(line, " \t:"))
+		}
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
+}
+
+// writeRecord writes one run's record as indented JSON.
+func writeRecord(path string, h host, results []result, verdicts []verdict) error {
+	data, err := json.MarshalIndent(struct {
+		Note       string    `json:"note"`
+		Host       host      `json:"host"`
+		Benchmarks []result  `json:"benchmarks"`
+		Gates      []verdict `json:"gates"`
+	}{
+		"One run of the CI bench-gate benchmarks, judged by cmd/benchgate/gates.json; " +
+			"single runs, not the bench/ harness's median-of-pairs record.",
+		h, results, verdicts,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func main() {
 	path := flag.String("gates", "cmd/benchgate/gates.json", "the gates file")
+	record := flag.String("record", "", "also write the parsed lines, the verdicts and the host to this JSON file")
 	flag.Parse()
 	gates, err := loadGates(*path)
 	var output []byte
@@ -173,7 +235,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	if failed := check(os.Stdout, gates, string(output)); failed > 0 {
+	results := parse(string(output))
+	verdicts, failed := check(os.Stdout, gates, results)
+	if *record != "" {
+		if err := writeRecord(*record, thisHost(), results, verdicts); err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+	}
+	if failed > 0 {
 		fmt.Printf("benchgate: %d of %d gates failed\n", failed, len(gates))
 		os.Exit(1)
 	}

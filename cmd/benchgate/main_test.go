@@ -1,15 +1,29 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// canned is `go test -bench` output as the bench job sees it: four packages,
+// canned is `go test -bench` output as the bench job sees it: five packages,
 // a GOMAXPROCS suffix on every name, a benchmark whose own name ends in a
 // number, custom metrics, and the lines around them.
 const canned = `goos: linux
 goarch: amd64
+pkg: repro/internal/blocktree
+BenchmarkTreeIndex/has-hit-2        	144019334	         8.619 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTreeIndex/indexof-hit-2    	136375832	         8.661 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTreeIndex/has-miss-2       	145950458	         8.324 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTreeIndex/indexof-miss-2   	146266045	         8.462 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTreeIndex/add-1024-2       	   17694	     67545 ns/op	   91368 B/op	      17 allocs/op
+PASS
+ok  	repro/internal/blocktree	9.1s
 pkg: repro/internal/forkchoice
 BenchmarkHead/steady-1000-2         	     100	        25.10 ns/op	       0 B/op	       0 allocs/op
 BenchmarkHead/steady-1000000-2      	     100	        31.40 ns/op	       0 B/op	       0 allocs/op
@@ -23,6 +37,7 @@ BenchmarkSimLongHorizon/depth-4000-2	       5	    675676 ns/op	      1480 epochs
 PASS
 ok  	repro/internal/sim	3.3s
 pkg: repro/internal/engine
+BenchmarkPartitionCell-2            	      20	   1450424 ns/op	       929.0 tree-nodes/cell	  585089 B/op	    4679 allocs/op
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
 BenchmarkSweepWarmStartForks/cold-2 	       1	 200000000 ns/op	        40.00 cells/sec	60120000 B/op	   61040 allocs/op
@@ -40,7 +55,7 @@ func f(v float64) *float64 { return &v }
 func verdicts(t *testing.T, gates []gate, output string) (int, string) {
 	t.Helper()
 	var report strings.Builder
-	failed := check(&report, gates, output)
+	_, failed := check(&report, gates, parse(output))
 	return failed, report.String()
 }
 
@@ -50,6 +65,8 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
 		{Bench: "BenchmarkSimLongHorizon/depth-4000", Over: "BenchmarkSimLongHorizon/depth-100", Metric: "epochs/sec", Min: f(0.8)},
 		{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(40000)},
+		{Bench: "BenchmarkPartitionCell", Metric: "B/op", Max: f(640000)},
+		{Bench: "BenchmarkTreeIndex/(has|indexof)-.*", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
 		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "cells/sec", Min: f(1.1)},
@@ -105,9 +122,77 @@ func TestCheckPassesAndFails(t *testing.T) {
 		t.Fatalf("a leak epoch allocating 166 kB: %d failed\n%s", failed, report)
 	}
 
+	// A partition cell as it read while each tree's node array and root map
+	// regrew by doubling: 1.09 MB.
+	regrowingTrees := strings.Replace(canned, "  585089 B/op", " 1086235 B/op", 1)
+	if failed, report := verdicts(t, gates, regrowingTrees); failed != 1 || !strings.Contains(report, "FAIL BenchmarkPartitionCell B/op = 1.086235e+06..1.086235e+06 over 1 lines (max 640000)") {
+		t.Fatalf("a partition cell allocating 1.09 MB: %d failed\n%s", failed, report)
+	}
+
+	// A miss that allocates (an error value built for the caller who only
+	// asked Has).
+	allocatingMiss := strings.Replace(canned, "8.324 ns/op	       0 B/op	       0 allocs/op", "48.32 ns/op	      64 B/op	       1 allocs/op", 1)
+	if failed, report := verdicts(t, gates, allocatingMiss); failed != 1 || !strings.Contains(report, "FAIL BenchmarkTreeIndex/(has|indexof)-.* allocs/op = 0..1 over 4 lines") {
+		t.Fatalf("an allocating index miss: %d failed\n%s", failed, report)
+	}
+
 	snapshotPerStop := strings.Replace(canned, " 7100000 B/op", "71900000 B/op", 1)
 	if failed, report := verdicts(t, gates, snapshotPerStop); failed != 1 || !strings.Contains(report, "= 0.339 (max 0.1)") {
 		t.Fatalf("warm allocating a third of cold: %d failed\n%s", failed, report)
+	}
+}
+
+// TestRecordIsByteStable: two records of the same output on the same host
+// are the same bytes, and a record carries every parsed line (iterations
+// and every unit) and every gate with its bound, values and verdict.
+func TestRecordIsByteStable(t *testing.T) {
+	gates, err := loadGates("gates.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		results := parse(canned)
+		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", i))
+		verdicts, _ := check(io.Discard, gates, results)
+		if err := writeRecord(path, thisHost(), results, verdicts); err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two records of the same output differ:\n%s\n%s", files[0], files[1])
+	}
+	var rec struct {
+		Host       host
+		Benchmarks []result
+		Gates      []verdict
+	}
+	if err := json.Unmarshal(files[0], &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Host.NProc < 1 || rec.Host.Go == "" || rec.Host.CPU == "" || rec.Host.Commit == "" {
+		t.Errorf("host facts missing: %+v", rec.Host)
+	}
+	if want := strings.Count(canned, "\nBenchmark"); len(rec.Benchmarks) != want {
+		t.Errorf("recorded %d benchmark lines, canned has %d", len(rec.Benchmarks), want)
+	}
+	if b := rec.Benchmarks[len(rec.Benchmarks)-1]; b.Name != "BenchmarkSweepThroughCoordinator/hop-2" || b.N != 10 || b.Metrics["B/op"] != 2500000 || len(b.Metrics) != 4 {
+		t.Errorf("last line recorded as %+v", b)
+	}
+	if len(rec.Gates) != len(gates) {
+		t.Fatalf("recorded %d gates, the file has %d", len(rec.Gates), len(gates))
+	}
+	for i, g := range rec.Gates {
+		if g.Bench != gates[i].Bench || g.Metric != gates[i].Metric || g.Why != gates[i].Why {
+			t.Errorf("gate %d recorded as %+v", i, g.gate)
+		}
+	}
+	if g := rec.Gates[0]; g.Bench != "BenchmarkHead/steady-.*" || !g.OK || len(g.Values) != 2 || *g.Max != 0 {
+		t.Errorf("first gate recorded as %+v (values %v)", g.gate, g.Values)
 	}
 }
 

@@ -7,20 +7,24 @@
 // of epoch e on the branch), and chain extraction — the primitives that the
 // fork-choice rule and the FFG finality engine are built on.
 //
-// Storage is flat: blocks live in an insertion-ordered node array with
-// parent/first-child/next-sibling index links, plus a root→index map. The
-// array order is topological (a parent always precedes its children), and
-// every index stays stable until PruneBelow compacts the array — each
-// compaction bumps Version, which incremental consumers (the proto-array
-// fork-choice engine in internal/forkchoice) watch to know when their
-// cached indices are void. Ancestry walks are integer chases with no map
-// lookups.
+// Storage is flat: blocks live in insertion-ordered nodes, held in
+// fixed-size pages so the tree grows without copying, with
+// parent/first-child/next-sibling index links, plus an open-addressed
+// root→index table. A node does not store its parent's root: Block reads it
+// through the parent link. The node order is topological (a parent always
+// precedes its children), and every index stays stable until PruneBelow or
+// Compact rebuilds the nodes — each rebuild bumps Version, which incremental
+// consumers (the proto-array fork-choice engine in internal/forkchoice)
+// watch to know when their cached indices are void. Ancestry walks are
+// integer chases with no root lookups.
 package blocktree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"unsafe"
 
@@ -44,6 +48,14 @@ var (
 // child, or sibling).
 const NoIndex int32 = -1
 
+// Nodes live in pages of pageSize; the root index never has fewer than
+// 2*pageSize entries, so a one-page tree never regrows it.
+const (
+	pageBits = 7
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+)
+
 // Block is a vertex of the tree. Payload contents are irrelevant to the
 // consensus analysis; identity, position, and parentage are everything.
 type Block struct {
@@ -53,9 +65,12 @@ type Block struct {
 	Proposer types.ValidatorIndex
 }
 
-// node is one slot of the flat array: the block plus its structural links.
+// node is one block plus its structural links. Its parent's root is not
+// copied in: it is the root of the node the parent link names.
 type node struct {
-	block       Block
+	slot        types.Slot
+	root        types.Root
+	proposer    types.ValidatorIndex
 	parent      int32
 	firstChild  int32
 	lastChild   int32
@@ -69,8 +84,16 @@ type node struct {
 // Tree is an append-only block tree rooted at a genesis block. The zero
 // value is not usable; construct with New.
 type Tree struct {
-	nodes   []node
-	index   map[types.Root]int32 //gasper:nocodec root index; DecodeTree rebuilds it from the parent links
+	// pages hold the nodes in index order; pages past the live ones are
+	// storage a rebuild kept for the Adds that refill the tree.
+	pages []*[pageSize]node
+	n     int32 // live nodes
+	// index is an open-addressed, linearly probed table of node index + 1
+	// (0 = empty) whose length is a power of two at least twice n.
+	index []int32 //gasper:nocodec root index; DecodeTree rebuilds it from the nodes
+	// base is the root node's Parent: zero at genesis, the kept root itself
+	// after PruneBelow.
+	base    types.Root
 	version uint64
 	// folded is the lifetime count of blocks removed by Compact.
 	folded int
@@ -78,44 +101,109 @@ type Tree struct {
 
 // New creates a tree containing only the genesis block at slot 0.
 func New(genesis types.Root) *Tree {
-	t := &Tree{index: make(map[types.Root]int32)}
-	t.nodes = append(t.nodes, node{
-		block:       Block{Slot: 0, Root: genesis},
-		parent:      NoIndex,
-		firstChild:  NoIndex,
-		lastChild:   NoIndex,
-		nextSibling: NoIndex,
-	})
-	t.index[genesis] = 0
+	t := &Tree{pages: []*[pageSize]node{new([pageSize]node)}, n: 1, index: make([]int32, 2*pageSize)}
+	*t.at(0) = node{root: genesis, parent: NoIndex, firstChild: NoIndex, lastChild: NoIndex, nextSibling: NoIndex}
+	t.reindex()
 	return t
 }
 
 // Clone deep-copies the tree. The clone starts a fresh identity: consumers
 // caching indices against the original (the proto-array fork-choice
-// engine) detect the new tree pointer and rebuild. The clone's node array
-// is sized to the live blocks: the slack a compaction leaves behind stays
-// with the original.
+// engine) detect the new tree pointer and rebuild. The clone holds the live
+// pages only: the pages a rebuild left spare stay with the original.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{
-		nodes:   make([]node, len(t.nodes)),
-		index:   make(map[types.Root]int32, len(t.index)),
+		pages:   make([]*[pageSize]node, (t.n+pageMask)>>pageBits),
+		n:       t.n,
+		index:   make([]int32, len(t.index)),
+		base:    t.base,
 		version: t.version,
 		folded:  t.folded,
 	}
-	copy(out.nodes, t.nodes)
-	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
-	for r, i := range t.index {
-		out.index[r] = i
+	for i := range out.pages {
+		pg := *t.pages[i]
+		out.pages[i] = &pg
 	}
+	copy(out.index, t.index)
 	return out
+}
+
+// at returns node i's storage.
+func (t *Tree) at(i int32) *node { return &t.pages[i>>pageBits][i&pageMask] }
+
+// probe walks r's run of the index: it returns the entry holding r and r's
+// node, or the empty entry that ends the run and NoIndex. The hash mixes
+// all four words of r and the index takes its top bits, which every input
+// bit reaches (roots minted by RootFromUint64 differ only in their first
+// word); candidates are compared a word at a time, first word first.
+func (t *Tree) probe(r *types.Root) (int, int32) {
+	le := binary.LittleEndian
+	w0, w1, w2, w3 := le.Uint64(r[0:]), le.Uint64(r[8:]), le.Uint64(r[16:]), le.Uint64(r[24:])
+	h := w0*0x9e3779b97f4a7c15 ^ w1*0xc2b2ae3d27d4eb4f ^ w2*0x165667b19e3779f9 ^ w3*0xff51afd7ed558ccd
+	mask := len(t.index) - 1
+	for s := int(h >> bits.LeadingZeros64(uint64(mask))); ; s = (s + 1) & mask {
+		v := t.index[s] - 1
+		if v == NoIndex {
+			return s, NoIndex
+		}
+		if q := &t.at(v).root; le.Uint64(q[0:]) == w0 && le.Uint64(q[8:]) == w1 &&
+			le.Uint64(q[16:]) == w2 && le.Uint64(q[24:]) == w3 {
+			return s, v
+		}
+	}
+}
+
+// find returns root's node index, or NoIndex.
+func (t *Tree) find(root types.Root) int32 {
+	_, i := t.probe(&root)
+	return i
+}
+
+// reindex clears the root index and refills it from the live nodes. It
+// returns the first node whose root an earlier node holds, or NoIndex; only
+// a decoded frame can have one.
+func (t *Tree) reindex() int32 {
+	clear(t.index)
+	for i := int32(0); i < t.n; i++ {
+		s, dup := t.probe(&t.at(i).root)
+		if dup != NoIndex {
+			return i
+		}
+		t.index[s] = i + 1
+	}
+	return NoIndex
+}
+
+// relink rebuilds the first-child, last-child and next-sibling links from
+// the parent links. The nodes are topological and siblings sit in index
+// order, so this reproduces insertion order.
+func (t *Tree) relink() {
+	for i := int32(0); i < t.n; i++ {
+		nd := t.at(i)
+		nd.firstChild, nd.lastChild, nd.nextSibling = NoIndex, NoIndex, NoIndex
+	}
+	for i := int32(1); i < t.n; i++ {
+		t.link(i)
+	}
+}
+
+// link appends node i to its parent's child list.
+func (t *Tree) link(i int32) {
+	p := t.at(t.at(i).parent)
+	if p.firstChild == NoIndex {
+		p.firstChild = i
+	} else {
+		t.at(p.lastChild).nextSibling = i
+	}
+	p.lastChild = i
 }
 
 // Genesis returns the root of the tree's effective root block (the original
 // genesis, or the finalized block PruneBelow promoted).
-func (t *Tree) Genesis() types.Root { return t.nodes[0].block.Root }
+func (t *Tree) Genesis() types.Root { return t.at(0).root }
 
 // Len returns the number of blocks in the tree, genesis included.
-func (t *Tree) Len() int { return len(t.nodes) }
+func (t *Tree) Len() int { return int(t.n) }
 
 // Version identifies the current index space. It is bumped whenever node
 // indices are invalidated (PruneBelow compaction); plain Add calls never
@@ -123,108 +211,108 @@ func (t *Tree) Len() int { return len(t.nodes) }
 func (t *Tree) Version() uint64 { return t.version }
 
 // Has reports whether the tree contains root.
-func (t *Tree) Has(root types.Root) bool {
-	_, ok := t.index[root]
-	return ok
-}
+func (t *Tree) Has(root types.Root) bool { return t.find(root) != NoIndex }
 
 // IndexOf returns the stable array index of root within the current
 // Version's index space.
 func (t *Tree) IndexOf(root types.Root) (int32, bool) {
-	i, ok := t.index[root]
-	return i, ok
+	i := t.find(root)
+	return i, i != NoIndex
 }
 
-// BlockAt returns the block stored at array index i. The index must be in
-// [0, Len()).
-func (t *Tree) BlockAt(i int32) Block { return t.nodes[i].block }
+// BlockAt returns the block stored at array index i, its Parent read
+// through the parent link. The index must be in [0, Len()).
+func (t *Tree) BlockAt(i int32) Block {
+	nd := t.at(i)
+	b := Block{Slot: nd.slot, Root: nd.root, Parent: t.base, Proposer: nd.proposer}
+	if nd.parent != NoIndex {
+		b.Parent = t.at(nd.parent).root
+	}
+	return b
+}
 
 // ParentIndex returns the array index of i's parent, or NoIndex for the
 // effective root. Parents always have smaller indices than their children.
-func (t *Tree) ParentIndex(i int32) int32 { return t.nodes[i].parent }
+func (t *Tree) ParentIndex(i int32) int32 { return t.at(i).parent }
 
 // FirstChild returns the array index of i's first child in insertion order,
 // or NoIndex for a leaf.
-func (t *Tree) FirstChild(i int32) int32 { return t.nodes[i].firstChild }
+func (t *Tree) FirstChild(i int32) int32 { return t.at(i).firstChild }
 
 // NextSibling returns the array index of the sibling inserted after i, or
 // NoIndex for the last child.
-func (t *Tree) NextSibling(i int32) int32 { return t.nodes[i].nextSibling }
+func (t *Tree) NextSibling(i int32) int32 { return t.at(i).nextSibling }
 
 // Block returns the block stored under root.
 func (t *Tree) Block(root types.Root) (Block, error) {
-	i, ok := t.index[root]
-	if !ok {
+	i := t.find(root)
+	if i == NoIndex {
 		return Block{}, fmt.Errorf("%w: %s", ErrUnknownBlock, root)
 	}
-	return t.nodes[i].block, nil
+	return t.BlockAt(i), nil
 }
 
 // Add inserts b. The parent must already be present, the slot must be
-// strictly greater than the parent's slot, and the root must be new. Below
-// the size the tree last reached it allocates nothing: Compact keeps the
-// node array's and the root index's storage.
+// strictly greater than the parent's slot, and the root must be new. It
+// never copies a node, and below the size the tree last reached it
+// allocates nothing: PruneBelow and Compact keep the pages and the root
+// index.
 //
 //gasper:noalloc
 func (t *Tree) Add(b Block) error {
-	if _, ok := t.index[b.Root]; ok {
+	s, dup := t.probe(&b.Root)
+	if dup != NoIndex {
 		return fmt.Errorf("%w: %s", ErrDuplicate, b.Root) //gasper:alloc error exit: a rejected block
 	}
-	pi, ok := t.index[b.Parent]
-	if !ok {
+	pi := t.find(b.Parent)
+	if pi == NoIndex {
 		return fmt.Errorf("%w: parent %s of %s", ErrUnknownParent, b.Parent, b.Root) //gasper:alloc error exit: a rejected block
 	}
-	if b.Slot <= t.nodes[pi].block.Slot {
+	if ps := t.at(pi).slot; b.Slot <= ps {
 		//gasper:alloc error exit: a rejected block
-		return fmt.Errorf("%w: block %s at slot %d, parent at slot %d",
-			ErrBadSlot, b.Root, b.Slot, t.nodes[pi].block.Slot)
+		return fmt.Errorf("%w: block %s at slot %d, parent at slot %d", ErrBadSlot, b.Root, b.Slot, ps)
 	}
-	i := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{
-		block:       b,
-		parent:      pi,
-		firstChild:  NoIndex,
-		lastChild:   NoIndex,
-		nextSibling: NoIndex,
-	})
-	if t.nodes[pi].firstChild == NoIndex {
-		t.nodes[pi].firstChild = i
-	} else {
-		t.nodes[t.nodes[pi].lastChild].nextSibling = i
+	i := t.n
+	if int(i>>pageBits) == len(t.pages) {
+		t.pages = append(t.pages, new([pageSize]node)) //gasper:alloc a page per pageSize blocks past the most the tree has held
 	}
-	t.nodes[pi].lastChild = i
-	t.index[b.Root] = i
+	*t.at(i) = node{slot: b.Slot, root: b.Root, proposer: b.Proposer, parent: pi,
+		firstChild: NoIndex, lastChild: NoIndex, nextSibling: NoIndex}
+	t.n++
+	t.link(i)
+	if 2*int(t.n) <= len(t.index) {
+		t.index[s] = i + 1
+		return nil
+	}
+	t.index = make([]int32, 2*len(t.index)) //gasper:alloc the index doubles as the tree passes the most it has held
+	t.reindex()
 	return nil
 }
 
 // Children returns the direct children of root in insertion order. The
 // returned slice is a copy.
 func (t *Tree) Children(root types.Root) []types.Root {
-	i, ok := t.index[root]
-	if !ok {
+	i := t.find(root)
+	if i == NoIndex {
 		return nil
 	}
 	var out []types.Root
-	for c := t.nodes[i].firstChild; c != NoIndex; c = t.nodes[c].nextSibling {
-		out = append(out, t.nodes[c].block.Root)
+	for c := t.at(i).firstChild; c != NoIndex; c = t.at(c).nextSibling {
+		out = append(out, t.at(c).root)
 	}
 	return out
 }
 
 // IsAncestor reports whether a is an ancestor of (or equal to) d.
 func (t *Tree) IsAncestor(a, d types.Root) bool {
-	ai, ok := t.index[a]
-	if !ok {
-		return false
-	}
-	di, ok := t.index[d]
-	if !ok {
+	ai, di := t.find(a), t.find(d)
+	if ai == NoIndex || di == NoIndex {
 		return false
 	}
 	// Parents precede children in the array, so the walk can stop as soon
 	// as the descendant's index drops below the candidate ancestor's.
 	for di > ai {
-		di = t.nodes[di].parent
+		di = t.at(di).parent
 	}
 	return di == ai
 }
@@ -239,20 +327,20 @@ func (t *Tree) IsAncestor(a, d types.Root) bool {
 // lower ancestor would corrupt checkpoint resolution. Queries at or above
 // Compact's retention horizon never cross such a segment.
 func (t *Tree) AncestorAt(root types.Root, slot types.Slot) (types.Root, error) {
-	i, ok := t.index[root]
-	if !ok {
+	i := t.find(root)
+	if i == NoIndex {
 		return types.Root{}, fmt.Errorf("%w: %s", ErrUnknownBlock, root)
 	}
 	for {
-		n := &t.nodes[i]
-		if n.block.Slot <= slot || n.parent == NoIndex {
-			return n.block.Root, nil
+		n := t.at(i)
+		if n.slot <= slot || n.parent == NoIndex {
+			return n.root, nil
 		}
-		if n.foldedBelow > 0 && t.nodes[n.parent].block.Slot < slot {
+		if n.foldedBelow > 0 && t.at(n.parent).slot < slot {
 			// The folded blocks between parent and n occupied slots in
 			// (parent.Slot, n.Slot); one of them could be the answer.
 			return types.Root{}, fmt.Errorf("%w: slot %d between %s (slot %d) and its skip parent (%d folded blocks)",
-				ErrCompactedRange, slot, n.block.Root, n.block.Slot, n.foldedBelow)
+				ErrCompactedRange, slot, n.root, n.slot, n.foldedBelow)
 		}
 		i = n.parent
 	}
@@ -271,13 +359,13 @@ func (t *Tree) CheckpointFor(head types.Root, e types.Epoch) (types.Checkpoint, 
 // Chain returns the path from genesis to root, inclusive, in increasing
 // slot order.
 func (t *Tree) Chain(root types.Root) ([]Block, error) {
-	i, ok := t.index[root]
-	if !ok {
+	i := t.find(root)
+	if i == NoIndex {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, root)
 	}
 	var rev []Block
-	for ; i != NoIndex; i = t.nodes[i].parent {
-		rev = append(rev, t.nodes[i].block)
+	for ; i != NoIndex; i = t.at(i).parent {
+		rev = append(rev, t.BlockAt(i))
 	}
 	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
 		rev[a], rev[b] = rev[b], rev[a]
@@ -289,9 +377,9 @@ func (t *Tree) Chain(root types.Root) ([]Block, error) {
 // determinism.
 func (t *Tree) Leaves() []Block {
 	var out []Block
-	for i := range t.nodes {
-		if t.nodes[i].firstChild == NoIndex {
-			out = append(out, t.nodes[i].block)
+	for i := int32(0); i < t.n; i++ {
+		if t.at(i).firstChild == NoIndex {
+			out = append(out, t.BlockAt(i))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -306,83 +394,65 @@ func (t *Tree) Leaves() []Block {
 // CommonAncestor returns the highest block that is an ancestor of both a
 // and b.
 func (t *Tree) CommonAncestor(a, b types.Root) (types.Root, error) {
-	ai, ok := t.index[a]
-	if !ok {
-		return types.Root{}, ErrUnknownBlock
-	}
-	bi, ok := t.index[b]
-	if !ok {
+	ai, bi := t.find(a), t.find(b)
+	if ai == NoIndex || bi == NoIndex {
 		return types.Root{}, ErrUnknownBlock
 	}
 	// Parents precede children, so repeatedly lifting the deeper index
 	// converges on the meet without any visited-set allocation.
 	for ai != bi {
 		if ai > bi {
-			ai = t.nodes[ai].parent
+			ai = t.at(ai).parent
 		} else {
-			bi = t.nodes[bi].parent
+			bi = t.at(bi).parent
 		}
 	}
-	return t.nodes[ai].block.Root, nil
+	return t.at(ai).root, nil
 }
 
 // PruneBelow discards every block that is not a descendant of (or equal
 // to) keep, which becomes the tree's effective root. Nodes prune at
 // finalized checkpoints: blocks conflicting with finality can never return
 // to the canonical chain, and long simulations need the memory back. The
-// genesis pointer moves to keep, the node array is compacted in pre-order
-// (keeping it topological), and Version is bumped to void cached indices.
-// Returns the number of blocks removed.
+// genesis pointer moves to keep, the nodes are rewritten in pre-order
+// (keeping them topological) into the pages the tree already has, and
+// Version is bumped to void cached indices. Returns the number of blocks
+// removed.
 func (t *Tree) PruneBelow(keep types.Root) (int, error) {
-	ki, ok := t.index[keep]
-	if !ok {
+	ki := t.find(keep)
+	if ki == NoIndex {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, keep)
 	}
 	if ki == 0 {
 		return 0, nil
 	}
 	// Collect the surviving subtree in pre-order: parents stay ahead of
-	// their children and sibling order is preserved, so relinking the
-	// compacted array by ascending index reproduces insertion order.
-	order := make([]int32, 0, len(t.nodes))
+	// their children and sibling order is preserved, so relinking by
+	// ascending index reproduces insertion order. Pre-order can move a
+	// node past its old index, so the survivors are gathered before they
+	// are written back.
+	order := make([]int32, 0, t.n)
 	t.preorder(ki, &order)
-	oldToNew := make(map[int32]int32, len(order))
+	remap := make([]int32, t.n)
+	kept := make([]node, len(order))
 	for newIdx, oldIdx := range order {
-		oldToNew[oldIdx] = int32(newIdx)
-	}
-	fresh := make([]node, len(order))
-	index := make(map[types.Root]int32, len(order))
-	for newIdx, oldIdx := range order {
-		b := t.nodes[oldIdx].block
-		fresh[newIdx] = node{
-			block:       b,
-			parent:      NoIndex,
-			firstChild:  NoIndex,
-			lastChild:   NoIndex,
-			nextSibling: NoIndex,
-			foldedBelow: t.nodes[oldIdx].foldedBelow,
+		remap[oldIdx] = int32(newIdx)
+		kept[newIdx] = *t.at(oldIdx)
+		if newIdx > 0 {
+			kept[newIdx].parent = remap[kept[newIdx].parent]
 		}
-		if oldIdx != ki {
-			fresh[newIdx].parent = oldToNew[t.nodes[oldIdx].parent]
-		}
-		index[b.Root] = int32(newIdx)
 	}
 	// The new root keeps its slot but forgets its parent, so ancestry
 	// walks terminate at it; any segment folded below it is gone too.
-	fresh[0].block.Parent = keep
-	fresh[0].foldedBelow = 0
-	for i := int32(1); i < int32(len(fresh)); i++ {
-		p := fresh[i].parent
-		if fresh[p].firstChild == NoIndex {
-			fresh[p].firstChild = i
-		} else {
-			fresh[fresh[p].lastChild].nextSibling = i
-		}
-		fresh[p].lastChild = i
+	kept[0].parent, kept[0].foldedBelow = NoIndex, 0
+	removed := int(t.n) - len(kept)
+	t.n = int32(len(kept))
+	for i := range kept {
+		*t.at(int32(i)) = kept[i]
 	}
-	removed := len(t.nodes) - len(fresh)
-	t.nodes = fresh
-	t.index = index
+	t.base = keep
+	t.relink()
+	t.reindex()
 	t.version++
 	return removed, nil
 }
@@ -399,7 +469,7 @@ func (t *Tree) preorder(root int32, out *[]int32) {
 		// Push the children, then reverse the pushed run so they pop in
 		// sibling order.
 		n := len(stack)
-		for c := t.nodes[i].firstChild; c != NoIndex; c = t.nodes[c].nextSibling {
+		for c := t.at(i).firstChild; c != NoIndex; c = t.at(c).nextSibling {
 			stack = append(stack, c)
 		}
 		for a, b := n, len(stack)-1; a < b; a, b = a+1, b-1 {
@@ -422,15 +492,15 @@ func (t *Tree) preorder(root int32, out *[]int32) {
 // Everything else — the unbranched non-finalized spine and dead side
 // branches carrying no protected root — is folded away: each survivor's
 // parent link jumps to its nearest surviving ancestor (an ancestor-skip
-// link), its Block.Parent is rewritten to that ancestor's root so
-// root-chain walks stay closed, and foldedBelow records the segment
-// length. Version is bumped so incremental consumers rebuild. Returns the
-// number of blocks folded (0 leaves the tree and Version untouched).
+// link), so its Block.Parent reads that ancestor's root and root-chain
+// walks stay closed, and foldedBelow records the segment length. Version
+// is bumped so incremental consumers rebuild. Returns the number of blocks
+// folded (0 leaves the tree and Version untouched).
 //
 // IsAncestor and CommonAncestor remain exact over surviving blocks.
 // AncestorAt queries below olderThan may answer ErrCompactedRange.
 func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
-	n := int32(len(t.nodes))
+	n := t.n
 	if n <= 1 {
 		return 0
 	}
@@ -438,8 +508,8 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	mark[0] = true
 	retained := int32(1)
 	for i := int32(1); i < n; i++ {
-		b := &t.nodes[i].block
-		if b.Slot >= olderThan || (keep != nil && keep(b.Root)) {
+		nd := t.at(i)
+		if nd.slot >= olderThan || (keep != nil && keep(nd.root)) {
 			mark[i] = true
 			retained++
 		}
@@ -455,7 +525,7 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 			retained++
 		}
 		if mark[i] || childrenWith[i] > 0 {
-			if p := t.nodes[i].parent; childrenWith[p] < 2 {
+			if p := t.at(i).parent; childrenWith[p] < 2 {
 				childrenWith[p]++
 			}
 		}
@@ -470,60 +540,43 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	gap := make([]int32, n)
 	nrAnc[0] = NoIndex
 	for i := int32(1); i < n; i++ {
-		p := t.nodes[i].parent
-		if mark[p] {
-			nrAnc[i] = p
-			gap[i] = t.nodes[i].foldedBelow
+		nd := t.at(i)
+		if mark[nd.parent] {
+			nrAnc[i] = nd.parent
+			gap[i] = nd.foldedBelow
 		} else {
-			nrAnc[i] = nrAnc[p]
-			gap[i] = t.nodes[i].foldedBelow + 1 + gap[p]
+			nrAnc[i] = nrAnc[nd.parent]
+			gap[i] = nd.foldedBelow + 1 + gap[nd.parent]
 		}
 	}
 	// Rebuild in place, in ascending index order: survivors keep their
-	// relative order, so the array stays topological, and a survivor's new
-	// index never exceeds its old one, so each write lands on a slot the
-	// walk has already read. The array and the root index keep their
+	// relative order, so the nodes stay topological, and a survivor's new
+	// index never exceeds its old one, so each write lands on a node the
+	// walk has already read. The pages and the root index keep their
 	// storage, so the Adds that refill the tree to the watermark grow
 	// nothing.
-	fresh := t.nodes[:0]
-	clear(t.index)
 	oldToNew := make([]int32, n)
+	w := int32(0)
 	for i := int32(0); i < n; i++ {
 		if !mark[i] {
 			oldToNew[i] = NoIndex
 			continue
 		}
-		nd := node{
-			block:       t.nodes[i].block,
-			parent:      NoIndex,
-			firstChild:  NoIndex,
-			lastChild:   NoIndex,
-			nextSibling: NoIndex,
-			foldedBelow: gap[i],
-		}
+		nd := *t.at(i)
+		nd.foldedBelow = gap[i]
 		if i != 0 {
-			np := oldToNew[nrAnc[i]]
-			nd.parent = np
-			nd.block.Parent = fresh[np].block.Root
+			nd.parent = oldToNew[nrAnc[i]]
 		}
-		oldToNew[i] = int32(len(fresh))
-		t.index[nd.block.Root] = oldToNew[i]
-		fresh = append(fresh, nd)
+		oldToNew[i] = w
+		*t.at(w) = nd
+		w++
 	}
-	for i := int32(1); i < int32(len(fresh)); i++ {
-		p := fresh[i].parent
-		if fresh[p].firstChild == NoIndex {
-			fresh[p].firstChild = i
-		} else {
-			fresh[fresh[p].lastChild].nextSibling = i
-		}
-		fresh[p].lastChild = i
-	}
-	removed := int(n) - len(fresh)
-	t.nodes = fresh
-	t.folded += removed
+	t.n = w
+	t.relink()
+	t.reindex()
+	t.folded += int(n - w)
 	t.version++
-	return removed
+	return int(n - w)
 }
 
 // Stats reports the tree's retained-state sizes: the memory-growth half of
@@ -535,32 +588,29 @@ type Stats struct {
 	Segments int
 	// Folded is the lifetime count of blocks removed by Compact.
 	Folded int
-	// Bytes approximates the retained heap footprint (node array plus
-	// root index). The array counts at its capacity, and Compact keeps the
-	// capacity, so a compacted tree reads higher than its Clone, which is
-	// sized to the live blocks.
+	// Bytes is the retained heap footprint: every page and the root index.
+	// Compact and PruneBelow keep both, so a rebuilt tree reads higher than
+	// its Clone, which holds the live pages alone.
 	Bytes int
 }
 
-// Stats computes the current Stats by one scan of the node array.
+// Stats computes the current Stats by one scan of the nodes.
 func (t *Tree) Stats() Stats {
-	s := Stats{Nodes: len(t.nodes), Folded: t.folded}
-	for i := range t.nodes {
-		if t.nodes[i].foldedBelow > 0 {
+	s := Stats{Nodes: int(t.n), Folded: t.folded}
+	for i := int32(0); i < t.n; i++ {
+		if t.at(i).foldedBelow > 0 {
 			s.Segments++
 		}
 	}
-	// Rough per-entry map cost: key, value, and bucket overhead.
-	const mapEntryBytes = int(unsafe.Sizeof(types.Root{})) + 8 + 16
-	s.Bytes = cap(t.nodes)*int(unsafe.Sizeof(node{})) + len(t.index)*mapEntryBytes
+	s.Bytes = len(t.pages)*int(unsafe.Sizeof([pageSize]node{})) + len(t.index)*int(unsafe.Sizeof(int32(0)))
 	return s
 }
 
 // Slot returns the slot of root, or an error if unknown.
 func (t *Tree) Slot(root types.Root) (types.Slot, error) {
-	b, err := t.Block(root)
-	if err != nil {
-		return 0, err
+	i := t.find(root)
+	if i == NoIndex {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, root)
 	}
-	return b.Slot, nil
+	return t.at(i).slot, nil
 }

@@ -673,11 +673,11 @@ func TestCompactReusesStorage(t *testing.T) {
 	}
 
 	tree, _ := compacted()
-	if cap(tree.nodes) < watermark-1 {
-		t.Errorf("compacted tree kept capacity %d, want >= %d", cap(tree.nodes), watermark-1)
+	if kept := len(tree.pages) * pageSize; kept < watermark-1 {
+		t.Errorf("compacted tree kept %d nodes of pages, want >= %d", kept, watermark-1)
 	}
 	clone := tree.Clone()
-	if cap(clone.nodes) != len(clone.nodes) || clone.Len() != tree.Len() {
-		t.Errorf("clone: len %d cap %d, want cap == len == %d", clone.Len(), cap(clone.nodes), tree.Len())
+	if live := (clone.Len() + pageSize - 1) / pageSize; len(clone.pages) != live || clone.Len() != tree.Len() {
+		t.Errorf("clone: %d blocks in %d pages, want %d blocks in %d pages", clone.Len(), len(clone.pages), tree.Len(), live)
 	}
 }

@@ -1,35 +1,43 @@
 package blocktree
 
 import (
+	"math/bits"
+
 	"repro/internal/codec"
 	"repro/internal/types"
 )
 
 // EncodeTo serializes the tree for the durable snapshot codec: version,
-// lifetime folded count, then per node its block, parent link, and
-// folded-segment length. Child/sibling links and the root index are not
-// written — DecodeTree rebuilds both from the parent links, exactly as
-// PruneBelow and Compact relink their compacted arrays (the node array is
-// topological and sibling order equals index order, so the relink is
-// lossless).
+// lifetime folded count, then per node its block (Parent read through the
+// parent link), parent link, and folded-segment length. Child/sibling links
+// and the root index are not written — DecodeTree rebuilds both from the
+// parent links, exactly as PruneBelow and Compact relink their rebuilt
+// nodes (the nodes are topological and sibling order equals index order,
+// so the relink is lossless).
 func (t *Tree) EncodeTo(w *codec.Writer) {
 	w.U64(t.version)
 	w.Int(t.folded)
-	w.Len(len(t.nodes))
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		w.U64(uint64(n.block.Slot))
-		w.Raw(n.block.Root[:])
-		w.Raw(n.block.Parent[:])
-		w.U64(uint64(n.block.Proposer))
-		w.I32(n.parent)
-		w.I32(n.foldedBelow)
+	w.Len(int(t.n))
+	for i := int32(0); i < t.n; i++ {
+		nd := &t.pages[i>>pageBits][i&pageMask]
+		parent := t.base
+		if nd.parent != NoIndex {
+			parent = t.at(nd.parent).root
+		}
+		w.U64(uint64(nd.slot))
+		w.Raw(nd.root[:])
+		w.Raw(parent[:])
+		w.U64(uint64(nd.proposer))
+		w.I32(nd.parent)
+		w.I32(nd.foldedBelow)
 	}
 }
 
 // DecodeTree reconstructs a tree serialized by EncodeTo. Structural
-// impossibilities (no nodes, a parent at or after its child, a duplicate
-// root) surface through the reader's sticky error.
+// impossibilities (no nodes, a parent at or after its child, a stored
+// parent root that is not the parent link's root, a duplicate root)
+// surface through the reader's sticky error. Pages are allocated as nodes
+// arrive, so a corrupt length costs no more than the bytes behind it.
 func DecodeTree(r *codec.Reader) *Tree {
 	t := &Tree{version: r.U64(), folded: r.Int()}
 	n := r.Len()
@@ -40,48 +48,40 @@ func DecodeTree(r *codec.Reader) *Tree {
 		r.Corrupt("blocktree: empty node array")
 		return nil
 	}
-	t.nodes = make([]node, n)
-	t.index = make(map[types.Root]int32, n)
-	for i := 0; i < n; i++ {
-		nd := &t.nodes[i]
-		nd.block.Slot = types.Slot(r.U64())
-		r.Raw(nd.block.Root[:])
-		r.Raw(nd.block.Parent[:])
-		nd.block.Proposer = types.ValidatorIndex(r.U64())
-		nd.parent = r.I32()
-		nd.firstChild = NoIndex
-		nd.lastChild = NoIndex
-		nd.nextSibling = NoIndex
-		nd.foldedBelow = r.I32()
-		if r.Err() != nil {
-			return nil
+	for i := int32(0); i < int32(n); i++ {
+		if i&pageMask == 0 {
+			t.pages = append(t.pages, new([pageSize]node))
 		}
-		if i == 0 {
-			if nd.parent != NoIndex {
-				r.Corrupt("blocktree: root node has parent %d", nd.parent)
-				return nil
-			}
-		} else if nd.parent < 0 || nd.parent >= int32(i) {
+		nd := t.at(i)
+		var parent types.Root
+		nd.slot = types.Slot(r.U64())
+		r.Raw(nd.root[:])
+		r.Raw(parent[:])
+		nd.proposer = types.ValidatorIndex(r.U64())
+		nd.parent = r.I32()
+		nd.foldedBelow = r.I32()
+		switch {
+		case r.Err() != nil:
+			return nil
+		case i == 0 && nd.parent != NoIndex:
+			r.Corrupt("blocktree: root node has parent %d", nd.parent)
+			return nil
+		case i == 0:
+			t.base = parent
+		case nd.parent < 0 || nd.parent >= i:
 			r.Corrupt("blocktree: node %d has non-topological parent %d", i, nd.parent)
 			return nil
-		}
-		if _, dup := t.index[nd.block.Root]; dup {
-			r.Corrupt("blocktree: duplicate root at node %d", i)
+		case t.at(nd.parent).root != parent:
+			r.Corrupt("blocktree: node %d stores parent root %s, its parent link names %s", i, parent, t.at(nd.parent).root)
 			return nil
 		}
-		t.index[nd.block.Root] = int32(i)
 	}
-	// Relink children in ascending index order: the array is topological
-	// and siblings were stored in index order, so this reproduces the
-	// original first-child/last-child/next-sibling chains.
-	for i := int32(1); i < int32(n); i++ {
-		p := t.nodes[i].parent
-		if t.nodes[p].firstChild == NoIndex {
-			t.nodes[p].firstChild = i
-		} else {
-			t.nodes[t.nodes[p].lastChild].nextSibling = i
-		}
-		t.nodes[p].lastChild = i
+	t.n = int32(n)
+	t.index = make([]int32, max(2*pageSize, 1<<bits.Len(uint(2*n-1))))
+	if i := t.reindex(); i != NoIndex {
+		r.Corrupt("blocktree: duplicate root at node %d", i)
+		return nil
 	}
+	t.relink()
 	return t
 }

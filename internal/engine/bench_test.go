@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // benchGrid is the acceptance workload: a sim/gst shared-prefix grid of 30
@@ -98,4 +100,27 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // CI gates the warm/cold cells/sec and B/op ratios (gates.json).
 func BenchmarkSweepWarmStartForks(b *testing.B) {
 	benchWarmVsCold(b, benchForkGrid())
+}
+
+// BenchmarkPartitionCell runs one sim/partition cell at its defaults, the
+// cell behind every serve-mix /run miss: three block trees (the oracle and
+// two partition views) grow from genesis to the violation at epoch 26. It
+// reports the blocks those trees hold at the end; CI gates its B/op
+// (gates.json), which the trees' growth dominated while they regrew by
+// copying.
+func BenchmarkPartitionCell(b *testing.B) {
+	sc, _ := Default.Lookup(ScenarioSimPartition)
+	var res Result
+	var s *sim.Simulation
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, s, err = simulatePartition(context.Background(), sc.Defaults()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if res.Metrics[0].Name != "violation_epoch" || res.Metrics[0].Value != 26 {
+		b.Fatalf("metrics %v, want violation_epoch 26", res.Metrics)
+	}
+	st := s.Stats()
+	b.ReportMetric(float64(st.Tree.Nodes+st.Oracle.Nodes), "tree-nodes/cell")
 }

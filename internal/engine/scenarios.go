@@ -246,6 +246,13 @@ func runFig7Search(ctx context.Context, p Params) (Result, error) {
 // reports the epoch of the first finality-safety violation — the
 // mechanism-level counterpart of Scenario 5.1.
 func runSimPartition(ctx context.Context, p Params) (Result, error) {
+	res, _, err := simulatePartition(ctx, p)
+	return res, err
+}
+
+// simulatePartition is runSimPartition, also handing back the simulation
+// it ran.
+func simulatePartition(ctx context.Context, p Params) (Result, *sim.Simulation, error) {
 	nA := int(math.Round(float64(p.N) * p.P0))
 	s, err := sim.New(sim.Config{
 		Validators: p.N,
@@ -261,17 +268,17 @@ func runSimPartition(ctx context.Context, p Params) (Result, error) {
 		},
 	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	violation := 0.0
 	for epoch := 1; epoch <= p.Horizon && violation == 0; epoch++ {
 		// A protocol-simulator epoch is orders of magnitude heavier than
 		// a leak epoch, so check cancellation on every one.
 		if err := ctx.Err(); err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		if err := s.RunEpochs(1); err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		if v := s.CheckFinalitySafety(); v != nil {
 			violation = float64(epoch)
@@ -286,7 +293,7 @@ func runSimPartition(ctx context.Context, p Params) (Result, error) {
 	if violation != 0 {
 		out.Outcome = "2 finalized branches"
 	}
-	return out, nil
+	return out, s, nil
 }
 
 func runAnalyticConflict(p Params) (Result, error) {
