@@ -8,7 +8,8 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | go run ./cmd/benchgate
 //	go run ./cmd/benchgate bench.out
-//	go run ./cmd/benchgate -record BENCH_26.json bench.out
+//	go run ./cmd/benchgate -record BENCH_27.json bench.out
+//	go run ./cmd/benchgate -trend
 //
 // Every gate prints one line with the value it read; the exit status is 1
 // if any gate fails — a gate whose benchmark or metric is missing from the
@@ -16,7 +17,9 @@
 // every parsed benchmark line, every gate with its bound, the values it
 // read and its verdict, and the host (CPU model, CPU count, Go version,
 // commit) — one point of the per-PR trajectory the BENCH_*.json files at
-// the repository root form.
+// the repository root form. -trend reads those files instead of benchmark
+// output and prints the trajectory as one Markdown table: a row per gate,
+// a column per PR.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -137,10 +141,7 @@ type verdict struct {
 // and returns the verdicts and how many failed.
 func check(w io.Writer, gates []gate, results []result) (out []verdict, failed int) {
 	for _, g := range gates {
-		what, bound := g.Bench+" "+g.Metric, ""
-		if g.Over != "" {
-			what = g.Bench + " / " + g.Over + " " + g.Metric
-		}
+		bound := ""
 		if g.Min != nil {
 			bound += fmt.Sprintf(" min %g", *g.Min)
 		}
@@ -169,7 +170,7 @@ func check(w io.Writer, gates []gate, results []result) (out []verdict, failed i
 			word = "FAIL"
 			failed++
 		}
-		fmt.Fprintf(w, "%-4s %s = %s (%s) — %s\n", word, what, read, bound[1:], g.Why)
+		fmt.Fprintf(w, "%-4s %s = %s (%s) — %s\n", word, g.label(), read, bound[1:], g.Why)
 		out = append(out, v)
 	}
 	return out, failed
@@ -218,10 +219,90 @@ func writeRecord(path string, h host, results []result, verdicts []verdict) erro
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// label names a gate the way its report line does.
+func (g gate) label() string {
+	if g.Over != "" {
+		return g.Bench + " / " + g.Over + " " + g.Metric
+	}
+	return g.Bench + " " + g.Metric
+}
+
+// trend writes the records at paths, each named BENCH_<pr>.json, as one
+// Markdown table: a column per PR in numeric order, a row per gate in the
+// newest record's order (gates only older records carry follow). A cell is
+// what the gate read (a range over several lines, "-" for nothing), marked
+// FAIL when the gate failed, and empty where that PR did not record it.
+func trend(w io.Writer, paths []string) error {
+	type column struct {
+		pr    int
+		gates []verdict
+	}
+	cols := make([]column, len(paths))
+	for i, path := range paths {
+		pr, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json"))
+		if err != nil {
+			return fmt.Errorf("%s: not named BENCH_<pr>.json", path)
+		}
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(raw, &struct{ Gates *[]verdict }{&cols[i].gates})
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		cols[i].pr = pr
+	}
+	sort.Slice(cols, func(i, j int) bool { return cols[i].pr < cols[j].pr })
+
+	num := func(x float64) string { return strings.TrimSuffix(fmt.Sprintf("%.3f", x), ".000") }
+	var rows []string
+	cells := map[string][]string{}
+	for i := len(cols) - 1; i >= 0; i-- {
+		for _, v := range cols[i].gates {
+			row := v.label()
+			if cells[row] == nil {
+				rows, cells[row] = append(rows, row), make([]string, len(cols))
+			}
+			cell := "-"
+			if n := len(v.Values); n > 0 {
+				cell = num(v.Values[0])
+				if v.Values[n-1] != v.Values[0] {
+					cell += ".." + num(v.Values[n-1])
+				}
+			}
+			if !v.OK {
+				cell += " FAIL"
+			}
+			cells[row][i] = cell
+		}
+	}
+	fmt.Fprint(w, "| gate |")
+	for _, c := range cols {
+		fmt.Fprintf(w, " %d |", c.pr)
+	}
+	fmt.Fprint(w, "\n|---|"+strings.Repeat("---|", len(cols))+"\n")
+	for _, row := range rows {
+		fmt.Fprintf(w, "| %s | %s |\n", strings.ReplaceAll(row, "|", `\|`), strings.Join(cells[row], " | "))
+	}
+	return nil
+}
+
 func main() {
 	path := flag.String("gates", "cmd/benchgate/gates.json", "the gates file")
 	record := flag.String("record", "", "also write the parsed lines, the verdicts and the host to this JSON file")
+	trendFlag := flag.Bool("trend", false, "print the BENCH_*.json records in the current directory as one table instead")
 	flag.Parse()
+	if *trendFlag {
+		paths, err := filepath.Glob("BENCH_*.json")
+		if err == nil {
+			err = trend(os.Stdout, paths)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	gates, err := loadGates(*path)
 	var output []byte
 	switch {

@@ -11,7 +11,8 @@ import (
 	"testing"
 )
 
-// canned is `go test -bench` output as the bench job sees it: five packages,
+// canned is `go test -bench` output as the bench job sees it: six packages,
+// one of them run twice (the fork sweep has its own line at -benchtime 3x),
 // a GOMAXPROCS suffix on every name, a benchmark whose own name ends in a
 // number, custom metrics, and the lines around them.
 const canned = `goos: linux
@@ -32,18 +33,25 @@ BenchmarkHeadDeepChain/depth-4096-2 	    2000	      2900 ns/op	       0 B/op	   
 PASS
 ok  	repro/internal/forkchoice	1.2s
 pkg: repro/internal/sim
-BenchmarkSimLongHorizon/depth-100-2 	       5	    645896 ns/op	      1549 epochs/sec	   18956 B/op	     259 allocs/op
-BenchmarkSimLongHorizon/depth-4000-2	       5	    675676 ns/op	      1480 epochs/sec	   22336 B/op	     260 allocs/op
+BenchmarkSimLongHorizon/depth-100-2 	       5	    745064 ns/op	      1343 epochs/sec	   13465 B/op	      98 allocs/op
+BenchmarkSimLongHorizon/depth-4000-2	       5	    653315 ns/op	      1532 epochs/sec	   16844 B/op	      99 allocs/op
 PASS
 ok  	repro/internal/sim	3.3s
 pkg: repro/internal/engine
-BenchmarkPartitionCell-2            	      20	   1450424 ns/op	       929.0 tree-nodes/cell	  585089 B/op	    4679 allocs/op
+BenchmarkPartitionCell-2            	      20	   1402106 ns/op	         1.000 held-msgs/cell	       929.0 tree-nodes/cell	  426388 B/op	    1759 allocs/op
 BenchmarkSweepWarmStart/cold-2      	       1	 700000000 ns/op	        42.50 cells/sec	212000000 B/op	  175000 allocs/op
 BenchmarkSweepWarmStart/warm-2      	       1	 130000000 ns/op	       221.0 cells/sec	 7100000 B/op	    8500 allocs/op
-BenchmarkSweepWarmStartForks/cold-2 	       1	 200000000 ns/op	        40.00 cells/sec	60120000 B/op	   61040 allocs/op
-BenchmarkSweepWarmStartForks/warm-2 	       1	 150000000 ns/op	        53.30 cells/sec	51590000 B/op	   38000 allocs/op
 PASS
 ok  	repro/internal/engine	1.0s
+pkg: repro/internal/engine
+BenchmarkSweepWarmStartForks/cold-2 	       3	 200000000 ns/op	        40.00 cells/sec	60120000 B/op	   61040 allocs/op
+BenchmarkSweepWarmStartForks/warm-2 	       3	 150000000 ns/op	        53.30 cells/sec	51590000 B/op	   38000 allocs/op
+PASS
+ok  	repro/internal/engine	1.6s
+pkg: repro/internal/network
+BenchmarkNetworkSlot-2              	  100000	       234.8 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	repro/internal/network	0.1s
 pkg: repro/internal/server
 BenchmarkSweepThroughCoordinator/direct-2 	      10	   6300000 ns/op	      4750 cells/sec	 2200000 B/op	   12300 allocs/op
 BenchmarkSweepThroughCoordinator/hop-2    	      10	   8100000 ns/op	      3690 cells/sec	 2500000 B/op	   16900 allocs/op
@@ -64,8 +72,11 @@ func TestCheckPassesAndFails(t *testing.T) {
 		{Bench: "BenchmarkHead/steady-.*", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkHeadDeepChain/depth-4096", Over: "BenchmarkHeadDeepChain/depth-256", Metric: "ns/op", Max: f(1.5)},
 		{Bench: "BenchmarkSimLongHorizon/depth-4000", Over: "BenchmarkSimLongHorizon/depth-100", Metric: "epochs/sec", Min: f(0.8)},
-		{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(40000)},
-		{Bench: "BenchmarkPartitionCell", Metric: "B/op", Max: f(640000)},
+		{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(16000)},
+		{Bench: "BenchmarkPartitionCell", Metric: "B/op", Max: f(470000)},
+		{Bench: "BenchmarkPartitionCell", Metric: "allocs/op", Max: f(2000)},
+		{Bench: "BenchmarkPartitionCell", Metric: "held-msgs/cell", Max: f(8)},
+		{Bench: "BenchmarkNetworkSlot", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkTreeIndex/(has|indexof)-.*", Metric: "allocs/op", Max: f(0)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "cells/sec", Min: f(3)},
 		{Bench: "BenchmarkSweepWarmStart/warm", Over: "BenchmarkSweepWarmStart/cold", Metric: "B/op", Max: f(0.1)},
@@ -114,19 +125,38 @@ func TestCheckPassesAndFails(t *testing.T) {
 		t.Fatalf("a second copy per fork: %d failed\n%s", failed, report)
 	}
 
-	// A leak epoch as it read before duty lists were reused and compaction
-	// kept the tree's storage: a fresh copy of every list every slot, a
-	// regrown node array after every fold.
-	garbagePerSlot := strings.Replace(canned, "   18956 B/op", "  165529 B/op", 1)
-	if failed, report := verdicts(t, gates, garbagePerSlot); failed != 1 || !strings.Contains(report, "FAIL BenchmarkSimLongHorizon/depth-100 B/op = 165529..165529 over 1 lines (max 40000)") {
-		t.Fatalf("a leak epoch allocating 166 kB: %d failed\n%s", failed, report)
+	// A leak epoch as it read with a fresh inbox list per slot and a heap
+	// buffer per hashed root (19 kB), and before duty lists were reused and
+	// compaction kept the tree's storage (166 kB).
+	for _, size := range []string{"18956", "165529"} {
+		garbagePerSlot := strings.Replace(canned, "   13465 B/op", fmt.Sprintf("%8s B/op", size), 1)
+		want := "FAIL BenchmarkSimLongHorizon/depth-100 B/op = " + size + ".." + size + " over 1 lines (max 16000)"
+		if failed, report := verdicts(t, gates, garbagePerSlot); failed != 1 || !strings.Contains(report, want) {
+			t.Fatalf("a leak epoch allocating %s B: %d failed\n%s", size, failed, report)
+		}
 	}
 
-	// A partition cell as it read while each tree's node array and root map
-	// regrew by doubling: 1.09 MB.
-	regrowingTrees := strings.Replace(canned, "  585089 B/op", " 1086235 B/op", 1)
-	if failed, report := verdicts(t, gates, regrowingTrees); failed != 1 || !strings.Contains(report, "FAIL BenchmarkPartitionCell B/op = 1.086235e+06..1.086235e+06 over 1 lines (max 640000)") {
+	// A partition cell as it read with fresh inbox lists, heap hash buffers
+	// and the other side's traffic held for a heal at slot 2^30 (585 kB,
+	// 4,680 allocations, 1,248 messages in flight at the end), and while each
+	// tree's node array and root map regrew by doubling (1.09 MB).
+	heldTraffic := strings.NewReplacer("         1.000 held-msgs/cell", "      1248 held-msgs/cell",
+		"  426388 B/op	    1759 allocs/op", "  585151 B/op	    4680 allocs/op").Replace(canned)
+	if failed, report := verdicts(t, gates, heldTraffic); failed != 3 ||
+		!strings.Contains(report, "FAIL BenchmarkPartitionCell B/op = 585151..585151 over 1 lines (max 470000)") ||
+		!strings.Contains(report, "FAIL BenchmarkPartitionCell allocs/op = 4680..4680 over 1 lines (max 2000)") ||
+		!strings.Contains(report, "FAIL BenchmarkPartitionCell held-msgs/cell = 1248..1248 over 1 lines (max 8)") {
+		t.Fatalf("a partition cell holding the other side's traffic: %d failed\n%s", failed, report)
+	}
+	regrowingTrees := strings.Replace(canned, "  426388 B/op", " 1086235 B/op", 1)
+	if failed, report := verdicts(t, gates, regrowingTrees); failed != 1 || !strings.Contains(report, "FAIL BenchmarkPartitionCell B/op = 1.086235e+06..1.086235e+06 over 1 lines (max 470000)") {
 		t.Fatalf("a partition cell allocating 1.09 MB: %d failed\n%s", failed, report)
+	}
+
+	// A network slot that starts every delivery slot's list afresh.
+	freshLists := strings.Replace(canned, "234.8 ns/op	       0 B/op	       0 allocs/op", "314.4 ns/op	      50 B/op	       4 allocs/op", 1)
+	if failed, report := verdicts(t, gates, freshLists); failed != 1 || !strings.Contains(report, "FAIL BenchmarkNetworkSlot allocs/op = 4..4 over 1 lines (max 0)") {
+		t.Fatalf("a network slot allocating fresh lists: %d failed\n%s", failed, report)
 	}
 
 	// A miss that allocates (an error value built for the caller who only
@@ -215,8 +245,8 @@ func TestCheckFailsOnMissingMetric(t *testing.T) {
 			"no BenchmarkHead/steady-.* line reports allocs/op",
 		},
 		"a B/op gate without -benchmem": {
-			gate{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(40000)},
-			strings.Replace(canned, "	   18956 B/op	     259 allocs/op", "", 1),
+			gate{Bench: "BenchmarkSimLongHorizon/depth-100", Metric: "B/op", Max: f(16000)},
+			strings.Replace(canned, "	   13465 B/op	      98 allocs/op", "", 1),
 			"no BenchmarkSimLongHorizon/depth-100 line reports B/op",
 		},
 		"baseline absent": {
@@ -278,5 +308,51 @@ func TestGatesFileLoads(t *testing.T) {
 	}
 	if _, err := loadGates("main.go"); err == nil {
 		t.Error("a file that is not a gates file loaded")
+	}
+}
+
+// TestTrendTabulatesRecords: two PRs' records become one table, a column per
+// PR in numeric order whatever order the files come in, a row per gate in
+// the newer record's order, an empty cell where the older record lacks a
+// gate, and FAIL where a gate failed.
+func TestTrendTabulatesRecords(t *testing.T) {
+	gates := []gate{
+		{Bench: "BenchmarkPartitionCell", Metric: "B/op", Max: f(640000), Why: "bytes"},
+		{Bench: "BenchmarkTreeIndex/(has|indexof)-.*", Metric: "allocs/op", Max: f(0), Why: "index"},
+		{Bench: "BenchmarkSweepWarmStartForks/warm", Over: "BenchmarkSweepWarmStartForks/cold", Metric: "B/op", Max: f(0.87), Why: "forks"},
+	}
+	dir := t.TempDir()
+	write := func(pr int, gates []gate, output string) string {
+		t.Helper()
+		results := parse(output)
+		verdicts, _ := check(io.Discard, gates, results)
+		path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", pr))
+		if err := writeRecord(path, host{}, results, verdicts); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	newer := append([]gate{{Bench: "BenchmarkNetworkSlot", Metric: "allocs/op", Max: f(0), Why: "slot"}}, gates...)
+	older := strings.NewReplacer("  426388 B/op", "  585151 B/op", "51590000 B/op", "53000000 B/op").Replace(canned)
+	paths := []string{
+		write(27, newer, canned),
+		write(9, gates, strings.Replace(older, "8.324 ns/op	       0 B/op	       0 allocs/op", "48.32 ns/op	      64 B/op	       1 allocs/op", 1)),
+	}
+	var out strings.Builder
+	if err := trend(&out, paths); err != nil {
+		t.Fatal(err)
+	}
+	want := `| gate | 9 | 27 |
+|---|---|---|
+| BenchmarkNetworkSlot allocs/op |  | 0 |
+| BenchmarkPartitionCell B/op | 585151 | 426388 |
+| BenchmarkTreeIndex/(has\|indexof)-.* allocs/op | 0..1 FAIL | 0 |
+| BenchmarkSweepWarmStartForks/warm / BenchmarkSweepWarmStartForks/cold B/op | 0.882 FAIL | 0.858 |
+`
+	if out.String() != want {
+		t.Errorf("trend table:\n%s\nwant:\n%s", out.String(), want)
+	}
+	if err := trend(io.Discard, []string{filepath.Join(dir, "bench.out")}); err == nil {
+		t.Error("a file not named BENCH_<pr>.json was tabulated")
 	}
 }

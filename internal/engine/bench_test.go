@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/sim"
 )
 
@@ -105,9 +106,9 @@ func BenchmarkSweepWarmStartForks(b *testing.B) {
 // BenchmarkPartitionCell runs one sim/partition cell at its defaults, the
 // cell behind every serve-mix /run miss: three block trees (the oracle and
 // two partition views) grow from genesis to the violation at epoch 26. It
-// reports the blocks those trees hold at the end; CI gates its B/op
-// (gates.json), which the trees' growth dominated while they regrew by
-// copying.
+// reports the blocks those trees hold at the end and the messages still
+// queued in inboxes (a partition that never heals holds none of the other
+// side's traffic); CI gates both counts, B/op and allocs/op (gates.json).
 func BenchmarkPartitionCell(b *testing.B) {
 	sc, _ := Default.Lookup(ScenarioSimPartition)
 	var res Result
@@ -123,4 +124,9 @@ func BenchmarkPartitionCell(b *testing.B) {
 	}
 	st := s.Stats()
 	b.ReportMetric(float64(st.Tree.Nodes+st.Oracle.Nodes), "tree-nodes/cell")
+	held := 0
+	for _, c := range s.Cohorts() {
+		held += s.Net.PendingFor(network.NodeID(c.Index))
+	}
+	b.ReportMetric(float64(held), "held-msgs/cell")
 }

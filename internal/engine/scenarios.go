@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -253,20 +254,7 @@ func runSimPartition(ctx context.Context, p Params) (Result, error) {
 // simulatePartition is runSimPartition, also handing back the simulation
 // it ran.
 func simulatePartition(ctx context.Context, p Params) (Result, *sim.Simulation, error) {
-	nA := int(math.Round(float64(p.N) * p.P0))
-	s, err := sim.New(sim.Config{
-		Validators: p.N,
-		Spec:       types.CompressedSpec(1 << 16),
-		GST:        1 << 30,
-		Delay:      1,
-		Seed:       p.Seed,
-		PartitionOf: func(v types.ValidatorIndex) int {
-			if int(v) < nA {
-				return 0
-			}
-			return 1
-		},
-	})
+	s, err := sim.New(partitionConfig(p))
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -294,6 +282,26 @@ func simulatePartition(ctx context.Context, p Params) (Result, *sim.Simulation, 
 		out.Outcome = "2 finalized branches"
 	}
 	return out, s, nil
+}
+
+// partitionConfig is the simulator a sim/partition cell runs: the first
+// round(N·p0) validators in one partition, the rest in the other, and a
+// network that never heals.
+func partitionConfig(p Params) sim.Config {
+	nA := int(math.Round(float64(p.N) * p.P0))
+	return sim.Config{
+		Validators: p.N,
+		Spec:       types.CompressedSpec(1 << 16),
+		GST:        network.Never,
+		Delay:      1,
+		Seed:       p.Seed,
+		PartitionOf: func(v types.ValidatorIndex) int {
+			if int(v) < nA {
+				return 0
+			}
+			return 1
+		},
+	}
 }
 
 func runAnalyticConflict(p Params) (Result, error) {

@@ -26,6 +26,11 @@
 // schedule is identical no matter how senders batch their messages or how
 // many endpoints a partition is split into — the property that keeps the
 // cohort simulator bit-identical to its per-validator oracle under loss.
+//
+// A slot's message path allocates nothing in the steady state: the list
+// Deliveries hands out is the network's own, lent until the next
+// Deliveries call, which clears it and keeps it for a later slot's
+// messages.
 package network
 
 import (
@@ -44,7 +49,8 @@ type NodeID = types.ValidatorIndex
 // leak run to paper horizons would otherwise accumulate every
 // cross-partition message of thousands of epochs in inboxes that are never
 // drained. Semantically the two are identical for any run shorter than
-// Never; dropping just returns the memory.
+// Never; dropping just returns the memory. sim/leak and sim/partition
+// both run under it.
 const Never types.Slot = 1 << 62
 
 // FarFuture is a finite stand-in for "a GST later than any slot this run
@@ -86,6 +92,14 @@ type Network[M any] struct {
 	inbox []map[types.Slot][]M
 	// counters for metrics.
 	sent, dropped int
+	// drained is the list the last Deliveries call returned; the next call
+	// clears it onto spare, where enqueue takes lists for new slots from.
+	//gasper:nocodec the caller's view of the last drain, not in-flight state
+	//gasper:shallow a clone's first drain must not recycle a list its original handed out
+	drained []M
+	//gasper:nocodec allocation cache, not state; a decoded network starts with none
+	//gasper:shallow a clone starts with none: the storage belongs to this network
+	spare [][]M
 }
 
 // New creates a network with all endpoints in partition 0.
@@ -232,6 +246,10 @@ func (n *Network[M]) SendDirect(from, to NodeID, deliverAt types.Slot, msg M) {
 	n.sent++
 }
 
+// enqueue appends msg to the list for (to, at), starting a new slot's list
+// from a drained one when there is one.
+//
+//gasper:noalloc
 func (n *Network[M]) enqueue(to NodeID, at types.Slot, msg M) {
 	if int(to) >= len(n.inbox) {
 		return
@@ -240,7 +258,12 @@ func (n *Network[M]) enqueue(to NodeID, at types.Slot, msg M) {
 	if at >= Never {
 		return
 	}
-	n.inbox[to][at] = append(n.inbox[to][at], msg)
+	box := n.inbox[to]
+	list := box[at]
+	if list == nil && len(n.spare) > 0 {
+		list, n.spare = n.spare[len(n.spare)-1], n.spare[:len(n.spare)-1]
+	}
+	box[at] = append(list, msg) //gasper:alloc one-time growth: a list grows to its slot's message count, then is recycled
 }
 
 // Clone deep-copies the network's mutable state (in-flight inboxes and
@@ -323,13 +346,24 @@ func (n *Network[M]) RetargetGST(gst types.Slot) {
 }
 
 // Deliveries drains and returns the messages arriving at endpoint `to` in
-// slot `at`, in deterministic send order.
+// slot `at`, in deterministic send order. The list is the network's: it
+// stays valid until the next Deliveries call on this network, which clears
+// it (so it keeps no message alive) and reuses it for a later slot. A
+// caller that keeps messages past that copies them out.
+//
+//gasper:noalloc
 func (n *Network[M]) Deliveries(to NodeID, at types.Slot) []M {
+	if n.drained != nil {
+		clear(n.drained)
+		n.spare = append(n.spare, n.drained[:0])
+		n.drained = nil
+	}
 	if int(to) >= len(n.inbox) {
 		return nil
 	}
 	msgs := n.inbox[to][at]
 	delete(n.inbox[to], at)
+	n.drained = msgs
 	return msgs
 }
 

@@ -1,8 +1,11 @@
 package network
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/types"
 )
 
@@ -370,5 +373,143 @@ func TestRetargetGSTOntoNeverDiscards(t *testing.T) {
 	n.RetargetGST(Never)
 	if got := n.PendingFor(1); got != 0 {
 		t.Errorf("retarget onto Never kept %d held messages", got)
+	}
+}
+
+// storage returns the backing array of a list, nil for one without any.
+func storage(l []string) *string {
+	if cap(l) == 0 {
+		return nil
+	}
+	return &l[:cap(l)][0]
+}
+
+// assertNoSharedStorage fails if any two lists held by the networks —
+// inbox lists, spares, the last drained list — share a backing array.
+func assertNoSharedStorage(t *testing.T, nets ...*Network[string]) {
+	t.Helper()
+	owner := map[*string]string{}
+	note := func(l []string, where string) {
+		p := storage(l)
+		if p == nil {
+			return
+		}
+		if prev, ok := owner[p]; ok {
+			t.Errorf("%s shares its storage with %s", where, prev)
+		}
+		owner[p] = where
+	}
+	for i, n := range nets {
+		for node, box := range n.inbox {
+			for at, l := range box {
+				note(l, fmt.Sprintf("net %d inbox %d slot %d", i, node, at))
+			}
+		}
+		for j, l := range n.spare {
+			note(l, fmt.Sprintf("net %d spare %d", i, j))
+		}
+		note(n.drained, fmt.Sprintf("net %d drained", i))
+	}
+}
+
+// TestDeliveriesReusesDrainedLists pins the lifetime of a drained list: it
+// holds its messages until the next Deliveries call, even while new
+// messages are sent, and that call clears it and lends its storage to a
+// later slot. Clones, decoded copies and a held band rebased by
+// RetargetGST never share storage with a recycled list.
+func TestDeliveriesReusesDrainedLists(t *testing.T) {
+	n := newNet(3, FarFuture, 1)
+	n.SetPartition(2, 1)
+	n.Broadcast(0, 5, "a")
+	n.Broadcast(1, 5, "b")
+
+	got := n.Deliveries(1, 6)
+	// The simulator sends while it walks a drained list: the list must not
+	// be lent out before the next Deliveries call.
+	n.Broadcast(0, 6, "c")
+	n.Broadcast(0, 6, "d")
+	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("drained list changed before the next Deliveries call: %v", got)
+	}
+	first := storage(got)
+
+	c := n.Clone()
+	var frame bytes.Buffer
+	n.EncodeTo(codec.NewWriter(&frame), func(w *codec.Writer, m string) { w.String(m) })
+	d := DecodeNetwork(codec.NewReader(&frame), func(r *codec.Reader) string { return r.String() })
+	if d == nil {
+		t.Fatal("round trip failed")
+	}
+	assertNoSharedStorage(t, n, c, d)
+
+	// A copy's first drain must leave the original's lent list alone.
+	c.Deliveries(0, 6)
+	d.Deliveries(0, 6)
+	if got[0] != "a" || got[1] != "b" {
+		t.Fatalf("a copy's drain recycled the original's list: %v", got)
+	}
+
+	if next := n.Deliveries(0, 6); len(next) != 2 || next[0] != "a" {
+		t.Fatalf("endpoint 0 at slot 6 = %v", next)
+	}
+	if got[0] != "" || got[1] != "" {
+		t.Errorf("recycled list still holds %v", got)
+	}
+	if len(n.spare) != 1 || storage(n.spare[0]) != first || len(n.spare[0]) != 0 {
+		t.Fatalf("spare lists after the second drain: %d, want the first list emptied", len(n.spare))
+	}
+
+	// A new slot takes the spare, which comes back holding only its own
+	// messages.
+	n.SendDirect(0, 1, 9, "e")
+	if len(n.spare) != 0 || storage(n.inbox[1][9]) != first {
+		t.Fatal("a new slot did not take the spare list")
+	}
+	// The copies still hold what they held: nothing of theirs was lent out.
+	for i, cp := range []*Network[string]{c, d} {
+		if l := cp.Deliveries(1, 7); len(l) != 2 || l[0] != "c" || l[1] != "d" {
+			t.Errorf("copy %d at slot 7 = %v", i, l)
+		}
+		if pending := cp.PendingFor(2); pending != 4 {
+			t.Errorf("copy %d holds %d messages for endpoint 2, want 4", i, pending)
+		}
+	}
+	if l := n.Deliveries(1, 9); len(l) != 1 || l[0] != "e" {
+		t.Errorf("reused list = %v, want [e]", l)
+	}
+
+	// Rebase the held band (four cross-partition messages for endpoint 2)
+	// and fill new slots from spares around it.
+	n.Deliveries(1, 7)
+	n.RetargetGST(20)
+	n.Deliveries(0, 7)
+	n.SendDirect(0, 2, 21, "f")
+	n.SendDirect(0, 2, 30, "g")
+	n.SendDirect(0, 2, 31, "h")
+	assertNoSharedStorage(t, n, c, d)
+	if l := n.Deliveries(2, 21); len(l) != 5 || l[0] != "a" || l[1] != "b" || l[2] != "c" || l[3] != "d" || l[4] != "f" {
+		t.Errorf("rebased band = %v, want [a b c d f]", l)
+	}
+}
+
+// BenchmarkNetworkSlot is one slot of a two-partition network that never
+// heals, as a sim/partition cell drives it: three endpoints, one block and
+// two batches sent, every endpoint drained. It allocates nothing once the
+// drained lists circulate (gated in cmd/benchgate/gates.json).
+func BenchmarkNetworkSlot(b *testing.B) {
+	n := New[*int](Config{Nodes: 3, GST: Never, Delay: 1})
+	n.SetPartition(1, 1)
+	n.SetPartition(2, 1)
+	block, batch := new(int), new(int)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		slot := types.Slot(i)
+		for to := NodeID(0); to < 3; to++ {
+			for range n.Deliveries(to, slot) {
+			}
+		}
+		n.Broadcast(NodeID(i%3), slot, block)
+		n.Broadcast(0, slot, batch)
+		n.Broadcast(1, slot, batch)
 	}
 }

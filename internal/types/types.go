@@ -143,9 +143,14 @@ func RootFromUint64(v uint64) Root {
 
 // HashItems produces a root from a sequence of integer fields; the
 // simulator uses it to mint deterministic block roots from (slot, proposer,
-// parent) triples.
+// parent) triples. Up to four items hash from a stack buffer.
 func HashItems(items ...uint64) Root {
-	buf := make([]byte, 8*len(items))
+	var stack [4 * 8]byte
+	buf := stack[:]
+	if len(items) > 4 {
+		buf = make([]byte, 8*len(items))
+	}
+	buf = buf[:8*len(items)]
 	for i, v := range items {
 		binary.BigEndian.PutUint64(buf[i*8:], v)
 	}
@@ -153,9 +158,15 @@ func HashItems(items ...uint64) Root {
 }
 
 // HashRoots produces a root binding a sequence of roots together with a
-// leading tag, used for vote digests.
+// leading tag, used for vote digests. Up to two roots hash from a stack
+// buffer.
 func HashRoots(tag uint64, roots ...Root) Root {
-	buf := make([]byte, 8+32*len(roots))
+	var stack [8 + 2*32]byte
+	buf := stack[:]
+	if len(roots) > 2 {
+		buf = make([]byte, 8+32*len(roots))
+	}
+	buf = buf[:8+32*len(roots)]
 	binary.BigEndian.PutUint64(buf[:8], tag)
 	for i, r := range roots {
 		copy(buf[8+32*i:], r[:])

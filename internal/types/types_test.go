@@ -222,3 +222,35 @@ func TestHashRoots(t *testing.T) {
 		t.Errorf("HashRoots(7, 1, 2) = %s, want %s", got, want)
 	}
 }
+
+// TestHashNoAlloc: the product calls (three and four items, one root) hash
+// from a stack buffer, and the longer inputs that fall back to the heap
+// still produce the digests the heap-only code wrote.
+func TestHashNoAlloc(t *testing.T) {
+	a, b := RootFromUint64(1), RootFromUint64(2)
+	var sink Root
+	for name, f := range map[string]func(){
+		"HashItems/3": func() { sink = HashItems(1, 2, 3) },
+		"HashItems/4": func() { sink = HashItems(1, 2, 3, 4) },
+		"HashRoots/1": func() { sink = HashRoots(7, a) },
+		"HashRoots/2": func() { sink = HashRoots(7, a, b) },
+	} {
+		if got := testing.AllocsPerRun(100, f); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, got)
+		}
+	}
+	_ = sink
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"HashItems(1, 2, 3, 4)", rootHex(HashItems(1, 2, 3, 4)), "7236c00c170036c6de133a878210ddd58567aa1d0619a0f70f69e38ae6f916e9"},
+		{"HashItems(1, 2, 3, 4, 5)", rootHex(HashItems(1, 2, 3, 4, 5)), "4e15d2caf66cf04c7317d4c0084cb332d16d647d01d549de18eac2ce5e2e0be5"},
+		{"HashItems()", rootHex(HashItems()), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{"HashRoots(7)", rootHex(HashRoots(7)), "a3eb8db89fc5123ccfd49585059f292bc40a1c0d550b860f24f84efb4760fbf2"},
+		{"HashRoots(7, 1, 2, 3)", rootHex(HashRoots(7, a, b, RootFromUint64(3))), "02db0155d320259da35b53a64ca2466fdbac4aec6967d8600f5ddd21d7e14851"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+}
