@@ -20,43 +20,33 @@ import (
 )
 
 // BenchmarkTable1Scenarios runs all five scenarios at paper scale
-// (Table 1). Metric: the Scenario 5.1 conflicting-finalization epoch.
-func BenchmarkTable1Scenarios(b *testing.B) {
-	var epoch float64
-	for i := 0; i < b.N; i++ {
-		rows, err := gasperleak.Table1(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epoch = float64(rows[0].SimEpoch)
-	}
-	b.ReportMetric(epoch, "conflict-epochs(5.1)")
-}
+// (Table 1), one after another. Metric: the Scenario 5.1
+// conflicting-finalization epoch.
+func BenchmarkTable1Scenarios(b *testing.B) { benchmarkSweepTable1(b, 1) }
 
 // BenchmarkTable2Slashing regenerates Table 2 (paper row beta0=0.2: 3107).
 func BenchmarkTable2Slashing(b *testing.B) {
-	var epoch float64
-	for i := 0; i < b.N; i++ {
-		s, err := gasperleak.Scenario521(0.5, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		epoch = float64(s.SimEpoch)
-	}
-	b.ReportMetric(epoch, "conflict-epochs(beta0=0.2)")
+	benchmarkScenarioEpoch(b, "5.2.1", gasperleak.ScenarioParams{P0: 0.5, Beta0: 0.2}, "conflict-epochs(beta0=0.2)")
 }
 
 // BenchmarkTable3SemiActive regenerates Table 3 (paper row beta0=0.33: 556).
 func BenchmarkTable3SemiActive(b *testing.B) {
+	benchmarkScenarioEpoch(b, "5.2.2", gasperleak.ScenarioParams{P0: 0.5, Beta0: 0.33}, "conflict-epochs(beta0=0.33)")
+}
+
+// benchmarkScenarioEpoch runs one scenario through a client and reports its
+// simulated epoch under the given unit.
+func benchmarkScenarioEpoch(b *testing.B, name string, p gasperleak.ScenarioParams, unit string) {
+	c := benchClient(b, 1)
 	var epoch float64
 	for i := 0; i < b.N; i++ {
-		s, err := gasperleak.Scenario522(0.5, 0.33)
+		res, err := c.Run(context.Background(), name, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		epoch = float64(s.SimEpoch)
+		epoch, _ = res.Metric("sim_epoch")
 	}
-	b.ReportMetric(epoch, "conflict-epochs(beta0=0.33)")
+	b.ReportMetric(epoch, unit)
 }
 
 // BenchmarkFigure2StakeTrajectories regenerates Figure 2. Metric: the
@@ -366,13 +356,17 @@ func BenchmarkSweepLeakGridWorkersMax(b *testing.B) { benchmarkSweepLeakGrid(b, 
 // TestBenchHarnessSmoke keeps the bench file honest under plain `go test`:
 // the harness's metrics match the paper's headline values.
 func TestBenchHarnessSmoke(t *testing.T) {
-	rows, err := gasperleak.Table1(1)
+	c, err := gasperleak.NewClient()
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := c.Sweep(context.Background(), gasperleak.Table1Cells(1))
+	if err := gasperleak.SweepFirstError(results); err != nil {
+		t.Fatal(err)
+	}
 	var ids []string
-	for _, r := range rows {
-		ids = append(ids, r.ID)
+	for _, r := range results {
+		ids = append(ids, r.Scenario)
 	}
 	if got := strings.Join(ids, ","); got != "5.1,5.2.1,5.2.2,5.2.3,5.3" {
 		t.Errorf("Table 1 scenario ids = %s", got)

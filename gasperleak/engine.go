@@ -1,6 +1,7 @@
 package gasperleak
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/engine"
@@ -46,7 +47,7 @@ func ScenarioNames() []string { return engine.Names() }
 
 // NewScenario builds a Scenario from a function, for registration in a
 // custom registry (or engine.Default).
-func NewScenario(name, desc string, defaults ScenarioParams, run func(ScenarioParams) (ScenarioResult, error)) Scenario {
+func NewScenario(name, desc string, defaults ScenarioParams, run func(context.Context, ScenarioParams) (ScenarioResult, error)) Scenario {
 	return engine.NewScenario(name, desc, defaults, run)
 }
 

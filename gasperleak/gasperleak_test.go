@@ -93,35 +93,6 @@ func TestPublicFigures(t *testing.T) {
 	}
 }
 
-// TestPublicScenarioWrappers exercises every scenario re-export once.
-func TestPublicScenarioWrappers(t *testing.T) {
-	if _, err := gasperleak.Scenario51(0.5); err != nil {
-		t.Error(err)
-	}
-	if _, err := gasperleak.Scenario521(0.5, 0.2); err != nil {
-		t.Error(err)
-	}
-	if _, err := gasperleak.Scenario522(0.5, 0.2); err != nil {
-		t.Error(err)
-	}
-	s23, err := gasperleak.Scenario523(0.5, 0.25)
-	if err != nil {
-		t.Error(err)
-	}
-	if !s23.CrossedOneThird {
-		t.Error("scenario 5.2.3 wrapper lost the crossing")
-	}
-	if _, err := gasperleak.Scenario523Corner(0.5, 0.25, 100); err != nil {
-		t.Error(err)
-	}
-	if _, err := gasperleak.Scenario53(0.5, 0.33, 1); err != nil {
-		t.Error(err)
-	}
-	if rows, err := gasperleak.Table1(1); err != nil || len(rows) != 5 {
-		t.Errorf("Table1: %v, %d rows", err, len(rows))
-	}
-}
-
 // TestPublicFigureWrappers exercises every figure re-export once.
 func TestPublicFigureWrappers(t *testing.T) {
 	c, err := gasperleak.NewClient()

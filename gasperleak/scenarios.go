@@ -19,8 +19,6 @@ type (
 	BounceMC = core.BounceMC
 	// BouncePoint samples the bouncing attack state.
 	BouncePoint = core.BouncePoint
-	// ScenarioSummary pairs analytic and simulated outcomes.
-	ScenarioSummary = core.Summary
 )
 
 // Byzantine strategies for LeakSim.
@@ -32,30 +30,3 @@ const (
 	// ByzSemiActive is Scenarios 5.2.2 / 5.2.3.
 	ByzSemiActive = core.ByzSemiActive
 )
-
-// Scenario51 runs the honest-only partition scenario at paper scale.
-func Scenario51(p0 float64) (ScenarioSummary, error) { return core.Scenario51(p0) }
-
-// Scenario521 runs the slashable double-voting scenario.
-func Scenario521(p0, beta0 float64) (ScenarioSummary, error) { return core.Scenario521(p0, beta0) }
-
-// Scenario522 runs the non-slashable semi-active scenario.
-func Scenario522(p0, beta0 float64) (ScenarioSummary, error) { return core.Scenario522(p0, beta0) }
-
-// Scenario523 runs the over-one-third scenario.
-func Scenario523(p0, beta0 float64) (ScenarioSummary, error) { return core.Scenario523(p0, beta0) }
-
-// Scenario523Corner runs the paper's footnote 12 corner case: finalize
-// `lead` epochs before the ejection under the production-spec residual
-// penalty rule, which ejects the honest inactive validators anyway.
-func Scenario523Corner(p0, beta0 float64, lead Epoch) (ScenarioSummary, error) {
-	return core.Scenario523Corner(p0, beta0, lead)
-}
-
-// Scenario53 runs the probabilistic bouncing scenario.
-func Scenario53(p0, beta0 float64, seed int64) (ScenarioSummary, error) {
-	return core.Scenario53(p0, beta0, seed)
-}
-
-// Table1 runs all five scenarios at the paper's reference parameters.
-func Table1(seed int64) ([]ScenarioSummary, error) { return core.Table1(seed) }

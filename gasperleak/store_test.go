@@ -19,7 +19,7 @@ func storeTestRegistry(runs *atomic.Int64) *gasperleak.ScenarioRegistry {
 	reg := engine.NewRegistry()
 	reg.MustRegister(gasperleak.NewScenario("counted", "counts invocations",
 		gasperleak.ScenarioParams{P0: 0.5, N: 10},
-		func(p gasperleak.ScenarioParams) (gasperleak.ScenarioResult, error) {
+		func(_ context.Context, p gasperleak.ScenarioParams) (gasperleak.ScenarioResult, error) {
 			runs.Add(1)
 			return gasperleak.ScenarioResult{
 				Outcome: fmt.Sprintf("seed %d", p.Seed),

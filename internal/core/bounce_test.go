@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -174,7 +175,8 @@ func TestBounceMCDeterministicPerSeed(t *testing.T) {
 }
 
 func TestScenarioSummaries(t *testing.T) {
-	s1, err := Scenario51(0.5)
+	ctx := context.Background()
+	s1, err := Scenario51(ctx, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestScenarioSummaries(t *testing.T) {
 		t.Errorf("scenario 5.1 sim epoch = %v, want 4662 (endogenous ejection + 1)", s1.SimEpoch)
 	}
 
-	s21, err := Scenario521(0.5, 0.2)
+	s21, err := Scenario521(ctx, 0.5, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestScenarioSummaries(t *testing.T) {
 		t.Errorf("scenario 5.2.1 sim epoch = %d, want ~3108", got)
 	}
 
-	s22, err := Scenario522(0.5, 0.2)
+	s22, err := Scenario522(ctx, 0.5, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestScenarioSummaries(t *testing.T) {
 		t.Error("semi-active conflict must be slower than double-vote conflict")
 	}
 
-	s23, err := Scenario523(0.5, 0.25)
+	s23, err := Scenario523(ctx, 0.5, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +211,12 @@ func TestScenarioSummaries(t *testing.T) {
 		t.Errorf("scenario 5.2.3 must cross 1/3: %+v", s23)
 	}
 
-	s3, err := Scenario53(0.5, 1.0/3.0, 3)
+	s3, err := Scenario53(ctx, 0.5, 1.0/3.0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(s3.PeakByzProportion-0.5) > 0.1 {
 		t.Errorf("scenario 5.3 MC probability = %v, want ~0.5 at beta0=1/3", s3.PeakByzProportion)
-	}
-	if s1.String() == "" || s3.String() == "" {
-		t.Error("summaries must render")
 	}
 }
 
@@ -230,12 +229,13 @@ func TestScenarioSummaries(t *testing.T) {
 // during leaks) the same early finalization prevents the ejection
 // entirely.
 func TestScenario523Corner(t *testing.T) {
-	plain, err := Scenario523(0.5, 0.25)
+	ctx := context.Background()
+	plain, err := Scenario523(ctx, 0.5, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lead := range []types.Epoch{50, 500} {
-		s, err := Scenario523Corner(0.5, 0.25, lead)
+		s, err := Scenario523Corner(ctx, 0.5, 0.25, lead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestScenario523Corner(t *testing.T) {
 	}
 
 	// Degenerate lead rejected.
-	if _, err := Scenario523Corner(0.5, 0.25, 99999); err == nil {
+	if _, err := Scenario523Corner(ctx, 0.5, 0.25, 99999); err == nil {
 		t.Error("lead beyond the ejection epoch must error")
 	}
 }
@@ -288,24 +288,5 @@ func TestResidualPenaltiesSpec(t *testing.T) {
 	if a.A.ThresholdEpoch != b.A.ThresholdEpoch {
 		t.Errorf("residual penalties changed in-leak behavior: %d vs %d",
 			a.A.ThresholdEpoch, b.A.ThresholdEpoch)
-	}
-}
-
-func TestTable1(t *testing.T) {
-	rows, err := Table1(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("Table 1 rows = %d, want 5", len(rows))
-	}
-	wantIDs := []string{"5.1", "5.2.1", "5.2.2", "5.2.3", "5.3"}
-	for i, r := range rows {
-		if r.ID != wantIDs[i] {
-			t.Errorf("row %d: ID = %s, want %s", i, r.ID, wantIDs[i])
-		}
-		if r.Outcome == "" {
-			t.Errorf("row %d: empty outcome", i)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analytic"
@@ -9,16 +10,11 @@ import (
 
 // Summary pairs a scenario's analytic prediction (the paper's continuous
 // model, anchored like the paper anchors it) with the exact integer
-// simulation outcome, for Table 1 and the CLI reports.
+// simulation outcome. The engine's scenarios named by the same section
+// numbers (5.1 … 5.3, 5.2.3c) report it as a Result.
 type Summary struct {
-	// ID is the paper's section number (e.g. "5.2.1").
-	ID string
-	// Name describes the scenario.
-	Name string
 	// Outcome is the paper's Table 1 outcome line.
 	Outcome string
-	// P0 and Beta0 are the scenario parameters.
-	P0, Beta0 float64
 	// AnalyticEpoch is the continuous model's conflicting-finalization
 	// epoch (or threshold-crossing epoch), paper-anchored.
 	AnalyticEpoch float64
@@ -32,12 +28,6 @@ type Summary struct {
 	CrossedOneThird bool
 }
 
-// String renders the summary as one report line.
-func (s Summary) String() string {
-	return fmt.Sprintf("%-6s %-34s p0=%.2f beta0=%.4f analytic=%.0f sim=%d outcome=%q",
-		s.ID, s.Name, s.P0, s.Beta0, s.AnalyticEpoch, s.SimEpoch, s.Outcome)
-}
-
 // defaultHorizon bounds full-scale scenario runs; the paper's slowest
 // outcome lands at 4686, and semi-active ejection at 7653.
 const defaultHorizon = 9000
@@ -47,68 +37,57 @@ const defaultHorizon = 9000
 const scenarioN = 10000
 
 // Scenario51 runs the honest-only partition scenario at paper scale.
-func Scenario51(p0 float64) (Summary, error) {
+func Scenario51(ctx context.Context, p0 float64) (Summary, error) {
 	params := analytic.PaperParams()
 	bc, err := params.ConflictingFinalization(analytic.HonestOnly, p0, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.1: %w", err)
 	}
 	sim := LeakSim{N: scenarioN, P0: p0, Mode: ByzAbsent}
-	res, err := sim.Run(defaultHorizon, 0)
+	res, err := sim.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.1: %w", err)
 	}
 	return Summary{
-		ID:            "5.1",
-		Name:          "All honest, lasting partition",
 		Outcome:       "2 finalized branches",
-		P0:            p0,
 		AnalyticEpoch: bc.ConflictEpoch,
 		SimEpoch:      res.ConflictEpoch,
 	}, nil
 }
 
 // Scenario521 runs the slashable double-voting scenario at paper scale.
-func Scenario521(p0, beta0 float64) (Summary, error) {
+func Scenario521(ctx context.Context, p0, beta0 float64) (Summary, error) {
 	params := analytic.PaperParams()
 	bc, err := params.ConflictingFinalization(analytic.WithSlashing, p0, beta0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.1: %w", err)
 	}
 	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzDoubleVote}
-	res, err := sim.Run(defaultHorizon, 0)
+	res, err := sim.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.1: %w", err)
 	}
 	return Summary{
-		ID:            "5.2.1",
-		Name:          "Byzantine double vote (slashable)",
 		Outcome:       "2 finalized branches",
-		P0:            p0,
-		Beta0:         beta0,
 		AnalyticEpoch: bc.ConflictEpoch,
 		SimEpoch:      res.ConflictEpoch,
 	}, nil
 }
 
 // Scenario522 runs the non-slashable semi-active scenario at paper scale.
-func Scenario522(p0, beta0 float64) (Summary, error) {
+func Scenario522(ctx context.Context, p0, beta0 float64) (Summary, error) {
 	params := analytic.PaperParams()
 	bc, err := params.ConflictingFinalization(analytic.WithoutSlashing, p0, beta0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.2: %w", err)
 	}
 	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive}
-	res, err := sim.Run(defaultHorizon, 0)
+	res, err := sim.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.2: %w", err)
 	}
 	return Summary{
-		ID:            "5.2.2",
-		Name:          "Byzantine semi-active (non-slashable)",
 		Outcome:       "2 finalized branches",
-		P0:            p0,
-		Beta0:         beta0,
 		AnalyticEpoch: bc.ConflictEpoch,
 		SimEpoch:      res.ConflictEpoch,
 	}, nil
@@ -117,10 +96,10 @@ func Scenario522(p0, beta0 float64) (Summary, error) {
 // Scenario523 runs the over-one-third scenario at paper scale: semi-active
 // Byzantine validators delay finalization until the honest inactive
 // validators are ejected.
-func Scenario523(p0, beta0 float64) (Summary, error) {
+func Scenario523(ctx context.Context, p0, beta0 float64) (Summary, error) {
 	params := analytic.PaperParams()
 	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive, DelayFinalization: true}
-	res, err := sim.Run(defaultHorizon, 0)
+	res, err := sim.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.3: %w", err)
 	}
@@ -130,11 +109,7 @@ func Scenario523(p0, beta0 float64) (Summary, error) {
 		peak, epoch = res.B.PeakByzProportion, res.B.PeakByzEpoch
 	}
 	return Summary{
-		ID:                "5.2.3",
-		Name:              "Byzantine delay finalization",
 		Outcome:           "beta > 1/3",
-		P0:                p0,
-		Beta0:             beta0,
 		AnalyticEpoch:     params.EjectionEpoch,
 		SimEpoch:          epoch,
 		PeakByzProportion: peak,
@@ -150,10 +125,10 @@ func Scenario523(p0, beta0 float64) (Summary, error) {
 // anyway, while the semi-active Byzantine validators' much smaller scores
 // cost them little — "Byzantine validators could potentially eject honest
 // inactive participants while incurring fewer penalties themselves".
-func Scenario523Corner(p0, beta0 float64, lead types.Epoch) (Summary, error) {
+func Scenario523Corner(ctx context.Context, p0, beta0 float64, lead types.Epoch) (Summary, error) {
 	// First find the ejection epoch under the plain 5.2.3 run.
 	probe := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive, DelayFinalization: true}
-	probeRes, err := probe.Run(defaultHorizon, 0)
+	probeRes, err := probe.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.3 corner probe: %w", err)
 	}
@@ -169,7 +144,7 @@ func Scenario523Corner(p0, beta0 float64, lead types.Epoch) (Summary, error) {
 		Mode: ByzSemiActive, DelayFinalization: true,
 		EndLeakAtEpoch: ejection - lead,
 	}
-	res, err := sim.Run(defaultHorizon, 0)
+	res, err := sim.RunContext(ctx, defaultHorizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.3 corner: %w", err)
 	}
@@ -179,11 +154,7 @@ func Scenario523Corner(p0, beta0 float64, lead types.Epoch) (Summary, error) {
 		peak, epoch = res.B.PeakByzProportion, res.B.PeakByzEpoch
 	}
 	return Summary{
-		ID:                "5.2.3c",
-		Name:              "Finalize just before ejection (fn. 12)",
 		Outcome:           "inactive ejected post-finalization",
-		P0:                p0,
-		Beta0:             beta0,
 		AnalyticEpoch:     float64(ejection),
 		SimEpoch:          epoch,
 		PeakByzProportion: peak,
@@ -194,56 +165,20 @@ func Scenario523Corner(p0, beta0 float64, lead types.Epoch) (Summary, error) {
 // Scenario53 runs the probabilistic bouncing scenario: the Monte-Carlo
 // estimate of the Equation 24 probability at the reference epoch 4000,
 // next to the analytic value.
-func Scenario53(p0, beta0 float64, seed int64) (Summary, error) {
+func Scenario53(ctx context.Context, p0, beta0 float64, seed int64) (Summary, error) {
 	const refEpoch = 4000
 	mc := BounceMC{NHonest: 500, Beta0: beta0, P0: p0, Seed: seed}
-	probs, err := mc.ExceedProbability([]types.Epoch{refEpoch}, 3)
+	probs, err := mc.ExceedProbabilityContext(ctx, []types.Epoch{refEpoch}, 3)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.3: %w", err)
 	}
 	model := analytic.BounceModel{P0: p0}
 	prob := model.ExceedProbability(refEpoch, beta0, analytic.PaperParams())
 	return Summary{
-		ID:                "5.3",
-		Name:              "Probabilistic bouncing attack",
 		Outcome:           "beta > 1/3 probably",
-		P0:                p0,
-		Beta0:             beta0,
 		AnalyticEpoch:     prob * 100, // Equation 24 at epoch 4000, percent
 		SimEpoch:          refEpoch,
 		CrossedOneThird:   probs[0] > 0,
 		PeakByzProportion: probs[0],
 	}, nil
-}
-
-// Table1 reproduces the paper's Table 1: all five scenarios with their
-// outcomes, run at the paper's reference parameters.
-func Table1(seed int64) ([]Summary, error) {
-	out := make([]Summary, 0, 5)
-	s1, err := Scenario51(0.5)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s1)
-	s21, err := Scenario521(0.5, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s21)
-	s22, err := Scenario522(0.5, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s22)
-	s23, err := Scenario523(0.5, 0.25)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s23)
-	s3, err := Scenario53(0.5, 0.33, seed)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, s3)
-	return out, nil
 }

@@ -105,17 +105,24 @@ func BenchmarkSweepWarmStartForks(b *testing.B) {
 
 // BenchmarkPartitionCell runs one sim/partition cell at its defaults, the
 // cell behind every serve-mix /run miss: three block trees (the oracle and
-// two partition views) grow from genesis to the violation at epoch 26. It
-// reports the blocks those trees hold at the end and the messages still
-// queued in inboxes (a partition that never heals holds none of the other
-// side's traffic); CI gates both counts, B/op and allocs/op (gates.json).
+// two partition views) grow from genesis to the violation at epoch 26. Each
+// iteration is the row's cold run without its meta — advance from genesis,
+// then finishSimPartition — so the bytes are the simulation's. It reports
+// the blocks those trees hold at the end and the messages still queued in
+// inboxes (a partition that never heals holds none of the other side's
+// traffic); CI gates both counts, B/op and allocs/op (gates.json).
 func BenchmarkPartitionCell(b *testing.B) {
 	sc, _ := Default.Lookup(ScenarioSimPartition)
+	row, p, ctx := sc.(*simScenario), sc.Defaults(), context.Background()
 	var res Result
 	var s *sim.Simulation
 	for i := 0; i < b.N; i++ {
+		var tr simTrace
 		var err error
-		if res, s, err = simulatePartition(context.Background(), sc.Defaults()); err != nil {
+		if s, tr, _, err = row.advance(ctx, p, nil, p.Horizon, false); err == nil {
+			res, err = finishSimPartition(ctx, p, s, tr)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 		ckMeta = &CheckpointMeta{}
 		res, simulated, err = runFromCheckpoint(ctx, cs, p, branch, CellKey(cell.Scenario, p), ck, ckMeta)
 	} else {
-		res, err = runScenario(ctx, sc, p)
+		res, err = sc.Run(ctx, p)
 	}
 	if err != nil {
 		res = failedCell(cell, p, err)

@@ -106,7 +106,7 @@ func TestPrefixCodecRoundTrip(t *testing.T) {
 			cs := sc.(CheckpointableScenario)
 			p := cell.Params.WithDefaults(sc.Defaults())
 
-			cold, err := sc.Run(p)
+			cold, err := sc.Run(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,39 +457,46 @@ func (c *errAfter) Err() error {
 // interval boundaries loses nothing. The cancelled hop hands back the prefix
 // it reached, the runner saves it on the way out, and the re-run resumes at
 // that very epoch — 11 here, a multiple of neither the interval nor anything
-// else the runner steps by — to the cold run's payload.
+// else the runner steps by — to the cold run's payload. The sim/partition
+// cell's re-run concludes at its epoch-26 violation, short of its horizon.
 func TestCheckpointCancelMidInterval(t *testing.T) {
 	const every, landed = 8, 11
-	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
-	cold, err := RunCell(context.Background(), nil, cell, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, cell := range []Cell{
+		{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}},
+		{Scenario: ScenarioSimPartition, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3}},
+	} {
+		t.Run(cell.Scenario, func(t *testing.T) {
+			cold, err := RunCell(context.Background(), nil, cell, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ms := newMemStore()
-	ck := &CheckpointOptions{Every: every, Store: ms}
-	// One call before the cell starts, then one per epoch stepped.
-	ctx := &errAfter{Context: context.Background(), calls: 1 + landed}
-	interrupted, err := RunCell(ctx, nil, cell, ck)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-	}
-	if w := interrupted.Meta.Checkpoint.Written; w != 2 || ms.len() != 1 {
-		t.Fatalf("interrupted run wrote %d checkpoints and left %d, want 2 written (epochs %d and %d) and the newest left", w, ms.len(), every, landed)
-	}
+			ms := newMemStore()
+			ck := &CheckpointOptions{Every: every, Store: ms}
+			// One call before the cell starts, then one per epoch stepped.
+			ctx := &errAfter{Context: context.Background(), calls: 1 + landed}
+			interrupted, err := RunCell(ctx, nil, cell, ck)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
+			if w := interrupted.Meta.Checkpoint.Written; w != 2 || ms.len() != 1 {
+				t.Fatalf("interrupted run wrote %d checkpoints and left %d, want 2 written (epochs %d and %d) and the newest left", w, ms.len(), every, landed)
+			}
 
-	resumed, err := RunCell(context.Background(), nil, cell, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resumed.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed run diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
-	}
-	if m := resumed.Meta.Checkpoint; !m.Resumed || m.ResumeEpoch != landed || m.EpochsSaved != landed {
-		t.Fatalf("checkpoint meta %+v, want resumed from epoch %d", m, landed)
-	}
-	if n := ms.len(); n != 0 {
-		t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+			resumed, err := RunCell(context.Background(), nil, cell, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := resumed.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed run diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+			}
+			if m := resumed.Meta.Checkpoint; !m.Resumed || m.ResumeEpoch != landed || m.EpochsSaved != landed {
+				t.Fatalf("checkpoint meta %+v, want resumed from epoch %d", m, landed)
+			}
+			if n := ms.len(); n != 0 {
+				t.Fatalf("store holds %d checkpoints after completion, want 0", n)
+			}
+		})
 	}
 }
 

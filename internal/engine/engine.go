@@ -171,57 +171,28 @@ type Scenario interface {
 	// Defaults are the parameters of the canonical (paper) run.
 	Defaults() Params
 	// Run executes the scenario. Params arrive fully defaulted when the
-	// call goes through a Registry.
-	Run(p Params) (Result, error)
-}
-
-// ContextRunner is the optional context-aware extension of Scenario.
-// Long-running scenarios implement it to observe cooperative cancellation
-// inside their epoch loops; Registry.RunContext prefers it over Run when
-// present.
-type ContextRunner interface {
-	RunContext(ctx context.Context, p Params) (Result, error)
+	// call goes through a Registry. Cancellation is cooperative: a long
+	// run observes ctx inside its own loops and returns its error.
+	Run(ctx context.Context, p Params) (Result, error)
 }
 
 // funcScenario adapts a plain function to the Scenario interface.
 type funcScenario struct {
 	name, desc string
 	defaults   Params
-	run        func(Params) (Result, error)
-}
-
-func (s funcScenario) Name() string                 { return s.name }
-func (s funcScenario) Description() string          { return s.desc }
-func (s funcScenario) Defaults() Params             { return s.defaults }
-func (s funcScenario) Run(p Params) (Result, error) { return s.run(p) }
-
-// NewScenario builds a Scenario from a function.
-func NewScenario(name, desc string, defaults Params, run func(Params) (Result, error)) Scenario {
-	return funcScenario{name: name, desc: desc, defaults: defaults, run: run}
-}
-
-// ctxFuncScenario adapts a context-aware function to Scenario and
-// ContextRunner.
-type ctxFuncScenario struct {
-	name, desc string
-	defaults   Params
 	run        func(context.Context, Params) (Result, error)
 }
 
-func (s ctxFuncScenario) Name() string        { return s.name }
-func (s ctxFuncScenario) Description() string { return s.desc }
-func (s ctxFuncScenario) Defaults() Params    { return s.defaults }
-func (s ctxFuncScenario) Run(p Params) (Result, error) {
-	return s.run(context.Background(), p)
-}
-func (s ctxFuncScenario) RunContext(ctx context.Context, p Params) (Result, error) {
+func (s funcScenario) Name() string        { return s.name }
+func (s funcScenario) Description() string { return s.desc }
+func (s funcScenario) Defaults() Params    { return s.defaults }
+func (s funcScenario) Run(ctx context.Context, p Params) (Result, error) {
 	return s.run(ctx, p)
 }
 
-// NewContextScenario builds a cancellable Scenario from a context-aware
-// function.
-func NewContextScenario(name, desc string, defaults Params, run func(context.Context, Params) (Result, error)) Scenario {
-	return ctxFuncScenario{name: name, desc: desc, defaults: defaults, run: run}
+// NewScenario builds a Scenario from a function.
+func NewScenario(name, desc string, defaults Params, run func(context.Context, Params) (Result, error)) Scenario {
+	return funcScenario{name: name, desc: desc, defaults: defaults, run: run}
 }
 
 // Registry is a named set of scenarios. The zero value is not usable;
@@ -273,9 +244,8 @@ func (r *Registry) Names() []string {
 
 // RunContext looks the scenario up, applies its defaults to p, executes it,
 // and stamps the result with the scenario name and effective parameters.
-// Cancellation is cooperative: a scenario implementing ContextRunner
-// observes ctx inside its own loops, any other scenario is gated by a
-// cancellation check before it starts.
+// A cancelled context stops the run before it starts; after that,
+// cancellation is the scenario's to observe (Scenario.Run).
 func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Result, error) {
 	s, ok := r.Lookup(name)
 	if !ok {
@@ -285,7 +255,7 @@ func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Resul
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res, err := runScenario(ctx, s, p)
+	res, err := s.Run(ctx, p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -299,23 +269,11 @@ func (r *Registry) unknown(name string) error {
 	return fmt.Errorf("engine: unknown scenario %q (have: %s)", name, strings.Join(r.Names(), ", "))
 }
 
-// runScenario executes a scenario on fully defaulted params, through
-// ContextRunner when it has one.
-func runScenario(ctx context.Context, s Scenario, p Params) (Result, error) {
-	if cr, ok := s.(ContextRunner); ok {
-		return cr.RunContext(ctx, p)
-	}
-	return s.Run(p)
-}
-
 // Info is the serializable description of one registered scenario.
 type Info struct {
 	Name        string `json:"name"`
 	Description string `json:"description"`
 	Defaults    Params `json:"defaults"`
-	// Cancellable reports whether the scenario observes context
-	// cancellation inside its own loops (ContextRunner).
-	Cancellable bool `json:"cancellable"`
 }
 
 // Infos describes every registered scenario, sorted by name.
@@ -324,13 +282,7 @@ func (r *Registry) Infos() []Info {
 	infos := make([]Info, 0, len(names))
 	for _, n := range names {
 		s, _ := r.Lookup(n)
-		_, cancellable := s.(ContextRunner)
-		infos = append(infos, Info{
-			Name:        s.Name(),
-			Description: s.Description(),
-			Defaults:    s.Defaults(),
-			Cancellable: cancellable,
-		})
+		infos = append(infos, Info{Name: s.Name(), Description: s.Description(), Defaults: s.Defaults()})
 	}
 	return infos
 }
@@ -338,8 +290,7 @@ func (r *Registry) Infos() []Info {
 // Default is the package registry holding every built-in scenario.
 var Default = NewRegistry()
 
-// RunContext executes a scenario from the default registry with
-// cooperative cancellation.
+// RunContext executes a scenario from the default registry.
 func RunContext(ctx context.Context, name string, p Params) (Result, error) {
 	return Default.RunContext(ctx, name, p)
 }

@@ -64,7 +64,7 @@ type Prefix struct {
 // equivalence suite pins: for any fully-defaulted params p with
 // Fork(p) = (key, branch, true),
 //
-//	RunContext(ctx, p)  ==  ResumeFrom(ctx, RunTo(ctx, p, nil, branch), p)
+//	Run(ctx, p)  ==  ResumeFrom(ctx, RunTo(ctx, p, nil, branch), p)
 //
 // bit-identically (Result.Meta aside), and RunTo may be split at any
 // intermediate epoch — RunTo(p, RunTo(p, nil, e1), e2) equals

@@ -150,7 +150,7 @@ func TestForkKeys(t *testing.T) {
 // For every split 0 < e1 < e2 <= branch, extending a prefix writes the
 // same snapshot frame bytes as simulating straight from genesis; and
 // resuming from any prefix after a round trip through the prefix codec
-// yields the cold RunContext result. And finishing is read-only: a cell
+// yields the cold Run result. And finishing is read-only: a cell
 // that ends at epoch k is read off a prefix advanced there without a
 // snapshot (what the sweep spine lends its stops), equals its cold run, and
 // leaves the prefix extending to the same bytes as if nobody had looked.
@@ -174,7 +174,7 @@ func TestSimRowContract(t *testing.T) {
 			if !ok || branch < 2 {
 				t.Fatalf("Fork(%v) = branch %d, ok %t; the contract point must fork", p, branch, ok)
 			}
-			cold, err := sc.RunContext(ctx, p)
+			cold, err := sc.Run(ctx, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestSimRowContract(t *testing.T) {
 			// accepts the point at that horizon).
 			stop := p
 			stop.Horizon = branch - 1
-			coldStop, err := sc.RunContext(ctx, stop)
+			coldStop, err := sc.Run(ctx, stop)
 			if err != nil {
 				t.Fatal(err)
 			}

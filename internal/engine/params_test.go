@@ -18,7 +18,7 @@ func defaultsProbe(t *testing.T) (*Registry, Params) {
 	defaults := Params{P0: 0.5, Beta0: 0.25, Mode: "m", Seed: 9, N: 100, Horizon: 10, Rate: 0.4, GST: 7}
 	reg := NewRegistry()
 	reg.MustRegister(NewScenario("probe", "echoes effective params", defaults,
-		func(p Params) (Result, error) {
+		func(_ context.Context, p Params) (Result, error) {
 			return Result{Metrics: []Metric{
 				{Name: "rate", Value: p.Rate},
 				{Name: "gst", Value: float64(p.GST)},

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/network"
-	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -22,10 +20,9 @@ const (
 	ScenarioDelayCorner = "5.2.3c"
 	ScenarioBounce      = "5.3"
 	// Generic engines for open-ended sweeps.
-	ScenarioLeakSim      = "leaksim"
-	ScenarioBounceMC     = "bounce-mc"
-	ScenarioFig7Search   = "fig7-threshold"
-	ScenarioSimPartition = "sim/partition"
+	ScenarioLeakSim    = "leaksim"
+	ScenarioBounceMC   = "bounce-mc"
+	ScenarioFig7Search = "fig7-threshold"
 	// Closed-form solvers.
 	ScenarioAnalyticConflict  = "analytic/conflict"
 	ScenarioAnalyticBounce    = "analytic/bounce"
@@ -36,62 +33,58 @@ func init() {
 	Default.MustRegister(NewScenario(ScenarioPartition,
 		"All honest, lasting partition",
 		Params{P0: 0.5},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario51(p.P0)
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario51(ctx, p.P0)
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioDoubleVote,
 		"Byzantine double vote (slashable)",
 		Params{P0: 0.5, Beta0: 0.2},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario521(p.P0, p.Beta0)
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario521(ctx, p.P0, p.Beta0)
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioSemiActive,
 		"Byzantine semi-active (non-slashable)",
 		Params{P0: 0.5, Beta0: 0.2},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario522(p.P0, p.Beta0)
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario522(ctx, p.P0, p.Beta0)
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioDelay,
 		"Byzantine delay finalization",
 		Params{P0: 0.5, Beta0: 0.25},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario523(p.P0, p.Beta0)
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario523(ctx, p.P0, p.Beta0)
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioDelayCorner,
 		"Finalize just before ejection (fn. 12; horizon = lead epochs before ejection, not a run bound)",
 		Params{P0: 0.5, Beta0: 0.25, Horizon: 200},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario523Corner(p.P0, p.Beta0, types.Epoch(p.Horizon))
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario523Corner(ctx, p.P0, p.Beta0, types.Epoch(p.Horizon))
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioBounce,
 		"Probabilistic bouncing attack",
 		Params{P0: 0.5, Beta0: 0.33, Seed: 1},
-		func(p Params) (Result, error) {
-			s, err := core.Scenario53(p.P0, p.Beta0, p.Seed)
+		func(ctx context.Context, p Params) (Result, error) {
+			s, err := core.Scenario53(ctx, p.P0, p.Beta0, p.Seed)
 			return summaryResult(s), err
 		}))
 
-	Default.MustRegister(NewContextScenario(ScenarioLeakSim,
+	Default.MustRegister(NewScenario(ScenarioLeakSim,
 		"Aggregate two-branch leak simulation (mode: absent, absent-delay, double, semi, semi-delay)",
 		Params{P0: 0.5, Mode: "absent", N: 10000, Horizon: 9000},
 		runLeakSim))
-	Default.MustRegister(NewContextScenario(ScenarioBounceMC,
+	Default.MustRegister(NewScenario(ScenarioBounceMC,
 		"Per-validator bouncing-attack Monte-Carlo (one trajectory per seed)",
 		Params{P0: 0.5, Beta0: 1.0 / 3.0, Seed: 1, N: 500, Horizon: 4000},
 		runBounceMC))
-	Default.MustRegister(NewContextScenario(ScenarioFig7Search,
+	Default.MustRegister(NewScenario(ScenarioFig7Search,
 		"Bisection for the minimal beta0 crossing 1/3 on both branches (Figure 7)",
 		Params{P0: 0.5, N: 10000, Horizon: 9000},
 		runFig7Search))
-	Default.MustRegister(NewContextScenario(ScenarioSimPartition,
-		"Full protocol simulator: partitioned network until a finality-safety violation",
-		Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3},
-		runSimPartition))
 
 	Default.MustRegister(NewScenario(ScenarioAnalyticConflict,
 		"Continuous-model conflicting finalization (mode: honest, slashing, semi)",
@@ -242,69 +235,7 @@ func runFig7Search(ctx context.Context, p Params) (Result, error) {
 	}, nil
 }
 
-// runSimPartition drives the full protocol simulator (one beacon node per
-// validator) through a lasting partition under a compressed spec and
-// reports the epoch of the first finality-safety violation — the
-// mechanism-level counterpart of Scenario 5.1.
-func runSimPartition(ctx context.Context, p Params) (Result, error) {
-	res, _, err := simulatePartition(ctx, p)
-	return res, err
-}
-
-// simulatePartition is runSimPartition, also handing back the simulation
-// it ran.
-func simulatePartition(ctx context.Context, p Params) (Result, *sim.Simulation, error) {
-	s, err := sim.New(partitionConfig(p))
-	if err != nil {
-		return Result{}, nil, err
-	}
-	violation := 0.0
-	for epoch := 1; epoch <= p.Horizon && violation == 0; epoch++ {
-		// A protocol-simulator epoch is orders of magnitude heavier than
-		// a leak epoch, so check cancellation on every one.
-		if err := ctx.Err(); err != nil {
-			return Result{}, nil, err
-		}
-		if err := s.RunEpochs(1); err != nil {
-			return Result{}, nil, err
-		}
-		if v := s.CheckFinalitySafety(); v != nil {
-			violation = float64(epoch)
-		}
-	}
-	out := Result{
-		Metrics: []Metric{
-			{Name: "violation_epoch", Value: violation},
-			{Name: "violation_detected", Value: boolMetric(violation != 0)},
-		},
-	}
-	if violation != 0 {
-		out.Outcome = "2 finalized branches"
-	}
-	return out, s, nil
-}
-
-// partitionConfig is the simulator a sim/partition cell runs: the first
-// round(N·p0) validators in one partition, the rest in the other, and a
-// network that never heals.
-func partitionConfig(p Params) sim.Config {
-	nA := int(math.Round(float64(p.N) * p.P0))
-	return sim.Config{
-		Validators: p.N,
-		Spec:       types.CompressedSpec(1 << 16),
-		GST:        network.Never,
-		Delay:      1,
-		Seed:       p.Seed,
-		PartitionOf: func(v types.ValidatorIndex) int {
-			if int(v) < nA {
-				return 0
-			}
-			return 1
-		},
-	}
-}
-
-func runAnalyticConflict(p Params) (Result, error) {
+func runAnalyticConflict(_ context.Context, p Params) (Result, error) {
 	var behavior analytic.Behavior
 	switch p.Mode {
 	case "", "honest":
@@ -329,7 +260,7 @@ func runAnalyticConflict(p Params) (Result, error) {
 	}, nil
 }
 
-func runAnalyticBounce(p Params) (Result, error) {
+func runAnalyticBounce(_ context.Context, p Params) (Result, error) {
 	model := analytic.BounceModel{P0: p.P0}
 	lo, hi := analytic.BounceWindow(p.Beta0)
 	return Result{
@@ -342,7 +273,7 @@ func runAnalyticBounce(p Params) (Result, error) {
 	}, nil
 }
 
-func runAnalyticThreshold(p Params) (Result, error) {
+func runAnalyticThreshold(_ context.Context, p Params) (Result, error) {
 	var params analytic.Params
 	switch p.Mode {
 	case "", "paper":

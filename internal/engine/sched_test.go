@@ -25,9 +25,12 @@ const shippedSim = "cohort-protoarray"
 // epochs per group, cells sharing a single branch, and — the second grid —
 // an entry with two stops and a fork (at epoch 6: gst 6 x horizon 6 and
 // gst 9 x horizon 6 end there, gst 6 x horizon 8 continues), so the stops
-// are read off the spine's simulation just before a fork may claim it.
+// are read off the spine's simulation just before a fork may claim it. The
+// sim/partition grid's horizons straddle its epoch-26 violation, so its last
+// cells are read off a prefix that concluded before them.
 func equivalenceGrids() []Grid {
 	return []Grid{
+		{Scenario: "sim/partition", P0: []float64{0.3, 0.5}, Horizons: []int{20, 26, 30, 40}, N: 16},
 		{Scenario: "sim/gst", P0: []float64{0.4, 0.6}, GSTs: []int{2, 4, 5}, Horizons: []int{6, 8}, N: 24},
 		{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{6, 9}, Horizons: []int{6, 8}, N: 24},
 		{Scenario: "sim/leak", P0: []float64{0.5}, Horizons: []int{8, 10, 12}, N: 20, Sample: 2},
@@ -59,6 +62,29 @@ func TestWarmVsColdEquivalence(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWarmStopsReportNoThroughput: a stop read off a prefix already standing
+// at or past its horizon stepped no epoch, so it reports no throughput rather
+// than the whole run's epochs over the instant the read took; the same cells
+// run cold report their own. This partition violates safety at epoch 26, so
+// the spine concludes before every horizon.
+func TestWarmStopsReportNoThroughput(t *testing.T) {
+	ctx := context.Background()
+	cells := Grid{Scenario: "sim/gst", P0: []float64{0.5}, GSTs: []int{1000}, Horizons: []int{28, 32, 36, 40}, N: 16}.Cells()
+	for i, r := range SweepContext(ctx, cells, Options{Workers: 1, WarmStart: &WarmStartOptions{}}) {
+		if r.Err != "" || r.Meta.Warm == nil || !r.Meta.Warm.Hit {
+			t.Fatalf("cell %d: %q, warm meta %+v; want a stop served off the spine", i, r.Err, r.Meta.Warm)
+		}
+		if r.Meta.EpochsPerSec != 0 {
+			t.Errorf("warm stop %d (horizon %d): %v epochs/sec, want none", i, cells[i].Params.Horizon, r.Meta.EpochsPerSec)
+		}
+	}
+	for i, r := range SweepContext(ctx, cells, Options{Workers: 1}) {
+		if r.Err != "" || r.Meta.EpochsPerSec <= 0 {
+			t.Errorf("cold cell %d: %q, %v epochs/sec, want a positive rate", i, r.Err, r.Meta.EpochsPerSec)
+		}
+	}
 }
 
 // TestWarmStartObservability checks the provenance a warm sweep stamps

@@ -12,13 +12,12 @@ import (
 )
 
 // simScenario is the one runner behind every simRow: it implements
-// Scenario, ContextRunner, ForkableScenario and CheckpointableScenario
-// (sim_fork_codec.go) for all of them. Every way a cell executes is the
-// same walk — position a simulation at a start (genesis or a Prefix), step
-// it epoch by epoch under the row's trace, then either park it on a Prefix
-// (advanceTo; RunTo also snapshots it) or finish (ResumeFrom) — so a cold
-// run is ResumeFrom with no prefix: built from the cell's real config,
-// never snapshotted.
+// Scenario, ForkableScenario and CheckpointableScenario (sim_fork_codec.go)
+// for all of them. Every way a cell executes is the same walk — position a
+// simulation at a start (genesis or a Prefix), step it epoch by epoch under
+// the row's trace, then either park it on a Prefix (advanceTo; RunTo also
+// snapshots it) or finish (ResumeFrom) — so a cold run is ResumeFrom with
+// no prefix: built from the cell's real config, never snapshotted.
 type simScenario struct {
 	row *simRow
 }
@@ -27,11 +26,7 @@ func (sc *simScenario) Name() string        { return sc.row.name }
 func (sc *simScenario) Description() string { return sc.row.desc }
 func (sc *simScenario) Defaults() Params    { return sc.row.defaults }
 
-func (sc *simScenario) Run(p Params) (Result, error) {
-	return sc.RunContext(context.Background(), p)
-}
-
-func (sc *simScenario) RunContext(ctx context.Context, p Params) (Result, error) {
+func (sc *simScenario) Run(ctx context.Context, p Params) (Result, error) {
 	if err := sc.row.validate(p); err != nil {
 		return Result{}, err
 	}
@@ -111,7 +106,7 @@ func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, ep
 }
 
 // ResumeFrom completes one cell from the prefix; nil is genesis (the cold
-// run, minus the validation RunContext does first).
+// run, minus the validation Run does first).
 func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
 	s, tr, elapsed, err := sc.advance(ctx, p, pre, p.Horizon, false)
 	if err != nil {
@@ -127,9 +122,10 @@ func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (R
 
 // advance positions a simulation at the prefix (nil = genesis) and steps it
 // to the target epoch under a private copy of the prefix's trace, returning
-// both plus the wall clock the stepping took. shared marks a run on behalf
-// of every cell of a prefix group (advanceTo): a row that branches at gst
-// then simulates unhealed, under network.FarFuture; otherwise the
+// both plus the wall clock the stepping took (zero when the prefix already
+// stood at or past the target, so nothing stepped). shared marks a run on
+// behalf of every cell of a prefix group (advanceTo): a row that branches at
+// gst then simulates unhealed, under network.FarFuture; otherwise the
 // simulation carries the cell's own heal slot.
 func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to int, shared bool) (*sim.Simulation, simTrace, time.Duration, error) {
 	cfg := sc.row.config(p)
@@ -162,11 +158,13 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
+	var elapsed time.Duration
 	if !settled {
+		start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
 		err = runEpochs(ctx, s, fromEpoch, to, func(epoch int) bool { return tr.observe(s, p, epoch) })
+		elapsed = time.Since(start) //gasper:nondet wall-clock duration metadata only; never part of result identity
 	}
-	return s, tr, time.Since(start), err //gasper:nondet wall-clock duration metadata only; never part of result identity
+	return s, tr, elapsed, err
 }
 
 // simCont hands a prefix's still-live simulation to exactly one claimant.

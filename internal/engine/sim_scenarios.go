@@ -22,6 +22,10 @@ import (
 // they need — the HTTP server lists them, the client sweeps them, and the
 // CLIs run them with no further wiring.
 const (
+	// ScenarioSimPartition is the mechanism-level form of Table 1 Scenario
+	// 5.1: a p0 partition that never heals, under a compressed spec, run to
+	// the first finality-safety violation.
+	ScenarioSimPartition = "sim/partition"
 	// ScenarioSimBounce is the node-level probabilistic bouncing attack
 	// (paper Section 5.3) at paper scale: a pre-GST fork, then per-epoch
 	// duty-view placement with stay-probability p0.
@@ -51,7 +55,7 @@ const (
 )
 
 func init() {
-	Default.MustRegister(NewContextScenario(ScenarioSimBounce,
+	Default.MustRegister(NewScenario(ScenarioSimBounce,
 		"Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
 		Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
 		runSimBounce))
@@ -70,7 +74,8 @@ func init() {
 // overwriting this. On a warm-started cell the epoch count spans the whole
 // run (restored prefix included) while the elapsed time covers only the
 // resumed tail, so the figure reads as effective throughput including the
-// epochs the snapshot saved.
+// epochs the snapshot saved. A cell that stepped no epoch — read off a
+// prefix already standing at or past its horizon — reports none.
 func simMeta(s *sim.Simulation, elapsed time.Duration) *RunMeta {
 	st := s.Stats()
 	meta := &RunMeta{
@@ -146,19 +151,14 @@ func runSimBounce(ctx context.Context, p Params) (Result, error) {
 
 	spec := types.CompressedSpec(1 << 16)
 	s, err := sim.New(sim.Config{
-		Validators: p.N,
-		Spec:       spec,
-		Byzantine:  byz,
-		GST:        types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
-		Delay:      1,
-		Seed:       p.Seed,
-		PartitionOf: func(v types.ValidatorIndex) int {
-			if int(v) < half {
-				return 0
-			}
-			return 1
-		},
-		Adversary: adv,
+		Validators:  p.N,
+		Spec:        spec,
+		Byzantine:   byz,
+		GST:         types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
+		Delay:       1,
+		Seed:        p.Seed,
+		PartitionOf: splitAt(half),
+		Adversary:   adv,
 	})
 	if err != nil {
 		return Result{}, err
@@ -257,6 +257,17 @@ type simTrace interface {
 // zero default is a choice, not a necessity: an explicit rate=0 or gst=0
 // cell survives even against a non-zero default.
 var simRows = []simRow{
+	{
+		name:     ScenarioSimPartition,
+		desc:     "Full protocol simulator: partitioned network until a finality-safety violation",
+		defaults: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3},
+		// Every cell is run: sim.New rejects the populations it cannot build.
+		validate:    func(Params) error { return nil },
+		config:      partitionConfig,
+		newTrace:    func(Params) simTrace { return &gstTrace{} },
+		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeGSTTrace(r) },
+		finish:      finishSimPartition,
+	},
 	{
 		name:        ScenarioSimDrops,
 		desc:        "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
@@ -375,30 +386,42 @@ func finishSimDrops(_ context.Context, p Params, s *sim.Simulation, _ simTrace) 
 	return out, nil
 }
 
-// simGSTConfig describes the p0-weighted two-way partition population
-// healing at the p.GST epoch — the mechanism-level boundary between the
-// paper's Scenario 5.1 (never heals, conflicting finalization) and a
-// harmless outage.
-func simGSTConfig(p Params) sim.Config {
-	nA := int(math.Round(float64(p.N) * p.P0))
-	spec := types.CompressedSpec(1 << 16)
-	return sim.Config{
-		Validators: p.N,
-		Spec:       spec,
-		GST:        types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
-		Delay:      1,
-		Seed:       p.Seed,
-		PartitionOf: func(v types.ValidatorIndex) int {
-			if int(v) < nA {
-				return 0
-			}
-			return 1
-		},
+// splitAt is the two-way partition of a population: validators below nA on
+// one side, the rest on the other.
+func splitAt(nA int) func(types.ValidatorIndex) int {
+	return func(v types.ValidatorIndex) int {
+		if int(v) < nA {
+			return 0
+		}
+		return 1
 	}
 }
 
+// partitionConfig is the simulator a sim/partition cell runs: the first
+// round(N·p0) validators in one partition, the rest in the other, under a
+// compressed spec, on a network that never heals.
+func partitionConfig(p Params) sim.Config {
+	return sim.Config{
+		Validators:  p.N,
+		Spec:        types.CompressedSpec(1 << 16),
+		GST:         network.Never,
+		Delay:       1,
+		Seed:        p.Seed,
+		PartitionOf: splitAt(int(math.Round(float64(p.N) * p.P0))),
+	}
+}
+
+// simGSTConfig is the sim/partition population healing at the p.GST epoch —
+// the mechanism-level boundary between the paper's Scenario 5.1 (never
+// heals, conflicting finalization) and a harmless outage.
+func simGSTConfig(p Params) sim.Config {
+	cfg := partitionConfig(p)
+	cfg.GST = types.Slot(uint64(p.GST) * cfg.Spec.SlotsPerEpoch)
+	return cfg
+}
+
 // gstTrace carries the first safety violation observed (0 = none); the run
-// concludes at the violation epoch.
+// concludes at the violation epoch. sim/partition and sim/gst share it.
 type gstTrace struct {
 	violation float64
 }
@@ -423,23 +446,31 @@ func decodeGSTTrace(r *codec.Reader) (*gstTrace, error) {
 	return &gstTrace{violation: r.F64()}, r.Err()
 }
 
-// finishSimGST reports whether safety survived and how finality recovered.
-func finishSimGST(_ context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error) {
+// finishSimPartition reports the first safety violation, if the horizon
+// reached one.
+func finishSimPartition(_ context.Context, _ Params, _ *sim.Simulation, tr simTrace) (Result, error) {
 	violation := tr.(*gstTrace).violation
-	minFin := s.MetricsAt(types.Epoch(p.Horizon)).MinFinalized
-	recovered := violation == 0 && minFin >= types.Epoch(p.GST)
 	out := Result{
 		Metrics: []Metric{
 			{Name: "violation_epoch", Value: violation},
 			{Name: "violation_detected", Value: boolMetric(violation != 0)},
-			{Name: "min_finalized_final", Value: float64(minFin)},
-			{Name: "recovered", Value: boolMetric(recovered)},
 		},
 	}
-	switch {
-	case violation != 0:
+	if violation != 0 {
 		out.Outcome = "2 finalized branches"
-	case recovered:
+	}
+	return out, nil
+}
+
+// finishSimGST reports whether safety survived and how finality recovered.
+func finishSimGST(ctx context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error) {
+	out, _ := finishSimPartition(ctx, p, s, tr)
+	minFin := s.MetricsAt(types.Epoch(p.Horizon)).MinFinalized
+	recovered := tr.(*gstTrace).violation == 0 && minFin >= types.Epoch(p.GST)
+	out.Metrics = append(out.Metrics,
+		Metric{Name: "min_finalized_final", Value: float64(minFin)},
+		Metric{Name: "recovered", Value: boolMetric(recovered)})
+	if recovered {
 		out.Outcome = "healed, finality recovered"
 	}
 	return out, nil
@@ -453,20 +484,14 @@ func finishSimGST(_ context.Context, p Params, s *sim.Simulation, tr simTrace) (
 // Table 1 / Table 3 headline epochs, so no compressed quotient.
 func leakPartitionConfig(p Params, byz []types.ValidatorIndex) sim.Config {
 	nHonest := p.N - len(byz)
-	nA := int(math.Round(float64(nHonest) * p.P0))
 	return sim.Config{
-		Validators: p.N,
-		Spec:       types.DefaultSpec(),
-		Byzantine:  byz,
-		GST:        network.Never,
-		Delay:      1,
-		Seed:       p.Seed,
-		PartitionOf: func(v types.ValidatorIndex) int {
-			if int(v) < nA {
-				return 0
-			}
-			return 1
-		},
+		Validators:  p.N,
+		Spec:        types.DefaultSpec(),
+		Byzantine:   byz,
+		GST:         network.Never,
+		Delay:       1,
+		Seed:        p.Seed,
+		PartitionOf: splitAt(int(math.Round(float64(nHonest) * p.P0))),
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // takes perCell to complete unless its context is cancelled first.
 func streamRegistry(perCell time.Duration) *Registry {
 	reg := NewRegistry()
-	reg.MustRegister(NewContextScenario("slow", "cancellable test scenario",
+	reg.MustRegister(NewScenario("slow", "cancellable test scenario",
 		Params{P0: 0.5},
 		func(ctx context.Context, p Params) (Result, error) {
 			select {
@@ -164,13 +164,14 @@ func TestSweepContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRegistryRunContext: the registry prefers ContextRunner scenarios and
-// gates plain ones with an upfront cancellation check.
+// TestRegistryRunContext: the registry checks the context before a run
+// starts, so a cancelled call never reaches even a scenario that ignores it,
+// and a scenario that observes the context returns its error.
 func TestRegistryRunContext(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(NewScenario("plain", "no ctx", Params{},
-		func(p Params) (Result, error) { return Result{Outcome: "ran"}, nil }))
-	reg.MustRegister(NewContextScenario("aware", "ctx", Params{},
+	reg.MustRegister(NewScenario("oblivious", "ignores ctx", Params{},
+		func(context.Context, Params) (Result, error) { return Result{Outcome: "ran"}, nil }))
+	reg.MustRegister(NewScenario("aware", "ctx", Params{},
 		func(ctx context.Context, p Params) (Result, error) {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("observed: %w", err)
@@ -180,13 +181,10 @@ func TestRegistryRunContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := reg.RunContext(ctx, "plain", Params{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("plain scenario under cancelled ctx: err = %v", err)
-	}
-	if _, err := reg.RunContext(ctx, "aware", Params{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("aware scenario under cancelled ctx: err = %v", err)
-	}
-	for _, name := range []string{"plain", "aware"} {
+	for _, name := range []string{"oblivious", "aware"} {
+		if _, err := reg.RunContext(ctx, name, Params{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under cancelled ctx: err = %v", name, err)
+		}
 		res, err := reg.RunContext(context.Background(), name, Params{})
 		if err != nil || res.Outcome != "ran" {
 			t.Errorf("%s under live ctx: %+v, %v", name, res, err)
@@ -194,8 +192,8 @@ func TestRegistryRunContext(t *testing.T) {
 	}
 }
 
-// TestRegistryInfos: the serializable listing names every scenario and
-// flags the cancellable ones.
+// TestRegistryInfos: the serializable listing names and describes every
+// scenario.
 func TestRegistryInfos(t *testing.T) {
 	infos := Infos()
 	if len(infos) != len(Names()) {
@@ -205,30 +203,36 @@ func TestRegistryInfos(t *testing.T) {
 	for _, in := range infos {
 		byName[in.Name] = in
 	}
-	if in := byName[ScenarioLeakSim]; !in.Cancellable || in.Description == "" || in.Defaults.N == 0 {
+	if in := byName[ScenarioLeakSim]; in.Description == "" || in.Defaults.N == 0 {
 		t.Errorf("leaksim info incomplete: %+v", in)
 	}
-	if in := byName[ScenarioDoubleVote]; in.Cancellable {
-		t.Errorf("closed-form scenario flagged cancellable: %+v", in)
+	if in := byName[ScenarioSimPartition]; in.Description == "" || in.Defaults.Horizon != 40 {
+		t.Errorf("sim/partition info incomplete: %+v", in)
 	}
 }
 
 // TestLongScenariosCancelInsideLoops: the paper-scale engines abort
-// mid-run, not only between cells.
+// mid-run, not only between cells. Each run gets a deadline of its own,
+// shorter than the run, so the context is live when the run starts: 5.3's
+// three 4,000-epoch Monte-Carlo trajectories take about 70 ms.
 func TestLongScenariosCancelInsideLoops(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	for _, cell := range []Cell{
-		{Scenario: ScenarioLeakSim, Params: Params{N: 10000, Horizon: 50_000_000}},
-		{Scenario: ScenarioBounceMC, Params: Params{N: 2000, Horizon: 50_000_000, Sample: 1000}},
+	for _, tc := range []struct {
+		cell     Cell
+		deadline time.Duration
+	}{
+		{Cell{Scenario: ScenarioLeakSim, Params: Params{N: 10000, Horizon: 50_000_000}}, 30 * time.Millisecond},
+		{Cell{Scenario: ScenarioBounceMC, Params: Params{N: 2000, Horizon: 50_000_000, Sample: 1000}}, 30 * time.Millisecond},
+		{Cell{Scenario: ScenarioBounce}, 5 * time.Millisecond},
 	} {
+		ctx, cancel := context.WithTimeout(context.Background(), tc.deadline)
 		start := time.Now()
-		_, err := RunContext(ctx, cell.Scenario, cell.Params)
+		_, err := RunContext(ctx, tc.cell.Scenario, tc.cell.Params)
+		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: err = %v, want deadline exceeded", cell.Scenario, err)
+			t.Errorf("%s: err = %v, want deadline exceeded", tc.cell.Scenario, err)
 		}
 		if d := time.Since(start); d > 5*time.Second {
-			t.Errorf("%s: cancelled run took %v, want prompt abort", cell.Scenario, d)
+			t.Errorf("%s: cancelled run took %v, want prompt abort", tc.cell.Scenario, d)
 		}
 	}
 }

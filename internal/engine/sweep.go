@@ -357,7 +357,7 @@ type Update struct {
 // set, otherwise through the scheduler (sched.go) — one bounded worker pool
 // whose jobs each run one cell through the cell executor (runCell).
 // Cancellation is cooperative: once ctx is cancelled, cells already running
-// return early (ContextRunner scenarios observe ctx inside their loops) and
+// return early (scenarios observe ctx inside their loops) and
 // cells not yet started are marked with the context error without being
 // computed, so the stream closes promptly.
 //

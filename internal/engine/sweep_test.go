@@ -273,14 +273,24 @@ func TestSweepGridAndWorkerDefaults(t *testing.T) {
 	}
 }
 
+// TestTable1CellsMatchPaper: Table 1 is five cells, in the paper's order,
+// each with its outcome line, swept like any grid — plus the footnote-12
+// corner (5.2.3c, finalizing 100 epochs before the ejection), the one paper
+// scenario the table does not list.
 func TestTable1CellsMatchPaper(t *testing.T) {
 	cells := Table1Cells(1)
 	if len(cells) != 5 {
 		t.Fatalf("cells = %d, want 5", len(cells))
 	}
-	results := SweepContext(context.Background(), cells, Options{})
+	corner := Cell{Scenario: ScenarioDelayCorner, Params: Params{P0: 0.5, Beta0: 0.25, Horizon: 100}}
+	results := SweepContext(context.Background(), append(cells, corner), Options{})
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
+	}
+	for i, id := range []string{"5.1", "5.2.1", "5.2.2", "5.2.3", "5.3", "5.2.3c"} {
+		if results[i].Scenario != id || results[i].Outcome == "" {
+			t.Errorf("row %d: scenario %q outcome %q, want %s with an outcome", i, results[i].Scenario, results[i].Outcome, id)
+		}
 	}
 	// Scenario 5.1 at p0=0.5: the paper-anchored analytic conflict is
 	// 4686; the exact integer simulation lands a couple dozen epochs
@@ -291,9 +301,11 @@ func TestTable1CellsMatchPaper(t *testing.T) {
 	if v, _ := results[0].Metric("sim_epoch"); v < 4650 || v > 4690 {
 		t.Errorf("5.1 sim_epoch = %v, want ~4662", v)
 	}
-	// Scenario 5.2.3 crosses one third.
-	if v, _ := results[3].Metric("crossed_one_third"); v != 1 {
-		t.Error("5.2.3 must cross one third")
+	// Scenario 5.2.3 crosses one third, and so does its corner.
+	for _, i := range []int{3, 5} {
+		if v, _ := results[i].Metric("crossed_one_third"); v != 1 {
+			t.Errorf("%s must cross one third", results[i].Scenario)
+		}
 	}
 }
 

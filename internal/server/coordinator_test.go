@@ -350,7 +350,7 @@ func TestQueueFullRejects(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	reg := engine.NewRegistry()
-	reg.MustRegister(engine.NewContextScenario("gate", "blocks until released",
+	reg.MustRegister(engine.NewScenario("gate", "blocks until released",
 		engine.Params{P0: 0.5},
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			started <- struct{}{}
@@ -526,7 +526,7 @@ func TestCoordinatorWarmSweepSharesPrefix(t *testing.T) {
 // (started receives once per run that has begun).
 func gateRegistry(runs *atomic.Int64, started chan<- struct{}, release <-chan struct{}) *engine.Registry {
 	reg := countedRegistry(runs)
-	reg.MustRegister(engine.NewContextScenario("gate", "blocks until released",
+	reg.MustRegister(engine.NewScenario("gate", "blocks until released",
 		engine.Params{P0: 0.5},
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			started <- struct{}{}

@@ -91,7 +91,7 @@ func TestScenariosEndpoint(t *testing.T) {
 	for _, in := range infos {
 		byName[in.Name] = in
 	}
-	if in := byName[engine.ScenarioLeakSim]; in.Description == "" || in.Defaults.N != 10000 || !in.Cancellable {
+	if in := byName[engine.ScenarioLeakSim]; in.Description == "" || in.Defaults.N != 10000 {
 		t.Errorf("leaksim info incomplete over HTTP: %+v", in)
 	}
 }
@@ -230,7 +230,7 @@ func TestSweepCacheSkipsRecomputation(t *testing.T) {
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("counted", "counts invocations",
 		engine.Params{P0: 0.5},
-		func(p engine.Params) (engine.Result, error) {
+		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
 			return engine.Result{Metrics: []engine.Metric{{Name: "seed", Value: float64(p.Seed)}}}, nil
 		}))
@@ -332,7 +332,7 @@ func TestSweepPerCellErrorsStream(t *testing.T) {
 func TestSweepClientDisconnect(t *testing.T) {
 	var runs atomic.Int64
 	reg := engine.NewRegistry()
-	reg.MustRegister(engine.NewContextScenario("slow", "cancellable",
+	reg.MustRegister(engine.NewScenario("slow", "cancellable",
 		engine.Params{P0: 0.5},
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
@@ -391,7 +391,7 @@ func TestRunEndpointKeepsExplicitZeroParams(t *testing.T) {
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("echo", "echoes the effective rate/gst",
 		engine.Params{P0: 0.5, Rate: 0.4, GST: 7},
-		func(p engine.Params) (engine.Result, error) {
+		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			return engine.Result{Metrics: []engine.Metric{
 				{Name: "rate", Value: p.Rate},
 				{Name: "gst", Value: float64(p.GST)},

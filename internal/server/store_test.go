@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -20,7 +21,7 @@ func countedRegistry(runs *atomic.Int64) *engine.Registry {
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("counted", "counts invocations",
 		engine.Params{P0: 0.5, N: 10},
-		func(p engine.Params) (engine.Result, error) {
+		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
 			return engine.Result{
 				Outcome: fmt.Sprintf("seed %d", p.Seed),
