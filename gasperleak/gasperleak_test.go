@@ -93,6 +93,35 @@ func TestPublicFigures(t *testing.T) {
 	}
 }
 
+// TestPublicScenarioWrappers runs every paper scenario once through the
+// public Client: the Table 1 cells, then the footnote-12 corner (5.2.3c).
+func TestPublicScenarioWrappers(t *testing.T) {
+	c, err := gasperleak.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := gasperleak.Table1Cells(1)
+	if len(cells) != 5 {
+		t.Fatalf("Table1Cells: %d cells, want 5", len(cells))
+	}
+	cells = append(cells, gasperleak.SweepCell{Scenario: "5.2.3c", Params: gasperleak.ScenarioParams{P0: 0.5, Beta0: 0.25, Horizon: 100}})
+	for _, cell := range cells {
+		res, err := c.Run(context.Background(), cell.Scenario, cell.Params)
+		if err != nil {
+			t.Errorf("%s: %v", cell.Scenario, err)
+			continue
+		}
+		if res.Outcome == "" {
+			t.Errorf("%s: empty outcome", cell.Scenario)
+		}
+		if cell.Scenario == "5.2.3" || cell.Scenario == "5.2.3c" {
+			if v, _ := res.Metric("crossed_one_third"); v != 1 {
+				t.Errorf("%s lost the crossing", cell.Scenario)
+			}
+		}
+	}
+}
+
 // TestPublicFigureWrappers exercises every figure re-export once.
 func TestPublicFigureWrappers(t *testing.T) {
 	c, err := gasperleak.NewClient()

@@ -290,3 +290,29 @@ func TestResidualPenaltiesSpec(t *testing.T) {
 			a.A.ThresholdEpoch, b.A.ThresholdEpoch)
 	}
 }
+
+// TestTable1: the five Table 1 rows, in the paper's order, each run at the
+// table's parameters and carrying the table's outcome line.
+func TestTable1(t *testing.T) {
+	ctx := context.Background()
+	rows := []struct {
+		id      string
+		outcome string
+		run     func() (Summary, error)
+	}{
+		{"5.1", "2 finalized branches", func() (Summary, error) { return Scenario51(ctx, 0.5) }},
+		{"5.2.1", "2 finalized branches", func() (Summary, error) { return Scenario521(ctx, 0.5, 0.2) }},
+		{"5.2.2", "2 finalized branches", func() (Summary, error) { return Scenario522(ctx, 0.5, 0.2) }},
+		{"5.2.3", "beta > 1/3", func() (Summary, error) { return Scenario523(ctx, 0.5, 0.25) }},
+		{"5.3", "beta > 1/3 probably", func() (Summary, error) { return Scenario53(ctx, 0.5, 0.33, 1) }},
+	}
+	for _, r := range rows {
+		s, err := r.run()
+		if err != nil {
+			t.Fatalf("row %s: %v", r.id, err)
+		}
+		if s.Outcome != r.outcome {
+			t.Errorf("row %s: outcome %q, want %q", r.id, s.Outcome, r.outcome)
+		}
+	}
+}
