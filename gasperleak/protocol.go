@@ -8,11 +8,10 @@ import (
 
 // Re-exported protocol simulator.
 type (
-	// SimConfig parameterizes a full protocol simulation. Its
-	// PerValidatorViews and OracleForkChoice switches select the reference
-	// implementations that the simulator's own equivalence suites hold
-	// bit-identical to the default; nothing above the simulator — scenario
-	// engine, Client, server — sets them.
+	// SimConfig parameterizes a full protocol simulation. It has no
+	// switch for the reference implementations the simulator's tests hold
+	// it bit-identical to: every SimConfig builds the one simulator the
+	// scenario engine, Client and server run.
 	SimConfig = sim.Config
 	// Simulation is a running protocol instance: one materialized view
 	// per cohort (partition of honest validators, or the bridging

@@ -1,7 +1,6 @@
 package behavior
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -165,62 +164,6 @@ func TestScenario521SlashingAfterGST(t *testing.T) {
 				t.Errorf("Byzantine %d still in set after GST in validator %d's view", b, h)
 			}
 		}
-	}
-}
-
-// TestAdversaryCohortOracleEquivalence extends the kernel's equivalence
-// contract to adversarial runs, across BOTH oracle axes: the batched
-// cohort adversaries produce bit-identical EpochMetrics histories in the
-// default view-cohort mode and the per-validator oracle mode, and on both
-// the proto-array fork-choice engine and the map-based oracle engine.
-func TestAdversaryCohortOracleEquivalence(t *testing.T) {
-	build := map[string]func() sim.Adversary{
-		"double-voter": func() sim.Adversary { return &DoubleVoter{Reps: [2]types.ValidatorIndex{0, 12}} },
-		"semi-active":  func() sim.Adversary { return &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}} },
-		"semi-active finalizing": func() sim.Adversary {
-			return &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, StayFrom: 22}
-		},
-	}
-	modes := []struct {
-		name                           string
-		perValidator, oracleForkChoice bool
-	}{
-		{"cohort+proto-array", false, false},
-		{"cohort+map-oracle", false, true},
-		{"per-validator+proto-array", true, false},
-		{"per-validator+map-oracle", true, true},
-	}
-	for name, mk := range build {
-		t.Run(name, func(t *testing.T) {
-			histories := make([][]sim.EpochMetrics, len(modes))
-			for i, mode := range modes {
-				rec := &sim.Recorder{}
-				cfg := byzConfig(13, mk())
-				cfg.PerValidatorViews = mode.perValidator
-				cfg.OracleForkChoice = mode.oracleForkChoice
-				cfg.OnEpoch = rec.Hook
-				s, err := sim.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.RunEpochs(26); err != nil {
-					t.Fatal(err)
-				}
-				histories[i] = rec.History
-			}
-			for i := 1; i < len(modes); i++ {
-				if reflect.DeepEqual(histories[0], histories[i]) {
-					continue
-				}
-				for e := range histories[0] {
-					if !reflect.DeepEqual(histories[0][e], histories[i][e]) {
-						t.Fatalf("epoch %d diverges:\n  %s: %+v\n  %s: %+v",
-							histories[0][e].Epoch, modes[0].name, histories[0][e], modes[i].name, histories[i][e])
-					}
-				}
-				t.Fatalf("%s and %s histories diverge in length", modes[0].name, modes[i].name)
-			}
-		})
 	}
 }
 

@@ -28,8 +28,9 @@ import (
 // treat it as a silent miss.
 var ErrCorrupt = errors.New("codec: corrupt input")
 
-// maxSliceLen bounds any single length prefix, so a corrupt length cannot
-// drive a multi-gigabyte allocation before the checksum verdict is in.
+// maxSliceLen bounds any single length prefix read from a source that
+// does not report how much it has left, so a corrupt length cannot drive a
+// multi-gigabyte allocation before the checksum verdict is in.
 const maxSliceLen = 1 << 28
 
 // Writer encodes fixed-width little-endian values with a sticky error.
@@ -134,13 +135,20 @@ func (w *Writer) U32s(vs []uint32) {
 
 // Reader decodes the Writer's format with a sticky error.
 type Reader struct {
-	r   io.Reader
-	err error
-	buf [8]byte
+	r io.Reader
+	// left reports how many unread bytes r holds, when r can tell (a
+	// *bytes.Reader can); nil otherwise.
+	left interface{ Len() int }
+	err  error
+	buf  [8]byte
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// NewReader wraps r. If r reports its unread length through a Len() int
+// method, as *bytes.Reader does, every length prefix is checked against it.
+func NewReader(r io.Reader) *Reader {
+	left, _ := r.(interface{ Len() int })
+	return &Reader{r: r, left: left}
+}
 
 // Err reports the first read error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -192,10 +200,14 @@ func (r *Reader) Int() int { return int(r.U64()) }
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bool reads a bool.
+// Bool reads a bool. Writer.Bool writes only 0 and 1; any other byte is
+// corrupt.
 func (r *Reader) Bool() bool {
 	r.read(r.buf[:1])
-	return r.err == nil && r.buf[0] != 0
+	if r.err == nil && r.buf[0] > 1 {
+		r.Corrupt("bool byte %d", r.buf[0])
+	}
+	return r.err == nil && r.buf[0] == 1
 }
 
 // Byte reads one raw byte.
@@ -250,11 +262,17 @@ func (r *Reader) U32s() []uint32 {
 	return out
 }
 
-// Len reads a u32 length prefix, rejecting absurd values so a corrupt
-// prefix cannot drive a huge allocation.
+// Len reads a u32 length prefix. Every element a prefix counts encodes as
+// at least one byte, so a count larger than the bytes the source has left
+// is corrupt, and is refused before a decoder sizes anything by it; a
+// source that cannot tell is held to maxSliceLen instead.
 func (r *Reader) Len() int {
 	n := r.U32()
 	if r.err != nil {
+		return 0
+	}
+	if r.left != nil && int64(n) > int64(r.left.Len()) {
+		r.Corrupt("length prefix %d exceeds the %d bytes left", n, r.left.Len())
 		return 0
 	}
 	if n > maxSliceLen {

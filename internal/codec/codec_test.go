@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -172,11 +173,12 @@ func TestReaderFirstErrorSticks(t *testing.T) {
 	}
 }
 
-// TestLenRejectsAbsurdPrefix: a length prefix over maxSliceLen is corruption
-// before anything is allocated for it; the limit itself passes.
+// TestLenRejectsAbsurdPrefix: read from a source that cannot report how
+// much it has left, a length prefix over maxSliceLen is corruption before
+// anything is allocated for it; the limit itself passes.
 func TestLenRejectsAbsurdPrefix(t *testing.T) {
 	prefix := func(n uint32) *Reader {
-		return NewReader(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, n)))
+		return NewReader(io.MultiReader(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, n))))
 	}
 	r := prefix(maxSliceLen)
 	if n := r.Len(); n != maxSliceLen || r.Err() != nil {
@@ -191,6 +193,41 @@ func TestLenRejectsAbsurdPrefix(t *testing.T) {
 		if !read(r) || !errors.Is(r.Err(), ErrCorrupt) {
 			t.Fatalf("a prefix over the limit was accepted (err %v)", r.Err())
 		}
+	}
+}
+
+// TestLenRefusesCountPastSourceEnd: read from a source that reports how
+// much it has left, a count may name as many elements as there are bytes
+// after it, and no more.
+func TestLenRefusesCountPastSourceEnd(t *testing.T) {
+	prefix := func(n uint32, body int) *Reader {
+		frame := binary.LittleEndian.AppendUint32(nil, n)
+		return NewReader(bytes.NewReader(append(frame, make([]byte, body)...)))
+	}
+	if r := prefix(8, 8); r.Len() != 8 || r.Err() != nil {
+		t.Fatalf("a count of the bytes left was refused: %v", r.Err())
+	}
+	for name, read := range map[string]func(*Reader) bool{
+		"Len":   func(r *Reader) bool { return r.Len() == 0 },
+		"Bytes": func(r *Reader) bool { return r.Bytes() == nil },
+		"U32s":  func(r *Reader) bool { return r.U32s() == nil },
+	} {
+		r := prefix(9, 8)
+		if !read(r) || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s accepted a count past the end of its source (err %v)", name, r.Err())
+		}
+	}
+}
+
+// TestBoolRejectsNonCanonicalByte: Writer.Bool writes only 0 and 1, so any
+// other byte is corrupt rather than true.
+func TestBoolRejectsNonCanonicalByte(t *testing.T) {
+	r := NewReader(bytes.NewReader([]byte{0, 1, 2}))
+	if r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatalf("canonical bools misread (err %v)", r.Err())
+	}
+	if r.Bool() || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Fatalf("byte 2 read as a bool, err %v", r.Err())
 	}
 }
 

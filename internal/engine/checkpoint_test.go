@@ -200,22 +200,46 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 	}
 }
 
-// TestEncodePrefixFailsWithoutEngineCodec: a simulation on the map-based
-// reference fork choice has no durable form, and the write says so — the
-// snapshot's codec error comes back through EncodePrefix — instead of
-// leaving a blob only a read would reject.
-func TestEncodePrefixFailsWithoutEngineCodec(t *testing.T) {
+// TestEncodePrefixReturnsWriteError: a failed write comes back through
+// EncodePrefix whether it hits the prefix's own fields or the snapshot
+// after them, so a checkpoint whose bytes did not land is never taken as
+// saved. (A snapshot with no durable form fails the same way: internal/sim's
+// TestSnapshotCodecRoundTrip holds WriteTo over the map-based reference
+// fork choice to ErrSnapshotCodec.)
+func TestEncodePrefixReturnsWriteError(t *testing.T) {
 	drops, _ := Default.Lookup(ScenarioSimDrops)
-	cfg := simDropsConfig(Params{N: 8, Seed: 1})
-	cfg.OracleForkChoice = true
-	s, err := sim.New(cfg)
+	cs := drops.(CheckpointableScenario)
+	s, err := sim.New(simDropsConfig(Params{N: 8, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pre := &Prefix{Snap: s.Snapshot(), Trace: noTrace{}}
-	if err := drops.(CheckpointableScenario).EncodePrefix(&bytes.Buffer{}, pre); !errors.Is(err, sim.ErrSnapshotCodec) {
-		t.Fatalf("EncodePrefix over a map-engine snapshot = %v, want an error wrapping sim.ErrSnapshotCodec", err)
+	var blob bytes.Buffer
+	if err := cs.EncodePrefix(&blob, pre); err != nil {
+		t.Fatal(err)
 	}
+	errFull := errors.New("device full")
+	for _, cut := range []int{0, blob.Len() - 1} {
+		if err := cs.EncodePrefix(&cutWriter{left: cut, err: errFull}, pre); !errors.Is(err, errFull) {
+			t.Errorf("EncodePrefix into a writer that fails after %d of %d bytes = %v, want %v", cut, blob.Len(), err, errFull)
+		}
+	}
+}
+
+// cutWriter accepts left bytes, then fails every write with err.
+type cutWriter struct {
+	left int
+	err  error
+}
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n := w.left
+		w.left = 0
+		return n, w.err
+	}
+	w.left -= len(p)
+	return len(p), nil
 }
 
 // TestSweepCheckpointTransparent: a checkpointed sweep with no prior

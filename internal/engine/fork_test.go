@@ -98,18 +98,6 @@ func TestForkableScenarioRegistration(t *testing.T) {
 	}
 }
 
-// TestSimRowsConfigureTheProductSimulator: no row can reach a reference
-// simulator. The engine has no parameter that selects one; this pins that
-// no row's own config switches one on either.
-func TestSimRowsConfigureTheProductSimulator(t *testing.T) {
-	for _, row := range simRows {
-		if cfg := row.config(row.defaults); cfg.PerValidatorViews || cfg.OracleForkChoice {
-			t.Errorf("%s configures a reference simulator: per-validator views %t, map fork choice %t",
-				row.name, cfg.PerValidatorViews, cfg.OracleForkChoice)
-		}
-	}
-}
-
 // TestForkKeys: prefix keys exclude exactly the post-branch dimensions.
 func TestForkKeys(t *testing.T) {
 	s, _ := Default.Lookup(ScenarioSimGST)

@@ -1,0 +1,158 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"runtime"
+	"testing"
+
+	"repro/internal/attestation"
+	"repro/internal/beacon"
+	"repro/internal/blocktree"
+	"repro/internal/codec"
+	"repro/internal/ffg"
+	"repro/internal/forkchoice"
+	"repro/internal/network"
+	"repro/internal/sim"
+	"repro/internal/types"
+)
+
+// TestHostileCountsAllocateNothing: every decoder that sizes a slice or map
+// by a length prefix refuses a prefix naming more elements than its input
+// has bytes left, before it allocates for them. Each frame below is valid
+// up to one such prefix, which claims 2^20 elements with nothing after it;
+// each must be rejected with codec.ErrCorrupt or sim.ErrSnapshotCodec and
+// allocate under 1 MiB while being read.
+func TestHostileCountsAllocateNothing(t *testing.T) {
+	const hostile = 1 << 20
+	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	frame := func(write func(w *codec.Writer)) []byte {
+		var b bytes.Buffer
+		w := codec.NewWriter(&b)
+		write(w)
+		if w.Err() != nil {
+			t.Fatal(w.Err())
+		}
+		return b.Bytes()
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	// Reader-level decoders: accept reports whether the decoder returned a
+	// value; a rejection must leave codec.ErrCorrupt on the reader.
+	read := func(accept func(r *codec.Reader) bool) func([]byte) error {
+		return func(b []byte) error {
+			r := codec.NewReader(bytes.NewReader(b))
+			if accept(r) {
+				return nil
+			}
+			return r.Err()
+		}
+	}
+	readNetwork := read(func(r *codec.Reader) bool {
+		return network.DecodeNetwork(r, func(r *codec.Reader) uint64 { return r.U64() }) != nil
+	})
+	netHeader := frame(func(w *codec.Writer) {
+		w.Int(2)      // nodes
+		w.U64(1 << 8) // GST
+		w.U64(1)      // delay
+		w.F64(0)      // drop rate
+		w.U64(2)      // retry delay
+		w.I64(7)      // seed
+	})
+	netCounters := frame(func(w *codec.Writer) { w.Len(0); w.Len(0); w.Int(0); w.Int(0) })
+
+	// A node at genesis ends in its registry (4 + 25 bytes a validator),
+	// no pending blocks, the next incentives epoch and no evidence.
+	const validators = 4
+	node := frame(beacon.NewNode(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0)).EncodeTo)
+	registryAt, pendingAt, evidenceAt := len(node)-16-(4+25*validators), len(node)-16, len(node)-4
+	for _, at := range []struct {
+		pos  int
+		want uint32
+	}{{registryAt, validators}, {pendingAt, 0}, {evidenceAt, 0}} {
+		if got := binary.LittleEndian.Uint32(node[at.pos:]); got != at.want {
+			t.Fatalf("node frame layout moved: count at %d reads %d, want %d", at.pos, got, at.want)
+		}
+	}
+	readNode := read(func(r *codec.Reader) bool { return beacon.DecodeNode(r) != nil })
+	if err := readNode(node); err != nil {
+		t.Fatalf("the unmodified node frame is rejected: %v", err)
+	}
+
+	// Snapshot frames: this build's magic and version, then a payload with a
+	// correct checksum.
+	s, err := sim.New(sim.Config{Validators: validators, Spec: types.CompressedSpec(1 << 16), Delay: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var real bytes.Buffer
+	if _, err := s.Snapshot().WriteTo(&real); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(payload []byte) []byte {
+		sum := fnv.New64a()
+		sum.Write(payload)
+		return cat(real.Bytes()[:8], count(uint32(len(payload))), binary.LittleEndian.AppendUint64(nil, sum.Sum64()), payload)
+	}
+	readSnapshot := func(b []byte) error {
+		_, err := sim.ReadSnapshot(bytes.NewReader(b))
+		return err
+	}
+	snapHead := frame(func(w *codec.Writer) { w.Int(validators); w.U64(0) })
+	empty := count(0)
+	batchInFlight := frame(func(w *codec.Writer) {
+		blocktree.New(types.RootFromUint64(0)).EncodeTo(w)
+		w.Raw(netHeader)
+		w.Raw(netCounters)
+		w.Len(1)  // one inbox
+		w.Len(1)  // one slot in it
+		w.U64(3)  // the slot
+		w.Len(1)  // one message
+		w.Byte(3) // an attestation batch
+		attestation.EncodeData(w, attestation.Data{})
+	})
+
+	cases := []struct {
+		site   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"codec.Reader.Bytes", count(hostile), read(func(r *codec.Reader) bool { return r.Bytes() != nil })},
+		{"forkchoice.DecodeEngine validators", cat([]byte{1}, count(hostile)),
+			read(func(r *codec.Reader) bool { return forkchoice.DecodeEngine(r) != nil })},
+		{"ffg.DecodeEngine justified", count(hostile), read(func(r *codec.Reader) bool { return ffg.DecodeEngine(r) != nil })},
+		{"network partitions", cat(netHeader, count(hostile)), readNetwork},
+		{"network bridging", cat(netHeader, empty, count(hostile)), readNetwork},
+		{"network inboxes", cat(netHeader, netCounters, count(hostile)), readNetwork},
+		{"network inbox slots", cat(netHeader, netCounters, count(1), count(hostile)), readNetwork},
+		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), frame(func(w *codec.Writer) { w.U64(3) }), count(hostile)), readNetwork},
+		{"beacon registry", cat(node[:registryAt], count(hostile)), readNode},
+		{"beacon pending parents", cat(node[:pendingAt], count(hostile)), readNode},
+		{"beacon pending blocks", cat(node[:pendingAt], count(1), make([]byte, 32), count(hostile)), readNode},
+		{"beacon evidence", cat(node[:evidenceAt], count(hostile)), readNode},
+		{"sim snapshot payload length", cat(real.Bytes()[:8], count(1<<30), make([]byte, 8)), readSnapshot},
+		{"sim snapshot nodes", snapshot(cat(snapHead, count(hostile))), readSnapshot},
+		{"sim snapshot duty views", snapshot(cat(snapHead, empty, count(hostile))), readSnapshot},
+		{"sim snapshot embargoes", snapshot(cat(snapHead, empty, empty, count(hostile))), readSnapshot},
+		{"sim batch validators", snapshot(cat(snapHead, empty, empty, empty, batchInFlight, count(hostile))), readSnapshot},
+		{"engine.decodeLeakTrace curve", count(hostile), read(func(r *codec.Reader) bool {
+			_, err := decodeLeakTrace(r)
+			return err == nil
+		})},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, sim.ErrSnapshotCodec) {
+			t.Errorf("%s: a %d-byte frame counting %d elements is read with error %v, want codec.ErrCorrupt or sim.ErrSnapshotCodec",
+				tc.site, len(tc.frame), hostile, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: reading a %d-byte frame allocated %d bytes", tc.site, len(tc.frame), grew)
+		}
+	}
+}

@@ -1,4 +1,4 @@
-package forkchoice
+package forkchoice_test
 
 import (
 	"fmt"
@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/blocktree"
+	"repro/internal/forkchoice"
 	"repro/internal/types"
 )
 
 // protoFixture builds a 256-block random tree with n validators voting on
 // recent blocks and all deltas applied, leaving the engine in steady state.
-func protoFixture(b *testing.B, n int) (*ProtoArray, *blocktree.Tree) {
+func protoFixture(b *testing.B, n int) (*forkchoice.ProtoArray, *blocktree.Tree) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	tree, roots := randomTree(rng, 256)
-	p := NewProtoArray()
+	p := forkchoice.NewProtoArray()
 	p.UpdateStakes(n, func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
 	// Latest messages concentrate on recent blocks, as in a live run.
 	recent := roots[len(roots)-8:]
@@ -76,7 +77,7 @@ func BenchmarkHeadDeepChain(b *testing.B) {
 			for i := range validators {
 				validators[i] = types.ValidatorIndex(i)
 			}
-			p := NewProtoArray()
+			p := forkchoice.NewProtoArray()
 			p.UpdateStakes(len(validators), func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
 			p.ProcessBatch(validators, tip, types.Slot(depth))
 			if _, err := p.Head(tree, tree.Genesis()); err != nil {
@@ -131,36 +132,10 @@ func BenchmarkHeadVoteChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadOracle is the map-based oracle on the same fixture shape,
-// for the BENCH.md before/after comparison (it rebuilds every weight map
-// per call, so its cost scales with validator count).
-func BenchmarkHeadOracle(b *testing.B) {
-	for _, n := range []int{1_000, 100_000} {
-		b.Run(fmt.Sprintf("steady-%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			tree, roots := randomTree(rng, 256)
-			o := NewOracle()
-			o.UpdateStakes(n, func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
-			recent := roots[len(roots)-8:]
-			for v := 0; v < n; v++ {
-				o.Process(types.ValidatorIndex(v), recent[v%len(recent)], types.Slot(v+1))
-			}
-			genesis := tree.Genesis()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := o.Head(tree, genesis); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkProcess measures latest-message ingestion into the proto-array's
 // columnar store.
 func BenchmarkProcess(b *testing.B) {
-	p := NewProtoArray()
+	p := forkchoice.NewProtoArray()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Process(types.ValidatorIndex(i%256), types.RootFromUint64(uint64(i)), types.Slot(i))

@@ -8,7 +8,8 @@ import (
 )
 
 // engineTagProtoArray is the durable snapshot codec's one engine type tag:
-// the map-based Oracle is a reference for heads, not for bytes.
+// the map-based reference in internal/refmodel is a reference for heads,
+// not for bytes.
 const engineTagProtoArray byte = 1
 
 // EncodeEngine serializes a fork-choice engine behind a type tag. Only the
@@ -25,11 +26,15 @@ func EncodeEngine(w *codec.Writer, e Engine) {
 	}
 }
 
-// DecodeEngine reconstructs an engine serialized by EncodeEngine.
+// DecodeEngine reconstructs an engine serialized by EncodeEngine. On
+// failure it returns a nil Engine, not one holding a nil *ProtoArray.
 func DecodeEngine(r *codec.Reader) Engine {
 	switch tag := r.Byte(); tag {
 	case engineTagProtoArray:
-		return decodeProtoArray(r)
+		if p := decodeProtoArray(r); p != nil {
+			return p
+		}
+		return nil
 	default:
 		r.Corrupt("forkchoice: unknown engine tag %d", tag)
 		return nil
@@ -61,14 +66,22 @@ func decodeProtoArray(r *codec.Reader) *ProtoArray {
 		return nil
 	}
 	p.ensureValidators(n)
+	voted := 0
 	for i := 0; i < n; i++ {
 		r.Raw(p.voteRoot[i][:])
 		p.voteSlot[i] = types.Slot(r.U64())
 		p.hasVote[i] = r.Bool()
 		p.stakes[i] = types.Gwei(r.U64())
+		if p.hasVote[i] {
+			voted++
+		}
 	}
 	p.voted = r.Int()
 	if r.Err() != nil {
+		return nil
+	}
+	if p.voted != voted {
+		r.Corrupt("forkchoice: %d votes recorded, %d present", p.voted, voted)
 		return nil
 	}
 	return p

@@ -1,10 +1,12 @@
-package forkchoice
+package forkchoice_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/blocktree"
+	"repro/internal/forkchoice"
+	"repro/internal/refmodel"
 	"repro/internal/types"
 )
 
@@ -66,9 +68,9 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 			nextBlock++
 		}
 
-		proto := NewProtoArray()
-		oracle := NewOracle()
-		engines := []Engine{proto, oracle}
+		proto := forkchoice.NewProtoArray()
+		oracle := refmodel.NewOracle()
+		engines := []forkchoice.Engine{proto, oracle}
 
 		stakes := make([]types.Gwei, validators)
 		for i := range stakes {
@@ -239,8 +241,8 @@ func TestHeadFilteredHiddenListCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proto, oracle := NewProtoArray(), NewOracle()
-	for _, e := range []Engine{proto, oracle} {
+	proto, oracle := forkchoice.NewProtoArray(), refmodel.NewOracle()
+	for _, e := range []forkchoice.Engine{proto, oracle} {
 		e.UpdateStakes(8, flatStake)
 		e.ProcessBatch([]types.ValidatorIndex{0, 1, 2}, root(5), 9)
 		e.ProcessBatch([]types.ValidatorIndex{3, 4}, root(300), 9)
@@ -272,7 +274,7 @@ func TestHeadFilteredHiddenListCases(t *testing.T) {
 		for _, h := range tc.hidden {
 			hidden = append(hidden, root(h))
 		}
-		for name, e := range map[string]Engine{"proto": proto, "oracle": oracle} {
+		for name, e := range map[string]forkchoice.Engine{"proto": proto, "oracle": oracle} {
 			got, err := e.HeadFiltered(tree, root(tc.start), hidden)
 			if err != nil || got != root(tc.want) {
 				t.Errorf("%s (%s): head = %v (%v), want %v", tc.name, name, got, err, root(tc.want))
@@ -289,7 +291,7 @@ func TestProtoArrayUnresolvedVoteResolvesOnArrival(t *testing.T) {
 	if err := tree.Add(blocktree.Block{Slot: 1, Root: root(10), Parent: root(0)}); err != nil {
 		t.Fatal(err)
 	}
-	p := NewProtoArray()
+	p := forkchoice.NewProtoArray()
 	p.UpdateStakes(4, flatStake)
 	p.Process(1, root(20), 2) // block 20 still in flight
 	head, err := p.Head(tree, root(0))
@@ -323,7 +325,7 @@ func TestProtoArrayCloneIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := NewProtoArray()
+	p := forkchoice.NewProtoArray()
 	p.UpdateStakes(4, flatStake)
 	p.Process(1, root(10), 1)
 	if _, err := p.Head(tree, root(0)); err != nil {
@@ -357,7 +359,7 @@ func TestProtoArrayCloneIndependence(t *testing.T) {
 func TestProtoArraySteadyStateHeadDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tree, roots := randomTree(rng, 300)
-	p := NewProtoArray()
+	p := forkchoice.NewProtoArray()
 	p.UpdateStakes(1024, flatStake)
 	for v := 0; v < 1024; v++ {
 		p.Process(types.ValidatorIndex(v), roots[rng.Intn(len(roots))], types.Slot(v+1))
@@ -389,9 +391,9 @@ func TestProtoArrayCompactRebuildDeepChainWithParkedVotes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proto := NewProtoArray()
-	oracle := NewOracle()
-	engines := []Engine{proto, oracle}
+	proto := forkchoice.NewProtoArray()
+	oracle := refmodel.NewOracle()
+	engines := []forkchoice.Engine{proto, oracle}
 	for _, e := range engines {
 		e.UpdateStakes(8, flatStake)
 	}

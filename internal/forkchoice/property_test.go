@@ -1,4 +1,4 @@
-package forkchoice
+package forkchoice_test
 
 import (
 	"math/rand"
@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/blocktree"
+	"repro/internal/forkchoice"
+	"repro/internal/refmodel"
 	"repro/internal/types"
 )
 
@@ -33,86 +35,94 @@ func randomTree(rng *rand.Rand, n int) (*blocktree.Tree, []types.Root) {
 // assignments, the head is always a leaf and a descendant of the start
 // block.
 func TestHeadIsLeafInStartSubtreeProperty(t *testing.T) {
-	f := func(seed int64, votes uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, roots := randomTree(rng, 30)
-		s := NewStore()
-		for v := 0; v < int(votes%40); v++ {
-			target := roots[rng.Intn(len(roots))]
-			s.Process(types.ValidatorIndex(v), target, types.Slot(v+1))
+	forEachEngine(t, func(t *testing.T, newEngine func() forkchoice.Engine) {
+		f := func(seed int64, votes uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tree, roots := randomTree(rng, 30)
+			s := newEngine()
+			s.UpdateStakes(40, flatStake)
+			for v := 0; v < int(votes%40); v++ {
+				target := roots[rng.Intn(len(roots))]
+				s.Process(types.ValidatorIndex(v), target, types.Slot(v+1))
+			}
+			head, err := s.Head(tree, tree.Genesis())
+			if err != nil {
+				return false
+			}
+			if !tree.IsAncestor(tree.Genesis(), head) {
+				return false
+			}
+			return len(tree.Children(head)) == 0
 		}
-		head, err := s.Head(tree, tree.Genesis(), func(types.ValidatorIndex) types.Gwei { return 32 })
-		if err != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
 		}
-		if !tree.IsAncestor(tree.Genesis(), head) {
-			return false
-		}
-		return len(tree.Children(head)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestSubtreeWeightConservationProperty: the genesis subtree weight equals
 // the total stake of validators whose vote targets a known block.
 func TestSubtreeWeightConservationProperty(t *testing.T) {
-	f := func(seed int64, votes uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, roots := randomTree(rng, 25)
-		s := NewStore()
-		counted := types.Gwei(0)
-		for v := 0; v < int(votes%30); v++ {
-			target := roots[rng.Intn(len(roots))]
-			s.Process(types.ValidatorIndex(v), target, types.Slot(v+1))
-			counted += 32
+	forEachEngine(t, func(t *testing.T, newEngine func() forkchoice.Engine) {
+		f := func(seed int64, votes uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tree, roots := randomTree(rng, 25)
+			s := newEngine()
+			s.UpdateStakes(30, flatStake)
+			counted := types.Gwei(0)
+			for v := 0; v < int(votes%30); v++ {
+				target := roots[rng.Intn(len(roots))]
+				s.Process(types.ValidatorIndex(v), target, types.Slot(v+1))
+				counted += 32
+			}
+			got, err := s.SubtreeWeight(tree, tree.Genesis())
+			// The inconsistency branch must never fire on a well-formed tree.
+			return err == nil && got == counted
 		}
-		got, err := s.WeightOf(tree, tree.Genesis(), func(types.ValidatorIndex) types.Gwei { return 32 })
-		// The inconsistency branch must never fire on a well-formed tree.
-		return err == nil && got == counted
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestHeadStableUnderVoteOrderProperty: processing the same votes in a
 // different order yields the same head (latest-message semantics are
 // order-independent for distinct slots).
 func TestHeadStableUnderVoteOrderProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tree, roots := randomTree(rng, 20)
-		type vote struct {
-			v    types.ValidatorIndex
-			root types.Root
-			slot types.Slot
+	forEachEngine(t, func(t *testing.T, newEngine func() forkchoice.Engine) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tree, roots := randomTree(rng, 20)
+			type vote struct {
+				v    types.ValidatorIndex
+				root types.Root
+				slot types.Slot
+			}
+			var votes []vote
+			for v := 0; v < 12; v++ {
+				votes = append(votes, vote{
+					v:    types.ValidatorIndex(v),
+					root: roots[rng.Intn(len(roots))],
+					slot: types.Slot(rng.Intn(50) + 1),
+				})
+			}
+			a, b := newEngine(), newEngine()
+			a.UpdateStakes(12, flatStake)
+			b.UpdateStakes(12, flatStake)
+			for _, vt := range votes {
+				a.Process(vt.v, vt.root, vt.slot)
+			}
+			for i := len(votes) - 1; i >= 0; i-- {
+				b.Process(votes[i].v, votes[i].root, votes[i].slot)
+			}
+			ha, err1 := a.Head(tree, tree.Genesis())
+			hb, err2 := b.Head(tree, tree.Genesis())
+			return err1 == nil && err2 == nil && ha == hb
 		}
-		var votes []vote
-		for v := 0; v < 12; v++ {
-			votes = append(votes, vote{
-				v:    types.ValidatorIndex(v),
-				root: roots[rng.Intn(len(roots))],
-				slot: types.Slot(rng.Intn(50) + 1),
-			})
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Error(err)
 		}
-		stake := func(types.ValidatorIndex) types.Gwei { return 32 }
-		a := NewStore()
-		for _, vt := range votes {
-			a.Process(vt.v, vt.root, vt.slot)
-		}
-		b := NewStore()
-		for i := len(votes) - 1; i >= 0; i-- {
-			b.Process(votes[i].v, votes[i].root, votes[i].slot)
-		}
-		ha, err1 := a.Head(tree, tree.Genesis(), stake)
-		hb, err2 := b.Head(tree, tree.Genesis(), stake)
-		return err1 == nil && err2 == nil && ha == hb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // TestEngineEquivalenceUnderCompactionProperty: compacting the block tree
@@ -128,11 +138,10 @@ func TestEngineEquivalenceUnderCompactionProperty(t *testing.T) {
 		const n = 24
 		rng := rand.New(rand.NewSource(seed))
 		tree, roots := randomTree(rng, 40)
-		proto := NewProtoArray()
-		oracle := NewOracle()
-		stake := func(types.ValidatorIndex) types.Gwei { return 32 }
-		proto.UpdateStakes(n, stake)
-		oracle.UpdateStakes(n, stake)
+		proto := forkchoice.NewProtoArray()
+		oracle := refmodel.NewOracle()
+		proto.UpdateStakes(n, flatStake)
+		oracle.UpdateStakes(n, flatStake)
 		vote := func(v int) {
 			target := roots[rng.Intn(len(roots))]
 			proto.Process(types.ValidatorIndex(v), target, types.Slot(v+1))

@@ -100,6 +100,7 @@ var DeterministicPackages = []string{
 	"internal/sim",
 	"internal/engine",
 	"internal/forkchoice",
+	"internal/refmodel",
 	"internal/beacon",
 	"internal/ffg",
 	"internal/attestation",

@@ -48,9 +48,7 @@ func BenchmarkSimEpoch(b *testing.B) {
 		})
 	})
 	b.Run("per-validator-oracle-200", func(b *testing.B) {
-		cfg := healthyConfig(200)
-		cfg.PerValidatorViews = true
-		benchmarkSimEpoch(b, cfg)
+		benchmarkSimEpoch(b, ReferenceMode{PerValidator: true}.Config(healthyConfig(200)))
 	})
 }
 

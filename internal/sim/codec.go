@@ -169,6 +169,9 @@ func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 	if size > snapshotMaxBytes {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrSnapshotCodec, size)
 	}
+	if left, ok := src.(interface{ Len() int }); ok && int64(size) > int64(left.Len()) {
+		return nil, fmt.Errorf("%w: payload length %d exceeds the %d bytes left", ErrSnapshotCodec, size, left.Len())
+	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(src, payload); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrSnapshotCodec, err)

@@ -21,30 +21,16 @@ import (
 var writeFrame = flag.Bool("write-frame", false,
 	"rewrite testdata/snapshot-v4-pr18.frame from TestSnapshotFrameWrittenByPR18's run")
 
-// codecModes is the 2×2 view-layout × fork-choice matrix the round-trip
-// suite walks: the proto-array modes round-trip, the map-engine ones must
-// refuse to encode.
-var codecModes = []struct {
-	name                           string
-	perValidator, oracleForkChoice bool
-}{
-	{"cohort+proto-array", false, false},
-	{"cohort+map-oracle", false, true},
-	{"per-validator+proto-array", true, false},
-	{"per-validator+map-oracle", true, true},
-}
-
 // compactedCfg is the compaction-exercising complement of snapshotCfg:
 // lossless synchronous links under a permanent partition (the compaction
 // gates require DropRate = 0 and GST = Never), with a watermark low
 // enough that every view's tree has folded skip segments by the snapshot
 // point.
-func compactedCfg(perValidator, oracleForkChoice bool) Config {
+func compactedCfg() Config {
 	return Config{
 		Validators: 16, Spec: types.CompressedSpec(1 << 16),
 		GST: network.Never, Delay: 1, Seed: 3,
 		PartitionOf: halfSplit(16), CompactWatermark: 32,
-		PerValidatorViews: perValidator, OracleForkChoice: oracleForkChoice,
 	}
 }
 
@@ -76,7 +62,7 @@ func encodeSnapshot(t *testing.T, sn *Snapshot) []byte {
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		name   string
-		cfg    func(perValidator, oracleForkChoice bool) Config
+		cfg    func() Config
 		snapAt int
 		total  int
 		// compacted requires the state to actually carry folded segments,
@@ -87,14 +73,14 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		{"compacted", compactedCfg, 15, 27, true},
 	}
 	for _, tc := range cases {
-		for _, mode := range codecModes {
-			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				cfg := tc.cfg(mode.perValidator, mode.oracleForkChoice)
+		for _, mode := range ReferenceModes {
+			t.Run(tc.name+"/"+mode.Name, func(t *testing.T) {
+				cfg := mode.Config(tc.cfg())
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mode.oracleForkChoice {
+				if mode.MapForkChoice {
 					if _, err := s.Snapshot().WriteTo(&bytes.Buffer{}); !errors.Is(err, ErrSnapshotCodec) {
 						t.Fatalf("WriteTo over the map engine = %v, want an error wrapping ErrSnapshotCodec", err)
 					}
@@ -190,7 +176,7 @@ func TestSnapshotFrameWrittenByPR16(t *testing.T) {
 // two above. (-write-frame rewrites the file.)
 func TestSnapshotFrameWrittenByPR18(t *testing.T) {
 	const path = "testdata/snapshot-v4-pr18.frame"
-	cfg := compactedCfg(false, false)
+	cfg := compactedCfg()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +238,7 @@ func reseal(b []byte) []byte {
 // are not ones this build writes — fails ReadSnapshot with
 // ErrSnapshotCodec; no partially-decoded snapshot escapes.
 func TestSnapshotCodecRejectsDamage(t *testing.T) {
-	s, err := New(snapshotCfg(false, false))
+	s, err := New(snapshotCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +341,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 // TestSnapshotCodecAdoptedSnapshot: a snapshot whose state was moved out
 // by Adopt refuses to encode rather than writing an empty shell.
 func TestSnapshotCodecAdoptedSnapshot(t *testing.T) {
-	cfg := snapshotCfg(false, false)
+	cfg := snapshotCfg()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

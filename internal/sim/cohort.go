@@ -40,9 +40,9 @@ const byzPartition = -1
 // buildCohorts groups the validator set into cohorts. In the default mode,
 // honest validators cohort by partition (in order of first appearance,
 // scanning ascending validator indices) and all Byzantine validators form
-// one bridging cohort. With cfg.PerValidatorViews every validator is its
-// own cohort, which reproduces the pre-refactor one-node-per-validator
-// layout exactly and serves as the equivalence oracle in tests.
+// one bridging cohort. Under the tests' singleton reference every
+// validator is its own cohort, which reproduces the pre-refactor
+// one-node-per-validator layout exactly.
 //
 // shell skips the per-cohort Node construction (see NewShell): the cohort
 // layout, membership, and partition assignment are built as usual but
@@ -67,8 +67,8 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 		}
 		if !shell {
 			var votes forkchoice.Engine = forkchoice.NewProtoArray()
-			if cfg.OracleForkChoice {
-				votes = forkchoice.NewOracle()
+			if cfg.reference.engine != nil {
+				votes = cfg.reference.engine()
 			}
 			c.Node = beacon.NewNodeWithForkChoice(first, cfg.Validators, cfg.Spec, genesis, votes)
 			c.Node.EnforceSlashing = !c.Byzantine
@@ -77,7 +77,7 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 		return c
 	}
 
-	if cfg.PerValidatorViews {
+	if cfg.reference.singletons {
 		for i := 0; i < cfg.Validators; i++ {
 			v := types.ValidatorIndex(i)
 			c := newCohort(v)

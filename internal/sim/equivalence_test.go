@@ -150,43 +150,29 @@ func TestCohortKernelMatchesPerValidatorOracle(t *testing.T) {
 		},
 	}
 
-	// Both oracle axes are exercised: view layout (cohort vs singleton
+	// Both reference axes are exercised: view layout (cohort vs singleton
 	// per-validator) and fork-choice engine (incremental proto-array vs
 	// map-based recompute oracle). All four combinations must produce the
 	// same bit-identical history.
-	modes := []struct {
-		name                           string
-		perValidator, oracleForkChoice bool
-	}{
-		{"cohort+proto-array", false, false},
-		{"cohort+map-oracle", false, true},
-		{"per-validator+proto-array", true, false},
-		{"per-validator+map-oracle", true, true},
-	}
+	modes := ReferenceModes
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			refCfg := tc.cfg
-			refCfg.PerValidatorViews = modes[0].perValidator
-			refCfg.OracleForkChoice = modes[0].oracleForkChoice
-			want, wantViolation := recordHistory(t, refCfg, tc.epochs)
+			want, wantViolation := recordHistory(t, modes[0].Config(tc.cfg), tc.epochs)
 
 			for _, mode := range modes[1:] {
-				cfg := tc.cfg
-				cfg.PerValidatorViews = mode.perValidator
-				cfg.OracleForkChoice = mode.oracleForkChoice
-				got, gotViolation := recordHistory(t, cfg, tc.epochs)
+				got, gotViolation := recordHistory(t, mode.Config(tc.cfg), tc.epochs)
 
 				if len(got) != len(want) {
-					t.Fatalf("history lengths differ: %s %d, %s %d", mode.name, len(got), modes[0].name, len(want))
+					t.Fatalf("history lengths differ: %s %d, %s %d", mode.Name, len(got), modes[0].Name, len(want))
 				}
 				for i := range got {
 					if !reflect.DeepEqual(got[i], want[i]) {
 						t.Fatalf("epoch %d metrics diverge:\n  %s: %+v\n  %s: %+v",
-							want[i].Epoch, mode.name, got[i], modes[0].name, want[i])
+							want[i].Epoch, mode.Name, got[i], modes[0].Name, want[i])
 					}
 				}
 				if gotViolation != wantViolation {
-					t.Fatalf("safety violation epoch: %s %d, %s %d", mode.name, gotViolation, modes[0].name, wantViolation)
+					t.Fatalf("safety violation epoch: %s %d, %s %d", mode.Name, gotViolation, modes[0].Name, wantViolation)
 				}
 			}
 		})

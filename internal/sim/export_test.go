@@ -1,0 +1,33 @@
+package sim
+
+import (
+	"repro/internal/forkchoice"
+	"repro/internal/refmodel"
+)
+
+// ReferenceMode is one cell of the 2×2 matrix the equivalence tests walk:
+// view layout (cohorts, or one singleton view per validator as before the
+// cohort kernel) × fork-choice engine (forkchoice.ProtoArray, or the
+// map-based refmodel.Oracle).
+type ReferenceMode struct {
+	Name                        string
+	PerValidator, MapForkChoice bool
+}
+
+// ReferenceModes is the whole matrix, the product simulator first.
+var ReferenceModes = []ReferenceMode{
+	{"cohort+proto-array", false, false},
+	{"cohort+map-oracle", false, true},
+	{"per-validator+proto-array", true, false},
+	{"per-validator+map-oracle", true, true},
+}
+
+// Config returns cfg set to build the mode's simulator. It is the only way
+// anything sets Config.reference.
+func (m ReferenceMode) Config(cfg Config) Config {
+	cfg.reference = reference{singletons: m.PerValidator}
+	if m.MapForkChoice {
+		cfg.reference.engine = func() forkchoice.Engine { return refmodel.NewOracle() }
+	}
+	return cfg
+}

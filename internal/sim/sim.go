@@ -22,10 +22,12 @@
 //     its duties from, per epoch, without moving it between network
 //     partitions.
 //
-// Setting Config.PerValidatorViews gives every validator a singleton
-// cohort, reproducing the pre-refactor one-node-per-validator simulator
-// exactly (including the link-outage drop schedule); the equivalence tests
-// use it as the oracle to assert bit-identical EpochMetrics histories.
+// The package's tests also build the pre-refactor simulator — one
+// singleton cohort per validator, optionally on the map-based reference
+// fork choice of internal/refmodel — through an unexported Config field,
+// and assert bit-identical EpochMetrics histories against it (including
+// the link-outage drop schedule). No caller outside the package can select
+// it.
 //
 // The engine is slot-driven. Each slot it (1) delivers network messages,
 // (2) runs epoch-boundary processing on every cohort at epoch starts,
@@ -102,21 +104,6 @@ type Config struct {
 	// the fixed v-mod-32 assignment. The bouncing analysis assumes
 	// per-epoch random placement, which shuffling provides natively.
 	ShuffledDuties bool
-	// PerValidatorViews gives every validator its own singleton cohort —
-	// the pre-refactor one-node-per-validator layout. It is retained as
-	// the equivalence oracle for tests and costs O(validators^2) per
-	// slot; production scenarios leave it off. The bit-identical
-	// equivalence contract covers every run that does not reassign duty
-	// views: SetDutyView is a cohort-native primitive (the Bouncer's
-	// placement step), and under singleton cohorts it models the
-	// adversary differently, so bouncing runs are not oracle-comparable.
-	PerValidatorViews bool
-	// OracleForkChoice runs every view on the map-based recompute-
-	// everything fork-choice engine (forkchoice.NewOracle) instead of the
-	// incremental proto-array default. The two are bit-identical — the
-	// equivalence suite asserts it — so this is a test-oracle knob, not a
-	// behavioral mode; production scenarios leave it off.
-	OracleForkChoice bool
 	// Adversary, if non-nil, receives an OnSlot call every slot.
 	Adversary Adversary
 	// OnEpoch, if non-nil, is called after boundary processing of each
@@ -134,6 +121,25 @@ type Config struct {
 	// roots (custom Adversary, lossy links, finite GST still in its
 	// settling window).
 	CompactWatermark int
+
+	// reference selects the reference implementations the kernel is held
+	// bit-identical to. Only this package's tests set it (export_test.go);
+	// the zero value is the simulator every caller gets.
+	reference reference
+}
+
+// reference is the pre-refactor simulator the equivalence tests compare
+// the kernel with, along either or both of two axes.
+type reference struct {
+	// singletons gives every validator its own cohort: the one-node-per-
+	// validator layout, O(validators^2) per slot. The equivalence contract
+	// covers every run that does not reassign duty views: SetDutyView is a
+	// cohort-native primitive (the Bouncer's placement step), and under
+	// singleton cohorts it models the adversary differently.
+	singletons bool
+	// engine, if non-nil, builds every view's fork choice in place of
+	// forkchoice.NewProtoArray.
+	engine func() forkchoice.Engine
 }
 
 // Compaction tuning: the default node-count watermark at which a view's
@@ -315,9 +321,10 @@ func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node {
 // adversary whose within-delta message timing decides which view a
 // validator acts on (the bouncing attack's placement step). Network routing
 // and metrics attribution stay with v's home cohort. This is a cohort-mode
-// primitive: under PerValidatorViews the "view of like's cohort" is like's
-// own node, a different (coarser) adversary model, so runs using it are
-// outside the cohort-vs-oracle equivalence contract.
+// primitive: in the tests' one-view-per-validator reference the "view of
+// like's cohort" is like's own node, a different (coarser) adversary model,
+// so runs using it are outside the cohort-vs-reference equivalence
+// contract.
 func (s *Simulation) SetDutyView(v, like types.ValidatorIndex) {
 	s.dutyView[v] = s.cohortOf[like]
 }

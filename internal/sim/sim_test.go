@@ -182,8 +182,7 @@ func TestCohortLayout(t *testing.T) {
 		t.Error("validators 0 and 1 are in different partitions but share a view")
 	}
 
-	cfg.PerValidatorViews = true
-	o, err := New(cfg)
+	o, err := New(ReferenceMode{PerValidator: true}.Config(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,11 @@ import (
 // a compressed leak with link outages and shuffled duties, so a snapshot
 // must carry diverging FFG state, in-flight (and retransmitted) messages,
 // embargoes, and per-epoch duty shuffling to reproduce the run.
-func snapshotCfg(perValidator, oracleForkChoice bool) Config {
+func snapshotCfg() Config {
 	return Config{
 		Validators: 16, Spec: types.CompressedSpec(1 << 16),
 		GST: 1 << 30, Delay: 1, Seed: 13, DropRate: 0.15,
 		ShuffledDuties: true, PartitionOf: halfSplit(16),
-		PerValidatorViews: perValidator, OracleForkChoice: oracleForkChoice,
 	}
 }
 
@@ -42,18 +41,9 @@ func runRecorded(t *testing.T, s *Simulation, epochs int) []EpochMetrics {
 // fork-choice-engine matrix.
 func TestSnapshotRestoreDeterminism(t *testing.T) {
 	const snapAt, total = 6, 20
-	modes := []struct {
-		name                           string
-		perValidator, oracleForkChoice bool
-	}{
-		{"cohort+proto-array", false, false},
-		{"cohort+map-oracle", false, true},
-		{"per-validator+proto-array", true, false},
-		{"per-validator+map-oracle", true, true},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := snapshotCfg(mode.perValidator, mode.oracleForkChoice)
+	for _, mode := range ReferenceModes {
+		t.Run(mode.Name, func(t *testing.T) {
+			cfg := mode.Config(snapshotCfg())
 
 			base, err := New(cfg)
 			if err != nil {
@@ -100,7 +90,7 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 // on: two continuations restored from one snapshot do not share mutable
 // state — running one to conflict does not disturb the other.
 func TestSnapshotIsolation(t *testing.T) {
-	cfg := snapshotCfg(false, false)
+	cfg := snapshotCfg()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +128,7 @@ func TestSnapshotIsolation(t *testing.T) {
 // TestRestoreRejectsMismatchedShape guards against restoring a snapshot
 // into a simulation with a different validator set or cohort layout.
 func TestRestoreRejectsMismatchedShape(t *testing.T) {
-	a, err := New(snapshotCfg(false, false))
+	a, err := New(snapshotCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +151,7 @@ func TestRestoreAcrossGST(t *testing.T) {
 	const snapAt, total = 3, 12
 	realGST := types.Epoch(5).StartSlot()
 
-	cold := snapshotCfg(false, false)
+	cold := snapshotCfg()
 	cold.GST = realGST
 	ref, err := New(cold)
 	if err != nil {
