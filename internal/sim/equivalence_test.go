@@ -41,7 +41,7 @@ func recordHistory(t *testing.T, cfg Config, epochs int) ([]EpochMetrics, types.
 
 // TestCohortKernelMatchesPerValidatorOracle is the refactor's contract: the
 // view-cohort kernel and the pre-refactor one-node-per-validator layout
-// (PerValidatorViews, retained as the oracle) produce bit-identical
+// (ReferenceMode.PerValidator, retained as the oracle) produce bit-identical
 // EpochMetrics histories — across partitions, link outages, shuffled
 // duties, delays, and idle Byzantine bridges — because cohort members
 // provably hold identical views.
