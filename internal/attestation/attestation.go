@@ -61,9 +61,10 @@ type Pool struct {
 	// epochs holds the retained target epochs in ascending order — the
 	// boundary's prune keeps it to about ten.
 	epochs []*EpochVotes
-	// width is the longest id column any epoch has needed (highest
-	// validator index seen + 1). A new epoch's column is allocated at that
-	// width in one piece instead of growing batch by batch.
+	// width is the length a new epoch's id column is allocated at, in one
+	// piece: the validator count Reset was given, or the highest validator
+	// index seen + 1 where that is more (a pool that was never told its
+	// validator count learns it batch by batch).
 	width int //gasper:nocodec allocation hint; DecodePool re-learns it from the decoded column lengths
 	// spares holds up to maxSpares pruned epochs whose storage the next new
 	// target epochs take over: in a steady run the boundary prunes one
@@ -103,6 +104,10 @@ type EpochVotes struct {
 	first  []uint32
 	second []uint32
 	spill  []spillVote
+	// voted is the highest validator with a vote, plus one: where the
+	// boundary's sweeps stop, however far past it first is sized (a view of
+	// one partition hears half the validators).
+	voted int //gasper:nocodec derived from the column; decodeEpochVotes recomputes it
 }
 
 // spillVote is a third-or-later distinct vote of one validator for one
@@ -119,6 +124,15 @@ const maxSpares = 2
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
+
+// Reset empties the pool for votes of validators [0, width): every new
+// epoch's id column is sized to width at its first vote, and the epochs
+// held become spares whose storage the next target epochs take over.
+func (p *Pool) Reset(width int) {
+	p.spares = append(p.spares, p.epochs...)
+	p.epochs = p.epochs[:0]
+	p.width = width
+}
 
 // find returns target epoch e's votes, or nil. It looks from the newest
 // epoch down: votes arrive for, and the boundary reads, the latest few.
@@ -215,9 +229,8 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 			need = int(v) + 1
 		}
 	}
-	if need > p.width {
-		p.width = need
-	}
+	p.width = max(p.width, need)
+	ev.voted = max(ev.voted, need)
 	if len(ev.first) < need {
 		//gasper:alloc one-time column growth: an epoch's column is sized to the validator count in one piece
 		first := make([]uint32, p.width)
@@ -298,15 +311,6 @@ func (ev *EpochVotes) addEquivocation(v types.ValidatorIndex, id uint32) bool {
 	return true
 }
 
-// voters returns the highest validator index holding a vote, plus one.
-func (ev *EpochVotes) voters() int {
-	n := len(ev.first)
-	for n > 0 && ev.first[n-1] == 0 {
-		n--
-	}
-	return n
-}
-
 // AppendVotes appends the ids of v's votes to dst, in arrival order.
 //
 //gasper:noalloc
@@ -337,7 +341,7 @@ func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 	if ev == nil {
 		return nil
 	}
-	out := make([][]Data, ev.voters())
+	out := make([][]Data, ev.voted)
 	var ids []uint32
 	for v := range out {
 		ids = ev.AppendVotes(ids[:0], types.ValidatorIndex(v))
@@ -457,9 +461,9 @@ func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, stake func(
 	ids, width := 0, 0
 	for k := range dst {
 		if ev := p.find(lo + types.Epoch(k)); ev != nil {
-			p.win = append(p.win, windowEpoch{ev: ev, first: ev.first, second: ev.second, out: k, dst: dst[k], base: len(dst[k])})
+			p.win = append(p.win, windowEpoch{ev: ev, first: ev.first[:ev.voted], second: ev.second, out: k, dst: dst[k], base: len(dst[k])})
 			ids += len(ev.table) + 1
-			width = max(width, len(ev.first))
+			width = max(width, ev.voted)
 		}
 	}
 	if cap(p.rows) < ids {
@@ -601,6 +605,7 @@ func (ev *EpochVotes) clone() *EpochVotes {
 		first:  append([]uint32(nil), ev.first...),
 		second: append([]uint32(nil), ev.second...),
 		spill:  append([]spillVote(nil), ev.spill...),
+		voted:  ev.voted,
 	}
 }
 

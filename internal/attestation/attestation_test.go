@@ -2,6 +2,7 @@ package attestation
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/codec"
@@ -195,6 +196,51 @@ func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
 	}
 	if c := reused.Clone(); c.Bytes() > reused.Bytes() || len(c.spares) != 0 {
 		t.Errorf("clone holds %d bytes and %d spares; want no more than the original's %d and none", c.Bytes(), len(c.spares), reused.Bytes())
+	}
+}
+
+// TestResetSizesEachColumnOnce: a pool told its validator count gives a new
+// epoch's id column that length at the first vote, so batches naming higher
+// validators never regrow it, and the boundary's tally stops at the highest
+// voter however long the column is. Reset hands the epochs to the next run
+// as spares, and the reset pool reads, tallies and encodes like a new one.
+func TestResetSizesEachColumnOnce(t *testing.T) {
+	p := NewPool()
+	p.Reset(64)
+	vote := func(p *Pool, v uint64) {
+		a := att(v, 32+v%32, 5, cp(0, 0), cp(1, 5))
+		p.AddBatch(nil, a.Data, []types.ValidatorIndex{a.Validator})
+	}
+	vote(p, 0)
+	first := &p.Retained()[0].first[0]
+	for v := uint64(1); v < 64; v++ {
+		vote(p, v)
+	}
+	if ev := p.Retained()[0]; len(ev.first) != 64 || &ev.first[0] != first {
+		t.Fatalf("epoch column %d long, regrown %t; want 64, sized once", len(ev.first), &ev.first[0] != first)
+	}
+
+	p.Reset(32)
+	if p.Epochs() != 0 || len(p.spares) != 1 {
+		t.Fatalf("after Reset(32): %d epochs, %d spares; want the epoch kept as a spare", p.Epochs(), len(p.spares))
+	}
+	fresh := NewPool()
+	for v := uint64(0); v < 32; v += 3 {
+		vote(p, v)
+		vote(fresh, v)
+	}
+	if p.Retained()[0].first[0] == 0 || p.Voted(1, 1) {
+		t.Fatal("the reset pool lost a vote or kept one from its last run")
+	}
+	stake := func(types.ValidatorIndex) types.Gwei { return 1 }
+	if got, want := p.AppendLinkTally(nil, 1, stake), fresh.AppendLinkTally(nil, 1, stake); !reflect.DeepEqual(got, want) || p.Retained()[0].voted != 31 {
+		t.Errorf("reset pool tallies %v over %d voters, want %v over 31", got, p.Retained()[0].voted, want)
+	}
+	var a, b bytes.Buffer
+	fresh.EncodeTo(codec.NewWriter(&a))
+	p.EncodeTo(codec.NewWriter(&b))
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("a reset pool encodes differently from a new one")
 	}
 }
 

@@ -73,7 +73,7 @@ func (p *Pool) EncodeTo(w *codec.Writer) {
 func (ev *EpochVotes) encodeTo(w *codec.Writer) {
 	w.U64(uint64(ev.epoch))
 	EncodeTable(w, ev.table)
-	w.U32s(ev.first[:ev.voters()])
+	w.U32s(ev.first[:ev.voted])
 	n := len(ev.second)
 	for n > 0 && ev.second[n-1] == 0 {
 		n--
@@ -124,6 +124,7 @@ func decodeEpochVotes(r *codec.Reader) *EpochVotes {
 		ev.noteSource(i)
 	}
 	ev.first = r.U32s()
+	ev.voted = len(ev.first) // encodeTo cuts the column after its last vote
 	second := r.U32s()
 	ns := r.Len()
 	if r.Err() != nil {

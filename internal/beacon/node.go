@@ -106,21 +106,37 @@ func NewNode(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis 
 // reference engine against the proto-array default.
 func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
 	n := &Node{
-		ID:       id,
-		Spec:     spec,
-		Tree:     blocktree.New(genesis),
+		Tree:     new(blocktree.Tree),
 		Votes:    votes,
-		FFG:      ffg.NewEngine(genesis),
-		Pool:     attestation.NewPool(),
-		Detector: slashing.NewDetector(),
-		Registry: validator.NewRegistry(nValidators, spec.MaxEffectiveBalance),
-		Leak:     incentives.Engine{Spec: spec},
+		Pool:     new(attestation.Pool),
+		Registry: new(validator.Registry),
 		pending:  make(map[types.Root][]blocktree.Block),
 	}
+	n.Reset(id, nValidators, spec, genesis)
+	return n
+}
+
+// Reset makes the node the one NewNodeWithForkChoice builds over its own
+// fork-choice engine, in the storage it already holds: tree pages, vote and
+// registry columns, and pool epochs (sized to nValidators, so an epoch's
+// column never regrows) are emptied, not freed. A node recycled for a run
+// over as many validators as its last allocates little more than the
+// genesis checkpoint. Only a node nothing else holds may be reset; Clone
+// shares no storage with its original.
+func (n *Node) Reset(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root) {
+	n.ID, n.Spec, n.Leak = id, spec, incentives.Engine{Spec: spec}
+	n.Tree.Reset(genesis)
+	n.FFG = ffg.NewEngine(genesis)
+	n.Pool.Reset(nValidators)
+	n.Detector = slashing.NewDetector()
+	n.Registry.Reset(nValidators, spec.MaxEffectiveBalance)
+	n.EnforceSlashing, n.hidden, n.incentivesNext = false, nil, 0
+	clear(n.pending)
+	n.slashEvidence = n.slashEvidence[:0]
 	n.stakeFn = n.Registry.Stake
 	n.activeFn = n.activity.Active
+	n.Votes.Reset()
 	n.Votes.UpdateStakes(nValidators, n.stakeFn)
-	return n
 }
 
 // Clone deep-copies the node's full protocol state. The clone's fork-choice

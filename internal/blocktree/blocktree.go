@@ -82,7 +82,7 @@ type node struct {
 }
 
 // Tree is an append-only block tree rooted at a genesis block. The zero
-// value is not usable; construct with New.
+// value is not usable until Reset; construct with New.
 type Tree struct {
 	// pages hold the nodes in index order; pages past the live ones are
 	// storage a rebuild kept for the Adds that refill the tree.
@@ -101,10 +101,22 @@ type Tree struct {
 
 // New creates a tree containing only the genesis block at slot 0.
 func New(genesis types.Root) *Tree {
-	t := &Tree{pages: []*[pageSize]node{new([pageSize]node)}, n: 1, index: make([]int32, 2*pageSize)}
+	t := new(Tree)
+	t.Reset(genesis)
+	return t
+}
+
+// Reset makes the tree the one New(genesis) creates, keeping its pages and
+// root index for the Adds that refill it. The version returns to zero with
+// everything else, so a fork-choice engine caching this tree's indices must
+// be reset with it.
+func (t *Tree) Reset(genesis types.Root) {
+	if len(t.pages) == 0 {
+		t.pages, t.index = []*[pageSize]node{new([pageSize]node)}, make([]int32, 2*pageSize)
+	}
+	*t = Tree{pages: t.pages, n: 1, index: t.index}
 	*t.at(0) = node{root: genesis, parent: NoIndex, firstChild: NoIndex, lastChild: NoIndex, nextSibling: NoIndex}
 	t.reindex()
-	return t
 }
 
 // Clone deep-copies the tree. The clone starts a fresh identity: consumers

@@ -89,8 +89,10 @@ func benchWarmVsCold(b *testing.B, cells []Cell) {
 // BenchmarkSweepWarmStart measures the tentpole's payoff: cold sweeps the
 // grid cell by cell, warm finishes the cells from the shared prefix tree.
 // Workers is pinned to 1 on both sides so the ratio isolates the epochs
-// saved rather than scheduling luck; CI gates warm >= 10x cold cells/sec
-// and warm <= 0.1x cold B/op (cmd/benchgate/gates.json).
+// saved rather than scheduling luck; CI gates warm >= 5x cold cells/sec,
+// warm <= 0.5x cold B/op, and cold B/op itself, which counts the
+// per-validator state of every genesis start that finds no spare
+// simulation to reset (cmd/benchgate/gates.json).
 func BenchmarkSweepWarmStart(b *testing.B) {
 	benchWarmVsCold(b, benchGrid())
 }
@@ -98,7 +100,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // BenchmarkSweepWarmStartForks is the same comparison on a grid where every
 // cell forks: warm pays one fork copy per cell (the spine's last fork takes
 // the simulation itself) and the healed tails, cold the whole run per cell.
-// CI gates the warm/cold cells/sec and B/op ratios (gates.json).
+// CI gates the warm/cold cells/sec ratio and warm B/op (gates.json).
 func BenchmarkSweepWarmStartForks(b *testing.B) {
 	benchWarmVsCold(b, benchForkGrid())
 }

@@ -197,12 +197,15 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 	// ResumeFrom may adopt it instead of cloning.
 	pre.Owned = true
 	res, err := cs.ResumeFrom(ctx, pre, p)
+	// Cancelled while finishing: a prefix without a snapshot is the unsaved
+	// one the cell finishes on, and it was only read.
+	if err != nil && pre.Snap == nil {
+		save(pre)
+	}
+	// A simulation ResumeFrom only read is still on the prefix, and this
+	// runner was its last holder.
+	recycle(pre.claim())
 	if err != nil {
-		// Cancelled while finishing: a prefix without a snapshot is the
-		// unsaved one the cell finishes on, and it was only read.
-		if pre.Snap == nil {
-			save(pre)
-		}
 		return Result{}, 0, err
 	}
 	ck.Store.DeleteCheckpoint(cellKey)

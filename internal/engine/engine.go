@@ -88,9 +88,10 @@ type SimStats struct {
 	TreeSegments int `json:"tree_segments,omitempty"`
 	TreeFolded   int `json:"tree_folded,omitempty"`
 	// TreeBytes is the storage the views' trees retain, counted at
-	// capacity (blocktree.Stats.Bytes): Compact and PruneBelow keep a
-	// tree's node pages and root index at the largest size it reached, so
-	// this reads above what the live blocks alone would need.
+	// capacity (blocktree.Stats.Bytes): Compact, PruneBelow and a reset for
+	// the next cell keep a tree's node pages and root index at the largest
+	// size it reached, so this reads above what the live blocks alone would
+	// need. EngineBytes counts capacity the same way.
 	TreeBytes   int `json:"tree_bytes,omitempty"`
 	OracleNodes int `json:"oracle_nodes,omitempty"`
 	EngineBytes int `json:"engine_bytes,omitempty"`

@@ -327,6 +327,11 @@ func (g *group) runSpine(ctx context.Context, finish func(idx, branch int, pre *
 		}
 		prev = pre
 	}
+	// Without a fork to take it at the last branch, the spine's simulation is
+	// nobody's once that branch's stops are read.
+	if prev != nil && len(g.branches[len(g.branches)-1].forks) == 0 {
+		recycle(prev.claim())
+	}
 }
 
 // hit counts one cell served from a shared prefix.

@@ -109,6 +109,11 @@ func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, ep
 // run, minus the validation Run does first).
 func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
 	s, tr, elapsed, err := sc.advance(ctx, p, pre, p.Horizon, false)
+	if s != nil && (pre == nil || pre.live() != s) {
+		// Built, claimed, restored or adopted rather than lent: the cell
+		// holds the only reference, and gives it up once the result is read.
+		defer recycle(s)
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -239,9 +244,26 @@ func (pre *Prefix) forkCopy() *Prefix {
 	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, Trace: pre.Trace, Done: pre.Done, Owned: true}
 }
 
+// spareSims holds simulations whose cells are done with them, for the next
+// genesis start to reset (sim.Simulation.Reset) instead of building its
+// per-validator state anew. Only a simulation nothing else references goes
+// in — never one still parked on a prefix, lent to a stop or read by a
+// result — and the collector empties the pool, so an idle process keeps
+// none.
+var spareSims sync.Pool
+
+// recycle hands a simulation that nothing references any more to the next
+// genesis start.
+func recycle(s *sim.Simulation) {
+	if s != nil {
+		spareSims.Put(s)
+	}
+}
+
 // positionSim returns a simulation configured by cfg standing at the
 // prefix's checkpoint. With no prefix that is a full simulation at
-// genesis. With one, the deepest tier wins: claim the prefix's live
+// genesis: a spare reset for cfg when there is one. With a prefix, the
+// deepest tier wins: claim the prefix's live
 // simulation when available (rebased onto cfg's heal slot — a shared
 // prefix runs under network.FarFuture, a cell under its own); otherwise
 // build only a shell (sim.NewShell), because the snapshot supplies the
@@ -251,6 +273,9 @@ func (pre *Prefix) forkCopy() *Prefix {
 // to restore.
 func positionSim(cfg sim.Config, pre *Prefix) (*sim.Simulation, error) {
 	if pre == nil {
+		if s, _ := spareSims.Get().(*sim.Simulation); s != nil {
+			return s, s.Reset(cfg)
+		}
 		return sim.New(cfg)
 	}
 	if s := pre.claim(); s != nil {

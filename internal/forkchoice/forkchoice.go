@@ -69,6 +69,9 @@ type Engine interface {
 	// CloneEngine deep-copies the engine, so partitioned views can
 	// diverge.
 	CloneEngine() Engine
+	// Reset empties the engine to what its constructor returns — no votes,
+	// no stakes, no tree — keeping storage for the next run to refill.
+	Reset()
 }
 
 // lessRoot orders roots lexicographically; the engine breaks weight ties

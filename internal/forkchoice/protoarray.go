@@ -86,6 +86,20 @@ func NewProtoArray() *ProtoArray {
 	return &ProtoArray{}
 }
 
+// Reset implements Engine: the columns are emptied, not freed, so sizing
+// them for the next run's validators and tree reuses their storage.
+func (p *ProtoArray) Reset() {
+	*p = ProtoArray{
+		voteRoot: p.voteRoot[:0], voteSlot: p.voteSlot[:0], hasVote: p.hasVote[:0],
+		stakes: p.stakes[:0], appliedIdx: p.appliedIdx[:0], appliedStake: p.appliedStake[:0],
+		changed: p.changed[:0], inChanged: p.inChanged[:0],
+		unresolved: p.unresolved[:0], inUnresolved: p.inUnresolved[:0],
+		weights: p.weights[:0], deltas: p.deltas[:0], bestChild: p.bestChild[:0],
+		touched: p.touched[:0], inTouched: p.inTouched[:0],
+		canon: p.canon[:0], canonPos: p.canonPos[:0],
+	}
+}
+
 // ensureValidators grows the per-validator columns to hold n validators.
 func (p *ProtoArray) ensureValidators(n int) {
 	have := len(p.voteRoot)

@@ -147,6 +147,12 @@ func (o *Oracle) CloneEngine() forkchoice.Engine {
 	return out
 }
 
+// Reset implements forkchoice.Engine.
+func (o *Oracle) Reset() {
+	clear(o.latest)
+	o.stakes = o.stakes[:0]
+}
+
 // subtreeWeights computes, for every block, the total stake of validators
 // whose latest message is in that block's subtree. Votes for blocks the
 // tree does not hold are ignored. Votes are grouped by target first, so

@@ -47,8 +47,15 @@ const byzPartition = -1
 // shell skips the per-cohort Node construction (see NewShell): the cohort
 // layout, membership, and partition assignment are built as usual but
 // every Cohort.Node is left nil for a later Restore/Adopt to install.
-func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis types.Root, shell bool) (cohorts []*Cohort, cohortOf []int) {
-	cohortOf = make([]int, cfg.Validators)
+//
+// old and cohortOf are a reset simulation's cohorts and routing column:
+// the i-th cohort built takes over old[i], its node reset in place
+// (beacon.Node.Reset) and its member list refilled.
+func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis types.Root, shell bool, old []*Cohort, cohortOf []int) ([]*Cohort, []int) {
+	cohortOf = append(cohortOf[:0], make([]int, cfg.Validators)...)
+	// cohorts refills old's array: the i-th append stores the cohort just
+	// taken from old[i].
+	cohorts := old[:0]
 	partitionOf := func(v types.ValidatorIndex) int {
 		if byzantine[v] {
 			return byzPartition
@@ -60,17 +67,29 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 	}
 
 	newCohort := func(first types.ValidatorIndex) *Cohort {
-		c := &Cohort{
+		c := new(Cohort)
+		if len(cohorts) < len(old) {
+			c = old[len(cohorts)]
+		}
+		*c = Cohort{
 			Index:     len(cohorts),
+			Node:      c.Node,
 			Partition: partitionOf(first),
 			Byzantine: byzantine[first],
+			Members:   c.Members[:0],
 		}
-		if !shell {
+		switch {
+		case shell:
+		case c.Node != nil:
+			c.Node.Reset(first, cfg.Validators, cfg.Spec, genesis)
+		default:
 			var votes forkchoice.Engine = forkchoice.NewProtoArray()
 			if cfg.reference.engine != nil {
 				votes = cfg.reference.engine()
 			}
 			c.Node = beacon.NewNodeWithForkChoice(first, cfg.Validators, cfg.Spec, genesis, votes)
+		}
+		if c.Node != nil {
 			c.Node.EnforceSlashing = !c.Byzantine
 		}
 		cohorts = append(cohorts, c)
@@ -81,7 +100,7 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 		for i := 0; i < cfg.Validators; i++ {
 			v := types.ValidatorIndex(i)
 			c := newCohort(v)
-			c.Members = []types.ValidatorIndex{v}
+			c.Members = append(c.Members, v)
 			cohortOf[i] = c.Index
 		}
 		return cohorts, cohortOf

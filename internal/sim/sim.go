@@ -210,7 +210,21 @@ var ErrBadConfig = errors.New("sim: invalid config")
 
 // New builds the simulation: cohorts, views, network.
 func New(cfg Config) (*Simulation, error) {
-	return build(cfg, false)
+	return build(new(Simulation), cfg, false)
+}
+
+// Reset rebuilds the simulation at genesis as New(cfg) would — the same
+// state, the same run from there — in the storage it already holds: its
+// views are reset in place (beacon.Node.Reset), its cohort and roster
+// storage is refilled, and the lists it last sent stay cached for sending
+// again (they are immutable). A run over as many validators as the last
+// one therefore builds no per-validator state. Only a simulation that
+// nothing else holds may be reset: one lent to another goroutine, or whose
+// cohorts or views a caller kept, is not. A Snapshot taken of it shares
+// nothing that Reset writes into. On error the simulation is unusable.
+func (s *Simulation) Reset(cfg Config) error {
+	_, err := build(s, cfg, false)
+	return err
 }
 
 // NewShell builds a simulation whose cohort views are left unmaterialized:
@@ -222,10 +236,12 @@ func New(cfg Config) (*Simulation, error) {
 // state via Restore or Adopt before it is stepped; the warm-start resume
 // path is the intended caller.
 func NewShell(cfg Config) (*Simulation, error) {
-	return build(cfg, true)
+	return build(new(Simulation), cfg, true)
 }
 
-func build(cfg Config, shell bool) (*Simulation, error) {
+// build configures s as a simulation of cfg at genesis, reusing whatever
+// storage s holds, and returns it.
+func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 	if cfg.Validators <= 0 {
 		return nil, fmt.Errorf("%w: validators = %d", ErrBadConfig, cfg.Validators)
 	}
@@ -235,7 +251,11 @@ func build(cfg Config, shell bool) (*Simulation, error) {
 	if cfg.Delay == 0 {
 		return nil, fmt.Errorf("%w: delay must be >= 1 slot (same-slot delivery would race the slot's already-drained inbox)", ErrBadConfig)
 	}
-	byzantine := make(map[types.ValidatorIndex]bool, len(cfg.Byzantine))
+	byzantine := s.byzantine
+	if byzantine == nil {
+		byzantine = make(map[types.ValidatorIndex]bool, len(cfg.Byzantine))
+	}
+	clear(byzantine)
 	for _, b := range cfg.Byzantine {
 		if int(b) >= cfg.Validators {
 			return nil, fmt.Errorf("%w: byzantine index %d out of range", ErrBadConfig, b)
@@ -275,17 +295,34 @@ func build(cfg Config, shell bool) (*Simulation, error) {
 	}
 
 	genesis := types.RootFromUint64(0)
-	s := &Simulation{
+	old := *s
+	if old.oracle == nil {
+		old.oracle = new(blocktree.Tree)
+	}
+	old.oracle.Reset(genesis)
+	// A view reset in place keeps its fork-choice engine, so views are not
+	// carried across a change of engine kind.
+	if (old.Cfg.reference.engine == nil) != (cfg.reference.engine == nil) {
+		old.cohorts = nil
+	}
+	*s = Simulation{
 		Cfg:       cfg,
 		byzantine: byzantine,
-		oracle:    blocktree.New(genesis),
+		embargoes: old.embargoes[:0],
+		// Storage every run refills. A sent list is immutable, so a reset
+		// run re-sends the lists its buckets still match.
+		dutyRoster:    old.dutyRoster,
+		dutyBuckets:   old.dutyBuckets,
+		sentLists:     old.sentLists,
+		hiddenScratch: old.hiddenScratch,
+		oracle:        old.oracle,
 	}
-	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell)
+	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell, old.cohorts, old.cohortOf)
 	s.Net = wireNetwork(cfg, s.cohorts)
 	if !shell { // a shell takes its duty views from the snapshot it is given
-		s.dutyView = append([]int(nil), s.cohortOf...)
+		s.dutyView = append(old.dutyView[:0], s.cohortOf...)
 	}
-	s.honest = make([]types.ValidatorIndex, 0, cfg.Validators-len(byzantine))
+	s.honest = slices.Grow(old.honest[:0], cfg.Validators-len(byzantine))
 	for i := 0; i < cfg.Validators; i++ {
 		if v := types.ValidatorIndex(i); !byzantine[v] {
 			s.honest = append(s.honest, v)
@@ -521,18 +558,14 @@ func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
 	if s.dutyRosterSet && (s.dutyRosterEpoch == epoch || !s.Cfg.ShuffledDuties) {
 		return s.dutyRoster
 	}
-	if s.dutyRoster == nil {
-		// Consumption indexes by slot.PositionInEpoch() (the global
-		// types.SlotsPerEpoch grid); production offsets come from
-		// AttestationSlot, which spreads duties over the spec's own epoch
-		// length. Size for both so a spec that differs from the global
-		// constant neither panics on build nor on lookup — offsets beyond
-		// the consumable window simply stay unread, exactly as the old
-		// per-slot scan never matched them.
-		n := uint64(types.SlotsPerEpoch)
-		if s.Cfg.Spec.SlotsPerEpoch > n {
-			n = s.Cfg.Spec.SlotsPerEpoch
-		}
+	// Consumption indexes by slot.PositionInEpoch() (the global
+	// types.SlotsPerEpoch grid); production offsets come from
+	// AttestationSlot, which spreads duties over the spec's own epoch
+	// length. Size for both so a spec that differs from the global
+	// constant neither panics on build nor on lookup — offsets beyond
+	// the consumable window simply stay unread, exactly as the old
+	// per-slot scan never matched them.
+	if n := max(uint64(types.SlotsPerEpoch), s.Cfg.Spec.SlotsPerEpoch); uint64(len(s.dutyRoster)) != n {
 		s.dutyRoster = make([][]types.ValidatorIndex, n)
 	}
 	for i := range s.dutyRoster {

@@ -91,17 +91,23 @@ type Columns struct {
 // NewRegistry creates n validators, each with the given initial stake, all
 // active with zero inactivity score.
 func NewRegistry(n int, stake types.Gwei) *Registry {
-	r := &Registry{
-		stakes: make([]types.Gwei, n),
-		scores: make([]uint64, n),
-		status: make([]Status, n),
-		exit:   make([]types.Epoch, n),
-	}
+	r := new(Registry)
+	r.Reset(n, stake)
+	return r
+}
+
+// Reset makes the registry the one NewRegistry(n, stake) creates, in the
+// columns it already holds: a registry recycled for a run of no more
+// validators than it had allocates nothing.
+func (r *Registry) Reset(n int, stake types.Gwei) {
+	r.stakes = append(r.stakes[:0], make([]types.Gwei, n)...)
+	r.scores = append(r.scores[:0], make([]uint64, n)...)
+	r.status = append(r.status[:0], make([]Status, n)...)
+	r.exit = append(r.exit[:0], make([]types.Epoch, n)...)
 	for i := 0; i < n; i++ {
 		r.stakes[i] = stake
 		r.exit[i] = types.FarFutureEpoch
 	}
-	return r
 }
 
 // Clone returns a deep copy; branch simulations fork the registry at the
