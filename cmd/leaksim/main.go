@@ -263,7 +263,9 @@ func emitVerbose(w io.Writer, results []gasperleak.ScenarioResult) error {
 			return err
 		}
 	}
-	return nil
+	sp := gasperleak.SpareSimulations()
+	_, err := fmt.Fprintf(w, "# spare simulations: %d idle; genesis starts: %d reset a spare, %d built anew\n", sp.Idle, sp.Reset, sp.Built)
+	return err
 }
 
 func curveCount(results []gasperleak.ScenarioResult) int {

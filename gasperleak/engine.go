@@ -37,7 +37,14 @@ type (
 	// explicit-presence tracking (ScenarioParams.Explicit): marking a
 	// field keeps an explicit zero — rate=0, gst=0 — through defaulting.
 	ParamField = engine.Field
+	// SpareStats accounts the finished simulations the process keeps for
+	// genesis starts to reset (SpareSimulations).
+	SpareStats = engine.SpareStats
 )
+
+// SpareSimulations reports the spare simulations: how many are idle, and
+// how many genesis starts reset one or built a new simulation.
+func SpareSimulations() SpareStats { return engine.Spares() }
 
 // LookupScenario finds a scenario in the default registry.
 func LookupScenario(name string) (Scenario, bool) { return engine.Lookup(name) }

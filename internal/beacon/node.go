@@ -92,6 +92,10 @@ type Node struct {
 	// slashEvidence collects offenses observed and (if enforcing)
 	// applied.
 	slashEvidence []slashing.Evidence
+	// pinned is CompactTree's set of roots to keep, emptied each call.
+	//gasper:nocodec scratch set; holds nothing between compactions
+	//gasper:shallow scratch set; a clone makes its own on its first compaction
+	pinned map[types.Root]struct{}
 }
 
 // NewNode builds a node for validator id over a fresh view with nValidators
@@ -426,7 +430,11 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 // instead of being sized for the registry; consecutive validators often
 // share a root (~2 votes a run), and a run inserts its root once.
 func (n *Node) CompactTree(olderThan types.Slot) int {
-	pinned := make(map[types.Root]struct{})
+	if n.pinned == nil {
+		n.pinned = make(map[types.Root]struct{})
+	}
+	pinned := n.pinned
+	clear(pinned)
 	for _, c := range n.FFG.Justifieds() {
 		pinned[c.Root] = struct{}{}
 	}

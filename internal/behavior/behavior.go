@@ -61,7 +61,7 @@ func (d *DoubleVoter) OnSlot(s *sim.Simulation, slot types.Slot) {
 		if err != nil {
 			continue
 		}
-		s.BroadcastAs(members[0], p, slot, sim.Message{Batch: &sim.AttBatch{Data: data, Validators: members}})
+		s.BroadcastAs(members[0], p, slot, sim.Message{Kind: sim.BatchMessage, Batch: sim.AttBatch{Data: data, Validators: members}})
 	}
 }
 
@@ -187,7 +187,7 @@ func (a *SemiActive) OnSlot(s *sim.Simulation, slot types.Slot) {
 	if err != nil {
 		return
 	}
-	s.BroadcastAs(members[0], branch, slot, sim.Message{Batch: &sim.AttBatch{Data: data, Validators: members}})
+	s.BroadcastAs(members[0], branch, slot, sim.Message{Kind: sim.BatchMessage, Batch: sim.AttBatch{Data: data, Validators: members}})
 }
 
 // Bouncer is the Scenario 5.3 adversary (probabilistic bouncing attack with
@@ -339,7 +339,7 @@ func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 		},
 		Validators: s.Cfg.Byzantine,
 	}
-	s.Broadcast(s.Cfg.Byzantine[0], slot, sim.Message{Batch: &release})
+	s.Broadcast(s.Cfg.Byzantine[0], slot, sim.Message{Kind: sim.BatchMessage, Batch: release})
 
 	// Catch-up: the previous release reached every validator within
 	// delta, so by this boundary every view has processed it.

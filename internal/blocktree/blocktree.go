@@ -97,6 +97,31 @@ type Tree struct {
 	version uint64
 	// folded is the lifetime count of blocks removed by Compact.
 	folded int
+	//gasper:nocodec rebuild scratch; holds nothing between calls
+	//gasper:shallow rebuild scratch; a clone grows its own on its first rebuild
+	scratch rebuildScratch
+}
+
+// rebuildScratch holds the columns Compact and PruneBelow rebuild the nodes
+// through. They are sized to the tree's page capacity, so a rebuild
+// allocates only once the tree has grown past the most it held.
+type rebuildScratch struct {
+	mark   []bool
+	counts []int8
+	cols   [3][]int32
+	kept   []node
+}
+
+// column returns *col resized to n entries, reusing its storage when that
+// holds n, and otherwise growing it to capacity entries.
+//
+//gasper:noalloc
+func column[T any](col *[]T, n, capacity int) []T {
+	if cap(*col) < n {
+		*col = make([]T, capacity) //gasper:alloc one-time growth: a column grows with the tree's pages
+	}
+	*col = (*col)[:n]
+	return *col
 }
 
 // New creates a tree containing only the genesis block at slot 0.
@@ -114,7 +139,7 @@ func (t *Tree) Reset(genesis types.Root) {
 	if len(t.pages) == 0 {
 		t.pages, t.index = []*[pageSize]node{new([pageSize]node)}, make([]int32, 2*pageSize)
 	}
-	*t = Tree{pages: t.pages, n: 1, index: t.index}
+	*t = Tree{pages: t.pages, n: 1, index: t.index, scratch: t.scratch}
 	*t.at(0) = node{root: genesis, parent: NoIndex, firstChild: NoIndex, lastChild: NoIndex, nextSibling: NoIndex}
 	t.reindex()
 }
@@ -430,10 +455,12 @@ func (t *Tree) CommonAncestor(a, b types.Root) (types.Root, error) {
 // (keeping them topological) into the pages the tree already has, and
 // Version is bumped to void cached indices. Returns the number of blocks
 // removed.
+//
+//gasper:noalloc
 func (t *Tree) PruneBelow(keep types.Root) (int, error) {
 	ki := t.find(keep)
 	if ki == NoIndex {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, keep)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, keep) //gasper:alloc error exit: an unknown root
 	}
 	if ki == 0 {
 		return 0, nil
@@ -443,10 +470,10 @@ func (t *Tree) PruneBelow(keep types.Root) (int, error) {
 	// ascending index reproduces insertion order. Pre-order can move a
 	// node past its old index, so the survivors are gathered before they
 	// are written back.
-	order := make([]int32, 0, t.n)
-	t.preorder(ki, &order)
-	remap := make([]int32, t.n)
-	kept := make([]node, len(order))
+	sc, capacity := &t.scratch, len(t.pages)*pageSize
+	order := t.preorder(ki, column(&sc.cols[0], int(t.n), capacity)[:0], column(&sc.cols[1], int(t.n), capacity)[:0])
+	remap := column(&sc.cols[2], int(t.n), capacity)
+	kept := column(&sc.kept, len(order), capacity)
 	for newIdx, oldIdx := range order {
 		remap[oldIdx] = int32(newIdx)
 		kept[newIdx] = *t.at(oldIdx)
@@ -471,13 +498,14 @@ func (t *Tree) PruneBelow(keep types.Root) (int, error) {
 
 // preorder appends the subtree of root to out in pre-order (parent first,
 // children in sibling order), with an explicit stack so a deep surviving
-// chain costs no call-stack growth.
-func (t *Tree) preorder(root int32, out *[]int32) {
-	stack := []int32{root}
+// chain costs no call-stack growth. Both out and stack need room for every
+// node.
+func (t *Tree) preorder(root int32, out, stack []int32) []int32 {
+	stack = append(stack, root)
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		*out = append(*out, i)
+		out = append(out, i)
 		// Push the children, then reverse the pushed run so they pop in
 		// sibling order.
 		n := len(stack)
@@ -488,6 +516,7 @@ func (t *Tree) preorder(root int32, out *[]int32) {
 			stack[a], stack[b] = stack[b], stack[a]
 		}
 	}
+	return out
 }
 
 // Compact folds the cold interior of the tree into summary segments,
@@ -511,12 +540,16 @@ func (t *Tree) preorder(root int32, out *[]int32) {
 //
 // IsAncestor and CommonAncestor remain exact over surviving blocks.
 // AncestorAt queries below olderThan may answer ErrCompactedRange.
+//
+//gasper:noalloc
 func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	n := t.n
 	if n <= 1 {
 		return 0
 	}
-	mark := make([]bool, n)
+	sc, capacity := &t.scratch, len(t.pages)*pageSize
+	mark := column(&sc.mark, int(n), capacity)
+	clear(mark)
 	mark[0] = true
 	retained := int32(1)
 	for i := int32(1); i < n; i++ {
@@ -530,7 +563,8 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// node's child counts are final when visited): a node with two or more
 	// children whose subtrees carry survivors is a branch point of the
 	// surviving set and must survive itself.
-	childrenWith := make([]int8, n)
+	childrenWith := column(&sc.counts, int(n), capacity)
+	clear(childrenWith)
 	for i := n - 1; i >= 1; i-- {
 		if !mark[i] && childrenWith[i] >= 2 {
 			mark[i] = true
@@ -548,9 +582,9 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// Nearest surviving ancestor and folded-gap length, root-to-leaf: a
 	// dropped node accumulates its own segment history (foldedBelow) plus
 	// itself into the gap its surviving descendants inherit.
-	nrAnc := make([]int32, n)
-	gap := make([]int32, n)
-	nrAnc[0] = NoIndex
+	nrAnc := column(&sc.cols[0], int(n), capacity)
+	gap := column(&sc.cols[1], int(n), capacity)
+	nrAnc[0], gap[0] = NoIndex, 0
 	for i := int32(1); i < n; i++ {
 		nd := t.at(i)
 		if mark[nd.parent] {
@@ -567,7 +601,7 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// walk has already read. The pages and the root index keep their
 	// storage, so the Adds that refill the tree to the watermark grow
 	// nothing.
-	oldToNew := make([]int32, n)
+	oldToNew := column(&sc.cols[2], int(n), capacity)
 	w := int32(0)
 	for i := int32(0); i < n; i++ {
 		if !mark[i] {

@@ -145,3 +145,74 @@ func FuzzDecodeTree(f *testing.F) {
 		}
 	})
 }
+
+// TestRebuildsOfACopyLeaveTheOther: Compact and PruneBelow rebuild a tree
+// through scratch columns it keeps between calls. Rebuilding a clone leaves
+// the original's frame as it was, and rebuilding the original leaves the
+// clone's; once a tree's columns have grown, a rebuild allocates nothing.
+func TestRebuildsOfACopyLeaveTheOther(t *testing.T) {
+	frame := func(tree *Tree) []byte {
+		var buf bytes.Buffer
+		tree.EncodeTo(codec.NewWriter(&buf))
+		return buf.Bytes()
+	}
+	// A 300-block spine with a two-block side branch every tenth slot.
+	build := func() (*Tree, []types.Root) {
+		tree, roots := buildLinearChain(t, 300)
+		for i := 10; i < 300; i += 10 {
+			side := root(uint64(1000 + i))
+			mustAdd(t, tree, Block{Slot: types.Slot(i + 1), Root: side, Parent: roots[i]})
+			mustAdd(t, tree, Block{Slot: types.Slot(i + 2), Root: root(uint64(2000 + i)), Parent: side})
+		}
+		return tree, roots
+	}
+	rebuild := func(tree *Tree, roots []types.Root) {
+		if folded := tree.Compact(250, func(r types.Root) bool { return r == roots[100] }); folded == 0 {
+			t.Fatal("Compact folded nothing")
+		}
+		if removed, err := tree.PruneBelow(roots[100]); err != nil || removed == 0 {
+			t.Fatalf("PruneBelow removed %d: %v", removed, err)
+		}
+	}
+
+	orig, roots := build()
+	rebuild(orig, roots) // grows the original's columns
+	for _, rebuildFirst := range []string{"clone", "original"} {
+		orig, roots = build()
+		clone := orig.Clone()
+		want := frame(orig)
+		target, other := clone, orig
+		if rebuildFirst == "original" {
+			target, other = orig, clone
+		}
+		rebuild(target, roots)
+		if !bytes.Equal(frame(other), want) {
+			t.Errorf("rebuilding the %s changed the other copy", rebuildFirst)
+		}
+	}
+
+	trees := make([]*Tree, 3)
+	for i := range trees {
+		trees[i], roots = build()
+		rebuild(trees[i], roots)
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(2, func() {
+		tree := trees[call]
+		call++
+		b := tree.BlockAt(int32(tree.Len() - 1))
+		for tree.Len() < 300 {
+			b = Block{Slot: b.Slot + 1, Root: root(uint64(5000 + b.Slot)), Parent: b.Root}
+			if err := tree.Add(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree.Compact(b.Slot-50, nil)
+		if _, err := tree.PruneBelow(b.Root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refilling and rebuilding a rebuilt tree allocated %v times, want 0", allocs)
+	}
+}

@@ -48,6 +48,7 @@ func benchForkGrid() []Cell {
 func benchSweep(b *testing.B, cells []Cell, warm *WarmStartOptions) []Result {
 	b.Helper()
 	var last []Result
+	built := Spares().Built
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		last = SweepContext(context.Background(), cells, Options{
@@ -58,6 +59,7 @@ func benchSweep(b *testing.B, cells []Cell, warm *WarmStartOptions) []Result {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N*len(last))/secs, "cells/sec")
 	}
+	b.ReportMetric(float64(Spares().Built-built)/float64(b.N), "built-sims/sweep")
 	for i, r := range last {
 		if r.Err != "" {
 			b.Fatalf("cell %d failed: %s", i, r.Err)

@@ -8,28 +8,31 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"testing"
+
+	"repro/internal/sim"
 )
 
-// pinSpares makes the spare-simulation pool deterministic for the rest of
-// the test, and empties it: with one P the next Get returns what the last
-// Put stored, and with no collection the pool is not emptied between cells.
-func pinSpares(t *testing.T) {
-	t.Helper()
-	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	t.Cleanup(func() {
-		runtime.GOMAXPROCS(procs)
-		debug.SetGCPercent(gc)
-	})
-	drainSpares()
+// drainSpares empties the spare list, so the next genesis start builds a
+// new simulation.
+func drainSpares() {
+	spares.Lock()
+	defer spares.Unlock()
+	spares.free = nil
 }
 
-// drainSpares empties the spare-simulation pool, so the next genesis start
-// builds a new simulation.
-func drainSpares() {
-	for spareSims.Get() != nil {
+// takeSpare removes the spare the next genesis start would reset from the
+// list and returns it; nil when none is idle.
+func takeSpare() *sim.Simulation {
+	spares.Lock()
+	defer spares.Unlock()
+	n := len(spares.free)
+	if n == 0 {
+		return nil
 	}
+	s := spares.free[n-1]
+	spares.free = spares.free[:n-1]
+	return s
 }
 
 // TestRecycledSimulationMatchesFixture: sim/partition's fixture grid, run
@@ -37,7 +40,7 @@ func drainSpares() {
 // cell before it finished, whatever its validator count, and every seventh
 // after a cell cancelled mid-run — reproduces the fixture byte for byte.
 func TestRecycledSimulationMatchesFixture(t *testing.T) {
-	pinSpares(t)
+	drainSpares()
 	cells := partitionFixtureCells()
 	results := make([]Result, len(cells))
 	for k, i := range rand.New(rand.NewSource(31)).Perm(len(cells)) {
@@ -61,7 +64,10 @@ func TestRecycledSimulationMatchesFixture(t *testing.T) {
 }
 
 // recycleCells mixes every simulator row, validator counts, a Byzantine
-// cohort and an adversary that the row attaches.
+// cohort and an adversary that the row attaches. The last two are sim/gst
+// cells healing at epoch 10: the first ends before the heal, holding the
+// other side's traffic for it, and the second, on another seed, delivers
+// its own at the same slot.
 func recycleCells() []Cell {
 	return []Cell{
 		{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 20, Horizon: 12, Seed: 1, Sample: 3}},
@@ -69,13 +75,17 @@ func recycleCells() []Cell {
 		{Scenario: ScenarioSimGST, Params: Params{P0: 0.4, N: 24, Horizon: 8, GST: 4, Seed: 2}},
 		{Scenario: ScenarioSimDrops, Params: Params{Rate: 0.2, N: 16, Horizon: 6, Seed: 1}},
 		{Scenario: ScenarioSimPartition, Params: Params{P0: 0.5, N: 16, Horizon: 30, Seed: 3}},
+		{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 24, Horizon: 8, GST: 10, Seed: 4}},
+		{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 24, Horizon: 12, GST: 10, Seed: 5}},
 	}
 }
 
 // TestRecycledCellsMatchFresh: every simulator row's cells give the same
 // payload on a recycled simulation as on a new one — cell by cell in
-// shuffled order, after cancelled cells, and through sweeps whose workers
-// share the pool (cold, warm, checkpointed).
+// shuffled order, after cancelled cells, the two sim/gst cells back to back
+// on one spare (the second would deliver any held message the first left
+// in it), and through sweeps whose workers share the spares (cold, warm,
+// checkpointed).
 func TestRecycledCellsMatchFresh(t *testing.T) {
 	ctx := context.Background()
 	cells := recycleCells()
@@ -96,7 +106,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 	}
 
 	t.Run("one-by-one", func(t *testing.T) {
-		pinSpares(t)
+		drainSpares()
 		order := rand.New(rand.NewSource(7)).Perm(3 * len(cells))
 		for k, j := range order {
 			i := j % len(cells)
@@ -108,6 +118,44 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("one-by-one", i, res)
+		}
+	})
+
+	t.Run("held-traffic-back-to-back", func(t *testing.T) {
+		// frame runs cell i on the spare given back last, or on a new
+		// simulation when none is idle, and returns the snapshot frame of
+		// the simulation the cell gives back.
+		frame := func(i int) []byte {
+			t.Helper()
+			res, err := RunCell(ctx, nil, cells[i], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("held-traffic-back-to-back", i, res)
+			s := takeSpare()
+			if s == nil {
+				t.Fatal("the cell gave no simulation back")
+			}
+			defer recycle(s)
+			var buf bytes.Buffer
+			if _, err := s.Snapshot().WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		held, heal := len(cells)-2, len(cells)-1
+		drainSpares()
+		want := map[int][]byte{held: frame(held)}
+		if s := takeSpare(); s.Net.PendingFor(0)+s.Net.PendingFor(1) == 0 {
+			t.Fatal("the cell ending before the heal holds no traffic for it")
+		}
+		drainSpares()
+		want[heal] = frame(heal)
+		drainSpares()
+		for _, i := range []int{held, heal, held, heal} {
+			if !bytes.Equal(frame(i), want[i]) {
+				t.Errorf("cell %d (%s) left a different simulation on a recycled spare than on a new one", i, cells[i].Params)
+			}
 		}
 	})
 
@@ -130,38 +178,42 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 }
 
 // TestSpareSimulations pins who gives a simulation back and who takes one:
-// a genesis start resets a spare whatever its validator count; a stop read
-// off a lent prefix leaves the prefix's simulation where it is; a cold
-// cell, a spine whose last branch has no fork and the checkpoint runner
-// each give theirs back. Under the race detector the pool drops a quarter
-// of what it is given, so each positive check gets twenty tries.
+// a genesis start resets the spare given back last, whatever its validator
+// count, and counts whether it reset one or built anew; at most GOMAXPROCS
+// spares stay idle; a stop read off a lent prefix leaves the prefix's
+// simulation where it is; a cold cell, a spine whose last branch has no
+// fork and the checkpoint runner each give theirs back.
 func TestSpareSimulations(t *testing.T) {
-	pinSpares(t)
+	drainSpares()
 	ctx := context.Background()
 	sc, _ := Default.Lookup(ScenarioSimPartition)
 	row, p := sc.(*simScenario), sc.Defaults()
 	other := p
 	other.N, other.Seed = 24, 9
-	eventually := func(what string, ok func() bool) {
-		t.Helper()
-		for range 20 {
-			drainSpares()
-			if ok() {
-				return
-			}
-		}
-		t.Errorf("%s: never, in twenty tries", what)
-	}
 
-	eventually("a genesis start resets a spare of another validator count", func() bool {
-		s, err := positionSim(row.row.config(p), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycle(s)
-		again, err := positionSim(row.row.config(other), nil)
-		return err == nil && again == s
-	})
+	before := Spares()
+	s, err := positionSim(row.row.config(p), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycle(s)
+	if got := Spares(); got.Idle != 1 || got.Built != before.Built+1 || got.Reset != before.Reset {
+		t.Fatalf("after a build and a recycle: %+v, was %+v", got, before)
+	}
+	again, err := positionSim(row.row.config(other), nil)
+	if err != nil || again != s {
+		t.Fatalf("a genesis start of another validator count did not reset the spare (err %v)", err)
+	}
+	if got := Spares(); got.Idle != 0 || got.Built != before.Built+1 || got.Reset != before.Reset+1 {
+		t.Fatalf("after a reset: %+v, was %+v", got, before)
+	}
+	for range runtime.GOMAXPROCS(0) + 1 {
+		recycle(new(sim.Simulation))
+	}
+	if got := Spares().Idle; got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d spares idle after GOMAXPROCS+1 were given back, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+	}
+	drainSpares()
 
 	stop := p
 	stop.Horizon = 10
@@ -175,7 +227,7 @@ func TestSpareSimulations(t *testing.T) {
 	if lent.live() == nil {
 		t.Fatal("the stop took the lent prefix's simulation")
 	}
-	if spare := spareSims.Get(); spare != nil {
+	if takeSpare() != nil {
 		t.Fatal("a stop read off a lent prefix gave a simulation back")
 	}
 
@@ -193,11 +245,12 @@ func TestSpareSimulations(t *testing.T) {
 			return err
 		}},
 	} {
-		eventually("a "+run.name+" gives its simulation back", func() bool {
-			if err := run.do(); err != nil {
-				t.Fatalf("%s: %v", run.name, err)
-			}
-			return spareSims.Get() != nil
-		})
+		drainSpares()
+		if err := run.do(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if takeSpare() == nil {
+			t.Errorf("a %s gave no simulation back", run.name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -244,20 +245,62 @@ func (pre *Prefix) forkCopy() *Prefix {
 	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, Trace: pre.Trace, Done: pre.Done, Owned: true}
 }
 
-// spareSims holds simulations whose cells are done with them, for the next
+// spares holds simulations whose cells are done with them, for the next
 // genesis start to reset (sim.Simulation.Reset) instead of building its
 // per-validator state anew. Only a simulation nothing else references goes
 // in — never one still parked on a prefix, lent to a stop or read by a
-// result — and the collector empties the pool, so an idle process keeps
-// none.
-var spareSims sync.Pool
+// result. The list holds at most GOMAXPROCS simulations and the collector
+// does not empty it, so the bytes a run of cells allocates depend on the
+// cells alone; an idle process keeps up to that many (~3.5 MB each at
+// 10,000 validators).
+var spares struct {
+	sync.Mutex
+	free  []*sim.Simulation
+	stats SpareStats
+}
+
+// SpareStats accounts the spare simulations: how many are idle, and how
+// many genesis starts since the process began reset a spare or built a new
+// simulation.
+type SpareStats struct {
+	Idle  int    `json:"idle"`
+	Reset uint64 `json:"reset"`
+	Built uint64 `json:"built"`
+}
+
+// Spares reports the process's spare simulations.
+func Spares() SpareStats {
+	spares.Lock()
+	defer spares.Unlock()
+	st := spares.stats
+	st.Idle = len(spares.free)
+	return st
+}
 
 // recycle hands a simulation that nothing references any more to the next
-// genesis start.
+// genesis start, unless GOMAXPROCS spares are idle already.
 func recycle(s *sim.Simulation) {
-	if s != nil {
-		spareSims.Put(s)
+	spares.Lock()
+	defer spares.Unlock()
+	if s != nil && len(spares.free) < runtime.GOMAXPROCS(0) {
+		spares.free = append(spares.free, s)
 	}
+}
+
+// genesisSim returns a simulation of cfg at genesis: the spare recycled
+// last, reset, when there is one, else a new one.
+func genesisSim(cfg sim.Config) (*sim.Simulation, error) {
+	spares.Lock()
+	n := len(spares.free)
+	if n == 0 {
+		spares.stats.Built++
+		spares.Unlock()
+		return sim.New(cfg)
+	}
+	s := spares.free[n-1]
+	spares.free, spares.stats.Reset = spares.free[:n-1], spares.stats.Reset+1
+	spares.Unlock()
+	return s, s.Reset(cfg)
 }
 
 // positionSim returns a simulation configured by cfg standing at the
@@ -273,10 +316,7 @@ func recycle(s *sim.Simulation) {
 // to restore.
 func positionSim(cfg sim.Config, pre *Prefix) (*sim.Simulation, error) {
 	if pre == nil {
-		if s, _ := spareSims.Get().(*sim.Simulation); s != nil {
-			return s, s.Reset(cfg)
-		}
-		return sim.New(cfg)
+		return genesisSim(cfg)
 	}
 	if s := pre.claim(); s != nil {
 		if s.Cfg.GST != cfg.GST {

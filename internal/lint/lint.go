@@ -112,8 +112,8 @@ var DeterministicPackages = []string{
 }
 
 // deterministic reports whether pkgPath is one of the deterministic
-// packages or a subpackage of one. Fixture packages (used by the
-// analyzer tests) opt in by naming themselves after an analyzer.
+// packages or a subpackage of one. The analyzer tests' fixture packages,
+// under internal/lint/testdata, count as deterministic too.
 func deterministic(pkgPath string) bool {
 	for _, p := range DeterministicPackages {
 		if pkgPath == p || strings.HasSuffix(pkgPath, "/"+p) || strings.HasPrefix(pkgPath, p+"/") ||
@@ -121,9 +121,7 @@ func deterministic(pkgPath string) bool {
 			return true
 		}
 	}
-	// Test fixtures under internal/lint/testdata declare intent by path.
-	return strings.Contains(pkgPath, "lint/testdata/") || strings.HasPrefix(pkgPath, "detrange") ||
-		strings.HasPrefix(pkgPath, "detsource")
+	return strings.Contains(pkgPath, "lint/testdata/")
 }
 
 // Run applies every analyzer to every package and returns the combined

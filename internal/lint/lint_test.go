@@ -45,11 +45,11 @@ type lineKey struct {
 
 func runFixture(t *testing.T, dir string) {
 	t.Helper()
-	pkg, err := LoadDir(dir)
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
+	pkgs, err := Load(dir, ".")
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("loading fixture: %d packages, %v", len(pkgs), err)
 	}
-	diags := Run([]*Package{pkg}, Analyzers())
+	diags := Run(pkgs, Analyzers())
 
 	wants := map[lineKey][]string{}
 	entries, err := os.ReadDir(dir)

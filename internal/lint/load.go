@@ -98,78 +98,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir type-checks a single directory of Go files outside the module
-// (analyzer test fixtures). Imports still resolve through export data,
-// discovered by listing the standard library packages the files import.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(files)
-
-	// Parse once without type information to discover the import set.
-	probe := token.NewFileSet()
-	importSet := make(map[string]bool)
-	for _, f := range files {
-		pf, err := parser.ParseFile(probe, f, nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, im := range pf.Imports {
-			path := im.Path.Value
-			importSet[path[1:len(path)-1]] = true
-		}
-	}
-	exports := make(map[string]string)
-	if len(importSet) > 0 {
-		args := append([]string{
-			"list", "-e", "-export", "-deps",
-			"-json=ImportPath,Export,Error",
-		}, sortedKeys(importSet)...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list fixture imports: %v", err)
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var e listEntry
-			if err := dec.Decode(&e); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if e.Export != "" {
-				exports[e.ImportPath] = e.Export
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := exportDataImporter(fset, exports)
-	return checkFiles(fset, imp, filepath.Base(dir), dir, files)
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // exportDataImporter resolves imports from compiler export-data files.
 func exportDataImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {

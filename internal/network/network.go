@@ -30,7 +30,10 @@
 // A slot's message path allocates nothing in the steady state: the list
 // Deliveries hands out is the network's own, lent until the next
 // Deliveries call, which clears it and keeps it for a later slot's
-// messages.
+// messages. Messages are stored by value, so a simulator whose message
+// type is a value sends without allocating, and a Clone copies them. Reset
+// empties a network in place for its next run and keeps every list,
+// including one held for GST.
 package network
 
 import (
@@ -104,19 +107,40 @@ type Network[M any] struct {
 
 // New creates a network with all endpoints in partition 0.
 func New[M any](cfg Config) *Network[M] {
+	n := new(Network[M])
+	n.Reset(cfg)
+	return n
+}
+
+// Reset makes the network the one New(cfg) creates, in the storage it
+// holds: every inbox list, a held one included, is cleared onto the free
+// list that enqueue starts new slots' lists from, so a run like the last
+// one grows none. No list Deliveries lent may still be in use.
+func (n *Network[M]) Reset(cfg Config) {
 	if cfg.RetryDelay == 0 {
 		cfg.RetryDelay = 2
 	}
-	n := &Network[M]{
-		cfg:       cfg,
-		partition: make([]int, cfg.Nodes),
-		bridging:  make([]bool, cfg.Nodes),
-		inbox:     make([]map[types.Slot][]M, cfg.Nodes),
+	n.recycleDrained()
+	for _, box := range n.inbox {
+		//gasper:ordered the lists only become spare storage, whose order decides no delivery
+		for _, msgs := range box {
+			clear(msgs)
+			n.spare = append(n.spare, msgs[:0])
+		}
+		clear(box)
 	}
-	for i := range n.inbox {
-		n.inbox[i] = make(map[types.Slot][]M)
+	// Largest first, so that the slots' lists, taken from the end, start
+	// on the small ones.
+	slices.SortFunc(n.spare, func(a, b []M) int { return cap(b) - cap(a) })
+	n.cfg, n.sent, n.dropped = cfg, 0, 0
+	n.partition = append(n.partition[:0], make([]int, cfg.Nodes)...)
+	n.bridging = append(n.bridging[:0], make([]bool, cfg.Nodes)...)
+	n.inbox = slices.Grow(n.inbox[:0], cfg.Nodes)[:cfg.Nodes]
+	for i, box := range n.inbox {
+		if box == nil {
+			n.inbox[i] = make(map[types.Slot][]M)
+		}
 	}
-	return n
 }
 
 // SetPartition assigns an endpoint to a partition. The partition scopes
@@ -261,14 +285,28 @@ func (n *Network[M]) enqueue(to NodeID, at types.Slot, msg M) {
 	box := n.inbox[to]
 	list := box[at]
 	if list == nil && len(n.spare) > 0 {
-		list, n.spare = n.spare[len(n.spare)-1], n.spare[:len(n.spare)-1]
+		k := len(n.spare) - 1
+		if at >= n.cfg.GST+n.cfg.Delay {
+			// Before GST a list this late is held for the heal, and grows
+			// to every message sent across partitions until then: it takes
+			// the largest spare, likely the one the last run held.
+			for i := range n.spare {
+				if cap(n.spare[i]) > cap(n.spare[k]) {
+					k = i
+				}
+			}
+		}
+		list = n.spare[k]
+		n.spare[k] = n.spare[len(n.spare)-1]
+		n.spare = n.spare[:len(n.spare)-1]
 	}
 	box[at] = append(list, msg) //gasper:alloc one-time growth: a list grows to its slot's message count, then is recycled
 }
 
 // Clone deep-copies the network's mutable state (in-flight inboxes and
-// counters), so a snapshotted simulation can be restored mid-run. Message
-// payloads are shared: the simulator treats sent messages as immutable.
+// counters), so a snapshotted simulation can be restored mid-run. Messages
+// are copied as values: what one references (a sim batch's member list)
+// is shared, and the simulator treats it as immutable.
 func (n *Network[M]) Clone() *Network[M] {
 	out := &Network[M]{
 		cfg:       n.cfg,
@@ -353,11 +391,7 @@ func (n *Network[M]) RetargetGST(gst types.Slot) {
 //
 //gasper:noalloc
 func (n *Network[M]) Deliveries(to NodeID, at types.Slot) []M {
-	if n.drained != nil {
-		clear(n.drained)
-		n.spare = append(n.spare, n.drained[:0])
-		n.drained = nil
-	}
+	n.recycleDrained()
 	if int(to) >= len(n.inbox) {
 		return nil
 	}
@@ -365,6 +399,18 @@ func (n *Network[M]) Deliveries(to NodeID, at types.Slot) []M {
 	delete(n.inbox[to], at)
 	n.drained = msgs
 	return msgs
+}
+
+// recycleDrained clears the list the last Deliveries call lent, so it keeps
+// no message alive, and puts it on the free list.
+//
+//gasper:noalloc
+func (n *Network[M]) recycleDrained() {
+	if n.drained != nil {
+		clear(n.drained)
+		n.spare = append(n.spare, n.drained[:0])
+		n.drained = nil
+	}
 }
 
 // PendingFor counts queued messages for an endpoint (metrics and tests).

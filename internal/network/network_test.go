@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -511,5 +512,75 @@ func BenchmarkNetworkSlot(b *testing.B) {
 		n.Broadcast(NodeID(i%3), slot, block)
 		n.Broadcast(0, slot, batch)
 		n.Broadcast(1, slot, batch)
+	}
+}
+
+// TestResetHoldsNoMessages: a reset network is the one New builds — no
+// message of the last run pending, counters and partitions back to zero,
+// the new endpoint count — and every list it kept, drained, pending or
+// held for GST, sits cleared on its free list, the largest the held band
+// takes first.
+func TestResetHoldsNoMessages(t *testing.T) {
+	n := newNet(3, 40, 1)
+	n.SetPartition(2, 1)
+	n.SetBridging(1, true)
+	for at := types.Slot(0); at < 6; at++ {
+		n.Broadcast(0, at, fmt.Sprint("m", at))
+		n.Broadcast(2, at, fmt.Sprint("x", at))
+	}
+	n.Deliveries(0, 1) // lent, not yet recycled
+	lists := 0
+	for _, box := range n.inbox {
+		lists += len(box)
+	}
+	held := cap(n.inbox[2][41])
+
+	n.Reset(Config{Nodes: 2, GST: 40, Delay: 1})
+	if len(n.inbox) != 2 || n.Partition(1) != 0 || n.bridging[1] {
+		t.Fatalf("reset network: %d endpoints, partition %d, bridging %v", len(n.inbox), n.Partition(1), n.bridging[1])
+	}
+	if sent, dropped := n.Stats(); sent != 0 || dropped != 0 || n.cfg.RetryDelay != 2 {
+		t.Fatalf("reset network: sent %d, dropped %d, retry delay %d", sent, dropped, n.cfg.RetryDelay)
+	}
+	for to := NodeID(0); to < 2; to++ {
+		if p := n.PendingFor(to); p != 0 {
+			t.Fatalf("endpoint %d holds %d messages of the last run", to, p)
+		}
+	}
+	if len(n.spare) != lists+1 {
+		t.Fatalf("%d spare lists, want the %d pending and the one lent", len(n.spare), lists+1)
+	}
+	for _, l := range n.spare {
+		if len(l) != 0 || slices.ContainsFunc(l[:cap(l)], func(m string) bool { return m != "" }) {
+			t.Fatalf("a spare list still holds %q", l[:cap(l)])
+		}
+	}
+	n.Broadcast(0, 7, "held")
+	if cap(n.inbox[1][8]) == held || cap(n.inbox[0][8]) == held {
+		t.Fatal("a regular slot took the largest spare")
+	}
+	n.SetPartition(1, 1)
+	n.Broadcast(0, 9, "held")
+	if cap(n.inbox[1][41]) != held {
+		t.Fatalf("the held band started on a list of capacity %d, want the largest spare's %d", cap(n.inbox[1][41]), held)
+	}
+}
+
+// TestCloneKeepsItsMessages: a clone holds its own copy of every message, so
+// whatever the original does with its lists afterwards — drain them,
+// recycle them, refill them for later slots — leaves the clone's alone.
+func TestCloneKeepsItsMessages(t *testing.T) {
+	n := newNet(2, 1000, 1)
+	n.Broadcast(0, 4, "a")
+	n.Broadcast(1, 4, "b")
+	c := n.Clone()
+	n.Deliveries(0, 5)
+	n.Deliveries(1, 5) // recycles endpoint 0's list
+	n.Broadcast(0, 5, "c")
+	n.Broadcast(1, 5, "d")
+	for to := NodeID(0); to < 2; to++ {
+		if got := c.Deliveries(to, 5); !slices.Equal(got, []string{"a", "b"}) {
+			t.Fatalf("clone endpoint %d at slot 5 = %q, want [a b]", to, got)
+		}
 	}
 }

@@ -255,9 +255,7 @@ func (s *Server) admit(w http.ResponseWriter, n int) (release func(), ok bool) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the response is already committed
 }
 
 // writeError emits a JSON error envelope.
@@ -581,6 +579,9 @@ type metricsResponse struct {
 	// Scenarios sums computed-cell wall clock per scenario, sorted by
 	// name so the rendered order is fixed by construction.
 	Scenarios []namedScenarioTiming `json:"scenarios"`
+	// Spares counts the process's spare simulations: idle now, and the
+	// genesis starts that reset one or built anew.
+	Spares engine.SpareStats `json:"spare_sims"`
 }
 
 // coordinatorMetrics is the /metrics coordinator block: the dispatch
@@ -646,5 +647,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Scenarios = s.metrics.snapshotScenarios()
+	resp.Spares = engine.Spares()
 	writeJSON(w, http.StatusOK, resp)
 }

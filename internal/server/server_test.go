@@ -750,3 +750,33 @@ func TestSweepRefusesOversizedSpecPromptly(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsReportSpareSimulations: /metrics accounts the process's spare
+// simulations. A simulator cell's genesis start resets a spare or builds a
+// new simulation, and the finished cell leaves one idle.
+func TestMetricsReportSpareSimulations(t *testing.T) {
+	ts := newTestServer(t, Config{CacheSize: -1})
+	spares := func() engine.SpareStats {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m metricsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Spares
+	}
+	before := spares()
+	resp := postJSON(t, ts.URL+"/run", map[string]any{"scenario": "sim/partition", "params": map[string]any{"n": 16, "horizon": 4}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/run: %s", resp.Status)
+	}
+	after := spares()
+	if starts := after.Reset + after.Built - before.Reset - before.Built; starts != 1 || after.Idle < 1 {
+		t.Fatalf("spare_sims %+v after one cell, %+v before: want one genesis start and a spare idle", after, before)
+	}
+}

@@ -42,61 +42,62 @@ const (
 // layer maps to a silent miss.
 var ErrSnapshotCodec = fmt.Errorf("sim: snapshot codec")
 
+// encodeMessage writes a message under its kind's tag. A batch is written
+// with the validators it casts for, so one that omits a listed validator
+// is written like a batch that never listed it.
 func encodeMessage(w *codec.Writer, m Message) {
-	switch {
-	case m.Block != nil:
-		w.Byte(1)
-		b := *m.Block
-		w.U64(uint64(b.Slot))
-		w.Raw(b.Root[:])
-		w.Raw(b.Parent[:])
-		w.U64(uint64(b.Proposer))
-	case m.Att != nil:
-		w.Byte(2)
-		w.U64(uint64(m.Att.Validator))
-		attestation.EncodeData(w, m.Att.Data)
-	case m.Batch != nil:
-		w.Byte(3)
+	w.Byte(byte(m.Kind))
+	switch m.Kind {
+	case BlockMessage:
+		w.U64(uint64(m.Block.Slot))
+		w.Raw(m.Block.Root[:])
+		w.Raw(m.Block.Parent[:])
+		w.U64(uint64(m.Block.Proposer))
+	case AttestationMessage:
+		w.U64(uint64(m.Batch.Validators[0]))
 		attestation.EncodeData(w, m.Batch.Data)
-		w.Len(len(m.Batch.Validators))
-		for _, v := range m.Batch.Validators {
-			w.U64(uint64(v))
+	case BatchMessage:
+		attestation.EncodeData(w, m.Batch.Data)
+		vs, skip := m.Batch.Validators, int(m.omit)-1
+		if skip >= 0 {
+			w.Len(len(vs) - 1)
+		} else {
+			w.Len(len(vs))
 		}
-	default:
-		w.Byte(0)
+		for k, v := range vs {
+			if k != skip {
+				w.U64(uint64(v))
+			}
+		}
 	}
 }
 
 func decodeMessage(r *codec.Reader) Message {
-	switch tag := r.Byte(); tag {
-	case 1:
-		var b blocktree.Block
-		b.Slot = types.Slot(r.U64())
-		r.Raw(b.Root[:])
-		r.Raw(b.Parent[:])
-		b.Proposer = types.ValidatorIndex(r.U64())
-		return Message{Block: &b}
-	case 2:
-		var a attestation.Attestation
-		a.Validator = types.ValidatorIndex(r.U64())
-		a.Data = attestation.DecodeData(r)
-		return Message{Att: &a}
-	case 3:
-		var batch AttBatch
-		batch.Data = attestation.DecodeData(r)
+	m := Message{Kind: MessageKind(r.Byte())}
+	switch m.Kind {
+	case BlockMessage:
+		m.Block.Slot = types.Slot(r.U64())
+		r.Raw(m.Block.Root[:])
+		r.Raw(m.Block.Parent[:])
+		m.Block.Proposer = types.ValidatorIndex(r.U64())
+	case AttestationMessage:
+		m.Batch.Validators = []types.ValidatorIndex{types.ValidatorIndex(r.U64())}
+		m.Batch.Data = attestation.DecodeData(r)
+	case BatchMessage:
+		m.Batch.Data = attestation.DecodeData(r)
 		nv := r.Len()
 		if r.Err() != nil {
 			return Message{}
 		}
-		batch.Validators = make([]types.ValidatorIndex, nv)
-		for i := 0; i < nv; i++ {
-			batch.Validators[i] = types.ValidatorIndex(r.U64())
+		m.Batch.Validators = make([]types.ValidatorIndex, nv)
+		for i := range m.Batch.Validators {
+			m.Batch.Validators[i] = types.ValidatorIndex(r.U64())
 		}
-		return Message{Batch: &batch}
 	default:
-		r.Corrupt("sim: unknown message tag %d", tag)
+		r.Corrupt("sim: unknown message tag %d", m.Kind)
 		return Message{}
 	}
+	return m
 }
 
 // WriteTo serializes the snapshot — every cohort view, the duty-view

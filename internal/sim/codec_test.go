@@ -219,6 +219,62 @@ func TestSnapshotFrameWrittenByPR18(t *testing.T) {
 	}
 }
 
+// TestHeldTrafficFrameFixture: testdata/snapshot-v4-held-traffic.frame was
+// written by the build before messages became values, for a sim/gst
+// population three epochs into a partition that heals at epoch 30. Its
+// held cross-partition traffic carries all three message tags: blocks,
+// batches (two of them from buckets whose proposer attested alone) and
+// single attestations. This build writes the same bytes for the same run,
+// and decodes them into a snapshot that re-encodes to them and continues
+// like the live simulation.
+func TestHeldTrafficFrameFixture(t *testing.T) {
+	cfg := Config{
+		Validators: 96, Spec: types.CompressedSpec(1 << 16),
+		GST: 30 * 32, Delay: 1, Seed: 2, PartitionOf: halfSplit(96),
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunEpochs(3); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/snapshot-v4-held-traffic.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
+	}
+	decoded, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	if got := encodeSnapshot(t, decoded); !bytes.Equal(got, want) {
+		t.Fatalf("decoded frame re-encodes differently (%d vs %d bytes)", len(got), len(want))
+	}
+	var kinds [4]int
+	held := decoded.net.Clone()
+	for _, c := range s.Cohorts() {
+		for _, m := range held.Deliveries(network.NodeID(c.Index), cfg.GST+cfg.Delay) {
+			kinds[m.Kind]++
+		}
+	}
+	if kinds[BlockMessage] == 0 || kinds[AttestationMessage] == 0 || kinds[BatchMessage] == 0 {
+		t.Fatalf("held traffic by kind %v: the frame does not carry every tag", kinds)
+	}
+	resumed, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Restore(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if live, replay := runRecorded(t, s, 30), runRecorded(t, resumed, 30); !reflect.DeepEqual(live, replay) {
+		t.Fatalf("the decoded frame's continuation diverged:\n  decoded: %+v\n  live:    %+v", replay, live)
+	}
+}
+
 // reseal makes a frame's header agree with its (edited) payload again, so
 // the damage under test is what the payload decoders see, not the
 // container's checksum verdict.

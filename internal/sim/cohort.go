@@ -30,6 +30,9 @@ type Cohort struct {
 	// Members lists the validators holding this view, ascending. Callers
 	// must not mutate it.
 	Members []types.ValidatorIndex
+	// voters backs the list deliver hands the view for a batch that omits
+	// one of its listed validators.
+	voters []types.ValidatorIndex
 }
 
 // byzPartition is the drop-link class of the bridging Byzantine cohort;
@@ -77,6 +80,7 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 			Partition: partitionOf(first),
 			Byzantine: byzantine[first],
 			Members:   c.Members[:0],
+			voters:    c.voters,
 		}
 		switch {
 		case shell:
@@ -121,15 +125,21 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 	return cohorts, cohortOf
 }
 
-// wireNetwork builds the message bus with one endpoint per cohort.
-func wireNetwork(cfg Config, cohorts []*Cohort) *network.Network[Message] {
-	net := network.New[Message](network.Config{
+// wireNetwork builds the message bus with one endpoint per cohort, in the
+// storage of a reset simulation's old network when there is one.
+func wireNetwork(cfg Config, cohorts []*Cohort, old *network.Network[Message]) *network.Network[Message] {
+	ncfg := network.Config{
 		Nodes:    len(cohorts),
 		GST:      cfg.GST,
 		Delay:    cfg.Delay,
 		DropRate: cfg.DropRate,
 		Seed:     cfg.Seed,
-	})
+	}
+	net := old
+	if net == nil {
+		net = new(network.Network[Message])
+	}
+	net.Reset(ncfg)
 	for _, c := range cohorts {
 		net.SetPartition(network.NodeID(c.Index), c.Partition)
 		if c.Byzantine {
@@ -139,14 +149,12 @@ func wireNetwork(cfg Config, cohorts []*Cohort) *network.Network[Message] {
 	return net
 }
 
-// deliver applies one message to the cohort's view.
-func (c *Cohort) deliver(m Message) {
-	switch {
-	case m.Block != nil:
-		c.Node.ReceiveBlock(*m.Block)
-	case m.Att != nil:
-		c.Node.ReceiveAttestation(*m.Att)
-	case m.Batch != nil:
-		c.Node.ReceiveBatch(m.Batch.Data, m.Batch.Validators)
+// deliver applies one message to the cohort's view, read in place.
+func (c *Cohort) deliver(m *Message) {
+	switch m.Kind {
+	case BlockMessage:
+		c.Node.ReceiveBlock(m.Block)
+	case AttestationMessage, BatchMessage:
+		c.Node.ReceiveBatch(m.Batch.Data, m.voters(&c.voters))
 	}
 }

@@ -7,7 +7,9 @@
 // Attestations are produced once per cohort per duty slot and delivered as
 // batches, so a slot costs O(cohorts^2 + validators) instead of
 // O(validators^2), which is what lets the full protocol run at hundreds of
-// thousands of validators.
+// thousands of validators. A Message is a value held inline in the
+// network's recycled inbox lists, and a batch re-sends the validator list it
+// sent the epoch before, so a steady epoch allocates nothing.
 //
 // Two per-validator effects survive cohorting and are modeled explicitly:
 //
@@ -54,17 +56,56 @@ import (
 
 // AttBatch carries one attestation data value cast by many validators — the
 // wire form of a cohort's duty slot. Receivers process it as one
-// attestation per listed validator, in listed order.
+// attestation per listed validator, in listed order. The list is shared and
+// immutable once sent: the network, its clones and every snapshot hold it,
+// and nothing writes into it.
 type AttBatch struct {
 	Data       attestation.Data
 	Validators []types.ValidatorIndex
 }
 
-// Message is the wire format: exactly one field is set.
+// MessageKind says what a Message carries. It is also the message's tag in
+// snapshot frames.
+type MessageKind uint8
+
+const (
+	// NoMessage is the zero Message; receivers ignore it.
+	NoMessage MessageKind = iota
+	// BlockMessage carries Block.
+	BlockMessage
+	// AttestationMessage carries one validator's vote: Batch lists exactly
+	// that validator.
+	AttestationMessage
+	// BatchMessage carries Batch.
+	BatchMessage
+)
+
+// Message is the wire format, a value: the network's inbox lists hold it
+// inline, so a send allocates nothing. Kind says which payload is set.
 type Message struct {
-	Block *blocktree.Block
-	Att   *attestation.Attestation
-	Batch *AttBatch
+	Kind MessageKind
+	// omit, when nonzero, is one plus the position in Batch.Validators of
+	// the one listed validator a BatchMessage leaves out: a bucket whose
+	// proposer attests alone, on its newer view, re-sends the list it sent
+	// before instead of a copy less that member. Receivers and the codec
+	// see the list without it.
+	//gasper:nocodec the encoder writes the batch without the omitted member; a decoded batch lists exactly its voters
+	omit  int32
+	Block blocktree.Block
+	Batch AttBatch
+}
+
+// voters returns the validators a vote message casts for, in listed order:
+// Batch.Validators, or, when a member is omitted, the others copied into
+// scratch.
+func (m *Message) voters(scratch *[]types.ValidatorIndex) []types.ValidatorIndex {
+	vs := m.Batch.Validators
+	if m.omit == 0 {
+		return vs
+	}
+	k := int(m.omit) - 1
+	*scratch = append(append((*scratch)[:0], vs[:k]...), vs[k+1:]...)
+	return *scratch
 }
 
 // Adversary coordinates the Byzantine validators. OnSlot runs every slot
@@ -196,10 +237,11 @@ type Simulation struct {
 	//gasper:nocodec a cache of lists already sent; a simulation without it sends equal lists of its own
 	//gasper:shallow a cache of lists already sent; a simulation without it sends equal lists of its own
 	sentLists [][][]types.ValidatorIndex
-	// hiddenScratch backs the list hiddenFor returns.
+	// rootScratch backs the list hiddenFor returns and the roots
+	// compactOracle pins; neither outlives its call.
 	//gasper:nocodec per-computation scratch; holds nothing between head computations
 	//gasper:shallow per-computation scratch; every simulation refills its own
-	hiddenScratch []types.Root
+	rootScratch []types.Root
 	// oracle is an omniscient block tree used only for Safety auditing.
 	oracle *blocktree.Tree
 	slot   types.Slot
@@ -216,8 +258,9 @@ func New(cfg Config) (*Simulation, error) {
 // Reset rebuilds the simulation at genesis as New(cfg) would — the same
 // state, the same run from there — in the storage it already holds: its
 // views are reset in place (beacon.Node.Reset), its cohort and roster
-// storage is refilled, and the lists it last sent stay cached for sending
-// again (they are immutable). A run over as many validators as the last
+// storage is refilled, its network keeps every inbox list
+// (network.Network.Reset), and the lists it last sent stay cached for
+// sending again (they are immutable). A run over as many validators as the last
 // one therefore builds no per-validator state. Only a simulation that
 // nothing else holds may be reset: one lent to another goroutine, or whose
 // cohorts or views a caller kept, is not. A Snapshot taken of it shares
@@ -311,14 +354,14 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 		embargoes: old.embargoes[:0],
 		// Storage every run refills. A sent list is immutable, so a reset
 		// run re-sends the lists its buckets still match.
-		dutyRoster:    old.dutyRoster,
-		dutyBuckets:   old.dutyBuckets,
-		sentLists:     old.sentLists,
-		hiddenScratch: old.hiddenScratch,
-		oracle:        old.oracle,
+		dutyRoster:  old.dutyRoster,
+		dutyBuckets: old.dutyBuckets,
+		sentLists:   old.sentLists,
+		rootScratch: old.rootScratch,
+		oracle:      old.oracle,
 	}
 	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell, old.cohorts, old.cohortOf)
-	s.Net = wireNetwork(cfg, s.cohorts)
+	s.Net = wireNetwork(cfg, s.cohorts, old.Net)
 	if !shell { // a shell takes its duty views from the snapshot it is given
 		s.dutyView = append(old.dutyView[:0], s.cohortOf...)
 	}
@@ -390,7 +433,7 @@ func (s *Simulation) AttestationSlot(v types.ValidatorIndex, epoch types.Epoch) 
 // Broadcast sends a message from a validator (routed via its home cohort)
 // and records blocks in the Safety oracle.
 func (s *Simulation) Broadcast(from types.ValidatorIndex, at types.Slot, m Message) {
-	s.recordOracle(m)
+	s.recordOracle(&m)
 	s.Net.Broadcast(network.NodeID(s.cohortOf[from]), at, m)
 }
 
@@ -398,20 +441,20 @@ func (s *Simulation) Broadcast(from types.ValidatorIndex, at types.Slot, m Messa
 // The message reaches the whole cohort of `to` — with shared views, a
 // cohort member's inbox is the cohort's inbox.
 func (s *Simulation) SendDirect(from, to types.ValidatorIndex, deliverAt types.Slot, m Message) {
-	s.recordOracle(m)
+	s.recordOracle(&m)
 	s.Net.SendDirect(network.NodeID(s.cohortOf[from]), network.NodeID(s.cohortOf[to]), deliverAt, m)
 }
 
 // BroadcastAs sends a message routed as if the sender belonged to the given
 // partition — the Byzantine one-face-per-partition primitive.
 func (s *Simulation) BroadcastAs(from types.ValidatorIndex, partition int, at types.Slot, m Message) {
-	s.recordOracle(m)
+	s.recordOracle(&m)
 	s.Net.BroadcastAs(network.NodeID(s.cohortOf[from]), partition, at, m)
 }
 
-func (s *Simulation) recordOracle(m Message) {
-	if m.Block != nil && !s.oracle.Has(m.Block.Root) {
-		_ = s.oracle.Add(*m.Block)
+func (s *Simulation) recordOracle(m *Message) {
+	if m.Kind == BlockMessage && !s.oracle.Has(m.Block.Root) {
+		_ = s.oracle.Add(m.Block)
 	}
 }
 
@@ -441,13 +484,13 @@ func (s *Simulation) expireEmbargoes(slot types.Slot) {
 //
 //gasper:noalloc
 func (s *Simulation) hiddenFor(ci int, actor types.ValidatorIndex, hasActor bool) []types.Root {
-	s.hiddenScratch = s.hiddenScratch[:0]
+	s.rootScratch = s.rootScratch[:0]
 	for _, e := range s.embargoes {
 		if e.cohort == ci && (!hasActor || e.producer != actor) {
-			s.hiddenScratch = append(s.hiddenScratch, e.root)
+			s.rootScratch = append(s.rootScratch, e.root)
 		}
 	}
-	return s.hiddenScratch
+	return s.rootScratch
 }
 
 // ownsLiveEmbargo reports whether validator v has a block of cohort ci
@@ -469,8 +512,9 @@ func (s *Simulation) Step() error {
 
 	// 1. Deliver messages, one drain per cohort endpoint.
 	for _, c := range s.cohorts {
-		for _, m := range s.Net.Deliveries(network.NodeID(c.Index), slot) {
-			c.deliver(m)
+		msgs := s.Net.Deliveries(network.NodeID(c.Index), slot)
+		for i := range msgs {
+			c.deliver(&msgs[i])
 		}
 	}
 
@@ -528,7 +572,7 @@ func (s *Simulation) Step() error {
 					cohort: ci, producer: p, root: b.Root, until: slot + s.Cfg.Delay,
 				})
 			}
-			s.Broadcast(p, slot, Message{Block: &b})
+			s.Broadcast(p, slot, Message{Kind: BlockMessage, Block: b})
 		}
 	}
 
@@ -601,75 +645,77 @@ func (s *Simulation) batchList(off, j int, members []types.ValidatorIndex) []typ
 	return *sent
 }
 
+// attest broadcasts the slot's honest attestations: one batch per bucket,
+// and one attestation per member with its own block in flight.
+//
+//gasper:noalloc
 func (s *Simulation) attest(slot types.Slot) {
 	off := int(slot.PositionInEpoch())
-	buckets := s.dutyBuckets[:0]
+	s.dutyBuckets = s.dutyBuckets[:0]
 	for _, v := range s.dutyRosterFor(slot.Epoch())[off] {
 		view, home := s.dutyView[v], s.cohortOf[v]
 		i := 0
-		for i < len(buckets) && (buckets[i].view != view || buckets[i].home != home) {
+		for i < len(s.dutyBuckets) && (s.dutyBuckets[i].view != view || s.dutyBuckets[i].home != home) {
 			i++
 		}
-		if i == len(buckets) {
+		if i == len(s.dutyBuckets) {
 			// Re-extend over the bucket a previous slot left here, if any,
 			// to take its member slice's capacity over.
-			if i < cap(buckets) {
-				buckets = buckets[:i+1]
+			if i < cap(s.dutyBuckets) {
+				s.dutyBuckets = s.dutyBuckets[:i+1]
 			} else {
-				buckets = append(buckets, dutyBucket{})
+				s.dutyBuckets = append(s.dutyBuckets, dutyBucket{})
 			}
-			buckets[i] = dutyBucket{view: view, home: home, members: buckets[i].members[:0]}
+			s.dutyBuckets[i] = dutyBucket{view: view, home: home, members: s.dutyBuckets[i].members[:0]}
 		}
-		buckets[i].members = append(buckets[i].members, v)
+		s.dutyBuckets[i].members = append(s.dutyBuckets[i].members, v)
 	}
-	s.dutyBuckets = buckets
-	slices.SortFunc(buckets, func(a, b dutyBucket) int {
-		if a.view != b.view {
-			return cmp.Compare(a.view, b.view)
-		}
-		return cmp.Compare(a.home, b.home)
-	})
+	slices.SortFunc(s.dutyBuckets, compareBuckets)
 
-	for j, b := range buckets {
+	for j, b := range s.dutyBuckets {
 		node := s.cohorts[b.view].Node
+		// The list the bucket sends: the network and every snapshot clone
+		// share it as immutable, and a bucket whose members are unchanged
+		// sends the one it sent before.
+		list := s.batchList(off, j, b.members)
 		// Members with their own block in flight exist only where the view
 		// has a live embargo at all; elsewhere no member is looked up.
 		hidden := s.hiddenFor(b.view, 0, false)
-		special := 0
+		special, last := 0, 0
 		if len(hidden) > 0 {
-			for _, v := range b.members {
+			for k, v := range list {
 				if s.ownsLiveEmbargo(b.view, v) {
-					special++
+					special, last = special+1, k
 				}
 			}
 		}
-		if special < len(b.members) {
+		if special < len(list) {
 			node.SetHidden(hidden)
 			d, err := node.AttestationData(slot)
 			node.SetHidden(nil)
 			if err == nil {
-				// The one slice that outlives the slot: the network and
-				// every snapshot clone share it as immutable. A bucket
-				// without members of its own in flight sends its cached
-				// list; one with them is rare and built fresh.
-				var plain []types.ValidatorIndex
-				if special == 0 {
-					plain = s.batchList(off, j, b.members)
-				} else {
-					plain = make([]types.ValidatorIndex, 0, len(b.members)-special)
-					for _, v := range b.members {
+				m := Message{Kind: BatchMessage, Batch: AttBatch{Data: d, Validators: list}}
+				switch {
+				case special == 1:
+					m.omit = int32(last + 1)
+				case special > 1:
+					// Rare: two members' blocks in flight at once (a delay
+					// over one slot). The batch lists the others afresh.
+					plain := make([]types.ValidatorIndex, 0, len(list)-special) //gasper:alloc two members with blocks in flight, only under a delay over one slot
+					for _, v := range list {
 						if !s.ownsLiveEmbargo(b.view, v) {
-							plain = append(plain, v)
+							plain = append(plain, v) //gasper:alloc fills the list made above, within its capacity
 						}
 					}
+					m.Batch.Validators = plain
 				}
-				s.Broadcast(plain[0], slot, Message{Batch: &AttBatch{Data: d, Validators: plain}})
+				s.Broadcast(list[0], slot, m)
 			}
 		}
 		if special == 0 {
 			continue
 		}
-		for _, v := range b.members {
+		for k, v := range list {
 			if !s.ownsLiveEmbargo(b.view, v) {
 				continue
 			}
@@ -677,11 +723,18 @@ func (s *Simulation) attest(slot types.Slot) {
 			d, err := node.AttestationData(slot)
 			node.SetHidden(nil)
 			if err == nil {
-				a := attestation.Attestation{Validator: v, Data: d}
-				s.Broadcast(v, slot, Message{Att: &a})
+				s.Broadcast(v, slot, Message{Kind: AttestationMessage, Batch: AttBatch{Data: d, Validators: list[k : k+1 : k+1]}})
 			}
 		}
 	}
+}
+
+// compareBuckets orders a slot's buckets by duty view, then home cohort.
+func compareBuckets(a, b dutyBucket) int {
+	if a.view != b.view {
+		return cmp.Compare(a.view, b.view)
+	}
+	return cmp.Compare(a.home, b.home)
 }
 
 // maybeCompact folds the cold unbranched spine out of every view's block
@@ -727,18 +780,15 @@ func (s *Simulation) maybeCompact(epoch types.Epoch) {
 // checkpoint root any view can still present to CheckFinalitySafety (the
 // audit resolves finalized-checkpoint ancestry against this tree).
 func (s *Simulation) compactOracle(olderThan types.Slot) {
-	pinned := make(map[types.Root]struct{}, 4*len(s.cohorts))
+	pins := s.rootScratch[:0]
 	for _, c := range s.cohorts {
 		for _, cp := range c.Node.FFG.Justifieds() {
-			pinned[cp.Root] = struct{}{}
+			pins = append(pins, cp.Root)
 		}
-		pinned[c.Node.FFG.Finalized().Root] = struct{}{}
-		pinned[c.Node.FFG.LatestJustified().Root] = struct{}{}
+		pins = append(pins, c.Node.FFG.Finalized().Root, c.Node.FFG.LatestJustified().Root)
 	}
-	s.oracle.Compact(olderThan, func(r types.Root) bool {
-		_, ok := pinned[r]
-		return ok
-	})
+	s.rootScratch = pins
+	s.oracle.Compact(olderThan, func(r types.Root) bool { return slices.Contains(pins, r) })
 }
 
 // Stats aggregates block-tree and fork-choice column retention across all

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/beacon"
 	"repro/internal/blocktree"
@@ -68,11 +69,11 @@ func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
 // Per-entry estimates for the snapshot components that do not expose an
 // exact byte count: one validator registry row is three 8-byte columns and
-// a status byte, and a held network message is a three-pointer union plus
-// map/slice overhead.
+// a status byte, and a held network message is a Message value in its
+// inbox list.
 const (
 	registryRowBytes = 25
-	heldMessageBytes = 64
+	heldMessageBytes = int64(unsafe.Sizeof(Message{}))
 )
 
 // snapshotBytes sums the footprint of the cloned state.
