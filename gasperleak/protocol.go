@@ -19,7 +19,8 @@ type (
 	Simulation = sim.Simulation
 	// Cohort is one materialized view and the validators holding it.
 	Cohort = sim.Cohort
-	// SimMessage is the simulator's wire format.
+	// SimMessage is the simulator's wire format, a value: Kind says
+	// whether it carries a Block or a Batch.
 	SimMessage = sim.Message
 	// AttBatch carries one attestation data value cast by many
 	// validators — the wire form of a cohort's duty slot.
@@ -48,6 +49,14 @@ type (
 	SemiActive = behavior.SemiActive
 	// Bouncer is the Scenario 5.3 adversary.
 	Bouncer = behavior.Bouncer
+)
+
+// The kinds of SimMessage: a block, one validator's attestation (its
+// Batch lists exactly that validator), or a batch.
+const (
+	BlockMessage       = sim.BlockMessage
+	AttestationMessage = sim.AttestationMessage
+	BatchMessage       = sim.BatchMessage
 )
 
 // NewSimulation builds a protocol simulation from cfg.
