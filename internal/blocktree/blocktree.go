@@ -103,8 +103,8 @@ type Tree struct {
 }
 
 // rebuildScratch holds the columns Compact and PruneBelow rebuild the nodes
-// through. They are sized to the tree's page capacity, so a rebuild
-// allocates only once the tree has grown past the most it held.
+// through. A column grows to twice what the call needs, so a rebuild
+// allocates only once the tree has outgrown its columns.
 type rebuildScratch struct {
 	mark   []bool
 	counts []int8
@@ -113,12 +113,12 @@ type rebuildScratch struct {
 }
 
 // column returns *col resized to n entries, reusing its storage when that
-// holds n, and otherwise growing it to capacity entries.
+// holds n, and otherwise growing it to room for 2n.
 //
 //gasper:noalloc
-func column[T any](col *[]T, n, capacity int) []T {
+func column[T any](col *[]T, n int) []T {
 	if cap(*col) < n {
-		*col = make([]T, capacity) //gasper:alloc one-time growth: a column grows with the tree's pages
+		*col = make([]T, n, 2*n) //gasper:alloc one-time growth: a column doubles past the most nodes a rebuild has seen
 	}
 	*col = (*col)[:n]
 	return *col
@@ -470,10 +470,10 @@ func (t *Tree) PruneBelow(keep types.Root) (int, error) {
 	// ascending index reproduces insertion order. Pre-order can move a
 	// node past its old index, so the survivors are gathered before they
 	// are written back.
-	sc, capacity := &t.scratch, len(t.pages)*pageSize
-	order := t.preorder(ki, column(&sc.cols[0], int(t.n), capacity)[:0], column(&sc.cols[1], int(t.n), capacity)[:0])
-	remap := column(&sc.cols[2], int(t.n), capacity)
-	kept := column(&sc.kept, len(order), capacity)
+	sc := &t.scratch
+	order := t.preorder(ki, column(&sc.cols[0], int(t.n))[:0], column(&sc.cols[1], int(t.n))[:0])
+	remap := column(&sc.cols[2], int(t.n))
+	kept := column(&sc.kept, len(order))
 	for newIdx, oldIdx := range order {
 		remap[oldIdx] = int32(newIdx)
 		kept[newIdx] = *t.at(oldIdx)
@@ -547,8 +547,8 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	if n <= 1 {
 		return 0
 	}
-	sc, capacity := &t.scratch, len(t.pages)*pageSize
-	mark := column(&sc.mark, int(n), capacity)
+	sc := &t.scratch
+	mark := column(&sc.mark, int(n))
 	clear(mark)
 	mark[0] = true
 	retained := int32(1)
@@ -563,7 +563,7 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// node's child counts are final when visited): a node with two or more
 	// children whose subtrees carry survivors is a branch point of the
 	// surviving set and must survive itself.
-	childrenWith := column(&sc.counts, int(n), capacity)
+	childrenWith := column(&sc.counts, int(n))
 	clear(childrenWith)
 	for i := n - 1; i >= 1; i-- {
 		if !mark[i] && childrenWith[i] >= 2 {
@@ -582,8 +582,8 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// Nearest surviving ancestor and folded-gap length, root-to-leaf: a
 	// dropped node accumulates its own segment history (foldedBelow) plus
 	// itself into the gap its surviving descendants inherit.
-	nrAnc := column(&sc.cols[0], int(n), capacity)
-	gap := column(&sc.cols[1], int(n), capacity)
+	nrAnc := column(&sc.cols[0], int(n))
+	gap := column(&sc.cols[1], int(n))
 	nrAnc[0], gap[0] = NoIndex, 0
 	for i := int32(1); i < n; i++ {
 		nd := t.at(i)
@@ -601,7 +601,7 @@ func (t *Tree) Compact(olderThan types.Slot, keep func(types.Root) bool) int {
 	// walk has already read. The pages and the root index keep their
 	// storage, so the Adds that refill the tree to the watermark grow
 	// nothing.
-	oldToNew := column(&sc.cols[2], int(n), capacity)
+	oldToNew := column(&sc.cols[2], int(n))
 	w := int32(0)
 	for i := int32(0); i < n; i++ {
 		if !mark[i] {
