@@ -54,7 +54,7 @@ func encodeRegistry(w *codec.Writer, reg *validator.Registry) {
 }
 
 func decodeRegistry(r *codec.Reader) *validator.Registry {
-	n := r.Len()
+	n := r.Count(8 + 8 + 1 + 8) // stake, score, status, exit epoch
 	if r.Err() != nil {
 		return nil
 	}
@@ -150,7 +150,7 @@ func DecodeNode(r *codec.Reader) *Node {
 	if r.Err() != nil {
 		return nil
 	}
-	n.pending = make(map[types.Root][]blocktree.Block, np)
+	n.pending = make(map[types.Root][]blocktree.Block)
 	for i := 0; i < np; i++ {
 		var parent types.Root
 		r.Raw(parent[:])
@@ -158,9 +158,9 @@ func DecodeNode(r *codec.Reader) *Node {
 		if r.Err() != nil {
 			return nil
 		}
-		blocks := make([]blocktree.Block, nb)
-		for j := 0; j < nb; j++ {
-			blocks[j] = decodeBlock(r)
+		blocks := make([]blocktree.Block, 0, min(nb, 64))
+		for j := 0; j < nb && r.Err() == nil; j++ {
+			blocks = append(blocks, decodeBlock(r))
 		}
 		n.pending[parent] = blocks
 	}
@@ -170,9 +170,9 @@ func DecodeNode(r *codec.Reader) *Node {
 		return nil
 	}
 	if ne > 0 {
-		n.slashEvidence = make([]slashing.Evidence, ne)
-		for i := 0; i < ne; i++ {
-			n.slashEvidence[i] = slashing.DecodeEvidence(r)
+		n.slashEvidence = make([]slashing.Evidence, 0, min(ne, 64))
+		for i := 0; i < ne && r.Err() == nil; i++ {
+			n.slashEvidence = append(n.slashEvidence, slashing.DecodeEvidence(r))
 		}
 	}
 	if r.Err() != nil {

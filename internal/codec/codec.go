@@ -35,9 +35,11 @@ const maxSliceLen = 1 << 28
 
 // Writer encodes fixed-width little-endian values with a sticky error.
 type Writer struct {
-	w   io.Writer
-	err error
-	buf [8]byte
+	w     io.Writer
+	err   error
+	n     int64
+	buf   [8]byte
+	chunk [4 * u32Chunk]byte
 }
 
 // NewWriter wraps w.
@@ -45,6 +47,9 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Err reports the first write error, if any.
 func (w *Writer) Err() error { return w.err }
+
+// Written reports how many bytes the writer has handed to its destination.
+func (w *Writer) Written() int64 { return w.n }
 
 // Fail records an encoder-level error (a value with no wire form) as the
 // sticky error; every later write is dropped.
@@ -58,7 +63,9 @@ func (w *Writer) write(b []byte) {
 	if w.err != nil {
 		return
 	}
-	_, w.err = w.w.Write(b)
+	var n int
+	n, w.err = w.w.Write(b)
+	w.n += int64(n)
 }
 
 // U64 writes a uint64.
@@ -100,13 +107,21 @@ func (w *Writer) Byte(v byte) {
 	w.write(w.buf[:1])
 }
 
-// Raw writes b with no length prefix (fixed-size arrays like roots).
-func (w *Writer) Raw(b []byte) { w.write(b) }
+// Raw writes b with no length prefix (fixed-size arrays like roots). The
+// bytes go out through the writer's chunk, so a caller's array does not
+// escape to the heap on its way to the destination.
+func (w *Writer) Raw(b []byte) {
+	for len(b) > 0 && w.err == nil {
+		k := copy(w.chunk[:], b)
+		w.write(w.chunk[:k])
+		b = b[k:]
+	}
+}
 
 // Bytes writes a u32 length prefix followed by b.
 func (w *Writer) Bytes(b []byte) {
 	w.U32(uint32(len(b)))
-	w.write(b)
+	w.Raw(b)
 }
 
 // String writes a u32 length prefix followed by the string bytes.
@@ -117,18 +132,18 @@ func (w *Writer) Len(n int) { w.U32(uint32(n)) }
 
 // u32Chunk is how many column values U32s moves per underlying Write or
 // Read: a 10k-validator id column is three calls instead of ten thousand.
+// The chunk lives on the Writer or Reader, not on the heap per call.
 const u32Chunk = 1024
 
 // U32s writes a u32 length prefix followed by the values, packed.
 func (w *Writer) U32s(vs []uint32) {
 	w.Len(len(vs))
-	var chunk [4 * u32Chunk]byte
 	for len(vs) > 0 {
 		k := min(len(vs), u32Chunk)
 		for i, v := range vs[:k] {
-			binary.LittleEndian.PutUint32(chunk[4*i:], v)
+			binary.LittleEndian.PutUint32(w.chunk[4*i:], v)
 		}
-		w.write(chunk[:4*k])
+		w.write(w.chunk[:4*k])
 		vs = vs[k:]
 	}
 }
@@ -138,9 +153,10 @@ type Reader struct {
 	r io.Reader
 	// left reports how many unread bytes r holds, when r can tell (a
 	// *bytes.Reader can); nil otherwise.
-	left interface{ Len() int }
-	err  error
-	buf  [8]byte
+	left  interface{ Len() int }
+	err   error
+	buf   [8]byte
+	chunk [4 * u32Chunk]byte
 }
 
 // NewReader wraps r. If r reports its unread length through a Len() int
@@ -219,8 +235,14 @@ func (r *Reader) Byte() byte {
 	return r.buf[0]
 }
 
-// Raw fills b with no length prefix.
-func (r *Reader) Raw(b []byte) { r.read(b) }
+// Raw fills b with no length prefix, through the reader's chunk (see
+// Writer.Raw).
+func (r *Reader) Raw(b []byte) {
+	for len(b) > 0 && r.err == nil {
+		r.read(r.chunk[:min(len(b), len(r.chunk))])
+		b = b[copy(b, r.chunk[:]):]
+	}
+}
 
 // Bytes reads a u32-length-prefixed byte string.
 func (r *Reader) Bytes() []byte {
@@ -239,24 +261,29 @@ func (r *Reader) Bytes() []byte {
 // String reads a u32-length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
-// U32s reads a column written by Writer.U32s. The result grows a chunk at
-// a time as bytes actually arrive, so a corrupt length prefix fails at
-// the end of the input instead of allocating what it claims.
+// U32s reads a column written by Writer.U32s. From a source that reports
+// its length, Len has bounded the column by the bytes left, and it is sized
+// once; from any other it grows a chunk at a time as bytes actually arrive,
+// so a corrupt length prefix fails at the end of the input instead of
+// allocating what it claims.
 func (r *Reader) U32s() []uint32 {
 	n := r.Len()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]uint32, 0, min(n, u32Chunk))
-	var chunk [4 * u32Chunk]byte
+	size := n
+	if r.left == nil {
+		size = min(n, u32Chunk)
+	}
+	out := make([]uint32, 0, size)
 	for len(out) < n {
 		k := min(n-len(out), u32Chunk)
-		r.read(chunk[:4*k])
+		r.read(r.chunk[:4*k])
 		if r.err != nil {
 			return nil
 		}
 		for i := 0; i < k; i++ {
-			out = append(out, binary.LittleEndian.Uint32(chunk[4*i:]))
+			out = append(out, binary.LittleEndian.Uint32(r.chunk[4*i:]))
 		}
 	}
 	return out
@@ -266,13 +293,19 @@ func (r *Reader) U32s() []uint32 {
 // at least one byte, so a count larger than the bytes the source has left
 // is corrupt, and is refused before a decoder sizes anything by it; a
 // source that cannot tell is held to maxSliceLen instead.
-func (r *Reader) Len() int {
+func (r *Reader) Len() int { return r.Count(1) }
+
+// Count reads a u32 length prefix of elements that each encode as at least
+// size bytes, and refuses a count the bytes left cannot hold. A decoder
+// that sizes its columns up front by a count reads it with Count, so what
+// it allocates stays in proportion to the bytes actually present.
+func (r *Reader) Count(size int) int {
 	n := r.U32()
 	if r.err != nil {
 		return 0
 	}
-	if r.left != nil && int64(n) > int64(r.left.Len()) {
-		r.Corrupt("length prefix %d exceeds the %d bytes left", n, r.left.Len())
+	if r.left != nil && int64(n)*int64(size) > int64(r.left.Len()) {
+		r.Corrupt("%d elements of %d bytes exceed the %d bytes left", n, size, r.left.Len())
 		return 0
 	}
 	if n > maxSliceLen {

@@ -27,7 +27,55 @@ import (
 // allocate under 1 MiB while being read.
 func TestHostileCountsAllocateNothing(t *testing.T) {
 	const hostile = 1 << 20
-	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	for _, tc := range countSites(t, count(hostile)) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, sim.ErrSnapshotCodec) {
+			t.Errorf("%s: a %d-byte frame counting %d elements is read with error %v, want codec.ErrCorrupt or sim.ErrSnapshotCodec",
+				tc.site, len(tc.frame), hostile, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: reading a %d-byte frame allocated %d bytes", tc.site, len(tc.frame), grew)
+		}
+	}
+}
+
+// TestHeavyCountsAllocateInProportion: a count the bytes left can hold —
+// 2^16 elements, with 2^16 zero bytes after it — names elements that
+// encode larger than a byte, and a decoder that sized its slice or map by
+// it up front would allocate for elements the input cannot hold. Each
+// decoder grows as its elements actually arrive, or refuses a count of
+// elements the bytes left cannot hold (codec.Reader.Count), so whether it
+// accepts the zeros or not, it allocates in proportion to the frame, as
+// FuzzReadSnapshot holds it: under 32 bytes per frame byte plus 1 MiB.
+func TestHeavyCountsAllocateInProportion(t *testing.T) {
+	const heavy = 1 << 16
+	for _, tc := range countSites(t, append(count(heavy), make([]byte, heavy)...)) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.decode(tc.frame)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(tc.frame))+1<<20 {
+			t.Errorf("%s: reading a %d-byte frame allocated %d bytes", tc.site, len(tc.frame), grew)
+		}
+	}
+}
+
+func count(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+
+// countSite is a frame that is valid up to a count, which tail supplies,
+// and the decoder that reads it.
+type countSite struct {
+	site   string
+	frame  []byte
+	decode func([]byte) error
+}
+
+// countSites builds, for every decoder that sizes a slice or map by a
+// length prefix, a frame valid up to that prefix, ending in tail.
+func countSites(t *testing.T, tail []byte) []countSite {
 	frame := func(write func(w *codec.Writer)) []byte {
 		var b bytes.Buffer
 		w := codec.NewWriter(&b)
@@ -102,57 +150,43 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 	}
 	snapHead := frame(func(w *codec.Writer) { w.Int(validators); w.U64(0) })
 	empty := count(0)
-	batchInFlight := frame(func(w *codec.Writer) {
+	slotInFlight := frame(func(w *codec.Writer) {
 		blocktree.New(types.RootFromUint64(0)).EncodeTo(w)
 		w.Raw(netHeader)
 		w.Raw(netCounters)
-		w.Len(1)  // one inbox
-		w.Len(1)  // one slot in it
-		w.U64(3)  // the slot
+		w.Len(1) // one inbox
+		w.Len(1) // one slot in it
+		w.U64(3) // the slot
+	})
+	batchInFlight := cat(slotInFlight, frame(func(w *codec.Writer) {
 		w.Len(1)  // one message
 		w.Byte(3) // an attestation batch
 		attestation.EncodeData(w, attestation.Data{})
-	})
+	}))
 
-	cases := []struct {
-		site   string
-		frame  []byte
-		decode func([]byte) error
-	}{
-		{"codec.Reader.Bytes", count(hostile), read(func(r *codec.Reader) bool { return r.Bytes() != nil })},
-		{"forkchoice.DecodeEngine validators", cat([]byte{1}, count(hostile)),
+	return []countSite{
+		{"codec.Reader.Bytes", tail, read(func(r *codec.Reader) bool { return r.Bytes() != nil })},
+		{"forkchoice.DecodeEngine validators", cat([]byte{1}, tail),
 			read(func(r *codec.Reader) bool { return forkchoice.DecodeEngine(r) != nil })},
-		{"ffg.DecodeEngine justified", count(hostile), read(func(r *codec.Reader) bool { return ffg.DecodeEngine(r) != nil })},
-		{"network partitions", cat(netHeader, count(hostile)), readNetwork},
-		{"network bridging", cat(netHeader, empty, count(hostile)), readNetwork},
-		{"network inboxes", cat(netHeader, netCounters, count(hostile)), readNetwork},
-		{"network inbox slots", cat(netHeader, netCounters, count(1), count(hostile)), readNetwork},
-		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), frame(func(w *codec.Writer) { w.U64(3) }), count(hostile)), readNetwork},
-		{"beacon registry", cat(node[:registryAt], count(hostile)), readNode},
-		{"beacon pending parents", cat(node[:pendingAt], count(hostile)), readNode},
-		{"beacon pending blocks", cat(node[:pendingAt], count(1), make([]byte, 32), count(hostile)), readNode},
-		{"beacon evidence", cat(node[:evidenceAt], count(hostile)), readNode},
+		{"ffg.DecodeEngine justified", tail, read(func(r *codec.Reader) bool { return ffg.DecodeEngine(r) != nil })},
+		{"network partitions", cat(netHeader, tail), readNetwork},
+		{"network bridging", cat(netHeader, empty, tail), readNetwork},
+		{"network inboxes", cat(netHeader, netCounters, tail), readNetwork},
+		{"network inbox slots", cat(netHeader, netCounters, count(1), tail), readNetwork},
+		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), frame(func(w *codec.Writer) { w.U64(3) }), tail), readNetwork},
+		{"beacon registry", cat(node[:registryAt], tail), readNode},
+		{"beacon pending parents", cat(node[:pendingAt], tail), readNode},
+		{"beacon pending blocks", cat(node[:pendingAt], count(1), make([]byte, 32), tail), readNode},
+		{"beacon evidence", cat(node[:evidenceAt], tail), readNode},
 		{"sim snapshot payload length", cat(real.Bytes()[:8], count(1<<30), make([]byte, 8)), readSnapshot},
-		{"sim snapshot nodes", snapshot(cat(snapHead, count(hostile))), readSnapshot},
-		{"sim snapshot duty views", snapshot(cat(snapHead, empty, count(hostile))), readSnapshot},
-		{"sim snapshot embargoes", snapshot(cat(snapHead, empty, empty, count(hostile))), readSnapshot},
-		{"sim batch validators", snapshot(cat(snapHead, empty, empty, empty, batchInFlight, count(hostile))), readSnapshot},
-		{"engine.decodeLeakTrace curve", count(hostile), read(func(r *codec.Reader) bool {
+		{"sim snapshot nodes", snapshot(cat(snapHead, tail)), readSnapshot},
+		{"sim snapshot duty views", snapshot(cat(snapHead, empty, tail)), readSnapshot},
+		{"sim snapshot embargoes", snapshot(cat(snapHead, empty, empty, tail)), readSnapshot},
+		{"sim slot messages", snapshot(cat(snapHead, empty, empty, empty, slotInFlight, tail)), readSnapshot},
+		{"sim batch validators", snapshot(cat(snapHead, empty, empty, empty, batchInFlight, tail)), readSnapshot},
+		{"engine.decodeLeakTrace curve", tail, read(func(r *codec.Reader) bool {
 			_, err := decodeLeakTrace(r)
 			return err == nil
 		})},
-	}
-	for _, tc := range cases {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := tc.decode(tc.frame)
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, codec.ErrCorrupt) && !errors.Is(err, sim.ErrSnapshotCodec) {
-			t.Errorf("%s: a %d-byte frame counting %d elements is read with error %v, want codec.ErrCorrupt or sim.ErrSnapshotCodec",
-				tc.site, len(tc.frame), hostile, err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-			t.Errorf("%s: reading a %d-byte frame allocated %d bytes", tc.site, len(tc.frame), grew)
-		}
 	}
 }

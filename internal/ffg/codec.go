@@ -38,9 +38,9 @@ func DecodeEngine(r *codec.Reader) *Engine {
 	if r.Err() != nil {
 		return nil
 	}
-	e := &Engine{justified: make([]types.Checkpoint, n)}
-	for i := 0; i < n; i++ {
-		e.justified[i] = decodeCheckpoint(r)
+	e := &Engine{justified: make([]types.Checkpoint, 0, min(n, 64))}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e.justified = append(e.justified, decodeCheckpoint(r))
 	}
 	e.latestJustified = decodeCheckpoint(r)
 	e.finalized = decodeCheckpoint(r)

@@ -61,7 +61,7 @@ func (p *ProtoArray) encodeTo(w *codec.Writer) {
 
 func decodeProtoArray(r *codec.Reader) *ProtoArray {
 	p := NewProtoArray()
-	n := r.Len()
+	n := r.Count(32 + 8 + 1 + 8) // vote root, vote slot, has-vote, stake
 	if r.Err() != nil {
 		return nil
 	}

@@ -86,16 +86,16 @@ func DecodeNetwork[M any](r *codec.Reader, dec func(*codec.Reader) M) *Network[M
 		if r.Err() != nil {
 			return nil
 		}
-		box := make(map[types.Slot][]M, ns)
+		box := make(map[types.Slot][]M)
 		for j := 0; j < ns; j++ {
 			s := types.Slot(r.U64())
 			nm := r.Len()
 			if r.Err() != nil {
 				return nil
 			}
-			msgs := make([]M, nm)
-			for k := 0; k < nm; k++ {
-				msgs[k] = dec(r)
+			msgs := make([]M, 0, min(nm, 64))
+			for k := 0; k < nm && r.Err() == nil; k++ {
+				msgs = append(msgs, dec(r))
 			}
 			box[s] = msgs
 		}

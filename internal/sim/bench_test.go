@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -159,6 +161,44 @@ func BenchmarkSimLongHorizon(b *testing.B) {
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(b.N)/secs, "epochs/sec")
 			}
+		})
+	}
+}
+
+// BenchmarkSnapshotWriteTo encodes the snapshot a durable checkpoint of a
+// 2,500-validator sim/leak cell holds 50 epochs in (the checkpoint the
+// bench harness's reuse-tiers workload saves and resumes) as a frame.
+// "discard" writes into io.Discard, so what it allocates is the encoders'
+// own; "buffer" writes into a fresh bytes.Buffer per frame, as a checkpoint
+// save does, which WriteTo grows to the frame's length once.
+func BenchmarkSnapshotWriteTo(b *testing.B) {
+	s, err := New(Config{
+		Validators: 2500, Spec: types.DefaultSpec(),
+		GST: network.Never, Delay: 1, Seed: 1, PartitionOf: halfSplit(2500),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.RunEpochs(50); err != nil {
+		b.Fatal(err)
+	}
+	sn := s.Snapshot()
+	for _, tc := range []struct {
+		name string
+		dst  func() io.Writer
+	}{
+		{"discard", func() io.Writer { return io.Discard }},
+		{"buffer", func() io.Writer { return new(bytes.Buffer) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n int64
+			for i := 0; i < b.N; i++ {
+				if n, err = sn.WriteTo(tc.dst()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n), "frame-B")
 		})
 	}
 }

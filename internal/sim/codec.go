@@ -85,11 +85,7 @@ func decodeMessage(r *codec.Reader) Message {
 		m.Batch.Data = attestation.DecodeData(r)
 	case BatchMessage:
 		m.Batch.Data = attestation.DecodeData(r)
-		nv := r.Len()
-		if r.Err() != nil {
-			return Message{}
-		}
-		m.Batch.Validators = make([]types.ValidatorIndex, nv)
+		m.Batch.Validators = make([]types.ValidatorIndex, r.Len())
 		for i := range m.Batch.Validators {
 			m.Batch.Validators[i] = types.ValidatorIndex(r.U64())
 		}
@@ -106,12 +102,35 @@ func decodeMessage(r *codec.Reader) Message {
 // ReadSnapshot of the bytes restores bit-identically: continuing a
 // decoded snapshot produces the same results (same conflict epoch) as
 // continuing the in-memory original. Implements io.WriterTo.
+//
+// The payload is encoded twice and kept nowhere: a first pass into the
+// checksum takes its length and sum for the header, a second writes it
+// straight to dst, which is grown to the frame first when it can be.
 func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 	if sn.nodes == nil {
 		return 0, fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
 	}
-	var payload bytes.Buffer
-	w := codec.NewWriter(&payload)
+	sum := fnv.New64a()
+	w := codec.NewWriter(sum)
+	sn.encodePayload(w)
+	if err := w.Err(); err != nil {
+		return 0, fmt.Errorf("%w: encode: %v", ErrSnapshotCodec, err)
+	}
+	var header [20]byte
+	copy(header[:4], snapshotMagic)
+	binary.LittleEndian.PutUint32(header[4:8], snapshotVersion)
+	binary.LittleEndian.PutUint32(header[8:12], uint32(w.Written()))
+	binary.LittleEndian.PutUint64(header[12:20], sum.Sum64())
+	if g, ok := dst.(interface{ Grow(int) }); ok {
+		g.Grow(len(header) + int(w.Written()))
+	}
+	w = codec.NewWriter(dst)
+	w.Raw(header[:])
+	sn.encodePayload(w)
+	return w.Written(), w.Err()
+}
+
+func (sn *Snapshot) encodePayload(w *codec.Writer) {
 	w.Int(sn.validators)
 	w.U64(uint64(sn.slot))
 	w.Len(len(sn.nodes))
@@ -131,23 +150,18 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 	}
 	sn.oracle.EncodeTo(w)
 	sn.net.EncodeTo(w, encodeMessage)
-	if err := w.Err(); err != nil {
-		return 0, fmt.Errorf("%w: encode: %v", ErrSnapshotCodec, err)
-	}
-
-	sum := fnv.New64a()
-	sum.Write(payload.Bytes())
-	var header [20]byte
-	copy(header[:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(header[4:8], snapshotVersion)
-	binary.LittleEndian.PutUint32(header[8:12], uint32(payload.Len()))
-	binary.LittleEndian.PutUint64(header[12:20], sum.Sum64())
-	if _, err := dst.Write(header[:]); err != nil {
-		return 0, err
-	}
-	n, err := dst.Write(payload.Bytes())
-	return int64(len(header) + n), err
 }
+
+// frame is a payload as ReadSnapshot decodes it: the source cut at the
+// declared length and teed into the checksum. Its Len is what is left of
+// the declared length, which the source has been checked to hold, so the
+// codec bounds every length prefix by the bytes actually present.
+type frame struct {
+	io.Reader
+	rest *io.LimitedReader
+}
+
+func (f frame) Len() int { return int(f.rest.N) }
 
 // ReadSnapshot decodes a snapshot serialized by WriteTo. Any damage —
 // a torn or truncated file, a flipped bit, a snapshot written by a
@@ -155,6 +169,11 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 // an error wrapping ErrSnapshotCodec; no partially-decoded snapshot ever
 // escapes. The decoded snapshot is a full deep state: Restore and Adopt
 // accept it exactly like an in-memory one.
+//
+// The payload is decoded as it is read, with no copy of it: the checksum
+// verdict comes once the decoders have consumed the declared length, and
+// before the snapshot is returned. A source that cannot report its length
+// is first read into memory, grown only as its bytes arrive.
 func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 	var header [20]byte
 	if _, err := io.ReadFull(src, header[:]); err != nil {
@@ -170,65 +189,56 @@ func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 	if size > snapshotMaxBytes {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrSnapshotCodec, size)
 	}
-	if left, ok := src.(interface{ Len() int }); ok && int64(size) > int64(left.Len()) {
+	left, ok := src.(interface{ Len() int })
+	if !ok {
+		// A read error leaves the copy short, and it is refused below.
+		payload, _ := io.ReadAll(io.LimitReader(src, int64(size)))
+		r := bytes.NewReader(payload)
+		src, left = r, r
+	}
+	if int64(size) > int64(left.Len()) {
 		return nil, fmt.Errorf("%w: payload length %d exceeds the %d bytes left", ErrSnapshotCodec, size, left.Len())
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(src, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrSnapshotCodec, err)
-	}
-	sum := fnv.New64a()
-	sum.Write(payload)
-	if sum.Sum64() != binary.LittleEndian.Uint64(header[12:20]) {
+	rest, sum := &io.LimitedReader{R: src, N: int64(size)}, fnv.New64a()
+	sn, err := decodePayload(codec.NewReader(frame{io.TeeReader(rest, sum), rest}))
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
+	case rest.N > 0:
+		return nil, fmt.Errorf("%w: %d payload bytes past the snapshot", ErrSnapshotCodec, rest.N)
+	case sum.Sum64() != binary.LittleEndian.Uint64(header[12:20]):
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCodec)
-	}
-
-	r := codec.NewReader(bytes.NewReader(payload))
-	sn := &Snapshot{}
-	sn.validators = r.Int()
-	sn.slot = types.Slot(r.U64())
-	nn := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
-	}
-	sn.nodes = make([]*beacon.Node, nn)
-	for i := 0; i < nn; i++ {
-		sn.nodes[i] = beacon.DecodeNode(r)
-		if sn.nodes[i] == nil {
-			return nil, fmt.Errorf("%w: node %d: %v", ErrSnapshotCodec, i, r.Err())
-		}
-	}
-	nd := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
-	}
-	sn.dutyView = make([]int, nd)
-	for i := 0; i < nd; i++ {
-		sn.dutyView[i] = r.Int()
-	}
-	ne := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
-	}
-	sn.embargoes = make([]embargo, ne)
-	for i := range sn.embargoes {
-		e := &sn.embargoes[i]
-		e.cohort = r.Int()
-		e.producer = types.ValidatorIndex(r.U64())
-		r.Raw(e.root[:])
-		e.until = types.Slot(r.U64())
-	}
-	sn.oracle = blocktree.DecodeTree(r)
-	if sn.oracle == nil {
-		return nil, fmt.Errorf("%w: oracle: %v", ErrSnapshotCodec, r.Err())
-	}
-	sn.net = network.DecodeNetwork(r, decodeMessage)
-	if sn.net == nil {
-		return nil, fmt.Errorf("%w: network: %v", ErrSnapshotCodec, r.Err())
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
 	}
 	sn.bytes = snapshotBytes(sn)
 	return sn, nil
+}
+
+// decodePayload decodes the fields encodePayload writes. A decoder that
+// fails leaves the reader's sticky error behind its nil and every read
+// after it is a no-op, so the one verdict is the error at the end; a loop
+// over a count stops at the first error, so it allocates nothing for
+// elements that did not arrive.
+func decodePayload(r *codec.Reader) (*Snapshot, error) {
+	sn := &Snapshot{}
+	sn.validators = r.Int()
+	sn.slot = types.Slot(r.U64())
+	sn.nodes = make([]*beacon.Node, r.Len())
+	for i := 0; i < len(sn.nodes) && r.Err() == nil; i++ {
+		sn.nodes[i] = beacon.DecodeNode(r)
+	}
+	sn.dutyView = make([]int, r.Len())
+	for i := range sn.dutyView {
+		sn.dutyView[i] = r.Int()
+	}
+	ne := r.Len()
+	sn.embargoes = make([]embargo, 0, min(ne, 64))
+	for i := 0; i < ne && r.Err() == nil; i++ {
+		e := embargo{cohort: r.Int(), producer: types.ValidatorIndex(r.U64())}
+		r.Raw(e.root[:])
+		e.until = types.Slot(r.U64())
+		sn.embargoes = append(sn.embargoes, e)
+	}
+	sn.oracle = blocktree.DecodeTree(r)
+	sn.net = network.DecodeNetwork(r, decodeMessage)
+	return sn, r.Err()
 }

@@ -121,3 +121,31 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStoreGet/hit reads the grid's results back from a 30-entry
+// result store, one per op, as the bench harness's reuse-tiers workload
+// does: the content address, the entry read into a buffer off the store's
+// free list and checked in place, and the result's JSON decode.
+func BenchmarkStoreGet(b *testing.B) {
+	cells := benchGrid()
+	keys := cellKeys(b, cells)
+	results := engine.SweepContext(context.Background(), cells, engine.Options{Workers: 1, WarmStart: &engine.WarmStartOptions{}})
+	r, err := store.OpenResults(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for i, res := range results {
+		if err := r.Put(keys[i], res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := r.Get(keys[i%len(keys)]); !ok {
+				b.Fatalf("cell %d missing from the store", i%len(keys))
+			}
+		}
+	})
+}

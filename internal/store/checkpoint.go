@@ -1,9 +1,6 @@
 package store
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // checkpointKeyPrefix namespaces checkpoint entries away from result
 // entries inside one shared store directory: the content address is the
@@ -47,16 +44,6 @@ type Checkpoints struct {
 // checkpoint tiers share the directory and the write path; only the key
 // namespace and counters differ.
 func NewCheckpoints(s *Store) *Checkpoints { return &Checkpoints{s: s} }
-
-// OpenCheckpoints opens (creating if needed) a checkpoint store rooted at
-// dir, sweeping any orphaned temp files left by a crashed writer.
-func OpenCheckpoints(dir string) (*Checkpoints, error) {
-	s, err := Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewCheckpoints(s), nil
-}
 
 // Checkpoints returns the checkpoint tier sharing this result store's
 // directory and underlying store — the serve fabric's layout, where a
@@ -107,20 +94,9 @@ func (c *Checkpoints) Stats() CheckpointStats {
 	}
 }
 
-// Contains reports whether a valid checkpoint exists for the cell,
-// without counting a hit or miss.
-func (c *Checkpoints) Contains(cellKey string) bool {
-	return c.s.Contains(checkpointKeyPrefix + cellKey)
-}
-
 // CorruptCheckpointForTest truncates the on-disk checkpoint entry for a
 // cell mid-payload, simulating a torn write; it reports whether an entry
 // existed to damage.
 func CorruptCheckpointForTest(c *Checkpoints, cellKey string) (bool, error) {
-	path := c.s.path(checkpointKeyPrefix + cellKey)
-	info, err := os.Stat(path)
-	if err != nil {
-		return false, nil
-	}
-	return true, os.Truncate(path, info.Size()/2)
+	return tear(c.s.path(checkpointKeyPrefix + cellKey))
 }

@@ -11,11 +11,11 @@ import (
 
 func openCheckpoints(t *testing.T) *Checkpoints {
 	t.Helper()
-	c, err := OpenCheckpoints(t.TempDir())
+	r, err := OpenResults(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return r.Checkpoints()
 }
 
 func TestCheckpointsRoundTrip(t *testing.T) {
@@ -153,7 +153,7 @@ func TestCheckpointsDamageReadsAsSilentMiss(t *testing.T) {
 			}
 			// The damaged file is cleared, so the next probe is a clean
 			// cold start and the next save repairs the entry.
-			if c.Contains(key) {
+			if c.s.Stats().Entries != 0 {
 				t.Fatal("damaged entry still on disk after the miss")
 			}
 			if err := c.SaveCheckpoint(key, payload); err != nil {
@@ -178,10 +178,11 @@ func TestCheckpointsSweepOrphanedTemp(t *testing.T) {
 	if err := os.WriteFile(orphan, []byte("half-written checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := OpenCheckpoints(dir)
+	r, err := OpenResults(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := r.Checkpoints()
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned temp file survived Open (stat err %v)", err)
 	}

@@ -26,29 +26,17 @@ func OpenResults(dir string) (*Results, error) {
 	return &Results{s: s}, nil
 }
 
-// Get returns the stored result for the canonical key. A payload that
-// passes the integrity header but no longer decodes (a result-schema
-// change across versions) is treated exactly like corruption: the entry is
-// dropped and the caller recomputes and rewrites it.
+// Get returns the stored result for the canonical key, decoded from the
+// buffer the entry was read into. A payload that passes the integrity
+// header but no longer decodes (a result-schema change across versions) is
+// treated exactly like corruption: the entry is dropped and the caller
+// recomputes and rewrites it.
 func (r *Results) Get(key string) (engine.Result, bool) {
-	payload, ok := r.s.Get(key)
-	if !ok {
-		return engine.Result{}, false
-	}
 	var res engine.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		r.s.corrupt.Add(1)
-		r.s.hits.Add(^uint64(0)) // the raw read counted a hit; it wasn't
-		r.s.misses.Add(1)
-		r.s.removeEntry(r.s.path(key), entrySize(key, payload))
+	if !r.s.read(key, func(payload []byte) bool { return json.Unmarshal(payload, &res) == nil }) {
 		return engine.Result{}, false
 	}
 	return res, true
-}
-
-// entrySize reconstructs the on-disk size of an entry from its parts.
-func entrySize(key string, payload []byte) int64 {
-	return int64(headerSize + len(key) + len(payload))
 }
 
 // Put stores the result under the canonical key, stripped of execution
@@ -62,17 +50,8 @@ func (r *Results) Put(key string, res engine.Result) error {
 	return r.s.Put(key, payload)
 }
 
-// PutRaw stores a pre-encoded payload; tests use it to plant undecodable
-// entries.
-func (r *Results) PutRaw(key string, payload []byte) error {
-	return r.s.Put(key, payload)
-}
-
 // Stats reports the underlying store's footprint and counters.
 func (r *Results) Stats() Stats { return r.s.Stats() }
-
-// Dir returns the store's root directory.
-func (r *Results) Dir() string { return r.s.Dir() }
 
 // Close flushes and closes the underlying store.
 func (r *Results) Close() error { return r.s.Close() }
@@ -81,8 +60,10 @@ func (r *Results) Close() error { return r.s.Close() }
 // mid-payload, simulating a torn write; it reports whether an entry
 // existed to damage. Exposed for the durability suites that live outside
 // this package (internal/server's restart and corruption tests).
-func CorruptForTest(r *Results, key string) (bool, error) {
-	path := r.s.path(key)
+func CorruptForTest(r *Results, key string) (bool, error) { return tear(r.s.path(key)) }
+
+// tear truncates the file at path to half its length, if it exists.
+func tear(path string) (bool, error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return false, nil

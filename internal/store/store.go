@@ -16,15 +16,18 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,6 +66,11 @@ type Stats struct {
 // not usable; construct with Open.
 type Store struct {
 	dir string
+	// free holds the buffers entries are read into between reads: at most
+	// GOMAXPROCS idle, each as long as the longest entry it held, and the
+	// collector does not empty it, so a steady stream of hits reads into
+	// buffers the store already has.
+	free chan []byte
 
 	hits, misses, puts, corrupt atomic.Uint64
 	entries, bytes              atomic.Int64
@@ -79,7 +87,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir}
+	s := &Store{dir: filepath.Clean(dir), free: make(chan []byte, runtime.GOMAXPROCS(0))}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -103,48 +111,81 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its content address: SHA-256 of the key, hex, split
-// into a 2-character shard directory plus file name.
+// into a 2-character shard directory plus file name. The address is built
+// on the stack; the string it returns is its one allocation.
 func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, h[:2], h[2:]+entryExt)
+	var buf [512]byte
+	sum := sha256.Sum256(append(buf[:0], key...))
+	p := append(append(buf[:0], s.dir...), filepath.Separator)
+	p = append(hex.AppendEncode(p, sum[:1]), filepath.Separator)
+	p = hex.AppendEncode(p, sum[1:])
+	return string(append(p, entryExt...))
 }
 
-// checksum is the entry integrity hash: FNV-64a over key then payload.
-func checksum(key string, payload []byte) uint64 {
+// checksum is the entry integrity hash: FNV-64a over the key bytes, then
+// the payload bytes.
+func checksum(parts ...[]byte) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write(payload)
+	for _, p := range parts {
+		h.Write(p)
+	}
 	return h.Sum64()
 }
 
-// Get returns the payload stored under key. Any damage — missing file,
-// torn or truncated write, checksum mismatch, or a different key at the
-// same address — reads as a miss, and damaged files are removed so the
+// Get returns a copy of the payload stored under key. Any damage — missing
+// file, torn or truncated write, checksum mismatch, or a different key at
+// the same address — reads as a miss, and damaged files are removed so the
 // next Put repairs them; Get never returns an error.
 func (s *Store) Get(key string) ([]byte, bool) {
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
-	payload, ok := decode(key, data)
-	if !ok {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		s.removeEntry(path, int64(len(data)))
-		return nil, false
-	}
-	s.hits.Add(1)
-	return payload, true
+	var payload []byte
+	ok := s.read(key, func(p []byte) bool { payload = bytes.Clone(p); return true })
+	return payload, ok
 }
 
-// decode validates an entry read from disk and extracts its payload.
+// read hands the payload stored under key to use, checked in place in a
+// buffer off the free list that grows only to the file's length, and goes
+// back when use returns. A missing entry is a miss. An entry that cannot be
+// read whole, fails a check or holds a payload use refuses is counted
+// corrupt, removed and missed. It reports whether use took the payload.
+func (s *Store) read(key string, use func(payload []byte) bool) bool {
+	path := s.path(key)
+	f, err := os.Open(path)
+	if err != nil {
+		s.misses.Add(1)
+		return false
+	}
+	var data []byte
+	select {
+	case data = <-s.free:
+	default:
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil {
+		if int64(cap(data)) < size {
+			data = make([]byte, size)
+		}
+		data = data[:size]
+		_, err = f.ReadAt(data, 0)
+	}
+	f.Close()
+	payload, ok := decode(key, data)
+	if ok = ok && err == nil && use(payload); ok {
+		s.hits.Add(1)
+	} else {
+		s.corrupt.Add(1)
+		s.misses.Add(1)
+		s.removeEntry(path, size)
+	}
+	select {
+	case s.free <- data:
+	default:
+	}
+	return ok
+}
+
+// decode checks an entry in place — magic, lengths, key and checksum —
+// and returns its payload.
 func decode(key string, data []byte) ([]byte, bool) {
 	if len(data) < headerSize || string(data[:4]) != magic {
 		return nil, false
@@ -155,40 +196,29 @@ func decode(key string, data []byte) ([]byte, bool) {
 	if uint64(len(data)) != headerSize+uint64(keyLen)+uint64(payLen) {
 		return nil, false
 	}
-	gotKey := data[headerSize : headerSize+keyLen]
-	payload := data[headerSize+keyLen:]
-	if string(gotKey) != key || checksum(key, payload) != sum {
+	if string(data[headerSize:headerSize+keyLen]) != key || checksum(data[headerSize:]) != sum {
 		return nil, false
 	}
-	return payload, true
-}
-
-// Contains reports whether a valid entry for key is on disk, without
-// counting a hit or a miss.
-func (s *Store) Contains(key string) bool {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return false
-	}
-	_, ok := decode(key, data)
-	return ok
+	return data[headerSize+keyLen:], true
 }
 
 // ErrClosed is returned by Put after Close.
 var ErrClosed = errors.New("store: closed")
 
-// Put stores payload under key, atomically: the entry is assembled in a
-// temp file in the target shard directory and renamed into place, so
-// concurrent readers see either the old entry or the new one, never a
-// partial write. Re-putting a key overwrites its entry.
+// Put stores payload under key, atomically: the entry is written to a temp
+// file in the target shard directory — header, key and payload, with no
+// copy assembled — synced, and renamed into place, so concurrent readers
+// see either the old entry or the new one, never a partial write. A failed
+// write or sync leaves nothing behind. Re-putting a key overwrites its
+// entry.
 func (s *Store) Put(key string, payload []byte) error {
-	buf := make([]byte, headerSize+len(key)+len(payload))
-	copy(buf, magic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(buf[12:], checksum(key, payload))
-	copy(buf[headerSize:], key)
-	copy(buf[headerSize+len(key):], payload)
+	var header [headerSize]byte
+	k := []byte(key)
+	copy(header[:], magic)
+	binary.LittleEndian.PutUint32(header[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(header[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(header[12:], checksum(k, payload))
+	size := int64(headerSize + len(key) + len(payload))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,14 +233,18 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	} else {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	for _, part := range [][]byte{header[:], k, payload} {
+		if err == nil {
+			_, err = tmp.Write(part)
+		}
 	}
-	if err := tmp.Close(); err != nil {
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
@@ -224,9 +258,9 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	if prior < 0 {
 		s.entries.Add(1)
-		s.bytes.Add(int64(len(buf)))
+		s.bytes.Add(size)
 	} else {
-		s.bytes.Add(int64(len(buf)) - prior)
+		s.bytes.Add(size - prior)
 	}
 	s.puts.Add(1)
 	return nil
