@@ -65,7 +65,7 @@ type Pool struct {
 	// piece: the validator count Reset was given, or the highest validator
 	// index seen + 1 where that is more (a pool that was never told its
 	// validator count learns it batch by batch).
-	width int //gasper:nocodec allocation hint; DecodePool re-learns it from the decoded column lengths
+	width int //gasper:nocodec allocation hint; a decoding walk re-learns it from the decoded column lengths
 	// spares holds up to maxSpares pruned epochs whose storage the next new
 	// target epochs take over: in a steady run the boundary prunes one
 	// epoch for every one the next slot opens, so no epoch allocates its
@@ -93,8 +93,8 @@ type EpochVotes struct {
 	// srcMin and srcMax bound the source epochs of the table's values, kept
 	// as values are interned: whether any vote of this epoch can surround,
 	// or be surrounded by, a vote of another is two compares.
-	srcMin types.Epoch //gasper:nocodec derived from the table; decodeEpochVotes recomputes it
-	srcMax types.Epoch //gasper:nocodec derived from the table; decodeEpochVotes recomputes it
+	srcMin types.Epoch //gasper:nocodec derived from the table; a decoding walk recomputes it
+	srcMax types.Epoch //gasper:nocodec derived from the table; a decoding walk recomputes it
 	// first[v] is the id of validator v's first distinct vote; second[v]
 	// that of its second (the equivocator's other face), nil until some
 	// validator casts one and as long as first from then on. A validator's
@@ -107,7 +107,7 @@ type EpochVotes struct {
 	// voted is the highest validator with a vote, plus one: where the
 	// boundary's sweeps stop, however far past it first is sized (a view of
 	// one partition hears half the validators).
-	voted int //gasper:nocodec derived from the column; decodeEpochVotes recomputes it
+	voted int //gasper:nocodec derived from the column; a decoding walk recomputes it
 }
 
 // spillVote is a third-or-later distinct vote of one validator for one

@@ -5,162 +5,105 @@ import (
 	"repro/internal/types"
 )
 
-// EncodeData serializes one attestation data value.
-func EncodeData(w *codec.Writer, d Data) {
-	w.U64(uint64(d.Slot))
-	w.Raw(d.Head[:])
-	w.U64(uint64(d.Source.Epoch))
-	w.Raw(d.Source.Root[:])
-	w.U64(uint64(d.Target.Epoch))
-	w.Raw(d.Target.Root[:])
+// DataBytes is the encoded size of one attestation data value.
+const DataBytes = 8 + 32 + 2*(8+32)
+
+// Walk moves one attestation data value.
+func (d *Data) Walk(c *codec.Coder) {
+	c.U64((*uint64)(&d.Slot))
+	c.Raw(d.Head[:])
+	c.U64((*uint64)(&d.Source.Epoch))
+	c.Raw(d.Source.Root[:])
+	c.U64((*uint64)(&d.Target.Epoch))
+	c.Raw(d.Target.Root[:])
 }
 
-// DecodeData reads one attestation data value.
-func DecodeData(r *codec.Reader) Data {
-	var d Data
-	d.Slot = types.Slot(r.U64())
-	r.Raw(d.Head[:])
-	d.Source.Epoch = types.Epoch(r.U64())
-	r.Raw(d.Source.Root[:])
-	d.Target.Epoch = types.Epoch(r.U64())
-	r.Raw(d.Target.Root[:])
-	return d
-}
-
-// EncodeTable serializes a table of distinct data values — the part of a
-// pool epoch or a slashing detector that ids index.
-func EncodeTable(w *codec.Writer, table []Data) {
-	w.Len(len(table))
-	for _, d := range table {
-		EncodeData(w, d)
-	}
-}
-
-// DecodeTable reads a table written by EncodeTable. The table grows as its
-// entries actually arrive, so a corrupt length prefix fails at the end of
-// the input instead of allocating what it claims.
-func DecodeTable(r *codec.Reader) []Data {
-	n := r.Len()
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	table := make([]Data, 0, min(n, 64))
-	for len(table) < n {
-		d := DecodeData(r)
-		if r.Err() != nil {
-			return nil
+// Walk moves the pool for the durable snapshot codec: target epochs in
+// ascending order, each as its number, its value table and its id columns.
+// A decoded pool whose epochs are out of order is corrupt.
+func (p *Pool) Walk(c *codec.Coder) {
+	codec.Slice(c, &p.epochs, 8+4*4, func(ev **EpochVotes, c *codec.Coder) {
+		if *ev == nil {
+			*ev = new(EpochVotes)
 		}
-		table = append(table, d)
+		(*ev).walk(c)
+	})
+	if c.Encoding() {
+		return
 	}
-	return table
+	for i, ev := range p.epochs {
+		if i > 0 && ev.epoch <= p.epochs[i-1].epoch {
+			c.Corrupt("attestation: pool epoch %d after %d", ev.epoch, p.epochs[i-1].epoch)
+			return
+		}
+		p.width = max(p.width, len(ev.first))
+	}
 }
 
-// EncodeTo serializes the pool for the durable snapshot codec: target
-// epochs in ascending order, each as its number, its value table and its
-// id columns.
-func (p *Pool) EncodeTo(w *codec.Writer) {
-	w.Len(len(p.epochs))
-	for _, ev := range p.epochs {
-		ev.encodeTo(w)
-	}
-}
-
-// encodeTo writes the epoch, the table and the columns, each column cut
-// after its last vote: how far past that a column has been sized is an
+// walk moves the epoch, the table and the columns, each column cut after
+// its last vote: how far past that a column has been sized is an
 // allocation choice, not state (first-seen order of the table and arrival
 // order of the spill are state — dedup, VotesForEpoch and the slashing
 // detector observe them).
-func (ev *EpochVotes) encodeTo(w *codec.Writer) {
-	w.U64(uint64(ev.epoch))
-	EncodeTable(w, ev.table)
-	w.U32s(ev.first[:ev.voted])
-	n := len(ev.second)
-	for n > 0 && ev.second[n-1] == 0 {
-		n--
-	}
-	w.U32s(ev.second[:n])
-	w.Len(len(ev.spill))
-	for _, sp := range ev.spill {
-		w.U64(uint64(sp.validator))
-		w.U32(sp.id)
-	}
-}
-
-// DecodePool reconstructs a pool serialized by EncodeTo. Anything EncodeTo
-// cannot have written — epochs out of order, a table entry of another
-// epoch, an id past its table, a column ending in a non-vote, a second
-// vote without a first, a spill entry without a second — is rejected as
-// corrupt, so a decoded pool re-encodes to the bytes it came from.
-func DecodePool(r *codec.Reader) *Pool {
-	p := NewPool()
-	ne := r.Len()
-	if r.Err() != nil {
-		return nil
-	}
-	for i := 0; i < ne; i++ {
-		ev := decodeEpochVotes(r)
-		if ev == nil {
-			return nil
+//
+// Decoding rebuilds the source range from the table, exactly as interning
+// built it, and the second column at the first's length. Anything the
+// encoder cannot have written — a table entry of another epoch, an id past
+// its table, a column ending in a non-vote, a second vote without a first,
+// a spill entry without a second — is corrupt, so a decoded epoch
+// re-encodes to the bytes it came from.
+func (ev *EpochVotes) walk(c *codec.Coder) {
+	c.U64((*uint64)(&ev.epoch))
+	codec.Slice(c, &ev.table, DataBytes, (*Data).Walk)
+	first, second := ev.first, ev.second
+	if c.Encoding() {
+		first = first[:ev.voted]
+		for len(second) > 0 && second[len(second)-1] == 0 {
+			second = second[:len(second)-1]
 		}
-		if i > 0 && ev.epoch <= p.epochs[i-1].epoch {
-			r.Corrupt("attestation: pool epoch %d after %d", ev.epoch, p.epochs[i-1].epoch)
-			return nil
-		}
-		p.epochs = append(p.epochs, ev)
-		p.width = max(p.width, len(ev.first))
 	}
-	return p
-}
-
-// decodeEpochVotes reads one epoch written by encodeTo. The source range is
-// rebuilt from the table, exactly as interning built it.
-func decodeEpochVotes(r *codec.Reader) *EpochVotes {
-	ev := &EpochVotes{epoch: types.Epoch(r.U64()), table: DecodeTable(r)}
+	c.U32s(&first)
+	c.U32s(&second)
+	codec.Slice(c, &ev.spill, 8+4, func(sp *spillVote, c *codec.Coder) {
+		c.U64((*uint64)(&sp.validator))
+		c.U32(&sp.id)
+	})
+	if c.Encoding() || c.Err() != nil {
+		return
+	}
 	for i, d := range ev.table {
 		if d.Target.Epoch != ev.epoch {
-			r.Corrupt("attestation: vote for target epoch %d filed under %d", d.Target.Epoch, ev.epoch)
-			return nil
+			c.Corrupt("attestation: vote for target epoch %d filed under %d", d.Target.Epoch, ev.epoch)
+			return
 		}
 		ev.noteSource(i)
 	}
-	ev.first = r.U32s()
-	ev.voted = len(ev.first) // encodeTo cuts the column after its last vote
-	second := r.U32s()
-	ns := r.Len()
-	if r.Err() != nil {
-		return nil
-	}
 	ids := uint32(len(ev.table))
-	if !canonicalColumn(ev.first, ids) || !canonicalColumn(second, ids) || len(second) > len(ev.first) {
-		r.Corrupt("attestation: malformed id column")
-		return nil
+	if !canonicalColumn(first, ids) || !canonicalColumn(second, ids) || len(second) > len(first) {
+		c.Corrupt("attestation: malformed id column")
+		return
 	}
+	ev.first, ev.voted = first, len(first)
 	if len(second) > 0 {
-		ev.second = make([]uint32, len(ev.first))
+		ev.second = make([]uint32, len(first))
 		copy(ev.second, second)
 	}
 	for v, id := range second {
-		if id != 0 && ev.first[v] == 0 {
-			r.Corrupt("attestation: validator %d has a second vote and no first", v)
-			return nil
+		if id != 0 && first[v] == 0 {
+			c.Corrupt("attestation: validator %d has a second vote and no first", v)
+			return
 		}
 	}
-	for i := 0; i < ns; i++ {
-		sp := spillVote{validator: types.ValidatorIndex(r.U64()), id: r.U32()}
-		if r.Err() != nil {
-			return nil
-		}
+	for i, sp := range ev.spill {
 		if sp.id == 0 || sp.id > ids || sp.validator >= types.ValidatorIndex(len(second)) || second[sp.validator] == 0 {
-			r.Corrupt("attestation: malformed spill entry %d", i)
-			return nil
+			c.Corrupt("attestation: malformed spill entry %d", i)
+			return
 		}
-		ev.spill = append(ev.spill, sp)
 	}
-	return ev
 }
 
-// canonicalColumn reports whether col could have been written by encodeTo
-// over a table of n values: every id in range, and no trailing non-vote.
+// canonicalColumn reports whether col could have been written by walk over
+// a table of n values: every id in range, and no trailing non-vote.
 func canonicalColumn(col []uint32, n uint32) bool {
 	for _, id := range col {
 		if id > n {

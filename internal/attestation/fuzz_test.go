@@ -9,8 +9,15 @@ import (
 	"repro/internal/codec"
 )
 
+// encodePool returns the bytes p's walk writes.
+func encodePool(p *Pool) []byte {
+	var b bytes.Buffer
+	p.Walk(codec.NewEncoder(&b))
+	return b.Bytes()
+}
+
 // FuzzDecodePool: whatever bytes a pool is decoded from — a store entry is
-// outside input — DecodePool does not panic, allocates in proportion to the
+// outside input — its walk does not panic, allocates in proportion to the
 // input and not to a length the input claims, and returns either the
 // codec's corruption error or a pool that re-encodes to exactly the bytes
 // it was read from and keeps what the slashing detector leans on: retained
@@ -26,22 +33,20 @@ func FuzzDecodePool(f *testing.F) {
 	p.Add(att(1, 33, 6, cp(0, 0), cp(1, 6)))
 	p.Add(att(1, 34, 6, cp(0, 0), cp(1, 6)))
 	p.Add(att(4, 70, 9, cp(1, 5), cp(2, 9)))
-	var seed bytes.Buffer
-	p.EncodeTo(codec.NewWriter(&seed))
-	f.Add(seed.Bytes())
+	f.Add(encodePool(p))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := codec.NewReader(bytes.NewReader(frame))
-		p := DecodePool(r)
+		p, c := NewPool(), codec.NewDecoder(bytes.NewReader(frame))
+		p.Walk(c)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(frame))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
 		}
-		if p == nil {
-			if !errors.Is(r.Err(), codec.ErrCorrupt) {
-				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
+		if c.Err() != nil {
+			if !errors.Is(c.Err(), codec.ErrCorrupt) {
+				t.Fatalf("rejected with %v, want codec.ErrCorrupt", c.Err())
 			}
 			return
 		}
@@ -60,10 +65,8 @@ func FuzzDecodePool(f *testing.F) {
 				t.Fatalf("epoch %d: source range %d..%d, its table spans %d..%d", ev.Epoch(), gotLo, gotHi, lo, hi)
 			}
 		}
-		var out bytes.Buffer
-		p.EncodeTo(codec.NewWriter(&out))
-		if out.Len() > len(frame) || !bytes.Equal(out.Bytes(), frame[:out.Len()]) {
-			t.Fatalf("accepted %d bytes that re-encode differently (%d bytes)", len(frame), out.Len())
+		if out := encodePool(p); len(out) > len(frame) || !bytes.Equal(out, frame[:len(out)]) {
+			t.Fatalf("accepted %d bytes that re-encode differently (%d bytes)", len(frame), len(out))
 		}
 	})
 }

@@ -141,12 +141,18 @@ func (m *refVotes) tally(e types.Epoch, stake func(types.ValidatorIndex) types.G
 func encodeNode(t *testing.T, n *Node) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := codec.NewWriter(&buf)
-	n.EncodeTo(w)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
+	c := codec.NewEncoder(&buf)
+	if n.Walk(c); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	return buf.Bytes()
+}
+
+// decodeNode walks frame into a new node.
+func decodeNode(frame []byte) (*Node, error) {
+	n, c := new(Node), codec.NewDecoder(bytes.NewReader(frame))
+	n.Walk(c)
+	return n, c.Err()
 }
 
 // TestInternedVotesMatchReference drives one seeded vote stream —
@@ -264,9 +270,9 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			if !bytes.Equal(frame, encodeNode(t, single)) {
 				t.Fatalf("seed %d epoch %d: batch and one-at-a-time ingestion serialize differently", seed, epoch)
 			}
-			decoded := DecodeNode(codec.NewReader(bytes.NewReader(frame)))
-			if decoded == nil {
-				t.Fatalf("seed %d epoch %d: frame does not decode", seed, epoch)
+			decoded, err := decodeNode(frame)
+			if err != nil {
+				t.Fatalf("seed %d epoch %d: frame does not decode: %v", seed, epoch, err)
 			}
 			if !bytes.Equal(encodeNode(t, decoded), frame) {
 				t.Fatalf("seed %d epoch %d: decoded frame re-encodes differently", seed, epoch)
@@ -291,15 +297,14 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := codec.NewReader(bytes.NewReader(parent))
-			if DecodeNode(r) != nil || !errors.Is(r.Err(), codec.ErrCorrupt) {
-				t.Fatalf("the frame PR 13 wrote for the first stream's final node was not rejected as corrupt (err %v)", r.Err())
+			if _, err := decodeNode(parent); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("testdata/node-pr13-stream1.frame, an older codec's frame of the first stream's final node, was not rejected as corrupt (err %v)", err)
 			}
 		}
 		if seed <= 2 {
 			var pool, detector bytes.Buffer
-			batched.Pool.EncodeTo(codec.NewWriter(&pool))
-			batched.Detector.EncodeTo(codec.NewWriter(&detector))
+			batched.Pool.Walk(codec.NewEncoder(&pool))
+			batched.Detector.Walk(codec.NewEncoder(&detector))
 			poolSeeds = append(poolSeeds, pool.Bytes())
 			detectorSeeds = append(detectorSeeds, detector.Bytes())
 		}

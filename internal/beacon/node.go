@@ -74,7 +74,7 @@ type Node struct {
 	//gasper:nocodec scratch buffer; each node re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	tallyScratch [ffgWindow][]attestation.LinkWeight
-	stakeFn      func(types.ValidatorIndex) types.Gwei //gasper:nocodec rebound to the decoded Registry by DecodeNode
+	stakeFn      func(types.ValidatorIndex) types.Gwei //gasper:nocodec rebound to the decoded Registry by Walk
 	// activity is the boundary's activity criterion, loaded from the pool
 	// for the ended epoch and the canonical target, and activeFn its
 	// pre-bound Active method value, the predicate handed to the incentive
@@ -83,7 +83,7 @@ type Node struct {
 	//gasper:nocodec per-boundary working set; the next boundary reloads it
 	//gasper:shallow per-boundary working set; a clone's next boundary loads its own
 	activity attestation.Activity
-	activeFn func(types.ValidatorIndex) bool //gasper:nocodec rebound to the decoded node's own activity by DecodeNode
+	activeFn func(types.ValidatorIndex) bool //gasper:nocodec rebound to the decoded node's own activity by Walk
 	// batchNew is ReceiveBatch's scratch: the batch's validators whose vote
 	// was new to the pool.
 	//gasper:nocodec scratch buffer; each node re-grows its own

@@ -1,34 +1,16 @@
 package behavior
 
-import (
-	"repro/internal/codec"
-	"repro/internal/types"
-)
+import "repro/internal/codec"
 
-// EncodeTo serializes the semi-active adversary's full state — the public
+// Walk moves the semi-active adversary's full state — the public
 // configuration plus the private gait state machine — for the durable
 // snapshot codec. sim.Snapshot deliberately leaves adversary state to the
 // caller, so checkpoints of sim/semiactive pair the snapshot with this.
-func (s *SemiActive) EncodeTo(w *codec.Writer) {
-	w.U64(uint64(s.Reps[0]))
-	w.U64(uint64(s.Reps[1]))
-	w.U64(uint64(s.StayFrom))
-	w.Bool(s.AutoFinalize)
-	w.U64(uint64(s.gaitFrom))
-	w.Int(s.gaitPhase)
-}
-
-// DecodeSemiActive reconstructs an adversary serialized by EncodeTo.
-func DecodeSemiActive(r *codec.Reader) *SemiActive {
-	s := &SemiActive{}
-	s.Reps[0] = types.ValidatorIndex(r.U64())
-	s.Reps[1] = types.ValidatorIndex(r.U64())
-	s.StayFrom = types.Epoch(r.U64())
-	s.AutoFinalize = r.Bool()
-	s.gaitFrom = types.Epoch(r.U64())
-	s.gaitPhase = r.Int()
-	if r.Err() != nil {
-		return nil
-	}
-	return s
+func (s *SemiActive) Walk(c *codec.Coder) {
+	c.U64((*uint64)(&s.Reps[0]))
+	c.U64((*uint64)(&s.Reps[1]))
+	c.U64((*uint64)(&s.StayFrom))
+	c.Bool(&s.AutoFinalize)
+	c.U64((*uint64)(&s.gaitFrom))
+	c.Int(&s.gaitPhase)
 }

@@ -90,7 +90,7 @@ type Tree struct {
 	n     int32 // live nodes
 	// index is an open-addressed, linearly probed table of node index + 1
 	// (0 = empty) whose length is a power of two at least twice n.
-	index []int32 //gasper:nocodec root index; DecodeTree rebuilds it from the nodes
+	index []int32 //gasper:nocodec root index; a decoding walk rebuilds it from the nodes
 	// base is the root node's Parent: zero at genesis, the kept root itself
 	// after PruneBelow.
 	base    types.Root

@@ -55,12 +55,21 @@ func fixtureTree(t testing.TB) *Tree {
 
 func encodeTree(t testing.TB, tree *Tree) []byte {
 	var buf bytes.Buffer
-	w := codec.NewWriter(&buf)
-	tree.EncodeTo(w)
-	if w.Err() != nil {
-		t.Fatal(w.Err())
+	c := codec.NewEncoder(&buf)
+	if tree.Walk(c); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	return buf.Bytes()
+}
+
+// decodeTree walks frame into a new tree; a frame that fails to decode
+// yields no tree.
+func decodeTree(frame []byte) (*Tree, error) {
+	tree, c := new(Tree), codec.NewDecoder(bytes.NewReader(frame))
+	if tree.Walk(c); c.Err() != nil {
+		return nil, c.Err()
+	}
+	return tree, nil
 }
 
 func readFrame(t testing.TB, name string) []byte {
@@ -81,10 +90,9 @@ func TestTreeFrameFixture(t *testing.T) {
 	if got := encodeTree(t, live); !bytes.Equal(got, want) {
 		t.Fatalf("this build's frame for the fixture tree differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
 	}
-	r := codec.NewReader(bytes.NewReader(want))
-	decoded := DecodeTree(r)
-	if decoded == nil {
-		t.Fatalf("DecodeTree: %v", r.Err())
+	decoded, err := decodeTree(want)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got := encodeTree(t, decoded); !bytes.Equal(got, want) {
 		t.Fatal("the decoded fixture re-encodes differently")
@@ -107,11 +115,11 @@ func TestTreeFrameFixture(t *testing.T) {
 // (testdata/tree-parent-root-mismatch.frame: the fixture with one bit of
 // node 3's parent root flipped, which the old decoder accepted) is corrupt.
 func TestDecodeTreeRejectsParentRootMismatch(t *testing.T) {
-	r := codec.NewReader(bytes.NewReader(readFrame(t, "tree-parent-root-mismatch.frame")))
-	if tree := DecodeTree(r); tree != nil {
+	tree, err := decodeTree(readFrame(t, "tree-parent-root-mismatch.frame"))
+	if tree != nil {
 		t.Fatal("accepted a frame whose parent root disagrees with its parent link")
 	}
-	if err := r.Err(); !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "node 3 stores parent root") {
+	if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "node 3 stores parent root") {
 		t.Fatalf("rejected with %v, want codec.ErrCorrupt naming node 3's parent root", err)
 	}
 }
@@ -128,15 +136,14 @@ func FuzzDecodeTree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := codec.NewReader(bytes.NewReader(frame))
-		tree := DecodeTree(r)
+		tree, err := decodeTree(frame)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*uint64(len(frame))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
 		}
-		if tree == nil {
-			if !errors.Is(r.Err(), codec.ErrCorrupt) {
-				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("rejected with %v, want codec.ErrCorrupt", err)
 			}
 			return
 		}
@@ -151,11 +158,7 @@ func FuzzDecodeTree(f *testing.F) {
 // the original's frame as it was, and rebuilding the original leaves the
 // clone's; once a tree's columns have grown, a rebuild allocates nothing.
 func TestRebuildsOfACopyLeaveTheOther(t *testing.T) {
-	frame := func(tree *Tree) []byte {
-		var buf bytes.Buffer
-		tree.EncodeTo(codec.NewWriter(&buf))
-		return buf.Bytes()
-	}
+	frame := func(tree *Tree) []byte { return encodeTree(t, tree) }
 	// A 300-block spine with a two-block side branch every tenth slot.
 	build := func() (*Tree, []types.Root) {
 		tree, roots := buildLinearChain(t, 300)

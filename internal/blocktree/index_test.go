@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/types"
 )
 
@@ -270,15 +269,12 @@ func TestRootIndexMatchesMap(t *testing.T) {
 				orig.Compact(ref.order[len(ref.order)-1].Slot/2, nil)
 			default:
 				op = "codec"
-				var buf bytes.Buffer
-				tree.EncodeTo(codec.NewWriter(&buf))
-				r := codec.NewReader(bytes.NewReader(buf.Bytes()))
-				if tree = DecodeTree(r); tree == nil {
-					t.Fatalf("seed %d step %d: DecodeTree: %v", seed, step, r.Err())
+				frame := encodeTree(t, tree)
+				var err error
+				if tree, err = decodeTree(frame); err != nil {
+					t.Fatalf("seed %d step %d: decode: %v", seed, step, err)
 				}
-				var again bytes.Buffer
-				tree.EncodeTo(codec.NewWriter(&again))
-				if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+				if !bytes.Equal(frame, encodeTree(t, tree)) {
 					t.Fatalf("seed %d step %d: re-encode differs", seed, step)
 				}
 			}

@@ -1,17 +1,29 @@
-// Package codec provides the little-endian binary reader/writer the
-// durable snapshot codec is built on. Both halves are sticky-error: a
-// caller strings together field writes (or reads) without checking each
-// one and asks Err once at the end, which keeps the per-package snapshot
-// codecs (blocktree, forkchoice, ffg, attestation, slashing, network,
-// beacon, sim) declarative — the field list IS the wire format.
+// Package codec provides the little-endian binary format the durable
+// snapshot codec is built on, and the one Coder that moves it in either
+// direction. Each type declares its wire form once, as a walk that names
+// every field in order:
+//
+//	func (e *Engine) Walk(c *codec.Coder) {
+//		codec.Slice(c, &e.justified, 8+32, walkCheckpoint)
+//		c.U64((*uint64)(&e.lastFinalizedAt))
+//	}
+//
+// An encoding Coder writes each field it is handed; a decoding one fills
+// it. The error is sticky: a walk strings its fields together without
+// checking each one and the caller asks Err once at the end, so the walk
+// IS the wire format, and a field cannot be written but not read. A write
+// that is not symmetric (a column cut after its last entry, a map in key
+// order) branches on Encoding, and what a decoded value must satisfy is
+// checked after its fields are read. Slice is the one place a decoded
+// count sizes anything.
 //
 // The format is deliberately dumb: fixed-width little-endian scalars,
-// u32-prefixed byte strings, no varints, no alignment, no reflection.
-// Integrity and versioning are the container's job (sim.Snapshot.WriteTo
-// frames the payload with a magic, a format version, and a checksum; the
-// store layer adds its own checksummed framing on disk), so a Reader can
-// trust its input to be well-formed and treat any structural surprise as
-// plain corruption.
+// u32-prefixed counts, no varints, no alignment, no reflection. Integrity
+// and versioning are the container's job (sim.Snapshot.WriteTo frames the
+// payload with a magic, a format version, and a checksum; the store layer
+// adds its own checksummed framing on disk), so a decoding Coder can trust
+// its input to be well-formed and treat any structural surprise as plain
+// corruption.
 package codec
 
 import (
@@ -22,295 +34,269 @@ import (
 	"math"
 )
 
-// ErrCorrupt is the sticky error a Reader records when the input is
-// structurally impossible (a length prefix past the remaining input, an
-// out-of-range enum). Decoders bubble it up; durable-checkpoint callers
-// treat it as a silent miss.
+// ErrCorrupt is the sticky error a decoding Coder records when the input is
+// structurally impossible (a count past the remaining input, an
+// out-of-range enum). Walks bubble it up; durable-checkpoint callers treat
+// it as a silent miss.
 var ErrCorrupt = errors.New("codec: corrupt input")
 
-// maxSliceLen bounds any single length prefix read from a source that
-// does not report how much it has left, so a corrupt length cannot drive a
+// maxSliceLen bounds any single count read from a source that does not
+// report how much it has left, so a corrupt count cannot drive a
 // multi-gigabyte allocation before the checksum verdict is in.
 const maxSliceLen = 1 << 28
 
-// Writer encodes fixed-width little-endian values with a sticky error.
-type Writer struct {
-	w     io.Writer
+// u32Chunk is how many column values U32s moves per underlying Write or
+// Read: a 10k-validator id column is three calls instead of ten thousand.
+// The chunk lives on the Coder, not on the heap per call.
+const u32Chunk = 1024
+
+// Coder encodes to a writer or decodes from a reader, with a sticky error.
+type Coder struct {
+	w io.Writer // the destination of an encoding Coder; nil when decoding
+	r io.Reader
+	// left reports how many unread bytes r holds, when r can tell (a
+	// *bytes.Reader can); nil otherwise.
+	left  interface{ Len() int }
 	err   error
 	n     int64
 	buf   [8]byte
 	chunk [4 * u32Chunk]byte
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// NewEncoder returns a Coder that writes to w.
+func NewEncoder(w io.Writer) *Coder { return &Coder{w: w} }
 
-// Err reports the first write error, if any.
-func (w *Writer) Err() error { return w.err }
+// NewDecoder returns a Coder that reads from r. If r reports its unread
+// length through a Len() int method, as *bytes.Reader does, every count is
+// checked against it.
+func NewDecoder(r io.Reader) *Coder {
+	left, _ := r.(interface{ Len() int })
+	return &Coder{r: r, left: left}
+}
 
-// Written reports how many bytes the writer has handed to its destination.
-func (w *Writer) Written() int64 { return w.n }
+// Encoding reports whether c writes (true) or reads (false).
+func (c *Coder) Encoding() bool { return c.w != nil }
 
-// Fail records an encoder-level error (a value with no wire form) as the
-// sticky error; every later write is dropped.
-func (w *Writer) Fail(err error) {
-	if w.err == nil {
-		w.err = err
+// Err reports the first error, if any.
+func (c *Coder) Err() error { return c.err }
+
+// Written reports how many bytes an encoding Coder has handed to its
+// destination.
+func (c *Coder) Written() int64 { return c.n }
+
+// Fail records an error (a value with no wire form) as the sticky error;
+// every later field is skipped.
+func (c *Coder) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
+// Corrupt records a structural error (bad tag, impossible index) as the
+// sticky error, wrapping ErrCorrupt.
+func (c *Coder) Corrupt(format string, args ...any) {
+	c.Fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+}
+
+// move writes b when encoding and fills it when decoding.
+func (c *Coder) move(b []byte) {
+	switch {
+	case c.err != nil:
+	case c.w != nil:
+		var n int
+		n, c.err = c.w.Write(b)
+		c.n += int64(n)
+	default:
+		if _, err := io.ReadFull(c.r, b); err != nil {
+			c.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
-	var n int
-	n, w.err = w.w.Write(b)
-	w.n += int64(n)
 }
 
-// U64 writes a uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.write(w.buf[:8])
-}
+// decoded reports whether the last move filled its bytes from the input.
+func (c *Coder) decoded() bool { return c.w == nil && c.err == nil }
 
-// U32 writes a uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// I64 writes an int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// I32 writes an int32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// Int writes an int as 64 bits.
-func (w *Writer) Int(v int) { w.U64(uint64(v)) }
-
-// F64 writes a float64 by bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	w.buf[0] = 0
-	if v {
-		w.buf[0] = 1
+// U64 moves a uint64.
+func (c *Coder) U64(v *uint64) {
+	binary.LittleEndian.PutUint64(c.buf[:], *v)
+	if c.move(c.buf[:8]); c.decoded() {
+		*v = binary.LittleEndian.Uint64(c.buf[:])
 	}
-	w.write(w.buf[:1])
 }
 
-// Byte writes one raw byte (type tags).
-func (w *Writer) Byte(v byte) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
+// U32 moves a uint32.
+func (c *Coder) U32(v *uint32) {
+	binary.LittleEndian.PutUint32(c.buf[:], *v)
+	if c.move(c.buf[:4]); c.decoded() {
+		*v = binary.LittleEndian.Uint32(c.buf[:])
+	}
 }
 
-// Raw writes b with no length prefix (fixed-size arrays like roots). The
-// bytes go out through the writer's chunk, so a caller's array does not
-// escape to the heap on its way to the destination.
-func (w *Writer) Raw(b []byte) {
-	for len(b) > 0 && w.err == nil {
-		k := copy(w.chunk[:], b)
-		w.write(w.chunk[:k])
+// I64 moves an int64.
+func (c *Coder) I64(v *int64) {
+	u := uint64(*v)
+	if c.U64(&u); c.decoded() {
+		*v = int64(u)
+	}
+}
+
+// I32 moves an int32.
+func (c *Coder) I32(v *int32) {
+	u := uint32(*v)
+	if c.U32(&u); c.decoded() {
+		*v = int32(u)
+	}
+}
+
+// Int moves an int as 64 bits.
+func (c *Coder) Int(v *int) {
+	u := uint64(*v)
+	if c.U64(&u); c.decoded() {
+		*v = int(u)
+	}
+}
+
+// F64 moves a float64 by bit pattern.
+func (c *Coder) F64(v *float64) {
+	u := math.Float64bits(*v)
+	if c.U64(&u); c.decoded() {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// Byte moves one raw byte (type tags).
+func (c *Coder) Byte(v *byte) {
+	c.buf[0] = *v
+	if c.move(c.buf[:1]); c.decoded() {
+		*v = c.buf[0]
+	}
+}
+
+// Bool moves a bool as one byte. Only 0 and 1 are written; any other byte
+// is corrupt.
+func (c *Coder) Bool(v *bool) {
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	if c.Byte(&b); b > 1 {
+		c.Corrupt("bool byte %d", b)
+	}
+	if c.decoded() {
+		*v = b == 1
+	}
+}
+
+// Raw moves b with no length prefix (fixed-size arrays like roots). The
+// bytes go through the coder's chunk, so a caller's array does not escape
+// to the heap on its way to or from the stream.
+func (c *Coder) Raw(b []byte) {
+	for len(b) > 0 && c.err == nil {
+		k := min(len(b), len(c.chunk))
+		if c.w != nil {
+			copy(c.chunk[:], b[:k])
+		}
+		if c.move(c.chunk[:k]); c.decoded() {
+			copy(b, c.chunk[:k])
+		}
 		b = b[k:]
 	}
 }
 
-// Bytes writes a u32 length prefix followed by b.
-func (w *Writer) Bytes(b []byte) {
-	w.U32(uint32(len(b)))
-	w.Raw(b)
-}
-
-// String writes a u32 length prefix followed by the string bytes.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
-
-// Len writes a slice or map length as a u32 prefix.
-func (w *Writer) Len(n int) { w.U32(uint32(n)) }
-
-// u32Chunk is how many column values U32s moves per underlying Write or
-// Read: a 10k-validator id column is three calls instead of ten thousand.
-// The chunk lives on the Writer or Reader, not on the heap per call.
-const u32Chunk = 1024
-
-// U32s writes a u32 length prefix followed by the values, packed.
-func (w *Writer) U32s(vs []uint32) {
-	w.Len(len(vs))
-	for len(vs) > 0 {
-		k := min(len(vs), u32Chunk)
-		for i, v := range vs[:k] {
-			binary.LittleEndian.PutUint32(w.chunk[4*i:], v)
-		}
-		w.write(w.chunk[:4*k])
-		vs = vs[k:]
+// String moves a counted string.
+func (c *Coder) String(s *string) {
+	b := []byte(*s)
+	if Slice(c, &b, 1, func(v *byte, c *Coder) { c.Byte(v) }); c.decoded() {
+		*s = string(b)
 	}
 }
 
-// Reader decodes the Writer's format with a sticky error.
-type Reader struct {
-	r io.Reader
-	// left reports how many unread bytes r holds, when r can tell (a
-	// *bytes.Reader can); nil otherwise.
-	left  interface{ Len() int }
-	err   error
-	buf   [8]byte
-	chunk [4 * u32Chunk]byte
-}
-
-// NewReader wraps r. If r reports its unread length through a Len() int
-// method, as *bytes.Reader does, every length prefix is checked against it.
-func NewReader(r io.Reader) *Reader {
-	left, _ := r.(interface{ Len() int })
-	return &Reader{r: r, left: left}
-}
-
-// Err reports the first read error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Corrupt records a decoder-level structural error (bad tag, impossible
-// index) as the sticky error.
-func (r *Reader) Corrupt(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *Reader) read(b []byte) {
-	if r.err != nil {
+// Count moves a u32 count of elements that each encode as at least size
+// bytes. Decoding, a count larger than the bytes the source has left can
+// hold is corrupt, and is refused before anything is sized by it; a source
+// that cannot tell is held to maxSliceLen instead. A refused count reads
+// as zero.
+func (c *Coder) Count(n *int, size int) {
+	v := uint32(*n)
+	if c.U32(&v); c.w != nil {
 		return
 	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+	*n = 0
+	switch {
+	case c.err != nil:
+	case c.left != nil && int64(v)*int64(size) > int64(c.left.Len()):
+		c.Corrupt("%d elements of %d bytes exceed the %d bytes left", v, size, c.left.Len())
+	case v > maxSliceLen:
+		c.Corrupt("count %d exceeds limit", v)
+	default:
+		*n = int(v)
 	}
 }
 
-// U64 reads a uint64.
-func (r *Reader) U64() uint64 {
-	r.read(r.buf[:8])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// U32 reads a uint32.
-func (r *Reader) U32() uint32 {
-	r.read(r.buf[:4])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// I32 reads an int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.U64()) }
-
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Bool reads a bool. Writer.Bool writes only 0 and 1; any other byte is
-// corrupt.
-func (r *Reader) Bool() bool {
-	r.read(r.buf[:1])
-	if r.err == nil && r.buf[0] > 1 {
-		r.Corrupt("bool byte %d", r.buf[0])
-	}
-	return r.err == nil && r.buf[0] == 1
-}
-
-// Byte reads one raw byte.
-func (r *Reader) Byte() byte {
-	r.read(r.buf[:1])
-	if r.err != nil {
-		return 0
-	}
-	return r.buf[0]
-}
-
-// Raw fills b with no length prefix, through the reader's chunk (see
-// Writer.Raw).
-func (r *Reader) Raw(b []byte) {
-	for len(b) > 0 && r.err == nil {
-		r.read(r.chunk[:min(len(b), len(r.chunk))])
-		b = b[copy(b, r.chunk[:]):]
-	}
-}
-
-// Bytes reads a u32-length-prefixed byte string.
-func (r *Reader) Bytes() []byte {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	r.read(b)
-	if r.err != nil {
-		return nil
-	}
-	return b
-}
-
-// String reads a u32-length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// U32s reads a column written by Writer.U32s. From a source that reports
-// its length, Len has bounded the column by the bytes left, and it is sized
-// once; from any other it grows a chunk at a time as bytes actually arrive,
-// so a corrupt length prefix fails at the end of the input instead of
-// allocating what it claims.
-func (r *Reader) U32s() []uint32 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	size := n
-	if r.left == nil {
-		size = min(n, u32Chunk)
-	}
-	out := make([]uint32, 0, size)
-	for len(out) < n {
-		k := min(n-len(out), u32Chunk)
-		r.read(r.chunk[:4*k])
-		if r.err != nil {
-			return nil
+// Slice moves a counted slice, each element through elem; minElemBytes is
+// the fewest bytes an element encodes as. Decoding, Count bounds the count
+// by the bytes left, so from a source that reports them the slice is sized
+// once, and from any other it grows as elements actually arrive: a corrupt
+// count fails at the end of the input instead of allocating what it claims.
+// A slice that fails to decode is nil.
+func Slice[T any](c *Coder, s *[]T, minElemBytes int, elem func(*T, *Coder)) {
+	n := len(*s)
+	c.Count(&n, minElemBytes)
+	if c.w != nil {
+		for i := range *s {
+			elem(&(*s)[i], c)
 		}
-		for i := 0; i < k; i++ {
-			out = append(out, binary.LittleEndian.Uint32(r.chunk[4*i:]))
+		return
+	}
+	out := sized(c, *s, n)
+	for len(out) < n && c.err == nil {
+		out = append(out, *new(T))
+		elem(&out[len(out)-1], c)
+	}
+	*s = decodedSlice(c, out)
+}
+
+// sized empties s for n decoded elements: room for all of them at once
+// when Count has bounded n by the bytes the source holds, and none ahead of
+// their arrival when it could not.
+func sized[T any](c *Coder, s []T, n int) []T {
+	if c.left != nil && cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// decodedSlice is s, or nil when the decode failed.
+func decodedSlice[T any](c *Coder, s []T) []T {
+	if c.err != nil {
+		return nil
+	}
+	return s
+}
+
+// U32s moves a counted column of uint32s, packed, a chunk per write or
+// read, under Slice's count rule.
+func (c *Coder) U32s(s *[]uint32) {
+	n := len(*s)
+	c.Count(&n, 4)
+	col := *s
+	if c.w == nil {
+		col = sized(c, col, n)
+	}
+	for done := 0; done < n && c.err == nil; done += u32Chunk {
+		k := min(n-done, u32Chunk)
+		if c.w != nil {
+			for i, v := range col[done : done+k] {
+				binary.LittleEndian.PutUint32(c.chunk[4*i:], v)
+			}
+		}
+		if c.move(c.chunk[:4*k]); c.decoded() {
+			for i := 0; i < k; i++ {
+				col = append(col, binary.LittleEndian.Uint32(c.chunk[4*i:]))
+			}
 		}
 	}
-	return out
-}
-
-// Len reads a u32 length prefix. Every element a prefix counts encodes as
-// at least one byte, so a count larger than the bytes the source has left
-// is corrupt, and is refused before a decoder sizes anything by it; a
-// source that cannot tell is held to maxSliceLen instead.
-func (r *Reader) Len() int { return r.Count(1) }
-
-// Count reads a u32 length prefix of elements that each encode as at least
-// size bytes, and refuses a count the bytes left cannot hold. A decoder
-// that sizes its columns up front by a count reads it with Count, so what
-// it allocates stays in proportion to the bytes actually present.
-func (r *Reader) Count(size int) int {
-	n := r.U32()
-	if r.err != nil {
-		return 0
+	if c.w == nil {
+		*s = decodedSlice(c, col)
 	}
-	if r.left != nil && int64(n)*int64(size) > int64(r.left.Len()) {
-		r.Corrupt("%d elements of %d bytes exceed the %d bytes left", n, size, r.left.Len())
-		return 0
-	}
-	if n > maxSliceLen {
-		r.Corrupt("length prefix %d exceeds limit", n)
-		return 0
-	}
-	return int(n)
 }

@@ -200,6 +200,53 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 	}
 }
 
+// prefixV2Fixture is a version 2 prefix blob written by the encoder and
+// decoder pairs the codec walks replaced: the sim/semiactive cell of
+// prefixFixtureParams 60 epochs in — a sampled stake curve, the stake
+// floor, the adversary's gait state and a two-view snapshot. No blob before
+// it covered the trace and adversary codecs.
+const prefixV2Fixture = "testdata/prefix-v2-pr39.blob"
+
+// prefixFixtureParams is the cell prefixV2Fixture was written for.
+var prefixFixtureParams = Params{P0: 0.5, Beta0: 0.33, N: 64, Horizon: 120, Seed: 1, Sample: 10}
+
+// TestPrefixBlobFixture: the checked-in blob decodes, re-encodes to the
+// same bytes, and finishes its cell to the Result a cold run computes.
+func TestPrefixBlobFixture(t *testing.T) {
+	blob, err := os.ReadFile(prefixV2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := Default.Lookup(ScenarioSimSemiActive)
+	cs := sc.(CheckpointableScenario)
+	pre, err := cs.DecodePrefix(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("DecodePrefix: %v", err)
+	}
+	if pre.Epoch != 60 || pre.Done {
+		t.Fatalf("decoded prefix at epoch %d (done %t), want 60 and not done", pre.Epoch, pre.Done)
+	}
+	var again bytes.Buffer
+	if err := cs.EncodePrefix(&again, pre); err != nil {
+		t.Fatalf("EncodePrefix: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), blob) {
+		t.Fatalf("the decoded blob re-encodes differently (%d bytes, the fixture %d)", again.Len(), len(blob))
+	}
+	p := prefixFixtureParams.WithDefaults(sc.Defaults())
+	cold, err := sc.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := cs.ResumeFrom(context.Background(), pre, p)
+	if err != nil {
+		t.Fatalf("ResumeFrom: %v", err)
+	}
+	if got, want := warm.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the fixture's resume diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+}
+
 // TestEncodePrefixReturnsWriteError: a failed write comes back through
 // EncodePrefix whether it hits the prefix's own fields or the snapshot
 // after them, so a checkpoint whose bytes did not land is never taken as

@@ -1,10 +1,17 @@
 package engine
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // allocated runs fn and returns the bytes it allocated.
@@ -82,6 +89,62 @@ func FuzzParseGrid(f *testing.F) {
 		if n <= 1<<14 {
 			if cells := g.Cells(); len(cells) != n {
 				t.Fatalf("%q: %d cells, counted %d", spec, len(cells), n)
+			}
+		}
+	})
+}
+
+// FuzzDecodePrefix: whatever bytes a durable checkpoint is read from —
+// through a *bytes.Reader, which reports its length, and through a reader
+// that does not — every simulator row's DecodePrefix does not panic,
+// allocates at most 32 x input + 1 MiB, and either rejects the bytes with
+// an error wrapping errPrefixCodec or sim.ErrSnapshotCodec, or returns a
+// prefix whose EncodePrefix writes exactly the bytes it read. Seeded with
+// the parent-written sim/semiactive blob, a fresh sim/leak prefix and the
+// version 1 blob.
+func FuzzDecodePrefix(f *testing.F) {
+	for _, name := range []string{prefixV2Fixture, prefixV1PR18} {
+		blob, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	leak, _ := Default.Lookup(ScenarioSimLeak)
+	cs := leak.(CheckpointableScenario)
+	pre, err := cs.RunTo(context.Background(), Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1, Sample: 2}.WithDefaults(leak.Defaults()), nil, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := cs.EncodePrefix(&blob, pre); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob.Bytes())
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, row := range simRows {
+			sc, _ := Default.Lookup(row.name)
+			cs := sc.(CheckpointableScenario)
+			for _, src := range []io.Reader{bytes.NewReader(blob), io.MultiReader(bytes.NewReader(blob))} {
+				var pre *Prefix
+				var err error
+				if grew := allocated(func() { pre, err = cs.DecodePrefix(src) }); grew > 32*uint64(len(blob))+1<<20 {
+					t.Fatalf("%s: decoding %d bytes from a %T allocated %d", row.name, len(blob), src, grew)
+				}
+				if err != nil {
+					if pre != nil || !errors.Is(err, errPrefixCodec) && !errors.Is(err, sim.ErrSnapshotCodec) {
+						t.Fatalf("%s: rejected with %v (prefix %t), want nil and errPrefixCodec or sim.ErrSnapshotCodec", row.name, err, pre != nil)
+					}
+					continue
+				}
+				var out bytes.Buffer
+				if err := cs.EncodePrefix(&out, pre); err != nil {
+					t.Fatalf("%s: accepted blob does not re-encode: %v", row.name, err)
+				}
+				if out.Len() > len(blob) || !bytes.Equal(out.Bytes(), blob[:out.Len()]) {
+					t.Fatalf("%s: accepted %d bytes that re-encode differently (%d bytes)", row.name, len(blob), out.Len())
+				}
 			}
 		}
 	})

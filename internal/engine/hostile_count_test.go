@@ -47,7 +47,7 @@ func TestHostileCountsAllocateNothing(t *testing.T) {
 // encode larger than a byte, and a decoder that sized its slice or map by
 // it up front would allocate for elements the input cannot hold. Each
 // decoder grows as its elements actually arrive, or refuses a count of
-// elements the bytes left cannot hold (codec.Reader.Count), so whether it
+// elements the bytes left cannot hold (codec.Coder.Count), so whether it
 // accepts the zeros or not, it allocates in proportion to the frame, as
 // FuzzReadSnapshot holds it: under 32 bytes per frame byte plus 1 MiB.
 func TestHeavyCountsAllocateInProportion(t *testing.T) {
@@ -65,6 +65,8 @@ func TestHeavyCountsAllocateInProportion(t *testing.T) {
 
 func count(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
 
+func u64(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
 // countSite is a frame that is valid up to a count, which tail supplies,
 // and the decoder that reads it.
 type countSite struct {
@@ -74,47 +76,44 @@ type countSite struct {
 }
 
 // countSites builds, for every decoder that sizes a slice or map by a
-// length prefix, a frame valid up to that prefix, ending in tail.
+// count, a frame valid up to that count, ending in tail.
 func countSites(t *testing.T, tail []byte) []countSite {
-	frame := func(write func(w *codec.Writer)) []byte {
+	encode := func(walk func(c *codec.Coder)) []byte {
 		var b bytes.Buffer
-		w := codec.NewWriter(&b)
-		write(w)
-		if w.Err() != nil {
-			t.Fatal(w.Err())
+		c := codec.NewEncoder(&b)
+		if walk(c); c.Err() != nil {
+			t.Fatal(c.Err())
 		}
 		return b.Bytes()
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-	// Reader-level decoders: accept reports whether the decoder returned a
-	// value; a rejection must leave codec.ErrCorrupt on the reader.
-	read := func(accept func(r *codec.Reader) bool) func([]byte) error {
+	// Coder-level decoders: walk fills a new value; a rejection must leave
+	// codec.ErrCorrupt on the coder.
+	read := func(walk func(c *codec.Coder)) func([]byte) error {
 		return func(b []byte) error {
-			r := codec.NewReader(bytes.NewReader(b))
-			if accept(r) {
-				return nil
-			}
-			return r.Err()
+			c := codec.NewDecoder(bytes.NewReader(b))
+			walk(c)
+			return c.Err()
 		}
 	}
-	readNetwork := read(func(r *codec.Reader) bool {
-		return network.DecodeNetwork(r, func(r *codec.Reader) uint64 { return r.U64() }) != nil
+	readNetwork := read(func(c *codec.Coder) {
+		new(network.Network[uint64]).Walk(c, 8, func(m *uint64, c *codec.Coder) { c.U64(m) })
 	})
-	netHeader := frame(func(w *codec.Writer) {
-		w.Int(2)      // nodes
-		w.U64(1 << 8) // GST
-		w.U64(1)      // delay
-		w.F64(0)      // drop rate
-		w.U64(2)      // retry delay
-		w.I64(7)      // seed
-	})
-	netCounters := frame(func(w *codec.Writer) { w.Len(0); w.Len(0); w.Int(0); w.Int(0) })
+	netHeader := cat(
+		u64(2),    // nodes
+		u64(1<<8), // GST
+		u64(1),    // delay
+		u64(0),    // drop rate
+		u64(2),    // retry delay
+		u64(7),    // seed
+	)
+	netCounters := cat(count(0), count(0), u64(0), u64(0))
 
 	// A node at genesis ends in its registry (4 + 25 bytes a validator),
 	// no pending blocks, the next incentives epoch and no evidence.
 	const validators = 4
-	node := frame(beacon.NewNode(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0)).EncodeTo)
+	node := encode(beacon.NewNode(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0)).Walk)
 	registryAt, pendingAt, evidenceAt := len(node)-16-(4+25*validators), len(node)-16, len(node)-4
 	for _, at := range []struct {
 		pos  int
@@ -124,7 +123,7 @@ func countSites(t *testing.T, tail []byte) []countSite {
 			t.Fatalf("node frame layout moved: count at %d reads %d, want %d", at.pos, got, at.want)
 		}
 	}
-	readNode := read(func(r *codec.Reader) bool { return beacon.DecodeNode(r) != nil })
+	readNode := read(func(c *codec.Coder) { new(beacon.Node).Walk(c) })
 	if err := readNode(node); err != nil {
 		t.Fatalf("the unmodified node frame is rejected: %v", err)
 	}
@@ -148,32 +147,28 @@ func countSites(t *testing.T, tail []byte) []countSite {
 		_, err := sim.ReadSnapshot(bytes.NewReader(b))
 		return err
 	}
-	snapHead := frame(func(w *codec.Writer) { w.Int(validators); w.U64(0) })
+	snapHead := cat(u64(validators), u64(0))
 	empty := count(0)
-	slotInFlight := frame(func(w *codec.Writer) {
-		blocktree.New(types.RootFromUint64(0)).EncodeTo(w)
-		w.Raw(netHeader)
-		w.Raw(netCounters)
-		w.Len(1) // one inbox
-		w.Len(1) // one slot in it
-		w.U64(3) // the slot
-	})
-	batchInFlight := cat(slotInFlight, frame(func(w *codec.Writer) {
-		w.Len(1)  // one message
-		w.Byte(3) // an attestation batch
-		attestation.EncodeData(w, attestation.Data{})
-	}))
+	slotInFlight := cat(
+		encode(blocktree.New(types.RootFromUint64(0)).Walk),
+		netHeader,
+		netCounters,
+		count(1), // one inbox
+		count(1), // one slot in it
+		u64(3),   // the slot
+	)
+	batchInFlight := cat(slotInFlight, count(1), []byte{3}, encode(new(attestation.Data).Walk)) // one attestation batch
 
 	return []countSite{
-		{"codec.Reader.Bytes", tail, read(func(r *codec.Reader) bool { return r.Bytes() != nil })},
-		{"forkchoice.DecodeEngine validators", cat([]byte{1}, tail),
-			read(func(r *codec.Reader) bool { return forkchoice.DecodeEngine(r) != nil })},
-		{"ffg.DecodeEngine justified", tail, read(func(r *codec.Reader) bool { return ffg.DecodeEngine(r) != nil })},
+		{"codec.Coder.String", tail, read(func(c *codec.Coder) { var s string; c.String(&s) })},
+		{"forkchoice.WalkEngine validators", cat([]byte{1}, tail),
+			read(func(c *codec.Coder) { var e forkchoice.Engine; forkchoice.WalkEngine(c, &e) })},
+		{"ffg.Engine.Walk justified", tail, read(new(ffg.Engine).Walk)},
 		{"network partitions", cat(netHeader, tail), readNetwork},
 		{"network bridging", cat(netHeader, empty, tail), readNetwork},
 		{"network inboxes", cat(netHeader, netCounters, tail), readNetwork},
 		{"network inbox slots", cat(netHeader, netCounters, count(1), tail), readNetwork},
-		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), frame(func(w *codec.Writer) { w.U64(3) }), tail), readNetwork},
+		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), u64(3), tail), readNetwork},
 		{"beacon registry", cat(node[:registryAt], tail), readNode},
 		{"beacon pending parents", cat(node[:pendingAt], tail), readNode},
 		{"beacon pending blocks", cat(node[:pendingAt], count(1), make([]byte, 32), tail), readNode},
@@ -184,9 +179,6 @@ func countSites(t *testing.T, tail []byte) []countSite {
 		{"sim snapshot embargoes", snapshot(cat(snapHead, empty, empty, tail)), readSnapshot},
 		{"sim slot messages", snapshot(cat(snapHead, empty, empty, empty, slotInFlight, tail)), readSnapshot},
 		{"sim batch validators", snapshot(cat(snapHead, empty, empty, empty, batchInFlight, tail)), readSnapshot},
-		{"engine.decodeLeakTrace curve", tail, read(func(r *codec.Reader) bool {
-			_, err := decodeLeakTrace(r)
-			return err == nil
-		})},
+		{"engine leakTrace curve", tail, read(new(leakTrace).walk)},
 	}
 }

@@ -19,54 +19,55 @@ const prefixCodecVersion = uint32(2)
 var errPrefixCodec = fmt.Errorf("engine: prefix codec")
 
 // EncodePrefix serializes a prefix — position, accumulated trace (the
-// row's own encoding), and the full durable snapshot — as one
-// self-describing blob, the payload of a durable mid-cell checkpoint.
+// row's own walk), and the full durable snapshot — as one self-describing
+// blob, the payload of a durable mid-cell checkpoint.
 // Implements CheckpointableScenario.
 func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
-	tr, ok := pre.Trace.(simTrace)
-	if !ok {
+	if _, ok := pre.Trace.(simTrace); !ok {
 		return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
 	}
-	w := codec.NewWriter(dst)
-	w.U32(prefixCodecVersion)
-	w.String(sc.row.name)
-	w.Int(pre.Epoch)
-	w.Bool(pre.Done)
-	tr.encodeTo(w)
-	if err := w.Err(); err != nil {
+	if err := sc.walkHead(codec.NewEncoder(dst), pre); err != nil {
 		return err
 	}
 	_, err := pre.Snap.WriteTo(dst)
 	return err
 }
 
-// DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
-// result is Owned — the decoded snapshot has exactly one consumer, so the
-// resume path may adopt it zero-copy. Any damage, version skew, or a blob
-// written for a different scenario returns an error; the cell executor
-// treats every error as "no checkpoint" and runs cold.
+// DecodePrefix reconstructs a prefix serialized by EncodePrefix, walking
+// the blob into a new trace of the row. The result is Owned — the decoded
+// snapshot has exactly one consumer, so the resume path may adopt it
+// zero-copy. Any damage, version skew, or a blob written for a different
+// scenario returns an error; the cell executor treats every error as "no
+// checkpoint" and runs cold.
 // Implements CheckpointableScenario.
 func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
-	r := codec.NewReader(src)
-	if v := r.U32(); v != prefixCodecVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d (err=%v)", errPrefixCodec, v, prefixCodecVersion, r.Err())
+	pre := &Prefix{Owned: true, Trace: sc.row.newTrace(Params{})}
+	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
+		return nil, err
 	}
-	if name := r.String(); name != sc.row.name {
-		return nil, fmt.Errorf("%w: blob for scenario %q, want %q (err=%v)", errPrefixCodec, name, sc.row.name, r.Err())
-	}
-	pre := &Prefix{Owned: true}
-	pre.Epoch = r.Int()
-	pre.Done = r.Bool()
-	tr, err := sc.row.decodeTrace(r)
-	if err == nil {
-		err = r.Err()
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errPrefixCodec, err)
-	}
-	pre.Trace = tr
+	var err error
 	if pre.Snap, err = sim.ReadSnapshot(src); err != nil {
 		return nil, err
 	}
 	return pre, nil
+}
+
+// walkHead moves the blob ahead of the snapshot: the codec version, the
+// row's name, the prefix's position and its trace. A version or a name
+// other than this build's and this row's ends the walk there.
+func (sc *simScenario) walkHead(c *codec.Coder, pre *Prefix) error {
+	version, name := prefixCodecVersion, sc.row.name
+	if c.U32(&version); version != prefixCodecVersion {
+		return fmt.Errorf("%w: version %d, want %d (err=%v)", errPrefixCodec, version, prefixCodecVersion, c.Err())
+	}
+	if c.String(&name); name != sc.row.name {
+		return fmt.Errorf("%w: blob for scenario %q, want %q (err=%v)", errPrefixCodec, name, sc.row.name, c.Err())
+	}
+	c.Int(&pre.Epoch)
+	c.Bool(&pre.Done)
+	pre.Trace.(simTrace).walk(c)
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("%w: %w", errPrefixCodec, err)
+	}
+	return nil
 }

@@ -222,10 +222,9 @@ type simRow struct {
 	// traffic retained) and each resume retargets the held band onto the
 	// cell's own heal slot.
 	branchAtGST bool
-	// newTrace starts the per-epoch observations at genesis; decodeTrace
-	// reads back what the trace's encodeTo wrote.
-	newTrace    func(p Params) simTrace
-	decodeTrace func(r *codec.Reader) (simTrace, error)
+	// newTrace starts the per-epoch observations at genesis, and is what
+	// DecodePrefix walks a blob's trace into.
+	newTrace func(p Params) simTrace
 	// attach, when set, wires state the trace carries into a simulation
 	// positioned at that trace, before it steps.
 	attach func(s *sim.Simulation, tr simTrace)
@@ -247,8 +246,8 @@ type simTrace interface {
 	// clone deep-copies the trace, so two continuations of one prefix never
 	// share a backing array or an adversary.
 	clone() simTrace
-	// encodeTo writes the trace into a prefix blob.
-	encodeTo(w *codec.Writer)
+	// walk moves the trace in a prefix blob.
+	walk(c *codec.Coder)
 }
 
 // simRows is the table of forkable protocol-simulator scenarios. sim/drops
@@ -262,21 +261,19 @@ var simRows = []simRow{
 		desc:     "Full protocol simulator: partitioned network until a finality-safety violation",
 		defaults: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3},
 		// Every cell is run: sim.New rejects the populations it cannot build.
-		validate:    func(Params) error { return nil },
-		config:      partitionConfig,
-		newTrace:    func(Params) simTrace { return &gstTrace{} },
-		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeGSTTrace(r) },
-		finish:      finishSimPartition,
+		validate: func(Params) error { return nil },
+		config:   partitionConfig,
+		newTrace: func(Params) simTrace { return &gstTrace{} },
+		finish:   finishSimPartition,
 	},
 	{
-		name:        ScenarioSimDrops,
-		desc:        "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
-		defaults:    Params{P0: 0.5, N: 1000, Horizon: 10, Seed: 1},
-		validate:    validateSimDrops,
-		config:      simDropsConfig,
-		newTrace:    func(Params) simTrace { return noTrace{} },
-		decodeTrace: func(*codec.Reader) (simTrace, error) { return noTrace{}, nil },
-		finish:      finishSimDrops,
+		name:     ScenarioSimDrops,
+		desc:     "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
+		defaults: Params{P0: 0.5, N: 1000, Horizon: 10, Seed: 1},
+		validate: validateSimDrops,
+		config:   simDropsConfig,
+		newTrace: func(Params) simTrace { return noTrace{} },
+		finish:   finishSimDrops,
 	},
 	{
 		name:     ScenarioSimGST,
@@ -291,18 +288,16 @@ var simRows = []simRow{
 		config:      simGSTConfig,
 		branchAtGST: true,
 		newTrace:    func(Params) simTrace { return &gstTrace{} },
-		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeGSTTrace(r) },
 		finish:      finishSimGST,
 	},
 	{
-		name:        ScenarioSimLeak,
-		desc:        "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
-		defaults:    Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
-		validate:    validateSimLeak,
-		config:      func(p Params) sim.Config { return leakPartitionConfig(p, nil) },
-		newTrace:    func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
-		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeLeakTrace(r) },
-		finish:      finishSimLeak,
+		name:     ScenarioSimLeak,
+		desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
+		defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
+		validate: validateSimLeak,
+		config:   func(p Params) sim.Config { return leakPartitionConfig(p, nil) },
+		newTrace: func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
+		finish:   finishSimLeak,
 	},
 	{
 		name:     ScenarioSimSemiActive,
@@ -313,7 +308,6 @@ var simRows = []simRow{
 		newTrace: func(p Params) simTrace {
 			return &semiTrace{leakTrace: leakTrace{minStakeRatio: 1}, adv: newSemiActive(p)}
 		},
-		decodeTrace: func(r *codec.Reader) (simTrace, error) { return decodeSemiTrace(r) },
 		// The trace's adversary (a fresh clone of the prefix's) replaces
 		// whatever instance the simulation carried — a prefix's own stored
 		// adversary must never advance.
@@ -328,7 +322,7 @@ type noTrace struct{}
 func (noTrace) observe(*sim.Simulation, Params, int) bool { return true }
 func (noTrace) concluded() int                            { return 0 }
 func (noTrace) clone() simTrace                           { return noTrace{} }
-func (noTrace) encodeTo(*codec.Writer)                    {}
+func (noTrace) walk(*codec.Coder)                         {}
 
 // validateSimDrops rejects parameters the drops scenario cannot run.
 func validateSimDrops(p Params) error {
@@ -440,11 +434,7 @@ func (t *gstTrace) clone() simTrace {
 	return &c
 }
 
-func (t *gstTrace) encodeTo(w *codec.Writer) { w.F64(t.violation) }
-
-func decodeGSTTrace(r *codec.Reader) (*gstTrace, error) {
-	return &gstTrace{violation: r.F64()}, r.Err()
-}
+func (t *gstTrace) walk(c *codec.Coder) { c.F64(&t.violation) }
 
 // finishSimPartition reports the first safety violation, if the horizon
 // reached one.
@@ -531,32 +521,13 @@ func (t *leakTrace) clone() simTrace {
 	return &c
 }
 
-func (t *leakTrace) encodeTo(w *codec.Writer) {
-	w.Len(len(t.curve))
-	for _, pt := range t.curve {
-		w.F64(pt.X)
-		w.F64(pt.Y)
-	}
-	w.F64(t.minStakeRatio)
-	w.U64(uint64(t.conflict))
-}
-
-func decodeLeakTrace(r *codec.Reader) (*leakTrace, error) {
-	tr := &leakTrace{}
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("curve: %w", err)
-	}
-	if n > 0 {
-		tr.curve = make([]CurvePoint, n)
-		for i := range tr.curve {
-			tr.curve[i].X = r.F64()
-			tr.curve[i].Y = r.F64()
-		}
-	}
-	tr.minStakeRatio = r.F64()
-	tr.conflict = types.Epoch(r.U64())
-	return tr, r.Err()
+func (t *leakTrace) walk(c *codec.Coder) {
+	codec.Slice(c, &t.curve, 16, func(pt *CurvePoint, c *codec.Coder) {
+		c.F64(&pt.X)
+		c.F64(&pt.Y)
+	})
+	c.F64(&t.minStakeRatio)
+	c.U64((*uint64)(&t.conflict))
 }
 
 // validateSimLeak rejects parameters the leak scenario cannot run.
@@ -674,21 +645,9 @@ func (t *semiTrace) clone() simTrace {
 	return &semiTrace{leakTrace: *t.leakTrace.clone().(*leakTrace), adv: t.adv.Clone()}
 }
 
-func (t *semiTrace) encodeTo(w *codec.Writer) {
-	t.leakTrace.encodeTo(w)
-	t.adv.EncodeTo(w)
-}
-
-func decodeSemiTrace(r *codec.Reader) (*semiTrace, error) {
-	lt, err := decodeLeakTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	adv := behavior.DecodeSemiActive(r)
-	if adv == nil || r.Err() != nil {
-		return nil, fmt.Errorf("adversary: %v", r.Err())
-	}
-	return &semiTrace{leakTrace: *lt, adv: adv}, nil
+func (t *semiTrace) walk(c *codec.Coder) {
+	t.leakTrace.walk(c)
+	t.adv.Walk(c)
 }
 
 // finishSimSemiActive assembles Table 3 at full protocol: beta0 of the

@@ -13,16 +13,23 @@ import (
 	"repro/internal/types"
 )
 
-// encodeEngine serializes e through EncodeEngine.
+// encodeEngine serializes e through WalkEngine.
 func encodeEngine(t testing.TB, e forkchoice.Engine) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	w := codec.NewWriter(&b)
-	forkchoice.EncodeEngine(w, e)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
+	c := codec.NewEncoder(&b)
+	if forkchoice.WalkEngine(c, &e); c.Err() != nil {
+		t.Fatal(c.Err())
 	}
 	return b.Bytes()
+}
+
+// decodeEngine walks frame into an engine.
+func decodeEngine(frame []byte) (forkchoice.Engine, error) {
+	var e forkchoice.Engine
+	c := codec.NewDecoder(bytes.NewReader(frame))
+	forkchoice.WalkEngine(c, &e)
+	return e, c.Err()
 }
 
 // votedEngine is a proto-array after a short randomized run: n validators,
@@ -59,15 +66,14 @@ func FuzzDecodeEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := codec.NewReader(bytes.NewReader(frame))
-		e := forkchoice.DecodeEngine(r)
+		e, err := decodeEngine(frame)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*uint64(len(frame))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
 		}
-		if e == nil {
-			if !errors.Is(r.Err(), codec.ErrCorrupt) {
-				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
+		if err != nil {
+			if e != nil || !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("rejected with %v and engine %v, want codec.ErrCorrupt and none", err, e)
 			}
 			return
 		}
@@ -86,9 +92,8 @@ func TestDecodeEngineRejectsVoteCountMismatch(t *testing.T) {
 	voted := binary.LittleEndian.Uint64(frame[at:])
 	for _, lie := range []uint64{voted - 1, voted + 1} {
 		binary.LittleEndian.PutUint64(frame[at:], lie)
-		r := codec.NewReader(bytes.NewReader(frame))
-		if e := forkchoice.DecodeEngine(r); e != nil || !errors.Is(r.Err(), codec.ErrCorrupt) {
-			t.Errorf("a vote count of %d for %d votes decoded to %v, %v; want nil and codec.ErrCorrupt", lie, voted, e, r.Err())
+		if e, err := decodeEngine(frame); e != nil || !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("a vote count of %d for %d votes decoded to %v, %v; want nil and codec.ErrCorrupt", lie, voted, e, err)
 		}
 	}
 }

@@ -8,19 +8,16 @@ import (
 	"strings"
 )
 
-// CodecFields cross-checks every snapshot codec and Clone method against
-// its struct definition, turning "new field silently dropped from
+// CodecFields cross-checks every snapshot codec walk and Clone method
+// against its struct definition, turning "new field silently dropped from
 // checkpoints" from a runtime-corruption bug into a build break — the
 // static twin of the server's reflection-derived cache-key test.
 //
-// Codec shape (the PR 5/9 convention): an encode side is a method named
-// EncodeTo/encodeTo taking a *codec.Writer, or a function Encode*/encode*
-// taking a *codec.Writer plus the subject value; a decode side is a
-// function Decode*/decode* taking a *codec.Reader and returning the
-// subject. For every subject type defined in the package with both sides
-// present, every struct field must be referenced by BOTH sides, unless
-// the field declaration carries //gasper:nocodec <reason> (derived state
-// the decoder rebuilds).
+// Codec shape: a walk is a method named walk/Walk taking a *codec.Coder. It
+// is both sides of the codec at once — the one Coder encodes or decodes —
+// so every field of its receiver's struct must be referenced by it, in an
+// `if c.Encoding()` branch or outside one, unless the field declaration
+// carries //gasper:nocodec <reason> (derived state the decode rebuilds).
 //
 // Clone methods (Clone*/clone* on the subject) must reference every
 // field too; a whole-struct copy (`out := *t`) covers value-typed fields
@@ -29,15 +26,15 @@ import (
 // //gasper:shallow <reason>.
 var CodecFields = &Analyzer{
 	Name: "codecfields",
-	Doc: "require every struct field to be covered by both codec sides " +
+	Doc: "require every struct field to be covered by its codec walk " +
 		"and deep-copied by Clone, unless waived with //gasper:nocodec / //gasper:shallow",
 	Run: runCodecFields,
 }
 
-// codecFunc is one side of a codec (or a Clone) for one subject type.
+// codecFunc is a walk or a Clone of one subject type.
 type codecFunc struct {
 	decl *ast.FuncDecl
-	kind string // "encode", "decode", "clone"
+	kind string // "walk", "clone"
 }
 
 func runCodecFields(pass *Pass) {
@@ -45,33 +42,20 @@ func runCodecFields(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil {
 				continue
 			}
-			name := fd.Name.Name
-			switch {
-			case fd.Recv != nil && (name == "EncodeTo" || name == "encodeTo"):
-				if pass.hasCodecParam(fd, "Writer") {
-					if s := pass.receiverSubject(fd); s != nil {
-						subjects[s] = append(subjects[s], codecFunc{fd, "encode"})
-					}
-				}
-			case fd.Recv == nil && (strings.HasPrefix(name, "Encode") || strings.HasPrefix(name, "encode")):
-				if pass.hasCodecParam(fd, "Writer") {
-					if s := pass.paramSubject(fd); s != nil {
-						subjects[s] = append(subjects[s], codecFunc{fd, "encode"})
-					}
-				}
-			case fd.Recv == nil && (strings.HasPrefix(name, "Decode") || strings.HasPrefix(name, "decode")):
-				if pass.hasCodecParam(fd, "Reader") {
-					if s := pass.resultSubject(fd); s != nil {
-						subjects[s] = append(subjects[s], codecFunc{fd, "decode"})
-					}
-				}
-			case fd.Recv != nil && (strings.HasPrefix(name, "Clone") || strings.HasPrefix(name, "clone")):
-				if s := pass.receiverSubject(fd); s != nil {
-					subjects[s] = append(subjects[s], codecFunc{fd, "clone"})
-				}
+			kind := ""
+			switch name := fd.Name.Name; {
+			case (name == "walk" || name == "Walk") && pass.hasCodecParam(fd, "Coder"):
+				kind = "walk"
+			case strings.HasPrefix(name, "Clone") || strings.HasPrefix(name, "clone"):
+				kind = "clone"
+			default:
+				continue
+			}
+			if s := pass.receiverSubject(fd); s != nil {
+				subjects[s] = append(subjects[s], codecFunc{fd, kind})
 			}
 		}
 	}
@@ -90,65 +74,29 @@ func runCodecFields(pass *Pass) {
 		if !ok || st.NumFields() == 0 {
 			continue
 		}
-		fns := subjects[subj]
-		var enc, dec, clones []codecFunc
-		for _, fn := range fns {
-			switch fn.kind {
-			case "encode":
-				enc = append(enc, fn)
-			case "decode":
-				dec = append(dec, fn)
-			case "clone":
-				clones = append(clones, fn)
-			}
-		}
 		astFields := pass.structASTFields(subj, st)
-
-		// Codec coverage needs both sides present (write-only or read-only
-		// helpers are not a durable codec).
-		if len(enc) > 0 && len(dec) > 0 {
-			for _, side := range [2][]codecFunc{enc, dec} {
-				for _, fn := range side {
-					refs, all := pass.fieldRefs(fn.decl, subj)
-					if all {
-						continue
-					}
-					for i := 0; i < st.NumFields(); i++ {
-						field := st.Field(i)
-						if field.Name() == "_" || refs[field.Name()] {
-							continue
-						}
-						if af := astFields[i]; af != nil && fieldWaived(af, dirNoCodec) {
-							continue
-						}
-						pass.Reportf(fieldPos(astFields[i], subj), "field %s.%s is not referenced by %s %s; "+
-							"snapshots will silently drop it — encode/decode it or waive with //gasper:nocodec <reason>",
-							subj.Name(), field.Name(), fn.kind, fn.decl.Name.Name)
-					}
-				}
-			}
-		}
-
-		for _, fn := range clones {
+		for _, fn := range subjects[subj] {
 			refs, all := pass.fieldRefs(fn.decl, subj)
 			wholeCopy := all || pass.hasWholeCopy(fn.decl, subj)
 			for i := 0; i < st.NumFields(); i++ {
-				field := st.Field(i)
+				field, af := st.Field(i), astFields[i]
 				if field.Name() == "_" || refs[field.Name()] {
 					continue
 				}
-				if wholeCopy && shallowSafe(field.Type()) {
-					continue
-				}
-				if af := astFields[i]; af != nil && fieldWaived(af, dirShallow) {
-					continue
-				}
-				if wholeCopy {
-					pass.Reportf(fieldPos(astFields[i], subj), "reference-typed field %s.%s is shallow-aliased by the "+
+				switch {
+				case fn.kind == "walk":
+					if !all && (af == nil || !fieldWaived(af, dirNoCodec)) {
+						pass.Reportf(fieldPos(af, subj), "field %s.%s is not referenced by walk %s; "+
+							"snapshots will silently drop it — walk it or waive with //gasper:nocodec <reason>",
+							subj.Name(), field.Name(), fn.decl.Name.Name)
+					}
+				case wholeCopy && shallowSafe(field.Type()), af != nil && fieldWaived(af, dirShallow):
+				case wholeCopy:
+					pass.Reportf(fieldPos(af, subj), "reference-typed field %s.%s is shallow-aliased by the "+
 						"whole-struct copy in %s; deep-copy it or waive with //gasper:shallow <reason>",
 						subj.Name(), field.Name(), fn.decl.Name.Name)
-				} else {
-					pass.Reportf(fieldPos(astFields[i], subj), "field %s.%s is not referenced by %s; "+
+				default:
+					pass.Reportf(fieldPos(af, subj), "field %s.%s is not referenced by %s; "+
 						"clones will drop it — copy it or waive with //gasper:shallow <reason>",
 						subj.Name(), field.Name(), fn.decl.Name.Name)
 				}
@@ -158,8 +106,8 @@ func runCodecFields(pass *Pass) {
 }
 
 // hasCodecParam reports whether fd has a parameter of type *P where P is
-// a named type called typeName ("Writer"/"Reader") living in a package
-// named "codec" — or in the current package, so analyzer fixtures can
+// a named type called typeName ("Coder") living in a package named
+// "codec" — or in the current package, so analyzer fixtures can
 // define their own stand-ins.
 func (p *Pass) hasCodecParam(fd *ast.FuncDecl, typeName string) bool {
 	if fd.Type.Params == nil {
@@ -199,43 +147,6 @@ func (p *Pass) receiverSubject(fd *ast.FuncDecl) *types.TypeName {
 		return nil
 	}
 	return namedTypeName(tv.Type)
-}
-
-// paramSubject finds the subject value parameter of a free encode
-// function: the first non-Writer parameter with a named struct type.
-func (p *Pass) paramSubject(fd *ast.FuncDecl) *types.TypeName {
-	for _, f := range fd.Type.Params.List {
-		tv, ok := p.Info.Types[f.Type]
-		if !ok {
-			continue
-		}
-		if tn := namedTypeName(tv.Type); tn != nil && tn.Name() != "Writer" {
-			if _, isStruct := tn.Type().Underlying().(*types.Struct); isStruct {
-				return tn
-			}
-		}
-	}
-	return nil
-}
-
-// resultSubject finds the subject of a decode function: the first named
-// struct type among its results.
-func (p *Pass) resultSubject(fd *ast.FuncDecl) *types.TypeName {
-	if fd.Type.Results == nil {
-		return nil
-	}
-	for _, f := range fd.Type.Results.List {
-		tv, ok := p.Info.Types[f.Type]
-		if !ok {
-			continue
-		}
-		if tn := namedTypeName(tv.Type); tn != nil {
-			if _, isStruct := tn.Type().Underlying().(*types.Struct); isStruct {
-				return tn
-			}
-		}
-	}
-	return nil
 }
 
 // namedTypeName unwraps pointers and generic instantiations down to the

@@ -15,10 +15,10 @@
 //     paths: time.Now/Since, the global math/rand top-level functions
 //     (a seeded *rand.Rand is fine), and select fan-in that can reorder
 //     results; waived with //gasper:nondet.
-//   - codecfields — cross-checks every snapshot codec (EncodeTo/Decode
-//     pairs over *codec.Writer / *codec.Reader) and every Clone method
-//     against its struct definition: a field missing from either side of
-//     the codec, or a reference-typed field shallow-copied by Clone, is a
+//   - codecfields — cross-checks every snapshot codec walk (a walk/Walk
+//     method over a *codec.Coder, both codec sides at once) and every
+//     Clone method against its struct definition: a field missing from
+//     the walk, or a reference-typed field shallow-copied by Clone, is a
 //     diagnostic unless the field carries //gasper:nocodec or
 //     //gasper:shallow.
 //

@@ -1,66 +1,66 @@
-// Package codecfields is a gasperlint test fixture. Writer and Reader are
-// in-package stand-ins for internal/codec; the analyzer accepts them so
-// fixtures stay self-contained. Each want expectation comment asserts a
-// diagnostic substring on that line.
+// Package codecfields is a gasperlint test fixture. Coder is an in-package
+// stand-in for internal/codec's; the analyzer accepts it so fixtures stay
+// self-contained. Each want expectation comment asserts a diagnostic
+// substring on that line.
 package codecfields
 
-type Writer struct{ buf []byte }
+type Coder struct{ encoding bool }
 
-func (w *Writer) U64(v uint64) {}
+func (c *Coder) Encoding() bool { return c.encoding }
 
-type Reader struct{ buf []byte }
+func (c *Coder) U64(v *uint64) {}
 
-func (r *Reader) U64() uint64 { return 0 }
-
-// Thing has a field the encoder forgot and a derived cache field with
+// Thing has a field its walk forgot and a derived cache field with
 // documented waivers.
 type Thing struct {
 	A uint64
-	B uint64 // want "field Thing.B is not referenced by encode EncodeTo"
+	B uint64 // want "field Thing.B is not referenced by walk Walk"
 	//gasper:nocodec fixture: derived, rebuilt on decode
 	//gasper:shallow fixture: derived, rebuilt lazily by the clone
 	cache map[uint64]uint64
 }
 
-func (t *Thing) EncodeTo(w *Writer) {
-	w.U64(t.A) // B is missing: the seeded violation
-}
-
-func DecodeThing(r *Reader) *Thing {
-	t := &Thing{}
-	t.A = r.U64()
-	t.B = r.U64()
-	return t
+func (t *Thing) Walk(c *Coder) {
+	c.U64(&t.A) // B is missing: the seeded violation
 }
 
 func (t *Thing) Clone() *Thing {
 	return &Thing{A: t.A, B: t.B}
 }
 
-// Flat is fully covered: every field on both codec sides, whole-struct
-// copy in Clone, all fields value-typed. No diagnostics.
+// Flat is fully covered: every field in its walk, whole-struct copy in
+// Clone, all fields value-typed. No diagnostics.
 type Flat struct {
 	X uint64
 	Y [4]uint64
 }
 
-func (f *Flat) EncodeTo(w *Writer) {
-	w.U64(f.X)
-	for _, y := range f.Y {
-		w.U64(y)
-	}
-}
-
-func DecodeFlat(r *Reader) Flat {
-	var f Flat
-	f.X = r.U64()
+func (f *Flat) walk(c *Coder) {
+	c.U64(&f.X)
 	for i := range f.Y {
-		f.Y[i] = r.U64()
+		c.U64(&f.Y[i])
 	}
-	return f
 }
 
 func (f *Flat) Clone() Flat { return *f }
+
+// Cut is covered too: its walk names col only in the encoding branch,
+// which counts, and scratch is waived. No diagnostics.
+type Cut struct {
+	col []uint64
+	//gasper:nocodec fixture: scratch, holds nothing between calls
+	scratch []uint64
+}
+
+func (k *Cut) walk(c *Coder) {
+	var col []uint64
+	if c.Encoding() {
+		col = k.col
+	}
+	for i := range col {
+		c.U64(&col[i])
+	}
+}
 
 // Holder's whole-struct copy covers n but aliases data.
 type Holder struct {

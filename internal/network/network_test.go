@@ -443,10 +443,11 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 
 	c := n.Clone()
 	var frame bytes.Buffer
-	n.EncodeTo(codec.NewWriter(&frame), func(w *codec.Writer, m string) { w.String(m) })
-	d := DecodeNetwork(codec.NewReader(&frame), func(r *codec.Reader) string { return r.String() })
-	if d == nil {
-		t.Fatal("round trip failed")
+	msg := func(m *string, c *codec.Coder) { c.String(m) }
+	n.Walk(codec.NewEncoder(&frame), 4, msg)
+	d, dec := new(Network[string]), codec.NewDecoder(&frame)
+	if d.Walk(dec, 4, msg); dec.Err() != nil {
+		t.Fatalf("round trip failed: %v", dec.Err())
 	}
 	assertNoSharedStorage(t, n, c, d)
 

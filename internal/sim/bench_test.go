@@ -203,6 +203,34 @@ func BenchmarkSnapshotWriteTo(b *testing.B) {
 	}
 }
 
+// BenchmarkReadSnapshot decodes the frame BenchmarkSnapshotWriteTo writes
+// (a durable checkpoint of a 2,500-validator sim/leak cell 50 epochs in)
+// from a *bytes.Reader, as a checkpoint resume reads it.
+func BenchmarkReadSnapshot(b *testing.B) {
+	s, err := New(Config{
+		Validators: 2500, Spec: types.DefaultSpec(),
+		GST: network.Never, Delay: 1, Seed: 1, PartitionOf: halfSplit(2500),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.RunEpochs(50); err != nil {
+		b.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if _, err := s.Snapshot().WriteTo(&frame); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadSnapshot(bytes.NewReader(frame.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(frame.Len()), "frame-B")
+}
+
 // BenchmarkCohortRegistry measures the columnar registry's epoch-boundary
 // sweep — penalties, scores, ejections, and post-state measurement over
 // flat stake/score/status slices — at paper scale (1M validators), plus

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 
-	"repro/internal/attestation"
 	"repro/internal/beacon"
 	"repro/internal/blocktree"
 	"repro/internal/codec"
@@ -42,58 +41,39 @@ const (
 // layer maps to a silent miss.
 var ErrSnapshotCodec = fmt.Errorf("sim: snapshot codec")
 
-// encodeMessage writes a message under its kind's tag. A batch is written
-// with the validators it casts for, so one that omits a listed validator
-// is written like a batch that never listed it.
-func encodeMessage(w *codec.Writer, m Message) {
-	w.Byte(byte(m.Kind))
-	switch m.Kind {
-	case BlockMessage:
-		w.U64(uint64(m.Block.Slot))
-		w.Raw(m.Block.Root[:])
-		w.Raw(m.Block.Parent[:])
-		w.U64(uint64(m.Block.Proposer))
-	case AttestationMessage:
-		w.U64(uint64(m.Batch.Validators[0]))
-		attestation.EncodeData(w, m.Batch.Data)
-	case BatchMessage:
-		attestation.EncodeData(w, m.Batch.Data)
-		vs, skip := m.Batch.Validators, int(m.omit)-1
-		if skip >= 0 {
-			w.Len(len(vs) - 1)
-		} else {
-			w.Len(len(vs))
-		}
-		for k, v := range vs {
-			if k != skip {
-				w.U64(uint64(v))
-			}
-		}
-	}
-}
+// messageBytes is the fewest bytes a message encodes as: a block's.
+const messageBytes = 1 + blocktree.BlockBytes
 
-func decodeMessage(r *codec.Reader) Message {
-	m := Message{Kind: MessageKind(r.Byte())}
+// walk moves a message under its kind's tag. A batch that omits a listed
+// validator is written like a batch that never listed it, so a decoded
+// batch lists exactly the validators it casts for.
+func (m *Message) walk(c *codec.Coder) {
+	c.Byte((*byte)(&m.Kind))
 	switch m.Kind {
 	case BlockMessage:
-		m.Block.Slot = types.Slot(r.U64())
-		r.Raw(m.Block.Root[:])
-		r.Raw(m.Block.Parent[:])
-		m.Block.Proposer = types.ValidatorIndex(r.U64())
+		m.Block.Walk(c)
 	case AttestationMessage:
-		m.Batch.Validators = []types.ValidatorIndex{types.ValidatorIndex(r.U64())}
-		m.Batch.Data = attestation.DecodeData(r)
-	case BatchMessage:
-		m.Batch.Data = attestation.DecodeData(r)
-		m.Batch.Validators = make([]types.ValidatorIndex, r.Len())
-		for i := range m.Batch.Validators {
-			m.Batch.Validators[i] = types.ValidatorIndex(r.U64())
+		if !c.Encoding() {
+			m.Batch.Validators = make([]types.ValidatorIndex, 1)
 		}
+		c.U64((*uint64)(&m.Batch.Validators[0]))
+		m.Batch.Data.Walk(c)
+	case BatchMessage:
+		m.Batch.Data.Walk(c)
+		if skip := int(m.omit) - 1; c.Encoding() && skip >= 0 {
+			vs, n := m.Batch.Validators, len(m.Batch.Validators)-1
+			c.Count(&n, 8)
+			for k := range vs {
+				if k != skip {
+					c.U64((*uint64)(&vs[k]))
+				}
+			}
+			return
+		}
+		codec.Slice(c, &m.Batch.Validators, 8, func(v *types.ValidatorIndex, c *codec.Coder) { c.U64((*uint64)(v)) })
 	default:
-		r.Corrupt("sim: unknown message tag %d", m.Kind)
-		return Message{}
+		c.Corrupt("sim: unknown message tag %d", m.Kind)
 	}
-	return m
 }
 
 // WriteTo serializes the snapshot — every cohort view, the duty-view
@@ -111,45 +91,63 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 		return 0, fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
 	}
 	sum := fnv.New64a()
-	w := codec.NewWriter(sum)
-	sn.encodePayload(w)
-	if err := w.Err(); err != nil {
+	c := codec.NewEncoder(sum)
+	sn.walk(c)
+	if err := c.Err(); err != nil {
 		return 0, fmt.Errorf("%w: encode: %v", ErrSnapshotCodec, err)
 	}
 	var header [20]byte
 	copy(header[:4], snapshotMagic)
 	binary.LittleEndian.PutUint32(header[4:8], snapshotVersion)
-	binary.LittleEndian.PutUint32(header[8:12], uint32(w.Written()))
+	binary.LittleEndian.PutUint32(header[8:12], uint32(c.Written()))
 	binary.LittleEndian.PutUint64(header[12:20], sum.Sum64())
 	if g, ok := dst.(interface{ Grow(int) }); ok {
-		g.Grow(len(header) + int(w.Written()))
+		g.Grow(len(header) + int(c.Written()))
 	}
-	w = codec.NewWriter(dst)
-	w.Raw(header[:])
-	sn.encodePayload(w)
-	return w.Written(), w.Err()
+	c = codec.NewEncoder(dst)
+	c.Raw(header[:])
+	sn.walk(c)
+	return c.Written(), c.Err()
 }
 
-func (sn *Snapshot) encodePayload(w *codec.Writer) {
-	w.Int(sn.validators)
-	w.U64(uint64(sn.slot))
-	w.Len(len(sn.nodes))
-	for _, n := range sn.nodes {
-		n.EncodeTo(w)
+// walk moves the snapshot's payload. Decoding fills a new Snapshot, and a
+// payload whose duty views do not fit it — not one per validator, or one
+// naming a view the snapshot does not hold — is corrupt: restored, it
+// would index past the simulation's views.
+func (sn *Snapshot) walk(c *codec.Coder) {
+	if !c.Encoding() {
+		sn.oracle, sn.net = new(blocktree.Tree), new(network.Network[Message])
 	}
-	w.Len(len(sn.dutyView))
-	for _, v := range sn.dutyView {
-		w.Int(v)
+	c.Int(&sn.validators)
+	c.U64((*uint64)(&sn.slot))
+	codec.Slice(c, &sn.nodes, 1, func(n **beacon.Node, c *codec.Coder) {
+		if *n == nil {
+			*n = new(beacon.Node)
+		}
+		(*n).Walk(c)
+	})
+	codec.Slice(c, &sn.dutyView, 8, func(v *int, c *codec.Coder) { c.Int(v) })
+	codec.Slice(c, &sn.embargoes, 8+8+32+8, func(e *embargo, c *codec.Coder) {
+		c.Int(&e.cohort)
+		c.U64((*uint64)(&e.producer))
+		c.Raw(e.root[:])
+		c.U64((*uint64)(&e.until))
+	})
+	sn.oracle.Walk(c)
+	sn.net.Walk(c, messageBytes, (*Message).walk)
+	if c.Encoding() || c.Err() != nil {
+		return
 	}
-	w.Len(len(sn.embargoes))
-	for _, e := range sn.embargoes {
-		w.Int(e.cohort)
-		w.U64(uint64(e.producer))
-		w.Raw(e.root[:])
-		w.U64(uint64(e.until))
+	if len(sn.dutyView) != sn.validators {
+		c.Corrupt("sim: %d duty views for %d validators", len(sn.dutyView), sn.validators)
 	}
-	sn.oracle.EncodeTo(w)
-	sn.net.EncodeTo(w, encodeMessage)
+	for v, view := range sn.dutyView {
+		if view < 0 || view >= len(sn.nodes) {
+			c.Corrupt("sim: validator %d acts from view %d of %d", v, view, len(sn.nodes))
+			return
+		}
+	}
+	sn.bytes = snapshotBytes(sn)
 }
 
 // frame is a payload as ReadSnapshot decodes it: the source cut at the
@@ -200,45 +198,14 @@ func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: payload length %d exceeds the %d bytes left", ErrSnapshotCodec, size, left.Len())
 	}
 	rest, sum := &io.LimitedReader{R: src, N: int64(size)}, fnv.New64a()
-	sn, err := decodePayload(codec.NewReader(frame{io.TeeReader(rest, sum), rest}))
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, err)
+	sn, c := new(Snapshot), codec.NewDecoder(frame{io.TeeReader(rest, sum), rest})
+	switch sn.walk(c); {
+	case c.Err() != nil:
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, c.Err())
 	case rest.N > 0:
 		return nil, fmt.Errorf("%w: %d payload bytes past the snapshot", ErrSnapshotCodec, rest.N)
 	case sum.Sum64() != binary.LittleEndian.Uint64(header[12:20]):
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCodec)
 	}
-	sn.bytes = snapshotBytes(sn)
 	return sn, nil
-}
-
-// decodePayload decodes the fields encodePayload writes. A decoder that
-// fails leaves the reader's sticky error behind its nil and every read
-// after it is a no-op, so the one verdict is the error at the end; a loop
-// over a count stops at the first error, so it allocates nothing for
-// elements that did not arrive.
-func decodePayload(r *codec.Reader) (*Snapshot, error) {
-	sn := &Snapshot{}
-	sn.validators = r.Int()
-	sn.slot = types.Slot(r.U64())
-	sn.nodes = make([]*beacon.Node, r.Len())
-	for i := 0; i < len(sn.nodes) && r.Err() == nil; i++ {
-		sn.nodes[i] = beacon.DecodeNode(r)
-	}
-	sn.dutyView = make([]int, r.Len())
-	for i := range sn.dutyView {
-		sn.dutyView[i] = r.Int()
-	}
-	ne := r.Len()
-	sn.embargoes = make([]embargo, 0, min(ne, 64))
-	for i := 0; i < ne && r.Err() == nil; i++ {
-		e := embargo{cohort: r.Int(), producer: types.ValidatorIndex(r.U64())}
-		r.Raw(e.root[:])
-		e.until = types.Slot(r.U64())
-		sn.embargoes = append(sn.embargoes, e)
-	}
-	sn.oracle = blocktree.DecodeTree(r)
-	sn.net = network.DecodeNetwork(r, decodeMessage)
-	return sn, r.Err()
 }

@@ -322,7 +322,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	// count, then per epoch its number, the table (a length and 120 bytes
 	// per value) and the first id column (a length and 4 bytes per id).
 	var poolBytes bytes.Buffer
-	first.Pool.EncodeTo(codec.NewWriter(&poolBytes))
+	first.Pool.Walk(codec.NewEncoder(&poolBytes))
 	pool := bytes.Index(blob, poolBytes.Bytes())
 	if pool < 0 || poolBytes.Len() < 16 {
 		t.Fatal("cannot locate the first pool in the frame")
@@ -391,6 +391,35 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 				t.Fatal("damaged read returned a non-nil snapshot")
 			}
 		})
+	}
+}
+
+// TestSnapshotCodecRejectsMisfitDutyViews: a checksum-valid frame whose
+// duty views do not fit its simulation — a validator acting from a view the
+// snapshot does not hold, or fewer views than validators — is refused by
+// ReadSnapshot. Accepted, it restores, and the next epoch indexes past the
+// simulation's views.
+func TestSnapshotCodecRejectsMisfitDutyViews(t *testing.T) {
+	s, err := New(snapshotCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunEpochs(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		misfit func(sn *Snapshot)
+	}{
+		{"view 99", func(sn *Snapshot) { sn.dutyView[5] = 99 }},
+		{"view -1", func(sn *Snapshot) { sn.dutyView[5] = -1 }},
+		{"10 of 16 validators", func(sn *Snapshot) { sn.dutyView = sn.dutyView[:10] }},
+	} {
+		sn := s.Snapshot()
+		tc.misfit(sn)
+		if got, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, sn))); got != nil || !errors.Is(err, ErrSnapshotCodec) {
+			t.Errorf("%s: ReadSnapshot = %v, %v; want nil and ErrSnapshotCodec", tc.name, got != nil, err)
+		}
 	}
 }
 

@@ -10,8 +10,15 @@ import (
 	"repro/internal/codec"
 )
 
+// encodeDetector returns the bytes d's walk writes.
+func encodeDetector(d *Detector) []byte {
+	var b bytes.Buffer
+	d.Walk(codec.NewEncoder(&b))
+	return b.Bytes()
+}
+
 // FuzzDecodeDetector: whatever bytes a detector is decoded from — a store
-// entry is outside input — DecodeDetector does not panic, allocates in
+// entry is outside input — its walk does not panic, allocates in
 // proportion to the input and not to a length the input claims, and
 // returns either the codec's corruption error or a detector that
 // re-encodes to exactly the bytes it was read from. What is left of a
@@ -25,29 +32,25 @@ func FuzzDecodeDetector(f *testing.F) {
 	d.Observe(attestation.Attestation{Validator: 1, Data: data(33, 1, 0, 0, 1, 10)})
 	d.Observe(attestation.Attestation{Validator: 1, Data: data(33, 2, 0, 0, 1, 20)})
 	d.Observe(attestation.Attestation{Validator: 3, Data: data(70, 3, 1, 10, 2, 30)})
-	var seed bytes.Buffer
-	d.EncodeTo(codec.NewWriter(&seed))
-	f.Add(seed.Bytes())
+	f.Add(encodeDetector(d.Detector))
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := codec.NewReader(bytes.NewReader(frame))
-		d := DecodeDetector(r)
+		d, c := NewDetector(), codec.NewDecoder(bytes.NewReader(frame))
+		d.Walk(c)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(frame))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(frame), grew)
 		}
-		if d == nil {
-			if !errors.Is(r.Err(), codec.ErrCorrupt) {
-				t.Fatalf("rejected with %v, want codec.ErrCorrupt", r.Err())
+		if c.Err() != nil {
+			if !errors.Is(c.Err(), codec.ErrCorrupt) {
+				t.Fatalf("rejected with %v, want codec.ErrCorrupt", c.Err())
 			}
 			return
 		}
-		var out bytes.Buffer
-		d.EncodeTo(codec.NewWriter(&out))
-		if out.Len() > len(frame) || !bytes.Equal(out.Bytes(), frame[:out.Len()]) {
-			t.Fatalf("accepted %d bytes that re-encode differently (%d bytes)", len(frame), out.Len())
+		if out := encodeDetector(d); len(out) > len(frame) || !bytes.Equal(out, frame[:len(out)]) {
+			t.Fatalf("accepted %d bytes that re-encode differently (%d bytes)", len(frame), len(out))
 		}
 	})
 }

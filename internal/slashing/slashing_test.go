@@ -282,11 +282,9 @@ func TestDetectorLongHistoriesKeepArrivalOrder(t *testing.T) {
 	}
 
 	clone := d.Clone()
-	var frame bytes.Buffer
-	d.EncodeTo(codec.NewWriter(&frame))
-	decoded := DecodeDetector(codec.NewReader(bytes.NewReader(frame.Bytes())))
-	if decoded == nil {
-		t.Fatal("frame does not decode")
+	decoded, c := NewDetector(), codec.NewDecoder(bytes.NewReader(encodeDetector(d.Detector)))
+	if decoded.Walk(c); c.Err() != nil {
+		t.Fatalf("frame does not decode: %v", c.Err())
 	}
 	for name, other := range map[string]*Detector{"clone": clone, "decoded": decoded} {
 		for v := types.ValidatorIndex(0); v < 10; v++ {
