@@ -54,13 +54,10 @@ type (
 // NewClient so every CLI and service layered on the client validates
 // -workers uniformly.
 type Client struct {
-	reg       *engine.Registry
-	workers   int
-	warm      *engine.WarmStartOptions
-	store     *store.Results
-	ckpts     *store.Checkpoints
-	ckptEvery int
-	wantCkpt  bool
+	// opt is the execution policy every run, sweep and table goes through:
+	// registry, pool width, warm start, checkpoints, and the result store
+	// as its result tier.
+	opt engine.Options
 }
 
 // ClientOption configures a Client (functional options).
@@ -73,7 +70,7 @@ func WithWorkers(n int) ClientOption {
 		if n < 0 {
 			return fmt.Errorf("gasperleak: workers = %d, want >= 0 (0 = all CPUs)", n)
 		}
-		c.workers = n
+		c.opt.Workers = n
 		return nil
 	}
 }
@@ -86,7 +83,7 @@ func WithWorkers(n int) ClientOption {
 // cell by cell.
 func WithWarmStart() ClientOption {
 	return func(c *Client) error {
-		c.warm = &engine.WarmStartOptions{}
+		c.opt.WarmStart = &engine.WarmStartOptions{}
 		return nil
 	}
 }
@@ -105,7 +102,7 @@ func WithResultStore(dir string) ClientOption {
 		if err != nil {
 			return fmt.Errorf("gasperleak: opening result store: %w", err)
 		}
-		c.store = st
+		c.opt.Results = st
 		return nil
 	}
 }
@@ -122,8 +119,7 @@ func WithResultStore(dir string) ClientOption {
 // reached before the sweep unwinds, and completed cells delete theirs.
 func WithCheckpoints(every int) ClientOption {
 	return func(c *Client) error {
-		c.wantCkpt = true
-		c.ckptEvery = every
+		c.opt.Checkpoint = &engine.CheckpointOptions{Every: every}
 		return nil
 	}
 }
@@ -135,7 +131,7 @@ func WithRegistry(reg *ScenarioRegistry) ClientOption {
 		if reg == nil {
 			return fmt.Errorf("gasperleak: WithRegistry(nil)")
 		}
-		c.reg = reg
+		c.opt.Registry = reg
 		return nil
 	}
 }
@@ -143,7 +139,7 @@ func WithRegistry(reg *ScenarioRegistry) ClientOption {
 // NewClient builds a client over the built-in scenario registry, all-CPU
 // sweeps, and no deadline, then applies the options in order.
 func NewClient(opts ...ClientOption) (*Client, error) {
-	c := &Client{reg: engine.Default}
+	c := &Client{opt: engine.Options{Registry: engine.Default}}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
 			return nil, err
@@ -151,105 +147,71 @@ func NewClient(opts ...ClientOption) (*Client, error) {
 	}
 	// Resolved after all options so WithCheckpoints and WithResultStore
 	// compose in either order.
-	if c.wantCkpt {
-		if c.store == nil {
+	if ck := c.opt.Checkpoint; ck != nil {
+		st := c.store()
+		if st == nil {
 			return nil, fmt.Errorf("gasperleak: WithCheckpoints requires WithResultStore (checkpoints live in the store directory)")
 		}
-		c.ckpts = c.store.Checkpoints()
+		ck.Store = st.Checkpoints()
 	}
 	return c, nil
 }
 
-// options is the engine view of the client's execution policy.
-func (c *Client) options() engine.Options {
-	o := engine.Options{Workers: c.workers, Registry: c.reg, WarmStart: c.warm}
-	if c.ckpts != nil {
-		o.Checkpoint = &engine.CheckpointOptions{Every: c.ckptEvery, Store: c.ckpts}
-	}
-	return o
+// store is the client's persistent store, nil without one.
+func (c *Client) store() *store.Results {
+	st, _ := c.opt.Results.(*store.Results)
+	return st
 }
 
 // Workers reports the configured sweep pool width (0 = all CPUs).
-func (c *Client) Workers() int { return c.workers }
+func (c *Client) Workers() int { return c.opt.Workers }
 
 // StoreStats reports the persistent store's footprint and hit/miss
 // counters; ok is false when the client has no store.
 func (c *Client) StoreStats() (stats store.Stats, ok bool) {
-	if c.store == nil {
-		return store.Stats{}, false
+	if st := c.store(); st != nil {
+		return st.Stats(), true
 	}
-	return c.store.Stats(), true
+	return store.Stats{}, false
 }
 
 // CheckpointStats reports the durable-checkpoint tier's counters; ok is
 // false when the client has no checkpoint tier (see WithCheckpoints).
 func (c *Client) CheckpointStats() (stats CheckpointStats, ok bool) {
-	if c.ckpts == nil {
-		return CheckpointStats{}, false
+	if ck := c.opt.Checkpoint; ck != nil {
+		return ck.Store.(*store.Checkpoints).Stats(), true
 	}
-	return c.ckpts.Stats(), true
+	return CheckpointStats{}, false
 }
 
 // Close releases the client's persistent store (no-op without one).
 // Reads from an already-open store keep working after Close; writes stop.
 func (c *Client) Close() error {
-	if c.store == nil {
-		return nil
+	if st := c.store(); st != nil {
+		return st.Close()
 	}
-	return c.store.Close()
-}
-
-// storeLookup consults the persistent store for one cell's canonical key.
-func (c *Client) storeLookup(cell SweepCell) (key string, res ScenarioResult, hit bool) {
-	if c.store == nil {
-		return "", ScenarioResult{}, false
-	}
-	key, ok := engine.CanonicalCellKey(c.reg, cell)
-	if !ok {
-		return "", ScenarioResult{}, false
-	}
-	res, hit = c.store.Get(key)
-	if hit {
-		res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
-	}
-	return key, res, hit
-}
-
-// storeSave writes a successful result through to the store (metadata
-// stripped; failures only cost a future recomputation).
-func (c *Client) storeSave(key string, res ScenarioResult) {
-	if c.store == nil || key == "" || res.Err != "" {
-		return
-	}
-	c.store.Put(key, res) //nolint:errcheck // a failed persist only costs a future recomputation
+	return nil
 }
 
 // Scenarios describes every registered scenario, sorted by name.
-func (c *Client) Scenarios() []ScenarioInfo { return c.reg.Infos() }
+func (c *Client) Scenarios() []ScenarioInfo { return c.opt.Registry.Infos() }
 
 // Lookup finds a scenario in the client's registry.
-func (c *Client) Lookup(name string) (Scenario, bool) { return c.reg.Lookup(name) }
+func (c *Client) Lookup(name string) (Scenario, bool) { return c.opt.Registry.Lookup(name) }
 
 // Run executes one scenario with cooperative cancellation: scenarios with
 // long internal loops (leaksim, bounce-mc, fig7-threshold, sim/partition)
-// observe ctx mid-run.
-// Repeated parameter points are served from the persistent store when one
-// is configured (WithResultStore), marked Cached in their metadata.
+// observe ctx mid-run. It is one cell through the engine's cell executor,
+// exactly as a sweep runs it: repeated parameter points are served from the
+// persistent store when one is configured (WithResultStore), marked Cached
+// in their metadata, and with a checkpoint tier eligible long-horizon runs
+// persist mid-run state and resume across invocations (an interrupted run
+// saves the epoch it reached on the way out).
 func (c *Client) Run(ctx context.Context, name string, p ScenarioParams) (ScenarioResult, error) {
-	cell := SweepCell{Scenario: name, Params: p}
-	key, cached, hit := c.storeLookup(cell)
-	if hit {
-		return cached, nil
-	}
-	// One cell through the engine's cell executor, exactly as a sweep
-	// runs it: with a checkpoint tier, eligible long-horizon runs persist
-	// mid-run state and resume across invocations (an interrupted run
-	// saves the epoch it reached on the way out).
-	res, err := engine.RunCell(ctx, c.reg, cell, c.options().Checkpoint)
+	res, err := engine.RunCell(ctx, SweepCell{Scenario: name, Params: p}, c.opt)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	c.storeSave(key, res)
 	return res, nil
 }
 
@@ -262,60 +224,13 @@ func (c *Client) Run(ctx context.Context, name string, p ScenarioParams) (Scenar
 // emitted first without recomputation and fresh computes are written
 // through; payloads stay bit-identical either way.
 func (c *Client) SweepStream(ctx context.Context, cells []SweepCell) <-chan SweepUpdate {
-	if c.store == nil {
-		return engine.SweepStream(ctx, cells, c.options())
-	}
-	// Split the sweep exactly as the serving layer does: stored cells are
-	// answered immediately, the rest go through the engine and are saved.
-	type pending struct {
-		index int
-		key   string
-	}
-	var cached []SweepUpdate
-	var todo []SweepCell
-	var meta []pending
-	for i, cell := range cells {
-		if key, res, hit := c.storeLookup(cell); hit {
-			cached = append(cached, SweepUpdate{Index: i, Result: res})
-		} else {
-			todo = append(todo, cell)
-			meta = append(meta, pending{index: i, key: key})
-		}
-	}
-	out := make(chan SweepUpdate)
-	go func() {
-		defer close(out)
-		completed := 0
-		emit := func(u SweepUpdate) {
-			completed++
-			u.Completed = completed
-			u.Total = len(cells)
-			out <- u
-		}
-		for _, u := range cached {
-			emit(u)
-		}
-		for u := range engine.SweepStream(ctx, todo, c.options()) {
-			p := meta[u.Index]
-			c.storeSave(p.key, u.Result)
-			u.Index = p.index
-			emit(u)
-		}
-	}()
-	return out
+	return engine.SweepStream(ctx, cells, c.opt)
 }
 
 // Sweep collects a streaming sweep into one result per cell, in cell
 // order. Unfinished cells after cancellation record the context error.
 func (c *Client) Sweep(ctx context.Context, cells []SweepCell) []ScenarioResult {
-	if c.store == nil {
-		return engine.SweepContext(ctx, cells, c.options())
-	}
-	results := make([]ScenarioResult, len(cells))
-	for u := range c.SweepStream(ctx, cells) {
-		results[u.Index] = u.Result
-	}
-	return results
+	return engine.SweepContext(ctx, cells, c.opt)
 }
 
 // SweepGrid expands a parameter grid and sweeps it.
@@ -325,40 +240,40 @@ func (c *Client) SweepGrid(ctx context.Context, g SweepGrid) []ScenarioResult {
 
 // RenderTable1 renders the paper's Table 1 over the client's pool.
 func (c *Client) RenderTable1(ctx context.Context, seed int64) (*ReportTable, error) {
-	return report.Table1(ctx, seed, c.options())
+	return report.Table1(ctx, seed, c.opt)
 }
 
 // RenderTable2 renders the paper's Table 2 over the client's pool.
 func (c *Client) RenderTable2(ctx context.Context) (*ReportTable, error) {
-	return report.Table2(ctx, c.options())
+	return report.Table2(ctx, c.opt)
 }
 
 // RenderTable3 renders the paper's Table 3 over the client's pool.
 func (c *Client) RenderTable3(ctx context.Context) (*ReportTable, error) {
-	return report.Table3(ctx, c.options())
+	return report.Table3(ctx, c.opt)
 }
 
 // Figure3Sim overlays the integer simulation on Figure 3's grid.
 func (c *Client) Figure3Sim(ctx context.Context, every int) (*Figure, error) {
-	return report.Figure3Sim(ctx, every, c.options())
+	return report.Figure3Sim(ctx, every, c.opt)
 }
 
 // Figure7Sim overlays the integer-simulation threshold boundary on
 // Figure 7.
 func (c *Client) Figure7Sim(ctx context.Context, points int) (*Figure, error) {
-	return report.Figure7Sim(ctx, points, c.options())
+	return report.Figure7Sim(ctx, points, c.opt)
 }
 
 // Figure10MonteCarlo overlays the integer Monte-Carlo on Figure 10.
 func (c *Client) Figure10MonteCarlo(ctx context.Context, beta0 float64, nHonest, runs int, seed int64) (*Figure, error) {
-	return report.Figure10MonteCarlo(ctx, beta0, nHonest, runs, seed, c.options())
+	return report.Figure10MonteCarlo(ctx, beta0, nHonest, runs, seed, c.opt)
 }
 
 // BounceMCSweep runs `runs` independent bouncing-attack trajectories and
 // returns the engine results plus the run-averaged exceed-probability
 // curve on the epoch grid sample, 2*sample, ..., horizon.
 func (c *Client) BounceMCSweep(ctx context.Context, p0, beta0 float64, n, runs int, seed int64, sample, horizon int) ([]ScenarioResult, []float64, error) {
-	return report.BounceMCSweep(ctx, p0, beta0, n, runs, seed, sample, horizon, c.options())
+	return report.BounceMCSweep(ctx, p0, beta0, n, runs, seed, sample, horizon, c.opt)
 }
 
 // SweepThroughput summarizes a sweep's pacing (cells/sec and cumulative

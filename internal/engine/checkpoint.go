@@ -94,7 +94,7 @@ func RunCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *Checkpoi
 	if _, _, ok := checkpointable(sc, cell.Params.WithDefaults(sc.Defaults()), ck); !ok {
 		return Result{}, false, nil
 	}
-	res, err = RunCell(ctx, reg, cell, ck)
+	res, err = RunCell(ctx, cell, Options{Registry: reg, Checkpoint: ck})
 	return res, true, err
 }
 

@@ -66,7 +66,7 @@ func BenchmarkResumeVsCold(b *testing.B) {
 			ms := newMemStore()
 			ms.data[key] = append([]byte(nil), blob.Bytes()...)
 			b.StartTimer()
-			r, err := RunCell(ctx, Default, cell, &CheckpointOptions{Every: -1, Store: ms})
+			r, err := RunCell(ctx, cell, Options{Registry: Default, Checkpoint: &CheckpointOptions{Every: -1, Store: ms}})
 			if err != nil {
 				b.Fatalf("checkpointed run: %v", err)
 			}

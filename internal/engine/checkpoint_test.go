@@ -537,7 +537,7 @@ func TestCheckpointCancelMidInterval(t *testing.T) {
 		{Scenario: ScenarioSimPartition, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3}},
 	} {
 		t.Run(cell.Scenario, func(t *testing.T) {
-			cold, err := RunCell(context.Background(), nil, cell, nil)
+			cold, err := RunCell(context.Background(), cell, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -546,7 +546,7 @@ func TestCheckpointCancelMidInterval(t *testing.T) {
 			ck := &CheckpointOptions{Every: every, Store: ms}
 			// One call before the cell starts, then one per epoch stepped.
 			ctx := &errAfter{Context: context.Background(), calls: 1 + landed}
-			interrupted, err := RunCell(ctx, nil, cell, ck)
+			interrupted, err := RunCell(ctx, cell, Options{Checkpoint: ck})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
@@ -554,7 +554,7 @@ func TestCheckpointCancelMidInterval(t *testing.T) {
 				t.Fatalf("interrupted run wrote %d checkpoints and left %d, want 2 written (epochs %d and %d) and the newest left", w, ms.len(), every, landed)
 			}
 
-			resumed, err := RunCell(context.Background(), nil, cell, ck)
+			resumed, err := RunCell(context.Background(), cell, Options{Checkpoint: ck})
 			if err != nil {
 				t.Fatal(err)
 			}

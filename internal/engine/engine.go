@@ -244,24 +244,16 @@ func (r *Registry) Names() []string {
 }
 
 // RunContext looks the scenario up, applies its defaults to p, executes it,
-// and stamps the result with the scenario name and effective parameters.
-// A cancelled context stops the run before it starts; after that,
-// cancellation is the scenario's to observe (Scenario.Run).
+// and stamps the result with the scenario name and effective parameters —
+// one cell through the cell executor, with no result tier and no
+// checkpoints. A cancelled context stops the run before it starts; after
+// that, cancellation is the scenario's to observe (Scenario.Run). On error
+// the Result is zero.
 func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Result, error) {
-	s, ok := r.Lookup(name)
-	if !ok {
-		return Result{}, r.unknown(name)
-	}
-	p = p.WithDefaults(s.Defaults())
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	res, err := s.Run(ctx, p)
+	res, err := runCell(ctx, r, Cell{Scenario: name, Params: p}, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Scenario = s.Name()
-	res.Params = p
 	return res, nil
 }
 

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -25,19 +25,36 @@ import (
 // effective runs. TestCellKeyCoversEveryParamsField fails if a parameter
 // field ever stops influencing the key.
 func CellKey(scenario string, p Params) string {
-	var b strings.Builder
-	b.WriteString(scenario)
-	rv := reflect.ValueOf(p)
-	rt := rv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if strings.HasPrefix(f.Tag.Get("json"), "-") {
-			continue
+	var buf [256]byte // a key is ~100 bytes: built on the stack, copied once
+	b := append(buf[:0], scenario...)
+	rv := reflect.ValueOf(&p).Elem()
+	for _, f := range keyFields {
+		b = append(append(append(b, '|'), f.Name...), '=')
+		// Each kind Params has is written as fmt's %v writes it, the format
+		// keys have always had: 'g' with the shortest precision for floats.
+		switch v := rv.Field(f.Index[0]); v.Kind() {
+		case reflect.Float64:
+			b = strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
+		case reflect.String:
+			b = append(b, v.String()...)
+		default:
+			b = strconv.AppendInt(b, v.Int(), 10)
 		}
-		fmt.Fprintf(&b, "|%s=%v", f.Name, rv.Field(i).Interface())
 	}
-	return b.String()
+	return string(b)
 }
+
+// keyFields lists the Params fields CellKey writes, in declaration order:
+// every field not tagged `json:"-"`.
+var keyFields = func() (fields []reflect.StructField) {
+	rt := reflect.TypeFor[Params]()
+	for i := range rt.NumField() {
+		if f := rt.Field(i); !strings.HasPrefix(f.Tag.Get("json"), "-") {
+			fields = append(fields, f)
+		}
+	}
+	return fields
+}()
 
 // CanonicalCellKey resolves a cell's canonical result key against a
 // registry, defaulting the params from the scenario. ok = false means the

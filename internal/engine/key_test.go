@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -86,5 +89,40 @@ func TestCanonicalCellKey(t *testing.T) {
 	}
 	if _, ok := CanonicalCellKey(Default, Cell{Scenario: "no-such"}); ok {
 		t.Error("unknown scenario must not resolve a key")
+	}
+}
+
+// TestCellKeyMatchesFormatReference: CellKey writes every key byte for
+// byte as the fmt-based format it replaced, which keyed every result store
+// and fixture written before it. The reference writes each field with %v.
+func TestCellKeyMatchesFormatReference(t *testing.T) {
+	reference := func(scenario string, p Params) string {
+		var b strings.Builder
+		b.WriteString(scenario)
+		rv := reflect.ValueOf(p)
+		for i := 0; i < rv.NumField(); i++ {
+			if f := rv.Type().Field(i); !strings.HasPrefix(f.Tag.Get("json"), "-") {
+				fmt.Fprintf(&b, "|%s=%v", f.Name, rv.Field(i).Interface())
+			}
+		}
+		return b.String()
+	}
+	floats := []float64{0, math.Copysign(0, -1), 0.1, 0.3, 1.0 / 3, 1e21, 1e20, 1e-7, 123456789.125, -2.5,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	ints := []int64{0, 1, -1, 255, 256, math.MaxInt64, math.MinInt64}
+	modes := []string{"", "double", "a|b=c"}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 2000; k++ {
+		p := Params{
+			P0: floats[rng.Intn(len(floats))], Beta0: rng.Float64(), Mode: modes[rng.Intn(len(modes))],
+			Seed: ints[rng.Intn(len(ints))], N: int(ints[rng.Intn(len(ints))]), Horizon: rng.Intn(5000) - 10,
+			Sample: rng.Int(), Rate: floats[rng.Intn(len(floats))], GST: -rng.Int(), Explicit: Field(rng.Intn(int(fieldEnd))),
+		}
+		if k%2 == 0 {
+			p.Beta0 = math.Float64frombits(rng.Uint64())
+		}
+		if got, want := CellKey("sim/gst", p), reference("sim/gst", p); got != want {
+			t.Fatalf("CellKey = %q, the %%v format writes %q", got, want)
+		}
 	}
 }

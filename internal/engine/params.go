@@ -177,7 +177,15 @@ type Params struct {
 
 // isZero reports whether a parameter value is zero, comparing with == (so
 // -0 counts).
-func isZero(v reflect.Value) bool { return v.Equal(reflect.Zero(v.Type())) }
+func isZero(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Float64:
+		return v.Float() == 0
+	case reflect.String:
+		return v.Len() == 0
+	}
+	return v.Int() == 0
+}
 
 // unset reports whether p leaves dimension d to the scenario default.
 func (p *Params) unset(d *paramDim, v reflect.Value) bool {
@@ -258,8 +266,17 @@ func DecodeParams(data []byte) (Params, error) {
 func (p Params) WithDefaults(d Params) Params {
 	v, dv := reflect.ValueOf(&p).Elem(), reflect.ValueOf(&d).Elem()
 	for _, d := range paramDims {
-		if p.unset(&d, v) {
-			v.Field(d.pi).Set(dv.Field(d.pi))
+		if !p.unset(&d, v) {
+			continue
+		}
+		// Set by kind: Value.Set would move both records to the heap.
+		switch f, def := v.Field(d.pi), dv.Field(d.pi); f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(def.Float())
+		case reflect.String:
+			f.SetString(def.String())
+		default:
+			f.SetInt(def.Int())
 		}
 	}
 	p.Explicit = FieldAll

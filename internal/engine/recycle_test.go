@@ -46,9 +46,9 @@ func TestRecycledSimulationMatchesFixture(t *testing.T) {
 	for k, i := range rand.New(rand.NewSource(31)).Perm(len(cells)) {
 		if k%7 == 0 {
 			ctx := &errAfter{Context: context.Background(), calls: 1 + k%5}
-			_, _ = RunCell(ctx, nil, cells[(i+1)%len(cells)], nil)
+			_, _ = RunCell(ctx, cells[(i+1)%len(cells)], Options{})
 		}
-		results[i], _ = RunCell(context.Background(), nil, cells[i], nil) // the fixture records the two rejected counts' errors
+		results[i], _ = RunCell(context.Background(), cells[i], Options{}) // the fixture records the two rejected counts' errors
 	}
 	got, err := json.MarshalIndent(StripMeta(results), "", " ")
 	if err != nil {
@@ -93,7 +93,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 	for i, c := range cells {
 		drainSpares()
 		var err error
-		if fresh[i], err = RunCell(ctx, nil, c, nil); err != nil {
+		if fresh[i], err = RunCell(ctx, c, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,9 +111,9 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		for k, j := range order {
 			i := j % len(cells)
 			if k%2 == 1 {
-				_, _ = RunCell(&errAfter{Context: ctx, calls: 1 + k%4}, nil, cells[(i+k)%len(cells)], nil)
+				_, _ = RunCell(&errAfter{Context: ctx, calls: 1 + k%4}, cells[(i+k)%len(cells)], Options{})
 			}
-			res, err := RunCell(ctx, nil, cells[i], nil)
+			res, err := RunCell(ctx, cells[i], Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		// the simulation the cell gives back.
 		frame := func(i int) []byte {
 			t.Helper()
-			res, err := RunCell(ctx, nil, cells[i], nil)
+			res, err := RunCell(ctx, cells[i], Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,13 +235,13 @@ func TestSpareSimulations(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"cold cell", func() error { _, err := RunCell(ctx, nil, Cell{Scenario: ScenarioSimPartition}, nil); return err }},
+		{"cold cell", func() error { _, err := RunCell(ctx, Cell{Scenario: ScenarioSimPartition}, Options{}); return err }},
 		{"stop-only spine", func() error {
 			cells := Grid{Scenario: ScenarioSimPartition, Horizons: []int{5, 6}}.Cells()
 			return FirstError(SweepContext(ctx, cells, Options{Workers: 1, WarmStart: &WarmStartOptions{}}))
 		}},
 		{"checkpoint runner", func() error {
-			_, err := RunCell(ctx, nil, Cell{Scenario: ScenarioSimPartition}, &CheckpointOptions{Every: 8, Store: newMemStore()})
+			_, err := RunCell(ctx, Cell{Scenario: ScenarioSimPartition}, Options{Checkpoint: &CheckpointOptions{Every: 8, Store: newMemStore()}})
 			return err
 		}},
 	} {

@@ -295,7 +295,7 @@ func parseValues(t reflect.Type, value string, room int, over func(float64) erro
 	return out, nil
 }
 
-// Options configures a sweep.
+// Options configures a sweep, or one cell (RunCell).
 type Options struct {
 	// Workers bounds concurrency; <= 0 means runtime.NumCPU().
 	Workers int
@@ -321,16 +321,35 @@ type Options struct {
 	// not yet crash-resumable).
 	Checkpoint *CheckpointOptions
 	// Dispatch, when non-nil, takes over cell execution entirely:
-	// SweepStream hands it the cells and the remaining options (Dispatch
-	// itself cleared, so a dispatcher may recurse into SweepStream for
-	// local execution) and returns its stream. This is the scale-out hook —
-	// the serving layer's coordinator routes cells to worker processes
+	// SweepStream hands it the cells the result tier did not answer and the
+	// remaining options (Dispatch and Results cleared, so a dispatcher may
+	// recurse into SweepStream for local execution) and returns its
+	// stream. This is the scale-out hook — the serving layer's
+	// coordinator routes cells to worker processes
 	// through it, a PrefixGroups group at a time when WarmStart is set so
 	// that each shared prefix is still simulated once — and it carries the
 	// same contract as SweepStream: one Update per cell, payloads
 	// bit-identical to a local sweep, the channel closed after the last
 	// cell, prompt close after cancellation.
 	Dispatch DispatchFunc
+	// Results, when non-nil, is the result tier cells are answered from
+	// before anything runs: a cell of a known scenario whose canonical key
+	// (CanonicalCellKey) it holds is emitted first, stamped Cached, and not
+	// computed; every other cell is computed, and each success is put back
+	// with its Meta stripped. The tier is consulted once, by Prepare or
+	// RunCell: it is cleared before Dispatch and the scheduler run.
+	Results ResultTier
+}
+
+// ResultTier holds finished results under their canonical cell key
+// (CellKey): the persistent store (internal/store), or a server's LRU in
+// front of it.
+type ResultTier interface {
+	// Get returns the result held under key.
+	Get(key string) (Result, bool)
+	// Put holds res, a success with its Meta stripped, under key. A failed
+	// Put only costs a future recomputation.
+	Put(key string, res Result) error
 }
 
 // DispatchFunc executes a sweep's cells somewhere other than the local
@@ -352,26 +371,109 @@ type Update struct {
 	Total int `json:"total"`
 }
 
+// Prepared is a sweep whose result tier (Options.Results) has been
+// consulted: the cells it held are ready to emit, the rest wait to be
+// computed. A server admits Misses cells before it streams. Stream it once.
+type Prepared struct {
+	opt  Options
+	hits []Update
+	todo []Cell
+	miss []miss // parallel to todo when there is a tier
+}
+
+// miss is where a computed cell goes: its position in the sweep, and the
+// canonical key its success is put under ("" for none).
+type miss struct {
+	index int
+	key   string
+}
+
+// Prepare looks every cell of a known scenario up in opt.Results. Without a
+// tier it builds no key and every cell is a miss.
+func Prepare(cells []Cell, opt Options) *Prepared {
+	p := &Prepared{opt: opt, todo: cells}
+	if opt.Results == nil {
+		return p
+	}
+	p.todo = nil
+	for i, c := range cells {
+		key, res, hit := lookup(opt.Registry, opt.Results, c)
+		if hit {
+			p.hits = append(p.hits, Update{Index: i, Result: res})
+			continue
+		}
+		p.todo = append(p.todo, c)
+		p.miss = append(p.miss, miss{i, key})
+	}
+	return p
+}
+
+// Misses counts the cells Stream will compute.
+func (p *Prepared) Misses() int { return len(p.todo) }
+
+// Stream emits the hits, then computes the misses — through opt.Dispatch
+// when set, otherwise through the scheduler (sched.go), one bounded worker
+// pool whose jobs each run one cell through the cell executor (runCell) —
+// and emits each as it completes, its success put to the tier first. Index
+// is the cell's position in the sweep; Completed runs 1..Total over hits
+// and misses together.
+func (p *Prepared) Stream(ctx context.Context) <-chan Update {
+	if p.opt.Results == nil {
+		return p.compute(ctx)
+	}
+	var updates <-chan Update
+	if len(p.todo) > 0 {
+		updates = p.compute(ctx)
+	}
+	out := make(chan Update)
+	go func() {
+		defer close(out)
+		total := len(p.hits) + len(p.todo)
+		for k, u := range p.hits {
+			u.Completed, u.Total = k+1, total
+			out <- u
+		}
+		if updates == nil {
+			return
+		}
+		completed := len(p.hits)
+		for u := range updates {
+			m := p.miss[u.Index]
+			save(p.opt.Results, m.key, u.Result)
+			completed++
+			u.Index, u.Completed, u.Total = m.index, completed, total
+			out <- u
+		}
+	}()
+	return out
+}
+
+// compute runs the misses with the tier cleared, through Dispatch (itself
+// cleared too, so a dispatcher may recurse into SweepStream for local
+// execution) or locally.
+func (p *Prepared) compute(ctx context.Context) <-chan Update {
+	opt := p.opt
+	opt.Results = nil
+	if d := opt.Dispatch; d != nil {
+		opt.Dispatch = nil
+		return d(ctx, p.todo, opt)
+	}
+	return schedule(ctx, p.todo, opt)
+}
+
 // SweepStream runs every cell and yields one Update per cell as it
-// completes (completion order, not cell order): through opt.Dispatch when
-// set, otherwise through the scheduler (sched.go) — one bounded worker pool
-// whose jobs each run one cell through the cell executor (runCell).
-// Cancellation is cooperative: once ctx is cancelled, cells already running
-// return early (scenarios observe ctx inside their loops) and
-// cells not yet started are marked with the context error without being
-// computed, so the stream closes promptly.
+// completes (completion order, not cell order): the prepared sweep
+// streamed, Prepare(cells, opt).Stream(ctx). Cancellation is cooperative:
+// once ctx is cancelled, cells already running return early (scenarios
+// observe ctx inside their loops) and cells not yet started are marked with
+// the context error without being computed, so the stream closes promptly.
 //
 // The caller must drain the channel; it is closed after the last cell.
 // Each computed cell's Result carries its wall-clock duration in
 // Result.Meta. The result payloads (Meta aside) are bit-identical for any
-// worker count, with or without warm start or checkpoints.
+// worker count, with or without warm start, checkpoints or a result tier.
 func SweepStream(ctx context.Context, cells []Cell, opt Options) <-chan Update {
-	if opt.Dispatch != nil {
-		d := opt.Dispatch
-		opt.Dispatch = nil
-		return d(ctx, cells, opt)
-	}
-	return schedule(ctx, cells, opt)
+	return Prepare(cells, opt).Stream(ctx)
 }
 
 // SweepContext collects a SweepStream into one Result per cell, in cell

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -103,5 +104,36 @@ func BenchmarkSweepThroughCoordinator(b *testing.B) {
 	})
 	if direct != nil && hop != nil && !reflect.DeepEqual(engine.StripMeta(direct), engine.StripMeta(hop)) {
 		b.Fatal("the coordinator's payload diverges from the direct server's")
+	}
+}
+
+// BenchmarkServeHit measures one POST /run answered from a primed LRU, the
+// path each of serve-mix's 2,500 hits takes: body decode, the cell's key,
+// the tier lookup, the response encode. It goes through Handler() into an
+// httptest.ResponseRecorder, so no socket or HTTP framing is counted. CI
+// gates its allocs/op and B/op (cmd/benchgate/gates.json).
+func BenchmarkServeHit(b *testing.B) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	body := []byte(`{"scenario":"analytic/conflict","params":{"p0":0.3}}`)
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serve() // prime the LRU
+	var rec *httptest.ResponseRecorder
+	b.ReportAllocs()
+	for b.Loop() {
+		rec = serve()
+	}
+	if !strings.Contains(rec.Body.String(), `"cached":true`) {
+		b.Fatalf("a primed /run was not answered from the LRU: %s", rec.Body)
 	}
 }

@@ -336,25 +336,12 @@ collect:
 	if err := ctx.Err(); err != nil {
 		for i := range results {
 			if results[i] == nil {
-				res := failedDispatch(opt.Registry, cells[i], err.Error())
+				res := engine.FailedCell(opt.Registry, cells[i], err)
 				results[i] = &res
 			}
 		}
 	}
 	emitInOrder()
-}
-
-// failedDispatch mirrors the engine's failedCell: record the error on the
-// defaulted params when the scenario is known.
-func failedDispatch(reg *engine.Registry, cell engine.Cell, errText string) engine.Result {
-	if reg == nil {
-		reg = engine.Default
-	}
-	p := cell.Params
-	if s, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(s.Defaults())
-	}
-	return engine.Result{Scenario: cell.Scenario, Params: p, Err: errText}
 }
 
 // busyError is a worker's 429: full, and asking to be asked again after

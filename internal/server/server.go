@@ -29,7 +29,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -114,17 +113,56 @@ type Config struct {
 
 // Server serves the scenario registry over HTTP.
 type Server struct {
-	reg        *engine.Registry
-	workers    int
-	cache      *resultCache
-	store      *store.Results
-	ckpts      *store.Checkpoints
-	ckptEvery  int
-	warm       bool
+	// opt is the policy every cell is answered under: registry, pool width,
+	// warm start, checkpoints, the coordinator's dispatch, and results as
+	// the result tier. /sweep overrides Workers and WarmStart per request.
+	opt        engine.Options
+	results    resultTier
 	coord      *coordinator
 	queueDepth int
 	maxBody    int64
 	metrics    *metrics
+}
+
+// resultTier is the server's engine.ResultTier: the LRU in front of the
+// persistent store, either of which may be absent, counting the cells each
+// answers into /metrics.
+type resultTier struct {
+	cache   *resultCache
+	store   *store.Results
+	metrics *metrics
+}
+
+// Get consults the LRU, then the store. A store hit is promoted into the
+// LRU so the next lookup stays in memory.
+func (t *resultTier) Get(key string) (engine.Result, bool) {
+	if t.cache != nil {
+		if res, ok := t.cache.get(key); ok {
+			t.metrics.cellsFromLRU.Add(1)
+			return res, true
+		}
+	}
+	if t.store != nil {
+		if res, ok := t.store.Get(key); ok {
+			if t.cache != nil {
+				t.cache.add(key, res)
+			}
+			t.metrics.cellsFromStore.Add(1)
+			return res, true
+		}
+	}
+	return engine.Result{}, false
+}
+
+// Put writes a result through both tiers.
+func (t *resultTier) Put(key string, res engine.Result) error {
+	if t.cache != nil {
+		t.cache.add(key, res)
+	}
+	if t.store != nil {
+		return t.store.Put(key, res)
+	}
+	return nil
 }
 
 // New validates cfg and builds a Server.
@@ -137,31 +175,35 @@ func New(cfg Config) (*Server, error) {
 		reg = engine.Default
 	}
 	s := &Server{
-		reg:     reg,
-		workers: cfg.Workers,
-		warm:    cfg.WarmStart,
+		opt:     engine.Options{Registry: reg, Workers: cfg.Workers},
 		metrics: newMetrics(),
+	}
+	s.results.metrics = s.metrics
+	if cfg.WarmStart {
+		s.opt.WarmStart = &engine.WarmStartOptions{}
 	}
 	if cfg.CacheSize >= 0 {
 		size := cfg.CacheSize
 		if size == 0 {
 			size = DefaultCacheSize
 		}
-		s.cache = newResultCache(size)
+		s.results.cache = newResultCache(size)
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.OpenResults(cfg.StoreDir)
 		if err != nil {
 			return nil, fmt.Errorf("server: opening result store: %w", err)
 		}
-		s.store = st
+		s.results.store = st
 		if cfg.CheckpointEvery >= 0 {
 			// The checkpoint tier shares the result store's directory:
 			// a worker's -store holds its results and its in-flight
 			// checkpoints, so crash resume needs no extra configuration.
-			s.ckpts = st.Checkpoints()
-			s.ckptEvery = cfg.CheckpointEvery
+			s.opt.Checkpoint = &engine.CheckpointOptions{Every: cfg.CheckpointEvery, Store: st.Checkpoints()}
 		}
+	}
+	if s.results.cache != nil || s.results.store != nil {
+		s.opt.Results = &s.results
 	}
 	if len(cfg.Shards) > 0 {
 		coord, err := newCoordinator(cfg.Shards, cfg.ShardInflight, cfg.ShardCellTimeout, s.metrics)
@@ -169,6 +211,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.coord = coord
+		s.opt.Dispatch = coord.dispatch
 	}
 	s.queueDepth = cfg.QueueDepth
 	if s.queueDepth == 0 {
@@ -185,19 +228,24 @@ func New(cfg Config) (*Server, error) {
 // calls it after draining in-flight requests). The in-memory tiers need
 // no teardown.
 func (s *Server) Close() error {
-	if s.store != nil {
-		return s.store.Close()
+	if s.results.store != nil {
+		return s.results.store.Close()
 	}
 	return nil
 }
 
 // Store exposes the persistent tier (nil when disabled); tests use it to
 // inspect and damage entries.
-func (s *Server) Store() *store.Results { return s.store }
+func (s *Server) Store() *store.Results { return s.results.store }
 
 // Checkpoints exposes the durable checkpoint tier (nil when disabled);
 // tests use it to plant, inspect, and damage mid-cell checkpoints.
-func (s *Server) Checkpoints() *store.Checkpoints { return s.ckpts }
+func (s *Server) Checkpoints() *store.Checkpoints {
+	if s.opt.Checkpoint == nil {
+		return nil
+	}
+	return s.opt.Checkpoint.Store.(*store.Checkpoints)
+}
 
 // Handler returns the HTTP routing for the service.
 func (s *Server) Handler() http.Handler {
@@ -265,114 +313,62 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // handleScenarios lists the registry.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.Infos())
-}
-
-// lookup consults the cache tiers in order — LRU, then the persistent
-// store. A store hit is promoted into the LRU so the next lookup stays in
-// memory.
-func (s *Server) lookup(key string) (engine.Result, bool) {
-	if s.cache != nil {
-		if res, ok := s.cache.get(key); ok {
-			s.metrics.cellsFromLRU.Add(1)
-			return res, true
-		}
-	}
-	if s.store != nil {
-		if res, ok := s.store.Get(key); ok {
-			if s.cache != nil {
-				s.cache.add(key, res)
-			}
-			s.metrics.cellsFromStore.Add(1)
-			return res, true
-		}
-	}
-	return engine.Result{}, false
-}
-
-// save writes a computed result through every cache tier (metadata
-// stripped: the tiers hold only the deterministic payload).
-func (s *Server) save(key string, res engine.Result) {
-	payload := res.WithoutMeta()
-	if s.cache != nil {
-		s.cache.add(key, payload)
-	}
-	if s.store != nil {
-		s.store.Put(key, payload) //nolint:errcheck // a failed persist only costs a future recomputation
-	}
-}
-
-// caching reports whether any cache tier is active.
-func (s *Server) caching() bool { return s.cache != nil || s.store != nil }
-
-// runRequest is the POST /run body. engine.Params decodes presence-aware
-// (its UnmarshalJSON marks every key present in the document), so an
-// explicit zero like {"rate": 0} survives defaulting as-is.
-type runRequest struct {
-	Scenario string        `json:"scenario"`
-	Params   engine.Params `json:"params"`
+	writeJSON(w, http.StatusOK, s.opt.Registry.Infos())
 }
 
 // handleRun executes one scenario, serving repeated parameter points from
-// the cache tiers (LRU, then disk). Coordinators compute /run in-process
-// too: a coordinator is a complete serve instance, and a single cell does
-// not fan out.
+// the result tier (LRU, then disk). Coordinators compute /run in-process
+// too, and cold: a coordinator is a complete serve instance, and a single
+// cell neither fans out nor shares a prefix.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if s.decodeBody(w, r, &req) {
+	// The body is the cell: {"scenario": ..., "params": {...}}. Params
+	// decode presence-aware (engine.Params.UnmarshalJSON marks every key
+	// present in the document), so an explicit zero like {"rate": 0}
+	// survives defaulting as-is.
+	cell := make([]engine.Cell, 1)
+	if s.decodeBody(w, r, &cell[0]) {
 		return
 	}
-	sc, ok := s.reg.Lookup(req.Scenario)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown scenario %q", req.Scenario)
+	scenario := cell[0].Scenario
+	if _, ok := s.opt.Registry.Lookup(scenario); !ok {
+		writeError(w, http.StatusNotFound, "unknown scenario %q", scenario)
 		return
 	}
-	key := engine.CellKey(req.Scenario, req.Params.WithDefaults(sc.Defaults()))
-	if res, ok := s.lookup(key); ok {
-		res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	release, ok := s.admit(w, 1)
+	opt := s.opt
+	opt.WarmStart, opt.Dispatch = nil, nil
+	run := engine.Prepare(cell, opt)
+	release, ok := s.admit(w, run.Misses())
 	if !ok {
 		return
 	}
 	defer release()
 	// One cell through the engine's cell executor, exactly as /sweep runs
 	// it — an interrupted checkpointable /run resumes on the next ask.
-	res, err := engine.RunCell(r.Context(), s.reg, engine.Cell{Scenario: req.Scenario, Params: req.Params}, s.checkpointOptions())
-	if err != nil {
-		// A cancelled request context is a server-side abort (client
+	res := (<-run.Stream(r.Context())).Result
+	if res.Err != "" {
+		// A cell the request's end cut short is a server-side abort (client
 		// disconnect or graceful shutdown), not a bad request.
 		status := http.StatusBadRequest
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if r.Context().Err() != nil {
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, "scenario %q: %v", req.Scenario, err)
+		writeError(w, status, "scenario %q: %s", scenario, res.Err)
 		return
 	}
 	s.recordCell(res, false)
-	s.save(key, res)
 	writeJSON(w, http.StatusOK, res)
 }
 
-// checkpointOptions is the durable-checkpoint policy cells run under (nil
-// without a checkpoint tier).
-func (s *Server) checkpointOptions() *engine.CheckpointOptions {
-	if s.ckpts == nil {
-		return nil
-	}
-	return &engine.CheckpointOptions{Every: s.ckptEvery, Store: s.ckpts}
-}
-
-// recordCell counts one successfully answered cell into /metrics. Resume
-// provenance rides RunMeta whether the cell ran here or on a remote
-// worker; either way this server answered it. In coordinator mode sweep
-// cells were computed elsewhere (the ledger tracks them as remote; the
-// local-fallback path records its own compute), so only in-process work
-// counts as computed — /run always is.
+// recordCell counts one successfully answered cell into /metrics; a
+// failure counts nowhere, and a cell the result tier answered was counted
+// there. Resume provenance rides
+// RunMeta whether the cell ran here or on a remote worker; either way this
+// server answered it. In coordinator mode sweep cells were computed
+// elsewhere (the ledger tracks them as remote; the local-fallback path
+// records its own compute), so only in-process work counts as computed —
+// /run always is.
 func (s *Server) recordCell(res engine.Result, remote bool) {
-	if res.Meta == nil {
+	if res.Err != "" || res.Meta == nil || res.Meta.Cached {
 		return
 	}
 	if ck := res.Meta.Checkpoint; ck != nil && ck.Resumed {
@@ -403,9 +399,9 @@ type sweepRequest struct {
 }
 
 // handleSweep expands the requested sweep and streams one NDJSON update
-// per cell. Cells whose (scenario, canonical params) are cached — in the
-// LRU or the persistent store — are emitted immediately without
-// recomputation; the rest are computed in-process (completion order) or,
+// per cell. Cells the result tier holds — in the LRU or the persistent
+// store — are emitted first without recomputation, and only the rest are
+// admitted; they are computed in-process (completion order) or,
 // in coordinator mode, dispatched over the workers and streamed in
 // deterministic cell order. Once the request's context has ended, the
 // stream stops at the first failed cell instead of reporting the
@@ -425,7 +421,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "body wants cells, or scenario plus sweep spec")
 			return
 		}
-		if _, ok := s.reg.Lookup(req.Scenario); !ok {
+		if _, ok := s.opt.Registry.Lookup(req.Scenario); !ok {
 			writeError(w, http.StatusNotFound, "unknown scenario %q", req.Scenario)
 			return
 		}
@@ -436,39 +432,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		cells = grid.FillFrom(req.Params).Cells()
 	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.workers
+	opt := s.opt
+	if req.Workers > 0 {
+		opt.Workers = req.Workers
 	}
-	warm := s.warm
 	if req.Warm != nil {
-		warm = *req.Warm
-	}
-
-	// Split the sweep: cells cached in any tier are answered without
-	// recomputation, the rest go through the streaming engine (or the
-	// coordinator's dispatch).
-	type pending struct {
-		index int
-		key   string
-		ok    bool // key resolvable (known scenario)
-	}
-	var cached []engine.Update
-	var todo []engine.Cell
-	var meta []pending
-	for i, cell := range cells {
-		key, ok := engine.CanonicalCellKey(s.reg, cell)
-		if ok && s.caching() {
-			if res, hit := s.lookup(key); hit {
-				res.Meta = engine.RunMeta{Cached: true}.Merged(res.Meta)
-				cached = append(cached, engine.Update{Index: i, Result: res})
-				continue
-			}
+		opt.WarmStart = nil
+		if *req.Warm {
+			opt.WarmStart = &engine.WarmStartOptions{}
 		}
-		todo = append(todo, cell)
-		meta = append(meta, pending{index: i, key: key, ok: ok})
 	}
-	release, ok := s.admit(w, len(todo))
+	sweep := engine.Prepare(cells, opt)
+	release, ok := s.admit(w, sweep.Misses())
 	if !ok {
 		return
 	}
@@ -478,29 +453,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	total := len(cells)
-	completed := 0
-	emit := func(u engine.Update) {
-		completed++
-		u.Completed = completed
-		u.Total = total
-		enc.Encode(u) //nolint:errcheck // disconnects surface via the request context
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for _, u := range cached {
-		emit(u)
-	}
-	opt := engine.Options{Workers: workers, Registry: s.reg}
-	if warm {
-		opt.WarmStart = &engine.WarmStartOptions{}
-	}
-	opt.Checkpoint = s.checkpointOptions()
-	if s.coord != nil {
-		opt.Dispatch = s.coord.dispatch
-	}
-	updates := engine.SweepStream(r.Context(), todo, opt)
+	updates := sweep.Stream(r.Context())
 	for u := range updates {
 		if u.Result.Err != "" && r.Context().Err() != nil {
 			// A cell the request's end cut short is not a result: end the
@@ -510,15 +463,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		p := meta[u.Index]
-		if u.Result.Err == "" {
-			if p.ok {
-				s.save(p.key, u.Result)
-			}
-			s.recordCell(u.Result, s.coord != nil)
+		s.recordCell(u.Result, s.coord != nil)
+		enc.Encode(u) //nolint:errcheck // disconnects surface via the request context
+		if flusher != nil {
+			flusher.Flush()
 		}
-		u.Index = p.index
-		emit(u)
 	}
 }
 
@@ -527,22 +476,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":    "ok",
-		"scenarios": len(s.reg.Names()),
+		"scenarios": len(s.opt.Registry.Names()),
 	}
-	if s.cache != nil {
-		hits, misses := s.cache.stats()
+	if cache := s.results.cache; cache != nil {
+		hits, misses := cache.stats()
 		body["cache"] = map[string]uint64{
-			"entries": uint64(s.cache.len()),
+			"entries": uint64(cache.len()),
 			"hits":    hits,
 			"misses":  misses,
 		}
 	}
-	if s.store != nil {
-		body["store"] = s.store.Stats()
+	if st := s.results.store; st != nil {
+		body["store"] = st.Stats()
 	}
-	if s.ckpts != nil {
+	if ck := s.Checkpoints(); ck != nil {
 		body["checkpoints"] = checkpointMetrics{
-			CheckpointStats: s.ckpts.Stats(),
+			CheckpointStats: ck.Stats(),
 			Resumed:         s.metrics.cellsResumed.Load(),
 			EpochsSaved:     s.metrics.checkpointEpochsSaved.Load(),
 		}
@@ -617,21 +566,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.Queue.Depth = s.metrics.admitted.Load()
 	resp.Queue.Limit = s.queueDepth
 	resp.Queue.Rejected = s.metrics.rejected.Load()
-	if s.cache != nil {
-		hits, misses := s.cache.stats()
+	if cache := s.results.cache; cache != nil {
+		hits, misses := cache.stats()
 		resp.Cache = &struct {
 			Entries int    `json:"entries"`
 			Hits    uint64 `json:"hits"`
 			Misses  uint64 `json:"misses"`
-		}{Entries: s.cache.len(), Hits: hits, Misses: misses}
+		}{Entries: cache.len(), Hits: hits, Misses: misses}
 	}
-	if s.store != nil {
-		st := s.store.Stats()
-		resp.Store = &st
+	if st := s.results.store; st != nil {
+		stats := st.Stats()
+		resp.Store = &stats
 	}
-	if s.ckpts != nil {
+	if ck := s.Checkpoints(); ck != nil {
 		resp.Checkpoints = &checkpointMetrics{
-			CheckpointStats: s.ckpts.Stats(),
+			CheckpointStats: ck.Stats(),
 			Resumed:         s.metrics.cellsResumed.Load(),
 			EpochsSaved:     s.metrics.checkpointEpochsSaved.Load(),
 		}
