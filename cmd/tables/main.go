@@ -49,16 +49,11 @@ func run(ctx context.Context, w io.Writer, table int, seed int64, workers int, j
 	if jsonOut {
 		return runJSON(ctx, w, c, want, seed)
 	}
-	render := map[int]func() (*gasperleak.ReportTable, error){
-		1: func() (*gasperleak.ReportTable, error) { return c.RenderTable1(ctx, seed) },
-		2: func() (*gasperleak.ReportTable, error) { return c.RenderTable2(ctx) },
-		3: func() (*gasperleak.ReportTable, error) { return c.RenderTable3(ctx) },
-	}
 	for n := 1; n <= 3; n++ {
 		if !want(n) {
 			continue
 		}
-		t, err := render[n]()
+		t, err := c.RenderTable(ctx, n, seed)
 		if err != nil {
 			return err
 		}
@@ -77,11 +72,10 @@ func runJSON(ctx context.Context, w io.Writer, c *gasperleak.Client, want func(i
 	if want(1) {
 		cells = append(cells, gasperleak.Table1Cells(seed)...)
 	}
-	if want(2) {
-		cells = append(cells, gasperleak.Table2Cells()...)
-	}
-	if want(3) {
-		cells = append(cells, gasperleak.Table3Cells()...)
+	for n := 2; n <= 3; n++ {
+		if want(n) {
+			cells = append(cells, gasperleak.TableCells(n)...)
+		}
 	}
 	results := c.Sweep(ctx, cells)
 	if err := gasperleak.SweepFirstError(results); err != nil {

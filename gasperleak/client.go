@@ -238,19 +238,13 @@ func (c *Client) SweepGrid(ctx context.Context, g SweepGrid) []ScenarioResult {
 	return c.Sweep(ctx, g.Cells())
 }
 
-// RenderTable1 renders the paper's Table 1 over the client's pool.
-func (c *Client) RenderTable1(ctx context.Context, seed int64) (*ReportTable, error) {
-	return report.Table1(ctx, seed, c.opt)
-}
-
-// RenderTable2 renders the paper's Table 2 over the client's pool.
-func (c *Client) RenderTable2(ctx context.Context) (*ReportTable, error) {
-	return report.Table2(ctx, c.opt)
-}
-
-// RenderTable3 renders the paper's Table 3 over the client's pool.
-func (c *Client) RenderTable3(ctx context.Context) (*ReportTable, error) {
-	return report.Table3(ctx, c.opt)
+// RenderTable renders the paper's Table n (1, 2 or 3) over the client's
+// pool; seed drives Table 1's Monte-Carlo row.
+func (c *Client) RenderTable(ctx context.Context, n int, seed int64) (*ReportTable, error) {
+	if n == 1 {
+		return report.Table1(ctx, seed, c.opt)
+	}
+	return report.BetaTable(ctx, n, c.opt)
 }
 
 // Figure3Sim overlays the integer simulation on Figure 3's grid.

@@ -28,8 +28,12 @@ func TestPublicEngineWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := res.Metric("conflict_epoch"); !ok || v < 3100 || v > 3115 {
-		t.Errorf("conflict_epoch = %v, want ~3108", v)
+	bc, err := gasperleak.PaperParams().ConflictingFinalization(gasperleak.WithSlashing, 0.5, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := res.Metric("conflict_epoch"); !ok || v != bc.ConflictEpoch {
+		t.Errorf("conflict_epoch = %v, want %v", v, bc.ConflictEpoch)
 	}
 
 	g, err := gasperleak.ParseGrid("analytic/threshold", "p0=0.3,0.5,0.7")
@@ -70,7 +74,7 @@ func TestPublicEngineWrappers(t *testing.T) {
 	if gasperleak.DeriveSeed(1, 0.5, 0.2, "double", 0) == gasperleak.DeriveSeed(2, 0.5, 0.2, "double", 0) {
 		t.Error("DeriveSeed must depend on the base seed")
 	}
-	if len(gasperleak.Table1Cells(1)) != 5 || len(gasperleak.Table2Cells()) != 5 || len(gasperleak.Table3Cells()) != 5 {
+	if len(gasperleak.Table1Cells(1)) != 5 || len(gasperleak.TableCells(2)) != 5 || len(gasperleak.TableCells(3)) != 5 {
 		t.Error("table cell lists must have 5 cells each")
 	}
 }

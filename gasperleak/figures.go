@@ -28,11 +28,9 @@ func Figure9(t float64) *Figure { return report.Figure9(t) }
 // Figure10 regenerates Figure 10 (Equation 24 probability curves).
 func Figure10() *Figure { return report.Figure10() }
 
-// Table2Cells lists the engine sweep behind Table 2.
-func Table2Cells() []SweepCell { return report.Table2Cells() }
-
-// Table3Cells lists the engine sweep behind Table 3.
-func Table3Cells() []SweepCell { return report.Table3Cells() }
+// TableCells lists the engine sweep behind Table 2 (n = 2) or Table 3
+// (n = 3); Table1Cells lists Table 1's.
+func TableCells(n int) []SweepCell { return report.TableCells(n) }
 
 // FormatEpoch renders an epoch count with its wall-clock duration.
 func FormatEpoch(epochs float64) string { return report.FormatEpoch(epochs) }

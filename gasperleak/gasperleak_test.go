@@ -16,15 +16,19 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(res.ConflictEpoch); got < 3105 || got > 3112 {
-		t.Errorf("quickstart conflict epoch = %d, want ~3108", got)
+	bc, err := gasperleak.PaperParams().ConflictingFinalization(gasperleak.WithSlashing, 0.5, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(res.ConflictEpoch); math.Abs(got-bc.ConflictEpoch) > 2 {
+		t.Errorf("quickstart conflict epoch = %v, want within 2 of Equation 9's %v", got, bc.ConflictEpoch)
 	}
 }
 
 func TestPublicAnalytic(t *testing.T) {
 	p := gasperleak.PaperParams()
-	if got := p.ThresholdBeta0(0.5); math.Abs(got-0.2421) > 5e-4 {
-		t.Errorf("ThresholdBeta0 = %v, want 0.2421", got)
+	if got := p.ThresholdBeta0(0.5); p.ExceedsOnBothBranches(0.5, got-0.01) || !p.ExceedsOnBothBranches(0.5, got+0.01) {
+		t.Errorf("ThresholdBeta0 = %v is not the both-branches boundary", got)
 	}
 	if gasperleak.StakeActive(100) != 32 {
 		t.Error("StakeActive must be 32")
@@ -43,8 +47,8 @@ func TestPublicAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bc.ConflictEpoch != 3108 {
-		t.Errorf("conflict epoch = %v, want 3108", bc.ConflictEpoch)
+	if want := math.Ceil(p.ConflictEpochSlashing(0.5, 0.2)) + 1; bc.ConflictEpoch != want {
+		t.Errorf("conflict epoch = %v, want %v", bc.ConflictEpoch, want)
 	}
 }
 
@@ -153,14 +157,10 @@ func TestPublicFigureWrappers(t *testing.T) {
 	if f, err := c.Figure10MonteCarlo(ctx, 0.33, 50, 1, 1); err != nil || len(f.Series) != 2 {
 		t.Errorf("Figure10MonteCarlo wrapper: %v", err)
 	}
-	for n, f := range map[string]func() (*gasperleak.ReportTable, error){
-		"t1": func() (*gasperleak.ReportTable, error) { return c.RenderTable1(ctx, 1) },
-		"t2": func() (*gasperleak.ReportTable, error) { return c.RenderTable2(ctx) },
-		"t3": func() (*gasperleak.ReportTable, error) { return c.RenderTable3(ctx) },
-	} {
-		tbl, err := f()
+	for n := 1; n <= 3; n++ {
+		tbl, err := c.RenderTable(ctx, n, 1)
 		if err != nil || len(tbl.Rows) == 0 {
-			t.Errorf("%s: %v", n, err)
+			t.Errorf("table %d: %v", n, err)
 		}
 	}
 }

@@ -38,12 +38,15 @@ func TestBounceWindowConditions(t *testing.T) {
 	}
 }
 
-// TestPaperContinuationProbability pins Section 5.3's estimate: reaching
-// epoch 7000 with j=8, beta0=1/3 has probability 1.01e-121.
+// TestPaperContinuationProbability: Section 5.3's estimate is the k-th
+// power of the per-epoch probability that one of the first j proposers is
+// Byzantine, compared in log space, where the power is a product. (The
+// paper's 1.01e-121 is a row of report.Claims.)
 func TestPaperContinuationProbability(t *testing.T) {
 	got := BounceContinuationProbability(1.0/3.0, 8, 7000)
-	if got < 0.9e-121 || got > 1.1e-121 {
-		t.Errorf("continuation probability = %e, want ~1.01e-121", got)
+	want := 7000 * math.Log1p(-math.Pow(2.0/3.0, 8))
+	if math.Abs(math.Log(got)-want) > 1e-9 {
+		t.Errorf("log continuation probability = %v, want %v", math.Log(got), want)
 	}
 }
 

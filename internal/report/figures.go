@@ -291,7 +291,8 @@ func Figure10MonteCarlo(ctx context.Context, beta0 float64, nHonest, runs int, s
 
 // Table1 renders the scenario overview (paper Table 1) with both analytic
 // and simulated outcomes, running the five scenario cells per opt.Workers
-// (<= 0 = all CPUs).
+// (<= 0 = all CPUs) through opt.Registry (nil = the default), whose
+// descriptions name the rows.
 func Table1(ctx context.Context, seed int64, opt engine.Options) (*Table, error) {
 	results := engine.SweepContext(ctx, engine.Table1Cells(seed), opt)
 	if err := engine.FirstError(results); err != nil {
@@ -301,9 +302,13 @@ func Table1(ctx context.Context, seed int64, opt engine.Options) (*Table, error)
 		Title:   "Table 1: scenarios and outcomes",
 		Headers: []string{"scenario", "name", "p0", "beta0", "outcome", "analytic", "simulated"},
 	}
+	reg := opt.Registry
+	if reg == nil {
+		reg = engine.Default
+	}
 	for _, r := range results {
 		name := ""
-		if s, ok := engine.Lookup(r.Scenario); ok {
+		if s, ok := reg.Lookup(r.Scenario); ok {
 			name = s.Description()
 		}
 		an, _ := r.Metric("analytic_epoch")
@@ -319,94 +324,44 @@ func Table1(ctx context.Context, seed int64, opt engine.Options) (*Table, error)
 	return t, nil
 }
 
-// tableBetas are the beta0 rows of the paper's Tables 2-3.
-var tableBetas = []float64{0, 0.1, 0.15, 0.2, 0.33}
-
-// tableCells builds the Tables 2-3 sweep: one full-scale leaksim cell per
-// beta0 row, Byzantine strategy `mode` (absent at beta0 = 0).
-func tableCells(mode string) []engine.Cell {
-	cells := make([]engine.Cell, 0, len(tableBetas))
-	for _, b := range tableBetas {
-		m := mode
-		if b == 0 {
-			m = "absent"
-		}
-		cells = append(cells, engine.Cell{Scenario: engine.ScenarioLeakSim, Params: engine.Params{
-			P0: 0.5, Beta0: b, Mode: m, N: 10000, Horizon: 9000,
-		}})
-	}
-	return cells
+// betaTables titles the paper's Tables 2 and 3 and heads their analytic
+// column.
+var betaTables = map[int][2]string{
+	2: {"Table 2: epochs to conflicting finalization, double-voting Byzantine (p0=0.5)", "analytic (Eq 9)"},
+	3: {"Table 3: epochs to conflicting finalization, semi-active Byzantine (p0=0.5)", "analytic (Eq 10)"},
 }
 
-// Table2Cells lists the engine sweep behind Table 2 (double voting).
-func Table2Cells() []engine.Cell { return tableCells("double") }
-
-// Table3Cells lists the engine sweep behind Table 3 (semi-active).
-func Table3Cells() []engine.Cell { return tableCells("semi") }
-
-// Table2 renders the paper's Table 2 (slashing behavior): paper value,
-// continuous model, and exact integer simulation per beta0. The beta0
-// cells run per opt.Workers (<= 0 = all CPUs).
-func Table2(ctx context.Context, opt engine.Options) (*Table, error) {
-	results := engine.SweepContext(ctx, Table2Cells(), opt)
+// BetaTable renders the paper's Table 2 (n = 2, slashing behavior) or
+// Table 3 (n = 3, semi-active behavior) from their Claims: per beta0 row,
+// the paper value, the continuous model, and the exact integer
+// simulation. The integer cells run per opt.Workers (<= 0 = all CPUs).
+func BetaTable(ctx context.Context, n int, opt engine.Options) (*Table, error) {
+	head, ok := betaTables[n]
+	if !ok {
+		return nil, fmt.Errorf("report: no beta0 table %d (want 2 or 3)", n)
+	}
+	results := engine.SweepContext(ctx, TableCells(n), opt)
 	if err := engine.FirstError(results); err != nil {
-		return nil, fmt.Errorf("report: table 2: %w", err)
+		return nil, fmt.Errorf("report: table %d: %w", n, err)
 	}
-	params := analytic.PaperParams()
-	paper := map[float64]int{0: 4685, 0.1: 4066, 0.15: 3622, 0.2: 3107, 0.33: 502}
-	t := &Table{
-		Title:   "Table 2: epochs to conflicting finalization, double-voting Byzantine (p0=0.5)",
-		Headers: []string{"beta0", "paper", "analytic (Eq 9)", "integer sim"},
-	}
-	for i, b := range tableBetas {
-		var an float64
-		if b == 0 {
-			an = params.ConflictEpochHonest(0.5)
-		} else {
-			an = params.ConflictEpochSlashing(0.5, b)
+	t := &Table{Title: head[0], Headers: []string{"beta0", "paper", head[1], "integer sim"}}
+	var i int
+	for _, c := range Claims {
+		if c.Artifact != fmt.Sprintf("Table %d", n) {
+			continue
 		}
-		simEpoch, _ := results[i].Metric("threshold_epoch_b")
+		an, err := c.By[0].Value(ctx, opt)
+		if err != nil {
+			return nil, fmt.Errorf("report: table %d at %s: %w", n, c.Row, err)
+		}
+		simEpoch, _ := results[i].Metric(c.By[1].Metric)
 		t.AddRow(
-			fmt.Sprintf("%.2f", b),
-			fmt.Sprintf("%d", paper[b]),
-			fmt.Sprintf("%d", analytic.PaperTableEpoch(an)),
+			fmt.Sprintf("%.2f", results[i].Params.Beta0),
+			fmt.Sprintf("%d", int(c.Paper)),
+			fmt.Sprintf("%d", int(an)),
 			fmt.Sprintf("%d", int(simEpoch)),
 		)
-	}
-	return t, nil
-}
-
-// Table3 renders the paper's Table 3 (semi-active behavior), with the
-// beta0 cells run per opt.Workers (<= 0 = all CPUs).
-func Table3(ctx context.Context, opt engine.Options) (*Table, error) {
-	results := engine.SweepContext(ctx, Table3Cells(), opt)
-	if err := engine.FirstError(results); err != nil {
-		return nil, fmt.Errorf("report: table 3: %w", err)
-	}
-	params := analytic.PaperParams()
-	paper := map[float64]int{0: 4685, 0.1: 4221, 0.15: 3819, 0.2: 3328, 0.33: 556}
-	t := &Table{
-		Title:   "Table 3: epochs to conflicting finalization, semi-active Byzantine (p0=0.5)",
-		Headers: []string{"beta0", "paper", "analytic (Eq 10)", "integer sim"},
-	}
-	for i, b := range tableBetas {
-		var an float64
-		var err error
-		if b == 0 {
-			an = params.ConflictEpochHonest(0.5)
-		} else {
-			an, err = params.ConflictEpochSemiActive(0.5, b)
-			if err != nil {
-				return nil, fmt.Errorf("report: table 3 at beta0=%v: %w", b, err)
-			}
-		}
-		simEpoch, _ := results[i].Metric("threshold_epoch_b")
-		t.AddRow(
-			fmt.Sprintf("%.2f", b),
-			fmt.Sprintf("%d", paper[b]),
-			fmt.Sprintf("%d", analytic.PaperTableEpoch(an)),
-			fmt.Sprintf("%d", int(simEpoch)),
-		)
+		i++
 	}
 	return t, nil
 }

@@ -195,7 +195,7 @@ func TestSweepThroughput(t *testing.T) {
 // TestTableCellsRouteThroughRegistry pins the engine wiring of Tables 2-3:
 // every cell names the generic leaksim scenario with the paper's scale.
 func TestTableCellsRouteThroughRegistry(t *testing.T) {
-	for name, cells := range map[string][]engine.Cell{"t2": Table2Cells(), "t3": Table3Cells()} {
+	for name, cells := range map[string][]engine.Cell{"t2": TableCells(2), "t3": TableCells(3)} {
 		if len(cells) != 5 {
 			t.Fatalf("%s: cells = %d, want 5", name, len(cells))
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/engine"
 )
 
@@ -111,8 +112,8 @@ func TestRunEndpointAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if v, ok := first.Metric("threshold_both_branches"); !ok || v < 0.24 || v > 0.245 {
-		t.Errorf("threshold = %v, want ~0.2421", v)
+	if v, ok := first.Metric("threshold_both_branches"); !ok || v != analytic.PaperParams().ThresholdBeta0(0.5) {
+		t.Errorf("threshold = %v, want %v", v, analytic.PaperParams().ThresholdBeta0(0.5))
 	}
 	if first.Meta == nil || first.Meta.Cached {
 		t.Errorf("first run meta = %+v, want fresh computation", first.Meta)
