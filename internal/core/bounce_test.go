@@ -219,8 +219,8 @@ func TestScenarioSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq24 := s3.AnalyticEpoch / 100; math.Abs(s3.PeakByzProportion-eq24) > 0.1 {
-		t.Errorf("scenario 5.3 MC probability = %v, Equation 24 %v at beta0=1/3", s3.PeakByzProportion, eq24)
+	if math.Abs(s3.MCProb-s3.AnalyticProb) > 0.1 {
+		t.Errorf("scenario 5.3 MC probability = %v, Equation 24 %v at beta0=1/3", s3.MCProb, s3.AnalyticProb)
 	}
 }
 

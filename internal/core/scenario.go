@@ -21,11 +21,17 @@ type Summary struct {
 	// SimEpoch is the integer simulation's corresponding epoch.
 	SimEpoch types.Epoch
 	// PeakByzProportion is the simulated maximum Byzantine proportion
-	// (Scenarios 5.2.3, 5.3).
+	// (Scenario 5.2.3).
 	PeakByzProportion float64
 	// CrossedOneThird reports whether the simulated Byzantine proportion
 	// exceeded 1/3 (Scenarios 5.2.3, 5.3).
 	CrossedOneThird bool
+	// AnalyticProb and MCProb are Scenario 5.3's outcome, which is a
+	// probability and not an epoch: Equation 24's and the Monte-Carlo
+	// estimate's probability that the Byzantine proportion exceeds 1/3 at
+	// RefEpoch. The epoch fields stay zero there.
+	AnalyticProb, MCProb float64
+	RefEpoch             types.Epoch
 }
 
 // defaultHorizon bounds full-scale scenario runs; the paper's slowest
@@ -175,10 +181,10 @@ func Scenario53(ctx context.Context, p0, beta0 float64, seed int64) (Summary, er
 	model := analytic.BounceModel{P0: p0}
 	prob := model.ExceedProbability(refEpoch, beta0, analytic.PaperParams())
 	return Summary{
-		Outcome:           "beta > 1/3 probably",
-		AnalyticEpoch:     prob * 100, // Equation 24 at epoch 4000, percent
-		SimEpoch:          refEpoch,
-		CrossedOneThird:   probs[0] > 0,
-		PeakByzProportion: probs[0],
+		Outcome:         "beta > 1/3 probably",
+		CrossedOneThird: probs[0] > 0,
+		AnalyticProb:    prob,
+		MCProb:          probs[0],
+		RefEpoch:        refEpoch,
 	}, nil
 }

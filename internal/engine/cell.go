@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"slices"
+	"strconv"
 	"time"
 )
 
@@ -21,8 +26,12 @@ import (
 // A failure is reported both ways: as the error, and as the Result a sweep
 // streams for a failed cell (FailedCell).
 func RunCell(ctx context.Context, cell Cell, opt Options) (Result, error) {
-	key, res, hit := lookup(opt.Registry, opt.Results, cell)
+	key, payload, hit := lookup(opt.Registry, opt.Results, cell)
 	if hit {
+		res, err := Hit{Payload: payload}.Result()
+		if err != nil {
+			return FailedCell(opt.Registry, cell, err), err
+		}
 		return res, nil
 	}
 	res, err := runCell(ctx, opt.Registry, cell, opt.Checkpoint, nil)
@@ -31,28 +40,93 @@ func RunCell(ctx context.Context, cell Cell, opt Options) (Result, error) {
 }
 
 // lookup consults a result tier for one cell: its canonical key, and the
-// result stamped Cached on a hit. Without a tier, or for a scenario the
-// registry does not hold, no key is built and key is "".
-func lookup(reg *Registry, tier ResultTier, cell Cell) (key string, res Result, hit bool) {
+// payload on a hit. Without a tier, or for a scenario the registry does not
+// hold, no key is built and key is "".
+func lookup(reg *Registry, tier ResultTier, cell Cell) (key string, payload []byte, hit bool) {
 	if tier == nil {
-		return "", Result{}, false
+		return "", nil, false
 	}
 	key, ok := CanonicalCellKey(reg, cell)
 	if !ok {
-		return "", Result{}, false
+		return "", nil, false
 	}
-	if res, hit = tier.Get(key); hit {
-		res.Meta = RunMeta{Cached: true}.Merged(res.Meta)
-	}
-	return key, res, hit
+	payload, hit = tier.GetPayload(key)
+	return key, payload, hit
 }
 
-// save puts a successful result's payload, Meta stripped, to the tier under
-// the key lookup built; a failure or a cell without a key is not saved.
+// save puts a successful result's payload to the tier under the key lookup
+// built; a failure or a cell without a key is not saved.
 func save(tier ResultTier, key string, res Result) {
-	if key != "" && res.Err == "" {
-		tier.Put(key, res.WithoutMeta()) //nolint:errcheck // a failed put only costs a future recomputation
+	if key == "" || res.Err != "" {
+		return
 	}
+	if payload, err := EncodePayload(res); err == nil {
+		tier.PutPayload(key, payload) //nolint:errcheck // a failed put only costs a future recomputation
+	}
+}
+
+// EncodePayload returns the payload a result tier holds for res: its
+// canonical JSON with Meta stripped.
+func EncodePayload(res Result) ([]byte, error) { return json.Marshal(res.WithoutMeta()) }
+
+// payloadHead opens every payload: Scenario is Result's first field and is
+// never omitted.
+const payloadHead = `{"scenario":`
+
+// DecodePayload decodes a payload. It accepts only the shape EncodePayload
+// writes and Hit's appends rely on: an object that opens with the scenario,
+// closes with its own brace and carries no Meta.
+func DecodePayload(payload []byte) (Result, error) {
+	var res Result
+	if !bytes.HasPrefix(payload, []byte(payloadHead)) || payload[len(payload)-1] != '}' {
+		return Result{}, errors.New("engine: not a result payload")
+	}
+	if err := json.Unmarshal(payload, &res); err != nil {
+		return Result{}, err
+	}
+	if res.Meta != nil {
+		return Result{}, errors.New("engine: result payload carries meta")
+	}
+	return res, nil
+}
+
+// Hit is a cell the result tier answered (Prepare): its position in the
+// sweep and the payload the tier holds for it.
+type Hit struct {
+	Index   int
+	Payload []byte
+}
+
+// cachedMeta closes a hit's result: the Meta every hit carries, written as
+// encoding/json writes Result's last field.
+const cachedMeta = `,"meta":{"cached":true}}`
+
+// Result decodes the hit, stamped Cached.
+func (h Hit) Result() (Result, error) {
+	res, err := DecodePayload(h.Payload)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Meta = &RunMeta{Cached: true}
+	return res, nil
+}
+
+// AppendResult appends the hit's Result as encoding/json writes it, without
+// decoding the payload: a payload EncodePayload wrote is that encoding
+// without Meta, Result's last field, so the hit's Meta goes in place of the
+// closing brace. dst grows at most once, with room for a newline after.
+func (h Hit) AppendResult(dst []byte) []byte {
+	dst = slices.Grow(dst, len(h.Payload)+len(cachedMeta))
+	return append(append(dst, h.Payload[:len(h.Payload)-1]...), cachedMeta...)
+}
+
+// AppendUpdate appends the hit's Update as encoding/json writes it, given
+// its Completed and Total.
+func (h Hit) AppendUpdate(dst []byte, completed, total int) []byte {
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(h.Index), 10)
+	dst = h.AppendResult(append(dst, `,"result":`...))
+	dst = strconv.AppendInt(append(dst, `,"completed":`...), int64(completed), 10)
+	return append(strconv.AppendInt(append(dst, `,"total":`...), int64(total), 10), '}')
 }
 
 // runCell is RunCell below the result tier, plus the in-memory tier: held,

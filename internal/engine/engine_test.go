@@ -117,6 +117,31 @@ func TestAnalyticScenarios(t *testing.T) {
 	}
 }
 
+// TestScenario53ReportsProbabilities: Table 1's 5.3 row is a probability
+// at a reference epoch, reported under its own names: Equation 24's, the
+// Monte-Carlo estimate's and the epoch, with no conflict epoch beside them.
+func TestScenario53ReportsProbabilities(t *testing.T) {
+	res, err := RunContext(context.Background(), ScenarioBounce, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq24 := (analytic.BounceModel{P0: 0.5}).ExceedProbability(4000, 0.33, analytic.PaperParams())
+	if v, _ := res.Metric("analytic_probability"); v != eq24 || v > 0.05 {
+		t.Errorf("analytic_probability = %v, want Equation 24's %v", v, eq24)
+	}
+	if v, ok := res.Metric("mc_probability"); !ok || v < 0 || v > 0.02 {
+		t.Errorf("mc_probability = %v (%v), want the ~0.002 estimate", v, ok)
+	}
+	if v, _ := res.Metric("reference_epoch"); v != 4000 {
+		t.Errorf("reference_epoch = %v, want 4000", v)
+	}
+	for _, name := range []string{"analytic_epoch", "sim_epoch", "peak_byz_proportion"} {
+		if v, ok := res.Metric(name); ok {
+			t.Errorf("5.3 reports %s = %v", name, v)
+		}
+	}
+}
+
 func TestLeakSimScenarioCurve(t *testing.T) {
 	res, err := RunContext(context.Background(), ScenarioLeakSim, Params{Mode: "absent-delay", N: 1000, Horizon: 2000, Sample: 500})
 	if err != nil {

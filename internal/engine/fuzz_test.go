@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -27,18 +29,25 @@ func allocated(fn func()) uint64 {
 // /sweep bodies cross a trust boundary — DecodeParams does not panic or
 // hang, allocates at most 4 x input + 1 MiB, and what it accepts
 // round-trips through MarshalJSON to the identical Params, presence mask
-// included. Measured: 560 bytes for a document of 2,000 unknown or
-// repeated short keys (the decoder this replaced spent 28 x its input on
-// distinct one-character keys); at most 1.8 x for unknown keys longer
-// than 32 bytes, which encoding/json case-folds on the heap; 1.2 x for a
-// document that is one long mode string. Named seeds live in
-// testdata/fuzz/FuzzDecodeParams.
+// included, encoded to the bytes referenceMarshal writes. UnmarshalJSON
+// reads every document as encoding/json alone does (referenceUnmarshal),
+// to the error message. Measured: 560
+// bytes for a document of 2,000 unknown or repeated short keys (the
+// decoder this replaced spent 28 x its input on distinct one-character
+// keys); at most 1.8 x for unknown keys longer than 32 bytes, which
+// encoding/json case-folds on the heap; 1.2 x for a document that is one
+// long mode string. Named seeds live in testdata/fuzz/FuzzDecodeParams.
 func FuzzDecodeParams(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		var p Params
 		var err error
 		if grew := allocated(func() { p, err = DecodeParams(doc) }); grew > 4*uint64(len(doc))+1<<20 {
 			t.Fatalf("decoding %d bytes allocated %d", len(doc), grew)
+		}
+		var direct Params
+		derr := direct.UnmarshalJSON(doc)
+		if ref, rerr := referenceUnmarshal(doc); fmt.Sprint(derr) != fmt.Sprint(rerr) || direct != ref {
+			t.Fatalf("%q: UnmarshalJSON reads %+v (%v), encoding/json %+v (%v)", doc, direct, derr, ref, rerr)
 		}
 		if err != nil {
 			return
@@ -47,10 +56,64 @@ func FuzzDecodeParams(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v decoded from %q does not encode: %v", p, doc, err)
 		}
+		if ref, err := referenceMarshal(p); err != nil || !bytes.Equal(b, ref) {
+			t.Fatalf("%q → %+v encodes to %s, the reflection encoder to %s (%v)", doc, p, b, ref, err)
+		}
 		if q, err := DecodeParams(b); err != nil || q != p {
 			t.Fatalf("%q → %+v → %s → %+v (%v)", doc, p, b, q, err)
 		}
 	})
+}
+
+// referenceMarshal is the encoder MarshalJSON replaced: one pointer field of
+// wireType per present dimension, encoded by encoding/json.
+func referenceMarshal(p Params) ([]byte, error) {
+	v, w := reflect.ValueOf(&p).Elem(), reflect.New(wireType)
+	for i, d := range wireRows {
+		if !p.unset(d, v) {
+			w.Elem().Field(i).Set(v.Field(d.pi).Addr())
+		}
+	}
+	return json.Marshal(w.Interface())
+}
+
+// referenceUnmarshal is UnmarshalJSON without its in-place reader: one
+// encoding/json pass into wireType.
+func referenceUnmarshal(data []byte) (Params, error) {
+	var p Params
+	w := reflect.New(wireType)
+	if err := json.Unmarshal(data, w.Interface()); err != nil {
+		return p, err
+	}
+	v := reflect.ValueOf(&p).Elem()
+	for i, d := range wireRows {
+		if f := w.Elem().Field(i); !f.IsNil() {
+			v.Field(d.pi).Set(f.Elem())
+			p.Explicit |= d.field
+		}
+	}
+	return p, nil
+}
+
+// TestParamsMarshalMatchesReference: MarshalJSON itself, not only what
+// encoding/json makes of its output, writes referenceMarshal's bytes —
+// for modes that need HTML, control-byte and invalid-UTF-8 escaping,
+// which no decoded document can hold, and for floats on both sides of
+// the switches to exponent form.
+func TestParamsMarshalMatchesReference(t *testing.T) {
+	modes := []string{"", "double", "a<b", "b>c", "c&d", `say "x"`, `back\slash`, "tab\there\x01\x1f", "caf\xe9\xff", "é\u2028\u2029", "~\x7f"}
+	floats := []float64{0, math.Copysign(0, -1), 1e-6, math.Nextafter(1e-6, 0), -1e-7, 1e21, math.Nextafter(1e21, 0), -1.5e300, 5e-324, 1.0 / 3}
+	for i, mode := range modes {
+		for j, x := range floats {
+			p := Params{P0: x, Beta0: floats[(j+1)%len(floats)], Rate: floats[(j+i)%len(floats)], Mode: mode,
+				Seed: int64(j-5) << 60, N: i, GST: -j}.MarkExplicit(FieldRate, FieldBeta0)
+			got, err := p.MarshalJSON()
+			want, rerr := referenceMarshal(p)
+			if err != nil || rerr != nil || !bytes.Equal(got, want) {
+				t.Errorf("%+v:\n got %s (%v)\nwant %s (%v)", p, got, err, want, rerr)
+			}
+		}
+	}
 }
 
 // FuzzParseGrid: whatever sweep spec arrives — /sweep parses it before

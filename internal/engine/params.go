@@ -3,8 +3,10 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -194,23 +196,74 @@ func (p *Params) unset(d *paramDim, v reflect.Value) bool {
 
 // MarshalJSON emits every field that is non-zero or marked explicit, so a
 // sparse request stays sparse and a fully specified record stays
-// complete. Keys are sorted, as encoding/json sorts a map's.
+// complete. Keys are sorted, as encoding/json sorts a map's, and the bytes
+// are those encoding/json writes for them, built in one allocation.
 func (p Params) MarshalJSON() ([]byte, error) {
-	v, w := reflect.ValueOf(&p).Elem(), reflect.New(wireType)
-	for i, d := range wireRows {
-		if !p.unset(d, v) {
-			w.Elem().Field(i).Set(v.Field(d.pi).Addr())
+	v := reflect.ValueOf(&p).Elem()
+	b := append(make([]byte, 0, 128), '{') // a full record is ~100 bytes
+	for _, d := range wireRows {
+		if p.unset(d, v) {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), d.key...), '"', ':')
+		switch f := v.Field(d.pi); f.Kind() {
+		case reflect.Float64:
+			x := f.Float()
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("engine: params %s = %v has no JSON form", d.key, x)
+			}
+			b = appendJSONFloat(b, x)
+		case reflect.String:
+			b = appendJSONString(b, f.String())
+		default:
+			b = strconv.AppendInt(b, f.Int(), 10)
 		}
 	}
-	return json.Marshal(w.Interface())
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends a finite x as encoding/json writes a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 on, its exponent
+// unpadded.
+func appendJSONFloat(b []byte, x float64) []byte {
+	format := byte('f')
+	if a := math.Abs(x); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s quoted. A string of printable ASCII that JSON
+// and HTML leave alone, as every mode is, is copied; any other is quoted by
+// encoding/json itself, which escapes it.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // UnmarshalJSON decodes the document and marks every key present with a
 // non-null value as explicitly set — the inverse of MarshalJSON, so round
-// trips preserve presence. It is one encoding/json pass into wireType:
-// keys match as struct fields do (case-insensitively), and unknown keys
-// are skipped without being copied.
+// trips preserve presence. The documents clients send are read in place
+// (decodePlain); any other is one encoding/json pass into wireType: keys
+// match as struct fields do (case-insensitively), and unknown keys are
+// skipped without being copied.
 func (p *Params) UnmarshalJSON(data []byte) error {
+	if p.decodePlain(data) {
+		return nil
+	}
 	w := reflect.New(wireType)
 	if err := json.Unmarshal(data, w.Interface()); err != nil {
 		return err
@@ -224,6 +277,93 @@ func (p *Params) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
+}
+
+// decodePlain decodes, into p only when it reports true, a valid document
+// in the form clients and MarshalJSON write: one object of canonical keys,
+// each holding a number (an integer, within range, for the integer fields)
+// or a string of printable ASCII without escapes. It reads the values in
+// place, without encoding/json's decoder. Any other document it leaves to
+// encoding/json, whose reading of such a document is the same.
+func (p *Params) decodePlain(data []byte) bool {
+	if !json.Valid(data) {
+		return false
+	}
+	var q Params
+	v := reflect.ValueOf(&q).Elem()
+	i := skipSpace(data, 0)
+	if data[i] != '{' {
+		return false
+	}
+	// Valid JSON: a key is followed by ':', a value by ',' or '}'.
+	for i = skipSpace(data, i+1); data[i] != '}'; i = skipSpace(data, i+1) {
+		key, j := plainString(data, i)
+		var d *paramDim
+		for k := range paramDims {
+			if key != nil && string(key) == paramDims[k].key {
+				d = &paramDims[k]
+			}
+		}
+		if d == nil {
+			return false
+		}
+		i = skipSpace(data, skipSpace(data, j)+1)
+		f := v.Field(d.pi)
+		if f.Kind() == reflect.String {
+			var s []byte
+			if s, j = plainString(data, i); s == nil {
+				return false
+			}
+			f.SetString(string(s))
+		} else {
+			for j = i; j < len(data) && strings.IndexByte(",} \t\n\r", data[j]) < 0; j++ {
+			}
+			if f.Kind() == reflect.Float64 {
+				x, err := strconv.ParseFloat(string(data[i:j]), 64)
+				if err != nil {
+					return false
+				}
+				f.SetFloat(x)
+			} else {
+				n, err := strconv.ParseInt(string(data[i:j]), 10, 64)
+				if err != nil || f.OverflowInt(n) {
+					return false
+				}
+				f.SetInt(n)
+			}
+		}
+		q.Explicit |= d.field
+		if i = skipSpace(data, j); data[i] == '}' {
+			break
+		}
+	}
+	*p = q
+	return true
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && strings.IndexByte(" \t\n\r", data[i]) >= 0 {
+		i++
+	}
+	return i
+}
+
+// plainString reads a string of printable ASCII without escapes at i: its
+// contents (nil if there is none) and the index after its closing quote.
+func plainString(data []byte, i int) ([]byte, int) {
+	if data[i] != '"' {
+		return nil, i
+	}
+	for j := i + 1; j < len(data); j++ {
+		if c := data[j]; c == '"' {
+			return data[i+1 : j], j + 1
+		} else if c < ' ' || c > '~' || c == '\\' {
+			break
+		}
+	}
+	return nil, i
 }
 
 // IsExplicit reports whether the field was marked explicitly set.
@@ -293,12 +433,16 @@ func (p Params) Columns(fn func(key, value string, shown bool)) {
 		if d.hidden {
 			continue
 		}
-		f := v.Field(d.pi)
-		s := fmt.Sprint(f.Interface())
-		if f.Kind() == reflect.Float64 {
-			s = fmt.Sprintf("%.4g", f.Float())
+		var s string
+		switch f := v.Field(d.pi); f.Kind() {
+		case reflect.Float64:
+			s = strconv.FormatFloat(f.Float(), 'g', 4, 64) // fmt's %.4g
+		case reflect.String:
+			s = f.String()
+		default:
+			s = strconv.FormatInt(f.Int(), 10)
 		}
-		fn(d.key, s, d.always || !isZero(f))
+		fn(d.key, s, d.always || !isZero(v.Field(d.pi)))
 	}
 }
 

@@ -70,7 +70,12 @@ func init() {
 		Params{P0: 0.5, Beta0: 0.33, Seed: 1},
 		func(ctx context.Context, p Params) (Result, error) {
 			s, err := core.Scenario53(ctx, p.P0, p.Beta0, p.Seed)
-			return summaryResult(s), err
+			return Result{Outcome: s.Outcome, Metrics: []Metric{
+				{Name: "analytic_probability", Value: s.AnalyticProb},
+				{Name: "mc_probability", Value: s.MCProb},
+				{Name: "reference_epoch", Value: float64(s.RefEpoch)},
+				{Name: "crossed_one_third", Value: boolMetric(s.CrossedOneThird)},
+			}}, err
 		}))
 
 	Default.MustRegister(NewScenario(ScenarioLeakSim,

@@ -336,20 +336,23 @@ type Options struct {
 	// before anything runs: a cell of a known scenario whose canonical key
 	// (CanonicalCellKey) it holds is emitted first, stamped Cached, and not
 	// computed; every other cell is computed, and each success is put back
-	// with its Meta stripped. The tier is consulted once, by Prepare or
-	// RunCell: it is cleared before Dispatch and the scheduler run.
+	// as its payload. The tier is consulted once, by Prepare or RunCell: it
+	// is cleared before Dispatch and the scheduler run.
 	Results ResultTier
 }
 
 // ResultTier holds finished results under their canonical cell key
-// (CellKey): the persistent store (internal/store), or a server's LRU in
-// front of it.
+// (CellKey) as payloads: the canonical JSON of a success without its Meta
+// (EncodePayload). It is the persistent store (internal/store), or a
+// server's LRU in front of it, and the bytes it holds are the bytes the
+// store writes.
 type ResultTier interface {
-	// Get returns the result held under key.
-	Get(key string) (Result, bool)
-	// Put holds res, a success with its Meta stripped, under key. A failed
-	// Put only costs a future recomputation.
-	Put(key string, res Result) error
+	// GetPayload returns the payload held under key, one DecodePayload
+	// accepts.
+	GetPayload(key string) ([]byte, bool)
+	// PutPayload holds the payload of a success under key. A failed
+	// PutPayload only costs a future recomputation.
+	PutPayload(key string, payload []byte) error
 }
 
 // DispatchFunc executes a sweep's cells somewhere other than the local
@@ -373,12 +376,14 @@ type Update struct {
 
 // Prepared is a sweep whose result tier (Options.Results) has been
 // consulted: the cells it held are ready to emit, the rest wait to be
-// computed. A server admits Misses cells before it streams. Stream it once.
+// computed. A server admits Misses cells before it streams. Stream it once,
+// or write its Hits and stream only Computed.
 type Prepared struct {
-	opt  Options
-	hits []Update
-	todo []Cell
-	miss []miss // parallel to todo when there is a tier
+	opt   Options
+	cells []Cell
+	hits  []Hit
+	todo  []Cell
+	miss  []miss // parallel to todo when there is a tier
 }
 
 // miss is where a computed cell goes: its position in the sweep, and the
@@ -391,15 +396,15 @@ type miss struct {
 // Prepare looks every cell of a known scenario up in opt.Results. Without a
 // tier it builds no key and every cell is a miss.
 func Prepare(cells []Cell, opt Options) *Prepared {
-	p := &Prepared{opt: opt, todo: cells}
+	p := &Prepared{opt: opt, cells: cells, todo: cells}
 	if opt.Results == nil {
 		return p
 	}
 	p.todo = nil
 	for i, c := range cells {
-		key, res, hit := lookup(opt.Registry, opt.Results, c)
+		key, payload, hit := lookup(opt.Registry, opt.Results, c)
 		if hit {
-			p.hits = append(p.hits, Update{Index: i, Result: res})
+			p.hits = append(p.hits, Hit{Index: i, Payload: payload})
 			continue
 		}
 		p.todo = append(p.todo, c)
@@ -408,16 +413,26 @@ func Prepare(cells []Cell, opt Options) *Prepared {
 	return p
 }
 
+// Hits lists the cells the result tier answered, in cell order.
+func (p *Prepared) Hits() []Hit { return p.hits }
+
 // Misses counts the cells Stream will compute.
 func (p *Prepared) Misses() int { return len(p.todo) }
 
-// Stream emits the hits, then computes the misses — through opt.Dispatch
-// when set, otherwise through the scheduler (sched.go), one bounded worker
-// pool whose jobs each run one cell through the cell executor (runCell) —
-// and emits each as it completes, its success put to the tier first. Index
-// is the cell's position in the sweep; Completed runs 1..Total over hits
-// and misses together.
-func (p *Prepared) Stream(ctx context.Context) <-chan Update {
+// Stream emits the hits, each decoded and stamped Cached, then computes the
+// misses — through opt.Dispatch when set, otherwise through the scheduler
+// (sched.go), one bounded worker pool whose jobs each run one cell through
+// the cell executor (runCell) — and emits each as it completes, its success
+// put to the tier first. Index is the cell's position in the sweep;
+// Completed runs 1..Total over hits and misses together.
+func (p *Prepared) Stream(ctx context.Context) <-chan Update { return p.stream(ctx, p.hits) }
+
+// Computed is Stream without the hits, for a caller that writes their
+// updates from the payloads itself (Hit.AppendUpdate): Completed still
+// counts them first.
+func (p *Prepared) Computed(ctx context.Context) <-chan Update { return p.stream(ctx, nil) }
+
+func (p *Prepared) stream(ctx context.Context, hits []Hit) <-chan Update {
 	if p.opt.Results == nil {
 		return p.compute(ctx)
 	}
@@ -429,9 +444,12 @@ func (p *Prepared) Stream(ctx context.Context) <-chan Update {
 	go func() {
 		defer close(out)
 		total := len(p.hits) + len(p.todo)
-		for k, u := range p.hits {
-			u.Completed, u.Total = k+1, total
-			out <- u
+		for k, h := range hits {
+			res, err := h.Result()
+			if err != nil {
+				res = FailedCell(p.opt.Registry, p.cells[h.Index], err)
+			}
+			out <- Update{Index: h.Index, Result: res, Completed: k + 1, Total: total}
 		}
 		if updates == nil {
 			return

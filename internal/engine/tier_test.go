@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,7 +11,8 @@ import (
 )
 
 // countingTier is an in-memory ResultTier that counts its lookups and
-// records every Put.
+// records every Put. It holds decoded results, so the tests read and plant
+// them as values, and speaks payloads at the tier's edge.
 type countingTier struct {
 	mu   sync.Mutex
 	held map[string]Result
@@ -20,15 +22,23 @@ type countingTier struct {
 
 func newCountingTier() *countingTier { return &countingTier{held: make(map[string]Result)} }
 
-func (t *countingTier) Get(key string) (Result, bool) {
+func (t *countingTier) GetPayload(key string) ([]byte, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.gets++
 	res, ok := t.held[key]
-	return res, ok
+	if !ok {
+		return nil, false
+	}
+	payload, err := EncodePayload(res)
+	return payload, err == nil
 }
 
-func (t *countingTier) Put(key string, res Result) error {
+func (t *countingTier) PutPayload(key string, payload []byte) error {
+	res, err := DecodePayload(payload)
+	if err != nil {
+		return err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.held[key] = res
@@ -174,5 +184,56 @@ func TestNoResultTierBuildsNoKey(t *testing.T) {
 	}
 	if got := sc.defaults.Load(); got != int64(len(cells)+1) {
 		t.Errorf("defaults asked %d times for %d runs: a key was built", got, len(cells)+1)
+	}
+}
+
+// TestHitAppendsMatchEncoder: a hit written from its payload is the bytes
+// encoding/json writes for the decoded hit — as a Result and as the Update
+// Stream emits — for results with every field set, HTML-escaped and
+// non-ASCII text included.
+func TestHitAppendsMatchEncoder(t *testing.T) {
+	results := []Result{
+		{Scenario: "count"},
+		{Scenario: "5.3", Params: Params{P0: 0.5, Beta0: 1.0 / 3, Mode: "a<b>&\"c\" é", Seed: -7, N: 1e6, Rate: 1e-9, GST: 21}.WithDefaults(Params{}),
+			Outcome: "beta > 1/3 probably", Metrics: []Metric{{"p", 2.5e-122}, {"q", 1e21}, {"r", -0.0}},
+			CurveName: "beta", Curve: []CurvePoint{{1, 0.25}, {2, 1.5e-7}}},
+	}
+	for _, res := range results {
+		payload, err := EncodePayload(Result{Scenario: res.Scenario, Params: res.Params, Outcome: res.Outcome, Metrics: res.Metrics,
+			CurveName: res.CurveName, Curve: res.Curve, Meta: &RunMeta{DurationMS: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := Hit{Index: 4, Payload: payload}
+		decoded, err := h.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(decoded)
+		if got := h.AppendResult([]byte("x")); string(got) != "x"+string(want) {
+			t.Errorf("AppendResult:\n got %s\nwant x%s", got, want)
+		}
+		want, _ = json.Marshal(Update{Index: 4, Result: decoded, Completed: 9, Total: 12})
+		if got := h.AppendUpdate(nil, 9, 12); string(got) != string(want) {
+			t.Errorf("AppendUpdate:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestDecodePayloadRefusesOtherShapes: DecodePayload takes what
+// EncodePayload writes and nothing Hit's appends could not splice.
+func TestDecodePayloadRefusesOtherShapes(t *testing.T) {
+	for _, bad := range []string{"", "null", "{}", `{"scenario": 42}`, `{"scenario":42}`, `{"scenario":"s"} `,
+		`{"scenario":"s","meta":{"cached":true}}`, `{"scenario":"s","metrics":"none"}`, `["scenario"]`} {
+		if res, err := DecodePayload([]byte(bad)); err == nil {
+			t.Errorf("DecodePayload(%q) = %+v, want an error", bad, res)
+		}
+	}
+	payload, err := EncodePayload(Result{Scenario: "s", Outcome: "ok", Meta: &RunMeta{Cached: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := DecodePayload(payload); err != nil || res.Outcome != "ok" || res.Meta != nil {
+		t.Errorf("DecodePayload(%s) = %+v, %v", payload, res, err)
 	}
 }

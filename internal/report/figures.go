@@ -290,9 +290,10 @@ func Figure10MonteCarlo(ctx context.Context, beta0 float64, nHonest, runs int, s
 }
 
 // Table1 renders the scenario overview (paper Table 1) with both analytic
-// and simulated outcomes, running the five scenario cells per opt.Workers
-// (<= 0 = all CPUs) through opt.Registry (nil = the default), whose
-// descriptions name the rows.
+// and simulated conflict epochs, running the five scenario cells per
+// opt.Workers (<= 0 = all CPUs) through opt.Registry (nil = the default),
+// whose descriptions name the rows. A row whose scenario reports no epoch
+// (5.3's outcome is a probability) shows "-" there.
 func Table1(ctx context.Context, seed int64, opt engine.Options) (*Table, error) {
 	results := engine.SweepContext(ctx, engine.Table1Cells(seed), opt)
 	if err := engine.FirstError(results); err != nil {
@@ -311,15 +312,17 @@ func Table1(ctx context.Context, seed int64, opt engine.Options) (*Table, error)
 		if s, ok := reg.Lookup(r.Scenario); ok {
 			name = s.Description()
 		}
-		an, _ := r.Metric("analytic_epoch")
-		simEpoch, _ := r.Metric("sim_epoch")
+		an, simEpoch := "-", "-"
+		if v, ok := r.Metric("analytic_epoch"); ok {
+			an = fmt.Sprintf("%.1f", v)
+		}
+		if v, ok := r.Metric("sim_epoch"); ok {
+			simEpoch = fmt.Sprintf("%d", int(v))
+		}
 		t.AddRow(r.Scenario, name,
 			fmt.Sprintf("%.2f", r.Params.P0),
 			fmt.Sprintf("%.4f", r.Params.Beta0),
-			r.Outcome,
-			fmt.Sprintf("%.1f", an),
-			fmt.Sprintf("%d", int(simEpoch)),
-		)
+			r.Outcome, an, simEpoch)
 	}
 	return t, nil
 }

@@ -172,6 +172,24 @@ func TestTable1ReadsTheCallersRegistry(t *testing.T) {
 	}
 }
 
+// TestTable1Row53HasNoConflictEpoch: Scenario 5.3's outcome is a
+// probability, so its Table 1 row shows no analytic or simulated conflict
+// epoch; the other four rows show theirs.
+func TestTable1Row53HasNoConflictEpoch(t *testing.T) {
+	tbl, err := Table1(context.Background(), 1, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tbl.Rows {
+		if dash := row[5] == "-" || row[6] == "-"; dash != (row[0] == "5.3") {
+			t.Errorf("row %s: analytic %q, simulated %q", row[0], row[5], row[6])
+		}
+	}
+	if last := tbl.Rows[len(tbl.Rows)-1]; last[0] != "5.3" || last[5] != "-" || last[6] != "-" {
+		t.Errorf("5.3 row %q, want no conflict epochs", last)
+	}
+}
+
 // TestFigure7SimMatchesAnalytic: the integer-simulation threshold boundary
 // agrees with Equation 13's closed form wherever the threshold is below
 // 1/3, and caps at 1/3 where the closed form exceeds it (an initial

@@ -3,13 +3,11 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"repro/internal/engine"
 )
 
-// resultCache is a thread-safe LRU of successful scenario results keyed by
-// engine.CellKey, the canonical key every tier shares. Results are stored without execution metadata; hits are served
-// with a fresh Cached marker.
+// resultCache is a thread-safe LRU of result payloads keyed by
+// engine.CellKey, the canonical key every tier shares: the bytes the store
+// writes for a success (engine.EncodePayload), which a hit is written from.
 type resultCache struct {
 	mu           sync.Mutex
 	max          int
@@ -19,8 +17,8 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	res engine.Result
+	key     string
+	payload []byte
 }
 
 func newResultCache(max int) *resultCache {
@@ -33,30 +31,30 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the cached result and promotes the entry.
-func (c *resultCache) get(key string) (engine.Result, bool) {
+// get returns the cached payload and promotes the entry.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return engine.Result{}, false
+		return nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).payload, true
 }
 
-// add stores a result, evicting the least recently used entry when full.
-func (c *resultCache) add(key string, res engine.Result) {
+// add stores a payload, evicting the least recently used entry when full.
+func (c *resultCache) add(key string, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).payload = payload
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, payload: payload})
 	if c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -9,9 +9,7 @@ import (
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	res := func(n int) engine.Result {
-		return engine.Result{Scenario: fmt.Sprintf("s%d", n)}
-	}
+	res := func(n int) []byte { return fmt.Appendf(nil, "s%d", n) }
 	c.add("a", res(1))
 	c.add("b", res(2))
 	if _, ok := c.get("a"); !ok { // promotes "a" over "b"
@@ -37,13 +35,13 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 func TestResultCacheUpdateInPlace(t *testing.T) {
 	c := newResultCache(2)
-	c.add("k", engine.Result{Scenario: "old"})
-	c.add("k", engine.Result{Scenario: "new"})
+	c.add("k", []byte("old"))
+	c.add("k", []byte("new"))
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1 (update, not duplicate)", c.len())
 	}
-	if r, _ := c.get("k"); r.Scenario != "new" {
-		t.Errorf("got %q, want the updated entry", r.Scenario)
+	if r, _ := c.get("k"); string(r) != "new" {
+		t.Errorf("got %q, want the updated entry", r)
 	}
 }
 
@@ -54,7 +52,7 @@ func TestResultCacheUpdateInPlace(t *testing.T) {
 func TestCacheKeyCanonicalization(t *testing.T) {
 	c := newResultCache(8)
 	a := engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000})
-	c.add(a, engine.Result{Scenario: "leaksim"})
+	c.add(a, []byte("leaksim"))
 	if _, ok := c.get(engine.CellKey("leaksim", engine.Params{P0: 0.5, N: 10000})); !ok {
 		t.Error("identical params must share a key")
 	}
@@ -75,7 +73,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 func TestNewResultCacheGuardsNonPositiveCapacity(t *testing.T) {
 	for _, max := range []int{0, -5} {
 		c := newResultCache(max)
-		c.add("k", engine.Result{Scenario: "s"})
+		c.add("k", []byte("s"))
 		if _, ok := c.get("k"); !ok {
 			t.Errorf("newResultCache(%d) evicted its only entry", max)
 		}

@@ -8,13 +8,14 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 )
 
 var writeResponses = flag.Bool("write-responses", false,
-	"rewrite testdata/responses.json from this build's answers to the fixed request set")
+	"rewrite testdata/responses.json and testdata/response-bytes.json from this build's answers to their fixed request sets")
 
 // exchange is one request of the fixed set and what came back: the status
 // and every body line (one for /run and errors, one per update for /sweep)
@@ -190,6 +191,100 @@ func TestResponsesMatchFixture(t *testing.T) {
 					t.Errorf("exchange %d (%s):\n got %s\nwant %s", i, got[i].Request, g, f)
 				}
 			}
+		}
+	}
+}
+
+// rawExchange is one request of TestResponseBytesMatchFixture and the whole
+// answer: status, Content-Type and the body bytes, trailing newlines
+// included, with only the wall clock masked (clockFields).
+type rawExchange struct {
+	Request     string `json:"request"`
+	Status      int    `json:"status"`
+	ContentType string `json:"content_type"`
+	Body        string `json:"body"`
+}
+
+// clockFields matches the meta values that measure wall clock.
+var clockFields = regexp.MustCompile(`"(duration_ms|epochs_per_sec)":[-+.eE0-9]+`)
+
+// TestResponseBytesMatchFixture pins the full bytes of the answers the
+// result tier gives — a /run miss, its LRU hit and its store hit read by a
+// second server, a /sweep answered wholly from the LRU and one answered
+// partly — as testdata/response-bytes.json records them. Unlike
+// TestResponsesMatchFixture it keeps every byte: the meta object, key
+// order, escaping and the newline after each body or line.
+func TestResponseBytesMatchFixture(t *testing.T) {
+	dir := t.TempDir()
+	first := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+	second := newTestServer(t, Config{Workers: 1, StoreDir: dir})
+
+	const (
+		conflict = `{"scenario":"analytic/conflict","params":{"p0":0.3}}`
+		gstSweep = `{"scenario":"sim/gst","sweep":"horizon=4,6; gst=2,30","params":{"n":16}}`
+		partly   = `{"cells":[{"scenario":"analytic/conflict","params":{"p0":0.3}},{"scenario":"analytic/conflict","params":{"p0":0.4,"mode":"semi"}},{"scenario":"sim/gst","params":{"n":16,"horizon":6,"gst":30}}]}`
+	)
+	requests := []struct {
+		server, path, body string
+		record             bool
+	}{
+		{"first", "/run", conflict, true},  // miss
+		{"first", "/run", conflict, true},  // LRU hit
+		{"second", "/run", conflict, true}, // store hit, promoted
+		{"second", "/run", conflict, true}, // promoted: LRU hit
+		{"first", "/run", `{"scenario":"5.2.3"}`, false},
+		{"first", "/run", `{"scenario":"5.2.3"}`, true}, // an escaped outcome
+		{"first", "/sweep", gstSweep, false},
+		{"first", "/sweep", gstSweep, true}, // all from the LRU
+		{"first", "/sweep", partly, true},   // two hits, one miss
+	}
+	urls := map[string]string{"first": first.URL, "second": second.URL}
+	var got []rawExchange
+	for _, rq := range requests {
+		resp, err := http.Post(urls[rq.server]+rq.path, "application/json", strings.NewReader(rq.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rq.record {
+			got = append(got, rawExchange{
+				Request:     rq.server + " " + rq.path + " " + rq.body,
+				Status:      resp.StatusCode,
+				ContentType: resp.Header.Get("Content-Type"),
+				Body:        string(clockFields.ReplaceAll(body, []byte(`"$1":"clock"`))),
+			})
+		}
+	}
+
+	encoded, err := json.MarshalIndent(got, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded = append(encoded, '\n')
+	if *writeResponses {
+		if err := os.WriteFile("testdata/response-bytes.json", encoded, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/response-bytes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture []rawExchange
+	if err := json.Unmarshal(want, &fixture); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(fixture) {
+		t.Fatalf("%d exchanges, fixture has %d", len(got), len(fixture))
+	}
+	for i := range got {
+		if got[i] != fixture[i] {
+			t.Errorf("exchange %d (%s):\n got %d %q %q\nwant %d %q %q", i, got[i].Request,
+				got[i].Status, got[i].ContentType, got[i].Body, fixture[i].Status, fixture[i].ContentType, fixture[i].Body)
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -126,41 +127,41 @@ type Server struct {
 
 // resultTier is the server's engine.ResultTier: the LRU in front of the
 // persistent store, either of which may be absent, counting the cells each
-// answers into /metrics.
+// answers into /metrics. Both hold payloads, so a hit is bytes end to end.
 type resultTier struct {
 	cache   *resultCache
 	store   *store.Results
 	metrics *metrics
 }
 
-// Get consults the LRU, then the store. A store hit is promoted into the
-// LRU so the next lookup stays in memory.
-func (t *resultTier) Get(key string) (engine.Result, bool) {
+// GetPayload consults the LRU, then the store. A store hit is promoted
+// into the LRU so the next lookup stays in memory.
+func (t *resultTier) GetPayload(key string) ([]byte, bool) {
 	if t.cache != nil {
-		if res, ok := t.cache.get(key); ok {
+		if payload, ok := t.cache.get(key); ok {
 			t.metrics.cellsFromLRU.Add(1)
-			return res, true
+			return payload, true
 		}
 	}
 	if t.store != nil {
-		if res, ok := t.store.Get(key); ok {
+		if payload, ok := t.store.GetPayload(key); ok {
 			if t.cache != nil {
-				t.cache.add(key, res)
+				t.cache.add(key, payload)
 			}
 			t.metrics.cellsFromStore.Add(1)
-			return res, true
+			return payload, true
 		}
 	}
-	return engine.Result{}, false
+	return nil, false
 }
 
-// Put writes a result through both tiers.
-func (t *resultTier) Put(key string, res engine.Result) error {
+// PutPayload writes a payload through both tiers.
+func (t *resultTier) PutPayload(key string, payload []byte) error {
 	if t.cache != nil {
-		t.cache.add(key, res)
+		t.cache.add(key, payload)
 	}
 	if t.store != nil {
-		return t.store.Put(key, res)
+		return t.store.PutPayload(key, payload)
 	}
 	return nil
 }
@@ -258,14 +259,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody decodes a JSON request body under the configured size bound.
-// It reports (handled=true) after writing the error response itself, so
-// handlers can simply return.
+// decodeBody reads a JSON request body whole under the configured size
+// bound — into a buffer of its Content-Length when the client declared one,
+// through http.MaxBytesReader when it did not — and decodes it with one
+// json.Unmarshal. It reports (handled=true) after writing the error
+// response itself, so handlers can simply return.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (handled bool) {
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case s.maxBody > 0 && n > s.maxBody:
+		err = &http.MaxBytesError{Limit: s.maxBody}
+	case s.maxBody > 0 && n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		if s.maxBody > 0 {
+			r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+		}
+		body, err = io.ReadAll(r.Body)
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
@@ -337,6 +354,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	opt := s.opt
 	opt.WarmStart, opt.Dispatch = nil, nil
 	run := engine.Prepare(cell, opt)
+	if hits := run.Hits(); len(hits) > 0 {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(hits[0].AppendResult(nil), '\n')) //nolint:errcheck // the response is already committed
+		return
+	}
 	release, ok := s.admit(w, run.Misses())
 	if !ok {
 		return
@@ -344,7 +366,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	// One cell through the engine's cell executor, exactly as /sweep runs
 	// it — an interrupted checkpointable /run resumes on the next ask.
-	res := (<-run.Stream(r.Context())).Result
+	res := (<-run.Computed(r.Context())).Result
 	if res.Err != "" {
 		// A cell the request's end cut short is a server-side abort (client
 		// disconnect or graceful shutdown), not a bad request.
@@ -452,8 +474,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	// The hits are written from their payloads, the misses as they finish.
+	hits := sweep.Hits()
+	var line []byte
+	for k, h := range hits {
+		line = append(h.AppendUpdate(line[:0], k+1, len(hits)+sweep.Misses()), '\n')
+		w.Write(line) //nolint:errcheck // disconnects surface via the request context
+		flush()
+	}
 	enc := json.NewEncoder(w)
-	updates := sweep.Stream(r.Context())
+	updates := sweep.Computed(r.Context())
 	for u := range updates {
 		if u.Result.Err != "" && r.Context().Err() != nil {
 			// A cell the request's end cut short is not a result: end the
@@ -465,9 +500,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		s.recordCell(u.Result, s.coord != nil)
 		enc.Encode(u) //nolint:errcheck // disconnects surface via the request context
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
 	}
 }
 

@@ -190,6 +190,37 @@ func TestStoreCorruptionRecomputesAndRewrites(t *testing.T) {
 	}
 }
 
+// TestStoreUndecodablePayloadRecomputes: a stored payload that passes the
+// checksum but no longer decodes (schema drift) is a counted corrupt miss,
+// recomputed and rewritten, never written out as a hit from its bytes —
+// on /run and on /sweep, with the LRU in front of the store.
+func TestStoreUndecodablePayloadRecomputes(t *testing.T) {
+	var runs atomic.Int64
+	reg := countedRegistry(&runs)
+	s, ts := storeServer(t, Config{Registry: reg, StoreDir: t.TempDir()})
+	defaults := engine.Params{P0: 0.5, N: 10}
+	for _, seed := range []int64{3, 4} {
+		key := engine.CellKey("counted", engine.Params{Seed: seed}.WithDefaults(defaults))
+		if err := s.Store().PutPayload(key, []byte(`{"scenario":"counted","metrics":"drifted"}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run := getResult(t, ts.URL, map[string]any{"scenario": "counted", "params": engine.Params{Seed: 3}})
+	sweep := decodeNDJSON(t, postJSON(t, ts.URL+"/sweep", map[string]any{"cells": []engine.Cell{{Scenario: "counted", Params: engine.Params{Seed: 4}}}}))
+	for i, res := range []engine.Result{run, sweep[0].Result} {
+		if res.Meta == nil || res.Meta.Cached || res.Outcome != fmt.Sprintf("seed %d", 3+i) {
+			t.Errorf("answer %d: %+v, want a recomputation", i, res)
+		}
+	}
+	if st := s.Store().Stats(); runs.Load() != 2 || st.Corrupt != 2 || st.Entries != 2 {
+		t.Errorf("%d runs, store %+v: want both recomputed, counted corrupt and rewritten", runs.Load(), st)
+	}
+	if again := getResult(t, ts.URL, map[string]any{"scenario": "counted", "params": engine.Params{Seed: 3}}); !again.Meta.Cached || runs.Load() != 2 {
+		t.Errorf("the rewritten cell was not a hit: %+v after %d runs", again, runs.Load())
+	}
+}
+
 // TestConcurrentStoreReadThrough hammers one parameter point from many
 // goroutines through the full tier stack; every response must be a valid,
 // identical payload (the race detector guards the rest in CI).

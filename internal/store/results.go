@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 
 	"repro/internal/engine"
@@ -28,27 +28,48 @@ func OpenResults(dir string) (*Results, error) {
 
 // Get returns the stored result for the canonical key, decoded from the
 // buffer the entry was read into. A payload that passes the integrity
-// header but no longer decodes (a result-schema change across versions) is
-// treated exactly like corruption: the entry is dropped and the caller
-// recomputes and rewrites it.
+// header but no longer decodes (engine.DecodePayload: a result-schema change
+// across versions) is treated exactly like corruption: the entry is dropped
+// and the caller recomputes and rewrites it.
 func (r *Results) Get(key string) (engine.Result, bool) {
 	var res engine.Result
-	if !r.s.read(key, func(payload []byte) bool { return json.Unmarshal(payload, &res) == nil }) {
-		return engine.Result{}, false
-	}
-	return res, true
+	ok := r.s.read(key, func(payload []byte) bool {
+		var err error
+		res, err = engine.DecodePayload(payload)
+		return err == nil
+	})
+	return res, ok
 }
 
-// Put stores the result under the canonical key, stripped of execution
-// metadata (timings and cache/warm provenance are per-process facts; the
-// store holds only the deterministic payload).
+// Put stores the result's payload (engine.EncodePayload) under the
+// canonical key: execution metadata is stripped, because timings and
+// cache/warm provenance are per-process facts and the store holds only the
+// deterministic payload.
 func (r *Results) Put(key string, res engine.Result) error {
-	payload, err := json.Marshal(res.WithoutMeta())
+	payload, err := engine.EncodePayload(res)
 	if err != nil {
 		return err
 	}
 	return r.s.Put(key, payload)
 }
+
+// GetPayload returns a copy of the payload stored under key, the result
+// tier's unit (engine.ResultTier). It is checked as Get checks it, so a
+// payload that no longer decodes is a counted corrupt miss here too.
+func (r *Results) GetPayload(key string) ([]byte, bool) {
+	var held []byte
+	ok := r.s.read(key, func(payload []byte) bool {
+		if _, err := engine.DecodePayload(payload); err != nil {
+			return false
+		}
+		held = bytes.Clone(payload)
+		return true
+	})
+	return held, ok
+}
+
+// PutPayload stores a payload engine.EncodePayload wrote under key.
+func (r *Results) PutPayload(key string, payload []byte) error { return r.s.Put(key, payload) }
 
 // Stats reports the underlying store's footprint and counters.
 func (r *Results) Stats() Stats { return r.s.Stats() }
