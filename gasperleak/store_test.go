@@ -133,3 +133,33 @@ func TestClientBadStoreDir(t *testing.T) {
 		t.Fatal("WithResultStore over a file must error")
 	}
 }
+
+// BenchmarkClientStoreHit is Client.Run answered by WithResultStore: the
+// canonical key, the entry read and checked in place, and one decode of
+// the payload into the returned result. The cell is the store fixture's
+// 64-validator sim/gst cell, computed and stored once before the timer.
+func BenchmarkClientStoreHit(b *testing.B) {
+	ctx := context.Background()
+	c, err := gasperleak.NewClient(gasperleak.WithResultStore(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	p := gasperleak.ScenarioParams{P0: 0.5, N: 64, Horizon: 12, Seed: 3, GST: 6}
+	computed, err := c.Run(ctx, engine.ScenarioSimGST, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Run(ctx, engine.ScenarioSimGST, p)
+		if err != nil || res.Meta == nil || !res.Meta.Cached {
+			b.Fatalf("run %d was not a store hit: %+v, %v", i, res.Meta, err)
+		}
+	}
+	b.StopTimer()
+	if res, _ := c.Run(ctx, engine.ScenarioSimGST, p); !reflect.DeepEqual(res.WithoutMeta(), computed.WithoutMeta()) {
+		b.Fatalf("store hit %+v, computed %+v", res.WithoutMeta(), computed.WithoutMeta())
+	}
+}

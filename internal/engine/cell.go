@@ -69,25 +69,103 @@ func save(tier ResultTier, key string, res Result) {
 // canonical JSON with Meta stripped.
 func EncodePayload(res Result) ([]byte, error) { return json.Marshal(res.WithoutMeta()) }
 
-// payloadHead opens every payload: Scenario is Result's first field and is
-// never omitted.
-const payloadHead = `{"scenario":`
+// DecodePayload decodes a payload in place. It reads the one shape
+// EncodePayload writes and Hit's appends rely on: Result's fields in
+// declaration order, without whitespace and without Meta. Params are read
+// by Params.decodePlain, numbers by strconv, and a string that is not
+// plain printable ASCII is one token unquoted by encoding/json. Any other
+// document is an error.
+func DecodePayload(payload []byte) (Result, error) { return readPayload(payload, true) }
 
-// DecodePayload decodes a payload. It accepts only the shape EncodePayload
-// writes and Hit's appends rely on: an object that opens with the scenario,
-// closes with its own brace and carries no Meta.
-func DecodePayload(payload []byte) (Result, error) {
-	var res Result
-	if !bytes.HasPrefix(payload, []byte(payloadHead)) || payload[len(payload)-1] != '}' {
+// CheckPayload reports DecodePayload's verdict on a payload without
+// building the Result: the check a tier makes before it hands a payload on.
+func CheckPayload(payload []byte) error {
+	_, err := readPayload(payload, false)
+	return err
+}
+
+// readPayload reads a payload; into its Result only when build is set.
+func readPayload(payload []byte, build bool) (Result, error) {
+	r := payloadReader{b: payload, ok: json.Valid(payload), build: build}
+	out := Result{Scenario: r.str(`{"scenario":`)}
+	if r.lit(`,"params":`) {
+		end, ok := out.Params.decodePlain(payload[r.i:])
+		r.i, r.ok = r.i+end, ok
+	}
+	if r.opt(`,"outcome":`) {
+		out.Outcome = r.str("")
+	}
+	if r.opt(`,"metrics":[`) {
+		out.Metrics = list(&r, `{"name":`, func() Metric { return Metric{Name: r.str(""), Value: r.num(`,"value":`)} })
+	}
+	if r.opt(`,"curve_name":`) {
+		out.CurveName = r.str("")
+	}
+	if r.opt(`,"curve":[`) {
+		out.Curve = list(&r, `{"x":`, func() CurvePoint { return CurvePoint{X: r.num(""), Y: r.num(`,"y":`)} })
+	}
+	if r.opt(`,"error":`) {
+		out.Err = r.str("")
+	}
+	if !r.lit(`}`) || r.i != len(payload) {
 		return Result{}, errors.New("engine: not a result payload")
 	}
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return Result{}, err
+	return out, nil
+}
+
+// payloadReader reads valid JSON left to right, copying strings and lists
+// out only when build is set. Once a read fails, ok stays false and later
+// reads do nothing.
+type payloadReader struct {
+	b         []byte
+	i         int
+	ok, build bool
+}
+
+// opt consumes s if the bytes continue with it.
+func (r *payloadReader) opt(s string) bool {
+	if r.ok && len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s {
+		r.i += len(s)
+		return true
 	}
-	if res.Meta != nil {
-		return Result{}, errors.New("engine: result payload carries meta")
+	return false
+}
+
+// lit consumes s, which the bytes must continue with.
+func (r *payloadReader) lit(s string) bool { r.ok = r.opt(s); return r.ok }
+
+// str reads the string after prefix.
+func (r *payloadReader) str(prefix string) (s string) {
+	if r.lit(prefix) {
+		s, r.i, r.ok = jsonString(r.b, r.i, r.build)
 	}
-	return res, nil
+	return s
+}
+
+// num reads the number after prefix: the bytes up to the first that no
+// number holds, parsed by strconv.
+func (r *payloadReader) num(prefix string) float64 {
+	r.lit(prefix)
+	j := len(r.b) - len(bytes.TrimLeft(r.b[r.i:], "-+.eE0123456789"))
+	x, err := strconv.ParseFloat(string(r.b[r.i:j]), 64)
+	r.i, r.ok = j, r.ok && err == nil
+	return x
+}
+
+// list reads a list up to its closing bracket: elements that open with
+// head, each read by elem up to its closing brace.
+func list[T any](r *payloadReader, head string, elem func() T) (out []T) {
+	if r.build {
+		out = make([]T, 0, bytes.Count(r.b[r.i:], []byte(head)))
+	}
+	for more := true; more; more = r.opt(",") {
+		r.lit(head)
+		if e := elem(); r.lit("}") && r.build {
+			out = append(out, e)
+		}
+	}
+	r.lit("]")
+	return out
 }
 
 // Hit is a cell the result tier answered (Prepare): its position in the

@@ -16,18 +16,20 @@ const DefaultCheckpointEvery = 500
 // CheckpointStore is the durable home of mid-cell checkpoints
 // (internal/store.Checkpoints is the production implementation). The
 // contract mirrors the result store's: Save is atomic (temp+rename),
-// Load answers only intact payloads — a torn, truncated, corrupt, or
+// Read lends only intact payloads — a torn, truncated, corrupt, or
 // version-skewed entry is a silent miss, never an error — and Delete is
 // idempotent.
 type CheckpointStore interface {
-	// LoadCheckpoint returns the newest valid checkpoint payload for the
-	// cell, if any.
-	LoadCheckpoint(cellKey string) ([]byte, bool)
+	// ReadCheckpoint lends the newest valid checkpoint payload of the cell
+	// to use, which must not keep it past its return, and reports whether
+	// use took it. A payload use refuses is damaged: the store drops it and
+	// counts a miss.
+	ReadCheckpoint(cellKey string, use func(payload []byte) bool) bool
 	// SaveCheckpoint atomically persists the cell's current checkpoint,
 	// replacing any previous one.
 	SaveCheckpoint(cellKey string, payload []byte) error
-	// DeleteCheckpoint removes the cell's checkpoint (cell completed, or
-	// its payload proved undecodable).
+	// DeleteCheckpoint removes the cell's checkpoint once the cell
+	// completed.
 	DeleteCheckpoint(cellKey string)
 }
 
@@ -146,19 +148,20 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		every = DefaultCheckpointEvery
 	}
 
+	// The prefix is decoded where the payload was lent and copies what it
+	// keeps. A payload whose store framing was intact but whose inner
+	// bytes were not (codec version skew, schema drift) is refused: the
+	// same verdict as corruption, and the cell starts cold.
 	var pre *Prefix
-	if payload, found := ck.Store.LoadCheckpoint(cellKey); found {
-		if dec, err := cs.DecodePrefix(bytes.NewReader(payload)); err == nil {
+	ck.Store.ReadCheckpoint(cellKey, func(payload []byte) bool {
+		dec, err := cs.DecodePrefix(bytes.NewReader(payload))
+		if err == nil {
 			pre = dec
-			meta.Resumed = true
-			meta.ResumeEpoch = dec.Epoch
-			meta.EpochsSaved = dec.Epoch
-		} else {
-			// The store's framing was intact but the inner payload was
-			// not (codec version skew, schema drift): same verdict as
-			// corruption — clear it and start cold.
-			ck.Store.DeleteCheckpoint(cellKey)
 		}
+		return err == nil
+	})
+	if pre != nil {
+		*meta = CheckpointMeta{Resumed: true, ResumeEpoch: pre.Epoch, EpochsSaved: pre.Epoch}
 	}
 
 	// save snapshots a prefix still standing on its live simulation and

@@ -44,12 +44,18 @@ func (m *memStore) SaveCheckpoint(cellKey string, payload []byte) error {
 	return nil
 }
 
-func (m *memStore) LoadCheckpoint(cellKey string) ([]byte, bool) {
+// ReadCheckpoint lends the held bytes themselves and drops a payload use
+// refuses, as the durable store does.
+func (m *memStore) ReadCheckpoint(cellKey string, use func(payload []byte) bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.loads++
 	payload, ok := m.data[cellKey]
-	return payload, ok
+	if ok && !use(payload) {
+		delete(m.data, cellKey)
+		return false
+	}
+	return ok
 }
 
 func (m *memStore) DeleteCheckpoint(cellKey string) {

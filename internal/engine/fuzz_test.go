@@ -11,7 +11,9 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/sim"
 )
@@ -63,6 +65,100 @@ func FuzzDecodeParams(f *testing.F) {
 			t.Fatalf("%q → %+v → %s → %+v (%v)", doc, p, b, q, err)
 		}
 	})
+}
+
+// FuzzDecodePayload: DecodePayload reads a payload as encoding/json does.
+// Whatever bytes it is handed — a store entry's payload crosses a trust
+// boundary — a payload it accepts decodes to the Result json.Unmarshal
+// makes of it, Params.Explicit included (the params read by
+// referenceUnmarshal), and CheckPayload agrees with it. A Result built from
+// the fuzzer's text and floats round-trips: EncodePayload's bytes are
+// accepted, decode as encoding/json decodes them and encode back to
+// themselves, or, for invalid UTF-8, to bytes that decode to the same
+// Result. fuzzResult says how the Result is built. Seeded with the
+// store's checked-in entry and a "beta > 1/3" outcome, which a payload
+// holds as "beta \u003e 1/3".
+func FuzzDecodePayload(f *testing.F) {
+	entry, err := os.ReadFile("../store/testdata/gls1-entry.res")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry[bytes.Index(entry, []byte(`{"scenario":`)):], "sim/gst||healed, finality recovered|violation_epoch||", 0.5, 9.0, uint8(0))
+	f.Add([]byte(`{"scenario":"5.3","params":{"beta0":0.34},"outcome":"beta \u003e 1/3"}`), "5.3|a<b>&\"c\" é|beta > 1/3|p\x01|beta|\xff", 1.0/3, 2.5e-122, uint8(0xff))
+	f.Fuzz(func(t *testing.T, doc []byte, text string, x, y float64, shape uint8) {
+		checkDecodePayload(t, doc)
+		payload, err := EncodePayload(fuzzResult(text, x, y, shape))
+		if err != nil {
+			return // a NaN or an infinity has no JSON form
+		}
+		if !checkDecodePayload(t, payload) {
+			t.Fatalf("%s: refused what EncodePayload wrote", payload)
+		}
+		// Invalid UTF-8 is written as U+FFFD, which encodes as itself from
+		// then on: only valid text comes back byte for byte.
+		res, _ := DecodePayload(payload)
+		again, err := EncodePayload(res)
+		if err != nil || utf8.ValidString(text) && !bytes.Equal(again, payload) {
+			t.Fatalf("%s decodes to %+v, which encodes to %s (%v)", payload, res, again, err)
+		}
+		if res2, err := DecodePayload(again); err != nil || !reflect.DeepEqual(res2, res) {
+			t.Fatalf("%s decodes to %+v, then %+v (%v)", again, res, res2, err)
+		}
+	})
+}
+
+// checkDecodePayload reports whether DecodePayload accepts doc. It fails t
+// when CheckPayload disagrees, or when the Result differs from what
+// encoding/json reads.
+func checkDecodePayload(t *testing.T, doc []byte) bool {
+	t.Helper()
+	got, err := DecodePayload(doc)
+	if cerr := CheckPayload(doc); (cerr == nil) != (err == nil) {
+		t.Fatalf("%q: DecodePayload says %v, CheckPayload %v", doc, err, cerr)
+	}
+	if err != nil {
+		return false
+	}
+	var want Result
+	var raw struct {
+		Params json.RawMessage `json:"params"`
+	}
+	if err := json.Unmarshal(doc, &want); err != nil {
+		t.Fatalf("%q: accepted, and encoding/json refuses it: %v", doc, err)
+	}
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if want.Params, err = referenceUnmarshal(raw.Params); err != nil {
+		t.Fatalf("%q: accepted, and the params do not decode: %v", doc, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: DecodePayload reads %+v, encoding/json %+v", doc, got, want)
+	}
+	return true
+}
+
+// fuzzResult builds a Result from fuzzer values. text is cut at '|' into
+// the scenario, mode, outcome, two metric names, curve name and error. The
+// bits of shape choose empty metric and curve lists (1, 2), floats scaled
+// into exponent form (4) and sparse params (8) over a full record.
+func fuzzResult(text string, x, y float64, shape uint8) Result {
+	s := append(strings.Split(text, "|"), make([]string, 7)...)
+	if shape&4 != 0 {
+		x, y = x*1e-30, y*1e25
+	}
+	res := Result{Scenario: s[0], Outcome: s[2], CurveName: s[5], Err: s[6], Metrics: []Metric{}, Curve: []CurvePoint{},
+		Params: Params{P0: x, Beta0: y, Mode: s[1], Seed: int64(shape) - 128, N: len(text), Horizon: -int(shape)}.MarkExplicit(FieldRate)}
+	if shape&8 == 0 {
+		res.Params = res.Params.WithDefaults(Params{})
+	}
+	if shape&1 == 0 {
+		res.Metrics = []Metric{{s[3], x}, {s[4], y}}
+	}
+	if shape&2 == 0 {
+		res.Curve = []CurvePoint{{x, y}, {-y, x}}
+	}
+	return res
 }
 
 // referenceMarshal is the encoder MarshalJSON replaced: one pointer field of

@@ -261,8 +261,10 @@ func appendJSONString(b []byte, s string) []byte {
 // match as struct fields do (case-insensitively), and unknown keys are
 // skipped without being copied.
 func (p *Params) UnmarshalJSON(data []byte) error {
-	if p.decodePlain(data) {
-		return nil
+	if json.Valid(data) {
+		if _, ok := p.decodePlain(data); ok {
+			return nil
+		}
 	}
 	w := reflect.New(wireType)
 	if err := json.Unmarshal(data, w.Interface()); err != nil {
@@ -279,55 +281,54 @@ func (p *Params) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// decodePlain decodes, into p only when it reports true, a valid document
-// in the form clients and MarshalJSON write: one object of canonical keys,
-// each holding a number (an integer, within range, for the integer fields)
-// or a string of printable ASCII without escapes. It reads the values in
-// place, without encoding/json's decoder. Any other document it leaves to
-// encoding/json, whose reading of such a document is the same.
-func (p *Params) decodePlain(data []byte) bool {
-	if !json.Valid(data) {
-		return false
-	}
+// decodePlain decodes the object data opens with, in the form clients and
+// MarshalJSON write: canonical keys, each holding a number (an integer,
+// within range, for the integer fields) or a string. It reads the values
+// in place, without encoding/json's decoder, and reports where the object
+// ends; it writes p only when it reports true. data must be valid JSON from
+// the object on (a whole document, or a payload holding the object). Any
+// other object it leaves to encoding/json, whose reading of such an object
+// is the same.
+func (p *Params) decodePlain(data []byte) (end int, ok bool) {
 	var q Params
 	v := reflect.ValueOf(&q).Elem()
 	i := skipSpace(data, 0)
 	if data[i] != '{' {
-		return false
+		return 0, false
 	}
 	// Valid JSON: a key is followed by ':', a value by ',' or '}'.
 	for i = skipSpace(data, i+1); data[i] != '}'; i = skipSpace(data, i+1) {
-		key, j := plainString(data, i)
+		_, j, _ := jsonString(data, i, false)
 		var d *paramDim
 		for k := range paramDims {
-			if key != nil && string(key) == paramDims[k].key {
+			if string(data[i+1:j-1]) == paramDims[k].key {
 				d = &paramDims[k]
 			}
 		}
 		if d == nil {
-			return false
+			return 0, false
 		}
 		i = skipSpace(data, skipSpace(data, j)+1)
 		f := v.Field(d.pi)
 		if f.Kind() == reflect.String {
-			var s []byte
-			if s, j = plainString(data, i); s == nil {
-				return false
+			var s string
+			if s, j, ok = jsonString(data, i, true); !ok {
+				return 0, false
 			}
-			f.SetString(string(s))
+			f.SetString(s)
 		} else {
 			for j = i; j < len(data) && strings.IndexByte(",} \t\n\r", data[j]) < 0; j++ {
 			}
 			if f.Kind() == reflect.Float64 {
 				x, err := strconv.ParseFloat(string(data[i:j]), 64)
 				if err != nil {
-					return false
+					return 0, false
 				}
 				f.SetFloat(x)
 			} else {
 				n, err := strconv.ParseInt(string(data[i:j]), 10, 64)
 				if err != nil || f.OverflowInt(n) {
-					return false
+					return 0, false
 				}
 				f.SetInt(n)
 			}
@@ -338,7 +339,7 @@ func (p *Params) decodePlain(data []byte) bool {
 		}
 	}
 	*p = q
-	return true
+	return i + 1, true
 }
 
 // skipSpace returns the index of the first byte at or after i that is not
@@ -350,20 +351,31 @@ func skipSpace(data []byte, i int) int {
 	return i
 }
 
-// plainString reads a string of printable ASCII without escapes at i: its
-// contents (nil if there is none) and the index after its closing quote.
-func plainString(data []byte, i int) ([]byte, int) {
+// jsonString reads the string at i of valid JSON: its value, built only
+// when build is set, and the index after its closing quote. Plain printable
+// ASCII is copied as it stands; any other string is one token unquoted by
+// encoding/json.
+func jsonString(data []byte, i int, build bool) (s string, end int, ok bool) {
 	if data[i] != '"' {
-		return nil, i
+		return "", i, false
 	}
-	for j := i + 1; j < len(data); j++ {
-		if c := data[j]; c == '"' {
-			return data[i+1 : j], j + 1
-		} else if c < ' ' || c > '~' || c == '\\' {
-			break
+	plain := true
+	for end = i + 1; data[end] != '"'; end++ {
+		if c := data[end]; c == '\\' {
+			plain, end = false, end+1
+		} else if c < ' ' || c > '~' {
+			plain = false
 		}
 	}
-	return nil, i
+	switch end++; {
+	case !build:
+	case plain:
+		s = string(data[i+1 : end-1])
+	default:
+		var u string // its own variable: only this branch moves it to the heap
+		return u, end, json.Unmarshal(data[i:end], &u) == nil
+	}
+	return s, end, true
 }
 
 // IsExplicit reports whether the field was marked explicitly set.

@@ -1,8 +1,10 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -122,24 +124,43 @@ func BenchmarkSweepStoreWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGet/hit reads the grid's results back from a 30-entry
-// result store, one per op, as the bench harness's reuse-tiers workload
-// does: the content address, the entry read into a buffer off the store's
-// free list and checked in place, and the result's JSON decode.
-func BenchmarkStoreGet(b *testing.B) {
-	cells := benchGrid()
-	keys := cellKeys(b, cells)
-	results := engine.SweepContext(context.Background(), cells, engine.Options{Workers: 1, WarmStart: &engine.WarmStartOptions{}})
-	r, err := store.OpenResults(b.TempDir())
+// gridResults is the grid computed warm, once per test binary.
+var gridResults = sync.OnceValue(func() []engine.Result {
+	return engine.SweepContext(context.Background(), benchGrid(), engine.Options{Workers: 1, WarmStart: &engine.WarmStartOptions{}})
+})
+
+// gridStore writes the grid's results to a 30-entry result store in a
+// fresh directory and returns the directory and the cells' keys.
+func gridStore(b *testing.B) (dir string, keys []string) {
+	b.Helper()
+	keys = cellKeys(b, benchGrid())
+	dir = b.TempDir()
+	r, err := store.OpenResults(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Close()
-	for i, res := range results {
+	for i, res := range gridResults() {
 		if err := r.Put(keys[i], res); err != nil {
 			b.Fatal(err)
 		}
 	}
+	if err := r.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir, keys
+}
+
+// BenchmarkStoreGet/hit reads the grid's results back from a 30-entry
+// result store, one per op, as the bench harness's reuse-tiers workload
+// does: the content address, the entry read into a buffer off the store's
+// free list and checked in place, and the result decoded where it was read.
+func BenchmarkStoreGet(b *testing.B) {
+	dir, keys := gridStore(b)
+	r, err := store.OpenResults(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -148,4 +169,65 @@ func BenchmarkStoreGet(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStoreOpen reopens the grid's 30-entry result store, one per op,
+// as each stored pass of the reuse-tiers workload does: the shard
+// directories listed, their entries counted and their temp files swept.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir, keys := gridStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := store.OpenResults(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := r.Stats().Entries; n != int64(len(keys)) {
+			b.Fatalf("reopened store counts %d entries, want %d", n, len(keys))
+		}
+		r.Close()
+	}
+}
+
+// BenchmarkCheckpointLoad resumes the reuse-tiers workload's checkpoint, one
+// per op: the 2,500-validator sim/leak cell's prefix at epoch 50, lent from
+// the store's read buffer and decoded there. frame-B is the checkpoint's
+// size, which a copy of the lent payload would add to B/op.
+func BenchmarkCheckpointLoad(b *testing.B) {
+	ctx := context.Background()
+	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 2500, Horizon: 60, Seed: 1}}
+	sc, _ := engine.Lookup(cell.Scenario)
+	cs := sc.(engine.CheckpointableScenario)
+	pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := cs.EncodePrefix(&frame, pre); err != nil {
+		b.Fatal(err)
+	}
+	r, err := store.OpenResults(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	ckpts := r.Checkpoints()
+	key, _ := engine.CanonicalCellKey(nil, cell)
+	if err := ckpts.SaveCheckpoint(key, frame.Bytes()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var loaded *engine.Prefix
+		ckpts.ReadCheckpoint(key, func(payload []byte) bool {
+			loaded, err = cs.DecodePrefix(bytes.NewReader(payload))
+			return err == nil
+		})
+		if loaded == nil || loaded.Epoch != 50 {
+			b.Fatalf("checkpoint did not load: %v", err)
+		}
+	}
+	b.ReportMetric(float64(frame.Len()), "frame-B")
 }

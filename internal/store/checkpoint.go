@@ -61,22 +61,31 @@ func (c *Checkpoints) SaveCheckpoint(cellKey string, payload []byte) error {
 	return err
 }
 
-// LoadCheckpoint returns the newest valid checkpoint for the cell. Any
-// damage — a missing entry, a torn or truncated file, a checksum
-// mismatch — reads as a miss; the engine then starts the cell cold.
-func (c *Checkpoints) LoadCheckpoint(cellKey string) ([]byte, bool) {
-	payload, ok := c.s.Get(checkpointKeyPrefix + cellKey)
+// ReadCheckpoint lends the cell's newest valid checkpoint to use in the
+// buffer the store read it into, which goes back to the free list when use
+// returns. Any damage — a missing entry, a torn or truncated file, a
+// checksum mismatch — reads as a miss, and so does a payload use refuses,
+// which is dropped as corrupt; the engine then starts the cell cold.
+func (c *Checkpoints) ReadCheckpoint(cellKey string, use func(payload []byte) bool) bool {
+	ok := c.s.read(checkpointKeyPrefix+cellKey, use)
 	if ok {
 		c.loaded.Add(1)
 	} else {
 		c.missed.Add(1)
 	}
+	return ok
+}
+
+// LoadCheckpoint returns a copy of the cell's newest valid checkpoint
+// (ReadCheckpoint's payload).
+func (c *Checkpoints) LoadCheckpoint(cellKey string) ([]byte, bool) {
+	var payload []byte
+	ok := c.ReadCheckpoint(cellKey, func(p []byte) bool { payload = append([]byte(nil), p...); return true })
 	return payload, ok
 }
 
 // DeleteCheckpoint removes the cell's checkpoint; the engine calls it
-// when the cell completes (and when a decoded payload proves invalid, so
-// the next writer starts clean).
+// when the cell completes.
 func (c *Checkpoints) DeleteCheckpoint(cellKey string) {
 	if c.s.Delete(checkpointKeyPrefix + cellKey) {
 		c.gcDeleted.Add(1)

@@ -2,11 +2,15 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func openCheckpoints(t *testing.T) *Checkpoints {
@@ -244,5 +248,107 @@ func TestCorruptCheckpointForTest(t *testing.T) {
 func TestCheckpointKeyPrefixUnprintable(t *testing.T) {
 	if !strings.ContainsRune(checkpointKeyPrefix, 0) {
 		t.Fatal("checkpoint namespace prefix lost its NUL separator")
+	}
+}
+
+// leakCheckpoint plants the checkpoint of a small sim/leak cell with the
+// honest split p0 at epoch 16 and returns the cell, its key and its cold
+// result.
+func leakCheckpoint(t *testing.T, c *Checkpoints, p0 float64) (engine.Cell, string, engine.Result) {
+	t.Helper()
+	ctx := context.Background()
+	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: p0, N: 64, Horizon: 40, Seed: 1}}
+	sc, _ := engine.Lookup(cell.Scenario)
+	cs := sc.(engine.CheckpointableScenario)
+	pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := cs.EncodePrefix(&frame, pre); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := engine.CanonicalCellKey(nil, cell)
+	if err := c.SaveCheckpoint(key, frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := engine.RunContext(ctx, cell.Scenario, cell.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cell, key, cold
+}
+
+// reusingCheckpoints reads another entry through the store's free list as
+// soon as it has lent a checkpoint, so the buffer the checkpoint was lent
+// from is overwritten while the cell it resumes is still running.
+type reusingCheckpoints struct {
+	*Checkpoints
+	t     *testing.T
+	other string
+}
+
+func (r reusingCheckpoints) ReadCheckpoint(cellKey string, use func(payload []byte) bool) bool {
+	var lent, was []byte
+	ok := r.Checkpoints.ReadCheckpoint(cellKey, func(p []byte) bool { lent, was = p, bytes.Clone(p); return use(p) })
+	r.s.read(checkpointKeyPrefix+r.other, func(p []byte) bool {
+		if ok && (&p[0] != &lent[0] || bytes.Equal(lent, was)) {
+			r.t.Fatal("the lent buffer was not read over")
+		}
+		return true
+	})
+	return ok
+}
+
+// TestCheckpointResumeOutlivesLentBuffer: a cell resumed from a checkpoint
+// lent out of the store's read buffer keeps nothing of the buffer, which
+// the next read writes over: it finishes with the cold run's result.
+func TestCheckpointResumeOutlivesLentBuffer(t *testing.T) {
+	c := openCheckpoints(t)
+	// A larger entry read first leaves a buffer both frames fit in.
+	if err := c.s.Put("large", make([]byte, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.s.Get("large"); !ok {
+		t.Fatal("large entry missed")
+	}
+	cell, _, cold := leakCheckpoint(t, c, 0.5)
+	_, other, _ := leakCheckpoint(t, c, 0.4)
+	st := reusingCheckpoints{Checkpoints: c, t: t, other: other}
+	res, err := engine.RunCell(context.Background(), cell, engine.Options{Checkpoint: &engine.CheckpointOptions{Every: -1, Store: st}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck := res.Meta.Checkpoint; ck == nil || !ck.Resumed || ck.ResumeEpoch != 16 {
+		t.Fatalf("checkpoint meta %+v, want a resume from epoch 16", res.Meta.Checkpoint)
+	}
+	if !reflect.DeepEqual(res.WithoutMeta(), cold.WithoutMeta()) {
+		t.Fatalf("resumed %+v, cold %+v", res.WithoutMeta(), cold.WithoutMeta())
+	}
+}
+
+// TestCheckpointUndecodableRecomputes: a checkpoint whose entry is intact
+// but whose payload does not decode is refused where it is lent: counted a
+// checkpoint miss and a corrupt store read, removed, and the cell runs cold
+// to the cold result.
+func TestCheckpointUndecodableRecomputes(t *testing.T) {
+	r, err := OpenResults(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := r.Checkpoints()
+	cell, key, cold := leakCheckpoint(t, c, 0.5)
+	if err := c.SaveCheckpoint(key, []byte("not a checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.RunCell(context.Background(), cell, engine.Options{Checkpoint: &engine.CheckpointOptions{Every: -1, Store: c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck := res.Meta.Checkpoint; ck == nil || ck.Resumed || !reflect.DeepEqual(res.WithoutMeta(), cold.WithoutMeta()) {
+		t.Fatalf("got %+v (checkpoint %+v), want the cold result run cold", res.WithoutMeta(), res.Meta.Checkpoint)
+	}
+	if st, cst := r.Stats(), c.Stats(); cst.Missed != 1 || cst.Loaded != 0 || cst.GCDeleted != 0 || st.Corrupt != 1 || st.Entries != 0 {
+		t.Errorf("store %+v, checkpoints %+v: want one corrupt miss, the entry removed", st, cst)
 	}
 }

@@ -54,12 +54,13 @@ func (r *Results) Put(key string, res engine.Result) error {
 }
 
 // GetPayload returns a copy of the payload stored under key, the result
-// tier's unit (engine.ResultTier). It is checked as Get checks it, so a
-// payload that no longer decodes is a counted corrupt miss here too.
+// tier's unit (engine.ResultTier). It is checked as Get decodes it
+// (engine.CheckPayload), so a payload that no longer decodes is a counted
+// corrupt miss here too.
 func (r *Results) GetPayload(key string) ([]byte, bool) {
 	var held []byte
 	ok := r.s.read(key, func(payload []byte) bool {
-		if _, err := engine.DecodePayload(payload); err != nil {
+		if engine.CheckPayload(payload) != nil {
 			return false
 		}
 		held = bytes.Clone(payload)

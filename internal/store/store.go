@@ -16,7 +16,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -69,7 +68,9 @@ type Store struct {
 	// free holds the buffers entries are read into between reads: at most
 	// GOMAXPROCS idle, each as long as the longest entry it held, and the
 	// collector does not empty it, so a steady stream of hits reads into
-	// buffers the store already has.
+	// buffers the store already has. Checkpoints are read through it too,
+	// so checkpoint-sized buffers circulate on it and a checkpoint is lent
+	// from one (Checkpoints.ReadCheckpoint).
 	free chan []byte
 
 	hits, misses, puts, corrupt atomic.Uint64
@@ -88,27 +89,48 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: filepath.Clean(dir), free: make(chan []byte, runtime.GOMAXPROCS(0))}
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(d.Name(), ".") {
-			os.Remove(path) // interrupted write; its rename never happened
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), entryExt) {
-			return nil
-		}
-		if info, err := d.Info(); err == nil {
-			s.entries.Add(1)
-			s.bytes.Add(info.Size())
-		}
-		return nil
-	})
-	if err != nil {
+	if err := s.scan(); err != nil {
 		return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
 	}
 	return s, nil
+}
+
+// scan counts the entries in the shard directories and removes the temp
+// files there. It reads each directory once, in the order the file system
+// lists it: a count needs no sorting.
+func (s *Store) scan() error {
+	shards, err := readDir(s.dir)
+	if err != nil {
+		return err
+	}
+	for _, shard := range shards {
+		if !shard.IsDir() {
+			continue
+		}
+		files, err := readDir(filepath.Join(s.dir, shard.Name()))
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			if strings.HasPrefix(f.Name(), ".") {
+				os.Remove(filepath.Join(s.dir, shard.Name(), f.Name())) // interrupted write; its rename never happened
+			} else if info, ierr := f.Info(); ierr == nil && strings.HasSuffix(f.Name(), entryExt) {
+				s.entries.Add(1)
+				s.bytes.Add(info.Size())
+			}
+		}
+	}
+	return nil
+}
+
+// readDir lists a directory unsorted.
+func readDir(dir string) ([]fs.DirEntry, error) {
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	return d.ReadDir(-1)
 }
 
 // path maps a key to its content address: SHA-256 of the key, hex, split
@@ -131,16 +153,6 @@ func checksum(parts ...[]byte) uint64 {
 		h.Write(p)
 	}
 	return h.Sum64()
-}
-
-// Get returns a copy of the payload stored under key. Any damage — missing
-// file, torn or truncated write, checksum mismatch, or a different key at
-// the same address — reads as a miss, and damaged files are removed so the
-// next Put repairs them; Get never returns an error.
-func (s *Store) Get(key string) ([]byte, bool) {
-	var payload []byte
-	ok := s.read(key, func(p []byte) bool { payload = bytes.Clone(p); return true })
-	return payload, ok
 }
 
 // read hands the payload stored under key to use, checked in place in a

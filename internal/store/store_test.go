@@ -12,6 +12,15 @@ import (
 	"repro/internal/engine"
 )
 
+// Get returns a copy of the payload stored under key: the raw read the
+// tests check entries with. The product reads in place (Results.Get,
+// Checkpoints.ReadCheckpoint).
+func (s *Store) Get(key string) ([]byte, bool) {
+	var payload []byte
+	ok := s.read(key, func(p []byte) bool { payload = bytes.Clone(p); return true })
+	return payload, ok
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
