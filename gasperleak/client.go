@@ -30,12 +30,6 @@ type (
 	// (ScenarioRunMeta.Warm): what the cell reused and the scheduler's
 	// running counters.
 	SweepWarmMeta = engine.WarmMeta
-	// ResultStoreStats is the persistent result store's footprint and
-	// counter snapshot (see WithResultStore and Client.StoreStats).
-	ResultStoreStats = store.Stats
-	// CheckpointStats is the durable-checkpoint tier's counter snapshot
-	// (see WithCheckpoints and Client.CheckpointStats).
-	CheckpointStats = store.CheckpointStats
 	// ScenarioCheckpointMeta is the durable-checkpoint provenance of one
 	// sweep cell (ScenarioRunMeta.Checkpoint): whether it resumed from an
 	// on-disk checkpoint and how many epochs the resume skipped.
@@ -124,18 +118,6 @@ func WithCheckpoints(every int) ClientOption {
 	}
 }
 
-// WithRegistry points the client at a custom scenario registry instead of
-// the built-in one.
-func WithRegistry(reg *ScenarioRegistry) ClientOption {
-	return func(c *Client) error {
-		if reg == nil {
-			return fmt.Errorf("gasperleak: WithRegistry(nil)")
-		}
-		c.opt.Registry = reg
-		return nil
-	}
-}
-
 // NewClient builds a client over the built-in scenario registry, all-CPU
 // sweeps, and no deadline, then applies the options in order.
 func NewClient(opts ...ClientOption) (*Client, error) {
@@ -161,27 +143,6 @@ func NewClient(opts ...ClientOption) (*Client, error) {
 func (c *Client) store() *store.Results {
 	st, _ := c.opt.Results.(*store.Results)
 	return st
-}
-
-// Workers reports the configured sweep pool width (0 = all CPUs).
-func (c *Client) Workers() int { return c.opt.Workers }
-
-// StoreStats reports the persistent store's footprint and hit/miss
-// counters; ok is false when the client has no store.
-func (c *Client) StoreStats() (stats store.Stats, ok bool) {
-	if st := c.store(); st != nil {
-		return st.Stats(), true
-	}
-	return store.Stats{}, false
-}
-
-// CheckpointStats reports the durable-checkpoint tier's counters; ok is
-// false when the client has no checkpoint tier (see WithCheckpoints).
-func (c *Client) CheckpointStats() (stats CheckpointStats, ok bool) {
-	if ck := c.opt.Checkpoint; ck != nil {
-		return ck.Store.(*store.Checkpoints).Stats(), true
-	}
-	return CheckpointStats{}, false
 }
 
 // Close releases the client's persistent store (no-op without one).
@@ -275,10 +236,4 @@ func (c *Client) BounceMCSweep(ctx context.Context, p0, beta0 float64, n, runs i
 // clock.
 func SweepThroughput(results []ScenarioResult, wall time.Duration) string {
 	return report.SweepThroughput(results, wall)
-}
-
-// StripScenarioMeta returns a copy of the results with execution metadata
-// removed, for comparing the deterministic payload of two sweeps.
-func StripScenarioMeta(results []ScenarioResult) []ScenarioResult {
-	return engine.StripMeta(results)
 }

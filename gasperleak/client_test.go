@@ -14,15 +14,8 @@ func TestNewClientOptionValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "-3") || !strings.Contains(err.Error(), "workers") {
 		t.Errorf("WithWorkers(-3) err = %v, want a clear validation error", err)
 	}
-	if _, err := gasperleak.NewClient(gasperleak.WithRegistry(nil)); err == nil {
-		t.Error("WithRegistry(nil) must error")
-	}
-	c, err := gasperleak.NewClient(gasperleak.WithWorkers(4))
-	if err != nil {
+	if _, err := gasperleak.NewClient(gasperleak.WithWorkers(4)); err != nil {
 		t.Fatal(err)
-	}
-	if c.Workers() != 4 {
-		t.Errorf("Workers() = %d, want 4", c.Workers())
 	}
 }
 
@@ -59,8 +52,13 @@ func TestClientScenariosAndCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos := c.Scenarios()
-	if len(infos) != len(gasperleak.ScenarioNames()) {
-		t.Fatalf("Scenarios() = %d entries, want %d", len(infos), len(gasperleak.ScenarioNames()))
+	if len(infos) == 0 {
+		t.Fatal("Scenarios() is empty")
+	}
+	for _, info := range infos {
+		if _, ok := c.Lookup(info.Name); !ok {
+			t.Errorf("Scenarios() lists %q, which Lookup does not find", info.Name)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

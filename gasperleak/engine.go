@@ -46,14 +46,8 @@ type (
 // how many genesis starts reset one or built a new simulation.
 func SpareSimulations() SpareStats { return engine.Spares() }
 
-// LookupScenario finds a scenario in the default registry.
-func LookupScenario(name string) (Scenario, bool) { return engine.Lookup(name) }
-
-// ScenarioNames lists the default registry, sorted.
-func ScenarioNames() []string { return engine.Names() }
-
-// NewScenario builds a Scenario from a function, for registration in a
-// custom registry (or engine.Default).
+// NewScenario builds a Scenario from a function, for registration in the
+// built-in registry (engine.Default), which every Client runs.
 func NewScenario(name, desc string, defaults ScenarioParams, run func(context.Context, ScenarioParams) (ScenarioResult, error)) Scenario {
 	return engine.NewScenario(name, desc, defaults, run)
 }
@@ -69,12 +63,6 @@ func SweepFirstError(results []ScenarioResult) error { return engine.FirstError(
 
 // Table1Cells lists the paper's Table 1 as sweep cells.
 func Table1Cells(seed int64) []SweepCell { return engine.Table1Cells(seed) }
-
-// DeriveSeed maps a base seed and cell coordinates to the cell's own
-// deterministic seed.
-func DeriveSeed(base int64, p0, beta0 float64, mode string, horizon int) int64 {
-	return engine.DeriveSeed(base, p0, beta0, mode, horizon)
-}
 
 // BounceMCGrid builds the standard bouncing Monte-Carlo ensemble grid:
 // one bounce-mc cell per run with consecutive base seeds.

@@ -34,7 +34,3 @@ func TableCells(n int) []SweepCell { return report.TableCells(n) }
 
 // FormatEpoch renders an epoch count with its wall-clock duration.
 func FormatEpoch(epochs float64) string { return report.FormatEpoch(epochs) }
-
-// Timeline renders a protocol-simulation metrics history (from a
-// MetricsRecorder) as a CSV-ready figure.
-func Timeline(history []EpochMetrics) *Figure { return report.Timeline(history) }

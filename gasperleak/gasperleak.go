@@ -77,22 +77,6 @@ const (
 // (ejection at epoch 4685).
 func PaperParams() AnalyticParams { return analytic.PaperParams() }
 
-// ContinuousParams derives the ejection epochs endogenously from the stake
-// laws (~4660.7 / ~7610.9).
-func ContinuousParams() AnalyticParams { return analytic.ContinuousParams() }
-
-// StakeActive is the constant 32 ETH trajectory of an always-active
-// validator.
-func StakeActive(t float64) float64 { return analytic.StakeActive(t) }
-
-// StakeSemiActive is the 32 e^{-3t^2/2^28} trajectory of a validator active
-// every other epoch.
-func StakeSemiActive(t float64) float64 { return analytic.StakeSemiActive(t) }
-
-// StakeInactive is the 32 e^{-t^2/2^25} trajectory of an inactive
-// validator.
-func StakeInactive(t float64) float64 { return analytic.StakeInactive(t) }
-
 // BounceWindow returns the Equation 14 interval of honest splits for which
 // the probabilistic bouncing attack can continue.
 func BounceWindow(beta0 float64) (lo, hi float64) { return analytic.BounceWindow(beta0) }

@@ -11,13 +11,20 @@ import (
 	"repro/internal/engine"
 )
 
-// storeTestRegistry registers one invocation-counting scenario; the test
-// builds it through the internal engine package (same module) since the
-// public surface re-exports the registry type but reproductions normally
-// run the built-in registry.
-func storeTestRegistry(runs *atomic.Int64) *gasperleak.ScenarioRegistry {
-	reg := engine.NewRegistry()
-	reg.MustRegister(gasperleak.NewScenario("counted", "counts invocations",
+// storeRuns and plainRuns count the invocations of the two counting
+// scenarios these tests add to the built-in registry, the one every Client
+// runs. Tests read them as deltas, so a repeated run of the suite counts
+// from where the last left them.
+var storeRuns, plainRuns atomic.Int64
+
+func init() {
+	engine.Default.MustRegister(countedScenario("test/counted-store", &storeRuns))
+	engine.Default.MustRegister(countedScenario("test/counted-plain", &plainRuns))
+}
+
+// countedScenario is a cheap scenario that counts its invocations.
+func countedScenario(name string, runs *atomic.Int64) gasperleak.Scenario {
+	return gasperleak.NewScenario(name, "counts invocations",
 		gasperleak.ScenarioParams{P0: 0.5, N: 10},
 		func(_ context.Context, p gasperleak.ScenarioParams) (gasperleak.ScenarioResult, error) {
 			runs.Add(1)
@@ -25,8 +32,7 @@ func storeTestRegistry(runs *atomic.Int64) *gasperleak.ScenarioRegistry {
 				Outcome: fmt.Sprintf("seed %d", p.Seed),
 				Metrics: []gasperleak.ScenarioMetric{{Name: "value", Value: float64(p.Seed)}},
 			}, nil
-		}))
-	return reg
+		})
 }
 
 // TestClientResultStoreReadThrough: a client with WithResultStore serves
@@ -34,29 +40,29 @@ func storeTestRegistry(runs *atomic.Int64) *gasperleak.ScenarioRegistry {
 // directory (a later process) inherits every result.
 func TestClientResultStoreReadThrough(t *testing.T) {
 	ctx := context.Background()
-	var runs atomic.Int64
-	reg := storeTestRegistry(&runs)
+	base := storeRuns.Load()
+	runs := func() int64 { return storeRuns.Load() - base }
 	dir := t.TempDir()
 
-	c1, err := gasperleak.NewClient(gasperleak.WithRegistry(reg), gasperleak.WithResultStore(dir))
+	c1, err := gasperleak.NewClient(gasperleak.WithResultStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
 
-	first, err := c1.Run(ctx, "counted", gasperleak.ScenarioParams{Seed: 3})
+	first, err := c1.Run(ctx, "test/counted-store", gasperleak.ScenarioParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 1 {
-		t.Fatalf("first run: %d invocations, want 1", runs.Load())
+	if runs() != 1 {
+		t.Fatalf("first run: %d invocations, want 1", runs())
 	}
-	second, err := c1.Run(ctx, "counted", gasperleak.ScenarioParams{Seed: 3})
+	second, err := c1.Run(ctx, "test/counted-store", gasperleak.ScenarioParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 1 {
-		t.Errorf("repeat run recomputed (%d invocations)", runs.Load())
+	if runs() != 1 {
+		t.Errorf("repeat run recomputed (%d invocations)", runs())
 	}
 	if second.Meta == nil || !second.Meta.Cached {
 		t.Errorf("repeat run meta = %+v, want a store hit", second.Meta)
@@ -64,61 +70,55 @@ func TestClientResultStoreReadThrough(t *testing.T) {
 	if !reflect.DeepEqual(first.WithoutMeta(), second.WithoutMeta()) {
 		t.Error("store-served payload diverges")
 	}
-	if stats, ok := c1.StoreStats(); !ok || stats.Entries != 1 || stats.Hits != 1 {
-		t.Errorf("StoreStats = %+v, %v; want 1 entry, 1 hit", stats, ok)
-	}
 
 	// Sweep: the stored cell is a hit, the rest compute and persist.
 	cells := []gasperleak.SweepCell{
-		{Scenario: "counted", Params: gasperleak.ScenarioParams{Seed: 3}},
-		{Scenario: "counted", Params: gasperleak.ScenarioParams{Seed: 4}},
-		{Scenario: "counted", Params: gasperleak.ScenarioParams{Seed: 5}},
+		{Scenario: "test/counted-store", Params: gasperleak.ScenarioParams{Seed: 3}},
+		{Scenario: "test/counted-store", Params: gasperleak.ScenarioParams{Seed: 4}},
+		{Scenario: "test/counted-store", Params: gasperleak.ScenarioParams{Seed: 5}},
 	}
 	swept := c1.Sweep(ctx, cells)
-	if runs.Load() != 3 {
-		t.Errorf("sweep over a warm store ran %d total cells, want 3 (one was stored)", runs.Load())
+	if runs() != 3 {
+		t.Errorf("sweep over a warm store ran %d total cells, want 3 (one was stored)", runs())
 	}
 	if len(swept) != 3 || swept[0].Meta == nil || !swept[0].Meta.Cached {
 		t.Errorf("sweep cell 0 meta = %+v, want the stored cell served from disk", swept[0].Meta)
 	}
 
 	// A second client over the same directory inherits everything.
-	c2, err := gasperleak.NewClient(gasperleak.WithRegistry(reg), gasperleak.WithResultStore(dir))
+	c2, err := gasperleak.NewClient(gasperleak.WithResultStore(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	again := c2.Sweep(ctx, cells)
-	if runs.Load() != 3 {
-		t.Errorf("second client recomputed: %d total invocations, want still 3", runs.Load())
+	if runs() != 3 {
+		t.Errorf("second client recomputed: %d total invocations, want still 3", runs())
 	}
-	if !reflect.DeepEqual(gasperleak.StripScenarioMeta(swept), gasperleak.StripScenarioMeta(again)) {
+	if !reflect.DeepEqual(engine.StripMeta(swept), engine.StripMeta(again)) {
 		t.Error("second client's sweep payload diverges")
 	}
 }
 
-// TestClientWithoutStoreUnchanged: Close and StoreStats are nil-safe and
-// sweeps behave exactly as before when no store is configured.
+// TestClientWithoutStoreUnchanged: Close is nil-safe and sweeps behave
+// exactly as before when no store is configured.
 func TestClientWithoutStoreUnchanged(t *testing.T) {
-	var runs atomic.Int64
-	reg := storeTestRegistry(&runs)
-	c, err := gasperleak.NewClient(gasperleak.WithRegistry(reg))
+	base := plainRuns.Load()
+	runs := func() int64 { return plainRuns.Load() - base }
+	c, err := gasperleak.NewClient()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := c.StoreStats(); ok {
-		t.Error("StoreStats ok without a store")
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("Close without a store: %v", err)
 	}
 	cells := []gasperleak.SweepCell{
-		{Scenario: "counted", Params: gasperleak.ScenarioParams{Seed: 1}},
-		{Scenario: "counted", Params: gasperleak.ScenarioParams{Seed: 2}},
+		{Scenario: "test/counted-plain", Params: gasperleak.ScenarioParams{Seed: 1}},
+		{Scenario: "test/counted-plain", Params: gasperleak.ScenarioParams{Seed: 2}},
 	}
 	res := c.Sweep(context.Background(), cells)
-	if len(res) != 2 || runs.Load() != 2 {
-		t.Errorf("plain sweep: %d results, %d invocations", len(res), runs.Load())
+	if len(res) != 2 || runs() != 2 {
+		t.Errorf("plain sweep: %d results, %d invocations", len(res), runs())
 	}
 	if res[0].Meta != nil && res[0].Meta.Cached {
 		t.Error("plain sweep reported a cache hit from nowhere")

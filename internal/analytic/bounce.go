@@ -16,13 +16,6 @@ func BounceWindow(beta0 float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// BounceWindowValid reports whether a given p0 lies inside the attack
-// window for beta0.
-func BounceWindowValid(p0, beta0 float64) bool {
-	lo, hi := BounceWindow(beta0)
-	return lo < p0 && p0 < hi
-}
-
 // BounceContinuationProbability is the paper's continuation estimate from
 // Section 5.3: the attack proceeds for k epochs with probability
 // (1 - (1-beta0)^j)^k, where j is the number of first slots of each epoch
@@ -31,28 +24,6 @@ func BounceWindowValid(p0, beta0 float64) bool {
 func BounceContinuationProbability(beta0 float64, j, k int) float64 {
 	perEpoch := 1 - math.Pow(1-beta0, float64(j))
 	return math.Pow(perEpoch, float64(k))
-}
-
-// TwoEpochScoreOutcome is one row of the paper's Equation 15: the change of
-// an honest validator's inactivity score over two epochs of the bouncing
-// attack, with its probability.
-type TwoEpochScoreOutcome struct {
-	Delta       int
-	Probability float64
-}
-
-// TwoEpochScoreDistribution is Equation 15: over two epochs a validator's
-// score moves +8 (inactive twice, on the other branch both epochs), +3
-// (active once), or -2 (active twice), with probabilities p0(1-p0),
-// p0^2+(1-p0)^2, and p0(1-p0) respectively.
-func TwoEpochScoreDistribution(p0 float64) [3]TwoEpochScoreOutcome {
-	cross := p0 * (1 - p0)
-	same := p0*p0 + (1-p0)*(1-p0)
-	return [3]TwoEpochScoreOutcome{
-		{Delta: +8, Probability: cross},
-		{Delta: +3, Probability: same},
-		{Delta: -2, Probability: cross},
-	}
 }
 
 // BounceModel evaluates the stochastic stake model of Section 5.3 for an
@@ -69,20 +40,6 @@ func (BounceModel) Drift() float64 { return mathx.ConvolvedDrift }
 
 // Diffusion is D = 25 p0 (1-p0) (Equation 16).
 func (m BounceModel) Diffusion() float64 { return mathx.ConvolvedDiffusion(m.P0) }
-
-// ScorePDF is Equation 16: the Gaussian density of the inactivity score I
-// at epoch t, phi(I, t) = exp(-(I - Vt)^2 / 4Dt) / sqrt(4 pi D t).
-func (m BounceModel) ScorePDF(score, t float64) float64 {
-	if t <= 0 {
-		if score == 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	d := m.Diffusion()
-	v := m.Drift()
-	return math.Exp(-(score-v*t)*(score-v*t)/(4*d*t)) / math.Sqrt(4*math.Pi*d*t)
-}
 
 // StakePDF is Equation 18: the density of the stake s at epoch t,
 //

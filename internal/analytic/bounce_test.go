@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/mathx"
 )
 
 func TestBounceWindowEquation14(t *testing.T) {
@@ -28,7 +26,8 @@ func TestBounceWindowConditions(t *testing.T) {
 	f := func(rawP, rawB uint8) bool {
 		p0 := float64(rawP) / 255
 		beta0 := 0.05 + 0.28*float64(rawB)/255
-		inWindow := BounceWindowValid(p0, beta0)
+		lo, hi := BounceWindow(beta0)
+		inWindow := lo < p0 && p0 < hi
 		condA := p0*(1-beta0) < 2.0/3.0
 		condB := p0*(1-beta0)+beta0 > 2.0/3.0
 		return inWindow == (condA && condB)
@@ -64,34 +63,6 @@ func TestContinuationProbabilityShape(t *testing.T) {
 	}
 }
 
-// TestEquation15 pins the two-epoch score distribution: probabilities sum
-// to 1, and the mean is +3 per two epochs regardless of p0 (the origin of
-// the drift V = 3/2).
-func TestEquation15(t *testing.T) {
-	for _, p0 := range []float64{0.1, 0.5, 0.66} {
-		d := TwoEpochScoreDistribution(p0)
-		var total, mean float64
-		for _, o := range d {
-			total += o.Probability
-			mean += float64(o.Delta) * o.Probability
-		}
-		if math.Abs(total-1) > 1e-12 {
-			t.Errorf("p0=%v: probabilities sum to %v", p0, total)
-		}
-		if math.Abs(mean-3) > 1e-12 {
-			t.Errorf("p0=%v: two-epoch mean = %v, want +3", p0, mean)
-		}
-	}
-	// The specific deltas of Equation 15.
-	d := TwoEpochScoreDistribution(0.5)
-	if d[0].Delta != 8 || d[1].Delta != 3 || d[2].Delta != -2 {
-		t.Errorf("deltas = %v, want +8/+3/-2", d)
-	}
-	if d[0].Probability != 0.25 || d[1].Probability != 0.5 {
-		t.Errorf("p0=0.5 probabilities = %v, want 0.25/0.5/0.25", d)
-	}
-}
-
 func TestBounceModelMoments(t *testing.T) {
 	m := BounceModel{P0: 0.5}
 	if m.Drift() != 1.5 {
@@ -102,22 +73,8 @@ func TestBounceModelMoments(t *testing.T) {
 	}
 }
 
-func TestScorePDFNormalization(t *testing.T) {
-	m := BounceModel{P0: 0.5}
-	tt := 500.0
-	total := mathx.Simpson(func(s float64) float64 { return m.ScorePDF(s, tt) }, -2000, 4000, 8000)
-	if math.Abs(total-1) > 1e-6 {
-		t.Errorf("score pdf integrates to %v, want 1", total)
-	}
-	// Mean at V*t.
-	mean := mathx.Simpson(func(s float64) float64 { return s * m.ScorePDF(s, tt) }, -2000, 4000, 8000)
-	if math.Abs(mean-1.5*tt) > 1e-3 {
-		t.Errorf("score mean = %v, want %v", mean, 1.5*tt)
-	}
-}
-
 func TestStakeCDFIsLogNormalForm(t *testing.T) {
-	// Equation 19 written via mathx.LogNormalCDF: ln s ~ N(ln 32 - Vt^2/2^27,
+	// Equation 19 written as a log-normal CDF: ln s ~ N(ln 32 - Vt^2/2^27,
 	// (4/3 D t^3)/2 / 2^52). Cross-check the two forms.
 	m := BounceModel{P0: 0.5}
 	tt := 2000.0
@@ -125,7 +82,7 @@ func TestStakeCDFIsLogNormalForm(t *testing.T) {
 	sigma := math.Sqrt(2.0/3.0*m.Diffusion()*tt*tt*tt) / Quotient
 	for _, s := range []float64{10, 20, 28, 31} {
 		a := m.StakeCDF(s, tt)
-		b := mathx.LogNormalCDF(s/1, mu, sigma)
+		b := logNormalCDF(s, mu, sigma)
 		if math.Abs(a-b) > 1e-9 {
 			t.Errorf("s=%v: Equation 19 form %v != lognormal form %v", s, a, b)
 		}
@@ -210,7 +167,7 @@ func TestFigure9Distribution(t *testing.T) {
 	m := BounceModel{P0: 0.5}
 
 	d := m.Distribution(4024)
-	interior := mathx.AdaptiveSimpson(d.Interior, EjectionStakeETH, InitialStakeETH, 1e-10)
+	interior := adaptiveSimpson(d.Interior, EjectionStakeETH, InitialStakeETH, 1e-10)
 	total := d.AtomEjected + d.AtomCapped + interior
 	if math.Abs(total-1) > 1e-6 {
 		t.Errorf("t=4024: total mass = %v, want 1", total)
@@ -223,7 +180,7 @@ func TestFigure9Distribution(t *testing.T) {
 	}
 
 	late := m.Distribution(7400)
-	lateInterior := mathx.AdaptiveSimpson(late.Interior, EjectionStakeETH, InitialStakeETH, 1e-10)
+	lateInterior := adaptiveSimpson(late.Interior, EjectionStakeETH, InitialStakeETH, 1e-10)
 	lateTotal := late.AtomEjected + late.AtomCapped + lateInterior
 	if math.Abs(lateTotal-1) > 1e-6 {
 		t.Errorf("t=7400: total mass = %v, want 1", lateTotal)
@@ -293,4 +250,47 @@ func TestFigure10DoublingRemark(t *testing.T) {
 			}
 		}
 	}
+}
+
+// logNormalCDF is the cumulative distribution of exp(N(mu, sigma^2)) at
+// x > 0, TestStakeCDFIsLogNormalForm's reference for Equation 19.
+func logNormalCDF(x, mu, sigma float64) float64 {
+	return 0.5 * (1 + math.Erf((math.Log(x)-mu)/(sigma*math.Sqrt2)))
+}
+
+// adaptiveSimpson integrates f over [a, b] to absolute tolerance tol by
+// recursive adaptive Simpson quadrature with a bounded recursion depth,
+// TestFigure9Distribution's reference for the interior mass. The interval
+// is pre-split into 64 panels so that a narrow spike well inside one panel
+// is not missed by the error estimator.
+func adaptiveSimpson(f func(float64) float64, a, b, tol float64) float64 {
+	const panels = 64
+	h := (b - a) / panels
+	total := 0.0
+	for i := 0; i < panels; i++ {
+		pa := a + float64(i)*h
+		pb := pa + h
+		fa, fb := f(pa), f(pb)
+		m, fm, whole := simpsonStep(f, pa, pb, fa, fb)
+		total += adaptiveAux(f, pa, pb, fa, fb, m, fm, whole, tol/panels, 50)
+	}
+	return total
+}
+
+func simpsonStep(f func(float64) float64, a, b, fa, fb float64) (m, fm, s float64) {
+	m = 0.5 * (a + b)
+	fm = f(m)
+	s = (b - a) / 6 * (fa + 4*fm + fb)
+	return m, fm, s
+}
+
+func adaptiveAux(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol float64, depth int) float64 {
+	lm, flm, left := simpsonStep(f, a, m, fa, fm)
+	rm, frm, right := simpsonStep(f, m, b, fm, fb)
+	delta := left + right - whole
+	if depth <= 0 || math.Abs(delta) <= 15*tol {
+		return left + right + delta/15
+	}
+	return adaptiveAux(f, a, m, fa, fm, lm, flm, left, tol/2, depth-1) +
+		adaptiveAux(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
 }

@@ -13,11 +13,24 @@ func TestPaperTable2(t *testing.T) {
 	p := PaperParams()
 	for _, beta0 := range []float64{0.1, 0.15, 0.2, 0.33} {
 		e := float64(PaperTableEpoch(p.ConflictEpochSlashing(0.5, beta0)))
-		if p.ActiveRatioSlashing(e, 0.5, beta0) < SupermajorityThreshold ||
-			p.ActiveRatioSlashing(e-1, 0.5, beta0) >= SupermajorityThreshold {
+		if activeRatioSlashing(p, e, 0.5, beta0) < SupermajorityThreshold ||
+			activeRatioSlashing(p, e-1, 0.5, beta0) >= SupermajorityThreshold {
 			t.Errorf("beta0=%v: epoch %v is not the first whole epoch with the quorum", beta0, e)
 		}
 	}
+}
+
+// activeRatioSlashing is Equation 8, the reference Equation 9 solves: the
+// active-stake ratio on a branch when Byzantine validators (initial
+// proportion beta0) double-vote on both branches, staying fully active on
+// each, and p0 of the honest validators are active on this branch.
+func activeRatioSlashing(p Params, t, p0, beta0 float64) float64 {
+	if t >= p.EjectionEpoch {
+		return 1
+	}
+	active := p0*(1-beta0) + beta0
+	inactive := (1 - p0) * (1 - beta0) * math.Exp(-t*t/math.Exp2(25))
+	return active / (active + inactive)
 }
 
 // TestPaperTable3 is TestPaperTable2 for Table 3: Equation 10's numeric

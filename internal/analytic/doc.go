@@ -30,28 +30,24 @@
 //
 // Section 5.2 (Byzantine acceleration and the 1/3 threshold):
 //
-//	Eq 7/8  ratio with double-voting Byzantine .. Params.ActiveRatioSlashing
-//	Eq 9    threshold epoch (closed form) ....... Params.ConflictEpochSlashing
+//	Eq 7-9  ratio with double-voting Byzantine,
+//	        threshold epoch (closed form) ....... Params.ConflictEpochSlashing
 //	Eq 10   ratio with semi-active Byzantine .... Params.ActiveRatioSemiActive,
 //	        root solved by Params.ConflictEpochSemiActive (Brent)
-//	Eq 11   Byzantine proportion over time ...... Params.BetaProportion,
-//	        Params.BetaProportionWithEjection
-//	Eq 12   beta >= 1/3 condition ............... Params.ExceedsOnBothBranches
-//	Eq 13   beta_max at ejection ................ Params.BetaMax,
-//	        boundary in closed form: Params.ThresholdBeta0
+//	Eq 11-13 beta_max at ejection >= 1/3,
+//	        boundary in closed form ............. Params.ThresholdBeta0
 //
 // Section 5.3 (probabilistic bouncing attack):
 //
-//	Eq 14   attack window ....................... BounceWindow, BounceWindowValid
-//	Eq 15   two-epoch score distribution ........ TwoEpochScoreDistribution
-//	Eq 16   score density phi(I, t) ............. BounceModel.ScorePDF
+//	Eq 14   attack window ....................... BounceWindow
+//	Eq 15/16 score drift V and diffusion D ...... BounceModel.Drift,
+//	        BounceModel.Diffusion
 //	Eq 17   ds/dt = -I s / 2^26 ................. (same as Eq 3; integrated in
 //	        BounceModel.StakeCDF's exponent)
 //	Eq 18   stake density P(s, t) ............... BounceModel.StakePDF
 //	Eq 19   stake CDF F(s, t) ................... BounceModel.StakeCDF
 //	Eq 20-21 censored law (atoms at 16.75/32) ... BounceModel.Distribution
 //	Eq 22   censored CDF ........................ BounceModel.CensoredStakeCDF
-//	        (generic form: mathx.CensoredCDF)
 //	Eq 23/24 P[beta > 1/3] ...................... BounceModel.ExceedProbability;
 //	        Monte-Carlo counterpart: core.BounceMC.ExceedProbability
 //	(1-(1-beta0)^j)^k continuation .............. BounceContinuationProbability

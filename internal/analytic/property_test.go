@@ -50,7 +50,8 @@ func TestConflictEpochMonotoneInP0(t *testing.T) {
 	}
 }
 
-// TestRatiosAlwaysInUnitInterval for all three ratio models.
+// TestRatiosAlwaysInUnitInterval for the honest and semi-active ratio
+// models.
 func TestRatiosAlwaysInUnitInterval(t *testing.T) {
 	p := PaperParams()
 	f := func(rawT uint16, rawP, rawB uint8) bool {
@@ -59,11 +60,7 @@ func TestRatiosAlwaysInUnitInterval(t *testing.T) {
 		b0 := 0.33 * float64(rawB) / 255
 		for _, r := range []float64{
 			p.ActiveRatioHonest(tt, p0),
-			p.ActiveRatioSlashing(tt, p0, b0),
 			p.ActiveRatioSemiActive(tt, p0, b0),
-			p.BetaProportion(tt, p0, b0),
-			p.BetaProportionWithEjection(tt, p0, b0),
-			p.BetaMax(p0+1e-9, b0),
 		} {
 			if r < -1e-12 || r > 1+1e-12 || math.IsNaN(r) {
 				return false

@@ -15,19 +15,6 @@ func (p Params) ActiveRatioHonest(t, p0 float64) float64 {
 	return p0 / (p0 + inactive)
 }
 
-// ActiveRatioSlashing is Equation 8: the active-stake ratio on a branch
-// when Byzantine validators (initial proportion beta0) double-vote on both
-// branches, staying fully active on each (Section 5.2.1). p0 is the
-// proportion of honest validators active on this branch.
-func (p Params) ActiveRatioSlashing(t, p0, beta0 float64) float64 {
-	if t >= p.EjectionEpoch {
-		return 1
-	}
-	active := p0*(1-beta0) + beta0
-	inactive := (1 - p0) * (1 - beta0) * math.Exp(-t*t/math.Exp2(25))
-	return active / (active + inactive)
-}
-
 // ActiveRatioSemiActive is Equation 10: the active-stake ratio on a branch
 // when Byzantine validators alternate between branches (semi-active,
 // non-slashable, Section 5.2.2). The Byzantine stake itself decays as
@@ -42,51 +29,15 @@ func (p Params) ActiveRatioSemiActive(t, p0, beta0 float64) float64 {
 	return (honestActive + byz) / (honestActive + byz + inactive)
 }
 
-// BetaProportion is Equation 11: the proportion of Byzantine stake on a
-// branch over time when Byzantine validators are semi-active and honest
-// inactive validators keep leaking (Section 5.2.3).
-func (p Params) BetaProportion(t, p0, beta0 float64) float64 {
-	byz := beta0 * math.Exp(-3*t*t/math.Exp2(28))
-	honestActive := p0 * (1 - beta0)
-	honestInactive := (1 - p0) * (1 - beta0) * math.Exp(-t*t/math.Exp2(25))
-	return byz / (honestActive + honestInactive + byz)
-}
-
-// BetaProportionWithEjection is Equation 11 with the ejection of honest
-// inactive validators applied: at the ejection epoch the inactive term
-// drops out and the proportion jumps to the Equation 13 value — the moment
-// the paper identifies as the Byzantine maximum.
-func (p Params) BetaProportionWithEjection(t, p0, beta0 float64) float64 {
-	if t >= p.EjectionEpoch {
-		byz := beta0 * math.Exp(-3*t*t/math.Exp2(28))
-		return byz / (p0*(1-beta0) + byz)
-	}
-	return p.BetaProportion(t, p0, beta0)
-}
-
-// BetaMax is Equation 13: the Byzantine stake proportion at the moment the
-// honest inactive validators are ejected — the maximum the proportion
-// reaches for a given (p0, beta0).
-func (p Params) BetaMax(p0, beta0 float64) float64 {
-	e := math.Exp(-3 * p.EjectionEpoch * p.EjectionEpoch / math.Exp2(28))
-	byz := beta0 * e
-	return byz / (p0*(1-beta0) + byz)
-}
-
-// ThresholdBeta0 solves BetaMax(p0, beta0) = 1/3 for beta0 in closed form:
-// the minimum initial Byzantine proportion that can exceed the 1/3 Safety
-// threshold on a branch with honest-active proportion p0. For p0 = 0.5 this
+// ThresholdBeta0 solves Equation 13 = 1/3 for beta0 in closed form: the
+// minimum initial Byzantine proportion that can exceed the 1/3 Safety
+// threshold on a branch with honest-active proportion p0. Equation 13 is
+// the maximum of Equation 11's semi-active Byzantine proportion, reached
+// when the honest inactive validators are ejected:
+// beta0 e / (p0 (1-beta0) + beta0 e), e = exp(-3 t_ej^2 / 2^28). For p0 = 0.5 this
 // is the paper's 1/(1+4e^{-3*4685^2/2^28}) = 0.2421.
 func (p Params) ThresholdBeta0(p0 float64) float64 {
 	e := math.Exp(-3 * p.EjectionEpoch * p.EjectionEpoch / math.Exp2(28))
 	// beta/(1-beta) = p0 / (2e)  =>  beta = p0 / (p0 + 2e).
 	return p0 / (p0 + 2*e)
-}
-
-// ExceedsOnBothBranches reports whether the pair (p0, beta0) lets the
-// Byzantine proportion exceed 1/3 on both branches simultaneously
-// (Figure 7): BetaMax must reach 1/3 with honest-active proportion p0 on
-// one branch and 1-p0 on the other.
-func (p Params) ExceedsOnBothBranches(p0, beta0 float64) bool {
-	return p.BetaMax(p0, beta0) >= 1.0/3.0 && p.BetaMax(1-p0, beta0) >= 1.0/3.0
 }

@@ -53,14 +53,6 @@ func SemiActiveEjectionCrossing() float64 {
 	return math.Sqrt(math.Exp2(28) / 3 * math.Log(InitialStakeETH/EjectionStakeETH))
 }
 
-// InactivityScoreInactive is the paper's continuous score model for a fully
-// inactive validator: I(t) = 4t.
-func InactivityScoreInactive(t float64) float64 { return 4 * t }
-
-// InactivityScoreSemiActive is the average score of a semi-active
-// validator: +3 every two epochs, I(t) = 3t/2.
-func InactivityScoreSemiActive(t float64) float64 { return 1.5 * t }
-
 // Params selects the ejection anchoring for the ratio and conflict models.
 type Params struct {
 	// EjectionEpoch is the epoch at which fully inactive validators

@@ -72,15 +72,6 @@ func TestPaperEjectionRatioSqrt83(t *testing.T) {
 	}
 }
 
-func TestScoreModels(t *testing.T) {
-	if InactivityScoreInactive(100) != 400 {
-		t.Error("inactive score must be 4t")
-	}
-	if InactivityScoreSemiActive(100) != 150 {
-		t.Error("semi-active score must be 3t/2")
-	}
-}
-
 func TestParamsConstructors(t *testing.T) {
 	p := PaperParams()
 	if p.EjectionEpoch != 4685 || p.SemiActiveEjectionEpoch != 7652 {
@@ -105,13 +96,13 @@ func TestStakeDecayExponentsMatchScores(t *testing.T) {
 	for _, tt := range []float64{10, 500, 3000} {
 		// Inactive: d/dt ln s = -4t/2^26.
 		got := (math.Log(StakeInactive(tt+h)) - math.Log(StakeInactive(tt-h))) / (2 * h)
-		want := -InactivityScoreInactive(tt) / Quotient
+		want := -4 * tt / Quotient
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("inactive log-derivative at %v = %v, want %v", tt, got, want)
 		}
 		// Semi-active: d/dt ln s = -(3t/2)/2^26.
 		got = (math.Log(StakeSemiActive(tt+h)) - math.Log(StakeSemiActive(tt-h))) / (2 * h)
-		want = -InactivityScoreSemiActive(tt) / Quotient
+		want = -1.5 * tt / Quotient
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("semi-active log-derivative at %v = %v, want %v", tt, got, want)
 		}

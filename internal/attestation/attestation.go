@@ -352,23 +352,6 @@ func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 	return out
 }
 
-// Voted reports whether the validator cast any attestation with target
-// epoch e.
-func (p *Pool) Voted(e types.Epoch, v types.ValidatorIndex) bool {
-	ev := p.find(e)
-	return ev != nil && int(v) < len(ev.first) && ev.first[v] != 0
-}
-
-// VotedForTarget reports whether the validator cast an attestation with
-// target epoch e whose target root matches root. The paper's activity
-// criterion: a validator is active on a branch for an epoch iff it sent an
-// attestation whose checkpoint vote is correct for that branch.
-func (p *Pool) VotedForTarget(e types.Epoch, v types.ValidatorIndex, root types.Root) bool {
-	var a Activity
-	p.Activity(&a, e, root)
-	return a.Active(v)
-}
-
 // Activity is the activity criterion of one (target epoch, target root)
 // pair, ready to be asked about every validator in turn: the target is
 // compared once per distinct vote of the epoch, and a validator's answer
@@ -449,9 +432,8 @@ type windowEpoch struct {
 // each distinct vote's link is looked up among its epoch's rows once, on
 // the first stake-bearing validator that cast it — an epoch's rows
 // therefore appear in the order ascending validators first give them
-// weight. It is the allocation-free boundary-path counterpart of
-// TargetWeights: when the tallies have capacity, the pass does not
-// allocate. Equivocating validators count toward every distinct link they
+// weight. When the tallies have capacity, the pass does not allocate.
+// Equivocating validators count toward every distinct link they
 // voted for, exactly as on-chain inclusion would credit them on each
 // branch.
 //
@@ -564,28 +546,6 @@ votes:
 	return dst
 }
 
-// TargetWeights sums stake per (source, target) pair for the given target
-// epoch, using the provided stake lookup. Equivocating validators count
-// toward every distinct pair they voted for, exactly as on-chain inclusion
-// would credit them on each branch. It is the map-form reference the
-// columnar AppendLinkTally is tested against, computed from the
-// materialized votes.
-func (p *Pool) TargetWeights(e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) map[Link]types.Gwei {
-	out := make(map[Link]types.Gwei)
-	for v, datas := range p.VotesForEpoch(e) {
-		seen := make(map[Link]bool, len(datas))
-		for _, d := range datas {
-			l := Link{Source: d.Source, Target: d.Target}
-			if seen[l] {
-				continue
-			}
-			seen[l] = true
-			out[l] += stake(types.ValidatorIndex(v))
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the pool, so a snapshotted view can evolve apart from
 // its restore points: per epoch, the value table and the flat id columns.
 func (p *Pool) Clone() *Pool {
@@ -624,10 +584,6 @@ func (p *Pool) Prune(e types.Epoch) {
 	}
 	p.epochs = slices.Delete(p.epochs, 0, n)
 }
-
-// Epochs returns the number of epochs currently retained (for tests and
-// metrics).
-func (p *Pool) Epochs() int { return len(p.epochs) }
 
 // Bytes reports the heap the pool's votes retain — per epoch the value
 // table, the id columns and the spill, spares included — from slice

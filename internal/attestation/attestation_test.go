@@ -24,6 +24,41 @@ func att(v uint64, slot uint64, head uint64, src, tgt types.Checkpoint) Attestat
 	}
 }
 
+// voted reports whether v cast any vote with target epoch e.
+func voted(p *Pool, e types.Epoch, v types.ValidatorIndex) bool {
+	ev := p.find(e)
+	return ev != nil && len(ev.AppendVotes(nil, v)) > 0
+}
+
+// targetWeights sums stake per (source, target) pair for target epoch e
+// from the materialized votes, an equivocator counting toward every
+// distinct pair it voted for: the map-form reference AppendLinkTally is
+// tested against.
+func targetWeights(p *Pool, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) map[Link]types.Gwei {
+	out := make(map[Link]types.Gwei)
+	for v, datas := range p.VotesForEpoch(e) {
+		seen := make(map[Link]bool, len(datas))
+		for _, d := range datas {
+			l := Link{Source: d.Source, Target: d.Target}
+			if seen[l] {
+				continue
+			}
+			seen[l] = true
+			out[l] += stake(types.ValidatorIndex(v))
+		}
+	}
+	return out
+}
+
+// linkWeights is AppendLinkTally's tally of target epoch e as a map.
+func linkWeights(p *Pool, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) map[Link]types.Gwei {
+	out := make(map[Link]types.Gwei)
+	for _, lw := range p.AppendLinkTally(nil, e, stake) {
+		out[lw.Link] += lw.Weight
+	}
+	return out
+}
+
 func TestPoolAddDeduplicates(t *testing.T) {
 	p := NewPool()
 	a := att(1, 33, 5, cp(0, 0), cp(1, 5))
@@ -52,24 +87,28 @@ func TestPoolKeepsEquivocations(t *testing.T) {
 func TestVoted(t *testing.T) {
 	p := NewPool()
 	p.Add(att(3, 33, 5, cp(0, 0), cp(1, 5)))
-	if !p.Voted(1, 3) {
+	if !voted(p, 1, 3) {
 		t.Error("validator 3 voted in epoch 1")
 	}
-	if p.Voted(1, 4) {
+	if voted(p, 1, 4) {
 		t.Error("validator 4 did not vote")
 	}
-	if p.Voted(2, 3) {
+	if voted(p, 2, 3) {
 		t.Error("validator 3 did not vote in epoch 2")
 	}
 }
 
+// TestVotedForTarget: the paper's activity criterion, as Activity reads
+// it — a validator is active on a branch for an epoch iff it cast a vote
+// whose target root is that branch's.
 func TestVotedForTarget(t *testing.T) {
 	p := NewPool()
 	p.Add(att(3, 33, 5, cp(0, 0), cp(1, 5)))
-	if !p.VotedForTarget(1, 3, types.RootFromUint64(5)) {
+	var a Activity
+	if p.Activity(&a, 1, types.RootFromUint64(5)); !a.Active(3) {
 		t.Error("vote for target 5 not found")
 	}
-	if p.VotedForTarget(1, 3, types.RootFromUint64(6)) {
+	if p.Activity(&a, 1, types.RootFromUint64(6)); a.Active(3) {
 		t.Error("vote for target 6 should not be found")
 	}
 }
@@ -83,7 +122,7 @@ func TestTargetWeights(t *testing.T) {
 	p.Add(att(2, 33, 10, src, tgtA))
 	p.Add(att(3, 34, 20, src, tgtB))
 	stake := func(v types.ValidatorIndex) types.Gwei { return types.Gwei(v) * 100 }
-	w := p.TargetWeights(1, stake)
+	w := linkWeights(p, 1, stake)
 	if got := w[Link{Source: src, Target: tgtA}]; got != 300 {
 		t.Errorf("weight A = %d, want 300", got)
 	}
@@ -101,7 +140,7 @@ func TestTargetWeightsEquivocatorCountsOnBothBranches(t *testing.T) {
 	p.Add(att(1, 33, 10, src, tgtA))
 	p.Add(att(1, 33, 20, src, tgtB))
 	stake := func(types.ValidatorIndex) types.Gwei { return 32 }
-	w := p.TargetWeights(1, stake)
+	w := linkWeights(p, 1, stake)
 	if w[Link{Source: src, Target: tgtA}] != 32 || w[Link{Source: src, Target: tgtB}] != 32 {
 		t.Errorf("equivocator must count on both branches: %v", w)
 	}
@@ -115,7 +154,7 @@ func TestTargetWeightsDuplicateLinkCountsOnce(t *testing.T) {
 	p.Add(att(1, 33, 10, src, tgt))
 	p.Add(att(1, 34, 11, src, tgt))
 	stake := func(types.ValidatorIndex) types.Gwei { return 32 }
-	w := p.TargetWeights(1, stake)
+	w := linkWeights(p, 1, stake)
 	if got := w[Link{Source: src, Target: tgt}]; got != 32 {
 		t.Errorf("duplicate link weight = %d, want 32", got)
 	}
@@ -127,13 +166,13 @@ func TestPrune(t *testing.T) {
 	p.Add(att(1, 65, 6, cp(1, 5), cp(2, 6)))
 	p.Add(att(1, 97, 7, cp(2, 6), cp(3, 7)))
 	p.Prune(2)
-	if p.Epochs() != 2 {
-		t.Errorf("epochs after prune = %d, want 2", p.Epochs())
+	if len(p.Retained()) != 2 {
+		t.Errorf("epochs after prune = %d, want 2", len(p.Retained()))
 	}
-	if p.Voted(1, 1) {
+	if voted(p, 1, 1) {
 		t.Error("epoch 1 should be pruned")
 	}
-	if !p.Voted(3, 1) {
+	if !voted(p, 3, 1) {
 		t.Error("epoch 3 must survive prune")
 	}
 }
@@ -162,8 +201,8 @@ func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
 	pruned := reused.Retained()[0]
 	before := reused.Bytes()
 	reused.Prune(2)
-	if reused.Epochs() != 0 || reused.Bytes() != before {
-		t.Fatalf("after the prune: %d epochs, %d bytes held; want 0 epochs and the pruned epoch's %d bytes kept as a spare", reused.Epochs(), reused.Bytes(), before)
+	if len(reused.Retained()) != 0 || reused.Bytes() != before {
+		t.Fatalf("after the prune: %d epochs, %d bytes held; want 0 epochs and the pruned epoch's %d bytes kept as a spare", len(reused.Retained()), reused.Bytes(), before)
 	}
 	for _, a := range late {
 		fresh.Add(a)
@@ -183,7 +222,7 @@ func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
 		t.Errorf("the pruned equivocator holds %d votes in the reused epoch, want 1", len(got))
 	}
 	for v := uint64(0); v < 8; v++ {
-		if got, want := reused.Voted(9, types.ValidatorIndex(v)), v == 2 || v == 6; got != want {
+		if got, want := voted(reused, 9, types.ValidatorIndex(v)), v == 2 || v == 6; got != want {
 			t.Errorf("validator %d voted in the reused epoch = %t, want %t", v, got, want)
 		}
 	}
@@ -217,15 +256,15 @@ func TestResetSizesEachColumnOnce(t *testing.T) {
 	}
 
 	p.Reset(32)
-	if p.Epochs() != 0 || len(p.spares) != 1 {
-		t.Fatalf("after Reset(32): %d epochs, %d spares; want the epoch kept as a spare", p.Epochs(), len(p.spares))
+	if len(p.Retained()) != 0 || len(p.spares) != 1 {
+		t.Fatalf("after Reset(32): %d epochs, %d spares; want the epoch kept as a spare", len(p.Retained()), len(p.spares))
 	}
 	fresh := NewPool()
 	for v := uint64(0); v < 32; v += 3 {
 		vote(p, v)
 		vote(fresh, v)
 	}
-	if p.Retained()[0].first[0] == 0 || p.Voted(1, 1) {
+	if p.Retained()[0].first[0] == 0 || voted(p, 1, 1) {
 		t.Fatal("the reset pool lost a vote or kept one from its last run")
 	}
 	stake := func(types.ValidatorIndex) types.Gwei { return 1 }
@@ -269,7 +308,7 @@ func TestAppendLinkTallyMatchesTargetWeights(t *testing.T) {
 	add(3, 32, tgtB)
 	add(3, 40, tgtA)
 
-	want := p.TargetWeights(1, stake)
+	want := targetWeights(p, 1, stake)
 	tally := p.AppendLinkTally(nil, 1, stake)
 	if len(tally) != len(want) {
 		t.Fatalf("tally has %d links, map has %d", len(tally), len(want))

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/attestation"
 	"repro/internal/codec"
+	"repro/internal/forkchoice"
 	"repro/internal/slashing"
 	"repro/internal/types"
 )
@@ -186,8 +187,8 @@ func TestInternedVotesMatchReference(t *testing.T) {
 	mostVotes := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		batched := NewNode(0, validators, types.DefaultSpec(), genesis())
-		single := NewNode(0, validators, types.DefaultSpec(), genesis())
+		batched := NewNodeWithForkChoice(0, validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		single := NewNodeWithForkChoice(0, validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 		batched.EnforceSlashing, single.EnforceSlashing = true, true
 		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
 		root := func() types.Root { return types.RootFromUint64(uint64(1 + rng.Intn(3))) }
@@ -337,7 +338,8 @@ func TestEvidenceNamesLowestTargetEpoch(t *testing.T) {
 	high, low, wide := span(3, 10), span(2, 8), span(0, 12)
 	const v = types.ValidatorIndex(2)
 	for _, order := range [][2]attestation.Data{{high, low}, {low, high}} {
-		batched, single := NewNode(0, 4, types.DefaultSpec(), genesis()), NewNode(0, 4, types.DefaultSpec(), genesis())
+		batched := NewNodeWithForkChoice(0, 4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		single := NewNodeWithForkChoice(0, 4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
 		for _, d := range []attestation.Data{order[0], order[1], wide} {
 			batched.ReceiveBatch(d, []types.ValidatorIndex{v, 3})
@@ -345,10 +347,10 @@ func TestEvidenceNamesLowestTargetEpoch(t *testing.T) {
 			ref.receive(v, d)
 		}
 		want := slashing.Evidence{Validator: v, Kind: slashing.SurroundVote, First: low, Second: wide}
-		if got := batched.SlashingEvidence(); len(got) != 2 || got[0] != want {
+		if got := batched.slashEvidence; len(got) != 2 || got[0] != want {
 			t.Fatalf("batched, %d then %d: evidence %v, want %v first", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
 		}
-		if got := single.SlashingEvidence(); len(got) != 1 || got[0] != want {
+		if got := single.slashEvidence; len(got) != 1 || got[0] != want {
 			t.Fatalf("single, %d then %d: evidence %v, want %v", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
 		}
 		if len(ref.evidence) != 1 || ref.evidence[0] != want {
@@ -367,7 +369,7 @@ func votesOf(column [][]attestation.Data, v int) []attestation.Data {
 
 func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validators int, stake func(types.ValidatorIndex) types.Gwei) {
 	t.Helper()
-	if got, want := n.Pool.Epochs(), len(ref.pool); got != want {
+	if got, want := len(n.Pool.Retained()), len(ref.pool); got != want {
 		t.Fatalf("%s: pool holds %d epochs, reference %d", at, got, want)
 	}
 	for e, want := range ref.pool {
@@ -395,7 +397,7 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 			}
 		}
 	}
-	if got := n.SlashingEvidence(); !slices.Equal(got, ref.evidence) {
+	if got := n.slashEvidence; !slices.Equal(got, ref.evidence) {
 		t.Fatalf("%s: evidence\n  got  %v\n  want %v", at, got, ref.evidence)
 	}
 	for v := 0; v < validators; v++ {

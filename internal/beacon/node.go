@@ -31,7 +31,7 @@ const ffgWindow = 4
 // does not own.
 var ErrNotProposer = errors.New("beacon: not the proposer for this slot")
 
-// Node is one validator's protocol view. Construct with NewNode.
+// Node is one validator's protocol view. Construct with NewNodeWithForkChoice.
 type Node struct {
 	// ID is the validator this node belongs to.
 	ID   types.ValidatorIndex
@@ -98,16 +98,10 @@ type Node struct {
 	pinned map[types.Root]struct{}
 }
 
-// NewNode builds a node for validator id over a fresh view with nValidators
-// at the spec's maximum balance, running the incremental proto-array
-// fork-choice engine.
-func NewNode(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root) *Node {
-	return NewNodeWithForkChoice(id, nValidators, spec, genesis, forkchoice.NewProtoArray())
-}
-
-// NewNodeWithForkChoice is NewNode with an explicit fork-choice engine; the
-// equivalence suites use it to run whole simulations on the map-based
-// reference engine against the proto-array default.
+// NewNodeWithForkChoice builds a node for validator id over a fresh view
+// with nValidators at the spec's maximum balance, running the given
+// fork-choice engine: the incremental forkchoice.NewProtoArray, or the
+// map-based reference the equivalence suites run whole simulations on.
 func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
 	n := &Node{
 		Tree:     new(blocktree.Tree),
@@ -229,13 +223,6 @@ func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorI
 	}
 }
 
-// SlashingEvidence returns all offenses this node has detected.
-func (n *Node) SlashingEvidence() []slashing.Evidence {
-	out := make([]slashing.Evidence, len(n.slashEvidence))
-	copy(out, n.slashEvidence)
-	return out
-}
-
 // SetHidden installs (or, with nil, removes) a view filter: head
 // computations skip the listed blocks. The list is borrowed, not copied —
 // the simulator installs it around one per-validator computation and
@@ -280,17 +267,6 @@ func (n *Node) ProduceBlockFor(slot types.Slot, proposer types.ValidatorIndex) (
 	}, nil
 }
 
-// ProduceBlock builds and immediately applies the block this node's own
-// validator proposes at slot.
-func (n *Node) ProduceBlock(slot types.Slot) (blocktree.Block, error) {
-	b, err := n.ProduceBlockFor(slot, n.ID)
-	if err != nil {
-		return blocktree.Block{}, err
-	}
-	n.ReceiveBlock(b)
-	return b, nil
-}
-
 // AttestationData builds the attestation content any validator sharing
 // this view casts at the given slot: block vote = current head, source =
 // latest justified checkpoint, target = current epoch's checkpoint on the
@@ -311,16 +287,6 @@ func (n *Node) AttestationData(slot types.Slot) (attestation.Data, error) {
 		Source: n.FFG.LatestJustified(),
 		Target: target,
 	}, nil
-}
-
-// ProduceAttestation builds this node's own attestation for the given
-// slot.
-func (n *Node) ProduceAttestation(slot types.Slot) (attestation.Attestation, error) {
-	d, err := n.AttestationData(slot)
-	if err != nil {
-		return attestation.Attestation{}, err
-	}
-	return attestation.Attestation{Validator: n.ID, Data: d}, nil
 }
 
 // EpochReport summarizes one ProcessEpochBoundary call.
@@ -458,13 +424,3 @@ func (n *Node) CompactTree(olderThan types.Slot) int {
 
 // Finalized returns the node's finalized checkpoint.
 func (n *Node) Finalized() types.Checkpoint { return n.FFG.Finalized() }
-
-// FinalizedConflictsWith reports whether this node's finalized checkpoint
-// conflicts with another checkpoint given this node's tree (the paper's
-// Safety violation (1)). Checkpoints on unknown blocks are treated as
-// conflicting only if provably on another branch, which requires the other
-// view's tree; callers with global knowledge should use ffg.CheckConflict
-// with a merged tree.
-func (n *Node) FinalizedConflictsWith(other types.Checkpoint) error {
-	return ffg.CheckConflict(n.Finalized(), other, n.Tree.IsAncestor)
-}

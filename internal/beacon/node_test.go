@@ -7,14 +7,16 @@ import (
 
 	"repro/internal/attestation"
 	"repro/internal/blocktree"
+	"repro/internal/forkchoice"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 func genesis() types.Root { return types.RootFromUint64(0) }
 
 func newTestNode(t *testing.T, id types.ValidatorIndex, n int) *Node {
 	t.Helper()
-	return NewNode(id, n, types.DefaultSpec(), genesis())
+	return NewNodeWithForkChoice(id, n, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 }
 
 func TestReceiveBlockBuffersOutOfOrder(t *testing.T) {
@@ -44,22 +46,25 @@ func TestReceiveBlockIgnoresDuplicates(t *testing.T) {
 	}
 }
 
-func TestProduceBlockExtendsHead(t *testing.T) {
-	n := newTestNode(t, 3, 4)
-	b1, err := n.ProduceBlock(1)
+// produceBlock builds the block n's own validator proposes at slot and
+// applies it to n, as the simulator does for a proposer's view.
+func produceBlock(t *testing.T, n *Node, slot types.Slot) blocktree.Block {
+	t.Helper()
+	b, err := n.ProduceBlockFor(slot, n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.ReceiveBlock(b)
+	return b
+}
+
+func TestProduceBlockExtendsHead(t *testing.T) {
+	n := newTestNode(t, 3, 4)
+	b1 := produceBlock(t, n, 1)
 	if b1.Parent != genesis() || b1.Proposer != 3 {
 		t.Errorf("block = %+v", b1)
 	}
-	if !n.Tree.Has(b1.Root) {
-		t.Error("proposer must ingest its own block")
-	}
-	b2, err := n.ProduceBlock(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := produceBlock(t, n, 2)
 	if b2.Parent != b1.Root {
 		t.Errorf("second block parent = %v, want %v", b2.Parent, b1.Root)
 	}
@@ -68,8 +73,7 @@ func TestProduceBlockExtendsHead(t *testing.T) {
 func TestProduceBlockDeterministicRoot(t *testing.T) {
 	a := newTestNode(t, 3, 4)
 	b := newTestNode(t, 3, 4)
-	ba, _ := a.ProduceBlock(5)
-	bb, _ := b.ProduceBlock(5)
+	ba, bb := produceBlock(t, a, 5), produceBlock(t, b, 5)
 	if ba.Root != bb.Root {
 		t.Error("same (slot, proposer, parent) must mint the same root on all views")
 	}
@@ -77,23 +81,23 @@ func TestProduceBlockDeterministicRoot(t *testing.T) {
 
 func TestProduceAttestationFields(t *testing.T) {
 	n := newTestNode(t, 2, 4)
-	b, _ := n.ProduceBlock(1)
-	att, err := n.ProduceAttestation(5)
+	b := produceBlock(t, n, 1)
+	data, err := n.AttestationData(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if att.Validator != 2 {
-		t.Errorf("validator = %d", att.Validator)
+	if data.Slot != 5 {
+		t.Errorf("slot = %d, want 5", data.Slot)
 	}
-	if att.Data.Head != b.Root {
-		t.Errorf("head vote = %v, want %v", att.Data.Head, b.Root)
+	if data.Head != b.Root {
+		t.Errorf("head vote = %v, want %v", data.Head, b.Root)
 	}
-	if att.Data.Source != (types.Checkpoint{Epoch: 0, Root: genesis()}) {
-		t.Errorf("source = %v, want genesis checkpoint", att.Data.Source)
+	if data.Source != (types.Checkpoint{Epoch: 0, Root: genesis()}) {
+		t.Errorf("source = %v, want genesis checkpoint", data.Source)
 	}
 	// Slot 5 is epoch 0: target is the epoch-0 checkpoint, i.e. genesis.
-	if att.Data.Target.Epoch != 0 || att.Data.Target.Root != genesis() {
-		t.Errorf("target = %v", att.Data.Target)
+	if data.Target.Epoch != 0 || data.Target.Root != genesis() {
+		t.Errorf("target = %v", data.Target)
 	}
 }
 
@@ -219,7 +223,7 @@ func TestLeakStartsAfterFinalityGap(t *testing.T) {
 		t.Error("leak never started despite 6 epochs without finality")
 	}
 	// All validators inactive: scores grew by 4 per leak epoch.
-	if n.Registry.Score(0) == 0 {
+	if n.Registry.Columns().Scores[0] == 0 {
 		t.Error("inactive validators must accrue score during the leak")
 	}
 }
@@ -229,12 +233,12 @@ func TestIncentivesProcessedOncePerEpoch(t *testing.T) {
 	if _, err := n.ProcessEpochBoundary(6); err != nil {
 		t.Fatal(err)
 	}
-	score := n.Registry.Score(0)
+	score := n.Registry.Columns().Scores[0]
 	// Reprocessing the same boundary must not double-apply.
 	if _, err := n.ProcessEpochBoundary(6); err != nil {
 		t.Fatal(err)
 	}
-	if n.Registry.Score(0) != score {
+	if n.Registry.Columns().Scores[0] != score {
 		t.Error("incentives applied twice for one epoch")
 	}
 }
@@ -247,17 +251,17 @@ func TestSlashingEnforcement(t *testing.T) {
 	src := types.Checkpoint{Epoch: 0, Root: genesis()}
 	n.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtA.Root, Source: src, Target: tgtA}})
 	n.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtB.Root, Source: src, Target: tgtB}})
-	if len(n.SlashingEvidence()) != 1 {
-		t.Fatalf("evidence = %d, want 1", len(n.SlashingEvidence()))
+	if len(n.slashEvidence) != 1 {
+		t.Fatalf("evidence = %d, want 1", len(n.slashEvidence))
 	}
-	if n.Registry.InSet(2) {
+	if n.Registry.Columns().Status[2] != validator.Slashed {
 		t.Error("double voter must be slashed out of the set")
 	}
 	// Without enforcement the registry is untouched.
 	m := newTestNode(t, 0, 4)
 	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtA.Root, Source: src, Target: tgtA}})
 	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtB.Root, Source: src, Target: tgtB}})
-	if !m.Registry.InSet(2) {
+	if m.Registry.Columns().Status[2] != validator.Active {
 		t.Error("non-enforcing node must not slash")
 	}
 }
@@ -268,7 +272,7 @@ func TestProcessEpochBoundaryZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.InLeak || rep.FFG.Advanced() {
+	if rep.InLeak || len(rep.FFG.NewlyJustified) > 0 || len(rep.FFG.NewlyFinalized) > 0 {
 		t.Error("boundary 0 must be a no-op")
 	}
 }
@@ -293,8 +297,8 @@ func TestForkChoiceUsesJustifiedStateBalances(t *testing.T) {
 		Data: attestation.Data{Slot: 2, Head: c.Root, Target: types.Checkpoint{Epoch: 0, Root: genesis()}}})
 	// Drain validators 2 and 3 in the CURRENT registry; the justified
 	// snapshot (taken at genesis) still weighs them fully.
-	n.Registry.SetStake(2, 1)
-	n.Registry.SetStake(3, 1)
+	n.Registry.Columns().Stakes[2] = 1
+	n.Registry.Columns().Stakes[3] = 1
 	head, err := n.Head()
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +346,7 @@ func TestNodeRobustUnderRandomTraffic(t *testing.T) {
 					return false
 				}
 			case 3: // duties
-				if _, err := n.ProduceAttestation(types.Slot(rng.Intn(200))); err != nil {
+				if _, err := n.AttestationData(types.Slot(rng.Intn(200))); err != nil {
 					return false
 				}
 			}
@@ -359,13 +363,5 @@ func TestNodeRobustUnderRandomTraffic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFinalizedConflictsWith(t *testing.T) {
-	n := newTestNode(t, 0, 4)
-	// Same checkpoint: no conflict.
-	if err := n.FinalizedConflictsWith(n.Finalized()); err != nil {
-		t.Errorf("self-conflict: %v", err)
 	}
 }

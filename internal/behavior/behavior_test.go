@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 // byzConfig builds the standard two-branch attack configuration: honest
@@ -26,6 +27,30 @@ func byzConfig(seed int64, adversary sim.Adversary) sim.Config {
 		},
 		Adversary: adversary,
 	}
+}
+
+// evidence counts the validators the view of v holds slashing evidence
+// against.
+func evidence(s *sim.Simulation, v types.ValidatorIndex) int {
+	n := 0
+	for w := 0; w < s.Cfg.Validators; w++ {
+		if s.View(v).Detector.Slashed(types.ValidatorIndex(w)) {
+			n++
+		}
+	}
+	return n
+}
+
+// inSet reports whether validator w is in the validator set of v's view.
+func inSet(s *sim.Simulation, v, w types.ValidatorIndex) bool {
+	return s.View(v).Registry.Columns().Status[w] == validator.Active
+}
+
+// byzProportion is the Byzantine stake proportion in the view of v, the
+// paper's Safety threshold metric (2).
+func byzProportion(s *sim.Simulation, v types.ValidatorIndex) float64 {
+	reg := s.View(v).Registry
+	return float64(reg.StakeOf(s.Cfg.Byzantine)) / float64(reg.TotalStake())
 }
 
 // runUntilConflict steps epoch by epoch until conflicting finalization or
@@ -95,11 +120,11 @@ func TestScenario521DoubleVoterAcceleratesConflict(t *testing.T) {
 	// Before GST no honest view can prove the equivocation: each
 	// partition saw only one face.
 	for _, h := range s.HonestIndices() {
-		if len(s.View(h).SlashingEvidence()) != 0 {
+		if evidence(s, h) != 0 {
 			t.Fatalf("view of validator %d detected slashing before GST", h)
 		}
 		for _, b := range s.Cfg.Byzantine {
-			if !s.View(h).Registry.InSet(b) {
+			if !inSet(s, h, b) {
 				t.Fatalf("Byzantine %d slashed before GST in validator %d's view", b, h)
 			}
 		}
@@ -156,11 +181,11 @@ func TestScenario521SlashingAfterGST(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range s.HonestIndices() {
-		if len(s.View(h).SlashingEvidence()) == 0 {
+		if evidence(s, h) == 0 {
 			t.Errorf("view of validator %d has no slashing evidence after GST", h)
 		}
 		for _, b := range s.Cfg.Byzantine {
-			if s.View(h).Registry.InSet(b) {
+			if inSet(s, h, b) {
 				t.Errorf("Byzantine %d still in set after GST in validator %d's view", b, h)
 			}
 		}
@@ -187,8 +212,8 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 		if err := s.RunEpochs(1); err != nil {
 			t.Fatal(err)
 		}
-		a := s.ByzantineProportionOn(0)
-		b := s.ByzantineProportionOn(12)
+		a := byzProportion(s, 0)
+		b := byzProportion(s, 12)
 		if a > maxProp[0] {
 			maxProp[0] = a
 		}
@@ -204,7 +229,7 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 		t.Fatalf("Byzantine proportion never crossed 1/3 on both branches: max = %v", maxProp)
 	}
 	t.Logf("Byzantine proportion crossed 1/3 on both branches at epoch %d (%.4f / %.4f)",
-		crossedEpoch, s.ByzantineProportionOn(0), s.ByzantineProportionOn(12))
+		crossedEpoch, byzProportion(s, 0), byzProportion(s, 12))
 
 	// Up to the crossing: no conflicting finalization, no slashable
 	// offense ever observable.
@@ -212,7 +237,7 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 		t.Fatalf("scenario 5.2.3 crossed 1/3 without finalizing, but found: %v", v)
 	}
 	for _, h := range s.HonestIndices() {
-		if len(s.View(h).SlashingEvidence()) != 0 {
+		if evidence(s, h) != 0 {
 			t.Fatalf("semi-active behavior produced slashing evidence in validator %d's view", h)
 		}
 	}
@@ -220,10 +245,9 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 	// honest validators on each view.
 	for _, pair := range [][2]types.ValidatorIndex{{0, 12}, {12, 0}} {
 		observer := pair[0]
-		reg := s.View(observer).Registry
 		ejected := 0
 		for v := types.ValidatorIndex(0); v < 24; v++ {
-			if !reg.InSet(v) {
+			if !inSet(s, observer, v) {
 				ejected++
 			}
 		}
@@ -246,7 +270,7 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 		if err := low.RunEpochs(1); err != nil {
 			t.Fatal(err)
 		}
-		if p := low.ByzantineProportionOn(0); p > 1.0/3.0 {
+		if p := byzProportion(low, 0); p > 1.0/3.0 {
 			t.Fatalf("beta0=0.125 crossed 1/3 at epoch %d (%.4f); threshold behavior broken", epoch, p)
 		}
 	}
@@ -267,7 +291,7 @@ func TestScenario522SemiActiveFinalizesConflictingBranches(t *testing.T) {
 		t.Fatal("scenario 5.2.2 never finalized conflicting branches")
 	}
 	for _, h := range s.HonestIndices() {
-		if len(s.View(h).SlashingEvidence()) != 0 {
+		if evidence(s, h) != 0 {
 			t.Fatalf("scenario 5.2.2 must stay non-slashable; validator %d's view has evidence", h)
 		}
 	}
@@ -322,7 +346,7 @@ func TestScenario53BouncerStallsFinality(t *testing.T) {
 	}
 	// Non-slashable throughout.
 	for _, h := range s.HonestIndices() {
-		if len(s.View(h).SlashingEvidence()) != 0 {
+		if evidence(s, h) != 0 {
 			t.Fatalf("bouncing produced slashing evidence in validator %d's view", h)
 		}
 	}

@@ -124,15 +124,9 @@ func column[T any](col *[]T, n int) []T {
 	return *col
 }
 
-// New creates a tree containing only the genesis block at slot 0.
-func New(genesis types.Root) *Tree {
-	t := new(Tree)
-	t.Reset(genesis)
-	return t
-}
-
-// Reset makes the tree the one New(genesis) creates, keeping its pages and
-// root index for the Adds that refill it. The version returns to zero with
+// Reset makes the tree hold only the genesis block at slot 0, keeping its
+// pages and root index for the Adds that refill it; new(Tree).Reset(genesis)
+// builds a tree. The version returns to zero with
 // everything else, so a fork-choice engine caching this tree's indices must
 // be reset with it.
 func (t *Tree) Reset(genesis types.Root) {
@@ -393,23 +387,6 @@ func (t *Tree) CheckpointFor(head types.Root, e types.Epoch) (types.Checkpoint, 
 	return types.Checkpoint{Epoch: e, Root: r}, nil
 }
 
-// Chain returns the path from genesis to root, inclusive, in increasing
-// slot order.
-func (t *Tree) Chain(root types.Root) ([]Block, error) {
-	i := t.find(root)
-	if i == NoIndex {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, root)
-	}
-	var rev []Block
-	for ; i != NoIndex; i = t.at(i).parent {
-		rev = append(rev, t.BlockAt(i))
-	}
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev, nil
-}
-
 // Leaves returns all blocks without children, sorted by (slot, root) for
 // determinism.
 func (t *Tree) Leaves() []Block {
@@ -426,25 +403,6 @@ func (t *Tree) Leaves() []Block {
 		return bytes.Compare(out[i].Root[:], out[j].Root[:]) < 0
 	})
 	return out
-}
-
-// CommonAncestor returns the highest block that is an ancestor of both a
-// and b.
-func (t *Tree) CommonAncestor(a, b types.Root) (types.Root, error) {
-	ai, bi := t.find(a), t.find(b)
-	if ai == NoIndex || bi == NoIndex {
-		return types.Root{}, ErrUnknownBlock
-	}
-	// Parents precede children, so repeatedly lifting the deeper index
-	// converges on the meet without any visited-set allocation.
-	for ai != bi {
-		if ai > bi {
-			ai = t.at(ai).parent
-		} else {
-			bi = t.at(bi).parent
-		}
-	}
-	return t.at(ai).root, nil
 }
 
 // PruneBelow discards every block that is not a descendant of (or equal
@@ -538,7 +496,8 @@ func (t *Tree) preorder(root int32, out, stack []int32) []int32 {
 // is bumped so incremental consumers rebuild. Returns the number of blocks
 // folded (0 leaves the tree and Version untouched).
 //
-// IsAncestor and CommonAncestor remain exact over surviving blocks.
+// IsAncestor, and so the common ancestor of two survivors, remain exact
+// over surviving blocks.
 // AncestorAt queries below olderThan may answer ErrCompactedRange.
 //
 //gasper:noalloc

@@ -10,11 +10,19 @@ import (
 
 func root(v uint64) types.Root { return types.RootFromUint64(v) }
 
+// newTree is a tree holding only genesis, built as a simulation builds its
+// views' trees.
+func newTree(genesis types.Root) *Tree {
+	t := new(Tree)
+	t.Reset(genesis)
+	return t
+}
+
 // buildLinearChain constructs genesis -> b1 -> b2 ... -> bn, one block per
 // slot, and returns the tree plus the roots in order (index 0 = genesis).
 func buildLinearChain(t *testing.T, n int) (*Tree, []types.Root) {
 	t.Helper()
-	tree := New(root(0))
+	tree := newTree(root(0))
 	roots := []types.Root{root(0)}
 	for i := 1; i <= n; i++ {
 		b := Block{Slot: types.Slot(i), Root: root(uint64(i)), Parent: roots[i-1]}
@@ -34,7 +42,7 @@ func buildLinearChain(t *testing.T, n int) (*Tree, []types.Root) {
 // using distinct roots for each side.
 func buildFork(t *testing.T) (*Tree, []types.Root, []types.Root) {
 	t.Helper()
-	tree := New(root(0))
+	tree := newTree(root(0))
 	a := []types.Root{root(10), root(11)}
 	b := []types.Root{root(20), root(21)}
 	mustAdd(t, tree, Block{Slot: 1, Root: a[0], Parent: root(0)})
@@ -52,7 +60,7 @@ func mustAdd(t *testing.T, tree *Tree, b Block) {
 }
 
 func TestNewContainsGenesis(t *testing.T) {
-	tree := New(root(0))
+	tree := newTree(root(0))
 	if !tree.Has(root(0)) {
 		t.Fatal("genesis missing")
 	}
@@ -65,7 +73,7 @@ func TestNewContainsGenesis(t *testing.T) {
 }
 
 func TestAddRejectsUnknownParent(t *testing.T) {
-	tree := New(root(0))
+	tree := newTree(root(0))
 	err := tree.Add(Block{Slot: 1, Root: root(1), Parent: root(99)})
 	if !errors.Is(err, ErrUnknownParent) {
 		t.Errorf("want ErrUnknownParent, got %v", err)
@@ -137,7 +145,7 @@ func TestAncestorAt(t *testing.T) {
 
 func TestAncestorAtSkippedSlots(t *testing.T) {
 	// Chain with gaps: genesis(0) -> x(5) -> y(12).
-	tree := New(root(0))
+	tree := newTree(root(0))
 	mustAdd(t, tree, Block{Slot: 5, Root: root(1), Parent: root(0)})
 	mustAdd(t, tree, Block{Slot: 12, Root: root(2), Parent: root(1)})
 	got, err := tree.AncestorAt(root(2), 8)
@@ -171,7 +179,7 @@ func TestCheckpointFor(t *testing.T) {
 func TestCheckpointForEmptyEpochStart(t *testing.T) {
 	// If the first slot of the epoch is empty, the checkpoint falls back
 	// to the latest earlier block.
-	tree := New(root(0))
+	tree := newTree(root(0))
 	mustAdd(t, tree, Block{Slot: 30, Root: root(1), Parent: root(0)})
 	mustAdd(t, tree, Block{Slot: 40, Root: root(2), Parent: root(1)})
 	cp, err := tree.CheckpointFor(root(2), 1) // epoch 1 starts at slot 32
@@ -180,25 +188,6 @@ func TestCheckpointForEmptyEpochStart(t *testing.T) {
 	}
 	if cp.Root != root(1) {
 		t.Errorf("checkpoint = %v, want slot-30 block", cp)
-	}
-}
-
-func TestChain(t *testing.T) {
-	tree, roots := buildLinearChain(t, 4)
-	chain, err := tree.Chain(roots[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 5 {
-		t.Fatalf("chain len = %d, want 5", len(chain))
-	}
-	for i, b := range chain {
-		if b.Root != roots[i] {
-			t.Errorf("chain[%d] = %v, want %v", i, b.Root, roots[i])
-		}
-	}
-	if _, err := tree.Chain(root(99)); !errors.Is(err, ErrUnknownBlock) {
-		t.Errorf("want ErrUnknownBlock, got %v", err)
 	}
 }
 
@@ -211,24 +200,6 @@ func TestLeaves(t *testing.T) {
 	got := map[types.Root]bool{leaves[0].Root: true, leaves[1].Root: true}
 	if !got[a[1]] || !got[b[1]] {
 		t.Errorf("leaves = %v, want tips of both branches", leaves)
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	tree, a, b := buildFork(t)
-	ca, err := tree.CommonAncestor(a[1], b[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca != root(0) {
-		t.Errorf("CommonAncestor = %v, want genesis", ca)
-	}
-	ca, err = tree.CommonAncestor(a[0], a[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca != a[0] {
-		t.Errorf("CommonAncestor on same branch = %v, want %v", ca, a[0])
 	}
 }
 
@@ -282,12 +253,8 @@ func TestPruneBelow(t *testing.T) {
 	if tree.IsAncestor(a[1], a[0]) {
 		t.Error("reverse ancestry after prune")
 	}
-	chain, err := tree.Chain(a[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 2 || chain[0].Root != a[0] {
-		t.Errorf("chain after prune = %v", chain)
+	if got, err := tree.Block(a[1]); err != nil || tree.Len() != 2 || got.Parent != a[0] {
+		t.Errorf("after prune: %d blocks, tip %+v (%v), want 2 with the tip on %v", tree.Len(), got, err, a[0])
 	}
 	// New blocks extend normally.
 	if err := tree.Add(Block{Slot: 3, Root: root(30), Parent: a[1]}); err != nil {
@@ -354,7 +321,7 @@ func TestAncestorAtPropertyMonotone(t *testing.T) {
 // before child), the child links walk in insertion order, and plain Adds
 // never bump Version.
 func TestFlatIndexInvariants(t *testing.T) {
-	tree := New(types.RootFromUint64(0))
+	tree := newTree(types.RootFromUint64(0))
 	v0 := tree.Version()
 	for _, b := range []Block{
 		{Slot: 1, Root: types.RootFromUint64(1), Parent: types.RootFromUint64(0)},
@@ -397,7 +364,7 @@ func TestFlatIndexInvariants(t *testing.T) {
 // TestPruneBumpsVersionAndReindexes: compaction preserves structure,
 // stays topological, and signals consumers through Version.
 func TestPruneBumpsVersionAndReindexes(t *testing.T) {
-	tree := New(types.RootFromUint64(0))
+	tree := newTree(types.RootFromUint64(0))
 	for _, b := range []Block{
 		{Slot: 1, Root: types.RootFromUint64(1), Parent: types.RootFromUint64(0)},
 		{Slot: 1, Root: types.RootFromUint64(2), Parent: types.RootFromUint64(0)},
@@ -529,10 +496,10 @@ func TestCompactKeepsPinnedRoots(t *testing.T) {
 }
 
 // TestCompactPreservesBranchPoints: an old, unpinned fork node whose both
-// subtrees carry survivors is retained by the LCA closure, so
-// CommonAncestor stays exact over the surviving set.
+// subtrees carry survivors is retained by the LCA closure, so the
+// branches' common ancestor stays exact over the surviving set.
 func TestCompactPreservesBranchPoints(t *testing.T) {
-	tree := New(root(0))
+	tree := newTree(root(0))
 	prev := root(0)
 	var forkRoot types.Root
 	for i := 1; i <= 10; i++ {
@@ -559,11 +526,13 @@ func TestCompactPreservesBranchPoints(t *testing.T) {
 		t.Fatal("branch point folded despite surviving subtrees on both sides")
 	}
 	tipA, tipB := root(100+45), root(200+45)
-	if ca, err := tree.CommonAncestor(tipA, tipB); err != nil || ca != forkRoot {
-		t.Errorf("CommonAncestor = %v, %v, want fork root", ca, err)
-	}
-	if tree.IsAncestor(tipA, tipB) || !tree.IsAncestor(forkRoot, tipA) {
+	if tree.IsAncestor(tipA, tipB) || !tree.IsAncestor(forkRoot, tipA) || !tree.IsAncestor(forkRoot, tipB) {
 		t.Error("ancestry wrong across compacted fork")
+	}
+	for _, kid := range tree.Children(forkRoot) {
+		if tree.IsAncestor(kid, tipA) && tree.IsAncestor(kid, tipB) {
+			t.Errorf("the tips meet at %v, below the fork root", kid)
+		}
 	}
 }
 

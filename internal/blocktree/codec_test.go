@@ -18,7 +18,7 @@ import (
 // below block 10 (the root's Parent becomes its own root), then extended
 // on the spine and on the pinned block.
 func fixtureTree(t testing.TB) *Tree {
-	tree := New(types.RootFromUint64(0))
+	tree := newTree(types.RootFromUint64(0))
 	add := func(slot uint64, r, p types.Root, prop uint64) {
 		t.Helper()
 		if err := tree.Add(Block{Slot: types.Slot(slot), Root: r, Parent: p, Proposer: types.ValidatorIndex(prop)}); err != nil {
@@ -132,7 +132,7 @@ func TestDecodeTreeRejectsParentRootMismatch(t *testing.T) {
 func FuzzDecodeTree(f *testing.F) {
 	f.Add(readFrame(f, "tree-compacted-pruned.frame"))
 	f.Add(readFrame(f, "tree-parent-root-mismatch.frame"))
-	f.Add(encodeTree(f, New(types.RootFromUint64(0))))
+	f.Add(encodeTree(f, newTree(types.RootFromUint64(0))))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

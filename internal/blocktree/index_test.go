@@ -203,7 +203,7 @@ func TestRootIndexMatchesMap(t *testing.T) {
 				return types.HashItems(seed, next)
 			}
 		}
-		tree := New(types.RootFromUint64(0))
+		tree := newTree(types.RootFromUint64(0))
 		ref := newRefTree(types.RootFromUint64(0))
 		var gone []types.Root
 		for step := 0; step < 1500; step++ {
@@ -304,7 +304,7 @@ func BenchmarkTreeIndex(b *testing.B) {
 		blocks = append(blocks, Block{Slot: types.Slot(i), Root: r, Parent: parent})
 		roots = append(roots, r)
 	}
-	tree := New(genesis)
+	tree := newTree(genesis)
 	for _, blk := range blocks {
 		if err := tree.Add(blk); err != nil {
 			b.Fatal(err)
@@ -336,7 +336,7 @@ func BenchmarkTreeIndex(b *testing.B) {
 	}
 	b.Run("add-1024", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t := New(genesis)
+			t := newTree(genesis)
 			for _, blk := range blocks {
 				if err := t.Add(blk); err != nil {
 					b.Fatal(err)

@@ -23,7 +23,7 @@ func BenchmarkLeakSimFullHorizon(b *testing.B) {
 func BenchmarkBounceMCEpochValidator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mc := BounceMC{NHonest: 500, Beta0: 0.33, P0: 0.5, Seed: int64(i)}
-		if _, _, err := mc.Run(1000, 0); err != nil {
+		if _, _, err := mc.RunContext(context.Background(), 1000, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

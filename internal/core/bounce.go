@@ -62,16 +62,12 @@ type honestState struct {
 	inSet [2]bool
 }
 
-// Run simulates one attack trajectory for maxEpochs epochs, sampling every
-// sampleEvery epochs (plus the epoch where beta first exceeds 1/3, if any).
-// It returns the samples and the first epoch at which the Byzantine
-// proportion exceeded 1/3 on either branch (0 = never).
-func (b BounceMC) Run(maxEpochs, sampleEvery int) ([]BouncePoint, types.Epoch, error) {
-	return b.RunContext(context.Background(), maxEpochs, sampleEvery)
-}
-
-// RunContext is Run with cooperative cancellation: the epoch loop checks
-// ctx every cancelCheckEvery epochs and returns ctx.Err() once cancelled.
+// RunContext simulates one attack trajectory for maxEpochs epochs, sampling
+// every sampleEvery epochs (plus the epoch where beta first exceeds 1/3, if
+// any). It returns the samples and the first epoch at which the Byzantine
+// proportion exceeded 1/3 on either branch (0 = never). Cancellation is
+// cooperative: the epoch loop checks ctx every cancelCheckEvery epochs and
+// returns ctx.Err() once cancelled.
 func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([]BouncePoint, types.Epoch, error) {
 	if b.NHonest <= 0 || b.P0 < 0 || b.P0 > 1 || b.Beta0 < 0 || b.Beta0 >= 1 {
 		return nil, 0, fmt.Errorf("%w: %+v", ErrBadParams, b)

@@ -17,7 +17,7 @@ func TestBounceMCRejectsBadParams(t *testing.T) {
 		{NHonest: 10, P0: 0.5, Beta0: 1.0},
 	}
 	for i, c := range cases {
-		if _, _, err := c.Run(10, 0); !errors.Is(err, ErrBadParams) {
+		if _, _, err := c.RunContext(context.Background(), 10, 0); !errors.Is(err, ErrBadParams) {
 			t.Errorf("case %d: want ErrBadParams, got %v", i, err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestBounceMCMatchesEquation24Shape(t *testing.T) {
 // from its 4685 anchor).
 func TestBounceMCByzantineEjection(t *testing.T) {
 	mc := BounceMC{NHonest: 100, Beta0: 0.25, P0: 0.5, Seed: 5}
-	samples, _, err := mc.Run(7700, 100)
+	samples, _, err := mc.RunContext(context.Background(), 7700, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestBounceMCFloorAblation(t *testing.T) {
 // +3/2 score per epoch).
 func TestBounceMCMeanTracksSemiActiveLaw(t *testing.T) {
 	mc := BounceMC{NHonest: 300, Beta0: 0.2, P0: 0.5, Seed: 13}
-	samples, _, err := mc.Run(4000, 1000)
+	samples, _, err := mc.RunContext(context.Background(), 4000, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestBounceMCMeanTracksSemiActiveLaw(t *testing.T) {
 func TestBounceMCDeterministicPerSeed(t *testing.T) {
 	a := BounceMC{NHonest: 100, Beta0: 0.3, P0: 0.5, Seed: 42}
 	b := BounceMC{NHonest: 100, Beta0: 0.3, P0: 0.5, Seed: 42}
-	sa, _, err := a.Run(500, 100)
+	sa, _, err := a.RunContext(context.Background(), 500, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, _, err := b.Run(500, 100)
+	sb, _, err := b.RunContext(context.Background(), 500, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

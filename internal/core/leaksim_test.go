@@ -138,8 +138,9 @@ func TestLeakSimScenario523Threshold(t *testing.T) {
 	}
 	// The peak value matches Equation 13 evaluated at the endogenous
 	// ejection epoch.
-	params := analytic.ContinuousParams()
-	want := params.BetaMax(0.5, 0.25)
+	ej := analytic.ContinuousParams().EjectionEpoch
+	byz := 0.25 * math.Exp(-3*ej*ej/math.Exp2(28))
+	want := byz / (0.5*0.75 + byz)
 	if math.Abs(res.A.PeakByzProportion-want) > 0.005 {
 		t.Errorf("peak proportion %v vs Equation 13 %v", res.A.PeakByzProportion, want)
 	}

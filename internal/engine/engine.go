@@ -290,9 +290,3 @@ func RunContext(ctx context.Context, name string, p Params) (Result, error) {
 
 // Lookup finds a scenario in the default registry.
 func Lookup(name string) (Scenario, bool) { return Default.Lookup(name) }
-
-// Names lists the default registry, sorted.
-func Names() []string { return Default.Names() }
-
-// Infos describes every scenario of the default registry, sorted by name.
-func Infos() []Info { return Default.Infos() }

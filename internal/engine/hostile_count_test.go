@@ -113,7 +113,7 @@ func countSites(t *testing.T, tail []byte) []countSite {
 	// A node at genesis ends in its registry (4 + 25 bytes a validator),
 	// no pending blocks, the next incentives epoch and no evidence.
 	const validators = 4
-	node := encode(beacon.NewNode(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0)).Walk)
+	node := encode(beacon.NewNodeWithForkChoice(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0), forkchoice.NewProtoArray()).Walk)
 	registryAt, pendingAt, evidenceAt := len(node)-16-(4+25*validators), len(node)-16, len(node)-4
 	for _, at := range []struct {
 		pos  int
@@ -149,8 +149,10 @@ func countSites(t *testing.T, tail []byte) []countSite {
 	}
 	snapHead := cat(u64(validators), u64(0))
 	empty := count(0)
+	genesisTree := new(blocktree.Tree)
+	genesisTree.Reset(types.RootFromUint64(0))
 	slotInFlight := cat(
-		encode(blocktree.New(types.RootFromUint64(0)).Walk),
+		encode(genesisTree.Walk),
 		netHeader,
 		netCounters,
 		count(1), // one inbox

@@ -119,15 +119,6 @@ func dimForKey(key string) *paramDim {
 	return nil
 }
 
-// FieldForKey resolves a canonical parameter key ("p0", "rate", "gst", …)
-// to its presence bit.
-func FieldForKey(key string) (Field, bool) {
-	if d := dimForKey(key); d != nil {
-		return d.field, true
-	}
-	return 0, false
-}
-
 // Params parameterizes one scenario run. An UNSET field means "use the
 // scenario's default" (see Scenario.Defaults and WithDefaults). Presence
 // is tracked explicitly in the Explicit mask: a field is taken as set when

@@ -184,12 +184,12 @@ func TestDecodeParamsMarksPresence(t *testing.T) {
 // presence bits in sync.
 func TestFieldForKeyCoversEveryGridKey(t *testing.T) {
 	for _, key := range []string{"p0", "beta0", "mode", "seed", "horizon", "rate", "gst", "n", "sample"} {
-		if _, ok := FieldForKey(key); !ok {
-			t.Errorf("FieldForKey(%q) unknown", key)
+		if dimForKey(key) == nil {
+			t.Errorf("key %q resolves to no parameter", key)
 		}
 	}
-	if _, ok := FieldForKey("workers"); ok {
-		t.Error("FieldForKey should not resolve non-parameter keys")
+	if dimForKey("workers") != nil {
+		t.Error("non-parameter keys must not resolve")
 	}
 }
 

@@ -195,9 +195,9 @@ func TestRegistryRunContext(t *testing.T) {
 // TestRegistryInfos: the serializable listing names and describes every
 // scenario.
 func TestRegistryInfos(t *testing.T) {
-	infos := Infos()
-	if len(infos) != len(Names()) {
-		t.Fatalf("infos = %d, names = %d", len(infos), len(Names()))
+	infos := Default.Infos()
+	if len(infos) != len(Default.Names()) {
+		t.Fatalf("infos = %d, names = %d", len(infos), len(Default.Names()))
 	}
 	byName := map[string]Info{}
 	for _, in := range infos {

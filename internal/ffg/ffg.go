@@ -118,18 +118,10 @@ func (e *Engine) Justifieds() []types.Checkpoint { return e.justified }
 // Finalized returns the highest-epoch finalized checkpoint.
 func (e *Engine) Finalized() types.Checkpoint { return e.finalized }
 
-// LastFinalizedAt returns the epoch at which finalization last advanced.
-func (e *Engine) LastFinalizedAt() types.Epoch { return e.lastFinalizedAt }
-
 // Result reports what a ProcessTally call changed.
 type Result struct {
 	NewlyJustified []types.Checkpoint
 	NewlyFinalized []types.Checkpoint
-}
-
-// Advanced reports whether anything was justified or finalized.
-func (r Result) Advanced() bool {
-	return len(r.NewlyJustified) > 0 || len(r.NewlyFinalized) > 0
 }
 
 // ProcessTally ingests a columnar per-link tally for target epoch `epoch`

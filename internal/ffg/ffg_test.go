@@ -51,11 +51,15 @@ func TestSupermajority(t *testing.T) {
 	}
 }
 
+// advanced reports whether a ProcessTally call justified or finalized
+// anything.
+func advanced(r Result) bool { return len(r.NewlyJustified) > 0 || len(r.NewlyFinalized) > 0 }
+
 func TestJustificationRequiresSupermajority(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	tgt := cp(1, 10)
 	res := e.ProcessTally(1, tally(link(cp(0, 0), tgt), 66), 100, 1)
-	if res.Advanced() {
+	if advanced(res) {
 		t.Errorf("2/3 not exceeded but advanced: %+v", res)
 	}
 	res = e.ProcessTally(1, tally(link(cp(0, 0), tgt), 67), 100, 1)
@@ -71,7 +75,7 @@ func TestJustificationRequiresJustifiedSource(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	// Source cp(1,10) was never justified.
 	res := e.ProcessTally(2, tally(link(cp(1, 10), cp(2, 20)), 100), 100, 2)
-	if res.Advanced() {
+	if advanced(res) {
 		t.Errorf("unjustified source must not justify target: %+v", res)
 	}
 }
@@ -93,8 +97,8 @@ func TestConsecutiveJustificationFinalizes(t *testing.T) {
 	if e.Finalized() != c1 {
 		t.Errorf("finalized = %v, want %v", e.Finalized(), c1)
 	}
-	if e.LastFinalizedAt() != 2 {
-		t.Errorf("lastFinalizedAt = %d, want 2", e.LastFinalizedAt())
+	if e.lastFinalizedAt != 2 {
+		t.Errorf("lastFinalizedAt = %d, want 2", e.lastFinalizedAt)
 	}
 }
 
@@ -140,14 +144,14 @@ func TestAlternatingJustificationNeverFinalizes(t *testing.T) {
 func TestProcessEpochIgnoresOtherTargetEpochs(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
 	res := e.ProcessTally(2, tally(link(cp(0, 0), cp(1, 10)), 100), 100, 2) // wrong epoch
-	if res.Advanced() {
+	if advanced(res) {
 		t.Errorf("links for other epochs must be ignored: %+v", res)
 	}
 }
 
 func TestProcessEpochZeroTotal(t *testing.T) {
 	e := NewEngine(types.RootFromUint64(0))
-	if res := e.ProcessTally(1, tally(link(cp(0, 0), cp(1, 10)), 10), 0, 1); res.Advanced() {
+	if res := e.ProcessTally(1, tally(link(cp(0, 0), cp(1, 10)), 10), 0, 1); advanced(res) {
 		t.Error("zero total stake must not justify anything")
 	}
 }

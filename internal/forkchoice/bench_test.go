@@ -61,7 +61,7 @@ func BenchmarkHead(b *testing.B) {
 func BenchmarkHeadDeepChain(b *testing.B) {
 	for _, depth := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
-			tree := blocktree.New(types.RootFromUint64(0))
+			tree := newTree(types.RootFromUint64(0))
 			extend := func(i int) types.Root {
 				blk := blocktree.Block{Slot: types.Slot(i), Root: types.RootFromUint64(uint64(i)), Parent: types.RootFromUint64(uint64(i - 1))}
 				if err := tree.Add(blk); err != nil {

@@ -24,7 +24,7 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 	)
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tree := blocktree.New(types.RootFromUint64(0))
+		tree := newTree(types.RootFromUint64(0))
 
 		// Pre-plan a block schedule so votes can target blocks that have
 		// not arrived yet (the cross-partition / in-flight case): planned
@@ -109,9 +109,17 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 			// it), a root the tree does not hold, several blocks of the
 			// unfiltered path below start (the shallowest decides), and all
 			// but one child of a fork on that path.
-			path, err := tree.Chain(oh)
-			if err != nil {
-				t.Fatal(err)
+			var path []types.Root // oh back to the tree's genesis
+			for r := oh; ; {
+				path = append(path, r)
+				b, err := tree.Block(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r == tree.Genesis() {
+					break
+				}
+				r = b.Parent
 			}
 			var hidden []types.Root
 			for i := rng.Intn(3); i > 0; i-- {
@@ -121,10 +129,10 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 				hidden = append(hidden, types.RootFromUint64(1<<40))
 			}
 			for i := rng.Intn(3); i > 0; i-- {
-				hidden = append(hidden, path[rng.Intn(len(path))].Root)
+				hidden = append(hidden, path[rng.Intn(len(path))])
 			}
 			if rng.Intn(3) == 0 {
-				siblings := tree.Children(path[rng.Intn(len(path))].Root)
+				siblings := tree.Children(path[rng.Intn(len(path))])
 				if len(siblings) > 1 {
 					hidden = append(hidden, siblings[1:]...)
 				}
@@ -231,7 +239,7 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 //	    |     \- 31               one on 31
 //	    \- 10 - 11                one on 11
 func TestHeadFilteredHiddenListCases(t *testing.T) {
-	tree := blocktree.New(root(0))
+	tree := newTree(root(0))
 	for _, b := range [][2]uint64{{1, 0}, {2, 1}, {3, 2}, {4, 3}, {5, 4}, {30, 2}, {300, 30}, {31, 2}, {10, 1}, {11, 10}} {
 		parent, err := tree.Slot(root(b[1]))
 		if err != nil {
@@ -287,7 +295,7 @@ func TestHeadFilteredHiddenListCases(t *testing.T) {
 // view has not received is ignored (matching the oracle) and starts
 // counting the instant the block arrives.
 func TestProtoArrayUnresolvedVoteResolvesOnArrival(t *testing.T) {
-	tree := blocktree.New(root(0))
+	tree := newTree(root(0))
 	if err := tree.Add(blocktree.Block{Slot: 1, Root: root(10), Parent: root(0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +324,7 @@ func TestProtoArrayUnresolvedVoteResolvesOnArrival(t *testing.T) {
 // TestProtoArrayCloneIndependence: a cloned engine diverges from its
 // original without sharing vote or weight state.
 func TestProtoArrayCloneIndependence(t *testing.T) {
-	tree := blocktree.New(root(0))
+	tree := newTree(root(0))
 	for _, b := range []blocktree.Block{
 		{Slot: 1, Root: root(10), Parent: root(0)},
 		{Slot: 1, Root: root(20), Parent: root(0)},
@@ -384,7 +392,7 @@ func TestProtoArraySteadyStateHeadDoesNotAllocate(t *testing.T) {
 // block arrives, bit-identically to the oracle throughout.
 func TestProtoArrayCompactRebuildDeepChainWithParkedVotes(t *testing.T) {
 	const depth = 2000
-	tree := blocktree.New(root(0))
+	tree := newTree(root(0))
 	for i := 1; i <= depth; i++ {
 		b := blocktree.Block{Slot: types.Slot(i), Root: root(uint64(i)), Parent: root(uint64(i - 1))}
 		if err := tree.Add(b); err != nil {

@@ -12,6 +12,13 @@ import (
 
 func root(v uint64) types.Root { return types.RootFromUint64(v) }
 
+// newTree is a block tree holding only genesis.
+func newTree(genesis types.Root) *blocktree.Tree {
+	tree := new(blocktree.Tree)
+	tree.Reset(genesis)
+	return tree
+}
+
 func flatStake(types.ValidatorIndex) types.Gwei { return 32 }
 
 // engines are the two implementations of the rule: the product's
@@ -37,7 +44,7 @@ func forEachEngine(t *testing.T, test func(t *testing.T, newEngine func() forkch
 //	        -> b1(1)
 func forkTree(t *testing.T) *blocktree.Tree {
 	t.Helper()
-	tree := blocktree.New(root(0))
+	tree := newTree(root(0))
 	for _, b := range []blocktree.Block{
 		{Slot: 1, Root: root(10), Parent: root(0)},
 		{Slot: 2, Root: root(11), Parent: root(10)},

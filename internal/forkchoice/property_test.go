@@ -15,7 +15,7 @@ import (
 // randomTree builds a deterministic random tree of n blocks over the given
 // RNG, returning the tree and all roots.
 func randomTree(rng *rand.Rand, n int) (*blocktree.Tree, []types.Root) {
-	tree := blocktree.New(types.RootFromUint64(0))
+	tree := newTree(types.RootFromUint64(0))
 	roots := []types.Root{types.RootFromUint64(0)}
 	slots := map[types.Root]types.Slot{types.RootFromUint64(0): 0}
 	for i := 1; i <= n; i++ {

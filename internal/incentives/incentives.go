@@ -29,9 +29,6 @@ type Engine struct {
 	AttestationPenalty types.Gwei
 }
 
-// NewEngine returns an engine with the paper's default spec.
-func NewEngine() Engine { return Engine{Spec: types.DefaultSpec()} }
-
 // Summary reports what one epoch of processing did.
 type Summary struct {
 	// TotalPenalty is the stake burned from in-set validators this epoch.
@@ -124,7 +121,3 @@ func (e Engine) ProcessEpoch(reg *validator.Registry, active func(types.Validato
 	}
 	return sum
 }
-
-// IntPow2 is 2^k as a Gwei-compatible uint64 (helper for tests and
-// ablations that sweep the quotient).
-func IntPow2(k uint) uint64 { return 1 << k }

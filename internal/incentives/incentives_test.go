@@ -9,6 +9,14 @@ import (
 	"repro/internal/validator"
 )
 
+// newRegistry is a registry of n in-set validators holding stake each,
+// built the way a simulation builds its views.
+func newRegistry(n int, stake types.Gwei) *validator.Registry {
+	reg := new(validator.Registry)
+	reg.Reset(n, stake)
+	return reg
+}
+
 func always(bool) func(types.ValidatorIndex) bool {
 	return func(types.ValidatorIndex) bool { return true }
 }
@@ -18,47 +26,47 @@ func activeSet(m map[types.ValidatorIndex]bool) func(types.ValidatorIndex) bool 
 }
 
 func TestScoreDynamicsDuringLeak(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(2, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
 	active := activeSet(map[types.ValidatorIndex]bool{0: true}) // v1 inactive
 	for i := 0; i < 10; i++ {
 		e.ProcessEpoch(reg, active, true, types.Epoch(i))
 	}
-	if got := reg.Score(0); got != 0 {
+	if got := reg.Columns().Scores[0]; got != 0 {
 		t.Errorf("active validator score = %d, want 0", got)
 	}
-	if got := reg.Score(1); got != 40 {
+	if got := reg.Columns().Scores[1]; got != 40 {
 		t.Errorf("inactive validator score = %d, want 4*10 = 40", got)
 	}
 }
 
 func TestScoreRecoveryOutsideLeak(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
-	reg.SetScore(0, 100)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
+	reg.Columns().Scores[0] = 100
 	// Active outside leak: -1 (recovery) then -16 (flat) per epoch.
 	e.ProcessEpoch(reg, always(true), false, 0)
-	if got := reg.Score(0); got != 83 {
+	if got := reg.Columns().Scores[0]; got != 83 {
 		t.Errorf("score after one non-leak active epoch = %d, want 83", got)
 	}
 	// Inactive outside leak: +4 then -16 = net -12.
-	reg.SetScore(0, 100)
+	reg.Columns().Scores[0] = 100
 	e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, false, 0)
-	if got := reg.Score(0); got != 88 {
+	if got := reg.Columns().Scores[0]; got != 88 {
 		t.Errorf("score after one non-leak inactive epoch = %d, want 88", got)
 	}
 	// Scores floor at zero.
-	reg.SetScore(0, 5)
+	reg.Columns().Scores[0] = 5
 	e.ProcessEpoch(reg, always(true), false, 0)
-	if got := reg.Score(0); got != 0 {
+	if got := reg.Columns().Scores[0]; got != 0 {
 		t.Errorf("score must floor at zero, got %d", got)
 	}
 }
 
 func TestNoPenaltyOutsideLeak(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
-	reg.SetScore(0, 1000)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
+	reg.Columns().Scores[0] = 1000
 	sum := e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, false, 0)
 	if sum.TotalPenalty != 0 {
 		t.Errorf("no inactivity penalty outside leak, got %d", sum.TotalPenalty)
@@ -69,9 +77,9 @@ func TestNoPenaltyOutsideLeak(t *testing.T) {
 }
 
 func TestAttestationPenaltyOutsideLeak(t *testing.T) {
-	e := NewEngine()
+	e := Engine{Spec: types.DefaultSpec()}
 	e.AttestationPenalty = 1000
-	reg := validator.NewRegistry(2, types.MaxEffectiveBalanceGwei)
+	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
 	active := activeSet(map[types.ValidatorIndex]bool{0: true})
 	sum := e.ProcessEpoch(reg, active, false, 0)
 	if sum.TotalPenalty != 1000 {
@@ -86,8 +94,8 @@ func TestAttestationPenaltyOutsideLeak(t *testing.T) {
 }
 
 func TestPenaltyMatchesEquation2(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	inactive := func(types.ValidatorIndex) bool { return false }
 
 	// Epoch 0: score 0 -> no penalty; score becomes 4.
@@ -107,15 +115,15 @@ func TestPenaltyMatchesEquation2(t *testing.T) {
 // engine stays within 0.5% of the paper's continuous law s(t) = 32 e^{-t^2 / 2^25}
 // over the first 3000 epochs of a leak (Section 4.3, behavior (c)).
 func TestInactiveStakeTracksContinuousModel(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	inactive := func(types.ValidatorIndex) bool { return false }
 	for epoch := 1; epoch <= 3000; epoch++ {
 		e.ProcessEpoch(reg, inactive, true, types.Epoch(epoch))
 		if epoch%1000 == 0 {
 			tt := float64(epoch)
 			want := 32 * math.Exp(-tt*tt/math.Pow(2, 25))
-			got := reg.RawStake(0).ETH()
+			got := reg.Columns().Stakes[0].ETH()
 			if rel := math.Abs(got-want) / want; rel > 0.005 {
 				t.Errorf("epoch %d: stake = %.4f ETH, continuous model %.4f (rel err %.4f)",
 					epoch, got, want, rel)
@@ -127,8 +135,8 @@ func TestInactiveStakeTracksContinuousModel(t *testing.T) {
 // TestSemiActiveStakeTracksContinuousModel does the same for the semi-active
 // law s(t) = 32 e^{-3 t^2 / 2^28} (behavior (b)).
 func TestSemiActiveStakeTracksContinuousModel(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	for epoch := 1; epoch <= 4000; epoch++ {
 		// Active every other epoch.
 		isActive := epoch%2 == 0
@@ -136,7 +144,7 @@ func TestSemiActiveStakeTracksContinuousModel(t *testing.T) {
 		if epoch%2000 == 0 {
 			tt := float64(epoch)
 			want := 32 * math.Exp(-3*tt*tt/math.Pow(2, 28))
-			got := reg.RawStake(0).ETH()
+			got := reg.Columns().Stakes[0].ETH()
 			if rel := math.Abs(got-want) / want; rel > 0.005 {
 				t.Errorf("epoch %d: stake = %.4f ETH, continuous model %.4f (rel err %.4f)",
 					epoch, got, want, rel)
@@ -151,8 +159,8 @@ func TestSemiActiveStakeTracksContinuousModel(t *testing.T) {
 // this discrepancy). The discrete engine must land within a few epochs of
 // the continuous crossing.
 func TestInactiveEjectionEpoch(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	inactive := func(types.ValidatorIndex) bool { return false }
 	ejectedAt := 0
 	for epoch := 1; epoch <= 5000; epoch++ {
@@ -168,7 +176,7 @@ func TestInactiveEjectionEpoch(t *testing.T) {
 	if ejectedAt < 4650 || ejectedAt > 4675 {
 		t.Errorf("ejection epoch = %d, want ~4661 (continuous-model crossing)", ejectedAt)
 	}
-	if reg.InSet(0) {
+	if reg.Columns().Status[0] == validator.Active {
 		t.Error("validator still in set after ejection")
 	}
 }
@@ -176,8 +184,8 @@ func TestInactiveEjectionEpoch(t *testing.T) {
 // TestSemiActiveEjectionEpoch pins the semi-active ejection near the
 // continuous crossing t ~ 7611 (paper reports 7652).
 func TestSemiActiveEjectionEpoch(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	ejectedAt := 0
 	for epoch := 1; epoch <= 8000; epoch++ {
 		isActive := epoch%2 == 0
@@ -196,29 +204,29 @@ func TestSemiActiveEjectionEpoch(t *testing.T) {
 }
 
 func TestActiveValidatorNeverPenalized(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	for epoch := 1; epoch <= 1000; epoch++ {
 		e.ProcessEpoch(reg, always(true), true, types.Epoch(epoch))
 	}
 	if reg.Stake(0) != types.MaxEffectiveBalanceGwei {
 		t.Errorf("active validator lost stake: %d", reg.Stake(0))
 	}
-	if reg.Score(0) != 0 {
-		t.Errorf("active validator score = %d, want 0", reg.Score(0))
+	if reg.Columns().Scores[0] != 0 {
+		t.Errorf("active validator score = %d, want 0", reg.Columns().Scores[0])
 	}
 }
 
 func TestExitedValidatorsSkipped(t *testing.T) {
-	e := NewEngine()
-	reg := validator.NewRegistry(2, types.MaxEffectiveBalanceGwei)
+	e := Engine{Spec: types.DefaultSpec()}
+	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
 	reg.Slash(1, 0)
-	before := reg.RawStake(1)
+	before := reg.Columns().Stakes[1]
 	sum := e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, true, 1)
-	if reg.RawStake(1) != before {
+	if reg.Columns().Stakes[1] != before {
 		t.Error("slashed validator must not receive leak penalties")
 	}
-	if reg.Score(1) != 0 {
+	if reg.Columns().Scores[1] != 0 {
 		t.Error("slashed validator score must not change")
 	}
 	// Summary counts only in-set validators.
@@ -228,9 +236,9 @@ func TestExitedValidatorsSkipped(t *testing.T) {
 }
 
 func TestSummaryMeasurements(t *testing.T) {
-	e := NewEngine()
+	e := Engine{Spec: types.DefaultSpec()}
 	const stake = 100 * types.GweiPerETH
-	reg := validator.NewRegistry(4, stake)
+	reg := newRegistry(4, stake)
 	active := activeSet(map[types.ValidatorIndex]bool{0: true, 1: true})
 	sum := e.ProcessEpoch(reg, active, false, 0)
 	if sum.TotalStake != 4*stake {
@@ -243,7 +251,7 @@ func TestSummaryMeasurements(t *testing.T) {
 
 func TestCompressedSpecLeaksFaster(t *testing.T) {
 	fast := Engine{Spec: types.CompressedSpec(1 << 16)}
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	inactive := func(types.ValidatorIndex) bool { return false }
 	ejectedAt := 0
 	for epoch := 1; epoch <= 200; epoch++ {
@@ -266,8 +274,8 @@ func TestResidualPenaltiesOutsideLeak(t *testing.T) {
 	spec := types.DefaultSpec()
 	spec.ResidualPenalties = true
 	e := Engine{Spec: spec}
-	reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
-	reg.SetScore(0, 10000)
+	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
+	reg.Columns().Scores[0] = 10000
 	before := reg.Stake(0)
 	// Outside a leak, a scored validator still pays I*s/2^26.
 	sum := e.ProcessEpoch(reg, always(true), false, 0)
@@ -279,7 +287,7 @@ func TestResidualPenaltiesOutsideLeak(t *testing.T) {
 		t.Errorf("summary penalty = %d, want %d", sum.TotalPenalty, wantPenalty)
 	}
 	// A zero-score validator pays nothing.
-	reg2 := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+	reg2 := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	e.ProcessEpoch(reg2, always(true), false, 0)
 	if reg2.Stake(0) != types.MaxEffectiveBalanceGwei {
 		t.Error("zero-score validator must not pay residual penalties")
@@ -289,13 +297,13 @@ func TestResidualPenaltiesOutsideLeak(t *testing.T) {
 // TestScoreNeverNegativeProperty: no activity pattern can drive the score
 // negative (it is unsigned; the engine must floor, not wrap).
 func TestScoreNeverNegativeProperty(t *testing.T) {
-	e := NewEngine()
+	e := Engine{Spec: types.DefaultSpec()}
 	f := func(pattern []bool, leakBits uint8) bool {
-		reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
+		reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 		for i, active := range pattern {
 			inLeak := leakBits&(1<<(i%8)) != 0
 			e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return active }, inLeak, types.Epoch(i))
-			if reg.Score(0) > 1<<40 {
+			if reg.Columns().Scores[0] > 1<<40 {
 				return false // wrapped around
 			}
 		}
@@ -309,13 +317,13 @@ func TestScoreNeverNegativeProperty(t *testing.T) {
 // TestStakeMonotoneNonIncreasingProperty: no activity pattern ever
 // increases stake (the engine has no rewards).
 func TestStakeMonotoneNonIncreasingProperty(t *testing.T) {
-	e := NewEngine()
+	e := Engine{Spec: types.DefaultSpec()}
 	f := func(pattern []bool) bool {
-		reg := validator.NewRegistry(1, types.MaxEffectiveBalanceGwei)
-		prev := reg.RawStake(0)
+		reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
+		prev := reg.Columns().Stakes[0]
 		for i, active := range pattern {
 			e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return active }, true, types.Epoch(i))
-			cur := reg.RawStake(0)
+			cur := reg.Columns().Stakes[0]
 			if cur > prev {
 				return false
 			}
@@ -328,12 +336,6 @@ func TestStakeMonotoneNonIncreasingProperty(t *testing.T) {
 	}
 }
 
-func TestIntPow2(t *testing.T) {
-	if IntPow2(26) != types.InactivityPenaltyQuotient {
-		t.Error("IntPow2(26) mismatch")
-	}
-}
-
 // TestProcessEpochConsultsActivityOncePerValidator pins the fused sweep's
 // contract: active(v) runs EXACTLY once per in-set validator per epoch.
 // The pre-fusion sweep asked a second time during post-state measurement,
@@ -342,10 +344,8 @@ func TestIntPow2(t *testing.T) {
 func TestProcessEpochConsultsActivityOncePerValidator(t *testing.T) {
 	const n = 64
 	e := Engine{Spec: types.CompressedSpec(1 << 16)}
-	reg := validator.NewRegistry(n, e.Spec.MaxEffectiveBalance)
-	if err := reg.Eject(7, 0); err != nil { // out-of-set validators are never consulted
-		t.Fatal(err)
-	}
+	reg := newRegistry(n, e.Spec.MaxEffectiveBalance)
+	reg.Columns().Status[7] = validator.Ejected // out-of-set validators are never consulted
 	calls := make(map[types.ValidatorIndex]int)
 	active := func(v types.ValidatorIndex) bool {
 		calls[v]++

@@ -1,0 +1,252 @@
+package lint
+
+import (
+	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// surfaceWaivers names the exported functions and methods under internal/
+// and gasperleak/ that stay although no non-test package outside bench/
+// references them, each with the reason it stays. Keys are the declaring
+// package's path inside the module, then the receiver type for a method,
+// then the name: "internal/store.Results.Get", "internal/slashing.Conflict".
+var surfaceWaivers = map[string]string{
+	// Only the benchmark harness calls these.
+	"internal/attestation.Pool.Add":             "bench/ probes the pool one attestation at a time",
+	"internal/attestation.Pool.AppendLinkTally": "bench/ probes a single epoch's link tally",
+	"internal/attestation.Pool.VotesForEpoch":   "bench/ materializes an epoch's votes in its probes",
+	"internal/beacon.Node.ReceiveAttestation":   "bench/ probes single-attestation delivery",
+	"internal/engine.DecodeParams":              "bench/ decodes request params in serve-mix",
+	"internal/engine.Lookup":                    "bench/ resolves checkpointable scenarios in its fixtures",
+	"internal/engine.Params.MarkExplicit":       "bench/ marks explicit zeros in its fixtures",
+	"internal/engine.RunCheckpointed":           "bench/ runs a checkpointed cell in reuse-tiers",
+	"internal/engine.RunContext":                "bench/ runs cells on the default registry",
+	"internal/sim.Simulation.Cohorts":           "bench/ walks the cohorts in its probes and reuse-tiers",
+	"internal/store.Checkpoints.LoadCheckpoint": "bench/ loads a checkpoint by copy in reuse-tiers",
+	"internal/store.Results.Get":                "bench/ reads results back in reuse-tiers",
+	"internal/store.Results.Put":                "bench/ writes results in reuse-tiers",
+
+	// Helpers that tests in several packages share.
+	"internal/store.CorruptForTest": "the server's store tests tear an entry with it",
+	"internal/engine.StripMeta":     "engine, server, gasperleak and cmd/serve tests compare payloads with it",
+
+	// Public API that a checked Example or the README shows.
+	"gasperleak.BounceWindow":   "ExampleBounceWindow",
+	"gasperleak.DefaultSpec":    "ExampleNewSimulation",
+	"gasperleak.FormatEpoch":    "Example_quickstart",
+	"internal/core.LeakSim.Run": "gasperleak.LeakSim's run: ExampleLeakSim and the package quick start",
+	"gasperleak.NewScenario":    "the README's section on adding a scenario",
+
+	// Kept for a planned use.
+	"internal/slashing.Conflict": "the accountable-stake audit of ROADMAP item 19 classifies conflicting votes with it",
+}
+
+// TestSurface fails on every exported function or method of the product
+// packages (internal/... and gasperleak/...) that no non-test package
+// references, so code that only tests reach cannot grow back. bench/'s
+// references do not count: a name only the benchmark harness calls is
+// listed in surfaceWaivers with that reason, and goes when the harness
+// stops calling it. A method that completes its type's implementation of an
+// interface the module can name is skipped, since a dynamic call through
+// the interface reaches it with no static reference. A waiver whose name is
+// now referenced, or no longer declared, fails too.
+func TestSurface(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := ""
+	for _, p := range pkgs {
+		if m, ok := strings.CutSuffix(p.ImportPath, "/internal/lint"); ok {
+			module = m
+		}
+	}
+	if module == "" {
+		t.Fatal("internal/lint not among the loaded packages")
+	}
+	rel := func(path string) string { return strings.TrimPrefix(path, module+"/") }
+
+	ifaces := interfaceMethodSets(pkgs)
+	used := make(map[string]bool)
+	declared := make(map[string]types.Object)
+	for _, p := range pkgs {
+		r := rel(p.ImportPath)
+		if r != "bench" && !strings.HasPrefix(r, "bench/") {
+			for _, obj := range p.Info.Uses {
+				if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
+					used[funcKey(rel, fn.Origin())] = true
+				}
+			}
+		}
+		if !strings.HasPrefix(r, "internal/") && r != "gasperleak" && !strings.HasPrefix(r, "gasperleak/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					declared[funcKey(rel, obj)] = obj
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() || !obj.Exported() || types.IsInterface(named) {
+					continue
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Exported() && !ifaces.reaches(named, m.Name()) {
+						declared[funcKey(rel, m)] = m
+					}
+				}
+			}
+		}
+	}
+
+	var unused []string
+	for key := range declared {
+		if !used[key] && surfaceWaivers[key] == "" {
+			unused = append(unused, key)
+		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		obj := declared[key]
+		t.Errorf("%s: %s is exported but no non-test package outside bench/ references it; delete it, or waive it in surfaceWaivers with a reason",
+			pkgs[0].Fset.Position(obj.Pos()), key)
+	}
+	waived := make([]string, 0, len(surfaceWaivers))
+	for key := range surfaceWaivers {
+		waived = append(waived, key)
+	}
+	sort.Strings(waived)
+	for _, key := range waived {
+		switch {
+		case strings.TrimSpace(surfaceWaivers[key]) == "":
+			t.Errorf("surfaceWaivers[%q] gives no reason", key)
+		case declared[key] == nil:
+			t.Errorf("surfaceWaivers[%q] is stale: no exported product function or method has that name", key)
+		case used[key]:
+			t.Errorf("surfaceWaivers[%q] is stale: a non-test package outside bench/ references it", key)
+		}
+	}
+}
+
+// funcKey names a function, or a method by its receiver's type name, with
+// the declaring package's module-relative path.
+func funcKey(rel func(string) string, fn *types.Func) string {
+	key := rel(fn.Pkg().Path()) + "."
+	if recv := fn.Signature().Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			key += named.Obj().Name() + "."
+		}
+	}
+	return key + fn.Name()
+}
+
+// methodSets holds the method sets, name to signature, of every interface
+// the module can name: those declared in or imported by its packages, the
+// ones written inline in its code, and error.
+type methodSets []map[string]string
+
+// signature renders a method's parameter and result types with full
+// package paths, so that one type compares equal whether it was checked
+// from source or imported from export data, whatever its parameters are
+// named.
+func signature(fn *types.Func) string {
+	sig := fn.Signature()
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), (*types.Package).Path) + ",")
+		}
+		b.WriteString(";")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
+}
+
+func interfaceMethodSets(pkgs []*Package) methodSets {
+	var sets methodSets
+	added := make(map[string]bool)
+	add := func(t types.Type) {
+		iface, ok := t.Underlying().(*types.Interface)
+		if !ok || iface.NumMethods() == 0 {
+			return
+		}
+		key := types.TypeString(iface, (*types.Package).Path)
+		if added[key] {
+			return
+		}
+		added[key] = true
+		set := make(map[string]string, iface.NumMethods())
+		for i := 0; i < iface.NumMethods(); i++ {
+			set[iface.Method(i).Name()] = signature(iface.Method(i))
+		}
+		sets = append(sets, set)
+	}
+	seen := make(map[*types.Package]bool)
+	var visit func(*types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	for _, p := range pkgs {
+		visit(p.Types)
+		for _, tv := range p.Info.Types {
+			if tv.Type != nil {
+				add(tv.Type)
+			}
+		}
+	}
+	return sets
+}
+
+// reaches reports whether named, or a pointer to it, satisfies some
+// interface that has a method called name: a dynamic call through that
+// interface may then reach the method with no static reference to it.
+func (sets methodSets) reaches(named *types.Named, name string) bool {
+	have := make(map[string]string)
+	ms := types.NewMethodSet(types.NewPointer(named))
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj().(*types.Func)
+		have[fn.Name()] = signature(fn)
+	}
+	for _, set := range sets {
+		if _, ok := set[name]; !ok {
+			continue
+		}
+		all := true
+		for m, sig := range set {
+			all = all && have[m] == sig
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}

@@ -2,75 +2,6 @@ package mathx
 
 import "math"
 
-// NormalPDF evaluates the Gaussian density with mean mu and standard
-// deviation sigma at x.
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalCDF evaluates the Gaussian cumulative distribution with mean mu and
-// standard deviation sigma at x.
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x < mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * (1 + math.Erf((x-mu)/(sigma*math.Sqrt2)))
-}
-
-// LogNormalPDF evaluates the density of exp(N(mu, sigma^2)) at x > 0.
-func LogNormalPDF(x, mu, sigma float64) float64 {
-	if x <= 0 || sigma <= 0 {
-		return 0
-	}
-	z := (math.Log(x) - mu) / sigma
-	return math.Exp(-0.5*z*z) / (x * sigma * math.Sqrt(2*math.Pi))
-}
-
-// LogNormalCDF evaluates the cumulative distribution of exp(N(mu, sigma^2))
-// at x.
-func LogNormalCDF(x, mu, sigma float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if sigma <= 0 {
-		if math.Log(x) < mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * (1 + math.Erf((math.Log(x)-mu)/(sigma*math.Sqrt2)))
-}
-
-// CensoredCDF evaluates the cumulative distribution of a random variable
-// with continuous CDF cdf, censored to the interval [a, b]: all mass below a
-// collapses to an atom at a (interpreted by the paper as ejection to stake
-// zero) and all mass above b collapses to an atom at b (stake capped at 32).
-//
-// The returned function G satisfies G(x)=cdf(a) for a <= x < ... , exactly
-// Equation 22 of the paper:
-//
-//	G(x) = F(a) + H(x-a)[F(x)-F(a)] + H(x-b)[1-F(x)]
-func CensoredCDF(cdf func(float64) float64, a, b float64) func(float64) float64 {
-	fa := cdf(a)
-	return func(x float64) float64 {
-		g := fa
-		if x >= a {
-			g += cdf(x) - fa
-		}
-		if x >= b {
-			g += 1 - cdf(x)
-		}
-		return Clamp(g, 0, 1)
-	}
-}
-
 // ErfArg is a convenience wrapper: 0.5*(1+erf(z)), the standard normal CDF
 // evaluated at sqrt(2)*z. The paper writes its stake CDF in this form
 // (Equation 19).

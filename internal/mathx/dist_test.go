@@ -4,144 +4,40 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-func TestNormalCDFKnownValues(t *testing.T) {
-	tests := []struct {
-		x, mu, sigma, want float64
-	}{
-		{0, 0, 1, 0.5},
-		{1.96, 0, 1, 0.9750021},
-		{-1.96, 0, 1, 0.0249979},
-		{5, 5, 2, 0.5},
-	}
-	for _, tt := range tests {
-		if got := NormalCDF(tt.x, tt.mu, tt.sigma); math.Abs(got-tt.want) > 1e-6 {
-			t.Errorf("NormalCDF(%v,%v,%v) = %v, want %v", tt.x, tt.mu, tt.sigma, got, tt.want)
-		}
-	}
-}
-
-func TestNormalPDFIntegratesToOne(t *testing.T) {
-	total := Simpson(func(x float64) float64 { return NormalPDF(x, 1, 2) }, -20, 22, 2000)
-	if math.Abs(total-1) > 1e-8 {
-		t.Errorf("normal pdf integrates to %v, want 1", total)
-	}
-}
-
-func TestNormalPDFCDFConsistency(t *testing.T) {
-	// CDF(b)-CDF(a) must equal the integral of the PDF over [a,b].
-	a, b := -1.3, 2.1
-	byCDF := NormalCDF(b, 0, 1) - NormalCDF(a, 0, 1)
-	byPDF := Simpson(func(x float64) float64 { return NormalPDF(x, 0, 1) }, a, b, 2000)
-	if math.Abs(byCDF-byPDF) > 1e-9 {
-		t.Errorf("CDF/PDF mismatch: %v vs %v", byCDF, byPDF)
-	}
-}
-
-func TestDegenerateSigma(t *testing.T) {
-	if got := NormalCDF(1, 0, 0); got != 1 {
-		t.Errorf("degenerate NormalCDF above mean = %v, want 1", got)
-	}
-	if got := NormalCDF(-1, 0, 0); got != 0 {
-		t.Errorf("degenerate NormalCDF below mean = %v, want 0", got)
-	}
-	if got := NormalPDF(1, 0, 0); got != 0 {
-		t.Errorf("degenerate NormalPDF = %v, want 0", got)
-	}
-	if got := LogNormalCDF(2, 0, 0); got != 1 {
-		t.Errorf("degenerate LogNormalCDF above median = %v, want 1", got)
-	}
-}
-
-func TestLogNormalCDFMedian(t *testing.T) {
-	// Median of exp(N(mu, sigma^2)) is exp(mu).
-	for _, mu := range []float64{-1, 0, 2} {
-		if got := LogNormalCDF(math.Exp(mu), mu, 1.5); math.Abs(got-0.5) > 1e-12 {
-			t.Errorf("LogNormalCDF at median (mu=%v) = %v, want 0.5", mu, got)
-		}
-	}
-}
-
-func TestLogNormalPDFIntegratesToOne(t *testing.T) {
-	total := AdaptiveSimpson(func(x float64) float64 { return LogNormalPDF(x, 0, 0.5) }, 1e-9, 50, 1e-10)
-	if math.Abs(total-1) > 1e-6 {
-		t.Errorf("lognormal pdf integrates to %v, want 1", total)
-	}
-}
-
-func TestLogNormalZeroBelowZero(t *testing.T) {
-	if LogNormalPDF(-1, 0, 1) != 0 || LogNormalCDF(-1, 0, 1) != 0 || LogNormalCDF(0, 0, 1) != 0 {
-		t.Error("lognormal must have no mass at x <= 0")
-	}
-}
-
-func TestCensoredCDFAtoms(t *testing.T) {
-	base := func(x float64) float64 { return NormalCDF(x, 10, 3) }
-	g := CensoredCDF(base, 5, 15)
-	// Below the lower censor point: only the atom's mass, but the CDF is
-	// still F(a) everywhere below a per Equation 22's H(x-a) convention
-	// evaluated with the atom at the boundary.
-	if got, want := g(5), base(5); math.Abs(got-want) > 1e-12 {
-		t.Errorf("g(a) = %v, want F(a) = %v", got, want)
-	}
-	if got := g(15); math.Abs(got-1) > 1e-12 {
-		t.Errorf("g(b) = %v, want 1", got)
-	}
-	mid := g(10)
-	if mid <= g(5.0) || mid >= g(15) {
-		t.Error("censored CDF must be strictly increasing in the interior")
-	}
-}
-
-func TestCensoredCDFMonotoneProperty(t *testing.T) {
-	base := func(x float64) float64 { return NormalCDF(x, 20, 6) }
-	g := CensoredCDF(base, 10, 32)
-	f := func(a, b uint16) bool {
-		x := float64(a) / 65535 * 40
-		y := float64(b) / 65535 * 40
-		if x > y {
-			x, y = y, x
-		}
-		gx, gy := g(x), g(y)
-		return gx <= gy+1e-12 && gx >= 0 && gy <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestTwoBranchWalkMoments simulates an honest validator's score on one
+// branch of the bouncing attack (-1 when active there, with probability p,
+// +4 otherwise) and checks its per-epoch variance against
+// ConvolvedDiffusion, and the two branches' mean drift against
+// ConvolvedDrift.
 func TestTwoBranchWalkMoments(t *testing.T) {
-	w := TwoBranchWalk{P: 0.5, Unbounded: true}
+	const p, trials, steps = 0.4, 20000, 100
 	rng := rand.New(rand.NewSource(42))
-	const trials = 20000
-	const steps = 100
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		final, _ := w.SimulateScorePath(rng, steps)
-		sum += final
-		sumSq += final * final
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if math.Abs(mean-w.Mean(steps)) > 1.0 {
-		t.Errorf("empirical mean %v, want %v", mean, w.Mean(steps))
-	}
-	if math.Abs(variance-w.Variance(steps))/w.Variance(steps) > 0.05 {
-		t.Errorf("empirical variance %v, want %v", variance, w.Variance(steps))
-	}
-}
-
-func TestTwoBranchWalkBounded(t *testing.T) {
-	w := TwoBranchWalk{P: 0.9} // mostly active: floor at zero should bind
-	rng := rand.New(rand.NewSource(7))
-	score := 0.0
-	for i := 0; i < 1000; i++ {
-		score = w.Step(rng, score)
-		if score < 0 {
-			t.Fatal("bounded walk went negative")
+	walk := func(p float64) (mean, variance float64) {
+		var sum, sumSq float64
+		for i := 0; i < trials; i++ {
+			score := 0.0
+			for j := 0; j < steps; j++ {
+				if rng.Float64() < p {
+					score--
+				} else {
+					score += 4
+				}
+			}
+			sum += score
+			sumSq += score * score
 		}
+		mean = sum / trials
+		return mean, sumSq/trials - mean*mean
+	}
+	meanA, variance := walk(p)
+	meanB, _ := walk(1 - p)
+	if want := ConvolvedDiffusion(p) * steps; math.Abs(variance-want)/want > 0.05 {
+		t.Errorf("empirical variance %v, want D t = %v", variance, want)
+	}
+	if drift := (meanA + meanB) / 2 / steps; math.Abs(drift-ConvolvedDrift) > 0.05 {
+		t.Errorf("two-branch mean drift %v, want V = %v", drift, ConvolvedDrift)
 	}
 }
 

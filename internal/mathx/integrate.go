@@ -1,68 +1,5 @@
 package mathx
 
-import "math"
-
-// Simpson integrates f over [a, b] using composite Simpson's rule with n
-// subintervals (n is rounded up to the next even number, minimum 2).
-func Simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if a == b {
-		return 0
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
-
-// AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol using
-// recursive adaptive Simpson quadrature with a bounded recursion depth. The
-// interval is pre-split into 64 panels so that narrow features (sharp peaks
-// well inside a panel) are not missed by the error estimator.
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) float64 {
-	const panels = 64
-	h := (b - a) / panels
-	total := 0.0
-	for i := 0; i < panels; i++ {
-		pa := a + float64(i)*h
-		pb := pa + h
-		fa, fb := f(pa), f(pb)
-		m, fm, whole := simpsonStep(f, pa, pb, fa, fb)
-		total += adaptiveAux(f, pa, pb, fa, fb, m, fm, whole, tol/panels, 50)
-	}
-	return total
-}
-
-func simpsonStep(f func(float64) float64, a, b, fa, fb float64) (m, fm, s float64) {
-	m = 0.5 * (a + b)
-	fm = f(m)
-	s = (b - a) / 6 * (fa + 4*fm + fb)
-	return m, fm, s
-}
-
-func adaptiveAux(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol float64, depth int) float64 {
-	lm, flm, left := simpsonStep(f, a, m, fa, fm)
-	rm, frm, right := simpsonStep(f, m, b, fm, fb)
-	delta := left + right - whole
-	if depth <= 0 || math.Abs(delta) <= 15*tol {
-		return left + right + delta/15
-	}
-	return adaptiveAux(f, a, m, fa, fm, lm, flm, left, tol/2, depth-1) +
-		adaptiveAux(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
-}
-
 // Linspace returns n evenly spaced values from a to b inclusive. n must be
 // at least 2 for a meaningful range; n <= 1 returns []float64{a}.
 func Linspace(a, b float64, n int) []float64 {

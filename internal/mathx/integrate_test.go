@@ -5,45 +5,6 @@ import (
 	"testing"
 )
 
-func TestSimpsonPolynomial(t *testing.T) {
-	// Simpson is exact for cubics.
-	f := func(x float64) float64 { return x*x*x - 2*x + 1 }
-	got := Simpson(f, 0, 2, 2)
-	want := 4.0 - 4.0 + 2.0 // x^4/4 - x^2 + x over [0,2]
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Simpson cubic = %v, want %v", got, want)
-	}
-}
-
-func TestSimpsonOddN(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if got := Simpson(f, 0, 1, 3); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Simpson with odd n = %v, want 0.5", got)
-	}
-}
-
-func TestSimpsonEmptyInterval(t *testing.T) {
-	if got := Simpson(math.Sin, 3, 3, 100); got != 0 {
-		t.Errorf("Simpson over empty interval = %v, want 0", got)
-	}
-}
-
-func TestAdaptiveSimpsonSin(t *testing.T) {
-	got := AdaptiveSimpson(math.Sin, 0, math.Pi, 1e-12)
-	if math.Abs(got-2) > 1e-10 {
-		t.Errorf("adaptive Simpson sin over [0,pi] = %v, want 2", got)
-	}
-}
-
-func TestAdaptiveSimpsonSharpPeak(t *testing.T) {
-	// Narrow Gaussian: naive fixed grids miss it; adaptive must not.
-	f := func(x float64) float64 { return NormalPDF(x, 0.37, 0.001) }
-	got := AdaptiveSimpson(f, 0, 1, 1e-10)
-	if math.Abs(got-1) > 1e-6 {
-		t.Errorf("adaptive Simpson sharp peak = %v, want 1", got)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

@@ -1,7 +1,6 @@
 // Package mathx provides the numerical routines the analytic models need:
-// root finding (bisection and Brent's method), numerical integration
-// (adaptive Simpson), Gaussian and log-normal distribution helpers, and
-// discrete random-walk statistics.
+// root finding (Brent's method), the erf form of the normal CDF, the
+// bouncing attack's random-walk drift and diffusion, and grid helpers.
 //
 // Everything is deterministic and allocation-light; the analytic engine in
 // internal/analytic is a thin layer over these primitives.
@@ -13,7 +12,7 @@ import (
 	"math"
 )
 
-// ErrNoBracket is returned by the root finders when f(a) and f(b) do not
+// ErrNoBracket is returned by Brent when f(a) and f(b) do not
 // bracket a sign change.
 var ErrNoBracket = errors.New("mathx: root not bracketed")
 
@@ -22,35 +21,6 @@ var ErrNoBracket = errors.New("mathx: root not bracketed")
 var ErrNoConvergence = errors.New("mathx: no convergence")
 
 const defaultMaxIter = 200
-
-// Bisect finds a root of f in [a, b] to within tol using bisection.
-// f(a) and f(b) must have opposite signs.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 2000; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if fa*fm < 0 {
-			b, fb = m, fm
-		} else {
-			a, fa = m, fm
-		}
-	}
-	_ = fb
-	return 0.5 * (a + b), nil
-}
 
 // Brent finds a root of f in [a, b] using Brent's method (inverse quadratic
 // interpolation with bisection fallback). It converges superlinearly for
@@ -116,24 +86,4 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return b, ErrNoConvergence
-}
-
-// FindBracketUp scans forward from x0 in steps of width step (doubling each
-// time) until f changes sign, returning a bracketing interval. It is used to
-// seed Brent when the root location is unknown a priori.
-func FindBracketUp(f func(float64) float64, x0, step, xMax float64) (a, b float64, err error) {
-	fa := f(x0)
-	if fa == 0 {
-		return x0, x0, nil
-	}
-	a = x0
-	for x := x0 + step; x <= xMax; x += step {
-		fx := f(x)
-		if fa*fx <= 0 {
-			return a, x, nil
-		}
-		a, fa = x, fx
-		step *= 2
-	}
-	return 0, 0, fmt.Errorf("%w in [%g, %g]", ErrNoBracket, x0, xMax)
 }

@@ -7,42 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestBisectSimpleRoot(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	root, err := Bisect(f, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect sqrt(2) = %v, want %v", root, math.Sqrt2)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	root, err := Bisect(f, 0, 1, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != 0 {
-		t.Errorf("Bisect with root at endpoint a = %v, want 0", root)
-	}
-	root, err = Bisect(f, -1, 0, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root != 0 {
-		t.Errorf("Bisect with root at endpoint b = %v, want 0", root)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-9); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("expected ErrNoBracket, got %v", err)
-	}
-}
-
 func TestBrentPolynomial(t *testing.T) {
 	f := func(x float64) float64 { return (x + 3) * (x - 1) * (x - 1) * (x - 4) }
 	root, err := Brent(f, 2, 5, 1e-12)
@@ -73,41 +37,29 @@ func TestBrentNoBracket(t *testing.T) {
 	}
 }
 
+// TestBrentAgreesWithBisect holds Brent to plain bisection, an independent
+// reference, and to the closed-form root of exp(-x) = k.
 func TestBrentAgreesWithBisect(t *testing.T) {
-	f := func(k float64) func(float64) float64 {
-		return func(x float64) float64 { return math.Exp(-x) - k }
+	bisect := func(f func(float64) float64, a, b float64) float64 {
+		for i := 0; i < 200 && b-a > 1e-13; i++ {
+			if m := (a + b) / 2; f(a)*f(m) <= 0 {
+				b = m
+			} else {
+				a = m
+			}
+		}
+		return (a + b) / 2
 	}
 	for _, k := range []float64{0.9, 0.5, 0.1, 0.01} {
+		f := func(x float64) float64 { return math.Exp(-x) - k }
 		want := -math.Log(k)
-		a, err := Bisect(f(k), 0, 10, 1e-12)
+		b, err := Brent(f, 0, 10, 1e-12)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Brent(f(k), 0, 10, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a-want) > 1e-9 || math.Abs(b-want) > 1e-9 {
+		if a := bisect(f, 0, 10); math.Abs(a-want) > 1e-9 || math.Abs(b-want) > 1e-9 {
 			t.Errorf("k=%v: bisect=%v brent=%v want=%v", k, a, b, want)
 		}
-	}
-}
-
-func TestFindBracketUp(t *testing.T) {
-	f := func(x float64) float64 { return x - 100 }
-	a, b, err := FindBracketUp(f, 0, 1, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(f(a)*f(b) <= 0) {
-		t.Errorf("FindBracketUp returned non-bracketing interval [%v, %v]", a, b)
-	}
-}
-
-func TestFindBracketUpFailure(t *testing.T) {
-	f := func(x float64) float64 { return 1.0 }
-	if _, _, err := FindBracketUp(f, 0, 1, 100); !errors.Is(err, ErrNoBracket) {
-		t.Errorf("expected ErrNoBracket, got %v", err)
 	}
 }
 

@@ -1,51 +1,8 @@
 package mathx
 
-import "math/rand"
-
-// TwoBranchWalk models the inactivity-score dynamics of an honest validator
-// during the probabilistic bouncing attack (paper Section 5.3). Every epoch
-// the validator lands on branch A with probability p and on branch B with
-// probability 1-p; from the point of view of one branch its inactivity score
-// moves +4 when it was on the other branch and -1 (floored at zero unless
-// unbounded) when it was on this branch.
-type TwoBranchWalk struct {
-	// P is the per-epoch probability of being active on the observed
-	// branch.
-	P float64
-	// Unbounded disables the score floor at zero. The paper's analytic
-	// treatment "disregards the fact that the actual inactivity score is
-	// bounded by zero for analytical tractability"; setting Unbounded
-	// reproduces that choice, while leaving it false models the real
-	// protocol.
-	Unbounded bool
-}
-
-// Step advances the score by one epoch using rng and returns the new score.
-func (w TwoBranchWalk) Step(rng *rand.Rand, score float64) float64 {
-	if rng.Float64() < w.P {
-		score--
-	} else {
-		score += 4
-	}
-	if !w.Unbounded && score < 0 {
-		score = 0
-	}
-	return score
-}
-
-// Mean returns the expected inactivity score after t epochs for the
-// unbounded walk: the drift is +4(1-p) - p = 4 - 5p per epoch; averaged over
-// the two branches of the attack (p and 1-p) it is V = 3/2 per epoch.
-func (w TwoBranchWalk) Mean(t float64) float64 {
-	return (4 - 5*w.P) * t
-}
-
-// Variance returns the variance of the unbounded walk after t epochs. A
-// single step takes values {+4, -1} whose spread is 5, so the per-step
-// variance is 25p(1-p).
-func (w TwoBranchWalk) Variance(t float64) float64 {
-	return 25 * w.P * (1 - w.P) * t
-}
+// The bouncing attack's score walk (paper Section 5.3): every epoch an
+// honest validator lands on the observed branch with probability p, and
+// its inactivity score there moves -1 (active) or +4 (inactive).
 
 // ConvolvedDrift is the drift V of the paper's convolution of the two
 // opposite random walks (one per branch): +3 every two epochs, i.e. 3/2 per
@@ -55,15 +12,3 @@ const ConvolvedDrift = 1.5
 // ConvolvedDiffusion returns the paper's diffusion coefficient
 // D = 25 p (1-p) used in Equation 16.
 func ConvolvedDiffusion(p float64) float64 { return 25 * p * (1 - p) }
-
-// SimulateScorePath simulates t epochs of the walk and returns the final
-// score. The integral of the score path (sum over epochs) is returned as
-// well, since the stake depends on the integrated score.
-func (w TwoBranchWalk) SimulateScorePath(rng *rand.Rand, t int) (final, integral float64) {
-	score := 0.0
-	for i := 0; i < t; i++ {
-		score = w.Step(rng, score)
-		integral += score
-	}
-	return score, integral
-}

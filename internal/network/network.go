@@ -13,9 +13,7 @@
 // Byzantine endpoints may be marked as bridging: they hear every partition
 // and their messages reach every partition even before GST — the paper's
 // strong adversary that "can coordinate Byzantine validators, even across
-// network partitions". The adversary can additionally schedule
-// point-to-point deliveries at chosen slots (SendDirect), which is what the
-// probabilistic bouncing attack's withhold-and-release step needs.
+// network partitions".
 //
 // Failure injection uses a link-outage model: with probability DropRate,
 // the inbound link of a partition is down for a slot, and every message
@@ -105,17 +103,12 @@ type Network[M any] struct {
 	spare [][]M
 }
 
-// New creates a network with all endpoints in partition 0.
-func New[M any](cfg Config) *Network[M] {
-	n := new(Network[M])
-	n.Reset(cfg)
-	return n
-}
-
-// Reset makes the network the one New(cfg) creates, in the storage it
-// holds: every inbox list, a held one included, is cleared onto the free
-// list that enqueue starts new slots' lists from, so a run like the last
-// one grows none. No list Deliveries lent may still be in use.
+// Reset makes the network a fresh one for cfg (every endpoint in partition
+// 0, none bridging, nothing in flight) in the storage it holds;
+// new(Network[M]).Reset builds one. Every inbox list, a held one included,
+// is cleared onto the free list that enqueue starts new slots' lists from,
+// so a run like the last one grows none. No list Deliveries lent may still
+// be in use.
 func (n *Network[M]) Reset(cfg Config) {
 	if cfg.RetryDelay == 0 {
 		cfg.RetryDelay = 2
@@ -261,15 +254,6 @@ func (n *Network[M]) BroadcastAs(from NodeID, asPartition int, at types.Slot, ms
 	n.sent++
 }
 
-// SendDirect schedules a point-to-point delivery at an explicit slot,
-// bypassing partition rules and link outages: the adversary's
-// withhold-and-release primitive.
-func (n *Network[M]) SendDirect(from, to NodeID, deliverAt types.Slot, msg M) {
-	_ = from
-	n.enqueue(to, deliverAt, msg)
-	n.sent++
-}
-
 // enqueue appends msg to the list for (to, at), starting a new slot's list
 // from a drained one when there is one.
 //
@@ -326,9 +310,6 @@ func (n *Network[M]) Clone() *Network[M] {
 	}
 	return out
 }
-
-// GST returns the slot at which this network's partitions heal.
-func (n *Network[M]) GST() types.Slot { return n.cfg.GST }
 
 // RetargetGST rebases the network onto a new heal slot: every delivery held
 // for the old GST (scheduled at or after oldGST + Delay — the band only

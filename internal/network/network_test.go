@@ -10,8 +10,16 @@ import (
 	"repro/internal/types"
 )
 
+// newNetwork is a network with every endpoint in partition 0, built the way
+// a simulation builds its own.
+func newNetwork[M any](cfg Config) *Network[M] {
+	n := new(Network[M])
+	n.Reset(cfg)
+	return n
+}
+
 func newNet(nodes int, gst, delay types.Slot) *Network[string] {
-	return New[string](Config{Nodes: nodes, GST: gst, Delay: delay})
+	return newNetwork[string](Config{Nodes: nodes, GST: gst, Delay: delay})
 }
 
 func TestBroadcastSamePartition(t *testing.T) {
@@ -164,25 +172,11 @@ func TestBroadcastAsAfterGST(t *testing.T) {
 	}
 }
 
-func TestSendDirect(t *testing.T) {
-	n := newNet(2, 1000, 1)
-	n.SetPartition(0, 0)
-	n.SetPartition(1, 1)
-	// Adversary releases a withheld message at slot 42 across partitions.
-	n.SendDirect(0, 1, 42, "withheld")
-	if got := n.Deliveries(1, 41); len(got) != 0 {
-		t.Errorf("early release: %v", got)
-	}
-	if got := n.Deliveries(1, 42); len(got) != 1 || got[0] != "withheld" {
-		t.Errorf("scheduled release = %v", got)
-	}
-}
-
 func TestDropRateRetransmits(t *testing.T) {
 	// Drops are link outages between distinct partitions: a healed
 	// network (GST 0) with the receiver in another partition sees every
 	// cross-partition delivery delayed by RetryDelay at DropRate 1.
-	n := New[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 1.0, RetryDelay: 3, Seed: 7})
+	n := newNetwork[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 1.0, RetryDelay: 3, Seed: 7})
 	n.SetPartition(1, 1)
 	n.Broadcast(0, 10, "flaky")
 	// First attempt always dropped; retransmission arrives at 10+1+3.
@@ -202,7 +196,7 @@ func TestDropIntraPartitionReliable(t *testing.T) {
 	// Members of one partition share a view; there is no lossy link
 	// between them, so even DropRate 1 never delays intra-partition
 	// delivery.
-	n := New[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 1.0, Seed: 7})
+	n := newNetwork[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 1.0, Seed: 7})
 	n.Broadcast(0, 10, "local")
 	if got := n.Deliveries(1, 11); len(got) != 1 {
 		t.Errorf("intra-partition delivery dropped: %v", got)
@@ -214,9 +208,9 @@ func TestDropScheduleIndependentOfEndpointCount(t *testing.T) {
 	// partition split across many endpoints experiences exactly the same
 	// delays as the same partition behind a single endpoint — the
 	// property the view-cohort simulator's oracle equivalence relies on.
-	coarse := New[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
+	coarse := newNetwork[string](Config{Nodes: 2, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
 	coarse.SetPartition(1, 1)
-	fine := New[string](Config{Nodes: 4, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
+	fine := newNetwork[string](Config{Nodes: 4, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
 	fine.SetPartition(1, 1)
 	fine.SetPartition(2, 1)
 	fine.SetPartition(3, 1)
@@ -237,7 +231,7 @@ func TestDropScheduleIndependentOfEndpointCount(t *testing.T) {
 func TestDropNeverLosesMessages(t *testing.T) {
 	// Best-effort broadcast: every message eventually arrives despite a
 	// 50% outage rate on the receiver's link.
-	n := New[string](Config{Nodes: 4, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
+	n := newNetwork[string](Config{Nodes: 4, GST: 0, Delay: 1, DropRate: 0.5, Seed: 42})
 	n.SetPartition(1, 1)
 	const msgs = 100
 	for i := 0; i < msgs; i++ {
@@ -265,7 +259,7 @@ func TestOutOfRangeNodesSafe(t *testing.T) {
 	if n.PendingFor(99) != 0 {
 		t.Error("out-of-range pending should be 0")
 	}
-	n.SendDirect(0, 99, 5, "x") // must not panic
+	n.enqueue(99, 5, "x") // must not panic
 }
 
 func TestPendingFor(t *testing.T) {
@@ -296,7 +290,7 @@ func TestDeterministicOrder(t *testing.T) {
 // ever deliver at GST) are discarded at enqueue instead of accumulating,
 // while intra-partition traffic is unaffected.
 func TestNeverHealingDropsUndeliverable(t *testing.T) {
-	n := New[int](Config{Nodes: 2, GST: Never, Delay: 1})
+	n := newNetwork[int](Config{Nodes: 2, GST: Never, Delay: 1})
 	n.SetPartition(0, 0)
 	n.SetPartition(1, 1)
 	n.Broadcast(0, 5, 42)
@@ -317,7 +311,7 @@ func TestNeverHealingDropsUndeliverable(t *testing.T) {
 // recycling them and refilling them for a later slot leaves the clone's
 // alone.
 func TestNetworkCloneIsolatesInboxes(t *testing.T) {
-	n := New[int](Config{Nodes: 2, Delay: 1})
+	n := newNetwork[int](Config{Nodes: 2, Delay: 1})
 	n.Broadcast(0, 1, 7)
 	c := n.Clone()
 	if got := n.Deliveries(1, 2); len(got) != 1 {
@@ -341,21 +335,21 @@ func TestNetworkCloneIsolatesInboxes(t *testing.T) {
 // within-slot send order preserved and held traffic draining before
 // anything already queued at the destination slot.
 func TestRetargetGSTMovesHeldBand(t *testing.T) {
-	n := New[int](Config{Nodes: 2, GST: FarFuture, Delay: 1})
+	n := newNetwork[int](Config{Nodes: 2, GST: FarFuture, Delay: 1})
 	n.SetPartition(0, 0)
 	n.SetPartition(1, 1)
 	// Two cross-partition sends in order: both held at FarFuture + Delay.
 	n.Broadcast(0, 3, 1)
 	n.Broadcast(0, 5, 2)
 	// A retransmission-style held delivery two slots deeper into the band.
-	n.SendDirect(0, 1, FarFuture+3, 3)
+	n.enqueue(1, FarFuture+3, 3)
 	// Something already occupying the destination slot of the rebased band:
 	// the held messages were sent earlier and must drain first.
-	n.SendDirect(0, 1, 11, 99)
+	n.enqueue(1, 11, 99)
 
 	n.RetargetGST(10)
-	if got := n.GST(); got != 10 {
-		t.Fatalf("GST() = %d after retarget, want 10", got)
+	if got := n.cfg.GST; got != 10 {
+		t.Fatalf("GST = %d after retarget, want 10", got)
 	}
 	if got := n.Deliveries(1, 11); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 99 {
 		t.Errorf("rebased band at GST+Delay = %v, want [1 2 99]", got)
@@ -371,7 +365,7 @@ func TestRetargetGSTMovesHeldBand(t *testing.T) {
 // TestRetargetGSTOntoNeverDiscards: rebasing held traffic onto Never must
 // reproduce Never's enqueue-time discard semantics.
 func TestRetargetGSTOntoNeverDiscards(t *testing.T) {
-	n := New[int](Config{Nodes: 2, GST: FarFuture, Delay: 1})
+	n := newNetwork[int](Config{Nodes: 2, GST: FarFuture, Delay: 1})
 	n.SetPartition(0, 0)
 	n.SetPartition(1, 1)
 	n.Broadcast(0, 2, 7)
@@ -470,7 +464,7 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 
 	// A new slot takes the spare, which comes back holding only its own
 	// messages.
-	n.SendDirect(0, 1, 9, "e")
+	n.enqueue(1, 9, "e")
 	if len(n.spare) != 0 || storage(n.inbox[1][9]) != first {
 		t.Fatal("a new slot did not take the spare list")
 	}
@@ -492,9 +486,9 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 	n.Deliveries(1, 7)
 	n.RetargetGST(20)
 	n.Deliveries(0, 7)
-	n.SendDirect(0, 2, 21, "f")
-	n.SendDirect(0, 2, 30, "g")
-	n.SendDirect(0, 2, 31, "h")
+	n.enqueue(2, 21, "f")
+	n.enqueue(2, 30, "g")
+	n.enqueue(2, 31, "h")
 	assertNoSharedStorage(t, n, c, d)
 	if l := n.Deliveries(2, 21); len(l) != 5 || l[0] != "a" || l[1] != "b" || l[2] != "c" || l[3] != "d" || l[4] != "f" {
 		t.Errorf("rebased band = %v, want [a b c d f]", l)
@@ -506,7 +500,7 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 // two batches sent, every endpoint drained. It allocates nothing once the
 // drained lists circulate (gated in cmd/benchgate/gates.json).
 func BenchmarkNetworkSlot(b *testing.B) {
-	n := New[*int](Config{Nodes: 3, GST: Never, Delay: 1})
+	n := newNetwork[*int](Config{Nodes: 3, GST: Never, Delay: 1})
 	n.SetPartition(1, 1)
 	n.SetPartition(2, 1)
 	block, batch := new(int), new(int)

@@ -18,7 +18,8 @@ func BenchmarkHeadOracle(b *testing.B) {
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("steady-%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			tree := blocktree.New(types.RootFromUint64(0))
+			tree := new(blocktree.Tree)
+			tree.Reset(types.RootFromUint64(0))
 			roots := []types.Root{tree.Genesis()}
 			for i := 1; i <= 256; i++ {
 				parent := roots[rng.Intn(len(roots))]

@@ -7,7 +7,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/engine"
 	"repro/internal/mathx"
-	"repro/internal/sim"
 )
 
 // Figure2 regenerates the paper's Figure 2: the three stake trajectories
@@ -367,36 +366,6 @@ func BetaTable(ctx context.Context, n int, opt engine.Options) (*Table, error) {
 		i++
 	}
 	return t, nil
-}
-
-// Timeline renders a protocol-simulation metrics history (as collected by
-// sim.Recorder) as a figure: finality bounds, justification, leak spread,
-// and stake drain per epoch.
-func Timeline(history []sim.EpochMetrics) *Figure {
-	x := make([]float64, len(history))
-	minFin := make([]float64, len(history))
-	maxFin := make([]float64, len(history))
-	maxJust := make([]float64, len(history))
-	inLeak := make([]float64, len(history))
-	minStake := make([]float64, len(history))
-	byzProp := make([]float64, len(history))
-	for i, m := range history {
-		x[i] = float64(m.Epoch)
-		minFin[i] = float64(m.MinFinalized)
-		maxFin[i] = float64(m.MaxFinalized)
-		maxJust[i] = float64(m.MaxJustified)
-		inLeak[i] = float64(m.InLeak)
-		minStake[i] = m.MinTotalStake.ETH()
-		byzProp[i] = m.MaxByzProportion
-	}
-	f := &Figure{Title: "protocol simulation timeline", XName: "epoch", X: x}
-	mustAdd(f, "min_finalized", minFin)
-	mustAdd(f, "max_finalized", maxFin)
-	mustAdd(f, "max_justified", maxJust)
-	mustAdd(f, "views_in_leak", inLeak)
-	mustAdd(f, "min_total_stake_eth", minStake)
-	mustAdd(f, "max_byz_proportion", byzProp)
-	return f
 }
 
 func mustAdd(f *Figure, name string, values []float64) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/sim"
 )
 
 func TestTableRender(t *testing.T) {
@@ -226,33 +225,6 @@ func TestFigure3SimTracksAnalytic(t *testing.T) {
 		if got := s.Values[len(s.Values)-1]; got != 1 {
 			t.Errorf("series %s final ratio = %v, want 1 after ejection", s.Name, got)
 		}
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	history := []sim.EpochMetrics{
-		{Epoch: 1, MinFinalized: 0, MaxFinalized: 0, MaxJustified: 0, InLeak: 0, MinTotalStake: 512_000_000_000, MaxByzProportion: 0.25},
-		{Epoch: 2, MinFinalized: 0, MaxFinalized: 1, MaxJustified: 1, InLeak: 2, MinTotalStake: 511_000_000_000, MaxByzProportion: 0.26},
-	}
-	f := Timeline(history)
-	if len(f.Series) != 6 {
-		t.Fatalf("series = %d, want 6", len(f.Series))
-	}
-	if f.X[1] != 2 {
-		t.Errorf("x = %v", f.X)
-	}
-	if f.Series[1].Values[1] != 1 {
-		t.Errorf("max_finalized[1] = %v, want 1", f.Series[1].Values[1])
-	}
-	if f.Series[4].Values[0] != 512 {
-		t.Errorf("stake[0] = %v ETH, want 512", f.Series[4].Values[0])
-	}
-	var b strings.Builder
-	if err := f.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "views_in_leak") {
-		t.Error("timeline CSV header incomplete")
 	}
 }
 

@@ -235,10 +235,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Store exposes the persistent tier (nil when disabled); tests use it to
-// inspect and damage entries.
-func (s *Server) Store() *store.Results { return s.results.store }
-
 // Checkpoints exposes the durable checkpoint tier (nil when disabled);
 // tests use it to plant, inspect, and damage mid-cell checkpoints.
 func (s *Server) Checkpoints() *store.Checkpoints {

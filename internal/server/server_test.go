@@ -85,8 +85,8 @@ func TestScenariosEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != len(engine.Names()) {
-		t.Fatalf("infos = %d, want %d", len(infos), len(engine.Names()))
+	if len(infos) != len(engine.Default.Names()) {
+		t.Fatalf("infos = %d, want %d", len(infos), len(engine.Default.Names()))
 	}
 	byName := map[string]engine.Info{}
 	for _, in := range infos {

@@ -73,7 +73,7 @@ func TestRunReadThroughStore(t *testing.T) {
 	if runs.Load() != 1 || (first.Meta != nil && first.Meta.Cached) {
 		t.Fatalf("first run: %d invocations, meta %+v; want one fresh compute", runs.Load(), first.Meta)
 	}
-	if st := s.Store().Stats(); st.Puts != 1 || st.Entries != 1 {
+	if st := s.results.store.Stats(); st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("store after compute: %+v, want the result persisted", st)
 	}
 
@@ -148,7 +148,7 @@ func TestSweepSurvivesRestartFromStore(t *testing.T) {
 	if !reflect.DeepEqual(engine.StripMeta(firstRes), engine.StripMeta(secondRes)) {
 		t.Error("restarted sweep payload diverges from the original")
 	}
-	if st := sB.Store().Stats(); st.Hits < 3 {
+	if st := sB.results.store.Stats(); st.Hits < 3 {
 		t.Errorf("restarted store stats = %+v, want >= 3 hits", st)
 	}
 }
@@ -165,7 +165,7 @@ func TestStoreCorruptionRecomputesAndRewrites(t *testing.T) {
 	first := getResult(t, ts.URL, body)
 
 	key := engine.CellKey("counted", engine.Params{Seed: 9}.WithDefaults(engine.Params{P0: 0.5, N: 10}))
-	if ok, err := store.CorruptForTest(s.Store(), key); !ok || err != nil {
+	if ok, err := store.CorruptForTest(s.results.store, key); !ok || err != nil {
 		t.Fatalf("CorruptForTest = %v, %v; is the cache key still canonical?", ok, err)
 	}
 
@@ -179,7 +179,7 @@ func TestStoreCorruptionRecomputesAndRewrites(t *testing.T) {
 	if !reflect.DeepEqual(first.WithoutMeta(), second.WithoutMeta()) {
 		t.Error("recomputed payload diverges")
 	}
-	st := s.Store().Stats()
+	st := s.results.store.Stats()
 	if st.Corrupt != 1 {
 		t.Errorf("store stats = %+v, want the damage counted", st)
 	}
@@ -201,7 +201,7 @@ func TestStoreUndecodablePayloadRecomputes(t *testing.T) {
 	defaults := engine.Params{P0: 0.5, N: 10}
 	for _, seed := range []int64{3, 4} {
 		key := engine.CellKey("counted", engine.Params{Seed: seed}.WithDefaults(defaults))
-		if err := s.Store().PutPayload(key, []byte(`{"scenario":"counted","metrics":"drifted"}`)); err != nil {
+		if err := s.results.store.PutPayload(key, []byte(`{"scenario":"counted","metrics":"drifted"}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestStoreUndecodablePayloadRecomputes(t *testing.T) {
 			t.Errorf("answer %d: %+v, want a recomputation", i, res)
 		}
 	}
-	if st := s.Store().Stats(); runs.Load() != 2 || st.Corrupt != 2 || st.Entries != 2 {
+	if st := s.results.store.Stats(); runs.Load() != 2 || st.Corrupt != 2 || st.Entries != 2 {
 		t.Errorf("%d runs, store %+v: want both recomputed, counted corrupt and rewritten", runs.Load(), st)
 	}
 	if again := getResult(t, ts.URL, map[string]any{"scenario": "counted", "params": engine.Params{Seed: 3}}); !again.Meta.Cached || runs.Load() != 2 {
@@ -246,7 +246,7 @@ func TestConcurrentStoreReadThrough(t *testing.T) {
 			t.Fatalf("goroutine %d saw a different payload", g)
 		}
 	}
-	if st := s.Store().Stats(); st.Entries != 1 {
+	if st := s.results.store.Stats(); st.Entries != 1 {
 		t.Errorf("store holds %d entries for one parameter point", st.Entries)
 	}
 	if n := runs.Load(); n < 1 || n > goroutines {

@@ -242,7 +242,8 @@ func BenchmarkCohortRegistry(b *testing.B) {
 	active := func(v types.ValidatorIndex) bool { return v%2 == 0 }
 
 	b.Run("process-epoch-leak", func(b *testing.B) {
-		reg := validator.NewRegistry(n, spec.MaxEffectiveBalance)
+		reg := new(validator.Registry)
+		reg.Reset(n, spec.MaxEffectiveBalance)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -250,7 +251,8 @@ func BenchmarkCohortRegistry(b *testing.B) {
 		}
 	})
 	b.Run("clone", func(b *testing.B) {
-		reg := validator.NewRegistry(n, spec.MaxEffectiveBalance)
+		reg := new(validator.Registry)
+		reg.Reset(n, spec.MaxEffectiveBalance)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if reg.Clone().Len() != n {
@@ -259,7 +261,8 @@ func BenchmarkCohortRegistry(b *testing.B) {
 		}
 	})
 	b.Run("total-stake", func(b *testing.B) {
-		reg := validator.NewRegistry(n, spec.MaxEffectiveBalance)
+		reg := new(validator.Registry)
+		reg.Reset(n, spec.MaxEffectiveBalance)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

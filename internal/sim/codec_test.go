@@ -102,7 +102,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ReadSnapshot: %v", err)
 				}
-				if got, want := decoded.Slot(), snap.Slot(); got != want {
+				if got, want := decoded.slot, snap.slot; got != want {
 					t.Fatalf("decoded slot = %d, want %d", got, want)
 				}
 				if decoded.Bytes() <= 0 {

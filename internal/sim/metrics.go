@@ -80,21 +80,3 @@ type Recorder struct {
 func (r *Recorder) Hook(s *Simulation, epoch types.Epoch) {
 	r.History = append(r.History, s.MetricsAt(epoch))
 }
-
-// FinalityStalledSince returns the longest suffix of recorded epochs during
-// which MaxFinalized did not advance (0 when the history is empty or
-// finality moved at the last sample).
-func (r *Recorder) FinalityStalledSince() int {
-	if len(r.History) < 2 {
-		return 0
-	}
-	last := r.History[len(r.History)-1].MaxFinalized
-	stalled := 0
-	for i := len(r.History) - 2; i >= 0; i-- {
-		if r.History[i].MaxFinalized != last {
-			break
-		}
-		stalled++
-	}
-	return stalled
-}

@@ -377,9 +377,6 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 // Slot returns the next slot to execute.
 func (s *Simulation) Slot() types.Slot { return s.slot }
 
-// IsByzantine reports whether v is adversary-controlled.
-func (s *Simulation) IsByzantine(v types.ValidatorIndex) bool { return s.byzantine[v] }
-
 // HonestIndices returns all honest validator indices in ascending order.
 // The slice is computed once at construction and shared; callers must not
 // mutate it.
@@ -437,14 +434,6 @@ func (s *Simulation) Broadcast(from types.ValidatorIndex, at types.Slot, m Messa
 	s.Net.Broadcast(network.NodeID(s.cohortOf[from]), at, m)
 }
 
-// SendDirect schedules an adversary-controlled point-to-point delivery.
-// The message reaches the whole cohort of `to` — with shared views, a
-// cohort member's inbox is the cohort's inbox.
-func (s *Simulation) SendDirect(from, to types.ValidatorIndex, deliverAt types.Slot, m Message) {
-	s.recordOracle(&m)
-	s.Net.SendDirect(network.NodeID(s.cohortOf[from]), network.NodeID(s.cohortOf[to]), deliverAt, m)
-}
-
 // BroadcastAs sends a message routed as if the sender belonged to the given
 // partition — the Byzantine one-face-per-partition primitive.
 func (s *Simulation) BroadcastAs(from types.ValidatorIndex, partition int, at types.Slot, m Message) {
@@ -457,9 +446,6 @@ func (s *Simulation) recordOracle(m *Message) {
 		_ = s.oracle.Add(m.Block)
 	}
 }
-
-// Oracle exposes the omniscient tree for Safety audits.
-func (s *Simulation) Oracle() *blocktree.Tree { return s.oracle }
 
 // expireEmbargoes drops embargoes whose broadcast copies arrive at `slot`
 // (the arriving duplicate is deduplicated by the tree).
@@ -868,20 +854,12 @@ func (s *Simulation) CheckFinalitySafety() *SafetyViolation {
 	return nil
 }
 
-// ByzantineProportionOn computes the Byzantine stake proportion in the view
-// of validator observer — the paper's Safety threshold metric (2).
-func (s *Simulation) ByzantineProportionOn(observer types.ValidatorIndex) float64 {
-	return s.byzantineProportionIn(s.View(observer).Registry)
-}
-
+// byzantineProportionIn is the Byzantine stake proportion in a view's
+// registry, the paper's Safety threshold metric (2).
 func (s *Simulation) byzantineProportionIn(reg *validator.Registry) float64 {
 	total := reg.TotalStake()
 	if total == 0 {
 		return 0
 	}
-	var byz types.Gwei
-	for _, v := range s.Cfg.Byzantine {
-		byz += reg.Stake(v)
-	}
-	return float64(byz) / float64(total)
+	return float64(reg.StakeOf(s.Cfg.Byzantine)) / float64(total)
 }

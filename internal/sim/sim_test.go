@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -133,7 +134,7 @@ func TestHonestIndicesExcludesByzantine(t *testing.T) {
 		t.Fatalf("honest = %v", honest)
 	}
 	for _, h := range honest {
-		if s.IsByzantine(h) {
+		if slices.Contains(cfg.Byzantine, h) {
 			t.Errorf("honest list contains Byzantine %d", h)
 		}
 	}
@@ -380,7 +381,8 @@ func TestStakeConservationOnHealthyChain(t *testing.T) {
 	}
 }
 
-// TestByzantineProportionOnHealthyChain stays at the initial value.
+// TestByzantineProportionOn: the Byzantine stake proportion in a view
+// starts at the Byzantine share of validators.
 func TestByzantineProportionOn(t *testing.T) {
 	cfg := healthyConfig(8)
 	cfg.Byzantine = []types.ValidatorIndex{6, 7}
@@ -388,7 +390,7 @@ func TestByzantineProportionOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ByzantineProportionOn(0); got != 0.25 {
+	if got := s.byzantineProportionIn(s.View(0).Registry); got != 0.25 {
 		t.Errorf("initial Byzantine proportion = %v, want 0.25", got)
 	}
 }
@@ -442,12 +444,12 @@ func TestOracleRecordsAllBlocks(t *testing.T) {
 	}
 	// Every block any view holds is in the oracle.
 	for _, c := range s.Cohorts() {
-		if c.Node.Tree.Len() > s.Oracle().Len() {
-			t.Errorf("cohort %d tree (%d) larger than oracle (%d)", c.Index, c.Node.Tree.Len(), s.Oracle().Len())
+		if c.Node.Tree.Len() > s.oracle.Len() {
+			t.Errorf("cohort %d tree (%d) larger than oracle (%d)", c.Index, c.Node.Tree.Len(), s.oracle.Len())
 		}
 	}
-	if s.Oracle().Len() < 32 {
-		t.Errorf("oracle has %d blocks after 2 epochs, want ~60", s.Oracle().Len())
+	if s.oracle.Len() < 32 {
+		t.Errorf("oracle has %d blocks after 2 epochs, want ~60", s.oracle.Len())
 	}
 }
 

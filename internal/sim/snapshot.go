@@ -56,10 +56,6 @@ type Snapshot struct {
 	bytes      int64
 }
 
-// Slot returns the slot at which the snapshot was taken (the next slot to
-// execute after a Restore).
-func (sn *Snapshot) Slot() types.Slot { return sn.slot }
-
 // Bytes estimates the snapshot's retained heap footprint: block-tree,
 // fork-choice and attestation-pool columns (from their capacities, via
 // their Stats and Bytes), one validator registry per view, and the held

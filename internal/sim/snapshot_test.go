@@ -51,7 +51,7 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 			}
 			prefix := runRecorded(t, base, snapAt)
 			snap := base.Snapshot()
-			if got, want := snap.Slot(), types.Epoch(snapAt).StartSlot(); got != want {
+			if got, want := snap.slot, types.Epoch(snapAt).StartSlot(); got != want {
 				t.Fatalf("snapshot slot = %d, want %d", got, want)
 			}
 			suffix := runRecorded(t, base, total-snapAt)
@@ -74,8 +74,8 @@ func TestSnapshotRestoreDeterminism(t *testing.T) {
 				if err := base.Restore(snap); err != nil {
 					t.Fatal(err)
 				}
-				if got := base.Slot(); got != snap.Slot() {
-					t.Fatalf("restored slot = %d, want %d", got, snap.Slot())
+				if got := base.Slot(); got != snap.slot {
+					t.Fatalf("restored slot = %d, want %d", got, snap.slot)
 				}
 				replay := runRecorded(t, base, total-snapAt)
 				if !reflect.DeepEqual(replay, suffix) {

@@ -200,7 +200,7 @@ func TestDetectorPruneBoundsHistory(t *testing.T) {
 		}
 	}
 	d.pool.Prune(13)
-	if got := d.pool.Epochs(); got != 8 {
+	if got := len(d.pool.Retained()); got != 8 {
 		t.Fatalf("pool after prune holds %d epochs, want 8 (epochs 13-20)", got)
 	}
 	// A double vote against a RETAINED epoch is still caught...

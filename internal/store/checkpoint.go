@@ -102,10 +102,3 @@ func (c *Checkpoints) Stats() CheckpointStats {
 		GCDeleted: c.gcDeleted.Load(),
 	}
 }
-
-// CorruptCheckpointForTest truncates the on-disk checkpoint entry for a
-// cell mid-payload, simulating a torn write; it reports whether an entry
-// existed to damage.
-func CorruptCheckpointForTest(c *Checkpoints, cellKey string) (bool, error) {
-	return tear(c.s.path(checkpointKeyPrefix + cellKey))
-}

@@ -224,8 +224,15 @@ func TestCheckpointsShareStoreWithResults(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointForTest pins the test helper the fabric crash suite
-// leans on: it reports entry presence and leaves a torn file behind.
+// CorruptCheckpointForTest truncates the on-disk checkpoint entry for a
+// cell mid-payload, simulating a torn write; it reports whether an entry
+// existed to damage.
+func CorruptCheckpointForTest(c *Checkpoints, cellKey string) (bool, error) {
+	return tear(c.s.path(checkpointKeyPrefix + cellKey))
+}
+
+// TestCorruptCheckpointForTest pins the torn-write helper above: it reports
+// entry presence and leaves a torn file that no load accepts.
 func TestCorruptCheckpointForTest(t *testing.T) {
 	c := openCheckpoints(t)
 	if ok, err := CorruptCheckpointForTest(c, "absent"); ok || err != nil {

@@ -101,21 +101,9 @@ func (e Epoch) StartSlot() Slot { return Slot(uint64(e) * SlotsPerEpoch) }
 // EndSlot returns the last slot of epoch e.
 func (e Epoch) EndSlot() Slot { return Slot(uint64(e)*SlotsPerEpoch + SlotsPerEpoch - 1) }
 
-// Prev returns the previous epoch, saturating at zero.
-func (e Epoch) Prev() Epoch {
-	if e == 0 {
-		return 0
-	}
-	return e - 1
-}
-
 // ETH returns the amount in ETH as a float64, for reporting and for
 // comparison with the paper's continuous model.
 func (g Gwei) ETH() float64 { return float64(g) / GweiPerETH }
-
-// GweiFromETH converts a (possibly fractional) ETH amount to Gwei,
-// truncating sub-Gwei precision.
-func GweiFromETH(eth float64) Gwei { return Gwei(eth * GweiPerETH) }
 
 // SaturatingSub returns g-d, saturating at zero rather than wrapping.
 func (g Gwei) SaturatingSub(d Gwei) Gwei {

@@ -78,24 +78,12 @@ func TestPositionInEpoch(t *testing.T) {
 	}
 }
 
-func TestEpochPrev(t *testing.T) {
-	if got := Epoch(0).Prev(); got != 0 {
-		t.Errorf("Epoch(0).Prev() = %d, want saturation at 0", got)
-	}
-	if got := Epoch(5).Prev(); got != 4 {
-		t.Errorf("Epoch(5).Prev() = %d, want 4", got)
-	}
-}
-
 func TestGweiETHConversion(t *testing.T) {
 	if got := MaxEffectiveBalanceGwei.ETH(); got != 32 {
 		t.Errorf("MaxEffectiveBalance.ETH() = %v, want 32", got)
 	}
 	if got := EjectionBalanceGwei.ETH(); got != 16.75 {
 		t.Errorf("EjectionBalance.ETH() = %v, want 16.75", got)
-	}
-	if got := GweiFromETH(32); got != MaxEffectiveBalanceGwei {
-		t.Errorf("GweiFromETH(32) = %d, want %d", got, MaxEffectiveBalanceGwei)
 	}
 }
 

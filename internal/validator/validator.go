@@ -11,8 +11,7 @@
 // status, and exit-epoch slices. Epoch-boundary incentive processing is a
 // linear sweep over these columns with no per-validator allocation, which
 // is what lets one materialized view serve a paper-scale cohort (see
-// internal/sim). The row-oriented API (Get, ForEach) is preserved on top of
-// the columns.
+// internal/sim).
 package validator
 
 import (
@@ -54,23 +53,8 @@ func (s Status) String() string {
 	}
 }
 
-// Validator is one registry row, assembled from the columns on demand.
-type Validator struct {
-	Index           types.ValidatorIndex
-	Stake           types.Gwei
-	InactivityScore uint64
-	Status          Status
-	// ExitEpoch records when the validator left the set;
-	// types.FarFutureEpoch while in the set.
-	ExitEpoch types.Epoch
-}
-
-// InSet reports whether the validator still belongs to the validator set.
-func (v Validator) InSet() bool { return v.Status == Active }
-
 // Registry is the mutable validator set of one branch view, stored as
-// columns. The zero value is an empty registry; construct populated ones
-// with NewRegistry.
+// columns. The zero value is an empty registry; Reset populates it.
 type Registry struct {
 	stakes []types.Gwei
 	scores []uint64
@@ -88,17 +72,10 @@ type Columns struct {
 	Exit   []types.Epoch
 }
 
-// NewRegistry creates n validators, each with the given initial stake, all
-// active with zero inactivity score.
-func NewRegistry(n int, stake types.Gwei) *Registry {
-	r := new(Registry)
-	r.Reset(n, stake)
-	return r
-}
-
-// Reset makes the registry the one NewRegistry(n, stake) creates, in the
-// columns it already holds: a registry recycled for a run of no more
-// validators than it had allocates nothing.
+// Reset makes the registry n validators, each in the set with the given
+// initial stake, a zero inactivity score and no exit epoch, in the columns
+// it already holds: a registry recycled for a run of no more validators
+// than it had allocates nothing.
 func (r *Registry) Reset(n int, stake types.Gwei) {
 	r.stakes = append(r.stakes[:0], make([]types.Gwei, n)...)
 	r.scores = append(r.scores[:0], make([]uint64, n)...)
@@ -129,25 +106,11 @@ func (r *Registry) Clone() *Registry {
 // Len returns the number of validators ever registered (including exited).
 func (r *Registry) Len() int { return len(r.stakes) }
 
-// Columns exposes the registry's columnar storage. The incentive engine's
-// epoch sweep iterates these slices directly; other callers should prefer
-// the row API.
+// Columns exposes the registry's columnar storage: the incentive engine's
+// epoch sweep writes these slices directly, and the snapshot codec walks
+// them.
 func (r *Registry) Columns() Columns {
 	return Columns{Stakes: r.stakes, Scores: r.scores, Status: r.status, Exit: r.exit}
-}
-
-// Get returns a copy of the validator at index v.
-func (r *Registry) Get(v types.ValidatorIndex) (Validator, error) {
-	if int(v) >= len(r.stakes) {
-		return Validator{}, fmt.Errorf("%w: %d", ErrUnknownValidator, v)
-	}
-	return Validator{
-		Index:           v,
-		Stake:           r.stakes[v],
-		InactivityScore: r.scores[v],
-		Status:          r.status[v],
-		ExitEpoch:       r.exit[v],
-	}, nil
 }
 
 // Stake returns the stake of v, or zero if v is unknown or out of the set.
@@ -157,49 +120,6 @@ func (r *Registry) Stake(v types.ValidatorIndex) types.Gwei {
 		return 0
 	}
 	return r.stakes[v]
-}
-
-// RawStake returns the stake of v regardless of status (slashed validators
-// retain their remaining balance until withdrawal; it no longer counts
-// toward quorums).
-func (r *Registry) RawStake(v types.ValidatorIndex) types.Gwei {
-	if int(v) >= len(r.stakes) {
-		return 0
-	}
-	return r.stakes[v]
-}
-
-// Score returns the inactivity score of v (zero for unknown indices).
-func (r *Registry) Score(v types.ValidatorIndex) uint64 {
-	if int(v) >= len(r.scores) {
-		return 0
-	}
-	return r.scores[v]
-}
-
-// SetScore sets the inactivity score of v.
-func (r *Registry) SetScore(v types.ValidatorIndex, score uint64) {
-	if int(v) < len(r.scores) {
-		r.scores[v] = score
-	}
-}
-
-// SetStake overwrites the stake of v (used by tests and by scenario setup).
-func (r *Registry) SetStake(v types.ValidatorIndex, s types.Gwei) {
-	if int(v) < len(r.stakes) {
-		r.stakes[v] = s
-	}
-}
-
-// Penalize reduces the stake of v by amount, saturating at zero, and
-// returns the amount actually removed.
-func (r *Registry) Penalize(v types.ValidatorIndex, amount types.Gwei) types.Gwei {
-	if int(v) >= len(r.stakes) {
-		return 0
-	}
-	before := r.stakes[v]
-	r.stakes[v] = before.SaturatingSub(amount)
-	return before - r.stakes[v]
 }
 
 // Slash marks v slashed at epoch e, applies the immediate slashing penalty
@@ -215,25 +135,6 @@ func (r *Registry) Slash(v types.ValidatorIndex, e types.Epoch) error {
 	r.status[v] = Slashed
 	r.exit[v] = e
 	return nil
-}
-
-// Eject removes v from the set at epoch e for falling below the ejection
-// balance.
-func (r *Registry) Eject(v types.ValidatorIndex, e types.Epoch) error {
-	if int(v) >= len(r.stakes) {
-		return fmt.Errorf("%w: %d", ErrUnknownValidator, v)
-	}
-	if r.status[v] != Active {
-		return nil // idempotent
-	}
-	r.status[v] = Ejected
-	r.exit[v] = e
-	return nil
-}
-
-// InSet reports whether v is currently in the validator set.
-func (r *Registry) InSet(v types.ValidatorIndex) bool {
-	return int(v) < len(r.status) && r.status[v] == Active
 }
 
 // TotalStake sums the stake of all in-set validators.
@@ -254,47 +155,4 @@ func (r *Registry) StakeOf(indices []types.ValidatorIndex) types.Gwei {
 		total += r.Stake(v)
 	}
 	return total
-}
-
-// InSetIndices returns the indices of all in-set validators in ascending
-// order.
-func (r *Registry) InSetIndices() []types.ValidatorIndex {
-	out := make([]types.ValidatorIndex, 0, len(r.status))
-	for i, st := range r.status {
-		if st == Active {
-			out = append(out, types.ValidatorIndex(i))
-		}
-	}
-	return out
-}
-
-// ForEach calls fn for every validator (in index order), passing a pointer
-// to a row assembled from the columns; mutations fn makes are written back.
-// Columnar sweeps (incentives) use Columns directly; ForEach remains for
-// callers that want row semantics.
-func (r *Registry) ForEach(fn func(*Validator)) {
-	for i := range r.stakes {
-		row := Validator{
-			Index:           types.ValidatorIndex(i),
-			Stake:           r.stakes[i],
-			InactivityScore: r.scores[i],
-			Status:          r.status[i],
-			ExitEpoch:       r.exit[i],
-		}
-		fn(&row)
-		r.stakes[i] = row.Stake
-		r.scores[i] = row.InactivityScore
-		r.status[i] = row.Status
-		r.exit[i] = row.ExitEpoch
-	}
-}
-
-// Proportion returns the fraction of total in-set stake held by the given
-// validators. Returns zero when the registry is empty.
-func (r *Registry) Proportion(indices []types.ValidatorIndex) float64 {
-	total := r.TotalStake()
-	if total == 0 {
-		return 0
-	}
-	return float64(r.StakeOf(indices)) / float64(total)
 }

@@ -8,177 +8,126 @@ import (
 	"repro/internal/types"
 )
 
+// newRegistry is a registry of n in-set validators holding stake each,
+// built the way a simulation builds its views.
+func newRegistry(n int, stake types.Gwei) *Registry {
+	r := new(Registry)
+	r.Reset(n, stake)
+	return r
+}
+
 func TestNewRegistry(t *testing.T) {
-	r := NewRegistry(10, types.MaxEffectiveBalanceGwei)
+	r := newRegistry(10, types.MaxEffectiveBalanceGwei)
 	if r.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", r.Len())
 	}
 	if got := r.TotalStake(); got != 10*types.MaxEffectiveBalanceGwei {
 		t.Errorf("TotalStake = %d, want %d", got, 10*types.MaxEffectiveBalanceGwei)
 	}
-	v, err := r.Get(3)
-	if err != nil {
-		t.Fatal(err)
+	cols := r.Columns()
+	if cols.Stakes[3] != types.MaxEffectiveBalanceGwei || cols.Scores[3] != 0 || cols.Status[3] != Active {
+		t.Errorf("unexpected validator: stake %d score %d status %v", cols.Stakes[3], cols.Scores[3], cols.Status[3])
 	}
-	if v.Index != 3 || v.Stake != types.MaxEffectiveBalanceGwei || v.Status != Active {
-		t.Errorf("unexpected validator: %+v", v)
-	}
-	if v.ExitEpoch != types.FarFutureEpoch {
+	if cols.Exit[3] != types.FarFutureEpoch {
 		t.Error("fresh validator must have far-future exit epoch")
 	}
-}
-
-func TestGetUnknown(t *testing.T) {
-	r := NewRegistry(2, 32)
-	if _, err := r.Get(5); !errors.Is(err, ErrUnknownValidator) {
-		t.Errorf("want ErrUnknownValidator, got %v", err)
+	// A recycled registry is rebuilt at genesis in its own columns.
+	cols.Scores[3], cols.Status[4] = 9, Slashed
+	r.Reset(5, 100)
+	if r.Len() != 5 || r.TotalStake() != 500 || r.Columns().Scores[3] != 0 {
+		t.Errorf("Reset kept state: len %d total %d score %d", r.Len(), r.TotalStake(), r.Columns().Scores[3])
 	}
-}
-
-func TestPenalizeSaturates(t *testing.T) {
-	r := NewRegistry(1, 100)
-	removed := r.Penalize(0, 30)
-	if removed != 30 || r.Stake(0) != 70 {
-		t.Errorf("Penalize(30): removed=%d stake=%d", removed, r.Stake(0))
-	}
-	removed = r.Penalize(0, 1000)
-	if removed != 70 || r.Stake(0) != 0 {
-		t.Errorf("over-penalize: removed=%d stake=%d", removed, r.Stake(0))
-	}
-	if got := r.Penalize(99, 5); got != 0 {
-		t.Errorf("penalizing unknown index removed %d", got)
+	if &r.Columns().Stakes[0] != &cols.Stakes[0] {
+		t.Error("Reset to fewer validators must reuse the columns")
 	}
 }
 
 func TestSlash(t *testing.T) {
-	r := NewRegistry(2, 3200)
+	r := newRegistry(2, 3200)
 	if err := r.Slash(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := r.Get(0)
-	if v.Status != Slashed || v.ExitEpoch != 7 {
-		t.Errorf("after slash: %+v", v)
+	cols := r.Columns()
+	if cols.Status[0] != Slashed || cols.Exit[0] != 7 {
+		t.Errorf("after slash: status %v exit %d", cols.Status[0], cols.Exit[0])
 	}
 	// Immediate penalty is stake/32.
-	if v.Stake != 3200-100 {
-		t.Errorf("slashed stake = %d, want 3100", v.Stake)
+	if cols.Stakes[0] != 3200-100 {
+		t.Errorf("slashed stake = %d, want 3100", cols.Stakes[0])
 	}
 	// Slashed validators no longer count toward quorums.
 	if r.Stake(0) != 0 {
 		t.Errorf("Stake of slashed = %d, want 0", r.Stake(0))
 	}
-	if r.RawStake(0) != 3100 {
-		t.Errorf("RawStake of slashed = %d, want 3100", r.RawStake(0))
-	}
 	// Idempotent.
 	if err := r.Slash(0, 9); err != nil {
 		t.Fatal(err)
 	}
-	v, _ = r.Get(0)
-	if v.ExitEpoch != 7 || v.Stake != 3100 {
-		t.Errorf("second slash must be a no-op: %+v", v)
+	if cols.Exit[0] != 7 || cols.Stakes[0] != 3100 {
+		t.Errorf("second slash must be a no-op: exit %d stake %d", cols.Exit[0], cols.Stakes[0])
 	}
 	if err := r.Slash(9, 1); !errors.Is(err, ErrUnknownValidator) {
 		t.Errorf("want ErrUnknownValidator, got %v", err)
 	}
 }
 
+// TestEject: a validator the incentive sweep ejects (its status column set
+// to Ejected) keeps its balance but no longer counts toward quorums.
 func TestEject(t *testing.T) {
-	r := NewRegistry(2, 32)
-	if err := r.Eject(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if r.InSet(1) {
-		t.Error("ejected validator still in set")
-	}
-	if r.Stake(1) != 0 {
+	r := newRegistry(2, 32)
+	r.Columns().Status[1] = Ejected
+	if r.Stake(1) != 0 || r.StakeOf([]types.ValidatorIndex{0, 1}) != 32 || r.TotalStake() != 32 {
 		t.Error("ejected stake must not count")
 	}
-	v, _ := r.Get(1)
-	if v.Status != Ejected || v.ExitEpoch != 100 {
-		t.Errorf("after eject: %+v", v)
+	if r.Columns().Stakes[1] != 32 {
+		t.Error("ejection must not burn the balance")
 	}
-	// Ejecting a slashed validator is a no-op.
-	r2 := NewRegistry(1, 32)
-	r2.Slash(0, 5)
-	r2.Eject(0, 6)
-	v, _ = r2.Get(0)
-	if v.Status != Slashed {
-		t.Error("eject must not override slashed status")
-	}
-	if err := r.Eject(9, 1); !errors.Is(err, ErrUnknownValidator) {
-		t.Errorf("want ErrUnknownValidator, got %v", err)
+	if r.Stake(9) != 0 {
+		t.Error("unknown index must weigh nothing")
 	}
 }
 
 func TestTotalStakeExcludesExited(t *testing.T) {
-	r := NewRegistry(4, 100)
+	r := newRegistry(4, 100)
 	r.Slash(0, 1)
-	r.Eject(1, 1)
+	r.Columns().Status[1] = Ejected
 	if got := r.TotalStake(); got != 200 {
 		t.Errorf("TotalStake = %d, want 200", got)
 	}
-	in := r.InSetIndices()
-	if len(in) != 2 || in[0] != 2 || in[1] != 3 {
-		t.Errorf("InSetIndices = %v", in)
-	}
 }
 
+// TestStakeOfAndProportion: StakeOf weighs a subset's in-set stake, the
+// numerator of every stake proportion the simulation reports.
 func TestStakeOfAndProportion(t *testing.T) {
-	r := NewRegistry(4, 100)
+	r := newRegistry(4, 100)
 	subset := []types.ValidatorIndex{0, 1}
 	if got := r.StakeOf(subset); got != 200 {
 		t.Errorf("StakeOf = %d, want 200", got)
 	}
-	if got := r.Proportion(subset); got != 0.5 {
-		t.Errorf("Proportion = %v, want 0.5", got)
+	if got := float64(r.StakeOf(subset)) / float64(r.TotalStake()); got != 0.5 {
+		t.Errorf("proportion = %v, want 0.5", got)
+	}
+	r.Slash(1, 0)
+	if got := r.StakeOf(subset); got != 100 {
+		t.Errorf("StakeOf after slashing one = %d, want 100", got)
 	}
 	empty := &Registry{}
-	if got := empty.Proportion(subset); got != 0 {
-		t.Errorf("empty registry proportion = %v, want 0", got)
+	if got := empty.StakeOf(subset); got != 0 {
+		t.Errorf("empty registry StakeOf = %v, want 0", got)
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	r := NewRegistry(2, 100)
+	r := newRegistry(2, 100)
 	c := r.Clone()
-	c.Penalize(0, 50)
-	c.SetScore(1, 42)
+	c.Columns().Stakes[0] = 50
+	c.Columns().Scores[1] = 42
 	if r.Stake(0) != 100 {
 		t.Error("clone mutation leaked into original stake")
 	}
-	if r.Score(1) != 0 {
+	if r.Columns().Scores[1] != 0 {
 		t.Error("clone mutation leaked into original score")
 	}
-}
-
-func TestScores(t *testing.T) {
-	r := NewRegistry(2, 32)
-	r.SetScore(0, 12)
-	if r.Score(0) != 12 {
-		t.Errorf("Score = %d, want 12", r.Score(0))
-	}
-	if r.Score(99) != 0 {
-		t.Error("unknown index score must be 0")
-	}
-	r.SetScore(99, 5) // must not panic
-}
-
-func TestForEach(t *testing.T) {
-	r := NewRegistry(3, 10)
-	r.ForEach(func(v *Validator) { v.Stake += types.Gwei(v.Index) })
-	if r.Stake(0) != 10 || r.Stake(1) != 11 || r.Stake(2) != 12 {
-		t.Error("ForEach mutation not applied")
-	}
-}
-
-func TestSetStake(t *testing.T) {
-	r := NewRegistry(1, 10)
-	r.SetStake(0, 77)
-	if r.Stake(0) != 77 {
-		t.Errorf("SetStake not applied: %d", r.Stake(0))
-	}
-	r.SetStake(9, 1) // out of range: no panic
 }
 
 func TestStatusString(t *testing.T) {
@@ -191,12 +140,12 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestTotalStakeInvariantUnderPenalties(t *testing.T) {
-	// Property: total stake never increases under any penalty sequence.
-	f := func(amounts []uint32) bool {
-		r := NewRegistry(4, 1000)
+	// Property: total stake never increases under any slashing sequence.
+	f := func(victims []uint8) bool {
+		r := newRegistry(4, 1000)
 		prev := r.TotalStake()
-		for i, a := range amounts {
-			r.Penalize(types.ValidatorIndex(i%4), types.Gwei(a%500))
+		for i, v := range victims {
+			r.Slash(types.ValidatorIndex(v%4), types.Epoch(i))
 			cur := r.TotalStake()
 			if cur > prev {
 				return false
@@ -213,92 +162,42 @@ func TestTotalStakeInvariantUnderPenalties(t *testing.T) {
 // --- columnar (struct-of-arrays) storage tests ---
 
 // TestColumnsAliasRegistry: Columns exposes the live storage — writes
-// through the column view are visible to the row API and vice versa.
+// through the column view are visible to the registry's sums and vice
+// versa.
 func TestColumnsAliasRegistry(t *testing.T) {
-	r := NewRegistry(4, 100)
+	r := newRegistry(4, 100)
 	cols := r.Columns()
 	if len(cols.Stakes) != 4 || len(cols.Scores) != 4 || len(cols.Status) != 4 || len(cols.Exit) != 4 {
 		t.Fatalf("column lengths = %d/%d/%d/%d, want 4 each",
 			len(cols.Stakes), len(cols.Scores), len(cols.Status), len(cols.Exit))
 	}
 	cols.Stakes[2] = 55
-	cols.Scores[2] = 7
-	if got := r.RawStake(2); got != 55 {
-		t.Errorf("column write invisible to row API: stake = %d", got)
+	if got := r.Stake(2); got != 55 {
+		t.Errorf("column write invisible to Stake: %d", got)
 	}
-	if got := r.Score(2); got != 7 {
-		t.Errorf("column write invisible to row API: score = %d", got)
+	if err := r.Slash(1, 3); err != nil {
+		t.Fatal(err)
 	}
-	r.SetStake(1, 42)
-	if cols.Stakes[1] != 42 {
-		t.Errorf("row write invisible to column view: %d", cols.Stakes[1])
+	if cols.Status[1] != Slashed || cols.Exit[1] != 3 {
+		t.Errorf("Slash invisible to the column view: status %v exit %d", cols.Status[1], cols.Exit[1])
 	}
 	cols.Status[3] = Ejected
-	if r.InSet(3) {
-		t.Error("status column write must remove the validator from the set")
+	if got := r.TotalStake(); got != 100+55 {
+		t.Errorf("status column write must remove the validator from the set: total %d", got)
 	}
 }
 
 // TestCloneDetachesColumns: a clone's columns are independent storage.
 func TestCloneDetachesColumns(t *testing.T) {
-	r := NewRegistry(3, 100)
+	r := newRegistry(3, 100)
 	c := r.Clone()
 	c.Columns().Stakes[0] = 1
 	c.Columns().Scores[1] = 9
 	if err := c.Slash(2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if r.RawStake(0) != 100 || r.Score(1) != 0 || !r.InSet(2) {
-		t.Error("mutating a clone leaked into the original")
-	}
-}
-
-// TestForEachWritesBack: the row iterator reassembles rows from columns
-// and persists mutations.
-func TestForEachWritesBack(t *testing.T) {
-	r := NewRegistry(3, 100)
-	r.ForEach(func(v *Validator) {
-		v.Stake = types.Gwei(10 * (uint64(v.Index) + 1))
-		v.InactivityScore = uint64(v.Index)
-		if v.Index == 2 {
-			v.Status = Ejected
-			v.ExitEpoch = 7
-		}
-	})
-	if r.RawStake(0) != 10 || r.RawStake(1) != 20 || r.RawStake(2) != 30 {
-		t.Errorf("stakes not written back: %d %d %d", r.RawStake(0), r.RawStake(1), r.RawStake(2))
-	}
-	if r.Score(2) != 2 {
-		t.Errorf("score not written back: %d", r.Score(2))
-	}
-	if r.InSet(2) {
-		t.Error("status not written back")
-	}
-	got, err := r.Get(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ExitEpoch != 7 {
-		t.Errorf("exit epoch not written back: %d", got.ExitEpoch)
-	}
-}
-
-// TestColumnsRowRoundTrip: rows assembled by Get agree with the columns
-// for every field, under a quick-check of mutations.
-func TestColumnsRowRoundTrip(t *testing.T) {
-	r := NewRegistry(8, 64)
-	r.SetScore(3, 12)
-	_ = r.Slash(4, 9)
-	_ = r.Eject(5, 11)
 	cols := r.Columns()
-	for i := 0; i < r.Len(); i++ {
-		v, err := r.Get(types.ValidatorIndex(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Stake != cols.Stakes[i] || v.InactivityScore != cols.Scores[i] ||
-			v.Status != cols.Status[i] || v.ExitEpoch != cols.Exit[i] {
-			t.Errorf("row %d disagrees with columns: %+v", i, v)
-		}
+	if cols.Stakes[0] != 100 || cols.Scores[1] != 0 || cols.Status[2] != Active {
+		t.Error("mutating a clone leaked into the original")
 	}
 }
