@@ -1,6 +1,8 @@
-// Command leaksim runs scenarios from the engine registry: the paper's
-// five scenarios at full paper scale, the generic engines, and parallel
-// parameter sweeps over any of them.
+// Command leaksim is the reproduction's one client command. It runs
+// scenarios from the engine registry (the paper's five scenarios at full
+// paper scale, the generic engines, and parallel parameter sweeps over any
+// of them) and prints the paper's Tables 1-3 and the data behind its
+// figures.
 //
 // Usage:
 //
@@ -15,6 +17,13 @@
 //	leaksim -scenario sim/gst -sweep "horizon=8:22:2" -n 10000 -gst 40 -warm  # shared-prefix warm start
 //	leaksim -scenario sim/bounce -p0 0.7 -n 10000                    # paper-scale bouncing attack
 //	leaksim -scenario sim/leak -n 10000 -horizon 5000 -store .cache  # durable: Ctrl-C + re-run resumes
+//	leaksim -table 0                          # the paper's Tables 1-3 (-table 2: Table 2 only)
+//	leaksim -table 1 -json                    # Table 1's engine results as JSON
+//	leaksim -fig 2                            # Figure 2 as CSV (-json: as JSON)
+//	leaksim -fig 10mc -beta0 0.33 -n 500 -runs 5   # Figure 10: Monte-Carlo vs Equation 24
+//	leaksim -fig all -out data/               # every figure as data/figID.csv
+//	leaksim -scenario analytic/bounce -sweep "beta0=0.1,0.2,0.3,0.3333"  # Equation 14 window per beta0
+//	leaksim -scenario bounce-mc -sweep "seed=1:5:1" -beta0 0.333 -horizon 4000  # bouncing MC at one epoch
 //
 // Sweeps run through the v2 client API: Ctrl-C cancels cooperatively, and
 // the same grids are network-addressable via the serve command. With a
@@ -29,6 +38,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -48,37 +58,71 @@ type options struct {
 	jsonOut   bool
 	csvOut    bool
 	verbose   bool
+	tables    bool // -table was given
+	table     int
+	fig       string
+	out       string
+	runs      int
 	params    gasperleak.ScenarioParams
 }
 
-func main() {
+// parse declares leaksim's flags and parses args into options. Errors and
+// usage go to errOut.
+func parse(args []string, errOut io.Writer) (options, error) {
 	var o options
-	flag.StringVar(&o.scenario, "scenario", "all", "scenario name from the registry (see -list), or all for Table 1")
-	flag.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
-	flag.StringVar(&o.sweep, "sweep", "", `parameter grid, e.g. "p0=0.3:0.7:0.1; beta0=0.1,0.2; mode=double,semi; seed=1:3:1"`)
-	flag.IntVar(&o.workers, "workers", 0, "sweep worker pool size (0 = all CPUs)")
-	flag.BoolVar(&o.warm, "warm", false, "warm-start sweeps from shared simulation prefixes (bit-identical results; scenarios without prefix support run cold)")
-	flag.StringVar(&o.store, "store", "", "persistent result store directory: finished cells are reused across runs, and long-horizon simulation cells checkpoint mid-run so an interrupted sweep resumes instead of recomputing")
-	flag.IntVar(&o.ckptEvery, "checkpoint-every", 0, "mid-cell checkpoint interval in simulated epochs (0 = engine default, negative disables checkpointing; no effect without -store)")
-	flag.BoolVar(&o.jsonOut, "json", false, "emit results as JSON")
-	flag.BoolVar(&o.csvOut, "csv", false, "emit results as CSV")
-	flag.BoolVar(&o.verbose, "v", false, "log execution metadata per cell (throughput, tree/engine retention)")
-	flag.Float64Var(&o.params.P0, "p0", 0, "proportion of honest validators on branch A (omit for the scenario default; an explicit -p0 0 means zero)")
-	flag.Float64Var(&o.params.Beta0, "beta0", 0, "initial Byzantine stake proportion (omit for the scenario default; an explicit -beta0 0 means no Byzantine stake)")
-	flag.StringVar(&o.params.Mode, "mode", "", "scenario mode (empty = scenario default)")
-	flag.Int64Var(&o.params.Seed, "seed", 0, "random seed for Monte-Carlo scenarios (0 = scenario default)")
-	flag.IntVar(&o.params.N, "n", 0, "validator count (0 = scenario default)")
-	flag.IntVar(&o.params.Horizon, "horizon", 0, "epoch horizon / evaluation epoch (0 = scenario default)")
-	flag.IntVar(&o.params.Sample, "sample", 0, "trace sampling interval in epochs (0 = no trace)")
-	flag.Float64Var(&o.params.Rate, "rate", 0, "link-outage rate for protocol-simulator scenarios (omit for the scenario default; an explicit -rate 0 means rate zero)")
-	flag.IntVar(&o.params.GST, "gst", 0, "partition-heal epoch for protocol-simulator scenarios (omit for the scenario default; an explicit -gst 0 means heal at once)")
-	flag.Parse()
+	fs := flag.NewFlagSet("leaksim", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&o.scenario, "scenario", "all", "scenario name from the registry (see -list), or all for Table 1")
+	fs.BoolVar(&o.list, "list", false, "list registered scenarios and exit")
+	fs.StringVar(&o.sweep, "sweep", "", `parameter grid, e.g. "p0=0.3:0.7:0.1; beta0=0.1,0.2; mode=double,semi; seed=1:3:1"`)
+	fs.IntVar(&o.workers, "workers", 0, "sweep worker pool size (0 = all CPUs)")
+	fs.BoolVar(&o.warm, "warm", false, "warm-start sweeps from shared simulation prefixes (bit-identical results; scenarios without prefix support run cold)")
+	fs.StringVar(&o.store, "store", "", "persistent result store directory: finished cells are reused across runs, and long-horizon simulation cells checkpoint mid-run so an interrupted sweep resumes instead of recomputing")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "mid-cell checkpoint interval in simulated epochs (0 = engine default, negative disables checkpointing; no effect without -store)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON (with -table, the engine results behind the tables; with -fig, the figure)")
+	fs.BoolVar(&o.csvOut, "csv", false, "emit results as CSV")
+	fs.BoolVar(&o.verbose, "v", false, "log execution metadata per cell (throughput, tree/engine retention)")
+	fs.IntVar(&o.table, "table", 0, "print the paper's Table N (1, 2, 3; 0 = all three) instead of running a scenario")
+	fs.StringVar(&o.fig, "fig", "", "emit a figure's data as CSV instead of running a scenario: "+strings.Join(figureIDs, ", ")+", or all (into -out)")
+	fs.StringVar(&o.out, "out", ".", "output directory for -fig all")
+	fs.IntVar(&o.runs, "runs", 5, "Monte-Carlo runs for -fig 10mc")
+	fs.Float64Var(&o.params.P0, "p0", 0, "proportion of honest validators on branch A (omit for the scenario default; an explicit -p0 0 means zero)")
+	fs.Float64Var(&o.params.Beta0, "beta0", 0, "initial Byzantine stake proportion (omit for the scenario default, 1/3 for -fig 10mc; an explicit -beta0 0 means no Byzantine stake)")
+	fs.StringVar(&o.params.Mode, "mode", "", "scenario mode (empty = scenario default)")
+	fs.Int64Var(&o.params.Seed, "seed", 0, "random seed for Monte-Carlo scenarios, Table 1 and -fig 10mc (0 = scenario default, 1 for the tables and figures)")
+	fs.IntVar(&o.params.N, "n", 0, "validator count (0 = scenario default, 500 honest validators for -fig 10mc)")
+	fs.IntVar(&o.params.Horizon, "horizon", 0, "epoch horizon / evaluation epoch (0 = scenario default, epoch 4024 for -fig 9)")
+	fs.IntVar(&o.params.Sample, "sample", 0, "trace sampling interval in epochs (0 = no trace)")
+	fs.Float64Var(&o.params.Rate, "rate", 0, "link-outage rate for protocol-simulator scenarios (omit for the scenario default; an explicit -rate 0 means rate zero)")
+	fs.IntVar(&o.params.GST, "gst", 0, "partition-heal epoch for protocol-simulator scenarios (omit for the scenario default; an explicit -gst 0 means heal at once)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() > 0 {
+		err := fmt.Errorf("unexpected argument %q (quote a -sweep spec that holds spaces)", fs.Arg(0))
+		fmt.Fprintln(errOut, err)
+		fs.Usage()
+		return o, err
+	}
 	// A flag whose zero is a meaningful value (-p0, -beta0, -rate, -gst)
 	// is explicit when the user passed it: -rate 0 pins the lossless
 	// baseline instead of deferring to the scenario default. The others
 	// keep their documented "0 = scenario default" contract.
-	flag.Visit(func(f *flag.Flag) { o.params = o.params.MarkFlag(f.Name) })
+	fs.Visit(func(f *flag.Flag) {
+		o.params = o.params.MarkFlag(f.Name)
+		o.tables = o.tables || f.Name == "table"
+	})
+	return o, nil
+}
 
+func main() {
+	o, err := parse(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 	// Ctrl-C cancels in-flight sweeps cooperatively: finished cells keep
 	// their results, unfinished ones record the context error. With a
 	// -store, each interrupted cell also saves a checkpoint at the epoch
@@ -86,7 +130,7 @@ func main() {
 	// stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := run(ctx, os.Stdout, o)
+	err = run(ctx, os.Stdout, o)
 	if ctx.Err() != nil && o.store != "" && o.ckptEvery >= 0 {
 		fmt.Fprintf(os.Stderr, "leaksim: interrupted; finished cells and mid-cell checkpoints are saved in %s\n", o.store)
 		fmt.Fprintf(os.Stderr, "leaksim: resume with: %s\n", strings.Join(os.Args, " "))
@@ -113,14 +157,21 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return err
 	}
 	defer c.Close()
-	if o.list {
+	switch {
+	case o.list:
 		return list(w, c)
-	}
-	if o.sweep != "" {
+	case o.tables:
+		return runTables(ctx, w, c, o)
+	case o.fig != "":
+		return runFigures(ctx, w, c, o)
+	case o.sweep != "":
 		return runSweep(ctx, w, c, o)
-	}
-	if o.scenario == "all" {
-		return runTable1(ctx, w, c, o)
+	case o.scenario == "all":
+		results, err := sweep(ctx, c, gasperleak.Table1Cells(table1Seed(o)))
+		if err != nil {
+			return err
+		}
+		return emit(w, o, "Table 1: scenarios and outcomes", results)
 	}
 	res, err := c.Run(ctx, o.scenario, o.params)
 	if err != nil {
@@ -183,17 +234,132 @@ func runSweep(ctx context.Context, w io.Writer, c *gasperleak.Client, o options)
 	return nil
 }
 
-// runTable1 sweeps the paper's five scenarios (Table 1).
-func runTable1(ctx context.Context, w io.Writer, c *gasperleak.Client, o options) error {
-	seed := o.params.Seed
-	if seed == 0 {
-		seed = 1
+// sweep runs cells that must all succeed.
+func sweep(ctx context.Context, c *gasperleak.Client, cells []gasperleak.SweepCell) ([]gasperleak.ScenarioResult, error) {
+	results := c.Sweep(ctx, cells)
+	return results, gasperleak.SweepFirstError(results)
+}
+
+// table1Seed is the seed of Table 1's Monte-Carlo row: -seed, or 1.
+func table1Seed(o options) int64 {
+	if o.params.Seed == 0 {
+		return 1
 	}
-	results := c.Sweep(ctx, gasperleak.Table1Cells(seed))
-	if err := gasperleak.SweepFirstError(results); err != nil {
+	return o.params.Seed
+}
+
+// runTables prints the paper's Table -table (0 = all three), each comparing
+// the paper's values with the analytic models and the exact simulation;
+// with -json, the engine results behind them, in table order.
+func runTables(ctx context.Context, w io.Writer, c *gasperleak.Client, o options) error {
+	if o.table < 0 || o.table > 3 {
+		return fmt.Errorf("unknown table %d (want 1, 2 or 3; 0 = all)", o.table)
+	}
+	tables := []int{1, 2, 3}
+	if o.table != 0 {
+		tables = []int{o.table}
+	}
+	if o.jsonOut {
+		var cells []gasperleak.SweepCell
+		for _, n := range tables {
+			if n == 1 {
+				cells = append(cells, gasperleak.Table1Cells(table1Seed(o))...)
+			} else {
+				cells = append(cells, gasperleak.TableCells(n)...)
+			}
+		}
+		results, err := sweep(ctx, c, cells)
+		if err != nil {
+			return err
+		}
+		return gasperleak.WriteSweepJSON(w, results)
+	}
+	for _, n := range tables {
+		t, err := c.RenderTable(ctx, n, table1Seed(o))
+		if err != nil {
+			return err
+		}
+		if err := t.Render(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// figureIDs lists the figures -fig emits, in the order of -fig all.
+var figureIDs = []string{"2", "3", "3sim", "6", "7", "7sim", "9", "10", "10mc"}
+
+// runFigures writes figure -fig to w, as CSV or with -json as JSON; -fig
+// all writes every figure into -out as figID.csv (or .json) and names each
+// file it wrote on w.
+func runFigures(ctx context.Context, w io.Writer, c *gasperleak.Client, o options) error {
+	ext, write := ".csv", (*gasperleak.Figure).WriteCSV
+	if o.jsonOut {
+		ext, write = ".json", (*gasperleak.Figure).WriteJSON
+	}
+	p := o.params.WithDefaults(gasperleak.ScenarioParams{Beta0: 1.0 / 3.0, N: 500, Seed: 1, Horizon: 4024})
+	if o.fig != "all" {
+		f, err := figure(ctx, c, o.fig, p, o.runs)
+		if err != nil {
+			return err
+		}
+		return write(f, w)
+	}
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
-	return emit(w, o, "Table 1: scenarios and outcomes", results)
+	for _, id := range figureIDs {
+		f, err := figure(ctx, c, id, p, o.runs)
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(o.out, "fig"+id+ext)
+		file, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := write(f, file); err != nil {
+			file.Close()
+			return err
+		}
+		if err := file.Close(); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w, "wrote", path); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// figure builds the figure with the given id. Figure 9 is drawn at epoch
+// p.Horizon; Figure 10's Monte-Carlo overlay averages runs trajectories of
+// p.N honest validators at p.Beta0 from seed p.Seed.
+func figure(ctx context.Context, c *gasperleak.Client, id string, p gasperleak.ScenarioParams, runs int) (*gasperleak.Figure, error) {
+	switch id {
+	case "2":
+		return gasperleak.Figure2(), nil
+	case "3":
+		return gasperleak.Figure3(), nil
+	case "3sim":
+		return c.Figure3Sim(ctx, 10)
+	case "6":
+		return gasperleak.Figure6()
+	case "7":
+		return gasperleak.Figure7(), nil
+	case "7sim":
+		return c.Figure7Sim(ctx, 17)
+	case "9":
+		return gasperleak.Figure9(float64(p.Horizon)), nil
+	case "10":
+		return gasperleak.Figure10(), nil
+	case "10mc":
+		return c.Figure10MonteCarlo(ctx, p.Beta0, p.N, runs, p.Seed)
+	}
+	return nil, fmt.Errorf("unknown figure %q (want %s, or all)", id, strings.Join(figureIDs, ", "))
 }
 
 // emit renders results in the selected format: JSON, CSV, or ASCII. Only

@@ -141,11 +141,19 @@ func TestRunCSVOutput(t *testing.T) {
 	}
 }
 
-// Negative -workers is rejected with a clear error (uniform across all
-// cmd tools via the client constructor), not silently clamped.
+// Negative -workers is rejected with a clear error in every mode (uniform
+// via the client constructor), not silently clamped.
 func TestRunRejectsNegativeWorkers(t *testing.T) {
-	err := run(context.Background(), &strings.Builder{}, options{scenario: "5.1", workers: -2})
+	rejectsNegativeWorkers(t, options{scenario: "5.1"})
+}
+
+// rejectsNegativeWorkers runs o with -workers -2 and wants an error that
+// names the flag and the value.
+func rejectsNegativeWorkers(t *testing.T, o options) {
+	t.Helper()
+	o.workers = -2
+	err := run(context.Background(), &strings.Builder{}, o)
 	if err == nil || !strings.Contains(err.Error(), "-2") || !strings.Contains(err.Error(), "workers") {
-		t.Errorf("workers=-2 err = %v, want a clear validation error", err)
+		t.Errorf("%+v: err = %v, want a clear validation error", o, err)
 	}
 }

@@ -224,13 +224,6 @@ func (c *Client) Figure10MonteCarlo(ctx context.Context, beta0 float64, nHonest,
 	return report.Figure10MonteCarlo(ctx, beta0, nHonest, runs, seed, c.opt)
 }
 
-// BounceMCSweep runs `runs` independent bouncing-attack trajectories and
-// returns the engine results plus the run-averaged exceed-probability
-// curve on the epoch grid sample, 2*sample, ..., horizon.
-func (c *Client) BounceMCSweep(ctx context.Context, p0, beta0 float64, n, runs int, seed int64, sample, horizon int) ([]ScenarioResult, []float64, error) {
-	return report.BounceMCSweep(ctx, p0, beta0, n, runs, seed, sample, horizon, c.opt)
-}
-
 // SweepThroughput summarizes a sweep's pacing (cells/sec and cumulative
 // compute time) from the results' duration metadata and the measured wall
 // clock.

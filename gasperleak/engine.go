@@ -1,7 +1,6 @@
 package gasperleak
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/engine"
@@ -45,12 +44,6 @@ type (
 // SpareSimulations reports the spare simulations: how many are idle, and
 // how many genesis starts reset one or built a new simulation.
 func SpareSimulations() SpareStats { return engine.Spares() }
-
-// NewScenario builds a Scenario from a function, for registration in the
-// built-in registry (engine.Default), which every Client runs.
-func NewScenario(name, desc string, defaults ScenarioParams, run func(context.Context, ScenarioParams) (ScenarioResult, error)) Scenario {
-	return engine.NewScenario(name, desc, defaults, run)
-}
 
 // ParseGrid parses a "p0=0.2:0.8:0.1; beta0=0.1,0.2; mode=double" sweep
 // spec into a grid for the named scenario.

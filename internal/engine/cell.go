@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"time"
@@ -221,6 +222,12 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 		return FailedCell(reg, cell, err), err
 	}
 	p := cell.Params.WithDefaults(sc.Defaults())
+	if p.Horizon < 0 {
+		// The engines count epochs unsigned: a negative horizon would wrap
+		// to a run of ~2^64 epochs.
+		err := fmt.Errorf("engine: horizon = %d, want >= 0", p.Horizon)
+		return FailedCell(reg, cell, err), err
+	}
 	if err := ctx.Err(); err != nil {
 		// Cancelled before the cell started: no Meta — no work was done.
 		return FailedCell(reg, cell, err), err

@@ -33,12 +33,19 @@ var surfaceWaivers = map[string]string{
 	"internal/store.CorruptForTest": "the server's store tests tear an entry with it",
 	"internal/engine.StripMeta":     "engine, server, gasperleak and cmd/serve tests compare payloads with it",
 
-	// Public API that a checked Example or the README shows.
-	"gasperleak.BounceWindow":   "ExampleBounceWindow",
-	"gasperleak.DefaultSpec":    "ExampleNewSimulation",
-	"gasperleak.FormatEpoch":    "Example_quickstart",
-	"internal/core.LeakSim.Run": "gasperleak.LeakSim's run: ExampleLeakSim and the package quick start",
-	"gasperleak.NewScenario":    "the README's section on adding a scenario",
+	// Public API that a checked Example shows.
+	"gasperleak.BounceContinuationProbability": "Example_bouncingAttack",
+	"gasperleak.BounceMCGrid":                  "Example_bouncingAttack",
+	"gasperleak.BounceWindow":                  "ExampleBounceWindow",
+	"gasperleak.Client.SweepStream":            "Example_byzantineAcceleration",
+	"gasperleak.CompressedSpec":                "Example_bouncingAttack, Example_leakObservatory and Example_partitionFinality",
+	"gasperleak.DefaultSpec":                   "ExampleNewSimulation",
+	"gasperleak.FormatEpoch":                   "Example_quickstart",
+	"gasperleak.NewBouncer":                    "Example_bouncingAttack",
+	"gasperleak.NewSimulation":                 "ExampleNewSimulation and the protocol-level examples",
+	"gasperleak.PaperParams":                   "ExampleAnalyticParams_conflictEpochSlashing and Example_bouncingAttack",
+	"internal/core.LeakSim.Run":                "gasperleak.LeakSim's run: ExampleLeakSim and the package quick start",
+	"internal/sim.Recorder.Hook":               "gasperleak.MetricsRecorder's epoch hook: Example_leakObservatory",
 
 	// Kept for a planned use.
 	"internal/slashing.Conflict": "the accountable-stake audit of ROADMAP item 19 classifies conflicting votes with it",

@@ -228,50 +228,34 @@ func Figure10() *Figure {
 	return f
 }
 
-// BounceMCSweep runs `runs` independent bouncing-attack trajectories (one
-// bounce-mc engine cell per derived seed, fanned out per opt.Workers) and
-// returns the engine results plus the run-averaged exceed-probability
-// curve on the epoch grid sample, 2*sample, ..., horizon.
-func BounceMCSweep(ctx context.Context, p0, beta0 float64, n, runs int, seed int64, sample, horizon int, opt engine.Options) ([]engine.Result, []float64, error) {
-	if runs <= 0 || sample <= 0 || horizon < sample {
-		return nil, nil, fmt.Errorf("report: bounce mc sweep: runs=%d sample=%d horizon=%d", runs, sample, horizon)
-	}
-	// Zero would silently resolve to the scenario default inside the
-	// engine while the analytic overlay uses the raw value.
-	if p0 <= 0 || p0 >= 1 || beta0 <= 0 || beta0 >= 1 {
-		return nil, nil, fmt.Errorf("report: bounce mc sweep: p0=%v beta0=%v, want in (0, 1)", p0, beta0)
-	}
-	g := engine.BounceMCGrid(p0, beta0, n, runs, seed, sample, horizon)
-	results := engine.SweepContext(ctx, g.Cells(), opt)
-	if err := engine.FirstError(results); err != nil {
-		return nil, nil, err
-	}
-	nPoints := horizon / sample
-	avg := make([]float64, nPoints)
-	for _, r := range results {
-		for _, pt := range r.Curve {
-			if i := int(pt.X)/sample - 1; i >= 0 && i < nPoints {
-				avg[i] += pt.Y / float64(runs)
-			}
-		}
-	}
-	return results, avg, nil
-}
-
 // Figure10MonteCarlo overlays the exact integer Monte-Carlo estimate on
 // Figure 10's grid for one beta0: `runs` independent trajectories (one
-// sweep cell each, seeds derived per cell) averaged pointwise, run
-// per opt.Workers (<= 0 = all CPUs).
+// bounce-mc sweep cell each, seeds derived per cell) averaged pointwise,
+// run per opt.Workers (<= 0 = all CPUs).
 func Figure10MonteCarlo(ctx context.Context, beta0 float64, nHonest, runs int, seed int64, opt engine.Options) (*Figure, error) {
 	const sample, horizon = 1000, 7000
-	_, probs, err := BounceMCSweep(ctx, 0.5, beta0, nHonest, runs, seed, sample, horizon, opt)
-	if err != nil {
+	// Zero would silently resolve to the scenario default inside the
+	// engine while the analytic overlay uses the raw value.
+	if runs <= 0 || beta0 <= 0 || beta0 >= 1 {
+		return nil, fmt.Errorf("report: figure 10 monte carlo: runs=%d beta0=%v, want runs > 0 and beta0 in (0, 1)", runs, beta0)
+	}
+	g := engine.BounceMCGrid(0.5, beta0, nHonest, runs, seed, sample, horizon)
+	results := engine.SweepContext(ctx, g.Cells(), opt)
+	if err := engine.FirstError(results); err != nil {
 		return nil, fmt.Errorf("report: figure 10 monte carlo: %w", err)
 	}
 	nPoints := horizon / sample
 	x := make([]float64, nPoints)
+	probs := make([]float64, nPoints)
 	for i := range x {
 		x[i] = float64((i + 1) * sample)
+	}
+	for _, r := range results {
+		for _, pt := range r.Curve {
+			if i := int(pt.X)/sample - 1; i >= 0 && i < nPoints {
+				probs[i] += pt.Y / float64(runs)
+			}
+		}
 	}
 	analyticYs := make([]float64, nPoints)
 	m := analytic.BounceModel{P0: 0.5}

@@ -501,31 +501,55 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus registry, cache, and store
-// statistics.
+// statistics. Its keys are in alphabetical order, as encoding/json writes a
+// map's.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{
-		"status":    "ok",
-		"scenarios": len(s.opt.Registry.Names()),
-	}
+	t := s.tierStats()
+	writeJSON(w, http.StatusOK, struct {
+		Cache       *cacheStats        `json:"cache,omitempty"`
+		Checkpoints *checkpointMetrics `json:"checkpoints,omitempty"`
+		Scenarios   int                `json:"scenarios"`
+		Status      string             `json:"status"`
+		Store       *store.Stats       `json:"store,omitempty"`
+	}{t.Cache, t.Checkpoints, len(s.opt.Registry.Names()), "ok", t.Store})
+}
+
+// tierStats is the cache, store and checkpoints blocks of /healthz and
+// /metrics; each is present only when its tier is configured.
+type tierStats struct {
+	Cache *cacheStats  `json:"cache,omitempty"`
+	Store *store.Stats `json:"store,omitempty"`
+	// Checkpoints is the store-side ledger (written/bytes/loaded/missed/
+	// gc_deleted) plus the sweep-side resume wins.
+	Checkpoints *checkpointMetrics `json:"checkpoints,omitempty"`
+}
+
+// cacheStats is the LRU's block of tierStats.
+type cacheStats struct {
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+}
+
+// tierStats reads the configured tiers' counters.
+func (s *Server) tierStats() tierStats {
+	var t tierStats
 	if cache := s.results.cache; cache != nil {
 		hits, misses := cache.stats()
-		body["cache"] = map[string]uint64{
-			"entries": uint64(cache.len()),
-			"hits":    hits,
-			"misses":  misses,
-		}
+		t.Cache = &cacheStats{Entries: cache.len(), Hits: hits, Misses: misses}
 	}
 	if st := s.results.store; st != nil {
-		body["store"] = st.Stats()
+		stats := st.Stats()
+		t.Store = &stats
 	}
 	if ck := s.Checkpoints(); ck != nil {
-		body["checkpoints"] = checkpointMetrics{
+		t.Checkpoints = &checkpointMetrics{
 			CheckpointStats: ck.Stats(),
 			Resumed:         s.metrics.cellsResumed.Load(),
 			EpochsSaved:     s.metrics.checkpointEpochsSaved.Load(),
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return t
 }
 
 // metricsResponse is the GET /metrics document.
@@ -542,16 +566,7 @@ type metricsResponse struct {
 		Limit    int    `json:"limit"`
 		Rejected uint64 `json:"rejected"`
 	} `json:"queue"`
-	Cache *struct {
-		Entries int    `json:"entries"`
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-	} `json:"cache,omitempty"`
-	Store *store.Stats `json:"store,omitempty"`
-	// Checkpoints is present only when a checkpoint store is configured:
-	// the store-side ledger (written/bytes/loaded/missed/gc_deleted) plus
-	// the sweep-side resume wins.
-	Checkpoints *checkpointMetrics `json:"checkpoints,omitempty"`
+	tierStats
 	// Coordinator is present only in coordinator mode.
 	Coordinator *coordinatorMetrics `json:"coordinator,omitempty"`
 	// Scenarios sums computed-cell wall clock per scenario, sorted by
@@ -595,25 +610,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.Queue.Depth = s.metrics.admitted.Load()
 	resp.Queue.Limit = s.queueDepth
 	resp.Queue.Rejected = s.metrics.rejected.Load()
-	if cache := s.results.cache; cache != nil {
-		hits, misses := cache.stats()
-		resp.Cache = &struct {
-			Entries int    `json:"entries"`
-			Hits    uint64 `json:"hits"`
-			Misses  uint64 `json:"misses"`
-		}{Entries: cache.len(), Hits: hits, Misses: misses}
-	}
-	if st := s.results.store; st != nil {
-		stats := st.Stats()
-		resp.Store = &stats
-	}
-	if ck := s.Checkpoints(); ck != nil {
-		resp.Checkpoints = &checkpointMetrics{
-			CheckpointStats: ck.Stats(),
-			Resumed:         s.metrics.cellsResumed.Load(),
-			EpochsSaved:     s.metrics.checkpointEpochsSaved.Load(),
-		}
-	}
+	resp.tierStats = s.tierStats()
 	if s.coord != nil {
 		resp.Coordinator = &coordinatorMetrics{
 			Workers:  s.coord.stats(),
