@@ -2,18 +2,27 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/gasperleak"
 )
 
 // TestDocCommands: every `go run ./cmd/NAME` line of README.md and
 // EXPERIMENTS.md names a command under cmd/, and every `go run
-// ./cmd/leaksim` line parses with leaksim's flag set, so the documents
-// cannot drift from the commands they show.
+// ./cmd/leaksim` line parses with leaksim's flag set, names a registered
+// scenario (or all) and sweeps a grid that parses, so the documents cannot
+// drift from the commands they show.
 func TestDocCommands(t *testing.T) {
+	c, err := gasperleak.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
@@ -29,8 +38,17 @@ func TestDocCommands(t *testing.T) {
 				continue
 			}
 			args, err := shellWords(rest)
+			var o options
 			if err == nil {
-				_, err = parse(args, io.Discard)
+				o, err = parse(args, io.Discard)
+			}
+			if err == nil && o.scenario != "all" {
+				if _, ok := c.Lookup(o.scenario); !ok {
+					err = fmt.Errorf("no scenario %q is registered", o.scenario)
+				}
+			}
+			if err == nil && o.sweep != "" {
+				_, err = gasperleak.ParseGrid(o.scenario, o.sweep)
 			}
 			if err != nil {
 				t.Errorf("%s: go run ./cmd/%s: %v", doc, line, err)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	leaksim -list                             # registered scenarios
-//	leaksim -scenario all                     # Table 1 (all five scenarios)
+//	leaksim -scenario all                     # Table 1 (all five scenarios; = -table 1)
 //	leaksim -scenario 5.2.1 -p0 0.5 -beta0 0.2
 //	leaksim -scenario 5.3 -beta0 0.33 -seed 1 -json
 //	leaksim -scenario leaksim -sweep "p0=0.3:0.7:0.1; beta0=0.1,0.2; mode=double,semi" -workers 8
@@ -81,7 +81,7 @@ func parse(args []string, errOut io.Writer) (options, error) {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "mid-cell checkpoint interval in simulated epochs (0 = engine default, negative disables checkpointing; no effect without -store)")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON (with -table, the engine results behind the tables; with -fig, the figure)")
 	fs.BoolVar(&o.csvOut, "csv", false, "emit results as CSV")
-	fs.BoolVar(&o.verbose, "v", false, "log execution metadata per cell (throughput, tree/engine retention)")
+	fs.BoolVar(&o.verbose, "v", false, "log execution metadata per cell (throughput, tree/engine retention; not with the tables)")
 	fs.IntVar(&o.table, "table", 0, "print the paper's Table N (1, 2, 3; 0 = all three) instead of running a scenario")
 	fs.StringVar(&o.fig, "fig", "", "emit a figure's data as CSV instead of running a scenario: "+strings.Join(figureIDs, ", ")+", or all (into -out)")
 	fs.StringVar(&o.out, "out", ".", "output directory for -fig all")
@@ -167,11 +167,8 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	case o.sweep != "":
 		return runSweep(ctx, w, c, o)
 	case o.scenario == "all":
-		results, err := sweep(ctx, c, gasperleak.Table1Cells(table1Seed(o)))
-		if err != nil {
-			return err
-		}
-		return emit(w, o, "Table 1: scenarios and outcomes", results)
+		o.table = 1
+		return runTables(ctx, w, c, o)
 	}
 	res, err := c.Run(ctx, o.scenario, o.params)
 	if err != nil {
@@ -254,6 +251,9 @@ func table1Seed(o options) int64 {
 func runTables(ctx context.Context, w io.Writer, c *gasperleak.Client, o options) error {
 	if o.table < 0 || o.table > 3 {
 		return fmt.Errorf("unknown table %d (want 1, 2 or 3; 0 = all)", o.table)
+	}
+	if o.csvOut || o.verbose {
+		return fmt.Errorf("the tables have no CSV form and no per-cell log (-json emits the engine results behind them, meta included)")
 	}
 	tables := []int{1, 2, 3}
 	if o.table != 0 {

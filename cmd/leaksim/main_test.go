@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/gasperleak"
+	"repro/internal/store"
 )
 
+// TestRunAllScenarios runs each Table 1 scenario; -scenario all is Table
+// 1's one path, and prints exactly what -table 1 prints.
 func TestRunAllScenarios(t *testing.T) {
 	for _, sc := range []string{"5.1", "5.2.1", "5.2.2", "5.2.3", "5.2.3c", "5.3", "all"} {
 		beta0 := 0.2
@@ -22,6 +25,69 @@ func TestRunAllScenarios(t *testing.T) {
 		}
 		if b.Len() == 0 {
 			t.Errorf("scenario %s: no output", sc)
+		}
+		if sc != "all" {
+			continue
+		}
+		var table strings.Builder
+		if err := run(context.Background(), &table, options{tables: true, table: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != table.String() {
+			t.Errorf("-scenario all printed\n%s\nwant -table 1's\n%s", b.String(), table.String())
+		}
+	}
+}
+
+// TestIgnoredParamsShareOneStoreEntry: 5.2.1 reads only p0 and beta0, so
+// -n and -horizon change nothing about its run. They are stamped 0, and the
+// plain command is a store hit on the same one entry with the same payload.
+func TestIgnoredParamsShareOneStoreEntry(t *testing.T) {
+	dir := t.TempDir()
+	var payloads [][]byte
+	for i, args := range [][]string{
+		{"-scenario", "5.2.1", "-n", "-5", "-horizon", "10", "-store", dir, "-json"},
+		{"-scenario", "5.2.1", "-store", dir, "-json"},
+	} {
+		var results []gasperleak.ScenarioResult
+		if err := json.Unmarshal([]byte(mustRun(t, args...)), &results); err != nil || len(results) != 1 {
+			t.Fatalf("leaksim %s: %d results (%v)", strings.Join(args, " "), len(results), err)
+		}
+		r := results[0]
+		if r.Params.N != 0 || r.Params.Horizon != 0 {
+			t.Errorf("leaksim %s: n = %d, horizon = %d, want 0 (5.2.1 reads neither)", strings.Join(args, " "), r.Params.N, r.Params.Horizon)
+		}
+		if cached := r.Meta != nil && r.Meta.Cached; cached != (i == 1) {
+			t.Errorf("leaksim %s: cached = %v", strings.Join(args, " "), cached)
+		}
+		b, err := json.Marshal(r.WithoutMeta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, b)
+	}
+	if string(payloads[0]) != string(payloads[1]) {
+		t.Errorf("payloads differ:\n%s\n%s", payloads[0], payloads[1])
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if n := st.Stats().Entries; n != 1 {
+		t.Errorf("store holds %d entries for one run, want 1", n)
+	}
+}
+
+// TestRunTablesRejectCSVAndVerbose: the tables path has neither a CSV form
+// nor a per-cell -v log, and says so rather than ignoring the flag.
+func TestRunTablesRejectCSVAndVerbose(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "1", "-csv"}, {"-scenario", "all", "-csv"},
+		{"-table", "2", "-v"}, {"-scenario", "all", "-v"},
+	} {
+		if _, err := runArgs(t, args...); err == nil || !strings.Contains(err.Error(), "-json emits") {
+			t.Errorf("leaksim %s: %v, want the tables' CSV/-v error", strings.Join(args, " "), err)
 		}
 	}
 }

@@ -84,7 +84,7 @@ func WithWarmStart() ClientOption {
 
 // WithResultStore backs the client with the persistent content-addressed
 // result store rooted at dir (created if needed): runs and sweep cells
-// whose canonical (scenario, defaulted params) key is already on disk are
+// whose canonical (scenario, resolved params) key is already on disk are
 // served from the store without recomputation, and fresh computes are
 // written through. The store is shared currency with the serve fabric —
 // the same directory, keys, and bytes — so results computed by a server

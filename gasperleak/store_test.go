@@ -25,7 +25,7 @@ func init() {
 // countedScenario is a cheap scenario that counts its invocations.
 func countedScenario(name string, runs *atomic.Int64) gasperleak.Scenario {
 	return engine.NewScenario(name, "counts invocations",
-		gasperleak.ScenarioParams{P0: 0.5, N: 10},
+		gasperleak.ScenarioParams{P0: 0.5, N: 10}, engine.FieldAll,
 		func(_ context.Context, p gasperleak.ScenarioParams) (gasperleak.ScenarioResult, error) {
 			runs.Add(1)
 			return gasperleak.ScenarioResult{

@@ -33,7 +33,7 @@ func BenchmarkBounceMCEpochValidator(b *testing.B) {
 // (two full-horizon runs per op).
 func BenchmarkScenario523Corner(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Scenario523Corner(context.Background(), 0.5, 0.25, types.Epoch(200)); err != nil {
+		if _, err := Scenario523Corner(context.Background(), probe523, types.Epoch(200)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,53 +176,9 @@ func TestBounceMCDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestScenarioSummaries: 5.1 conflicts one epoch after each model's
-// ejection, and the scenarios order and cross as the paper says.
-func TestScenarioSummaries(t *testing.T) {
-	ctx := context.Background()
-	s1, err := Scenario51(ctx, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := analytic.PaperParams().EjectionEpoch + 1; s1.AnalyticEpoch != want {
-		t.Errorf("scenario 5.1 analytic epoch = %v, want %v", s1.AnalyticEpoch, want)
-	}
-	if want := types.Epoch(math.Ceil(analytic.ContinuousParams().EjectionEpoch)) + 1; s1.SimEpoch != want {
-		t.Errorf("scenario 5.1 sim epoch = %v, want %v (endogenous ejection + 1)", s1.SimEpoch, want)
-	}
-
-	s21, err := Scenario521(ctx, 0.5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s21.SimEpoch == 0 || s21.SimEpoch >= s1.SimEpoch {
-		t.Errorf("scenario 5.2.1 sim epoch = %d, want a conflict before 5.1's %d", s21.SimEpoch, s1.SimEpoch)
-	}
-
-	s22, err := Scenario522(ctx, 0.5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s22.SimEpoch <= s21.SimEpoch {
-		t.Error("semi-active conflict must be slower than double-vote conflict")
-	}
-
-	s23, err := Scenario523(ctx, 0.5, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s23.CrossedOneThird || s23.PeakByzProportion <= 1.0/3.0 {
-		t.Errorf("scenario 5.2.3 must cross 1/3: %+v", s23)
-	}
-
-	s3, err := Scenario53(ctx, 0.5, 1.0/3.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s3.MCProb-s3.AnalyticProb) > 0.1 {
-		t.Errorf("scenario 5.3 MC probability = %v, Equation 24 %v at beta0=1/3", s3.MCProb, s3.AnalyticProb)
-	}
-}
+// probe523 is Scenario 5.2.3 at paper scale: semi-active Byzantine
+// validators delaying finalization.
+var probe523 = LeakSim{N: 10000, P0: 0.5, Beta0: 0.25, Mode: ByzSemiActive, DelayFinalization: true}
 
 // TestScenario523Corner pins the footnote 12 corner case: under the
 // production-spec residual-penalty rule, Byzantine validators can finalize
@@ -234,21 +190,22 @@ func TestScenarioSummaries(t *testing.T) {
 // entirely.
 func TestScenario523Corner(t *testing.T) {
 	ctx := context.Background()
-	plain, err := Scenario523(ctx, 0.5, 0.25)
+	plain, err := probe523.Run(9000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plainPeak, _ := plain.Peak()
 	for _, lead := range []types.Epoch{50, 500} {
-		s, err := Scenario523Corner(ctx, 0.5, 0.25, lead)
+		s, err := Scenario523Corner(ctx, probe523, lead)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !s.CrossedOneThird {
 			t.Errorf("lead %d: corner case must still cross 1/3 (peak %v)", lead, s.PeakByzProportion)
 		}
-		if s.PeakByzProportion < plain.PeakByzProportion-1e-9 {
+		if s.PeakByzProportion < plainPeak-1e-9 {
 			t.Errorf("lead %d: corner peak %v must not fall below plain 5.2.3 peak %v",
-				lead, s.PeakByzProportion, plain.PeakByzProportion)
+				lead, s.PeakByzProportion, plainPeak)
 		}
 	}
 
@@ -268,7 +225,7 @@ func TestScenario523Corner(t *testing.T) {
 	}
 
 	// Degenerate lead rejected.
-	if _, err := Scenario523Corner(ctx, 0.5, 0.25, 99999); err == nil {
+	if _, err := Scenario523Corner(ctx, probe523, 99999); err == nil {
 		t.Error("lead beyond the ejection epoch must error")
 	}
 }
@@ -292,31 +249,5 @@ func TestResidualPenaltiesSpec(t *testing.T) {
 	if a.A.ThresholdEpoch != b.A.ThresholdEpoch {
 		t.Errorf("residual penalties changed in-leak behavior: %d vs %d",
 			a.A.ThresholdEpoch, b.A.ThresholdEpoch)
-	}
-}
-
-// TestTable1: the five Table 1 rows, in the paper's order, each run at the
-// table's parameters and carrying the table's outcome line.
-func TestTable1(t *testing.T) {
-	ctx := context.Background()
-	rows := []struct {
-		id      string
-		outcome string
-		run     func() (Summary, error)
-	}{
-		{"5.1", "2 finalized branches", func() (Summary, error) { return Scenario51(ctx, 0.5) }},
-		{"5.2.1", "2 finalized branches", func() (Summary, error) { return Scenario521(ctx, 0.5, 0.2) }},
-		{"5.2.2", "2 finalized branches", func() (Summary, error) { return Scenario522(ctx, 0.5, 0.2) }},
-		{"5.2.3", "beta > 1/3", func() (Summary, error) { return Scenario523(ctx, 0.5, 0.25) }},
-		{"5.3", "beta > 1/3 probably", func() (Summary, error) { return Scenario53(ctx, 0.5, 0.33, 1) }},
-	}
-	for _, r := range rows {
-		s, err := r.run()
-		if err != nil {
-			t.Fatalf("row %s: %v", r.id, err)
-		}
-		if s.Outcome != r.outcome {
-			t.Errorf("row %s: outcome %q, want %q", r.id, s.Outcome, r.outcome)
-		}
 	}
 }

@@ -180,6 +180,15 @@ type Result struct {
 	CrossedOneThird bool
 }
 
+// Peak is the larger of the two branches' peak Byzantine proportions and
+// the epoch it occurred (branch A's on a tie).
+func (r Result) Peak() (float64, types.Epoch) {
+	if r.B.PeakByzProportion > r.A.PeakByzProportion {
+		return r.B.PeakByzProportion, r.B.PeakByzEpoch
+	}
+	return r.A.PeakByzProportion, r.A.PeakByzEpoch
+}
+
 // branch holds one branch's cohorts. Honest "active" validators on a branch
 // are the "inactive" ones of the other branch.
 type branch struct {

@@ -34,95 +34,6 @@ type Summary struct {
 	RefEpoch             types.Epoch
 }
 
-// defaultHorizon bounds full-scale scenario runs; the paper's slowest
-// outcome lands at 4686, and semi-active ejection at 7653.
-const defaultHorizon = 9000
-
-// scenarioN is the validator-set size used by the aggregate runs; results
-// are proportion-driven, so any reasonably large N reproduces the paper.
-const scenarioN = 10000
-
-// Scenario51 runs the honest-only partition scenario at paper scale.
-func Scenario51(ctx context.Context, p0 float64) (Summary, error) {
-	params := analytic.PaperParams()
-	bc, err := params.ConflictingFinalization(analytic.HonestOnly, p0, 0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.1: %w", err)
-	}
-	sim := LeakSim{N: scenarioN, P0: p0, Mode: ByzAbsent}
-	res, err := sim.RunContext(ctx, defaultHorizon, 0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.1: %w", err)
-	}
-	return Summary{
-		Outcome:       "2 finalized branches",
-		AnalyticEpoch: bc.ConflictEpoch,
-		SimEpoch:      res.ConflictEpoch,
-	}, nil
-}
-
-// Scenario521 runs the slashable double-voting scenario at paper scale.
-func Scenario521(ctx context.Context, p0, beta0 float64) (Summary, error) {
-	params := analytic.PaperParams()
-	bc, err := params.ConflictingFinalization(analytic.WithSlashing, p0, beta0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.2.1: %w", err)
-	}
-	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzDoubleVote}
-	res, err := sim.RunContext(ctx, defaultHorizon, 0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.2.1: %w", err)
-	}
-	return Summary{
-		Outcome:       "2 finalized branches",
-		AnalyticEpoch: bc.ConflictEpoch,
-		SimEpoch:      res.ConflictEpoch,
-	}, nil
-}
-
-// Scenario522 runs the non-slashable semi-active scenario at paper scale.
-func Scenario522(ctx context.Context, p0, beta0 float64) (Summary, error) {
-	params := analytic.PaperParams()
-	bc, err := params.ConflictingFinalization(analytic.WithoutSlashing, p0, beta0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.2.2: %w", err)
-	}
-	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive}
-	res, err := sim.RunContext(ctx, defaultHorizon, 0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.2.2: %w", err)
-	}
-	return Summary{
-		Outcome:       "2 finalized branches",
-		AnalyticEpoch: bc.ConflictEpoch,
-		SimEpoch:      res.ConflictEpoch,
-	}, nil
-}
-
-// Scenario523 runs the over-one-third scenario at paper scale: semi-active
-// Byzantine validators delay finalization until the honest inactive
-// validators are ejected.
-func Scenario523(ctx context.Context, p0, beta0 float64) (Summary, error) {
-	params := analytic.PaperParams()
-	sim := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive, DelayFinalization: true}
-	res, err := sim.RunContext(ctx, defaultHorizon, 0)
-	if err != nil {
-		return Summary{}, fmt.Errorf("core: scenario 5.2.3: %w", err)
-	}
-	peak := res.A.PeakByzProportion
-	epoch := res.A.PeakByzEpoch
-	if res.B.PeakByzProportion > peak {
-		peak, epoch = res.B.PeakByzProportion, res.B.PeakByzEpoch
-	}
-	return Summary{
-		Outcome:           "beta > 1/3",
-		AnalyticEpoch:     params.EjectionEpoch,
-		SimEpoch:          epoch,
-		PeakByzProportion: peak,
-		CrossedOneThird:   res.CrossedOneThird,
-	}, nil
-}
-
 // Scenario523Corner runs the paper's footnote 12 corner case under the
 // production-spec residual-penalty rule: the Byzantine validators finalize
 // `lead` epochs BEFORE the honest inactive validators would be ejected.
@@ -131,10 +42,13 @@ func Scenario523(ctx context.Context, p0, beta0 float64) (Summary, error) {
 // anyway, while the semi-active Byzantine validators' much smaller scores
 // cost them little — "Byzantine validators could potentially eject honest
 // inactive participants while incurring fewer penalties themselves".
-func Scenario523Corner(ctx context.Context, p0, beta0 float64, lead types.Epoch) (Summary, error) {
-	// First find the ejection epoch under the plain 5.2.3 run.
-	probe := LeakSim{N: scenarioN, P0: p0, Beta0: beta0, Mode: ByzSemiActive, DelayFinalization: true}
-	probeRes, err := probe.RunContext(ctx, defaultHorizon, 0)
+//
+// probe is the plain Scenario 5.2.3 run (semi-active, delaying
+// finalization), which finds the ejection epoch.
+func Scenario523Corner(ctx context.Context, probe LeakSim, lead types.Epoch) (Summary, error) {
+	// Both runs last long enough for the semi-active ejection at 7653.
+	const horizon = 9000
+	probeRes, err := probe.RunContext(ctx, horizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.3 corner probe: %w", err)
 	}
@@ -143,22 +57,15 @@ func Scenario523Corner(ctx context.Context, p0, beta0 float64, lead types.Epoch)
 		return Summary{}, fmt.Errorf("%w: no ejection within horizon (lead %d)", ErrBadParams, lead)
 	}
 
-	spec := types.DefaultSpec()
-	spec.ResidualPenalties = true
-	sim := LeakSim{
-		Spec: spec, N: scenarioN, P0: p0, Beta0: beta0,
-		Mode: ByzSemiActive, DelayFinalization: true,
-		EndLeakAtEpoch: ejection - lead,
-	}
-	res, err := sim.RunContext(ctx, defaultHorizon, 0)
+	sim := probe
+	sim.Spec = types.DefaultSpec()
+	sim.Spec.ResidualPenalties = true
+	sim.EndLeakAtEpoch = ejection - lead
+	res, err := sim.RunContext(ctx, horizon, 0)
 	if err != nil {
 		return Summary{}, fmt.Errorf("core: scenario 5.2.3 corner: %w", err)
 	}
-	peak := res.A.PeakByzProportion
-	epoch := res.A.PeakByzEpoch
-	if res.B.PeakByzProportion > peak {
-		peak, epoch = res.B.PeakByzProportion, res.B.PeakByzEpoch
-	}
+	peak, epoch := res.Peak()
 	return Summary{
 		Outcome:           "inactive ejected post-finalization",
 		AnalyticEpoch:     float64(ejection),

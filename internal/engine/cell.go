@@ -14,9 +14,9 @@ import (
 // RunCell executes one cell. It is the one way a cell runs — every job of
 // a sweep, RunCheckpointed, Registry.RunContext, gasperleak.Client.Run and
 // the server's /run all come through here — and so the one place that
-// resolves the scenario and defaults the params, picks the deepest start
-// available, runs, and stamps the result with scenario, effective params
-// and wall-clock duration. The starts, deepest first: the finished result
+// resolves the cell (resolve), picks the deepest start available, runs,
+// and stamps the result with scenario, resolved params and wall-clock
+// duration. The starts, deepest first: the finished result
 // in opt.Results (returned stamped Cached, nothing run), a prefix the
 // caller already holds in memory (the sweep scheduler's snapshot tree), the
 // cell's durable checkpoint in opt.Checkpoint (checkpointable scenarios
@@ -216,12 +216,11 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 	if reg == nil {
 		reg = Default
 	}
-	sc, ok := reg.Lookup(cell.Scenario)
+	sc, p, ok := resolve(reg, cell)
 	if !ok {
 		err := reg.unknown(cell.Scenario)
 		return FailedCell(reg, cell, err), err
 	}
-	p := cell.Params.WithDefaults(sc.Defaults())
 	if p.Horizon < 0 {
 		// The engines count epochs unsigned: a negative horizon would wrap
 		// to a run of ~2^64 epochs.
@@ -269,15 +268,9 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 }
 
 // FailedCell is the Result of a cell that could not run to completion:
-// scenario, the params defaulted when the scenario resolves (so the record
+// scenario, the params resolved when the scenario does (so the record
 // documents the run it attempted), and Err. A nil registry is Default.
 func FailedCell(reg *Registry, cell Cell, err error) Result {
-	if reg == nil {
-		reg = Default
-	}
-	p := cell.Params
-	if sc, ok := reg.Lookup(cell.Scenario); ok {
-		p = p.WithDefaults(sc.Defaults())
-	}
+	_, p, _ := resolve(reg, cell)
 	return Result{Scenario: cell.Scenario, Params: p, Err: err.Error()}
 }

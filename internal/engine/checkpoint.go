@@ -86,21 +86,18 @@ type CheckpointableScenario interface {
 // checkpointable, invalid params, degenerate branch) and nothing ran — the
 // caller then runs its plain path.
 func RunCheckpointed(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions) (res Result, handled bool, err error) {
-	if reg == nil {
-		reg = Default
-	}
-	sc, ok := reg.Lookup(cell.Scenario)
+	sc, p, ok := resolve(reg, cell)
 	if !ok {
 		return Result{}, false, nil
 	}
-	if _, _, ok := checkpointable(sc, cell.Params.WithDefaults(sc.Defaults()), ck); !ok {
+	if _, _, ok := checkpointable(sc, p, ck); !ok {
 		return Result{}, false, nil
 	}
 	res, err = RunCell(ctx, cell, Options{Registry: reg, Checkpoint: ck})
 	return res, true, err
 }
 
-// checkpointable reports whether a cell (params defaulted) runs under the
+// checkpointable reports whether a cell (params resolved) runs under the
 // durable-checkpoint policy, and its branch epoch when it does. Without a
 // store the scenario is not even asked to Fork.
 func checkpointable(sc Scenario, p Params, ck *CheckpointOptions) (cs CheckpointableScenario, branch int, ok bool) {

@@ -36,7 +36,8 @@ type CurvePoint struct {
 type Result struct {
 	// Scenario is the registry name that produced the result.
 	Scenario string `json:"scenario"`
-	// Params are the fully-defaulted parameters of the run.
+	// Params are the resolved parameters of the run: defaulted, with every
+	// dimension the scenario does not read zeroed.
 	Params Params `json:"params"`
 	// Outcome is the paper's qualitative outcome line, when one applies.
 	Outcome string `json:"outcome,omitempty"`
@@ -171,9 +172,14 @@ type Scenario interface {
 	Description() string
 	// Defaults are the parameters of the canonical (paper) run.
 	Defaults() Params
-	// Run executes the scenario. Params arrive fully defaulted when the
-	// call goes through a Registry. Cancellation is cooperative: a long
-	// run observes ctx inside its own loops and returns its error.
+	// reads is the mask of the Params dimensions Run reads, declared
+	// beside Defaults (NewScenario, simRow, paperRow); resolve zeroes
+	// every other one.
+	reads() Field
+	// Run executes the scenario. Params arrive resolved (defaulted, every
+	// dimension the scenario does not read zeroed) when the call goes
+	// through a Registry. Cancellation is cooperative: a long run observes
+	// ctx inside its own loops and returns its error.
 	Run(ctx context.Context, p Params) (Result, error)
 }
 
@@ -181,19 +187,42 @@ type Scenario interface {
 type funcScenario struct {
 	name, desc string
 	defaults   Params
+	dims       Field
 	run        func(context.Context, Params) (Result, error)
 }
 
 func (s funcScenario) Name() string        { return s.name }
 func (s funcScenario) Description() string { return s.desc }
 func (s funcScenario) Defaults() Params    { return s.defaults }
+func (s funcScenario) reads() Field        { return s.dims }
 func (s funcScenario) Run(ctx context.Context, p Params) (Result, error) {
 	return s.run(ctx, p)
 }
 
-// NewScenario builds a Scenario from a function.
-func NewScenario(name, desc string, defaults Params, run func(context.Context, Params) (Result, error)) Scenario {
-	return funcScenario{name: name, desc: desc, defaults: defaults, run: run}
+// NewScenario builds a Scenario from a function. reads declares the Params
+// dimensions run reads: a Registry zeroes every other one before run sees
+// the params (resolve), so an ignored value is stamped 0 on the result and
+// never makes a cell key of its own.
+func NewScenario(name, desc string, defaults Params, reads Field, run func(context.Context, Params) (Result, error)) Scenario {
+	return funcScenario{name: name, desc: desc, defaults: defaults, dims: reads, run: run}
+}
+
+// resolve is the one door from a cell to the run it names: the scenario,
+// and the cell's params defaulted from it with every dimension it does not
+// read zeroed. The mask stays FieldAll, so a result's params still print
+// all nine keys. The cell's key (CanonicalCellKey), its run (runCell), its
+// prefix group (PrefixGroups), the checkpoint policy (RunCheckpointed) and
+// its failure record (FailedCell) all see this one canonical cell. ok =
+// false means the registry (nil = Default) does not hold the scenario; p is
+// then the cell's own params.
+func resolve(reg *Registry, cell Cell) (sc Scenario, p Params, ok bool) {
+	if reg == nil {
+		reg = Default
+	}
+	if sc, ok = reg.Lookup(cell.Scenario); !ok {
+		return nil, cell.Params, false
+	}
+	return sc, cell.Params.resolved(sc.Defaults(), sc.reads()), true
 }
 
 // Registry is a named set of scenarios. The zero value is not usable;
@@ -243,8 +272,8 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// RunContext looks the scenario up, applies its defaults to p, executes it,
-// and stamps the result with the scenario name and effective parameters —
+// RunContext resolves the cell (resolve), executes it, and stamps the
+// result with the scenario name and its resolved parameters —
 // one cell through the cell executor, with no result tier and no
 // checkpoints. A cancelled context stops the run before it starts; after
 // that, cancellation is the scenario's to observe (Scenario.Run). On error

@@ -10,7 +10,7 @@ import (
 
 func TestRegistryRegisterAndLookup(t *testing.T) {
 	r := NewRegistry()
-	s := NewScenario("demo", "a demo", Params{P0: 0.5}, func(_ context.Context, p Params) (Result, error) {
+	s := NewScenario("demo", "a demo", Params{P0: 0.5}, FieldAll, func(_ context.Context, p Params) (Result, error) {
 		return Result{Metrics: []Metric{{Name: "p0_echo", Value: p.P0}}}, nil
 	})
 	if err := r.Register(s); err != nil {
@@ -29,7 +29,7 @@ func TestRegistryRegisterAndLookup(t *testing.T) {
 
 func TestRegistryRunAppliesDefaults(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(NewScenario("demo", "a demo", Params{P0: 0.5, N: 100}, func(_ context.Context, p Params) (Result, error) {
+	r.MustRegister(NewScenario("demo", "a demo", Params{P0: 0.5, N: 100}, FieldAll, func(_ context.Context, p Params) (Result, error) {
 		return Result{Metrics: []Metric{
 			{Name: "p0_echo", Value: p.P0},
 			{Name: "n_echo", Value: float64(p.N)},

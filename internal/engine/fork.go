@@ -61,7 +61,7 @@ type Prefix struct {
 // reads it.
 //
 // The contract every implementation must honor, and the warm-vs-cold
-// equivalence suite pins: for any fully-defaulted params p with
+// equivalence suite pins: for any resolved params p with
 // Fork(p) = (key, branch, true),
 //
 //	Run(ctx, p)  ==  ResumeFrom(ctx, RunTo(ctx, p, nil, branch), p)

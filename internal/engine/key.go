@@ -6,14 +6,14 @@ import (
 	"strings"
 )
 
-// CellKey canonicalizes a scenario name and its fully-defaulted params into
-// the canonical result key every caching tier shares: the server's
-// in-memory LRU, the persistent content-addressed store (internal/store),
-// and the client-side read-through all key by exactly this string, so a
-// result computed anywhere is a hit everywhere. Params must already be
-// defaulted (Registry semantics): two requests that resolve to the same
-// effective run map to the same key even when one spells the defaults out
-// and the other omits them.
+// CellKey canonicalizes a scenario name and its resolved params into the
+// canonical result key every caching tier shares: the server's in-memory
+// LRU, the persistent content-addressed store (internal/store), and the
+// client-side read-through all key by exactly this string, so a result
+// computed anywhere is a hit everywhere. Params must already be resolved
+// (CanonicalCellKey): two requests that resolve to the same effective run
+// map to the same key even when one spells the defaults out and the other
+// omits them, or sets a dimension the scenario does not read.
 //
 // The key is derived by reflection over Params rather than a handwritten
 // format string, so a future Params field is part of the key the moment it
@@ -56,17 +56,14 @@ var keyFields = func() (fields []reflect.StructField) {
 	return fields
 }()
 
-// CanonicalCellKey resolves a cell's canonical result key against a
-// registry, defaulting the params from the scenario. ok = false means the
-// scenario is unknown, so its defaults cannot be applied and no canonical
-// key exists.
+// CanonicalCellKey is the canonical result key of a cell resolved against
+// a registry (resolve): a dimension its scenario does not read never
+// distinguishes two keys. ok = false means the scenario is unknown, so its
+// defaults cannot be applied and no canonical key exists.
 func CanonicalCellKey(reg *Registry, c Cell) (string, bool) {
-	if reg == nil {
-		reg = Default
-	}
-	sc, ok := reg.Lookup(c.Scenario)
+	_, p, ok := resolve(reg, c)
 	if !ok {
 		return "", false
 	}
-	return CellKey(c.Scenario, c.Params.WithDefaults(sc.Defaults())), true
+	return CellKey(c.Scenario, p), true
 }

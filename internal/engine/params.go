@@ -406,17 +406,25 @@ func DecodeParams(data []byte) (Params, error) {
 // specified record, so its mask is FieldAll: every field — explicit
 // zeros included — survives serialization, and fully defaulted Params
 // compare equal regardless of how their zeros were originally spelled.
-func (p Params) WithDefaults(d Params) Params {
+func (p Params) WithDefaults(d Params) Params { return p.resolved(d, FieldAll) }
+
+// resolved is WithDefaults over the dimensions in reads, with every other
+// dimension zeroed in the same pass; resolve hands a scenario its params
+// through it.
+func (p Params) resolved(d Params, reads Field) Params {
 	v, dv := reflect.ValueOf(&p).Elem(), reflect.ValueOf(&d).Elem()
 	for _, d := range paramDims {
-		if !p.unset(&d, v) {
+		read := reads&d.field != 0
+		if read && !p.unset(&d, v) {
 			continue
 		}
 		// Set by kind: Value.Set would move both records to the heap.
-		switch f, def := v.Field(d.pi), dv.Field(d.pi); f.Kind() {
-		case reflect.Float64:
+		switch f, def := v.Field(d.pi), dv.Field(d.pi); {
+		case !read:
+			f.SetZero()
+		case f.Kind() == reflect.Float64:
 			f.SetFloat(def.Float())
-		case reflect.String:
+		case f.Kind() == reflect.String:
 			f.SetString(def.String())
 		default:
 			f.SetInt(def.Int())

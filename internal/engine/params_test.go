@@ -17,7 +17,7 @@ func defaultsProbe(t *testing.T) (*Registry, Params) {
 	t.Helper()
 	defaults := Params{P0: 0.5, Beta0: 0.25, Mode: "m", Seed: 9, N: 100, Horizon: 10, Rate: 0.4, GST: 7}
 	reg := NewRegistry()
-	reg.MustRegister(NewScenario("probe", "echoes effective params", defaults,
+	reg.MustRegister(NewScenario("probe", "echoes effective params", defaults, FieldAll,
 		func(_ context.Context, p Params) (Result, error) {
 			return Result{Metrics: []Metric{
 				{Name: "rate", Value: p.Rate},

@@ -30,44 +30,20 @@ const (
 )
 
 func init() {
-	Default.MustRegister(NewScenario(ScenarioPartition,
-		"All honest, lasting partition",
-		Params{P0: 0.5},
-		func(ctx context.Context, p Params) (Result, error) {
-			s, err := core.Scenario51(ctx, p.P0)
-			return summaryResult(s), err
-		}))
-	Default.MustRegister(NewScenario(ScenarioDoubleVote,
-		"Byzantine double vote (slashable)",
-		Params{P0: 0.5, Beta0: 0.2},
-		func(ctx context.Context, p Params) (Result, error) {
-			s, err := core.Scenario521(ctx, p.P0, p.Beta0)
-			return summaryResult(s), err
-		}))
-	Default.MustRegister(NewScenario(ScenarioSemiActive,
-		"Byzantine semi-active (non-slashable)",
-		Params{P0: 0.5, Beta0: 0.2},
-		func(ctx context.Context, p Params) (Result, error) {
-			s, err := core.Scenario522(ctx, p.P0, p.Beta0)
-			return summaryResult(s), err
-		}))
-	Default.MustRegister(NewScenario(ScenarioDelay,
-		"Byzantine delay finalization",
-		Params{P0: 0.5, Beta0: 0.25},
-		func(ctx context.Context, p Params) (Result, error) {
-			s, err := core.Scenario523(ctx, p.P0, p.Beta0)
-			return summaryResult(s), err
-		}))
+	for i := range paperRows {
+		r := &paperRows[i]
+		Default.MustRegister(NewScenario(r.name, r.desc, r.defaults, r.reads, r.run))
+	}
 	Default.MustRegister(NewScenario(ScenarioDelayCorner,
 		"Finalize just before ejection (fn. 12; horizon = lead epochs before ejection, not a run bound)",
-		Params{P0: 0.5, Beta0: 0.25, Horizon: 200},
+		Params{P0: 0.5, Beta0: 0.25, Horizon: 200}, FieldP0|FieldBeta0|FieldHorizon,
 		func(ctx context.Context, p Params) (Result, error) {
-			s, err := core.Scenario523Corner(ctx, p.P0, p.Beta0, types.Epoch(p.Horizon))
+			s, err := core.Scenario523Corner(ctx, delayRow.leakSim(p), types.Epoch(p.Horizon))
 			return summaryResult(s), err
 		}))
 	Default.MustRegister(NewScenario(ScenarioBounce,
 		"Probabilistic bouncing attack",
-		Params{P0: 0.5, Beta0: 0.33, Seed: 1},
+		Params{P0: 0.5, Beta0: 0.33, Seed: 1}, FieldP0|FieldBeta0|FieldSeed,
 		func(ctx context.Context, p Params) (Result, error) {
 			s, err := core.Scenario53(ctx, p.P0, p.Beta0, p.Seed)
 			return Result{Outcome: s.Outcome, Metrics: []Metric{
@@ -81,28 +57,102 @@ func init() {
 	Default.MustRegister(NewScenario(ScenarioLeakSim,
 		"Aggregate two-branch leak simulation (mode: absent, absent-delay, double, semi, semi-delay)",
 		Params{P0: 0.5, Mode: "absent", N: 10000, Horizon: 9000},
-		runLeakSim))
+		FieldP0|FieldBeta0|FieldMode|FieldN|FieldHorizon|FieldSample, runLeakSim))
 	Default.MustRegister(NewScenario(ScenarioBounceMC,
 		"Per-validator bouncing-attack Monte-Carlo (one trajectory per seed)",
 		Params{P0: 0.5, Beta0: 1.0 / 3.0, Seed: 1, N: 500, Horizon: 4000},
-		runBounceMC))
+		FieldP0|FieldBeta0|FieldSeed|FieldN|FieldHorizon|FieldSample, runBounceMC))
 	Default.MustRegister(NewScenario(ScenarioFig7Search,
 		"Bisection for the minimal beta0 crossing 1/3 on both branches (Figure 7)",
 		Params{P0: 0.5, N: 10000, Horizon: 9000},
-		runFig7Search))
+		FieldP0|FieldN|FieldHorizon, runFig7Search))
 
 	Default.MustRegister(NewScenario(ScenarioAnalyticConflict,
 		"Continuous-model conflicting finalization (mode: honest, slashing, semi)",
 		Params{P0: 0.5, Mode: "honest"},
-		runAnalyticConflict))
+		FieldP0|FieldBeta0|FieldMode, runAnalyticConflict))
 	Default.MustRegister(NewScenario(ScenarioAnalyticBounce,
 		"Equation 24 bouncing probability and the Equation 14 window",
 		Params{P0: 0.5, Beta0: 1.0 / 3.0, Horizon: 4000},
-		runAnalyticBounce))
+		FieldP0|FieldBeta0|FieldHorizon, runAnalyticBounce))
 	Default.MustRegister(NewScenario(ScenarioAnalyticThreshold,
 		"Equation 13 minimal beta0 reaching 1/3 (mode: paper, continuous)",
 		Params{P0: 0.5, Mode: "paper"},
-		runAnalyticThreshold))
+		FieldP0|FieldMode, runAnalyticThreshold))
+}
+
+// paperRow declares one of Table 1's aggregate scenarios as data: one
+// LeakSim strategy at paper scale (paperN validators, paperHorizon epochs)
+// set beside its continuous-model anchor. run executes every row.
+type paperRow struct {
+	name, desc string
+	defaults   Params
+	// reads declares the dimensions the row reads (NewScenario).
+	reads Field
+	mode  core.ByzMode
+	// delay has the Byzantine validators delay finalization until the
+	// honest inactive validators are ejected: the row then conflicts
+	// nowhere, is set beside the ejection epoch instead of anchor, and
+	// reports the epoch and size of the Byzantine peak.
+	delay bool
+	// anchor is the behaviour whose conflicting-finalization epoch the
+	// row's conflict epoch is set beside.
+	anchor  analytic.Behavior
+	outcome string
+}
+
+// paperN and paperHorizon scale the Table 1 rows: results are
+// proportion-driven, so any reasonably large N reproduces the paper, and
+// the slowest outcome lands at 4686 (semi-active ejection at 7653).
+const paperN, paperHorizon = 10000, 9000
+
+// paperRows are Table 1's aggregate scenarios, 5.1 to 5.2.3.
+var paperRows = [...]paperRow{
+	{name: ScenarioPartition, desc: "All honest, lasting partition",
+		defaults: Params{P0: 0.5}, reads: FieldP0,
+		mode: core.ByzAbsent, anchor: analytic.HonestOnly, outcome: "2 finalized branches"},
+	{name: ScenarioDoubleVote, desc: "Byzantine double vote (slashable)",
+		defaults: Params{P0: 0.5, Beta0: 0.2}, reads: FieldP0 | FieldBeta0,
+		mode: core.ByzDoubleVote, anchor: analytic.WithSlashing, outcome: "2 finalized branches"},
+	{name: ScenarioSemiActive, desc: "Byzantine semi-active (non-slashable)",
+		defaults: Params{P0: 0.5, Beta0: 0.2}, reads: FieldP0 | FieldBeta0,
+		mode: core.ByzSemiActive, anchor: analytic.WithoutSlashing, outcome: "2 finalized branches"},
+	delayRow,
+}
+
+// delayRow is Scenario 5.2.3, whose run is also the corner case's probe
+// (5.2.3c).
+var delayRow = paperRow{name: ScenarioDelay, desc: "Byzantine delay finalization",
+	defaults: Params{P0: 0.5, Beta0: 0.25}, reads: FieldP0 | FieldBeta0,
+	mode: core.ByzSemiActive, delay: true, outcome: "beta > 1/3"}
+
+// leakSim is the row's LeakSim at p's split and Byzantine stake; p arrives
+// resolved, so a row that does not read beta0 (5.1, all honest) has none.
+func (r *paperRow) leakSim(p Params) core.LeakSim {
+	return core.LeakSim{N: paperN, P0: p.P0, Beta0: p.Beta0, Mode: r.mode, DelayFinalization: r.delay}
+}
+
+// run runs the row's LeakSim and sets its outcome beside the row's anchor.
+func (r *paperRow) run(ctx context.Context, p Params) (Result, error) {
+	paper := analytic.PaperParams()
+	s := core.Summary{Outcome: r.outcome, AnalyticEpoch: paper.EjectionEpoch}
+	if !r.delay {
+		bc, err := paper.ConflictingFinalization(r.anchor, p.P0, p.Beta0)
+		if err != nil {
+			return Result{}, fmt.Errorf("engine: scenario %s: %w", r.name, err)
+		}
+		s.AnalyticEpoch = bc.ConflictEpoch
+	}
+	res, err := r.leakSim(p).RunContext(ctx, paperHorizon, 0)
+	if err != nil {
+		return Result{}, fmt.Errorf("engine: scenario %s: %w", r.name, err)
+	}
+	s.SimEpoch = res.ConflictEpoch
+	if r.delay {
+		s.PeakByzProportion, s.SimEpoch = res.Peak()
+		s.CrossedOneThird = res.CrossedOneThird
+	}
+	return summaryResult(s), nil
 }
 
 // summaryResult converts a core scenario summary to a Result.

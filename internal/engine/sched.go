@@ -48,7 +48,7 @@ type branch struct {
 // Fork key, by branch epoch ascending.
 type group struct {
 	fs ForkableScenario
-	// params is the representative cell's defaulted params. RunTo
+	// params is the representative cell's resolved params. RunTo
 	// implementations derive the prefix from pre-branch dimensions only
 	// (the ForkableScenario contract), so any group member's params serve.
 	params   Params
@@ -72,7 +72,7 @@ type PrefixGroup struct {
 	// Cells indexes the sweep's cell slice, ascending.
 	Cells []int
 	// fs is the group's scenario, nil for a cell that cannot fork; params
-	// (defaulted) and branch run parallel to Cells.
+	// (resolved) and branch run parallel to Cells.
 	fs     ForkableScenario
 	params []Params
 	branch []int
@@ -85,19 +85,15 @@ type PrefixGroup struct {
 // (Options.Dispatch) hands that executor exactly the cells its scheduler
 // will plan as one group.
 func PrefixGroups(reg *Registry, cells []Cell) []PrefixGroup {
-	if reg == nil {
-		reg = Default
-	}
 	var groups []PrefixGroup
 	byKey := make(map[string]int) // scenario + Fork key -> index into groups
 	for i, c := range cells {
-		s, _ := reg.Lookup(c.Scenario)
+		s, p, _ := resolve(reg, c)
 		fs, ok := s.(ForkableScenario)
 		if !ok {
 			groups = append(groups, PrefixGroup{Cells: []int{i}}) // unknown scenarios surface their error cold
 			continue
 		}
-		p := c.Params.WithDefaults(s.Defaults())
 		key, branch, forkable := fs.Fork(p)
 		if !forkable || branch <= 0 {
 			groups = append(groups, PrefixGroup{Cells: []int{i}})

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -26,6 +25,7 @@ type simScenario struct {
 func (sc *simScenario) Name() string        { return sc.row.name }
 func (sc *simScenario) Description() string { return sc.row.desc }
 func (sc *simScenario) Defaults() Params    { return sc.row.defaults }
+func (sc *simScenario) reads() Field        { return sc.row.reads }
 
 func (sc *simScenario) Run(ctx context.Context, p Params) (Result, error) {
 	if err := sc.row.validate(p); err != nil {
@@ -34,15 +34,12 @@ func (sc *simScenario) Run(ctx context.Context, p Params) (Result, error) {
 	return sc.ResumeFrom(ctx, nil, p)
 }
 
-// Fork applies the row's branch rule. The prefix key canonically encodes
-// the parameter dimensions that shape the pre-branch epochs: horizon is
-// always excluded (it is the sweep depth, exactly what prefix sharing
-// amortizes) and gst is excluded when the row branches there; everything
-// else is included even when a scenario ignores it (rate for gst/leak,
-// mode everywhere) — including a no-op dimension only splits groups,
-// excluding a live one would corrupt results. Cells the cold path rejects,
-// and cells with nothing before the branch (gst=0 is the no-partition
-// baseline), do not fork.
+// Fork applies the row's branch rule. The prefix key is the CellKey of the
+// resolved params with the post-branch dimensions zeroed: horizon always
+// (it is the sweep depth, exactly what prefix sharing amortizes), and gst
+// when the row branches there. Cells the cold path rejects, and cells with
+// nothing before the branch (gst=0 is the no-partition baseline), do not
+// fork.
 func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 	if sc.row.validate(p) != nil {
 		return "", 0, false
@@ -54,12 +51,11 @@ func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 	if branch <= 0 {
 		return "", 0, false
 	}
-	key = fmt.Sprintf("p0=%v;beta0=%v;mode=%q;seed=%d;n=%d;sample=%d;rate=%v",
-		p.P0, p.Beta0, p.Mode, p.Seed, p.N, p.Sample, p.Rate)
-	if !sc.row.branchAtGST {
-		key += fmt.Sprintf(";gst=%d", p.GST)
+	p.Horizon = 0
+	if sc.row.branchAtGST {
+		p.GST = 0
 	}
-	return key, branch, true
+	return CellKey(sc.row.name, p), branch, true
 }
 
 func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {

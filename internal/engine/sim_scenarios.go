@@ -58,7 +58,7 @@ func init() {
 	Default.MustRegister(NewScenario(ScenarioSimBounce,
 		"Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
 		Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
-		runSimBounce))
+		simDims|FieldBeta0|FieldGST, runSimBounce))
 	// The one runner behind every row of simRows makes each forkable and
 	// checkpointable, so sweeps can fan their cells out from shared prefixes
 	// and long runs can resume.
@@ -209,6 +209,8 @@ func runSimBounce(ctx context.Context, p Params) (Result, error) {
 type simRow struct {
 	name, desc string
 	defaults   Params
+	// reads declares the dimensions the row reads (NewScenario).
+	reads Field
 	// validate rejects parameters the scenario cannot run.
 	validate func(p Params) error
 	// config describes the cell's own simulation (its real heal slot).
@@ -250,6 +252,10 @@ type simTrace interface {
 	walk(c *codec.Coder)
 }
 
+// simDims are the dimensions every protocol-simulator population reads: its
+// split, size, run length and seed.
+const simDims = FieldP0 | FieldN | FieldHorizon | FieldSeed
+
 // simRows is the table of forkable protocol-simulator scenarios. sim/drops
 // defaults rate to 0 (the lossless baseline) and sim/gst defaults gst to 0
 // (heal immediately); since defaulting is set-aware (Params.Explicit) a
@@ -260,6 +266,7 @@ var simRows = []simRow{
 		name:     ScenarioSimPartition,
 		desc:     "Full protocol simulator: partitioned network until a finality-safety violation",
 		defaults: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3},
+		reads:    simDims,
 		// Every cell is run: sim.New rejects the populations it cannot build.
 		validate: func(Params) error { return nil },
 		config:   partitionConfig,
@@ -270,6 +277,9 @@ var simRows = []simRow{
 		name:     ScenarioSimDrops,
 		desc:     "Full-protocol link-outage robustness: synchronous 8-partition population under drop rate (rate=0 is the lossless baseline)",
 		defaults: Params{P0: 0.5, N: 1000, Horizon: 10, Seed: 1},
+		// The eight-way population ignores p0, but every sim/drops result
+		// has always carried its default 0.5, so p0 stays declared.
+		reads:    simDims | FieldRate,
 		validate: validateSimDrops,
 		config:   simDropsConfig,
 		newTrace: func(Params) simTrace { return noTrace{} },
@@ -279,6 +289,7 @@ var simRows = []simRow{
 		name:     ScenarioSimGST,
 		desc:     "Full-protocol partition heal: 50/50 split healing at the gst epoch (gst=0 is the no-partition baseline)",
 		defaults: Params{P0: 0.5, N: 1000, Horizon: 16, Seed: 3},
+		reads:    simDims | FieldGST,
 		validate: func(p Params) error {
 			if p.GST < 0 {
 				return fmt.Errorf("engine: sim/gst wants gst >= 0, got %d", p.GST)
@@ -294,6 +305,7 @@ var simRows = []simRow{
 		name:     ScenarioSimLeak,
 		desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
 		defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
+		reads:    simDims | FieldSample,
 		validate: validateSimLeak,
 		config:   func(p Params) sim.Config { return leakPartitionConfig(p, nil) },
 		newTrace: func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
@@ -303,6 +315,7 @@ var simRows = []simRow{
 		name:     ScenarioSimSemiActive,
 		desc:     "Table 3 at full protocol: semi-active Byzantine validators accelerate the leak and finalize both branches (full spec)",
 		defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
+		reads:    simDims | FieldBeta0 | FieldSample,
 		validate: validateSimSemiActive,
 		config:   func(p Params) sim.Config { return leakPartitionConfig(p, semiActiveByz(p)) },
 		newTrace: func(p Params) simTrace {

@@ -16,7 +16,7 @@ import (
 func streamRegistry(perCell time.Duration) *Registry {
 	reg := NewRegistry()
 	reg.MustRegister(NewScenario("slow", "cancellable test scenario",
-		Params{P0: 0.5},
+		Params{P0: 0.5}, FieldAll,
 		func(ctx context.Context, p Params) (Result, error) {
 			select {
 			case <-ctx.Done():
@@ -169,9 +169,9 @@ func TestSweepContextPreCancelled(t *testing.T) {
 // and a scenario that observes the context returns its error.
 func TestRegistryRunContext(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(NewScenario("oblivious", "ignores ctx", Params{},
+	reg.MustRegister(NewScenario("oblivious", "ignores ctx", Params{}, FieldAll,
 		func(context.Context, Params) (Result, error) { return Result{Outcome: "ran"}, nil }))
-	reg.MustRegister(NewScenario("aware", "ctx", Params{},
+	reg.MustRegister(NewScenario("aware", "ctx", Params{}, FieldAll,
 		func(ctx context.Context, p Params) (Result, error) {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("observed: %w", err)

@@ -57,6 +57,7 @@ func (s *countingScenario) Defaults() Params {
 	s.defaults.Add(1)
 	return Params{N: 1}
 }
+func (s *countingScenario) reads() Field { return FieldAll }
 func (s *countingScenario) Run(_ context.Context, p Params) (Result, error) {
 	if p.N < 0 {
 		return Result{}, errors.New("negative n")

@@ -157,7 +157,7 @@ func TestTables(t *testing.T) {
 func TestTable1ReadsTheCallersRegistry(t *testing.T) {
 	reg := engine.NewRegistry()
 	for _, c := range engine.Table1Cells(1) {
-		reg.MustRegister(engine.NewScenario(c.Scenario, "renamed "+c.Scenario, engine.Params{},
+		reg.MustRegister(engine.NewScenario(c.Scenario, "renamed "+c.Scenario, engine.Params{}, engine.FieldAll,
 			func(context.Context, engine.Params) (engine.Result, error) { return engine.Result{}, nil }))
 	}
 	tbl, err := Table1(context.Background(), 1, engine.Options{Registry: reg})

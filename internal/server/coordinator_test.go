@@ -351,7 +351,7 @@ func TestQueueFullRejects(t *testing.T) {
 	release := make(chan struct{})
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("gate", "blocks until released",
-		engine.Params{P0: 0.5},
+		engine.Params{P0: 0.5}, engine.FieldAll,
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			started <- struct{}{}
 			select {
@@ -527,7 +527,7 @@ func TestCoordinatorWarmSweepSharesPrefix(t *testing.T) {
 func gateRegistry(runs *atomic.Int64, started chan<- struct{}, release <-chan struct{}) *engine.Registry {
 	reg := countedRegistry(runs)
 	reg.MustRegister(engine.NewScenario("gate", "blocks until released",
-		engine.Params{P0: 0.5},
+		engine.Params{P0: 0.5}, engine.FieldAll,
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			started <- struct{}{}
 			select {

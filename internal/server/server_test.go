@@ -230,7 +230,7 @@ func TestSweepCacheSkipsRecomputation(t *testing.T) {
 	var runs atomic.Int64
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("counted", "counts invocations",
-		engine.Params{P0: 0.5},
+		engine.Params{P0: 0.5}, engine.FieldAll,
 		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
 			return engine.Result{Metrics: []engine.Metric{{Name: "seed", Value: float64(p.Seed)}}}, nil
@@ -334,7 +334,7 @@ func TestSweepClientDisconnect(t *testing.T) {
 	var runs atomic.Int64
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("slow", "cancellable",
-		engine.Params{P0: 0.5},
+		engine.Params{P0: 0.5}, engine.FieldAll,
 		func(ctx context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
 			select {
@@ -391,7 +391,7 @@ func TestSweepClientDisconnect(t *testing.T) {
 func TestRunEndpointKeepsExplicitZeroParams(t *testing.T) {
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("echo", "echoes the effective rate/gst",
-		engine.Params{P0: 0.5, Rate: 0.4, GST: 7},
+		engine.Params{P0: 0.5, Rate: 0.4, GST: 7}, engine.FieldAll,
 		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			return engine.Result{Metrics: []engine.Metric{
 				{Name: "rate", Value: p.Rate},

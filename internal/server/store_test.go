@@ -20,7 +20,7 @@ import (
 func countedRegistry(runs *atomic.Int64) *engine.Registry {
 	reg := engine.NewRegistry()
 	reg.MustRegister(engine.NewScenario("counted", "counts invocations",
-		engine.Params{P0: 0.5, N: 10},
+		engine.Params{P0: 0.5, N: 10}, engine.FieldAll,
 		func(_ context.Context, p engine.Params) (engine.Result, error) {
 			runs.Add(1)
 			return engine.Result{

@@ -1,6 +1,6 @@
 // Package store is the persistent tier of the sweep fabric: a
 // content-addressed on-disk result store keyed by the canonical cell key
-// (engine.CellKey — scenario plus fully-defaulted params, the same string
+// (engine.CellKey — scenario plus resolved params, the same string
 // the server's in-memory LRU keys by). Every cell of the reproduction is
 // seed-deterministic, so a stored payload is as good as a recomputation:
 // repeated grids survive process restarts at disk speed, and warm, cold,
