@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -103,6 +104,13 @@ func parse(args []string, errOut io.Writer) (options, error) {
 		fmt.Fprintln(errOut, err)
 		fs.Usage()
 		return o, err
+	}
+	for i, v := range []float64{o.params.P0, o.params.Beta0, o.params.Rate} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			err := fmt.Errorf("-%s %v: want a finite number", [...]string{"p0", "beta0", "rate"}[i], v)
+			fmt.Fprintln(errOut, err)
+			return o, err
+		}
 	}
 	// A flag whose zero is a meaningful value (-p0, -beta0, -rate, -gst)
 	// is explicit when the user passed it: -rate 0 pins the lossless

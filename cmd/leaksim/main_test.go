@@ -223,3 +223,23 @@ func rejectsNegativeWorkers(t *testing.T, o options) {
 		t.Errorf("%+v: err = %v, want a clear validation error", o, err)
 	}
 }
+
+// TestParseRejectsNonFiniteFloats: -p0, -beta0 and -rate refuse NaN and
+// the infinities before anything runs, naming the flag; the number was
+// never a cell JSON can carry.
+func TestParseRejectsNonFiniteFloats(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "5.1", "-p0", "NaN"},
+		{"-scenario", "5.2.1", "-beta0", "+Inf"},
+		{"-scenario", "sim/drops", "-rate", "-Inf"},
+		{"-fig", "10mc", "-beta0", "nan"},
+	} {
+		var errOut strings.Builder
+		if _, err := parse(args, &errOut); err == nil || !strings.Contains(err.Error(), args[len(args)-2]) || !strings.Contains(errOut.String(), "finite") {
+			t.Errorf("%v: err = %v, stderr %q; want a refusal naming %s", args, err, errOut.String(), args[len(args)-2])
+		}
+	}
+	if _, err := parse([]string{"-p0", "0", "-beta0", "1e-300", "-rate", "1"}, &strings.Builder{}); err != nil {
+		t.Errorf("finite flags refused: %v", err)
+	}
+}

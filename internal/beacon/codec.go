@@ -61,7 +61,6 @@ func (n *Node) Walk(c *codec.Coder) {
 		n.Detector, n.Registry = slashing.NewDetector(), new(validator.Registry)
 		n.pending = make(map[types.Root][]blocktree.Block)
 	}
-	c.U64((*uint64)(&n.ID))
 	walkSpec(&n.Spec, c)
 	c.Bool(&n.EnforceSlashing)
 	walkSpec(&n.Leak.Spec, c)
@@ -87,7 +86,6 @@ func (n *Node) Walk(c *codec.Coder) {
 		}
 	})
 	c.U64((*uint64)(&n.incentivesNext))
-	codec.Slice(c, &n.slashEvidence, slashing.EvidenceBytes, (*slashing.Evidence).Walk)
 	if !c.Encoding() {
 		n.stakeFn = n.Registry.Stake
 		n.activeFn = n.activity.Active

@@ -16,6 +16,7 @@ import (
 	"repro/internal/forkchoice"
 	"repro/internal/slashing"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 var writeFuzzSeeds = flag.Bool("write-fuzz-seeds", false,
@@ -187,9 +188,12 @@ func TestInternedVotesMatchReference(t *testing.T) {
 	mostVotes := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		batched := NewNodeWithForkChoice(0, validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
-		single := NewNodeWithForkChoice(0, validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		batched := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		single := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 		batched.EnforceSlashing, single.EnforceSlashing = true, true
+		// The evidence each stream's batches produced, read off the node's
+		// per-batch scratch right after each call.
+		var batchedEvidence, singleEvidence []slashing.Evidence
 		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
 		root := func() types.Root { return types.RootFromUint64(uint64(1 + rng.Intn(3))) }
 		cast := map[[2]uint64]attestation.Data{} // (careful validator, target epoch) -> its one vote
@@ -241,21 +245,24 @@ func TestInternedVotesMatchReference(t *testing.T) {
 				for _, v := range voters {
 					marked[v] = batched.Detector.Slashed(v)
 				}
-				before := len(batched.slashEvidence)
 				batched.ReceiveBatch(d, voters)
 				if got := batched.batchNew; !slices.Equal(got, wantNew) {
 					t.Fatalf("seed %d epoch %d step %d: batch took %v as new, reference %v", seed, epoch, step, got, wantNew)
 				}
 				wasMarked := func(v types.ValidatorIndex) bool { return marked[v] }
-				if got, want := batched.slashEvidence[before:], naiveEvidence(batched, d, wantNew, wasMarked); !slices.Equal(got, want) {
+				if got, want := batched.batchEvidence, naiveEvidence(batched, d, wantNew, wasMarked); !slices.Equal(got, want) {
 					t.Fatalf("seed %d epoch %d step %d: detector reports %v, a scan of the pool %v", seed, epoch, step, got, want)
 				}
+				batchedEvidence = append(batchedEvidence, batched.batchEvidence...)
 				for _, v := range voters {
 					single.ReceiveAttestation(attestation.Attestation{Validator: v, Data: d})
+					singleEvidence = append(singleEvidence, single.batchEvidence...)
 				}
 			}
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d batched", seed, epoch), batched, ref, validators, stake)
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d single", seed, epoch), single, ref, validators, stake)
+			compareEvidence(t, fmt.Sprintf("seed %d epoch %d batched", seed, epoch), batchedEvidence, ref)
+			compareEvidence(t, fmt.Sprintf("seed %d epoch %d single", seed, epoch), singleEvidence, ref)
 
 			for _, n := range []*Node{batched, single} {
 				if _, err := n.ProcessEpochBoundary(epoch + 1); err != nil {
@@ -280,7 +287,8 @@ func TestInternedVotesMatchReference(t *testing.T) {
 			}
 			compareToReference(t, fmt.Sprintf("seed %d epoch %d decoded", seed, epoch), decoded, ref, validators, stake)
 			// A clone and a decoded node must go on exactly like the
-			// original; swap them in for the rest of the stream.
+			// original; swap them in for the rest of the stream. Neither
+			// carries the evidence history, which lives in this test.
 			if epoch%8 == 0 {
 				batched, single = batched.Clone(), decoded
 			}
@@ -338,24 +346,91 @@ func TestEvidenceNamesLowestTargetEpoch(t *testing.T) {
 	high, low, wide := span(3, 10), span(2, 8), span(0, 12)
 	const v = types.ValidatorIndex(2)
 	for _, order := range [][2]attestation.Data{{high, low}, {low, high}} {
-		batched := NewNodeWithForkChoice(0, 4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
-		single := NewNodeWithForkChoice(0, 4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		batched := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		single := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
+		var batchedEvidence, singleEvidence []slashing.Evidence
 		for _, d := range []attestation.Data{order[0], order[1], wide} {
 			batched.ReceiveBatch(d, []types.ValidatorIndex{v, 3})
+			batchedEvidence = append(batchedEvidence, batched.batchEvidence...)
 			single.ReceiveAttestation(attestation.Attestation{Validator: v, Data: d})
+			singleEvidence = append(singleEvidence, single.batchEvidence...)
 			ref.receive(v, d)
 		}
 		want := slashing.Evidence{Validator: v, Kind: slashing.SurroundVote, First: low, Second: wide}
-		if got := batched.slashEvidence; len(got) != 2 || got[0] != want {
+		if got := batchedEvidence; len(got) != 2 || got[0] != want {
 			t.Fatalf("batched, %d then %d: evidence %v, want %v first", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
 		}
-		if got := single.slashEvidence; len(got) != 1 || got[0] != want {
+		if got := singleEvidence; len(got) != 1 || got[0] != want {
 			t.Fatalf("single, %d then %d: evidence %v, want %v", order[0].Target.Epoch, order[1].Target.Epoch, got, want)
 		}
 		if len(ref.evidence) != 1 || ref.evidence[0] != want {
 			t.Fatalf("reference, %d then %d: evidence %v, want %v", order[0].Target.Epoch, order[1].Target.Epoch, ref.evidence, want)
 		}
+	}
+}
+
+// TestBatchScratchSurvivesCloneAndCodec: a node cloned mid-run and a node
+// encoded and decoded mid-run each slash, on the next equivocating batch,
+// exactly the validators the original slashes, with the same evidence, and
+// none of them shares the original's per-batch scratch: a batch one of them
+// takes leaves the others' scratch as it was.
+func TestBatchScratchSurvivesCloneAndCodec(t *testing.T) {
+	vote := func(target, head uint64) attestation.Data {
+		return attestation.Data{
+			Slot:   types.Epoch(target).StartSlot(),
+			Head:   types.RootFromUint64(head),
+			Source: types.Checkpoint{Root: genesis()},
+			Target: types.Checkpoint{Epoch: types.Epoch(target), Root: types.RootFromUint64(head)},
+		}
+	}
+	orig := NewNodeWithForkChoice(8, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+	orig.EnforceSlashing = true
+	orig.ReceiveBatch(vote(1, 1), []types.ValidatorIndex{1, 2, 3, 4})
+	orig.ReceiveBatch(vote(1, 2), []types.ValidatorIndex{1}) // mid-run: the scratch holds evidence
+	if len(orig.batchEvidence) != 1 || !orig.Detector.Slashed(1) {
+		t.Fatalf("the planted double vote gave evidence %v", orig.batchEvidence)
+	}
+	clone := orig.Clone()
+	decoded, err := decodeNode(encodeNode(t, orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	equivocate, voters := vote(1, 3), []types.ValidatorIndex{2, 3, 5}
+	orig.ReceiveBatch(equivocate, voters)
+	want := slices.Clone(orig.batchEvidence)
+	if len(want) != 2 || want[0].Validator != 2 || want[1].Validator != 3 {
+		t.Fatalf("the original's equivocating batch gave evidence %v, want validators 2 and 3", want)
+	}
+	for _, tc := range []struct {
+		name string
+		n    *Node
+	}{{"clone", clone}, {"decoded", decoded}} {
+		if !tc.n.EnforceSlashing {
+			t.Fatalf("%s: enforcement lost", tc.name)
+		}
+		tc.n.ReceiveBatch(equivocate, voters)
+		if got := tc.n.batchEvidence; !slices.Equal(got, want) {
+			t.Fatalf("%s: evidence %v, the original %v", tc.name, got, want)
+		}
+		if &tc.n.batchEvidence[0] == &orig.batchEvidence[0] {
+			t.Fatalf("%s shares the original's evidence scratch", tc.name)
+		}
+		if !slices.Equal(orig.batchEvidence, want) {
+			t.Fatalf("%s's batch rewrote the original's scratch to %v", tc.name, orig.batchEvidence)
+		}
+		for v := types.ValidatorIndex(0); v < 8; v++ {
+			if got, want := tc.n.Registry.Columns().Status[v], orig.Registry.Columns().Status[v]; got != want {
+				t.Fatalf("%s: validator %d has status %d, the original %d", tc.name, v, got, want)
+			}
+			if got, want := tc.n.Detector.Slashed(v), orig.Detector.Slashed(v); got != want {
+				t.Fatalf("%s: validator %d marked %t, the original %t", tc.name, v, got, want)
+			}
+		}
+	}
+	if orig.Registry.Columns().Status[2] != validator.Slashed || orig.Registry.Columns().Status[5] != validator.Active {
+		t.Fatal("the original did not slash exactly the equivocators")
 	}
 }
 
@@ -397,14 +472,20 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 			}
 		}
 	}
-	if got := n.slashEvidence; !slices.Equal(got, ref.evidence) {
-		t.Fatalf("%s: evidence\n  got  %v\n  want %v", at, got, ref.evidence)
-	}
 	for v := 0; v < validators; v++ {
 		want := v < len(ref.slashed) && ref.slashed[v]
 		if got := n.Detector.Slashed(types.ValidatorIndex(v)); got != want {
 			t.Fatalf("%s: validator %d marked %t, reference %t", at, v, got, want)
 		}
+	}
+}
+
+// compareEvidence checks the evidence a stream's batches produced, in
+// order, against the reference's.
+func compareEvidence(t *testing.T, at string, got []slashing.Evidence, ref *refVotes) {
+	t.Helper()
+	if !slices.Equal(got, ref.evidence) {
+		t.Fatalf("%s: evidence\n  got  %v\n  want %v", at, got, ref.evidence)
 	}
 }
 

@@ -33,8 +33,6 @@ var ErrNotProposer = errors.New("beacon: not the proposer for this slot")
 
 // Node is one validator's protocol view. Construct with NewNodeWithForkChoice.
 type Node struct {
-	// ID is the validator this node belongs to.
-	ID   types.ValidatorIndex
 	Spec types.Spec
 
 	Tree     *blocktree.Tree
@@ -89,20 +87,22 @@ type Node struct {
 	//gasper:nocodec scratch buffer; each node re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	batchNew []types.ValidatorIndex
-	// slashEvidence collects offenses observed and (if enforcing)
-	// applied.
-	slashEvidence []slashing.Evidence
+	// batchEvidence is ReceiveBatch's other scratch: the offenses the batch
+	// completed, applied to the registry when EnforceSlashing is set.
+	//gasper:nocodec scratch buffer; each node re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	batchEvidence []slashing.Evidence
 	// pinned is CompactTree's set of roots to keep, emptied each call.
 	//gasper:nocodec scratch set; holds nothing between compactions
 	//gasper:shallow scratch set; a clone makes its own on its first compaction
 	pinned map[types.Root]struct{}
 }
 
-// NewNodeWithForkChoice builds a node for validator id over a fresh view
-// with nValidators at the spec's maximum balance, running the given
-// fork-choice engine: the incremental forkchoice.NewProtoArray, or the
-// map-based reference the equivalence suites run whole simulations on.
-func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
+// NewNodeWithForkChoice builds a node over a fresh view with nValidators
+// at the spec's maximum balance, running the given fork-choice engine: the
+// incremental forkchoice.NewProtoArray, or the map-based reference the
+// equivalence suites run whole simulations on.
+func NewNodeWithForkChoice(nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
 	n := &Node{
 		Tree:     new(blocktree.Tree),
 		Votes:    votes,
@@ -110,7 +110,7 @@ func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.
 		Registry: new(validator.Registry),
 		pending:  make(map[types.Root][]blocktree.Block),
 	}
-	n.Reset(id, nValidators, spec, genesis)
+	n.Reset(nValidators, spec, genesis)
 	return n
 }
 
@@ -121,8 +121,8 @@ func NewNodeWithForkChoice(id types.ValidatorIndex, nValidators int, spec types.
 // over as many validators as its last allocates little more than the
 // genesis checkpoint. Only a node nothing else holds may be reset; Clone
 // shares no storage with its original.
-func (n *Node) Reset(id types.ValidatorIndex, nValidators int, spec types.Spec, genesis types.Root) {
-	n.ID, n.Spec, n.Leak = id, spec, incentives.Engine{Spec: spec}
+func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
+	n.Spec, n.Leak = spec, incentives.Engine{Spec: spec}
 	n.Tree.Reset(genesis)
 	n.FFG = ffg.NewEngine(genesis)
 	n.Pool.Reset(nValidators)
@@ -130,7 +130,6 @@ func (n *Node) Reset(id types.ValidatorIndex, nValidators int, spec types.Spec, 
 	n.Registry.Reset(nValidators, spec.MaxEffectiveBalance)
 	n.EnforceSlashing, n.hidden, n.incentivesNext = false, nil, 0
 	clear(n.pending)
-	n.slashEvidence = n.slashEvidence[:0]
 	n.stakeFn = n.Registry.Stake
 	n.activeFn = n.activity.Active
 	n.Votes.Reset()
@@ -149,7 +148,6 @@ func (n *Node) Reset(id types.ValidatorIndex, nValidators int, spec types.Spec, 
 // prefix).
 func (n *Node) Clone() *Node {
 	out := &Node{
-		ID:              n.ID,
 		Spec:            n.Spec,
 		Tree:            n.Tree.Clone(),
 		Votes:           n.Votes.CloneEngine(),
@@ -161,7 +159,6 @@ func (n *Node) Clone() *Node {
 		EnforceSlashing: n.EnforceSlashing,
 		pending:         make(map[types.Root][]blocktree.Block, len(n.pending)),
 		incentivesNext:  n.incentivesNext,
-		slashEvidence:   append([]slashing.Evidence(nil), n.slashEvidence...),
 	}
 	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for parent, blocks := range n.pending {
@@ -214,10 +211,9 @@ func (n *Node) ReceiveAttestation(a attestation.Attestation) {
 func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorIndex) {
 	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
 	n.Votes.ProcessBatch(n.batchNew, data.Head, data.Slot)
-	reported := len(n.slashEvidence)
-	n.slashEvidence = n.Detector.ObserveBatch(n.slashEvidence, n.Pool, data, n.batchNew)
+	n.batchEvidence = n.Detector.ObserveBatch(n.batchEvidence[:0], n.Pool, data, n.batchNew)
 	if n.EnforceSlashing {
-		for _, ev := range n.slashEvidence[reported:] {
+		for _, ev := range n.batchEvidence {
 			_ = n.Registry.Slash(ev.Validator, data.Slot.Epoch())
 		}
 	}

@@ -8,19 +8,20 @@ import (
 	"repro/internal/attestation"
 	"repro/internal/blocktree"
 	"repro/internal/forkchoice"
+	"repro/internal/slashing"
 	"repro/internal/types"
 	"repro/internal/validator"
 )
 
 func genesis() types.Root { return types.RootFromUint64(0) }
 
-func newTestNode(t *testing.T, id types.ValidatorIndex, n int) *Node {
+func newTestNode(t *testing.T, n int) *Node {
 	t.Helper()
-	return NewNodeWithForkChoice(id, n, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+	return NewNodeWithForkChoice(n, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
 }
 
 func TestReceiveBlockBuffersOutOfOrder(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	parent := blocktree.Block{Slot: 1, Root: types.RootFromUint64(1), Parent: genesis()}
 	child := blocktree.Block{Slot: 2, Root: types.RootFromUint64(2), Parent: parent.Root}
 	grandchild := blocktree.Block{Slot: 3, Root: types.RootFromUint64(3), Parent: child.Root}
@@ -37,7 +38,7 @@ func TestReceiveBlockBuffersOutOfOrder(t *testing.T) {
 }
 
 func TestReceiveBlockIgnoresDuplicates(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	b := blocktree.Block{Slot: 1, Root: types.RootFromUint64(1), Parent: genesis()}
 	n.ReceiveBlock(b)
 	n.ReceiveBlock(b)
@@ -46,11 +47,11 @@ func TestReceiveBlockIgnoresDuplicates(t *testing.T) {
 	}
 }
 
-// produceBlock builds the block n's own validator proposes at slot and
+// produceBlock builds the block proposer proposes at slot from n and
 // applies it to n, as the simulator does for a proposer's view.
-func produceBlock(t *testing.T, n *Node, slot types.Slot) blocktree.Block {
+func produceBlock(t *testing.T, n *Node, slot types.Slot, proposer types.ValidatorIndex) blocktree.Block {
 	t.Helper()
-	b, err := n.ProduceBlockFor(slot, n.ID)
+	b, err := n.ProduceBlockFor(slot, proposer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,29 +60,29 @@ func produceBlock(t *testing.T, n *Node, slot types.Slot) blocktree.Block {
 }
 
 func TestProduceBlockExtendsHead(t *testing.T) {
-	n := newTestNode(t, 3, 4)
-	b1 := produceBlock(t, n, 1)
+	n := newTestNode(t, 4)
+	b1 := produceBlock(t, n, 1, 3)
 	if b1.Parent != genesis() || b1.Proposer != 3 {
 		t.Errorf("block = %+v", b1)
 	}
-	b2 := produceBlock(t, n, 2)
+	b2 := produceBlock(t, n, 2, 3)
 	if b2.Parent != b1.Root {
 		t.Errorf("second block parent = %v, want %v", b2.Parent, b1.Root)
 	}
 }
 
 func TestProduceBlockDeterministicRoot(t *testing.T) {
-	a := newTestNode(t, 3, 4)
-	b := newTestNode(t, 3, 4)
-	ba, bb := produceBlock(t, a, 5), produceBlock(t, b, 5)
+	a := newTestNode(t, 4)
+	b := newTestNode(t, 4)
+	ba, bb := produceBlock(t, a, 5, 3), produceBlock(t, b, 5, 3)
 	if ba.Root != bb.Root {
 		t.Error("same (slot, proposer, parent) must mint the same root on all views")
 	}
 }
 
 func TestProduceAttestationFields(t *testing.T) {
-	n := newTestNode(t, 2, 4)
-	b := produceBlock(t, n, 1)
+	n := newTestNode(t, 4)
+	b := produceBlock(t, n, 1, 2)
 	data, err := n.AttestationData(5)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestProduceAttestationFields(t *testing.T) {
 }
 
 func TestHeadFollowsVotes(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	a := blocktree.Block{Slot: 1, Root: types.RootFromUint64(10), Parent: genesis()}
 	b := blocktree.Block{Slot: 1, Root: types.RootFromUint64(20), Parent: genesis()}
 	n.ReceiveBlock(a)
@@ -148,7 +149,7 @@ func fullEpochOfAttestations(t *testing.T, n *Node, epoch types.Epoch) {
 }
 
 func TestEpochBoundaryJustifiesAndFinalizes(t *testing.T) {
-	n := newTestNode(t, 0, 8)
+	n := newTestNode(t, 8)
 	// Build one block per epoch start for epochs 1..3.
 	var parent types.Root = genesis()
 	for e := types.Epoch(1); e <= 3; e++ {
@@ -181,7 +182,7 @@ func TestEpochBoundaryJustifiesAndFinalizes(t *testing.T) {
 }
 
 func TestEpochBoundaryWindowCatchesLateVotes(t *testing.T) {
-	n := newTestNode(t, 0, 8)
+	n := newTestNode(t, 8)
 	b := blocktree.Block{Slot: 32, Root: types.RootFromUint64(100), Parent: genesis()}
 	n.ReceiveBlock(b)
 	// Boundary of epoch 2 passes with no votes at all.
@@ -204,7 +205,7 @@ func TestEpochBoundaryWindowCatchesLateVotes(t *testing.T) {
 }
 
 func TestLeakStartsAfterFinalityGap(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	// No votes at all: process boundaries 1..6.
 	var sawLeak bool
 	for e := types.Epoch(1); e <= 6; e++ {
@@ -229,7 +230,7 @@ func TestLeakStartsAfterFinalityGap(t *testing.T) {
 }
 
 func TestIncentivesProcessedOncePerEpoch(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	if _, err := n.ProcessEpochBoundary(6); err != nil {
 		t.Fatal(err)
 	}
@@ -244,21 +245,24 @@ func TestIncentivesProcessedOncePerEpoch(t *testing.T) {
 }
 
 func TestSlashingEnforcement(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	n.EnforceSlashing = true
 	tgtA := types.Checkpoint{Epoch: 1, Root: types.RootFromUint64(1)}
 	tgtB := types.Checkpoint{Epoch: 1, Root: types.RootFromUint64(2)}
 	src := types.Checkpoint{Epoch: 0, Root: genesis()}
-	n.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtA.Root, Source: src, Target: tgtA}})
-	n.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtB.Root, Source: src, Target: tgtB}})
-	if len(n.slashEvidence) != 1 {
-		t.Fatalf("evidence = %d, want 1", len(n.slashEvidence))
+	var evidence []slashing.Evidence
+	for _, tgt := range []types.Checkpoint{tgtA, tgtB} {
+		n.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgt.Root, Source: src, Target: tgt}})
+		evidence = append(evidence, n.batchEvidence...)
+	}
+	if len(evidence) != 1 {
+		t.Fatalf("evidence = %d, want 1", len(evidence))
 	}
 	if n.Registry.Columns().Status[2] != validator.Slashed {
 		t.Error("double voter must be slashed out of the set")
 	}
 	// Without enforcement the registry is untouched.
-	m := newTestNode(t, 0, 4)
+	m := newTestNode(t, 4)
 	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtA.Root, Source: src, Target: tgtA}})
 	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtB.Root, Source: src, Target: tgtB}})
 	if m.Registry.Columns().Status[2] != validator.Active {
@@ -267,7 +271,7 @@ func TestSlashingEnforcement(t *testing.T) {
 }
 
 func TestProcessEpochBoundaryZero(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	rep, err := n.ProcessEpochBoundary(0)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +287,7 @@ func TestProcessEpochBoundaryZero(t *testing.T) {
 // checkpoint therefore compute the same head even when their current
 // ledgers disagree (the property that lets healed partitions reconcile).
 func TestForkChoiceUsesJustifiedStateBalances(t *testing.T) {
-	n := newTestNode(t, 0, 4)
+	n := newTestNode(t, 4)
 	a := blocktree.Block{Slot: 1, Root: types.RootFromUint64(10), Parent: genesis()}
 	c := blocktree.Block{Slot: 1, Root: types.RootFromUint64(20), Parent: genesis()}
 	n.ReceiveBlock(a)
@@ -314,7 +318,7 @@ func TestForkChoiceUsesJustifiedStateBalances(t *testing.T) {
 func TestNodeRobustUnderRandomTraffic(t *testing.T) {
 	f := func(seed int64, ops []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := newTestNode(t, 0, 8)
+		n := newTestNode(t, 8)
 		n.EnforceSlashing = true
 		roots := []types.Root{genesis()}
 		prevFinalized := n.Finalized().Epoch

@@ -248,6 +248,9 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 	} else {
 		res, err = sc.Run(ctx, p)
 	}
+	if err == nil {
+		err = nonFinite(res)
+	}
 	if err != nil {
 		res = FailedCell(reg, cell, err)
 	} else {
@@ -265,6 +268,23 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 		res.Meta.EpochsPerSec = float64(simulated) / secs
 	}
 	return res, err
+}
+
+// nonFinite names the first metric or curve sample of res that is NaN or
+// infinite: JSON has no such number, so the cell could be neither stored
+// nor answered, and it fails instead.
+func nonFinite(res Result) error {
+	for _, m := range res.Metrics {
+		if !finite(m.Value) {
+			return fmt.Errorf("engine: metric %q is %v", m.Name, m.Value)
+		}
+	}
+	for _, pt := range res.Curve {
+		if !finite(pt.X) || !finite(pt.Y) {
+			return fmt.Errorf("engine: curve %q has the point (%v, %v)", res.CurveName, pt.X, pt.Y)
+		}
+	}
+	return nil
 }
 
 // FailedCell is the Result of a cell that could not run to completion:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"math"
 	"os"
 	"reflect"
@@ -206,25 +207,60 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 	}
 }
 
-// prefixV2Fixture is a version 2 prefix blob written by the encoder and
-// decoder pairs the codec walks replaced: the sim/semiactive cell of
-// prefixFixtureParams 60 epochs in — a sampled stake curve, the stake
-// floor, the adversary's gait state and a two-view snapshot. No blob before
-// it covered the trace and adversary codecs.
-const prefixV2Fixture = "testdata/prefix-v2-pr39.blob"
+var writeFrame = flag.Bool("write-frame", false,
+	"rewrite testdata/prefix-v2-frame-v5.blob from TestPrefixBlobFixture's run")
 
-// prefixFixtureParams is the cell prefixV2Fixture was written for.
+// prefixFixture is a version 2 prefix blob around a version 5 snapshot
+// frame: the sim/semiactive cell of prefixFixtureParams 60 epochs in — a
+// sampled stake curve, the stake floor, the adversary's gait state and a
+// two-view snapshot. prefixV4Frame is the blob of the same cell written by
+// the encoder and decoder pairs the codec walks replaced, around a version
+// 4 frame: the first blob to cover the trace and adversary codecs.
+const (
+	prefixFixture = "testdata/prefix-v2-frame-v5.blob"
+	prefixV4Frame = "testdata/prefix-v2-pr39.blob"
+)
+
+// prefixFixtureParams is the cell prefixFixture was written for.
 var prefixFixtureParams = Params{P0: 0.5, Beta0: 0.33, N: 64, Horizon: 120, Seed: 1, Sample: 10}
 
-// TestPrefixBlobFixture: the checked-in blob decodes, re-encodes to the
-// same bytes, and finishes its cell to the Result a cold run computes.
+// TestPrefixBlobFixture: this build writes the checked-in blob's exact
+// bytes for its cell, the blob decodes, re-encodes to the same bytes, and
+// finishes its cell to the Result a cold run computes. The blob around a
+// version 4 frame is a version miss. (-write-frame rewrites the blob.)
 func TestPrefixBlobFixture(t *testing.T) {
-	blob, err := os.ReadFile(prefixV2Fixture)
+	ctx := context.Background()
+	sc, _ := Default.Lookup(ScenarioSimSemiActive)
+	cs := sc.(CheckpointableScenario)
+	old, err := os.ReadFile(prefixV4Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := Default.Lookup(ScenarioSimSemiActive)
-	cs := sc.(CheckpointableScenario)
+	if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, sim.ErrSnapshotCodec) || !strings.Contains(err.Error(), "version 4") {
+		t.Fatalf("DecodePrefix of a blob around a version 4 frame = %v, %v; want nil and a version error wrapping sim.ErrSnapshotCodec", pre, err)
+	}
+
+	p := prefixFixtureParams.WithDefaults(sc.Defaults())
+	live, err := cs.RunTo(ctx, p, nil, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written bytes.Buffer
+	if err := cs.EncodePrefix(&written, live); err != nil {
+		t.Fatal(err)
+	}
+	if *writeFrame {
+		if err := os.WriteFile(prefixFixture, written.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(prefixFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written.Bytes(), blob) {
+		t.Fatalf("this build's blob for the same cell differs from the checked-in one (%d vs %d bytes)", written.Len(), len(blob))
+	}
 	pre, err := cs.DecodePrefix(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("DecodePrefix: %v", err)
@@ -239,12 +275,11 @@ func TestPrefixBlobFixture(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), blob) {
 		t.Fatalf("the decoded blob re-encodes differently (%d bytes, the fixture %d)", again.Len(), len(blob))
 	}
-	p := prefixFixtureParams.WithDefaults(sc.Defaults())
-	cold, err := sc.Run(context.Background(), p)
+	cold, err := sc.Run(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := cs.ResumeFrom(context.Background(), pre, p)
+	warm, err := cs.ResumeFrom(ctx, pre, p)
 	if err != nil {
 		t.Fatalf("ResumeFrom: %v", err)
 	}
@@ -385,10 +420,11 @@ func TestSweepCheckpointResume(t *testing.T) {
 // whose snapshot frame carries the version 1 header of builds before the
 // interned-vote format, or one whose snapshot is the version 2 frame PR 13
 // wrote, from before the detector's votes left the frame, or the version 3
-// frame PR 16 wrote, from before the second registry did, or the version 1
-// prefix blob PR 18 wrote, which still named a reference simulator) is
-// silently discarded — the cell starts cold, produces the correct result,
-// and repairs the store.
+// frame of the build before the second registry did, or the version 4
+// frame of the build before each node's validator id and evidence history
+// did, or the checked-in version 1 prefix blob, which still named a
+// reference simulator) is silently discarded — the cell starts cold,
+// produces the correct result, and repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
@@ -436,6 +472,7 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 		}},
 		{"pr13-v2-frame", oldFrame("../sim/testdata/snapshot-v2-pr13.frame")},
 		{"pr16-v3-frame", oldFrame("../sim/testdata/snapshot-v3-pr16.frame")},
+		{"v4-frame", oldFrame("../sim/testdata/snapshot-v4-pr18.frame")},
 		{"pr18-v1-prefix", func(t *testing.T, ms *memStore) {
 			old, err := os.ReadFile(prefixV1PR18)
 			if err != nil {

@@ -214,7 +214,8 @@ func TestParamsMarshalMatchesReference(t *testing.T) {
 
 // FuzzParseGrid: whatever sweep spec arrives — /sweep parses it before
 // admission — ParseGrid does not panic or hang, a spec it accepts expands
-// to at most maxGridCells, and ParseGrid allocates at most 16 x spec +
+// to at most maxGridCells and lists only finite numbers, and ParseGrid
+// allocates at most 16 x spec +
 // 1 MiB beyond 32 bytes per value it lists. Measured: 8.3 x a 6 kB spec
 // refused at its last token, 8 x a spec of 3,000 one-value items, and 8
 // (numbers) to 16.5 (modes) bytes per listed value. The cells are
@@ -237,6 +238,11 @@ func FuzzParseGrid(f *testing.F) {
 		for i := range paramDims {
 			if slot := gv.Field(paramDims[i].gi); slot.Kind() == reflect.Slice && slot.Len() > 0 {
 				values, n = values+slot.Len(), n*slot.Len()
+				for k := range slot.Len() {
+					if v := slot.Index(k); v.Kind() == reflect.Float64 && !finite(v.Float()) {
+						t.Fatalf("%q accepted with %s value %v", spec, paramDims[i].key, v.Float())
+					}
+				}
 			}
 		}
 		if grew > 16*uint64(len(spec))+32*uint64(values)+1<<20 {
@@ -259,10 +265,10 @@ func FuzzParseGrid(f *testing.F) {
 // allocates at most 32 x input + 1 MiB, and either rejects the bytes with
 // an error wrapping errPrefixCodec or sim.ErrSnapshotCodec, or returns a
 // prefix whose EncodePrefix writes exactly the bytes it read. Seeded with
-// the parent-written sim/semiactive blob, a fresh sim/leak prefix and the
+// the checked-in sim/semiactive blobs, a fresh sim/leak prefix and the
 // version 1 blob.
 func FuzzDecodePrefix(f *testing.F) {
-	for _, name := range []string{prefixV2Fixture, prefixV1PR18} {
+	for _, name := range []string{prefixFixture, prefixV4Frame, prefixV1PR18} {
 		blob, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)

@@ -111,14 +111,14 @@ func countSites(t *testing.T, tail []byte) []countSite {
 	netCounters := cat(count(0), count(0), u64(0), u64(0))
 
 	// A node at genesis ends in its registry (4 + 25 bytes a validator),
-	// no pending blocks, the next incentives epoch and no evidence.
+	// no pending blocks and the next incentives epoch.
 	const validators = 4
-	node := encode(beacon.NewNodeWithForkChoice(0, validators, types.CompressedSpec(1<<16), types.RootFromUint64(0), forkchoice.NewProtoArray()).Walk)
-	registryAt, pendingAt, evidenceAt := len(node)-16-(4+25*validators), len(node)-16, len(node)-4
+	node := encode(beacon.NewNodeWithForkChoice(validators, types.CompressedSpec(1<<16), types.RootFromUint64(0), forkchoice.NewProtoArray()).Walk)
+	registryAt, pendingAt := len(node)-12-(4+25*validators), len(node)-12
 	for _, at := range []struct {
 		pos  int
 		want uint32
-	}{{registryAt, validators}, {pendingAt, 0}, {evidenceAt, 0}} {
+	}{{registryAt, validators}, {pendingAt, 0}} {
 		if got := binary.LittleEndian.Uint32(node[at.pos:]); got != at.want {
 			t.Fatalf("node frame layout moved: count at %d reads %d, want %d", at.pos, got, at.want)
 		}
@@ -174,7 +174,6 @@ func countSites(t *testing.T, tail []byte) []countSite {
 		{"beacon registry", cat(node[:registryAt], tail), readNode},
 		{"beacon pending parents", cat(node[:pendingAt], tail), readNode},
 		{"beacon pending blocks", cat(node[:pendingAt], count(1), make([]byte, 32), tail), readNode},
-		{"beacon evidence", cat(node[:evidenceAt], tail), readNode},
 		{"sim snapshot payload length", cat(real.Bytes()[:8], count(1<<30), make([]byte, 8)), readSnapshot},
 		{"sim snapshot nodes", snapshot(cat(snapHead, tail)), readSnapshot},
 		{"sim snapshot duty views", snapshot(cat(snapHead, empty, tail)), readSnapshot},

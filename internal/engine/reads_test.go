@@ -47,6 +47,11 @@ func TestScenariosDeclareWhatTheyRead(t *testing.T) {
 		base := small[name]
 		key, _ := CanonicalCellKey(Default, Cell{Scenario: name, Params: base})
 		_, p, _ := resolve(Default, Cell{Scenario: name, Params: base})
+		// sim/drops's population ignores p0, yet every sim/drops result
+		// has carried its default 0.5; undeclaring p0 would stamp 0.
+		if name == ScenarioSimDrops && (reads&FieldP0 == 0 || p.P0 != 0.5) {
+			t.Errorf("%s: p0 declared %v, resolved to %v; want declared, 0.5", name, reads&FieldP0 != 0, p.P0)
+		}
 		want, err := sc.Run(ctx, p)
 		if err != nil {
 			t.Errorf("%s %v: %v", name, p, err)

@@ -227,6 +227,9 @@ func setValue(dst reflect.Value, tok string) bool {
 	return err == nil
 }
 
+// finite reports whether f is neither NaN nor an infinity.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // parseValues parses a sweep value into a new slice of type t: a comma
 // list, or for numbers an inclusive "lo:hi:step" range. A range is counted
 // before it is materialised and refused with over(count) when it holds
@@ -243,7 +246,8 @@ func parseValues(t reflect.Type, value string, room int, over func(float64) erro
 		for i := range n {
 			var tok string
 			tok, rest, _ = strings.Cut(rest, ",")
-			if tok = strings.TrimSpace(tok); !setValue(out.Index(i), tok) {
+			// A listed NaN or infinity is no cell: JSON cannot carry it.
+			if tok = strings.TrimSpace(tok); !setValue(out.Index(i), tok) || kind == reflect.Float64 && !finite(out.Index(i).Float()) {
 				return out, fmt.Errorf("bad %s %q in %q", noun, tok, value)
 			}
 		}
@@ -265,6 +269,9 @@ func parseValues(t reflect.Type, value string, room int, over func(float64) erro
 		if !(step > 0 && lo <= hi) {
 			return bounds, fmt.Errorf("range %q wants lo <= hi and step > 0", value)
 		}
+		if math.IsInf(step, 1) { // its first value, lo + 0*step, would be NaN
+			return bounds, fmt.Errorf("range %q: bad number %q", value, strings.TrimSpace(parts[2]))
+		}
 		// The epsilon keeps the endpoint inclusive under float rounding.
 		n := math.Floor((hi-lo)/step+1e-9) + 1
 		if !(n <= float64(room)) {
@@ -272,8 +279,10 @@ func parseValues(t reflect.Type, value string, room int, over func(float64) erro
 		}
 		out, m := reflect.MakeSlice(t, int(n)+1, int(n)+1), 0
 		for ; m <= int(n); m++ {
+			// Past MaxFloat64, v rounds to +Inf, which lies beyond hi even
+			// where hi+step*1e-9 overflows too.
 			v := lo + float64(m)*step
-			if v > hi+step*1e-9 {
+			if v > hi+step*1e-9 || math.IsInf(v, 1) {
 				break
 			}
 			out.Index(m).SetFloat(v)

@@ -162,6 +162,10 @@ func TestParseGridErrors(t *testing.T) {
 		{"huge int range", "seed=-9223372036854775808:9223372036854775807:1", []string{`"seed"`, "18446744073709551616 values"}},
 		{"huge float range", "p0=0:1:1e-300", []string{`"p0"`, "cells"}},
 		{"NaN range", "rate=NaN:1:0.1", []string{`"rate"`, "lo <= hi"}},
+		{"NaN listed", "beta0=NaN,0.2", []string{`"beta0"`, `bad number "NaN"`}},
+		{"infinity listed", "p0=0.5,+Inf", []string{`"p0"`, `bad number "+Inf"`}},
+		{"negative infinity alone", "rate=-inf", []string{`"rate"`, `bad number "-inf"`}},
+		{"infinite step", "p0=0:1:+Inf", []string{`"p0"`, `bad number "+Inf"`}},
 		{"1e15-cell product", "p0=0:1:0.001; beta0=0:1:0.001; gst=1:1000:1; horizon=1:1000:1; seed=1:1000:1", []string{`"gst"`, "1000 values", "1048576 cells"}},
 		{"comma list over the limit", "seed=1:1024:1; mode=" + strings.Repeat("m,", 1024) + "m", []string{`"mode"`, "1025 values"}},
 	}
@@ -354,8 +358,9 @@ func TestParamsStringIncludesRateAndGST(t *testing.T) {
 }
 
 // TestParseGridLimitAndOverflow: a range ending at MaxInt64 steps without
-// wrapping, and an accepted spec expands to exactly its counted product,
-// at most maxGridCells.
+// wrapping, a float range whose next step would pass MaxFloat64 stops
+// short of +Inf, and an accepted spec expands to exactly its counted
+// product, at most maxGridCells.
 func TestParseGridLimitAndOverflow(t *testing.T) {
 	g, err := ParseGrid("leaksim", "seed=9223372036854775806:9223372036854775807:1")
 	if err != nil {
@@ -363,6 +368,15 @@ func TestParseGridLimitAndOverflow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.Seeds, []int64{math.MaxInt64 - 1, math.MaxInt64}) {
 		t.Errorf("seeds = %v", g.Seeds)
+	}
+	// Two steps of 1e308 from 0 overflow to +Inf, and hi+step*1e-9 is
+	// +Inf as well, so only the overflow itself ends the range.
+	g, err = ParseGrid("leaksim", "p0=0:1.7976931348623157e308:1e308")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.P0, []float64{0, 1e308}) {
+		t.Errorf("p0 = %v, want [0 1e+308]", g.P0)
 	}
 	g, err = ParseGrid("leaksim", "seed=1:1024:1; horizon=1:1024:1")
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // CodecFields cross-checks every snapshot codec walk and Clone method
 // against its struct definition, turning "new field silently dropped from
 // checkpoints" from a runtime-corruption bug into a build break — the
-// static twin of the server's reflection-derived cache-key test.
+// static twin of engine.TestCellKeyCoversEveryParamsField.
 //
 // Codec shape: a walk is a method named walk/Walk taking a *codec.Coder. It
 // is both sides of the codec at once — the one Coder encodes or decodes —

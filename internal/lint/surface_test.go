@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"go/ast"
 	"go/types"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -51,6 +53,30 @@ var surfaceWaivers = map[string]string{
 	"internal/slashing.Conflict": "the accountable-stake audit of ROADMAP item 19 classifies conflicting votes with it",
 }
 
+// fieldWaivers names the struct fields of the product packages that stay
+// although every non-test reference outside bench/ lies in a function that
+// only moves state (see movesState), each with the reason it stays. Keys
+// are the declaring package's path inside the module, the struct type's
+// name and the field's: "internal/engine.Grid.Modes".
+var fieldWaivers = map[string]string{
+	"internal/engine.Grid.Modes": "ParseGrid and Grid.Cells reach it by reflection, through paramDims' mode row",
+	"internal/engine.Grid.Rates": "ParseGrid and Grid.Cells reach it by reflection, through paramDims' rate row",
+	"internal/engine.Grid.GSTs":  "ParseGrid and Grid.Cells reach it by reflection, through paramDims' gst row",
+}
+
+// movesState reports whether a function named name only moves state from
+// one place to another: a Clone*/clone* copy, a Reset, a CopyFrom, or a
+// codec walk (walk*/Walk*). A field that only such functions touch is
+// cloned, reset and written into frames, and read by nothing.
+func movesState(name string) bool {
+	for _, prefix := range []string{"Clone", "clone", "walk", "Walk"} {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return name == "Reset" || name == "CopyFrom"
+}
+
 // TestSurface fails on every exported function or method of the product
 // packages (internal/... and gasperleak/...) that no non-test package
 // references, so code that only tests reach cannot grow back. bench/'s
@@ -59,7 +85,8 @@ var surfaceWaivers = map[string]string{
 // stops calling it. A method that completes its type's implementation of an
 // interface the module can name is skipped, since a dynamic call through
 // the interface reaches it with no static reference. A waiver whose name is
-// now referenced, or no longer declared, fails too.
+// now referenced, or no longer declared, fails too. The same holds for the
+// struct fields of those packages (checkFields).
 func TestSurface(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -117,6 +144,8 @@ func TestSurface(t *testing.T) {
 		}
 	}
 
+	checkFields(t, pkgs, rel)
+
 	var unused []string
 	for key := range declared {
 		if !used[key] && surfaceWaivers[key] == "" {
@@ -142,6 +171,114 @@ func TestSurface(t *testing.T) {
 			t.Errorf("surfaceWaivers[%q] is stale: no exported product function or method has that name", key)
 		case used[key]:
 			t.Errorf("surfaceWaivers[%q] is stale: a non-test package outside bench/ references it", key)
+		}
+	}
+}
+
+// checkFields fails on every field of a named struct type of the product
+// packages whose every non-test reference outside bench/ lies in a function
+// that only moves state, unless fieldWaivers gives a reason: such a field
+// is cloned at each fork, reset at each cold start and written into each
+// frame, and no code reads it. An embedded field, or one with a json tag,
+// counts as read (promotion and encoding/json reach it with no reference).
+// A field is named by package path, type and field name, so that one field
+// compares equal whether its package was checked from source or imported
+// from export data; a field of a generic type is named by its origin's.
+func checkFields(t *testing.T, pkgs []*Package, rel func(string) string) {
+	t.Helper()
+	// owner names each field of the named structs of a package, as one
+	// view of that package sees them; a field of an unnamed or local
+	// struct has no name, and the check skips it.
+	owner := make(map[*types.Var]string)
+	name := func(v *types.Var) string {
+		v = v.Origin()
+		if key, ok := owner[v]; ok {
+			return key
+		}
+		scope := v.Pkg().Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					owner[st.Field(i)] = rel(tn.Pkg().Path()) + "." + tn.Name() + "." + st.Field(i).Name()
+				}
+			}
+		}
+		if _, ok := owner[v]; !ok {
+			owner[v] = ""
+		}
+		return owner[v]
+	}
+
+	declared := make(map[string]*types.Var)
+	read := make(map[string]bool)
+	for _, p := range pkgs {
+		r := rel(p.ImportPath)
+		if r == "bench" || strings.HasPrefix(r, "bench/") {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				moves := ok && movesState(fd.Name.Name)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if v, field := p.Info.Uses[id].(*types.Var); ok && field && v.IsField() && !moves {
+						read[name(v)] = true
+					}
+					return true
+				})
+			}
+		}
+		if !strings.HasPrefix(r, "internal/") && r != "gasperleak" && !strings.HasPrefix(r, "gasperleak/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				f := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); !f.Embedded() && !tagged && f.Name() != "_" {
+					declared[name(f)] = f
+				}
+			}
+		}
+	}
+
+	var unread []string
+	for key := range declared {
+		if !read[key] && fieldWaivers[key] == "" {
+			unread = append(unread, key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("%s: field %s is referenced only by Clone*, Reset, CopyFrom and codec walks, if at all; delete it, or waive it in fieldWaivers with a reason",
+			pkgs[0].Fset.Position(declared[key].Pos()), key)
+	}
+	waived := make([]string, 0, len(fieldWaivers))
+	for key := range fieldWaivers {
+		waived = append(waived, key)
+	}
+	sort.Strings(waived)
+	for _, key := range waived {
+		switch {
+		case strings.TrimSpace(fieldWaivers[key]) == "":
+			t.Errorf("fieldWaivers[%q] gives no reason", key)
+		case declared[key] == nil:
+			t.Errorf("fieldWaivers[%q] is stale: no field of a product struct has that name", key)
+		case read[key]:
+			t.Errorf("fieldWaivers[%q] is stale: a function that does more than move state references it", key)
 		}
 	}
 }

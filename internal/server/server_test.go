@@ -328,6 +328,36 @@ func TestSweepPerCellErrorsStream(t *testing.T) {
 	}
 }
 
+// TestNonFiniteResultIsCellError: 5.1 at an explicit p0 = 0 gets Equation
+// 6's NaN for its analytic epoch, a number JSON cannot carry. /run answers
+// the 400 error envelope naming the metric, not a 200 with an empty body,
+// and /sweep streams the cell's error line, so the stream holds as many
+// lines as its total.
+func TestNonFiniteResultIsCellError(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/run", map[string]any{"scenario": "5.1", "params": map[string]any{"p0": 0}})
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "analytic_epoch") {
+		t.Errorf("/run at p0 = 0: status %d, envelope %+v (%v); want 400 naming analytic_epoch", resp.StatusCode, e, err)
+	}
+	resp.Body.Close()
+
+	updates := decodeNDJSON(t, postJSON(t, ts.URL+"/sweep", map[string]any{"scenario": "5.1", "sweep": "p0=0,0.5"}))
+	if len(updates) != 2 {
+		t.Fatalf("/sweep streamed %d lines, want 2", len(updates))
+	}
+	for _, u := range updates {
+		if u.Total != 2 {
+			t.Errorf("update %d: total %d, want 2", u.Index, u.Total)
+		}
+		if failed := strings.Contains(u.Result.Err, "analytic_epoch"); failed != (u.Result.Params.P0 == 0) {
+			t.Errorf("cell at p0 = %v: error %q", u.Result.Params.P0, u.Result.Err)
+		}
+	}
+}
+
 // TestSweepClientDisconnect: an abandoned request context aborts the sweep
 // server-side instead of computing the full grid.
 func TestSweepClientDisconnect(t *testing.T) {

@@ -24,10 +24,12 @@ import (
 // validator; version 3 drops the slashing detector's copy of the votes —
 // it reads the pool's — and writes a registry status as one byte; version 4
 // drops each node's second registry (the justified-state balances, which
-// the fork-choice engine's own stake column already holds).
+// the fork-choice engine's own stake column already holds); version 5 drops
+// each node's validator id and its slashing-evidence history, which no
+// code read (the detector's marks say who was caught).
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(4)
+	snapshotVersion = uint32(5)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real

@@ -19,7 +19,7 @@ import (
 )
 
 var writeFrame = flag.Bool("write-frame", false,
-	"rewrite testdata/snapshot-v4-pr18.frame from TestSnapshotFrameWrittenByPR18's run")
+	"rewrite the checked-in frames of TestSnapshotFrameFixture and TestHeldTrafficFrameFixture from their runs")
 
 // compactedCfg is the compaction-exercising complement of snapshotCfg:
 // lossless synchronous links under a permanent partition (the compaction
@@ -168,23 +168,18 @@ func TestSnapshotFrameWrittenByPR16(t *testing.T) {
 }
 
 // TestSnapshotFrameWrittenByPR18: testdata/snapshot-v4-pr18.frame is the
-// snapshot the build that introduced version 4 wrote for compactedCfg
-// twelve epochs in. While the format stands, this build writes those exact
-// bytes for the same run, and reads them back into a snapshot that
-// re-encodes to them and continues like the live simulation. A change that
-// moves the format bumps the version and turns this test into one of the
-// two above. (-write-frame rewrites the file.)
+// version 4 snapshot of the same run. Version 5 dropped each node's
+// validator id and slashing-evidence history from the frame.
 func TestSnapshotFrameWrittenByPR18(t *testing.T) {
-	const path = "testdata/snapshot-v4-pr18.frame"
-	cfg := compactedCfg()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunEpochs(12); err != nil {
-		t.Fatal(err)
-	}
-	got := encodeSnapshot(t, s.Snapshot())
+	checkOldFrameRejected(t, "testdata/snapshot-v4-pr18.frame", 4)
+}
+
+// checkFrameFixture holds got, a frame this build wrote, to the checked-in
+// frame at path: the fixture is of this build's version and has the same
+// bytes, and it decodes into a snapshot that re-encodes to them. It
+// returns that snapshot. (-write-frame rewrites the file first.)
+func checkFrameFixture(t *testing.T, path string, got []byte) *Snapshot {
+	t.Helper()
 	if *writeFrame {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -194,8 +189,8 @@ func TestSnapshotFrameWrittenByPR18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(want[4:8]); v != 4 || snapshotVersion != 4 {
-		t.Fatalf("checked-in frame is version %d, this build writes %d; both must be 4", v, snapshotVersion)
+	if v := binary.LittleEndian.Uint32(want[4:8]); v != snapshotVersion {
+		t.Fatalf("checked-in frame is version %d, this build writes %d", v, snapshotVersion)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
@@ -207,6 +202,26 @@ func TestSnapshotFrameWrittenByPR18(t *testing.T) {
 	if got := encodeSnapshot(t, decoded); !bytes.Equal(got, want) {
 		t.Fatalf("decoded frame re-encodes differently (%d vs %d bytes)", len(got), len(want))
 	}
+	return decoded
+}
+
+// TestSnapshotFrameFixture: testdata/snapshot-v5.frame is the snapshot the
+// build that introduced version 5 wrote for compactedCfg twelve epochs in.
+// While the format stands, this build writes those exact bytes for the
+// same run, and reads them back into a snapshot that re-encodes to them
+// and continues like the live simulation. A change that moves the format
+// bumps the version, checks in a frame of its own, and turns this file's
+// check into a version miss like the ones above.
+func TestSnapshotFrameFixture(t *testing.T) {
+	cfg := compactedCfg()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunEpochs(12); err != nil {
+		t.Fatal(err)
+	}
+	decoded := checkFrameFixture(t, "testdata/snapshot-v5.frame", encodeSnapshot(t, s.Snapshot()))
 	resumed, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,15 +234,17 @@ func TestSnapshotFrameWrittenByPR18(t *testing.T) {
 	}
 }
 
-// TestHeldTrafficFrameFixture: testdata/snapshot-v4-held-traffic.frame was
-// written by the build before messages became values, for a sim/gst
-// population three epochs into a partition that heals at epoch 30. Its
-// held cross-partition traffic carries all three message tags: blocks,
-// batches (two of them from buckets whose proposer attested alone) and
-// single attestations. This build writes the same bytes for the same run,
-// and decodes them into a snapshot that re-encodes to them and continues
-// like the live simulation.
+// TestHeldTrafficFrameFixture: testdata/snapshot-v5-held-traffic.frame is
+// the snapshot of a sim/gst population three epochs into a partition that
+// heals at epoch 30. Its held cross-partition traffic carries all three
+// message tags: blocks, batches (two of them from buckets whose proposer
+// attested alone) and single attestations. This build writes the same
+// bytes for the same run, and decodes them into a snapshot that re-encodes
+// to them and continues like the live simulation. The version 4 frame of
+// the same run, written by the build before messages became values, is a
+// version miss.
 func TestHeldTrafficFrameFixture(t *testing.T) {
+	checkOldFrameRejected(t, "testdata/snapshot-v4-held-traffic.frame", 4)
 	cfg := Config{
 		Validators: 96, Spec: types.CompressedSpec(1 << 16),
 		GST: 30 * 32, Delay: 1, Seed: 2, PartitionOf: halfSplit(96),
@@ -239,20 +256,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(3); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/snapshot-v4-held-traffic.frame")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(got, want) {
-		t.Fatalf("this build's frame for the same run differs from the checked-in one (%d vs %d bytes)", len(got), len(want))
-	}
-	decoded, err := ReadSnapshot(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	if got := encodeSnapshot(t, decoded); !bytes.Equal(got, want) {
-		t.Fatalf("decoded frame re-encodes differently (%d vs %d bytes)", len(got), len(want))
-	}
+	decoded := checkFrameFixture(t, "testdata/snapshot-v5-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
 	var kinds [4]int
 	held := decoded.net.Clone()
 	for _, c := range s.Cohorts() {
@@ -289,7 +293,7 @@ func reseal(b []byte) []byte {
 
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew (the version 1, 2 and 3 frames of earlier builds included), and a
+// skew (the version 1 to 4 frames of earlier builds included), and a
 // correctly sealed payload whose vote tables, id columns, marks or registry
 // are not ones this build writes — fails ReadSnapshot with
 // ErrSnapshotCodec; no partially-decoded snapshot escapes.
@@ -359,6 +363,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"v1-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 1); return b }},
 		{"v2-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 2); return b }},
 		{"v3-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 3); return b }},
+		{"v4-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 4); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
 			return reseal(b)

@@ -85,13 +85,13 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 		switch {
 		case shell:
 		case c.Node != nil:
-			c.Node.Reset(first, cfg.Validators, cfg.Spec, genesis)
+			c.Node.Reset(cfg.Validators, cfg.Spec, genesis)
 		default:
 			var votes forkchoice.Engine = forkchoice.NewProtoArray()
 			if cfg.reference.engine != nil {
 				votes = cfg.reference.engine()
 			}
-			c.Node = beacon.NewNodeWithForkChoice(first, cfg.Validators, cfg.Spec, genesis, votes)
+			c.Node = beacon.NewNodeWithForkChoice(cfg.Validators, cfg.Spec, genesis, votes)
 		}
 		if c.Node != nil {
 			c.Node.EnforceSlashing = !c.Byzantine

@@ -19,6 +19,7 @@ import (
 // Seeded with the checked-in frames.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, name := range []string{
+		"snapshot-v5.frame", "snapshot-v5-held-traffic.frame",
 		"snapshot-v4-pr18.frame", "snapshot-v4-held-traffic.frame",
 		"snapshot-v3-pr16.frame", "snapshot-v2-pr13.frame",
 	} {

@@ -1,12 +1,6 @@
 package slashing
 
-import (
-	"repro/internal/attestation"
-	"repro/internal/codec"
-)
-
-// EvidenceBytes is the encoded size of one piece of slashing evidence.
-const EvidenceBytes = 8 + 8 + 2*attestation.DataBytes
+import "repro/internal/codec"
 
 // Walk moves the detector for the durable snapshot codec: the
 // already-reported marks, one byte per validator up to the highest one
@@ -18,12 +12,4 @@ func (d *Detector) Walk(c *codec.Coder) {
 	if !c.Encoding() && len(d.slashed) > 0 && !d.slashed[len(d.slashed)-1] {
 		c.Corrupt("slashing: mark column ends unmarked")
 	}
-}
-
-// Walk moves one piece of slashing evidence.
-func (e *Evidence) Walk(c *codec.Coder) {
-	c.U64((*uint64)(&e.Validator))
-	c.Int((*int)(&e.Kind))
-	e.First.Walk(c)
-	e.Second.Walk(c)
 }
