@@ -122,9 +122,6 @@ type spillVote struct {
 // vote opens an older epoch.
 const maxSpares = 2
 
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
-
 // Reset empties the pool for votes of validators [0, width): every new
 // epoch's id column is sized to width at its first vote, and the epochs
 // held become spares whose storage the next target epochs take over.
@@ -158,14 +155,23 @@ func (p *Pool) open(e types.Epoch) *EpochVotes {
 	if i < len(p.epochs) && p.epochs[i].epoch == e {
 		return p.epochs[i]
 	}
-	var ev *EpochVotes
-	if n := len(p.spares); n > 0 {
-		ev, p.spares = p.spares[n-1], p.spares[:n-1]
-		ev.reset(e)
-	} else {
-		ev = &EpochVotes{epoch: e} //gasper:alloc first vote of a target epoch with no pruned epoch to reuse: the run's first few epochs
-	}
+	ev := p.spare(e)
 	p.epochs = slices.Insert(p.epochs, i, ev)
+	return ev
+}
+
+// spare returns an empty entry for target epoch e, in the storage of the
+// spare taken last when there is one.
+//
+//gasper:noalloc
+func (p *Pool) spare(e types.Epoch) *EpochVotes {
+	n := len(p.spares)
+	if n == 0 {
+		return &EpochVotes{epoch: e} //gasper:alloc first vote of a target epoch with no pruned epoch to reuse: the run's first few epochs
+	}
+	ev := p.spares[n-1]
+	p.spares = p.spares[:n-1]
+	ev.reset(e)
 	return ev
 }
 
@@ -232,15 +238,9 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 	p.width = max(p.width, need)
 	ev.voted = max(ev.voted, need)
 	if len(ev.first) < need {
-		//gasper:alloc one-time column growth: an epoch's column is sized to the validator count in one piece
-		first := make([]uint32, p.width)
-		copy(first, ev.first)
-		ev.first = first
+		ev.first = widen(ev.first, p.width)
 		if ev.second != nil {
-			//gasper:alloc one-time column growth, as above
-			second := make([]uint32, p.width)
-			copy(second, ev.second)
-			ev.second = second
+			ev.second = widen(ev.second, p.width)
 		}
 	}
 	for _, v := range validators {
@@ -257,6 +257,23 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 		dst = append(dst, v)
 	}
 	return dst
+}
+
+// widen returns col lengthened to n ids, the new ones zero: in its own
+// storage when that holds n (a spare's column a shorter run cut down, or a
+// decode filled short), else in one new piece.
+//
+//gasper:noalloc
+func widen(col []uint32, n int) []uint32 {
+	if cap(col) >= n {
+		k := len(col)
+		col = col[:n]
+		clear(col[k:])
+		return col
+	}
+	out := make([]uint32, n) //gasper:alloc one-time column growth: an epoch's column is sized to the validator count in one piece
+	copy(out, col)
+	return out
 }
 
 // intern returns d's id in the epoch's table, appending d on first sight.

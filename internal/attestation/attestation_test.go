@@ -60,7 +60,7 @@ func linkWeights(p *Pool, e types.Epoch, stake func(types.ValidatorIndex) types.
 }
 
 func TestPoolAddDeduplicates(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	a := att(1, 33, 5, cp(0, 0), cp(1, 5))
 	if !p.Add(a) {
 		t.Error("first add should be new")
@@ -74,7 +74,7 @@ func TestPoolAddDeduplicates(t *testing.T) {
 }
 
 func TestPoolKeepsEquivocations(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	// Same validator, same target epoch, two different target roots: a
 	// double vote. The pool must retain both.
 	p.Add(att(1, 33, 5, cp(0, 0), cp(1, 5)))
@@ -85,7 +85,7 @@ func TestPoolKeepsEquivocations(t *testing.T) {
 }
 
 func TestVoted(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	p.Add(att(3, 33, 5, cp(0, 0), cp(1, 5)))
 	if !voted(p, 1, 3) {
 		t.Error("validator 3 voted in epoch 1")
@@ -102,7 +102,7 @@ func TestVoted(t *testing.T) {
 // it — a validator is active on a branch for an epoch iff it cast a vote
 // whose target root is that branch's.
 func TestVotedForTarget(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	p.Add(att(3, 33, 5, cp(0, 0), cp(1, 5)))
 	var a Activity
 	if p.Activity(&a, 1, types.RootFromUint64(5)); !a.Active(3) {
@@ -114,7 +114,7 @@ func TestVotedForTarget(t *testing.T) {
 }
 
 func TestTargetWeights(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	src := cp(0, 0)
 	tgtA := cp(1, 10)
 	tgtB := cp(1, 20)
@@ -132,7 +132,7 @@ func TestTargetWeights(t *testing.T) {
 }
 
 func TestTargetWeightsEquivocatorCountsOnBothBranches(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	src := cp(0, 0)
 	tgtA := cp(1, 10)
 	tgtB := cp(1, 20)
@@ -147,7 +147,7 @@ func TestTargetWeightsEquivocatorCountsOnBothBranches(t *testing.T) {
 }
 
 func TestTargetWeightsDuplicateLinkCountsOnce(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	src := cp(0, 0)
 	tgt := cp(1, 10)
 	// Same link with different heads/slots: one FFG vote only.
@@ -161,7 +161,7 @@ func TestTargetWeightsDuplicateLinkCountsOnce(t *testing.T) {
 }
 
 func TestPrune(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	p.Add(att(1, 33, 5, cp(0, 0), cp(1, 5)))
 	p.Add(att(1, 65, 6, cp(1, 5), cp(2, 6)))
 	p.Add(att(1, 97, 7, cp(2, 6), cp(3, 7)))
@@ -177,6 +177,19 @@ func TestPrune(t *testing.T) {
 	}
 }
 
+// TestWidenZeroesWhatItAdds: a column lengthened within its capacity reads
+// zero, no vote, past its old length, whatever that storage held before;
+// one lengthened past its capacity is copied whole.
+func TestWidenZeroesWhatItAdds(t *testing.T) {
+	held := []uint32{1, 2, 3, 4, 5, 6}
+	if got := widen(held[:2], 5); !reflect.DeepEqual(got, []uint32{1, 2, 0, 0, 0}) || &got[0] != &held[0] {
+		t.Errorf("widened within its capacity to %v (in place %t), want [1 2 0 0 0] in place", got, &got[0] == &held[0])
+	}
+	if got := widen(held[:2:2], 4); !reflect.DeepEqual(got, []uint32{1, 2, 0, 0}) || &got[0] == &held[0] {
+		t.Errorf("widened past its capacity to %v (in place %t), want [1 2 0 0] in new storage", got, &got[0] == &held[0])
+	}
+}
+
 // TestPrunedEpochStorageIsReusedClean: the next new target epoch takes over
 // a pruned epoch's storage, and nothing the pruned epoch recorded — votes,
 // an equivocation with its second column and spill, the source range —
@@ -187,8 +200,8 @@ func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
 		att(2, 290, 7, cp(8, 3), cp(9, 7)),
 		att(6, 290, 7, cp(8, 3), cp(9, 7)),
 	}
-	fresh := NewPool()
-	reused := NewPool()
+	fresh := new(Pool)
+	reused := new(Pool)
 	// Epoch 1: validators 0..7 vote; validator 2 casts three distinct votes.
 	for v := uint64(0); v < 8; v++ {
 		reused.Add(att(v, 33, 5, cp(0, 0), cp(1, 5)))
@@ -240,7 +253,7 @@ func TestPrunedEpochStorageIsReusedClean(t *testing.T) {
 // voter however long the column is. Reset hands the epochs to the next run
 // as spares, and the reset pool reads, tallies and encodes like a new one.
 func TestResetSizesEachColumnOnce(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	p.Reset(64)
 	vote := func(p *Pool, v uint64) {
 		a := att(v, 32+v%32, 5, cp(0, 0), cp(1, 5))
@@ -259,7 +272,7 @@ func TestResetSizesEachColumnOnce(t *testing.T) {
 	if len(p.Retained()) != 0 || len(p.spares) != 1 {
 		t.Fatalf("after Reset(32): %d epochs, %d spares; want the epoch kept as a spare", len(p.Retained()), len(p.spares))
 	}
-	fresh := NewPool()
+	fresh := new(Pool)
 	for v := uint64(0); v < 32; v += 3 {
 		vote(p, v)
 		vote(fresh, v)
@@ -291,7 +304,7 @@ func TestAttestationString(t *testing.T) {
 // against the map tally: same links, same weights, equivocators counted
 // once per distinct link, duplicate links of one validator deduplicated.
 func TestAppendLinkTallyMatchesTargetWeights(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	stake := func(v types.ValidatorIndex) types.Gwei { return types.Gwei(10 + v) }
 	src := types.Checkpoint{Epoch: 0, Root: types.RootFromUint64(1)}
 	tgtA := types.Checkpoint{Epoch: 1, Root: types.RootFromUint64(2)}

@@ -20,11 +20,16 @@ func (d *Data) Walk(c *codec.Coder) {
 
 // Walk moves the pool for the durable snapshot codec: target epochs in
 // ascending order, each as its number, its value table and its id columns.
-// A decoded pool whose epochs are out of order is corrupt.
+// Decoding empties the pool as Reset does and fills each decoded epoch into
+// a spare's storage while there is one. A decoded pool whose epochs are out
+// of order is corrupt.
 func (p *Pool) Walk(c *codec.Coder) {
+	if !c.Encoding() {
+		p.Reset(0)
+	}
 	codec.Slice(c, &p.epochs, 8+4*4, func(ev **EpochVotes, c *codec.Coder) {
-		if *ev == nil {
-			*ev = new(EpochVotes)
+		if !c.Encoding() {
+			*ev = p.spare(0)
 		}
 		(*ev).walk(c)
 	})

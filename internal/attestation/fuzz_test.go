@@ -28,7 +28,7 @@ func encodePool(p *Pool) []byte {
 // TestInternedVotesMatchReference; `go test ./internal/beacon
 // -run TestInternedVotesMatchReference -write-fuzz-seeds` rewrites it.
 func FuzzDecodePool(f *testing.F) {
-	p := NewPool()
+	p := new(Pool)
 	p.Add(att(1, 33, 5, cp(0, 0), cp(1, 5)))
 	p.Add(att(1, 33, 6, cp(0, 0), cp(1, 6)))
 	p.Add(att(1, 34, 6, cp(0, 0), cp(1, 6)))
@@ -38,7 +38,7 @@ func FuzzDecodePool(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		p, c := NewPool(), codec.NewDecoder(bytes.NewReader(frame))
+		p, c := new(Pool), codec.NewDecoder(bytes.NewReader(frame))
 		p.Walk(c)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(frame))+1<<20 {

@@ -50,16 +50,21 @@ func walkRegistry(reg *validator.Registry, c *codec.Coder) {
 // codec. The field list mirrors Clone exactly: everything Clone deep-copies
 // is moved; everything Clone rebuilds or deliberately drops (the visibility
 // filter, the bound stake/activity closures, the tally scratch) is rebuilt
-// or dropped on decode too. Decoding fills a new Node and rebinds the stake
-// and activity method values exactly as Clone does. The decoded fork-choice
-// engine carries no cached tree identity, so its first head query rebuilds
-// against the decoded tree — the same one-time O(tree + validators) event a
-// cloned engine pays.
+// or dropped on decode too. Decoding fills the node in the storage it holds
+// — each component's walk empties it, as its Reset does, and refills it; a
+// new Node's components are new — and rebinds the stake and activity method
+// values exactly as Clone does. The decoded
+// fork-choice engine carries no cached tree identity, so its first head
+// query rebuilds against the decoded tree — the same one-time
+// O(tree + validators) event a cloned engine pays.
 func (n *Node) Walk(c *codec.Coder) {
 	if !c.Encoding() {
-		n.Tree, n.FFG, n.Pool = new(blocktree.Tree), new(ffg.Engine), attestation.NewPool()
-		n.Detector, n.Registry = slashing.NewDetector(), new(validator.Registry)
-		n.pending = make(map[types.Root][]blocktree.Block)
+		if n.Tree == nil {
+			n.Tree, n.FFG, n.Pool = new(blocktree.Tree), new(ffg.Engine), new(attestation.Pool)
+			n.Detector, n.Registry = new(slashing.Detector), new(validator.Registry)
+			n.pending = make(map[types.Root][]blocktree.Block)
+		}
+		clear(n.pending)
 	}
 	walkSpec(&n.Spec, c)
 	c.Bool(&n.EnforceSlashing)

@@ -10,7 +10,6 @@
 package beacon
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/attestation"
@@ -26,10 +25,6 @@ import (
 // ffgWindow is how many target epochs, ending with the one just ended, a
 // boundary re-scans for justification.
 const ffgWindow = 4
-
-// ErrNotProposer is returned when a node is asked to propose in a slot it
-// does not own.
-var ErrNotProposer = errors.New("beacon: not the proposer for this slot")
 
 // Node is one validator's protocol view. Construct with NewNodeWithForkChoice.
 type Node struct {

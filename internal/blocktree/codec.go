@@ -25,11 +25,16 @@ func (b *Block) Walk(c *codec.Coder) {
 // nodes are topological and sibling order equals index order, so the
 // relink is lossless).
 //
-// Decoding fills a new Tree. Structural impossibilities (no nodes, a parent
-// at or after its child, a stored parent root that is not the parent
-// link's root, a duplicate root) are corrupt. Pages are allocated as nodes
-// arrive, so a corrupt count costs no more than the bytes behind it.
+// Decoding empties the tree as Reset does, keeping its pages, root index
+// and scratch, and refills it: a tree that held as many nodes allocates
+// nothing. Structural impossibilities (no nodes, a parent at or after its
+// child, a stored parent root that is not the parent link's root, a
+// duplicate root) are corrupt. Pages past the ones held are allocated as
+// nodes arrive, so a corrupt count costs no more than the bytes behind it.
 func (t *Tree) Walk(c *codec.Coder) {
+	if !c.Encoding() {
+		*t = Tree{pages: t.pages, index: t.index, scratch: t.scratch}
+	}
 	c.U64(&t.version)
 	c.Int(&t.folded)
 	n := int(t.n)
@@ -37,7 +42,7 @@ func (t *Tree) Walk(c *codec.Coder) {
 		c.Corrupt("blocktree: empty node array")
 	}
 	for i := int32(0); i < int32(n) && c.Err() == nil; i++ {
-		if !c.Encoding() && i&pageMask == 0 {
+		if !c.Encoding() && int(i>>pageBits) == len(t.pages) {
 			t.pages = append(t.pages, new([pageSize]node))
 		}
 		nd := t.at(i)
@@ -67,7 +72,9 @@ func (t *Tree) Walk(c *codec.Coder) {
 		return
 	}
 	t.n = int32(n)
-	t.index = make([]int32, max(2*pageSize, 1<<bits.Len(uint(2*n-1))))
+	if size := max(2*pageSize, 1<<bits.Len(uint(2*n-1))); len(t.index) < size {
+		t.index = make([]int32, size)
+	}
 	if i := t.reindex(); i != NoIndex {
 		c.Corrupt("blocktree: duplicate root at node %d", i)
 		return

@@ -239,6 +239,11 @@ func (c *Coder) Count(n *int, size int) {
 // once, and from any other it grows as elements actually arrive: a corrupt
 // count fails at the end of the input instead of allocating what it claims.
 // A slice that fails to decode is nil.
+//
+// Decoding into a slice that has the capacity reuses it, elements
+// included: an element within the capacity reaches elem holding what it
+// held before (a pointer element still points where it did), and elem sets
+// every field it moves. Elements past the capacity start zero.
 func Slice[T any](c *Coder, s *[]T, minElemBytes int, elem func(*T, *Coder)) {
 	n := len(*s)
 	c.Count(&n, minElemBytes)
@@ -250,7 +255,11 @@ func Slice[T any](c *Coder, s *[]T, minElemBytes int, elem func(*T, *Coder)) {
 	}
 	out := sized(c, *s, n)
 	for len(out) < n && c.err == nil {
-		out = append(out, *new(T))
+		if len(out) < cap(out) {
+			out = out[:len(out)+1]
+		} else {
+			out = append(out, *new(T))
+		}
 		elem(&out[len(out)-1], c)
 	}
 	*s = decodedSlice(c, out)

@@ -193,7 +193,7 @@ func (h Hit) Result() (Result, error) {
 // AppendResult appends the hit's Result as encoding/json writes it, without
 // decoding the payload: a payload EncodePayload wrote is that encoding
 // without Meta, Result's last field, so the hit's Meta goes in place of the
-// closing brace. dst grows at most once, with room for a newline after.
+// closing brace. dst grows at most once for the two.
 func (h Hit) AppendResult(dst []byte) []byte {
 	dst = slices.Grow(dst, len(h.Payload)+len(cachedMeta))
 	return append(append(dst, h.Payload[:len(h.Payload)-1]...), cachedMeta...)

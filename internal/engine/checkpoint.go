@@ -78,6 +78,10 @@ type CheckpointableScenario interface {
 	// Any damage or version skew returns an error; callers treat it as
 	// "no checkpoint".
 	DecodePrefix(r io.Reader) (*Prefix, error)
+	// loadPrefix reconstructs the prefix as DecodePrefix does for cell p,
+	// standing on a live simulation the frame was decoded into instead of
+	// on a snapshot: the durable tier's resume (runFromCheckpoint).
+	loadPrefix(r io.Reader, p Params) (*Prefix, error)
 }
 
 // RunCheckpointed executes one cell under the durable-checkpoint policy
@@ -145,13 +149,14 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		every = DefaultCheckpointEvery
 	}
 
-	// The prefix is decoded where the payload was lent and copies what it
-	// keeps. A payload whose store framing was intact but whose inner
-	// bytes were not (codec version skew, schema drift) is refused: the
-	// same verdict as corruption, and the cell starts cold.
+	// The prefix is decoded where the payload was lent, into a spare
+	// simulation it then stands on, and copies what it keeps. A payload
+	// whose store framing was intact but whose inner bytes were not (codec
+	// version skew, schema drift) is refused: the same verdict as
+	// corruption, and the cell starts cold.
 	var pre *Prefix
 	ck.Store.ReadCheckpoint(cellKey, func(payload []byte) bool {
-		dec, err := cs.DecodePrefix(bytes.NewReader(payload))
+		dec, err := cs.loadPrefix(bytes.NewReader(payload), p)
 		if err == nil {
 			pre = dec
 		}
@@ -192,13 +197,12 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		save(pre)
 	}
 
-	// This runner is the prefix's final consumer: nothing else references
-	// the in-memory snapshot (the durable copy is independent bytes), so
-	// ResumeFrom may adopt it instead of cloning.
-	pre.Owned = true
+	// The prefix stands on its live simulation (loaded or advanced here),
+	// which ResumeFrom claims, or only reads when nothing is left to step.
 	res, err := cs.ResumeFrom(ctx, pre, p)
-	// Cancelled while finishing: a prefix without a snapshot is the unsaved
-	// one the cell finishes on, and it was only read.
+	// Cancelled while finishing: a prefix without a snapshot whose
+	// simulation is still on it is the unsaved one the cell finishes on,
+	// and it was only read.
 	if err != nil && pre.Snap == nil {
 		save(pre)
 	}

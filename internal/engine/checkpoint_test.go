@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blocktree"
 	"repro/internal/sim"
+	"repro/internal/types"
 )
 
 // memStore is an in-memory CheckpointStore for the runner tests (the
@@ -285,6 +287,98 @@ func TestPrefixBlobFixture(t *testing.T) {
 	}
 	if got, want := warm.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the fixture's resume diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+}
+
+// TestCheckpointLoadsIntoUsedSpares is the differential check of the
+// durable tier's resume: the checked-in sim/semiactive blob, and a second
+// sim/semiactive prefix whose views hold slashing marks, each loaded
+// (loadPrefix) into the spare simulation a cell of another shape left
+// behind — more validators, fewer, another scenario — with a block waiting
+// for its parent in every view, stands on that spare, re-encodes to the
+// blob's bytes, and finishes its cell to the cold Result.
+func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
+	ctx := context.Background()
+	sc, _ := Default.Lookup(ScenarioSimSemiActive)
+	cs := sc.(CheckpointableScenario)
+	fixture, err := os.ReadFile(prefixFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slashed := Params{P0: 0.5, Beta0: 0.33, N: 96, Horizon: 90, Seed: 2}.WithDefaults(sc.Defaults())
+	pre, err := cs.RunTo(ctx, slashed, nil, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := 0
+	for _, c := range pre.live().Cohorts() {
+		for v := range slashed.N {
+			if c.Node.Detector.Slashed(types.ValidatorIndex(v)) {
+				marks++
+			}
+		}
+	}
+	if marks == 0 {
+		t.Fatal("the sim/semiactive prefix holds no slashing marks")
+	}
+	var slashedBlob bytes.Buffer
+	if err := cs.EncodePrefix(&slashedBlob, pre); err != nil {
+		t.Fatal(err)
+	}
+
+	used := []Cell{
+		{Scenario: ScenarioSimSemiActive, Params: Params{P0: 0.5, Beta0: 0.2, N: 160, Horizon: 30, Seed: 3}},
+		{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 12, Seed: 1}},
+		{Scenario: ScenarioSimDrops, Params: Params{Rate: 0.3, N: 80, Horizon: 9, Seed: 4}},
+	}
+	for _, b := range []struct {
+		name string
+		p    Params
+		blob []byte
+	}{
+		{"fixture", prefixFixtureParams.WithDefaults(sc.Defaults()), fixture},
+		{"slashed", slashed, slashedBlob.Bytes()},
+	} {
+		cold, err := sc.Run(ctx, b.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range used {
+			drainSpares()
+			if _, err := RunCell(ctx, u, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			s := spare()
+			for _, c := range s.Cohorts() {
+				c.Node.ReceiveBlock(blocktree.Block{Slot: s.Slot() + 1, Root: types.RootFromUint64(1 << 40), Parent: types.RootFromUint64(1 << 41)})
+			}
+			recycle(s)
+			pre, err := cs.loadPrefix(bytes.NewReader(b.blob), b.p)
+			if err != nil {
+				t.Fatalf("%s into %s's spare: %v", b.name, u.Scenario, err)
+			}
+			if pre.live() != s {
+				t.Fatalf("%s: the prefix does not stand on %s's spare", b.name, u.Scenario)
+			}
+			if err := pre.freeze(); err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := cs.EncodePrefix(&again, pre); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), b.blob) {
+				t.Errorf("%s into %s's spare re-encodes differently (%d vs %d bytes)", b.name, u.Scenario, again.Len(), len(b.blob))
+				continue
+			}
+			res, err := cs.ResumeFrom(ctx, pre, b.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s into %s's spare diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", b.name, u.Scenario, got, want)
+			}
+		}
 	}
 }
 

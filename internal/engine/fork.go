@@ -38,7 +38,7 @@ type Prefix struct {
 	// returns it unchanged; resuming from it skips further simulation.
 	Done bool
 	// Owned marks a prefix that has exactly one consumer — a fork's private
-	// copy of the spine (Prefix.forkCopy), a decoded durable checkpoint —
+	// copy of the spine (Prefix.forkCopy), a prefix DecodePrefix returns —
 	// so ResumeFrom may destructively adopt Snap (sim.Simulation.Adopt)
 	// instead of deep-copying it. Adoption yields state identical to a
 	// Restore, so ownership can never change results, only skip a clone.

@@ -21,20 +21,6 @@ func drainSpares() {
 	spares.free = nil
 }
 
-// takeSpare removes the spare the next genesis start would reset from the
-// list and returns it; nil when none is idle.
-func takeSpare() *sim.Simulation {
-	spares.Lock()
-	defer spares.Unlock()
-	n := len(spares.free)
-	if n == 0 {
-		return nil
-	}
-	s := spares.free[n-1]
-	spares.free = spares.free[:n-1]
-	return s
-}
-
 // TestRecycledSimulationMatchesFixture: sim/partition's fixture grid, run
 // cell by cell in shuffled order — each cell starting on the simulation the
 // cell before it finished, whatever its validator count, and every seventh
@@ -132,7 +118,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("held-traffic-back-to-back", i, res)
-			s := takeSpare()
+			s := spare()
 			if s == nil {
 				t.Fatal("the cell gave no simulation back")
 			}
@@ -146,7 +132,7 @@ func TestRecycledCellsMatchFresh(t *testing.T) {
 		held, heal := len(cells)-2, len(cells)-1
 		drainSpares()
 		want := map[int][]byte{held: frame(held)}
-		if s := takeSpare(); s.Net.PendingFor(0)+s.Net.PendingFor(1) == 0 {
+		if s := spare(); s.Net.PendingFor(0)+s.Net.PendingFor(1) == 0 {
 			t.Fatal("the cell ending before the heal holds no traffic for it")
 		}
 		drainSpares()
@@ -227,7 +213,7 @@ func TestSpareSimulations(t *testing.T) {
 	if lent.live() == nil {
 		t.Fatal("the stop took the lent prefix's simulation")
 	}
-	if takeSpare() != nil {
+	if spare() != nil {
 		t.Fatal("a stop read off a lent prefix gave a simulation back")
 	}
 
@@ -249,7 +235,7 @@ func TestSpareSimulations(t *testing.T) {
 		if err := run.do(); err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}
-		if takeSpare() == nil {
+		if spare() == nil {
 			t.Errorf("a %s gave no simulation back", run.name)
 		}
 	}

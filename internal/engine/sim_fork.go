@@ -130,10 +130,7 @@ func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (R
 // gst then simulates unhealed, under network.FarFuture; otherwise the
 // simulation carries the cell's own heal slot.
 func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to int, shared bool) (*sim.Simulation, simTrace, time.Duration, error) {
-	cfg := sc.row.config(p)
-	if shared && sc.row.branchAtGST {
-		cfg.GST = network.FarFuture
-	}
+	cfg := sc.config(p, shared)
 	var tr simTrace
 	fromEpoch := 0
 	if from == nil {
@@ -167,6 +164,17 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 		elapsed = time.Since(start) //gasper:nondet wall-clock duration metadata only; never part of result identity
 	}
 	return s, tr, elapsed, err
+}
+
+// config is the row's simulation config for p; shared marks a run on behalf
+// of a whole prefix group, which a row that branches at gst runs unhealed,
+// under network.FarFuture (see advance).
+func (sc *simScenario) config(p Params, shared bool) sim.Config {
+	cfg := sc.row.config(p)
+	if shared && sc.row.branchAtGST {
+		cfg.GST = network.FarFuture
+	}
+	return cfg
 }
 
 // simCont hands a prefix's still-live simulation to exactly one claimant.
@@ -286,17 +294,29 @@ func recycle(s *sim.Simulation) {
 // genesisSim returns a simulation of cfg at genesis: the spare recycled
 // last, reset, when there is one, else a new one.
 func genesisSim(cfg sim.Config) (*sim.Simulation, error) {
+	s := spare()
 	spares.Lock()
-	n := len(spares.free)
-	if n == 0 {
+	if s == nil {
 		spares.stats.Built++
 		spares.Unlock()
 		return sim.New(cfg)
 	}
-	s := spares.free[n-1]
-	spares.free, spares.stats.Reset = spares.free[:n-1], spares.stats.Reset+1
+	spares.stats.Reset++
 	spares.Unlock()
 	return s, s.Reset(cfg)
+}
+
+// spare takes the spare recycled last off the list; nil when none is idle.
+func spare() *sim.Simulation {
+	spares.Lock()
+	defer spares.Unlock()
+	n := len(spares.free)
+	if n == 0 {
+		return nil
+	}
+	s := spares.free[n-1]
+	spares.free = spares.free[:n-1]
+	return s
 }
 
 // positionSim returns a simulation configured by cfg standing at the

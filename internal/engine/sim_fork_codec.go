@@ -52,6 +52,28 @@ func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 	return pre, nil
 }
 
+// loadPrefix is DecodePrefix for cell p without the snapshot: the frame is
+// loaded (sim.Simulation.Load) into a spare simulation, or a new one when
+// none is idle, configured as the cell's prefix runs (advance, shared), and
+// the prefix stands on it, as a prefix the spine advanced does. A spare
+// whose load failed goes back to the list, for a genesis start to reset.
+func (sc *simScenario) loadPrefix(src io.Reader, p Params) (*Prefix, error) {
+	pre := &Prefix{Trace: sc.row.newTrace(Params{})}
+	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
+		return nil, err
+	}
+	s := spare()
+	if s == nil {
+		s = new(sim.Simulation)
+	}
+	if err := s.Load(sc.config(p, true), src); err != nil {
+		recycle(s)
+		return nil, err
+	}
+	pre.cont = &simCont{s: s}
+	return pre, nil
+}
+
 // walkHead moves the blob ahead of the snapshot: the codec version, the
 // row's name, the prefix's position and its trace. A version or a name
 // other than this build's and this row's ends the walk there.

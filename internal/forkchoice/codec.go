@@ -13,8 +13,10 @@ const engineTagProtoArray byte = 1
 
 // WalkEngine moves a fork-choice engine behind a type tag. Only the
 // proto-array has a durable form; encoding any other engine fails the
-// coder, so no frame is ever written that only a read would reject. A
-// decode that fails leaves *e nil, not an Engine holding a nil *ProtoArray.
+// coder, so no frame is ever written that only a read would reject.
+// Decoding reuses the proto-array *e holds, reset first, and otherwise
+// fills a new one. A decode that fails into a new one leaves *e nil, not an
+// Engine holding a nil *ProtoArray.
 func WalkEngine(c *codec.Coder, e *Engine) {
 	p, ok := (*e).(*ProtoArray)
 	if c.Encoding() && !ok {
@@ -27,7 +29,10 @@ func WalkEngine(c *codec.Coder, e *Engine) {
 		return
 	}
 	if !c.Encoding() {
-		p = NewProtoArray()
+		if !ok {
+			p = new(ProtoArray)
+		}
+		p.Reset()
 	}
 	if p.walk(c); !c.Encoding() && c.Err() == nil {
 		*e = p
@@ -40,8 +45,10 @@ func WalkEngine(c *codec.Coder, e *Engine) {
 // over the block tree that the decoded engine's first sync rebuilds — the
 // decoded array carries a nil tree identity, so the first head query
 // triggers a full rebuild from the vote columns, exactly as a cloned
-// engine does against a cloned tree. A decoded vote count that disagrees
-// with the votes present is corrupt.
+// engine does against a cloned tree (the reset WalkEngine decodes into has
+// forgotten the tree it was synced to, even when the decoded tree reuses
+// that tree's storage). A decoded vote count that disagrees with the votes
+// present is corrupt.
 func (p *ProtoArray) walk(c *codec.Coder) {
 	n := len(p.voteRoot)
 	c.Count(&n, 32+8+1+8) // vote root, vote slot, has-vote, stake

@@ -16,8 +16,13 @@ import (
 // observable state: the simulator fans batches out in listed order). A
 // decoded configuration is restored verbatim (no constructor defaulting —
 // a snapshotted RetryDelay of 2 decodes as 2, not as "0, defaulted
-// later").
+// later"). Decoding empties the network as Reset does and refills it in
+// the storage it holds: its inboxes, and the lists on its free list for
+// the decoded slots' messages.
 func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Coder)) {
+	if !c.Encoding() {
+		n.empty()
+	}
 	c.Int(&n.cfg.Nodes)
 	c.U64((*uint64)(&n.cfg.GST))
 	c.U64((*uint64)(&n.cfg.Delay))
@@ -33,12 +38,17 @@ func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Code
 		if c.Encoding() {
 			slots = slices.AppendSeq(make([]types.Slot, 0, len(*box)), maps.Keys(*box))
 			slices.Sort(slots)
-		} else {
+		} else if *box == nil {
 			*box = make(map[types.Slot][]M)
+		} else {
+			clear(*box)
 		}
 		codec.Slice(c, &slots, 8+4, func(s *types.Slot, c *codec.Coder) {
 			c.U64((*uint64)(s))
 			msgs := (*box)[*s]
+			if k := len(n.spare) - 1; !c.Encoding() && k >= 0 {
+				msgs, n.spare = n.spare[k], n.spare[:k]
+			}
 			if codec.Slice(c, &msgs, msgBytes, msg); !c.Encoding() {
 				(*box)[*s] = msgs
 			}

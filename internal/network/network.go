@@ -113,6 +113,21 @@ func (n *Network[M]) Reset(cfg Config) {
 	if cfg.RetryDelay == 0 {
 		cfg.RetryDelay = 2
 	}
+	n.empty()
+	n.cfg, n.sent, n.dropped = cfg, 0, 0
+	n.partition = append(n.partition[:0], make([]int, cfg.Nodes)...)
+	n.bridging = append(n.bridging[:0], make([]bool, cfg.Nodes)...)
+	n.inbox = slices.Grow(n.inbox[:0], cfg.Nodes)[:cfg.Nodes]
+	for i, box := range n.inbox {
+		if box == nil {
+			n.inbox[i] = make(map[types.Slot][]M)
+		}
+	}
+}
+
+// empty clears every inbox list, a held one included, onto the free list
+// that enqueue starts new slots' lists from, and leaves every inbox empty.
+func (n *Network[M]) empty() {
 	n.recycleDrained()
 	for _, box := range n.inbox {
 		//gasper:ordered the lists only become spare storage, whose order decides no delivery
@@ -125,15 +140,6 @@ func (n *Network[M]) Reset(cfg Config) {
 	// Largest first, so that the slots' lists, taken from the end, start
 	// on the small ones.
 	slices.SortFunc(n.spare, func(a, b []M) int { return cap(b) - cap(a) })
-	n.cfg, n.sent, n.dropped = cfg, 0, 0
-	n.partition = append(n.partition[:0], make([]int, cfg.Nodes)...)
-	n.bridging = append(n.bridging[:0], make([]bool, cfg.Nodes)...)
-	n.inbox = slices.Grow(n.inbox[:0], cfg.Nodes)[:cfg.Nodes]
-	for i, box := range n.inbox {
-		if box == nil {
-			n.inbox[i] = make(map[types.Slot][]M)
-		}
-	}
 }
 
 // SetPartition assigns an endpoint to a partition. The partition scopes

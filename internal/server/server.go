@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -329,6 +330,12 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.opt.Registry.Infos())
 }
 
+// hitLines holds the buffers handleRun writes an LRU hit's line from, so
+// that a hit allocates no payload-sized buffer of its own. The line goes to
+// the ResponseWriter in one write, as the bytes a response recorder holds
+// grow with each.
+var hitLines = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleRun executes one scenario, serving repeated parameter points from
 // the result tier (LRU, then disk). Coordinators compute /run in-process
 // too, and cold: a coordinator is a complete serve instance, and a single
@@ -352,7 +359,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	run := engine.Prepare(cell, opt)
 	if hits := run.Hits(); len(hits) > 0 {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(hits[0].AppendResult(nil), '\n')) //nolint:errcheck // the response is already committed
+		line := hitLines.Get().(*[]byte)
+		*line = append(hits[0].AppendResult((*line)[:0]), '\n')
+		w.Write(*line) //nolint:errcheck // the response is already committed
+		hitLines.Put(line)
 		return
 	}
 	release, ok := s.admit(w, run.Misses())

@@ -48,8 +48,13 @@ const messageBytes = 1 + blocktree.BlockBytes
 
 // walk moves a message under its kind's tag. A batch that omits a listed
 // validator is written like a batch that never listed it, so a decoded
-// batch lists exactly the validators it casts for.
+// batch lists exactly the validators it casts for. A message is decoded
+// from zero, so a batch never decodes into a list it held before: a sent
+// list is immutable.
 func (m *Message) walk(c *codec.Coder) {
+	if !c.Encoding() {
+		*m = Message{}
+	}
 	c.Byte((*byte)(&m.Kind))
 	switch m.Kind {
 	case BlockMessage:
@@ -112,13 +117,20 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 	return c.Written(), c.Err()
 }
 
-// walk moves the snapshot's payload. Decoding fills a new Snapshot, and a
-// payload whose duty views do not fit it — not one per validator, or one
-// naming a view the snapshot does not hold — is corrupt: restored, it
-// would index past the simulation's views.
+// walk moves the snapshot's payload. Decoding fills the storage the
+// snapshot holds — its nodes, oracle, network and columns, each emptied by
+// its own walk — and new storage for what it lacks. A payload whose duty
+// views do not fit it — not one per validator, or one naming a view the
+// snapshot does not hold — is corrupt: restored, it would index past the
+// simulation's views.
 func (sn *Snapshot) walk(c *codec.Coder) {
 	if !c.Encoding() {
-		sn.oracle, sn.net = new(blocktree.Tree), new(network.Network[Message])
+		if sn.oracle == nil {
+			sn.oracle = new(blocktree.Tree)
+		}
+		if sn.net == nil {
+			sn.net = new(network.Network[Message])
+		}
 	}
 	c.Int(&sn.validators)
 	c.U64((*uint64)(&sn.slot))
@@ -169,25 +181,36 @@ func (f frame) Len() int { return int(f.rest.N) }
 // an error wrapping ErrSnapshotCodec; no partially-decoded snapshot ever
 // escapes. The decoded snapshot is a full deep state: Restore and Adopt
 // accept it exactly like an in-memory one.
+func ReadSnapshot(src io.Reader) (*Snapshot, error) {
+	sn := new(Snapshot)
+	if err := sn.read(src); err != nil {
+		return nil, err
+	}
+	return sn, nil
+}
+
+// read decodes a frame WriteTo wrote into sn, in the storage sn holds (see
+// walk), and returns an error wrapping ErrSnapshotCodec on any damage; sn
+// is then partly decoded, fit only to be decoded into again.
 //
 // The payload is decoded as it is read, with no copy of it: the checksum
-// verdict comes once the decoders have consumed the declared length, and
-// before the snapshot is returned. A source that cannot report its length
-// is first read into memory, grown only as its bytes arrive.
-func ReadSnapshot(src io.Reader) (*Snapshot, error) {
+// verdict comes once the decoders have consumed the declared length. A
+// source that cannot report its length is first read into memory, grown
+// only as its bytes arrive.
+func (sn *Snapshot) read(src io.Reader) error {
 	var header [20]byte
 	if _, err := io.ReadFull(src, header[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrSnapshotCodec, err)
+		return fmt.Errorf("%w: header: %v", ErrSnapshotCodec, err)
 	}
 	if string(header[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCodec)
+		return fmt.Errorf("%w: bad magic", ErrSnapshotCodec)
 	}
 	if v := binary.LittleEndian.Uint32(header[4:8]); v != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotCodec, v, snapshotVersion)
+		return fmt.Errorf("%w: version %d, want %d", ErrSnapshotCodec, v, snapshotVersion)
 	}
 	size := binary.LittleEndian.Uint32(header[8:12])
 	if size > snapshotMaxBytes {
-		return nil, fmt.Errorf("%w: payload length %d exceeds limit", ErrSnapshotCodec, size)
+		return fmt.Errorf("%w: payload length %d exceeds limit", ErrSnapshotCodec, size)
 	}
 	left, ok := src.(interface{ Len() int })
 	if !ok {
@@ -197,17 +220,17 @@ func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 		src, left = r, r
 	}
 	if int64(size) > int64(left.Len()) {
-		return nil, fmt.Errorf("%w: payload length %d exceeds the %d bytes left", ErrSnapshotCodec, size, left.Len())
+		return fmt.Errorf("%w: payload length %d exceeds the %d bytes left", ErrSnapshotCodec, size, left.Len())
 	}
 	rest, sum := &io.LimitedReader{R: src, N: int64(size)}, fnv.New64a()
-	sn, c := new(Snapshot), codec.NewDecoder(frame{io.TeeReader(rest, sum), rest})
+	c := codec.NewDecoder(frame{io.TeeReader(rest, sum), rest})
 	switch sn.walk(c); {
 	case c.Err() != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCodec, c.Err())
+		return fmt.Errorf("%w: %v", ErrSnapshotCodec, c.Err())
 	case rest.N > 0:
-		return nil, fmt.Errorf("%w: %d payload bytes past the snapshot", ErrSnapshotCodec, rest.N)
+		return fmt.Errorf("%w: %d payload bytes past the snapshot", ErrSnapshotCodec, rest.N)
 	case sum.Sum64() != binary.LittleEndian.Uint64(header[12:20]):
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCodec)
+		return fmt.Errorf("%w: checksum mismatch", ErrSnapshotCodec)
 	}
-	return sn, nil
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/attestation"
+	"repro/internal/blocktree"
 	"repro/internal/codec"
 	"repro/internal/network"
 	"repro/internal/types"
@@ -36,7 +37,7 @@ func compactedCfg() Config {
 
 // encodeSnapshot serializes through the full durable frame and sanity
 // checks the declared length.
-func encodeSnapshot(t *testing.T, sn *Snapshot) []byte {
+func encodeSnapshot(t testing.TB, sn *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := sn.WriteTo(&buf)
@@ -245,10 +246,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 // version miss.
 func TestHeldTrafficFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v4-held-traffic.frame", 4)
-	cfg := Config{
-		Validators: 96, Spec: types.CompressedSpec(1 << 16),
-		GST: 30 * 32, Delay: 1, Seed: 2, PartitionOf: halfSplit(96),
-	}
+	cfg := heldTrafficCfg()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +274,99 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	}
 	if live, replay := runRecorded(t, s, 30), runRecorded(t, resumed, 30); !reflect.DeepEqual(live, replay) {
 		t.Fatalf("the decoded frame's continuation diverged:\n  decoded: %+v\n  live:    %+v", replay, live)
+	}
+}
+
+// heldTrafficCfg is the run of testdata/snapshot-v5-held-traffic.frame: a
+// sim/gst population whose halves heal at epoch 30.
+func heldTrafficCfg() Config {
+	return Config{
+		Validators: 96, Spec: types.CompressedSpec(1 << 16),
+		GST: 30 * 32, Delay: 1, Seed: 2, PartitionOf: halfSplit(96),
+	}
+}
+
+// usedSimulations are runs whose simulations a frame is loaded into: one
+// larger than every frame fixture's, with lossy links and held traffic; a
+// smaller one of a single view; and one of another layout, three
+// partitions and a Byzantine cohort, that healed, finalized and pruned its
+// trees. Each is stepped the given epochs.
+var usedSimulations = []struct {
+	name   string
+	cfg    Config
+	epochs int
+}{
+	{"larger", Config{
+		Validators: 160, Spec: types.CompressedSpec(1 << 16), GST: 40 * 32, Delay: 2,
+		DropRate: 0.3, Seed: 5, ShuffledDuties: true, PartitionOf: halfSplit(160),
+	}, 10},
+	{"smaller", Config{Validators: 6, Spec: types.CompressedSpec(1 << 16), GST: network.Never, Delay: 1, Seed: 7}, 3},
+	{"other-layout", Config{
+		Validators: 48, Spec: types.CompressedSpec(1 << 16), GST: 6 * 32, Delay: 1, Seed: 11,
+		Byzantine:   []types.ValidatorIndex{0, 5},
+		PartitionOf: func(v types.ValidatorIndex) int { return int(v) % 3 },
+	}, 14},
+}
+
+// usedSimulation returns a simulation of the i-th usedSimulations run,
+// each of whose views then holds a block its parent never reached.
+func usedSimulation(t testing.TB, i int) *Simulation {
+	t.Helper()
+	s, err := New(usedSimulations[i].cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunEpochs(usedSimulations[i].epochs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range s.Cohorts() {
+		c.Node.ReceiveBlock(blocktree.Block{Slot: s.Slot() + 1, Root: types.RootFromUint64(1 << 40), Parent: types.RootFromUint64(1 << 41)})
+	}
+	return s
+}
+
+// TestLoadIntoUsedSimulation is the differential check of decoding in
+// place: each checked-in frame, loaded (Load) into a simulation another run
+// left behind, re-encodes to the frame's own bytes and continues exactly as
+// the live run the frame was taken from, epoch by epoch and in the frame of
+// its last state.
+func TestLoadIntoUsedSimulation(t *testing.T) {
+	for _, fx := range []struct {
+		path          string
+		cfg           Config
+		epochs, after int
+	}{
+		{"testdata/snapshot-v5.frame", compactedCfg(), 12, 4},
+		{"testdata/snapshot-v5-held-traffic.frame", heldTrafficCfg(), 3, 30},
+	} {
+		frame, err := os.ReadFile(fx.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := New(fx.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.RunEpochs(fx.epochs); err != nil {
+			t.Fatal(err)
+		}
+		want := runRecorded(t, live, fx.after)
+		wantEnd := encodeSnapshot(t, live.Snapshot())
+		for i, used := range usedSimulations {
+			s := usedSimulation(t, i)
+			if err := s.Load(fx.cfg, bytes.NewReader(frame)); err != nil {
+				t.Fatalf("%s into %s: %v", fx.path, used.name, err)
+			}
+			if got := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(got, frame) {
+				t.Errorf("%s into %s re-encodes differently (%d vs %d bytes)", fx.path, used.name, len(got), len(frame))
+				continue
+			}
+			if got := runRecorded(t, s, fx.after); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s into %s diverged from the live run:\n  loaded: %+v\n  live:   %+v", fx.path, used.name, got, want)
+			} else if end := encodeSnapshot(t, s.Snapshot()); !bytes.Equal(end, wantEnd) {
+				t.Errorf("%s into %s ends %d epochs on in another state than the live run", fx.path, used.name, fx.after)
+			}
+		}
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"repro/internal/attestation"
@@ -69,10 +70,9 @@ type AttBatch struct {
 type MessageKind uint8
 
 const (
-	// NoMessage is the zero Message; receivers ignore it.
-	NoMessage MessageKind = iota
-	// BlockMessage carries Block.
-	BlockMessage
+	// BlockMessage carries Block. The zero MessageKind, a zero Message's,
+	// is no message at all: receivers ignore it.
+	BlockMessage MessageKind = iota + 1
 	// AttestationMessage carries one validator's vote: Batch lists exactly
 	// that validator.
 	AttestationMessage
@@ -282,6 +282,36 @@ func NewShell(cfg Config) (*Simulation, error) {
 	return build(new(Simulation), cfg, true)
 }
 
+// Load makes the simulation the one NewShell(cfg) followed by the Adopt of
+// ReadSnapshot(src) gives — the same state, the same run from there — in
+// the storage it already holds: the frame is decoded straight into its
+// views, oracle tree, network and columns, each emptied first as Reset
+// empties it, so a simulation that last ran as many validators allocates
+// little beyond what the frame holds past it. The frame walk and the fit
+// to cfg are ReadSnapshot's and Adopt's. Only a simulation that nothing
+// else holds may be loaded. On error (ErrBadConfig, or ErrSnapshotCodec
+// for a damaged frame) the simulation is unusable until Reset or another
+// Load.
+func (s *Simulation) Load(cfg Config, src io.Reader) error {
+	if _, err := build(s, cfg, true); err != nil {
+		return err
+	}
+	sn := Snapshot{
+		nodes:     make([]*beacon.Node, len(s.cohorts)),
+		dutyView:  s.dutyView,
+		embargoes: s.embargoes,
+		oracle:    s.oracle,
+		net:       s.Net,
+	}
+	for i, c := range s.cohorts {
+		sn.nodes[i] = c.Node
+	}
+	if err := sn.read(src); err != nil {
+		return err
+	}
+	return s.Adopt(&sn)
+}
+
 // build configures s as a simulation of cfg at genesis, reusing whatever
 // storage s holds, and returns it.
 func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
@@ -362,8 +392,9 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 	}
 	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell, old.cohorts, old.cohortOf)
 	s.Net = wireNetwork(cfg, s.cohorts, old.Net)
+	s.dutyView = old.dutyView[:0]
 	if !shell { // a shell takes its duty views from the snapshot it is given
-		s.dutyView = append(old.dutyView[:0], s.cohortOf...)
+		s.dutyView = append(s.dutyView, s.cohortOf...)
 	}
 	s.honest = slices.Grow(old.honest[:0], cfg.Validators-len(byzantine))
 	for i := 0; i < cfg.Validators; i++ {

@@ -22,7 +22,7 @@ func snapshotCfg() Config {
 
 // runRecorded advances the sim by `epochs` whole epochs, returning one
 // EpochMetrics per boundary crossed.
-func runRecorded(t *testing.T, s *Simulation, epochs int) []EpochMetrics {
+func runRecorded(t testing.TB, s *Simulation, epochs int) []EpochMetrics {
 	t.Helper()
 	var hist []EpochMetrics
 	start := s.Slot().Epoch()

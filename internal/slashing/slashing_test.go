@@ -18,7 +18,7 @@ type observer struct {
 }
 
 func newObserver() *observer {
-	return &observer{pool: attestation.NewPool(), Detector: NewDetector()}
+	return &observer{pool: new(attestation.Pool), Detector: NewDetector()}
 }
 
 // Observe is a node's ingestion at length one: the vote goes to the pool,

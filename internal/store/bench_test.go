@@ -190,16 +190,18 @@ func BenchmarkStoreOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointLoad resumes the reuse-tiers workload's checkpoint, one
-// per op: the 2,500-validator sim/leak cell's prefix at epoch 50, lent from
-// the store's read buffer and decoded there. frame-B is the checkpoint's
-// size, which a copy of the lent payload would add to B/op.
-func BenchmarkCheckpointLoad(b *testing.B) {
-	ctx := context.Background()
-	cell := engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 2500, Horizon: 60, Seed: 1}}
-	sc, _ := engine.Lookup(cell.Scenario)
+// resumeCell is the reuse-tiers workload's checkpointed cell: 2,500
+// validators of sim/leak, resumed at epoch 50 and run to its horizon, 60.
+var resumeCell = engine.Cell{Scenario: engine.ScenarioSimLeak, Params: engine.Params{P0: 0.5, N: 2500, Horizon: 60, Seed: 1}}
+
+// savedCheckpoint saves resumeCell's epoch-50 checkpoint in a store in a
+// fresh directory and returns the store's checkpoint tier, the cell's key
+// and the frame's size.
+func savedCheckpoint(b *testing.B) (ckpts *store.Checkpoints, key string, frameBytes int) {
+	b.Helper()
+	sc, _ := engine.Lookup(resumeCell.Scenario)
 	cs := sc.(engine.CheckpointableScenario)
-	pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 50)
+	pre, err := cs.RunTo(context.Background(), resumeCell.Params.WithDefaults(sc.Defaults()), nil, 50)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,12 +213,25 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Close()
-	ckpts := r.Checkpoints()
-	key, _ := engine.CanonicalCellKey(nil, cell)
+	b.Cleanup(func() { r.Close() })
+	ckpts = r.Checkpoints()
+	key, _ = engine.CanonicalCellKey(nil, resumeCell)
 	if err := ckpts.SaveCheckpoint(key, frame.Bytes()); err != nil {
 		b.Fatal(err)
 	}
+	return ckpts, key, frame.Len()
+}
+
+// BenchmarkCheckpointLoad decodes the reuse-tiers workload's checkpoint, one
+// per op: the 2,500-validator sim/leak cell's prefix at epoch 50, lent from
+// the store's read buffer and decoded there into a new snapshot
+// (DecodePrefix); it does not resume the cell. frame-B is the checkpoint's
+// size, which a copy of the lent payload would add to B/op.
+func BenchmarkCheckpointLoad(b *testing.B) {
+	sc, _ := engine.Lookup(resumeCell.Scenario)
+	cs := sc.(engine.CheckpointableScenario)
+	ckpts, key, frameBytes := savedCheckpoint(b)
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -229,5 +244,32 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 			b.Fatalf("checkpoint did not load: %v", err)
 		}
 	}
-	b.ReportMetric(float64(frame.Len()), "frame-B")
+	b.ReportMetric(float64(frameBytes), "frame-B")
+}
+
+// keptCheckpoints is a checkpoint tier whose entries outlive the cells that
+// complete them, so every op resumes from the same checkpoint.
+type keptCheckpoints struct{ *store.Checkpoints }
+
+func (keptCheckpoints) DeleteCheckpoint(string) {}
+
+// BenchmarkCheckpointResume runs the reuse-tiers workload's resume, one per
+// op: RunCell of the 2,500-validator sim/leak cell with periodic
+// checkpoints off, which finds its epoch-50 checkpoint, loads it into the
+// spare simulation the op before finished, and steps the last ten epochs.
+// CI gates its B/op (cmd/benchgate/gates.json).
+func BenchmarkCheckpointResume(b *testing.B) {
+	ckpts, _, _ := savedCheckpoint(b)
+	opt := engine.Options{Checkpoint: &engine.CheckpointOptions{Every: -1, Store: keptCheckpoints{ckpts}}}
+	resume := func() {
+		res, err := engine.RunCell(context.Background(), resumeCell, opt)
+		if err != nil || res.Meta == nil || res.Meta.Checkpoint == nil || res.Meta.Checkpoint.ResumeEpoch != 50 {
+			b.Fatalf("the cell did not resume from its epoch-50 checkpoint: %v", err)
+		}
+	}
+	resume() // leaves a spare of the cell's shape, as a rep before does
+	b.ReportAllocs()
+	for b.Loop() {
+		resume()
+	}
 }

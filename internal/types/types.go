@@ -21,9 +21,6 @@ const (
 	// SlotsPerEpoch is the number of slots in one epoch.
 	SlotsPerEpoch = 32
 
-	// SecondsPerSlot is the wall-clock duration of a slot.
-	SecondsPerSlot = 12
-
 	// GweiPerETH converts ETH amounts to Gwei.
 	GweiPerETH = 1_000_000_000
 
