@@ -400,7 +400,7 @@ func TestFabricCrashResume(t *testing.T) {
 	// sweep makes before completion).
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if entries, err := filepath.Glob(filepath.Join(storeDir, "*", "*.res")); err == nil && len(entries) > 0 {
+		if entries, err := filepath.Glob(filepath.Join(storeDir, "*.res")); err == nil && len(entries) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -24,7 +24,7 @@ func BenchmarkEpochTransition(b *testing.B) {
 	const n = 10000
 	spec := types.DefaultSpec()
 	genesis := types.RootFromUint64(0)
-	node := NewNodeWithForkChoice(n, spec, genesis, forkchoice.NewProtoArray())
+	node := NewNodeWithForkChoice(n, spec, genesis, new(forkchoice.ProtoArray))
 
 	// ingest casts epoch e's attestations: half the validators vote, all
 	// for the genesis branch — below the supermajority, so the leak never
@@ -81,7 +81,7 @@ func BenchmarkReceiveBatch(b *testing.B) {
 	for _, retained := range []types.Epoch{2, 8} {
 		b.Run(fmt.Sprintf("retained-%d", retained), func(b *testing.B) {
 			genesis := types.RootFromUint64(0)
-			node := NewNodeWithForkChoice(n, types.DefaultSpec(), genesis, forkchoice.NewProtoArray())
+			node := NewNodeWithForkChoice(n, types.DefaultSpec(), genesis, new(forkchoice.ProtoArray))
 			voters := make([]types.ValidatorIndex, duty*slots) // half the validators: the leak never ends
 			for i := range voters {
 				voters[i] = types.ValidatorIndex(i)

@@ -188,8 +188,8 @@ func TestInternedVotesMatchReference(t *testing.T) {
 	mostVotes := 0
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		batched := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
-		single := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		batched := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
+		single := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
 		batched.EnforceSlashing, single.EnforceSlashing = true, true
 		// The evidence each stream's batches produced, read off the node's
 		// per-batch scratch right after each call.
@@ -346,8 +346,8 @@ func TestEvidenceNamesLowestTargetEpoch(t *testing.T) {
 	high, low, wide := span(3, 10), span(2, 8), span(0, 12)
 	const v = types.ValidatorIndex(2)
 	for _, order := range [][2]attestation.Data{{high, low}, {low, high}} {
-		batched := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
-		single := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+		batched := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
+		single := NewNodeWithForkChoice(4, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
 		ref := &refVotes{pool: map[types.Epoch][][]attestation.Data{}}
 		var batchedEvidence, singleEvidence []slashing.Evidence
 		for _, d := range []attestation.Data{order[0], order[1], wide} {
@@ -384,7 +384,7 @@ func TestBatchScratchSurvivesCloneAndCodec(t *testing.T) {
 			Target: types.Checkpoint{Epoch: types.Epoch(target), Root: types.RootFromUint64(head)},
 		}
 	}
-	orig := NewNodeWithForkChoice(8, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+	orig := NewNodeWithForkChoice(8, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
 	orig.EnforceSlashing = true
 	orig.ReceiveBatch(vote(1, 1), []types.ValidatorIndex{1, 2, 3, 4})
 	orig.ReceiveBatch(vote(1, 2), []types.ValidatorIndex{1}) // mid-run: the scratch holds evidence

@@ -95,7 +95,7 @@ type Node struct {
 
 // NewNodeWithForkChoice builds a node over a fresh view with nValidators
 // at the spec's maximum balance, running the given fork-choice engine: the
-// incremental forkchoice.NewProtoArray, or the map-based reference the
+// incremental forkchoice.ProtoArray, or the map-based reference the
 // equivalence suites run whole simulations on.
 func NewNodeWithForkChoice(nValidators int, spec types.Spec, genesis types.Root, votes forkchoice.Engine) *Node {
 	n := &Node{
@@ -121,7 +121,7 @@ func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
 	n.Tree.Reset(genesis)
 	n.FFG = ffg.NewEngine(genesis)
 	n.Pool.Reset(nValidators)
-	n.Detector = slashing.NewDetector()
+	n.Detector = new(slashing.Detector)
 	n.Registry.Reset(nValidators, spec.MaxEffectiveBalance)
 	n.EnforceSlashing, n.hidden, n.incentivesNext = false, nil, 0
 	clear(n.pending)

@@ -17,7 +17,7 @@ func genesis() types.Root { return types.RootFromUint64(0) }
 
 func newTestNode(t *testing.T, n int) *Node {
 	t.Helper()
-	return NewNodeWithForkChoice(n, types.DefaultSpec(), genesis(), forkchoice.NewProtoArray())
+	return NewNodeWithForkChoice(n, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
 }
 
 func TestReceiveBlockBuffersOutOfOrder(t *testing.T) {

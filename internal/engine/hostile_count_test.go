@@ -113,7 +113,7 @@ func countSites(t *testing.T, tail []byte) []countSite {
 	// A node at genesis ends in its registry (4 + 25 bytes a validator),
 	// no pending blocks and the next incentives epoch.
 	const validators = 4
-	node := encode(beacon.NewNodeWithForkChoice(validators, types.CompressedSpec(1<<16), types.RootFromUint64(0), forkchoice.NewProtoArray()).Walk)
+	node := encode(beacon.NewNodeWithForkChoice(validators, types.CompressedSpec(1<<16), types.RootFromUint64(0), new(forkchoice.ProtoArray)).Walk)
 	registryAt, pendingAt := len(node)-12-(4+25*validators), len(node)-12
 	for _, at := range []struct {
 		pos  int

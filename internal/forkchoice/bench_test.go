@@ -16,7 +16,7 @@ func protoFixture(b *testing.B, n int) (*forkchoice.ProtoArray, *blocktree.Tree)
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	tree, roots := randomTree(rng, 256)
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	p.UpdateStakes(n, func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
 	// Latest messages concentrate on recent blocks, as in a live run.
 	recent := roots[len(roots)-8:]
@@ -77,7 +77,7 @@ func BenchmarkHeadDeepChain(b *testing.B) {
 			for i := range validators {
 				validators[i] = types.ValidatorIndex(i)
 			}
-			p := forkchoice.NewProtoArray()
+			p := new(forkchoice.ProtoArray)
 			p.UpdateStakes(len(validators), func(types.ValidatorIndex) types.Gwei { return 32_000_000_000 })
 			p.ProcessBatch(validators, tip, types.Slot(depth))
 			if _, err := p.Head(tree, tree.Genesis()); err != nil {
@@ -135,7 +135,7 @@ func BenchmarkHeadVoteChurn(b *testing.B) {
 // BenchmarkProcess measures latest-message ingestion into the proto-array's
 // columnar store.
 func BenchmarkProcess(b *testing.B) {
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Process(types.ValidatorIndex(i%256), types.RootFromUint64(uint64(i)), types.Slot(i))

@@ -38,7 +38,7 @@ func votedEngine(t testing.TB, n int) *forkchoice.ProtoArray {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	tree, roots := randomTree(rng, 40)
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	p.UpdateStakes(n, func(v types.ValidatorIndex) types.Gwei {
 		if v%7 == 0 {
 			return 0

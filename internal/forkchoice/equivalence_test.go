@@ -68,7 +68,7 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 			nextBlock++
 		}
 
-		proto := forkchoice.NewProtoArray()
+		proto := new(forkchoice.ProtoArray)
 		oracle := refmodel.NewOracle()
 		engines := []forkchoice.Engine{proto, oracle}
 
@@ -249,7 +249,7 @@ func TestHeadFilteredHiddenListCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proto, oracle := forkchoice.NewProtoArray(), refmodel.NewOracle()
+	proto, oracle := new(forkchoice.ProtoArray), refmodel.NewOracle()
 	for _, e := range []forkchoice.Engine{proto, oracle} {
 		e.UpdateStakes(8, flatStake)
 		e.ProcessBatch([]types.ValidatorIndex{0, 1, 2}, root(5), 9)
@@ -299,7 +299,7 @@ func TestProtoArrayUnresolvedVoteResolvesOnArrival(t *testing.T) {
 	if err := tree.Add(blocktree.Block{Slot: 1, Root: root(10), Parent: root(0)}); err != nil {
 		t.Fatal(err)
 	}
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	p.UpdateStakes(4, flatStake)
 	p.Process(1, root(20), 2) // block 20 still in flight
 	head, err := p.Head(tree, root(0))
@@ -333,7 +333,7 @@ func TestProtoArrayCloneIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	p.UpdateStakes(4, flatStake)
 	p.Process(1, root(10), 1)
 	if _, err := p.Head(tree, root(0)); err != nil {
@@ -367,7 +367,7 @@ func TestProtoArrayCloneIndependence(t *testing.T) {
 func TestProtoArraySteadyStateHeadDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tree, roots := randomTree(rng, 300)
-	p := forkchoice.NewProtoArray()
+	p := new(forkchoice.ProtoArray)
 	p.UpdateStakes(1024, flatStake)
 	for v := 0; v < 1024; v++ {
 		p.Process(types.ValidatorIndex(v), roots[rng.Intn(len(roots))], types.Slot(v+1))
@@ -399,7 +399,7 @@ func TestProtoArrayCompactRebuildDeepChainWithParkedVotes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	proto := forkchoice.NewProtoArray()
+	proto := new(forkchoice.ProtoArray)
 	oracle := refmodel.NewOracle()
 	engines := []forkchoice.Engine{proto, oracle}
 	for _, e := range engines {

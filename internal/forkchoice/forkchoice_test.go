@@ -27,7 +27,7 @@ var engines = []struct {
 	name string
 	new  func() forkchoice.Engine
 }{
-	{"proto-array", func() forkchoice.Engine { return forkchoice.NewProtoArray() }},
+	{"proto-array", func() forkchoice.Engine { return new(forkchoice.ProtoArray) }},
 	{"map-oracle", func() forkchoice.Engine { return refmodel.NewOracle() }},
 }
 

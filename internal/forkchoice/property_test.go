@@ -138,7 +138,7 @@ func TestEngineEquivalenceUnderCompactionProperty(t *testing.T) {
 		const n = 24
 		rng := rand.New(rand.NewSource(seed))
 		tree, roots := randomTree(rng, 40)
-		proto := forkchoice.NewProtoArray()
+		proto := new(forkchoice.ProtoArray)
 		oracle := refmodel.NewOracle()
 		proto.UpdateStakes(n, flatStake)
 		oracle.UpdateStakes(n, flatStake)

@@ -41,7 +41,7 @@ import (
 // Compact bump the tree's Version, which voids the index space; the
 // engine detects it and rebuilds from the retained votes (an
 // O(validators + tree) event that happens only when finality advances or
-// the tree folds its cold spine).
+// the tree folds its cold spine). The zero value is an empty engine.
 type ProtoArray struct {
 	// Per-validator columns (latest messages and applied weight state).
 	voteRoot []types.Root
@@ -79,11 +79,6 @@ type ProtoArray struct {
 	// root; canonPos[i] is i's position on that path, -1 when off-chain.
 	canon    []int32 //gasper:nocodec canonical-chain cache; rebuilt by the first sync
 	canonPos []int32 //gasper:nocodec canonical-chain cache; rebuilt by the first sync
-}
-
-// NewProtoArray returns an empty incremental engine.
-func NewProtoArray() *ProtoArray {
-	return &ProtoArray{}
 }
 
 // Reset implements Engine: the columns are emptied, not freed, so sizing

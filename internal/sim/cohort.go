@@ -87,7 +87,7 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 		case c.Node != nil:
 			c.Node.Reset(cfg.Validators, cfg.Spec, genesis)
 		default:
-			var votes forkchoice.Engine = forkchoice.NewProtoArray()
+			var votes forkchoice.Engine = new(forkchoice.ProtoArray)
 			if cfg.reference.engine != nil {
 				votes = cfg.reference.engine()
 			}

@@ -179,7 +179,7 @@ type reference struct {
 	// singleton cohorts it models the adversary differently.
 	singletons bool
 	// engine, if non-nil, builds every view's fork choice in place of
-	// forkchoice.NewProtoArray.
+	// a forkchoice.ProtoArray.
 	engine func() forkchoice.Engine
 }
 

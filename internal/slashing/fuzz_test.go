@@ -37,7 +37,7 @@ func FuzzDecodeDetector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		d, c := NewDetector(), codec.NewDecoder(bytes.NewReader(frame))
+		d, c := new(Detector), codec.NewDecoder(bytes.NewReader(frame))
 		d.Walk(c)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(frame))+1<<20 {

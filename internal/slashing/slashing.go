@@ -88,11 +88,6 @@ type foundVote struct {
 	id    uint32
 }
 
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{}
-}
-
 // ObserveBatch looks at one data value that pool.AddBatch has just recorded
 // as new for every listed validator, and appends to dst, in listed order,
 // the evidence of each not-yet-reported validator whose offense it

@@ -18,7 +18,7 @@ type observer struct {
 }
 
 func newObserver() *observer {
-	return &observer{pool: new(attestation.Pool), Detector: NewDetector()}
+	return &observer{pool: new(attestation.Pool), Detector: new(Detector)}
 }
 
 // Observe is a node's ingestion at length one: the vote goes to the pool,
@@ -282,7 +282,7 @@ func TestDetectorLongHistoriesKeepArrivalOrder(t *testing.T) {
 	}
 
 	clone := d.Clone()
-	decoded, c := NewDetector(), codec.NewDecoder(bytes.NewReader(encodeDetector(d.Detector)))
+	decoded, c := new(Detector), codec.NewDecoder(bytes.NewReader(encodeDetector(d.Detector)))
 	if decoded.Walk(c); c.Err() != nil {
 		t.Fatalf("frame does not decode: %v", c.Err())
 	}

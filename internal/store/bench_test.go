@@ -172,8 +172,8 @@ func BenchmarkStoreGet(b *testing.B) {
 }
 
 // BenchmarkStoreOpen reopens the grid's 30-entry result store, one per op,
-// as each stored pass of the reuse-tiers workload does: the shard
-// directories listed, their entries counted and their temp files swept.
+// as each stored pass of the reuse-tiers workload does: the store directory
+// listed once, its entries counted and its temp files swept.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir, keys := gridStore(b)
 	b.ReportAllocs()
@@ -187,6 +187,29 @@ func BenchmarkStoreOpen(b *testing.B) {
 			b.Fatalf("reopened store counts %d entries, want %d", n, len(keys))
 		}
 		r.Close()
+	}
+}
+
+// BenchmarkStorePut writes one of the grid's results into the populated
+// 30-entry result store, one per op, overwriting its entry: the temp file
+// created in the store directory, written, synced and renamed to the
+// entry's address.
+func BenchmarkStorePut(b *testing.B) {
+	dir, keys := gridStore(b)
+	r, err := store.OpenResults(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	payload, err := engine.EncodePayload(gridResults()[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := r.PutPayload(keys[0], payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -6,13 +6,13 @@
 // repeated grids survive process restarts at disk speed, and warm, cold,
 // and sharded sweeps all share one store.
 //
-// Durability model: entries are written to a temp file in the target
-// directory and renamed into place, so a reader never observes a
-// half-written entry under its final name. Every entry carries a
-// magic/version/length/checksum header plus the full key, so a torn write,
-// a truncation, a flipped bit, or a hash collision is detected on read and
-// treated as a miss (the bad file is removed so the next write repairs it)
-// — corruption can cost a recomputation, never an error.
+// Durability model: entries are written to a temp file in the store
+// directory, where every entry lives, and renamed into place, so a reader
+// never observes a half-written entry under its final name. Every entry
+// carries a magic/version/length/checksum header plus the full key, so a
+// torn write, a truncation, a flipped bit, or a hash collision is detected
+// on read and treated as a miss (the bad file is removed so the next write
+// repairs it) — corruption can cost a recomputation, never an error.
 package store
 
 import (
@@ -43,9 +43,10 @@ import (
 const (
 	magic      = "GLS1"
 	headerSize = 4 + 4 + 4 + 8
-	// entryExt marks finished entries; temp files use a dot prefix and are
-	// ignored (and swept) by Open's scan.
-	entryExt = ".res"
+	// entryExt marks finished entries. Temp files start with tempPrefix
+	// and are swept by Open's scan.
+	entryExt   = ".res"
+	tempPrefix = ".put-"
 )
 
 // Stats is a point-in-time summary of a store: resident entries/bytes and
@@ -89,32 +90,37 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: filepath.Clean(dir), free: make(chan []byte, runtime.GOMAXPROCS(0))}
-	if err := s.scan(); err != nil {
+	if err := s.scan(s.dir, ""); err != nil {
 		return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
 	}
 	return s, nil
 }
 
-// scan counts the entries in the shard directories and removes the temp
-// files there. It reads each directory once, in the order the file system
-// lists it: a count needs no sorting.
-func (s *Store) scan() error {
-	shards, err := readDir(s.dir)
+// scan counts the entries in dir, which is the store directory or, when
+// shard is not empty, its shard of that name, and removes the temp files
+// there. It reads the directory once, in the order the file system lists
+// it: a count needs no sorting. A shard is a subdirectory named by two hex
+// digits, left by the layout that kept each entry under
+// <dir>/<first byte of its address>/. Its entries are renamed to their
+// addresses in the store directory and counted, and the shard goes once it
+// is empty. An entry whose rename fails stays where it was and reads as a
+// miss, so its cell is recomputed and written at its address.
+func (s *Store) scan(dir, shard string) error {
+	files, err := readDir(dir)
 	if err != nil {
 		return err
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := readDir(filepath.Join(s.dir, shard.Name()))
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			if strings.HasPrefix(f.Name(), ".") {
-				os.Remove(filepath.Join(s.dir, shard.Name(), f.Name())) // interrupted write; its rename never happened
-			} else if info, ierr := f.Info(); ierr == nil && strings.HasSuffix(f.Name(), entryExt) {
+	for _, f := range files {
+		switch name := f.Name(); {
+		case shard == "" && f.IsDir() && len(name) == 2 && strings.Trim(name, "0123456789abcdef") == "":
+			sub := filepath.Join(dir, name)
+			_ = s.scan(sub, name) // an unreadable shard's entries read as misses
+			os.Remove(sub)
+		case strings.HasPrefix(name, tempPrefix):
+			os.Remove(filepath.Join(dir, name)) // interrupted write; its rename never happened
+		case strings.HasSuffix(name, entryExt):
+			info, err := f.Info()
+			if err == nil && (shard == "" || os.Rename(filepath.Join(dir, name), filepath.Join(s.dir, shard+name)) == nil) {
 				s.entries.Add(1)
 				s.bytes.Add(info.Size())
 			}
@@ -133,15 +139,14 @@ func readDir(dir string) ([]fs.DirEntry, error) {
 	return d.ReadDir(-1)
 }
 
-// path maps a key to its content address: SHA-256 of the key, hex, split
-// into a 2-character shard directory plus file name. The address is built
-// on the stack; the string it returns is its one allocation.
+// path maps a key to its content address: the SHA-256 of the key in hex,
+// a file in the store directory. The address is built on the stack; the
+// string it returns is its one allocation.
 func (s *Store) path(key string) string {
 	var buf [512]byte
 	sum := sha256.Sum256(append(buf[:0], key...))
 	p := append(append(buf[:0], s.dir...), filepath.Separator)
-	p = append(hex.AppendEncode(p, sum[:1]), filepath.Separator)
-	p = hex.AppendEncode(p, sum[1:])
+	p = hex.AppendEncode(p, sum[:])
 	return string(append(p, entryExt...))
 }
 
@@ -218,11 +223,11 @@ func decode(key string, data []byte) ([]byte, bool) {
 var ErrClosed = errors.New("store: closed")
 
 // Put stores payload under key, atomically: the entry is written to a temp
-// file in the target shard directory — header, key and payload, with no
-// copy assembled — synced, and renamed into place, so concurrent readers
+// file in the store directory — header, key and payload, with no copy
+// assembled — synced, and renamed to its address, so concurrent readers
 // see either the old entry or the new one, never a partial write. A failed
 // write or sync leaves nothing behind. Re-putting a key overwrites its
-// entry.
+// entry. The new name is durable once the directory is synced (Close).
 func (s *Store) Put(key string, payload []byte) error {
 	var header [headerSize]byte
 	k := []byte(key)
@@ -238,10 +243,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		return ErrClosed
 	}
 	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
+	tmp, err := os.CreateTemp(s.dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -320,10 +322,13 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close flushes the store directory (the rename-per-Put protocol keeps
-// entries durable on their own; the directory sync pins the names) and
-// rejects further writes. Reads keep working — a draining server can still
-// serve hits while shutting down.
+// Close syncs the store directory and rejects further writes. Put syncs
+// each entry's bytes before renaming them to its address, but a rename is
+// a change to the directory, which a crash can lose until the directory is
+// synced. Every entry lives in that one directory, so this one sync pins
+// every rename and removal made before it; an entry whose name a crash
+// lost reads as a miss and is recomputed. Reads keep working — a
+// draining server can still serve hits while shutting down.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -194,6 +196,50 @@ func TestStoreSurvivesReopen(t *testing.T) {
 		got, ok := re.Get(fmt.Sprintf("key-%d", i))
 		if !ok || string(got) != fmt.Sprintf("payload-%d", i) {
 			t.Fatalf("key-%d not served after reopen: %q, %v", i, got, ok)
+		}
+	}
+}
+
+// TestShardedEntryMigrates: a store written in the layout that kept each
+// entry in a shard directory named by its address's first byte,
+// <dir>/<hex(sum[:1])>/<hex(sum[1:])>.res, stays warm. Open moves the
+// checked-in entry to its address in the store directory, counts it at its
+// size, removes the emptied shard and sweeps a temp file in the root.
+func TestShardedEntryMigrates(t *testing.T) {
+	entry, err := os.ReadFile("testdata/gls1-entry.res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sum := sha256.Sum256([]byte(entryFixtureKey))
+	shard := filepath.Join(dir, hex.EncodeToString(sum[:1]))
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shard, hex.EncodeToString(sum[1:])+".res"), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, ".put-12345")
+	if err := os.WriteFile(tmp, []byte("half an entr"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenResults(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Entries != 1 || st.Bytes != int64(len(entry)) {
+		t.Errorf("reopened stats = %+v, want 1 entry / %d bytes", st, len(entry))
+	}
+	if res, ok := r.Get(entryFixtureKey); !ok || res.Scenario != "sim/gst" {
+		t.Fatalf("the sharded entry is not served: %+v, %v", res, ok)
+	}
+	if got, err := os.ReadFile(r.s.path(entryFixtureKey)); err != nil || !bytes.Equal(got, entry) {
+		t.Errorf("the entry is not at its address in the store directory: %v", err)
+	}
+	for _, gone := range []string{shard, tmp} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open (stat err %v)", gone, err)
 		}
 	}
 }
