@@ -335,6 +335,25 @@ func TestFabricProcesses(t *testing.T) {
 	}
 }
 
+// checkpointsWritten reads a server's /metrics checkpoints.written
+// counter, or 0 when the server cannot answer.
+func checkpointsWritten(url string) uint64 {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return 0
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Checkpoints struct {
+			Written uint64 `json:"written"`
+		} `json:"checkpoints"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&m) != nil {
+		return 0
+	}
+	return m.Checkpoints.Written
+}
+
 // TestFabricCrashResume is the durability acceptance test: a worker
 // sharing the coordinator's store directory is killed with SIGKILL while
 // deep inside one long-horizon cell. The coordinator requeues the cell,
@@ -396,11 +415,11 @@ func TestFabricCrashResume(t *testing.T) {
 	}()
 
 	// Kill the worker once it has durably checkpointed mid-cell: poll the
-	// shared store directory for a checkpoint entry (the only writes this
-	// sweep makes before completion).
+	// worker's /metrics until its checkpoint store counts a save, which it
+	// does once the entry is on disk — whatever the store's file layout.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if entries, err := filepath.Glob(filepath.Join(storeDir, "*.res")); err == nil && len(entries) > 0 {
+		if checkpointsWritten(worker.url()) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 // Data is the signed content of an attestation.
@@ -73,14 +74,23 @@ type Pool struct {
 	//gasper:nocodec allocation cache, not state; a decoded pool starts with none
 	//gasper:shallow a clone starts with none: the storage belongs to this pool
 	spares []*EpochVotes
-	// win and rows are AppendWindowTally's per-call scratch: the window's
-	// epochs, and their id -> row columns laid end to end.
-	//gasper:nocodec scratch buffer; each pool re-grows its own
-	//gasper:shallow scratch buffer; clones re-grow their own
-	win []windowEpoch
+	// rows and sums are the tally's per-epoch scratch: each vote id's row
+	// in the tally, and the stake behind it.
 	//gasper:nocodec scratch buffer; each pool re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	rows []int32
+	//gasper:nocodec scratch buffer; each pool re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	sums []types.Gwei
+	// stakes and inSet are AppendLinkTally's scratch: the stake function's
+	// answers as a column, and a status column that is all Active (its
+	// zero value), since the function already answers zero out of the set.
+	//gasper:nocodec scratch buffer; each pool re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	stakes []types.Gwei
+	//gasper:nocodec scratch buffer; each pool re-grows its own
+	//gasper:shallow scratch buffer; clones re-grow their own
+	inSet []validator.Status
 }
 
 // EpochVotes holds one target epoch's votes. An id is a table index plus
@@ -370,13 +380,16 @@ func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 }
 
 // Activity is the activity criterion of one (target epoch, target root)
-// pair, ready to be asked about every validator in turn: the target is
-// compared once per distinct vote of the epoch, and a validator's answer
-// is then a column read. Load it with Pool.Activity; it reads the pool's
-// columns in place and is valid until the pool is next mutated. The zero
-// value reports nobody active; reloading reuses its storage.
+// pair as a dense column: the target is compared once per distinct vote of
+// the epoch, and each validator's answer is then filled in one pass over
+// the epoch's id columns, so asking about a validator is one slice read.
+// Load it with Pool.Activity; it holds its own copy and stays valid when
+// the pool is mutated. The zero value reports nobody active; reloading
+// reuses its storage.
 type Activity struct {
-	ev *EpochVotes
+	// active[v] reports whether validator v cast a matching vote; the
+	// validators past it cast none.
+	active []bool
 	// match[id] reports whether the vote with that id names the root;
 	// match[0], the id of no vote, is false.
 	match []bool
@@ -387,40 +400,38 @@ type Activity struct {
 //
 //gasper:noalloc
 func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) {
-	a.ev = p.find(e)
-	a.match = a.match[:0]
-	if a.ev == nil {
+	a.active, a.match = a.active[:0], a.match[:0]
+	ev := p.find(e)
+	if ev == nil {
 		return
 	}
 	a.match = append(a.match, false)
-	for i := range a.ev.table {
-		a.match = append(a.match, a.ev.table[i].Target.Root == root)
+	for i := range ev.table {
+		a.match = append(a.match, ev.table[i].Target.Root == root)
 	}
+	if cap(a.active) < ev.voted {
+		a.active = make([]bool, ev.voted) //gasper:alloc scratch growth, amortized to zero
+	}
+	active, match := a.active[:ev.voted], a.match
+	for v, id := range ev.first[:ev.voted] {
+		active[v] = match[id]
+	}
+	if ev.second != nil {
+		for v, id := range ev.second[:ev.voted] {
+			active[v] = active[v] || match[id]
+		}
+		for _, sp := range ev.spill {
+			active[sp.validator] = active[sp.validator] || match[sp.id]
+		}
+	}
+	a.active = active
 }
 
 // Active reports whether v cast a vote matching the loaded criterion.
 //
 //gasper:noalloc
 func (a *Activity) Active(v types.ValidatorIndex) bool {
-	ev := a.ev
-	if ev == nil || int(v) >= len(ev.first) {
-		return false
-	}
-	if a.match[ev.first[v]] {
-		return true
-	}
-	if ev.second == nil || ev.second[v] == 0 {
-		return false
-	}
-	if a.match[ev.second[v]] {
-		return true
-	}
-	for _, sp := range ev.spill {
-		if sp.validator == v && a.match[sp.id] {
-			return true
-		}
-	}
-	return false
+	return int(v) < len(a.active) && a.active[v]
 }
 
 // LinkWeight is one row of a columnar per-epoch tally: a distinct
@@ -430,95 +441,106 @@ type LinkWeight struct {
 	Weight types.Gwei
 }
 
-// windowEpoch is one target epoch of a window being tallied.
-type windowEpoch struct {
-	ev *EpochVotes
-	// first and second are ev's columns, at hand for the pass.
-	first, second []uint32
-	out           int // which of the caller's tallies receives dst
-	// dst is the tally so far; the rows of this call start at base, and
-	// rows[id] is the dst row of that vote's link, -1 until resolved.
-	dst  []LinkWeight
-	base int
-	rows []int32
-}
-
 // AppendWindowTally appends to dst[k] the per-link stake tally of target
-// epoch lo+k, for every k, in one validator-major pass over the epochs' id
-// columns: a validator's stake is asked for once, and only if it voted;
-// each distinct vote's link is looked up among its epoch's rows once, on
-// the first stake-bearing validator that cast it — an epoch's rows
-// therefore appear in the order ascending validators first give them
+// epoch lo+k, for every k, weighing each vote with its validator's stake in
+// the registry columns when the validator is in the set. Each epoch is one
+// pass over its id column beside the stake and status columns that sums
+// stake per distinct vote in a scratch column and adds each sum to its
+// link's row once. A distinct vote's link is looked up among its epoch's
+// rows once, on the first stake-bearing validator that cast it — an epoch's
+// rows therefore appear in the order ascending validators first give them
 // weight. When the tallies have capacity, the pass does not allocate.
-// Equivocating validators count toward every distinct link they
-// voted for, exactly as on-chain inclusion would credit them on each
-// branch.
+// Equivocating validators count toward every distinct link they voted for,
+// exactly as on-chain inclusion would credit them on each branch.
 //
 //gasper:noalloc
-func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, stake func(types.ValidatorIndex) types.Gwei) {
-	p.win = p.win[:0]
-	ids, width := 0, 0
+func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, cols validator.Columns) {
 	for k := range dst {
 		if ev := p.find(lo + types.Epoch(k)); ev != nil {
-			p.win = append(p.win, windowEpoch{ev: ev, first: ev.first[:ev.voted], second: ev.second, out: k, dst: dst[k], base: len(dst[k])})
-			ids += len(ev.table) + 1
-			width = max(width, ev.voted)
+			dst[k] = p.tally(dst[k], ev, cols.Stakes, cols.Status)
 		}
-	}
-	if cap(p.rows) < ids {
-		p.rows = make([]int32, ids) //gasper:alloc scratch growth, amortized to zero
-	}
-	rows := p.rows[:ids]
-	for i := range rows {
-		rows[i] = -1
-	}
-	win := p.win
-	for i := range win {
-		n := len(win[i].ev.table) + 1
-		win[i].rows, rows = rows[:n], rows[n:]
-	}
-	for v := 0; v < width; v++ {
-		var w types.Gwei
-		for i := range win {
-			we := &win[i]
-			if v >= len(we.first) {
-				continue
-			}
-			id := we.first[v]
-			if id == 0 {
-				continue
-			}
-			if w == 0 {
-				if w = stake(types.ValidatorIndex(v)); w == 0 {
-					break
-				}
-			}
-			// The hot path: one vote per validator per epoch.
-			row := we.rows[id]
-			if row < 0 {
-				we.dst = we.ev.resolveRow(we.dst, we.base, we.rows, id)
-				row = we.rows[id]
-			}
-			we.dst[row].Weight += w
-			if we.second != nil && we.second[v] != 0 {
-				we.dst = we.ev.tallyEquivocations(we.dst, we.base, we.rows, types.ValidatorIndex(v), w)
-			}
-		}
-	}
-	for i := range win {
-		dst[win[i].out] = win[i].dst
-		win[i] = windowEpoch{}
 	}
 }
 
 // AppendLinkTally appends the per-link stake tally of target epoch e to
-// dst and returns it: AppendWindowTally with a window of one epoch.
+// dst and returns it, weighing each vote with stake(validator): the
+// answers, asked of voters only, become a stake column, and the epoch is
+// tallied as AppendWindowTally tallies it.
 //
 //gasper:noalloc
 func (p *Pool) AppendLinkTally(dst []LinkWeight, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) []LinkWeight {
-	one := [1][]LinkWeight{dst}
-	p.AppendWindowTally(one[:], e, stake)
-	return one[0]
+	ev := p.find(e)
+	if ev == nil {
+		return dst
+	}
+	if cap(p.stakes) < ev.voted {
+		p.stakes = make([]types.Gwei, ev.voted) //gasper:alloc scratch growth, amortized to zero; covers both columns
+		p.inSet = make([]validator.Status, ev.voted)
+	}
+	stakes := p.stakes[:ev.voted]
+	for v, id := range ev.first[:ev.voted] {
+		stakes[v] = 0
+		if id != 0 {
+			stakes[v] = stake(types.ValidatorIndex(v))
+		}
+	}
+	return p.tally(dst, ev, stakes, p.inSet[:ev.voted])
+}
+
+// tally appends ev's per-link tally to dst, weighing validator v's votes
+// with stakes[v] when status[v] is Active; validators past either column
+// weigh nothing.
+//
+//gasper:noalloc
+func (p *Pool) tally(dst []LinkWeight, ev *EpochVotes, stakes []types.Gwei, status []validator.Status) []LinkWeight {
+	n := len(ev.table) + 1
+	if cap(p.rows) < n {
+		p.rows = make([]int32, n) //gasper:alloc scratch growth, amortized to zero; covers both columns
+		p.sums = make([]types.Gwei, n)
+	}
+	rows, sums := p.rows[:n], p.sums[:n]
+	for i := range rows {
+		rows[i] = -1
+	}
+	clear(sums)
+	base := len(dst)
+	first := ev.first[:min(ev.voted, len(stakes), len(status))]
+	stakes, status = stakes[:len(first)], status[:len(first)]
+	second := ev.second
+	// The inner loop makes no call: it adds a validator's stake to its
+	// vote's sum, and leaves to the outer one a vote's first stake, which
+	// may open its link's row, and an equivocator's other votes.
+	for v := 0; v < len(first); v++ {
+		var id uint32
+		var s types.Gwei
+		for ; v < len(first); v++ {
+			id, s = first[v], stakes[v]
+			if id == 0 || s == 0 || status[v] != validator.Active {
+				continue
+			}
+			sum := sums[id]
+			if sum == 0 || second != nil && second[v] != 0 {
+				break
+			}
+			sums[id] = sum + s
+		}
+		if v == len(first) {
+			break
+		}
+		if rows[id] < 0 {
+			dst = ev.resolveRow(dst, base, rows, id)
+		}
+		sums[id] += s
+		if second != nil && second[v] != 0 {
+			dst = ev.tallyEquivocations(dst, base, rows, types.ValidatorIndex(v), s)
+		}
+	}
+	for id, sum := range sums {
+		if sum != 0 {
+			dst[rows[id]].Weight += sum
+		}
+	}
+	return dst
 }
 
 // resolveRow sets rows[id] to the row of that vote's link in dst[base:],

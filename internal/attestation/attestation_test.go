@@ -2,10 +2,14 @@ package attestation
 
 import (
 	"bytes"
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 func cp(epoch uint64, root uint64) types.Checkpoint {
@@ -339,5 +343,131 @@ func TestAppendLinkTallyMatchesTargetWeights(t *testing.T) {
 	}
 	if p.AppendLinkTally(nil, 99, stake) != nil {
 		t.Error("empty epoch must produce an empty tally")
+	}
+}
+
+// orderedTally is the tally of target epoch e row for row, as the boundary
+// must produce it: ascending validators, each one's votes in arrival order,
+// a validator's stake counted once per distinct link it voted for, and a
+// row appended when its link first gets weight.
+func orderedTally(p *Pool, e types.Epoch, stake func(types.ValidatorIndex) types.Gwei) []LinkWeight {
+	var rows []LinkWeight
+	for v, datas := range p.VotesForEpoch(e) {
+		w := stake(types.ValidatorIndex(v))
+		if w == 0 {
+			continue
+		}
+		var mine []Link
+		for _, d := range datas {
+			l := Link{Source: d.Source, Target: d.Target}
+			if slices.Contains(mine, l) {
+				continue
+			}
+			mine = append(mine, l)
+			i := slices.IndexFunc(rows, func(r LinkWeight) bool { return r.Link == l })
+			if i < 0 {
+				i = len(rows)
+				rows = append(rows, LinkWeight{Link: l})
+			}
+			rows[i].Weight += w
+		}
+	}
+	return rows
+}
+
+// TestWindowTallyMatchesLinkTallies tallies a four-epoch window from the
+// registry columns and holds each epoch's rows to AppendLinkTally with the
+// registry's Stake, to orderedTally row for row, and to the map reference.
+// The epochs are voted up to different widths, in shuffled arrival order so
+// that vote ids do not follow validator order; some validators equivocate
+// with two distinct votes, some with four (the spill), some of those on one
+// link twice; one voter is slashed, one ejected, two lie past the registry;
+// and one tally already holds a row for a link the epoch also has, which
+// must stay as it is.
+func TestWindowTallyMatchesLinkTallies(t *testing.T) {
+	const validators, lo = 40, 5
+	reg := new(validator.Registry)
+	reg.Reset(validators-2, 0)
+	cols := reg.Columns()
+	for v := range cols.Stakes {
+		cols.Stakes[v] = types.Gwei(100 + v)
+	}
+	_ = reg.Slash(5, 0)
+	cols.Status[11] = validator.Ejected
+
+	rng := rand.New(rand.NewSource(3))
+	var atts []Attestation
+	widths := [4]int{12, validators, 25, 31}
+	for k, width := range widths {
+		e := types.Epoch(lo + k)
+		for v := 0; v < width; v++ {
+			votes := 1
+			switch {
+			case v%7 == 3:
+				votes = 2
+			case v%9 == 4:
+				votes = 4
+			}
+			for i := 0; i < votes; i++ {
+				atts = append(atts, Attestation{Validator: types.ValidatorIndex(v), Data: Data{
+					Slot:   e.StartSlot() + types.Slot(rng.Intn(4)),
+					Head:   types.RootFromUint64(uint64(rng.Intn(3))),
+					Source: cp(uint64(e)-1-uint64(rng.Intn(2)), 7),
+					Target: cp(uint64(e), uint64(1+rng.Intn(2))),
+				}})
+			}
+		}
+	}
+	rng.Shuffle(len(atts), func(i, j int) { atts[i], atts[j] = atts[j], atts[i] })
+	p := new(Pool)
+	for _, a := range atts {
+		p.Add(a)
+	}
+	spilled := false
+	for k, ev := range p.Retained() {
+		if ev.voted != widths[k] || !ev.Equivocated() {
+			t.Fatalf("epoch %d: %d voters, equivocated %t; want %d and true", ev.epoch, ev.voted, ev.Equivocated(), widths[k])
+		}
+		spilled = spilled || len(ev.spill) > 0
+	}
+	if !spilled {
+		t.Fatal("no validator cast a third distinct vote")
+	}
+
+	held := LinkWeight{Link: Link{Source: cp(lo, 7), Target: cp(lo+1, 1)}, Weight: 1}
+	window := make([][]LinkWeight, len(widths))
+	window[1] = []LinkWeight{held}
+	p.AppendWindowTally(window, lo, reg.Columns())
+	for k, got := range window {
+		e := types.Epoch(lo + k)
+		var want []LinkWeight
+		if k == 1 {
+			want = []LinkWeight{held}
+		}
+		if want = p.AppendLinkTally(want, e, reg.Stake); !slices.Equal(got, want) {
+			t.Errorf("epoch %d: window tally\n  %v\nlink tally\n  %v", e, got, want)
+		}
+		if k == 1 {
+			if !slices.ContainsFunc(got[1:], func(lw LinkWeight) bool { return lw.Link == held.Link }) {
+				t.Fatalf("epoch %d: no vote for the link of the row the tally held", e)
+			}
+			if got[0] != held {
+				t.Errorf("epoch %d: the row the tally already held became %v", e, got[0])
+			}
+			got = got[1:]
+		}
+		if want := orderedTally(p, e, reg.Stake); !slices.Equal(got, want) {
+			t.Errorf("epoch %d: window tally\n  %v\nordered reference\n  %v", e, got, want)
+		}
+		weights := targetWeights(p, e, reg.Stake)
+		maps.DeleteFunc(weights, func(_ Link, w types.Gwei) bool { return w == 0 })
+		if len(got) != len(weights) {
+			t.Errorf("epoch %d: %d rows, map reference %d links", e, len(got), len(weights))
+		}
+		for _, lw := range got {
+			if weights[lw.Link] != lw.Weight {
+				t.Errorf("epoch %d link %s: tally %d, map reference %d", e, lw.Link, lw.Weight, weights[lw.Link])
+			}
+		}
 	}
 }

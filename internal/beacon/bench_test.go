@@ -12,7 +12,7 @@ import (
 // BenchmarkEpochTransition measures the FULL per-epoch boundary at paper
 // scale (10k validators) in the sim/leak steady state: the columnar FFG
 // link tally over the four-epoch re-scan window
-// (attestation.Pool.AppendLinkTally + ffg.Engine.ProcessTally), the
+// (attestation.Pool.AppendWindowTally + ffg.Engine.ProcessTally), the
 // incentive sweep with its column-backed activity predicate, and the
 // pool's pruning. Participation is half the stake, so — exactly
 // like the thousands of epochs of a leak run — nothing justifies and the

@@ -61,9 +61,10 @@ type Node struct {
 	incentivesNext types.Epoch
 	// tallyScratch holds the reusable boundary buffers for the columnar FFG
 	// link tally, one per epoch of the re-scan window, and stakeFn the
-	// pre-bound Registry.Stake method value, so a steady-state epoch
-	// transition performs no allocation (a method value materialized at the
-	// call site would allocate its receiver binding on every boundary).
+	// pre-bound Registry.Stake method value that fork choice's stake
+	// updates read, so a steady-state epoch transition performs no
+	// allocation (a method value materialized at the call site would
+	// allocate its receiver binding on every boundary).
 	//gasper:nocodec scratch buffer; each node re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	tallyScratch [ffgWindow][]attestation.LinkWeight
@@ -303,11 +304,11 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 	}
 	ended := newEpoch - 1
 
-	// FFG window re-scan, on the columnar path: the pool's
-	// validator-indexed vote columns are tallied, the whole window in one
-	// pass, into reusable link-weight scratches and fed to the FFG engine's
-	// slice sweep, so a steady-state boundary (the whole of a leak)
-	// allocates nothing.
+	// FFG window re-scan, on the columnar path: each epoch's
+	// validator-indexed vote column is tallied beside the registry's stake
+	// and status columns into a reusable link-weight scratch and fed to the
+	// FFG engine's slice sweep, so a steady-state boundary (the whole of a
+	// leak) allocates nothing.
 	var ffgRes ffg.Result
 	justifiedBefore := n.FFG.LatestJustified()
 	lo := types.Epoch(0)
@@ -319,7 +320,7 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 	for k := range window {
 		window[k] = window[k][:0]
 	}
-	n.Pool.AppendWindowTally(window, lo, n.stakeFn)
+	n.Pool.AppendWindowTally(window, lo, n.Registry.Columns())
 	for k, tally := range window {
 		res := n.FFG.ProcessTally(lo+types.Epoch(k), tally, total, newEpoch)
 		ffgRes.NewlyJustified = append(ffgRes.NewlyJustified, res.NewlyJustified...)
@@ -359,9 +360,9 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		report.CanonicalCheck = canonical
 		inLeak := n.FFG.InLeak(newEpoch, n.Spec)
 		report.InLeak = inLeak
-		// Activity is read straight off the ended epoch's id column: the
-		// canonical target is compared once per distinct vote, then the
-		// incentive sweep costs one or two slice indexes per validator —
+		// Activity is filled from the ended epoch's id columns in one
+		// pass: the canonical target is compared once per distinct vote,
+		// then the incentive sweep costs one slice index per validator —
 		// no per-validator map probe and no per-epoch closure allocation
 		// (activeFn is built once at construction).
 		n.Pool.Activity(&n.activity, ended, canonical.Root)

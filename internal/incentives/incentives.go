@@ -15,6 +15,8 @@
 package incentives
 
 import (
+	"math/bits"
+
 	"repro/internal/types"
 	"repro/internal/validator"
 )
@@ -57,67 +59,75 @@ type Summary struct {
 // fusing guarantees on top is that active(v) is consulted EXACTLY ONCE per
 // validator per epoch. (The pre-fusion sweep asked again during post-state
 // measurement, doubling the callback cost over a long horizon and giving
-// impure closures a chance to disagree with the penalty stage.) The
-// Ejected slice is the only allocation and only happens in epochs that
-// actually eject.
+// impure closures a chance to disagree with the penalty stage.) A
+// validator's stake and score, and the three totals, are carried in locals:
+// each column is loaded and stored once per validator. The quotient of
+// every spec the scenarios build is a power of two, and then the penalty's
+// division is a shift. The Ejected slice is the only allocation and only
+// happens in epochs that actually eject.
 //
 //gasper:noalloc
 func (e Engine) ProcessEpoch(reg *validator.Registry, active func(types.ValidatorIndex) bool, inLeak bool, epoch types.Epoch) Summary {
 	var sum Summary
 	spec := e.Spec
+	q := spec.InactivityPenaltyQuotient
+	shift, pow2 := uint(bits.TrailingZeros64(q)), q != 0 && q&(q-1) == 0
+	var penalties, total, activeTotal types.Gwei
 	cols := reg.Columns()
+	n := len(cols.Stakes)
+	stakes, scores, status, exit := cols.Stakes[:n], cols.Scores[:n], cols.Status[:n], cols.Exit[:n]
 
-	for i := range cols.Stakes {
-		if cols.Status[i] != validator.Active {
+	for i, st := range status {
+		if st != validator.Active {
 			continue
 		}
 		isActive := active(types.ValidatorIndex(i))
+		stake, score := stakes[i], scores[i]
 
 		// Penalty first: I(t-1) * s(t-1) / quotient — during leaks,
 		// and with ResidualPenalties whenever the score is positive.
-		if inLeak || (spec.ResidualPenalties && cols.Scores[i] > 0) {
-			penalty := types.Gwei(cols.Scores[i] * uint64(cols.Stakes[i]) / spec.InactivityPenaltyQuotient)
-			applied := cols.Stakes[i]
-			cols.Stakes[i] = cols.Stakes[i].SaturatingSub(penalty)
-			sum.TotalPenalty += applied - cols.Stakes[i]
+		if inLeak || (spec.ResidualPenalties && score > 0) {
+			var penalty types.Gwei
+			if pow2 {
+				penalty = types.Gwei(score * uint64(stake) >> shift)
+			} else {
+				penalty = types.Gwei(score * uint64(stake) / q)
+			}
+			after := stake.SaturatingSub(penalty)
+			penalties += stake - after
+			stake = after
 		} else if !isActive && e.AttestationPenalty > 0 {
-			applied := cols.Stakes[i]
-			cols.Stakes[i] = cols.Stakes[i].SaturatingSub(e.AttestationPenalty)
-			sum.TotalPenalty += applied - cols.Stakes[i]
+			after := stake.SaturatingSub(e.AttestationPenalty)
+			penalties += stake - after
+			stake = after
 		}
 
 		// Score update (Equation 1).
 		if isActive {
-			if cols.Scores[i] >= spec.InactivityScoreRecovery {
-				cols.Scores[i] -= spec.InactivityScoreRecovery
-			} else {
-				cols.Scores[i] = 0
-			}
+			score -= min(score, spec.InactivityScoreRecovery)
 		} else {
-			cols.Scores[i] += spec.InactivityScoreBias
+			score += spec.InactivityScoreBias
 		}
 		// Flat recovery outside a leak.
 		if !inLeak {
-			if cols.Scores[i] >= spec.InactivityScoreFlatRecovery {
-				cols.Scores[i] -= spec.InactivityScoreFlatRecovery
-			} else {
-				cols.Scores[i] = 0
-			}
+			score -= min(score, spec.InactivityScoreFlatRecovery)
 		}
+		stakes[i], scores[i] = stake, score
 
 		// Ejection after penalties.
-		if cols.Stakes[i] <= spec.EjectionBalance {
-			cols.Status[i] = validator.Ejected
-			cols.Exit[i] = epoch
+		if stake <= spec.EjectionBalance {
+			status[i] = validator.Ejected
+			exit[i] = epoch
 			sum.Ejected = append(sum.Ejected, types.ValidatorIndex(i)) //gasper:alloc only epochs that eject allocate; the steady-state sweep never appends
 			continue
 		}
 
 		// Post-state measurement, reusing the activity already read.
-		sum.TotalStake += cols.Stakes[i]
+		total += stake
 		if isActive {
-			sum.ActiveStake += cols.Stakes[i]
+			activeTotal += stake
 		}
 	}
+	sum.TotalPenalty, sum.TotalStake, sum.ActiveStake = penalties, total, activeTotal
 	return sum
 }

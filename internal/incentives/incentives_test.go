@@ -1,7 +1,10 @@
 package incentives
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -367,5 +370,107 @@ func TestProcessEpochConsultsActivityOncePerValidator(t *testing.T) {
 	// an impure closure cannot split the two.
 	if sum.ActiveStake == 0 || sum.ActiveStake >= sum.TotalStake {
 		t.Errorf("post-state measurement inconsistent: active=%d total=%d", sum.ActiveStake, sum.TotalStake)
+	}
+}
+
+// referenceEpoch is Equations 1-2 and the ejection rule written out for one
+// validator at a time, with the quotient always divided: what ProcessEpoch
+// must do to every column and report in its summary.
+func referenceEpoch(e Engine, cols validator.Columns, active []bool, inLeak bool, epoch types.Epoch) Summary {
+	spec := e.Spec
+	var sum Summary
+	for v := range cols.Stakes {
+		if cols.Status[v] != validator.Active {
+			continue
+		}
+		stake, score := cols.Stakes[v], cols.Scores[v]
+		var penalty types.Gwei
+		switch {
+		case inLeak || spec.ResidualPenalties && score > 0:
+			penalty = types.Gwei(score * uint64(stake) / spec.InactivityPenaltyQuotient)
+		case !active[v]:
+			penalty = e.AttestationPenalty
+		}
+		penalty = min(penalty, stake)
+		stake -= penalty
+		sum.TotalPenalty += penalty
+		if active[v] {
+			score = max(score, spec.InactivityScoreRecovery) - spec.InactivityScoreRecovery
+		} else {
+			score += spec.InactivityScoreBias
+		}
+		if !inLeak {
+			score = max(score, spec.InactivityScoreFlatRecovery) - spec.InactivityScoreFlatRecovery
+		}
+		cols.Stakes[v], cols.Scores[v] = stake, score
+		if stake <= spec.EjectionBalance {
+			cols.Status[v], cols.Exit[v] = validator.Ejected, epoch
+			sum.Ejected = append(sum.Ejected, types.ValidatorIndex(v))
+			continue
+		}
+		sum.TotalStake += stake
+		if active[v] {
+			sum.ActiveStake += stake
+		}
+	}
+	return sum
+}
+
+// TestProcessEpochMatchesReference runs the sweep against referenceEpoch
+// over a registry of a thousand validators, at the paper's quotient
+// (2^26), a compressed power of two (2^10) and a quotient that is not a
+// power of two, so the shift and the division are both pinned. The
+// registry holds random stakes and scores, out-of-set validators, and two
+// validators an attestation penalty takes to exactly the ejection balance
+// and to one Gwei above it.
+func TestProcessEpochMatchesReference(t *testing.T) {
+	const n = 1037
+	const attPenalty = 1_000_000
+	specs := map[string]types.Spec{
+		"2^26":   types.DefaultSpec(),
+		"2^10":   types.CompressedSpec(1 << 16),
+		"2^26/3": types.CompressedSpec(3),
+	}
+	for name, spec := range specs {
+		for _, inLeak := range []bool{true, false} {
+			for _, residual := range []bool{false, true} {
+				for _, penalty := range []types.Gwei{0, attPenalty} {
+					spec := spec
+					spec.ResidualPenalties = residual
+					e := Engine{Spec: spec, AttestationPenalty: penalty}
+					rng := rand.New(rand.NewSource(int64(spec.InactivityPenaltyQuotient)))
+					reg := newRegistry(n, spec.MaxEffectiveBalance)
+					cols := reg.Columns()
+					active := make([]bool, n)
+					for v := range active {
+						active[v] = rng.Intn(3) > 0
+						cols.Stakes[v] = spec.EjectionBalance + types.Gwei(rng.Int63n(int64(spec.MaxEffectiveBalance-spec.EjectionBalance)))
+						cols.Scores[v] = uint64(rng.Intn(5000))
+					}
+					cols.Status[3], cols.Status[513] = validator.Slashed, validator.Ejected
+					// Inactive, scoreless validators the attestation
+					// penalty alone moves: to the ejection balance, and
+					// one Gwei short of it.
+					for v, above := range map[int]types.Gwei{511: 0, 1024: 1} {
+						active[v], cols.Scores[v] = false, 0
+						cols.Stakes[v] = spec.EjectionBalance + attPenalty + above
+					}
+					ref := reg.Clone()
+					want := referenceEpoch(e, ref.Columns(), active, inLeak, 9)
+					got := e.ProcessEpoch(reg, func(v types.ValidatorIndex) bool { return active[v] }, inLeak, 9)
+					at := fmt.Sprintf("quotient %s, leak %t, residual %t, attestation penalty %d", name, inLeak, residual, penalty)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: summary %+v, reference %+v", at, got, want)
+					}
+					if !reflect.DeepEqual(reg.Columns(), ref.Columns()) {
+						t.Errorf("%s: the registry differs from the reference's", at)
+					}
+					ejectsAtBalance := !inLeak && penalty > 0
+					if st := reg.Columns().Status; (st[511] == validator.Ejected) != ejectsAtBalance || st[1024] != validator.Active {
+						t.Errorf("%s: statuses at and above the ejection balance: %v, %v", at, st[511], st[1024])
+					}
+				}
+			}
+		}
 	}
 }

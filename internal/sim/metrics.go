@@ -63,7 +63,7 @@ func (s *Simulation) MetricsAt(epoch types.Epoch) EpochMetrics {
 		if n.FFG.InLeak(epoch, s.Cfg.Spec) {
 			m.InLeak += len(c.Members)
 		}
-		if p := s.byzantineProportionIn(n.Registry); p > m.MaxByzProportion {
+		if p := s.byzantineProportionIn(n.Registry, total); p > m.MaxByzProportion {
 			m.MaxByzProportion = p
 		}
 	}

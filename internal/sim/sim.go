@@ -886,9 +886,9 @@ func (s *Simulation) CheckFinalitySafety() *SafetyViolation {
 }
 
 // byzantineProportionIn is the Byzantine stake proportion in a view's
-// registry, the paper's Safety threshold metric (2).
-func (s *Simulation) byzantineProportionIn(reg *validator.Registry) float64 {
-	total := reg.TotalStake()
+// registry, the paper's Safety threshold metric (2); total is the
+// registry's TotalStake.
+func (s *Simulation) byzantineProportionIn(reg *validator.Registry, total types.Gwei) float64 {
 	if total == 0 {
 		return 0
 	}

@@ -390,7 +390,7 @@ func TestByzantineProportionOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.byzantineProportionIn(s.View(0).Registry); got != 0.25 {
+	if got := s.byzantineProportionIn(s.View(0).Registry, s.View(0).Registry.TotalStake()); got != 0.25 {
 		t.Errorf("initial Byzantine proportion = %v, want 0.25", got)
 	}
 }
