@@ -20,6 +20,12 @@ import (
 // ingestion (the slot path, not the transition) happens off the clock.
 // The steady-state transition must not allocate; the CI bench gate
 // enforces the 0 allocs/op.
+//
+// The leak ejects the half that never votes about 4,650 epochs in, and
+// the rest then finalize: the loop leaves the steady state there. So the
+// node is re-armed — reset in its own storage and warmed up again, off the
+// clock — every rearmEvery boundaries, and every timed boundary is a
+// steady-state one for any b.N.
 func BenchmarkEpochTransition(b *testing.B) {
 	const n = 10000
 	spec := types.DefaultSpec()
@@ -41,19 +47,27 @@ func BenchmarkEpochTransition(b *testing.B) {
 		}
 	}
 
-	// Warm up past the leak trigger so the timed region is pure steady
-	// state (scratches sized, leak active, prunes running).
-	epoch := types.Epoch(1)
-	for ; epoch <= 10; epoch++ {
-		ingest(epoch)
-		if _, err := node.ProcessEpochBoundary(epoch + 1); err != nil {
-			b.Fatal(err)
+	// arm warms the node up past the leak trigger so the timed region is
+	// pure steady state (scratches sized, leak active, prunes running).
+	const rearmEvery = 2000
+	var epoch types.Epoch
+	arm := func() {
+		node.Reset(n, spec, genesis)
+		for epoch = 1; epoch <= 10; epoch++ {
+			ingest(epoch)
+			if _, err := node.ProcessEpochBoundary(epoch + 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	arm()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		if i > 0 && i%rearmEvery == 0 {
+			arm()
+		}
 		ingest(epoch) // slot-path work, off the clock
 		b.StartTimer()
 		if _, err := node.ProcessEpochBoundary(epoch + 1); err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/ffg"
 	"repro/internal/forkchoice"
+	"repro/internal/incentives"
 	"repro/internal/slashing"
 	"repro/internal/types"
 	"repro/internal/validator"
@@ -52,8 +53,9 @@ func walkRegistry(reg *validator.Registry, c *codec.Coder) {
 // filter, the bound stake/activity closures, the tally scratch) is rebuilt
 // or dropped on decode too. Decoding fills the node in the storage it holds
 // — each component's walk empties it, as its Reset does, and refills it; a
-// new Node's components are new — and rebinds the stake and activity method
-// values exactly as Clone does. The decoded
+// new Node's components are new — rebinds the stake and activity method
+// values exactly as Clone does, and builds the incentive engine from the
+// node's own spec, as Reset does. The decoded
 // fork-choice engine carries no cached tree identity, so its first head
 // query rebuilds against the decoded tree — the same one-time
 // O(tree + validators) event a cloned engine pays.
@@ -68,8 +70,6 @@ func (n *Node) Walk(c *codec.Coder) {
 	}
 	walkSpec(&n.Spec, c)
 	c.Bool(&n.EnforceSlashing)
-	walkSpec(&n.Leak.Spec, c)
-	c.U64((*uint64)(&n.Leak.AttestationPenalty))
 	n.Tree.Walk(c)
 	forkchoice.WalkEngine(c, &n.Votes)
 	n.FFG.Walk(c)
@@ -92,6 +92,7 @@ func (n *Node) Walk(c *codec.Coder) {
 	})
 	c.U64((*uint64)(&n.incentivesNext))
 	if !c.Encoding() {
+		n.Leak = incentives.Engine{Spec: n.Spec}
 		n.stakeFn = n.Registry.Stake
 		n.activeFn = n.activity.Active
 	}

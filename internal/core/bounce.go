@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/incentives"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 // BounceMC is the per-validator Monte-Carlo of the probabilistic bouncing
@@ -84,11 +86,17 @@ func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([
 	// level, which matters because the honest stake dispersion is itself
 	// sub-percent.
 	nByz := uint64(math.Round(float64(b.NHonest) * b.Beta0 / (1 - b.Beta0)))
-	byz := [2]cohort{}
+	// Each branch's Byzantine cohort is a one-row registry, advanced by the
+	// protocol's incentive sweep: the row stands for each of the nByz
+	// members.
+	eng := incentives.Engine{Spec: spec}
+	var byz [2]validator.Registry
 	for i := range byz {
-		byz[i] = cohort{count: nByz, stake: spec.MaxEffectiveBalance, inSet: true}
+		byz[i].Reset(1, spec.MaxEffectiveBalance)
 	}
 
+	// The honest ledger keeps its own loop: the UnboundedScores ablation
+	// needs signed scores, which a registry's score column cannot hold.
 	honest := make([]honestState, b.NHonest)
 	for i := range honest {
 		honest[i] = honestState{
@@ -106,14 +114,15 @@ func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([
 		var honestTot [2]types.Gwei
 		var meanA float64
 		var countA, below int
-		byzInSet := byz[0].inSet
+		byzInSet := byz[0].Stake(0) != 0
+		byzStake := byz[0].Columns().Stakes[0] // kept past ejection, for ByzStake
 		// Equation 23 crossing condition for a single honest validator
 		// i on branch A: beta(t) > 1/3 <=> nHonest*s_i < 2*nByz*sB.
 		// Ejected validators have s_i = 0 (the Equation 20 atom) and
 		// always satisfy it. The comparison stays in exact integers;
 		// the magnitudes (<= 2^45 Gwei times counts <= 2^20) cannot
 		// overflow uint64.
-		rhs := 2 * nByz * uint64(byz[0].stake)
+		rhs := 2 * nByz * uint64(byzStake)
 		for i := range honest {
 			h := &honest[i]
 			for br := 0; br < 2; br++ {
@@ -137,15 +146,15 @@ func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([
 		if countA > 0 {
 			pt.MeanHonestStakeA = meanA / float64(countA)
 		}
-		byzTot := [2]types.Gwei{byz[0].total(), byz[1].total()}
+		byzTot := [2]types.Gwei{types.Gwei(nByz) * byz[0].Stake(0), types.Gwei(nByz) * byz[1].Stake(0)}
 		if t := honestTot[0] + byzTot[0]; t > 0 {
 			pt.BetaA = float64(byzTot[0]) / float64(t)
 		}
 		if t := honestTot[1] + byzTot[1]; t > 0 {
 			pt.BetaB = float64(byzTot[1]) / float64(t)
 		}
-		pt.ByzStake = byz[0].stake.ETH()
-		pt.ByzEjected = !byz[0].inSet
+		pt.ByzStake = byzStake.ETH()
+		pt.ByzEjected = !byzInSet
 		return pt
 	}
 
@@ -155,9 +164,11 @@ func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([
 				return nil, 0, err
 			}
 		}
-		// Byzantine semi-activity: active on branch (epoch mod 2).
-		for br := 0; br < 2; br++ {
-			byz[br].step(spec, uint64(epoch)%2 == uint64(br), true, epoch)
+		// Byzantine semi-activity: active on branch (epoch mod 2). An
+		// empty cohort never steps.
+		for br := 0; nByz > 0 && br < 2; br++ {
+			active := uint64(epoch)%2 == uint64(br)
+			eng.ProcessEpoch(&byz[br], func(types.ValidatorIndex) bool { return active }, true, epoch)
 		}
 		// Honest placement coin and per-branch integer accounting.
 		for i := range honest {

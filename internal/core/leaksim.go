@@ -1,18 +1,21 @@
 // Package core implements the paper's five analysis scenarios at full paper
 // scale. It complements the node-level protocol simulator (internal/sim)
-// with two engines built on the same exact integer penalty arithmetic
-// (internal/incentives semantics):
+// with two engines. Their cohorts of identical validators are registry
+// rows, one per cohort, whose inactivity scores, penalties and ejections
+// (Equations 1-2) are the protocol's one implementation,
+// incentives.Engine.ProcessEpoch:
 //
 //   - LeakSim: an aggregate two-branch leak simulation over validator
 //     cohorts (honest active per branch, Byzantine), which regenerates the
 //     conflicting-finalization epochs of Tables 2-3, the ratio curves of
 //     Figure 3, the speedup curves of Figure 6, and the threshold region of
-//     Figure 7 — at the paper's own 4685-epoch scale in microseconds per
-//     run;
+//     Figure 7 — at the paper's own 4685-epoch scale;
 //   - BounceMC: a per-validator Monte-Carlo of the probabilistic bouncing
 //     attack (Section 5.3) with branch-accurate ledgers, which regenerates
 //     Figure 10 mechanistically and cross-checks the paper's censored
-//     log-normal model (Equation 24).
+//     log-normal model (Equation 24). Its Byzantine cohorts are registry
+//     rows; its honest ledger keeps a loop of its own, for the signed
+//     scores of the UnboundedScores ablation.
 package core
 
 import (
@@ -21,7 +24,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ffg"
+	"repro/internal/incentives"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 // cancelCheckEvery is how many epochs a long simulation loop runs between
@@ -62,55 +68,6 @@ func (m ByzMode) String() string {
 
 // ErrBadParams reports invalid scenario parameters.
 var ErrBadParams = errors.New("core: invalid scenario parameters")
-
-// cohort is a set of identical validators tracked in aggregate with exact
-// integer per-member state.
-type cohort struct {
-	count  uint64
-	stake  types.Gwei // per member
-	score  uint64     // inactivity score per member
-	inSet  bool
-	exited types.Epoch
-}
-
-func (c *cohort) total() types.Gwei {
-	if !c.inSet {
-		return 0
-	}
-	return types.Gwei(c.count) * c.stake
-}
-
-// stepPenalty applies one epoch of Equation 2 to the cohort (score and
-// stake of the previous epoch), then updates the score per activity.
-func (c *cohort) step(spec types.Spec, active bool, inLeak bool, epoch types.Epoch) {
-	if !c.inSet || c.count == 0 {
-		return
-	}
-	if inLeak || (spec.ResidualPenalties && c.score > 0) {
-		penalty := types.Gwei(c.score * uint64(c.stake) / spec.InactivityPenaltyQuotient)
-		c.stake = c.stake.SaturatingSub(penalty)
-	}
-	if active {
-		if c.score >= spec.InactivityScoreRecovery {
-			c.score -= spec.InactivityScoreRecovery
-		} else {
-			c.score = 0
-		}
-	} else {
-		c.score += spec.InactivityScoreBias
-	}
-	if !inLeak {
-		if c.score >= spec.InactivityScoreFlatRecovery {
-			c.score -= spec.InactivityScoreFlatRecovery
-		} else {
-			c.score = 0
-		}
-	}
-	if c.stake <= spec.EjectionBalance {
-		c.inSet = false
-		c.exited = epoch
-	}
-}
 
 // LeakSim is the aggregate two-branch inactivity-leak simulation.
 type LeakSim struct {
@@ -189,18 +146,32 @@ func (r Result) Peak() (float64, types.Epoch) {
 	return r.A.PeakByzProportion, r.A.PeakByzEpoch
 }
 
+// Rows of a branch's registry, one per cohort of identical validators: a
+// row's stake, score and status are those of each member of its cohort,
+// and the cohort's member count weighs them.
+const (
+	rowActive   types.ValidatorIndex = iota // honest, always active on this branch
+	rowInactive                             // honest, never active on this branch
+	rowByz                                  // Byzantine, activity per mode
+)
+
 // branch holds one branch's cohorts. Honest "active" validators on a branch
 // are the "inactive" ones of the other branch.
 type branch struct {
-	active   cohort // honest, always active on this branch
-	inactive cohort // honest, never active on this branch
-	byz      cohort // Byzantine, activity per mode
+	reg   validator.Registry
+	count [3]uint64
 }
 
-func (b *branch) totals() (active, total types.Gwei) {
-	act := b.active.total() + b.byz.total()
-	tot := act + b.inactive.total()
-	return act, tot
+// stake is the in-set stake of the row's whole cohort.
+func (b *branch) stake(row types.ValidatorIndex) types.Gwei {
+	return types.Gwei(b.count[row]) * b.reg.Stake(row)
+}
+
+// inactiveInSet reports whether the honest inactive cohort is still in the
+// set. An empty cohort never leaves it: its row is swept with the others
+// but weighs nothing, so its ejection is no event.
+func (b *branch) inactiveInSet() bool {
+	return b.count[rowInactive] == 0 || b.reg.Stake(rowInactive) != 0
 }
 
 // Run simulates up to maxEpochs epochs of leak (epoch 0 = leak start) with
@@ -228,12 +199,10 @@ func (l LeakSim) RunContext(ctx context.Context, maxEpochs int, sampleEvery int)
 	nA := uint64(math.Round(float64(nHonest) * l.P0))
 	nB := nHonest - nA
 
-	mk := func(count uint64) cohort {
-		return cohort{count: count, stake: spec.MaxEffectiveBalance, inSet: true, exited: types.FarFutureEpoch}
-	}
-	branches := [2]branch{
-		{active: mk(nA), inactive: mk(nB), byz: mk(nByz)},
-		{active: mk(nB), inactive: mk(nA), byz: mk(nByz)},
+	eng := incentives.Engine{Spec: spec}
+	branches := [2]branch{{count: [3]uint64{nA, nB, nByz}}, {count: [3]uint64{nB, nA, nByz}}}
+	for i := range branches {
+		branches[i].reg.Reset(3, spec.MaxEffectiveBalance)
 	}
 
 	var res Result
@@ -265,28 +234,29 @@ func (l LeakSim) RunContext(ctx context.Context, maxEpochs int, sampleEvery int)
 			// honest inactive validators are ejected; under
 			// EndLeakAtEpoch they finalize at a chosen moment.
 			inLeak := out.ThresholdEpoch == 0 ||
-				(l.DelayFinalization && br.inactive.inSet)
+				(l.DelayFinalization && br.inactiveInSet())
 			if l.EndLeakAtEpoch != 0 && epoch >= l.EndLeakAtEpoch {
 				inLeak = false
 			}
 
-			br.active.step(spec, true, inLeak, epoch)
-			br.inactive.step(spec, false, inLeak, epoch)
-			if br.byz.count > 0 {
-				br.byz.step(spec, byzActive, inLeak, epoch)
-			}
-			if !br.inactive.inSet && out.EjectionEpoch == 0 {
+			eng.ProcessEpoch(&br.reg, func(row types.ValidatorIndex) bool {
+				return row == rowActive || (row == rowByz && byzActive)
+			}, inLeak, epoch)
+			inactiveInSet := br.inactiveInSet()
+			if !inactiveInSet && out.EjectionEpoch == 0 {
 				out.EjectionEpoch = epoch
 			}
 
-			act, tot := br.totals()
+			byz := br.stake(rowByz)
+			act := br.stake(rowActive) + byz
+			tot := act + br.stake(rowInactive)
 			ratio := 0.0
 			if tot > 0 {
 				ratio = float64(act) / float64(tot)
 			}
 			byzProp := 0.0
 			if tot > 0 {
-				byzProp = float64(br.byz.total()) / float64(tot)
+				byzProp = float64(byz) / float64(tot)
 			}
 			if byzProp > out.PeakByzProportion {
 				out.PeakByzProportion = byzProp
@@ -295,7 +265,7 @@ func (l LeakSim) RunContext(ctx context.Context, maxEpochs int, sampleEvery int)
 			if byzProp > 1.0/3.0 {
 				crossed[i] = true
 			}
-			if out.ThresholdEpoch == 0 && ratio > 2.0/3.0 {
+			if out.ThresholdEpoch == 0 && ffg.Supermajority(act, tot) {
 				out.ThresholdEpoch = epoch
 			}
 			if sampleEvery > 0 && uint64(epoch)%uint64(sampleEvery) == 0 {
@@ -303,10 +273,10 @@ func (l LeakSim) RunContext(ctx context.Context, maxEpochs int, sampleEvery int)
 					Epoch:          epoch,
 					ActiveRatio:    ratio,
 					ByzProportion:  byzProp,
-					ActiveStake:    br.active.total(),
-					InactiveStake:  br.inactive.total(),
-					ByzStake:       br.byz.total(),
-					InactiveInSet:  br.inactive.inSet,
+					ActiveStake:    br.stake(rowActive),
+					InactiveStake:  br.stake(rowInactive),
+					ByzStake:       byz,
+					InactiveInSet:  inactiveInSet,
 					QuorumRegained: out.ThresholdEpoch != 0,
 				})
 			}

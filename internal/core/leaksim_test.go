@@ -3,10 +3,14 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/analytic"
+	"repro/internal/ffg"
+	"repro/internal/incentives"
 	"repro/internal/types"
+	"repro/internal/validator"
 )
 
 func TestLeakSimRejectsBadParams(t *testing.T) {
@@ -260,4 +264,162 @@ func TestByzModeString(t *testing.T) {
 			t.Errorf("mode %d renders empty", m)
 		}
 	}
+}
+
+// TestAggregationIsExact checks the aggregate model's founding assumption:
+// a cohort's registry row stands for each of its members. Beside LeakSim
+// at a small N it runs perValidatorLeak, whose branches hold a row per
+// validator, and requires the same Result: the same thresholds, ejections,
+// peaks and conflict epoch, and at every sampled epoch the same trace,
+// whose stakes the reference sums over members where LeakSim weighs a row
+// by its count. The cases cover every mode with and without
+// DelayFinalization, an empty cohort (p0 = 1) and the Scenario 5.2.3
+// corner: ResidualPenalties with the leak ended 200 epochs before the
+// honest inactive validators' ejection.
+func TestAggregationIsExact(t *testing.T) {
+	const n, horizon, every = 30, 9000, 7
+	cases := []LeakSim{
+		{N: n, P0: 0.5, Mode: ByzAbsent},
+		{N: n, P0: 0.6, Mode: ByzAbsent, DelayFinalization: true},
+		{N: n, P0: 0.6, Beta0: 0.2, Mode: ByzDoubleVote},
+		{N: n, P0: 0.5, Beta0: 0.2, Mode: ByzDoubleVote, DelayFinalization: true},
+		{N: n, P0: 0.4, Beta0: 0.25, Mode: ByzSemiActive},
+		{N: n, P0: 0.5, Beta0: 0.25, Mode: ByzSemiActive, DelayFinalization: true},
+		{N: n, P0: 1, Beta0: 0.1, Mode: ByzSemiActive, DelayFinalization: true},
+	}
+	probe, err := cases[5].Run(horizon, 0)
+	if err != nil || probe.A.EjectionEpoch <= 200 {
+		t.Fatalf("corner probe: ejection at %d, %v", probe.A.EjectionEpoch, err)
+	}
+	corner := cases[5]
+	corner.Spec = types.DefaultSpec()
+	corner.Spec.ResidualPenalties = true
+	corner.EndLeakAtEpoch = probe.A.EjectionEpoch - 200
+	for _, l := range append(cases, corner) {
+		got, err := l.Run(horizon, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perValidatorLeak(t, l, horizon, every); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v:\n  aggregate: %+v\n  per validator: %+v", l, summarize(got), summarize(want))
+		}
+	}
+}
+
+// summarize drops the traces from a Result, for a readable failure.
+func summarize(r Result) Result {
+	r.A.Trace, r.B.Trace = nil, nil
+	return r
+}
+
+// perValidatorLeak is LeakSim's run with a registry row per validator on
+// each branch: validators are numbered as LeakSim counts them (branch A's
+// honest, branch B's honest, then the Byzantine), each attests by its own
+// identity, one incentives.Engine.ProcessEpoch per branch and epoch
+// advances them under LeakSim's leak rule, and the trace sums their
+// stakes. At every sampled epoch it also requires each member's stake and
+// score to be its cohort's: the stake times the cohort's size is the
+// cohort's sum, and the score is the first member's.
+func perValidatorLeak(t *testing.T, l LeakSim, maxEpochs, sampleEvery int) Result {
+	t.Helper()
+	spec := l.Spec
+	if spec.SlotsPerEpoch == 0 {
+		spec = types.DefaultSpec()
+	}
+	nByz := int(math.Round(float64(l.N) * l.Beta0))
+	nHonest := l.N - nByz
+	nA := int(math.Round(float64(nHonest) * l.P0))
+	eng := incentives.Engine{Spec: spec}
+
+	// cohort[i][v] is v's cohort on branch i; size[i] counts the members.
+	var cohort [2][]types.ValidatorIndex
+	var size [2][3]int
+	for i := range cohort {
+		for v := 0; v < l.N; v++ {
+			c := rowInactive
+			switch {
+			case v >= nHonest:
+				c = rowByz
+			case (v < nA) == (i == 0):
+				c = rowActive
+			}
+			cohort[i] = append(cohort[i], c)
+			size[i][c]++
+		}
+	}
+	var regs [2]validator.Registry
+	var res Result
+	outs := [2]*BranchResult{&res.A, &res.B}
+	var crossed [2]bool
+	for i := range regs {
+		regs[i].Reset(l.N, spec.MaxEffectiveBalance)
+	}
+	for epoch := types.Epoch(1); epoch <= types.Epoch(maxEpochs); epoch++ {
+		for i := range regs {
+			reg, out := &regs[i], outs[i]
+			inactiveInSet := func() bool {
+				for v, c := range cohort[i] {
+					if c == rowInactive && reg.Stake(types.ValidatorIndex(v)) == 0 {
+						return false
+					}
+				}
+				return true
+			}
+			inLeak := out.ThresholdEpoch == 0 || l.DelayFinalization && inactiveInSet()
+			if l.EndLeakAtEpoch != 0 && epoch >= l.EndLeakAtEpoch {
+				inLeak = false
+			}
+			eng.ProcessEpoch(reg, func(v types.ValidatorIndex) bool {
+				if int(v) >= nHonest {
+					return l.Mode == ByzDoubleVote || l.Mode == ByzSemiActive && uint64(epoch)%2 == uint64(i)
+				}
+				return (int(v) < nA) == (i == 0) // honest: active on its own branch only
+			}, inLeak, epoch)
+
+			var stake [3]types.Gwei
+			for v, c := range cohort[i] {
+				stake[c] += reg.Stake(types.ValidatorIndex(v))
+			}
+			if !inactiveInSet() && out.EjectionEpoch == 0 {
+				out.EjectionEpoch = epoch
+			}
+			act := stake[rowActive] + stake[rowByz]
+			tot := act + stake[rowInactive]
+			ratio, byzProp := 0.0, 0.0
+			if tot > 0 {
+				ratio, byzProp = float64(act)/float64(tot), float64(stake[rowByz])/float64(tot)
+			}
+			if byzProp > out.PeakByzProportion {
+				out.PeakByzProportion, out.PeakByzEpoch = byzProp, epoch
+			}
+			crossed[i] = crossed[i] || byzProp > 1.0/3.0
+			if out.ThresholdEpoch == 0 && ffg.Supermajority(act, tot) {
+				out.ThresholdEpoch = epoch
+			}
+			if uint64(epoch)%uint64(sampleEvery) != 0 {
+				continue
+			}
+			cols := reg.Columns()
+			first := [3]int{-1, -1, -1}
+			for v, c := range cohort[i] {
+				if first[c] < 0 {
+					first[c] = v
+				}
+				if types.Gwei(size[i][c])*reg.Stake(types.ValidatorIndex(v)) != stake[c] || cols.Scores[v] != cols.Scores[first[c]] {
+					t.Fatalf("epoch %d branch %d: validator %d (stake %d, score %d) is not its cohort's (%d members, %d in all, score %d)",
+						epoch, i, v, cols.Stakes[v], cols.Scores[v], size[i][c], stake[c], cols.Scores[first[c]])
+				}
+			}
+			out.Trace = append(out.Trace, BranchTrace{
+				Epoch: epoch, ActiveRatio: ratio, ByzProportion: byzProp,
+				ActiveStake: stake[rowActive], InactiveStake: stake[rowInactive], ByzStake: stake[rowByz],
+				InactiveInSet: inactiveInSet(), QuorumRegained: out.ThresholdEpoch != 0,
+			})
+		}
+		if res.A.ThresholdEpoch != 0 && res.B.ThresholdEpoch != 0 && res.ConflictEpoch == 0 {
+			res.ConflictEpoch = max(res.A.ThresholdEpoch, res.B.ThresholdEpoch) + 1
+		}
+	}
+	res.CrossedOneThird = crossed[0] && crossed[1]
+	return res
 }

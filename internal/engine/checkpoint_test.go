@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -210,17 +211,19 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 }
 
 var writeFrame = flag.Bool("write-frame", false,
-	"rewrite testdata/prefix-v2-frame-v5.blob from TestPrefixBlobFixture's run")
+	"rewrite testdata/prefix-v2-frame-v6.blob from TestPrefixBlobFixture's run")
 
-// prefixFixture is a version 2 prefix blob around a version 5 snapshot
+// prefixFixture is a version 2 prefix blob around a version 6 snapshot
 // frame: the sim/semiactive cell of prefixFixtureParams 60 epochs in — a
 // sampled stake curve, the stake floor, the adversary's gait state and a
 // two-view snapshot. prefixV4Frame is the blob of the same cell written by
 // the encoder and decoder pairs the codec walks replaced, around a version
 // 4 frame: the first blob to cover the trace and adversary codecs.
+// prefixV5Frame is the blob of the same cell around a version 5 frame.
 const (
-	prefixFixture = "testdata/prefix-v2-frame-v5.blob"
+	prefixFixture = "testdata/prefix-v2-frame-v6.blob"
 	prefixV4Frame = "testdata/prefix-v2-pr39.blob"
+	prefixV5Frame = "testdata/prefix-v2-frame-v5.blob"
 )
 
 // prefixFixtureParams is the cell prefixFixture was written for.
@@ -228,18 +231,24 @@ var prefixFixtureParams = Params{P0: 0.5, Beta0: 0.33, N: 64, Horizon: 120, Seed
 
 // TestPrefixBlobFixture: this build writes the checked-in blob's exact
 // bytes for its cell, the blob decodes, re-encodes to the same bytes, and
-// finishes its cell to the Result a cold run computes. The blob around a
-// version 4 frame is a version miss. (-write-frame rewrites the blob.)
+// finishes its cell to the Result a cold run computes. The blobs around a
+// version 4 and a version 5 frame are version misses. (-write-frame
+// rewrites the blob.)
 func TestPrefixBlobFixture(t *testing.T) {
 	ctx := context.Background()
 	sc, _ := Default.Lookup(ScenarioSimSemiActive)
 	cs := sc.(CheckpointableScenario)
-	old, err := os.ReadFile(prefixV4Frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, sim.ErrSnapshotCodec) || !strings.Contains(err.Error(), "version 4") {
-		t.Fatalf("DecodePrefix of a blob around a version 4 frame = %v, %v; want nil and a version error wrapping sim.ErrSnapshotCodec", pre, err)
+	for version, path := range []string{4: prefixV4Frame, 5: prefixV5Frame} {
+		if path == "" {
+			continue
+		}
+		old, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, sim.ErrSnapshotCodec) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Fatalf("DecodePrefix of a blob around a version %d frame = %v, %v; want nil and a version error wrapping sim.ErrSnapshotCodec", version, pre, err)
+		}
 	}
 
 	p := prefixFixtureParams.WithDefaults(sc.Defaults())
@@ -516,6 +525,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 // wrote, from before the detector's votes left the frame, or the version 3
 // frame of the build before the second registry did, or the version 4
 // frame of the build before each node's validator id and evidence history
+// did, or the version 5 frame of the build before each node's second spec
 // did, or the checked-in version 1 prefix blob, which still named a
 // reference simulator) is silently discarded — the cell starts cold,
 // produces the correct result, and repairs the store.
@@ -567,6 +577,7 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 		{"pr13-v2-frame", oldFrame("../sim/testdata/snapshot-v2-pr13.frame")},
 		{"pr16-v3-frame", oldFrame("../sim/testdata/snapshot-v3-pr16.frame")},
 		{"v4-frame", oldFrame("../sim/testdata/snapshot-v4-pr18.frame")},
+		{"v5-frame", oldFrame("../sim/testdata/snapshot-v5.frame")},
 		{"pr18-v1-prefix", func(t *testing.T, ms *memStore) {
 			old, err := os.ReadFile(prefixV1PR18)
 			if err != nil {

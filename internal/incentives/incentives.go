@@ -24,11 +24,6 @@ import (
 // Engine applies per-epoch incentive processing under a given spec.
 type Engine struct {
 	Spec types.Spec
-	// AttestationPenalty, if nonzero, is the flat per-epoch penalty for a
-	// missed or incorrect attestation outside a leak. The paper notes
-	// attestation penalties are dominated by inactivity penalties during
-	// a leak, so the default is zero; the field exists for ablations.
-	AttestationPenalty types.Gwei
 }
 
 // Summary reports what one epoch of processing did.
@@ -94,10 +89,6 @@ func (e Engine) ProcessEpoch(reg *validator.Registry, active func(types.Validato
 				penalty = types.Gwei(score * uint64(stake) / q)
 			}
 			after := stake.SaturatingSub(penalty)
-			penalties += stake - after
-			stake = after
-		} else if !isActive && e.AttestationPenalty > 0 {
-			after := stake.SaturatingSub(e.AttestationPenalty)
 			penalties += stake - after
 			stake = after
 		}

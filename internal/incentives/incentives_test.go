@@ -79,23 +79,6 @@ func TestNoPenaltyOutsideLeak(t *testing.T) {
 	}
 }
 
-func TestAttestationPenaltyOutsideLeak(t *testing.T) {
-	e := Engine{Spec: types.DefaultSpec()}
-	e.AttestationPenalty = 1000
-	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
-	active := activeSet(map[types.ValidatorIndex]bool{0: true})
-	sum := e.ProcessEpoch(reg, active, false, 0)
-	if sum.TotalPenalty != 1000 {
-		t.Errorf("attestation penalty total = %d, want 1000", sum.TotalPenalty)
-	}
-	if reg.Stake(0) != types.MaxEffectiveBalanceGwei {
-		t.Error("active validator must not pay attestation penalty")
-	}
-	if reg.Stake(1) != types.MaxEffectiveBalanceGwei-1000 {
-		t.Error("inactive validator must pay attestation penalty")
-	}
-}
-
 func TestPenaltyMatchesEquation2(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
@@ -385,13 +368,9 @@ func referenceEpoch(e Engine, cols validator.Columns, active []bool, inLeak bool
 		}
 		stake, score := cols.Stakes[v], cols.Scores[v]
 		var penalty types.Gwei
-		switch {
-		case inLeak || spec.ResidualPenalties && score > 0:
-			penalty = types.Gwei(score * uint64(stake) / spec.InactivityPenaltyQuotient)
-		case !active[v]:
-			penalty = e.AttestationPenalty
+		if inLeak || spec.ResidualPenalties && score > 0 {
+			penalty = min(types.Gwei(score*uint64(stake)/spec.InactivityPenaltyQuotient), stake)
 		}
-		penalty = min(penalty, stake)
 		stake -= penalty
 		sum.TotalPenalty += penalty
 		if active[v] {
@@ -421,11 +400,10 @@ func referenceEpoch(e Engine, cols validator.Columns, active []bool, inLeak bool
 // (2^26), a compressed power of two (2^10) and a quotient that is not a
 // power of two, so the shift and the division are both pinned. The
 // registry holds random stakes and scores, out-of-set validators, and two
-// validators an attestation penalty takes to exactly the ejection balance
-// and to one Gwei above it.
+// scoreless validators no penalty moves: one at exactly the ejection
+// balance, which leaves the set, and one a Gwei above it, which stays.
 func TestProcessEpochMatchesReference(t *testing.T) {
 	const n = 1037
-	const attPenalty = 1_000_000
 	specs := map[string]types.Spec{
 		"2^26":   types.DefaultSpec(),
 		"2^10":   types.CompressedSpec(1 << 16),
@@ -434,41 +412,35 @@ func TestProcessEpochMatchesReference(t *testing.T) {
 	for name, spec := range specs {
 		for _, inLeak := range []bool{true, false} {
 			for _, residual := range []bool{false, true} {
-				for _, penalty := range []types.Gwei{0, attPenalty} {
-					spec := spec
-					spec.ResidualPenalties = residual
-					e := Engine{Spec: spec, AttestationPenalty: penalty}
-					rng := rand.New(rand.NewSource(int64(spec.InactivityPenaltyQuotient)))
-					reg := newRegistry(n, spec.MaxEffectiveBalance)
-					cols := reg.Columns()
-					active := make([]bool, n)
-					for v := range active {
-						active[v] = rng.Intn(3) > 0
-						cols.Stakes[v] = spec.EjectionBalance + types.Gwei(rng.Int63n(int64(spec.MaxEffectiveBalance-spec.EjectionBalance)))
-						cols.Scores[v] = uint64(rng.Intn(5000))
-					}
-					cols.Status[3], cols.Status[513] = validator.Slashed, validator.Ejected
-					// Inactive, scoreless validators the attestation
-					// penalty alone moves: to the ejection balance, and
-					// one Gwei short of it.
-					for v, above := range map[int]types.Gwei{511: 0, 1024: 1} {
-						active[v], cols.Scores[v] = false, 0
-						cols.Stakes[v] = spec.EjectionBalance + attPenalty + above
-					}
-					ref := reg.Clone()
-					want := referenceEpoch(e, ref.Columns(), active, inLeak, 9)
-					got := e.ProcessEpoch(reg, func(v types.ValidatorIndex) bool { return active[v] }, inLeak, 9)
-					at := fmt.Sprintf("quotient %s, leak %t, residual %t, attestation penalty %d", name, inLeak, residual, penalty)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: summary %+v, reference %+v", at, got, want)
-					}
-					if !reflect.DeepEqual(reg.Columns(), ref.Columns()) {
-						t.Errorf("%s: the registry differs from the reference's", at)
-					}
-					ejectsAtBalance := !inLeak && penalty > 0
-					if st := reg.Columns().Status; (st[511] == validator.Ejected) != ejectsAtBalance || st[1024] != validator.Active {
-						t.Errorf("%s: statuses at and above the ejection balance: %v, %v", at, st[511], st[1024])
-					}
+				spec := spec
+				spec.ResidualPenalties = residual
+				e := Engine{Spec: spec}
+				rng := rand.New(rand.NewSource(int64(spec.InactivityPenaltyQuotient)))
+				reg := newRegistry(n, spec.MaxEffectiveBalance)
+				cols := reg.Columns()
+				active := make([]bool, n)
+				for v := range active {
+					active[v] = rng.Intn(3) > 0
+					cols.Stakes[v] = spec.EjectionBalance + types.Gwei(rng.Int63n(int64(spec.MaxEffectiveBalance-spec.EjectionBalance)))
+					cols.Scores[v] = uint64(rng.Intn(5000))
+				}
+				cols.Status[3], cols.Status[513] = validator.Slashed, validator.Ejected
+				for v, above := range map[int]types.Gwei{511: 0, 1024: 1} {
+					active[v], cols.Scores[v] = false, 0
+					cols.Stakes[v] = spec.EjectionBalance + above
+				}
+				ref := reg.Clone()
+				want := referenceEpoch(e, ref.Columns(), active, inLeak, 9)
+				got := e.ProcessEpoch(reg, func(v types.ValidatorIndex) bool { return active[v] }, inLeak, 9)
+				at := fmt.Sprintf("quotient %s, leak %t, residual %t", name, inLeak, residual)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: summary %+v, reference %+v", at, got, want)
+				}
+				if !reflect.DeepEqual(reg.Columns(), ref.Columns()) {
+					t.Errorf("%s: the registry differs from the reference's", at)
+				}
+				if st := reg.Columns().Status; st[511] != validator.Ejected || st[1024] != validator.Active {
+					t.Errorf("%s: statuses at and above the ejection balance: %v, %v", at, st[511], st[1024])
 				}
 			}
 		}

@@ -26,10 +26,12 @@ import (
 // drops each node's second registry (the justified-state balances, which
 // the fork-choice engine's own stake column already holds); version 5 drops
 // each node's validator id and its slashing-evidence history, which no
-// code read (the detector's marks say who was caught).
+// code read (the detector's marks say who was caught); version 6 drops each
+// node's second copy of the spec, the incentive engine's, which a decode
+// builds from the node's own.
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(5)
+	snapshotVersion = uint32(6)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real

@@ -206,14 +206,16 @@ func checkFrameFixture(t *testing.T, path string, got []byte) *Snapshot {
 	return decoded
 }
 
-// TestSnapshotFrameFixture: testdata/snapshot-v5.frame is the snapshot the
-// build that introduced version 5 wrote for compactedCfg twelve epochs in.
+// TestSnapshotFrameFixture: testdata/snapshot-v6.frame is the snapshot the
+// build that introduced version 6 wrote for compactedCfg twelve epochs in.
 // While the format stands, this build writes those exact bytes for the
 // same run, and reads them back into a snapshot that re-encodes to them
 // and continues like the live simulation. A change that moves the format
 // bumps the version, checks in a frame of its own, and turns this file's
-// check into a version miss like the ones above.
+// check into a version miss like the ones above. The version 5 frame of
+// the same run, which still carried each node's second spec, is one.
 func TestSnapshotFrameFixture(t *testing.T) {
+	checkOldFrameRejected(t, "testdata/snapshot-v5.frame", 5)
 	cfg := compactedCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -222,7 +224,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(12); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v5.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v6.frame", encodeSnapshot(t, s.Snapshot()))
 	resumed, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -235,17 +237,18 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	}
 }
 
-// TestHeldTrafficFrameFixture: testdata/snapshot-v5-held-traffic.frame is
+// TestHeldTrafficFrameFixture: testdata/snapshot-v6-held-traffic.frame is
 // the snapshot of a sim/gst population three epochs into a partition that
 // heals at epoch 30. Its held cross-partition traffic carries all three
 // message tags: blocks, batches (two of them from buckets whose proposer
 // attested alone) and single attestations. This build writes the same
 // bytes for the same run, and decodes them into a snapshot that re-encodes
 // to them and continues like the live simulation. The version 4 frame of
-// the same run, written by the build before messages became values, is a
-// version miss.
+// the same run, written by the build before messages became values, and
+// its version 5 frame are version misses.
 func TestHeldTrafficFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v4-held-traffic.frame", 4)
+	checkOldFrameRejected(t, "testdata/snapshot-v5-held-traffic.frame", 5)
 	cfg := heldTrafficCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -254,7 +257,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(3); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v5-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v6-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
 	var kinds [4]int
 	held := decoded.net.Clone()
 	for _, c := range s.Cohorts() {
@@ -277,7 +280,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	}
 }
 
-// heldTrafficCfg is the run of testdata/snapshot-v5-held-traffic.frame: a
+// heldTrafficCfg is the run of testdata/snapshot-v6-held-traffic.frame: a
 // sim/gst population whose halves heal at epoch 30.
 func heldTrafficCfg() Config {
 	return Config{
@@ -336,8 +339,8 @@ func TestLoadIntoUsedSimulation(t *testing.T) {
 		cfg           Config
 		epochs, after int
 	}{
-		{"testdata/snapshot-v5.frame", compactedCfg(), 12, 4},
-		{"testdata/snapshot-v5-held-traffic.frame", heldTrafficCfg(), 3, 30},
+		{"testdata/snapshot-v6.frame", compactedCfg(), 12, 4},
+		{"testdata/snapshot-v6-held-traffic.frame", heldTrafficCfg(), 3, 30},
 	} {
 		frame, err := os.ReadFile(fx.path)
 		if err != nil {
@@ -384,7 +387,7 @@ func reseal(b []byte) []byte {
 
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew (the version 1 to 4 frames of earlier builds included), and a
+// skew (the version 1 to 5 frames of earlier builds included), and a
 // correctly sealed payload whose vote tables, id columns, marks or registry
 // are not ones this build writes — fails ReadSnapshot with
 // ErrSnapshotCodec; no partially-decoded snapshot escapes.
@@ -455,6 +458,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"v2-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 2); return b }},
 		{"v3-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 3); return b }},
 		{"v4-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 4); return b }},
+		{"v5-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 5); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
 			return reseal(b)

@@ -30,6 +30,7 @@ import (
 // the checked-in frames.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, name := range []string{
+		"snapshot-v6.frame", "snapshot-v6-held-traffic.frame",
 		"snapshot-v5.frame", "snapshot-v5-held-traffic.frame",
 		"snapshot-v4-pr18.frame", "snapshot-v4-held-traffic.frame",
 		"snapshot-v3-pr16.frame", "snapshot-v2-pr13.frame",
