@@ -320,7 +320,7 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 	for k := range window {
 		window[k] = window[k][:0]
 	}
-	n.Pool.AppendWindowTally(window, lo, n.Registry.Columns())
+	n.Pool.AppendWindowTally(window, lo, *n.Registry.Columns())
 	for k, tally := range window {
 		res := n.FFG.ProcessTally(lo+types.Epoch(k), tally, total, newEpoch)
 		ffgRes.NewlyJustified = append(ffgRes.NewlyJustified, res.NewlyJustified...)

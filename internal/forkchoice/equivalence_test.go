@@ -1,6 +1,7 @@
 package forkchoice_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,12 @@ import (
 // hidden lists, and finalization prunes, the incremental proto-array engine
 // returns bit-identical Head / HeadFiltered / SubtreeWeight results to the
 // map-based recompute-everything oracle, which builds its visibility
-// predicate from the same list.
+// predicate from the same list, and the same latest message for every
+// validator after every step. A quarter of the votes name a root no block
+// will ever have, so every seed interns enough distinct roots to renumber
+// the proto-array's root table, some of them with votes still queued; a
+// third of the way in the proto-array is swapped for its CloneEngine copy,
+// and two thirds of the way in for its WalkEngine round trip.
 func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 	const (
 		seeds      = 25
@@ -71,6 +77,7 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 		proto := new(forkchoice.ProtoArray)
 		oracle := refmodel.NewOracle()
 		engines := []forkchoice.Engine{proto, oracle}
+		renumbered, tableLen, fresh := 0, 0, uint64(0)
 
 		stakes := make([]types.Gwei, validators)
 		for i := range stakes {
@@ -153,37 +160,56 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 					seed, step, probe, pw, perr, ow, oerr)
 			}
 		}
+		latest := func(step int) {
+			for v := types.ValidatorIndex(0); v < validators; v++ {
+				pm, pok := proto.Latest(v)
+				om, ook := oracle.Latest(v)
+				if pok != ook || pm != om {
+					t.Fatalf("seed %d step %d: Latest(%d) diverges: proto %x@%d/%v, oracle %x@%d/%v",
+						seed, step, v, pm.Root[:], pm.Slot, pok, om.Root[:], om.Slot, ook)
+				}
+			}
+		}
 
+		// vote casts a vote or a batch, possibly for a block not yet in the tree.
 		slot := types.Slot(1)
+		vote := func(step int) {
+			v := types.ValidatorIndex(rng.Intn(validators))
+			hi := nextBlock + 5
+			if hi > len(plan) {
+				hi = len(plan)
+			}
+			target := plan[rng.Intn(hi)].root
+			if rng.Intn(4) == 0 { // a root no block will ever have
+				fresh++
+				target = types.RootFromUint64(1<<33 + fresh)
+			}
+			slot += types.Slot(rng.Intn(2))
+			if rng.Intn(3) == 0 { // a batch: v and a few more, unordered, one repeated
+				batch := []types.ValidatorIndex{v, types.ValidatorIndex(rng.Intn(validators)), v}
+				for i := rng.Intn(6); i > 0; i-- {
+					batch = append(batch, types.ValidatorIndex(rng.Intn(validators)))
+				}
+				pc := proto.ProcessBatch(batch, target, slot)
+				oc := oracle.ProcessBatch(batch, target, slot)
+				if pc != oc {
+					t.Fatalf("seed %d step %d: ProcessBatch replaced-count diverges: proto %d, oracle %d", seed, step, pc, oc)
+				}
+				return
+			}
+			pc := proto.Process(v, target, slot)
+			oc := oracle.Process(v, target, slot)
+			if pc != oc {
+				t.Fatalf("seed %d step %d: Process changed-report diverges: proto %v, oracle %v", seed, step, pc, oc)
+			}
+		}
+
 		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(11); {
 			case op < 3: // grow the tree
 				addBlock()
-			case op < 8: // vote, possibly for a block not yet in the tree
-				v := types.ValidatorIndex(rng.Intn(validators))
-				hi := nextBlock + 5
-				if hi > len(plan) {
-					hi = len(plan)
-				}
-				target := plan[rng.Intn(hi)].root
-				slot += types.Slot(rng.Intn(2))
-				if rng.Intn(3) == 0 { // a batch: v and a few more, unordered, one repeated
-					batch := []types.ValidatorIndex{v, types.ValidatorIndex(rng.Intn(validators)), v}
-					for i := rng.Intn(6); i > 0; i-- {
-						batch = append(batch, types.ValidatorIndex(rng.Intn(validators)))
-					}
-					pc := proto.ProcessBatch(batch, target, slot)
-					oc := oracle.ProcessBatch(batch, target, slot)
-					if pc != oc {
-						t.Fatalf("seed %d step %d: ProcessBatch replaced-count diverges: proto %d, oracle %d", seed, step, pc, oc)
-					}
-					break
-				}
-				pc := proto.Process(v, target, slot)
-				oc := oracle.Process(v, target, slot)
-				if pc != oc {
-					t.Fatalf("seed %d step %d: Process changed-report diverges: proto %v, oracle %v", seed, step, pc, oc)
-				}
+			case op < 8:
+				vote(step)
 			case op < 9: // stake decay / ejection
 				v := rng.Intn(validators)
 				switch rng.Intn(3) {
@@ -215,18 +241,33 @@ func TestProtoArrayMatchesOracleRandomized(t *testing.T) {
 				}
 				tree.Compact(wm, func(r types.Root) bool { return pinned[r] })
 			}
+			if rng.Intn(3) == 0 { // a second vote, interned while the step's votes are queued
+				vote(step)
+			}
+			if n := proto.RootTableLen(); n < tableLen {
+				renumbered++
+			}
+			switch step {
+			case steps / 3:
+				proto = proto.CloneEngine().(*forkchoice.ProtoArray)
+			case 2 * steps / 3:
+				decoded, err := decodeEngine(encodeEngine(t, proto))
+				if err != nil {
+					t.Fatalf("seed %d step %d: round trip: %v", seed, step, err)
+				}
+				proto = decoded.(*forkchoice.ProtoArray)
+			}
+			engines[0] = proto
+			tableLen = proto.RootTableLen()
+			latest(step)
 			check(step)
+		}
+		if renumbered == 0 {
+			t.Fatalf("seed %d: %d distinct roots never renumbered the table", seed, fresh)
 		}
 
 		if proto.Len() != oracle.Len() {
 			t.Fatalf("seed %d: Len diverges: proto %d, oracle %d", seed, proto.Len(), oracle.Len())
-		}
-		for v := types.ValidatorIndex(0); v < validators; v++ {
-			pm, pok := proto.Latest(v)
-			om, ook := oracle.Latest(v)
-			if pok != ook || pm != om {
-				t.Fatalf("seed %d: Latest(%d) diverges: proto %v/%v, oracle %v/%v", seed, v, pm, pok, om, ook)
-			}
 		}
 	}
 }
@@ -358,6 +399,51 @@ func TestProtoArrayCloneIndependence(t *testing.T) {
 	}
 	if m, _ := p.Latest(1); m.Root != root(10) {
 		t.Error("clone mutation leaked into original's latest messages")
+	}
+}
+
+// TestProtoArrayResetForgetsPreviousRun: an engine recycled by Reset keeps
+// its root table's storage but none of its roots. After a second run over
+// fewer validators, with enough distinct roots to renumber the table and
+// some of the first run's roots among them, its Latest answers as a new
+// engine's fed the same votes — no vote beyond the new width, never a
+// root the second run did not vote for — and it encodes to the same bytes.
+func TestProtoArrayResetForgetsPreviousRun(t *testing.T) {
+	recycled := votedEngine(t, 200)
+	if recycled.Len() == 0 {
+		t.Fatal("the first run cast no votes")
+	}
+	recycled.Reset()
+	fresh := new(forkchoice.ProtoArray)
+	const width = 64
+	voted := map[types.Root]bool{}
+	rng := rand.New(rand.NewSource(11))
+	for _, p := range []*forkchoice.ProtoArray{recycled, fresh} {
+		p.UpdateStakes(width, flatStake)
+	}
+	for slot := types.Slot(1); slot <= 300; slot++ {
+		r := types.RootFromUint64(1<<20 + uint64(rng.Intn(150)))
+		if rng.Intn(5) == 0 { // one of the first run's roots
+			r = types.RootFromUint64(uint64(rng.Intn(40)))
+		}
+		voted[r] = true
+		batch := []types.ValidatorIndex{types.ValidatorIndex(rng.Intn(width)), types.ValidatorIndex(rng.Intn(width))}
+		if a, b := recycled.ProcessBatch(batch, r, slot), fresh.ProcessBatch(batch, r, slot); a != b {
+			t.Fatalf("slot %d: recycled replaced %d votes, new engine %d", slot, a, b)
+		}
+	}
+	if recycled.RootTableLen() >= len(voted) {
+		t.Fatalf("%d distinct roots never renumbered a %d-entry table", len(voted), recycled.RootTableLen())
+	}
+	for v := types.ValidatorIndex(0); v < 200; v++ {
+		rm, rok := recycled.Latest(v)
+		fm, fok := fresh.Latest(v)
+		if rok != fok || rm != fm || rok && !voted[rm.Root] {
+			t.Fatalf("Latest(%d): recycled %v/%v, new engine %v/%v", v, rm, rok, fm, fok)
+		}
+	}
+	if recycled.Len() != fresh.Len() || !bytes.Equal(encodeEngine(t, recycled), encodeEngine(t, fresh)) {
+		t.Fatalf("recycled engine (%d votes) encodes differently from a new one (%d)", recycled.Len(), fresh.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package forkchoice
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -14,18 +15,24 @@ import (
 // with parent/first-child/next-sibling links) and keeps, per node, the
 // subtree weight plus a cached best-child pointer.
 //
-// Latest messages live in columnar per-validator slices. When a
-// validator's vote moves from block A to B — or its stake changes with a
-// justified-state advance — nothing is walked: the stake is queued as a
-// negative delta on A and a positive delta on B, and the touched nodes
-// join a frontier worklist. The next head query settles only the paths
-// from touched nodes to the root: a max-index heap pops nodes children
-// first (the array order is topological, so a child's index always
-// exceeds its parent's), each pop folds the node's delta into its weight,
-// pushes the delta to its parent, and re-scans its children for the
-// best-child cache. A path ends where its delta cancels: a vote moving
-// from a block to a descendant a few dozen blocks below it settles those
-// few dozen nodes and nothing above them, however deep the chain is.
+// Latest messages live in columnar per-validator slices: a 4-byte id into
+// the engine's root table (0 for no vote) and a 4-byte slot, 8 bytes where
+// a root, a slot and a flag took 41. A view's validators vote for a
+// handful of distinct roots, so the table stays short; a batch interns
+// its root once, and when the table has doubled past the ids still voted
+// for it is renumbered down to those. When a validator's vote moves from
+// block A to B — or its stake changes with a justified-state advance —
+// nothing is walked: the stake is queued as a negative delta on A and a
+// positive delta on B, one delta per run of validators moving between the
+// same blocks, and the touched nodes join a frontier worklist. The next
+// head query settles only the paths from touched nodes to the root: a
+// max-index heap pops nodes children first (the array order is
+// topological, so a child's index always exceeds its parent's), each pop
+// folds the node's delta into its weight, pushes the delta to its parent,
+// and re-scans its children for the best-child cache. A path ends where
+// its delta cancels: a vote moving from a block to a descendant a few
+// dozen blocks below it settles those few dozen nodes and nothing above
+// them, however deep the chain is.
 //
 // The canonical chain (the best-child path from the array root) is cached
 // and maintained incrementally: settling records the shallowest canonical
@@ -44,15 +51,25 @@ import (
 // the tree folds its cold spine). The zero value is an empty engine.
 type ProtoArray struct {
 	// Per-validator columns (latest messages and applied weight state).
-	voteRoot []types.Root
-	voteSlot []types.Slot
-	hasVote  []bool
+	// voteID[v] names v's latest vote's root in roots; 0 is no vote.
+	voteID   []uint32
+	voteSlot []uint32
 	stakes   []types.Gwei
 	//gasper:nocodec applied-vote cache; the first sync after decode re-applies every vote
 	appliedIdx []int32 // node currently credited with the vote; NoIndex if none
 	//gasper:nocodec applied-vote cache; the first sync after decode re-applies every vote
 	appliedStake []types.Gwei
 	voted        int
+
+	// Root table: roots[id] is the block root of vote id, roots[0] unused.
+	// lastID is the id the previous intern returned; once len(roots)
+	// reaches renumberAt and renumberFloor, the next new root first
+	// renumbers the table down to the ids voteID holds.
+	roots      []types.Root
+	lastID     uint32       //gasper:nocodec intern shortcut; zero only costs the first decoded row a scan
+	renumberAt int          //gasper:nocodec table bound; a decoded table starts at the floor
+	spareRoots []types.Root //gasper:nocodec renumber scratch
+	idScratch  []int32      //gasper:nocodec renumber and rebuild scratch
 
 	// Worklists. changed holds validators whose vote or stake moved since
 	// the last apply; unresolved holds validators whose current vote
@@ -85,8 +102,9 @@ type ProtoArray struct {
 // them for the next run's validators and tree reuses their storage.
 func (p *ProtoArray) Reset() {
 	*p = ProtoArray{
-		voteRoot: p.voteRoot[:0], voteSlot: p.voteSlot[:0], hasVote: p.hasVote[:0],
+		voteID: p.voteID[:0], voteSlot: p.voteSlot[:0],
 		stakes: p.stakes[:0], appliedIdx: p.appliedIdx[:0], appliedStake: p.appliedStake[:0],
+		roots: p.roots[:0], spareRoots: p.spareRoots[:0], idScratch: p.idScratch[:0],
 		changed: p.changed[:0], inChanged: p.inChanged[:0],
 		unresolved: p.unresolved[:0], inUnresolved: p.inUnresolved[:0],
 		weights: p.weights[:0], deltas: p.deltas[:0], bestChild: p.bestChild[:0],
@@ -97,16 +115,15 @@ func (p *ProtoArray) Reset() {
 
 // ensureValidators grows the per-validator columns to hold n validators.
 func (p *ProtoArray) ensureValidators(n int) {
-	have := len(p.voteRoot)
+	have := len(p.voteID)
 	if have >= n {
 		return
 	}
 	// Grow each column in one step: element-at-a-time appends re-copy all
-	// eight columns on every size-class doubling, which at paper scale
+	// seven columns on every size-class doubling, which at paper scale
 	// makes first-touch (UpdateStakes over the whole set) a hot spot.
-	p.voteRoot = append(p.voteRoot, make([]types.Root, n-have)...)
-	p.voteSlot = append(p.voteSlot, make([]types.Slot, n-have)...)
-	p.hasVote = append(p.hasVote, make([]bool, n-have)...)
+	p.voteID = append(p.voteID, make([]uint32, n-have)...)
+	p.voteSlot = append(p.voteSlot, make([]uint32, n-have)...)
 	p.stakes = append(p.stakes, make([]types.Gwei, n-have)...)
 	p.appliedStake = append(p.appliedStake, make([]types.Gwei, n-have)...)
 	p.inChanged = append(p.inChanged, make([]bool, n-have)...)
@@ -131,11 +148,15 @@ func (p *ProtoArray) Process(v types.ValidatorIndex, root types.Root, slot types
 }
 
 // ProcessBatch implements Engine. The columns are sized once for the whole
-// batch, and the validators it queues sit next to each other on the changed
-// worklist, where applyChanged resolves their shared root once.
+// batch, its root is interned once, on the first vote it replaces, and the
+// validators it queues sit next to each other on the changed worklist,
+// where applyChanged resolves their shared id once. Slots are held in 32
+// bits, 1,600 years of 12-second slots: a later slot is held as the last
+// one, where the first vote to reach it stands.
 //
 //gasper:noalloc
 func (p *ProtoArray) ProcessBatch(validators []types.ValidatorIndex, root types.Root, slot types.Slot) int {
+	slot = min(slot, math.MaxUint32)
 	need := 0
 	for _, v := range validators {
 		if int(v) >= need {
@@ -144,27 +165,115 @@ func (p *ProtoArray) ProcessBatch(validators []types.ValidatorIndex, root types.
 	}
 	p.ensureValidators(need)
 	replaced := 0
+	id := uint32(0)
 	for _, v := range validators {
-		if !p.hasVote[v] {
-			p.hasVote[v] = true
+		if p.voteID[v] == 0 {
 			p.voted++
-		} else if p.voteSlot[v] >= slot {
+		} else if types.Slot(p.voteSlot[v]) >= slot {
 			continue
 		}
-		p.voteRoot[v] = root
-		p.voteSlot[v] = slot
+		if id == 0 {
+			id = p.intern(root)
+		}
+		p.voteID[v] = id
+		p.voteSlot[v] = uint32(slot)
 		p.markChanged(int32(v))
 		replaced++
 	}
 	return replaced
 }
 
+// internScan bounds intern's search of the table: a view's latest votes
+// name a handful of roots, and a root older than the newest internScan ids
+// takes a second id, which costs a table entry, not correctness.
+const internScan = 64
+
+// renumberFloor is the table length below which intern never renumbers. A
+// renumber reads and rewrites the whole id column, and a view takes about
+// one new root a slot, so the floor is one entry per 32 validators, from 16
+// to 256: a 10^4-validator view renumbers about every seven epochs (at 64
+// entries, every epoch and a half, 2 % of a leak's CPU samples), and a
+// 16-validator view keeps a 16-entry table.
+func (p *ProtoArray) renumberFloor() int {
+	return min(max(len(p.voteID)/32, 16), 256)
+}
+
+// intern returns root's id, found or added; a new id past renumberAt first
+// renumbers the table.
+func (p *ProtoArray) intern(root types.Root) uint32 {
+	if id, ok := p.find(root); ok {
+		return id
+	}
+	if len(p.roots) >= max(p.renumberAt, p.renumberFloor()) {
+		p.renumber()
+	}
+	return p.add(root)
+}
+
+// find returns the previous intern's id when root is the same, else the
+// newest id holding it among the newest internScan.
+func (p *ProtoArray) find(root types.Root) (uint32, bool) {
+	if p.lastID != 0 && p.roots[p.lastID] == root {
+		return p.lastID, true
+	}
+	for id := len(p.roots) - 1; id > 0 && id >= len(p.roots)-internScan; id-- {
+		if p.roots[id] == root {
+			p.lastID = uint32(id)
+			return p.lastID, true
+		}
+	}
+	return 0, false
+}
+
+// add gives root a new id.
+func (p *ProtoArray) add(root types.Root) uint32 {
+	if len(p.roots) == 0 {
+		if cap(p.roots) == 0 {
+			// The table, the spare a renumber builds into and its scratch
+			// are made once, at the floor, instead of reallocating their
+			// way up to it through a run's first epochs.
+			floor := p.renumberFloor()
+			p.roots = make([]types.Root, 0, floor)
+			p.spareRoots = make([]types.Root, 0, floor)
+			p.idScratch = make([]int32, 0, floor)
+		}
+		p.roots = append(p.roots, types.Root{})
+	}
+	p.lastID = uint32(len(p.roots))
+	p.roots = append(p.roots, root)
+	return p.lastID
+}
+
+// renumber rewrites the table as the ids voteID holds, in their old order,
+// and voteID to match; the next renumber waits until the table has doubled
+// past them. The new table is built in the spare one and the two swap.
+func (p *ProtoArray) renumber() {
+	remap := append(p.idScratch[:0], make([]int32, len(p.roots))...)
+	for _, id := range p.voteID {
+		remap[id] = 1
+	}
+	next := append(p.spareRoots[:0], types.Root{})
+	for id := 1; id < len(p.roots); id++ {
+		if remap[id] != 0 {
+			remap[id] = int32(len(next))
+			next = append(next, p.roots[id])
+		}
+	}
+	remap[0] = 0
+	for v, id := range p.voteID {
+		p.voteID[v] = uint32(remap[id])
+	}
+	p.lastID = uint32(remap[p.lastID])
+	p.roots, p.spareRoots, p.idScratch = next, p.roots, remap
+	p.renumberAt = 2 * len(next)
+}
+
 // Latest implements Engine.
 func (p *ProtoArray) Latest(v types.ValidatorIndex) (Message, bool) {
-	if int(v) >= len(p.hasVote) || !p.hasVote[v] {
+	if int(v) >= len(p.voteID) || p.voteID[v] == 0 {
 		return Message{}, false
 	}
-	return Message{Root: p.voteRoot[v], Slot: p.voteSlot[v]}, true
+	return Message{Root: p.roots[p.voteID[v]], Slot: types.Slot(p.voteSlot[v])}, true
 }
 
 // Len implements Engine.
@@ -181,7 +290,7 @@ func (p *ProtoArray) UpdateStakes(n int, stake func(types.ValidatorIndex) types.
 			continue
 		}
 		p.stakes[i] = s
-		if p.hasVote[i] {
+		if p.voteID[i] != 0 {
 			p.markChanged(int32(i))
 		}
 	}
@@ -221,22 +330,25 @@ func (p *ProtoArray) sync(tree *blocktree.Tree) {
 }
 
 // applyChanged drains the changed worklist into per-node deltas. A batch
-// queues its validators together and they share one root, so the root is
-// resolved to its node index once per run of validators voting for it.
+// queues its validators together and they share one id, so the id is
+// resolved to its node index once per run of validators voting for it, and
+// the stake the run moves out of one node, or into one, is one delta: the
+// deltas are integer sums, and settle pops by node index whatever order
+// they were touched in, so the result is the per-validator one.
 func (p *ProtoArray) applyChanged(tree *blocktree.Tree) {
 	if len(p.changed) == 0 {
 		return
 	}
-	var runRoot types.Root
-	runIdx, inRun := blocktree.NoIndex, false
+	runID, runIdx := uint32(0), blocktree.NoIndex
+	out := runDelta{node: blocktree.NoIndex}
+	in := runDelta{node: blocktree.NoIndex}
 	for _, v := range p.changed {
 		p.inChanged[v] = false
 		newIdx := blocktree.NoIndex
-		if p.hasVote[v] {
-			if !inRun || p.voteRoot[v] != runRoot {
-				runRoot, inRun = p.voteRoot[v], true
-				runIdx = blocktree.NoIndex
-				if i, ok := tree.IndexOf(runRoot); ok {
+		if id := p.voteID[v]; id != 0 {
+			if id != runID {
+				runID, runIdx = id, blocktree.NoIndex
+				if i, ok := tree.IndexOf(p.roots[id]); ok {
 					runIdx = i
 				}
 			}
@@ -248,13 +360,11 @@ func (p *ProtoArray) applyChanged(tree *blocktree.Tree) {
 			continue
 		}
 		if p.appliedIdx[v] != blocktree.NoIndex && p.appliedStake[v] != 0 {
-			p.deltas[p.appliedIdx[v]] -= int64(p.appliedStake[v])
-			p.touch(p.appliedIdx[v])
+			p.addDelta(&out, p.appliedIdx[v], -int64(p.appliedStake[v]))
 		}
 		if newIdx != blocktree.NoIndex {
 			if newStake != 0 {
-				p.deltas[newIdx] += int64(newStake)
-				p.touch(newIdx)
+				p.addDelta(&in, newIdx, int64(newStake))
 			}
 			p.appliedIdx[v] = newIdx
 			p.appliedStake[v] = newStake
@@ -264,13 +374,40 @@ func (p *ProtoArray) applyChanged(tree *blocktree.Tree) {
 			p.parkUnresolved(v, newIdx)
 		}
 	}
+	p.flushDelta(out)
+	p.flushDelta(in)
 	p.changed = p.changed[:0]
+}
+
+// runDelta is the stake a run of changed validators moves out of, or into,
+// one node.
+type runDelta struct {
+	node int32
+	sum  int64
+}
+
+// addDelta adds w to the run on node, first flushing a run on another node.
+func (p *ProtoArray) addDelta(r *runDelta, node int32, w int64) {
+	if node != r.node {
+		p.flushDelta(*r)
+		r.node, r.sum = node, 0
+	}
+	r.sum += w
+}
+
+// flushDelta queues a run's stake on its node and touches it. A run's
+// stakes share a sign and none is zero, so its sum is not zero either.
+func (p *ProtoArray) flushDelta(r runDelta) {
+	if r.node != blocktree.NoIndex {
+		p.deltas[r.node] += r.sum
+		p.touch(r.node)
+	}
 }
 
 // parkUnresolved records that v's current vote target is missing from the
 // tree, so tree growth re-queues it.
 func (p *ProtoArray) parkUnresolved(v int32, resolvedIdx int32) {
-	if resolvedIdx == blocktree.NoIndex && p.hasVote[v] && !p.inUnresolved[v] {
+	if resolvedIdx == blocktree.NoIndex && p.voteID[v] != 0 && !p.inUnresolved[v] {
 		p.inUnresolved[v] = true
 		p.unresolved = append(p.unresolved, v)
 	}
@@ -436,13 +573,22 @@ func (p *ProtoArray) rebuild(tree *blocktree.Tree) {
 		p.inUnresolved[v] = false
 	}
 	p.unresolved = p.unresolved[:0]
-	for v := range p.voteRoot {
+	// Each id is resolved once; idScratch[id] is its node index.
+	idIdx := append(p.idScratch[:0], make([]int32, len(p.roots))...)
+	for id := 1; id < len(p.roots); id++ {
+		idIdx[id] = blocktree.NoIndex
+		if i, ok := tree.IndexOf(p.roots[id]); ok {
+			idIdx[id] = i
+		}
+	}
+	p.idScratch = idIdx
+	for v, id := range p.voteID {
 		p.appliedIdx[v] = blocktree.NoIndex
 		p.appliedStake[v] = 0
-		if !p.hasVote[v] {
+		if id == 0 {
 			continue
 		}
-		if i, ok := tree.IndexOf(p.voteRoot[v]); ok {
+		if i := idIdx[id]; i != blocktree.NoIndex {
 			st := p.stakes[v]
 			p.appliedIdx[v] = i
 			p.appliedStake[v] = st
@@ -540,13 +686,17 @@ func (p *ProtoArray) SubtreeWeight(tree *blocktree.Tree, root types.Root) (types
 // rebuilds once.
 func (p *ProtoArray) CloneEngine() Engine {
 	out := &ProtoArray{
-		voteRoot:     append([]types.Root(nil), p.voteRoot...),
-		voteSlot:     append([]types.Slot(nil), p.voteSlot...),
-		hasVote:      append([]bool(nil), p.hasVote...),
+		voteID:       append([]uint32(nil), p.voteID...),
+		voteSlot:     append([]uint32(nil), p.voteSlot...),
 		stakes:       append([]types.Gwei(nil), p.stakes...),
 		appliedIdx:   append([]int32(nil), p.appliedIdx...),
 		appliedStake: append([]types.Gwei(nil), p.appliedStake...),
 		voted:        p.voted,
+		roots:        append(make([]types.Root, 0, cap(p.roots)), p.roots...),
+		lastID:       p.lastID,
+		renumberAt:   p.renumberAt,
+		spareRoots:   make([]types.Root, 0, cap(p.spareRoots)),
+		idScratch:    make([]int32, 0, cap(p.idScratch)),
 		changed:      append([]int32(nil), p.changed...),
 		inChanged:    append([]bool(nil), p.inChanged...),
 		unresolved:   append([]int32(nil), p.unresolved...),
@@ -577,8 +727,8 @@ type Stats struct {
 // Stats returns the engine's current column sizes.
 func (p *ProtoArray) Stats() Stats {
 	rootSz := int(unsafe.Sizeof(types.Root{}))
-	bytes := cap(p.voteRoot)*rootSz +
-		cap(p.voteSlot)*8 + cap(p.hasVote) + cap(p.stakes)*8 +
+	bytes := cap(p.voteID)*4 + cap(p.voteSlot)*4 + cap(p.stakes)*8 +
+		(cap(p.roots)+cap(p.spareRoots))*rootSz + cap(p.idScratch)*4 +
 		cap(p.appliedIdx)*4 + cap(p.appliedStake)*8 +
 		cap(p.changed)*4 + cap(p.inChanged) +
 		cap(p.unresolved)*4 + cap(p.inUnresolved) +
@@ -586,5 +736,5 @@ func (p *ProtoArray) Stats() Stats {
 		cap(p.bestChild)*4 +
 		cap(p.touched)*4 + cap(p.inTouched) +
 		cap(p.canon)*4 + cap(p.canonPos)*4
-	return Stats{Nodes: len(p.weights), Validators: len(p.voteRoot), Bytes: bytes}
+	return Stats{Nodes: len(p.weights), Validators: len(p.voteID), Bytes: bytes}
 }

@@ -359,7 +359,7 @@ func TestProcessEpochConsultsActivityOncePerValidator(t *testing.T) {
 // referenceEpoch is Equations 1-2 and the ejection rule written out for one
 // validator at a time, with the quotient always divided: what ProcessEpoch
 // must do to every column and report in its summary.
-func referenceEpoch(e Engine, cols validator.Columns, active []bool, inLeak bool, epoch types.Epoch) Summary {
+func referenceEpoch(e Engine, cols *validator.Columns, active []bool, inLeak bool, epoch types.Epoch) Summary {
 	spec := e.Spec
 	var sum Summary
 	for v := range cols.Stakes {

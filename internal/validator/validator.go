@@ -56,10 +56,7 @@ func (s Status) String() string {
 // Registry is the mutable validator set of one branch view, stored as
 // columns. The zero value is an empty registry; Reset populates it.
 type Registry struct {
-	stakes []types.Gwei
-	scores []uint64
-	status []Status
-	exit   []types.Epoch
+	cols Columns
 }
 
 // Columns is a writable view of the registry's storage, handed to the
@@ -77,72 +74,72 @@ type Columns struct {
 // it already holds: a registry recycled for a run of no more validators
 // than it had allocates nothing.
 func (r *Registry) Reset(n int, stake types.Gwei) {
-	r.stakes = append(r.stakes[:0], make([]types.Gwei, n)...)
-	r.scores = append(r.scores[:0], make([]uint64, n)...)
-	r.status = append(r.status[:0], make([]Status, n)...)
-	r.exit = append(r.exit[:0], make([]types.Epoch, n)...)
+	r.cols.Stakes = append(r.cols.Stakes[:0], make([]types.Gwei, n)...)
+	r.cols.Scores = append(r.cols.Scores[:0], make([]uint64, n)...)
+	r.cols.Status = append(r.cols.Status[:0], make([]Status, n)...)
+	r.cols.Exit = append(r.cols.Exit[:0], make([]types.Epoch, n)...)
 	for i := 0; i < n; i++ {
-		r.stakes[i] = stake
-		r.exit[i] = types.FarFutureEpoch
+		r.cols.Stakes[i] = stake
+		r.cols.Exit[i] = types.FarFutureEpoch
 	}
 }
 
 // Clone returns a deep copy; branch simulations fork the registry at the
 // partition point.
 func (r *Registry) Clone() *Registry {
-	out := &Registry{
-		stakes: make([]types.Gwei, len(r.stakes)),
-		scores: make([]uint64, len(r.scores)),
-		status: make([]Status, len(r.status)),
-		exit:   make([]types.Epoch, len(r.exit)),
-	}
-	copy(out.stakes, r.stakes)
-	copy(out.scores, r.scores)
-	copy(out.status, r.status)
-	copy(out.exit, r.exit)
+	out := &Registry{cols: Columns{
+		Stakes: make([]types.Gwei, len(r.cols.Stakes)),
+		Scores: make([]uint64, len(r.cols.Scores)),
+		Status: make([]Status, len(r.cols.Status)),
+		Exit:   make([]types.Epoch, len(r.cols.Exit)),
+	}}
+	copy(out.cols.Stakes, r.cols.Stakes)
+	copy(out.cols.Scores, r.cols.Scores)
+	copy(out.cols.Status, r.cols.Status)
+	copy(out.cols.Exit, r.cols.Exit)
 	return out
 }
 
 // Len returns the number of validators ever registered (including exited).
-func (r *Registry) Len() int { return len(r.stakes) }
+func (r *Registry) Len() int { return len(r.cols.Stakes) }
 
 // Columns exposes the registry's columnar storage: the incentive engine's
 // epoch sweep writes these slices directly, and the snapshot codec walks
-// them.
-func (r *Registry) Columns() Columns {
-	return Columns{Stakes: r.stakes, Scores: r.scores, Status: r.status, Exit: r.exit}
-}
+// them. It is the registry's own Columns, not a copy: a caller writes the
+// slices' elements, never the headers, and a sweep over a three-row
+// registry builds no 96-byte Columns per call.
+func (r *Registry) Columns() *Columns { return &r.cols }
 
 // Stake returns the stake of v, or zero if v is unknown or out of the set.
 // Fork choice and FFG quorums weigh only in-set validators.
 func (r *Registry) Stake(v types.ValidatorIndex) types.Gwei {
-	if int(v) >= len(r.stakes) || r.status[v] != Active {
+	if int(v) >= len(r.cols.Stakes) || r.cols.Status[v] != Active {
 		return 0
 	}
-	return r.stakes[v]
+	return r.cols.Stakes[v]
 }
 
 // Slash marks v slashed at epoch e, applies the immediate slashing penalty
 // (stake / WhistleblowerQuotient), and removes v from the set.
 func (r *Registry) Slash(v types.ValidatorIndex, e types.Epoch) error {
-	if int(v) >= len(r.stakes) {
+	if int(v) >= len(r.cols.Stakes) {
 		return fmt.Errorf("%w: %d", ErrUnknownValidator, v)
 	}
-	if r.status[v] == Slashed {
+	if r.cols.Status[v] == Slashed {
 		return nil // idempotent
 	}
-	r.stakes[v] = r.stakes[v].SaturatingSub(r.stakes[v] / types.WhistleblowerQuotient)
-	r.status[v] = Slashed
-	r.exit[v] = e
+	r.cols.Stakes[v] = r.cols.Stakes[v].SaturatingSub(r.cols.Stakes[v] / types.WhistleblowerQuotient)
+	r.cols.Status[v] = Slashed
+	r.cols.Exit[v] = e
 	return nil
 }
 
 // TotalStake sums the stake of all in-set validators.
 func (r *Registry) TotalStake() types.Gwei {
 	var total types.Gwei
-	for i, st := range r.status {
+	for i, st := range r.cols.Status {
 		if st == Active {
-			total += r.stakes[i]
+			total += r.cols.Stakes[i]
 		}
 	}
 	return total
