@@ -118,6 +118,15 @@ type EpochVotes struct {
 	// boundary's sweeps stop, however far past it first is sized (a view of
 	// one partition hears half the validators).
 	voted int //gasper:nocodec derived from the column; a decoding walk recomputes it
+	// bound is the heaviest link of the epoch's last window tally, held
+	// while bounded: no vote has arrived since, and within a run stakes only
+	// fall and no validator re-enters the set, so no link can weigh more.
+	//gasper:nocodec derived from the last tally; a decoded epoch tallies afresh
+	//gasper:shallow derived from the last tally; a cloned epoch tallies afresh
+	bound types.Gwei
+	//gasper:nocodec derived from the last tally; a decoded epoch tallies afresh
+	//gasper:shallow derived from the last tally; a cloned epoch tallies afresh
+	bounded bool
 }
 
 // spillVote is a third-or-later distinct vote of one validator for one
@@ -253,6 +262,7 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 			ev.second = widen(ev.second, p.width)
 		}
 	}
+	base := len(dst)
 	for _, v := range validators {
 		switch ev.first[v] {
 		case 0:
@@ -266,6 +276,7 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 		}
 		dst = append(dst, v)
 	}
+	ev.bounded = ev.bounded && len(dst) == base
 	return dst
 }
 
@@ -443,7 +454,8 @@ type LinkWeight struct {
 
 // AppendWindowTally appends to dst[k] the per-link stake tally of target
 // epoch lo+k, for every k, weighing each vote with its validator's stake in
-// the registry columns when the validator is in the set. Each epoch is one
+// the registry columns when the validator is in the set, and returns the
+// validator rows it swept. Each epoch is one
 // pass over its id column beside the stake and status columns that sums
 // stake per distinct vote in a scratch column and adds each sum to its
 // link's row once. A distinct vote's link is looked up among its epoch's
@@ -453,13 +465,28 @@ type LinkWeight struct {
 // Equivocating validators count toward every distinct link they voted for,
 // exactly as on-chain inclusion would credit them on each branch.
 //
+// An epoch whose last tally bounds every link at no more than 2/3 of total,
+// the in-set stake the caller weighs quorums against, is skipped and
+// appends nothing: none of its links can be a supermajority link. The
+// columns must be those the pool's earlier tallies read, later in the same
+// run.
+//
 //gasper:noalloc
-func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, cols validator.Columns) {
+func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, cols validator.Columns, total types.Gwei) (rows int) {
 	for k := range dst {
-		if ev := p.find(lo + types.Epoch(k)); ev != nil {
-			dst[k] = p.tally(dst[k], ev, cols.Stakes, cols.Status)
+		ev := p.find(lo + types.Epoch(k))
+		if ev == nil || ev.bounded && 3*uint64(ev.bound) <= 2*uint64(total) {
+			continue
 		}
+		base := len(dst[k])
+		dst[k] = p.tally(dst[k], ev, cols.Stakes, cols.Status)
+		ev.bound, ev.bounded = 0, true
+		for _, lw := range dst[k][base:] {
+			ev.bound = max(ev.bound, lw.Weight)
+		}
+		rows += min(ev.voted, len(cols.Stakes), len(cols.Status))
 	}
+	return rows
 }
 
 // AppendLinkTally appends the per-link stake tally of target epoch e to

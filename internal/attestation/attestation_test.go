@@ -437,7 +437,7 @@ func TestWindowTallyMatchesLinkTallies(t *testing.T) {
 	held := LinkWeight{Link: Link{Source: cp(lo, 7), Target: cp(lo+1, 1)}, Weight: 1}
 	window := make([][]LinkWeight, len(widths))
 	window[1] = []LinkWeight{held}
-	p.AppendWindowTally(window, lo, *reg.Columns())
+	p.AppendWindowTally(window, lo, *reg.Columns(), reg.TotalStake())
 	for k, got := range window {
 		e := types.Epoch(lo + k)
 		var want []LinkWeight

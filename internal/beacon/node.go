@@ -92,6 +92,26 @@ type Node struct {
 	//gasper:nocodec scratch set; holds nothing between compactions
 	//gasper:shallow scratch set; a clone makes its own on its first compaction
 	pinned map[types.Root]struct{}
+	// total is the registry's in-set stake while totalSet: the incentive
+	// sweep measures it, and between sweeps only a slashing moves it.
+	//gasper:nocodec derived from the registry; a decoded node sums it afresh
+	//gasper:shallow derived from the registry; a clone sums it afresh
+	total types.Gwei
+	//gasper:nocodec derived from the registry; a decoded node sums it afresh
+	//gasper:shallow derived from the registry; a clone sums it afresh
+	totalSet bool
+	//gasper:nocodec a count of work done, not protocol state
+	//gasper:shallow a count of work done; a clone counts its own from zero
+	work Work
+}
+
+// Work counts what a node's epoch boundaries swept: counts, unlike times,
+// read the same on any host, so benchmarks report them and gates bound them.
+type Work struct {
+	// TallyRows is the validator rows the FFG window tally swept.
+	TallyRows int
+	// StakeSums is the full sums of the registry's in-set stake.
+	StakeSums int
 }
 
 // NewNodeWithForkChoice builds a node over a fresh view with nValidators
@@ -125,6 +145,7 @@ func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
 	n.Detector = new(slashing.Detector)
 	n.Registry.Reset(nValidators, spec.MaxEffectiveBalance)
 	n.EnforceSlashing, n.hidden, n.incentivesNext = false, nil, 0
+	n.totalSet, n.work = false, Work{}
 	clear(n.pending)
 	n.stakeFn = n.Registry.Stake
 	n.activeFn = n.activity.Active
@@ -208,10 +229,11 @@ func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorI
 	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
 	n.Votes.ProcessBatch(n.batchNew, data.Head, data.Slot)
 	n.batchEvidence = n.Detector.ObserveBatch(n.batchEvidence[:0], n.Pool, data, n.batchNew)
-	if n.EnforceSlashing {
+	if n.EnforceSlashing && len(n.batchEvidence) > 0 {
 		for _, ev := range n.batchEvidence {
 			_ = n.Registry.Slash(ev.Validator, data.Slot.Epoch())
 		}
+		n.totalSet = false
 	}
 }
 
@@ -293,7 +315,9 @@ type EpochReport struct {
 // ProcessEpochBoundary runs at the first slot of `newEpoch`. It
 //
 //  1. re-scans the FFG justification window (the last four target epochs)
-//     against the pool, so late-arriving votes still justify — idempotent;
+//     against the pool, so late-arriving votes still justify — idempotent,
+//     and skipping an epoch that has had no vote since a tally that found
+//     every link at most 2/3 of the stake (stakes only fall in a run);
 //  2. applies inactivity-leak incentive processing exactly once for the
 //     epoch that just ended, using this view's canonical checkpoint as the
 //     activity criterion;
@@ -315,12 +339,12 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 	if newEpoch > ffgWindow {
 		lo = newEpoch - ffgWindow
 	}
-	total := n.Registry.TotalStake()
+	total := n.TotalStake()
 	window := n.tallyScratch[:newEpoch-lo]
 	for k := range window {
 		window[k] = window[k][:0]
 	}
-	n.Pool.AppendWindowTally(window, lo, *n.Registry.Columns())
+	n.work.TallyRows += n.Pool.AppendWindowTally(window, lo, *n.Registry.Columns(), total)
 	for k, tally := range window {
 		res := n.FFG.ProcessTally(lo+types.Epoch(k), tally, total, newEpoch)
 		ffgRes.NewlyJustified = append(ffgRes.NewlyJustified, res.NewlyJustified...)
@@ -367,6 +391,7 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		// (activeFn is built once at construction).
 		n.Pool.Activity(&n.activity, ended, canonical.Root)
 		report.Leak = n.Leak.ProcessEpoch(n.Registry, n.activeFn, inLeak, ended)
+		n.total, n.totalSet = report.Leak.TotalStake, true
 	}
 
 	// Bound pool memory, and with it the slashing detection window.
@@ -413,6 +438,20 @@ func (n *Node) CompactTree(olderThan types.Slot) int {
 		return ok
 	})
 }
+
+// TotalStake returns the in-set stake of the node's registry: the last
+// incentive sweep's measure while no slashing has moved it since, else a
+// fresh sum, kept until the next sweep or slashing.
+func (n *Node) TotalStake() types.Gwei {
+	if !n.totalSet {
+		n.total, n.totalSet = n.Registry.TotalStake(), true
+		n.work.StakeSums++
+	}
+	return n.total
+}
+
+// Work returns the node's work counters since it was built or reset.
+func (n *Node) Work() Work { return n.work }
 
 // Finalized returns the node's finalized checkpoint.
 func (n *Node) Finalized() types.Checkpoint { return n.FFG.Finalized() }

@@ -114,7 +114,10 @@ func BenchmarkSweepWarmStartForks(b *testing.B) {
 // then finishSimPartition — so the bytes are the simulation's. It reports
 // the blocks those trees hold at the end and the messages still queued in
 // inboxes (a partition that never heals holds none of the other side's
-// traffic); CI gates both counts, B/op and allocs/op (gates.json).
+// traffic); CI gates both counts, B/op and allocs/op (gates.json). Per
+// epoch of the last cell, it also reports the work counters of sim.Stats:
+// validator rows swept by the views' window tallies, full stake sums and
+// duty-bucket builds, which gates.json bounds as well.
 func BenchmarkPartitionCell(b *testing.B) {
 	sc, _ := Default.Lookup(ScenarioSimPartition)
 	row, p, ctx := sc.(*simScenario), sc.Defaults(), context.Background()
@@ -140,4 +143,8 @@ func BenchmarkPartitionCell(b *testing.B) {
 		held += s.Net.PendingFor(network.NodeID(c.Index))
 	}
 	b.ReportMetric(float64(held), "held-msgs/cell")
+	epochs := float64(uint64(s.Slot()) / s.Cfg.Spec.SlotsPerEpoch)
+	b.ReportMetric(float64(st.Work.TallyRows)/epochs, "tally-rows/epoch")
+	b.ReportMetric(float64(st.Work.StakeSums)/epochs, "stake-sums/epoch")
+	b.ReportMetric(float64(st.BucketRebuilds)/epochs, "bucket-builds/epoch")
 }

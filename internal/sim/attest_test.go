@@ -33,6 +33,18 @@ type batchLog struct {
 
 type sentList struct{ list, was []types.ValidatorIndex }
 
+// ownsLiveEmbargo reports whether validator v has a block of cohort ci
+// still in flight, by a scan of the live embargoes: the per-member check
+// attest's binary searches replace, kept as their oracle.
+func ownsLiveEmbargo(s *Simulation, ci int, v types.ValidatorIndex) bool {
+	for _, e := range s.embargoes {
+		if e.cohort == ci && e.producer == v {
+			return true
+		}
+	}
+	return false
+}
+
 // wantBatches is what attest must send at slot, derived from the duty rules
 // alone: the slot's honest attesters grouped by (duty view, home cohort),
 // without the members that have a block of their own in flight, ordered by
@@ -53,7 +65,7 @@ func wantBatches(s *Simulation, slot types.Slot) []batchList {
 			groups = append(groups, group{view: view, home: home})
 			i = len(groups) - 1
 		}
-		if s.ownsLiveEmbargo(view, v) {
+		if ownsLiveEmbargo(s, view, v) {
 			groups[i].leftOut = true
 		} else {
 			groups[i].members = append(groups[i].members, v)
@@ -289,3 +301,71 @@ func TestAttestBatchesReusedAcrossEpochs(t *testing.T) {
 }
 
 func leftOut(b batchList) bool { return b.leftOut }
+
+// TestAttestEmbargoLookups: with a delay over one slot, attest finds the
+// bucket members with a block of their own in flight by binary search per
+// live embargo, and must find exactly those the per-member scan finds —
+// when two members of one bucket have blocks in flight at once (the batch
+// then lists the others afresh), and when one member holds two live
+// embargoes (it still attests alone once). The batches are checked against
+// the duty rules by batchLog.step; this test checks the individual
+// attestations, and that both cases occurred.
+func TestAttestEmbargoLookups(t *testing.T) {
+	cfg := Config{Validators: 64, Spec: types.DefaultSpec(), GST: network.Never, Delay: 8, Seed: 3}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &batchLog{sent: map[*types.ValidatorIndex]sentList{}}
+	twoOwners, twoEmbargoes := 0, 0
+	for range 40 * cfg.Spec.SlotsPerEpoch {
+		slot := s.Slot()
+		l.step(t, s)
+		if slot == 0 {
+			continue
+		}
+		// The oracle: the slot's attesters that own a live embargo of
+		// their duty view, by bucket, and how many embargoes each holds.
+		var want []types.ValidatorIndex
+		owners := map[[2]int]int{}
+		for _, v := range s.HonestIndices() {
+			view := s.dutyView[v]
+			if s.AttestationSlot(v, slot.Epoch()) != slot || !ownsLiveEmbargo(s, view, v) {
+				continue
+			}
+			want = append(want, v)
+			owners[[2]int{view, s.cohortOf[v]}]++
+			held := 0
+			for _, e := range s.embargoes {
+				if e.cohort == view && e.producer == v {
+					held++
+				}
+			}
+			if held > 1 {
+				twoEmbargoes++
+			}
+		}
+		for _, k := range owners {
+			if k > 1 {
+				twoOwners++
+			}
+		}
+		var got []types.ValidatorIndex
+		net := s.Net.Clone()
+		for _, c := range s.Cohorts() {
+			for _, m := range net.Deliveries(network.NodeID(c.Index), slot+s.Cfg.Delay) {
+				if m.Kind == AttestationMessage && m.Batch.Data.Slot == slot && s.cohortOf[m.Batch.Validators[0]] == c.Index {
+					got = append(got, m.Batch.Validators...)
+				}
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("slot %d: %v attested alone, the per-member scan gives %v", slot, got, want)
+		}
+	}
+	if twoOwners == 0 || twoEmbargoes == 0 {
+		t.Fatalf("%d slots with two members' blocks in flight in one bucket, %d members holding two embargoes; the run tests neither case it is for", twoOwners, twoEmbargoes)
+	}
+	t.Logf("%d buckets with two owners, %d owners with two embargoes", twoOwners, twoEmbargoes)
+}

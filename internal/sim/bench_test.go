@@ -14,7 +14,8 @@ import (
 )
 
 // benchmarkSimEpoch measures the cost of one healthy-network protocol
-// epoch under the given configuration (one warm-up epoch excluded).
+// epoch under the given configuration (one warm-up epoch excluded), and
+// reports its work counters.
 func benchmarkSimEpoch(b *testing.B, cfg Config) {
 	s, err := New(cfg)
 	if err != nil {
@@ -23,12 +24,15 @@ func benchmarkSimEpoch(b *testing.B, cfg Config) {
 	if err := s.RunEpochs(1); err != nil {
 		b.Fatal(err)
 	}
+	before := s.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.RunEpochs(1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	reportWork(b, before, s.Stats(), b.N)
 }
 
 // BenchmarkSimEpoch is the kernel's hot-path record. The view-cohort
@@ -152,17 +156,31 @@ func BenchmarkSimLongHorizon(b *testing.B) {
 			if err := s.RunEpochs(longHorizonWarmup); err != nil {
 				b.Fatal(err)
 			}
+			before := s.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := s.RunEpochs(1); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(b.N)/secs, "epochs/sec")
 			}
+			reportWork(b, before, s.Stats(), b.N)
 		})
 	}
+}
+
+// reportWork reports the work counters a run of epochs moved from before
+// to after, per epoch: the validator rows the views' FFG window tallies
+// swept, the full sums of a view's in-set stake, and the slots whose
+// attesters were grouped into duty buckets afresh.
+func reportWork(b *testing.B, before, after Stats, epochs int) {
+	per := func(n int) float64 { return float64(n) / float64(epochs) }
+	b.ReportMetric(per(after.Work.TallyRows-before.Work.TallyRows), "tally-rows/epoch")
+	b.ReportMetric(per(after.Work.StakeSums-before.Work.StakeSums), "stake-sums/epoch")
+	b.ReportMetric(per(after.BucketRebuilds-before.BucketRebuilds), "bucket-builds/epoch")
 }
 
 // BenchmarkSnapshotWriteTo encodes the snapshot a durable checkpoint of a

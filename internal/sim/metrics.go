@@ -39,7 +39,7 @@ func (s *Simulation) MetricsAt(epoch types.Epoch) EpochMetrics {
 		n := c.Node
 		fin := n.Finalized().Epoch
 		just := n.FFG.LatestJustified().Epoch
-		total := n.Registry.TotalStake()
+		total := n.TotalStake()
 		if first {
 			m.MinFinalized, m.MaxFinalized = fin, fin
 			m.MinTotalStake, m.MaxTotalStake = total, total

@@ -222,12 +222,26 @@ type Simulation struct {
 	dutyRoster      [][]types.ValidatorIndex
 	dutyRosterEpoch types.Epoch
 	dutyRosterSet   bool
-	// dutyBuckets is attest's per-slot scratch: the slot's attesters
-	// grouped by (duty view, home cohort). Cleared and refilled every slot,
-	// bucket member slices included; nothing in it outlives the slot.
-	//gasper:nocodec per-slot scratch; a snapshot is taken between slots, when it holds nothing
-	//gasper:shallow per-slot scratch; every simulation refills its own
+	// dutyBuckets is buildBuckets' scratch: a slot's attesters grouped by
+	// (duty view, home cohort). Cleared and refilled every build, bucket
+	// member slices included; nothing in it outlives the build.
+	//gasper:nocodec per-build scratch; a snapshot is taken between slots, when it holds nothing
+	//gasper:shallow per-build scratch; every simulation refills its own
 	dutyBuckets []dutyBucket
+	// slotBuckets[off] holds, once bucketsBuilt[off], the buckets of an
+	// epoch's off-th slot in the order attest sends them, each with the list
+	// it sends (sentLists[off][j]) as its members. They depend only on the
+	// roster and the duty views, so a roster rebuild and a moved duty view
+	// clear bucketsBuilt, and a build or Reset rebuilds the roster.
+	//gasper:nocodec derived from the roster and the duty views; a simulation without it rebuilds it
+	//gasper:shallow derived from the roster and the duty views; a simulation without it rebuilds it
+	slotBuckets [][]dutyBucket
+	//gasper:nocodec derived from the roster and the duty views; a simulation without it rebuilds it
+	//gasper:shallow derived from the roster and the duty views; a simulation without it rebuilds it
+	bucketsBuilt []bool
+	//gasper:nocodec a count of work done, not simulation state
+	//gasper:shallow a count of work done; every simulation counts its own
+	bucketRebuilds int
 	// sentLists[off][j] is the validator list attest last broadcast for the
 	// j-th bucket of an epoch's off-th slot, so that a bucket whose members
 	// are unchanged since then (every bucket, with unshuffled duties and
@@ -384,11 +398,13 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 		embargoes: old.embargoes[:0],
 		// Storage every run refills. A sent list is immutable, so a reset
 		// run re-sends the lists its buckets still match.
-		dutyRoster:  old.dutyRoster,
-		dutyBuckets: old.dutyBuckets,
-		sentLists:   old.sentLists,
-		rootScratch: old.rootScratch,
-		oracle:      old.oracle,
+		dutyRoster:   old.dutyRoster,
+		dutyBuckets:  old.dutyBuckets,
+		slotBuckets:  old.slotBuckets,
+		bucketsBuilt: old.bucketsBuilt,
+		sentLists:    old.sentLists,
+		rootScratch:  old.rootScratch,
+		oracle:       old.oracle,
 	}
 	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell, old.cohorts, old.cohortOf)
 	s.Net = wireNetwork(cfg, s.cohorts, old.Net)
@@ -434,7 +450,10 @@ func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node {
 // so runs using it are outside the cohort-vs-reference equivalence
 // contract.
 func (s *Simulation) SetDutyView(v, like types.ValidatorIndex) {
-	s.dutyView[v] = s.cohortOf[like]
+	if view := s.cohortOf[like]; s.dutyView[v] != view {
+		s.dutyView[v] = view
+		clear(s.bucketsBuilt)
+	}
 }
 
 // ProposerAt returns the proposer of a slot: a seeded hash over the full
@@ -510,16 +529,24 @@ func (s *Simulation) hiddenFor(ci int, actor types.ValidatorIndex, hasActor bool
 	return s.rootScratch
 }
 
-// ownsLiveEmbargo reports whether validator v has a block of cohort ci
-// still in flight (v then computes duties on a slightly newer view than its
-// cohort mates).
-func (s *Simulation) ownsLiveEmbargo(ci int, v types.ValidatorIndex) bool {
+// appendOwners appends to dst, ascending, the positions in list of the
+// members with a block of cohort ci still in flight (each then computes
+// duties on a slightly newer view than its cohort mates): a binary search
+// of the ascending list per live embargo, and one position per member
+// however many embargoes it holds.
+//
+//gasper:noalloc
+func (s *Simulation) appendOwners(dst []int, ci int, list []types.ValidatorIndex) []int {
 	for _, e := range s.embargoes {
-		if e.cohort == ci && e.producer == v {
-			return true
+		if e.cohort != ci {
+			continue
+		}
+		if k, ok := slices.BinarySearch(list, e.producer); ok && !slices.Contains(dst, k) {
+			dst = append(dst, k)
 		}
 	}
-	return false
+	slices.Sort(dst)
+	return dst
 }
 
 // Step executes one slot.
@@ -632,6 +659,11 @@ func (s *Simulation) dutyRosterFor(epoch types.Epoch) [][]types.ValidatorIndex {
 	for i := range s.dutyRoster {
 		s.dutyRoster[i] = s.dutyRoster[i][:0]
 	}
+	if len(s.bucketsBuilt) != len(s.dutyRoster) {
+		s.slotBuckets = make([][]dutyBucket, len(s.dutyRoster))
+		s.bucketsBuilt = make([]bool, len(s.dutyRoster))
+	}
+	clear(s.bucketsBuilt)
 	start := epoch.StartSlot()
 	for _, v := range s.honest {
 		off := s.AttestationSlot(v, epoch) - start
@@ -662,21 +694,21 @@ func (s *Simulation) batchList(off, j int, members []types.ValidatorIndex) []typ
 	return *sent
 }
 
-// attest broadcasts the slot's honest attestations: one batch per bucket,
-// and one attestation per member with its own block in flight.
+// buildBuckets groups the attesters of an epoch's off-th slot by (duty
+// view, home cohort), orders the buckets, and files them in slotBuckets[off]
+// with the lists they send.
 //
 //gasper:noalloc
-func (s *Simulation) attest(slot types.Slot) {
-	off := int(slot.PositionInEpoch())
+func (s *Simulation) buildBuckets(off int, attesters []types.ValidatorIndex) {
 	s.dutyBuckets = s.dutyBuckets[:0]
-	for _, v := range s.dutyRosterFor(slot.Epoch())[off] {
+	for _, v := range attesters {
 		view, home := s.dutyView[v], s.cohortOf[v]
 		i := 0
 		for i < len(s.dutyBuckets) && (s.dutyBuckets[i].view != view || s.dutyBuckets[i].home != home) {
 			i++
 		}
 		if i == len(s.dutyBuckets) {
-			// Re-extend over the bucket a previous slot left here, if any,
+			// Re-extend over the bucket a previous build left here, if any,
 			// to take its member slice's capacity over.
 			if i < cap(s.dutyBuckets) {
 				s.dutyBuckets = s.dutyBuckets[:i+1]
@@ -688,54 +720,62 @@ func (s *Simulation) attest(slot types.Slot) {
 		s.dutyBuckets[i].members = append(s.dutyBuckets[i].members, v)
 	}
 	slices.SortFunc(s.dutyBuckets, compareBuckets)
-
+	s.slotBuckets[off] = s.slotBuckets[off][:0]
 	for j, b := range s.dutyBuckets {
-		node := s.cohorts[b.view].Node
 		// The list the bucket sends: the network and every snapshot clone
 		// share it as immutable, and a bucket whose members are unchanged
 		// sends the one it sent before.
-		list := s.batchList(off, j, b.members)
+		b.members = s.batchList(off, j, b.members)
+		s.slotBuckets[off] = append(s.slotBuckets[off], b)
+	}
+	s.bucketsBuilt[off] = true
+	s.bucketRebuilds++
+}
+
+// attest broadcasts the slot's honest attestations: one batch per bucket,
+// and one attestation per member with its own block in flight.
+//
+//gasper:noalloc
+func (s *Simulation) attest(slot types.Slot) {
+	off := int(slot.PositionInEpoch())
+	if roster := s.dutyRosterFor(slot.Epoch()); !s.bucketsBuilt[off] {
+		s.buildBuckets(off, roster[off])
+	}
+	for _, b := range s.slotBuckets[off] {
+		node, list := s.cohorts[b.view].Node, b.members
 		// Members with their own block in flight exist only where the view
 		// has a live embargo at all; elsewhere no member is looked up.
 		hidden := s.hiddenFor(b.view, 0, false)
-		special, last := 0, 0
+		var buf [4]int
+		owners := buf[:0]
 		if len(hidden) > 0 {
-			for k, v := range list {
-				if s.ownsLiveEmbargo(b.view, v) {
-					special, last = special+1, k
-				}
-			}
+			owners = s.appendOwners(owners, b.view, list)
 		}
-		if special < len(list) {
+		if len(owners) < len(list) {
 			node.SetHidden(hidden)
 			d, err := node.AttestationData(slot)
 			node.SetHidden(nil)
 			if err == nil {
 				m := Message{Kind: BatchMessage, Batch: AttBatch{Data: d, Validators: list}}
 				switch {
-				case special == 1:
-					m.omit = int32(last + 1)
-				case special > 1:
+				case len(owners) == 1:
+					m.omit = int32(owners[0] + 1)
+				case len(owners) > 1:
 					// Rare: two members' blocks in flight at once (a delay
 					// over one slot). The batch lists the others afresh.
-					plain := make([]types.ValidatorIndex, 0, len(list)-special) //gasper:alloc two members with blocks in flight, only under a delay over one slot
-					for _, v := range list {
-						if !s.ownsLiveEmbargo(b.view, v) {
-							plain = append(plain, v) //gasper:alloc fills the list made above, within its capacity
-						}
+					plain := make([]types.ValidatorIndex, 0, len(list)-len(owners)) //gasper:alloc two members with blocks in flight, only under a delay over one slot
+					from := 0
+					for _, k := range owners {
+						plain = append(plain, list[from:k]...) //gasper:alloc fills the list made above, within its capacity
+						from = k + 1
 					}
-					m.Batch.Validators = plain
+					m.Batch.Validators = append(plain, list[from:]...) //gasper:alloc fills the list made above, within its capacity
 				}
 				s.Broadcast(list[0], slot, m)
 			}
 		}
-		if special == 0 {
-			continue
-		}
-		for k, v := range list {
-			if !s.ownsLiveEmbargo(b.view, v) {
-				continue
-			}
+		for _, k := range owners {
+			v := list[k]
 			node.SetHidden(s.hiddenFor(b.view, v, true))
 			d, err := node.AttestationData(slot)
 			node.SetHidden(nil)
@@ -816,12 +856,21 @@ type Stats struct {
 	Tree    blocktree.Stats  // summed over cohort views
 	Oracle  blocktree.Stats  // the omniscient audit tree
 	Engine  forkchoice.Stats // summed over proto-array views (zero under the map oracle)
+	// Work sums the views' boundary work counters (a restored view counts
+	// from the restore), and BucketRebuilds counts the slots whose
+	// attesters were grouped afresh, since the simulation was built or reset.
+	Work           beacon.Work
+	BucketRebuilds int
 }
 
-// Stats returns the simulation's current retention statistics.
+// Stats returns the simulation's current retention statistics and work
+// counters.
 func (s *Simulation) Stats() Stats {
-	st := Stats{Cohorts: len(s.cohorts), Oracle: s.oracle.Stats()}
+	st := Stats{Cohorts: len(s.cohorts), Oracle: s.oracle.Stats(), BucketRebuilds: s.bucketRebuilds}
 	for _, c := range s.cohorts {
+		w := c.Node.Work()
+		st.Work.TallyRows += w.TallyRows
+		st.Work.StakeSums += w.StakeSums
 		ts := c.Node.Tree.Stats()
 		st.Tree.Nodes += ts.Nodes
 		st.Tree.Segments += ts.Segments
