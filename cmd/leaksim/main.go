@@ -24,6 +24,7 @@
 //	leaksim -fig all -out data/               # every figure as data/figID.csv
 //	leaksim -scenario analytic/bounce -sweep "beta0=0.1,0.2,0.3,0.3333"  # Equation 14 window per beta0
 //	leaksim -scenario bounce-mc -sweep "seed=1:5:1" -beta0 0.333 -horizon 4000  # bouncing MC at one epoch
+//	leaksim -scenario sim/gst -sweep "horizon=8:22:1" -n 10000 -store .cache -memprofile mem.pprof  # profile a stored re-serve
 //
 // Sweeps run through the v2 client API: Ctrl-C cancels cooperatively, and
 // the same grids are network-addressable via the serve command. With a
@@ -33,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +42,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -65,6 +69,8 @@ type options struct {
 	out       string
 	runs      int
 	params    gasperleak.ScenarioParams
+
+	cpuprofile, memprofile string
 }
 
 // parse declares leaksim's flags and parses args into options. Errors and
@@ -87,6 +93,8 @@ func parse(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&o.fig, "fig", "", "emit a figure's data as CSV instead of running a scenario: "+strings.Join(figureIDs, ", ")+", or all (into -out)")
 	fs.StringVar(&o.out, "out", ".", "output directory for -fig all")
 	fs.IntVar(&o.runs, "runs", 5, "Monte-Carlo runs for -fig 10mc")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to `FILE` (go tool pprof reads it)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile of the run to `FILE`, sampled every 4 KiB allocated (go tool pprof reads it)")
 	fs.Float64Var(&o.params.P0, "p0", 0, "proportion of honest validators on branch A (omit for the scenario default; an explicit -p0 0 means zero)")
 	fs.Float64Var(&o.params.Beta0, "beta0", 0, "initial Byzantine stake proportion (omit for the scenario default, 1/3 for -fig 10mc; an explicit -beta0 0 means no Byzantine stake)")
 	fs.StringVar(&o.params.Mode, "mode", "", "scenario mode (empty = scenario default)")
@@ -149,7 +157,12 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, w io.Writer, o options) error {
+func run(ctx context.Context, w io.Writer, o options) (err error) {
+	stop, err := profile(o)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	copts := []gasperleak.ClientOption{gasperleak.WithWorkers(o.workers)}
 	if o.warm {
 		copts = append(copts, gasperleak.WithWarmStart())
@@ -183,6 +196,48 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		return err
 	}
 	return emit(w, o, res.Scenario+": "+descriptionOf(c, res.Scenario), []gasperleak.ScenarioResult{res})
+}
+
+// profile starts the profiles -cpuprofile and -memprofile ask for and
+// returns the function that writes them out.
+func profile(o options) (stop func() error, err error) {
+	if o.memprofile != "" {
+		runtime.MemProfileRate = 4096
+	}
+	var cpu *os.File
+	if o.cpuprofile != "" {
+		if cpu, err = os.Create(o.cpuprofile); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() (err error) {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			err = cpu.Close()
+		}
+		if o.memprofile != "" && err == nil {
+			runtime.GC() // the profile holds the allocations of completed cycles
+			err = writeFile(o.memprofile, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) })
+		}
+		return err
+	}, nil
+}
+
+// writeFile creates the file at path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // list prints the registry: every scenario with its description.
@@ -325,15 +380,7 @@ func runFigures(ctx context.Context, w io.Writer, c *gasperleak.Client, o option
 			return err
 		}
 		path := filepath.Join(o.out, "fig"+id+ext)
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f, file); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return write(f, w) }); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintln(w, "wrote", path); err != nil {

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,5 +246,39 @@ func TestParseRejectsNonFiniteFloats(t *testing.T) {
 	}
 	if _, err := parse([]string{"-p0", "0", "-beta0", "1e-300", "-rate", "1"}, &strings.Builder{}); err != nil {
 		t.Errorf("finite flags refused: %v", err)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each write a gzipped pprof
+// profile of the run, which prints what it prints without them; a profile
+// that cannot be created fails the run.
+func TestProfileFlags(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	results := func(args ...string) []gasperleak.ScenarioResult {
+		var results []gasperleak.ScenarioResult
+		if err := json.Unmarshal([]byte(mustRun(t, args...)), &results); err != nil || len(results) != 1 {
+			t.Fatalf("leaksim %s: %d results (%v)", strings.Join(args, " "), len(results), err)
+		}
+		results[0].Meta = nil
+		return results
+	}
+	plain := results("-scenario", "5.2.1", "-json")
+	if profiled := results("-scenario", "5.2.1", "-json", "-cpuprofile", cpu, "-memprofile", mem); !reflect.DeepEqual(plain, profiled) {
+		t.Errorf("a profiled run printed %+v, want %+v", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil || !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes (%v), want a gzipped profile", filepath.Base(path), len(data), err)
+		}
+	}
+	o, err := parse([]string{"-scenario", "5.2.1", "-cpuprofile", filepath.Join(dir, "absent", "cpu.pprof")}, &strings.Builder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), &strings.Builder{}, o); err == nil {
+		t.Error("a profile that cannot be created must fail the run")
 	}
 }

@@ -12,10 +12,17 @@
 // carries a magic/version/length/checksum header plus the full key, so a
 // torn write, a truncation, a flipped bit, or a hash collision is detected
 // on read and treated as a miss (the bad file is removed so the next write
-// repairs it) — corruption can cost a recomputation, never an error.
+// repairs it) — corruption can cost a recomputation, never an error. Close
+// syncs the store directory when this store changed it: a rename or removal
+// is durable once its directory is synced, and a store that only read has
+// nothing to pin.
+//
+// The store is unix-only: it reads entries, lists its directory and
+// renames through package syscall, with no os.File on those paths.
 package store
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -23,13 +30,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // Entry file layout (little-endian):
@@ -77,8 +84,13 @@ type Store struct {
 	hits, misses, puts, corrupt atomic.Uint64
 	entries, bytes              atomic.Int64
 
-	mu     sync.Mutex // serializes writes and close
+	mu     sync.Mutex // serializes writes and close, and guards the fields below
 	closed bool
+	// dirty records that this store created, renamed or removed a name in
+	// its directory since Open, so Close has a change to sync; dirSyncs
+	// counts the syncs Close made.
+	dirty    bool
+	dirSyncs int
 }
 
 // Open creates dir if needed, scans any existing entries into the
@@ -98,45 +110,91 @@ func Open(dir string) (*Store, error) {
 
 // scan counts the entries in dir, which is the store directory or, when
 // shard is not empty, its shard of that name, and removes the temp files
-// there. It reads the directory once, in the order the file system lists
-// it: a count needs no sorting. A shard is a subdirectory named by two hex
-// digits, left by the layout that kept each entry under
-// <dir>/<first byte of its address>/. Its entries are renamed to their
-// addresses in the store directory and counted, and the shard goes once it
-// is empty. An entry whose rename fails stays where it was and reads as a
-// miss, so its cell is recomputed and written at its address.
+// there. It lists the directory's names once, in the order the file system
+// lists them (a count needs no sorting), and lstats each entry onto the
+// stack: that stat is the only exact size after a reopen. A directory is
+// never an entry. A shard is a subdirectory named by two hex digits, left
+// by the layout that kept each entry under <dir>/<first byte of its
+// address>/. Its entries are renamed to their addresses in the store
+// directory and counted, and the shard goes once it is empty. An entry
+// whose rename fails stays where it was and reads as a miss, so its cell is
+// recomputed and written at its address.
 func (s *Store) scan(dir, shard string) error {
-	files, err := readDir(dir)
+	names, err := listNames(dir)
 	if err != nil {
 		return err
 	}
-	for _, f := range files {
-		switch name := f.Name(); {
-		case shard == "" && f.IsDir() && len(name) == 2 && strings.Trim(name, "0123456789abcdef") == "":
-			sub := filepath.Join(dir, name)
-			_ = s.scan(sub, name) // an unreadable shard's entries read as misses
-			os.Remove(sub)
+	for _, name := range names {
+		path := dir + "/" + name // dir is clean and name a bare name
+		switch {
+		case shard == "" && len(name) == 2 && strings.Trim(name, "0123456789abcdef") == "":
+			_ = s.scan(path, name) // an unreadable shard's entries read as misses; a file is no shard
+			s.changed(retry(func() error { return syscall.Rmdir(path) }))
 		case strings.HasPrefix(name, tempPrefix):
-			os.Remove(filepath.Join(dir, name)) // interrupted write; its rename never happened
+			s.changed(unlink(path)) // interrupted write; its rename never happened
 		case strings.HasSuffix(name, entryExt):
-			info, err := f.Info()
-			if err == nil && (shard == "" || os.Rename(filepath.Join(dir, name), filepath.Join(s.dir, shard+name)) == nil) {
+			var st syscall.Stat_t
+			if retry(func() error { return syscall.Lstat(path, &st) }) != nil || isDir(&st) {
+				continue
+			}
+			if shard == "" || s.changed(retry(func() error { return syscall.Rename(path, s.dir+"/"+shard+name) })) {
 				s.entries.Add(1)
-				s.bytes.Add(info.Size())
+				s.bytes.Add(st.Size)
 			}
 		}
 	}
 	return nil
 }
 
-// readDir lists a directory unsorted.
-func readDir(dir string) ([]fs.DirEntry, error) {
-	d, err := os.Open(dir)
+// listNames lists a directory's names unsorted, without "." and "..",
+// reading its entries into a buffer on the stack.
+func listNames(dir string) ([]string, error) {
+	fd, err := open(dir, syscall.O_RDONLY|syscall.O_DIRECTORY)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
-	return d.ReadDir(-1)
+	defer syscall.Close(fd)
+	var buf [8192]byte
+	var names []string
+	for {
+		var n int
+		if err := retry(func() (err error) { n, err = syscall.ReadDirent(fd, buf[:]); return err }); err != nil {
+			return nil, err
+		}
+		if n <= 0 {
+			return names, nil
+		}
+		_, _, names = syscall.ParseDirent(buf[:n], -1, names)
+	}
+}
+
+// retry calls f until it fails with something other than EINTR, as
+// package os does around the system calls the store makes.
+func retry(f func() error) error {
+	for {
+		if err := f(); err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
+// open opens path close-on-exec.
+func open(path string, mode int) (fd int, err error) {
+	err = retry(func() error { fd, err = syscall.Open(path, mode|syscall.O_CLOEXEC, 0); return err })
+	return fd, err
+}
+
+// unlink removes the file at path.
+func unlink(path string) error { return retry(func() error { return syscall.Unlink(path) }) }
+
+// isDir reports whether st describes a directory.
+func isDir(st *syscall.Stat_t) bool { return st.Mode&syscall.S_IFMT == syscall.S_IFDIR }
+
+// changed records a change to the store directory, for Close to sync, when
+// the call that made it returned a nil err, and reports whether it did.
+func (s *Store) changed(err error) bool {
+	s.dirty = s.dirty || err == nil
+	return err == nil
 }
 
 // path maps a key to its content address: the SHA-256 of the key in hex,
@@ -162,13 +220,21 @@ func checksum(parts ...[]byte) uint64 {
 
 // read hands the payload stored under key to use, checked in place in a
 // buffer off the free list that grows only to the file's length, and goes
-// back when use returns. A missing entry is a miss. An entry that cannot be
-// read whole, fails a check or holds a payload use refuses is counted
-// corrupt, removed and missed. It reports whether use took the payload.
+// back when use returns. The entry is read through a bare descriptor:
+// open, fstat, pread, close. A missing entry, or a directory at its
+// address, is a miss. An entry that cannot be read whole, fails a check or
+// holds a payload use refuses is counted corrupt, removed and missed. It
+// reports whether use took the payload.
 func (s *Store) read(key string, use func(payload []byte) bool) bool {
 	path := s.path(key)
-	f, err := os.Open(path)
+	fd, err := open(path, syscall.O_RDONLY)
 	if err != nil {
+		s.misses.Add(1)
+		return false
+	}
+	var st syscall.Stat_t
+	if err = retry(func() error { return syscall.Fstat(fd, &st) }); err == nil && isDir(&st) {
+		syscall.Close(fd)
 		s.misses.Add(1)
 		return false
 	}
@@ -177,28 +243,40 @@ func (s *Store) read(key string, use func(payload []byte) bool) bool {
 	case data = <-s.free:
 	default:
 	}
-	size, err := f.Seek(0, io.SeekEnd)
 	if err == nil {
-		if int64(cap(data)) < size {
-			data = make([]byte, size)
+		if int64(cap(data)) < st.Size {
+			data = make([]byte, st.Size)
 		}
-		data = data[:size]
-		_, err = f.ReadAt(data, 0)
+		data = data[:st.Size]
+		err = preadFull(fd, data)
 	}
-	f.Close()
+	syscall.Close(fd)
 	payload, ok := decode(key, data)
 	if ok = ok && err == nil && use(payload); ok {
 		s.hits.Add(1)
 	} else {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
-		s.removeEntry(path, size)
+		s.removeEntry(path, st.Size)
 	}
 	select {
 	case s.free <- data:
 	default:
 	}
 	return ok
+}
+
+// preadFull fills b from the start of the file fd.
+func preadFull(fd int, b []byte) error {
+	for off := 0; off < len(b); {
+		var n int
+		err := retry(func() (err error) { n, err = syscall.Pread(fd, b[off:], int64(off)); return err })
+		if err != nil || n <= 0 {
+			return cmp.Or(err, io.ErrUnexpectedEOF)
+		}
+		off += n
+	}
+	return nil
 }
 
 // decode checks an entry in place — magic, lengths, key and checksum —
@@ -227,7 +305,8 @@ var ErrClosed = errors.New("store: closed")
 // assembled — synced, and renamed to its address, so concurrent readers
 // see either the old entry or the new one, never a partial write. A failed
 // write or sync leaves nothing behind. Re-putting a key overwrites its
-// entry. The new name is durable once the directory is synced (Close).
+// entry; a directory at its address is refused before anything is written.
+// The new name is durable once the directory is synced (Close).
 func (s *Store) Put(key string, payload []byte) error {
 	var header [headerSize]byte
 	k := []byte(key)
@@ -243,10 +322,21 @@ func (s *Store) Put(key string, payload []byte) error {
 		return ErrClosed
 	}
 	path := s.path(key)
+	// One lstat of the address: the size an overwrite replaces, or a
+	// directory, which rename(2) cannot replace with a file.
+	var st syscall.Stat_t
+	prior := int64(-1)
+	if retry(func() error { return syscall.Lstat(path, &st) }) == nil {
+		if isDir(&st) {
+			return fmt.Errorf("store: %s: %w", path, syscall.EISDIR)
+		}
+		prior = st.Size
+	}
 	tmp, err := os.CreateTemp(s.dir, tempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	s.dirty = true
 	for _, part := range [][]byte{header[:], k, payload} {
 		if err == nil {
 			_, err = tmp.Write(part)
@@ -262,13 +352,9 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	var prior int64 = -1
-	if info, err := os.Stat(path); err == nil {
-		prior = info.Size()
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := retry(func() error { return syscall.Rename(tmp.Name(), path) }); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", &os.LinkError{Op: "rename", Old: tmp.Name(), New: path, Err: err})
 	}
 	if prior < 0 {
 		s.entries.Add(1)
@@ -286,17 +372,14 @@ func (s *Store) Put(key string, payload []byte) error {
 // checkpoint; result entries are never deleted in normal operation.
 func (s *Store) Delete(key string) bool {
 	path := s.path(key)
-	info, err := os.Stat(path)
-	if err != nil {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Remove(path); err != nil {
+	var st syscall.Stat_t
+	if retry(func() error { return syscall.Lstat(path, &st) }) != nil || !s.changed(unlink(path)) {
 		return false
 	}
 	s.entries.Add(-1)
-	s.bytes.Add(-info.Size())
+	s.bytes.Add(-st.Size)
 	return true
 }
 
@@ -304,7 +387,7 @@ func (s *Store) Delete(key string) bool {
 func (s *Store) removeEntry(path string, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Remove(path); err == nil {
+	if s.changed(unlink(path)) {
 		s.entries.Add(-1)
 		s.bytes.Add(-size)
 	}
@@ -322,13 +405,15 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close syncs the store directory and rejects further writes. Put syncs
-// each entry's bytes before renaming them to its address, but a rename is
-// a change to the directory, which a crash can lose until the directory is
-// synced. Every entry lives in that one directory, so this one sync pins
-// every rename and removal made before it; an entry whose name a crash
-// lost reads as a miss and is recomputed. Reads keep working — a
-// draining server can still serve hits while shutting down.
+// Close syncs the store directory, if this store changed it, and rejects
+// further writes. Put syncs each entry's bytes before renaming them to its
+// address, but a rename is a change to the directory, which a crash can
+// lose until the directory is synced. Every entry lives in that one
+// directory, so this one sync pins every rename and removal made before
+// it; an entry whose name a crash lost reads as a miss and is recomputed.
+// A store that only read has no change to pin and syncs nothing. Reads
+// keep working — a draining server can still serve hits while shutting
+// down.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,7 +421,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if !s.dirty {
+		return nil
+	}
 	if d, err := os.Open(s.dir); err == nil {
+		s.dirSyncs++
 		err = d.Sync()
 		d.Close()
 		if err != nil && !errors.Is(err, errors.ErrUnsupported) {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/engine"
@@ -343,5 +345,134 @@ func TestResultsUndecodablePayloadReadsAsMiss(t *testing.T) {
 	}
 	if _, ok := r.Get("k2"); ok {
 		t.Error("truncated entry served as a hit")
+	}
+}
+
+// TestCloseSyncsOnlyAChangedDirectory: Close syncs the store directory once
+// when this store created, renamed or removed a name in it since Open — a
+// put, a delete, a corrupt entry removed, a temp file swept by the scan —
+// and not at all after a session that only read.
+func TestCloseSyncsOnlyAChangedDirectory(t *testing.T) {
+	const key = "leaksim|P0=0.5"
+	for _, tc := range []struct {
+		name    string
+		prepare func(dir string) error // on the populated directory, before Open
+		session func(s *Store) error
+		want    int
+	}{
+		{"open get close", nil, func(s *Store) error {
+			if _, ok := s.Get(key); !ok {
+				return errors.New("stored entry missed")
+			}
+			if _, ok := s.Get("absent"); ok {
+				return errors.New("absent key hit")
+			}
+			return nil
+		}, 0},
+		{"put", nil, func(s *Store) error { return s.Put("other", []byte("payload")) }, 1},
+		{"delete", nil, func(s *Store) error {
+			if !s.Delete(key) {
+				return errors.New("delete removed nothing")
+			}
+			return nil
+		}, 1},
+		{"swept temp", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, tempPrefix+"12345"), []byte("half an entr"), 0o644)
+		}, func(s *Store) error {
+			if names, _ := filepath.Glob(filepath.Join(s.dir, tempPrefix+"*")); len(names) != 0 {
+				return fmt.Errorf("temp files survived Open: %v", names)
+			}
+			return nil
+		}, 1},
+		{"corrupt entry removed", nil, func(s *Store) error {
+			if _, err := tear(s.path(key)); err != nil {
+				return err
+			}
+			if _, ok := s.Get(key); ok {
+				return errors.New("torn entry served")
+			}
+			if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+				return fmt.Errorf("stats = %+v, want the torn entry counted corrupt and removed", st)
+			}
+			return nil
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(key, []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil || s.DirSyncs() != 1 {
+				t.Fatalf("the populating store's Close = %v after %d syncs, want one", err, s.DirSyncs())
+			}
+			if tc.prepare != nil {
+				if err := tc.prepare(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.session(s); err != nil {
+				t.Fatal(err)
+			}
+			for range 2 {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := s.DirSyncs(); got != tc.want {
+				t.Errorf("Close synced the directory %d times, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestDirectoryAtAddressIsNoEntry: a directory squatting at an entry's
+// address is refused by Put before anything is written — no temp file, no
+// counter moved, no change for Close to sync — read as a plain miss, and
+// not counted by a reopen.
+func TestDirectoryAtAddressIsNoEntry(t *testing.T) {
+	const key = "leaksim|P0=0.5"
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(s.path(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, []byte("payload")); !errors.Is(err, syscall.EISDIR) {
+		t.Errorf("Put over a directory = %v, want EISDIR", err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, tempPrefix+"*")); len(names) != 0 {
+		t.Errorf("a refused Put left temp files: %v", names)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Error("a directory served as a hit")
+	}
+	if st := s.Stats(); st != (Stats{Misses: 1}) {
+		t.Errorf("stats = %+v, want one plain miss", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.DirSyncs(); n != 0 {
+		t.Errorf("Close after a refused Put synced %d times, want 0", n)
+	}
+	if info, err := os.Stat(s.path(key)); err != nil || !info.IsDir() {
+		t.Errorf("the directory did not survive: %v", err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := re.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("reopened stats = %+v, want the directory not counted", st)
 	}
 }
