@@ -12,10 +12,8 @@ const DataBytes = 8 + 32 + 2*(8+32)
 func (d *Data) Walk(c *codec.Coder) {
 	c.U64((*uint64)(&d.Slot))
 	c.Raw(d.Head[:])
-	c.U64((*uint64)(&d.Source.Epoch))
-	c.Raw(d.Source.Root[:])
-	c.U64((*uint64)(&d.Target.Epoch))
-	c.Raw(d.Target.Root[:])
+	d.Source.Walk(c)
+	d.Target.Walk(c)
 }
 
 // Walk moves the pool for the durable snapshot codec: target epochs in

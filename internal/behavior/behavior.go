@@ -16,13 +16,19 @@
 // validators travel as one sim.AttBatch, and the Bouncer's per-validator
 // placement step uses sim.SetDutyView instead of touching per-validator
 // nodes, so every strategy runs at paper-scale validator counts.
+//
+// Every adversary resumes one way. SemiActive and Bouncer walk their state
+// (codec.go), so sim.Snapshot carries it and a restore decodes it into the
+// restoring simulation's own adversary, whose configuration (Reps, P0,
+// seed, Stop, AutoFinalize) is that simulation's; neither keeps a pointer
+// into the simulation between slots. DoubleVoter has no state.
 package behavior
 
 import (
 	"math/rand"
 
 	"repro/internal/attestation"
-	"repro/internal/beacon"
+	"repro/internal/blocktree"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -76,20 +82,19 @@ func (d *DoubleVoter) OnSlot(s *sim.Simulation, slot types.Slot) {
 // the supermajority by a hair and only clear it an epoch or two later as
 // the leak keeps draining the denominators.
 //
-// The gait starts at StayFrom when set; with AutoFinalize the adversary
-// picks the moment itself, as soon as alternation has justified recent
-// checkpoints on both branches — the earliest epoch at which conflicting
-// finalization is in reach, the Scenario 5.2.2 / Table 3 timing. With
-// neither, it alternates forever (the Scenario 5.2.3 "delay finalization
-// to cross 1/3" mode).
+// With AutoFinalize the adversary starts the gait itself, as soon as
+// alternation has justified recent checkpoints on both branches — the
+// earliest epoch at which conflicting finalization is in reach, the
+// Scenario 5.2.2 / Table 3 timing. Without it, it alternates forever (the
+// Scenario 5.2.3 "delay finalization to cross 1/3" mode).
 type SemiActive struct {
+	// Reps holds one honest representative validator per branch; the
+	// adversary reads their cohorts' views.
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
 	Reps [2]types.ValidatorIndex
-	// StayFrom, when nonzero, is the epoch at which the adversary stops
-	// delaying and finalizes both branches. Zero means never, unless
-	// AutoFinalize picks a moment.
-	StayFrom types.Epoch
 	// AutoFinalize lets the adversary trigger its own finalization gait
-	// (see above). StayFrom, when also set, acts as a floor.
+	// (see above).
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
 	AutoFinalize bool
 
 	// gaitFrom is the epoch the gait actually started; gaitPhase tracks
@@ -103,27 +108,13 @@ type SemiActive struct {
 // gait; zero means not (yet) started.
 func (a *SemiActive) GaitFrom() types.Epoch { return a.gaitFrom }
 
-// Clone returns an independent copy of the adversary, gait state machine
-// included. sim.Snapshot deliberately leaves adversary state outside the
-// snapshot, so a warm-start prefix pairs each snapshot with a Clone taken
-// at the same epoch boundary: every continuation resumes from its own
-// copy of the gait exactly where the prefix left it.
-func (a *SemiActive) Clone() *SemiActive {
-	cp := *a
-	return &cp
-}
-
 // branchFor returns which branch the Byzantine validators act on during an
 // epoch.
 func (a *SemiActive) branchFor(epoch types.Epoch) int {
-	switch a.gaitPhase {
-	case 1:
-		return 0
-	case 2:
-		return 1
-	default:
-		return int(epoch % 2)
+	if a.gaitPhase == 1 || a.gaitPhase == 2 { // camping on branch 0, then 1
+		return a.gaitPhase - 1
 	}
+	return int(epoch % 2)
 }
 
 // advanceGait runs the finalization state machine at an epoch boundary
@@ -141,34 +132,21 @@ func (a *SemiActive) advanceGait(s *sim.Simulation, epoch types.Epoch) {
 		return fin.Epoch != 0 && a.gaitFrom != 0 && fin.Epoch+1 >= a.gaitFrom
 	}
 	switch a.gaitPhase {
-	case 0: // alternating; decide whether to start the gait
-		var start bool
-		if a.AutoFinalize {
-			// AutoFinalize owns the trigger: both branches must have
-			// justified recently, and StayFrom — when also set — is
-			// only a floor below which the trigger is not consulted.
-			start = epoch >= 2 && (a.StayFrom == 0 || epoch >= a.StayFrom)
-			for i := 0; start && i < 2; i++ {
-				just := s.View(a.Reps[i]).FFG.LatestJustified()
-				if just.Epoch+2 < epoch || just.Epoch == 0 {
-					start = false
-				}
+	case 0: // alternating; with AutoFinalize, start once both branches justified recently
+		start := a.AutoFinalize && epoch >= 2
+		for i := 0; start && i < 2; i++ {
+			just := s.View(a.Reps[i]).FFG.LatestJustified()
+			if just.Epoch+2 < epoch || just.Epoch == 0 {
+				start = false
 			}
-		} else {
-			// Manual mode: the caller picked the moment outright.
-			start = a.StayFrom != 0 && epoch >= a.StayFrom
 		}
 		if start {
 			a.gaitFrom = epoch
 			a.gaitPhase = 1
 		}
-	case 1: // camping on branch 0 until it finalizes
-		if finalized(0) {
-			a.gaitPhase = 2
-		}
-	case 2: // camping on branch 1 until it finalizes too
-		if finalized(1) {
-			a.gaitPhase = 3
+	case 1, 2: // camping on branch 0, then 1, until it finalizes
+		if finalized(a.gaitPhase - 1) {
+			a.gaitPhase++
 		}
 	}
 }
@@ -216,17 +194,25 @@ type Bouncer struct {
 	// P0 is the per-epoch probability that an honest validator stays on
 	// the branch whose justification the adversary completes next — the
 	// paper's p0, constrained by Equation 14.
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
 	P0 float64
-	// Rng drives the per-validator placement coin.
-	Rng *rand.Rand
 	// Stop, when nonzero, is the epoch at which the adversary ceases the
 	// attack (used to demonstrate liveness recovery).
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
 	Stop types.Epoch
+	// seed seeds the per-validator placement coin, and setupReps are the
+	// partition representatives whose home views are the two branches'.
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
+	seed int64
+	//gasper:nocodec configuration: the restored simulation's own adversary holds it
+	setupReps [2]types.ValidatorIndex
+	// rng draws the placement coin. It is built on the first draw, from
+	// seed, with the draws already taken discarded, so a decoded Bouncer
+	// draws exactly what the Bouncer it was taken from would have.
+	//gasper:nocodec rebuilt from seed and draws on the next draw
+	rng   *rand.Rand
+	draws uint64
 
-	// views[i] is the materialized view of branch i, captured at GST
-	// from the partition representatives (stable across duty-view
-	// reassignments).
-	views [2]*beacon.Node
 	// anchors[i] is the first post-fork block root of branch i.
 	anchors [2]types.Root
 	// lastJust[i] tracks the latest checkpoint the adversary justified
@@ -238,8 +224,6 @@ type Bouncer struct {
 	// two-valued and the completed links above the quorum).
 	prevTarget types.Checkpoint
 	armed      bool
-	observer   *beacon.Node // the Byzantine cohort's omniscient view
-	setupReps  [2]types.ValidatorIndex
 
 	// Bounces counts bounce placements per honest validator (metrics).
 	Bounces int
@@ -250,36 +234,28 @@ type Bouncer struct {
 // NewBouncer builds a Bouncer with partition representatives (one honest
 // validator per partition, used to locate the fork's branches at GST).
 func NewBouncer(p0 float64, seed int64, reps [2]types.ValidatorIndex) *Bouncer {
-	return &Bouncer{
-		P0:        p0,
-		Rng:       rand.New(rand.NewSource(seed)),
-		setupReps: reps,
-	}
+	return &Bouncer{P0: p0, seed: seed, setupReps: reps}
 }
 
-// arm captures the fork anchors at GST.
-func (b *Bouncer) arm(s *sim.Simulation) {
-	b.observer = s.View(s.Cfg.Byzantine[0])
+// arm captures the fork anchors at GST, and reports whether the branches
+// have forked (it is tried again each slot until they have).
+func (b *Bouncer) arm(s *sim.Simulation) bool {
 	for i := 0; i < 2; i++ {
-		rep := s.View(b.setupReps[i])
+		rep := s.HomeView(b.setupReps[i])
 		head, err := rep.Head()
 		if err != nil {
-			return
+			return false
 		}
-		b.views[i] = rep
 		b.anchors[i] = head
 		b.lastJust[i] = rep.FFG.LatestJustified()
 	}
-	if b.anchors[0] == b.anchors[1] {
-		return // no fork yet
-	}
-	b.armed = true
+	b.armed = b.anchors[0] != b.anchors[1]
+	return b.armed
 }
 
 // branchTip finds the highest block descending from the branch anchor in
-// the omniscient Byzantine view.
-func (b *Bouncer) branchTip(branch int) (types.Root, bool) {
-	tree := b.observer.Tree
+// the omniscient Byzantine view's tree.
+func (b *Bouncer) branchTip(tree *blocktree.Tree, branch int) (types.Root, bool) {
 	anchor := b.anchors[branch]
 	if !tree.Has(anchor) {
 		return types.Root{}, false
@@ -294,69 +270,63 @@ func (b *Bouncer) branchTip(branch int) (types.Root, bool) {
 	return best, true
 }
 
-// OnSlot implements sim.Adversary.
+// OnSlot implements sim.Adversary. The views it acts on — each branch
+// representative's home view and the Byzantine cohort's omniscient one —
+// are read off the simulation on every use, never kept.
 func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 	if slot < s.Cfg.GST {
 		return
 	}
-	if !b.armed {
-		b.arm(s)
-		if !b.armed {
-			return
-		}
-	}
-	if !slot.IsEpochStart() || slot.Epoch() == 0 {
+	if !b.armed && !b.arm(s) {
 		return
 	}
 	epoch := slot.Epoch()
-	if b.Stop != 0 && epoch >= b.Stop {
+	if !slot.IsEpochStart() || epoch == 0 || b.Stop != 0 && epoch >= b.Stop {
 		return
 	}
 	ended := epoch - 1
 	branch := int(ended % 2)
 
-	tip, ok := b.branchTip(branch)
+	observer := s.HomeView(s.Cfg.Byzantine[0])
+	tip, ok := b.branchTip(observer.Tree, branch)
 	if !ok {
 		return
 	}
-	target, err := b.observer.Tree.CheckpointFor(tip, ended)
+	target, err := observer.Tree.CheckpointFor(tip, ended)
 	if err != nil || target.Root == b.lastJust[branch].Root {
 		return
 	}
-	source := b.lastJust[branch]
 	b.Releases++
 
 	// Release the withheld Byzantine votes completing the two-epoch link
-	// (source -> target) on this branch, as one batch. One vote per
-	// Byzantine validator per epoch: semi-active per branch, never
-	// slashable.
-	release := sim.AttBatch{
-		Data: attestation.Data{
-			Slot:   ended.EndSlot(),
-			Head:   tip,
-			Source: source,
-			Target: target,
-		},
-		Validators: s.Cfg.Byzantine,
-	}
-	s.Broadcast(s.Cfg.Byzantine[0], slot, sim.Message{Kind: sim.BatchMessage, Batch: release})
+	// (the branch's last justified checkpoint -> target) on this branch, as
+	// one batch. One vote per Byzantine validator per epoch: semi-active per
+	// branch, never slashable.
+	vote := attestation.Data{Slot: ended.EndSlot(), Head: tip, Source: b.lastJust[branch], Target: target}
+	s.Broadcast(s.Cfg.Byzantine[0], slot, sim.Message{Kind: sim.BatchMessage, Batch: sim.AttBatch{Data: vote, Validators: s.Cfg.Byzantine}})
 
 	// Catch-up: the previous release reached every validator within
 	// delta, so by this boundary every view has processed it.
 	if !b.prevTarget.IsZero() {
-		b.views[0].FFG.ForceJustify(b.prevTarget)
-		b.views[1].FFG.ForceJustify(b.prevTarget)
+		s.HomeView(b.setupReps[0]).FFG.ForceJustify(b.prevTarget)
+		s.HomeView(b.setupReps[1]).FFG.ForceJustify(b.prevTarget)
 	}
+	fresh, stale := b.setupReps[branch], b.setupReps[1-branch]
 	// The fresh branch's view sees the release (and the resulting
 	// justification) immediately; the stale view stays on the previous
 	// target until next boundary.
-	b.views[branch].FFG.ForceJustify(target)
+	s.HomeView(fresh).FFG.ForceJustify(target)
 	// Per-validator timing: with probability 1-P0 the validator's duty
 	// this epoch runs on the fresh view (it bounces to this branch); with
 	// probability P0 it acts on the stale view and stays put.
-	fresh, stale := b.setupReps[branch], b.setupReps[1-branch]
+	if b.rng == nil { // new or decoded: seed, and replay the draws already taken
+		b.rng = rand.New(rand.NewSource(b.seed))
+		for range b.draws {
+			b.rng.Float64()
+		}
+	}
 	for _, h := range s.HonestIndices() {
-		if b.Rng.Float64() >= b.P0 {
+		if b.draws++; b.rng.Float64() >= b.P0 {
 			s.SetDutyView(h, fresh)
 			b.Bounces++
 		} else {
@@ -364,7 +334,7 @@ func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 		}
 	}
 	// The omniscient Byzantine view tracks every justification.
-	b.observer.FFG.ForceJustify(target)
+	observer.FFG.ForceJustify(target)
 	b.lastJust[branch] = target
 	b.prevTarget = target
 }

@@ -201,7 +201,7 @@ func TestScenario521SlashingAfterGST(t *testing.T) {
 // beta_max moment, Equation 13); past it the decayed Byzantine stake lets
 // honest actives reach a 2/3 quorum on their own.
 func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
-	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}} // StayFrom 0: never finalize
+	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}} // no AutoFinalize: never finalize
 	s, err := sim.New(byzConfig(13, adv))
 	if err != nil {
 		t.Fatal(err)
@@ -278,10 +278,10 @@ func TestScenario523SemiActiveCrossesOneThird(t *testing.T) {
 
 // TestScenario522SemiActiveFinalizesConflictingBranches reproduces Scenario
 // 5.2.2: same non-slashable gait, but once both branch quorums are within
-// reach the Byzantine validators stay two consecutive epochs per branch,
+// reach the Byzantine validators camp on each branch in turn (AutoFinalize),
 // finalizing both — a Safety violation with zero slashing risk.
 func TestScenario522SemiActiveFinalizesConflictingBranches(t *testing.T) {
-	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, StayFrom: 22}
+	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true}
 	s, err := sim.New(byzConfig(17, adv))
 	if err != nil {
 		t.Fatal(err)
@@ -412,44 +412,31 @@ func TestBouncerUnderMessageLoss(t *testing.T) {
 	}
 }
 
-// TestSemiActiveAutoFinalizeRespectsStayFromFloor pins the documented
-// contract: with both knobs set, AutoFinalize may not start the
-// finalization gait before the StayFrom floor, and the gait it does start
-// must finalize post-fork checkpoints (a stale pre-gait finalization
-// cannot satisfy the camping phases).
-func TestSemiActiveAutoFinalizeRespectsStayFromFloor(t *testing.T) {
-	// Without a floor, AutoFinalize triggers as soon as both branches
-	// justify (the Table 3 timing).
-	free := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true}
-	s, err := sim.New(byzConfig(17, free))
+// TestSemiActiveAutoFinalizeFinalizesPostFork: AutoFinalize starts the
+// finalization gait as soon as both branches justify (the Table 3 timing),
+// and the conflict it produces comes from checkpoints the gait finalized,
+// not from a stale pre-gait finalization (which cannot satisfy the camping
+// phases).
+func TestSemiActiveAutoFinalizeFinalizesPostFork(t *testing.T) {
+	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true}
+	s, err := sim.New(byzConfig(17, adv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conflict := runUntilConflict(t, s, 40); conflict == 0 {
+	conflict := runUntilConflict(t, s, 40)
+	if conflict == 0 {
 		t.Fatal("AutoFinalize never finalized conflicting branches")
 	}
-	unfloored := free.GaitFrom()
-	if unfloored == 0 {
+	gait := adv.GaitFrom()
+	if gait == 0 {
 		t.Fatal("AutoFinalize never started its gait")
 	}
-
-	// With a floor beyond that trigger epoch, the gait must wait for it.
-	floor := unfloored + 4
-	floored := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true, StayFrom: floor}
-	s, err = sim.New(byzConfig(17, floored))
-	if err != nil {
-		t.Fatal(err)
+	if conflict < gait {
+		t.Fatalf("conflicting finalization at epoch %d precedes the gait's start at %d", conflict, gait)
 	}
-	conflict := runUntilConflict(t, s, 48)
-	if got := floored.GaitFrom(); got < floor {
-		t.Fatalf("AutoFinalize started the gait at epoch %d, before the StayFrom floor %d", got, floor)
-	}
-	if conflict == 0 {
-		t.Fatal("floored AutoFinalize never finalized conflicting branches")
-	}
-	// The conflict is produced BY the gait, not by stale finality: it
-	// cannot precede the floor.
-	if conflict < floor {
-		t.Fatalf("conflicting finalization at epoch %d precedes the gait floor %d", conflict, floor)
+	for _, rep := range adv.Reps {
+		if fin := s.View(rep).Finalized().Epoch; fin+1 < gait {
+			t.Fatalf("validator %d's view finalized epoch %d, before the gait's start at %d", rep, fin, gait)
+		}
 	}
 }

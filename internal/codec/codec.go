@@ -59,6 +59,7 @@ type Coder struct {
 	left  interface{ Len() int }
 	err   error
 	n     int64
+	bound uint64
 	buf   [8]byte
 	chunk [4 * u32Chunk]byte
 }
@@ -169,6 +170,22 @@ func (c *Coder) Byte(v *byte) {
 	c.buf[0] = *v
 	if c.move(c.buf[:1]); c.decoded() {
 		*v = c.buf[0]
+	}
+}
+
+// Bound sets the largest count Bounded decodes. A walk that replays work
+// its input counts reads the count through Bounded, so a hostile count is
+// refused before any of the work is done; the caller bounds it by what the
+// state it decodes into could have done. A decoding Coder's bound is zero
+// until set.
+func (c *Coder) Bound(n uint64) { c.bound = n }
+
+// Bounded moves a uint64 count of work. Decoding, a count above the bound
+// (Bound) is corrupt and reads as zero.
+func (c *Coder) Bounded(v *uint64) {
+	if c.U64(v); c.decoded() && *v > c.bound {
+		c.Corrupt("count %d exceeds the bound %d", *v, c.bound)
+		*v = 0
 	}
 }
 

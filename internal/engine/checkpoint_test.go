@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -211,19 +210,21 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 }
 
 var writeFrame = flag.Bool("write-frame", false,
-	"rewrite testdata/prefix-v2-frame-v6.blob from TestPrefixBlobFixture's run")
+	"rewrite testdata/prefix-v3-frame-v7.blob from TestPrefixBlobFixture's run")
 
-// prefixFixture is a version 2 prefix blob around a version 6 snapshot
+// prefixFixture is a version 3 prefix blob around a version 7 snapshot
 // frame: the sim/semiactive cell of prefixFixtureParams 60 epochs in — a
-// sampled stake curve, the stake floor, the adversary's gait state and a
-// two-view snapshot. prefixV4Frame is the blob of the same cell written by
-// the encoder and decoder pairs the codec walks replaced, around a version
-// 4 frame: the first blob to cover the trace and adversary codecs.
-// prefixV5Frame is the blob of the same cell around a version 5 frame.
+// sampled stake curve and the stake floor, then a two-view snapshot that
+// ends in the adversary's gait state. The version 2 blobs of the same cell
+// carried the gait state in the trace instead: prefixV4Frame around a
+// version 4 frame, written by the encoder and decoder pairs the codec walks
+// replaced (the first blob to cover the trace and adversary codecs), and
+// prefixV5Frame and prefixV6Frame around version 5 and 6 frames.
 const (
-	prefixFixture = "testdata/prefix-v2-frame-v6.blob"
+	prefixFixture = "testdata/prefix-v3-frame-v7.blob"
 	prefixV4Frame = "testdata/prefix-v2-pr39.blob"
 	prefixV5Frame = "testdata/prefix-v2-frame-v5.blob"
+	prefixV6Frame = "testdata/prefix-v2-frame-v6.blob"
 )
 
 // prefixFixtureParams is the cell prefixFixture was written for.
@@ -231,23 +232,19 @@ var prefixFixtureParams = Params{P0: 0.5, Beta0: 0.33, N: 64, Horizon: 120, Seed
 
 // TestPrefixBlobFixture: this build writes the checked-in blob's exact
 // bytes for its cell, the blob decodes, re-encodes to the same bytes, and
-// finishes its cell to the Result a cold run computes. The blobs around a
-// version 4 and a version 5 frame are version misses. (-write-frame
-// rewrites the blob.)
+// finishes its cell to the Result a cold run computes. The version 2 blobs
+// are version misses. (-write-frame rewrites the blob.)
 func TestPrefixBlobFixture(t *testing.T) {
 	ctx := context.Background()
 	sc, _ := Default.Lookup(ScenarioSimSemiActive)
 	cs := sc.(CheckpointableScenario)
-	for version, path := range []string{4: prefixV4Frame, 5: prefixV5Frame} {
-		if path == "" {
-			continue
-		}
+	for _, path := range []string{prefixV4Frame, prefixV5Frame, prefixV6Frame} {
 		old, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, sim.ErrSnapshotCodec) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
-			t.Fatalf("DecodePrefix of a blob around a version %d frame = %v, %v; want nil and a version error wrapping sim.ErrSnapshotCodec", version, pre, err)
+		if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, errPrefixCodec) || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("DecodePrefix of %s = %v, %v; want nil and a version 2 error wrapping errPrefixCodec", path, pre, err)
 		}
 	}
 
@@ -518,6 +515,55 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestSimBounceSweepResumes: sim/bounce runs through the one runner. A
+// grid that straddles its stop rule (horizon 8, no stop; 12 and 16, a stop
+// six epochs before) over two seeds returns its cold payloads warm-started,
+// and again checkpointed, with every cell resuming mid-attack from a
+// checkpoint planted at epoch 5: the Bouncer's state decoded from the
+// frame.
+func TestSimBounceSweepResumes(t *testing.T) {
+	ctx := context.Background()
+	var cells []Cell
+	for _, seed := range []int64{19, 7} {
+		for _, horizon := range []int{8, 12, 16} {
+			cells = append(cells, Cell{Scenario: ScenarioSimBounce, Params: Params{P0: 0.7, Beta0: 0.25, N: 40, Horizon: horizon, Seed: seed, GST: 3}})
+		}
+	}
+	cold := SweepContext(ctx, cells, Options{Workers: 2})
+	for i, r := range cold {
+		if r.Err != "" {
+			t.Fatalf("cell %d: %s", i, r.Err)
+		}
+	}
+	warm := SweepContext(ctx, cells, Options{Workers: 2, WarmStart: &WarmStartOptions{}})
+	if got, want := StripMeta(warm), StripMeta(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("warm sweep diverged from the cold sweep:\n  warm: %+v\n  cold: %+v", got, want)
+	}
+
+	sc, _ := Default.Lookup(ScenarioSimBounce)
+	cs := sc.(CheckpointableScenario)
+	ms := newMemStore()
+	for _, cell := range cells {
+		pre, err := cs.RunTo(ctx, cell.Params.WithDefaults(sc.Defaults()), nil, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := CanonicalCellKey(Default, cell)
+		if err := saveCheckpoint(cs, ms, key, pre); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resumed := SweepContext(ctx, cells, Options{Workers: 2, Checkpoint: &CheckpointOptions{Every: 2, Store: ms}})
+	if got, want := StripMeta(resumed), StripMeta(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpointed sweep diverged from the cold sweep:\n  resumed: %+v\n  cold:    %+v", got, want)
+	}
+	for i, r := range resumed {
+		if ck := r.Meta.Checkpoint; ck == nil || !ck.Resumed || ck.ResumeEpoch != 5 {
+			t.Errorf("cell %d (%+v): checkpoint meta %+v, want a resume from epoch 5", i, cells[i].Params, ck)
+		}
+	}
+}
+
 // TestSweepCheckpointCorruptColdStart: an undecodable checkpoint payload
 // (schema drift the store's framing cannot catch — garbage, a checkpoint
 // whose snapshot frame carries the version 1 header of builds before the
@@ -526,9 +572,10 @@ func TestSweepCheckpointResume(t *testing.T) {
 // frame of the build before the second registry did, or the version 4
 // frame of the build before each node's validator id and evidence history
 // did, or the version 5 frame of the build before each node's second spec
-// did, or the checked-in version 1 prefix blob, which still named a
-// reference simulator) is silently discarded — the cell starts cold,
-// produces the correct result, and repairs the store.
+// did, or the version 6 frame of the build before the adversary's state
+// joined the frame, or the checked-in version 1 prefix blob, which still
+// named a reference simulator) is silently discarded — the cell starts
+// cold, produces the correct result, and repairs the store.
 func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 	ctx := context.Background()
 	cell := Cell{Scenario: ScenarioSimLeak, Params: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 1}}
@@ -578,6 +625,7 @@ func TestSweepCheckpointCorruptColdStart(t *testing.T) {
 		{"pr16-v3-frame", oldFrame("../sim/testdata/snapshot-v3-pr16.frame")},
 		{"v4-frame", oldFrame("../sim/testdata/snapshot-v4-pr18.frame")},
 		{"v5-frame", oldFrame("../sim/testdata/snapshot-v5.frame")},
+		{"v6-frame", oldFrame("../sim/testdata/snapshot-v6.frame")},
 		{"pr18-v1-prefix", func(t *testing.T, ms *memStore) {
 			old, err := os.ReadFile(prefixV1PR18)
 			if err != nil {
@@ -720,12 +768,12 @@ func TestCheckpointCancelMidInterval(t *testing.T) {
 }
 
 // TestCheckpointSkipsNonCheckpointable: cells of scenarios without the
-// prefix codec (analytic scenarios, sim/bounce) run the plain path
-// untouched — same results, no store traffic.
+// prefix codec (analytic scenarios, the bounce-mc Monte-Carlo) run the
+// plain path untouched — same results, no store traffic.
 func TestCheckpointSkipsNonCheckpointable(t *testing.T) {
 	cells := []Cell{
 		{Scenario: ScenarioPartition, Params: Params{P0: 0.5}},
-		{Scenario: ScenarioSimBounce, Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+		{Scenario: ScenarioBounceMC, Params: Params{N: 40, Horizon: 8, P0: 0.7, Beta0: 0.25, Seed: 19}},
 	}
 	ctx := context.Background()
 	cold := SweepContext(ctx, cells, Options{Workers: 1})

@@ -18,8 +18,9 @@ import (
 // slice appended from two continuations is a correctness bug, not just a
 // race).
 type Prefix struct {
-	// Snap is the simulation state at the checkpoint. Every prefix RunTo
-	// or DecodePrefix returns has one. Inside the engine a prefix may be
+	// Snap is the simulation state at the checkpoint, the adversary's
+	// included (sim.Snapshot). Every prefix RunTo or DecodePrefix returns
+	// has one. Inside the engine a prefix may be
 	// advanced without it (nil): it then stands on its live simulation
 	// alone and is private to the goroutine that advanced it, until that
 	// goroutine freezes it (gives it its Snap) or hands it on for good.
@@ -29,9 +30,10 @@ type Prefix struct {
 	// RunTo was asked for when the scenario concluded early (Done).
 	Epoch int
 	// Trace carries the scenario's accumulated per-epoch observations
-	// (violation epochs, stake curves, adversary state) — everything a
-	// cold run would have gathered over the prefix epochs, so a resumed
-	// cell's Result is bit-identical to the cold run's.
+	// (violation epochs, stake curves, stake floors) — everything a cold
+	// run would have gathered over the prefix epochs that the simulation
+	// itself does not hold, so a resumed cell's Result is bit-identical to
+	// the cold run's.
 	Trace any
 	// Done marks a prefix on which the scenario already concluded (e.g. a
 	// safety violation before the branch point). Extending a Done prefix

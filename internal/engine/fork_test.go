@@ -79,9 +79,8 @@ func TestDeriveSeedContract(t *testing.T) {
 	}
 }
 
-// TestForkableScenarioRegistration: every row of simRows is in the default
-// registry and implements ForkableScenario; sim/bounce deliberately does
-// not.
+// TestForkableScenarioRegistration: every row of simRows, sim/bounce
+// included, is in the default registry and implements ForkableScenario.
 func TestForkableScenarioRegistration(t *testing.T) {
 	for _, row := range simRows {
 		s, ok := Default.Lookup(row.name)
@@ -91,10 +90,6 @@ func TestForkableScenarioRegistration(t *testing.T) {
 		if _, ok := s.(ForkableScenario); !ok {
 			t.Errorf("%s does not implement ForkableScenario", row.name)
 		}
-	}
-	s, _ := Default.Lookup(ScenarioSimBounce)
-	if _, ok := s.(ForkableScenario); ok {
-		t.Errorf("sim/bounce must not be forkable: the Bouncer carries unrewindable state")
 	}
 }
 

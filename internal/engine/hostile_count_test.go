@@ -180,6 +180,7 @@ func countSites(t *testing.T, tail []byte) []countSite {
 		{"sim snapshot embargoes", snapshot(cat(snapHead, empty, empty, tail)), readSnapshot},
 		{"sim slot messages", snapshot(cat(snapHead, empty, empty, empty, slotInFlight, tail)), readSnapshot},
 		{"sim batch validators", snapshot(cat(snapHead, empty, empty, empty, batchInFlight, tail)), readSnapshot},
+		{"sim snapshot adversary state", snapshot(cat(snapHead, empty, empty, empty, encode(genesisTree.Walk), netHeader, netCounters, empty, tail)), readSnapshot},
 		{"engine leakTrace curve", tail, read(new(leakTrace).walk)},
 	}
 }

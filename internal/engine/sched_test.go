@@ -235,14 +235,14 @@ func TestWarmStartConcludedPrefix(t *testing.T) {
 	}
 }
 
-// TestWarmStartColdFallback routes a non-forkable scenario (sim/bounce:
-// the Bouncer carries its own RNG cursor) and a lone forkable cell through
-// the warm scheduler: both must fall back to the cold path and still
-// succeed, with Hit=false provenance.
+// TestWarmStartColdFallback routes a non-forkable scenario (bounce-mc, the
+// aggregate Monte-Carlo) and a lone forkable cell through the warm
+// scheduler: both must fall back to the cold path and still succeed, with
+// Hit=false provenance.
 func TestWarmStartColdFallback(t *testing.T) {
 	ctx := context.Background()
 	cells := []Cell{
-		{Scenario: "sim/bounce", Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+		{Scenario: ScenarioBounceMC, Params: Params{N: 40, Horizon: 8, P0: 0.7, Beta0: 0.25, Seed: 19}},
 		// A single sim/gst cell shares a prefix with nobody.
 		{Scenario: "sim/gst", Params: Params{N: 24, Horizon: 6, GST: 3}},
 	}
@@ -277,7 +277,7 @@ func TestWarmStartColdFallback(t *testing.T) {
 func TestPrefixGroups(t *testing.T) {
 	cells := []Cell{
 		0: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 6, GST: 3}},
-		1: {Scenario: "sim/bounce", Params: Params{N: 40, Horizon: 8, GST: 2, P0: 0.7, Beta0: 0.25, Seed: 19}},
+		1: {Scenario: ScenarioBounceMC, Params: Params{N: 40, Horizon: 8, P0: 0.7, Beta0: 0.25, Seed: 19}},
 		2: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.6, Horizon: 6, GST: 3}},
 		3: {Scenario: "sim/gst", Params: Params{N: 24, P0: 0.5, Horizon: 8, GST: 30}}, // gst is not in sim/gst's key
 		4: {Scenario: "sim/nope"},

@@ -45,15 +45,14 @@ func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 		return "", 0, false
 	}
 	branch = p.Horizon
-	if sc.row.branchAtGST && p.GST < branch {
-		branch = p.GST
+	if sc.row.branch == branchAtGST {
+		branch, p.GST = min(branch, p.GST), 0
 	}
 	if branch <= 0 {
 		return "", 0, false
 	}
-	p.Horizon = 0
-	if sc.row.branchAtGST {
-		p.GST = 0
+	if sc.row.branch != branchNone {
+		p.Horizon = 0
 	}
 	return CellKey(sc.row.name, p), branch, true
 }
@@ -75,7 +74,7 @@ func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch 
 // restore — every cell that wants it ends right there — is never deep-copied.
 //
 // A cancelled hop stops on an epoch boundary with every completed epoch
-// observed (runEpochs asks the context once per epoch, before stepping), so
+// observed (advance asks the context once per epoch, before stepping), so
 // beside a context error advanceTo hands back the prefix it reached — nil
 // when no epoch completed, and always nil beside any other error.
 func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
@@ -134,7 +133,7 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	var tr simTrace
 	fromEpoch := 0
 	if from == nil {
-		tr = sc.row.newTrace(p)
+		tr = sc.row.newTrace()
 	} else {
 		tr, fromEpoch = from.Trace.(simTrace).clone(), from.Epoch
 	}
@@ -146,21 +145,31 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 		// The prefix was never frozen: it is lent by the goroutine that
 		// advanced it, which may go on stepping this very simulation
 		// afterwards. Read it in place — no claim, no rebase onto the cell's
-		// heal slot, no attach hook (sim/semiactive's writes Cfg.Adversary)
-		// — and leave it exactly as found.
+		// heal slot — and leave it exactly as found.
 		if s = from.live(); s == nil {
 			err = errSpentPrefix
 		}
-	} else if s, err = positionSim(cfg, from); err == nil && sc.row.attach != nil {
-		sc.row.attach(s, tr)
+	} else {
+		s, err = positionSim(cfg, from)
 	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	var elapsed time.Duration
 	if !settled {
+		// One epoch at a time, asking the context before each (a protocol
+		// epoch is orders of magnitude heavier than an aggregate one), with
+		// the trace observing absolute epoch numbers: a continuation sees
+		// exactly what a run from genesis would have.
 		start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-		err = runEpochs(ctx, s, fromEpoch, to, func(epoch int) bool { return tr.observe(s, p, epoch) })
+		for epoch := fromEpoch + 1; epoch <= to && err == nil; epoch++ {
+			if err = ctx.Err(); err == nil {
+				err = s.RunEpochs(1)
+			}
+			if err == nil && !tr.observe(s, p, epoch) {
+				break
+			}
+		}
 		elapsed = time.Since(start) //gasper:nondet wall-clock duration metadata only; never part of result identity
 	}
 	return s, tr, elapsed, err
@@ -171,7 +180,7 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 // under network.FarFuture (see advance).
 func (sc *simScenario) config(p Params, shared bool) sim.Config {
 	cfg := sc.row.config(p)
-	if shared && sc.row.branchAtGST {
+	if shared && sc.row.branch == branchAtGST {
 		cfg.GST = network.FarFuture
 	}
 	return cfg

@@ -13,7 +13,9 @@ import (
 // frame. Bump it whenever the blob's layout changes; a skewed blob decodes
 // as an error, which the cell executor maps to a cold start. Version 1 also
 // named which reference simulator wrote the blob; the engine runs one.
-const prefixCodecVersion = uint32(2)
+// Version 2 carried sim/semiactive's adversary in its trace; the snapshot
+// frame carries it since version 3.
+const prefixCodecVersion = uint32(3)
 
 // errPrefixCodec wraps every DecodePrefix failure.
 var errPrefixCodec = fmt.Errorf("engine: prefix codec")
@@ -41,7 +43,7 @@ func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
 // checkpoint" and runs cold.
 // Implements CheckpointableScenario.
 func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
-	pre := &Prefix{Owned: true, Trace: sc.row.newTrace(Params{})}
+	pre := &Prefix{Owned: true, Trace: sc.row.newTrace()}
 	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
 		return nil, err
 	}
@@ -58,7 +60,7 @@ func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 // the prefix stands on it, as a prefix the spine advanced does. A spare
 // whose load failed goes back to the list, for a genesis start to reset.
 func (sc *simScenario) loadPrefix(src io.Reader, p Params) (*Prefix, error) {
-	pre := &Prefix{Trace: sc.row.newTrace(Params{})}
+	pre := &Prefix{Trace: sc.row.newTrace()}
 	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
 		return nil, err
 	}

@@ -55,10 +55,6 @@ const (
 )
 
 func init() {
-	Default.MustRegister(NewScenario(ScenarioSimBounce,
-		"Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
-		Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
-		simDims|FieldBeta0|FieldGST, runSimBounce))
 	// The one runner behind every row of simRows makes each forkable and
 	// checkpointable, so sweeps can fan their cells out from shared prefixes
 	// and long runs can resume.
@@ -100,107 +96,6 @@ func simulatedEpochs(s *sim.Simulation) int {
 	return int(uint64(s.Slot()) / s.Cfg.Spec.SlotsPerEpoch)
 }
 
-// runEpochs advances the simulation one epoch at a time from epoch `from`
-// (exclusive — the epochs already simulated, zero at genesis) to epoch `to`
-// (inclusive), checking cancellation between epochs (a protocol epoch is
-// orders of magnitude heavier than an aggregate-engine epoch). onEpoch sees
-// absolute epoch numbers, so a continuation observes exactly what a run
-// from genesis would have; returning false stops the run.
-func runEpochs(ctx context.Context, s *sim.Simulation, from, to int, onEpoch func(epoch int) bool) error {
-	for epoch := from + 1; epoch <= to; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.RunEpochs(1); err != nil {
-			return err
-		}
-		if !onEpoch(epoch) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// runSimBounce stages the probabilistic bouncing attack on the cohort
-// kernel: a setup partition forks the chain for p.GST epochs, then the
-// Bouncer alternates branch justifications and places each honest
-// validator's duty view per epoch (stay probability p0). The adversary
-// stops 6 epochs before the horizon so the run also demonstrates liveness
-// recovery. Not forkable: the Bouncer caches view pointers and carries its
-// own RNG cursor, which a Snapshot/Restore pair does not rewind.
-func runSimBounce(ctx context.Context, p Params) (Result, error) {
-	if p.GST <= 0 || p.Horizon <= p.GST {
-		return Result{}, fmt.Errorf("engine: sim/bounce wants 0 < gst < horizon, got gst=%d horizon=%d", p.GST, p.Horizon)
-	}
-	nByz := int(math.Round(float64(p.N) * p.Beta0))
-	nHonest := p.N - nByz
-	if nHonest < 4 || nByz < 1 {
-		return Result{}, fmt.Errorf("engine: sim/bounce needs >= 4 honest and >= 1 byzantine validators, got %d/%d", nHonest, nByz)
-	}
-	byz := make([]types.ValidatorIndex, nByz)
-	for i := range byz {
-		byz[i] = types.ValidatorIndex(nHonest + i)
-	}
-	half := nHonest / 2
-	stop := types.Epoch(0)
-	if p.Horizon > 10 {
-		stop = types.Epoch(p.Horizon - 6)
-	}
-	adv := behavior.NewBouncer(p.P0, p.Seed, [2]types.ValidatorIndex{0, types.ValidatorIndex(half)})
-	adv.Stop = stop
-
-	spec := types.CompressedSpec(1 << 16)
-	s, err := sim.New(sim.Config{
-		Validators:  p.N,
-		Spec:        spec,
-		Byzantine:   byz,
-		GST:         types.Slot(uint64(p.GST) * spec.SlotsPerEpoch),
-		Delay:       1,
-		Seed:        p.Seed,
-		PartitionOf: splitAt(half),
-		Adversary:   adv,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	initialStake := types.Gwei(uint64(p.N)) * spec.MaxEffectiveBalance
-	finalizedAtStop := types.Epoch(0)
-	minStakeRatio := 1.0
-	start := time.Now() //gasper:nondet wall-clock duration metadata only; never part of result identity
-	err = runEpochs(ctx, s, 0, p.Horizon, func(epoch int) bool {
-		m := s.MetricsAt(types.Epoch(epoch))
-		if r := float64(m.MinTotalStake) / float64(initialStake); r < minStakeRatio {
-			minStakeRatio = r
-		}
-		if stop != 0 && types.Epoch(epoch) == stop {
-			finalizedAtStop = m.MaxFinalized
-		}
-		return true
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	finalizedFinal := s.MetricsAt(types.Epoch(p.Horizon)).MaxFinalized
-	recovered := stop != 0 && finalizedFinal >= stop
-	out := Result{
-		Metrics: []Metric{
-			{Name: "releases", Value: float64(adv.Releases)},
-			{Name: "bounces", Value: float64(adv.Bounces)},
-			{Name: "finalized_at_stop", Value: float64(finalizedAtStop)},
-			{Name: "finalized_final", Value: float64(finalizedFinal)},
-			{Name: "recovered", Value: boolMetric(recovered)},
-			{Name: "min_stake_ratio", Value: minStakeRatio},
-		},
-	}
-	if stop != 0 && finalizedAtStop <= types.Epoch(p.GST) {
-		out.Outcome = fmt.Sprintf("finality stalled for %d epochs", int64(stop)-int64(p.GST))
-	}
-	out.Meta = simMeta(s, time.Since(start)) //gasper:nondet wall-clock duration metadata only; never part of result identity
-	return out, nil
-}
-
 // simRow declares one forkable protocol-simulator scenario as data. The one
 // runner in sim_fork.go (simScenario) executes every row — straight through
 // from genesis, as a prefix shared by a group of sweep cells, or resumed
@@ -213,26 +108,39 @@ type simRow struct {
 	reads Field
 	// validate rejects parameters the scenario cannot run.
 	validate func(p Params) error
-	// config describes the cell's own simulation (its real heal slot).
+	// config describes the cell's own simulation (its real heal slot), its
+	// adversary included: a resumed cell decodes the prefix's adversary
+	// state into that adversary (sim.Snapshot).
 	config func(p Params) sim.Config
-	// branchAtGST is the branch rule. False: cells equal in every dimension
-	// but horizon simulate identically, so a cell branches at its own
-	// horizon and a shorter cell's full run doubles as a longer cell's
-	// prefix. True: cells also share their pre-heal epochs across gst values
+	// branch is the branch rule.
+	branch branchRule
+	// newTrace starts the per-epoch observations at genesis, and is what
+	// DecodePrefix walks a blob's trace into.
+	newTrace func() simTrace
+	// finish assembles the Result (Meta aside) from the end-of-run state.
+	finish func(ctx context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error)
+}
+
+// branchRule says where a row's cells part from the cells they share a
+// prefix with.
+type branchRule uint8
+
+const (
+	// branchAtHorizon: cells equal in every dimension but horizon simulate
+	// identically, so a cell branches at its own horizon and a shorter
+	// cell's full run doubles as a longer cell's prefix.
+	branchAtHorizon branchRule = iota
+	// branchAtGST: cells also share their pre-heal epochs across gst values
 	// — the branch is min(gst, horizon), gst stays out of the prefix key,
 	// the shared prefix runs under network.FarFuture (held cross-partition
 	// traffic retained) and each resume retargets the held band onto the
 	// cell's own heal slot.
-	branchAtGST bool
-	// newTrace starts the per-epoch observations at genesis, and is what
-	// DecodePrefix walks a blob's trace into.
-	newTrace func(p Params) simTrace
-	// attach, when set, wires state the trace carries into a simulation
-	// positioned at that trace, before it steps.
-	attach func(s *sim.Simulation, tr simTrace)
-	// finish assembles the Result (Meta aside) from the end-of-run state.
-	finish func(ctx context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error)
-}
+	branchAtGST
+	// branchNone: the run reads its horizon before it ends, so cells share
+	// nothing; horizon stays in the prefix key and a cell's prefix is its
+	// own run, which warm starts and checkpoints still resume.
+	branchNone
+)
 
 // simTrace accumulates what a row observes epoch by epoch — everything a
 // run from genesis would have gathered over a prefix's epochs, so a resumed
@@ -246,7 +154,7 @@ type simTrace interface {
 	// yet); a prefix that concluded is Done at that epoch.
 	concluded() int
 	// clone deep-copies the trace, so two continuations of one prefix never
-	// share a backing array or an adversary.
+	// share a backing array.
 	clone() simTrace
 	// walk moves the trace in a prefix blob.
 	walk(c *codec.Coder)
@@ -263,6 +171,17 @@ const simDims = FieldP0 | FieldN | FieldHorizon | FieldSeed
 // cell survives even against a non-zero default.
 var simRows = []simRow{
 	{
+		name:     ScenarioSimBounce,
+		desc:     "Full-protocol probabilistic bouncing attack at paper scale (p0 = stay probability, gst = setup epochs)",
+		defaults: Params{P0: 0.7, Beta0: 0.25, N: 10000, Horizon: 24, Seed: 19, GST: 3},
+		reads:    simDims | FieldBeta0 | FieldGST,
+		validate: validateSimBounce,
+		config:   simBounceConfig,
+		branch:   branchNone,
+		newTrace: func() simTrace { return &bounceTrace{minStakeRatio: 1} },
+		finish:   finishSimBounce,
+	},
+	{
 		name:     ScenarioSimPartition,
 		desc:     "Full protocol simulator: partitioned network until a finality-safety violation",
 		defaults: Params{P0: 0.5, N: 16, Horizon: 40, Seed: 3},
@@ -270,7 +189,7 @@ var simRows = []simRow{
 		// Every cell is run: sim.New rejects the populations it cannot build.
 		validate: func(Params) error { return nil },
 		config:   partitionConfig,
-		newTrace: func(Params) simTrace { return &gstTrace{} },
+		newTrace: func() simTrace { return &gstTrace{} },
 		finish:   finishSimPartition,
 	},
 	{
@@ -282,7 +201,7 @@ var simRows = []simRow{
 		reads:    simDims | FieldRate,
 		validate: validateSimDrops,
 		config:   simDropsConfig,
-		newTrace: func(Params) simTrace { return noTrace{} },
+		newTrace: func() simTrace { return noTrace{} },
 		finish:   finishSimDrops,
 	},
 	{
@@ -296,10 +215,10 @@ var simRows = []simRow{
 			}
 			return nil
 		},
-		config:      simGSTConfig,
-		branchAtGST: true,
-		newTrace:    func(Params) simTrace { return &gstTrace{} },
-		finish:      finishSimGST,
+		config:   simGSTConfig,
+		branch:   branchAtGST,
+		newTrace: func() simTrace { return &gstTrace{} },
+		finish:   finishSimGST,
 	},
 	{
 		name:     ScenarioSimLeak,
@@ -308,7 +227,7 @@ var simRows = []simRow{
 		reads:    simDims | FieldSample,
 		validate: validateSimLeak,
 		config:   func(p Params) sim.Config { return leakPartitionConfig(p, nil) },
-		newTrace: func(Params) simTrace { return &leakTrace{minStakeRatio: 1} },
+		newTrace: func() simTrace { return &leakTrace{minStakeRatio: 1} },
 		finish:   finishSimLeak,
 	},
 	{
@@ -317,15 +236,9 @@ var simRows = []simRow{
 		defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
 		reads:    simDims | FieldBeta0 | FieldSample,
 		validate: validateSimSemiActive,
-		config:   func(p Params) sim.Config { return leakPartitionConfig(p, semiActiveByz(p)) },
-		newTrace: func(p Params) simTrace {
-			return &semiTrace{leakTrace: leakTrace{minStakeRatio: 1}, adv: newSemiActive(p)}
-		},
-		// The trace's adversary (a fresh clone of the prefix's) replaces
-		// whatever instance the simulation carried — a prefix's own stored
-		// adversary must never advance.
-		attach: func(s *sim.Simulation, tr simTrace) { s.Cfg.Adversary = tr.(*semiTrace).adv },
-		finish: finishSimSemiActive,
+		config:   simSemiActiveConfig,
+		newTrace: func() simTrace { return &leakTrace{minStakeRatio: 1} },
+		finish:   finishSimSemiActive,
 	},
 }
 
@@ -352,10 +265,7 @@ func validateSimDrops(p Params) error {
 // spread over eight partitions whose cross-partition links suffer outages
 // at p.Rate.
 func simDropsConfig(p Params) sim.Config {
-	parts := 8
-	if p.N < parts {
-		parts = p.N
-	}
+	parts := min(8, p.N)
 	return sim.Config{
 		Validators:  p.N,
 		Spec:        types.DefaultSpec(),
@@ -513,9 +423,7 @@ func (t *leakTrace) observe(s *sim.Simulation, p Params, epoch int) bool {
 	initialStake := types.Gwei(uint64(p.N)) * s.Cfg.Spec.MaxEffectiveBalance
 	m := s.MetricsAt(types.Epoch(epoch))
 	ratio := float64(m.MinTotalStake) / float64(initialStake)
-	if ratio < t.minStakeRatio {
-		t.minStakeRatio = ratio
-	}
+	t.minStakeRatio = min(t.minStakeRatio, ratio)
 	if p.Sample > 0 && epoch%p.Sample == 0 {
 		t.curve = append(t.curve, CurvePoint{X: float64(epoch), Y: ratio})
 	}
@@ -634,33 +542,13 @@ func semiActiveByz(p Params) []types.ValidatorIndex {
 	return byz
 }
 
-// newSemiActive builds a fresh semi-active adversary watching one honest
-// representative per branch.
-func newSemiActive(p Params) *behavior.SemiActive {
-	nHonest := p.N - int(math.Round(float64(p.N)*p.Beta0))
-	nA := int(math.Round(float64(nHonest) * p.P0))
-	return &behavior.SemiActive{
-		Reps:         [2]types.ValidatorIndex{0, types.ValidatorIndex(nA)},
-		AutoFinalize: true,
-	}
-}
-
-// semiTrace extends the leak trace with the semi-active adversary's gait
-// state at the checkpoint: sim.Snapshot deliberately leaves adversary
-// state to the caller, so each prefix pairs its snapshot with a
-// behavior.SemiActive clone taken at the same epoch boundary.
-type semiTrace struct {
-	leakTrace
-	adv *behavior.SemiActive
-}
-
-func (t *semiTrace) clone() simTrace {
-	return &semiTrace{leakTrace: *t.leakTrace.clone().(*leakTrace), adv: t.adv.Clone()}
-}
-
-func (t *semiTrace) walk(c *codec.Coder) {
-	t.leakTrace.walk(c)
-	t.adv.Walk(c)
+// simSemiActiveConfig is the lasting partition under a semi-active
+// Byzantine cohort watching one honest representative per branch.
+func simSemiActiveConfig(p Params) sim.Config {
+	cfg := leakPartitionConfig(p, semiActiveByz(p))
+	nA := int(math.Round(float64(p.N-len(cfg.Byzantine)) * p.P0))
+	cfg.Adversary = &behavior.SemiActive{Reps: [2]types.ValidatorIndex{0, types.ValidatorIndex(nA)}, AutoFinalize: true}
+	return cfg
 }
 
 // finishSimSemiActive assembles Table 3 at full protocol: beta0 of the
@@ -674,13 +562,95 @@ func (t *semiTrace) walk(c *codec.Coder) {
 // The aggregate two-branch engine's (Tables 2-3) conflict epoch on
 // identical parameters is reported as the mechanism-level anchor the full
 // protocol should land next to.
-func finishSimSemiActive(ctx context.Context, p Params, _ *sim.Simulation, tr simTrace) (Result, error) {
+func finishSimSemiActive(ctx context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error) {
 	anchorRes, err := core.LeakSim{N: p.N, P0: p.P0, Beta0: p.Beta0, Mode: core.ByzSemiActive}.
 		RunContext(ctx, p.Horizon, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	t := tr.(*semiTrace)
+	t, gait := tr.(*leakTrace), s.Cfg.Adversary.(*behavior.SemiActive).GaitFrom()
 	return conflictResult(p, t.conflict, "aggregate_epoch", float64(anchorRes.ConflictEpoch),
-		[]Metric{{Name: "gait_epoch", Value: float64(t.adv.GaitFrom())}}, t.minStakeRatio, t.curve), nil
+		[]Metric{{Name: "gait_epoch", Value: float64(gait)}}, t.minStakeRatio, t.curve), nil
+}
+
+// validateSimBounce rejects parameters the bouncing scenario cannot run.
+func validateSimBounce(p Params) error {
+	if p.GST <= 0 || p.Horizon <= p.GST {
+		return fmt.Errorf("engine: sim/bounce wants 0 < gst < horizon, got gst=%d horizon=%d", p.GST, p.Horizon)
+	}
+	nByz := int(math.Round(float64(p.N) * p.Beta0))
+	if nHonest := p.N - nByz; nHonest < 4 || nByz < 1 {
+		return fmt.Errorf("engine: sim/bounce needs >= 4 honest and >= 1 byzantine validators, got %d/%d", nHonest, nByz)
+	}
+	return nil
+}
+
+// simBounceConfig stages the probabilistic bouncing attack on the cohort
+// kernel: the sim/gst population with the top beta0 of the index range
+// Byzantine and the honest rest halved, forked for p.GST epochs; then the
+// Bouncer alternates branch justifications and places each honest
+// validator's duty view per epoch with stay probability p0. Past a horizon
+// of 10 it stops six epochs before the horizon, so the run also shows
+// liveness recovering.
+func simBounceConfig(p Params) sim.Config {
+	cfg := simGSTConfig(p)
+	cfg.Byzantine = semiActiveByz(p)
+	half := (p.N - len(cfg.Byzantine)) / 2
+	cfg.PartitionOf = splitAt(half)
+	adv := behavior.NewBouncer(p.P0, p.Seed, [2]types.ValidatorIndex{0, types.ValidatorIndex(half)})
+	if p.Horizon > 10 {
+		adv.Stop = types.Epoch(p.Horizon - 6)
+	}
+	cfg.Adversary = adv
+	return cfg
+}
+
+// bounceTrace carries sim/bounce's observations: the stake floor and the
+// highest finalized epoch at the adversary's stop.
+type bounceTrace struct {
+	minStakeRatio   float64
+	finalizedAtStop types.Epoch
+}
+
+func (t *bounceTrace) observe(s *sim.Simulation, p Params, epoch int) bool {
+	m := s.MetricsAt(types.Epoch(epoch))
+	initialStake := types.Gwei(uint64(p.N)) * s.Cfg.Spec.MaxEffectiveBalance
+	t.minStakeRatio = min(t.minStakeRatio, float64(m.MinTotalStake)/float64(initialStake))
+	if stop := s.Cfg.Adversary.(*behavior.Bouncer).Stop; stop != 0 && types.Epoch(epoch) == stop {
+		t.finalizedAtStop = m.MaxFinalized
+	}
+	return true
+}
+
+func (t *bounceTrace) concluded() int { return 0 }
+
+func (t *bounceTrace) clone() simTrace {
+	c := *t
+	return &c
+}
+
+func (t *bounceTrace) walk(c *codec.Coder) {
+	c.F64(&t.minStakeRatio)
+	c.U64((*uint64)(&t.finalizedAtStop))
+}
+
+// finishSimBounce reports the attack's releases and bounces, and whether
+// finality stalled while it ran and recovered once it stopped.
+func finishSimBounce(_ context.Context, p Params, s *sim.Simulation, tr simTrace) (Result, error) {
+	t, adv := tr.(*bounceTrace), s.Cfg.Adversary.(*behavior.Bouncer)
+	stop, finalizedFinal := adv.Stop, s.MetricsAt(types.Epoch(p.Horizon)).MaxFinalized
+	out := Result{
+		Metrics: []Metric{
+			{Name: "releases", Value: float64(adv.Releases)},
+			{Name: "bounces", Value: float64(adv.Bounces)},
+			{Name: "finalized_at_stop", Value: float64(t.finalizedAtStop)},
+			{Name: "finalized_final", Value: float64(finalizedFinal)},
+			{Name: "recovered", Value: boolMetric(stop != 0 && finalizedFinal >= stop)},
+			{Name: "min_stake_ratio", Value: t.minStakeRatio},
+		},
+	}
+	if stop != 0 && t.finalizedAtStop <= types.Epoch(p.GST) {
+		out.Outcome = fmt.Sprintf("finality stalled for %d epochs", int64(stop)-int64(p.GST))
+	}
+	return out, nil
 }

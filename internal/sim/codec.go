@@ -28,10 +28,11 @@ import (
 // each node's validator id and its slashing-evidence history, which no
 // code read (the detector's marks say who was caught); version 6 drops each
 // node's second copy of the spec, the incentive engine's, which a decode
-// builds from the node's own.
+// builds from the node's own; version 7 ends with the adversary's state, a
+// count of zero bytes for an adversary that does not walk.
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(6)
+	snapshotVersion = uint32(7)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real
@@ -86,9 +87,9 @@ func (m *Message) walk(c *codec.Coder) {
 }
 
 // WriteTo serializes the snapshot — every cohort view, the duty-view
-// assignments, live embargoes, the safety-audit oracle, and all held
-// network traffic — as one versioned, checksummed binary blob. A
-// ReadSnapshot of the bytes restores bit-identically: continuing a
+// assignments, live embargoes, the safety-audit oracle, all held network
+// traffic and the adversary's state — as one versioned, checksummed binary
+// blob. A ReadSnapshot of the bytes restores bit-identically: continuing a
 // decoded snapshot produces the same results (same conflict epoch) as
 // continuing the in-memory original. Implements io.WriterTo.
 //
@@ -151,6 +152,7 @@ func (sn *Snapshot) walk(c *codec.Coder) {
 	})
 	sn.oracle.Walk(c)
 	sn.net.Walk(c, messageBytes, (*Message).walk)
+	c.String(&sn.adversary)
 	if c.Encoding() || c.Err() != nil {
 		return
 	}

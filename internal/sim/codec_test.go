@@ -206,16 +206,18 @@ func checkFrameFixture(t *testing.T, path string, got []byte) *Snapshot {
 	return decoded
 }
 
-// TestSnapshotFrameFixture: testdata/snapshot-v6.frame is the snapshot the
-// build that introduced version 6 wrote for compactedCfg twelve epochs in.
+// TestSnapshotFrameFixture: testdata/snapshot-v7.frame is the snapshot the
+// build that introduced version 7 wrote for compactedCfg twelve epochs in.
 // While the format stands, this build writes those exact bytes for the
 // same run, and reads them back into a snapshot that re-encodes to them
 // and continues like the live simulation. A change that moves the format
 // bumps the version, checks in a frame of its own, and turns this file's
 // check into a version miss like the ones above. The version 5 frame of
-// the same run, which still carried each node's second spec, is one.
+// the same run, which still carried each node's second spec, is one, and
+// so is the version 6 frame, which did not end in adversary state.
 func TestSnapshotFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v5.frame", 5)
+	checkOldFrameRejected(t, "testdata/snapshot-v6.frame", 6)
 	cfg := compactedCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -224,7 +226,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(12); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v6.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v7.frame", encodeSnapshot(t, s.Snapshot()))
 	resumed, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +239,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	}
 }
 
-// TestHeldTrafficFrameFixture: testdata/snapshot-v6-held-traffic.frame is
+// TestHeldTrafficFrameFixture: testdata/snapshot-v7-held-traffic.frame is
 // the snapshot of a sim/gst population three epochs into a partition that
 // heals at epoch 30. Its held cross-partition traffic carries all three
 // message tags: blocks, batches (two of them from buckets whose proposer
@@ -245,10 +247,11 @@ func TestSnapshotFrameFixture(t *testing.T) {
 // bytes for the same run, and decodes them into a snapshot that re-encodes
 // to them and continues like the live simulation. The version 4 frame of
 // the same run, written by the build before messages became values, and
-// its version 5 frame are version misses.
+// its version 5 and 6 frames are version misses.
 func TestHeldTrafficFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v4-held-traffic.frame", 4)
 	checkOldFrameRejected(t, "testdata/snapshot-v5-held-traffic.frame", 5)
+	checkOldFrameRejected(t, "testdata/snapshot-v6-held-traffic.frame", 6)
 	cfg := heldTrafficCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -257,7 +260,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(3); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v6-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v7-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
 	var kinds [4]int
 	held := decoded.net.Clone()
 	for _, c := range s.Cohorts() {
@@ -280,7 +283,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	}
 }
 
-// heldTrafficCfg is the run of testdata/snapshot-v6-held-traffic.frame: a
+// heldTrafficCfg is the run of testdata/snapshot-v7-held-traffic.frame: a
 // sim/gst population whose halves heal at epoch 30.
 func heldTrafficCfg() Config {
 	return Config{
@@ -339,8 +342,8 @@ func TestLoadIntoUsedSimulation(t *testing.T) {
 		cfg           Config
 		epochs, after int
 	}{
-		{"testdata/snapshot-v6.frame", compactedCfg(), 12, 4},
-		{"testdata/snapshot-v6-held-traffic.frame", heldTrafficCfg(), 3, 30},
+		{"testdata/snapshot-v7.frame", compactedCfg(), 12, 4},
+		{"testdata/snapshot-v7-held-traffic.frame", heldTrafficCfg(), 3, 30},
 	} {
 		frame, err := os.ReadFile(fx.path)
 		if err != nil {
@@ -387,7 +390,7 @@ func reseal(b []byte) []byte {
 
 // TestSnapshotCodecRejectsDamage: every damaged form of a valid blob —
 // truncation at any layer, a flipped bit in header or payload, a version
-// skew (the version 1 to 5 frames of earlier builds included), and a
+// skew (the version 1 to 6 frames of earlier builds included), and a
 // correctly sealed payload whose vote tables, id columns, marks or registry
 // are not ones this build writes — fails ReadSnapshot with
 // ErrSnapshotCodec; no partially-decoded snapshot escapes.
@@ -459,6 +462,7 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 		{"v3-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 3); return b }},
 		{"v4-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 4); return b }},
 		{"v5-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 5); return b }},
+		{"v6-header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], 6); return b }},
 		{"out-of-range-id", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[firstID:], uint32(values)+1)
 			return reseal(b)

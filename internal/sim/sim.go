@@ -48,6 +48,7 @@ import (
 	"repro/internal/attestation"
 	"repro/internal/beacon"
 	"repro/internal/blocktree"
+	"repro/internal/codec"
 	"repro/internal/ffg"
 	"repro/internal/forkchoice"
 	"repro/internal/network"
@@ -115,6 +116,16 @@ type Adversary interface {
 	OnSlot(s *Simulation, slot types.Slot)
 }
 
+// walker is an Adversary whose state a Snapshot carries. Walk moves that
+// state, and only that: the configuration the adversary was built with is
+// the simulation's own, as the spec and the partition are, so a walk
+// decodes into an adversary the restored simulation's Config already holds.
+// A count of work the state replays is moved with codec.Coder.Bounded,
+// which a decode bounds by one per honest validator per simulated epoch.
+type walker interface {
+	Walk(c *codec.Coder)
+}
+
 // Config parameterizes a simulation run.
 type Config struct {
 	// Validators is the total validator count (honest + Byzantine).
@@ -145,7 +156,8 @@ type Config struct {
 	// the fixed v-mod-32 assignment. The bouncing analysis assumes
 	// per-epoch random placement, which shuffling provides natively.
 	ShuffledDuties bool
-	// Adversary, if non-nil, receives an OnSlot call every slot.
+	// Adversary, if non-nil, receives an OnSlot call every slot. If it has
+	// a Walk(*codec.Coder) method, its state rides in every Snapshot.
 	Adversary Adversary
 	// OnEpoch, if non-nil, is called after boundary processing of each
 	// new epoch.
@@ -438,6 +450,12 @@ func (s *Simulation) Cohorts() []*Cohort { return s.cohorts }
 // duties from — its home cohort's node unless SetDutyView reassigned it.
 func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node {
 	return s.cohorts[s.dutyView[v]].Node
+}
+
+// HomeView returns the materialized view of validator v's home cohort,
+// whichever view SetDutyView has it act from.
+func (s *Simulation) HomeView(v types.ValidatorIndex) *beacon.Node {
+	return s.cohorts[s.cohortOf[v]].Node
 }
 
 // SetDutyView makes validator v perform its duties (attestations,

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"unsafe"
 
 	"repro/internal/beacon"
 	"repro/internal/blocktree"
+	"repro/internal/codec"
 	"repro/internal/forkchoice"
 	"repro/internal/network"
 	"repro/internal/types"
@@ -29,15 +31,14 @@ import (
 // Everything pseudo-random in the simulator is a stateless hash of
 // (seed, slot, ...) — proposer schedule, duty shuffling, link outages —
 // so the snapshot needs no RNG cursor beyond the slot itself: a restored
-// run re-derives the identical schedule. The one thing OUTSIDE the
-// snapshot is Config.Adversary: adversary-internal state is the caller's
-// to manage. Adversary-free runs (sim/partition, sim/leak, sim/drops,
-// sim/gst) and the stateless DoubleVoter restore exactly; the SemiActive
-// adversary carries a small scalar gait state machine that Restore does
-// not rewind — warm-start continuations pair each snapshot with a
-// behavior.SemiActive.Clone taken at the same boundary; the Bouncer
-// caches view pointers and carries its own RNG cursor and may not be
-// resumed across a Restore of an epoch range in which it mutated.
+// run re-derives the identical schedule. Config.Adversary's state rides in
+// the snapshot when the adversary walks it (a Walk(*codec.Coder) method,
+// as behavior's SemiActive and Bouncer have): Snapshot encodes it, and
+// Restore, Adopt and Load decode it into the restoring simulation's own
+// adversary, which must be of the type that wrote it. What the adversary
+// was configured with is that simulation's, as its spec is. An adversary
+// without a walk — the stateless DoubleVoter, or one outside the module —
+// is left as it stands.
 //
 // GST portability: a snapshot may be restored into a simulation whose
 // Config.GST differs from the snapshotted run's — Restore retargets the
@@ -53,7 +54,10 @@ type Snapshot struct {
 	embargoes  []embargo
 	oracle     *blocktree.Tree
 	net        *network.Network[Message]
-	bytes      int64
+	// adversary is the adversary's type and walked state (adversaryState);
+	// empty when it does not walk.
+	adversary string
+	bytes     int64
 }
 
 // Bytes estimates the snapshot's retained heap footprint: block-tree,
@@ -104,6 +108,7 @@ func (s *Simulation) Snapshot() *Snapshot {
 		embargoes:  append([]embargo(nil), s.embargoes...),
 		oracle:     s.oracle.Clone(),
 		net:        s.Net.Clone(),
+		adversary:  s.adversaryState(),
 	}
 	for i, c := range s.cohorts {
 		sn.nodes[i] = c.Node.Clone()
@@ -119,11 +124,11 @@ func (s *Simulation) Snapshot() *Snapshot {
 // simulation's own heal slot, the warm-start path that lets one shared
 // prefix (snapshotted under network.FarFuture) fan out across a gst
 // sweep's cells. The snapshot itself is not consumed: its state is cloned
-// in, so it can be restored again.
+// in, so it can be restored again. A snapshot that does not fit (fit) is
+// refused before any of the simulation but its adversary is touched.
 func (s *Simulation) Restore(sn *Snapshot) error {
-	if sn.validators != s.Cfg.Validators || len(sn.nodes) != len(s.cohorts) {
-		return fmt.Errorf("%w: snapshot of %d validators / %d cohorts restored into %d / %d",
-			ErrBadConfig, sn.validators, len(sn.nodes), s.Cfg.Validators, len(s.cohorts))
+	if err := s.fit(sn, "restored"); err != nil {
+		return err
 	}
 	for i, c := range s.cohorts {
 		c.Node = sn.nodes[i].Clone()
@@ -152,9 +157,8 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 	if sn.nodes == nil {
 		return fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
 	}
-	if sn.validators != s.Cfg.Validators || len(sn.nodes) != len(s.cohorts) {
-		return fmt.Errorf("%w: snapshot of %d validators / %d cohorts adopted into %d / %d",
-			ErrBadConfig, sn.validators, len(sn.nodes), s.Cfg.Validators, len(s.cohorts))
+	if err := s.fit(sn, "adopted"); err != nil {
+		return err
 	}
 	for i, c := range s.cohorts {
 		c.Node = sn.nodes[i]
@@ -167,6 +171,49 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 	s.slot = sn.slot
 	s.dutyRosterSet = false
 	sn.nodes, sn.net, sn.oracle, sn.dutyView = nil, nil, nil, nil
+	return nil
+}
+
+// adversaryState encodes the state of the simulation's adversary for a
+// Snapshot: the adversary's type, then its walk. It is empty when the
+// adversary does not walk.
+func (s *Simulation) adversaryState() string {
+	w, ok := s.Cfg.Adversary.(walker)
+	if !ok {
+		return ""
+	}
+	var b strings.Builder
+	c, name := codec.NewEncoder(&b), fmt.Sprintf("%T", w)
+	c.String(&name)
+	w.Walk(c)
+	return b.String()
+}
+
+// fit refuses a snapshot that does not fit the simulation: one of another
+// validator count or cohort layout, adversary state of another type than
+// the simulation's adversary, state it cannot take (it has no walk), and no
+// state where it walks are ErrBadConfig. It then decodes the state into
+// that adversary, refusing with ErrSnapshotCodec state its walk cannot read
+// (which may leave the adversary partly written) — a count of replayed work
+// above one per honest validator per epoch before the snapshot's slot
+// among it, unreplayed.
+func (s *Simulation) fit(sn *Snapshot, verb string) error {
+	if sn.validators != s.Cfg.Validators || len(sn.nodes) != len(s.cohorts) {
+		return fmt.Errorf("%w: snapshot of %d validators / %d cohorts %s into %d / %d",
+			ErrBadConfig, sn.validators, len(sn.nodes), verb, s.Cfg.Validators, len(s.cohorts))
+	}
+	w, ok := s.Cfg.Adversary.(walker)
+	if !ok && sn.adversary == "" {
+		return nil
+	}
+	c, name := codec.NewDecoder(strings.NewReader(sn.adversary)), ""
+	if c.String(&name); !ok || name != fmt.Sprintf("%T", w) {
+		return fmt.Errorf("%w: adversary state of type %q %s under an adversary of type %T", ErrBadConfig, name, verb, s.Cfg.Adversary)
+	}
+	c.Bound(uint64(len(s.honest)) * uint64(sn.slot.Epoch()))
+	if w.Walk(c); c.Err() != nil {
+		return fmt.Errorf("%w: adversary state: %v", ErrSnapshotCodec, c.Err())
+	}
 	return nil
 }
 

@@ -14,6 +14,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+
+	"repro/internal/codec"
 )
 
 // Protocol constants as stated in the paper (Sections 3 and 4).
@@ -173,3 +175,10 @@ func (c Checkpoint) String() string {
 
 // IsZero reports whether c is the zero checkpoint.
 func (c Checkpoint) IsZero() bool { return c.Epoch == 0 && c.Root.IsZero() }
+
+// Walk moves the checkpoint for the snapshot codec: its epoch, then its
+// root.
+func (c *Checkpoint) Walk(cd *codec.Coder) {
+	cd.U64((*uint64)(&c.Epoch))
+	cd.Raw(c.Root[:])
+}
