@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -117,11 +118,35 @@ func WriteSweepCSV(w io.Writer, title string, results []engine.Result) error {
 }
 
 // WriteSweepJSON emits sweep results as an indented JSON array of the
-// engine's structured Result records (curves included).
+// engine's structured Result records (curves included): the bytes a
+// json.Encoder indenting by two spaces writes for the slice. Each result
+// is encoded and indented on its own, into two buffers reused from one
+// result to the next, and written from there, so no copy of the whole
+// output is held. A result that does not encode ends the output there.
 func WriteSweepJSON(w io.Writer, results []engine.Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
+	if len(results) == 0 {
+		return json.NewEncoder(w).Encode(results) // null or []
+	}
+	var raw, buf bytes.Buffer
+	enc := json.NewEncoder(&raw)
+	sep := "[\n  "
+	for i := range results {
+		raw.Reset()
+		if err := enc.Encode(&results[i]); err != nil { // a pointer, so no copy of the result is boxed
+			return err
+		}
+		buf.Reset()
+		buf.WriteString(sep)
+		if err := json.Indent(&buf, bytes.TrimSuffix(raw.Bytes(), []byte("\n")), "  ", "  "); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		sep = ",\n  "
+	}
+	_, err := io.WriteString(w, "\n]\n")
+	return err
 }
 
 // SweepThroughput summarizes a sweep's pacing: cell count, wall-clock

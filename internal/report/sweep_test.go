@@ -124,6 +124,40 @@ func TestWriteSweepJSONRoundTrips(t *testing.T) {
 	}
 }
 
+// TestWriteSweepJSONMatchesEncoder: WriteSweepJSON, which indents one
+// result at a time, writes the bytes a json.Encoder indenting the whole
+// slice by two spaces writes, for a nil, an empty, a one-result and a
+// many-result slice, a result with curves, HTML-escaped text and a
+// meta record included.
+func TestWriteSweepJSONMatchesEncoder(t *testing.T) {
+	rich := engine.Result{
+		Scenario:  "sim/gst",
+		Outcome:   "<b>&</b> \u2028",
+		CurveName: "c",
+		Curve:     []engine.CurvePoint{{X: 1, Y: 0.5}, {X: 2, Y: 1e-9}},
+		Meta:      &engine.RunMeta{Cached: true, DurationMS: 1.5},
+	}
+	for name, results := range map[string][]engine.Result{
+		"nil":     nil,
+		"empty":   {},
+		"one":     {rich},
+		"fixture": append(sweepFixture(), rich),
+	} {
+		var want, got strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(results); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSweepJSON(&got, results); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: WriteSweepJSON wrote\n%s\nthe encoder\n%s", name, got.String(), want.String())
+		}
+	}
+}
+
 func TestFigureWriteJSON(t *testing.T) {
 	f := &Figure{Title: "demo", XName: "x", X: []float64{1, 2}}
 	if err := f.Add("y", []float64{3, 4}); err != nil {

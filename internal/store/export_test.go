@@ -6,3 +6,7 @@ func (s *Store) DirSyncs() int {
 	defer s.mu.Unlock()
 	return s.dirSyncs
 }
+
+// path is key's content address as a string, for the tests that damage,
+// plant or inspect an entry on disk.
+func (s *Store) path(key string) string { return pathString(s.appendPath(nil, key)) }

@@ -82,7 +82,9 @@ func (r *Results) Close() error { return r.s.Close() }
 // mid-payload, simulating a torn write; it reports whether an entry
 // existed to damage. Exposed for the durability suites that live outside
 // this package (internal/server's restart and corruption tests).
-func CorruptForTest(r *Results, key string) (bool, error) { return tear(r.s.path(key)) }
+func CorruptForTest(r *Results, key string) (bool, error) {
+	return tear(pathString(r.s.appendPath(nil, key)))
+}
 
 // tear truncates the file at path to half its length, if it exists.
 func tear(path string) (bool, error) {

@@ -18,10 +18,15 @@
 // nothing to pin.
 //
 // The store is unix-only: it reads entries, lists its directory and
-// renames through package syscall, with no os.File on those paths.
+// renames through package syscall, with no os.File on those paths. Its
+// paths are NUL-terminated bytes in buffers on the stack. On linux (amd64
+// and arm64) the system calls take them as they are, so a reopen and a hit
+// do no heap work per entry; other unix platforms go through the same
+// three helpers (sys_other.go), which copy each name or path to a string.
 package store
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -33,7 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -93,16 +97,20 @@ type Store struct {
 	dirSyncs int
 }
 
-// Open creates dir if needed, scans any existing entries into the
-// entry/byte counters (a restarted process resumes serving its
-// predecessor's results), and returns the store. Leftover temp files from
-// interrupted writes are swept.
+// Open scans any existing entries of dir into the entry/byte counters (a
+// restarted process resumes serving its predecessor's results) and returns
+// the store; it creates dir when the scan finds it missing. Leftover temp
+// files from interrupted writes are swept.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	s := &Store{dir: filepath.Clean(dir), free: make(chan []byte, runtime.GOMAXPROCS(0))}
-	if err := s.scan(s.dir, ""); err != nil {
+	err := s.scan(s.dir, "")
+	if errors.Is(err, syscall.ENOENT) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		err = s.scan(s.dir, "")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
 	}
 	return s, nil
@@ -110,62 +118,68 @@ func Open(dir string) (*Store, error) {
 
 // scan counts the entries in dir, which is the store directory or, when
 // shard is not empty, its shard of that name, and removes the temp files
-// there. It lists the directory's names once, in the order the file system
-// lists them (a count needs no sorting), and lstats each entry onto the
-// stack: that stat is the only exact size after a reopen. A directory is
-// never an entry. A shard is a subdirectory named by two hex digits, left
-// by the layout that kept each entry under <dir>/<first byte of its
-// address>/. Its entries are renamed to their addresses in the store
-// directory and counted, and the shard goes once it is empty. An entry
-// whose rename fails stays where it was and reads as a miss, so its cell is
-// recomputed and written at its address.
+// there. It reads the directory's records once into a buffer on the stack,
+// in the order the file system lists them (a count needs no sorting),
+// classifies each name where it was read, and lstats each entry through a
+// path built on the stack: that stat is the only exact size after a
+// reopen. A string is built only to remove a temp file, and for a shard. A
+// directory is never an entry. A shard is a subdirectory named by two hex
+// digits, left by the layout that kept each entry under <dir>/<first byte
+// of its address>/. After the listing its entries are renamed to their
+// addresses in the store directory and counted, and the shard goes once it
+// is empty. An entry whose rename fails stays where it was and reads as a
+// miss, so its cell is recomputed and written at its address.
 func (s *Store) scan(dir, shard string) error {
-	names, err := listNames(dir)
+	var pathBuf [512]byte
+	path := append(append(pathBuf[:0], dir...), 0)
+	fd, err := open(path, syscall.O_RDONLY|syscall.O_DIRECTORY)
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		path := dir + "/" + name // dir is clean and name a bare name
-		switch {
-		case shard == "" && len(name) == 2 && strings.Trim(name, "0123456789abcdef") == "":
-			_ = s.scan(path, name) // an unreadable shard's entries read as misses; a file is no shard
-			s.changed(retry(func() error { return syscall.Rmdir(path) }))
-		case strings.HasPrefix(name, tempPrefix):
-			s.changed(unlink(path)) // interrupted write; its rename never happened
-		case strings.HasSuffix(name, entryExt):
-			var st syscall.Stat_t
-			if retry(func() error { return syscall.Lstat(path, &st) }) != nil || isDir(&st) {
-				continue
-			}
-			if shard == "" || s.changed(retry(func() error { return syscall.Rename(path, s.dir+"/"+shard+name) })) {
-				s.entries.Add(1)
-				s.bytes.Add(st.Size)
-			}
-		}
-	}
-	return nil
-}
-
-// listNames lists a directory's names unsorted, without "." and "..",
-// reading its entries into a buffer on the stack.
-func listNames(dir string) ([]string, error) {
-	fd, err := open(dir, syscall.O_RDONLY|syscall.O_DIRECTORY)
-	if err != nil {
-		return nil, err
-	}
 	defer syscall.Close(fd)
+	path = append(path[:len(dir)], '/') // dir is clean; each name is appended to it
+	base := len(path)
 	var buf [8192]byte
-	var names []string
+	var shards []string
 	for {
 		var n int
 		if err := retry(func() (err error) { n, err = syscall.ReadDirent(fd, buf[:]); return err }); err != nil {
-			return nil, err
+			return err
 		}
 		if n <= 0 {
-			return names, nil
+			break
 		}
-		_, _, names = syscall.ParseDirent(buf[:n], -1, names)
+		for rest := buf[:n]; len(rest) > 0; {
+			var name []byte
+			if name, rest = nextDirent(rest); name == nil {
+				continue
+			}
+			path = append(append(path[:base], name...), 0)
+			switch {
+			case shard == "" && len(name) == 2 && len(bytes.Trim(name, "0123456789abcdef")) == 0:
+				shards = append(shards, string(name))
+			case bytes.HasPrefix(name, []byte(tempPrefix)):
+				s.changed(unlink(pathString(path))) // interrupted write; its rename never happened
+			case bytes.HasSuffix(name, []byte(entryExt)):
+				var st syscall.Stat_t
+				if lstat(path, &st) != nil || isDir(&st) {
+					continue
+				}
+				if shard == "" || s.changed(retry(func() error { return syscall.Rename(pathString(path), s.dir+"/"+shard+string(name)) })) {
+					s.entries.Add(1)
+					s.bytes.Add(st.Size)
+				}
+			}
+		}
 	}
+	// A shard's entries move up only once the listing is done: a name
+	// added to a directory while it is read may be listed again.
+	for _, name := range shards {
+		sub := dir + "/" + name
+		_ = s.scan(sub, name) // an unreadable shard's entries read as misses; a file is no shard
+		s.changed(retry(func() error { return syscall.Rmdir(sub) }))
+	}
+	return nil
 }
 
 // retry calls f until it fails with something other than EINTR, as
@@ -178,11 +192,20 @@ func retry(f func() error) error {
 	}
 }
 
-// open opens path close-on-exec.
-func open(path string, mode int) (fd int, err error) {
-	err = retry(func() error { fd, err = syscall.Open(path, mode|syscall.O_CLOEXEC, 0); return err })
+// open opens the NUL-terminated path close-on-exec.
+func open(path []byte, mode int) (fd int, err error) {
+	err = retry(func() error { fd, err = openat(path, mode|syscall.O_CLOEXEC); return err })
 	return fd, err
 }
+
+// lstat stats the NUL-terminated path into st, not following a symlink.
+func lstat(path []byte, st *syscall.Stat_t) error {
+	return retry(func() error { return fstatat(path, st) })
+}
+
+// pathString is the NUL-terminated path as a string, for the system calls
+// the store makes only on rare paths.
+func pathString(path []byte) string { return string(path[:len(path)-1]) }
 
 // unlink removes the file at path.
 func unlink(path string) error { return retry(func() error { return syscall.Unlink(path) }) }
@@ -197,15 +220,15 @@ func (s *Store) changed(err error) bool {
 	return err == nil
 }
 
-// path maps a key to its content address: the SHA-256 of the key in hex,
-// a file in the store directory. The address is built on the stack; the
-// string it returns is its one allocation.
-func (s *Store) path(key string) string {
-	var buf [512]byte
-	sum := sha256.Sum256(append(buf[:0], key...))
-	p := append(append(buf[:0], s.dir...), filepath.Separator)
-	p = hex.AppendEncode(p, sum[:])
-	return string(append(p, entryExt...))
+// appendPath appends key's content address to dst, NUL-terminated: the
+// SHA-256 of the key in hex, a file in the store directory. The key is
+// hashed from dst's spare room, so an address built in a buffer on the
+// stack that holds the key allocates nothing.
+func (s *Store) appendPath(dst []byte, key string) []byte {
+	sum := sha256.Sum256(append(dst, key...))
+	dst = append(append(dst, s.dir...), filepath.Separator)
+	dst = hex.AppendEncode(dst, sum[:])
+	return append(append(dst, entryExt...), 0)
 }
 
 // checksum is the entry integrity hash: FNV-64a over the key bytes, then
@@ -226,7 +249,8 @@ func checksum(parts ...[]byte) uint64 {
 // holds a payload use refuses is counted corrupt, removed and missed. It
 // reports whether use took the payload.
 func (s *Store) read(key string, use func(payload []byte) bool) bool {
-	path := s.path(key)
+	var pathBuf [512]byte
+	path := s.appendPath(pathBuf[:0], key)
 	fd, err := open(path, syscall.O_RDONLY)
 	if err != nil {
 		s.misses.Add(1)
@@ -321,14 +345,15 @@ func (s *Store) Put(key string, payload []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	path := s.path(key)
+	var pathBuf [512]byte
+	addr := s.appendPath(pathBuf[:0], key)
 	// One lstat of the address: the size an overwrite replaces, or a
 	// directory, which rename(2) cannot replace with a file.
 	var st syscall.Stat_t
 	prior := int64(-1)
-	if retry(func() error { return syscall.Lstat(path, &st) }) == nil {
+	if lstat(addr, &st) == nil {
 		if isDir(&st) {
-			return fmt.Errorf("store: %s: %w", path, syscall.EISDIR)
+			return fmt.Errorf("store: %s: %w", pathString(addr), syscall.EISDIR)
 		}
 		prior = st.Size
 	}
@@ -352,6 +377,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
+	path := pathString(addr)
 	if err := retry(func() error { return syscall.Rename(tmp.Name(), path) }); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", &os.LinkError{Op: "rename", Old: tmp.Name(), New: path, Err: err})
@@ -371,11 +397,12 @@ func (s *Store) Put(key string, payload []byte) error {
 // checkpoint tier uses it to garbage-collect a completed cell's
 // checkpoint; result entries are never deleted in normal operation.
 func (s *Store) Delete(key string) bool {
-	path := s.path(key)
+	var pathBuf [512]byte
+	path := s.appendPath(pathBuf[:0], key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st syscall.Stat_t
-	if retry(func() error { return syscall.Lstat(path, &st) }) != nil || !s.changed(unlink(path)) {
+	if lstat(path, &st) != nil || !s.changed(unlink(pathString(path))) {
 		return false
 	}
 	s.entries.Add(-1)
@@ -383,11 +410,12 @@ func (s *Store) Delete(key string) bool {
 	return true
 }
 
-// removeEntry deletes a damaged entry and adjusts the counters.
-func (s *Store) removeEntry(path string, size int64) {
+// removeEntry deletes the damaged entry at the NUL-terminated path and
+// adjusts the counters.
+func (s *Store) removeEntry(path []byte, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.changed(unlink(path)) {
+	if s.changed(unlink(pathString(path))) {
 		s.entries.Add(-1)
 		s.bytes.Add(-size)
 	}

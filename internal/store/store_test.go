@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -474,5 +475,121 @@ func TestDirectoryAtAddressIsNoEntry(t *testing.T) {
 	}
 	if st := re.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("reopened stats = %+v, want the directory not counted", st)
+	}
+}
+
+// TestScanMatchesReference: a reopen's count, made from the directory's
+// records where they were read, equals one made with os.ReadDir and
+// os.Lstat. The directory lists over many reads of Open's 8 KiB buffer
+// (420 entries with names of 9 to 255 bytes) and holds every kind of name
+// the scan tells apart: entries, a directory named like one, a symlink
+// named like one (counted at its own size, not its target's), temp files,
+// and 16 shards, each holding entries and a temp file. After Open the temps
+// and shards are gone and the shards' entries sit at their addresses in the
+// store directory, counted once: on a file system that lists names added
+// during a listing, moving them while the directory is read counts them
+// twice.
+func TestScanMatchesReference(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, size int) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), bytes.Repeat([]byte{'e'}, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	planted := 0
+	for i := range 420 {
+		n := 9 + i*37%247 // name lengths 9..255
+		write(fmt.Sprintf("%04d", i)+strings.Repeat("n", n-8)+entryExt, i%97)
+		planted++
+	}
+	if err := os.Mkdir(filepath.Join(dir, "x"+entryExt), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write("target", 1<<16)
+	if err := os.Symlink("target", filepath.Join(dir, strings.Repeat("5", 64)+entryExt)); err != nil {
+		t.Fatal(err)
+	}
+	planted++
+	for i := range 3 {
+		write(fmt.Sprintf("%s%d", tempPrefix, i), 7)
+	}
+	var shards, migrated []string
+	for i := range 16 {
+		name := fmt.Sprintf("%x%x", i, 15-i)
+		shard := filepath.Join(dir, name)
+		if err := os.Mkdir(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for j := range 4 {
+			rest := fmt.Sprintf("%062x", j)
+			write(filepath.Join(name, rest+entryExt), 100+j)
+			migrated = append(migrated, name+rest+entryExt)
+			planted++
+		}
+		write(filepath.Join(name, tempPrefix+"9"), 0)
+		shards = append(shards, shard)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Stats
+	for _, d := range list {
+		if strings.HasPrefix(d.Name(), tempPrefix) {
+			t.Errorf("temp file %s survived Open", d.Name())
+		}
+		info, err := os.Lstat(filepath.Join(dir, d.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(d.Name(), entryExt) && !info.IsDir() {
+			want.Entries++
+			want.Bytes += info.Size()
+		}
+	}
+	if want.Entries != int64(planted) {
+		t.Fatalf("the reference counts %d entries, %d were planted", want.Entries, planted)
+	}
+	if got := s.Stats(); got != want {
+		t.Errorf("Open counted %+v, the reference %+v", got, want)
+	}
+	for _, shard := range shards {
+		if _, err := os.Stat(shard); !os.IsNotExist(err) {
+			t.Errorf("shard %s survived Open (stat err %v)", shard, err)
+		}
+	}
+	for _, name := range migrated {
+		if _, err := os.Lstat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("the shard's entry is not at its address: %v", err)
+		}
+	}
+}
+
+// TestOpenCreatesAMissingDirectory: Open makes a missing store directory,
+// parents included, and refuses a file in its place.
+func TestOpenCreatesAMissingDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k"); !ok || string(got) != "v" {
+		t.Errorf("Get = %q, %v in a created directory", got, ok)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(file); err == nil {
+		t.Error("Open of a regular file succeeded")
 	}
 }
