@@ -35,7 +35,7 @@ func RunCell(ctx context.Context, cell Cell, opt Options) (Result, error) {
 		}
 		return res, nil
 	}
-	res, err := runCell(ctx, opt.Registry, cell, opt.Checkpoint, nil)
+	res, err := runCell(ctx, opt.Registry, cell, opt.Checkpoint, nil, nil)
 	save(opt.Results, key, res)
 	return res, err
 }
@@ -208,11 +208,13 @@ func (h Hit) AppendUpdate(dst []byte, completed, total int) []byte {
 	return append(strconv.AppendInt(append(dst, `,"total":`...), int64(total), 10), '}')
 }
 
-// runCell is RunCell below the result tier, plus the in-memory tier: held,
-// when non-nil, yields the prefix the cell resumes from. Such a cell skips
-// the durable tier — the prefix is shared with its group, not the cell's
-// own to persist.
-func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions, held func() (*Prefix, error)) (Result, error) {
+// runCell is RunCell below the result tier, plus the in-memory tier: a
+// cell its spine hands a prefix (pre) or the spine's failure (preErr)
+// resumes from that prefix or fails with that error. Such a cell skips the
+// durable tier — the prefix is shared with its group, not the cell's own
+// to persist. A cell gets Meta exactly when it started: it resolved, its
+// horizon was valid and its context was live.
+func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOptions, pre *Prefix, preErr error) (Result, error) {
 	if reg == nil {
 		reg = Default
 	}
@@ -237,11 +239,10 @@ func runCell(ctx context.Context, reg *Registry, cell Cell, ck *CheckpointOption
 	var err error
 	var ckMeta *CheckpointMeta
 	simulated := 0
-	if held != nil {
-		var pre *Prefix
-		if pre, err = held(); err == nil {
-			res, err = sc.(ForkableScenario).ResumeFrom(ctx, pre, p)
-		}
+	if preErr != nil {
+		err = preErr
+	} else if pre != nil {
+		res, err = sc.(CheckpointableScenario).ResumeFrom(ctx, pre, p)
 	} else if cs, branch, ok := checkpointable(sc, p, ck); ok {
 		ckMeta = &CheckpointMeta{}
 		res, simulated, err = runFromCheckpoint(ctx, cs, p, branch, CellKey(cell.Scenario, p), ck, ckMeta)

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"io"
 )
 
 // DefaultCheckpointEvery is the checkpoint interval (in simulated epochs)
@@ -34,10 +33,11 @@ type CheckpointStore interface {
 }
 
 // CheckpointOptions turns on the cell executor's durable tier (RunCell)
-// for cells of checkpointable scenarios (the forkable protocol-simulator
-// scenarios), inside a sweep or out: a starting cell probes the store for its newest valid
-// checkpoint and resumes from it instead of recomputing from epoch 0,
-// and while running it persists a fresh checkpoint every Every epochs.
+// for cells of CheckpointableScenario scenarios (the protocol-simulator
+// scenarios), inside a sweep or out: a starting cell probes the store for
+// its newest valid checkpoint and resumes from it instead of recomputing
+// from epoch 0, and while running it persists a fresh checkpoint every
+// Every epochs.
 // Results are bit-identical to an uninterrupted cold run — the resumed
 // trace carries everything the cold run would have observed.
 type CheckpointOptions struct {
@@ -62,26 +62,6 @@ type CheckpointMeta struct {
 	EpochsSaved int `json:"epochs_saved,omitempty"`
 	// Written counts the checkpoints this cell persisted while running.
 	Written int `json:"written,omitempty"`
-}
-
-// CheckpointableScenario is the optional ForkableScenario extension that
-// opts a scenario into durable checkpoints: its Prefix — snapshot plus
-// accumulated trace — can round-trip through a byte stream. The decoded
-// prefix must satisfy the same contract as a live one: ResumeFrom yields
-// a Result bit-identical to the uninterrupted run's.
-type CheckpointableScenario interface {
-	ForkableScenario
-	// EncodePrefix serializes a prefix (snapshot, epoch, trace, done).
-	EncodePrefix(w io.Writer, pre *Prefix) error
-	// DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
-	// returned prefix is Owned (its snapshot has exactly one consumer).
-	// Any damage or version skew returns an error; callers treat it as
-	// "no checkpoint".
-	DecodePrefix(r io.Reader) (*Prefix, error)
-	// loadPrefix reconstructs the prefix as DecodePrefix does for cell p,
-	// standing on a live simulation the frame was decoded into instead of
-	// on a snapshot: the durable tier's resume (runFromCheckpoint).
-	loadPrefix(r io.Reader, p Params) (*Prefix, error)
 }
 
 // RunCheckpointed executes one cell under the durable-checkpoint policy
@@ -140,8 +120,8 @@ func saveCheckpoint(cs CheckpointableScenario, st CheckpointStore, cellKey strin
 // simulated 4668), else the horizon ResumeFrom ran the tail to (a
 // conclusion inside that tail is still counted at full horizon).
 //
-// A cancelled hop hands back the prefix it reached (prefixAdvancer), which
-// is saved before the context error is returned: a drained worker's
+// A cancelled hop hands back the prefix it reached (advanceTo), which is
+// saved before the context error is returned: a drained worker's
 // in-flight cell resumes at the epoch the cancellation landed on.
 func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params, branch int, cellKey string, ck *CheckpointOptions, meta *CheckpointMeta) (Result, int, error) {
 	every := ck.Every
@@ -183,7 +163,7 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 			}
 			next = min(cur+every, branch)
 		}
-		reached, err := advancePrefix(ctx, cs, p, pre, next)
+		reached, err := cs.advanceTo(ctx, p, pre, next)
 		if err != nil {
 			if reached != nil {
 				save(reached)

@@ -86,8 +86,9 @@ var checkpointTestCells = []Cell{
 	{Scenario: ScenarioSimSemiActive, Params: Params{P0: 0.5, Beta0: 0.25, N: 16, Horizon: 30, Seed: 1}},
 }
 
-// TestCheckpointableScenarioRegistration: every forkable sim scenario in
-// the default registry also opts into durable checkpoints.
+// TestCheckpointableScenarioRegistration: every row of simRows, sim/bounce
+// included, is in the default registry and implements
+// CheckpointableScenario, so it warm-starts and checkpoints.
 func TestCheckpointableScenarioRegistration(t *testing.T) {
 	for _, row := range simRows {
 		s, ok := Default.Lookup(row.name)
@@ -401,7 +402,7 @@ func TestEncodePrefixReturnsWriteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := &Prefix{Snap: s.Snapshot(), Trace: noTrace{}}
+	pre := &Prefix{Snap: s.Snapshot(), trace: noTrace{}}
 	var blob bytes.Buffer
 	if err := cs.EncodePrefix(&blob, pre); err != nil {
 		t.Fatal(err)

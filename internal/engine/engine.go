@@ -279,7 +279,7 @@ func (r *Registry) Names() []string {
 // that, cancellation is the scenario's to observe (Scenario.Run). On error
 // the Result is zero.
 func (r *Registry) RunContext(ctx context.Context, name string, p Params) (Result, error) {
-	res, err := runCell(ctx, r, Cell{Scenario: name, Params: p}, nil, nil)
+	res, err := runCell(ctx, r, Cell{Scenario: name, Params: p}, nil, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"io"
 
 	"repro/internal/sim"
 )
@@ -13,10 +14,9 @@ import (
 // any number of ResumeFrom continuations may consume the same Prefix,
 // because sim.Restore clones the snapshot rather than consuming it.
 //
-// A Prefix is immutable once returned by RunTo. Scenario implementations
-// must deep-copy the Trace when extending or resuming (a shared backing
-// slice appended from two continuations is a correctness bug, not just a
-// race).
+// A Prefix is immutable once returned by RunTo: every extension or resume
+// steps a clone of its trace (a shared backing slice appended from two
+// continuations is a correctness bug, not just a race).
 type Prefix struct {
 	// Snap is the simulation state at the checkpoint, the adversary's
 	// included (sim.Snapshot). Every prefix RunTo or DecodePrefix returns
@@ -29,12 +29,6 @@ type Prefix struct {
 	// at the boundary ending epoch Epoch). It can fall short of the epoch
 	// RunTo was asked for when the scenario concluded early (Done).
 	Epoch int
-	// Trace carries the scenario's accumulated per-epoch observations
-	// (violation epochs, stake curves, stake floors) — everything a cold
-	// run would have gathered over the prefix epochs that the simulation
-	// itself does not hold, so a resumed cell's Result is bit-identical to
-	// the cold run's.
-	Trace any
 	// Done marks a prefix on which the scenario already concluded (e.g. a
 	// safety violation before the branch point). Extending a Done prefix
 	// returns it unchanged; resuming from it skips further simulation.
@@ -45,22 +39,28 @@ type Prefix struct {
 	// instead of deep-copying it. Adoption yields state identical to a
 	// Restore, so ownership can never change results, only skip a clone.
 	Owned bool
-	// cont optionally carries scenario-private continuation state — for
-	// the sim scenarios, the spine's still-live simulation positioned at
-	// this checkpoint — which exactly one later RunTo or ResumeFrom may
+	// trace carries the row's accumulated per-epoch observations
+	// (violation epochs, stake curves, stake floors) — everything a cold
+	// run would have gathered over the prefix epochs that the simulation
+	// itself does not hold, so a resumed cell's Result is bit-identical to
+	// the cold run's.
+	trace simTrace
+	// cont optionally carries the spine's still-live simulation positioned
+	// at this checkpoint, which exactly one later RunTo or ResumeFrom may
 	// claim instead of restoring the snapshot. Claiming is atomic; losers
 	// fall back to Snap. Struct-copying a Prefix shares the claim.
-	cont any
+	cont *simCont
 }
 
-// ForkableScenario is the optional Scenario extension that opts a
-// simulation scenario into snapshot-tree warm-started sweeps: the
-// scheduler (sched.go) groups a grid's cells by prefix key, simulates each
-// shared prefix once via RunTo, and finishes every cell from its checkpoint
-// via ResumeFrom (through the cell executor's in-memory tier). A cell whose
-// branch epoch is its own horizon has nothing left to simulate: ResumeFrom
-// on a prefix standing at (or concluded before) the cell's horizon only
-// reads it.
+// CheckpointableScenario is the Scenario extension that opts a
+// protocol-simulator scenario (every simRows row, through simScenario) into
+// the engine's reuse tiers. The sweep scheduler (sched.go) groups a grid's
+// cells by prefix key, simulates each shared prefix once, and finishes every
+// cell from its checkpoint via ResumeFrom; the durable tier
+// (runFromCheckpoint) persists the prefix through EncodePrefix and resumes
+// a crashed cell from it. A cell whose branch epoch is its own horizon has
+// nothing left to simulate: ResumeFrom on a prefix standing at (or
+// concluded before) the cell's horizon only reads it.
 //
 // The contract every implementation must honor, and the warm-vs-cold
 // equivalence suite pins: for any resolved params p with
@@ -68,12 +68,13 @@ type Prefix struct {
 //
 //	Run(ctx, p)  ==  ResumeFrom(ctx, RunTo(ctx, p, nil, branch), p)
 //
-// bit-identically (Result.Meta aside), and RunTo may be split at any
+// bit-identically (Result.Meta aside), also when the prefix went through
+// EncodePrefix and DecodePrefix on the way, and RunTo may be split at any
 // intermediate epoch — RunTo(p, RunTo(p, nil, e1), e2) equals
 // RunTo(p, nil, e2) — so the scheduler is free to checkpoint wherever the
 // grid's branch epochs fall and run cells in any order on any number of
 // workers.
-type ForkableScenario interface {
+type CheckpointableScenario interface {
 	Scenario
 	// Fork reports the cell's prefix key — a canonical encoding of every
 	// parameter dimension that shapes the epochs BEFORE the branch point —
@@ -94,13 +95,29 @@ type ForkableScenario interface {
 	// assemble the Result exactly as a cold run would have. Scenario and
 	// Params are left for the caller to stamp (the cell executor does).
 	ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error)
+	// EncodePrefix serializes a prefix (snapshot, epoch, trace, done).
+	EncodePrefix(w io.Writer, pre *Prefix) error
+	// DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
+	// returned prefix is Owned (its snapshot has exactly one consumer).
+	// Any damage or version skew returns an error; callers treat it as
+	// "no checkpoint".
+	DecodePrefix(r io.Reader) (*Prefix, error)
+	// advanceTo is RunTo without the snapshot (Prefix.freeze takes it
+	// later, if anyone needs it), handing back the prefix a cancelled hop
+	// reached beside the context error: how the sweep spine and the
+	// durable tier advance.
+	advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
+	// loadPrefix reconstructs the prefix as DecodePrefix does for cell p,
+	// standing on a live simulation the frame was decoded into instead of
+	// on a snapshot: the durable tier's resume (runFromCheckpoint).
+	loadPrefix(r io.Reader, p Params) (*Prefix, error)
 }
 
 // WarmStartOptions turns on the sweep scheduler's snapshot tree when
 // Options.WarmStart is non-nil; cells of scenarios that do not implement
-// ForkableScenario start like any cell of a sweep without it. It has no
-// fields: the tree's memory is bounded by construction (one fork copy per
-// worker), not by a setting.
+// CheckpointableScenario start like any cell of a sweep without it. It has
+// no fields: the tree's memory is bounded by construction (one fork copy
+// per worker), not by a setting.
 type WarmStartOptions struct{}
 
 // WarmMeta is the warm-start provenance of one sweep cell, carried in

@@ -79,24 +79,10 @@ func TestDeriveSeedContract(t *testing.T) {
 	}
 }
 
-// TestForkableScenarioRegistration: every row of simRows, sim/bounce
-// included, is in the default registry and implements ForkableScenario.
-func TestForkableScenarioRegistration(t *testing.T) {
-	for _, row := range simRows {
-		s, ok := Default.Lookup(row.name)
-		if !ok {
-			t.Fatalf("%s not registered", row.name)
-		}
-		if _, ok := s.(ForkableScenario); !ok {
-			t.Errorf("%s does not implement ForkableScenario", row.name)
-		}
-	}
-}
-
 // TestForkKeys: prefix keys exclude exactly the post-branch dimensions.
 func TestForkKeys(t *testing.T) {
 	s, _ := Default.Lookup(ScenarioSimGST)
-	fs := s.(ForkableScenario)
+	fs := s.(CheckpointableScenario)
 	base := Params{P0: 0.5, N: 100, Horizon: 16, Seed: 3, GST: 4}
 	key1, branch1, ok := fs.Fork(base)
 	if !ok || branch1 != 4 {
@@ -127,8 +113,7 @@ func TestForkKeys(t *testing.T) {
 	}
 }
 
-// TestSimRowContract is the ForkableScenario/CheckpointableScenario
-// contract, checked for every row of simRows — a new row is covered by
+// TestSimRowContract is the CheckpointableScenario contract, checked for every row of simRows — a new row is covered by
 // adding it to the table, nothing else.
 // For every split 0 < e1 < e2 <= branch, extending a prefix writes the
 // same snapshot frame bytes as simulating straight from genesis; and

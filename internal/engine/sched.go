@@ -33,8 +33,8 @@ import (
 // (WarmMeta.PeakResidentBytes). A branch with k forks costs k copies (k-1
 // at the last branch, whose last fork takes the simulation itself), and a
 // spine whose hop fails restarts from genesis. Scenarios that do not implement
-// ForkableScenario, and groups of one cell, start like any cell of a sweep
-// without a tree.
+// CheckpointableScenario, and groups of one cell, start like any cell of a
+// sweep without a tree.
 
 // branch is one planned checkpoint of a group: its epoch, the cells that
 // end there (stops) and the cells that continue past it (forks).
@@ -47,10 +47,11 @@ type branch struct {
 // group is one prefix-tree spine: the cells of one scenario sharing one
 // Fork key, by branch epoch ascending.
 type group struct {
-	fs ForkableScenario
+	cs CheckpointableScenario
 	// params is the representative cell's resolved params. RunTo
 	// implementations derive the prefix from pre-branch dimensions only
-	// (the ForkableScenario contract), so any group member's params serve.
+	// (the CheckpointableScenario contract), so any group member's params
+	// serve.
 	params   Params
 	branches []branch
 }
@@ -65,15 +66,15 @@ type sched struct {
 }
 
 // PrefixGroup is the cells of one sweep that simulate the same prefix: one
-// scenario, one ForkableScenario.Fork key. A cell that cannot fork (unknown
-// or non-forkable scenario, params Fork declines, nothing before the branch)
-// is a group of its own.
+// scenario, one CheckpointableScenario.Fork key. A cell that cannot fork
+// (unknown or non-checkpointable scenario, params Fork declines, nothing
+// before the branch) is a group of its own.
 type PrefixGroup struct {
 	// Cells indexes the sweep's cell slice, ascending.
 	Cells []int
-	// fs is the group's scenario, nil for a cell that cannot fork; params
+	// cs is the group's scenario, nil for a cell that cannot fork; params
 	// (resolved) and branch run parallel to Cells.
-	fs     ForkableScenario
+	cs     CheckpointableScenario
 	params []Params
 	branch []int
 }
@@ -89,12 +90,12 @@ func PrefixGroups(reg *Registry, cells []Cell) []PrefixGroup {
 	byKey := make(map[string]int) // scenario + Fork key -> index into groups
 	for i, c := range cells {
 		s, p, _ := resolve(reg, c)
-		fs, ok := s.(ForkableScenario)
+		cs, ok := s.(CheckpointableScenario)
 		if !ok {
 			groups = append(groups, PrefixGroup{Cells: []int{i}}) // unknown scenarios surface their error cold
 			continue
 		}
-		key, branch, forkable := fs.Fork(p)
+		key, branch, forkable := cs.Fork(p)
 		if !forkable || branch <= 0 {
 			groups = append(groups, PrefixGroup{Cells: []int{i}})
 			continue
@@ -104,7 +105,7 @@ func PrefixGroups(reg *Registry, cells []Cell) []PrefixGroup {
 		if !seen {
 			gi = len(groups)
 			byKey[k] = gi
-			groups = append(groups, PrefixGroup{fs: fs})
+			groups = append(groups, PrefixGroup{cs: cs})
 		}
 		g := &groups[gi]
 		g.Cells = append(g.Cells, i)
@@ -126,7 +127,7 @@ func (sch *sched) plan(reg *Registry, cells []Cell) (groups []*group, colds []in
 			colds = append(colds, pg.Cells[0])
 			continue
 		}
-		g := &group{fs: pg.fs, params: pg.params[0]}
+		g := &group{cs: pg.cs, params: pg.params[0]}
 		at := make(map[int]int) // branch epoch -> index into g.branches
 		for k, idx := range pg.Cells {
 			epoch := pg.branch[k]
@@ -199,16 +200,15 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	}
 	// warm finishes one cell from the prefix its spine hands it (or fails
 	// it with the spine's error), stamps the warm provenance and emits it.
+	// A cell that started (runCell gave it Meta) off a prefix is a hit.
 	warm := func(idx, branch int, pre *Prefix, err error) {
-		saved := 0
-		res, _ := runCell(ctx, reg, cells[idx], nil, func() (*Prefix, error) {
+		res, _ := runCell(ctx, reg, cells[idx], nil, pre, err)
+		if res.Meta != nil {
+			saved := 0
 			if err == nil {
 				saved = pre.Epoch
 				sch.hit()
 			}
-			return pre, err
-		})
-		if res.Meta != nil {
 			res.Meta.Warm = sch.warmMeta(true, branch, saved)
 		}
 		finished <- indexed{idx, res}
@@ -242,7 +242,7 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		for _, i := range colds {
 			slots <- struct{}{}
 			spawn(func() {
-				res, _ := runCell(ctx, reg, cells[i], opt.Checkpoint, nil)
+				res, _ := runCell(ctx, reg, cells[i], opt.Checkpoint, nil, nil)
 				if sch != nil && res.Meta != nil {
 					res.Meta.Warm = sch.warmMeta(false, 0, 0)
 				}
@@ -263,22 +263,6 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		}
 	}()
 	return out
-}
-
-// prefixAdvancer is what a forkable scenario implements when it can extend
-// a prefix without snapshotting it (simScenario.advanceTo; Prefix.freeze
-// takes the snapshot later, if anyone needs it), and hand back the prefix a
-// cancelled hop reached beside the context error. A scenario that cannot is
-// advanced by RunTo, which returns the prefix already frozen, or none.
-type prefixAdvancer interface {
-	advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
-}
-
-func advancePrefix(ctx context.Context, fs ForkableScenario, p Params, from *Prefix, epoch int) (*Prefix, error) {
-	if a, ok := fs.(prefixAdvancer); ok {
-		return a.advanceTo(ctx, p, from, epoch)
-	}
-	return fs.RunTo(ctx, p, from, epoch)
 }
 
 // runSpine walks the group's branch epochs in order, extending one prefix
@@ -303,7 +287,7 @@ func (g *group) runSpine(ctx context.Context, finish func(idx, branch int, pre *
 		var pre *Prefix
 		err := ctx.Err()
 		if err == nil {
-			pre, err = advancePrefix(ctx, g.fs, g.params, prev, b.epoch)
+			pre, err = g.cs.advanceTo(ctx, g.params, prev, b.epoch)
 		}
 		for _, idx := range b.stops {
 			finish(idx, b.epoch, pre, err)

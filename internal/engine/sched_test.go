@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -191,7 +192,7 @@ func TestWarmStartFailedHop(t *testing.T) {
 			reg.MustRegister(&failOnceAt{simScenario: inner.(*simScenario), epoch: failEpoch})
 			warm := SweepContext(ctx, cells, Options{Workers: workers, Registry: reg, WarmStart: &WarmStartOptions{}})
 			for i, c := range cells {
-				_, branch, _ := inner.(ForkableScenario).Fork(c.Params.WithDefaults(inner.Defaults()))
+				_, branch, _ := inner.(CheckpointableScenario).Fork(c.Params.WithDefaults(inner.Defaults()))
 				if branch == failEpoch {
 					if !strings.Contains(warm[i].Err, "scripted hop failure") {
 						t.Errorf("%s workers=%d cell %d branches at the failed hop: err %q, want the hop's error", g.Scenario, workers, i, warm[i].Err)
@@ -327,7 +328,7 @@ func TestWarmStartForkCopiesBounded(t *testing.T) {
 	p := cells[0].Params.WithDefaults(sc.Defaults())
 	var largest int64
 	for _, b := range g.GSTs {
-		pre, err := sc.(ForkableScenario).RunTo(ctx, p, nil, b)
+		pre, err := sc.(CheckpointableScenario).RunTo(ctx, p, nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,6 +427,96 @@ func TestWarmStartCancellation(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > baseline {
 			t.Errorf("workers=%d: %d goroutines after the sweep, %d before", workers, n, baseline)
 		}
+	}
+}
+
+// cancelAfter is a forkable sim scenario that cancels the sweep once its
+// spine's hop to one epoch has succeeded and its cell at (holdHorizon,
+// holdGST) has started, so that epoch's cells are handed a good prefix on a
+// dead context. The held cell waits in ResumeFrom until release is closed.
+type cancelAfter struct {
+	*simScenario
+	epoch                int
+	cancel               context.CancelFunc
+	holdHorizon, holdGST int
+	held, release        chan struct{}
+}
+
+func (c *cancelAfter) advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
+	pre, err := c.simScenario.advanceTo(ctx, p, from, epoch)
+	if epoch == c.epoch {
+		select {
+		case <-c.held:
+		case <-time.After(10 * time.Second): // the plan went wrong; the test says so
+		}
+		c.cancel()
+	}
+	return pre, err
+}
+
+func (c *cancelAfter) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
+	if p.Horizon == c.holdHorizon && p.GST == c.holdGST {
+		close(c.held)
+		<-c.release
+	}
+	return c.simScenario.ResumeFrom(ctx, pre, p)
+}
+
+// TestWarmStartHitAccounting pins when a warm cell counts as a snapshot
+// hit: once it has started off the prefix its spine handed it, not when it
+// was handed one and failed before starting. On the fork-heavy grid with two
+// workers, the first fork at epoch 2 runs on the free worker and waits
+// there; the spine runs every later cell itself. The sweep is cancelled
+// once that fork has started and the hop to epoch 3 has succeeded, so both
+// forks there get a prefix and fail on the cancelled context, as do the
+// cells past them. The
+// waiting fork is released once every other cell is out, so it completes
+// last, carrying the sweep's hit count: the two cells that started.
+func TestWarmStartHitAccounting(t *testing.T) {
+	g := forkGrid()
+	cells := g.Cells()
+	inner, _ := Default.Lookup(g.Scenario)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sc := &cancelAfter{simScenario: inner.(*simScenario), epoch: 3, cancel: cancel,
+		holdHorizon: g.Horizons[0], holdGST: g.GSTs[0], held: make(chan struct{}), release: make(chan struct{})}
+	reg := NewRegistry()
+	reg.MustRegister(sc)
+	var once sync.Once
+	release := func() { once.Do(func() { close(sc.release) }) }
+	stuck := time.AfterFunc(20*time.Second, func() {
+		t.Error("the held fork was never released: the sweep did not run as planned")
+		release()
+	})
+	defer stuck.Stop()
+
+	var last Update
+	started := 0
+	for u := range SweepStream(ctx, cells, Options{Workers: 2, Registry: reg, WarmStart: &WarmStartOptions{}}) {
+		last = u
+		c, m := cells[u.Index].Params, u.Result.Meta
+		switch {
+		case c.GST < sc.epoch: // started off a good prefix
+			if m == nil || m.Warm == nil || !m.Warm.Hit || m.Warm.EpochsSaved != c.GST {
+				t.Errorf("cell %d (%s): meta %+v, want a hit that saved %d epochs", u.Index, c, m, c.GST)
+			} else {
+				started++
+			}
+		case !strings.Contains(u.Result.Err, context.Canceled.Error()) || m != nil:
+			t.Errorf("cell %d (%s): err %q, meta %+v; want the context error and no meta, as it failed before starting", u.Index, c, u.Result.Err, m)
+		}
+		if u.Completed == u.Total-1 {
+			release()
+		}
+	}
+	if c := cells[last.Index].Params; c.Horizon != sc.holdHorizon || c.GST != sc.holdGST {
+		t.Fatalf("cell %d (%s) completed last, want the held fork", last.Index, c)
+	}
+	if started != 2 {
+		t.Errorf("%d cells started off a prefix, want the two forks at epoch 2", started)
+	}
+	if got := last.Result.Meta.Warm.SnapshotHits; got != started {
+		t.Errorf("the last cell reports %d snapshot hits, want %d: the cells that started off a prefix", got, started)
 	}
 }
 

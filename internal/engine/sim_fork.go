@@ -12,8 +12,8 @@ import (
 )
 
 // simScenario is the one runner behind every simRow: it implements
-// Scenario, ForkableScenario and CheckpointableScenario (sim_fork_codec.go)
-// for all of them. Every way a cell executes is the same walk — position a
+// CheckpointableScenario (the codec half in sim_fork_codec.go) for all of
+// them. Every way a cell executes is the same walk — position a
 // simulation at a start (genesis or a Prefix), step it epoch by epoch under
 // the row's trace, then either park it on a Prefix (advanceTo; RunTo also
 // snapshots it) or finish (ResumeFrom) — so a cold run is ResumeFrom with
@@ -90,11 +90,11 @@ func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, ep
 		if reached == 0 || from != nil && reached == from.Epoch {
 			return nil, err
 		}
-		return &Prefix{Epoch: reached, Trace: tr, cont: &simCont{s: s}}, err
+		return &Prefix{Epoch: reached, trace: tr, cont: &simCont{s: s}}, err
 	}
 	// Parking the still-live simulation on the prefix lets the next hop
 	// continue it instead of paying New + Restore (simCont).
-	out := &Prefix{Epoch: epoch, Trace: tr, cont: &simCont{s: s}}
+	out := &Prefix{Epoch: epoch, trace: tr, cont: &simCont{s: s}}
 	if e := tr.concluded(); e != 0 {
 		out.Epoch, out.Done = e, true
 	}
@@ -135,7 +135,7 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	if from == nil {
 		tr = sc.row.newTrace()
 	} else {
-		tr, fromEpoch = from.Trace.(simTrace).clone(), from.Epoch
+		tr, fromEpoch = from.trace.clone(), from.Epoch
 	}
 	// settled: nothing is left to simulate, the cell only reads the state.
 	settled := from != nil && (from.Done || from.Epoch >= to)
@@ -207,27 +207,25 @@ var errSpentPrefix = errors.New("engine: prefix has neither a snapshot nor a liv
 // claim atomically takes the live simulation off a prefix; nil when absent
 // or already claimed. The loser of a race restores the snapshot.
 func (pre *Prefix) claim() *sim.Simulation {
-	c, _ := pre.cont.(*simCont)
-	if c == nil {
+	if pre.cont == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.s
-	c.s = nil
+	pre.cont.mu.Lock()
+	defer pre.cont.mu.Unlock()
+	s := pre.cont.s
+	pre.cont.s = nil
 	return s
 }
 
 // live returns the prefix's parked simulation without claiming it; nil when
 // absent or claimed.
 func (pre *Prefix) live() *sim.Simulation {
-	c, _ := pre.cont.(*simCont)
-	if c == nil {
+	if pre.cont == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s
+	pre.cont.mu.Lock()
+	defer pre.cont.mu.Unlock()
+	return pre.cont.s
 }
 
 // freeze gives a prefix advanced without a snapshot (advanceTo) its Snap,
@@ -255,7 +253,7 @@ func (pre *Prefix) forkCopy() *Prefix {
 	if s == nil {
 		return pre
 	}
-	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, Trace: pre.Trace, Done: pre.Done, Owned: true}
+	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, trace: pre.trace, Done: pre.Done, Owned: true}
 }
 
 // spares holds simulations whose cells are done with them, for the next

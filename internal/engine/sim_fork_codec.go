@@ -25,9 +25,6 @@ var errPrefixCodec = fmt.Errorf("engine: prefix codec")
 // blob, the payload of a durable mid-cell checkpoint.
 // Implements CheckpointableScenario.
 func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
-	if _, ok := pre.Trace.(simTrace); !ok {
-		return fmt.Errorf("%w: prefix trace %T", errPrefixCodec, pre.Trace)
-	}
 	if err := sc.walkHead(codec.NewEncoder(dst), pre); err != nil {
 		return err
 	}
@@ -43,7 +40,7 @@ func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
 // checkpoint" and runs cold.
 // Implements CheckpointableScenario.
 func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
-	pre := &Prefix{Owned: true, Trace: sc.row.newTrace()}
+	pre := &Prefix{Owned: true, trace: sc.row.newTrace()}
 	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
 		return nil, err
 	}
@@ -60,7 +57,7 @@ func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
 // the prefix stands on it, as a prefix the spine advanced does. A spare
 // whose load failed goes back to the list, for a genesis start to reset.
 func (sc *simScenario) loadPrefix(src io.Reader, p Params) (*Prefix, error) {
-	pre := &Prefix{Trace: sc.row.newTrace()}
+	pre := &Prefix{trace: sc.row.newTrace()}
 	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
 		return nil, err
 	}
@@ -89,7 +86,7 @@ func (sc *simScenario) walkHead(c *codec.Coder, pre *Prefix) error {
 	}
 	c.Int(&pre.Epoch)
 	c.Bool(&pre.Done)
-	pre.Trace.(simTrace).walk(c)
+	pre.trace.walk(c)
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("%w: %w", errPrefixCodec, err)
 	}

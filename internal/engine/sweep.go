@@ -311,9 +311,9 @@ type Options struct {
 	// Registry resolves scenario names; nil means the default registry.
 	Registry *Registry
 	// WarmStart, when non-nil, has the scheduler plan a snapshot tree:
-	// cells of ForkableScenario scenarios that share a parameter prefix fan
-	// out from one shared simulated prefix instead of each re-simulating
-	// epoch 0. Results are bit-identical to the cold sweep; only wall clock
+	// cells of CheckpointableScenario scenarios that share a parameter
+	// prefix fan out from one shared simulated prefix instead of each
+	// re-simulating epoch 0. Results are bit-identical to the cold sweep; only wall clock
 	// and Result.Meta change.
 	WarmStart *WarmStartOptions
 	// Checkpoint, when non-nil (with a non-nil Store), runs checkpointable

@@ -11,9 +11,9 @@ import (
 // admission-control pressure (queue depth, in-flight, rejections), the
 // coordinator's dispatch ledger, and per-scenario compute-time sums.
 type metrics struct {
-	// Cells answered by each tier, across /run and /sweep.
+	// Cells answered by each tier, across /run and /sweep; the LRU counts
+	// its own hits (resultCache.stats).
 	cellsComputed  atomic.Uint64
-	cellsFromLRU   atomic.Uint64
 	cellsFromStore atomic.Uint64
 
 	// Admission control: cells currently admitted (queued or in flight)

@@ -80,9 +80,9 @@ type Config struct {
 	CheckpointEvery int
 	// WarmStart turns the snapshot-tree warm-start scheduler on by
 	// default for /sweep requests whose scenarios support it
-	// (engine.ForkableScenario); per-request "warm" overrides it either
-	// way. Results are bit-identical to cold sweeps, so warm and cold
-	// cells share the cache tiers freely.
+	// (engine.CheckpointableScenario); per-request "warm" overrides it
+	// either way. Results are bit-identical to cold sweeps, so warm and
+	// cold cells share the cache tiers freely.
 	WarmStart bool
 	// Shards lists worker base URLs (e.g. http://w1:8791). Non-empty puts
 	// the server in coordinator mode: sweep cells are dispatched to the
@@ -127,8 +127,9 @@ type Server struct {
 }
 
 // resultTier is the server's engine.ResultTier: the LRU in front of the
-// persistent store, either of which may be absent, counting the cells each
-// answers into /metrics. Both hold payloads, so a hit is bytes end to end.
+// persistent store, either of which may be absent. The LRU counts its own
+// hits and the tier counts the store's, both read by /metrics. Both hold
+// payloads, so a hit is bytes end to end.
 type resultTier struct {
 	cache   *resultCache
 	store   *store.Results
@@ -140,7 +141,6 @@ type resultTier struct {
 func (t *resultTier) GetPayload(key string) ([]byte, bool) {
 	if t.cache != nil {
 		if payload, ok := t.cache.get(key); ok {
-			t.metrics.cellsFromLRU.Add(1)
 			return payload, true
 		}
 	}
@@ -615,7 +615,9 @@ type checkpointMetrics struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var resp metricsResponse
 	resp.Cells.Computed = s.metrics.cellsComputed.Load()
-	resp.Cells.FromLRU = s.metrics.cellsFromLRU.Load()
+	if s.results.cache != nil {
+		resp.Cells.FromLRU, _ = s.results.cache.stats()
+	}
 	resp.Cells.FromStore = s.metrics.cellsFromStore.Load()
 	resp.Queue.Depth = s.metrics.admitted.Load()
 	resp.Queue.Limit = s.queueDepth

@@ -100,7 +100,7 @@ func TestRunReadThroughStore(t *testing.T) {
 	if got := s2.metrics.cellsFromStore.Load(); got != fromStore {
 		t.Errorf("second lookup read disk again (%d store hits, was %d); want LRU promotion", got, fromStore)
 	}
-	if got := s2.metrics.cellsFromLRU.Load(); got != 1 {
+	if got, _ := s2.results.cache.stats(); got != 1 {
 		t.Errorf("LRU hits = %d, want 1", got)
 	}
 }

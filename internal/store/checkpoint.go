@@ -40,15 +40,12 @@ type Checkpoints struct {
 	written, bytes, loaded, missed, gcDeleted atomic.Uint64
 }
 
-// NewCheckpoints layers a checkpoint tier over an open store. Result and
-// checkpoint tiers share the directory and the write path; only the key
-// namespace and counters differ.
-func NewCheckpoints(s *Store) *Checkpoints { return &Checkpoints{s: s} }
-
 // Checkpoints returns the checkpoint tier sharing this result store's
 // directory and underlying store — the serve fabric's layout, where a
 // worker's -store holds both its results and its in-flight checkpoints.
-func (r *Results) Checkpoints() *Checkpoints { return NewCheckpoints(r.s) }
+// The two tiers share the directory and the write path; only the key
+// namespace and counters differ.
+func (r *Results) Checkpoints() *Checkpoints { return &Checkpoints{s: r.s} }
 
 // SaveCheckpoint atomically persists the cell's current checkpoint,
 // replacing any older one (newest-epoch retention by construction).

@@ -208,7 +208,7 @@ func TestCheckpointsShareStoreWithResults(t *testing.T) {
 	if err := s.Put(key, []byte("result-payload")); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCheckpoints(s)
+	c := &Checkpoints{s: s}
 	if err := c.SaveCheckpoint(key, []byte("checkpoint-payload")); err != nil {
 		t.Fatal(err)
 	}
