@@ -17,8 +17,8 @@
 // Section 4 (inactivity leak):
 //
 //	Eq 1  score update (+4 inactive / -1 active) ... types.Spec constants,
-//	      applied by incentives.Engine.ProcessEpoch
-//	Eq 2  s(t) = s(t-1) - I(t-1) s(t-1)/2^26 ..... incentives.Engine.ProcessEpoch
+//	      applied by incentives.Engine.ProcessColumn
+//	Eq 2  s(t) = s(t-1) - I(t-1) s(t-1)/2^26 ..... incentives.Engine.ProcessColumn
 //	      (integer), for the protocol's views and for core's cohort rows
 //	Eq 3  s' = -I s / 2^26 ...................... StakeInactive, StakeSemiActive,
 //	      StakeActive (closed-form solutions per behavior)

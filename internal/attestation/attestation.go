@@ -393,10 +393,10 @@ func (p *Pool) VotesForEpoch(e types.Epoch) [][]Data {
 // Activity is the activity criterion of one (target epoch, target root)
 // pair as a dense column: the target is compared once per distinct vote of
 // the epoch, and each validator's answer is then filled in one pass over
-// the epoch's id columns, so asking about a validator is one slice read.
-// Load it with Pool.Activity; it holds its own copy and stays valid when
-// the pool is mutated. The zero value reports nobody active; reloading
-// reuses its storage.
+// the epoch's id columns. Pool.Activity loads it and returns the column,
+// which the incentive sweep reads as is; the column is Activity's own
+// storage, so it stays valid when the pool is mutated and until the next
+// load, which reuses it.
 type Activity struct {
 	// active[v] reports whether validator v cast a matching vote; the
 	// validators past it cast none.
@@ -407,14 +407,16 @@ type Activity struct {
 }
 
 // Activity loads into a the criterion "voted for root with target epoch
-// e".
+// e" and returns its column: entry v reports whether validator v cast a
+// matching vote. The column is as long as the epoch's vote columns, empty
+// for an epoch the pool does not hold; a validator past its end cast none.
 //
 //gasper:noalloc
-func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) {
+func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) []bool {
 	a.active, a.match = a.active[:0], a.match[:0]
 	ev := p.find(e)
 	if ev == nil {
-		return
+		return a.active
 	}
 	a.match = append(a.match, false)
 	for i := range ev.table {
@@ -436,13 +438,7 @@ func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) {
 		}
 	}
 	a.active = active
-}
-
-// Active reports whether v cast a vote matching the loaded criterion.
-//
-//gasper:noalloc
-func (a *Activity) Active(v types.ValidatorIndex) bool {
-	return int(v) < len(a.active) && a.active[v]
+	return active
 }
 
 // LinkWeight is one row of a columnar per-epoch tally: a distinct

@@ -102,18 +102,22 @@ func TestVoted(t *testing.T) {
 	}
 }
 
-// TestVotedForTarget: the paper's activity criterion, as Activity reads
-// it — a validator is active on a branch for an epoch iff it cast a vote
-// whose target root is that branch's.
+// TestVotedForTarget: the paper's activity criterion, as Activity's column
+// reads it — a validator is active on a branch for an epoch iff it cast a
+// vote whose target root is that branch's; an epoch the pool does not
+// hold has an empty column.
 func TestVotedForTarget(t *testing.T) {
 	p := new(Pool)
 	p.Add(att(3, 33, 5, cp(0, 0), cp(1, 5)))
 	var a Activity
-	if p.Activity(&a, 1, types.RootFromUint64(5)); !a.Active(3) {
-		t.Error("vote for target 5 not found")
+	if active := p.Activity(&a, 1, types.RootFromUint64(5)); len(active) <= 3 || !active[3] || active[2] {
+		t.Errorf("vote for target 5: column %v, want validator 3 alone active", active)
 	}
-	if p.Activity(&a, 1, types.RootFromUint64(6)); a.Active(3) {
+	if active := p.Activity(&a, 1, types.RootFromUint64(6)); len(active) > 3 && active[3] {
 		t.Error("vote for target 6 should not be found")
+	}
+	if active := p.Activity(&a, 2, types.RootFromUint64(5)); len(active) != 0 {
+		t.Errorf("epoch 2 holds no votes, column %v", active)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // scale (10k validators) in the sim/leak steady state: the columnar FFG
 // link tally over the four-epoch re-scan window
 // (attestation.Pool.AppendWindowTally + ffg.Engine.ProcessTally), the
-// incentive sweep with its column-backed activity predicate, and the
+// incentive sweep over the pool's activity column, and the
 // pool's pruning. Participation is half the stake, so — exactly
 // like the thousands of epochs of a leak run — nothing justifies and the
 // view is leaking. Every timed iteration advances one real epoch; vote

@@ -94,7 +94,6 @@ func (n *Node) Walk(c *codec.Coder) {
 	if !c.Encoding() {
 		n.Leak = incentives.Engine{Spec: n.Spec}
 		n.stakeFn = n.Registry.Stake
-		n.activeFn = n.activity.Active
 		n.totalSet = false
 	}
 }

@@ -459,14 +459,14 @@ func compareToReference(t *testing.T, at string, n *Node, ref *refVotes, validat
 			t.Fatalf("%s: epoch %d link tally\n  got  %v\n  want %v", at, e, got, want)
 		}
 		for branch := uint64(1); branch <= 3; branch++ {
-			var active attestation.Activity
-			n.Pool.Activity(&active, e, types.RootFromUint64(branch))
+			var a attestation.Activity
+			active := n.Pool.Activity(&a, e, types.RootFromUint64(branch))
 			for v := 0; v < validators; v++ {
 				voted := false
 				for _, d := range votesOf(want, v) {
 					voted = voted || d.Target.Root == types.RootFromUint64(branch)
 				}
-				if active.Active(types.ValidatorIndex(v)) != voted {
+				if (v < len(active) && active[v]) != voted {
 					t.Fatalf("%s: epoch %d validator %d active on branch %d = %t, reference %t", at, e, v, branch, !voted, voted)
 				}
 			}

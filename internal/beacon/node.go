@@ -70,14 +70,12 @@ type Node struct {
 	tallyScratch [ffgWindow][]attestation.LinkWeight
 	stakeFn      func(types.ValidatorIndex) types.Gwei //gasper:nocodec rebound to the decoded Registry by Walk
 	// activity is the boundary's activity criterion, loaded from the pool
-	// for the ended epoch and the canonical target, and activeFn its
-	// pre-bound Active method value, the predicate handed to the incentive
-	// sweep — both kept on the node so the boundary allocates neither a
-	// match table nor a closure per epoch.
+	// for the ended epoch and the canonical target: its column is what the
+	// incentive sweep reads, kept on the node so the boundary allocates
+	// neither a match table nor a column per epoch.
 	//gasper:nocodec per-boundary working set; the next boundary reloads it
 	//gasper:shallow per-boundary working set; a clone's next boundary loads its own
 	activity attestation.Activity
-	activeFn func(types.ValidatorIndex) bool //gasper:nocodec rebound to the decoded node's own activity by Walk
 	// batchNew is ReceiveBatch's scratch: the batch's validators whose vote
 	// was new to the pool.
 	//gasper:nocodec scratch buffer; each node re-grows its own
@@ -148,7 +146,6 @@ func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
 	n.totalSet, n.work = false, Work{}
 	clear(n.pending)
 	n.stakeFn = n.Registry.Stake
-	n.activeFn = n.activity.Active
 	n.Votes.Reset()
 	n.Votes.UpdateStakes(nValidators, n.stakeFn)
 }
@@ -182,7 +179,6 @@ func (n *Node) Clone() *Node {
 		out.pending[parent] = append([]blocktree.Block(nil), blocks...)
 	}
 	out.stakeFn = out.Registry.Stake
-	out.activeFn = out.activity.Active
 	return out
 }
 
@@ -386,11 +382,11 @@ func (n *Node) ProcessEpochBoundary(newEpoch types.Epoch) (EpochReport, error) {
 		report.InLeak = inLeak
 		// Activity is filled from the ended epoch's id columns in one
 		// pass: the canonical target is compared once per distinct vote,
-		// then the incentive sweep costs one slice index per validator —
-		// no per-validator map probe and no per-epoch closure allocation
-		// (activeFn is built once at construction).
-		n.Pool.Activity(&n.activity, ended, canonical.Root)
-		report.Leak = n.Leak.ProcessEpoch(n.Registry, n.activeFn, inLeak, ended)
+		// and the incentive sweep reads the column beside the registry's,
+		// one slice index per validator. The column stops at the pool's
+		// vote columns; the sweep reads a validator past it as inactive.
+		active := n.Pool.Activity(&n.activity, ended, canonical.Root)
+		report.Leak = n.Leak.ProcessColumn(n.Registry, active, inLeak, ended)
 		n.total, n.totalSet = report.Leak.TotalStake, true
 	}
 

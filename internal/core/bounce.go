@@ -167,8 +167,8 @@ func (b BounceMC) RunContext(ctx context.Context, maxEpochs, sampleEvery int) ([
 		// Byzantine semi-activity: active on branch (epoch mod 2). An
 		// empty cohort never steps.
 		for br := 0; nByz > 0 && br < 2; br++ {
-			active := uint64(epoch)%2 == uint64(br)
-			eng.ProcessEpoch(&byz[br], func(types.ValidatorIndex) bool { return active }, true, epoch)
+			active := [1]bool{uint64(epoch)%2 == uint64(br)}
+			eng.ProcessColumn(&byz[br], active[:], true, epoch)
 		}
 		// Honest placement coin and per-branch integer accounting.
 		for i := range honest {

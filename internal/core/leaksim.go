@@ -3,7 +3,7 @@
 // with two engines. Their cohorts of identical validators are registry
 // rows, one per cohort, whose inactivity scores, penalties and ejections
 // (Equations 1-2) are the protocol's one implementation,
-// incentives.Engine.ProcessEpoch:
+// incentives.Engine.ProcessColumn:
 //
 //   - LeakSim: an aggregate two-branch leak simulation over validator
 //     cohorts (honest active per branch, Byzantine), which regenerates the
@@ -239,9 +239,8 @@ func (l LeakSim) RunContext(ctx context.Context, maxEpochs int, sampleEvery int)
 				inLeak = false
 			}
 
-			eng.ProcessEpoch(&br.reg, func(row types.ValidatorIndex) bool {
-				return row == rowActive || (row == rowByz && byzActive)
-			}, inLeak, epoch)
+			active := [3]bool{rowActive: true, rowByz: byzActive}
+			eng.ProcessColumn(&br.reg, active[:], inLeak, epoch)
 			inactiveInSet := br.inactiveInSet()
 			if !inactiveInSet && out.EjectionEpoch == 0 {
 				out.EjectionEpoch = epoch

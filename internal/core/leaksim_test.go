@@ -315,7 +315,7 @@ func summarize(r Result) Result {
 // perValidatorLeak is LeakSim's run with a registry row per validator on
 // each branch: validators are numbered as LeakSim counts them (branch A's
 // honest, branch B's honest, then the Byzantine), each attests by its own
-// identity, one incentives.Engine.ProcessEpoch per branch and epoch
+// identity, one incentives.Engine.ProcessColumn per branch and epoch
 // advances them under LeakSim's leak rule, and the trace sums their
 // stakes. At every sampled epoch it also requires each member's stake and
 // score to be its cohort's: the stake times the cohort's size is the
@@ -354,6 +354,7 @@ func perValidatorLeak(t *testing.T, l LeakSim, maxEpochs, sampleEvery int) Resul
 	for i := range regs {
 		regs[i].Reset(l.N, spec.MaxEffectiveBalance)
 	}
+	active := make([]bool, l.N)
 	for epoch := types.Epoch(1); epoch <= types.Epoch(maxEpochs); epoch++ {
 		for i := range regs {
 			reg, out := &regs[i], outs[i]
@@ -369,12 +370,14 @@ func perValidatorLeak(t *testing.T, l LeakSim, maxEpochs, sampleEvery int) Resul
 			if l.EndLeakAtEpoch != 0 && epoch >= l.EndLeakAtEpoch {
 				inLeak = false
 			}
-			eng.ProcessEpoch(reg, func(v types.ValidatorIndex) bool {
-				if int(v) >= nHonest {
-					return l.Mode == ByzDoubleVote || l.Mode == ByzSemiActive && uint64(epoch)%2 == uint64(i)
+			for v := range active {
+				if v >= nHonest {
+					active[v] = l.Mode == ByzDoubleVote || l.Mode == ByzSemiActive && uint64(epoch)%2 == uint64(i)
+				} else {
+					active[v] = (v < nA) == (i == 0) // honest: active on its own branch only
 				}
-				return (int(v) < nA) == (i == 0) // honest: active on its own branch only
-			}, inLeak, epoch)
+			}
+			eng.ProcessColumn(reg, active, inLeak, epoch)
 
 			var stake [3]types.Gwei
 			for v, c := range cohort[i] {

@@ -222,7 +222,7 @@ var simRows = []simRow{
 	},
 	{
 		name:     ScenarioSimLeak,
-		desc:     "Table 1 Scenario 5.1 at full protocol and full spec: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
+		desc:     "Table 1 Scenario 5.1 at full protocol, the paper's incentive model: lasting partition run to conflicting finalization (analytic anchor 4662 at p0=0.5)",
 		defaults: Params{P0: 0.5, N: 10000, Horizon: 6000, Seed: 1},
 		reads:    simDims | FieldSample,
 		validate: validateSimLeak,
@@ -232,7 +232,7 @@ var simRows = []simRow{
 	},
 	{
 		name:     ScenarioSimSemiActive,
-		desc:     "Table 3 at full protocol: semi-active Byzantine validators accelerate the leak and finalize both branches (full spec)",
+		desc:     "Table 3 at full protocol, the paper's incentive model: semi-active Byzantine validators accelerate the leak and finalize both branches",
 		defaults: Params{P0: 0.5, Beta0: 0.33, N: 10000, Horizon: 2000, Seed: 1},
 		reads:    simDims | FieldBeta0 | FieldSample,
 		validate: validateSimSemiActive,

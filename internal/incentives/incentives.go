@@ -37,12 +37,12 @@ type Summary struct {
 	TotalStake  types.Gwei
 }
 
-// ProcessEpoch advances the registry by one epoch.
+// ProcessColumn advances the registry by one epoch.
 //
-// active(v) must report whether validator v was deemed active this epoch on
-// this branch (attested with a correct target checkpoint). inLeak reports
-// whether this view is currently in an inactivity leak. epoch is used to
-// timestamp ejections.
+// active[v] reports whether validator v was deemed active this epoch on
+// this branch (attested with a correct target checkpoint); a validator
+// past the column's end is inactive. inLeak reports whether this view is
+// currently in an inactivity leak. epoch is used to timestamp ejections.
 //
 // Per the paper's Equations 1-2, the penalty at epoch t uses the score and
 // stake of epoch t-1, so penalties are applied before scores are updated.
@@ -50,22 +50,18 @@ type Summary struct {
 // The sweep is one fused pass over the registry's columns — penalty,
 // score update, ejection, and post-state measurement per validator — with
 // no per-validator allocation. Per-validator processing is independent, so
-// fusing is bit-identical to running the stages as separate sweeps; what
-// fusing guarantees on top is that active(v) is consulted EXACTLY ONCE per
-// validator per epoch. (The pre-fusion sweep asked again during post-state
-// measurement, doubling the callback cost over a long horizon and giving
-// impure closures a chance to disagree with the penalty stage.) A
-// validator's stake and score, and the three totals, are carried in locals:
-// each column is loaded and stored once per validator. The quotient of
-// every spec the scenarios build is a power of two, and then the penalty's
-// division is a shift. The Ejected slice is the only allocation and only
-// happens in epochs that actually eject. The spec is read through the
-// receiver and the columns through the registry's pointer, so a call
-// copies neither onto its stack: the aggregate model sweeps three rows per
-// call, where those copies cost more than the rows.
+// fusing is bit-identical to running the stages as separate sweeps. A
+// validator's activity, stake and score, and the three totals, are carried
+// in locals: each column is loaded and stored once per validator. The
+// quotient of every spec the scenarios build is a power of two, and then
+// the penalty's division is a shift. The Ejected slice is the only
+// allocation and only happens in epochs that actually eject. The spec is
+// read through the receiver and the columns through the registry's
+// pointer, so a call copies neither onto its stack: the aggregate model
+// sweeps three rows per call, where those copies cost more than the rows.
 //
 //gasper:noalloc
-func (e *Engine) ProcessEpoch(reg *validator.Registry, active func(types.ValidatorIndex) bool, inLeak bool, epoch types.Epoch) (sum Summary) {
+func (e *Engine) ProcessColumn(reg *validator.Registry, active []bool, inLeak bool, epoch types.Epoch) (sum Summary) {
 	spec := &e.Spec
 	q := spec.InactivityPenaltyQuotient
 	shift, pow2 := uint(bits.TrailingZeros64(q)), q != 0 && q&(q-1) == 0
@@ -78,7 +74,7 @@ func (e *Engine) ProcessEpoch(reg *validator.Registry, active func(types.Validat
 		if st != validator.Active {
 			continue
 		}
-		isActive := active(types.ValidatorIndex(i))
+		isActive := i < len(active) && active[i]
 		stake, score := stakes[i], scores[i]
 
 		// Penalty first: I(t-1) * s(t-1) / quotient — during leaks,
@@ -123,4 +119,18 @@ func (e *Engine) ProcessEpoch(reg *validator.Registry, active func(types.Validat
 	}
 	sum.TotalPenalty, sum.TotalStake, sum.ActiveStake = penalties, total, activeTotal
 	return sum
+}
+
+// ProcessEpoch is ProcessColumn with activity asked of a callback: active(v)
+// is consulted EXACTLY ONCE per in-set validator, and never for one out of
+// the set, so an impure closure cannot give the penalty and the post-state
+// measurement different answers. It fills a fresh column per call. Only
+// the benchmark harness's incentives.process_epoch probe calls it.
+func (e *Engine) ProcessEpoch(reg *validator.Registry, active func(types.ValidatorIndex) bool, inLeak bool, epoch types.Epoch) Summary {
+	status := reg.Columns().Status
+	column := make([]bool, len(status))
+	for i, st := range status {
+		column[i] = st == validator.Active && active(types.ValidatorIndex(i))
+	}
+	return e.ProcessColumn(reg, column, inLeak, epoch)
 }

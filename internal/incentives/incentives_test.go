@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,20 +21,15 @@ func newRegistry(n int, stake types.Gwei) *validator.Registry {
 	return reg
 }
 
-func always(bool) func(types.ValidatorIndex) bool {
-	return func(types.ValidatorIndex) bool { return true }
-}
-
-func activeSet(m map[types.ValidatorIndex]bool) func(types.ValidatorIndex) bool {
-	return func(v types.ValidatorIndex) bool { return m[v] }
-}
+// one is a one-row activity column.
+func one(active bool) []bool { return []bool{active} }
 
 func TestScoreDynamicsDuringLeak(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
-	active := activeSet(map[types.ValidatorIndex]bool{0: true}) // v1 inactive
+	active := []bool{true, false} // v1 inactive
 	for i := 0; i < 10; i++ {
-		e.ProcessEpoch(reg, active, true, types.Epoch(i))
+		e.ProcessColumn(reg, active, true, types.Epoch(i))
 	}
 	if got := reg.Columns().Scores[0]; got != 0 {
 		t.Errorf("active validator score = %d, want 0", got)
@@ -48,19 +44,19 @@ func TestScoreRecoveryOutsideLeak(t *testing.T) {
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	reg.Columns().Scores[0] = 100
 	// Active outside leak: -1 (recovery) then -16 (flat) per epoch.
-	e.ProcessEpoch(reg, always(true), false, 0)
+	e.ProcessColumn(reg, one(true), false, 0)
 	if got := reg.Columns().Scores[0]; got != 83 {
 		t.Errorf("score after one non-leak active epoch = %d, want 83", got)
 	}
 	// Inactive outside leak: +4 then -16 = net -12.
 	reg.Columns().Scores[0] = 100
-	e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, false, 0)
+	e.ProcessColumn(reg, one(false), false, 0)
 	if got := reg.Columns().Scores[0]; got != 88 {
 		t.Errorf("score after one non-leak inactive epoch = %d, want 88", got)
 	}
 	// Scores floor at zero.
 	reg.Columns().Scores[0] = 5
-	e.ProcessEpoch(reg, always(true), false, 0)
+	e.ProcessColumn(reg, one(true), false, 0)
 	if got := reg.Columns().Scores[0]; got != 0 {
 		t.Errorf("score must floor at zero, got %d", got)
 	}
@@ -70,7 +66,7 @@ func TestNoPenaltyOutsideLeak(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	reg.Columns().Scores[0] = 1000
-	sum := e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, false, 0)
+	sum := e.ProcessColumn(reg, one(false), false, 0)
 	if sum.TotalPenalty != 0 {
 		t.Errorf("no inactivity penalty outside leak, got %d", sum.TotalPenalty)
 	}
@@ -82,16 +78,16 @@ func TestNoPenaltyOutsideLeak(t *testing.T) {
 func TestPenaltyMatchesEquation2(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
-	inactive := func(types.ValidatorIndex) bool { return false }
+	inactive := one(false)
 
 	// Epoch 0: score 0 -> no penalty; score becomes 4.
-	e.ProcessEpoch(reg, inactive, true, 0)
+	e.ProcessColumn(reg, inactive, true, 0)
 	if reg.Stake(0) != types.MaxEffectiveBalanceGwei {
 		t.Errorf("no penalty with zero score, stake = %d", reg.Stake(0))
 	}
 	// Epoch 1: penalty = 4 * s / 2^26.
 	want := reg.Stake(0) - types.Gwei(4*uint64(reg.Stake(0))/types.InactivityPenaltyQuotient)
-	e.ProcessEpoch(reg, inactive, true, 1)
+	e.ProcessColumn(reg, inactive, true, 1)
 	if reg.Stake(0) != want {
 		t.Errorf("stake after first penalty = %d, want %d", reg.Stake(0), want)
 	}
@@ -103,9 +99,9 @@ func TestPenaltyMatchesEquation2(t *testing.T) {
 func TestInactiveStakeTracksContinuousModel(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
-	inactive := func(types.ValidatorIndex) bool { return false }
+	inactive := one(false)
 	for epoch := 1; epoch <= 3000; epoch++ {
-		e.ProcessEpoch(reg, inactive, true, types.Epoch(epoch))
+		e.ProcessColumn(reg, inactive, true, types.Epoch(epoch))
 		if epoch%1000 == 0 {
 			tt := float64(epoch)
 			want := 32 * math.Exp(-tt*tt/math.Pow(2, 25))
@@ -126,7 +122,7 @@ func TestSemiActiveStakeTracksContinuousModel(t *testing.T) {
 	for epoch := 1; epoch <= 4000; epoch++ {
 		// Active every other epoch.
 		isActive := epoch%2 == 0
-		e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return isActive }, true, types.Epoch(epoch))
+		e.ProcessColumn(reg, one(isActive), true, types.Epoch(epoch))
 		if epoch%2000 == 0 {
 			tt := float64(epoch)
 			want := 32 * math.Exp(-3*tt*tt/math.Pow(2, 28))
@@ -147,10 +143,10 @@ func TestSemiActiveStakeTracksContinuousModel(t *testing.T) {
 func TestInactiveEjectionEpoch(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
-	inactive := func(types.ValidatorIndex) bool { return false }
+	inactive := one(false)
 	ejectedAt := 0
 	for epoch := 1; epoch <= 5000; epoch++ {
-		sum := e.ProcessEpoch(reg, inactive, true, types.Epoch(epoch))
+		sum := e.ProcessColumn(reg, inactive, true, types.Epoch(epoch))
 		if len(sum.Ejected) > 0 {
 			ejectedAt = epoch
 			break
@@ -175,7 +171,7 @@ func TestSemiActiveEjectionEpoch(t *testing.T) {
 	ejectedAt := 0
 	for epoch := 1; epoch <= 8000; epoch++ {
 		isActive := epoch%2 == 0
-		sum := e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return isActive }, true, types.Epoch(epoch))
+		sum := e.ProcessColumn(reg, one(isActive), true, types.Epoch(epoch))
 		if len(sum.Ejected) > 0 {
 			ejectedAt = epoch
 			break
@@ -193,7 +189,7 @@ func TestActiveValidatorNeverPenalized(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 	for epoch := 1; epoch <= 1000; epoch++ {
-		e.ProcessEpoch(reg, always(true), true, types.Epoch(epoch))
+		e.ProcessColumn(reg, one(true), true, types.Epoch(epoch))
 	}
 	if reg.Stake(0) != types.MaxEffectiveBalanceGwei {
 		t.Errorf("active validator lost stake: %d", reg.Stake(0))
@@ -208,7 +204,7 @@ func TestExitedValidatorsSkipped(t *testing.T) {
 	reg := newRegistry(2, types.MaxEffectiveBalanceGwei)
 	reg.Slash(1, 0)
 	before := reg.Columns().Stakes[1]
-	sum := e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return false }, true, 1)
+	sum := e.ProcessColumn(reg, []bool{false, false}, true, 1)
 	if reg.Columns().Stakes[1] != before {
 		t.Error("slashed validator must not receive leak penalties")
 	}
@@ -225,8 +221,7 @@ func TestSummaryMeasurements(t *testing.T) {
 	e := Engine{Spec: types.DefaultSpec()}
 	const stake = 100 * types.GweiPerETH
 	reg := newRegistry(4, stake)
-	active := activeSet(map[types.ValidatorIndex]bool{0: true, 1: true})
-	sum := e.ProcessEpoch(reg, active, false, 0)
+	sum := e.ProcessColumn(reg, []bool{true, true, false, false}, false, 0)
 	if sum.TotalStake != 4*stake {
 		t.Errorf("TotalStake = %d, want %d", sum.TotalStake, 4*stake)
 	}
@@ -238,10 +233,10 @@ func TestSummaryMeasurements(t *testing.T) {
 func TestCompressedSpecLeaksFaster(t *testing.T) {
 	fast := Engine{Spec: types.CompressedSpec(1 << 16)}
 	reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
-	inactive := func(types.ValidatorIndex) bool { return false }
+	inactive := one(false)
 	ejectedAt := 0
 	for epoch := 1; epoch <= 200; epoch++ {
-		sum := fast.ProcessEpoch(reg, inactive, true, types.Epoch(epoch))
+		sum := fast.ProcessColumn(reg, inactive, true, types.Epoch(epoch))
 		if len(sum.Ejected) > 0 {
 			ejectedAt = epoch
 			break
@@ -264,7 +259,7 @@ func TestResidualPenaltiesOutsideLeak(t *testing.T) {
 	reg.Columns().Scores[0] = 10000
 	before := reg.Stake(0)
 	// Outside a leak, a scored validator still pays I*s/2^26.
-	sum := e.ProcessEpoch(reg, always(true), false, 0)
+	sum := e.ProcessColumn(reg, one(true), false, 0)
 	wantPenalty := types.Gwei(10000 * uint64(before) / types.InactivityPenaltyQuotient)
 	if got := before - reg.Stake(0); got != wantPenalty {
 		t.Errorf("residual penalty = %d, want %d", got, wantPenalty)
@@ -274,7 +269,7 @@ func TestResidualPenaltiesOutsideLeak(t *testing.T) {
 	}
 	// A zero-score validator pays nothing.
 	reg2 := newRegistry(1, types.MaxEffectiveBalanceGwei)
-	e.ProcessEpoch(reg2, always(true), false, 0)
+	e.ProcessColumn(reg2, one(true), false, 0)
 	if reg2.Stake(0) != types.MaxEffectiveBalanceGwei {
 		t.Error("zero-score validator must not pay residual penalties")
 	}
@@ -288,7 +283,7 @@ func TestScoreNeverNegativeProperty(t *testing.T) {
 		reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 		for i, active := range pattern {
 			inLeak := leakBits&(1<<(i%8)) != 0
-			e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return active }, inLeak, types.Epoch(i))
+			e.ProcessColumn(reg, one(active), inLeak, types.Epoch(i))
 			if reg.Columns().Scores[0] > 1<<40 {
 				return false // wrapped around
 			}
@@ -308,7 +303,7 @@ func TestStakeMonotoneNonIncreasingProperty(t *testing.T) {
 		reg := newRegistry(1, types.MaxEffectiveBalanceGwei)
 		prev := reg.Columns().Stakes[0]
 		for i, active := range pattern {
-			e.ProcessEpoch(reg, func(types.ValidatorIndex) bool { return active }, true, types.Epoch(i))
+			e.ProcessColumn(reg, one(active), true, types.Epoch(i))
 			cur := reg.Columns().Stakes[0]
 			if cur > prev {
 				return false
@@ -322,11 +317,12 @@ func TestStakeMonotoneNonIncreasingProperty(t *testing.T) {
 	}
 }
 
-// TestProcessEpochConsultsActivityOncePerValidator pins the fused sweep's
-// contract: active(v) runs EXACTLY once per in-set validator per epoch.
-// The pre-fusion sweep asked a second time during post-state measurement,
-// which doubled the callback cost at long horizons and let an impure
-// closure disagree with the penalty stage.
+// TestProcessEpochConsultsActivityOncePerValidator pins the callback
+// shim's contract: active(v) runs EXACTLY once per in-set validator per
+// epoch, and never for one out of the set. The pre-fusion sweep asked a
+// second time during post-state measurement, which doubled the callback
+// cost at long horizons and let an impure closure disagree with the
+// penalty stage.
 func TestProcessEpochConsultsActivityOncePerValidator(t *testing.T) {
 	const n = 64
 	e := Engine{Spec: types.CompressedSpec(1 << 16)}
@@ -357,7 +353,7 @@ func TestProcessEpochConsultsActivityOncePerValidator(t *testing.T) {
 }
 
 // referenceEpoch is Equations 1-2 and the ejection rule written out for one
-// validator at a time, with the quotient always divided: what ProcessEpoch
+// validator at a time, with the quotient always divided: what ProcessColumn
 // must do to every column and report in its summary.
 func referenceEpoch(e Engine, cols *validator.Columns, active []bool, inLeak bool, epoch types.Epoch) Summary {
 	spec := e.Spec
@@ -402,6 +398,8 @@ func referenceEpoch(e Engine, cols *validator.Columns, active []bool, inLeak boo
 // registry holds random stakes and scores, out-of-set validators, and two
 // scoreless validators no penalty moves: one at exactly the ejection
 // balance, which leaves the set, and one a Gwei above it, which stays.
+// Each case runs twice: with a column as long as the registry, and with
+// one that stops short of it, whose missing tail must read as inactive.
 func TestProcessEpochMatchesReference(t *testing.T) {
 	const n = 1037
 	specs := map[string]types.Spec{
@@ -429,18 +427,22 @@ func TestProcessEpochMatchesReference(t *testing.T) {
 					active[v], cols.Scores[v] = false, 0
 					cols.Stakes[v] = spec.EjectionBalance + above
 				}
-				ref := reg.Clone()
-				want := referenceEpoch(e, ref.Columns(), active, inLeak, 9)
-				got := e.ProcessEpoch(reg, func(v types.ValidatorIndex) bool { return active[v] }, inLeak, 9)
-				at := fmt.Sprintf("quotient %s, leak %t, residual %t", name, inLeak, residual)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: summary %+v, reference %+v", at, got, want)
-				}
-				if !reflect.DeepEqual(reg.Columns(), ref.Columns()) {
-					t.Errorf("%s: the registry differs from the reference's", at)
-				}
-				if st := reg.Columns().Status; st[511] != validator.Ejected || st[1024] != validator.Active {
-					t.Errorf("%s: statuses at and above the ejection balance: %v, %v", at, st[511], st[1024])
+				for _, length := range []int{n, 700} {
+					// The short column's backing array still holds the
+					// random tail, which the sweep must not read.
+					reg, ref := reg.Clone(), reg.Clone()
+					want := referenceEpoch(e, ref.Columns(), append(slices.Clone(active[:length]), make([]bool, n-length)...), inLeak, 9)
+					got := e.ProcessColumn(reg, active[:length], inLeak, 9)
+					at := fmt.Sprintf("quotient %s, leak %t, residual %t, column %d", name, inLeak, residual, length)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: summary %+v, reference %+v", at, got, want)
+					}
+					if !reflect.DeepEqual(reg.Columns(), ref.Columns()) {
+						t.Errorf("%s: the registry differs from the reference's", at)
+					}
+					if st := reg.Columns().Status; st[511] != validator.Ejected || st[1024] != validator.Active {
+						t.Errorf("%s: statuses at and above the ejection balance: %v, %v", at, st[511], st[1024])
+					}
 				}
 			}
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // NoAlloc checks functions annotated //gasper:noalloc — the CI-gated
-// hot paths (steady-state Head, ProcessEpoch, the epoch-transition
+// hot paths (steady-state Head, ProcessColumn, the epoch-transition
 // sweep) — for syntactically allocating constructs:
 //
 //   - make, new, and map/slice composite literals (array and plain

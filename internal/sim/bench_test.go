@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/incentives"
 	"repro/internal/network"
 	"repro/internal/types"
 	"repro/internal/validator"
@@ -249,25 +248,13 @@ func BenchmarkReadSnapshot(b *testing.B) {
 	b.ReportMetric(float64(frame.Len()), "frame-B")
 }
 
-// BenchmarkCohortRegistry measures the columnar registry's epoch-boundary
-// sweep — penalties, scores, ejections, and post-state measurement over
-// flat stake/score/status slices — at paper scale (1M validators), plus
-// the Clone a justified-checkpoint snapshot costs.
+// BenchmarkCohortRegistry measures the columnar registry at paper scale
+// (1M validators): the Clone a justified-checkpoint snapshot costs, and a
+// total-stake scan. Its epoch-boundary sweep is incentives'
+// BenchmarkProcessColumn.
 func BenchmarkCohortRegistry(b *testing.B) {
 	const n = 1_000_000
 	spec := types.DefaultSpec()
-	engine := incentives.Engine{Spec: spec}
-	active := func(v types.ValidatorIndex) bool { return v%2 == 0 }
-
-	b.Run("process-epoch-leak", func(b *testing.B) {
-		reg := new(validator.Registry)
-		reg.Reset(n, spec.MaxEffectiveBalance)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			engine.ProcessEpoch(reg, active, true, types.Epoch(i+1))
-		}
-	})
 	b.Run("clone", func(b *testing.B) {
 		reg := new(validator.Registry)
 		reg.Reset(n, spec.MaxEffectiveBalance)
