@@ -449,7 +449,7 @@ func emit(w io.Writer, o options, title string, results []gasperleak.ScenarioRes
 // emitVerbose logs per-cell execution metadata: sustained simulation
 // throughput plus the retention statistics (block-tree node/segment/folded
 // counts and byte footprints) that make the memory half of the leak-depth
-// story visible.
+// story visible, and the epochs stepped a lane per partition at once.
 func emitVerbose(w io.Writer, results []gasperleak.ScenarioResult) error {
 	for _, r := range results {
 		m := r.Meta
@@ -461,8 +461,8 @@ func emitVerbose(w io.Writer, results []gasperleak.ScenarioResult) error {
 			line += fmt.Sprintf(" %.1f epochs/sec;", m.EpochsPerSec)
 		}
 		if s := m.Sim; s != nil {
-			line += fmt.Sprintf(" trees %d nodes (%d skip segments, %d blocks folded, %d KiB); oracle %d nodes; engines %d KiB",
-				s.TreeNodes, s.TreeSegments, s.TreeFolded, s.TreeBytes/1024, s.OracleNodes, s.EngineBytes/1024)
+			line += fmt.Sprintf(" trees %d nodes (%d skip segments, %d blocks folded, %d KiB); oracle %d nodes; engines %d KiB; lane epochs %d",
+				s.TreeNodes, s.TreeSegments, s.TreeFolded, s.TreeBytes/1024, s.OracleNodes, s.EngineBytes/1024, s.LaneEpochs)
 		}
 		if ck := m.Checkpoint; ck != nil {
 			if ck.Resumed {

@@ -114,10 +114,12 @@ type EpochVotes struct {
 	first  []uint32
 	second []uint32
 	spill  []spillVote
-	// voted is the highest validator with a vote, plus one: where the
-	// boundary's sweeps stop, however far past it first is sized (a view of
-	// one partition hears half the validators).
+	// voted is the highest validator with a vote, plus one, and lead is at
+	// most the lowest (while voted > 0): the boundary's sweeps run from lead
+	// to voted, however wide first is sized (a view of one partition hears
+	// only its own validators).
 	voted int //gasper:nocodec derived from the column; a decoding walk recomputes it
+	lead  int //gasper:nocodec derived from the column; a decoding walk recomputes it
 	// bound is the heaviest link of the epoch's last window tally, held
 	// while bounded: no vote has arrived since, and within a run stakes only
 	// fall and no validator re-enters the set, so no link can weigh more.
@@ -248,13 +250,14 @@ func (p *Pool) AddBatch(dst []types.ValidatorIndex, data Data, validators []type
 	}
 	ev := p.open(data.Target.Epoch)
 	id := ev.intern(data)
-	need := 0
+	need, low := 0, int(validators[0])
 	for _, v := range validators {
-		if int(v) >= need {
-			need = int(v) + 1
-		}
+		need, low = max(need, int(v)+1), min(low, int(v))
 	}
 	p.width = max(p.width, need)
+	if ev.voted == 0 || low < ev.lead {
+		ev.lead = low
+	}
 	ev.voted = max(ev.voted, need)
 	if len(ev.first) < need {
 		ev.first = widen(ev.first, p.width)
@@ -426,12 +429,13 @@ func (p *Pool) Activity(a *Activity, e types.Epoch, root types.Root) []bool {
 		a.active = make([]bool, ev.voted) //gasper:alloc scratch growth, amortized to zero
 	}
 	active, match := a.active[:ev.voted], a.match
-	for v, id := range ev.first[:ev.voted] {
-		active[v] = match[id]
+	clear(active[:ev.lead])
+	for v := ev.lead; v < ev.voted; v++ {
+		active[v] = match[ev.first[v]]
 	}
 	if ev.second != nil {
-		for v, id := range ev.second[:ev.voted] {
-			active[v] = active[v] || match[id]
+		for v := ev.lead; v < ev.voted; v++ {
+			active[v] = active[v] || match[ev.second[v]]
 		}
 		for _, sp := range ev.spill {
 			active[sp.validator] = active[sp.validator] || match[sp.id]
@@ -480,7 +484,7 @@ func (p *Pool) AppendWindowTally(dst [][]LinkWeight, lo types.Epoch, cols valida
 		for _, lw := range dst[k][base:] {
 			ev.bound = max(ev.bound, lw.Weight)
 		}
-		rows += min(ev.voted, len(cols.Stakes), len(cols.Status))
+		rows += max(0, min(ev.voted, len(cols.Stakes), len(cols.Status))-ev.lead)
 	}
 	return rows
 }
@@ -533,7 +537,7 @@ func (p *Pool) tally(dst []LinkWeight, ev *EpochVotes, stakes []types.Gwei, stat
 	// The inner loop makes no call: it adds a validator's stake to its
 	// vote's sum, and leaves to the outer one a vote's first stake, which
 	// may open its link's row, and an equivocator's other votes.
-	for v := 0; v < len(first); v++ {
+	for v := ev.lead; v < len(first); v++ {
 		var id uint32
 		var s types.Gwei
 		for ; v < len(first); v++ {
@@ -628,6 +632,7 @@ func (ev *EpochVotes) clone() *EpochVotes {
 		second: append([]uint32(nil), ev.second...),
 		spill:  append([]spillVote(nil), ev.spill...),
 		voted:  ev.voted,
+		lead:   ev.lead,
 	}
 }
 

@@ -86,7 +86,10 @@ func (ev *EpochVotes) walk(c *codec.Coder) {
 		c.Corrupt("attestation: malformed id column")
 		return
 	}
-	ev.first, ev.voted = first, len(first)
+	ev.first, ev.voted, ev.lead = first, len(first), 0
+	for ev.lead < len(first) && first[ev.lead] == 0 {
+		ev.lead++
+	}
 	if len(second) > 0 {
 		ev.second = make([]uint32, len(first))
 		copy(ev.second, second)

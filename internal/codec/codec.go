@@ -71,8 +71,21 @@ func NewEncoder(w io.Writer) *Coder { return &Coder{w: w} }
 // length through a Len() int method, as *bytes.Reader does, every count is
 // checked against it.
 func NewDecoder(r io.Reader) *Coder {
+	c := new(Coder)
+	c.ResetDecoder(r)
+	return c
+}
+
+// ResetEncoder makes c, in place, the Coder NewEncoder(w) returns: a Coder
+// kept for many small values moves each without a chunk of its own.
+func (c *Coder) ResetEncoder(w io.Writer) {
+	c.w, c.r, c.left, c.err, c.n, c.bound = w, nil, nil, nil, 0, 0
+}
+
+// ResetDecoder makes c, in place, the Coder NewDecoder(r) returns.
+func (c *Coder) ResetDecoder(r io.Reader) {
 	left, _ := r.(interface{ Len() int })
-	return &Coder{r: r, left: left}
+	c.w, c.r, c.left, c.err, c.n, c.bound = nil, r, left, nil, 0, 0
 }
 
 // Encoding reports whether c writes (true) or reads (false).

@@ -117,7 +117,9 @@ func BenchmarkSweepWarmStartForks(b *testing.B) {
 // traffic); CI gates both counts, B/op and allocs/op (gates.json). Per
 // epoch of the last cell, it also reports the work counters of sim.Stats:
 // validator rows swept by the views' window tallies, full stake sums and
-// duty-bucket builds, which gates.json bounds as well.
+// duty-bucket builds, which gates.json bounds as well, and per cell the
+// epochs stepped lane by lane: none, as a 16-validator population is below
+// the size from which lanes pay.
 func BenchmarkPartitionCell(b *testing.B) {
 	sc, _ := Default.Lookup(ScenarioSimPartition)
 	row, p, ctx := sc.(*simScenario), sc.Defaults(), context.Background()
@@ -147,4 +149,5 @@ func BenchmarkPartitionCell(b *testing.B) {
 	b.ReportMetric(float64(st.Work.TallyRows)/epochs, "tally-rows/epoch")
 	b.ReportMetric(float64(st.Work.StakeSums)/epochs, "stake-sums/epoch")
 	b.ReportMetric(float64(st.BucketRebuilds)/epochs, "bucket-builds/epoch")
+	b.ReportMetric(float64(st.LaneEpochs), "lane-epochs/cell")
 }

@@ -96,6 +96,10 @@ type SimStats struct {
 	TreeBytes   int `json:"tree_bytes,omitempty"`
 	OracleNodes int `json:"oracle_nodes,omitempty"`
 	EngineBytes int `json:"engine_bytes,omitempty"`
+	// LaneEpochs counts the epochs the simulation stepped lane by lane, a
+	// lane per honest partition at once (sim.Stats.LaneEpochs); it depends
+	// on GOMAXPROCS, as the wall-clock fields do.
+	LaneEpochs int `json:"lane_epochs,omitempty"`
 }
 
 // Merged returns m with the non-deterministic fields of prior carried

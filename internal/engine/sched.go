@@ -192,6 +192,7 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 	// its caller took.
 	spawn := func(job func()) {
 		wg.Add(1)
+		//gasper:nondet a job computes one cell or spine from its own inputs and emits results tagged with their cell index, which is where a sweep files them
 		go func() {
 			defer wg.Done()
 			job()
@@ -234,6 +235,7 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		}
 	}
 
+	//gasper:nondet only hands out jobs; every result is tagged with its cell index
 	go func() {
 		for _, g := range groups {
 			slots <- struct{}{}
@@ -254,6 +256,7 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		wg.Wait()
 		close(finished)
 	}()
+	//gasper:nondet forwards results in the order they finish, each tagged with its cell index; only the Completed count follows that order
 	go func() {
 		defer close(out)
 		completed := 0

@@ -82,6 +82,7 @@ func simMeta(s *sim.Simulation, elapsed time.Duration) *RunMeta {
 			TreeBytes:    st.Tree.Bytes,
 			OracleNodes:  st.Oracle.Nodes,
 			EngineBytes:  st.Engine.Bytes,
+			LaneEpochs:   st.LaneEpochs,
 		},
 	}
 	epochs := float64(simulatedEpochs(s))

@@ -306,7 +306,13 @@ func parseValues(t reflect.Type, value string, room int, over func(float64) erro
 
 // Options configures a sweep, or one cell (RunCell).
 type Options struct {
-	// Workers bounds concurrency; <= 0 means runtime.NumCPU().
+	// Workers bounds concurrency; <= 0 means runtime.NumCPU(). It bounds
+	// the cells in flight, not the goroutines a cell uses: a cell may use up
+	// to GOMAXPROCS of them, because an epoch in which the honest partitions
+	// cannot hear each other — no adversary, no Byzantine validators, before
+	// GST, 4,096 validators or more — steps each partition's lane on its own
+	// goroutine (sim.Simulation.RunEpochs). GOMAXPROCS=1 keeps every cell on
+	// one goroutine, the single-core path, with the same results.
 	Workers int
 	// Registry resolves scenario names; nil means the default registry.
 	Registry *Registry
@@ -450,6 +456,7 @@ func (p *Prepared) stream(ctx context.Context, hits []Hit) <-chan Update {
 		updates = p.compute(ctx)
 	}
 	out := make(chan Update)
+	//gasper:nondet emits the store's hits, then the computed cells as they finish, each tagged with its cell index
 	go func() {
 		defer close(out)
 		total := len(p.hits) + len(p.todo)

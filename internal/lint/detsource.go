@@ -16,14 +16,17 @@ import (
 //     *rand.Rand — constructors (New, NewSource, NewPCG, ...) are fine;
 //   - select statements with two or more communication cases, whose
 //     firing order the runtime randomizes — the canonical way sweep
-//     results get reordered across runs.
+//     results get reordered across runs;
+//   - go statements, whose goroutines the scheduler interleaves as it
+//     likes, so their output is only as deterministic as its merge.
 //
 // A finding on a path that provably never reaches a result payload
 // (wall-clock provenance, cancellation plumbing whose output is merged
-// deterministically) is waived with //gasper:nondet <reason>.
+// deterministically) is waived with //gasper:nondet <reason>; a go
+// statement's reason says how its output is merged deterministically.
 var DetSource = &Analyzer{
 	Name: "detsource",
-	Doc: "flag wall clocks, global randomness, and select fan-in in " +
+	Doc: "flag wall clocks, global randomness, select fan-in and goroutines in " +
 		"deterministic packages unless waived with //gasper:nondet",
 	Run: runDetSource,
 }
@@ -73,6 +76,11 @@ func runDetSource(pass *Pass) {
 							"use a per-cell seeded *rand.Rand or waive with //gasper:nondet <reason>",
 							fn.Pkg().Name(), fn.Name())
 					}
+				}
+			case *ast.GoStmt:
+				if !pass.waived(node.Pos(), dirNondet) {
+					pass.Reportf(node.Pos(), "go statement runs concurrently with its caller on a deterministic path; "+
+						"merge its output deterministically and waive with //gasper:nondet <how it is merged>")
 				}
 			case *ast.SelectStmt:
 				comm := 0

@@ -47,5 +47,27 @@ func waivedFanIn(done chan struct{}, v chan int) int {
 	}
 }
 
+func fanOut(work func(int), n int) {
+	for i := range n {
+		go work(i) // want "go statement runs concurrently with its caller"
+	}
+}
+
+func waivedFanOut(work func(int) int, n int) []int {
+	out := make([]int, n)
+	done := make(chan struct{})
+	for i := range n {
+		//gasper:nondet fixture: each goroutine writes its own index's slot, read after all are done
+		go func() {
+			out[i] = work(i)
+			done <- struct{}{}
+		}()
+	}
+	for range n {
+		<-done
+	}
+	return out
+}
+
 //gasper:bogus unknown verbs are diagnostics too // want "unknown directive"
 func typo() {}

@@ -36,7 +36,7 @@ func Escapes() *pair {
 
 //gasper:noalloc
 func Spawn(ch chan int) {
-	go func() { ch <- 1 }() // want "go statement allocates a goroutine" "closure may capture and escape"
+	go func() { ch <- 1 }() // want "go statement allocates a goroutine" "closure may capture and escape" "go statement runs concurrently"
 }
 
 //gasper:noalloc

@@ -17,8 +17,8 @@ import (
 // decoded configuration is restored verbatim (no constructor defaulting —
 // a snapshotted RetryDelay of 2 decodes as 2, not as "0, defaulted
 // later"). Decoding empties the network as Reset does and refills it in
-// the storage it holds: its inboxes, and the lists on its free list for
-// the decoded slots' messages.
+// the storage it holds: its inboxes, and the lists on each endpoint's free
+// list for that endpoint's decoded slots' messages.
 func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Coder)) {
 	if !c.Encoding() {
 		n.empty()
@@ -33,7 +33,13 @@ func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Code
 	codec.Slice(c, &n.bridging, 1, func(b *bool, c *codec.Coder) { c.Bool(b) })
 	c.Int(&n.sent)
 	c.Int(&n.dropped)
+	node := 0
 	codec.Slice(c, &n.inbox, 4, func(box *map[types.Slot][]M, c *codec.Coder) {
+		var spare *[][]M
+		if node < len(n.ports) {
+			spare = &n.ports[node].spare
+		}
+		node++
 		var slots []types.Slot
 		if c.Encoding() {
 			slots = slices.AppendSeq(make([]types.Slot, 0, len(*box)), maps.Keys(*box))
@@ -46,12 +52,16 @@ func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Code
 		codec.Slice(c, &slots, 8+4, func(s *types.Slot, c *codec.Coder) {
 			c.U64((*uint64)(s))
 			msgs := (*box)[*s]
-			if k := len(n.spare) - 1; !c.Encoding() && k >= 0 {
-				msgs, n.spare = n.spare[k], n.spare[:k]
+			if !c.Encoding() && spare != nil && len(*spare) > 0 {
+				k := len(*spare) - 1
+				msgs, *spare = (*spare)[k], (*spare)[:k]
 			}
 			if codec.Slice(c, &msgs, msgBytes, msg); !c.Encoding() {
 				(*box)[*s] = msgs
 			}
 		})
 	})
+	if !c.Encoding() {
+		n.sizePorts()
+	}
 }

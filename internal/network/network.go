@@ -27,11 +27,17 @@
 //
 // A slot's message path allocates nothing in the steady state: the list
 // Deliveries hands out is the network's own, lent until the next
-// Deliveries call, which clears it and keeps it for a later slot's
-// messages. Messages are stored by value, so a simulator whose message
-// type is a value sends without allocating, and a Clone copies them. Reset
-// empties a network in place for its next run and keeps every list,
-// including one held for GST.
+// Deliveries call for that endpoint, which clears it and keeps it for a
+// later slot's messages to the same endpoint. Messages are stored by value,
+// so a simulator whose message type is a value sends without allocating,
+// and a Clone copies them. Reset empties a network in place for its next
+// run and keeps every list, including one held for GST.
+//
+// Each endpoint keeps its own inbox and free list, so goroutines that each
+// drive the endpoints of one partition may call Deliveries and
+// BroadcastWithin for their own endpoints at once, while nothing else uses
+// the network; BroadcastAcross then completes their sends one goroutine at
+// a time.
 package network
 
 import (
@@ -93,14 +99,21 @@ type Network[M any] struct {
 	inbox []map[types.Slot][]M
 	// counters for metrics.
 	sent, dropped int
-	// drained is the list the last Deliveries call returned; the next call
-	// clears it onto spare, where enqueue takes lists for new slots from.
-	//gasper:nocodec the caller's view of the last drain, not in-flight state
-	//gasper:shallow a clone's first drain must not recycle a list its original handed out
+	// ports[node] is the endpoint's list storage.
+	//gasper:nocodec the caller's view of the last drain and an allocation cache, not in-flight state
+	//gasper:shallow a clone starts with none: a list its original handed out or keeps is the original's
+	ports []port[M]
+}
+
+// port is one endpoint's list storage: drained is the list the last
+// Deliveries call for the endpoint returned, which the next call clears onto
+// spare, where enqueue takes lists for the endpoint's new slots from.
+type port[M any] struct {
 	drained []M
-	//gasper:nocodec allocation cache, not state; a decoded network starts with none
-	//gasper:shallow a clone starts with none: the storage belongs to this network
-	spare [][]M
+	spare   [][]M
+	// pad keeps two endpoints' ports, which two goroutines may write at
+	// once, off a shared cache line.
+	_ [128]byte
 }
 
 // Reset makes the network a fresh one for cfg (every endpoint in partition
@@ -123,24 +136,46 @@ func (n *Network[M]) Reset(cfg Config) {
 			n.inbox[i] = make(map[types.Slot][]M)
 		}
 	}
+	n.sizePorts()
 }
 
-// empty clears every inbox list, a held one included, onto the free list
-// that enqueue starts new slots' lists from, and leaves every inbox empty.
+// sizePorts gives every endpoint a port, handing the free lists of ports
+// past the last endpoint to the first, largest first as empty leaves them.
+func (n *Network[M]) sizePorts() {
+	if len(n.ports) > max(len(n.inbox), 1) {
+		for k := len(n.ports) - 1; k > 0 && k >= len(n.inbox); k-- {
+			n.ports[0].spare = append(n.ports[0].spare, n.ports[k].spare...)
+			n.ports[k] = port[M]{}
+		}
+		slices.SortFunc(n.ports[0].spare, byCapDesc)
+	}
+	n.ports = slices.Grow(n.ports[:min(len(n.ports), len(n.inbox))], len(n.inbox))[:len(n.inbox)]
+}
+
+// empty clears every inbox list, a held one included, onto its endpoint's
+// free list, and leaves every inbox empty.
 func (n *Network[M]) empty() {
-	n.recycleDrained()
-	for _, box := range n.inbox {
+	for i := range n.ports {
+		n.recycleDrained(NodeID(i))
+	}
+	for i, box := range n.inbox {
+		if i >= len(n.ports) {
+			break
+		}
+		pt := &n.ports[i]
 		//gasper:ordered the lists only become spare storage, whose order decides no delivery
 		for _, msgs := range box {
 			clear(msgs)
-			n.spare = append(n.spare, msgs[:0])
+			pt.spare = append(pt.spare, msgs[:0])
 		}
 		clear(box)
+		// Largest first, so that the slots' lists, taken from the end,
+		// start on the small ones.
+		slices.SortFunc(pt.spare, byCapDesc)
 	}
-	// Largest first, so that the slots' lists, taken from the end, start
-	// on the small ones.
-	slices.SortFunc(n.spare, func(a, b []M) int { return cap(b) - cap(a) })
 }
+
+func byCapDesc[M any](a, b []M) int { return cap(b) - cap(a) }
 
 // SetPartition assigns an endpoint to a partition. The partition scopes
 // pre-GST reachability and identifies the endpoint's inbound link for the
@@ -225,14 +260,33 @@ func (n *Network[M]) deliveryAt(at types.Slot, reachable bool, fromPartition, to
 // before GST are held and delivered at GST + Delay, mirroring the partial
 // synchrony guarantee that pre-GST messages arrive by GST + delta.
 func (n *Network[M]) Broadcast(from NodeID, at types.Slot, msg M) {
+	n.BroadcastWithin(from, at, msg)
+	n.BroadcastAcross(from, at, msg)
+}
+
+// BroadcastWithin is the part of Broadcast that reaches the endpoints of
+// the sender's own partition, itself included, each after Delay. It counts
+// nothing and touches only those endpoints' inboxes and free lists.
+//
+//gasper:noalloc
+func (n *Network[M]) BroadcastWithin(from NodeID, at types.Slot, msg M) {
+	fromP := n.Partition(from)
+	for node := 0; node < n.cfg.Nodes; node++ {
+		if n.partition[node] == fromP {
+			n.enqueue(NodeID(node), at+n.cfg.Delay, msg)
+		}
+	}
+}
+
+// BroadcastAcross is the rest of Broadcast: msg reaches every endpoint of
+// another partition, and the send is counted.
+func (n *Network[M]) BroadcastAcross(from NodeID, at types.Slot, msg M) {
 	fromP := n.Partition(from)
 	for node := 0; node < n.cfg.Nodes; node++ {
 		to := NodeID(node)
-		if to == from {
-			n.enqueue(to, at+n.cfg.Delay, msg)
-			continue
+		if toP := n.partition[node]; toP != fromP {
+			n.enqueue(to, n.deliveryAt(at, n.Reachable(from, to, at), fromP, toP), msg)
 		}
-		n.enqueue(to, n.deliveryAt(at, n.Reachable(from, to, at), fromP, n.Partition(to)), msg)
 	}
 	n.sent++
 }
@@ -272,23 +326,23 @@ func (n *Network[M]) enqueue(to NodeID, at types.Slot, msg M) {
 	if at >= Never {
 		return
 	}
-	box := n.inbox[to]
+	box, spare := n.inbox[to], &n.ports[to].spare
 	list := box[at]
-	if list == nil && len(n.spare) > 0 {
-		k := len(n.spare) - 1
+	if list == nil && len(*spare) > 0 {
+		k := len(*spare) - 1
 		if at >= n.cfg.GST+n.cfg.Delay {
 			// Before GST a list this late is held for the heal, and grows
 			// to every message sent across partitions until then: it takes
 			// the largest spare, likely the one the last run held.
-			for i := range n.spare {
-				if cap(n.spare[i]) > cap(n.spare[k]) {
+			for i := range *spare {
+				if cap((*spare)[i]) > cap((*spare)[k]) {
 					k = i
 				}
 			}
 		}
-		list = n.spare[k]
-		n.spare[k] = n.spare[len(n.spare)-1]
-		n.spare = n.spare[:len(n.spare)-1]
+		list = (*spare)[k]
+		(*spare)[k] = (*spare)[len(*spare)-1]
+		*spare = (*spare)[:len(*spare)-1]
 	}
 	box[at] = append(list, msg) //gasper:alloc one-time growth: a list grows to its slot's message count, then is recycled
 }
@@ -303,6 +357,7 @@ func (n *Network[M]) Clone() *Network[M] {
 		partition: append([]int(nil), n.partition...),
 		bridging:  append([]bool(nil), n.bridging...),
 		inbox:     make([]map[types.Slot][]M, len(n.inbox)),
+		ports:     make([]port[M], len(n.inbox)),
 		sent:      n.sent,
 		dropped:   n.dropped,
 	}
@@ -372,31 +427,31 @@ func (n *Network[M]) RetargetGST(gst types.Slot) {
 
 // Deliveries drains and returns the messages arriving at endpoint `to` in
 // slot `at`, in deterministic send order. The list is the network's: it
-// stays valid until the next Deliveries call on this network, which clears
-// it (so it keeps no message alive) and reuses it for a later slot. A
-// caller that keeps messages past that copies them out.
+// stays valid until the next Deliveries call for `to`, which clears it (so
+// it keeps no message alive) and reuses it for a later slot. A caller that
+// keeps messages past that copies them out.
 //
 //gasper:noalloc
 func (n *Network[M]) Deliveries(to NodeID, at types.Slot) []M {
-	n.recycleDrained()
 	if int(to) >= len(n.inbox) {
 		return nil
 	}
+	n.recycleDrained(to)
 	msgs := n.inbox[to][at]
 	delete(n.inbox[to], at)
-	n.drained = msgs
+	n.ports[to].drained = msgs
 	return msgs
 }
 
-// recycleDrained clears the list the last Deliveries call lent, so it keeps
-// no message alive, and puts it on the free list.
+// recycleDrained clears the list the last Deliveries call for `to` lent,
+// so it keeps no message alive, and puts it on the endpoint's free list.
 //
 //gasper:noalloc
-func (n *Network[M]) recycleDrained() {
-	if n.drained != nil {
-		clear(n.drained)
-		n.spare = append(n.spare, n.drained[:0])
-		n.drained = nil
+func (n *Network[M]) recycleDrained(to NodeID) {
+	if drained := n.ports[to].drained; drained != nil {
+		clear(drained)
+		n.ports[to].spare = append(n.ports[to].spare, drained[:0])
+		n.ports[to].drained = nil
 	}
 }
 

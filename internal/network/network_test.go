@@ -407,17 +407,19 @@ func assertNoSharedStorage(t *testing.T, nets ...*Network[string]) {
 				note(l, fmt.Sprintf("net %d inbox %d slot %d", i, node, at))
 			}
 		}
-		for j, l := range n.spare {
-			note(l, fmt.Sprintf("net %d spare %d", i, j))
+		for node, pt := range n.ports {
+			for j, l := range pt.spare {
+				note(l, fmt.Sprintf("net %d endpoint %d spare %d", i, node, j))
+			}
+			note(pt.drained, fmt.Sprintf("net %d endpoint %d drained", i, node))
 		}
-		note(n.drained, fmt.Sprintf("net %d drained", i))
 	}
 }
 
 // TestDeliveriesReusesDrainedLists pins the lifetime of a drained list: it
-// holds its messages until the next Deliveries call, even while new
-// messages are sent, and that call clears it and lends its storage to a
-// later slot. Clones, decoded copies and a held band rebased by
+// holds its messages until the next Deliveries call for its endpoint, even
+// while new messages are sent and other endpoints drain, and that call
+// clears it and lends its storage to a later slot of the endpoint. Clones, decoded copies and a held band rebased by
 // RetargetGST never share storage with a recycled list.
 func TestDeliveriesReusesDrainedLists(t *testing.T) {
 	n := newNet(3, FarFuture, 1)
@@ -455,17 +457,23 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 	if next := n.Deliveries(0, 6); len(next) != 2 || next[0] != "a" {
 		t.Fatalf("endpoint 0 at slot 6 = %v", next)
 	}
+	if got[0] != "a" || got[1] != "b" {
+		t.Fatalf("another endpoint's drain recycled the list: %v", got)
+	}
+	if next := n.Deliveries(1, 7); len(next) != 2 || next[0] != "c" {
+		t.Fatalf("endpoint 1 at slot 7 = %v", next)
+	}
 	if got[0] != "" || got[1] != "" {
 		t.Errorf("recycled list still holds %v", got)
 	}
-	if len(n.spare) != 1 || storage(n.spare[0]) != first || len(n.spare[0]) != 0 {
-		t.Fatalf("spare lists after the second drain: %d, want the first list emptied", len(n.spare))
+	if spare := n.ports[1].spare; len(spare) != 1 || storage(spare[0]) != first || len(spare[0]) != 0 {
+		t.Fatalf("endpoint 1's spare lists after its second drain: %d, want the first list emptied", len(spare))
 	}
 
 	// A new slot takes the spare, which comes back holding only its own
 	// messages.
 	n.enqueue(1, 9, "e")
-	if len(n.spare) != 0 || storage(n.inbox[1][9]) != first {
+	if len(n.ports[1].spare) != 0 || storage(n.inbox[1][9]) != first {
 		t.Fatal("a new slot did not take the spare list")
 	}
 	// The copies still hold what they held: nothing of theirs was lent out.
@@ -483,7 +491,6 @@ func TestDeliveriesReusesDrainedLists(t *testing.T) {
 
 	// Rebase the held band (four cross-partition messages for endpoint 2)
 	// and fill new slots from spares around it.
-	n.Deliveries(1, 7)
 	n.RetargetGST(20)
 	n.Deliveries(0, 7)
 	n.enqueue(2, 21, "f")
@@ -520,7 +527,8 @@ func BenchmarkNetworkSlot(b *testing.B) {
 // TestResetHoldsNoMessages: a reset network is the one New builds — no
 // message of the last run pending, counters and partitions back to zero,
 // the new endpoint count — and every list it kept, drained, pending or
-// held for GST, sits cleared on its free list, the largest the held band
+// held for GST, sits cleared on a free list: its endpoint's, or the first
+// endpoint's for an endpoint the reset dropped, the largest the held band
 // takes first.
 func TestResetHoldsNoMessages(t *testing.T) {
 	n := newNet(3, 40, 1)
@@ -549,21 +557,25 @@ func TestResetHoldsNoMessages(t *testing.T) {
 			t.Fatalf("endpoint %d holds %d messages of the last run", to, p)
 		}
 	}
-	if len(n.spare) != lists+1 {
-		t.Fatalf("%d spare lists, want the %d pending and the one lent", len(n.spare), lists+1)
-	}
-	for _, l := range n.spare {
-		if len(l) != 0 || slices.ContainsFunc(l[:cap(l)], func(m string) bool { return m != "" }) {
-			t.Fatalf("a spare list still holds %q", l[:cap(l)])
+	spares := 0
+	for _, pt := range n.ports {
+		spares += len(pt.spare)
+		for _, l := range pt.spare {
+			if len(l) != 0 || slices.ContainsFunc(l[:cap(l)], func(m string) bool { return m != "" }) {
+				t.Fatalf("a spare list still holds %q", l[:cap(l)])
+			}
 		}
+	}
+	if spares != lists+1 {
+		t.Fatalf("%d spare lists, want the %d pending and the one lent", spares, lists+1)
 	}
 	n.Broadcast(0, 7, "held")
 	if cap(n.inbox[1][8]) == held || cap(n.inbox[0][8]) == held {
 		t.Fatal("a regular slot took the largest spare")
 	}
 	n.SetPartition(1, 1)
-	n.Broadcast(0, 9, "held")
-	if cap(n.inbox[1][41]) != held {
-		t.Fatalf("the held band started on a list of capacity %d, want the largest spare's %d", cap(n.inbox[1][41]), held)
+	n.Broadcast(1, 9, "held")
+	if cap(n.inbox[0][41]) != held {
+		t.Fatalf("the held band started on a list of capacity %d, want the largest spare's %d", cap(n.inbox[0][41]), held)
 	}
 }

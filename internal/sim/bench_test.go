@@ -121,7 +121,8 @@ func longHorizonSnapshotAt(b *testing.B, depth int) *Snapshot {
 // tree depth. With spine compaction plus the frontier-bounded settle the
 // trajectory is flat: depth-4000 must hold >= 0.8x depth-100 (CI-gated).
 // Run with -benchmem, depth-100's B/op is a steady-state epoch's garbage,
-// also CI-gated.
+// also CI-gated. With two or more processors every epoch steps its two
+// partitions' lanes at once (lane-epochs/epoch = 1, CI-gated).
 func BenchmarkSimLongHorizon(b *testing.B) {
 	b.Run("depth-6", func(b *testing.B) {
 		s, err := New(longHorizonConfig())
@@ -173,13 +174,15 @@ func BenchmarkSimLongHorizon(b *testing.B) {
 
 // reportWork reports the work counters a run of epochs moved from before
 // to after, per epoch: the validator rows the views' FFG window tallies
-// swept, the full sums of a view's in-set stake, and the slots whose
-// attesters were grouped into duty buckets afresh.
+// swept, the full sums of a view's in-set stake, the slots whose attesters
+// were grouped into duty buckets afresh, and the epochs stepped with two or
+// more lanes at once.
 func reportWork(b *testing.B, before, after Stats, epochs int) {
 	per := func(n int) float64 { return float64(n) / float64(epochs) }
 	b.ReportMetric(per(after.Work.TallyRows-before.Work.TallyRows), "tally-rows/epoch")
 	b.ReportMetric(per(after.Work.StakeSums-before.Work.StakeSums), "stake-sums/epoch")
 	b.ReportMetric(per(after.BucketRebuilds-before.BucketRebuilds), "bucket-builds/epoch")
+	b.ReportMetric(per(after.LaneEpochs-before.LaneEpochs), "lane-epochs/epoch")
 }
 
 // BenchmarkSnapshotWriteTo encodes the snapshot a durable checkpoint of a

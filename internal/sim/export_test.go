@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/forkchoice"
 	"repro/internal/refmodel"
 )
@@ -28,6 +30,17 @@ func (m ReferenceMode) Config(cfg Config) Config {
 	cfg.reference = reference{singletons: m.PerValidator}
 	if m.MapForkChoice {
 		cfg.reference.engine = func() forkchoice.Engine { return refmodel.NewOracle() }
+	}
+	return cfg
+}
+
+// WithLanes returns cfg set to step its epochs lane by lane wherever lanes
+// apply, whatever its size (on), or always as one lane (off). Apply it after
+// ReferenceMode.Config, which sets the whole reference.
+func WithLanes(cfg Config, on bool) Config {
+	cfg.reference.laneMin = math.MaxInt
+	if on {
+		cfg.reference.laneMin = 1
 	}
 	return cfg
 }

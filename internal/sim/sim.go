@@ -36,6 +36,17 @@
 // (3) gives the adversary its turn, (4) lets the slot's honest proposer
 // extend its cohort's head, and (5) batches the attestations of honest
 // validators with this slot's duty, one batch per (duty view, home cohort).
+//
+// It steps lanes (lanes.go). A lane is the cohorts of one honest partition
+// when the partitions cannot hear each other for a whole epoch — no
+// adversary, no bridging Byzantine cohort, the epoch ending before GST — and
+// nothing wants every view between two slots (no OnEpoch hook), in a run of
+// at least laneValidators validators on two or more processors; otherwise
+// one lane holds every cohort. RunEpochs steps such an epoch's lanes at
+// once, each on its own goroutine, and joins them once. What a lane sends
+// to another is held for the heal anyway, so the join delivers it in the
+// order one lane would have sent it, and the run is byte for byte the one
+// stepped as one lane.
 package sim
 
 import (
@@ -193,12 +204,16 @@ type reference struct {
 	// engine, if non-nil, builds every view's fork choice in place of
 	// a forkchoice.ProtoArray.
 	engine func() forkchoice.Engine
+	// laneMin, if nonzero, replaces laneValidators, the validator count
+	// from which an epoch steps lane by lane: 1 takes lanes at any size
+	// where they apply, and a count above the run's keeps one lane.
+	laneMin int
 }
 
 // Compaction tuning: the default node-count watermark at which a view's
 // tree folds its cold spine, and the retention window (in epochs) below
 // which blocks are never folded — wide enough to cover every in-flight
-// message age under the gates maybeCompact enforces, and aligned with the
+// message age under the gates compaction enforces, and aligned with the
 // attestation pool's own 8-epoch pruning horizon.
 const (
 	defaultCompactWatermark = 1024
@@ -263,11 +278,19 @@ type Simulation struct {
 	//gasper:nocodec a cache of lists already sent; a simulation without it sends equal lists of its own
 	//gasper:shallow a cache of lists already sent; a simulation without it sends equal lists of its own
 	sentLists [][][]types.ValidatorIndex
-	// rootScratch backs the list hiddenFor returns and the roots
-	// compactOracle pins; neither outlives its call.
-	//gasper:nocodec per-computation scratch; holds nothing between head computations
-	//gasper:shallow per-computation scratch; every simulation refills its own
-	rootScratch []types.Root
+	// lanes is the storage of the lanes that step the simulation, empty
+	// between steps; laneEpochs counts the epochs stepped with two or more
+	// of them.
+	//gasper:nocodec lane storage, empty between steps: the embargoes are back in embargoes and the outboxes delivered
+	//gasper:shallow lane storage; every simulation steps its own
+	lanes *laneSet
+	//gasper:nocodec a count of work done, not simulation state
+	//gasper:shallow a count of work done; every simulation counts its own
+	laneEpochs int
+	// advCoder moves the adversary's state in and out of snapshots.
+	//gasper:nocodec coder storage, holds nothing between snapshots
+	//gasper:shallow coder storage; every simulation keeps its own
+	advCoder *adversaryCoder
 	// oracle is an omniscient block tree used only for Safety auditing.
 	oracle *blocktree.Tree
 	slot   types.Slot
@@ -415,10 +438,15 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 		slotBuckets:  old.slotBuckets,
 		bucketsBuilt: old.bucketsBuilt,
 		sentLists:    old.sentLists,
-		rootScratch:  old.rootScratch,
+		lanes:        old.lanes,
+		advCoder:     old.advCoder,
 		oracle:       old.oracle,
 	}
 	s.cohorts, s.cohortOf = buildCohorts(cfg, byzantine, genesis, shell, old.cohorts, old.cohortOf)
+	if s.lanes == nil {
+		s.lanes = new(laneSet)
+	}
+	s.lanes.layout(s.cohorts, len(byzantine) == 0 && len(partitions) > 1)
 	s.Net = wireNetwork(cfg, s.cohorts, old.Net)
 	s.dutyView = old.dutyView[:0]
 	if !shell { // a shell takes its duty views from the snapshot it is given
@@ -515,137 +543,106 @@ func (s *Simulation) recordOracle(m *Message) {
 	}
 }
 
-// expireEmbargoes drops embargoes whose broadcast copies arrive at `slot`
-// (the arriving duplicate is deduplicated by the tree).
-func (s *Simulation) expireEmbargoes(slot types.Slot) {
-	if len(s.embargoes) == 0 {
-		return
-	}
-	kept := s.embargoes[:0]
-	for _, e := range s.embargoes {
-		if e.until > slot {
-			kept = append(kept, e)
-		}
-	}
-	s.embargoes = kept
-}
-
-// hiddenFor lists the blocks a head computation for cohort ci acting as
-// `actor` must skip (the actor sees its own in-flight blocks; everyone else
-// does not). hasActor=false hides every live embargoed block of the cohort.
-// The list lives in a scratch slice the next call overwrites; empty means
-// the unfiltered view.
-//
-//gasper:noalloc
-func (s *Simulation) hiddenFor(ci int, actor types.ValidatorIndex, hasActor bool) []types.Root {
-	s.rootScratch = s.rootScratch[:0]
-	for _, e := range s.embargoes {
-		if e.cohort == ci && (!hasActor || e.producer != actor) {
-			s.rootScratch = append(s.rootScratch, e.root)
-		}
-	}
-	return s.rootScratch
-}
-
-// appendOwners appends to dst, ascending, the positions in list of the
-// members with a block of cohort ci still in flight (each then computes
-// duties on a slightly newer view than its cohort mates): a binary search
-// of the ascending list per live embargo, and one position per member
-// however many embargoes it holds.
-//
-//gasper:noalloc
-func (s *Simulation) appendOwners(dst []int, ci int, list []types.ValidatorIndex) []int {
-	for _, e := range s.embargoes {
-		if e.cohort != ci {
-			continue
-		}
-		if k, ok := slices.BinarySearch(list, e.producer); ok && !slices.Contains(dst, k) {
-			dst = append(dst, k)
-		}
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// Step executes one slot.
+// Step executes one slot, as one lane.
 func (s *Simulation) Step() error {
-	slot := s.slot
-	s.expireEmbargoes(slot)
+	slot, solo := s.slot, s.lanes.solo[:]
+	s.split(solo)
+	err := s.receive(&solo[0], slot)
+	if s.join(solo); err != nil {
+		return err
+	}
+	if slot.IsEpochStart() && slot > 0 {
+		s.compactOracle(slot.Epoch())
+		if s.Cfg.OnEpoch != nil {
+			s.Cfg.OnEpoch(s, slot.Epoch())
+		}
+	}
+	// The strong adversary can always schedule its messages ahead of
+	// honest actions in a slot.
+	if s.Cfg.Adversary != nil {
+		s.Cfg.Adversary.OnSlot(s, slot)
+	}
+	s.split(solo)
+	s.act(&solo[0], slot)
+	s.join(solo)
+	s.slot++
+	return nil
+}
 
-	// 1. Deliver messages, one drain per cohort endpoint.
-	for _, c := range s.cohorts {
+// receive is the first half of a lane's slot: embargoes whose copies arrive
+// expire, the lane's endpoints drain (one drain per cohort endpoint), and at
+// an epoch start its views process the boundary and then compact. A
+// singleton cohort processes as its only member (seeing its own in-flight
+// blocks, as the pre-refactor per-validator node did); a shared view
+// processes with in-flight blocks hidden — the boundary outcome is
+// identical either way for sane delays, because an in-flight tip block is
+// never the ended epoch's checkpoint.
+func (s *Simulation) receive(l *lane, slot types.Slot) error {
+	l.expireEmbargoes(slot)
+	for _, c := range l.cohorts {
 		msgs := s.Net.Deliveries(network.NodeID(c.Index), slot)
 		for i := range msgs {
 			c.deliver(&msgs[i])
 		}
 	}
-
-	// 2. Epoch boundary, once per view. A singleton cohort processes as
-	// its only member (seeing its own in-flight blocks, as the
-	// pre-refactor per-validator node did); a shared view processes with
-	// in-flight blocks hidden — the boundary outcome is identical either
-	// way for sane delays, because an in-flight tip block is never the
-	// ended epoch's checkpoint.
-	if slot.IsEpochStart() && slot > 0 {
-		epoch := slot.Epoch()
-		for _, c := range s.cohorts {
-			if len(c.Members) == 1 {
-				c.Node.SetHidden(s.hiddenFor(c.Index, c.Members[0], true))
-			} else {
-				c.Node.SetHidden(s.hiddenFor(c.Index, 0, false))
-			}
-			_, err := c.Node.ProcessEpochBoundary(epoch)
-			c.Node.SetHidden(nil)
-			if err != nil {
-				return fmt.Errorf("sim: slot %d: %w", slot, err)
-			}
+	if !slot.IsEpochStart() || slot == 0 {
+		return nil
+	}
+	for _, c := range l.cohorts {
+		if len(c.Members) == 1 {
+			c.Node.SetHidden(l.hiddenFor(c.Index, c.Members[0], true))
+		} else {
+			c.Node.SetHidden(l.hiddenFor(c.Index, 0, false))
 		}
-		s.maybeCompact(epoch)
-		if s.Cfg.OnEpoch != nil {
-			s.Cfg.OnEpoch(s, epoch)
+		_, err := c.Node.ProcessEpochBoundary(slot.Epoch())
+		c.Node.SetHidden(nil)
+		if err != nil {
+			return fmt.Errorf("sim: slot %d: %w", slot, err)
 		}
 	}
-
-	// 3. Adversary acts before honest duties — the strong adversary can
-	// always schedule its messages ahead of honest actions in a slot.
-	if s.Cfg.Adversary != nil {
-		s.Cfg.Adversary.OnSlot(s, slot)
+	if olderThan, wm, ok := s.compaction(slot.Epoch()); ok {
+		for _, c := range l.cohorts {
+			if c.Node.Tree.Len() >= wm {
+				c.Node.CompactTree(olderThan)
+			}
+		}
 	}
+	return nil
+}
 
-	// 4. Honest proposer: produce from the proposer's duty view. Within
-	// its own cohort the proposer holds the block at once, so it is
-	// applied immediately and embargoed for the other members until the
-	// broadcast copy lands — which is provably slot+Delay, since the
-	// sender shares the receivers' partition. A proposer reassigned to a
-	// foreign duty view (SetDutyView) broadcasts from its home partition,
-	// whose delivery into the duty cohort may be slower (link outage,
-	// pre-GST hold), so no early application is justified there: the duty
-	// cohort receives the block like every other endpoint.
-	if p := s.ProposerAt(slot); !s.byzantine[p] && slot > 0 {
+// act is the second half of a lane's slot, after the adversary's turn.
+//
+// The honest proposer produces from its duty view. Within its own cohort
+// the proposer holds the block at once, so it is applied immediately and
+// embargoed for the other members until the broadcast copy lands — which is
+// provably slot+Delay, since the sender shares the receivers' partition. A
+// proposer reassigned to a foreign duty view (SetDutyView) broadcasts from
+// its home partition, whose delivery into the duty cohort may be slower
+// (link outage, pre-GST hold), so no early application is justified there:
+// the duty cohort receives the block like every other endpoint.
+//
+// Then the honest attesters: one batch per (duty view, home cohort) bucket,
+// computed once from the shared view; members with their own block still
+// in flight (the slot's proposer) attest individually on their slightly
+// newer view.
+func (s *Simulation) act(l *lane, slot types.Slot) {
+	if p := s.ProposerAt(slot); !s.byzantine[p] && slot > 0 && s.holds(l, s.dutyView[p]) {
 		ci := s.dutyView[p]
 		node := s.cohorts[ci].Node
-		node.SetHidden(s.hiddenFor(ci, p, true))
+		node.SetHidden(l.hiddenFor(ci, p, true))
 		b, err := node.ProduceBlockFor(slot, p)
 		node.SetHidden(nil)
 		if err == nil {
 			if ci == s.cohortOf[p] {
 				node.ReceiveBlock(b)
-				s.embargoes = append(s.embargoes, embargo{
+				l.embargoes = append(l.embargoes, embargo{
 					cohort: ci, producer: p, root: b.Root, until: slot + s.Cfg.Delay,
 				})
 			}
-			s.Broadcast(p, slot, Message{Kind: BlockMessage, Block: b})
+			s.send(l, p, slot, 0, Message{Kind: BlockMessage, Block: b})
 		}
 	}
-
-	// 5. Honest attesters: one batch per (duty view, home cohort) bucket,
-	// computed once from the shared view; members with their own block
-	// still in flight (the slot's proposer) attest individually on their
-	// slightly newer view.
-	s.attest(slot)
-
-	s.slot++
-	return nil
+	s.attest(l, slot)
 }
 
 // dutyBucket groups a slot's attesters acting from one view and routed via
@@ -750,24 +747,28 @@ func (s *Simulation) buildBuckets(off int, attesters []types.ValidatorIndex) {
 	s.bucketRebuilds++
 }
 
-// attest broadcasts the slot's honest attestations: one batch per bucket,
-// and one attestation per member with its own block in flight.
+// attest broadcasts the lane's share of the slot's honest attestations:
+// one batch per bucket, and one attestation per member with its own block
+// in flight.
 //
 //gasper:noalloc
-func (s *Simulation) attest(slot types.Slot) {
+func (s *Simulation) attest(l *lane, slot types.Slot) {
 	off := int(slot.PositionInEpoch())
 	if roster := s.dutyRosterFor(slot.Epoch()); !s.bucketsBuilt[off] {
 		s.buildBuckets(off, roster[off])
 	}
-	for _, b := range s.slotBuckets[off] {
+	for j, b := range s.slotBuckets[off] {
+		if !s.holds(l, b.view) {
+			continue
+		}
 		node, list := s.cohorts[b.view].Node, b.members
 		// Members with their own block in flight exist only where the view
 		// has a live embargo at all; elsewhere no member is looked up.
-		hidden := s.hiddenFor(b.view, 0, false)
+		hidden := l.hiddenFor(b.view, 0, false)
 		var buf [4]int
 		owners := buf[:0]
 		if len(hidden) > 0 {
-			owners = s.appendOwners(owners, b.view, list)
+			owners = l.appendOwners(owners, b.view, list)
 		}
 		if len(owners) < len(list) {
 			node.SetHidden(hidden)
@@ -789,16 +790,16 @@ func (s *Simulation) attest(slot types.Slot) {
 					}
 					m.Batch.Validators = append(plain, list[from:]...) //gasper:alloc fills the list made above, within its capacity
 				}
-				s.Broadcast(list[0], slot, m)
+				s.send(l, list[0], slot, j+1, m)
 			}
 		}
 		for _, k := range owners {
 			v := list[k]
-			node.SetHidden(s.hiddenFor(b.view, v, true))
+			node.SetHidden(l.hiddenFor(b.view, v, true))
 			d, err := node.AttestationData(slot)
 			node.SetHidden(nil)
 			if err == nil {
-				s.Broadcast(v, slot, Message{Kind: AttestationMessage, Batch: AttBatch{Data: d, Validators: list[k : k+1 : k+1]}})
+				s.send(l, v, slot, j+1, Message{Kind: AttestationMessage, Batch: AttBatch{Data: d, Validators: list[k : k+1 : k+1]}})
 			}
 		}
 	}
@@ -812,57 +813,48 @@ func compareBuckets(a, b dutyBucket) int {
 	return cmp.Compare(a.home, b.home)
 }
 
-// maybeCompact folds the cold unbranched spine out of every view's block
-// tree (and the safety-audit oracle tree) once it crosses the compaction
-// watermark — the path that keeps per-epoch fork-choice cost flat when a
-// leak stalls finality and PruneBelow never fires. Compaction is
-// behavior-neutral only when nothing in flight or in an adversary's hand
-// can reference a folded root, so it is held off whenever a custom
-// Adversary is installed (the Bouncer pins roots captured at GST), links
-// are lossy (retransmission age is unbounded in the worst case), or a
-// finite GST's held pre-GST traffic — which can carry arbitrarily old
-// branches — has not yet fully drained.
-func (s *Simulation) maybeCompact(epoch types.Epoch) {
-	wm := s.Cfg.CompactWatermark
-	if wm < 0 {
-		return
-	}
+// compaction says whether and where the cold unbranched spine folds out of
+// the views' block trees (and the safety-audit oracle tree) at the start of
+// epoch: below olderThan, in a tree of wm nodes or more — the path that
+// keeps per-epoch fork-choice cost flat when a leak stalls finality and
+// PruneBelow never fires. Compaction is behavior-neutral only when nothing
+// in flight or in an adversary's hand can reference a folded root, so it is
+// held off whenever a custom Adversary is installed (the Bouncer pins roots
+// captured at GST), links are lossy (retransmission age is unbounded in the
+// worst case), or a finite GST's held pre-GST traffic — which can carry
+// arbitrarily old branches — has not yet fully drained.
+func (s *Simulation) compaction(epoch types.Epoch) (olderThan types.Slot, wm int, ok bool) {
+	wm = s.Cfg.CompactWatermark
 	if wm == 0 {
 		wm = defaultCompactWatermark
 	}
-	if s.Cfg.Adversary != nil || s.Cfg.DropRate != 0 {
-		return
+	if wm < 0 || s.Cfg.Adversary != nil || s.Cfg.DropRate != 0 || epoch <= compactWindowEpochs ||
+		s.Cfg.GST != network.Never && s.slot < s.Cfg.GST+types.Slot(compactWindowEpochs*s.Cfg.Spec.SlotsPerEpoch) {
+		return 0, 0, false
 	}
-	if s.Cfg.GST != network.Never &&
-		s.slot < s.Cfg.GST+types.Slot(compactWindowEpochs*s.Cfg.Spec.SlotsPerEpoch) {
-		return
-	}
-	if epoch <= compactWindowEpochs {
-		return
-	}
-	olderThan := (epoch - compactWindowEpochs).StartSlot()
-	for _, c := range s.cohorts {
-		if c.Node.Tree.Len() >= wm {
-			c.Node.CompactTree(olderThan)
-		}
-	}
-	if s.oracle.Len() >= wm {
-		s.compactOracle(olderThan)
-	}
+	return (epoch - compactWindowEpochs).StartSlot(), wm, true
 }
 
-// compactOracle compacts the omniscient audit tree, pinning every
-// checkpoint root any view can still present to CheckFinalitySafety (the
-// audit resolves finalized-checkpoint ancestry against this tree).
-func (s *Simulation) compactOracle(olderThan types.Slot) {
-	pins := s.rootScratch[:0]
+// compactOracle compacts the omniscient audit tree at the start of epoch
+// (compaction), pinning every checkpoint root any view can still present to
+// CheckFinalitySafety (the audit resolves finalized-checkpoint ancestry
+// against this tree). The views' FFG state it reads changes only at
+// boundaries, so it may run any time before the epoch's blocks reach the
+// oracle.
+func (s *Simulation) compactOracle(epoch types.Epoch) {
+	olderThan, wm, ok := s.compaction(epoch)
+	if !ok || s.oracle.Len() < wm {
+		return
+	}
+	scratch := &s.lanes.solo[0].scratch // no lane steps while compaction runs
+	pins := (*scratch)[:0]
 	for _, c := range s.cohorts {
 		for _, cp := range c.Node.FFG.Justifieds() {
 			pins = append(pins, cp.Root)
 		}
 		pins = append(pins, c.Node.FFG.Finalized().Root, c.Node.FFG.LatestJustified().Root)
 	}
-	s.rootScratch = pins
+	*scratch = pins
 	s.oracle.Compact(olderThan, func(r types.Root) bool { return slices.Contains(pins, r) })
 }
 
@@ -875,16 +867,18 @@ type Stats struct {
 	Oracle  blocktree.Stats  // the omniscient audit tree
 	Engine  forkchoice.Stats // summed over proto-array views (zero under the map oracle)
 	// Work sums the views' boundary work counters (a restored view counts
-	// from the restore), and BucketRebuilds counts the slots whose
-	// attesters were grouped afresh, since the simulation was built or reset.
+	// from the restore); BucketRebuilds counts the slots whose attesters
+	// were grouped afresh, and LaneEpochs the epochs stepped with two or
+	// more lanes at once, since the simulation was built or reset.
 	Work           beacon.Work
 	BucketRebuilds int
+	LaneEpochs     int
 }
 
 // Stats returns the simulation's current retention statistics and work
 // counters.
 func (s *Simulation) Stats() Stats {
-	st := Stats{Cohorts: len(s.cohorts), Oracle: s.oracle.Stats(), BucketRebuilds: s.bucketRebuilds}
+	st := Stats{Cohorts: len(s.cohorts), Oracle: s.oracle.Stats(), BucketRebuilds: s.bucketRebuilds, LaneEpochs: s.laneEpochs}
 	for _, c := range s.cohorts {
 		w := c.Node.Work()
 		st.Work.TallyRows += w.TallyRows
@@ -904,11 +898,20 @@ func (s *Simulation) Stats() Stats {
 	return st
 }
 
-// RunEpochs executes whole epochs from the current slot.
+// RunEpochs executes whole epochs from the current slot. An epoch in which
+// the honest partitions cannot hear each other is stepped lane by lane, a
+// lane per partition, on up to GOMAXPROCS goroutines (laned); its results
+// are those of stepping it slot by slot.
 func (s *Simulation) RunEpochs(n int) error {
 	end := s.slot + types.Slot(uint64(n)*s.Cfg.Spec.SlotsPerEpoch)
 	for s.slot < end {
-		if err := s.Step(); err != nil {
+		var err error
+		if s.laned(end) {
+			err = s.stepLanes()
+		} else {
+			err = s.Step()
+		}
+		if err != nil {
 			return err
 		}
 	}

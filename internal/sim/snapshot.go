@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"unsafe"
 
@@ -174,6 +176,23 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 	return nil
 }
 
+// adversaryCoder is the storage through which a simulation moves its
+// adversary's state in and out of snapshots, kept so that a copy builds no
+// codec.Coder (and its chunk) to move a few bytes.
+type adversaryCoder struct {
+	c   codec.Coder
+	buf bytes.Buffer
+	src strings.Reader
+}
+
+// adversaryCoder returns the simulation's adversary coder storage.
+func (s *Simulation) adversaryCoder() *adversaryCoder {
+	if s.advCoder == nil {
+		s.advCoder = new(adversaryCoder)
+	}
+	return s.advCoder
+}
+
 // adversaryState encodes the state of the simulation's adversary for a
 // Snapshot: the adversary's type, then its walk. It is empty when the
 // adversary does not walk.
@@ -182,11 +201,12 @@ func (s *Simulation) adversaryState() string {
 	if !ok {
 		return ""
 	}
-	var b strings.Builder
-	c, name := codec.NewEncoder(&b), fmt.Sprintf("%T", w)
-	c.String(&name)
-	w.Walk(c)
-	return b.String()
+	ac, name := s.adversaryCoder(), reflect.TypeOf(w).String()
+	ac.buf.Reset()
+	ac.c.ResetEncoder(&ac.buf)
+	ac.c.String(&name)
+	w.Walk(&ac.c)
+	return ac.buf.String()
 }
 
 // fit refuses a snapshot that does not fit the simulation: one of another
@@ -206,8 +226,11 @@ func (s *Simulation) fit(sn *Snapshot, verb string) error {
 	if !ok && sn.adversary == "" {
 		return nil
 	}
-	c, name := codec.NewDecoder(strings.NewReader(sn.adversary)), ""
-	if c.String(&name); !ok || name != fmt.Sprintf("%T", w) {
+	ac, name := s.adversaryCoder(), ""
+	ac.src.Reset(sn.adversary)
+	c := &ac.c
+	c.ResetDecoder(&ac.src)
+	if c.String(&name); !ok || name != reflect.TypeOf(w).String() {
 		return fmt.Errorf("%w: adversary state of type %q %s under an adversary of type %T", ErrBadConfig, name, verb, s.Cfg.Adversary)
 	}
 	c.Bound(uint64(len(s.honest)) * uint64(sn.slot.Epoch()))
