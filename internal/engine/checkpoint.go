@@ -113,7 +113,7 @@ func saveCheckpoint(cs CheckpointableScenario, st CheckpointStore, cellKey strin
 // checkpoint once the cell completes. The hop the cell finishes on — it
 // reaches the cell's horizon, or the scenario concludes in it — is the sweep
 // spine's stop with a group of one: ResumeFrom reads the result off the live
-// simulation, and that prefix is neither snapshotted nor encoded nor saved.
+// simulation, and that prefix is neither encoded nor saved.
 // It fills meta as it goes and also returns the epochs
 // the cell actually simulated: where its final prefix stands when the
 // scenario concluded there (a sim/leak run that conflicts at 4668 of 6000
@@ -146,10 +146,10 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 		*meta = CheckpointMeta{Resumed: true, ResumeEpoch: pre.Epoch, EpochsSaved: pre.Epoch}
 	}
 
-	// save snapshots a prefix still standing on its live simulation and
-	// persists it. A failed persist only costs resume depth, never the run.
+	// save encodes the prefix off its live simulation and persists it. A
+	// failed persist only costs resume depth, never the run.
 	save := func(pre *Prefix) {
-		if pre.freeze() == nil && saveCheckpoint(cs, ck.Store, cellKey, pre) == nil {
+		if saveCheckpoint(cs, ck.Store, cellKey, pre) == nil {
 			meta.Written++
 		}
 	}
@@ -180,10 +180,10 @@ func runFromCheckpoint(ctx context.Context, cs CheckpointableScenario, p Params,
 	// The prefix stands on its live simulation (loaded or advanced here),
 	// which ResumeFrom claims, or only reads when nothing is left to step.
 	res, err := cs.ResumeFrom(ctx, pre, p)
-	// Cancelled while finishing: a prefix without a snapshot whose
-	// simulation is still on it is the unsaved one the cell finishes on,
-	// and it was only read.
-	if err != nil && pre.Snap == nil {
+	// Cancelled while finishing: a prefix whose simulation is still on it
+	// is the unsaved one the cell finishes on, and it was only read (a
+	// claimed one is spent, and its save fails).
+	if err != nil {
 		save(pre)
 	}
 	// A simulation ResumeFrom only read is still on the prefix, and this

@@ -86,3 +86,32 @@ func BenchmarkResumeVsCold(b *testing.B) {
 		}
 	}
 }
+
+// keptNowhere is a checkpoint tier that takes every save and keeps nothing.
+type keptNowhere struct{}
+
+func (keptNowhere) ReadCheckpoint(string, func([]byte) bool) bool { return false }
+func (keptNowhere) SaveCheckpoint(string, []byte) error           { return nil }
+func (keptNowhere) DeleteCheckpoint(string)                       {}
+
+// BenchmarkCheckpointSave measures one durable save, the op a checkpointed
+// cell makes every CheckpointOptions.Every epochs: the reuse-tiers
+// workload's 2,500-validator sim/leak prefix at epoch 50, standing on its
+// live simulation, encoded (saveCheckpoint) into a fresh buffer for a tier
+// that keeps nothing. CI gates its B/op (cmd/benchgate/gates.json): the
+// frame's buffer and the encoders, no copy of the simulation.
+func BenchmarkCheckpointSave(b *testing.B) {
+	sc, _ := Default.Lookup(ScenarioSimLeak)
+	cs := sc.(CheckpointableScenario)
+	p := Params{P0: 0.5, N: 2500, Horizon: 60, Seed: 1}.WithDefaults(sc.Defaults())
+	pre, err := cs.advanceTo(context.Background(), p, nil, 50)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := saveCheckpoint(cs, keptNowhere{}, "sim/leak", pre); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -141,9 +141,9 @@ func TestPrefixCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecodePrefix: %v", err)
 			}
-			if dec.Epoch != pre.Epoch || dec.Done != pre.Done || !dec.Owned {
-				t.Fatalf("decoded prefix position = (epoch %d, done %t, owned %t), want (%d, %t, true)",
-					dec.Epoch, dec.Done, dec.Owned, pre.Epoch, pre.Done)
+			if dec.Epoch != pre.Epoch || dec.Done != pre.Done {
+				t.Fatalf("decoded prefix position = (epoch %d, done %t), want (%d, %t)",
+					dec.Epoch, dec.Done, pre.Epoch, pre.Done)
 			}
 			warm, err := cs.ResumeFrom(ctx, dec, p)
 			if err != nil {
@@ -366,9 +366,6 @@ func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 			}
 			if pre.live() != s {
 				t.Fatalf("%s: the prefix does not stand on %s's spare", b.name, u.Scenario)
-			}
-			if err := pre.freeze(); err != nil {
-				t.Fatal(err)
 			}
 			var again bytes.Buffer
 			if err := cs.EncodePrefix(&again, pre); err != nil {

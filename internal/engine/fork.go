@@ -7,9 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Prefix is one checkpoint on a shared simulation prefix: the deep-copied
-// protocol state at an epoch boundary plus whatever the scenario observed
-// on the way there. Prefixes chain — RunTo extends one checkpoint to a
+// Prefix is one checkpoint on a shared simulation prefix: the protocol state
+// at an epoch boundary — a snapshot, or the live simulation standing there —
+// plus whatever the scenario observed on the way there. Prefixes chain — RunTo extends one checkpoint to a
 // deeper epoch without re-simulating the epochs before it — and fan out:
 // any number of ResumeFrom continuations may consume the same Prefix,
 // because sim.Restore clones the snapshot rather than consuming it.
@@ -19,11 +19,10 @@ import (
 // continuations is a correctness bug, not just a race).
 type Prefix struct {
 	// Snap is the simulation state at the checkpoint, the adversary's
-	// included (sim.Snapshot). Every prefix RunTo or DecodePrefix returns
-	// has one. Inside the engine a prefix may be
-	// advanced without it (nil): it then stands on its live simulation
-	// alone and is private to the goroutine that advanced it, until that
-	// goroutine freezes it (gives it its Snap) or hands it on for good.
+	// included (sim.Snapshot). RunTo and DecodePrefix, the entry points
+	// outside callers use, fill it; every prefix the engine makes for its
+	// own tiers leaves it nil and stands on its live simulation alone,
+	// private to the goroutine that advanced it until it hands it on.
 	Snap *sim.Snapshot
 	// Epoch counts the simulated epochs in the prefix (the checkpoint sits
 	// at the boundary ending epoch Epoch). It can fall short of the epoch
@@ -33,12 +32,6 @@ type Prefix struct {
 	// safety violation before the branch point). Extending a Done prefix
 	// returns it unchanged; resuming from it skips further simulation.
 	Done bool
-	// Owned marks a prefix that has exactly one consumer — a fork's private
-	// copy of the spine (Prefix.forkCopy), a prefix DecodePrefix returns —
-	// so ResumeFrom may destructively adopt Snap (sim.Simulation.Adopt)
-	// instead of deep-copying it. Adoption yields state identical to a
-	// Restore, so ownership can never change results, only skip a clone.
-	Owned bool
 	// trace carries the row's accumulated per-epoch observations
 	// (violation epochs, stake curves, stake floors) — everything a cold
 	// run would have gathered over the prefix epochs that the simulation
@@ -97,16 +90,18 @@ type CheckpointableScenario interface {
 	ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error)
 	// EncodePrefix serializes a prefix (snapshot, epoch, trace, done).
 	EncodePrefix(w io.Writer, pre *Prefix) error
-	// DecodePrefix reconstructs a prefix serialized by EncodePrefix. The
-	// returned prefix is Owned (its snapshot has exactly one consumer).
-	// Any damage or version skew returns an error; callers treat it as
-	// "no checkpoint".
+	// DecodePrefix reconstructs a prefix serialized by EncodePrefix. Any
+	// damage or version skew returns an error; callers treat it as "no
+	// checkpoint".
 	DecodePrefix(r io.Reader) (*Prefix, error)
-	// advanceTo is RunTo without the snapshot (Prefix.freeze takes it
-	// later, if anyone needs it), handing back the prefix a cancelled hop
-	// reached beside the context error: how the sweep spine and the
-	// durable tier advance.
+	// advanceTo is RunTo without the snapshot, handing back the prefix a
+	// cancelled hop reached beside the context error: how the sweep spine
+	// and the durable tier advance.
 	advanceTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error)
+	// forkCopy returns a prefix standing where pre (advanced for the group
+	// of params p) stands, on a simulation of its own that shares nothing
+	// with pre's, and the copy's snapshot bytes: a sweep fork's start.
+	forkCopy(p Params, pre *Prefix) (*Prefix, int64, error)
 	// loadPrefix reconstructs the prefix as DecodePrefix does for cell p,
 	// standing on a live simulation the frame was decoded into instead of
 	// on a snapshot: the durable tier's resume (runFromCheckpoint).

@@ -216,3 +216,62 @@ func TestSimRowContract(t *testing.T) {
 		})
 	}
 }
+
+// TestForkCopySharesNothing: a sweep fork's copy of the spine (forkCopy)
+// shares no state with it. It starts as the spine's frame; three epochs of
+// the spine then leave the copy's frame as it was, and three epochs of the
+// copy leave the spine's. Checked on a sim/gst prefix run unhealed under
+// network.FarFuture, and on sim/semiactive, whose adversary instance the
+// copy must not share: its gait starts at epoch 7, inside the spine's three
+// epochs, and the frame carries the gait.
+func TestForkCopySharesNothing(t *testing.T) {
+	ctx := context.Background()
+	frame := func(t *testing.T, pre *Prefix) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := pre.live().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	step := func(t *testing.T, pre *Prefix) {
+		t.Helper()
+		if err := pre.live().RunEpochs(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []Cell{
+		{Scenario: ScenarioSimGST, Params: Params{P0: 0.5, N: 24, GST: 9, Horizon: 12, Seed: 1}},
+		{Scenario: ScenarioSimSemiActive, Params: Params{Beta0: 0.33, N: 30, Horizon: 12, Seed: 1}},
+	} {
+		t.Run(c.Scenario, func(t *testing.T) {
+			sc, _ := Default.Lookup(c.Scenario)
+			cs := sc.(CheckpointableScenario)
+			p := c.Params.WithDefaults(sc.Defaults())
+			spine, err := cs.advanceTo(ctx, p, nil, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, _, err := cs.forkCopy(p, spine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copied := frame(t, own)
+			if !bytes.Equal(copied, frame(t, spine)) {
+				t.Fatal("the copy's frame differs from the spine's it was taken from")
+			}
+			step(t, spine)
+			stepped := frame(t, spine)
+			if bytes.Equal(stepped, copied) {
+				t.Fatal("three epochs of the spine left its frame as it was; the check pins nothing")
+			}
+			if !bytes.Equal(frame(t, own), copied) {
+				t.Fatal("stepping the spine moved the copy's state")
+			}
+			step(t, own)
+			if !bytes.Equal(frame(t, spine), stepped) {
+				t.Fatal("stepping the copy moved the spine's state")
+			}
+		})
+	}
+}

@@ -18,7 +18,7 @@ import (
 // a horizon sweep): the spine finishes it in place, reading its own live
 // simulation as it stands at that epoch — no snapshot, no second
 // simulation. A fork continues under its own post-branch parameters: the
-// spine gives it its own copy of that state (Prefix.forkCopy) and runs it on
+// spine gives it its own copy of that state (forkCopy) and runs it on
 // a free worker if there is one, else itself, before walking on. A prefix
 // that has concluded (Done) has nothing left to simulate, so its forks are
 // read in place like stops. Without WarmStart the plan has zero groups and
@@ -215,13 +215,10 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 		finished <- indexed{idx, res}
 	}
 	// fork runs one fork from the prefix its spine hands it, on a free
-	// worker if there is one. Its copy is counted as held until the cell is
-	// done with it, which is while a slot is held.
-	fork := func(idx, branch int, own *Prefix) {
-		var bytes int64
-		if own.Owned {
-			bytes = own.Snap.Bytes()
-		}
+	// worker if there is one. Its copy's bytes (none when it took the
+	// spine's own simulation) are counted as held until the cell is done
+	// with it, which is while a slot is held.
+	fork := func(idx, branch int, own *Prefix, bytes int64) {
 		sch.hold(bytes)
 		job := func() {
 			warm(idx, branch, own, nil)
@@ -272,10 +269,11 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 // on this goroutine. At each branch it first finishes the stops in place
 // (finish runs one cell through the cell executor and emits its result),
 // lending them the prefix as it stands, then hands each fork a copy of its
-// own (fork runs it, here or on a free worker). The spine has no use for
-// its simulation after its last branch, so the last fork there takes the
-// prefix itself. A prefix that concluded (Done) is never extended again:
-// its forks are finished in place like stops.
+// own (fork runs it, here or on a free worker); a copy that fails fails its
+// cell, as a failed hop fails its branch. The spine has no use for its
+// simulation after its last branch, so the last fork there takes the prefix
+// itself. A prefix that concluded (Done) is never extended again: its forks
+// are finished in place like stops.
 //
 // A failed hop fails that branch's cells but keeps walking, so one bad
 // extension does not doom deeper (independent) retries — under cancellation
@@ -284,7 +282,7 @@ func schedule(ctx context.Context, cells []Cell, opt Options) <-chan Update {
 // somewhere to save it. The failed hop may have consumed the simulation it
 // was extending, and the spine keeps no snapshot below it, so the walk goes
 // on from genesis.
-func (g *group) runSpine(ctx context.Context, finish func(idx, branch int, pre *Prefix, err error), fork func(idx, branch int, own *Prefix)) {
+func (g *group) runSpine(ctx context.Context, finish func(idx, branch int, pre *Prefix, err error), fork func(idx, branch int, own *Prefix, bytes int64)) {
 	var prev *Prefix
 	for bi, b := range g.branches {
 		var pre *Prefix
@@ -300,9 +298,13 @@ func (g *group) runSpine(ctx context.Context, finish func(idx, branch int, pre *
 			case err != nil || pre.Done:
 				finish(idx, b.epoch, pre, err)
 			case bi == len(g.branches)-1 && k == len(b.forks)-1:
-				fork(idx, b.epoch, pre)
+				fork(idx, b.epoch, pre, 0)
 			default:
-				fork(idx, b.epoch, pre.forkCopy())
+				if own, bytes, err := g.cs.forkCopy(g.params, pre); err != nil {
+					finish(idx, b.epoch, nil, err)
+				} else {
+					fork(idx, b.epoch, own, bytes)
+				}
 			}
 		}
 		if err != nil {

@@ -59,19 +59,23 @@ func (sc *simScenario) Fork(p Params) (key string, branch int, ok bool) {
 
 func (sc *simScenario) RunTo(ctx context.Context, p Params, from *Prefix, epoch int) (*Prefix, error) {
 	pre, err := sc.advanceTo(ctx, p, from, epoch)
-	if err == nil {
-		err = pre.freeze()
-	}
 	if err != nil {
 		return nil, err
+	}
+	if pre.Snap == nil {
+		s := pre.live()
+		if s == nil {
+			return nil, errSpentPrefix
+		}
+		pre.Snap = s.Snapshot()
 	}
 	return pre, nil
 }
 
 // advanceTo is RunTo without the snapshot: the prefix it returns stands on
-// its live simulation alone (Snap is nil until freeze). The sweep spine and
-// the checkpoint runner advance this way, so that a prefix nobody will
-// restore — every cell that wants it ends right there — is never deep-copied.
+// its live simulation alone (Snap is nil). The sweep spine and the
+// checkpoint runner advance this way, so that a prefix nobody will restore
+// — every cell that wants it ends right there — is never deep-copied.
 //
 // A cancelled hop stops on an epoch boundary with every completed epoch
 // observed (advance asks the context once per epoch, before stepping), so
@@ -106,7 +110,7 @@ func (sc *simScenario) advanceTo(ctx context.Context, p Params, from *Prefix, ep
 func (sc *simScenario) ResumeFrom(ctx context.Context, pre *Prefix, p Params) (Result, error) {
 	s, tr, elapsed, err := sc.advance(ctx, p, pre, p.Horizon, false)
 	if s != nil && (pre == nil || pre.live() != s) {
-		// Built, claimed, restored or adopted rather than lent: the cell
+		// Built, claimed or restored rather than lent: the cell
 		// holds the only reference, and gives it up once the result is read.
 		defer recycle(s)
 	}
@@ -142,7 +146,7 @@ func (sc *simScenario) advance(ctx context.Context, p Params, from *Prefix, to i
 	var s *sim.Simulation
 	var err error
 	if settled && from.Snap == nil {
-		// The prefix was never frozen: it is lent by the goroutine that
+		// The prefix has no snapshot: it is lent by the goroutine that
 		// advanced it, which may go on stepping this very simulation
 		// afterwards. Read it in place — no claim, no rebase onto the cell's
 		// heal slot — and leave it exactly as found.
@@ -200,8 +204,8 @@ type simCont struct {
 	s  *sim.Simulation
 }
 
-// errSpentPrefix reports a prefix that can no longer be stood on: it was
-// never frozen and a failed hop has consumed its live simulation.
+// errSpentPrefix reports a prefix that can no longer be stood on: it has no
+// snapshot and a failed hop has consumed its live simulation.
 var errSpentPrefix = errors.New("engine: prefix has neither a snapshot nor a live simulation")
 
 // claim atomically takes the live simulation off a prefix; nil when absent
@@ -228,32 +232,25 @@ func (pre *Prefix) live() *sim.Simulation {
 	return pre.cont.s
 }
 
-// freeze gives a prefix advanced without a snapshot (advanceTo) its Snap,
-// taken off the parked simulation; a prefix that has one is left alone. Only
-// whoever advanced the prefix may freeze it, and only before sharing it.
-func (pre *Prefix) freeze() error {
-	if pre.Snap != nil {
-		return nil
-	}
+// forkCopy adopts a snapshot of pre's live simulation into a shell of the
+// group's config (p, shared): the config the group's last fork runs on when
+// it takes the spine's simulation itself, and a Config.Adversary of its own.
+// The trace is shared, as every consumer clones it.
+func (sc *simScenario) forkCopy(p Params, pre *Prefix) (*Prefix, int64, error) {
 	s := pre.live()
 	if s == nil {
-		return errSpentPrefix
+		return nil, 0, errSpentPrefix
 	}
-	pre.Snap = s.Snapshot()
-	return nil
-}
-
-// forkCopy returns a prefix standing where pre stands that one consumer
-// owns: a snapshot of pre's parked simulation, taken now, so the consumer
-// may adopt it while whoever advanced pre goes on stepping the simulation.
-// The trace is shared, as every consumer clones it. A prefix with no
-// parked simulation is returned as it is, to be restored, not adopted.
-func (pre *Prefix) forkCopy() *Prefix {
-	s := pre.live()
-	if s == nil {
-		return pre
+	cp, err := sim.NewShell(sc.config(p, true))
+	if err != nil {
+		return nil, 0, err
 	}
-	return &Prefix{Snap: s.Snapshot(), Epoch: pre.Epoch, trace: pre.trace, Done: pre.Done, Owned: true}
+	sn := s.Snapshot()
+	bytes := sn.Bytes()
+	if err := cp.Adopt(sn); err != nil {
+		return nil, 0, err
+	}
+	return &Prefix{Epoch: pre.Epoch, Done: pre.Done, trace: pre.trace, cont: &simCont{s: cp}}, bytes, nil
 }
 
 // spares holds simulations whose cells are done with them, for the next
@@ -328,15 +325,12 @@ func spare() *sim.Simulation {
 
 // positionSim returns a simulation configured by cfg standing at the
 // prefix's checkpoint. With no prefix that is a full simulation at
-// genesis: a spare reset for cfg when there is one. With a prefix, the
-// deepest tier wins: claim the prefix's live
-// simulation when available (rebased onto cfg's heal slot — a shared
-// prefix runs under network.FarFuture, a cell under its own); otherwise
-// build only a shell (sim.NewShell), because the snapshot supplies the
-// cohort state: adopted (moved, zero-copy) from a prefix marked Owned,
-// restored (the defensive clone) from any other. A prefix that was never
-// frozen has only its live simulation: once that is spent there is nothing
-// to restore.
+// genesis: a spare reset for cfg when there is one. With a prefix, claim
+// its live simulation when available (rebased onto cfg's heal slot — a
+// shared prefix runs under network.FarFuture, a cell under its own);
+// otherwise restore its snapshot into a shell (sim.NewShell), because the
+// snapshot supplies the cohort state. A prefix without a snapshot has only
+// its live simulation: once that is spent there is nothing to restore.
 func positionSim(cfg sim.Config, pre *Prefix) (*sim.Simulation, error) {
 	if pre == nil {
 		return genesisSim(cfg)
@@ -353,9 +347,6 @@ func positionSim(cfg sim.Config, pre *Prefix) (*sim.Simulation, error) {
 	s, err := sim.NewShell(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if pre.Owned {
-		return s, s.Adopt(pre.Snap)
 	}
 	return s, s.Restore(pre.Snap)
 }

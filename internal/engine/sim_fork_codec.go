@@ -22,25 +22,34 @@ var errPrefixCodec = fmt.Errorf("engine: prefix codec")
 
 // EncodePrefix serializes a prefix — position, accumulated trace (the
 // row's own walk), and the full durable snapshot — as one self-describing
-// blob, the payload of a durable mid-cell checkpoint.
+// blob, the payload of a durable mid-cell checkpoint. The snapshot is the
+// prefix's Snap when it has one, else its live simulation, encoded in
+// place (sim.Simulation.WriteTo): the same bytes, with no copy.
 // Implements CheckpointableScenario.
 func (sc *simScenario) EncodePrefix(dst io.Writer, pre *Prefix) error {
+	var snap io.WriterTo = pre.Snap
+	if pre.Snap == nil {
+		s := pre.live()
+		if s == nil {
+			return errSpentPrefix
+		}
+		snap = s
+	}
 	if err := sc.walkHead(codec.NewEncoder(dst), pre); err != nil {
 		return err
 	}
-	_, err := pre.Snap.WriteTo(dst)
+	_, err := snap.WriteTo(dst)
 	return err
 }
 
 // DecodePrefix reconstructs a prefix serialized by EncodePrefix, walking
-// the blob into a new trace of the row. The result is Owned — the decoded
-// snapshot has exactly one consumer, so the resume path may adopt it
-// zero-copy. Any damage, version skew, or a blob written for a different
-// scenario returns an error; the cell executor treats every error as "no
-// checkpoint" and runs cold.
+// the blob into a new trace of the row; a resume restores its snapshot
+// (one copy), as it restores RunTo's. Any damage, version skew, or a blob
+// written for a different scenario returns an error; the cell executor
+// treats every error as "no checkpoint" and runs cold.
 // Implements CheckpointableScenario.
 func (sc *simScenario) DecodePrefix(src io.Reader) (*Prefix, error) {
-	pre := &Prefix{Owned: true, trace: sc.row.newTrace()}
+	pre := &Prefix{trace: sc.row.newTrace()}
 	if err := sc.walkHead(codec.NewDecoder(src), pre); err != nil {
 		return nil, err
 	}

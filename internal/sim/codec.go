@@ -98,7 +98,7 @@ func (m *Message) walk(c *codec.Coder) {
 // straight to dst, which is grown to the frame first when it can be.
 func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 	if sn.nodes == nil {
-		return 0, fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
+		return 0, errAdopted
 	}
 	sum := fnv.New64a()
 	c := codec.NewEncoder(sum)
@@ -122,19 +122,11 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 
 // walk moves the snapshot's payload. Decoding fills the storage the
 // snapshot holds — its nodes, oracle, network and columns, each emptied by
-// its own walk — and new storage for what it lacks. A payload whose duty
+// its own walk — and new nodes for what it lacks. A payload whose duty
 // views do not fit it — not one per validator, or one naming a view the
 // snapshot does not hold — is corrupt: restored, it would index past the
 // simulation's views.
 func (sn *Snapshot) walk(c *codec.Coder) {
-	if !c.Encoding() {
-		if sn.oracle == nil {
-			sn.oracle = new(blocktree.Tree)
-		}
-		if sn.net == nil {
-			sn.net = new(network.Network[Message])
-		}
-	}
 	c.Int(&sn.validators)
 	c.U64((*uint64)(&sn.slot))
 	codec.Slice(c, &sn.nodes, 1, func(n **beacon.Node, c *codec.Coder) {
@@ -186,7 +178,7 @@ func (f frame) Len() int { return int(f.rest.N) }
 // escapes. The decoded snapshot is a full deep state: Restore and Adopt
 // accept it exactly like an in-memory one.
 func ReadSnapshot(src io.Reader) (*Snapshot, error) {
-	sn := new(Snapshot)
+	sn := &Snapshot{oracle: new(blocktree.Tree), net: new(network.Network[Message])}
 	if err := sn.read(src); err != nil {
 		return nil, err
 	}
@@ -194,8 +186,9 @@ func ReadSnapshot(src io.Reader) (*Snapshot, error) {
 }
 
 // read decodes a frame WriteTo wrote into sn, in the storage sn holds (see
-// walk), and returns an error wrapping ErrSnapshotCodec on any damage; sn
-// is then partly decoded, fit only to be decoded into again.
+// walk; it holds an oracle tree and a network), and returns an error
+// wrapping ErrSnapshotCodec on any damage; sn is then partly decoded, fit
+// only to be decoded into again.
 //
 // The payload is decoded as it is read, with no copy of it: the checksum
 // verdict comes once the decoders have consumed the declared length. A

@@ -44,3 +44,12 @@ func WithLanes(cfg Config, on bool) Config {
 	}
 	return cfg
 }
+
+// EmbargoedCohorts reports the cohorts that hold a live proposer embargo.
+func EmbargoedCohorts(s *Simulation) map[int]bool {
+	held := map[int]bool{}
+	for _, e := range s.embargoes {
+		held[e.cohort] = true
+	}
+	return held
+}

@@ -290,7 +290,7 @@ type Simulation struct {
 	// advCoder moves the adversary's state in and out of snapshots.
 	//gasper:nocodec coder storage, holds nothing between snapshots
 	//gasper:shallow coder storage; every simulation keeps its own
-	advCoder *adversaryCoder
+	advCoder adversaryCoder
 	// oracle is an omniscient block tree used only for Safety auditing.
 	oracle *blocktree.Tree
 	slot   types.Slot
@@ -325,40 +325,30 @@ func (s *Simulation) Reset(cfg Config) error {
 // constructor cost at paper scale (registry, proto-array columns, pool,
 // all sized to the validator count) — is skipped, because a Restore or
 // Adopt would discard it wholesale. The returned simulation MUST be given
-// state via Restore or Adopt before it is stepped; the warm-start resume
-// path is the intended caller.
+// state via Restore or Adopt before it is stepped; the warm-start fork copy
+// and the restore of a snapshot prefix (internal/engine) are its callers.
 func NewShell(cfg Config) (*Simulation, error) {
 	return build(new(Simulation), cfg, true)
 }
 
 // Load makes the simulation the one NewShell(cfg) followed by the Adopt of
 // ReadSnapshot(src) gives — the same state, the same run from there — in
-// the storage it already holds: the frame is decoded straight into its
-// views, oracle tree, network and columns, each emptied first as Reset
-// empties it, so a simulation that last ran as many validators allocates
-// little beyond what the frame holds past it. The frame walk and the fit
-// to cfg are ReadSnapshot's and Adopt's. Only a simulation that nothing
-// else holds may be loaded. On error (ErrBadConfig, or ErrSnapshotCodec
-// for a damaged frame) the simulation is unusable until Reset or another
-// Load.
+// the storage it already holds: the frame is decoded straight into its own
+// state (view), each part emptied first as Reset empties it, and installed,
+// so a simulation that last ran as many validators allocates little beyond
+// what the frame holds past it. The frame walk and the fit to cfg are
+// ReadSnapshot's and Adopt's. Only a simulation that nothing else holds may
+// be loaded. On error (ErrBadConfig, or ErrSnapshotCodec for a damaged
+// frame) the simulation is unusable until Reset or another Load.
 func (s *Simulation) Load(cfg Config, src io.Reader) error {
 	if _, err := build(s, cfg, true); err != nil {
 		return err
 	}
-	sn := Snapshot{
-		nodes:     make([]*beacon.Node, len(s.cohorts)),
-		dutyView:  s.dutyView,
-		embargoes: s.embargoes,
-		oracle:    s.oracle,
-		net:       s.Net,
-	}
-	for i, c := range s.cohorts {
-		sn.nodes[i] = c.Node
-	}
+	sn := s.view()
 	if err := sn.read(src); err != nil {
 		return err
 	}
-	return s.Adopt(&sn)
+	return s.install(sn, "loaded")
 }
 
 // build configures s as a simulation of cfg at genesis, reusing whatever

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -56,7 +57,7 @@ type Snapshot struct {
 	embargoes  []embargo
 	oracle     *blocktree.Tree
 	net        *network.Network[Message]
-	// adversary is the adversary's type and walked state (adversaryState);
+	// adversary is the adversary's type and walked state (view);
 	// empty when it does not walk.
 	adversary string
 	bytes     int64
@@ -97,27 +98,70 @@ func snapshotBytes(sn *Snapshot) int64 {
 	return total
 }
 
-// Snapshot captures the simulation's current state. The cost is one deep
-// copy of every cohort view plus the undelivered messages — flat column
-// copies throughout (registry, proto-array, tree nodes), no per-validator
-// map rehashing.
-func (s *Simulation) Snapshot() *Snapshot {
+// view lists the simulation's movable state over its own storage: a
+// Snapshot that shares every view, the network, the oracle and the columns
+// with the simulation. It carries the adversary's state, encoded through
+// the simulation's coder storage: the adversary's type, then its walk
+// (empty when the adversary does not walk). It is the one list of that
+// state: Snapshot clones it, WriteTo encodes it, and Load decodes a frame
+// into it.
+func (s *Simulation) view() *Snapshot {
 	sn := &Snapshot{
 		validators: s.Cfg.Validators,
 		slot:       s.slot,
 		nodes:      make([]*beacon.Node, len(s.cohorts)),
-		dutyView:   append([]int(nil), s.dutyView...),
-		embargoes:  append([]embargo(nil), s.embargoes...),
-		oracle:     s.oracle.Clone(),
-		net:        s.Net.Clone(),
-		adversary:  s.adversaryState(),
+		dutyView:   s.dutyView,
+		embargoes:  s.embargoes,
+		oracle:     s.oracle,
+		net:        s.Net,
 	}
 	for i, c := range s.cohorts {
-		sn.nodes[i] = c.Node.Clone()
+		sn.nodes[i] = c.Node
 	}
-	sn.bytes = snapshotBytes(sn)
+	if w, ok := s.Cfg.Adversary.(walker); ok {
+		ac, name := &s.advCoder, reflect.TypeOf(w).String()
+		ac.buf.Reset()
+		ac.c.ResetEncoder(&ac.buf)
+		ac.c.String(&name)
+		w.Walk(&ac.c)
+		sn.adversary = ac.buf.String()
+	}
 	return sn
 }
+
+// Snapshot captures the simulation's current state. The cost is one deep
+// copy of every cohort view plus the undelivered messages — flat column
+// copies throughout (registry, proto-array, tree nodes), no per-validator
+// map rehashing.
+func (s *Simulation) Snapshot() *Snapshot { return s.view().clone() }
+
+// WriteTo writes the frame Snapshot().WriteTo would write, encoded
+// straight off the simulation's own state, with no copy of it. Writing moves
+// no state. Implements io.WriterTo.
+func (s *Simulation) WriteTo(dst io.Writer) (int64, error) { return s.view().WriteTo(dst) }
+
+// clone deep-copies the snapshot; the adversary's state is an immutable
+// string, and shared.
+func (sn *Snapshot) clone() *Snapshot {
+	out := &Snapshot{
+		validators: sn.validators,
+		slot:       sn.slot,
+		nodes:      make([]*beacon.Node, len(sn.nodes)),
+		dutyView:   append([]int(nil), sn.dutyView...),
+		embargoes:  append([]embargo(nil), sn.embargoes...),
+		oracle:     sn.oracle.Clone(),
+		net:        sn.net.Clone(),
+		adversary:  sn.adversary,
+	}
+	for i, n := range sn.nodes {
+		out.nodes[i] = n.Clone()
+	}
+	out.bytes = snapshotBytes(out)
+	return out
+}
+
+// errAdopted refuses a snapshot whose state Adopt moved out.
+var errAdopted = fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
 
 // Restore rewinds (or fast-forwards) the simulation to the snapshot's
 // state. The snapshot must come from a simulation with the same Config —
@@ -125,41 +169,38 @@ func (s *Simulation) Snapshot() *Snapshot {
 // which may differ: held cross-partition traffic is retargeted onto this
 // simulation's own heal slot, the warm-start path that lets one shared
 // prefix (snapshotted under network.FarFuture) fan out across a gst
-// sweep's cells. The snapshot itself is not consumed: its state is cloned
-// in, so it can be restored again. A snapshot that does not fit (fit) is
-// refused before any of the simulation but its adversary is touched.
+// sweep's cells. The snapshot itself is not consumed: a clone of its state
+// is installed, so it can be restored again. A snapshot that does not fit
+// (fit) is refused before any of the simulation but its adversary is
+// touched.
 func (s *Simulation) Restore(sn *Snapshot) error {
-	if err := s.fit(sn, "restored"); err != nil {
-		return err
+	if sn.nodes == nil {
+		return errAdopted
 	}
-	for i, c := range s.cohorts {
-		c.Node = sn.nodes[i].Clone()
-	}
-	s.Net = sn.net.Clone()
-	s.Net.RetargetGST(s.Cfg.GST)
-	s.oracle = sn.oracle.Clone()
-	s.dutyView = append(s.dutyView[:0], sn.dutyView...)
-	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
-	s.slot = sn.slot
-	// The duty roster caches (epoch, seed, shuffling)-derived state; the
-	// restored epoch may differ, so force a rebuild. The sent-list cache
-	// may stay: attest re-sends a list only when its members are equal.
-	s.dutyRosterSet = false
-	return nil
+	return s.install(sn.clone(), "restored")
 }
 
 // Adopt is Restore without the defensive deep copy: the snapshot's state
 // is moved into the simulation and the snapshot is consumed (poisoned —
-// any later Restore or Adopt of it fails). Use it only for a snapshot's
-// final consumer (engine.Prefix.Owned: a sweep fork's private copy, a
-// decoded checkpoint). The resulting state is identical to Restore's,
-// so adopting versus restoring can never change a run's results — it only
-// skips cloning state that would be garbage the moment it was copied.
+// any later Restore, Adopt or WriteTo of it fails: it holds no views, so it
+// fits no simulation). Use it only for a snapshot nothing else will read: a
+// fork's copy of a sweep spine (internal/engine). The resulting state is
+// identical to Restore's, so adopting versus restoring can never change a
+// run's results — it only skips cloning state that would be garbage the
+// moment it was copied.
 func (s *Simulation) Adopt(sn *Snapshot) error {
-	if sn.nodes == nil {
-		return fmt.Errorf("%w: snapshot already adopted", ErrBadConfig)
+	if err := s.install(sn, "adopted"); err != nil {
+		return err
 	}
-	if err := s.fit(sn, "adopted"); err != nil {
+	sn.nodes, sn.net, sn.oracle, sn.dutyView, sn.embargoes = nil, nil, nil, nil, nil
+	return nil
+}
+
+// install makes the snapshot's storage the simulation's, once it fits
+// (fit): its views, network — retargeted onto the simulation's heal slot —
+// oracle, columns and slot.
+func (s *Simulation) install(sn *Snapshot, verb string) error {
+	if err := s.fit(sn, verb); err != nil {
 		return err
 	}
 	for i, c := range s.cohorts {
@@ -169,10 +210,12 @@ func (s *Simulation) Adopt(sn *Snapshot) error {
 	s.Net.RetargetGST(s.Cfg.GST)
 	s.oracle = sn.oracle
 	s.dutyView = sn.dutyView
-	s.embargoes = append(s.embargoes[:0], sn.embargoes...)
+	s.embargoes = sn.embargoes
 	s.slot = sn.slot
+	// The duty roster caches (epoch, seed, shuffling)-derived state; the
+	// installed epoch may differ, so force a rebuild. The sent-list cache
+	// may stay: attest re-sends a list only when its members are equal.
 	s.dutyRosterSet = false
-	sn.nodes, sn.net, sn.oracle, sn.dutyView = nil, nil, nil, nil
 	return nil
 }
 
@@ -183,30 +226,6 @@ type adversaryCoder struct {
 	c   codec.Coder
 	buf bytes.Buffer
 	src strings.Reader
-}
-
-// adversaryCoder returns the simulation's adversary coder storage.
-func (s *Simulation) adversaryCoder() *adversaryCoder {
-	if s.advCoder == nil {
-		s.advCoder = new(adversaryCoder)
-	}
-	return s.advCoder
-}
-
-// adversaryState encodes the state of the simulation's adversary for a
-// Snapshot: the adversary's type, then its walk. It is empty when the
-// adversary does not walk.
-func (s *Simulation) adversaryState() string {
-	w, ok := s.Cfg.Adversary.(walker)
-	if !ok {
-		return ""
-	}
-	ac, name := s.adversaryCoder(), reflect.TypeOf(w).String()
-	ac.buf.Reset()
-	ac.c.ResetEncoder(&ac.buf)
-	ac.c.String(&name)
-	w.Walk(&ac.c)
-	return ac.buf.String()
 }
 
 // fit refuses a snapshot that does not fit the simulation: one of another
@@ -226,7 +245,7 @@ func (s *Simulation) fit(sn *Snapshot, verb string) error {
 	if !ok && sn.adversary == "" {
 		return nil
 	}
-	ac, name := s.adversaryCoder(), ""
+	ac, name := &s.advCoder, ""
 	ac.src.Reset(sn.adversary)
 	c := &ac.c
 	c.ResetDecoder(&ac.src)
