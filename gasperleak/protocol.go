@@ -14,8 +14,10 @@ type (
 	// scenario engine, Client and server run.
 	SimConfig = sim.Config
 	// Simulation is a running protocol instance: one materialized view
-	// per cohort (partition of honest validators, or the bridging
-	// Byzantine set) over a partitionable network.
+	// per cohort (a partition of honest validators) over a partitionable
+	// network. Byzantine validators hold no view (View and HomeView
+	// return nil for them); an adversary reads the honest views and the
+	// omniscient block tree (Blocks).
 	Simulation = sim.Simulation
 	// Cohort is one materialized view and the validators holding it.
 	Cohort = sim.Cohort

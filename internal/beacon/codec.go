@@ -69,7 +69,6 @@ func (n *Node) Walk(c *codec.Coder) {
 		clear(n.pending)
 	}
 	walkSpec(&n.Spec, c)
-	c.Bool(&n.EnforceSlashing)
 	n.Tree.Walk(c)
 	forkchoice.WalkEngine(c, &n.Votes)
 	n.FFG.Walk(c)

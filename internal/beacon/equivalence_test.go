@@ -190,7 +190,6 @@ func TestInternedVotesMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		batched := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
 		single := NewNodeWithForkChoice(validators, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
-		batched.EnforceSlashing, single.EnforceSlashing = true, true
 		// The evidence each stream's batches produced, read off the node's
 		// per-batch scratch right after each call.
 		var batchedEvidence, singleEvidence []slashing.Evidence
@@ -385,7 +384,6 @@ func TestBatchScratchSurvivesCloneAndCodec(t *testing.T) {
 		}
 	}
 	orig := NewNodeWithForkChoice(8, types.DefaultSpec(), genesis(), new(forkchoice.ProtoArray))
-	orig.EnforceSlashing = true
 	orig.ReceiveBatch(vote(1, 1), []types.ValidatorIndex{1, 2, 3, 4})
 	orig.ReceiveBatch(vote(1, 2), []types.ValidatorIndex{1}) // mid-run: the scratch holds evidence
 	if len(orig.batchEvidence) != 1 || !orig.Detector.Slashed(1) {
@@ -407,9 +405,6 @@ func TestBatchScratchSurvivesCloneAndCodec(t *testing.T) {
 		name string
 		n    *Node
 	}{{"clone", clone}, {"decoded", decoded}} {
-		if !tc.n.EnforceSlashing {
-			t.Fatalf("%s: enforcement lost", tc.name)
-		}
 		tc.n.ReceiveBatch(equivocate, voters)
 		if got := tc.n.batchEvidence; !slices.Equal(got, want) {
 			t.Fatalf("%s: evidence %v, the original %v", tc.name, got, want)

@@ -38,11 +38,6 @@ type Node struct {
 	Registry *validator.Registry
 	Leak     incentives.Engine
 
-	// EnforceSlashing makes the node apply slashing evidence it detects
-	// to its own registry (honest behavior). Byzantine nodes leave it
-	// off.
-	EnforceSlashing bool
-
 	// hidden lists the blocks head computation skips. The view-cohort
 	// simulator installs it while a block one cohort member produced this
 	// slot is still in flight to the rest, the only within-cohort view
@@ -82,7 +77,7 @@ type Node struct {
 	//gasper:shallow scratch buffer; clones re-grow their own
 	batchNew []types.ValidatorIndex
 	// batchEvidence is ReceiveBatch's other scratch: the offenses the batch
-	// completed, applied to the registry when EnforceSlashing is set.
+	// completed, which it applies to the registry.
 	//gasper:nocodec scratch buffer; each node re-grows its own
 	//gasper:shallow scratch buffer; clones re-grow their own
 	batchEvidence []slashing.Evidence
@@ -142,7 +137,7 @@ func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
 	n.Pool.Reset(nValidators)
 	n.Detector = new(slashing.Detector)
 	n.Registry.Reset(nValidators, spec.MaxEffectiveBalance)
-	n.EnforceSlashing, n.hidden, n.incentivesNext = false, nil, 0
+	n.hidden, n.incentivesNext = nil, 0
 	n.totalSet, n.work = false, Work{}
 	clear(n.pending)
 	n.stakeFn = n.Registry.Stake
@@ -162,17 +157,16 @@ func (n *Node) Reset(nValidators int, spec types.Spec, genesis types.Root) {
 // prefix).
 func (n *Node) Clone() *Node {
 	out := &Node{
-		Spec:            n.Spec,
-		Tree:            n.Tree.Clone(),
-		Votes:           n.Votes.CloneEngine(),
-		FFG:             n.FFG.Clone(),
-		Pool:            n.Pool.Clone(),
-		Detector:        n.Detector.Clone(),
-		Registry:        n.Registry.Clone(),
-		Leak:            n.Leak,
-		EnforceSlashing: n.EnforceSlashing,
-		pending:         make(map[types.Root][]blocktree.Block, len(n.pending)),
-		incentivesNext:  n.incentivesNext,
+		Spec:           n.Spec,
+		Tree:           n.Tree.Clone(),
+		Votes:          n.Votes.CloneEngine(),
+		FFG:            n.FFG.Clone(),
+		Pool:           n.Pool.Clone(),
+		Detector:       n.Detector.Clone(),
+		Registry:       n.Registry.Clone(),
+		Leak:           n.Leak,
+		pending:        make(map[types.Root][]blocktree.Block, len(n.pending)),
+		incentivesNext: n.incentivesNext,
 	}
 	//gasper:ordered per-key copy into a fresh map: the clone is the same whatever the order
 	for parent, blocks := range n.pending {
@@ -216,7 +210,7 @@ func (n *Node) ReceiveAttestation(a attestation.Attestation) {
 // vote goes to the pool, and for each validator to whom it is new there,
 // the block vote to fork choice, and the slashing detector checks the vote
 // against the validator's others in the pool. Detected offenses are applied
-// to the registry when EnforceSlashing is set. All three take the batch
+// to the registry. All three take the batch
 // whole: the pool interns the value once, fork choice sizes its columns and
 // resolves the head root once, the detector judges each retained epoch once.
 //
@@ -225,7 +219,7 @@ func (n *Node) ReceiveBatch(data attestation.Data, validators []types.ValidatorI
 	n.batchNew = n.Pool.AddBatch(n.batchNew[:0], data, validators)
 	n.Votes.ProcessBatch(n.batchNew, data.Head, data.Slot)
 	n.batchEvidence = n.Detector.ObserveBatch(n.batchEvidence[:0], n.Pool, data, n.batchNew)
-	if n.EnforceSlashing && len(n.batchEvidence) > 0 {
+	if len(n.batchEvidence) > 0 {
 		for _, ev := range n.batchEvidence {
 			_ = n.Registry.Slash(ev.Validator, data.Slot.Epoch())
 		}

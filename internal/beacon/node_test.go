@@ -246,7 +246,6 @@ func TestIncentivesProcessedOncePerEpoch(t *testing.T) {
 
 func TestSlashingEnforcement(t *testing.T) {
 	n := newTestNode(t, 4)
-	n.EnforceSlashing = true
 	tgtA := types.Checkpoint{Epoch: 1, Root: types.RootFromUint64(1)}
 	tgtB := types.Checkpoint{Epoch: 1, Root: types.RootFromUint64(2)}
 	src := types.Checkpoint{Epoch: 0, Root: genesis()}
@@ -260,13 +259,6 @@ func TestSlashingEnforcement(t *testing.T) {
 	}
 	if n.Registry.Columns().Status[2] != validator.Slashed {
 		t.Error("double voter must be slashed out of the set")
-	}
-	// Without enforcement the registry is untouched.
-	m := newTestNode(t, 4)
-	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtA.Root, Source: src, Target: tgtA}})
-	m.ReceiveAttestation(attestation.Attestation{Validator: 2, Data: attestation.Data{Slot: 33, Head: tgtB.Root, Source: src, Target: tgtB}})
-	if m.Registry.Columns().Status[2] != validator.Active {
-		t.Error("non-enforcing node must not slash")
 	}
 }
 
@@ -319,7 +311,6 @@ func TestNodeRobustUnderRandomTraffic(t *testing.T) {
 	f := func(seed int64, ops []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := newTestNode(t, 8)
-		n.EnforceSlashing = true
 		roots := []types.Root{genesis()}
 		prevFinalized := n.Finalized().Epoch
 		for i, op := range ops {

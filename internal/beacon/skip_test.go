@@ -61,7 +61,7 @@ func (d *boundaryDrive) data(e types.Epoch, source types.Checkpoint) attestation
 func (d *boundaryDrive) vote(data attestation.Data, voters []types.ValidatorIndex) {
 	d.t.Helper()
 	d.node.ReceiveBatch(data, voters)
-	if d.node.EnforceSlashing && len(d.node.batchEvidence) > 0 {
+	if len(d.node.batchEvidence) > 0 {
 		d.slashings++
 		d.checkTotal(fmt.Sprintf("slashing batch of epoch %d", data.Target.Epoch))
 	}
@@ -132,8 +132,8 @@ func span(lo, hi int) []types.ValidatorIndex {
 // every window epoch and sums its registry reports and holds — at every
 // boundary of four phases: a leak run past the crossing where 60 % of the
 // validators' stake passes 2/3 again, late votes that bring two window
-// epochs over 2/3 (a heal), double votes slashed under EnforceSlashing,
-// and equivocations that fill the pool's second column. Run in place and
+// epochs over 2/3 (a heal), double votes slashed on sight, and
+// equivocations that fill the pool's second column. Run in place and
 // with the node swapped before every boundary for its frame decoded into a
 // node that has run before.
 func TestSkippedTalliesAreExact(t *testing.T) {
@@ -186,7 +186,6 @@ func TestSkippedTalliesAreExact(t *testing.T) {
 
 			// Phase 3: 45 vote, and five of them also vote for a
 			// sibling head of the same target: slashed on sight.
-			d.node.EnforceSlashing = true
 			for range 3 {
 				d.block(e)
 				src := d.node.FFG.LatestJustified()
@@ -201,8 +200,7 @@ func TestSkippedTalliesAreExact(t *testing.T) {
 			}
 
 			// Phase 4: ten validators also vote from an older source, which
-			// fills the second column without slashing.
-			d.node.EnforceSlashing = false
+			// fills the second column, and slashes them.
 			for range 3 {
 				d.block(e)
 				d.vote(d.data(e, d.node.FFG.LatestJustified()), span(0, 45))

@@ -5,8 +5,11 @@
 //     branches of a partition every epoch — a slashable offense that stays
 //     hidden until GST because each partition only sees one face;
 //   - SemiActive (Scenarios 5.2.2 / 5.2.3): Byzantine validators alternate
-//     branches every epoch — non-slashable — optionally staying two
-//     consecutive epochs per branch when they decide to finalize;
+//     branches every epoch — one vote an epoch, so never a double vote —
+//     optionally staying two consecutive epochs per branch when they decide
+//     to finalize. Their votes across the branches do form surround pairs,
+//     which only a detector that sees both branches finds: no honest view
+//     does before GST;
 //   - Bouncer (Scenario 5.3): after GST, Byzantine validators withhold
 //     their checkpoint votes and release them at epoch boundaries to
 //     alternately justify the two branches of a fork, bouncing honest
@@ -28,7 +31,6 @@ import (
 	"math/rand"
 
 	"repro/internal/attestation"
-	"repro/internal/blocktree"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -72,15 +74,19 @@ func (d *DoubleVoter) OnSlot(s *sim.Simulation, slot types.Slot) {
 }
 
 // SemiActive is the Scenario 5.2.2 / 5.2.3 adversary: Byzantine validators
-// are active on branch (epoch mod 2) each epoch — never equivocating within
-// an epoch, hence non-slashable. To finalize, the adversary switches to the
-// finalization gait: it camps on branch 0 until that view finalizes a
-// post-fork checkpoint (two consecutive justifications), then camps on
-// branch 1 until it finalizes too — conflicting finalization — and resumes
-// alternation. Camping (rather than staying a fixed two epochs) makes the
-// gait robust at the exact quorum boundary, where a marginal link can miss
-// the supermajority by a hair and only clear it an epoch or two later as
-// the leak keeps draining the denominators.
+// are active on branch (epoch mod 2) each epoch — one vote an epoch, so
+// never a double vote. A vote on the branch whose justified checkpoint is
+// older surrounds the votes the validator cast on the other branch since,
+// so the gait does cast surround votes; but only a detector that sees both
+// branches finds them, and before GST no honest view does. To finalize,
+// the adversary switches to the finalization gait: it camps on branch 0
+// until that view finalizes a post-fork checkpoint (two consecutive
+// justifications), then camps on branch 1 until it finalizes too —
+// conflicting finalization — and resumes alternation. Camping (rather than
+// staying a fixed two epochs) makes the gait robust at the exact quorum
+// boundary, where a marginal link can miss the supermajority by a hair and
+// only clear it an epoch or two later as the leak keeps draining the
+// denominators.
 //
 // With AutoFinalize the adversary starts the gait itself, as soon as
 // alternation has justified recent checkpoints on both branches — the
@@ -254,10 +260,12 @@ func (b *Bouncer) arm(s *sim.Simulation) bool {
 }
 
 // branchTip finds the highest block descending from the branch anchor in
-// the omniscient Byzantine view's tree.
-func (b *Bouncer) branchTip(tree *blocktree.Tree, branch int) (types.Root, bool) {
-	anchor := b.anchors[branch]
-	if !tree.Has(anchor) {
+// the omniscient block tree, as long as the branch representative's home
+// view still holds the anchor: once that view finalizes past the fork it
+// prunes the anchor, and the attack on the branch is over.
+func (b *Bouncer) branchTip(s *sim.Simulation, branch int) (types.Root, bool) {
+	anchor, tree := b.anchors[branch], s.Blocks()
+	if !s.HomeView(b.setupReps[branch]).Tree.Has(anchor) {
 		return types.Root{}, false
 	}
 	best := anchor
@@ -270,9 +278,9 @@ func (b *Bouncer) branchTip(tree *blocktree.Tree, branch int) (types.Root, bool)
 	return best, true
 }
 
-// OnSlot implements sim.Adversary. The views it acts on — each branch
-// representative's home view and the Byzantine cohort's omniscient one —
-// are read off the simulation on every use, never kept.
+// OnSlot implements sim.Adversary. What it acts on — each branch
+// representative's home view and the omniscient block tree — is read off
+// the simulation on every use, never kept.
 func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 	if slot < s.Cfg.GST {
 		return
@@ -287,12 +295,11 @@ func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 	ended := epoch - 1
 	branch := int(ended % 2)
 
-	observer := s.HomeView(s.Cfg.Byzantine[0])
-	tip, ok := b.branchTip(observer.Tree, branch)
+	tip, ok := b.branchTip(s, branch)
 	if !ok {
 		return
 	}
-	target, err := observer.Tree.CheckpointFor(tip, ended)
+	target, err := s.Blocks().CheckpointFor(tip, ended)
 	if err != nil || target.Root == b.lastJust[branch].Root {
 		return
 	}
@@ -333,8 +340,6 @@ func (b *Bouncer) OnSlot(s *sim.Simulation, slot types.Slot) {
 			s.SetDutyView(h, stale)
 		}
 	}
-	// The omniscient Byzantine view tracks every justification.
-	observer.FFG.ForceJustify(target)
 	b.lastJust[branch] = target
 	b.prevTarget = target
 }

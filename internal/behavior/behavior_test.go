@@ -1,9 +1,13 @@
 package behavior
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
+	"repro/internal/attestation"
 	"repro/internal/sim"
+	"repro/internal/slashing"
 	"repro/internal/types"
 	"repro/internal/validator"
 )
@@ -439,4 +443,54 @@ func TestSemiActiveAutoFinalizeFinalizesPostFork(t *testing.T) {
 			t.Fatalf("validator %d's view finalized epoch %d, before the gait's start at %d", rep, fin, gait)
 		}
 	}
+}
+
+// TestSemiActiveVotesSurroundAcrossBranches: the semi-active gait casts one
+// vote an epoch, so never a double vote; but a vote on the branch whose
+// justified checkpoint is older surrounds the validator's earlier votes on
+// the other branch. Before GST the two honest views' pools hold every
+// Byzantine vote between them, one branch's each, so only their union shows
+// the surround pairs.
+func TestSemiActiveVotesSurroundAcrossBranches(t *testing.T) {
+	adv := &SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true}
+	cfg := byzConfig(17, adv)
+	votes := map[types.ValidatorIndex]map[attestation.Data]bool{}
+	for _, b := range cfg.Byzantine {
+		votes[b] = map[attestation.Data]bool{}
+	}
+	cfg.OnEpoch = func(s *sim.Simulation, _ types.Epoch) {
+		for _, rep := range adv.Reps {
+			pool := s.View(rep).Pool
+			for _, ev := range pool.Retained() {
+				for v, data := range pool.VotesForEpoch(ev.Epoch()) {
+					for _, d := range data {
+						if set, ok := votes[types.ValidatorIndex(v)]; ok {
+							set[d] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runUntilConflict(t, s, 32) == 0 {
+		t.Fatal("scenario 5.2.2 never finalized conflicting branches")
+	}
+	kinds := map[slashing.Kind]int{}
+	for _, set := range votes {
+		data := slices.Collect(maps.Keys(set))
+		for i := range data {
+			for j := i + 1; j < len(data); j++ {
+				kinds[slashing.Conflict(data[i], data[j])]++
+			}
+		}
+	}
+	if kinds[slashing.DoubleVote] != 0 || kinds[slashing.SurroundVote] == 0 {
+		t.Fatalf("the Byzantine votes both views hold form %d double-vote and %d surround pairs; want none and some",
+			kinds[slashing.DoubleVote], kinds[slashing.SurroundVote])
+	}
+	t.Logf("%d surround pairs", kinds[slashing.SurroundVote])
 }

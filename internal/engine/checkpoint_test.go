@@ -211,21 +211,24 @@ func TestPrefixBlobWrittenByPR18(t *testing.T) {
 }
 
 var writeFrame = flag.Bool("write-frame", false,
-	"rewrite testdata/prefix-v3-frame-v7.blob from TestPrefixBlobFixture's run")
+	"rewrite testdata/prefix-v3-frame-v8.blob from TestPrefixBlobFixture's run")
 
-// prefixFixture is a version 3 prefix blob around a version 7 snapshot
+// prefixFixture is a version 3 prefix blob around a version 8 snapshot
 // frame: the sim/semiactive cell of prefixFixtureParams 60 epochs in — a
-// sampled stake curve and the stake floor, then a two-view snapshot that
-// ends in the adversary's gait state. The version 2 blobs of the same cell
-// carried the gait state in the trace instead: prefixV4Frame around a
+// sampled stake curve and the stake floor, then a snapshot of the two
+// honest views that ends in the adversary's gait state. prefixV7Frame is
+// the same cell's version 3 blob around a version 7 frame, which still held
+// a third view, the Byzantine validators'. The version 2 blobs of the same
+// cell carried the gait state in the trace instead: prefixV4Frame around a
 // version 4 frame, written by the encoder and decoder pairs the codec walks
 // replaced (the first blob to cover the trace and adversary codecs), and
 // prefixV5Frame and prefixV6Frame around version 5 and 6 frames.
 const (
-	prefixFixture = "testdata/prefix-v3-frame-v7.blob"
+	prefixFixture = "testdata/prefix-v3-frame-v8.blob"
 	prefixV4Frame = "testdata/prefix-v2-pr39.blob"
 	prefixV5Frame = "testdata/prefix-v2-frame-v5.blob"
 	prefixV6Frame = "testdata/prefix-v2-frame-v6.blob"
+	prefixV7Frame = "testdata/prefix-v3-frame-v7.blob"
 )
 
 // prefixFixtureParams is the cell prefixFixture was written for.
@@ -234,7 +237,8 @@ var prefixFixtureParams = Params{P0: 0.5, Beta0: 0.33, N: 64, Horizon: 120, Seed
 // TestPrefixBlobFixture: this build writes the checked-in blob's exact
 // bytes for its cell, the blob decodes, re-encodes to the same bytes, and
 // finishes its cell to the Result a cold run computes. The version 2 blobs
-// are version misses. (-write-frame rewrites the blob.)
+// are version misses, and so is the version 3 blob around a version 7
+// frame, at its frame. (-write-frame rewrites the blob.)
 func TestPrefixBlobFixture(t *testing.T) {
 	ctx := context.Background()
 	sc, _ := Default.Lookup(ScenarioSimSemiActive)
@@ -247,6 +251,13 @@ func TestPrefixBlobFixture(t *testing.T) {
 		if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, errPrefixCodec) || !strings.Contains(err.Error(), "version 2") {
 			t.Fatalf("DecodePrefix of %s = %v, %v; want nil and a version 2 error wrapping errPrefixCodec", path, pre, err)
 		}
+	}
+	old, err := os.ReadFile(prefixV7Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre, err := cs.DecodePrefix(bytes.NewReader(old)); pre != nil || !errors.Is(err, sim.ErrSnapshotCodec) || !strings.Contains(err.Error(), "version 7") {
+		t.Fatalf("DecodePrefix of %s = %v, %v; want nil and a version 7 error wrapping sim.ErrSnapshotCodec", prefixV7Frame, pre, err)
 	}
 
 	p := prefixFixtureParams.WithDefaults(sc.Defaults())
@@ -299,11 +310,13 @@ func TestPrefixBlobFixture(t *testing.T) {
 
 // TestCheckpointLoadsIntoUsedSpares is the differential check of the
 // durable tier's resume: the checked-in sim/semiactive blob, and a second
-// sim/semiactive prefix whose views hold slashing marks, each loaded
-// (loadPrefix) into the spare simulation a cell of another shape left
-// behind — more validators, fewer, another scenario — with a block waiting
-// for its parent in every view, stands on that spare, re-encodes to the
-// blob's bytes, and finishes its cell to the cold Result.
+// sim/semiactive prefix one of whose views holds a slashing mark, each
+// loaded (loadPrefix) into the spare simulation a cell of another shape
+// left behind — more validators, fewer, another scenario — with a block
+// waiting for its parent in every view, stands on that spare, re-encodes to
+// the blob's bytes, and finishes its cell to the Result of the prefix it was
+// written from: the cold run's for the fixture, and the live prefix's own
+// continuation for the second.
 func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 	ctx := context.Background()
 	sc, _ := Default.Lookup(ScenarioSimSemiActive)
@@ -313,12 +326,24 @@ func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 		t.Fatal(err)
 	}
 	slashed := Params{P0: 0.5, Beta0: 0.33, N: 96, Horizon: 90, Seed: 2}.WithDefaults(sc.Defaults())
-	pre, err := cs.RunTo(ctx, slashed, nil, 40)
+	pre, err := cs.advanceTo(ctx, slashed, nil, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The partition never heals, so no honest view sees the Byzantine
+	// validators' votes on both branches: show one view a double vote.
+	live := pre.live()
+	view := live.Cohorts()[0].Node
+	vote, err := view.AttestationData(live.Slot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, head := range []uint64{901, 902} {
+		vote.Head = types.RootFromUint64(head)
+		view.ReceiveBatch(vote, []types.ValidatorIndex{1})
+	}
 	marks := 0
-	for _, c := range pre.live().Cohorts() {
+	for _, c := range live.Cohorts() {
 		for v := range slashed.N {
 			if c.Node.Detector.Slashed(types.ValidatorIndex(v)) {
 				marks++
@@ -332,6 +357,15 @@ func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 	if err := cs.EncodePrefix(&slashedBlob, pre); err != nil {
 		t.Fatal(err)
 	}
+	slashedWant, err := cs.ResumeFrom(ctx, pre, slashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureParams := prefixFixtureParams.WithDefaults(sc.Defaults())
+	fixtureWant, err := sc.Run(ctx, fixtureParams)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	used := []Cell{
 		{Scenario: ScenarioSimSemiActive, Params: Params{P0: 0.5, Beta0: 0.2, N: 160, Horizon: 30, Seed: 3}},
@@ -342,14 +376,11 @@ func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 		name string
 		p    Params
 		blob []byte
+		want Result
 	}{
-		{"fixture", prefixFixtureParams.WithDefaults(sc.Defaults()), fixture},
-		{"slashed", slashed, slashedBlob.Bytes()},
+		{"fixture", fixtureParams, fixture, fixtureWant},
+		{"slashed", slashed, slashedBlob.Bytes(), slashedWant},
 	} {
-		cold, err := sc.Run(ctx, b.p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, u := range used {
 			drainSpares()
 			if _, err := RunCell(ctx, u, Options{}); err != nil {
@@ -379,8 +410,8 @@ func TestCheckpointLoadsIntoUsedSpares(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := res.WithoutMeta(), cold.WithoutMeta(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s into %s's spare diverged from the cold run:\n  resumed: %+v\n  cold:    %+v", b.name, u.Scenario, got, want)
+			if got, want := res.WithoutMeta(), b.want.WithoutMeta(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s into %s's spare diverged from the prefix's own run:\n  resumed: %+v\n  want:    %+v", b.name, u.Scenario, got, want)
 			}
 		}
 	}

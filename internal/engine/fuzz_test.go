@@ -268,7 +268,7 @@ func FuzzParseGrid(f *testing.F) {
 // the checked-in sim/semiactive blobs, a fresh sim/leak prefix and the
 // version 1 blob.
 func FuzzDecodePrefix(f *testing.F) {
-	for _, name := range []string{prefixFixture, prefixV6Frame, prefixV5Frame, prefixV4Frame, prefixV1PR18} {
+	for _, name := range []string{prefixFixture, prefixV7Frame, prefixV6Frame, prefixV5Frame, prefixV4Frame, prefixV1PR18} {
 		blob, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)

@@ -108,7 +108,7 @@ func countSites(t *testing.T, tail []byte) []countSite {
 		u64(2),    // retry delay
 		u64(7),    // seed
 	)
-	netCounters := cat(count(0), count(0), u64(0), u64(0))
+	netCounters := cat(count(0), u64(0), u64(0))
 
 	// A node at genesis ends in its registry (4 + 25 bytes a validator),
 	// no pending blocks and the next incentives epoch.
@@ -167,7 +167,6 @@ func countSites(t *testing.T, tail []byte) []countSite {
 			read(func(c *codec.Coder) { var e forkchoice.Engine; forkchoice.WalkEngine(c, &e) })},
 		{"ffg.Engine.Walk justified", tail, read(new(ffg.Engine).Walk)},
 		{"network partitions", cat(netHeader, tail), readNetwork},
-		{"network bridging", cat(netHeader, empty, tail), readNetwork},
 		{"network inboxes", cat(netHeader, netCounters, tail), readNetwork},
 		{"network inbox slots", cat(netHeader, netCounters, count(1), tail), readNetwork},
 		{"network slot messages", cat(netHeader, netCounters, count(1), count(1), u64(3), tail), readNetwork},

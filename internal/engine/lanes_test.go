@@ -13,7 +13,7 @@ import (
 // and once with one: the payloads are byte for byte the same, the rows whose
 // honest partitions stay apart (sim/leak, sim/partition, and sim/gst before
 // its heal) take lanes, and the rest take none — sim/drops heals at once,
-// and the adversary rows (sim/semiactive, sim/bounce) bridge the partitions.
+// and the adversary rows (sim/semiactive, sim/bounce) act every slot.
 func TestSimRowsLaneIndependent(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	laned := map[string]bool{ScenarioSimLeak: true, ScenarioSimPartition: true, ScenarioSimGST: true}

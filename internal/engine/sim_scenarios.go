@@ -533,8 +533,8 @@ func validateSimSemiActive(p Params) error {
 	return nil
 }
 
-// semiActiveByz derives the Byzantine cohort — the top beta0 of the index
-// range — from validated params.
+// semiActiveByz derives the Byzantine validators — the top beta0 of the
+// index range — from validated params.
 func semiActiveByz(p Params) []types.ValidatorIndex {
 	byz := make([]types.ValidatorIndex, int(math.Round(float64(p.N)*p.Beta0)))
 	for i := range byz {
@@ -543,8 +543,8 @@ func semiActiveByz(p Params) []types.ValidatorIndex {
 	return byz
 }
 
-// simSemiActiveConfig is the lasting partition under a semi-active
-// Byzantine cohort watching one honest representative per branch.
+// simSemiActiveConfig is the lasting partition under semi-active Byzantine
+// validators watching one honest representative per branch.
 func simSemiActiveConfig(p Params) sim.Config {
 	cfg := leakPartitionConfig(p, semiActiveByz(p))
 	nA := int(math.Round(float64(p.N-len(cfg.Byzantine)) * p.P0))
@@ -554,7 +554,8 @@ func simSemiActiveConfig(p Params) sim.Config {
 
 // finishSimSemiActive assembles Table 3 at full protocol: beta0 of the
 // stake is semi-active Byzantine — active on alternating branches every
-// epoch, never equivocating within an epoch, hence never slashable — which
+// epoch, one vote an epoch, and slashable only by a detector that sees both
+// branches, which no honest view is before GST — which
 // keeps both branches' active ratios near the quorum from the start and
 // makes the leak drain only the honest inactive half. The adversary watches
 // both branch views (AutoFinalize) and, the moment alternation justifies

@@ -8,7 +8,7 @@ import (
 	"repro/internal/types"
 )
 
-// Walk moves the network — configuration, partition and bridging maps,
+// Walk moves the network — configuration, partition map,
 // counters, and every held message — for the durable snapshot codec. The
 // payload type is generic, so the caller supplies the message walk and the
 // fewest bytes a message encodes as. Inbox slots are written in sorted
@@ -30,7 +30,6 @@ func (n *Network[M]) Walk(c *codec.Coder, msgBytes int, msg func(*M, *codec.Code
 	c.U64((*uint64)(&n.cfg.RetryDelay))
 	c.I64(&n.cfg.Seed)
 	codec.Slice(c, &n.partition, 8, func(p *int, c *codec.Coder) { c.Int(p) })
-	codec.Slice(c, &n.bridging, 1, func(b *bool, c *codec.Coder) { c.Bool(b) })
 	c.Int(&n.sent)
 	c.Int(&n.dropped)
 	node := 0

@@ -10,10 +10,11 @@
 // same messages — while its per-validator oracle mode attaches one endpoint
 // per validator. Nothing in this package assumes either granularity.
 //
-// Byzantine endpoints may be marked as bridging: they hear every partition
-// and their messages reach every partition even before GST — the paper's
-// strong adversary that "can coordinate Byzantine validators, even across
-// network partitions".
+// A sender id that is no endpoint (Nodes or more) is outside every
+// partition: its messages reach every partition even before GST — the
+// paper's strong adversary that "can coordinate Byzantine validators, even
+// across network partitions". Its link class for outages is partition -1,
+// and nothing is ever queued for it.
 //
 // Failure injection uses a link-outage model: with probability DropRate,
 // the inbound link of a partition is down for a slot, and every message
@@ -94,7 +95,6 @@ type Config struct {
 type Network[M any] struct {
 	cfg       Config
 	partition []int
-	bridging  []bool
 	// inbox[node] maps delivery slot to the messages arriving then.
 	inbox []map[types.Slot][]M
 	// counters for metrics.
@@ -117,7 +117,7 @@ type port[M any] struct {
 }
 
 // Reset makes the network a fresh one for cfg (every endpoint in partition
-// 0, none bridging, nothing in flight) in the storage it holds;
+// 0, nothing in flight) in the storage it holds;
 // new(Network[M]).Reset builds one. Every inbox list, a held one included,
 // is cleared onto the free list that enqueue starts new slots' lists from,
 // so a run like the last one grows none. No list Deliveries lent may still
@@ -129,7 +129,6 @@ func (n *Network[M]) Reset(cfg Config) {
 	n.empty()
 	n.cfg, n.sent, n.dropped = cfg, 0, 0
 	n.partition = append(n.partition[:0], make([]int, cfg.Nodes)...)
-	n.bridging = append(n.bridging[:0], make([]bool, cfg.Nodes)...)
 	n.inbox = slices.Grow(n.inbox[:0], cfg.Nodes)[:cfg.Nodes]
 	for i, box := range n.inbox {
 		if box == nil {
@@ -186,38 +185,23 @@ func (n *Network[M]) SetPartition(node NodeID, p int) {
 	}
 }
 
-// Partition returns the partition of an endpoint.
+// Partition returns the partition of an endpoint, and -1 for a sender that
+// is none.
 func (n *Network[M]) Partition(node NodeID) int {
 	if int(node) >= len(n.partition) {
-		return 0
+		return -1
 	}
 	return n.partition[node]
-}
-
-// SetBridging marks an endpoint as partition-bridging (the Byzantine
-// privilege).
-func (n *Network[M]) SetBridging(node NodeID, b bool) {
-	if int(node) < len(n.bridging) {
-		n.bridging[node] = b
-	}
 }
 
 // Healed reports whether partitions have healed at the given slot.
 func (n *Network[M]) Healed(at types.Slot) bool { return at >= n.cfg.GST }
 
 // Reachable reports whether a message sent by from at the given slot
-// reaches to without waiting for GST.
+// reaches to without waiting for GST: a sender that is no endpoint reaches
+// every endpoint.
 func (n *Network[M]) Reachable(from, to NodeID, at types.Slot) bool {
-	if from == to || n.Healed(at) {
-		return true
-	}
-	if int(from) < len(n.bridging) && n.bridging[from] {
-		return true
-	}
-	if int(to) < len(n.bridging) && n.bridging[to] {
-		return true
-	}
-	return n.Partition(from) == n.Partition(to)
+	return from == to || n.Healed(at) || int(from) >= len(n.partition) || n.Partition(from) == n.Partition(to)
 }
 
 // linkDown reports whether the inbound link of partition p is down at the
@@ -291,25 +275,22 @@ func (n *Network[M]) BroadcastAcross(from NodeID, at types.Slot, msg M) {
 	n.sent++
 }
 
-// BroadcastAs routes msg as if the sender were a non-bridging member of
-// partition asPartition: members of that partition (and bridging receivers)
-// get it after Delay, everyone else at GST + Delay. This is how a Byzantine
-// validator shows one face per partition — its double votes reach only the
-// intended partition before GST, yet partial synchrony still delivers every
-// pre-GST message by GST + Delay, so evidence of equivocation eventually
-// surfaces. Link outages still key on the sender's true partition.
+// BroadcastAs routes msg as if the sender were a member of partition
+// asPartition: members of that partition get it after Delay, everyone else
+// at GST + Delay. This is how a Byzantine validator shows one face per
+// partition — its double votes reach only the intended partition before
+// GST, yet partial synchrony still delivers every pre-GST message by GST +
+// Delay, so evidence of equivocation eventually surfaces. Link outages still
+// key on the sender's true partition.
 func (n *Network[M]) BroadcastAs(from NodeID, asPartition int, at types.Slot, msg M) {
 	fromP := n.Partition(from)
 	for node := 0; node < n.cfg.Nodes; node++ {
-		to := NodeID(node)
+		to, toP := NodeID(node), n.partition[node]
 		if to == from {
 			n.enqueue(to, at+n.cfg.Delay, msg)
 			continue
 		}
-		reachable := n.Healed(at) ||
-			n.Partition(to) == asPartition ||
-			(int(to) < len(n.bridging) && n.bridging[to])
-		n.enqueue(to, n.deliveryAt(at, reachable, fromP, n.Partition(to)), msg)
+		n.enqueue(to, n.deliveryAt(at, n.Healed(at) || toP == asPartition, fromP, toP), msg)
 	}
 	n.sent++
 }
@@ -355,7 +336,6 @@ func (n *Network[M]) Clone() *Network[M] {
 	out := &Network[M]{
 		cfg:       n.cfg,
 		partition: append([]int(nil), n.partition...),
-		bridging:  append([]bool(nil), n.bridging...),
 		inbox:     make([]map[types.Slot][]M, len(n.inbox)),
 		ports:     make([]port[M], len(n.inbox)),
 		sent:      n.sent,

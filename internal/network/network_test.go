@@ -86,26 +86,32 @@ func TestPartitionHealsAtGST(t *testing.T) {
 	}
 }
 
+// TestBridgingNodeCrossesPartitions: a sender that is no endpoint — the
+// Byzantine validators' id in the simulator — reaches every partition before
+// GST, and nothing is queued for it.
 func TestBridgingNodeCrossesPartitions(t *testing.T) {
 	n := newNet(3, 1000, 1)
 	n.SetPartition(0, 0)
 	n.SetPartition(1, 1)
 	n.SetPartition(2, 1)
-	n.SetBridging(0, true)
-	// Bridging sender reaches the other partition before GST.
-	n.Broadcast(0, 5, "byzantine")
-	if got := n.Deliveries(1, 6); len(got) != 1 {
-		t.Errorf("bridging sender's message not delivered: %v", got)
+	const outsider = NodeID(3)
+	n.Broadcast(outsider, 5, "byzantine")
+	for to := NodeID(0); to < 3; to++ {
+		if got := n.Deliveries(to, 6); len(got) != 1 {
+			t.Errorf("endpoint %d missed the outside sender's message: %v", to, got)
+		}
 	}
-	// Bridging receiver hears the other partition before GST.
-	n.SetBridging(0, true)
+	if n.PendingFor(outsider) != 0 || n.Deliveries(outsider, 6) != nil {
+		t.Error("a message was queued for the outside sender")
+	}
+	// Non-bridging node 2 in partition 1 hears node 1 normally, and node 0
+	// in partition 0 not before GST.
 	n.Broadcast(1, 10, "honest-p1")
-	if got := n.Deliveries(0, 11); len(got) != 1 {
-		t.Errorf("bridging receiver did not hear other partition: %v", got)
-	}
-	// Non-bridging node 2 in partition 1 hears node 1 normally.
 	if got := n.Deliveries(2, 11); len(got) != 1 {
 		t.Errorf("intra-partition delivery missing: %v", got)
+	}
+	if got := n.Deliveries(0, 11); len(got) != 0 {
+		t.Errorf("cross-partition delivery before GST: %v", got)
 	}
 }
 
@@ -122,21 +128,19 @@ func TestReachable(t *testing.T) {
 	if !n.Reachable(0, 0, 50) {
 		t.Error("self always reachable")
 	}
-	n.SetBridging(1, true)
-	if !n.Reachable(0, 1, 50) {
-		t.Error("bridging target must be reachable")
+	if !n.Reachable(3, 1, 50) || !n.Reachable(3, 0, 50) {
+		t.Error("a sender that is no endpoint must reach every endpoint")
 	}
 }
 
 func TestBroadcastAsRoutesByChosenPartition(t *testing.T) {
-	n := newNet(5, 100, 1)
+	n := newNet(4, 100, 1)
 	n.SetPartition(1, 0)
 	n.SetPartition(2, 1)
 	n.SetPartition(3, 1)
-	n.SetBridging(0, true) // Byzantine sender
-	n.SetBridging(4, true) // Byzantine peer
-	// Byzantine node 0 speaks "as partition 1".
-	n.BroadcastAs(0, 1, 5, "faceB")
+	// The Byzantine sender, no endpoint, speaks "as partition 1".
+	const byzantine = NodeID(4)
+	n.BroadcastAs(byzantine, 1, 5, "faceB")
 	// Partition-1 members receive promptly.
 	if got := n.Deliveries(2, 6); len(got) != 1 {
 		t.Errorf("partition-1 member missed the message: %v", got)
@@ -144,20 +148,22 @@ func TestBroadcastAsRoutesByChosenPartition(t *testing.T) {
 	if got := n.Deliveries(3, 6); len(got) != 1 {
 		t.Errorf("partition-1 member missed the message: %v", got)
 	}
-	// Partition-0 member only hears it at GST+delay (evidence surfaces
+	// Partition-0 members only hear it at GST+delay (evidence surfaces
 	// after synchrony resumes).
-	if got := n.Deliveries(1, 6); len(got) != 0 {
-		t.Errorf("partition-0 member heard the other face early: %v", got)
+	for _, to := range []NodeID{0, 1} {
+		if got := n.Deliveries(to, 6); len(got) != 0 {
+			t.Errorf("partition-0 member %d heard the other face early: %v", to, got)
+		}
+		if got := n.Deliveries(to, 101); len(got) != 1 {
+			t.Errorf("partition-0 member %d never got the delayed face: %v", to, got)
+		}
 	}
-	if got := n.Deliveries(1, 101); len(got) != 1 {
-		t.Errorf("partition-0 member never got the delayed face: %v", got)
+	if n.PendingFor(byzantine) != 0 {
+		t.Error("a message was queued for the sender")
 	}
-	// Bridging peers hear everything promptly.
-	if got := n.Deliveries(4, 6); len(got) != 1 {
-		t.Errorf("bridging peer missed the message: %v", got)
-	}
-	// Self-delivery after Delay.
-	if got := n.Deliveries(0, 6); len(got) != 1 {
+	// An endpoint speaking as another partition hears itself after Delay.
+	n.BroadcastAs(0, 1, 10, "self")
+	if got := n.Deliveries(0, 11); len(got) != 1 {
 		t.Errorf("self-delivery missing: %v", got)
 	}
 }
@@ -249,9 +255,8 @@ func TestDropNeverLosesMessages(t *testing.T) {
 func TestOutOfRangeNodesSafe(t *testing.T) {
 	n := newNet(2, 100, 0)
 	n.SetPartition(99, 1)
-	n.SetBridging(99, true)
-	if n.Partition(99) != 0 {
-		t.Error("out-of-range partition should default to 0")
+	if n.Partition(99) != -1 {
+		t.Error("out-of-range partition should be -1, no endpoint's")
 	}
 	if got := n.Deliveries(99, 5); got != nil {
 		t.Errorf("out-of-range deliveries = %v", got)
@@ -533,7 +538,6 @@ func BenchmarkNetworkSlot(b *testing.B) {
 func TestResetHoldsNoMessages(t *testing.T) {
 	n := newNet(3, 40, 1)
 	n.SetPartition(2, 1)
-	n.SetBridging(1, true)
 	for at := types.Slot(0); at < 6; at++ {
 		n.Broadcast(0, at, fmt.Sprint("m", at))
 		n.Broadcast(2, at, fmt.Sprint("x", at))
@@ -546,8 +550,8 @@ func TestResetHoldsNoMessages(t *testing.T) {
 	held := cap(n.inbox[2][41])
 
 	n.Reset(Config{Nodes: 2, GST: 40, Delay: 1})
-	if len(n.inbox) != 2 || n.Partition(1) != 0 || n.bridging[1] {
-		t.Fatalf("reset network: %d endpoints, partition %d, bridging %v", len(n.inbox), n.Partition(1), n.bridging[1])
+	if len(n.inbox) != 2 || n.Partition(1) != 0 {
+		t.Fatalf("reset network: %d endpoints, partition %d", len(n.inbox), n.Partition(1))
 	}
 	if sent, dropped := n.Stats(); sent != 0 || dropped != 0 || n.cfg.RetryDelay != 2 {
 		t.Fatalf("reset network: sent %d, dropped %d, retry delay %d", sent, dropped, n.cfg.RetryDelay)

@@ -10,8 +10,9 @@ import (
 )
 
 // BenchmarkAdversarySnapshot copies a 32-validator sim/semiactive run ten
-// epochs in, the copy a warm sim/semiactive fork pays: "snapshot" takes a
-// Snapshot, "restore" restores one into the simulation. The adversary's
+// epochs in — its two honest views, the Byzantine validators holding none —
+// the copy a warm sim/semiactive fork pays: "snapshot" takes a Snapshot,
+// "restore" restores one into the simulation. The adversary's
 // 16 bytes of gait state ride in both through coder storage the simulation
 // keeps, not a codec.Coder (and its 4 KiB chunk) built per copy; CI gates
 // the B/op of each (gates.json).

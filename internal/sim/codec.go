@@ -29,10 +29,13 @@ import (
 // code read (the detector's marks say who was caught); version 6 drops each
 // node's second copy of the spec, the incentive engine's, which a decode
 // builds from the node's own; version 7 ends with the adversary's state, a
-// count of zero bytes for an adversary that does not walk.
+// count of zero bytes for an adversary that does not walk; version 8 holds
+// no Byzantine view — a Byzantine validator's duty view is the one past the
+// views — and drops the network's bridging column and each node's
+// slashing-enforcement flag.
 const (
 	snapshotMagic   = "GLSN"
-	snapshotVersion = uint32(7)
+	snapshotVersion = uint32(8)
 	// snapshotMaxBytes bounds the declared payload length, so a corrupt
 	// header cannot drive an arbitrary allocation (a full-spec
 	// 10k-validator snapshot is a few MiB; 1 GiB is far past any real
@@ -125,7 +128,8 @@ func (sn *Snapshot) WriteTo(dst io.Writer) (int64, error) {
 // its own walk — and new nodes for what it lacks. A payload whose duty
 // views do not fit it — not one per validator, or one naming a view the
 // snapshot does not hold — is corrupt: restored, it would index past the
-// simulation's views.
+// simulation's views. The view one past them is a Byzantine validator's,
+// which holds none; fit refuses it for an honest one.
 func (sn *Snapshot) walk(c *codec.Coder) {
 	c.Int(&sn.validators)
 	c.U64((*uint64)(&sn.slot))
@@ -152,7 +156,7 @@ func (sn *Snapshot) walk(c *codec.Coder) {
 		c.Corrupt("sim: %d duty views for %d validators", len(sn.dutyView), sn.validators)
 	}
 	for v, view := range sn.dutyView {
-		if view < 0 || view >= len(sn.nodes) {
+		if view < 0 || view > len(sn.nodes) {
 			c.Corrupt("sim: validator %d acts from view %d of %d", v, view, len(sn.nodes))
 			return
 		}

@@ -206,18 +206,21 @@ func checkFrameFixture(t *testing.T, path string, got []byte) *Snapshot {
 	return decoded
 }
 
-// TestSnapshotFrameFixture: testdata/snapshot-v7.frame is the snapshot the
-// build that introduced version 7 wrote for compactedCfg twelve epochs in.
+// TestSnapshotFrameFixture: testdata/snapshot-v8.frame is the snapshot the
+// build that introduced version 8 wrote for compactedCfg twelve epochs in.
 // While the format stands, this build writes those exact bytes for the
 // same run, and reads them back into a snapshot that re-encodes to them
 // and continues like the live simulation. A change that moves the format
 // bumps the version, checks in a frame of its own, and turns this file's
 // check into a version miss like the ones above. The version 5 frame of
 // the same run, which still carried each node's second spec, is one, and
-// so is the version 6 frame, which did not end in adversary state.
+// so are the version 6 frame, which did not end in adversary state, and the
+// version 7 frame, which carried the network's bridging column and each
+// node's slashing-enforcement flag.
 func TestSnapshotFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v5.frame", 5)
 	checkOldFrameRejected(t, "testdata/snapshot-v6.frame", 6)
+	checkOldFrameRejected(t, "testdata/snapshot-v7.frame", 7)
 	cfg := compactedCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -226,7 +229,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(12); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v7.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v8.frame", encodeSnapshot(t, s.Snapshot()))
 	resumed, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +242,7 @@ func TestSnapshotFrameFixture(t *testing.T) {
 	}
 }
 
-// TestHeldTrafficFrameFixture: testdata/snapshot-v7-held-traffic.frame is
+// TestHeldTrafficFrameFixture: testdata/snapshot-v8-held-traffic.frame is
 // the snapshot of a sim/gst population three epochs into a partition that
 // heals at epoch 30. Its held cross-partition traffic carries all three
 // message tags: blocks, batches (two of them from buckets whose proposer
@@ -247,11 +250,12 @@ func TestSnapshotFrameFixture(t *testing.T) {
 // bytes for the same run, and decodes them into a snapshot that re-encodes
 // to them and continues like the live simulation. The version 4 frame of
 // the same run, written by the build before messages became values, and
-// its version 5 and 6 frames are version misses.
+// its version 5, 6 and 7 frames are version misses.
 func TestHeldTrafficFrameFixture(t *testing.T) {
 	checkOldFrameRejected(t, "testdata/snapshot-v4-held-traffic.frame", 4)
 	checkOldFrameRejected(t, "testdata/snapshot-v5-held-traffic.frame", 5)
 	checkOldFrameRejected(t, "testdata/snapshot-v6-held-traffic.frame", 6)
+	checkOldFrameRejected(t, "testdata/snapshot-v7-held-traffic.frame", 7)
 	cfg := heldTrafficCfg()
 	s, err := New(cfg)
 	if err != nil {
@@ -260,7 +264,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	if err := s.RunEpochs(3); err != nil {
 		t.Fatal(err)
 	}
-	decoded := checkFrameFixture(t, "testdata/snapshot-v7-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
+	decoded := checkFrameFixture(t, "testdata/snapshot-v8-held-traffic.frame", encodeSnapshot(t, s.Snapshot()))
 	var kinds [4]int
 	held := decoded.net.Clone()
 	for _, c := range s.Cohorts() {
@@ -283,7 +287,7 @@ func TestHeldTrafficFrameFixture(t *testing.T) {
 	}
 }
 
-// heldTrafficCfg is the run of testdata/snapshot-v7-held-traffic.frame: a
+// heldTrafficCfg is the run of testdata/snapshot-v8-held-traffic.frame: a
 // sim/gst population whose halves heal at epoch 30.
 func heldTrafficCfg() Config {
 	return Config{
@@ -295,7 +299,7 @@ func heldTrafficCfg() Config {
 // usedSimulations are runs whose simulations a frame is loaded into: one
 // larger than every frame fixture's, with lossy links and held traffic; a
 // smaller one of a single view; and one of another layout, three
-// partitions and a Byzantine cohort, that healed, finalized and pruned its
+// partitions and two Byzantine validators, that healed, finalized and pruned its
 // trees. Each is stepped the given epochs.
 var usedSimulations = []struct {
 	name   string
@@ -342,8 +346,8 @@ func TestLoadIntoUsedSimulation(t *testing.T) {
 		cfg           Config
 		epochs, after int
 	}{
-		{"testdata/snapshot-v7.frame", compactedCfg(), 12, 4},
-		{"testdata/snapshot-v7-held-traffic.frame", heldTrafficCfg(), 3, 30},
+		{"testdata/snapshot-v8.frame", compactedCfg(), 12, 4},
+		{"testdata/snapshot-v8-held-traffic.frame", heldTrafficCfg(), 3, 30},
 	} {
 		frame, err := os.ReadFile(fx.path)
 		if err != nil {
@@ -393,7 +397,8 @@ func reseal(b []byte) []byte {
 // skew (the version 1 to 6 frames of earlier builds included), and a
 // correctly sealed payload whose vote tables, id columns, marks or registry
 // are not ones this build writes — fails ReadSnapshot with
-// ErrSnapshotCodec; no partially-decoded snapshot escapes.
+// ErrSnapshotCodec; no partially-decoded snapshot escapes. A frame in which
+// an honest validator acts from no view fails on install instead.
 func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	s, err := New(snapshotCfg())
 	if err != nil {
@@ -496,6 +501,34 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 			}
 		})
 	}
+	// A duty view one past the views is a Byzantine validator's, which holds
+	// none: the frame reads, and the config decides. A simulation in which
+	// the offender is honest refuses it as corrupt (Restore and Load); one in
+	// which it is Byzantine takes it.
+	t.Run("honest-validator-without-view", func(t *testing.T) {
+		sn := s.Snapshot()
+		sn.dutyView[offender] = len(sn.nodes)
+		frame := encodeSnapshot(t, sn)
+		read, err := ReadSnapshot(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		into, err := New(s.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := into.Restore(read); !errors.Is(err, ErrSnapshotCodec) {
+			t.Fatalf("Restore = %v, want ErrSnapshotCodec", err)
+		}
+		if err := into.Load(s.Cfg, bytes.NewReader(frame)); !errors.Is(err, ErrSnapshotCodec) {
+			t.Fatalf("Load = %v, want ErrSnapshotCodec", err)
+		}
+		cfg := s.Cfg
+		cfg.Byzantine = []types.ValidatorIndex{offender}
+		if err := into.Load(cfg, bytes.NewReader(frame)); err != nil {
+			t.Fatalf("Load with validator %d Byzantine: %v", offender, err)
+		}
+	})
 }
 
 // TestSnapshotCodecRejectsMisfitDutyViews: a checksum-valid frame whose

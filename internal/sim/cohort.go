@@ -14,8 +14,9 @@ import (
 // are link-level, and the only per-validator difference — a proposer
 // holding its own block one delay early — is tracked separately as an
 // embargo), so they provably hold identical views and one beacon.Node can
-// serve the whole cohort. All Byzantine validators bridge every partition
-// and hear everything, so they share a single omniscient view too.
+// serve the whole cohort. Byzantine validators hold no view: the adversary
+// reads the honest views and the simulation's omniscient block tree
+// (Simulation.Blocks).
 type Cohort struct {
 	// Index is the cohort's position in Simulation.Cohorts and its
 	// network endpoint id.
@@ -23,10 +24,8 @@ type Cohort struct {
 	// Node is the materialized view every member holds.
 	Node *beacon.Node
 	// Partition is the pre-GST network partition (and drop-link class) of
-	// the members; -1 for the Byzantine cohort.
+	// the members.
 	Partition int
-	// Byzantine marks the adversary's cohort.
-	Byzantine bool
 	// Members lists the validators holding this view, ascending. Callers
 	// must not mutate it.
 	Members []types.ValidatorIndex
@@ -35,17 +34,13 @@ type Cohort struct {
 	voters []types.ValidatorIndex
 }
 
-// byzPartition is the drop-link class of the bridging Byzantine cohort;
-// bridging dominates reachability, so the value only needs to differ from
-// every honest partition id.
-const byzPartition = -1
-
-// buildCohorts groups the validator set into cohorts. In the default mode,
-// honest validators cohort by partition (in order of first appearance,
-// scanning ascending validator indices) and all Byzantine validators form
-// one bridging cohort. Under the tests' singleton reference every
-// validator is its own cohort, which reproduces the pre-refactor
-// one-node-per-validator layout exactly.
+// buildCohorts groups the honest validators into cohorts: by partition, in
+// order of first appearance scanning ascending validator indices. Under the
+// tests' singleton reference every honest validator is its own cohort,
+// which reproduces the pre-refactor one-node-per-validator layout exactly.
+// A Byzantine validator's entry in the routing column is len(cohorts), the
+// network sender id that is no endpoint (see network): it reaches every
+// partition at once and nothing is queued for it.
 //
 // shell skips the per-cohort Node construction (see NewShell): the cohort
 // layout, membership, and partition assignment are built as usual but
@@ -60,9 +55,6 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 	// taken from old[i].
 	cohorts := old[:0]
 	partitionOf := func(v types.ValidatorIndex) int {
-		if byzantine[v] {
-			return byzPartition
-		}
 		if cfg.PartitionOf != nil {
 			return cfg.PartitionOf(v)
 		}
@@ -78,7 +70,6 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 			Index:     len(cohorts),
 			Node:      c.Node,
 			Partition: partitionOf(first),
-			Byzantine: byzantine[first],
 			Members:   c.Members[:0],
 			voters:    c.voters,
 		}
@@ -93,34 +84,26 @@ func buildCohorts(cfg Config, byzantine map[types.ValidatorIndex]bool, genesis t
 			}
 			c.Node = beacon.NewNodeWithForkChoice(cfg.Validators, cfg.Spec, genesis, votes)
 		}
-		if c.Node != nil {
-			c.Node.EnforceSlashing = !c.Byzantine
-		}
 		cohorts = append(cohorts, c)
 		return c
-	}
-
-	if cfg.reference.singletons {
-		for i := 0; i < cfg.Validators; i++ {
-			v := types.ValidatorIndex(i)
-			c := newCohort(v)
-			c.Members = append(c.Members, v)
-			cohortOf[i] = c.Index
-		}
-		return cohorts, cohortOf
 	}
 
 	byKey := make(map[int]*Cohort)
 	for i := 0; i < cfg.Validators; i++ {
 		v := types.ValidatorIndex(i)
-		key := partitionOf(v)
-		c, ok := byKey[key]
-		if !ok {
+		if byzantine[v] {
+			continue
+		}
+		c, ok := byKey[partitionOf(v)]
+		if !ok || cfg.reference.singletons {
 			c = newCohort(v)
-			byKey[key] = c
+			byKey[c.Partition] = c
 		}
 		c.Members = append(c.Members, v)
 		cohortOf[i] = c.Index
+	}
+	for _, b := range cfg.Byzantine {
+		cohortOf[b] = len(cohorts)
 	}
 	return cohorts, cohortOf
 }
@@ -142,9 +125,6 @@ func wireNetwork(cfg Config, cohorts []*Cohort, old *network.Network[Message]) *
 	net.Reset(ncfg)
 	for _, c := range cohorts {
 		net.SetPartition(network.NodeID(c.Index), c.Partition)
-		if c.Byzantine {
-			net.SetBridging(network.NodeID(c.Index), true)
-		}
 	}
 	return net
 }

@@ -181,8 +181,8 @@ func TestCohortKernelMatchesPerValidatorOracle(t *testing.T) {
 
 // TestCohortKernelSharesViews pins the memory shape the refactor is for:
 // at any honest population in one partition, the kernel materializes
-// exactly one view (plus one per extra partition and one Byzantine),
-// regardless of validator count.
+// exactly one view (plus one per extra partition, and none for the
+// Byzantine validators), regardless of validator count.
 func TestCohortKernelSharesViews(t *testing.T) {
 	cfg := healthyConfig(512)
 	cfg.Byzantine = []types.ValidatorIndex{510, 511}
@@ -191,8 +191,8 @@ func TestCohortKernelSharesViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.Cohorts()); got != 3 {
-		t.Fatalf("512 validators materialized %d views, want 3", got)
+	if got := len(s.Cohorts()); got != 2 {
+		t.Fatalf("512 validators materialized %d views, want 2", got)
 	}
 	if err := s.RunEpochs(2); err != nil {
 		t.Fatal(err)

@@ -30,6 +30,7 @@ import (
 // the checked-in frames.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, name := range []string{
+		"snapshot-v8.frame", "snapshot-v8-held-traffic.frame",
 		"snapshot-v7.frame", "snapshot-v7-held-traffic.frame",
 		"snapshot-v6.frame", "snapshot-v6-held-traffic.frame",
 		"snapshot-v5.frame", "snapshot-v5-held-traffic.frame",

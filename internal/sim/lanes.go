@@ -70,8 +70,8 @@ func (a *laneSend) before(b *laneSend) bool {
 // delivered, so snapshots neither carry nor miss it.
 type laneSet struct {
 	// solo is the one lane Step runs; all holds a lane per honest partition
-	// when the population has two or more and no bridging Byzantine cohort,
-	// and of maps a cohort to its lane there.
+	// when the population has two or more, and of maps a cohort to its lane
+	// there.
 	solo [1]lane
 	all  []lane
 	of   []int
@@ -131,8 +131,8 @@ func (s *Simulation) holds(l *lane, ci int) bool {
 
 // laned reports whether the epoch starting at the current slot, ending at
 // or before end, steps a lane per honest partition: no message can pass
-// between the partitions before the epoch ends — no adversary, no bridging
-// Byzantine cohort, the epoch's last slot before GST — no OnEpoch hook
+// between the partitions before the epoch ends — no adversary, the epoch's
+// last slot before GST — no OnEpoch hook
 // wants every view at the boundary, every duty bucket acts and routes
 // within one lane (confined), and the run is large enough to pay for the
 // fan-out on two or more processors.

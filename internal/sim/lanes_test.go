@@ -66,8 +66,9 @@ func healAt(epoch int, restore bool) func(*testing.T, *sim.Simulation) *sim.Simu
 // heal inside the horizon, the warm-start
 // rebase by SetGST and by Restore, lossy links before the heal across three
 // partitions, shuffled duties, a delay over one slot (embargoes that
-// overlap) and the singleton-cohort reference; and the populations lanes
-// leave alone: a bridging Byzantine cohort, an adversary, an OnEpoch hook.
+// overlap), the singleton-cohort reference and silent Byzantine validators,
+// who hold no view; and the populations lanes leave alone: an adversary, an
+// OnEpoch hook.
 func laneCells() []laneCell {
 	compressed := types.CompressedSpec(1 << 16)
 	byz := []types.ValidatorIndex{24, 25, 26, 27, 28, 29, 30, 31}
@@ -98,9 +99,9 @@ func laneCells() []laneCell {
 			return &behavior.SemiActive{Reps: [2]types.ValidatorIndex{0, 12}, AutoFinalize: true}
 		}},
 		{name: "sim/bounce", cfg: bouncerConfig(nil), epochs: 12, adversary: func() sim.Adversary { return newBouncer() }},
-		{name: "byzantine cohort without adversary", cfg: sim.Config{
+		{name: "silent byzantine validators", cfg: sim.Config{
 			Validators: 32, Spec: compressed, GST: network.Never, Delay: 1, Seed: 13, Byzantine: byz, PartitionOf: split(12),
-		}, epochs: 8},
+		}, epochs: 8, laned: true},
 		{name: "shuffled duties", cfg: sim.Config{
 			Validators: 48, Spec: compressed, GST: network.Never, Delay: 1, Seed: 9, ShuffledDuties: true, PartitionOf: split(20),
 		}, epochs: 10, laned: true},

@@ -33,9 +33,6 @@ func (s *Simulation) MetricsAt(epoch types.Epoch) EpochMetrics {
 	m := EpochMetrics{Epoch: epoch}
 	first := true
 	for _, c := range s.cohorts {
-		if c.Byzantine || len(c.Members) == 0 {
-			continue
-		}
 		n := c.Node
 		fin := n.Finalized().Epoch
 		just := n.FFG.LatestJustified().Epoch

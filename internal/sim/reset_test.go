@@ -124,13 +124,12 @@ func checkSameState(t *testing.T, at string, want, got *Simulation, frames bool)
 	t.Helper()
 	type layout struct {
 		Index, Partition int
-		Byzantine        bool
 		Members          []types.ValidatorIndex
 	}
 	layouts := func(s *Simulation) []layout {
 		var out []layout
 		for _, c := range s.Cohorts() {
-			out = append(out, layout{c.Index, c.Partition, c.Byzantine, c.Members})
+			out = append(out, layout{c.Index, c.Partition, c.Members})
 		}
 		return out
 	}

@@ -2,8 +2,10 @@
 // is view-cohort structured: instead of one beacon node per validator, the
 // simulator materializes one beacon.Node per *cohort* — a set of validators
 // that provably hold identical views. Honest validators sharing a pre-GST
-// partition (and the global delay class) form one cohort; all Byzantine
-// validators, who bridge every partition and hear everything, form another.
+// partition (and the global delay class) form one cohort. Byzantine
+// validators hold no view: the strong adversary's global knowledge is the
+// honest views and the omniscient block tree (Blocks), and its messages
+// reach every partition at once.
 // Attestations are produced once per cohort per duty slot and delivered as
 // batches, so a slot costs O(cohorts^2 + validators) instead of
 // O(validators^2), which is what lets the full protocol run at hundreds of
@@ -39,9 +41,9 @@
 //
 // It steps lanes (lanes.go). A lane is the cohorts of one honest partition
 // when the partitions cannot hear each other for a whole epoch — no
-// adversary, no bridging Byzantine cohort, the epoch ending before GST — and
-// nothing wants every view between two slots (no OnEpoch hook), in a run of
-// at least laneValidators validators on two or more processors; otherwise
+// adversary, the epoch ending before GST — and nothing wants every view
+// between two slots (no OnEpoch hook), in a run of at least laneValidators
+// validators on two or more processors; otherwise
 // one lane holds every cohort. RunEpochs steps such an epoch's lanes at
 // once, each on its own goroutine, and joins them once. What a lane sends
 // to another is held for the heal anyway, so the join delivers it in the
@@ -144,9 +146,9 @@ type Config struct {
 	// Spec holds protocol constants; use types.CompressedSpec to shorten
 	// leak time scales in tests.
 	Spec types.Spec
-	// Byzantine lists adversary-controlled validators. They bridge
-	// network partitions and perform no honest duties. Duplicate indices
-	// are rejected.
+	// Byzantine lists adversary-controlled validators. They hold no view
+	// and perform no honest duties; what the adversary sends as them
+	// reaches every partition at once. Duplicate indices are rejected.
 	Byzantine []types.ValidatorIndex
 	// PartitionOf assigns each validator a partition id (pre-GST). Nil
 	// means a single partition.
@@ -377,9 +379,9 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 		}
 		byzantine[b] = true
 	}
-	// Honest partition ids must be non-negative: negative ids would
-	// collide with the Byzantine cohort's internal partition sentinel and
-	// silently merge views.
+	// Honest partition ids must be non-negative: -1 is the link class of
+	// the Byzantine sender (network.Partition of a sender that is no
+	// endpoint).
 	partitions := map[int]bool{}
 	for i := 0; i < cfg.Validators; i++ {
 		v := types.ValidatorIndex(i)
@@ -436,7 +438,7 @@ func build(s *Simulation, cfg Config, shell bool) (*Simulation, error) {
 	if s.lanes == nil {
 		s.lanes = new(laneSet)
 	}
-	s.lanes.layout(s.cohorts, len(byzantine) == 0 && len(partitions) > 1)
+	s.lanes.layout(s.cohorts, len(partitions) > 1)
 	s.Net = wireNetwork(cfg, s.cohorts, old.Net)
 	s.dutyView = old.dutyView[:0]
 	if !shell { // a shell takes its duty views from the snapshot it is given
@@ -459,22 +461,33 @@ func (s *Simulation) Slot() types.Slot { return s.slot }
 // mutate it.
 func (s *Simulation) HonestIndices() []types.ValidatorIndex { return s.honest }
 
-// Cohorts returns the cohort list in construction order (honest cohorts by
-// first partition appearance, the Byzantine cohort where its first member
-// falls). Callers must not mutate it.
+// Cohorts returns the honest cohorts in construction order, by first
+// partition appearance. Callers must not mutate it.
 func (s *Simulation) Cohorts() []*Cohort { return s.cohorts }
 
 // View returns the materialized view validator v currently performs its
-// duties from — its home cohort's node unless SetDutyView reassigned it.
-func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node {
-	return s.cohorts[s.dutyView[v]].Node
-}
+// duties from — its home cohort's node unless SetDutyView reassigned it —
+// and nil for a Byzantine validator, which holds none.
+func (s *Simulation) View(v types.ValidatorIndex) *beacon.Node { return s.node(s.dutyView[v]) }
 
 // HomeView returns the materialized view of validator v's home cohort,
-// whichever view SetDutyView has it act from.
-func (s *Simulation) HomeView(v types.ValidatorIndex) *beacon.Node {
-	return s.cohorts[s.cohortOf[v]].Node
+// whichever view SetDutyView has it act from, and nil for a Byzantine
+// validator, which holds none.
+func (s *Simulation) HomeView(v types.ValidatorIndex) *beacon.Node { return s.node(s.cohortOf[v]) }
+
+// node returns cohort ci's view, and nil for ci past the cohorts: a
+// Byzantine validator's entry.
+func (s *Simulation) node(ci int) *beacon.Node {
+	if ci < len(s.cohorts) {
+		return s.cohorts[ci].Node
+	}
+	return nil
 }
+
+// Blocks returns the omniscient block tree: every block any validator has
+// broadcast, as the strong adversary knows them. It is the simulation's
+// own, read-only to callers.
+func (s *Simulation) Blocks() *blocktree.Tree { return s.oracle }
 
 // SetDutyView makes validator v perform its duties (attestations,
 // proposals) from the home-cohort view of validator `like`, modeling an
@@ -484,9 +497,9 @@ func (s *Simulation) HomeView(v types.ValidatorIndex) *beacon.Node {
 // primitive: in the tests' one-view-per-validator reference the "view of
 // like's cohort" is like's own node, a different (coarser) adversary model,
 // so runs using it are outside the cohort-vs-reference equivalence
-// contract.
+// contract. A Byzantine like, which holds no view, moves nothing.
 func (s *Simulation) SetDutyView(v, like types.ValidatorIndex) {
-	if view := s.cohortOf[like]; s.dutyView[v] != view {
+	if view := s.cohortOf[like]; view < len(s.cohorts) && s.dutyView[v] != view {
 		s.dutyView[v] = view
 		clear(s.bucketsBuilt)
 	}
@@ -513,8 +526,9 @@ func (s *Simulation) AttestationSlot(v types.ValidatorIndex, epoch types.Epoch) 
 	return epoch.StartSlot() + types.Slot(uint64(v)%s.Cfg.Spec.SlotsPerEpoch)
 }
 
-// Broadcast sends a message from a validator (routed via its home cohort)
-// and records blocks in the Safety oracle.
+// Broadcast sends a message from a validator (routed via its home cohort;
+// a Byzantine validator's reaches every partition at once) and records
+// blocks in the Safety oracle.
 func (s *Simulation) Broadcast(from types.ValidatorIndex, at types.Slot, m Message) {
 	s.recordOracle(&m)
 	s.Net.Broadcast(network.NodeID(s.cohortOf[from]), at, m)
@@ -926,16 +940,8 @@ func (v SafetyViolation) Error() string {
 // when Safety holds. Two validators sharing a view cannot conflict, so the
 // audit is quadratic in cohorts, not validators.
 func (s *Simulation) CheckFinalitySafety() *SafetyViolation {
-	for i := 0; i < len(s.cohorts); i++ {
-		ca := s.cohorts[i]
-		if ca.Byzantine {
-			continue
-		}
-		for j := i + 1; j < len(s.cohorts); j++ {
-			cb := s.cohorts[j]
-			if cb.Byzantine {
-				continue
-			}
+	for i, ca := range s.cohorts {
+		for _, cb := range s.cohorts[i+1:] {
 			a, b := ca.Node.Finalized(), cb.Node.Finalized()
 			if err := ffg.CheckConflict(a, b, s.oracle.IsAncestor); err != nil {
 				return &SafetyViolation{NodeA: ca.Members[0], NodeB: cb.Members[0], A: a, B: b}

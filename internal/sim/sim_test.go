@@ -147,8 +147,8 @@ func TestHonestIndicesExcludesByzantine(t *testing.T) {
 }
 
 // TestCohortLayout: the default mode materializes one view per honest
-// partition plus one bridging Byzantine view; the oracle mode one per
-// validator.
+// partition, and the oracle mode one per honest validator; a Byzantine
+// validator holds none in either.
 func TestCohortLayout(t *testing.T) {
 	cfg := healthyConfig(10)
 	cfg.Byzantine = []types.ValidatorIndex{8, 9}
@@ -158,22 +158,15 @@ func TestCohortLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	cohorts := s.Cohorts()
-	if len(cohorts) != 3 {
-		t.Fatalf("cohorts = %d, want 2 honest partitions + 1 byzantine", len(cohorts))
+	if len(cohorts) != 2 {
+		t.Fatalf("cohorts = %d, want 2 honest partitions", len(cohorts))
 	}
-	byz := 0
 	members := 0
 	for _, c := range cohorts {
 		members += len(c.Members)
-		if c.Byzantine {
-			byz++
-			if len(c.Members) != 2 {
-				t.Errorf("byzantine cohort members = %v", c.Members)
-			}
-		}
 	}
-	if byz != 1 || members != 10 {
-		t.Errorf("byz cohorts = %d, total members = %d", byz, members)
+	if members != 8 || s.View(8) != nil || s.HomeView(9) != nil {
+		t.Errorf("total members = %d, Byzantine views %v and %v; want 8 and none", members, s.View(8), s.HomeView(9))
 	}
 	// Cohort-mates share one view object.
 	if s.View(0) != s.View(2) {
@@ -187,8 +180,8 @@ func TestCohortLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(o.Cohorts()); got != 10 {
-		t.Fatalf("oracle mode cohorts = %d, want one per validator", got)
+	if got := len(o.Cohorts()); got != 8 {
+		t.Fatalf("oracle mode cohorts = %d, want one per honest validator", got)
 	}
 	if o.View(0) == o.View(2) {
 		t.Error("oracle mode must not share views")

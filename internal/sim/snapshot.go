@@ -235,11 +235,17 @@ type adversaryCoder struct {
 // that adversary, refusing with ErrSnapshotCodec state its walk cannot read
 // (which may leave the adversary partly written) — a count of replayed work
 // above one per honest validator per epoch before the snapshot's slot
-// among it, unreplayed.
+// among it, unreplayed. An honest validator acting from no view, as only a
+// Byzantine one does, is ErrSnapshotCodec.
 func (s *Simulation) fit(sn *Snapshot, verb string) error {
 	if sn.validators != s.Cfg.Validators || len(sn.nodes) != len(s.cohorts) {
 		return fmt.Errorf("%w: snapshot of %d validators / %d cohorts %s into %d / %d",
 			ErrBadConfig, sn.validators, len(sn.nodes), verb, s.Cfg.Validators, len(s.cohorts))
+	}
+	for _, v := range s.honest {
+		if sn.dutyView[v] == len(sn.nodes) {
+			return fmt.Errorf("%w: honest validator %d acts from no view", ErrSnapshotCodec, v)
+		}
 	}
 	w, ok := s.Cfg.Adversary.(walker)
 	if !ok && sn.adversary == "" {
